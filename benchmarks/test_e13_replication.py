@@ -21,11 +21,6 @@ Phase B: read-your-writes under injected feed lag — the session token
 forces MR_BUSY on stale replicas and the router falls through to the
 primary; the read never time-travels.
 
-Phase C: group-commit micro-bench — journal appends/sec at
-``fsync_batch`` 1 (seed durability, fsync per append) vs batched.
-Report-only: the trade-off (a crash may lose the last un-fsync'd batch,
-replicas self-heal by resync) is documented in docs/REPLICATION.md.
-
 Results land in ``benchmarks/results/E13.txt`` and
 ``benchmarks/results/BENCH_replication.json``.
 
@@ -40,10 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
 import time
-from pathlib import Path
 
 from benchmarks.conftest import (
     BENCH_REPLICATION_JSON,
@@ -51,9 +44,7 @@ from benchmarks.conftest import (
     write_result,
 )
 from repro.core import AthenaDeployment, DeploymentConfig
-from repro.db.journal import Journal
 from repro.errors import MoiraError, MR_ABORTED
-from repro.sim.clock import DEFAULT_EPOCH
 from repro.sim.faults import FaultInjector
 from repro.workload import PopulationSpec
 
@@ -193,24 +184,6 @@ def _phase_b_read_your_writes() -> dict:
             "ejections": stats["ejections"]}
 
 
-def _phase_c_group_commit() -> dict:
-    """Journal appends/sec, fsync per append vs batched."""
-    n = max(100, REQUESTS * 4)
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, batch in (("fsync_per_append", 1),
-                             ("fsync_batch_32", 32)):
-            journal = Journal(path=Path(tmp) / f"wal-{batch}",
-                              fsync_batch=batch)
-            start = time.perf_counter()
-            for i in range(n):
-                journal.record(DEFAULT_EPOCH + i, "root", "q", (str(i),))
-            journal.close()
-            out[label] = round(n / (time.perf_counter() - start), 1)
-    out["appends"] = n
-    return out
-
-
 def test_e13_replication_scaleout():
     lines = [
         "E13: horizontal read scale-out "
@@ -240,10 +213,6 @@ def test_e13_replication_scaleout():
     lines.append(f"read-your-writes under feed partition: "
                  f"served by primary after {ryw['fallthroughs']} "
                  f"fallthrough(s), {ryw['ejections']} ejection(s)")
-    gc = _phase_c_group_commit()
-    lines.append(f"group commit ({gc['appends']} appends): "
-                 f"{gc['fsync_per_append']:.0f}/s per-append fsync vs "
-                 f"{gc['fsync_batch_32']:.0f}/s batch=32")
 
     write_result("E13", lines)
     record_bench_to(BENCH_REPLICATION_JSON, "e13_replication", {
@@ -259,7 +228,6 @@ def test_e13_replication_scaleout():
         "min_speedup_required": MIN_SPEEDUP,
         "byte_identical_replies": True,
         "read_your_writes": ryw,
-        "group_commit": gc,
     })
     assert speedup >= MIN_SPEEDUP, (
         f"replicated speedup {speedup:.2f}x < required {MIN_SPEEDUP}x")

@@ -1,34 +1,32 @@
-"""E14 — the MVCC storage engine: lock-free reads vs the RWLock.
+"""E14 — the MVCC storage engine: lock-free reads beside writers.
 
 16 reader connections and a continuous writer pool (20% write mix)
-hammer one server at the paper's 10k design point.  Two engine modes
-over identical worlds:
-
-* ``rwlock`` is PR 2's discipline (``set_mvcc(False)``): readers take
-  the shared lock, writers the exclusive one — under the writer-
-  preferring RWLock a steady write stream starves readers.
-* ``mvcc`` is the default engine: readers pin a committed snapshot
-  seq and scan immutable row versions with **no lock at all**; only
-  writer–writer exclusion remains.
-
+hammer one server at the paper's 10k design point.  Readers pin a
+committed snapshot seq and scan immutable row versions with **no lock
+at all**; only writer–writer exclusion remains.
 ``Database.sim_backend_latency`` models the INGRES round trip the
-paper's server paid per query.  In rwlock mode that sleep happens
-under the lock (writers serialise everyone); in MVCC mode a reader
-sleeps outside any lock, so reads overlap writes fully.
+paper's server paid per query; a reader sleeps outside any lock, so
+reads overlap writes fully.
 
-The gate: MVCC read throughput must be ≥ ``E14_MIN_SPEEDUP`` (default
-3x) the rwlock engine's, with per-connection reply streams
-byte-identical across modes.  A crash sweep rides along — the E12
-discipline (checkpoint, crash at every armed WAL boundary, recover,
-client retry) run over the ``memory`` and ``sqlite`` backends with
-recovery targeting a fresh backend instance; every boundary must land
-byte-identical to the never-crashed oracle.
+Reported: absolute read and write requests/s.  (The 4.67x read speedup
+in EXPERIMENTS.md was measured at PR 6 against the shared-lock reader
+mode, ``set_mvcc(False)``, which no longer exists; there is no second
+arm to take a ratio against.)
+
+Oracles: every connection's reply stream must be byte-identical to
+the same plans run *serially* through an inline server on an
+identically built world — concurrency may not change a single reply
+byte.  A crash sweep rides along — the E12 discipline (checkpoint,
+crash at every armed WAL boundary, recover, client retry) run over
+the ``memory`` and ``sqlite`` backends with recovery targeting a
+fresh backend instance; every boundary must land byte-identical to
+the never-crashed oracle.
 
 Results land in ``benchmarks/results/BENCH_engine.json`` and
 ``benchmarks/results/E14.txt``.
 
 Env knobs (CI smoke uses tiny values): E14_CLIENTS, E14_WRITERS,
-E14_REQUESTS, E14_LATENCY, E14_WORKERS, E14_MIN_SPEEDUP, E14_USERS,
+E14_REQUESTS, E14_LATENCY, E14_WORKERS, E14_USERS,
 E14_CRASH_BOUNDARIES.
 """
 
@@ -61,7 +59,6 @@ WRITERS = int(os.environ.get("E14_WRITERS", "4"))
 REQUESTS = int(os.environ.get("E14_REQUESTS", "30"))
 LATENCY = float(os.environ.get("E14_LATENCY", "0.003"))
 WORKERS = int(os.environ.get("E14_WORKERS", str(CLIENTS + WRITERS)))
-MIN_SPEEDUP = float(os.environ.get("E14_MIN_SPEEDUP", "3.0"))
 USERS = int(os.environ.get("E14_USERS", "0"))  # 0 = the 10k design point
 CRASH_BOUNDARIES = int(os.environ.get("E14_CRASH_BOUNDARIES", "200"))
 
@@ -72,19 +69,51 @@ BASE = DEFAULT_EPOCH + 1000
 # -- part 1: lock-free read throughput ----------------------------------------
 
 
-def _build_world() -> AthenaDeployment:
+def _build_world(workers: int) -> AthenaDeployment:
     population = (PopulationSpec() if USERS == 0
                   else PopulationSpec(users=USERS, unregistered_users=0,
                                       nfs_servers=2, maillists=5,
                                       clusters=1, machines_per_cluster=2,
                                       printers=2, network_services=5))
     d = AthenaDeployment(DeploymentConfig(population=population,
-                                          server_workers=WORKERS))
+                                          server_workers=workers))
     direct = d.direct_client()
     for k in range(BENCH_MACHINES):
         direct.query("add_machine", f"BENCH{k}.MIT.EDU", "VAX")
-    d.db.sim_backend_latency = LATENCY
     return d
+
+
+def _connect(d: AthenaDeployment) -> list[int]:
+    admin = d.handles.logins[0]
+    d.make_admin(admin)
+    conn_ids = []
+    for i in range(CLIENTS + WRITERS):
+        conn_id = d.server.open_connection(f"e14-{i}")
+        # bench shortcut: bind the admin principal directly instead of
+        # replaying the Kerberos handshake on every connection
+        d.server._connections[conn_id].principal = admin
+        conn_ids.append(conn_id)
+    return conn_ids
+
+
+def _plans() -> list[list[bytes]]:
+    return ([_reader_plan(i) for i in range(CLIENTS)] +
+            [_writer_plan(i) for i in range(WRITERS)])
+
+
+def _serial_digests() -> list[str]:
+    """The reference: every plan, one connection after another, through
+    an inline (workers=0) server with no simulated latency."""
+    d = _build_world(0)
+    conn_ids = _connect(d)
+    digests = []
+    for conn_id, plan in zip(conn_ids, _plans()):
+        digest = hashlib.sha256()
+        for frame in plan:
+            for reply in d.server.handle_frame(conn_id, frame[4:]):
+                digest.update(reply)
+        digests.append(digest.hexdigest())
+    return digests
 
 
 def _reader_plan(client: int) -> list[bytes]:
@@ -105,26 +134,16 @@ def _writer_plan(client: int) -> list[bytes]:
         for j in range(REQUESTS)]
 
 
-def _run_mode(mvcc: bool) -> tuple[float, float, list[str], dict]:
-    """One engine-mode measurement on a fresh world.
+def _run_concurrent() -> tuple[float, float, list[str], dict]:
+    """The measurement, on a fresh world.
 
     Returns (read rps, write rps, reply digests, mvcc stats).
     """
-    d = _build_world()
-    if not mvcc:
-        d.db.set_mvcc(False)
-    admin = d.handles.logins[0]
-    d.make_admin(admin)
+    d = _build_world(WORKERS)
+    d.db.sim_backend_latency = LATENCY
     total = CLIENTS + WRITERS
-    conn_ids = []
-    for i in range(total):
-        conn_id = d.server.open_connection(f"e14-{i}")
-        # bench shortcut: bind the admin principal directly instead of
-        # replaying the Kerberos handshake on every connection
-        d.server._connections[conn_id].principal = admin
-        conn_ids.append(conn_id)
-    plans = ([_reader_plan(i) for i in range(CLIENTS)] +
-             [_writer_plan(i) for i in range(WRITERS)])
+    conn_ids = _connect(d)
+    plans = _plans()
     digests = [hashlib.sha256() for _ in range(total)]
     elapsed = [0.0] * total
     errors: list[Exception] = []
@@ -157,7 +176,7 @@ def _run_mode(mvcc: bool) -> tuple[float, float, list[str], dict]:
         t.start()
     for t in threads:
         t.join(timeout=600)
-    stats = dict(d.db.mvcc_stats()) if mvcc else {}
+    stats = dict(d.db.mvcc_stats())
     d.server.shutdown()
     assert not errors, errors[:3]
     # the slowest reader bounds read completion; writers likewise
@@ -267,10 +286,9 @@ def _crash_sweep(backend: str, boundaries: int, tmp_path) -> int:
 
 
 def test_e14_mvcc_engine(tmp_path):
-    base_read, base_write, base_digests, _ = _run_mode(mvcc=False)
-    mvcc_read, mvcc_write, mvcc_digests, stats = _run_mode(mvcc=True)
-    assert mvcc_digests == base_digests, "reply drift between engines"
-    speedup = mvcc_read / base_read
+    mvcc_read, mvcc_write, mvcc_digests, stats = _run_concurrent()
+    assert mvcc_digests == _serial_digests(), \
+        "reply drift between the concurrent run and the serial oracle"
 
     sweeps = {}
     for backend in ("memory", "sqlite"):
@@ -282,16 +300,14 @@ def test_e14_mvcc_engine(tmp_path):
     write_frac = (WRITERS * REQUESTS /
                   ((CLIENTS + WRITERS) * REQUESTS))
     lines = [
-        "E14: MVCC snapshot-isolation engine vs RWLock "
+        "E14: MVCC snapshot-isolation engine "
         f"({CLIENTS} readers + {WRITERS} writers x {REQUESTS} "
         f"requests, {write_frac:.0%} write mix, "
         f"backend latency {LATENCY * 1000:.1f} ms, "
         f"{'10k design point' if USERS == 0 else f'{USERS} users'})",
         f"{'engine':<10}{'read rps':>10}{'write rps':>11}",
-        f"{'rwlock':<10}{base_read:>10.0f}{base_write:>11.0f}",
         f"{'mvcc':<10}{mvcc_read:>10.0f}{mvcc_write:>11.0f}",
-        f"read speedup: {speedup:.2f}x (gate {MIN_SPEEDUP}x), "
-        "reply streams byte-identical",
+        "reply streams byte-identical to the serial oracle",
         f"crash sweep: {sweeps['memory']} boundaries x "
         f"{{memory, sqlite}}, all byte-identical through recover",
         f"mvcc: {stats.get('commits', 0)} commits, "
@@ -306,12 +322,8 @@ def test_e14_mvcc_engine(tmp_path):
         "write_fraction": round(write_frac, 3),
         "sim_backend_latency_s": LATENCY,
         "users": USERS if USERS else 10_000,
-        "rwlock_read_rps": round(base_read, 1),
-        "rwlock_write_rps": round(base_write, 1),
         "mvcc_read_rps": round(mvcc_read, 1),
         "mvcc_write_rps": round(mvcc_write, 1),
-        "read_speedup": round(speedup, 2),
-        "min_read_speedup_required": MIN_SPEEDUP,
         "byte_identical_replies": True,
         "crash_sweep": {
             "boundaries": CRASH_BOUNDARIES,
@@ -326,5 +338,3 @@ def test_e14_mvcc_engine(tmp_path):
     }
     write_result("E14", lines)
     record_bench_to(BENCH_ENGINE_JSON, "e14_mvcc_engine", section)
-    assert speedup >= MIN_SPEEDUP, (
-        f"MVCC read speedup {speedup:.2f}x < required {MIN_SPEEDUP}x")

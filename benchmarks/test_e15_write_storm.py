@@ -6,17 +6,14 @@ fsync-bound and serialised at the 100k design point this PR targets.
 E15 drives a registration storm (``register_user``, spanning all
 three writer shards), a semester rollover (``update_user_status``,
 users shard only), and machine churn (``add_machine``, machines +
-quota shards) concurrently against two write-path modes over
-identical 100k-user worlds:
+quota shards) concurrently against the write path at the 100k-user
+point: per-shard writer locks, group-committed windows of up to 8
+sharing one fsync and one simulated backend round trip.
 
-* ``single`` — the seed discipline: ``write_shards=False,
-  write_batch=0`` — every write takes every shard and fsyncs alone.
-* ``sharded`` — the default: per-shard writer locks, group-committed
-  windows of 8 sharing one fsync and one simulated backend round
-  trip.
-
-The gate: sharded write throughput ≥ ``E15_MIN_SPEEDUP`` (default 2x)
-the single-writer mode's.  Three oracles ride along, per mode:
+Reported: absolute writes/s, fsyncs and mean window size.  (The 2.4x
+in EXPERIMENTS.md was measured at PR 7 against ``write_shards=False,
+write_batch=0``, a mode that no longer exists; there is no second arm
+to take a ratio against.)  Two oracles ride along:
 
 1. **journal order** — commit seqs in the WAL are strictly increasing
    even though shards committed concurrently (the commit-gate
@@ -24,9 +21,7 @@ the single-writer mode's.  Three oracles ride along, per mode:
 2. **recovery byte-identity** — ``mrbackup`` of the post-storm
    primary equals a dump of checkpoint + WAL replay into a fresh
    database, byte for byte (id bindings reproduce the allocation
-   trajectory past interleaved and aborted writers);
-3. **cross-mode equivalence** — both modes finish with identical
-   per-table row counts and every storm write applied.
+   trajectory past interleaved and aborted writers).
 
 Part 2 is the batch-boundary crash sweep (E12 discipline): torn
 writes inside commit windows and ``ServerCrash`` at the
@@ -39,7 +34,7 @@ Results land in ``benchmarks/results/BENCH_writes.json`` and
 
 Env knobs (CI smoke uses tiny values): E15_USERS, E15_REG,
 E15_ROLLOVER, E15_MACHINES, E15_THREADS, E15_WORKERS, E15_LATENCY,
-E15_WINDOW, E15_MIN_SPEEDUP, E15_CRASH_BOUNDARIES.
+E15_CRASH_BOUNDARIES.
 """
 
 from __future__ import annotations
@@ -71,23 +66,17 @@ MACHINES = int(os.environ.get("E15_MACHINES", "600"))
 THREADS = int(os.environ.get("E15_THREADS", "4"))  # per workload class
 WORKERS = int(os.environ.get("E15_WORKERS", "12"))
 LATENCY = float(os.environ.get("E15_LATENCY", "0.002"))
-WINDOW = int(os.environ.get("E15_WINDOW", "8"))
-MIN_SPEEDUP = float(os.environ.get("E15_MIN_SPEEDUP", "2.0"))
 CRASH_BOUNDARIES = int(os.environ.get("E15_CRASH_BOUNDARIES", "24"))
 
 
 # -- part 1: the 100k write storm ---------------------------------------------
 
 
-def _build_world(tmp_path: Path, mode: str) -> AthenaDeployment:
-    sharded = mode == "sharded"
+def _build_world(tmp_path: Path) -> AthenaDeployment:
     config = DeploymentConfig(
         population=PopulationSpec.design_point(USERS),
         server_workers=WORKERS,
-        wal_path=tmp_path / f"{mode}-wal",
-        fsync_batch=1,
-        write_shards=sharded,
-        write_batch=WINDOW if sharded else 0,
+        wal_path=tmp_path / "wal",
     )
     d = AthenaDeployment(config)
     d.db.sim_backend_latency = LATENCY
@@ -171,10 +160,10 @@ def _dump(db, directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def _run_mode(mode: str, tmp_path: Path) -> dict:
-    workdir = tmp_path / mode
+def _run_storm_world(tmp_path: Path) -> dict:
+    workdir = tmp_path / "storm"
     workdir.mkdir()
-    d = _build_world(workdir, mode)
+    d = _build_world(workdir)
     plans = _storm_plans(d)
     # the admin principal is minted before the checkpoint so its ACL
     # membership is in the snapshot, not a WAL entry under test
@@ -191,30 +180,26 @@ def _run_mode(mode: str, tmp_path: Path) -> dict:
     seqs = [e.commit_seq for e in d.journal.entries if e.commit_seq]
     assert len(seqs) >= writes
     assert all(a < b for a, b in zip(seqs, seqs[1:])), (
-        f"{mode}: journal not in commit-seq order")
+        "journal not in commit-seq order")
 
     # oracle 2: checkpoint + WAL replay reproduces the primary's bytes
     primary = _dump(d.db, workdir / "primary-dump")
-    rec = recover(workdir / "snap", wal_path=workdir / f"{mode}-wal")
+    rec = recover(workdir / "snap", wal_path=workdir / "wal")
     replayed = _dump(rec.db, workdir / "replay-dump")
-    assert replayed == primary, (
-        f"{mode}: replay diverged from the primary")
+    assert replayed == primary, "replay diverged from the primary"
 
     wal_stats = d.journal.stats()
-    batcher = d.server._write_batcher
     return {
         "writes": writes,
         "wall_s": wall,
         "wps": writes / wall,
         "watermark": watermark,
         "replayed": rec.replayed,
-        "row_counts": {name: len(t) for name, t in d.db.tables.items()},
         "fsyncs": wal_stats["fsyncs"],
         "appends": wal_stats["appends"],
-        "mean_batch": (batcher.occupancy()["mean_batch_size"]
-                       if batcher is not None else 1.0),
-        "shard_waits": (d.server.metrics.shard_waits()
-                        if mode == "sharded" else {}),
+        "mean_batch":
+            d.server._write_batcher.occupancy()["mean_batch_size"],
+        "shard_waits": d.server.metrics.shard_waits(),
     }
 
 
@@ -234,7 +219,6 @@ def _sweep_config(backend: str, workdir: Path, *,
                                   machines_per_cluster=2, printers=4,
                                   network_services=10),
         server_workers=0,       # inline frames: crashes hit the caller
-        write_batch=4,
     )
     if wal:
         kwargs["wal_path"] = workdir / "wal"
@@ -348,13 +332,7 @@ def _crash_sweep(backend: str, boundaries: int, tmp_path: Path) -> int:
 
 
 def test_e15_write_storm(tmp_path):
-    single = _run_mode("single", tmp_path)
-    sharded = _run_mode("sharded", tmp_path)
-
-    # oracle 3: both modes converge on the same world
-    assert sharded["row_counts"] == single["row_counts"], (
-        "modes diverged in table row counts")
-    speedup = sharded["wps"] / single["wps"]
+    sharded = _run_storm_world(tmp_path)
 
     sweeps = {}
     for backend in ("memory", "sqlite"):
@@ -369,18 +347,14 @@ def test_e15_write_storm(tmp_path):
         f"E15: write storm at the {USERS // 1000}k design point "
         f"({REG} registrations + {ROLLOVER} rollover + "
         f"{MACHINES} machines, {THREADS * 3} clients, "
-        f"window {WINDOW}, backend latency {LATENCY * 1000:.1f} ms)",
+        f"backend latency {LATENCY * 1000:.1f} ms)",
         f"{'mode':<10}{'writes':>8}{'wall s':>9}{'writes/s':>10}"
         f"{'fsyncs':>8}{'batch':>7}",
-        f"{'single':<10}{single['writes']:>8}{single['wall_s']:>9.2f}"
-        f"{single['wps']:>10.0f}{single['fsyncs']:>8}"
-        f"{single['mean_batch']:>7.1f}",
         f"{'sharded':<10}{sharded['writes']:>8}"
         f"{sharded['wall_s']:>9.2f}{sharded['wps']:>10.0f}"
         f"{sharded['fsyncs']:>8}{sharded['mean_batch']:>7.1f}",
-        f"write speedup: {speedup:.2f}x (gate {MIN_SPEEDUP}x)",
         "oracles: WAL in commit-seq order, checkpoint+replay "
-        "byte-identical to the primary, cross-mode row counts equal",
+        "byte-identical to the primary",
         f"crash sweep: {CRASH_BOUNDARIES} batch boundaries x "
         "{torn, batch_flush} x {memory, sqlite}, all byte-identical "
         "through recover+resume",
@@ -391,18 +365,12 @@ def test_e15_write_storm(tmp_path):
         "rollover": ROLLOVER,
         "machines": MACHINES,
         "clients": THREADS * 3,
-        "window": WINDOW,
         "sim_backend_latency_s": LATENCY,
-        "single_wps": round(single["wps"], 1),
         "sharded_wps": round(sharded["wps"], 1),
-        "single_fsyncs": single["fsyncs"],
         "sharded_fsyncs": sharded["fsyncs"],
         "sharded_mean_batch": round(sharded["mean_batch"], 2),
-        "write_speedup": round(speedup, 2),
-        "min_speedup_required": MIN_SPEEDUP,
         "journal_commit_seq_ordered": True,
         "replay_byte_identical": True,
-        "cross_mode_row_counts_equal": True,
         "crash_sweep": {
             "boundaries": CRASH_BOUNDARIES,
             "kinds": ["torn", "batch_flush"],
@@ -416,6 +384,3 @@ def test_e15_write_storm(tmp_path):
     }
     write_result("E15", lines)
     record_bench_to(BENCH_WRITES_JSON, "e15_write_storm", section)
-    assert speedup >= MIN_SPEEDUP, (
-        f"sharded write speedup {speedup:.2f}x < required "
-        f"{MIN_SPEEDUP}x")

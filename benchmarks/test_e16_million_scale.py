@@ -16,7 +16,7 @@ superseded record forever).  E16 gates the three fixes together:
    trajectory per design point lands in ``BENCH_scale.json``.
 
 2. **Uid-range user sub-shards** — ``user_subshards=N`` splits the
-   ``users`` writer lock into N uid-bucket locks; ``write_batch``
+   ``users`` writer lock into N uid-bucket locks; commit-window
    lanes key on the touched bucket set, so shell/finger waves against
    disjoint uid ranges commit concurrently.  Gate: registration-storm
    throughput ≥ ``E16_MIN_STORM_SPEEDUP`` (default 1.8x) with
@@ -70,7 +70,6 @@ LATENCY = float(os.environ.get("E16_LATENCY", "0.02"))
 COMPACT_WRITES = int(os.environ.get("E16_COMPACT_WRITES", "100000"))
 MIN_BUILD_SPEEDUP = float(os.environ.get("E16_MIN_BUILD_SPEEDUP", "4.0"))
 MIN_STORM_SPEEDUP = float(os.environ.get("E16_MIN_STORM_SPEEDUP", "1.8"))
-WINDOW = 8
 WORKERS = 12
 
 
@@ -144,9 +143,6 @@ def _storm_world(tmp_path: Path, subshards: int) -> AthenaDeployment:
         population=PopulationSpec.design_point(STORM_USERS),
         server_workers=WORKERS,
         wal_path=tmp_path / "wal",
-        fsync_batch=1,
-        write_shards=True,
-        write_batch=WINDOW,
         user_subshards=subshards,
     )
     d = AthenaDeployment(config)

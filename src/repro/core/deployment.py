@@ -73,28 +73,15 @@ class DeploymentConfig:
     staleness_budget: float = 0.25  # max wait for read-your-writes, s
     replica_poll_interval: float = 0.005  # pump thread tail cadence, s
     replica_tcp: bool = False  # real sockets: feeds + clients dial TCP
-    # WAL write-path knobs (defaults = seed: fsync every append,
-    # one monolithic file)
+    # WAL layout (default = seed: one monolithic file)
     wal_segments: bool = False
-    fsync_batch: int = 1
-    fsync_interval_ms: float = 0.0
-    # storage-engine knobs (defaults = MVCC in-memory engine)
+    # storage engine (default = the MVCC in-memory engine)
     backend: str = "memory"  # any repro.db.backend registered name
     backend_path: Optional[str] = None  # on-disk store where supported
-    mvcc: bool = True  # False = seed RWLock shared-reader discipline
-    # write-path scale-out knobs (docs/WRITE_PATH.md): group-commit
-    # window size (0 = seed one-write-one-fsync path) and whether
-    # writes with disjoint shard footprints may commit concurrently
-    write_batch: int = 8
-    write_shards: bool = True
-    # million-scale knobs (docs/DATABASE.md): uid-range sub-shard count
+    # million-scale knob (docs/DATABASE.md): uid-range sub-shard count
     # for the users writer shard (0/1 = one users lock, the classic
-    # shape; memory backend only), and the population builder's mode —
-    # parallel staged build with bulk loads vs the per-row serial
-    # oracle discipline (byte-identical worlds either way)
+    # shape; memory backend only)
     user_subshards: int = 0
-    parallel_build: bool = True
-    build_workers: Optional[int] = None  # None = auto (min(4, cpus))
     # CDC push pipeline (docs/DCM_PIPELINE.md): consume the WAL as a
     # change stream and converge managed hosts per-mutation instead of
     # per-cron-cycle.  Needs journal_changes=True.
@@ -122,23 +109,15 @@ class AthenaDeployment:
             from repro.db.backend import create_backend
             self.db = create_backend(self.config.backend,
                                      self.config.backend_path)
-        if not self.config.mvcc:
-            set_mvcc = getattr(self.db, "set_mvcc", None)
-            if callable(set_mvcc):
-                set_mvcc(False)
         self.kdc = KDC(self.clock)
         self.journal = (Journal(path=self.config.wal_path,
                                 faults=self.faults,
-                                fsync_batch=self.config.fsync_batch,
-                                fsync_interval_ms=self.config.fsync_interval_ms,
                                 rotate_segments=self.config.wal_segments)
                         if self.config.journal_changes else None)
 
         # the synthetic campus
         self.handles = load_population(self.db, self.config.population,
-                                       now=self.clock.now(),
-                                       parallel=self.config.parallel_build,
-                                       workers=self.config.build_workers)
+                                       now=self.clock.now())
 
         # simulated infrastructure hosts + the services living on them
         self.hosts: dict[str, SimulatedHost] = {}
@@ -158,9 +137,7 @@ class AthenaDeployment:
             workers=self.config.server_workers,
             faults=self.faults,
             admission_limit=self.config.admission_limit,
-            request_deadline=self.config.request_deadline,
-            write_batch=self.config.write_batch,
-            write_shards=self.config.write_shards)
+            request_deadline=self.config.request_deadline)
         self.dcm = DCM(
             self.db, self.clock, network=self.network,
             moira_host=self.moira_host, journal=self.journal,

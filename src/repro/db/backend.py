@@ -9,13 +9,14 @@ backup, and recovery code can be handed *any* conforming backend:
 
 * :class:`StorageBackend` — the database surface (``table``,
   ``get_value``/``set_value``/``next_id``, ``table_stats``,
-  ``versions``, ``lock``/``read_locked``/``write_locked``).
+  ``versions``) and the two verbs every request goes through:
+  ``read_view()`` and ``write_txn()`` (DESIGN.md §17).
 * :class:`StorageTable` — the relation surface (``select``/
   ``iter_select``/``count``, ``insert``/``update_rows``/
   ``delete_rows``/``clear``, ``column``, ``rows``, ``stats``,
   ``version``).
 
-Three backends register here:
+Two backends register here:
 
 ``memory``
     The pure-Python MVCC engine (:mod:`repro.db.engine`) — the
@@ -23,16 +24,12 @@ Three backends register here:
 ``sqlite``
     :mod:`repro.db.sqlite_backend` — rows in SQLite (in-memory or
     file), Moira semantics layered in Python, real persistence.
-``walstore``
-    :mod:`repro.db.walstore` — an append-only write-ahead-native
-    store skeleton: the in-memory engine fronted by a logical op log
-    that rebuilds the store on reopen.
 
-The existing classes are registered as *virtual* subclasses
-(``ABCMeta.register``) rather than made to inherit, so the hot engine
-keeps its ``__slots__``/layout untouched; ``tests/
-test_backend_conformance.py`` is the behavioural half of the contract
-— one shared suite run against every factory below.
+Both backends' classes inherit these, so a backend missing
+``read_view`` or ``write_txn`` cannot be instantiated, let alone
+registered.  ``tests/test_backend_conformance.py`` is the behavioural
+half of the contract — one shared suite run against every factory
+below.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional
 __all__ = [
     "StorageBackend",
     "StorageTable",
+    "LockTxn",
     "create_backend",
     "available_backends",
     "register_backend",
@@ -111,6 +109,75 @@ class StorageBackend(abc.ABC):
     def versions(self) -> dict:
         """Per-table data-version vector (DCM no-change checks)."""
 
+    @abc.abstractmethod
+    def read_view(self):
+        """Context manager yielding a database-shaped object that holds
+        one consistent committed cut for the life of the ``with``."""
+
+    @abc.abstractmethod
+    def write_txn(self, shards=None, *, commit_hook=None,
+                  abort_hook=None):
+        """Context manager running its body as one writer transaction.
+
+        Yields a transaction with ``.seq`` (commit seq, 0 when the
+        backend has none), ``.bindings`` (ids/strings consumed, or
+        None) and ``.mutated`` (names of the tables whose data version
+        moved; complete once the ``with`` exits).  *shards* narrows
+        writer exclusion where the backend has writer shards (None =
+        every shard).  ``commit_hook(txn)`` runs exactly once on normal
+        exit and ``abort_hook(txn)`` on an exception, both before the
+        backend's locks drop — which is what keeps journal order equal
+        to commit order.
+        """
+
+    # writer-shard map (shard name -> table names); None = one writer
+    shards: Optional[dict] = None
+
+    def read_stats(self) -> dict:
+        """What a finished read cost, as per-handle metric fields
+        (``rows_scanned``/``rows_returned``/``snap_age_s``); a backend
+        that does not count reports nothing."""
+        return {}
+
+    def gc_if_due(self) -> None:
+        """Reclaim storage no reader can still see, if enough has
+        accumulated.  The write path calls it after a commit window
+        (or a library write) with no lock held; the default backend
+        keeps no history."""
+
+
+class LockTxn:
+    """``write_txn()`` for a backend without shard transactions: the
+    exclusive ``db.lock``, no commit seq, no bindings, no undo —
+    ``mutated`` is the ``versions()`` diff across the body."""
+
+    seq = 0
+    bindings = None
+
+    def __init__(self, db, commit_hook, abort_hook):
+        self._db = db
+        self._commit_hook = commit_hook
+        self._abort_hook = abort_hook
+        self.mutated: set = set()
+
+    def __enter__(self) -> "LockTxn":
+        self._db.lock.__enter__()
+        self._before = self._db.versions()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            before = self._before
+            self.mutated = {name for name, version
+                            in self._db.versions().items()
+                            if before.get(name) != version}
+            hook = self._commit_hook if exc_type is None \
+                else self._abort_hook
+            if hook is not None:
+                hook(self)
+        finally:
+            self._db.lock.__exit__(exc_type, exc, tb)
+
 
 # name -> zero-config factory(path=None) -> StorageBackend
 _FACTORIES: dict[str, Callable[[Optional[str]], "StorageBackend"]] = {}
@@ -136,34 +203,14 @@ def _ensure() -> None:
         return
     _REGISTERED = True
 
-    from repro.db.engine import Database, Table
     from repro.db.schema import build_database
-    from repro.db.sqlite_backend import (
-        SqliteDatabase,
-        SqliteTable,
-        sqlite_database_from_schema,
-    )
-    from repro.db.walstore import (
-        WalStoreDatabase,
-        WalStoreTable,
-        walstore_database_from_schema,
-    )
-
-    StorageBackend.register(Database)
-    StorageTable.register(Table)
-    StorageBackend.register(SqliteDatabase)
-    StorageTable.register(SqliteTable)
-    StorageBackend.register(WalStoreDatabase)
-    StorageTable.register(WalStoreTable)
+    from repro.db.sqlite_backend import sqlite_database_from_schema
 
     register_backend(
         "memory", lambda path=None: build_database())
     register_backend(
         "sqlite",
         lambda path=None: sqlite_database_from_schema(path or ":memory:"))
-    register_backend(
-        "walstore",
-        lambda path=None: walstore_database_from_schema(path))
 
 
 def create_backend(name: str,
@@ -171,8 +218,7 @@ def create_backend(name: str,
     """Build the backend registered as *name*.
 
     *path* selects on-disk storage where the backend supports it (a
-    SQLite database file; a walstore op log); ``None`` means
-    in-memory/ephemeral.
+    SQLite database file); ``None`` means in-memory/ephemeral.
     """
     _ensure()
     try:

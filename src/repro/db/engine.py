@@ -48,6 +48,7 @@ from collections import OrderedDict, deque
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
 
+from repro.db.backend import LockTxn, StorageBackend, StorageTable
 from repro.db.rwlock import RWLock
 
 from repro.errors import (
@@ -136,8 +137,8 @@ class ShardPartition:
 class _Txn:
     """One writer transaction on a sharded database.
 
-    Created either by :meth:`Database.shard_txn` (a server write
-    holding just the shards its query touches) or by the
+    Created either by :meth:`Database.write_txn` (a query holding just
+    the shards it touches, or all of them) or by the
     :class:`_ShardedTxnLock` facade (``with db.lock:`` — every shard,
     the seed's total exclusion).  The commit seq is assigned lazily at
     the first mutation, *while the shard locks are held*, so version
@@ -189,8 +190,8 @@ class _ShardedTxnLock:
     mode takes every reader side.  The first exclusive hold by a
     thread opens an all-shards transaction and the outermost release
     commits it, preserving the seed's ``with db.lock:`` semantics
-    byte for byte: library writes get one commit seq per lock hold
-    and never roll back.
+    byte for byte: whole-database operations (restore, replica reload,
+    version GC) get one commit seq per lock hold and never roll back.
     """
 
     def __init__(self, db: "Database") -> None:
@@ -284,7 +285,8 @@ class _ShardedTxnLock:
 
 
 class _ShardTxnContext:
-    """Context manager behind :meth:`Database.shard_txn`."""
+    """Context manager behind :meth:`Database.write_txn` on a sharded
+    database."""
 
     def __init__(self, db: "Database", shard_names, commit_hook,
                  abort_hook):
@@ -698,7 +700,7 @@ class TableStats:
 _NO_LATCH = nullcontext()
 
 
-class Table:
+class Table(StorageTable):
     """One relation: schema, rows, indexes, uniqueness, statistics."""
 
     def __init__(
@@ -1346,20 +1348,22 @@ class Table:
         return len(self.rows)
 
 
-class Database:
+class Database(StorageBackend):
     """A collection of relations plus the ID allocator and values helpers.
 
     The server holds exactly one Database (the paper's "one backend at
-    daemon start-up").  A writer-preferring reader/writer lock guards
-    it: mutations take exclusive mode (INGRES gave Moira serialised
-    transactions; ``with db.lock:`` still means exclusive), while
-    queries declared side-effect-free take shared mode and run
-    concurrently.  Concurrency control at the *service/host* level is
+    daemon start-up").  Every query goes through one of two verbs:
+    :meth:`read_view` pins a committed snapshot and takes no lock;
+    :meth:`write_txn` takes writer exclusion (per shard once
+    :meth:`declare_shards` ran) and commits through the in-order gate.
+    ``with db.lock:`` still means total exclusion, for whole-database
+    operations.  Concurrency control at the *service/host* level is
     the DCM LockManager's job, not ours.
 
     ``sim_backend_latency`` models the disk latency of the paper's
-    INGRES backend for benchmarks (seconds per query, applied while the
-    lock is held); it defaults to zero and costs nothing when unset.
+    INGRES backend for benchmarks (seconds per read or commit window,
+    slept by the server); it defaults to zero and costs nothing when
+    unset.
     """
 
     def __init__(self) -> None:
@@ -1373,9 +1377,7 @@ class Database:
         # -- MVCC state (docs/STORAGE_ENGINE.md) --------------------------
         # snapshot readers pin `_committed_seq` and scan the version
         # stores lock-free; only the exclusive (writer) side of `lock`
-        # is ever contended.  `set_mvcc(False)` restores the seed's
-        # RWLock-readers engine byte for byte.
-        self.mvcc_enabled = True
+        # is ever contended.
         self._committed_seq = 0
         self._txn_owner: Optional[int] = None   # thread ident in txn
         self._txn_seq = 0
@@ -1447,20 +1449,16 @@ class Database:
             table.set_fast_path(enabled)
 
     def read_locked(self) -> ContextManager[None]:
-        """Shared-mode critical section for side-effect-free queries."""
+        """Shared-mode critical section over the live tables (backup,
+        the replication snapshot feed)."""
         return self.lock.shared()
-
-    def write_locked(self) -> ContextManager[None]:
-        """Exclusive-mode critical section for mutating queries."""
-        return self.lock.exclusive()
 
     def create_table(self, table: Table) -> Table:
         """Register a new relation."""
         if table.name in self.tables:
             raise ValueError(f"table {table.name} already exists")
         self.tables[table.name] = table
-        if self.mvcc_enabled and table._mv is None \
-                and table.name not in self._unversioned:
+        if table._mv is None and table.name not in self._unversioned:
             from repro.db.mvcc import TableVersionStore
             table._mv = TableVersionStore(self, table)
         return table
@@ -1491,8 +1489,8 @@ class Database:
 
         After this call ``db.lock`` is a facade that takes every shard
         in sorted-name order — ``with db.lock:`` still means total
-        exclusion, and library writes keep the seed's one-seq-per-hold
-        commit semantics.  Call once, on a quiescent database.
+        exclusion, one commit seq per hold.  Call once, on a quiescent
+        database.
         """
         if self.shards is not None:
             raise ValueError("shards already declared")
@@ -1612,12 +1610,29 @@ class Database:
         published, so journal order is commit-seq order.  On exception
         the transaction's own mutations are undone (reverse order) and
         the seq still publishes as an abort so later writers don't
-        stall; *abort_hook(txn)* runs in the gate when the transaction
-        consumed id/string bindings that survive the abort (system
-        tables are not rolled back) so replay can reproduce them.
+        stall; *abort_hook(txn)* runs (in the gate, when the
+        transaction took a seq) so the caller can journal id/string
+        bindings that survive the abort — system tables are not rolled
+        back, and replay must reproduce them.
         """
         return _ShardTxnContext(self, shard_names, commit_hook,
                                 abort_hook)
+
+    def write_txn(self, shards: Optional[Iterable[str]] = None, *,
+                  commit_hook: Optional[Callable] = None,
+                  abort_hook: Optional[Callable] = None):
+        """The write verb: :meth:`shard_txn` once shards are declared;
+        on a bare un-sharded database the exclusive lock with no undo
+        (:class:`~repro.db.backend.LockTxn`)."""
+        if self._txns is None:
+            return LockTxn(self, commit_hook, abort_hook)
+        return _ShardTxnContext(self, shards, commit_hook, abort_hook)
+
+    def read_view(self):
+        """The read verb: pin the committed seq; the
+        :class:`~repro.db.mvcc.Snapshot` unpins itself when the
+        ``with`` exits."""
+        return self.pin_snapshot()
 
     def _active_txn(self) -> Optional["_Txn"]:
         txns = self._txns
@@ -1630,14 +1645,6 @@ class Database:
         if txn is None:
             return None
         return txn.undo
-
-    def _txn_info(self) -> tuple[int, Optional[dict]]:
-        """(commit seq, bindings) of the current thread's transaction —
-        what the library write path stamps into its journal entry."""
-        txn = self._active_txn()
-        if txn is None:
-            return 0, None
-        return txn.seq, txn.bindings
 
     def _bind_intern(self, text: str, string_id: int) -> None:
         """Record a string interned by the current transaction."""
@@ -1715,19 +1722,18 @@ class Database:
         if txn.seq == 0:
             return          # nothing mutated, no bindings journaled here
         self._publish_seq(txn.seq)
-        if self._mv_pressure >= self.mv_gc_threshold:
-            self.gc_versions()
+        self.gc_if_due()
 
     def _txn_commit(self, txn: "_Txn",
                     hook: Optional[Callable]) -> None:
         """Commit a shard transaction through the gate.
 
-        Every committed server write consumes one seq — even a
-        mutation-free one — so its journal entry (appended by *hook*
-        inside the gate) lands in a strict, gap-checkable seq order.
-        Version GC is deliberately *not* triggered here: it takes
-        every shard, and this thread holds only a subset — the write
-        batcher runs GC after releasing its locks instead.
+        Every committed write consumes one seq — even a mutation-free
+        one — so its journal entry (appended by *hook* inside the
+        gate) lands in a strict, gap-checkable seq order.  Version GC
+        is deliberately *not* triggered here: it takes every shard,
+        and this thread may hold only a subset — callers run
+        :meth:`gc_if_due` after releasing their locks instead.
         """
         if txn.seq == 0:
             self._alloc_seq(txn)
@@ -1742,28 +1748,26 @@ class Database:
         rolled back in reverse order; its seq still publishes (as an
         abort) so later writers waiting in the gate don't hang on a
         seq that will never commit.  System-table effects — allocated
-        ids, interned strings — are *not* undone; when any were
-        consumed, *hook* journals an ``_aborted`` marker carrying the
-        bindings so replay reproduces the values/strings state.
+        ids, interned strings — are *not* undone; *hook* sees them as
+        ``txn.bindings`` and journals an ``_aborted`` marker carrying
+        them so replay reproduces the values/strings state.
         """
         if txn.undo:
             for fn in reversed(txn.undo):
                 fn()
         if txn.seq == 0 and not txn.bindings:
+            if hook is not None:
+                hook(txn)   # nothing to order: no seq was ever taken
             return
         if txn.seq == 0:
             self._alloc_seq(txn)
-        run = None
-        if hook is not None and txn.bindings:
-            run = lambda: hook(txn)
+        run = None if hook is None else (lambda: hook(txn))
         self._publish_seq(txn.seq, hook=run, aborted=True)
 
     # -- MVCC: transactions, snapshots, garbage collection -------------------
 
     def _mv_txn_enter(self) -> None:
         """First exclusive acquisition: open a commit-seq transaction."""
-        if not self.mvcc_enabled:
-            return
         self._txn_owner = threading.get_ident()
         self._txn_seq = self._committed_seq + 1
         self._txn_dirty = False
@@ -1777,8 +1781,7 @@ class Database:
             self._txn_dirty = False
             self._committed_seq = self._txn_seq
             self._mv_counters["commits"] += 1
-            if self._mv_pressure >= self.mv_gc_threshold:
-                self.gc_versions()
+            self.gc_if_due()
 
     def _mv_begin(self, table: Optional["Table"] = None) -> tuple[int, bool]:
         """The commit seq for one mutation statement.
@@ -1843,7 +1846,7 @@ class Database:
         """Pin the committed seq and return a consistent read view.
 
         The snapshot serves every read lock-free; release it with
-        :meth:`unpin_snapshot` (callers do so in ``finally``) so the
+        :meth:`unpin_snapshot` (``with db.read_view():`` does) so the
         garbage collector's horizon can advance past it.
         """
         from repro.db.mvcc import Snapshot
@@ -1874,11 +1877,9 @@ class Database:
         nothing is pinned): any version or index entry whose window
         closed at or before it can never be read again.  Runs under the
         exclusive lock; checkpointing calls this after truncating the
-        WAL, and transaction exit calls it once ``mv_gc_threshold``
-        versions have accumulated.
+        WAL, and :meth:`gc_if_due` once ``mv_gc_threshold`` versions
+        have accumulated.
         """
-        if not self.mvcc_enabled:
-            return {"entries": 0, "versions": 0, "horizon": 0}
         with self.lock:
             with self._pin_lock:
                 horizon = self._committed_seq
@@ -1897,33 +1898,12 @@ class Database:
         return {"entries": entries, "versions": versions,
                 "horizon": horizon}
 
-    def set_mvcc(self, enabled: bool) -> None:
-        """Toggle snapshot-isolation MVCC (benchmark/oracle knob).
-
-        Disabled, readers fall back to the RWLock's shared side — the
-        seed engine, byte for byte — and the version stores detach (no
-        per-mutation overhead at all).  Re-enabling rebuilds each store
-        from the live rows.  Call on a quiescent database (no pinned
-        snapshots, no in-flight queries).
-        """
-        enabled = bool(enabled)
-        with self.lock:
-            if enabled == self.mvcc_enabled:
-                return
-            self.mvcc_enabled = enabled
-            if enabled:
-                from repro.db.mvcc import TableVersionStore
-                for table in self.tables.values():
-                    if table.name in self._unversioned:
-                        continue
-                    table._mv = TableVersionStore(self, table)
-                    table.mv_last_seq = 0
-                with self._pin_lock:
-                    self._pins.clear()
-                self._mv_pressure = 0
-            else:
-                for table in self.tables.values():
-                    table._mv = None
+    def gc_if_due(self) -> None:
+        """Run :meth:`gc_versions` once ``mv_gc_threshold`` reclaimable
+        versions have accumulated.  It takes every shard, so a caller
+        holding only some of them must release those first."""
+        if self._mv_pressure >= self.mv_gc_threshold:
+            self.gc_versions()
 
     def mvcc_stats(self) -> dict:
         """Counters for observability (the ``_query_stats`` rows)."""
@@ -1934,7 +1914,6 @@ class Database:
                           if oldest_seq is not None else 0.0)
         out = dict(self._mv_counters)
         out.update({
-            "enabled": int(self.mvcc_enabled),
             "committed_seq": self._committed_seq,
             "pins_active": pins_active,
             "oldest_pin_seq": oldest_seq if oldest_seq is not None else 0,

@@ -20,23 +20,19 @@ malformed input with ``ValueError`` instead of arbitrary exceptions, and
 :meth:`Journal.load` stops cleanly at a torn final record (the expected
 artifact of dying mid-append).
 
-Two write-path knobs added for the replication tier:
+Group commit is the caller's: ``record(fsync=False)`` appends without
+forcing the disk and one :meth:`Journal.sync` makes every deferred
+append durable — the server's commit window does exactly that and
+acknowledges nothing before the sync returns (docs/WRITE_PATH.md).
+:meth:`truncate` and :meth:`close` flush deferred appends too.
 
-* **Group commit** — ``fsync_batch`` / ``fsync_interval_ms`` defer the
-  per-append ``fsync`` so the primary's write path is not fsync-bound
-  while feeding replicas.  The defaults (batch 1, no interval) are the
-  seed behaviour: every append is fsync'd before ``record`` returns.
-  With batching on, a machine (not process) crash can lose the last
-  un-fsync'd batch — the records are flushed to the kernel, not forced
-  to the platter — so replicas may briefly be *ahead* of a recovered
-  primary; the replica apply loop detects that and resyncs.
-* **Segment rotation** — ``rotate_segments`` stores the WAL as
-  ``wal.<first_seq>`` segment files instead of one monolithic file.
-  :meth:`truncate` at a checkpoint then *unlinks* whole covered
-  segments (rewriting at most the one segment straddling the
-  watermark) instead of rewriting the entire remaining log, and a
-  restarted primary serving ``_repl_tail`` reads never rescan
-  checkpoint-covered history.
+**Segment rotation** — ``rotate_segments`` stores the WAL as
+``wal.<first_seq>`` segment files instead of one monolithic file.
+:meth:`truncate` at a checkpoint then *unlinks* whole covered
+segments (rewriting at most the one segment straddling the
+watermark) instead of rewriting the entire remaining log, and a
+restarted primary serving ``_repl_tail`` reads never rescan
+checkpoint-covered history.
 
 Failover fencing (the cluster *epoch*): every journal carries a
 monotonic ``epoch`` — WAL ownership.  A promoted replica's journal
@@ -54,7 +50,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -143,11 +138,6 @@ class Journal:
     path: Optional[Union[str, Path]] = None
     entries: list[JournalEntry] = field(default_factory=list)
     faults: Optional[FaultInjector] = None
-    # Group commit: fsync once per *fsync_batch* appends and/or once per
-    # *fsync_interval_ms*.  The defaults are the seed behaviour — every
-    # append is fsync'd before record() returns.
-    fsync_batch: int = 1
-    fsync_interval_ms: float = 0.0
     # Store the log as wal.<first_seq> segment files; truncate() then
     # unlinks covered segments instead of rewriting one monolithic file.
     rotate_segments: bool = False
@@ -167,8 +157,8 @@ class Journal:
     # entries arrive in mutation order; `when` is normally nondecreasing
     # (virtual clock), letting since() bisect — tracked, not assumed
     _when_monotonic: bool = field(default=True, repr=False, compare=False)
+    # appends written with fsync=False and not yet covered by a sync
     _unsynced: int = field(default=0, repr=False, compare=False)
-    _last_fsync: float = field(default=0.0, repr=False, compare=False)
     # epoch that fenced this journal (0 = unfenced; > epoch = refuse
     # appends and syncs with MR_FENCED)
     _fenced_epoch: int = field(default=0, repr=False, compare=False)
@@ -333,17 +323,6 @@ class Journal:
                 self._header_epoch = self.epoch
         return self._fh
 
-    def _fsync_due(self) -> bool:
-        if self.fsync_batch <= 1 and self.fsync_interval_ms <= 0:
-            return True     # seed behaviour: fsync every append
-        if self.fsync_batch > 0 and self._unsynced >= self.fsync_batch:
-            return True
-        if (self.fsync_interval_ms > 0
-                and (time.monotonic() - self._last_fsync) * 1000.0
-                >= self.fsync_interval_ms):
-            return True
-        return False
-
     def _append_durable(self, entry: JournalEntry, *,
                         fsync: bool = True) -> None:
         line = entry.to_line()
@@ -362,12 +341,12 @@ class Journal:
                 raise
         fh.write(line + "\n")
         fh.flush()      # always reaches the kernel before record returns
-        self._unsynced += 1
-        if fsync and self._fsync_due():
+        if fsync:
             os.fsync(fh.fileno())
             self._stat_fsyncs += 1
             self._unsynced = 0
-            self._last_fsync = time.monotonic()
+        else:
+            self._unsynced += 1
 
     def _sync_locked(self) -> None:
         if self._fh is not None and self._unsynced:
@@ -375,7 +354,6 @@ class Journal:
             os.fsync(self._fh.fileno())
             self._stat_fsyncs += 1
             self._unsynced = 0
-            self._last_fsync = time.monotonic()
 
     def sync(self) -> None:
         """Force any group-commit-deferred appends to stable storage.

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import time
+from contextlib import nullcontext
 from typing import Any, Iterator, Optional
 
 from repro.errors import MoiraError, MR_NO_ID
@@ -748,12 +749,11 @@ class Snapshot:
 
     Quacks like :class:`~repro.db.engine.Database` for everything a
     side-effect-free query handler touches; mutation methods are
-    deliberately absent so a mutating "read" fails loudly.  Release
-    the pin with ``Database.unpin_snapshot(snapshot)`` (the server and
-    the direct library both do so in ``finally``).
+    deliberately absent so a mutating "read" fails loudly.  It is its
+    own context manager — ``with db.read_view() as view:`` releases
+    the pin on exit — or release it by hand with
+    ``Database.unpin_snapshot(snapshot)``.
     """
-
-    mvcc_enabled = False        # a snapshot is never re-snapshotted
 
     def __init__(self, db, seq: int):
         self.db = db
@@ -767,6 +767,23 @@ class Snapshot:
         """Seconds since this snapshot was pinned."""
         return time.monotonic() - self.pinned_at
 
+    def __enter__(self) -> "Snapshot":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.db.unpin_snapshot(self)
+
+    def read_view(self):
+        """A snapshot already is one committed cut: itself, with the
+        pin left to whoever took it."""
+        return nullcontext(self)
+
+    def read_stats(self) -> dict:
+        """The per-handle metric fields of a read served here."""
+        return {"rows_scanned": self.rows_scanned,
+                "rows_returned": self.rows_returned,
+                "snap_age_s": self.age()}
+
     # -- Database surface ----------------------------------------------------
 
     def table(self, name: str):
@@ -775,8 +792,8 @@ class Snapshot:
             live = self.db.table(name)
             store = live._mv
             if store is None:
-                # a relation attached while MVCC was off: serve the
-                # live table (reads on it are the seed's semantics)
+                # an unversioned system relation (values, strings):
+                # serve the live table
                 return live
             found = SnapshotTable(self, live, store)
             self._tables[name] = found

@@ -28,6 +28,7 @@ import sqlite3
 import threading
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.db.backend import LockTxn, StorageBackend, StorageTable
 from repro.db.engine import (
     Column,
     Database,
@@ -42,7 +43,7 @@ __all__ = ["SqliteDatabase", "SqliteTable", "sqlite_database_from_schema"]
 _ROWID = "_rowid"
 
 
-class SqliteTable:
+class SqliteTable(StorageTable):
     """One relation stored in SQLite, same surface as engine.Table."""
 
     def __init__(self, db: "SqliteDatabase", name: str,
@@ -256,7 +257,25 @@ class SqliteTable:
         return self.count()
 
 
-class SqliteDatabase:
+class _LockedView:
+    """``read_view()`` here: the database itself, for as long as its
+    lock is held (one sqlite3 connection cannot serve concurrent
+    cursors, so reads serialise too)."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, db: "SqliteDatabase"):
+        self._db = db
+
+    def __enter__(self) -> "SqliteDatabase":
+        self._db.lock.acquire()
+        return self._db
+
+    def __exit__(self, *exc_info) -> None:
+        self._db.lock.release()
+
+
+class SqliteDatabase(StorageBackend):
     """Database-compatible facade over a sqlite3 connection."""
 
     def __init__(self, path: str = ":memory:"):
@@ -271,9 +290,17 @@ class SqliteDatabase:
         cannot serve concurrent cursors, so reads serialise too."""
         return self.lock
 
-    def write_locked(self):
-        """Exclusive critical section (the shared RLock)."""
-        return self.lock
+    def read_view(self) -> _LockedView:
+        """The read verb: this database, under its lock."""
+        return _LockedView(self)
+
+    def write_txn(self, shards=None, *, commit_hook=None,
+                  abort_hook=None) -> LockTxn:
+        """The write verb: the exclusive lock (*shards* is ignored —
+        there is one writer).  The connection runs in autocommit with
+        no undo log, so a body that raises midway keeps the rows it
+        already wrote; only the memory backend rolls back."""
+        return LockTxn(self, commit_hook, abort_hook)
 
     def create_table_from(self, spec) -> SqliteTable:
         """Create a relation from an engine Table (schema carrier)."""

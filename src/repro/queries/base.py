@@ -24,12 +24,19 @@ name, argument and return signatures) with two callables:
 
 Side-effecting queries are journaled on success.  Retrieval queries that
 produce no rows raise ``MR_NO_MATCH`` exactly as the paper specifies.
+
+Every handler call in the system is made by one of two executors here —
+:func:`run_read` (on a backend ``read_view()``) and :func:`run_write`
+(inside a backend ``write_txn()``, which is also the one place a
+journal entry is built).  The server, its commit windows, the direct
+library, WAL replay and replica apply all go through them
+(DESIGN.md §17).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.db.engine import Database, Row, WildcardPattern
 from repro.db.journal import Journal
@@ -40,6 +47,7 @@ from repro.errors import (
     MR_CLUSTER,
     MR_LIST,
     MR_MACHINE,
+    MR_NO_HANDLE,
     MR_NO_MATCH,
     MR_NOT_UNIQUE,
     MR_PERM,
@@ -57,7 +65,9 @@ __all__ = [
     "all_queries",
     "exactly_one",
     "no_wildcards",
-    "query_lock",
+    "check_argc",
+    "run_read",
+    "run_write",
 ]
 
 _REGISTRY: dict[str, "Query"] = {}
@@ -136,7 +146,6 @@ class QueryContext:
         try:
             return (self.extra_databases or {})[query.database]
         except KeyError:
-            from repro.errors import MR_NO_HANDLE
             raise MoiraError(
                 MR_NO_HANDLE, f"database {query.database!r}") from None
 
@@ -515,66 +524,99 @@ def check_query_access(ctx: QueryContext, query: Query,
     raise MoiraError(MR_PERM, query.name)
 
 
-def query_lock(db, side_effects: bool):
-    """The right critical section for a query against *db*: shared mode
-    for side-effect-free retrievals (when the backend offers it),
-    exclusive mode for mutations."""
-    if side_effects:
-        return db.write_locked() if hasattr(db, "write_locked") else db.lock
-    return db.read_locked() if hasattr(db, "read_locked") else db.lock
+def check_argc(query: Query, args: Sequence[str]) -> None:
+    """Raise MR_ARGS unless *args* fits the handle's signature.
+
+    Runs before any access relaxation: those index ``args`` and must
+    never see a short list.
+    """
+    if not query.variable_args and len(args) != len(query.args):
+        raise MoiraError(
+            MR_ARGS, f"{query.name} wants {len(query.args)}, got {len(args)}"
+        )
+
+
+def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
+             timing: Optional[dict] = None) -> Iterator[tuple]:
+    """Run a retrieval on one consistent committed cut, yielding tuples.
+
+    The handler sees the backend's ``read_view()`` as its database.  A
+    ``list`` result releases the view *before* it is streamed; a lazy
+    result streams under it, and closing this generator early
+    (``GeneratorExit``) releases it too.  No rows is ``MR_NO_MATCH``.
+    *timing*, when given, receives the view's ``read_stats()``.
+    """
+    with ctx.db.read_view() as view:
+        try:
+            result = query.handler(_replace(ctx, db=view), args)
+            if not isinstance(result, list):
+                iterator = iter(result)
+                try:
+                    first = next(iterator)
+                except StopIteration:
+                    raise MoiraError(MR_NO_MATCH, query.name) from None
+                yield first
+                yield from iterator
+                return
+        finally:
+            if timing is not None:
+                timing.update(view.read_stats())
+    if not result:
+        raise MoiraError(MR_NO_MATCH, query.name)
+    yield from result
+
+
+def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
+              shards=None, fsync: bool = True) -> tuple[list, set]:
+    """Run a mutation as one backend transaction and journal it.
+
+    Returns ``(result tuples, names of tables whose data version
+    moved)``.  The journal append happens inside ``write_txn``'s commit
+    hook — before the writer locks drop, in commit-seq order — and is
+    the only place an entry is built: query name + stringified args on
+    commit; on an abort that consumed id/string bindings (which survive
+    the rollback), an ``_aborted`` marker carrying them.  *shards*
+    narrows writer exclusion (None = every shard); ``fsync=False``
+    leaves durability to the caller's one ``journal.sync()``.
+    """
+    record = record_abort = None
+    if ctx.journal is not None:
+        journal = ctx.journal
+
+        def record(txn, name=query.name, entry_args=args):
+            journal.record(ctx.now, ctx.caller or "unauthenticated", name,
+                           tuple(str(a) for a in entry_args),
+                           client=ctx.client, commit_seq=txn.seq,
+                           bindings=txn.bindings, fsync=fsync)
+
+        def record_abort(txn):
+            if txn.bindings:
+                record(txn, "_aborted", ())
+
+    with ctx.db.write_txn(shards, commit_hook=record,
+                          abort_hook=record_abort) as txn:
+        result = query.handler(ctx, args)
+        if not isinstance(result, list):
+            result = list(result)
+    return result, txn.mutated
 
 
 def execute_query(ctx: QueryContext, name: str,
                   args: Sequence[str]) -> list[tuple]:
     """Resolve, validate, access-check, run, and journal one query."""
-    from repro.errors import MR_NO_HANDLE
-
     query = get_query(name)
     if query is None:
         raise MoiraError(MR_NO_HANDLE, name)
-    if not query.variable_args and len(args) != len(query.args):
-        raise MoiraError(
-            MR_ARGS, f"{query.name} wants {len(query.args)}, got {len(args)}"
-        )
+    check_argc(query, args)
     check_query_access(ctx, query, args)
     target_db = ctx.database_for(query)
     if target_db is not ctx.db:
         # §5.1 D: "the application merely passes a query handle to a
         # function, which then resolves the database and query"
         ctx = _replace(ctx, db=target_db)
-    if not query.side_effects and getattr(ctx.db, "mvcc_enabled", False):
-        # MVCC read path: pin a consistent snapshot instead of taking
-        # the shared lock — the retrieval never blocks on (or is
-        # blocked by) writers
-        snapshot = ctx.db.pin_snapshot()
-        try:
-            result = query.handler(_replace(ctx, db=snapshot), args)
-            if not isinstance(result, list):
-                result = list(result)
-        finally:
-            ctx.db.unpin_snapshot(snapshot)
-        if not result:
-            raise MoiraError(MR_NO_MATCH, query.name)
+    if query.side_effects:
+        result, _ = run_write(ctx, query, args)
+        # version GC takes every shard, so it runs here, with none held
+        ctx.db.gc_if_due()
         return result
-    with query_lock(ctx.db, query.side_effects):
-        result = query.handler(ctx, args)
-        if not isinstance(result, list):
-            # lazy handlers stream on the server path; the direct
-            # library drains them under the lock
-            result = list(result)
-        if query.side_effects and ctx.journal is not None:
-            # inside the exclusive section: journal order always
-            # matches the order mutations hit the database.  On a
-            # sharded database the facade transaction is still open
-            # here — stamp its commit seq and any id/string bindings
-            # into the entry so replay can check seq order and
-            # reproduce system-table state.
-            info = getattr(ctx.db, "_txn_info", None)
-            seq, bindings = info() if info is not None else (0, None)
-            ctx.journal.record(ctx.now, ctx.caller or "unauthenticated",
-                               query.name, tuple(str(a) for a in args),
-                               client=ctx.client, commit_seq=seq,
-                               bindings=bindings)
-    if not query.side_effects and not result:
-        raise MoiraError(MR_NO_MATCH, query.name)
-    return result
+    return list(run_read(ctx, query, args))

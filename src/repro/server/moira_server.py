@@ -14,13 +14,14 @@ not the database (§7.0.8).
 
 Concurrency (beyond the paper, after MCS's multithreaded engine):
 
-* On the default MVCC engine, queries declared ``side_effects=False``
-  pin a committed snapshot seq and scan immutable row versions without
-  taking any lock — readers never block on writers.  Mutations still
-  take the exclusive lock, so journal ordering and the DCM's per-table
-  data versions keep their invariants; only writer–writer exclusion
-  remains.  Non-MVCC backends (``set_mvcc(False)``, SQLite) fall back
-  to the original shared/exclusive RWLock discipline.
+* Queries declared ``side_effects=False`` run on the backend's
+  ``read_view()`` (:func:`~repro.queries.base.run_read`): on the
+  memory engine a pinned committed snapshot scanned without any lock —
+  readers never block on writers.  Mutations join a group-commit
+  window (:class:`~repro.server.write_batch.WriteBatcher`) and run in
+  the backend's ``write_txn()`` (:func:`~repro.queries.base.run_write`),
+  so journal order is commit order; only writer–writer exclusion
+  remains, and only between writes whose shard footprints overlap.
 * A bounded :class:`~repro.server.dispatch.WorkerPool` (``workers``
   constructor knob; 0 = the original inline path) executes requests
   off the transport's I/O loop, FIFO per connection.
@@ -55,7 +56,6 @@ from repro.errors import (
     MR_INTERNAL,
     MR_MORE_DATA,
     MR_NO_HANDLE,
-    MR_NO_MATCH,
     MR_PERM,
 )
 from repro.kerberos.kdc import KDC
@@ -68,13 +68,15 @@ from repro.protocol.wire import (
 from repro.queries.base import (
     Query,
     QueryContext,
+    check_argc,
     check_query_access,
     get_query,
-    query_lock,
+    run_read,
 )
 from repro.server.access import AccessCache
 from repro.server.dispatch import WorkerPool
 from repro.server.metrics import QueryMetrics
+from repro.server.write_batch import WriteBatcher
 from repro.sim.clock import Clock
 from repro.sim.faults import FaultInjector
 
@@ -163,7 +165,6 @@ class MoiraServer:
         request_deadline: Optional[float] = None,
         dcm_stats: Optional[Callable[[], list]] = None,
         write_batch: int = 8,
-        write_shards: bool = True,
     ):
         self.db = db
         self.clock = clock
@@ -190,18 +191,10 @@ class MoiraServer:
         # provider of CDC freshness rows for _dcm_stats (wired by the
         # deployment to CdcExtractor.stats_tuples when cdc=True)
         self.cdc_stats: Optional[Callable[[], list]] = None
-        # write path: group-committed batching over sharded writer
-        # locks (write_batch=0 restores the seed's one-write-one-fsync
-        # exclusive path; write_shards=False keeps batching but runs
-        # every lane under full exclusion)
-        self.write_batch = int(write_batch)
-        self.write_shards = bool(write_shards)
-        self._write_batcher = None
-        if self.write_batch > 0:
-            from repro.server.write_batch import WriteBatcher
-            self._write_batcher = WriteBatcher(
-                db, window=self.write_batch, sharded=self.write_shards,
-                metrics=self.metrics)
+        # the write path: every mutation joins a group-commit window
+        # of up to *write_batch* writes on its shard lane
+        self._write_batcher = WriteBatcher(
+            db, window=write_batch, metrics=self.metrics)
         self._connections: dict[int, _Connection] = {}
         self._next_conn = 1
         self._lock = threading.Lock()
@@ -432,7 +425,8 @@ class MoiraServer:
         count = 0
         failed = True
         try:
-            self._checked_access_stable(ctx, query, tuple(query_args))
+            check_argc(query, query_args)
+            self._checked_access(ctx, query, tuple(query_args))
             if query.side_effects:
                 tuples, mutated = self._execute_write(
                     ctx, query, query_args, timing=timing)
@@ -469,179 +463,50 @@ class MoiraServer:
                 rows_returned=timing.get("rows_returned", 0),
                 snap_age_s=timing.get("snap_age_s"))
 
-    @staticmethod
-    def _check_argc(query: Query, query_args: list[str]) -> None:
-        if not query.variable_args and len(query_args) != len(query.args):
-            raise MoiraError(MR_ARGS, query.name)
-
-    @staticmethod
-    def _backend_delay(db) -> None:
-        delay = getattr(db, "sim_backend_latency", 0.0)
-        if delay:
-            time.sleep(delay)
-
     def _execute_write(self, ctx: QueryContext, query: Query,
                        query_args: list[str],
                        timing: Optional[dict] = None
                        ) -> tuple[list, set[str]]:
-        """Run a mutating query on the write path.
-
-        With ``write_batch > 0`` the write joins a group-commit window
-        (:class:`~repro.server.write_batch.WriteBatcher`): writes with
-        disjoint shard footprints commit concurrently, and the whole
-        window shares one journal fsync.  ``write_batch=0`` is the
-        seed path — exclusive lock, one fsync per write.
+        """Run a mutating query: it joins a group-commit window
+        (:class:`~repro.server.write_batch.WriteBatcher`), where writes
+        with disjoint shard footprints commit concurrently and the
+        whole window shares one journal fsync.
 
         Returns (result tuples, names of tables whose data version
         moved) — the latter scopes the access-cache invalidation.
         *timing*, when given, receives ``lock_wait_s``.
         """
-        self._check_argc(query, query_args)
-        if self.journal is not None and self.journal.fenced:
+        if self.journal.fenced:
             # a newer epoch owns the cluster: refuse before the handler
             # mutates anything — the client router re-routes on MR_FENCED
             raise MoiraError(
                 MR_FENCED,
                 f"epoch {self.journal.epoch} fenced by "
                 f"{self.journal.fenced_by}")
-        if self._write_batcher is not None and ctx.db is self.db:
-            return self._write_batcher.submit(
-                ctx, query, query_args, timing=timing,
-                run_direct=self._execute_write_direct)
-        return self._execute_write_direct(ctx, query, query_args,
+        return self._write_batcher.submit(ctx, query, query_args,
                                           timing=timing)
-
-    def _execute_write_direct(self, ctx: QueryContext, query: Query,
-                              query_args: list[str],
-                              timing: Optional[dict] = None,
-                              fsync: bool = True
-                              ) -> tuple[list, set[str]]:
-        """The seed write path: one write alone under the exclusive
-        lock.  *fsync=False* defers durability to the caller (the
-        batcher's one sync per window)."""
-        wait_started = time.perf_counter()
-        with query_lock(ctx.db, True):
-            if timing is not None:
-                timing["lock_wait_s"] = time.perf_counter() - wait_started
-            self._backend_delay(ctx.db)
-            before = ctx.db.versions()
-            result = query.handler(ctx, query_args)
-            if not isinstance(result, list):
-                result = list(result)
-            after = ctx.db.versions()
-            if ctx.journal is not None:
-                # still inside the exclusive section: journal order
-                # always matches the order mutations hit the database,
-                # so replay after a restore converges.  On a sharded
-                # engine the facade transaction is open here — stamp
-                # its commit seq and bindings into the entry
-                info = getattr(ctx.db, "_txn_info", None)
-                seq, bindings = info() if info is not None else (0, None)
-                ctx.journal.record(
-                    ctx.now, ctx.caller or "unauthenticated",
-                    query.name, tuple(str(a) for a in query_args),
-                    client=ctx.client, commit_seq=seq, bindings=bindings,
-                    fsync=fsync)
-        mutated = {name for name, version in after.items()
-                   if before.get(name) != version}
-        return result, mutated
 
     def _execute_read(self, ctx: QueryContext, query: Query,
                       query_args: list[str],
                       timing: Optional[dict] = None) -> Iterator[tuple]:
-        """Run a retrieval, yielding tuples.
-
-        On an MVCC backend the read pins a snapshot and never takes a
-        lock at all: lazy handlers stream their whole (possibly long)
-        result off one consistent cut while writers commit freely
-        alongside.  The pin is released in ``finally``, so an
-        abandoned stream (``GeneratorExit``) unpins too.
-
-        On a non-MVCC backend (``set_mvcc(False)``, SQLite) the seed
-        path runs: shared lock, list results release it before
-        streaming, lazy results stream under it.  *timing*, when
-        given, receives ``lock_wait_s`` (legacy path only — the MVCC
-        path reports snapshot counters instead, keeping the lock-wait
-        histogram writer-only).
-        """
-        self._check_argc(query, query_args)
-        db = ctx.db
-        if getattr(db, "mvcc_enabled", False):
-            snapshot = db.pin_snapshot()
-            try:
-                self._backend_delay(db)
-                result = query.handler(replace(ctx, db=snapshot),
-                                       query_args)
-                if not isinstance(result, list):
-                    iterator = iter(result)
-                    try:
-                        first = next(iterator)
-                    except StopIteration:
-                        raise MoiraError(MR_NO_MATCH,
-                                         query.name) from None
-                    yield first
-                    yield from iterator
-                    return
-                if not result:
-                    raise MoiraError(MR_NO_MATCH, query.name)
-            finally:
-                if timing is not None:
-                    timing["rows_scanned"] = snapshot.rows_scanned
-                    timing["rows_returned"] = snapshot.rows_returned
-                    timing["snap_age_s"] = snapshot.age()
-                db.unpin_snapshot(snapshot)
-            yield from result
-            return
-        wait_started = time.perf_counter()
-        with query_lock(db, False):
-            if timing is not None:
-                timing["lock_wait_s"] = time.perf_counter() - wait_started
-            self._backend_delay(db)
-            result = query.handler(ctx, query_args)
-            if not isinstance(result, list):
-                iterator = iter(result)
-                try:
-                    first = next(iterator)
-                except StopIteration:
-                    raise MoiraError(MR_NO_MATCH, query.name) from None
-                yield first
-                yield from iterator
-                return
-        if not result:
-            raise MoiraError(MR_NO_MATCH, query.name)
-        yield from result
-
-    def _execute_unchecked(self, ctx: QueryContext, query: Query,
-                           query_args: list[str]) -> list:
-        """Run a query whose access was already checked (and cached)."""
-        if query.side_effects:
-            return self._execute_write(ctx, query, query_args)[0]
-        return list(self._execute_read(ctx, query, query_args))
-
-    def _checked_access_stable(self, ctx: QueryContext, query: Query,
-                               args: tuple[str, ...]) -> None:
-        """Access check against a pinned snapshot when MVCC is on.
-
-        The check runs before any lock is taken; with sharded writers
-        committing concurrently a live-table read here could see a
-        half-applied mutation.  A snapshot pin gives the check one
-        consistent committed cut instead (the generation guard in
-        :meth:`_checked_access` already discards decisions that a
-        mutation invalidated mid-check)."""
-        db = self.db
-        if getattr(db, "mvcc_enabled", False):
-            snapshot = db.pin_snapshot()
-            try:
-                self._checked_access(replace(ctx, db=snapshot),
-                                     query, args)
-                return
-            finally:
-                db.unpin_snapshot(snapshot)
-        self._checked_access(ctx, query, args)
+        """Run a retrieval, yielding tuples: one simulated backend
+        round trip, then :func:`~repro.queries.base.run_read`.  *timing*,
+        when given, receives the view's snapshot counters (the
+        lock-wait histogram stays writer-only)."""
+        delay = self.db.sim_backend_latency
+        if delay:
+            time.sleep(delay)
+        return run_read(ctx, query, query_args, timing)
 
     def _checked_access(self, ctx: QueryContext, query: Query,
                         args: tuple[str, ...]) -> None:
-        """check_query_access with the §5.5 access cache in front."""
+        """check_query_access with the §5.5 access cache in front.
+
+        A miss runs the check on a ``read_view()``: it happens before
+        any lock is taken, and with sharded writers committing
+        concurrently a live-table read here could see a half-applied
+        mutation — the view is one consistent committed cut.
+        """
         self.stats.incr("access_checks")
         # capture the generation before the check runs: if an
         # ACL-relevant mutation invalidates mid-check, store() discards
@@ -654,7 +519,8 @@ class MoiraServer:
         if cached is False:
             raise MoiraError(MR_PERM, query.name)
         try:
-            check_query_access(ctx, query, args)
+            with self.db.read_view() as view:
+                check_query_access(replace(ctx, db=view), query, args)
         except MoiraError as exc:
             if exc.code == MR_PERM:
                 self.access_cache.store(ctx.caller, query.name, args,
@@ -671,9 +537,9 @@ class MoiraServer:
         query = get_query(name)
         if query is None:
             raise MoiraError(MR_NO_HANDLE, name)
-        self._check_argc(query, query_args)
+        check_argc(query, query_args)
         ctx = self._context_for(conn)
-        self._checked_access_stable(ctx, query, tuple(query_args))
+        self._checked_access(ctx, query, tuple(query_args))
         return [encode_reply(0)]
 
     def _do_trigger_dcm(self, conn: _Connection) -> list[bytes]:
@@ -763,11 +629,8 @@ class MoiraServer:
         for key in sorted(stats):
             yield encode_reply(MR_MORE_DATA,
                                ("_wal." + key, str(stats[key])))
-        if self._write_batcher is not None:
-            for key, value in sorted(
-                    self._write_batcher.occupancy().items()):
-                yield encode_reply(MR_MORE_DATA,
-                                   ("_batch." + key, str(value)))
+        for key, value in sorted(self._write_batcher.occupancy().items()):
+            yield encode_reply(MR_MORE_DATA, ("_batch." + key, str(value)))
         yield encode_reply(0)
 
     def _list_users(self) -> list[bytes]:

@@ -11,11 +11,13 @@ relations.  This module harvests both:
   the same shard set share a lane.  Lanes over disjoint shards run
   concurrently — a registration storm on the users shard no longer
   waits behind quota traffic.  An undeclared footprint falls back to
-  the every-shard lane, which is exactly the seed's full exclusion.
+  the every-shard lane, which is exactly the seed's full exclusion —
+  and an un-sharded backend has only that lane.
 
 * **Group commit.**  The first writer into an idle lane becomes the
   *leader*: it drains up to ``window`` queued writes, takes the lane's
-  shard locks **once**, runs each write as its own engine transaction
+  shard locks **once**, runs each write through
+  :func:`~repro.queries.base.run_write` as its own backend transaction
   (own commit seq, own journal entry, own undo log), then issues **one**
   ``journal.sync()`` for the whole batch.  Followers just wait on an
   event.  The leader keeps draining (conveyor) until the lane queue is
@@ -45,6 +47,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.errors import MR_FENCED, MoiraError
+from repro.queries.base import run_write
 
 __all__ = ["WriteBatcher", "shards_for"]
 
@@ -63,8 +66,7 @@ def shards_for(db, query, args) -> Optional[frozenset]:
     the logical name, which expands to the umbrella (every bucket) at
     lock time.
     """
-    shards = getattr(db, "shards", None)
-    if not shards:
+    if not db.shards:
         return None
     tables = query.tables
     if callable(tables):
@@ -142,14 +144,11 @@ class WriteBatcher:
     by the ``_wal_stats`` pseudo-query.
     """
 
-    def __init__(self, db, *, window: int = 8, sharded: bool = True,
-                 metrics=None):
+    def __init__(self, db, *, window: int = 8, metrics=None):
         self.db = db
         self.window = max(1, int(window))
         self.metrics = metrics
-        shards = getattr(db, "shards", None)
-        self.sharded = bool(sharded and shards)
-        self._all_shards = frozenset(shards) if shards else frozenset()
+        self._all_shards = frozenset(db.shards or ())
         self._lanes: dict = {}
         self._lanes_mutex = threading.Lock()
         # occupancy accounting for _wal_stats
@@ -160,29 +159,25 @@ class WriteBatcher:
 
     # -- public API -----------------------------------------------------------
 
-    def submit(self, ctx, query, query_args, timing=None,
-               run_direct=None) -> tuple[list, set]:
+    def submit(self, ctx, query, query_args,
+               timing=None) -> tuple[list, set]:
         """Queue one write and block until it commits or fails.
 
         Returns ``(result_tuples, mutated_table_names)``; re-raises the
-        write's own error.  *run_direct* is the fallback executor for
-        the full-exclusion lane (the server's seed write path, fsync
-        deferred to the batch).
+        write's own error.
         """
         item = _WriteItem(ctx, query, query_args)
-        key = self._all_shards
-        if self.sharded:
-            found = shards_for(ctx.db, query, query_args)
-            if found:  # empty set (system-only footprint) → every shard
-                key = found
-        lane = self._lane(key)
+        # no footprint, a system-only one, or an un-sharded backend:
+        # the every-shard lane
+        lane = self._lane(shards_for(ctx.db, query, query_args)
+                          or self._all_shards)
         with lane.mutex:
             lane.queue.append(item)
             lead = not lane.leader
             if lead:
                 lane.leader = True
         if lead:
-            self._lead(lane, run_direct)
+            self._lead(lane)
         else:
             item.done.wait()
         if timing is not None and item.started is not None:
@@ -214,7 +209,7 @@ class WriteBatcher:
                 lane = self._lanes[key] = _Lane(key)
             return lane
 
-    def _lead(self, lane: _Lane, run_direct) -> None:
+    def _lead(self, lane: _Lane) -> None:
         """Drain the lane in windows until its queue is empty."""
         while True:
             with lane.mutex:
@@ -225,7 +220,7 @@ class WriteBatcher:
                     lane.leader = False
                     return
             try:
-                self._run_batch(lane, batch, run_direct)
+                self._run_batch(lane, batch)
             except BaseException as exc:
                 # injected crash / torn write: the "process" died
                 # mid-batch — every write still queued behind this
@@ -243,7 +238,7 @@ class WriteBatcher:
                     item.done.set()
                 raise
 
-    def _run_batch(self, lane: _Lane, batch: list, run_direct) -> None:
+    def _run_batch(self, lane: _Lane, batch: list) -> None:
         with self._stats_lock:
             self._batches += 1
             self._batched_writes += len(batch)
@@ -261,24 +256,11 @@ class WriteBatcher:
                 item.done.set()
             raise exc
         fatal: Optional[BaseException] = None
-        # backends with their own op log (walstore) bracket the window
-        # so their apply-then-append honours batch boundaries too
-        batch_begin = getattr(self.db, "batch_begin", None)
-        if batch_begin is not None:
-            batch_begin()
         try:
-            if self.sharded:
-                self._run_batch_sharded(lane, batch)
-            else:
-                self._run_batch_global(batch, run_direct)
+            self._run_window(lane, batch)
         except BaseException as exc:
             fatal = exc
         finally:
-            if batch_begin is not None:
-                if fatal is None:
-                    self.db.batch_commit()
-                else:
-                    self.db.batch_abort()
             if fatal is None and journal is not None:
                 try:
                     # ONE fsync covers every write in the window; the
@@ -292,33 +274,35 @@ class WriteBatcher:
                         and item.result is None:
                     item.error = fatal
                 item.done.set()
-            db = self.db
-            if fatal is None and getattr(db, "mvcc_enabled", False) \
-                    and db._mv_pressure >= db.mv_gc_threshold:
-                # GC takes every shard; run it with none held
-                db.gc_versions()
+            if fatal is None:
+                # version GC takes every shard; the lane's are released
+                self.db.gc_if_due()
         if fatal is not None:
             raise fatal
 
-    def _run_batch_sharded(self, lane: _Lane, batch: list) -> None:
-        """Hold the lane's shard locks once; each item is its own txn."""
+    def _run_window(self, lane: _Lane, batch: list) -> None:
+        """Hold the lane's shard locks once; each item is its own txn
+        (re-entering the held locks).  An un-sharded backend has no
+        shard locks to hold: each item's ``write_txn`` takes the one
+        writer lock itself."""
         db = self.db
-        # lane keys may hold logical names and/or bucket locks; expand
-        # to sorted physical names here, exactly as shard_txn would
-        names = db.expand_shards(lane.key)
-        locks = [(name, db._shard_locks[name]) for name in names]
         held = []
         try:
-            for name, lock in locks:
-                waited = time.perf_counter()
-                lock.acquire_exclusive()
-                held.append(lock)
-                if self.metrics is not None:
-                    self.metrics.record_shard_wait(
-                        name, time.perf_counter() - waited)
+            if db.shards:
+                # lane keys may hold logical names and/or bucket locks;
+                # expand to sorted physical names, exactly as the
+                # transaction will
+                for name in db.expand_shards(lane.key):
+                    lock = db._shard_locks[name]
+                    waited = time.perf_counter()
+                    lock.acquire_exclusive()
+                    held.append(lock)
+                    if self.metrics is not None:
+                        self.metrics.record_shard_wait(
+                            name, time.perf_counter() - waited)
             # the paper's backend round trip is paid once per group
             # commit, not once per write — that is the batching win
-            delay = getattr(db, "sim_backend_latency", 0.0)
+            delay = db.sim_backend_latency
             if delay:
                 time.sleep(delay)
             for item in batch:
@@ -328,60 +312,14 @@ class WriteBatcher:
                 lock.release_exclusive()
 
     def _run_item(self, item: _WriteItem, shards) -> None:
-        """Execute one write in its own shard transaction.
-
-        The commit hook appends the journal entry inside the engine's
-        in-order publication gate with ``fsync=False`` — entries land
-        in exact commit-seq order, durability comes from the batch's
-        single ``sync()``.
-        """
-        ctx = item.ctx
-        db = ctx.db
-
-        def commit_hook(txn):
-            if ctx.journal is not None:
-                ctx.journal.record(
-                    ctx.now, ctx.caller or "unauthenticated",
-                    item.query.name,
-                    tuple(str(a) for a in item.query_args),
-                    client=ctx.client, commit_seq=txn.seq,
-                    bindings=txn.bindings, fsync=False)
-
-        def abort_hook(txn):
-            if ctx.journal is not None:
-                ctx.journal.record(
-                    ctx.now, ctx.caller or "unauthenticated",
-                    "_aborted", (), client=ctx.client,
-                    commit_seq=txn.seq, bindings=txn.bindings,
-                    fsync=False)
-
+        """Execute one write in its own transaction.  ``fsync=False``:
+        entries land in exact commit-seq order inside the engine's
+        publication gate, durability comes from the window's single
+        ``sync()``.  An ``Exception`` fails only this item."""
         item.started = time.perf_counter()
         try:
-            with db.shard_txn(sorted(shards), commit_hook=commit_hook,
-                              abort_hook=abort_hook):
-                result = item.query.handler(ctx, item.query_args)
-                if not isinstance(result, list):
-                    result = list(result)
-                txn = db._active_txn()
-                item.mutated = set(txn.mutated) if txn is not None else set()
-                item.result = result
-        except MoiraError as exc:
-            item.error = exc
+            item.result, item.mutated = run_write(
+                item.ctx, item.query, item.query_args,
+                shards=shards, fsync=False)
         except Exception as exc:
             item.error = exc
-
-    def _run_batch_global(self, batch: list, run_direct) -> None:
-        """Full-exclusion fallback (unsharded db / sharding disabled).
-
-        Each write still takes the exclusive lock itself — one commit
-        seq per write, as the seed — but the window shares one fsync.
-        """
-        for item in batch:
-            item.started = time.perf_counter()
-            try:
-                item.result, item.mutated = run_direct(
-                    item.ctx, item.query, item.query_args, fsync=False)
-            except MoiraError as exc:
-                item.error = exc
-            except Exception as exc:
-                item.error = exc

@@ -169,7 +169,7 @@ def load_population(db: Database, spec: PopulationSpec, now: int = 0, *,
     *parallel* selects the bulk apply path (reserved id ranges +
     ``bulk_load`` batches under shard transactions); it silently falls
     back to the classic per-row path on backends without writer shards
-    (sqlite, walstore).  *workers* bounds the generation pool (default
+    (sqlite).  *workers* bounds the generation pool (default
     4); the generated world is identical for every worker count.
     """
     builder = _Builder(db, spec, now, parallel=parallel, workers=workers)
@@ -261,7 +261,7 @@ class _Builder:
         self.spec = spec
         self.now = now
         # bulk apply needs writer shards, reserve_ids and bulk_load —
-        # the in-memory engine; sqlite/walstore take the classic path
+        # the in-memory engine; sqlite takes the classic path
         self.parallel = bool(parallel and getattr(db, "shards", None)
                              and hasattr(db, "reserve_ids"))
         self.workers = max(1, int(workers)) if workers else 4

@@ -1,6 +1,6 @@
 """The StorageBackend conformance suite.
 
-One behavioural contract, three backends: every factory registered in
+One behavioural contract, two backends: every factory registered in
 :mod:`repro.db.backend` must agree with the pure-Python engine on
 CRUD semantics, uniqueness, wildcard matching, case folding, the
 values helpers, and TBLSTATS accounting — plus survive the
@@ -10,6 +10,8 @@ running it through the same suite keeps the contract honest.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -23,7 +25,12 @@ from repro.db.backup import mrbackup
 from repro.db.journal import Journal
 from repro.db.recovery import checkpoint, recover
 from repro.errors import MoiraError, MR_EXISTS, MR_NO_ID
-from repro.queries.base import QueryContext, execute_query
+from repro.queries.base import (
+    QueryContext,
+    execute_query,
+    get_query,
+    run_read,
+)
 from repro.sim.clock import DEFAULT_EPOCH, Clock
 from repro.sim.faults import FaultInjector, ServerCrash
 
@@ -35,8 +42,6 @@ BASE = DEFAULT_EPOCH + 1000
 def backend(request, tmp_path):
     if request.param == "sqlite":
         db = create_backend("sqlite", str(tmp_path / "conf.sqlite"))
-    elif request.param == "walstore":
-        db = create_backend("walstore", str(tmp_path / "conf.waljsonl"))
     else:
         db = create_backend(request.param)
     yield db
@@ -47,7 +52,7 @@ def backend(request, tmp_path):
 
 class TestInterfaceContract:
     def test_registry_names(self):
-        assert {"memory", "sqlite", "walstore"} <= set(BACKENDS)
+        assert {"memory", "sqlite"} <= set(BACKENDS)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +178,86 @@ class TestStatsConformance:
         assert backend.versions()["machine"] > v0
 
 
+class TestVerbsContract:
+    """``read_view`` / ``write_txn``: the two verbs every request goes
+    through (DESIGN.md §17)."""
+
+    def test_backend_missing_a_verb_cannot_exist(self):
+        class NoWriteTxn(StorageBackend):
+            table = get_value = set_value = next_id = None
+            table_stats = versions = read_view = None
+
+        with pytest.raises(TypeError):
+            NoWriteTxn()
+
+    def test_commit_hook_runs_once_before_the_lock_drops(self, backend):
+        calls = []
+        entered = threading.Event()
+
+        def rival():
+            with backend.write_txn():
+                entered.set()
+
+        thread = threading.Thread(target=rival)
+
+        def commit_hook(txn):
+            calls.append(("commit", txn.seq, txn.bindings))
+            thread.start()
+            assert not entered.wait(0.2)    # still excluded
+
+        with backend.write_txn(commit_hook=commit_hook,
+                               abort_hook=calls.append) as txn:
+            backend.table("machine").insert(
+                {"name": "VERB1.MIT.EDU", "mach_id": 71, "type": "VAX"},
+                now=BASE)
+        thread.join(5)
+        assert entered.is_set()
+        assert calls == [("commit", txn.seq, txn.bindings)]
+
+    def test_exception_fires_abort_hook_never_commit_hook(self, backend):
+        commits, aborts = [], []
+        with pytest.raises(KeyError):
+            with backend.write_txn(commit_hook=commits.append,
+                                   abort_hook=aborts.append) as txn:
+                raise KeyError("handler failed")
+        assert commits == []
+        assert aborts == [txn]
+
+    def test_mutated_names_the_tables_whose_versions_moved(self, backend):
+        before = backend.versions()
+        with backend.write_txn() as txn:
+            backend.table("machine").insert(
+                {"name": "VERB2.MIT.EDU", "mach_id": 72, "type": "VAX"},
+                now=BASE)
+            backend.table("cluster").insert(
+                {"name": "verb-clu", "clu_id": 73}, now=BASE)
+        moved = {name for name, version in backend.versions().items()
+                 if before[name] != version}
+        assert txn.mutated == moved == {"machine", "cluster"}
+
+    def test_memory_view_is_one_cut_and_unpins_on_generator_exit(self):
+        db = create_backend("memory")
+        machine = db.table("machine")
+        for i in range(3):
+            machine.insert({"name": f"VIEW{i}.MIT.EDU", "mach_id": 80 + i,
+                            "type": "VAX"}, now=BASE)
+        with db.read_view() as view:
+            machine.insert({"name": "LATER.MIT.EDU", "mach_id": 89,
+                            "type": "VAX"}, now=BASE)
+            assert view.table("machine").count({"type": "VAX"}) == 3
+        assert machine.count({"type": "VAX"}) == 4
+        assert db.mvcc_stats()["pins_active"] == 0
+        # a lazy handler streams under the view; abandoning the stream
+        # must release it
+        ctx = QueryContext(db=db, clock=Clock(BASE), caller="root",
+                           privileged=True)
+        stream = run_read(ctx, get_query("get_machine"), ["*"])
+        assert next(stream)
+        assert db.mvcc_stats()["pins_active"] == 1
+        stream.close()
+        assert db.mvcc_stats()["pins_active"] == 0
+
+
 def mutations(n):
     """Deterministic query-layer mutation schedule (E12 discipline)."""
     muts = []
@@ -205,9 +290,6 @@ def fresh_backend(name, tmp_path, tag):
     if name == "sqlite":
         return create_backend("sqlite",
                               str(tmp_path / f"{tag}.sqlite"))
-    if name == "walstore":
-        return create_backend("walstore",
-                              str(tmp_path / f"{tag}.waljsonl"))
     return create_backend(name)
 
 

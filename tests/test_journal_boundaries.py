@@ -23,9 +23,9 @@ from tests.test_wal_recovery import apply_one, dump, mutations
 BASE = DEFAULT_EPOCH + 1000
 
 
-def fill(journal, n, start=0):
+def fill(journal, n, start=0, fsync=True):
     for i in range(start, start + n):
-        journal.record(BASE + i * 10, "root", "q", (str(i),))
+        journal.record(BASE + i * 10, "root", "q", (str(i),), fsync=fsync)
 
 
 class TestBisectionBoundaries:
@@ -113,43 +113,25 @@ class TestGroupCommit:
         journal.close()
         assert len(fsync_counter) == 5   # nothing pending at close
 
-    def test_batched_fsync(self, tmp_path, fsync_counter):
-        journal = Journal(path=tmp_path / "wal", fsync_batch=4)
-        fill(journal, 8)
-        assert len(fsync_counter) == 2       # once per 4 appends
-        fill(journal, 2, start=8)
-        journal.close()                      # close syncs the remainder
-        assert len(fsync_counter) == 3
-        loaded = Journal.load(tmp_path / "wal")
-        assert [e.seq for e in loaded.entries] == list(range(1, 11))
-
-    def test_interval_fsync(self, tmp_path, fsync_counter):
-        # a huge interval and batch: only the first append (interval
-        # elapsed since epoch) and close() sync
-        journal = Journal(path=tmp_path / "wal", fsync_batch=10_000,
-                          fsync_interval_ms=3_600_000.0)
-        fill(journal, 50)
-        assert len(fsync_counter) == 1
-        journal.close()
-        assert len(fsync_counter) == 2
-        assert len(Journal.load(tmp_path / "wal").entries) == 50
-
     def test_truncate_syncs_pending_batch(self, tmp_path):
-        journal = Journal(path=tmp_path / "wal", fsync_batch=100)
-        fill(journal, 10)
+        journal = Journal(path=tmp_path / "wal")
+        fill(journal, 10, fsync=False)
         journal.truncate(4)      # must not lose the unsynced 5..10
         loaded = Journal.load(tmp_path / "wal")
         assert [e.seq for e in loaded.entries] == [5, 6, 7, 8, 9, 10]
 
     def test_sync_is_idempotent(self, tmp_path, fsync_counter):
-        journal = Journal(path=tmp_path / "wal", fsync_batch=100)
-        fill(journal, 3)
+        journal = Journal(path=tmp_path / "wal")
+        fill(journal, 3, fsync=False)
         assert len(fsync_counter) == 0
         journal.sync()
         journal.sync()           # nothing new to sync
         assert len(fsync_counter) == 1
-        journal.close()
-        assert len(fsync_counter) == 1
+        fill(journal, 2, start=3, fsync=False)
+        journal.close()          # close syncs the deferred remainder
+        assert len(fsync_counter) == 2
+        loaded = Journal.load(tmp_path / "wal")
+        assert [e.seq for e in loaded.entries] == [1, 2, 3, 4, 5]
 
 
 class TestSegmentRotation:

@@ -308,18 +308,3 @@ class TestObservability:
         # MVCC reads never touch the lock: writer-only histogram
         assert int(by_name["get_machine"][5]) == 0
 
-    def test_set_mvcc_toggle_round_trip(self):
-        db = build_database()
-        t = db.table("machine")
-        t.insert({"name": "TOG1.MIT.EDU", "mach_id": 950,
-                  "type": "VAX"})
-        db.set_mvcc(False)
-        assert not db.mvcc_enabled
-        t.insert({"name": "TOG2.MIT.EDU", "mach_id": 951,
-                  "type": "VAX"})
-        db.set_mvcc(True)
-        snap = db.pin_snapshot()
-        names = {r["name"] for r in
-                 snap.table("machine").select({"type": "VAX"})}
-        db.unpin_snapshot(snap)
-        assert {"TOG1.MIT.EDU", "TOG2.MIT.EDU"} <= names

@@ -435,9 +435,7 @@ class TestSeedPathUnchanged:
         assert d.replica_cluster is None
         with pytest.raises(ValueError):
             d.replica_set_client()
-        # the journal keeps the seed write-path defaults
-        assert d.journal.fsync_batch == 1
-        assert d.journal.fsync_interval_ms == 0.0
+        # the journal keeps the seed write-path default
         assert d.journal.rotate_segments is False
         d.server.shutdown()
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client import MoiraClient
+from repro.client import DirectClient, MoiraClient
+from repro.db.backup import mrbackup
 from repro.errors import (
     MR_ARGS,
     MR_NO_HANDLE,
@@ -12,7 +13,11 @@ from repro.errors import (
     MoiraError,
 )
 from repro.protocol.wire import MajorRequest, encode_request
+from repro.queries.base import all_queries, register, unregister
 from tests.conftest import make_user
+
+FIXED_ARITY = sorted(name for name, query in all_queries().items()
+                     if query.args and not query.variable_args)
 
 
 class TestNoop:
@@ -132,6 +137,19 @@ class TestAccessControl:
         assert admin_client.query("get_list_info", "secret-l")
 
 
+class TestArgcBeforeAccess:
+    @pytest.mark.parametrize("name", FIXED_ARITY)
+    def test_zero_args_is_mr_args_for_a_non_admin(self, name, user_client,
+                                                  db, clock):
+        """argc is validated before any access relaxation indexes the
+        argument list: the server answers exactly as the library does,
+        never MR_PERM or MR_INTERNAL."""
+        direct = DirectClient(db, clock, caller="joeuser")
+        assert direct.mr_query(name, []) == MR_ARGS
+        assert user_client.mr_query(name, []) == MR_ARGS
+        assert not user_client.access(name)
+
+
 class TestAccessCache:
     def test_cache_hits_on_repeated_check(self, server, user_client):
         server.access_cache.hits = server.access_cache.misses = 0
@@ -241,3 +259,58 @@ class TestJournal:
         before = len(server.journal)
         admin_client.mr_query("add_machine", ["BAD.MIT.EDU", "CRAY"])
         assert len(server.journal) == before
+
+
+class TestFailedWriteIsAtomic:
+    """A handler that fails midway leaves nothing behind — no rows, and
+    no journal entry beyond an ``_aborted`` marker for the ids it
+    consumed — through the library exactly as through the server."""
+
+    @pytest.fixture
+    def half_write(self):
+        @register("half_write", "hfwr", ("name", "allocate"), (),
+                  side_effects=True)
+        def half_write(ctx, args):
+            mach_id = (ctx.db.next_id("mach_id", now=ctx.now)
+                       if args[1] == "1" else 987654)
+            ctx.db.table("machine").insert(
+                {"name": args[0], "mach_id": mach_id, "type": "VAX"},
+                now=ctx.now)
+            raise MoiraError(MR_NO_HANDLE, "failed after the insert")
+        yield "half_write"
+        unregister("half_write")
+
+    @staticmethod
+    def _dump(db, directory):
+        mrbackup(db, directory)
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def _assert_atomic(self, db, journal, run_query, allocate, tmp_path):
+        before = self._dump(db, tmp_path / "before")
+        logged = len(journal)
+        assert run_query("half_write",
+                         ["HALF.MIT.EDU", allocate]) == MR_NO_HANDLE
+        after = self._dump(db, tmp_path / "after")
+        fresh = journal.entries[logged:]
+        if allocate == "1":
+            # the consumed mach_id survives the rollback (the system
+            # relations never roll back), so replay must be told
+            assert after.pop("values") != before.pop("values")
+            assert [e.query for e in fresh] == ["_aborted"]
+            assert fresh[0].bindings["id"]["mach_id"]
+        else:
+            assert fresh == []
+        assert after == before
+
+    @pytest.mark.parametrize("allocate", ["0", "1"])
+    def test_via_direct_client(self, half_write, allocate, db, clock,
+                               ctx, tmp_path):
+        direct = DirectClient(db, clock, journal=ctx.journal)
+        self._assert_atomic(db, ctx.journal, direct.mr_query, allocate,
+                            tmp_path)
+
+    @pytest.mark.parametrize("allocate", ["0", "1"])
+    def test_via_server(self, half_write, allocate, server,
+                        admin_client, db, tmp_path):
+        self._assert_atomic(db, server.journal, admin_client.mr_query,
+                            allocate, tmp_path)

@@ -227,7 +227,6 @@ class TestDeploymentReplay:
                                       printers=2, network_services=5),
             server_workers=0,
             wal_path=tmp_path / "wal",
-            write_shards=True,
             user_subshards=2,
         ))
         admin = d.handles.logins[-1]

@@ -1,6 +1,5 @@
 """Write-path scale-out tests: sharded writer locks, group-committed
-batch windows, bindings-driven WAL replay, and walstore batch
-boundaries (docs/WRITE_PATH.md).
+batch windows, and bindings-driven WAL replay (docs/WRITE_PATH.md).
 
 The engine half proves the locking discipline directly — disjoint
 shards commit concurrently, cross-shard writers never deadlock,
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +21,6 @@ from repro.db.backup import mrbackup
 from repro.db.journal import Journal
 from repro.db.recovery import apply_bindings, checkpoint, recover, replay_wal
 from repro.db.schema import build_database
-from repro.db.walstore import walstore_database_from_schema
 from repro.errors import MoiraError
 from repro.kerberos import KDC
 from repro.protocol.wire import MajorRequest, decode_reply, encode_request
@@ -421,52 +418,3 @@ class TestWriteBatcher:
         journal.faults = None
         assert _send(server, conn_id,
                      ["add_machine", "CR1.MIT.EDU", "VAX"]) == 0
-
-
-# -- walstore batch boundaries -------------------------------------------------
-
-
-class TestWalstoreBatches:
-    def _lines(self, path: Path) -> int:
-        return len([ln for ln in path.read_text().splitlines() if ln])
-
-    def test_batch_commit_appends_whole_window(self, tmp_path):
-        log = tmp_path / "ops.log"
-        store = walstore_database_from_schema(str(log))
-        before = self._lines(log)
-        store.batch_begin()
-        store.set_value("wp_a", 1, now=BASE)
-        store.set_value("wp_b", 2, now=BASE)
-        assert self._lines(log) == before     # buffered, not on disk
-        store.batch_commit()
-        assert self._lines(log) == before + 2
-        store.close()
-        reopened = walstore_database_from_schema(str(log))
-        assert reopened.get_value("wp_a") == 1
-        assert reopened.get_value("wp_b") == 2
-        reopened.close()
-
-    def test_batch_abort_drops_window_from_log(self, tmp_path):
-        log = tmp_path / "ops.log"
-        store = walstore_database_from_schema(str(log))
-        store.set_value("kept", 5, now=BASE)
-        before = self._lines(log)
-        store.batch_begin()
-        store.set_value("lost", 6, now=BASE)
-        assert store.get_value("lost") == 6   # applied in memory
-        store.batch_abort()                   # simulated crash mid-window
-        assert self._lines(log) == before
-        store.close()
-        reopened = walstore_database_from_schema(str(log))
-        assert reopened.get_value("kept") == 5
-        with pytest.raises(MoiraError):
-            reopened.get_value("lost")
-        reopened.close()
-
-    def test_append_through_outside_batch(self, tmp_path):
-        log = tmp_path / "ops.log"
-        store = walstore_database_from_schema(str(log))
-        before = self._lines(log)
-        store.set_value("direct", 9, now=BASE)
-        assert self._lines(log) == before + 1
-        store.close()
