@@ -39,6 +39,8 @@ __all__ = ["AthenaDeployment", "DeploymentConfig"]
 
 # DCM cron period: "the distribution ... can occur every 15 minutes"
 DCM_CRON_SECONDS = 15 * 60
+# cron pacing of the CDC extractor pump (idle ticks are a flag check)
+CDC_PUMP_SECONDS = 1
 
 # (service, interval minutes, target file, script path, type)
 SERVICE_TABLE = [
@@ -57,7 +59,6 @@ class DeploymentConfig:
     population: PopulationSpec = field(default_factory=PopulationSpec)
     access_cache: bool = True
     always_regenerate: bool = False  # E1 ablation
-    journal_changes: bool = True
     push_pool_width: int = 8  # DCM propagation fan-out (1 = sequential)
     legacy_dcm: bool = False  # seed-era pipeline (benchmark baseline)
     server_workers: Optional[int] = None  # None = min(8, cpus); 0 = inline
@@ -71,7 +72,6 @@ class DeploymentConfig:
     replicas: int = 0
     replica_workers: int = 0  # worker pool per replica (0 = inline)
     staleness_budget: float = 0.25  # max wait for read-your-writes, s
-    replica_poll_interval: float = 0.005  # pump thread tail cadence, s
     replica_tcp: bool = False  # real sockets: feeds + clients dial TCP
     # WAL layout (default = seed: one monolithic file)
     wal_segments: bool = False
@@ -84,12 +84,11 @@ class DeploymentConfig:
     user_subshards: int = 0
     # CDC push pipeline (docs/DCM_PIPELINE.md): consume the WAL as a
     # change stream and converge managed hosts per-mutation instead of
-    # per-cron-cycle.  Needs journal_changes=True.
+    # per-cron-cycle.
     cdc: bool = False
     cdc_source: str = "journal"  # "journal" (in-process) or "replica"
     cdc_debounce_seconds: int = 0  # wait this long for more mutations
     cdc_max_coalesce: int = 256  # converge early past this many
-    cdc_pump_seconds: int = 1  # cron pacing of the extractor pump
     cdc_cursor_path: Optional[Union[str, Path]] = None  # durable token
 
 
@@ -110,10 +109,9 @@ class AthenaDeployment:
             self.db = create_backend(self.config.backend,
                                      self.config.backend_path)
         self.kdc = KDC(self.clock)
-        self.journal = (Journal(path=self.config.wal_path,
-                                faults=self.faults,
-                                rotate_segments=self.config.wal_segments)
-                        if self.config.journal_changes else None)
+        self.journal = Journal(path=self.config.wal_path,
+                               faults=self.faults,
+                               rotate_segments=self.config.wal_segments)
 
         # the synthetic campus
         self.handles = load_population(self.db, self.config.population,
@@ -168,7 +166,6 @@ class AthenaDeployment:
                 self, self.config.replicas,
                 workers=self.config.replica_workers,
                 staleness_budget=self.config.staleness_budget,
-                poll_interval=self.config.replica_poll_interval,
                 faults=self.faults,
                 tcp=self.config.replica_tcp)
 
@@ -185,8 +182,6 @@ class AthenaDeployment:
             JournalChangeSource,
             ReplicaChangeSource,
         )
-        if self.journal is None:
-            raise ValueError("cdc=True needs journal_changes=True")
         if self.config.cdc_source == "replica":
             if self.replica_cluster is None:
                 raise ValueError("cdc_source='replica' needs replicas>0")
@@ -210,7 +205,7 @@ class AthenaDeployment:
         # the pump rides cron like the DCM does; has_work keeps idle
         # ticks to a flag check (the commit listener sets the flag)
         self.cron.add(
-            "cdc", max(1, self.config.cdc_pump_seconds),
+            "cdc", CDC_PUMP_SECONDS,
             lambda when: cdc.pump(when) if cdc.has_work else None)
         return cdc
 
@@ -397,8 +392,6 @@ class AthenaDeployment:
         (docs/REPLICATION.md); a CDC extractor resets its cursor and
         reconverges every service (docs/DCM_PIPELINE.md).
         """
-        if self.journal is None:
-            raise ValueError("deployment journals no changes")
         from repro.db.recovery import SUPERSEDABLE_QUERIES
         pins = ()
         if self.replica_cluster is not None:

@@ -9,12 +9,14 @@ backup, and recovery code can be handed *any* conforming backend:
 
 * :class:`StorageBackend` — the database surface (``table``,
   ``get_value``/``set_value``/``next_id``, ``table_stats``,
-  ``versions``) and the two verbs every request goes through:
-  ``read_view()`` and ``write_txn()`` (DESIGN.md §17).
+  ``versions``), the two verbs every request goes through —
+  ``read_view()`` and ``write_txn()`` — and, as concrete defaults the
+  memory engine overrides, every capability a caller may use
+  (DESIGN.md §17): nothing above this package probes a backend.
 * :class:`StorageTable` — the relation surface (``select``/
   ``iter_select``/``count``, ``insert``/``update_rows``/
   ``delete_rows``/``clear``, ``column``, ``rows``, ``stats``,
-  ``version``).
+  ``version``/``changes_since``).
 
 Two backends register here:
 
@@ -35,7 +37,8 @@ below.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator, Optional
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Iterator, Optional
 
 __all__ = [
     "StorageBackend",
@@ -80,6 +83,16 @@ class StorageTable(abc.ABC):
     @abc.abstractmethod
     def count(self, where: Optional[dict] = None) -> int:
         """Number of rows matching *where*."""
+
+    # data version: moves on every data mutation (DCM bookkeeping
+    # writes with ``touch_stats=False`` excluded)
+    version: int = 0
+
+    def changes_since(self, version: int) -> Optional[list]:
+        """Changed rows since data version *version*, or None when the
+        backend keeps no changed-row log (or it overflowed) — the
+        incremental consumer then extracts in full."""
+        return None
 
 
 class StorageBackend(abc.ABC):
@@ -144,6 +157,74 @@ class StorageBackend(abc.ABC):
         accumulated.  The write path calls it after a commit window
         (or a library write) with no lock held; the default backend
         keeps no history."""
+
+    # -- capabilities (DESIGN.md §17) ------------------------------------
+    # Concrete defaults describe a backend with one writer lock and no
+    # row history; the memory engine overrides each.  Callers call
+    # these — they never probe for them.
+
+    # total exclusion over every relation (``with db.lock:``); each
+    # backend sets it in ``__init__``
+    lock: ContextManager
+
+    # can `workload.population` bulk-apply (reserved id ranges,
+    # ``Table.bulk_load`` under ``shard_txn``)?
+    supports_bulk_load = False
+
+    def read_locked(self) -> ContextManager:
+        """A critical section that only reads the live tables (backup,
+        the replication snapshot feed)."""
+        return self.lock
+
+    def system_latch(self) -> ContextManager:
+        """What serialises the system relations (``values`` hints,
+        the ``strings`` heap) against concurrent writers."""
+        return self.lock
+
+    def intern_string(self, text: str, *, now: int = 0) -> int:
+        """The ``string_id`` for *text*, allocating one if new."""
+        table = self.table("strings")
+        rows = table.select({"string": text})
+        if rows:
+            return rows[0]["string_id"]
+        string_id = self.next_id("strings_id", now=now)
+        table.insert({"string_id": string_id, "string": text}, now=now)
+        return string_id
+
+    def scripted_ids(self, bindings: Optional[dict]) -> ContextManager:
+        """While held, ``next_id`` on this thread hands out the ids
+        journaled in *bindings* (WAL replay).  One writer allocates in
+        commit order already, so the default re-allocates naturally."""
+        return nullcontext()
+
+    def shards_for(self, tables, key: Optional[Callable] = None
+                   ) -> Optional[frozenset]:
+        """The writer shards covering *tables*, or None for full
+        exclusion.  ``key()`` — called only when a partitioned shard
+        is involved — is the target row's partition value (or None),
+        narrowing that shard to one bucket lock."""
+        return None
+
+    def hold_shards(self, shards, on_wait: Optional[Callable] = None
+                    ) -> ContextManager:
+        """Hold the writer locks of *shards* across several
+        ``write_txn(shards)`` bodies (a group-commit window);
+        ``on_wait(lock_name, seconds)`` observes each acquisition.
+        With one writer lock every ``write_txn`` takes it itself."""
+        return nullcontext()
+
+    def membership_closure(self):
+        """The membership-closure index, or None when there is none
+        (the caller walks the ``members`` relation instead)."""
+        return None
+
+    def mvcc_stats(self) -> dict:
+        """Version-store counters for ``_query_stats``."""
+        return {}
+
+    def gc_versions(self) -> dict:
+        """Reclaim every row version no reader can still see, now."""
+        return {}
 
 
 class LockTxn:

@@ -72,8 +72,7 @@ def mrbackup(db: Database, directory: Union[str, Path]) -> dict[str, int]:
     sizes: dict[str, int] = {}
     # a dump only reads; shared mode lets queries keep flowing while
     # the nightly backup walks the relations
-    lock = db.read_locked() if hasattr(db, "read_locked") else db.lock
-    with lock:
+    with db.read_locked():
         for name, table in sorted(db.tables.items()):
             path = directory / name
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

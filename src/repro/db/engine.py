@@ -45,7 +45,7 @@ import re
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
 
 from repro.db.backend import LockTxn, StorageBackend, StorageTable
@@ -184,10 +184,10 @@ class _Txn:
 class _ShardedTxnLock:
     """``db.lock`` on a sharded database: all shards, in order.
 
-    Quacks like :class:`RWLock` — exclusive mode takes every shard's
-    writer side in sorted-name order (the same global order every
-    shard transaction uses, so no acquisition cycles exist), shared
-    mode takes every reader side.  The first exclusive hold by a
+    Exclusive mode (``with db.lock:``) takes every shard's writer side
+    in sorted-name order (the same global order every shard transaction
+    uses, so no acquisition cycles exist), shared mode
+    (``read_locked()``) every reader side.  The first exclusive hold by a
     thread opens an all-shards transaction and the outermost release
     commits it, preserving the seed's ``with db.lock:`` semantics
     byte for byte: whole-database operations (restore, replica reload,
@@ -240,31 +240,15 @@ class _ShardedTxnLock:
         for lock in reversed(self._locks):
             lock.release_shared()
 
-    # -- context managers ---------------------------------------------------
+    # -- context managers (``read_locked()`` / ``with db.lock:``) -----------
 
+    @contextmanager
     def shared(self):
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _shared():
-            self.acquire_shared()
-            try:
-                yield
-            finally:
-                self.release_shared()
-        return _shared()
-
-    def exclusive(self):
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _exclusive():
-            self.acquire_exclusive()
-            try:
-                yield
-            finally:
-                self.release_exclusive()
-        return _exclusive()
+        self.acquire_shared()
+        try:
+            yield
+        finally:
+            self.release_shared()
 
     def __enter__(self) -> "_ShardedTxnLock":
         self.acquire_exclusive()
@@ -272,12 +256,6 @@ class _ShardedTxnLock:
 
     def __exit__(self, *exc_info) -> None:
         self.release_exclusive()
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def readers(self) -> int:
-        return max(lock.readers for lock in self._locks)
 
     @property
     def write_locked(self) -> bool:
@@ -1403,7 +1381,7 @@ class Database(StorageBackend):
         # Under concurrent shard commits, id allocations interleave in
         # an order that differs from commit-seq order, so a serial
         # replay must consume the journaled bindings instead of
-        # re-allocating naturally (see recovery.replay_wal).
+        # re-allocating naturally (see recovery.apply_entries).
         self._scripted_ids: dict[int, dict[str, list]] = {}
         # the commit gate: `_seq_alloc` hands out seqs, `_seq_cond`
         # publishes them to `_committed_seq` in strictly increasing
@@ -1431,9 +1409,12 @@ class Database(StorageBackend):
         """The membership-closure index over the ``members`` relation.
 
         Built lazily the first time an access-control path asks for it;
-        None when this database has no ``members`` relation (ad-hoc
-        test databases, §5.1 D extra databases).
+        None when ``closure_enabled`` is off or this database has no
+        ``members`` relation (ad-hoc test databases, §5.1 D extra
+        databases).
         """
+        if not self.closure_enabled:
+            return None
         if self._closure is None:
             if "members" not in self.tables:
                 return None
@@ -1452,6 +1433,13 @@ class Database(StorageBackend):
         """Shared-mode critical section over the live tables (backup,
         the replication snapshot feed)."""
         return self.lock.shared()
+
+    def system_latch(self) -> ContextManager[None]:
+        """The leaf latch over ``values`` and ``strings`` once shards
+        are declared (a shard transaction must never escalate to the
+        full lock — two partial holders would deadlock); before that,
+        the one lock."""
+        return self._sys_latch if self._txns is not None else self.lock
 
     def create_table(self, table: Table) -> Table:
         """Register a new relation."""
@@ -1543,6 +1531,7 @@ class Database(StorageBackend):
                     lambda rows, changes, _t=target:
                     self._guard_rows(_t, rows, changes))
         self._txns = {}
+        self.supports_bulk_load = True  # bulk apply runs under shard txns
         self._seq_alloc = self._committed_seq
         self.lock = _ShardedTxnLock(self)
 
@@ -1565,6 +1554,51 @@ class Database(StorageBackend):
             else:
                 raise MoiraError(MR_INTERNAL, f"unknown shards [{name!r}]")
         return tuple(sorted(out))
+
+    def shards_for(self, tables, key: Optional[Callable] = None
+                   ) -> Optional[frozenset]:
+        """Map a table footprint onto writer shard names; None (full
+        exclusion) while shards are undeclared or when a table lies
+        outside every shard.  System tables are shard-free and ignored.
+        A partitioned shard narrows to the bucket lock ``key()`` falls
+        in, else keeps its logical name — the umbrella, expanded to
+        every bucket at lock time."""
+        if not self.shards:
+            return None
+        out = set()
+        for name in tables:
+            shard = self._shard_of.get(name)
+            if shard is not None:
+                out.add(shard)
+            elif name not in self._unversioned:
+                return None
+        if key is not None:
+            for shard in out & self._partitions.keys():
+                value = key()
+                if value is not None:
+                    part = self._partitions[shard]
+                    out.remove(shard)
+                    out.add(part.lock_name(part.bucket(value)))
+        return frozenset(out)
+
+    @contextmanager
+    def hold_shards(self, shards, on_wait: Optional[Callable] = None):
+        """Hold *shards*' writer locks (expanded to sorted physical
+        names, exactly as a transaction over them will) so the
+        ``write_txn`` bodies inside re-enter instead of re-acquiring."""
+        held = []
+        try:
+            for name in self.expand_shards(shards):
+                lock = self._shard_locks[name]
+                waited = time.perf_counter()
+                lock.acquire_exclusive()
+                held.append(lock)
+                if on_wait is not None:
+                    on_wait(name, time.perf_counter() - waited)
+            yield
+        finally:
+            for lock in reversed(held):
+                lock.release_exclusive()
 
     def _guard_rows(self, table: "Table", rows, changes) -> None:
         """Sub-shard row guard: every mutated row of a partitioned
@@ -1646,34 +1680,45 @@ class Database(StorageBackend):
             return None
         return txn.undo
 
-    def _bind_intern(self, text: str, string_id: int) -> None:
-        """Record a string interned by the current transaction."""
-        txn = self._active_txn()
-        if txn is not None:
-            txn.bind_intern(text, string_id)
+    def intern_string(self, text: str, *, now: int = 0) -> int:
+        """The string_id for *text*, creating it if new.
+
+        The strings heap is shard-free and serializes on the system
+        latch, so any shard transaction can intern without escalating.
+        The id — found or allocated — is recorded as a binding on the
+        transaction: the looking-up transaction can commit before its
+        allocator, so replay (commit-seq order) must be able to
+        pre-seed the row.
+        """
+        with self.system_latch():
+            string_id = super().intern_string(text, now=now)
+            txn = self._active_txn()
+            if txn is not None:
+                txn.bind_intern(text, string_id)
+            return string_id
 
     # -- WAL-replay id scripting ----------------------------------------------
 
-    def begin_scripted_ids(self, bindings: Optional[dict]) -> None:
+    @contextmanager
+    def scripted_ids(self, bindings: Optional[dict]):
         """Arm journaled id bindings for the calling thread.
 
-        Until :meth:`end_scripted_ids`, each ``next_id(hint)`` call
-        consumes the next journaled value for *hint* instead of the
-        hint variable's current value (the hint is still advanced past
-        the consumed id).  This is how replay reproduces the exact id
-        trajectory of a concurrent run, where allocations interleaved
-        across transactions in non-commit order.
+        While held, each ``next_id(hint)`` call consumes the next
+        journaled value for *hint* instead of the hint variable's
+        current value (the hint is still advanced past the consumed
+        id).  This is how replay reproduces the exact id trajectory of
+        a concurrent run, where allocations interleaved across
+        transactions in non-commit order.
         """
+        ident = threading.get_ident()
         queues = {hint: list(vals) for hint, vals
                   in ((bindings or {}).get("id") or {}).items() if vals}
         if queues:
-            self._scripted_ids[threading.get_ident()] = queues
-        else:
-            self._scripted_ids.pop(threading.get_ident(), None)
-
-    def end_scripted_ids(self) -> None:
-        """Disarm replay id scripting for the calling thread."""
-        self._scripted_ids.pop(threading.get_ident(), None)
+            self._scripted_ids[ident] = queues
+        try:
+            yield
+        finally:
+            self._scripted_ids.pop(ident, None)
 
     def _scripted_next(self, hint_name: str) -> Optional[int]:
         if not self._scripted_ids:
@@ -1966,18 +2011,7 @@ class Database(StorageBackend):
         reproduce the hint trajectory even past aborted writers.
         """
         scripted = self._scripted_next(hint_name)
-        if self._txns is None:
-            with self.lock:
-                if scripted is not None:
-                    value = scripted
-                    self.set_value(hint_name,
-                                   max(self.get_value(hint_name),
-                                       value + 1), now=now)
-                else:
-                    value = self.get_value(hint_name)
-                    self.set_value(hint_name, value + 1, now=now)
-                return value
-        with self._sys_latch:
+        with self.system_latch():
             if scripted is not None:
                 value = scripted
                 self.set_value(hint_name,
@@ -2005,8 +2039,7 @@ class Database(StorageBackend):
         """
         if count <= 0:
             raise ValueError("reserve_ids needs a positive count")
-        latch = self._sys_latch if self._txns is not None else self.lock
-        with latch:
+        with self.system_latch():
             value = self.get_value(hint_name)
             self.set_value(hint_name, value + count, now=now)
             return value

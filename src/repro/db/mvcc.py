@@ -41,7 +41,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Iterator, Optional
 
-from repro.errors import MoiraError, MR_NO_ID
+from repro.errors import MoiraError, MR_NO_ID, MR_NO_MATCH
 
 __all__ = ["INF_SEQ", "Snapshot", "SnapshotTable", "TableVersionStore",
            "SnapshotStale"]
@@ -810,17 +810,20 @@ class Snapshot:
     def sim_backend_latency(self) -> float:
         return self.db.sim_backend_latency
 
-    @property
-    def closure_enabled(self) -> bool:
-        return self.db.closure_enabled
-
     def membership_closure(self):
-        if "members" not in self.db.tables:
-            return None
         inner = self.db.membership_closure()
         if inner is None:
             return None
         return _SnapshotClosure(inner, self.db.table("members"), self.seq)
+
+    def intern_string(self, text: str, *, now: int = 0) -> int:
+        """The ``string_id`` of *text* — lookup only: a read cannot
+        allocate, so an unknown string is MR_NO_MATCH (nothing can
+        reference a string that was never interned)."""
+        rows = self.table("strings").select({"string": text})
+        if not rows:
+            raise MoiraError(MR_NO_MATCH, f"string {text!r}")
+        return rows[0]["string_id"]
 
     def get_value(self, name: str) -> int:
         rows = self.table("values").select({"name": name})

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.db.backup import mrbackup, mrrestore
 from repro.db.engine import Database
-from repro.db.journal import Journal
+from repro.db.journal import Journal, JournalEntry
 from repro.errors import (
     MoiraError,
     MR_EXISTS,
@@ -39,7 +39,8 @@ from repro.errors import (
 from repro.sim.clock import Clock
 
 __all__ = ["checkpoint", "recover", "replay_wal", "apply_bindings",
-           "RecoveryResult", "CHECKPOINT_META", "SUPERSEDABLE_QUERIES"]
+           "apply_entries", "OutOfCommitOrder", "RecoveryResult",
+           "CHECKPOINT_META", "SUPERSEDABLE_QUERIES"]
 
 # Written beside the per-relation dumps: the WAL sequence number the
 # snapshot covers.  Replay starts strictly after it.
@@ -91,20 +92,18 @@ def apply_bindings(db: Database, bindings: Optional[dict], *,
     """
     if not bindings:
         return
-    latch = getattr(db, "_sys_latch", None)
-    if latch is None:
-        latch = db.lock
-    with latch:
+    def advance(hint: str, top: int) -> None:
+        try:
+            cur = db.get_value(hint)
+        except MoiraError:
+            cur = 0
+        if top > cur:
+            db.set_value(hint, top, now=now)
+
+    with db.system_latch():
         for hint, vals in (bindings.get("id") or {}).items():
-            if not vals:
-                continue
-            try:
-                cur = db.get_value(hint)
-            except MoiraError:
-                cur = 0
-            top = max(vals) + 1
-            if top > cur:
-                db.set_value(hint, top, now=now)
+            if vals:
+                advance(hint, max(vals) + 1)
         intern = bindings.get("intern") or {}
         if intern:
             table = db.table("strings")
@@ -113,12 +112,7 @@ def apply_bindings(db: Database, bindings: Optional[dict], *,
                 if not table.select({"string_id": sid}):
                     table.insert({"string_id": sid, "string": text},
                                  now=now)
-                try:
-                    cur = db.get_value("strings_id")
-                except MoiraError:
-                    cur = 0
-                if sid + 1 > cur:
-                    db.set_value("strings_id", sid + 1, now=now)
+                advance("strings_id", sid + 1)
 
 
 def checkpoint(db: Database, journal: Journal,
@@ -139,9 +133,7 @@ def checkpoint(db: Database, journal: Journal,
     # checkpoint is the natural MVCC horizon: everything up to the
     # watermark is durably on disk, so reclaim row versions no pinned
     # snapshot can still see
-    gc = getattr(db, "gc_versions", None)
-    if callable(gc):
-        gc()
+    db.gc_versions()
     return watermark
 
 
@@ -188,63 +180,84 @@ def recover(directory: Union[str, Path], *,
     return result
 
 
-def replay_wal(db: Database, journal: Journal, *, after_seq: int = 0,
-               result: Optional[RecoveryResult] = None,
-               strict: bool = False) -> RecoveryResult:
-    """Re-execute WAL entries past *after_seq* against *db*.
+class OutOfCommitOrder(ValueError):
+    """The log (or feed) offered an entry at or below the commit seq
+    already applied — corrupt history, never something to apply."""
 
-    Each entry runs through the predefined-query layer as its original
-    principal at its original timestamp.  Conflicts the snapshot already
-    absorbed are tolerated (unless *strict*).
+
+def apply_entries(db: Database, entries: Iterable[JournalEntry], *,
+                  clock: Clock, after_commit_seq: int = 0,
+                  strict: bool = False, client: str = "recovery"
+                  ) -> Iterator[tuple[JournalEntry, Optional[MoiraError]]]:
+    """Apply journal *entries* to *db*, yielding ``(entry, conflict)``
+    after each one — the one loop behind WAL replay and replica apply.
+
+    Each entry re-executes through the predefined-query layer as its
+    original principal and client (*client* when it recorded none) at
+    its original timestamp — *clock* follows ``entry.when`` forward —
+    with the journaled id bindings scripted.  ``conflict`` is the
+    tolerated :class:`MoiraError` when the target already held the
+    entry's effect (never under *strict*), else None; an ``_aborted``
+    marker applies only its bindings.  Entries are pulled lazily, one
+    at a time, so the caller may filter and fire fault points upstream.
+
+    Replay-order oracle: sharded writers append inside the commit gate,
+    so log order must equal commit-seq order even when shards committed
+    concurrently.  A violation means the gate (or the log, or the feed)
+    is corrupt — never silently reorder history.  The high-water starts
+    at *after_commit_seq* and moves only once an entry has been
+    applied, so an entry whose execution raised can be offered again.
     """
     from repro.queries.base import QueryContext, execute_query
 
-    if result is None:
-        result = RecoveryResult(db=db)
-    clock: Optional[Clock] = None
-    last_commit_seq = 0
-    for entry in journal.after_seq(after_seq):
-        # Replay-order oracle: sharded writers append inside the commit
-        # gate, so WAL order must equal commit-seq order even when
-        # shards committed concurrently.  A violation means the gate
-        # (or the log) is corrupt — never silently reorder history.
-        if entry.commit_seq:
-            if entry.commit_seq <= last_commit_seq:
-                raise ValueError(
-                    f"WAL out of commit order: seq {entry.seq} has "
-                    f"commit_seq {entry.commit_seq} after "
-                    f"{last_commit_seq}")
-            last_commit_seq = entry.commit_seq
-        if clock is None:
-            clock = Clock(entry.when)
-        elif entry.when > clock.now():
+    last_commit_seq = after_commit_seq
+    for entry in entries:
+        if entry.commit_seq and entry.commit_seq <= last_commit_seq:
+            raise OutOfCommitOrder(
+                f"out of commit order: seq {entry.seq} has commit_seq "
+                f"{entry.commit_seq} after {last_commit_seq}")
+        if entry.when > clock.now():
             clock.set(entry.when)
         # system-table trajectory first: bump id hints past the entry's
         # allocations and pre-seed interned strings (idempotent), so
         # even a conflict-skipped or aborted entry leaves values/strings
         # exactly as the original run did
         apply_bindings(db, entry.bindings, now=entry.when)
+        conflict = None
+        # an aborted writer rolled back; only its bindings survive
+        if entry.query != "_aborted":
+            ctx = QueryContext(db=db, clock=clock, caller=entry.who,
+                               client=entry.client or client,
+                               privileged=True)
+            try:
+                with db.scripted_ids(entry.bindings):
+                    execute_query(ctx, entry.query, list(entry.args))
+            except MoiraError as exc:
+                if strict or exc.code not in TOLERATED_REPLAY_ERRORS:
+                    raise
+                conflict = exc
+        last_commit_seq = entry.commit_seq or last_commit_seq
+        yield entry, conflict
+
+
+def replay_wal(db: Database, journal: Journal, *, after_seq: int = 0,
+               result: Optional[RecoveryResult] = None,
+               strict: bool = False) -> RecoveryResult:
+    """Re-execute WAL entries past *after_seq* against *db*
+    (:func:`apply_entries`).  Conflicts the snapshot already absorbed
+    are tolerated and counted (unless *strict*)."""
+    if result is None:
+        result = RecoveryResult(db=db)
+    for entry, conflict in apply_entries(
+            db, journal.after_seq(after_seq), clock=Clock(0),
+            strict=strict):
         if entry.query == "_aborted":
-            # the writer rolled back; only its bindings survive
             result.aborted_applied += 1
-            continue
-        ctx = QueryContext(db=db, clock=clock, caller=entry.who,
-                           client=entry.client or "recovery",
-                           privileged=True)
-        scripted = getattr(db, "begin_scripted_ids", None)
-        if scripted is not None:
-            scripted(entry.bindings)
-        try:
-            execute_query(ctx, entry.query, list(entry.args))
+        elif conflict is None:
             result.replayed += 1
-        except MoiraError as exc:
-            if strict or exc.code not in TOLERATED_REPLAY_ERRORS:
-                raise
+        else:
             result.skipped_conflicts += 1
             result.log.append(
                 f"replay seq {entry.seq} {entry.query}: tolerated "
-                f"{exc.symbol}")
-        finally:
-            if scripted is not None:
-                db.end_scripted_ids()
+                f"{conflict.symbol}")
     return result

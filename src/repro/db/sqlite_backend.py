@@ -56,9 +56,6 @@ class SqliteTable(StorageTable):
         self.unique_keys: list[tuple[str, ...]] = [tuple(u)
                                                    for u in unique]
         self.stats = TableStats()
-        # data-version parity with engine.Table (no changed-row log;
-        # incremental consumers fall back to full extraction here)
-        self.version = 0
         defs = ", ".join(
             f'"{c.name}" {"INTEGER" if c.kind is int else "TEXT"}'
             for c in columns)
@@ -184,10 +181,6 @@ class SqliteTable(StorageTable):
         self._db.conn.execute(f'DELETE FROM "{self.name}"')
         self.version += 1
 
-    def changes_since(self, version: int):
-        """No changed-row log on this backend (always None)."""
-        return None
-
     # -- retrieval -------------------------------------------------------------
 
     def iter_select(
@@ -284,11 +277,6 @@ class SqliteDatabase(StorageBackend):
         self.tables: dict[str, SqliteTable] = {}
         self.lock = threading.RLock()
         self.sim_backend_latency = 0.0
-
-    def read_locked(self):
-        """Same interface as engine.Database; one sqlite3 connection
-        cannot serve concurrent cursors, so reads serialise too."""
-        return self.lock
 
     def read_view(self) -> _LockedView:
         """The read verb: this database, under its lock."""

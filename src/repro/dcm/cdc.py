@@ -199,7 +199,7 @@ class CdcExtractor:
     """Consumes the change stream and drives targeted convergence.
 
     One instance per deployment; :meth:`pump` is the unit of work (the
-    deployment crons it every ``cdc_pump_seconds``, tests call it
+    deployment crons it every ``CDC_PUMP_SECONDS``, tests call it
     directly after mutating).  Thread-safe: pumps serialise on an
     internal lock, and the journal commit listener only sets a flag.
     """

@@ -240,7 +240,8 @@ class DCM:
         # cycle: versions are captured before any data is read, so a
         # concurrent change mid-cycle is re-detected next cycle
         cycle_ctx = GenContext(self.db, now)
-        cycle_versions = self._db_versions()
+        cycle_versions = (None if self.legacy_pipeline
+                          else self.db.versions())
 
         services = self._eligible_services(report)
         for service in services:
@@ -259,12 +260,6 @@ class DCM:
         report.budget_deferred = self.governor.cycle_budget_deferred
         report.breaker_open_hosts = self.governor.open_hosts()
         return report
-
-    def _db_versions(self) -> Optional[dict[str, int]]:
-        if self.legacy_pipeline:
-            return None
-        versions = getattr(self.db, "versions", None)
-        return versions() if callable(versions) else None
 
     # -- service scan ------------------------------------------------------------
 
@@ -410,20 +405,17 @@ class DCM:
         return generator.generate(ctx), False
 
     def _collect_changes(self, generator, recorded: dict[str, int],
-                         vector: dict[str, int],
-                         db: Optional[Database] = None):
+                         vector: dict[str, int], db: Database):
         """Changed dependency tables -> their changed-row logs (None
         where a log is unavailable or has overflowed)."""
         changes = {}
-        source = db if db is not None else self.db
         for table_name, version in vector.items():
             old = recorded.get(table_name)
             if old == version:
                 continue
-            table = source.table(table_name)
-            log = getattr(table, "changes_since", None)
-            changes[table_name] = (log(old) if callable(log)
-                                   and old is not None else None)
+            changes[table_name] = (
+                db.table(table_name).changes_since(old)
+                if old is not None else None)
         # tables that vanished from the vector count as changed too
         for table_name in recorded:
             if table_name not in vector:
@@ -887,14 +879,11 @@ class DCM:
     def _converge_locked(self, service: dict, generator, db: Database,
                          now: int, origin_seq: int, out: dict) -> dict:
         name = service["name"]
-        versions = getattr(db, "versions", None)
-        vector = (generator.vector_for(versions())
-                  if callable(versions) else None)
+        vector = generator.vector_for(db.versions())
         recorded = self._recorded_vector(name, db)
         previous = self._generated.get(name)
-        if previous is not None and vector is not None and \
-                recorded is not None and vector == recorded and \
-                not self._any_override(name):
+        if previous is not None and recorded is not None and \
+                vector == recorded and not self._any_override(name):
             out["status"] = "no_change"
             out["reason"] = "version vector unchanged"
             return out

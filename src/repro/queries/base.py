@@ -167,8 +167,8 @@ class QueryContext:
         if not self.caller:
             return None
         users = self.db.table("users")
-        version = getattr(users, "version", None)
-        if (version is not None and self._caller_row_cache is not _UNSET
+        version = users.version
+        if (self._caller_row_cache is not _UNSET
                 and self._caller_row_version == version):
             return self._caller_row_cache  # type: ignore[return-value]
         rows = users.select({"login": self.caller})
@@ -199,14 +199,6 @@ class QueryContext:
             return False
         return self.user_on_list_id(rows[0]["list_id"], self.caller)
 
-    def _membership_closure(self):
-        """The database's closure index, or None (disabled / no
-        ``members`` relation / backend without one)."""
-        if not getattr(self.db, "closure_enabled", False):
-            return None
-        factory = getattr(self.db, "membership_closure", None)
-        return factory() if factory is not None else None
-
     def _login_users_id(self, login: str) -> Optional[int]:
         """users_id for *login* (via the caller-row memo when it is
         the caller being resolved), or None."""
@@ -227,7 +219,7 @@ class QueryContext:
         users_id = self._login_users_id(login)
         if users_id is None:
             return False
-        closure = self._membership_closure()
+        closure = self.db.membership_closure()
         if closure is not None:
             try:
                 return closure.contains(int(list_id), "USER", users_id)
@@ -259,7 +251,7 @@ class QueryContext:
         ``get_ace_use``) build on this; closure-indexed when available,
         upward walk otherwise.
         """
-        closure = self._membership_closure()
+        closure = self.db.membership_closure()
         if closure is not None:
             try:
                 return closure.lists_containing(member_type, int(member_id))
@@ -366,38 +358,9 @@ class QueryContext:
     # -- string interning (the strings relation) -----------------------------
 
     def intern_string(self, text: str) -> int:
-        """The string_id for *text*, creating it if new.
-
-        On a sharded database the strings heap is shard-free and
-        serializes on the system latch, so any shard transaction can
-        intern without escalating; new ids are recorded as bindings on
-        the transaction so journal replay reproduces them.
-        """
-        db = self.db
-        latch = getattr(db, "_sys_latch", None)
-        if latch is None or getattr(db, "shards", None) is None:
-            table = db.table("strings")
-            rows = table.select({"string": text})
-            if rows:
-                return rows[0]["string_id"]
-            string_id = db.next_id("strings_id", now=self.now)
-            table.insert({"string_id": string_id, "string": text},
-                         now=self.now)
-            return string_id
-        with latch:
-            table = db.table("strings")
-            rows = table.select({"string": text})
-            if rows:
-                # bind lookups too: the looking-up transaction can
-                # commit before its allocator, so replay (commit-seq
-                # order) must be able to pre-seed the row
-                db._bind_intern(text, rows[0]["string_id"])
-                return rows[0]["string_id"]
-            string_id = db.next_id("strings_id", now=self.now)
-            table.insert({"string_id": string_id, "string": text},
-                         now=self.now)
-            db._bind_intern(text, string_id)
-            return string_id
+        """The string_id for *text*, creating it if new (the backend
+        serialises the strings heap and records replay bindings)."""
+        return self.db.intern_string(text, now=self.now)
 
     def string_by_id(self, string_id: int) -> str:
         """The text for a string_id."""

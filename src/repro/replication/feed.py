@@ -54,7 +54,6 @@ from repro.db.journal import JournalEntry
 from repro.errors import (
     MoiraError,
     MR_ARGS,
-    MR_INTERNAL,
     MR_MORE_DATA,
     MR_NO_HANDLE,
     MR_PERM,
@@ -138,14 +137,11 @@ def serve_repl_query(server: "MoiraServer", name: str,
     principal and answer ``MR_PERM`` to anyone else; `_repl_status`
     stays open (a freshness/topology probe, like `_query_stats`).
     """
-    if server.journal is None:
-        raise MoiraError(MR_INTERNAL, "replication feed needs a journal")
     if name == "_repl_status":
         return _status(server)
     if name in ("_repl_snapshot", "_repl_tail"):
         if server.kdc is not None:
-            wanted = getattr(server, "repl_principal",
-                             REPL_SERVICE_PRINCIPAL)
+            wanted = server.repl_principal
             if principal != wanted:
                 raise MoiraError(
                     MR_PERM,
@@ -164,7 +160,7 @@ def _status(server: "MoiraServer") -> Iterator[bytes]:
     yield encode_reply(MR_MORE_DATA,
                        (server.role, str(seq), versions_json(versions),
                         str(server.journal.epoch)))
-    for row in sorted(getattr(server, "repl_endpoints", {}).items()):
+    for row in sorted(server.repl_endpoints.items()):
         name, (address, role) = row
         yield encode_reply(MR_MORE_DATA,
                            (ENDPOINT_ROW, name, address, role))

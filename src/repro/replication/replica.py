@@ -64,7 +64,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.db.backup import _split_escaped, unescape_field
 from repro.db.journal import Journal
-from repro.db.recovery import TOLERATED_REPLAY_ERRORS
+from repro.db.recovery import OutOfCommitOrder, apply_entries
 from repro.db.schema import build_database
 from repro.errors import (
     MoiraError,
@@ -226,9 +226,9 @@ class ReplicaServer:
         self._feed_factory = feed_factory
         self._feed: Optional[ClientConnection] = None
         self._synced = False
-        # pinned to each entry's original timestamp during apply, so
+        # follows each entry's original timestamp during apply, so
         # audit fields replay byte-identical (the replay_wal discipline)
-        self._apply_clock: Optional[Clock] = None
+        self._apply_clock = Clock(0)
         # CDC taps: fn(entry) after every applied entry, fn(None) when
         # a snapshot resync wipes local state (buffered entries between
         # the listener's cursor and the new watermark are gone)
@@ -354,7 +354,7 @@ class ReplicaServer:
                 table.stats.appends -= loaded
         self.server.access_cache.invalidate(set(self.db.tables))
         self.server._poke_closure()
-        self._apply_clock = None
+        self._apply_clock = Clock(0)
         self.primary_versions = versions
         self.snapshots_loaded += 1
         self._synced = True
@@ -418,65 +418,48 @@ class ReplicaServer:
                              ) from exc
         return self._apply(entries)
 
-    def _apply(self, entries) -> int:
-        from repro.db.recovery import apply_bindings
-        from repro.queries.base import QueryContext, execute_query
-        applied = 0
+    def _fresh(self, entries) -> Iterator:
+        """Entries past the watermark (idempotence: a re-delivered
+        entry is skipped), each behind the ``repl.apply`` fault point."""
         for entry in entries:
             if entry.seq <= self.applied_seq:
-                continue    # idempotence: re-delivered entry
+                continue
             if self.faults is not None:
                 self.faults.fire("repl.apply", replica=self.name,
                                  seq=entry.seq, query=entry.query)
-            if entry.commit_seq:
-                # the feed must arrive in commit-seq order (appends
-                # happen inside the primary's commit gate); a violation
-                # means a mangled feed, never something to apply
-                if entry.commit_seq <= self._applied_commit_seq:
-                    raise MoiraError(
-                        MR_INTERNAL,
-                        f"feed out of commit order: seq {entry.seq} "
-                        f"commit_seq {entry.commit_seq} after "
-                        f"{self._applied_commit_seq}")
-                self._applied_commit_seq = entry.commit_seq
-            if self._apply_clock is None:
-                self._apply_clock = Clock(entry.when)
-            elif entry.when > self._apply_clock.now():
-                self._apply_clock.set(entry.when)
-            # system-table trajectory first (hints, interned strings) —
-            # the replay_wal discipline, aborted writers included
-            apply_bindings(self.db, entry.bindings, now=entry.when)
-            if entry.query == "_aborted":
+            yield entry
+
+    def _apply(self, entries) -> int:
+        applied = 0
+        before = self.db.versions()
+        try:
+            for entry, conflict in apply_entries(
+                    self.db, self._fresh(entries), clock=self._apply_clock,
+                    after_commit_seq=self._applied_commit_seq,
+                    client="replication"):
+                self._applied_commit_seq = (entry.commit_seq
+                                            or self._applied_commit_seq)
+                if conflict is not None:
+                    # the snapshot already absorbed this entry's effect
+                    self.apply_conflicts += 1
+                # (binding-only movement of values/strings counts too;
+                # neither is an ACL table, so it invalidates nothing)
+                after = self.db.versions()
+                mutated = {t for t, v in after.items()
+                           if before.get(t) != v}
+                before = after
+                if mutated:
+                    self.server.access_cache.invalidate(mutated)
+                    if "members" in mutated:
+                        self.server._poke_closure()
                 self.entries_applied += 1
                 applied += 1
                 self._advance(entry.seq)
                 self._notify_apply(entry)
-                continue
-            ctx = QueryContext(db=self.db, clock=self._apply_clock,
-                               caller=entry.who,
-                               client=entry.client or "replication",
-                               privileged=True)
-            before = self.db.versions()
-            self.db.begin_scripted_ids(entry.bindings)
-            try:
-                execute_query(ctx, entry.query, list(entry.args))
-            except MoiraError as exc:
-                if exc.code not in TOLERATED_REPLAY_ERRORS:
-                    raise
-                # the snapshot already absorbed this entry's effect
-                self.apply_conflicts += 1
-            finally:
-                self.db.end_scripted_ids()
-            mutated = {t for t, v in self.db.versions().items()
-                       if before.get(t) != v}
-            if mutated:
-                self.server.access_cache.invalidate(mutated)
-                if "members" in mutated:
-                    self.server._poke_closure()
-            self.entries_applied += 1
-            applied += 1
-            self._advance(entry.seq)
-            self._notify_apply(entry)
+        except OutOfCommitOrder as exc:
+            # appends happen inside the primary's commit gate, so this
+            # is a mangled feed: a feed error like any other
+            raise MoiraError(MR_INTERNAL, f"feed {exc}") from exc
         return applied
 
     def _advance(self, seq: int) -> None:

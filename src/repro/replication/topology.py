@@ -49,7 +49,6 @@ class ReplicaCluster:
         *,
         workers: int = 0,
         staleness_budget: float = 0.25,
-        poll_interval: float = 0.005,
         faults: Optional[FaultInjector] = None,
         sync: bool = True,
         tcp: bool = False,
@@ -71,7 +70,6 @@ class ReplicaCluster:
                 name=f"replica{i}",
                 workers=workers,
                 staleness_budget=staleness_budget,
-                poll_interval=poll_interval,
                 faults=faults,
                 feed_credentials=self.feed_credentials(),
             )
@@ -148,7 +146,7 @@ class ReplicaCluster:
         d = self.deployment
         return FailoverCoordinator(
             d.server, self.replicas,
-            primary_wal=getattr(d.config, "wal_path", None),
+            primary_wal=d.config.wal_path,
             faults=faults)
 
     # -- lifecycle -----------------------------------------------------------

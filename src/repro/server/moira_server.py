@@ -556,11 +556,8 @@ class MoiraServer:
         members mutation, so the replay cost lands here instead of on
         the next access check's critical path.  Best-effort: the
         closure self-heals lazily if this fails."""
-        get = getattr(self.db, "membership_closure", None)
-        if get is None:
-            return
         try:
-            closure = get()
+            closure = self.db.membership_closure()
             if closure is not None:
                 closure.poke()
         except Exception:
@@ -575,11 +572,9 @@ class MoiraServer:
         if handle is None:
             # engine-level MVCC counters ride along as two-column rows
             # so one _query_stats round trip paints the whole picture
-            mvcc_stats = getattr(self.db, "mvcc_stats", None)
-            if callable(mvcc_stats):
-                for key, value in sorted(mvcc_stats().items()):
-                    yield encode_reply(MR_MORE_DATA,
-                                       ("_mvcc." + key, str(value)))
+            for key, value in sorted(self.db.mvcc_stats().items()):
+                yield encode_reply(MR_MORE_DATA,
+                                   ("_mvcc." + key, str(value)))
             # cluster topology rides along too: the same role/epoch/
             # endpoint rows _repl_status serves, visible from any node
             for row in self.repl_stat_rows():
@@ -625,7 +620,7 @@ class MoiraServer:
         (appends, fsyncs, mean batch size, segments, retained entries)
         as ``_wal.*`` rows, then the write batcher's group-commit
         window occupancy as ``_batch.*`` rows."""
-        stats = self.journal.stats() if self.journal is not None else {}
+        stats = self.journal.stats()
         for key in sorted(stats):
             yield encode_reply(MR_MORE_DATA,
                                ("_wal." + key, str(stats[key])))

@@ -55,19 +55,13 @@ __all__ = ["WriteBatcher", "shards_for"]
 def shards_for(db, query, args) -> Optional[frozenset]:
     """The writer shards a query's declared footprint maps onto.
 
-    Returns a frozenset of shard names, or None when the query must run
-    under full exclusion: the database is unsharded, the footprint is
-    undeclared, or it names a table outside every shard.  System tables
-    (values/strings) are shard-free and ignored.
-
-    On a partitioned shard (users sub-shards), a query carrying a
-    ``shard_key`` resolves to the single bucket lock its target row
-    lives in; an unresolvable key — or no ``shard_key`` at all — keeps
-    the logical name, which expands to the umbrella (every bucket) at
-    lock time.
+    Resolves the footprint (``Query.tables``) and the sub-shard key
+    (``Query.shard_key``) and asks the backend
+    (:meth:`~repro.db.backend.StorageBackend.shards_for`).  None means
+    full exclusion: the footprint is undeclared or unresolvable, or
+    the backend says so; an unresolvable key keeps the partitioned
+    shard's umbrella.
     """
-    if not db.shards:
-        return None
     tables = query.tables
     if callable(tables):
         try:
@@ -76,34 +70,14 @@ def shards_for(db, query, args) -> Optional[frozenset]:
             return None
     if tables is None:
         return None
-    out = set()
-    unversioned = getattr(db, "_unversioned", ())
-    for name in tables:
-        shard = db._shard_of.get(name)
-        if shard is None:
-            if name in unversioned:
-                continue
-            return None
-        out.add(shard)
-    partitions = getattr(db, "_partitions", None)
-    shard_key = getattr(query, "shard_key", None)
-    if partitions and shard_key is not None:
-        routed = set()
-        for shard in out:
-            part = partitions.get(shard)
-            if part is None:
-                routed.add(shard)
-                continue
+    key = None
+    if query.shard_key is not None:
+        def key():
             try:
-                value = shard_key(db, args)
+                return query.shard_key(db, args)
             except Exception:
-                value = None
-            if value is None:
-                routed.add(shard)       # umbrella
-            else:
-                routed.add(part.lock_name(part.bucket(value)))
-        out = routed
-    return frozenset(out)
+                return None
+    return db.shards_for(tables, key)
 
 
 class _WriteItem:
@@ -285,31 +259,16 @@ class WriteBatcher:
         (re-entering the held locks).  An un-sharded backend has no
         shard locks to hold: each item's ``write_txn`` takes the one
         writer lock itself."""
-        db = self.db
-        held = []
-        try:
-            if db.shards:
-                # lane keys may hold logical names and/or bucket locks;
-                # expand to sorted physical names, exactly as the
-                # transaction will
-                for name in db.expand_shards(lane.key):
-                    lock = db._shard_locks[name]
-                    waited = time.perf_counter()
-                    lock.acquire_exclusive()
-                    held.append(lock)
-                    if self.metrics is not None:
-                        self.metrics.record_shard_wait(
-                            name, time.perf_counter() - waited)
+        on_wait = self.metrics.record_shard_wait \
+            if self.metrics is not None else None
+        with self.db.hold_shards(lane.key, on_wait):
             # the paper's backend round trip is paid once per group
             # commit, not once per write — that is the batching win
-            delay = db.sim_backend_latency
+            delay = self.db.sim_backend_latency
             if delay:
                 time.sleep(delay)
             for item in batch:
                 self._run_item(item, lane.key)
-        finally:
-            for lock in reversed(held):
-                lock.release_exclusive()
 
     def _run_item(self, item: _WriteItem, shards) -> None:
         """Execute one write in its own transaction.  ``fsync=False``:

@@ -260,10 +260,9 @@ class _Builder:
         self.db = db
         self.spec = spec
         self.now = now
-        # bulk apply needs writer shards, reserve_ids and bulk_load —
-        # the in-memory engine; sqlite takes the classic path
-        self.parallel = bool(parallel and getattr(db, "shards", None)
-                             and hasattr(db, "reserve_ids"))
+        # bulk apply (reserve_ids, bulk_load under shard transactions)
+        # is the in-memory engine's; sqlite takes the classic path
+        self.parallel = bool(parallel and db.supports_bulk_load)
         self.workers = max(1, int(workers)) if workers else 4
         self.handles = PopulationHandles()
         self.machine_ids: dict[str, int] = {}   # NAME -> mach_id

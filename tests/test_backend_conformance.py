@@ -24,7 +24,7 @@ from repro.db.backend import (
 from repro.db.backup import mrbackup
 from repro.db.journal import Journal
 from repro.db.recovery import checkpoint, recover
-from repro.errors import MoiraError, MR_EXISTS, MR_NO_ID
+from repro.errors import MoiraError, MR_EXISTS, MR_NO_ID, MR_NO_MATCH
 from repro.queries.base import (
     QueryContext,
     execute_query,
@@ -256,6 +256,132 @@ class TestVerbsContract:
         assert db.mvcc_stats()["pins_active"] == 1
         stream.close()
         assert db.mvcc_stats()["pins_active"] == 0
+
+
+class TestCapabilityDefaults:
+    """Every capability a layer above ``db/`` calls is declared on the
+    ABC (DESIGN.md §17): the default describes a backend with one
+    writer lock and no row history (sqlite inherits each one), the
+    memory engine overrides it.  Callers call; nobody probes."""
+
+    @pytest.fixture
+    def is_memory(self, backend):
+        return backend.shards is not None
+
+    def test_lock_and_read_locked(self, backend, is_memory):
+        with backend.lock:
+            backend.table("machine").insert(
+                {"name": "CAP0.MIT.EDU", "mach_id": 60, "type": "VAX"},
+                now=BASE)
+        with backend.read_locked():
+            assert backend.table("machine").count() == 1
+        # default: the one lock; memory: its shared side
+        assert (backend.read_locked() is backend.lock) != is_memory
+
+    def test_system_latch(self, backend, is_memory):
+        with backend.system_latch():
+            backend.set_value("cap_hint", 5, now=BASE)
+        assert backend.get_value("cap_hint") == 5
+        # default: the one lock; memory: a leaf latch below the shards
+        assert (backend.system_latch() is backend.lock) != is_memory
+
+    def test_intern_string_allocates_once_and_binds(self, backend,
+                                                    is_memory):
+        hint = backend.get_value("strings_id")
+        with backend.write_txn() as txn:
+            first = backend.intern_string("cap-string", now=BASE)
+            again = backend.intern_string("cap-string", now=BASE)
+        assert first == again == hint
+        assert backend.get_value("strings_id") == hint + 1
+        rows = backend.table("strings").select({"string": "cap-string"})
+        assert [r["string_id"] for r in rows] == [first]
+        if is_memory:
+            assert txn.bindings["intern"] == {"cap-string": first}
+        else:
+            assert txn.bindings is None
+
+    def test_read_view_interns_by_lookup(self, backend, is_memory):
+        """A retrieval resolving a STRING member asks the view."""
+        known = backend.intern_string("cap-known", now=BASE)
+        hint = backend.get_value("strings_id")
+        with backend.read_view() as view:
+            assert view.intern_string("cap-known", now=BASE) == known
+            if is_memory:
+                # a pinned snapshot cannot allocate
+                with pytest.raises(MoiraError) as caught:
+                    view.intern_string("cap-unknown", now=BASE)
+                assert caught.value.code == MR_NO_MATCH
+        assert backend.get_value("strings_id") == hint
+
+    def test_scripted_ids(self, backend, is_memory):
+        natural = backend.get_value("gid")
+        with backend.scripted_ids({"id": {"gid": [natural + 7]}}):
+            got = backend.next_id("gid", now=BASE)
+        # default: one writer allocates in commit order — natural ids
+        assert got == (natural + 7 if is_memory else natural)
+        assert backend.next_id("gid", now=BASE) == got + 1
+
+    def test_shards_for(self, backend, is_memory):
+        routed = backend.shards_for(("users", "strings"))
+        assert routed == (frozenset({"users"}) if is_memory else None)
+        assert backend.shards_for(("no_such_table",)) is None
+
+    def test_hold_shards_wraps_a_commit_window(self, backend, is_memory):
+        waits = []
+        shards = backend.shards_for(("machine",)) or frozenset()
+        with backend.hold_shards(shards,
+                                 lambda name, s: waits.append(name)):
+            for i in range(2):
+                with backend.write_txn(shards):
+                    backend.table("machine").insert(
+                        {"name": f"CAP{i}.MIT.EDU", "mach_id": 61 + i,
+                         "type": "VAX"}, now=BASE)
+        assert waits == (sorted(shards) if is_memory else [])
+        assert backend.table("machine").count() == 2
+        # released: total exclusion is available again
+        with backend.lock:
+            pass
+
+    def test_membership_closure(self, backend, is_memory):
+        closure = backend.membership_closure()
+        assert (closure is not None) == is_memory
+        with backend.read_view() as view:
+            assert (view.membership_closure() is not None) == is_memory
+        if is_memory:
+            backend.closure_enabled = False
+            assert backend.membership_closure() is None
+            with backend.read_view() as view:
+                assert view.membership_closure() is None
+
+    def test_mvcc_stats_and_gc_versions(self, backend, is_memory):
+        if is_memory:
+            assert backend.mvcc_stats()["pins_active"] == 0
+            assert "horizon" in backend.gc_versions()
+            assert backend.mvcc_stats()["gc_runs"] == 1
+        else:
+            assert backend.mvcc_stats() == {}
+            assert backend.gc_versions() == {}
+
+    def test_supports_bulk_load(self, backend, is_memory):
+        assert backend.supports_bulk_load is is_memory
+
+    def test_table_version_and_changes_since(self, backend, is_memory):
+        table = backend.table("machine")
+        start = table.version
+        # no changed-row log (yet): the consumer extracts in full
+        assert table.changes_since(start) is None
+        if is_memory:
+            table.enable_changelog()
+        table.insert({"name": "CAP9.MIT.EDU", "mach_id": 69,
+                      "type": "VAX"}, now=BASE)
+        assert table.version == start + 1
+        with backend.read_view() as view:
+            assert view.table("machine").version == table.version
+        changes = table.changes_since(start)
+        if is_memory:
+            assert [c.op for c in changes] == ["insert"]
+        else:
+            assert changes is None
 
 
 def mutations(n):

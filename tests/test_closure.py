@@ -224,7 +224,7 @@ class TestClosureFallback:
         db.table("members").insert({"list_id": 700, "member_type": "USER",
                                     "member_id": 500})
         db.closure_enabled = False
-        assert ctx._membership_closure() is None
+        assert db.membership_closure() is None
         assert ctx.user_on_list_id(700, "czuser0")
         assert ctx.lists_containing("USER", 500) == {700}
 

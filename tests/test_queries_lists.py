@@ -194,6 +194,22 @@ class TestListsOfMember:
                                        "u")}
         assert recursive == {"x", "y"}
 
+    def test_string_member(self, run):
+        """A retrieval resolves a STRING through the read view, which
+        looks the string up and never allocates one."""
+        add_list(run, "a")
+        add_list(run, "b")
+        add_list(run, "outer")
+        run("add_member_to_list", "a", "STRING", "ext@media-lab.mit.edu")
+        run("add_member_to_list", "outer", "LIST", "a")
+        rows = run("get_lists_of_member", "STRING", "ext@media-lab.mit.edu")
+        assert [r[0] for r in rows] == ["a"]
+        recursive = {r[0] for r in run("get_lists_of_member", "RSTRING",
+                                       "ext@media-lab.mit.edu")}
+        assert recursive == {"a", "outer"}
+        expect_error(MR_NO_MATCH, run, "get_lists_of_member", "STRING",
+                     "nobody@nowhere")
+
     def test_bad_type(self, run):
         expect_error(MR_TYPE, run, "get_lists_of_member", "ROBOT", "u")
 

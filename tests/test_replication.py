@@ -23,6 +23,7 @@ from repro.errors import (
     MoiraError,
     MR_ABORTED,
     MR_BUSY,
+    MR_DEADLOCK,
     MR_NO_MATCH,
     MR_PERM,
 )
@@ -128,6 +129,39 @@ class TestSnapshotAndTail:
         role, seq, _versions, epoch = replica.status_tuple()
         assert (role, seq) == ("replica", str(replica.applied_seq))
         assert epoch == str(replica.epoch)
+
+
+def test_failed_apply_is_retried_not_reported_out_of_order(
+        tmp_path, monkeypatch):
+    """A transient handler error must leave the commit-seq high-water
+    behind the failed entry: the next pull re-offers it and it applies,
+    instead of every later pull answering "out of commit order"."""
+    from repro.queries import base as queries_base
+
+    primary = make_primary()
+    muts = mutations(5)
+    mutate(primary, muts[:2])
+    replica = make_replica(primary)
+    replica.step()
+    mutate(primary, muts[2:], start=2)
+
+    real = queries_base.execute_query
+    failures = [MoiraError(MR_DEADLOCK, "transient")]
+
+    def flaky(ctx, name, args):
+        if failures:
+            raise failures.pop()
+        return real(ctx, name, args)
+
+    monkeypatch.setattr(queries_base, "execute_query", flaky)
+    with pytest.raises(MoiraError) as caught:
+        replica.step()
+    assert caught.value.code == MR_DEADLOCK
+    assert replica.applied_seq == 2
+    assert replica.step() == 3
+    assert replica.applied_seq == primary.journal.current_seq()
+    assert dump(replica.db, tmp_path / "r") == \
+        dump(primary.db, tmp_path / "p")
 
 
 class TestReadOnlyServing:

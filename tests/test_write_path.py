@@ -170,19 +170,13 @@ class TestShardedEngine:
         only ever advances the hint."""
         db = build_database()
         natural = db.get_value("gid")
-        db.begin_scripted_ids({"id": {"gid": [natural + 7]}})
-        try:
+        with db.scripted_ids({"id": {"gid": [natural + 7]}}):
             assert db.next_id("gid", now=BASE) == natural + 7
-        finally:
-            db.end_scripted_ids()
         # hint advanced past the scripted value, not to natural + 1
         assert db.get_value("gid") == natural + 8
         # a lower scripted value must not move the hint backwards
-        db.begin_scripted_ids({"id": {"gid": [natural]}})
-        try:
+        with db.scripted_ids({"id": {"gid": [natural]}}):
             assert db.next_id("gid", now=BASE) == natural
-        finally:
-            db.end_scripted_ids()
         assert db.get_value("gid") == natural + 8
 
 
