@@ -7,7 +7,7 @@ interval" — MR_NO_CHANGE.  We measure a DCM cycle in three regimes:
 * quiet  — nothing changed; the cycle should be nearly free;
 * dirty  — one relevant change; full regeneration + propagation;
 * ablation — the dfcheck/no-change machinery disabled
-  (``always_regenerate=True``): every cycle pays full price.
+  (``d.dcm.always_regenerate = True``): every cycle pays full price.
 
 Shape expected: quiet ≪ dirty ≈ ablation-every-cycle.
 """
@@ -86,8 +86,9 @@ class TestIncrementalPropagation:
         operation with and without it."""
 
         def measure_week(always_regenerate: bool):
-            d = AthenaDeployment(DeploymentConfig(
-                population=SPEC, always_regenerate=always_regenerate))
+            d = AthenaDeployment(DeploymentConfig(population=SPEC))
+            # the ablation is not a deployment knob: set it on the DCM
+            d.dcm.always_regenerate = always_regenerate
             d.run_hours(25)  # first full cycle in both regimes
             base = d.dcm.total_generations
             t0 = time.perf_counter()

@@ -144,8 +144,8 @@ class TestScalability:
 
         * ``legacy_dcm=True`` reproduces the seed behaviour end to end
           — one GenContext per service, modtime change checks, full
-          re-extracts, per-host tar builds, strictly sequential pushes,
-          and the shlex-era server-side record parser;
+          re-extracts, the push loop at width 1 with no governor
+          admission, and the shlex-era server-side record parser;
         * the default pipeline shares one extraction snapshot per
           cycle, patches user-keyed files from the changed-row log,
           builds each distinct payload once, and fans the pushes over

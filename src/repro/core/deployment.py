@@ -58,7 +58,6 @@ class DeploymentConfig:
     """Deployment knobs: population shape and feature toggles."""
     population: PopulationSpec = field(default_factory=PopulationSpec)
     access_cache: bool = True
-    always_regenerate: bool = False  # E1 ablation
     push_pool_width: int = 8  # DCM propagation fan-out (1 = sequential)
     legacy_dcm: bool = False  # seed-era pipeline (benchmark baseline)
     server_workers: Optional[int] = None  # None = min(8, cpus); 0 = inline
@@ -141,7 +140,6 @@ class AthenaDeployment:
             moira_host=self.moira_host, journal=self.journal,
             zephyr_notify=self._zephyr_notify,
             mail_notify=self._mail_notify,
-            always_regenerate=self.config.always_regenerate,
             push_pool_width=self.config.push_pool_width,
             legacy_pipeline=self.config.legacy_dcm,
             faults=self.faults,

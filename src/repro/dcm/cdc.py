@@ -43,9 +43,10 @@ The pipeline, end to end:
    regenerates incrementally (version vectors + changed-row logs, the
    PR 1 machinery) and pushes *delta payloads* — only files whose
    bytes changed — to hosts already converged to the previous
-   generation, through the same per-host locks, §5.9 update protocol,
-   and governor/breaker admission the cron path uses.  The cron
-   ``run_once`` stays intact and is the byte-identity oracle.
+   generation, through the same generate step and host-push loop the
+   cron path uses (per-host locks, §5.9 update protocol, governor
+   admission, ``push_pool_width``).  The cron ``run_once`` keeps its
+   own host policy and is the byte-identity oracle.
 """
 
 from __future__ import annotations

@@ -28,14 +28,18 @@ The incremental pipeline on top of the paper's algorithm:
   :class:`GenContext` serves every service, so cross-relation maps
   (active users, membership closures...) are derived once per cycle,
   not once per service.
-* **Parallel propagation** — per-host pushes fan out over a bounded
-  thread pool (``push_pool_width``), reusing the per-host exclusive
-  locks; payload tars are prebuilt once per distinct file set, report
-  counters are merged in deterministic host order, and a replicated
-  hard failure still poisons the service and cancels not-yet-started
-  pushes.  ``legacy_pipeline=True`` restores the seed's per-service
-  contexts, modtime checks, and strictly sequential push path (the
-  benchmark baseline).
+* **One propagation engine** — cron (:meth:`DCM.run_once`) and the CDC
+  extractor (:meth:`DCM.converge_service`) are *policy*: each decides
+  which hosts are due and which files each one receives.  Both then
+  use the same *mechanism*: one guarded generate step (``_generate``)
+  and one host-push loop (``_push_plan``) that tars each distinct file
+  set once, pushes every host under its per-host exclusive lock —
+  inline at ``push_pool_width`` 1, on a bounded thread pool otherwise:
+  width 1 of the same loop, not another loop — cancels not-yet-started
+  pushes once a replicated host fails hard, and merges the outcomes in
+  deterministic host order.  ``legacy_pipeline=True`` keeps the seed's
+  per-service contexts and modtime checks and makes two caller-side
+  choices, no governor admission and width 1 (the benchmark baseline).
 
 The paper names incremental update as future work; this realises it.
 The DCM talks to the database through the direct glue library
@@ -125,16 +129,56 @@ class DCMReport:
 
 
 @dataclass
+class _Cycle:
+    """One cron invocation's shared state: the clock reading, the report
+    being filled, one extraction snapshot, and one database version
+    vector (None on the legacy pipeline, which checks modtimes)."""
+
+    now: int
+    report: DCMReport
+    ctx: GenContext
+    versions: Optional[dict[str, int]]
+
+    def vector(self, generator) -> Optional[dict[str, int]]:
+        """*generator*'s slice of the cycle's version vector."""
+        return (generator.vector_for(self.versions)
+                if self.versions is not None else None)
+
+
+@dataclass
+class _Generation:
+    """What the guarded generate step did: the files, or the hard error."""
+
+    result: Optional[GeneratorResult] = None
+    incremental: bool = False
+    error: str = ""
+    origin: int = 0
+
+
+@dataclass
 class _HostOutcome:
-    """One host's slice of a propagation fan-out, merged in host order."""
+    """One host's slot in a push round.  ``result`` stays None when the
+    host lock was held elsewhere (``locked``) or the push was cancelled
+    by a replicated hard failure."""
 
     machine: str
     locked: bool = False
-    cancelled: bool = False
     attempted: bool = False
     result: Optional[UpdateResult] = None
-    hard: bool = False
-    message: str = ""
+    log: list[str] = field(default_factory=list)
+
+
+@dataclass
+class _PushSummary:
+    """One push round folded in host order — what a caller reports."""
+
+    attempted: int = 0
+    succeeded: list[str] = field(default_factory=list)   # machine names
+    locked: list[str] = field(default_factory=list)      # machine names
+    soft_failures: int = 0
+    bytes_sent: int = 0
+    # (service/machine, origin journal seq) per hard failure
+    hard_origins: list[tuple[str, int]] = field(default_factory=list)
     log: list[str] = field(default_factory=list)
 
 
@@ -151,7 +195,6 @@ class DCM:
         lock_manager: Optional[LockManager] = None,
         zephyr_notify: Optional[Callable[[str, str, str], None]] = None,
         mail_notify: Optional[Callable[[str, str], None]] = None,
-        always_regenerate: bool = False,
         push_pool_width: int = DEFAULT_PUSH_POOL_WIDTH,
         legacy_pipeline: bool = False,
         faults: Optional[FaultInjector] = None,
@@ -167,13 +210,15 @@ class DCM:
         self.locks = lock_manager or LockManager()
         self.zephyr_notify = zephyr_notify
         self.mail_notify = mail_notify
-        # E1 ablation: disable the dfcheck/MR_NO_CHANGE optimisation
-        self.always_regenerate = always_regenerate
-        # propagation fan-out width; 1 = the paper's sequential push
-        self.push_pool_width = max(1, push_pool_width)
-        # benchmark baseline: per-service contexts, modtime checks,
-        # sequential pushes, per-host tar builds (the seed behaviour)
+        # E1 ablation (set on a built DCM): disable the
+        # dfcheck/MR_NO_CHANGE optimisation
+        self.always_regenerate = False
+        # benchmark baseline: per-service contexts and modtime checks,
+        # plus two caller-side choices — no governor admission, width 1
         self.legacy_pipeline = legacy_pipeline
+        # propagation fan-out width; 1 = the push loop runs inline
+        self.push_pool_width = (1 if legacy_pipeline
+                                else max(1, push_pool_width))
         # fault-injection harness (tests/benchmarks); begin_cycle applies
         # scheduled network weather at the top of each invocation
         self.faults = faults
@@ -195,7 +240,8 @@ class DCM:
         # origin attribution; 0 = no journal)
         self._gen_seq: dict[str, int] = {}
         self.runs = 0
-        # cumulative counters across all invocations (for reporting)
+        # cumulative counters across every invocation of either trigger,
+        # bumped where the work happens (generate step / push merge)
         self.total_generations = 0
         self.total_no_change = 0
         self.total_propagations = 0
@@ -239,21 +285,15 @@ class DCM:
         # one extraction snapshot and one version vector for the whole
         # cycle: versions are captured before any data is read, so a
         # concurrent change mid-cycle is re-detected next cycle
-        cycle_ctx = GenContext(self.db, now)
-        cycle_versions = (None if self.legacy_pipeline
-                          else self.db.versions())
+        cycle = _Cycle(now, report, GenContext(self.db, now),
+                       None if self.legacy_pipeline
+                       else self.db.versions())
 
         services = self._eligible_services(report)
         for service in services:
-            self._maybe_generate(service, now, report, cycle_ctx,
-                                 cycle_versions)
+            self._maybe_generate(service, cycle)
         for service in services:
-            self._host_scan(service, now, report, cycle_ctx,
-                            cycle_versions)
-        self.total_generations += report.generations
-        self.total_no_change += report.generations_no_change
-        self.total_propagations += report.propagations_succeeded
-        self.total_bytes += report.bytes_propagated
+            self._host_scan(service, cycle)
         report.retries_deferred = self.governor.cycle_deferred
         report.breaker_skips = self.governor.cycle_breaker_skips
         report.breaker_probes = self.governor.cycle_probes
@@ -277,10 +317,8 @@ class DCM:
             eligible.append(dict(row))
         return eligible
 
-    def _maybe_generate(self, service: dict, now: int, report: DCMReport,
-                        cycle_ctx: GenContext,
-                        cycle_versions: Optional[dict[str, int]]) -> None:
-        name = service["name"]
+    def _maybe_generate(self, service: dict, cycle: _Cycle) -> None:
+        name, now, report = service["name"], cycle.now, cycle.report
         interval_seconds = service["update_int"] * 60
         if now < service["dfcheck"] + interval_seconds and \
                 not self._any_override(name):
@@ -291,62 +329,53 @@ class DCM:
         report.services_due += 1
         try:
             with self.locks.held(f"service:{name}", LockMode.EXCLUSIVE):
-                self._set_service_flags(name, inprogress=1,
-                                        dfgen=service["dfgen"],
-                                        dfcheck=service["dfcheck"])
+                self._set_service_flags(service, inprogress=1)
                 generator = get_generator(name)
-                vector = (generator.vector_for(cycle_versions)
-                          if cycle_versions is not None else None)
                 if not self.always_regenerate and service["dfgen"] and \
                         not self._inputs_changed(generator, service,
-                                                 vector):
+                                                 cycle.vector(generator)):
                     # MR_NO_CHANGE: only dfcheck moves forward
+                    self.total_no_change += 1
                     report.generations_no_change += 1
                     report.no_change_services.append(name)
                     report.log.append(f"dcm: {name}: no change")
-                    self._set_service_flags(name, inprogress=0,
-                                            dfgen=service["dfgen"],
-                                            dfcheck=now)
-                    service["dfcheck"] = now
+                    self._set_service_flags(service, dfcheck=now)
                     return
-                try:
-                    hosts = self.db.table("serverhosts").select(
-                        {"service": name})
-                    if self.legacy_pipeline:
-                        ctx = GenContext(self.db, now, hosts=hosts)
-                    else:
-                        ctx = cycle_ctx.for_service(hosts)
-                    result, incremental = self._generate(generator, name,
-                                                         ctx, vector)
-                except Exception as exc:  # a generator hard error
-                    message = f"generator failed: {exc!r}"
-                    origin = self._origin_seq()
-                    report.generation_errors.append((name, message))
-                    report.hard_failure_origins.append((name, origin))
-                    self._set_service_flags(
-                        name, inprogress=0, dfgen=service["dfgen"],
-                        dfcheck=service["dfcheck"], harderror=1,
-                        errmsg=message)
-                    service["harderror"] = 1
-                    self._notify_hard_error(name, message,
-                                            origin_seq=origin)
+                gen = self._cycle_generate(service, cycle)
+                if gen is None:
                     return
-                self._record_generation(name, result, vector, self.db)
                 report.generations += 1
-                if incremental:
+                if gen.incremental:
                     report.generations_incremental += 1
                 report.generated_services.append(name)
-                report.files_generated += result.file_count()
-                how = "patched" if incremental else "generated"
+                report.files_generated += gen.result.file_count()
+                how = "patched" if gen.incremental else "generated"
                 report.log.append(
-                    f"dcm: {name}: {how} {result.file_count()} files")
-                self._set_service_flags(name, inprogress=0, dfgen=now,
-                                        dfcheck=now)
-                service["dfgen"] = now
-                service["dfcheck"] = now
+                    f"dcm: {name}: {how} {gen.result.file_count()} files")
+                self._set_service_flags(service, dfgen=now, dfcheck=now)
         except LockHeld:
             report.skipped_locked += 1
             report.log.append(f"dcm: {name}: locked, skipping")
+
+    def _cycle_generate(self, service: dict,
+                        cycle: _Cycle) -> Optional[_Generation]:
+        """Cron's call of the generate step: extract through the cycle's
+        shared snapshot; a generator hard error lands in the report and
+        returns None."""
+        name = service["name"]
+        generator = get_generator(name)
+        hosts = self.db.table("serverhosts").select({"service": name})
+        if self.legacy_pipeline:
+            ctx = GenContext(self.db, cycle.now, hosts=hosts)
+        else:
+            ctx = cycle.ctx.for_service(hosts)
+        gen = self._generate(service, generator, ctx,
+                             cycle.vector(generator))
+        if gen.error:
+            cycle.report.generation_errors.append((name, gen.error))
+            cycle.report.hard_failure_origins.append((name, gen.origin))
+            return None
+        return gen
 
     def _inputs_changed(self, generator, service: dict,
                         vector: Optional[dict[str, int]]) -> bool:
@@ -366,43 +395,6 @@ class DCM:
         if self._gen_db.get(name) != id(db):
             return None
         return self._gen_versions.get(name)
-
-    def _record_generation(self, name: str, result: GeneratorResult,
-                           vector: Optional[dict[str, int]],
-                           db: Database,
-                           origin_seq: Optional[int] = None) -> None:
-        """Remember a generation: result, input vector (tagged with its
-        source database), and the journal watermark for attribution."""
-        self._generated[name] = result
-        if vector is not None:
-            self._gen_versions[name] = vector
-            self._gen_db[name] = id(db)
-        else:
-            self._gen_versions.pop(name, None)
-            self._gen_db.pop(name, None)
-        self._gen_seq[name] = (self._origin_seq() if origin_seq is None
-                               else origin_seq)
-
-    def _origin_seq(self) -> int:
-        """The journal watermark right now (0 without a journal)."""
-        return (self.journal.current_seq()
-                if self.journal is not None else 0)
-
-    def _generate(self, generator, name: str, ctx: GenContext,
-                  vector: Optional[dict[str, int]]
-                  ) -> tuple[GeneratorResult, bool]:
-        """Run a generator, incrementally when it knows how."""
-        previous = self._generated.get(name)
-        recorded = self._recorded_vector(name, ctx.db)
-        if previous is not None and recorded is not None and \
-                vector is not None and not self.always_regenerate:
-            changes = self._collect_changes(generator, recorded, vector,
-                                            ctx.db)
-            patched = generator.generate_incremental(ctx, previous,
-                                                     changes)
-            if patched is not None:
-                return patched, True
-        return generator.generate(ctx), False
 
     def _collect_changes(self, generator, recorded: dict[str, int],
                          vector: dict[str, int], db: Database):
@@ -427,303 +419,303 @@ class DCM:
                    for row in self.db.table("serverhosts").select(
                        {"service": service_name}))
 
-    def _set_service_flags(self, name: str, *, inprogress: int,
-                           dfgen: int, dfcheck: int, harderror: int = 0,
-                           errmsg: str = "") -> None:
-        self.client.query("set_server_internal_flags", name, str(dfgen),
-                          str(dfcheck), str(inprogress), str(harderror),
-                          errmsg)
+    def _set_service_flags(self, service: dict, *, inprogress: int = 0,
+                           dfgen: Optional[int] = None,
+                           dfcheck: Optional[int] = None,
+                           harderror: int = 0, errmsg: str = "") -> None:
+        """Write the service's internal flags, keeping the caller's
+        *service* copy in step; dfgen / dfcheck stay put unless given."""
+        if dfgen is not None:
+            service["dfgen"] = dfgen
+        if dfcheck is not None:
+            service["dfcheck"] = dfcheck
+        service["harderror"], service["errmsg"] = harderror, errmsg
+        self.client.query(
+            "set_server_internal_flags", service["name"],
+            str(service["dfgen"]), str(service["dfcheck"]),
+            str(inprogress), str(harderror), errmsg)
 
-    # -- host scan -----------------------------------------------------------------
+    # -- host scan (cron's policy: which hosts, which files) -----------------------
 
-    def _host_scan(self, service: dict, now: int, report: DCMReport,
-                   cycle_ctx: GenContext,
-                   cycle_versions: Optional[dict[str, int]]) -> None:
-        name = service["name"]
+    def _host_scan(self, service: dict, cycle: _Cycle) -> None:
+        name, report = service["name"], cycle.report
         if service.get("harderror"):
             return
         mode = (LockMode.EXCLUSIVE if service["type"] == "REPLICAT"
                 else LockMode.SHARED)
         try:
             with self.locks.held(f"service:{name}", mode):
-                self._update_hosts(service, now, report, cycle_ctx,
-                                   cycle_versions)
+                self._update_hosts(service, cycle)
         except LockHeld:
             report.skipped_locked += 1
             report.log.append(f"dcm: {name}: locked for host scan")
 
-    def _hosts_needing_update(self, service: dict) -> list[dict]:
-        rows = self.db.table("serverhosts").select(
-            {"service": service["name"]})
-        out = []
-        for row in rows:
+    def _live_hosts(self, name: str) -> list[tuple[dict, str]]:
+        """Enabled, error-free serverhost rows of service *name* joined
+        to machine names, in the deterministic serverhosts order."""
+        live = []
+        for row in self.db.table("serverhosts").select({"service": name}):
             if not row["enable"] or row["hosterror"]:
                 continue
-            if row["lts"] >= service["dfgen"] and not row["override"]:
-                continue  # already successfully updated since generation
-            out.append(dict(row))
-        return out
+            machine = self.db.table("machine").select(
+                {"mach_id": row["mach_id"]})
+            if machine:
+                live.append((dict(row), machine[0]["name"]))
+        return live
 
-    def _update_hosts(self, service: dict, now: int, report: DCMReport,
-                      cycle_ctx: GenContext,
-                      cycle_versions: Optional[dict[str, int]]) -> None:
-        name = service["name"]
+    def _pending_targets(self, service: dict) -> list[tuple[dict, str]]:
+        """Live hosts not successfully updated since the last generation
+        (or overridden)."""
+        return [(row, machine)
+                for row, machine in self._live_hosts(service["name"])
+                if row["lts"] < service["dfgen"] or row["override"]]
+
+    def _update_hosts(self, service: dict, cycle: _Cycle) -> None:
+        name, now, report = service["name"], cycle.now, cycle.report
         result = self._generated.get(name)
-        pending = self._hosts_needing_update(service)
+        targets = self._pending_targets(service)
         if result is None and (
                 service["dfgen"]
-                or any(h["override"] for h in pending)):
+                or any(row["override"] for row, _ in targets)):
             # Either a previous DCM process generated these files (on
             # the real system they'd still be on the Moira disk), or an
             # operator's override demands files that were never built —
             # regenerate in place.
-            generator = get_generator(name)
-            hosts = self.db.table("serverhosts").select({"service": name})
-            if self.legacy_pipeline:
-                ctx = GenContext(self.db, now, hosts=hosts)
-            else:
-                ctx = cycle_ctx.for_service(hosts)
-            result = generator.generate(ctx)
-            self._record_generation(
-                name, result,
-                (generator.vector_for(cycle_versions)
-                 if cycle_versions is not None else None),
-                self.db)
+            gen = self._cycle_generate(service, cycle)
+            if gen is None:
+                return  # generator hard error: the service is flagged
+            result = gen.result
             if not service["dfgen"]:
-                self._set_service_flags(name, inprogress=0, dfgen=now,
-                                        dfcheck=now)
-                service["dfgen"] = service["dfcheck"] = now
+                self._set_service_flags(service, dfgen=now, dfcheck=now)
+                targets = self._pending_targets(service)
         if result is None:
             return  # nothing has ever been generated
 
-        targets = self._named_targets(service)
         if not self.legacy_pipeline:
-            targets = self._admit_targets(service, targets, now)
+            targets, _deferred = self._admit(name, targets, now)
         if not targets:
             return
-        width = 1 if self.legacy_pipeline else self.push_pool_width
-        if width <= 1 or len(targets) <= 1:
-            self._push_sequential(service, targets, result, now, report)
-        else:
-            self._push_parallel(service, targets, result, now, report,
-                                width)
+        # every pending host gets its full payload
+        summary = self._push_plan(
+            service,
+            [(row, machine, result.payload_for(machine))
+             for row, machine in targets], now)
+        report.skipped_locked += len(summary.locked)
+        report.propagations_attempted += summary.attempted
+        report.propagations_succeeded += len(summary.succeeded)
+        report.bytes_propagated += summary.bytes_sent
+        report.soft_failures += summary.soft_failures
+        report.hard_failures += len(summary.hard_origins)
+        report.hard_failure_origins.extend(summary.hard_origins)
+        report.log.extend(summary.log)
 
-    def _admit_targets(self, service: dict,
-                       targets: list[tuple[dict, str]],
-                       now: int) -> list[tuple[dict, str]]:
-        """Filter pending hosts through the propagation governor:
-        backoff deferrals, open breakers, and the per-cycle retry
-        budget all skip a host *without* burning a timeout on it."""
-        admitted = []
-        name = service["name"]
-        for host_row, machine_name in targets:
-            ok, _reason = self.governor.admit(name, machine_name, now)
-            if ok:
-                admitted.append((host_row, machine_name))
-        return admitted
+    def _admit(self, name: str, plan: list[tuple],
+               now: int) -> tuple[list[tuple], list[tuple]]:
+        """Split ``(host_row, machine, ...)`` entries through the
+        propagation governor into (admitted, deferred): backoff
+        deferrals, open breakers, and the per-cycle retry budget all
+        skip a host *without* burning a timeout on it."""
+        admitted, deferred = [], []
+        for entry in plan:
+            ok, _reason = self.governor.admit(name, entry[1], now)
+            (admitted if ok else deferred).append(entry)
+        return admitted, deferred
 
-    def _named_targets(self, service: dict) -> list[tuple[dict, str]]:
-        """Pending serverhost rows joined to machine names, in the
-        deterministic serverhosts order."""
-        targets = []
-        for host_row in self._hosts_needing_update(service):
-            machine = self.db.table("machine").select(
-                {"mach_id": host_row["mach_id"]})
-            if not machine:
-                continue
-            targets.append((host_row, machine[0]["name"]))
-        return targets
+    # -- the propagation engine: one generate step, one push loop ------------------
+    #
+    # Mechanism only.  Which hosts are due and which files each receives
+    # is the caller's policy (cron: _update_hosts; CDC: _converge_locked);
+    # nothing below knows which of them is calling.
 
-    # -- sequential propagation (the paper's loop) ---------------------------------
+    def _generate(self, service: dict, generator, ctx: GenContext,
+                  vector: Optional[dict[str, int]],
+                  origin_seq: Optional[int] = None) -> _Generation:
+        """The guarded generate step: patch the previous result when the
+        generator knows how, else build in full, and remember the result
+        with its input vector (tagged with its source database) and the
+        journal watermark for attribution.
 
-    def _push_sequential(self, service: dict,
-                         targets: list[tuple[dict, str]],
-                         result: GeneratorResult, now: int,
-                         report: DCMReport) -> None:
-        name = service["name"]
-        for host_row, machine_name in targets:
-            try:
-                with self.locks.held(
-                        f"host:{name}/{machine_name}",
-                        LockMode.EXCLUSIVE):
-                    self._set_host_flags(name, machine_name, host_row,
-                                         inprogress=1)
-                    outcome = self._push_one(service, machine_name,
-                                             result, now, report)
-                    self._record_host_outcome(service, machine_name,
-                                              host_row, outcome, now,
-                                              report)
-            except LockHeld:
-                report.skipped_locked += 1
-            if service.get("harderror"):
-                break  # replicated service poisoned: stop updating hosts
-
-    # -- parallel propagation -------------------------------------------------------
-
-    def _push_parallel(self, service: dict,
-                       targets: list[tuple[dict, str]],
-                       result: GeneratorResult, now: int,
-                       report: DCMReport, width: int) -> None:
-        """Fan the per-host pushes over a bounded thread pool.
-
-        Safety comes from the existing per-host exclusive locks (taken
-        inside each worker) and the database's own lock; determinism
-        comes from prebuilding each distinct payload once and merging
-        every worker's counters back into the report in the original
-        serverhosts order.  A replicated hard failure sets the poison
-        event so not-yet-started pushes are cancelled, matching the
-        paper's "no more updates will be attempted".
+        Any generator exception is a hard error: the service is flagged
+        ``harderror``, MOIRA/DCM is zephyred with the origin seq, and
+        the message comes back for the caller's report.
         """
         name = service["name"]
-        # the expensive part — the tar — is built once per distinct file
-        # set; replicated hosts all share the "*" payload (the paper's
-        # "prepare only one set of files")
-        files_by_key: dict[str, dict[str, bytes]] = {}
-        payloads: dict[str, bytes] = {}
-        for _, machine_name in targets:
-            key = result.payload_key(machine_name)
-            if key not in payloads:
-                files_by_key[key] = result.payload_for(machine_name)
-                payloads[key] = build_payload(files_by_key[key],
-                                              mtime=now)
+        previous = self._generated.get(name)
+        recorded = self._recorded_vector(name, ctx.db)
+        result, message = None, ""
+        try:
+            if previous is not None and recorded is not None and \
+                    vector is not None and not self.always_regenerate:
+                result = generator.generate_incremental(
+                    ctx, previous, self._collect_changes(
+                        generator, recorded, vector, ctx.db))
+            incremental = result is not None
+            if result is None:
+                result = generator.generate(ctx)
+        except Exception as exc:
+            message = f"generator failed: {exc!r}"
+        origin = origin_seq
+        if origin is None:      # the journal watermark right now
+            origin = (self.journal.current_seq()
+                      if self.journal is not None else 0)
+        if message:
+            self._set_service_flags(service, harderror=1, errmsg=message)
+            self._notify_hard_error(name, message, origin)
+            return _Generation(error=message, origin=origin)
+        self._generated[name] = result
+        if vector is not None:
+            self._gen_versions[name] = vector
+            self._gen_db[name] = id(ctx.db)
+        else:
+            self._gen_versions.pop(name, None)
+            self._gen_db.pop(name, None)
+        self._gen_seq[name] = origin
+        self.total_generations += 1
+        return _Generation(result, incremental, origin=origin)
+
+    def _push_plan(self, service: dict,
+                   plan: list[tuple[dict, str, dict[str, bytes]]],
+                   now: int) -> _PushSummary:
+        """The host-push loop: push every admitted ``(host_row, machine,
+        files)`` of *plan* (serverhosts order) under its per-host
+        exclusive lock.
+
+        The expensive part — the tar — is built once per distinct file
+        set; replicated hosts all share one payload (the paper's
+        "prepare only one set of files").  At ``push_pool_width`` 1, or
+        with a single target, the loop runs inline; otherwise the same
+        loop fans out over a bounded thread pool.  Safety comes from the
+        per-host locks and the database's own lock; determinism from
+        merging every slot back in plan order.  A replicated hard
+        failure sets the poison event so not-yet-started pushes are
+        cancelled, matching the paper's "no more updates will be
+        attempted".
+        """
+        name = service["name"]
+        built: dict[frozenset, bytes] = {}     # file-set content -> tar
+        payloads: list[bytes] = []              # one per plan entry
+        for _, _, files in plan:
+            key = frozenset(files.items())
+            if key not in built:
+                built[key] = build_payload(files, mtime=now)
+            payloads.append(built[key])
         poison = threading.Event()
-        if service.get("harderror"):
-            poison.set()
-        slots: list[_HostOutcome] = [
-            _HostOutcome(machine=machine) for _, machine in targets]
+        slots = [_HostOutcome(machine=machine) for _, machine, _ in plan]
 
         def push_host(index: int) -> None:
-            host_row, machine_name = targets[index]
+            host_row, machine_name, files = plan[index]
             slot = slots[index]
             if poison.is_set():
-                slot.cancelled = True
                 return
-            key = result.payload_key(machine_name)
             try:
                 with self.locks.held(
                         f"host:{name}/{machine_name}",
                         LockMode.EXCLUSIVE):
                     self._set_host_flags(name, machine_name, host_row,
                                          inprogress=1)
-                    outcome = self._push_prebuilt(
-                        service, machine_name, payloads[key],
-                        files_by_key[key], slot)
-                    slot.result = outcome
-                    slot.hard = self._apply_host_outcome(
-                        service, machine_name, host_row, outcome, now,
-                        slot.log)
-                    if slot.hard:
-                        slot.message = (outcome.message or
-                                        error_message(outcome.error))
-                        if service["type"] == "REPLICAT":
-                            poison.set()
+                    binding = self.binding_for(name, machine_name)
+                    if binding is None:
+                        slot.result = UpdateResult(
+                            UpdateOutcome.SOFT_FAILURE,
+                            message="no binding for host")
+                    else:
+                        slot.attempted = True
+                        slot.result = push_update(
+                            host=binding.host, daemon=binding.daemon,
+                            network=self.network,
+                            target=service["target_file"],
+                            payload=payloads[index],
+                            script=default_script(
+                                files, binding.post_command or None),
+                            faults=self.faults)
+                    hard = self._apply_host_outcome(
+                        service, machine_name, host_row, slot.result,
+                        now, slot.log)
+                    if hard and service["type"] == "REPLICAT":
+                        poison.set()
             except LockHeld:
                 slot.locked = True
 
-        with ThreadPoolExecutor(
-                max_workers=min(width, len(targets)),
-                thread_name_prefix=f"dcm-push-{name}") as pool:
-            list(pool.map(push_host, range(len(targets))))
+        width = min(self.push_pool_width, len(plan))
+        if width <= 1:
+            for index in range(len(plan)):
+                push_host(index)
+        else:
+            with ThreadPoolExecutor(
+                    max_workers=width,
+                    thread_name_prefix=f"dcm-push-{name}") as pool:
+                list(pool.map(push_host, range(len(plan))))
+        return self._merge_outcomes(service, slots)
 
-        self._merge_outcomes(service, slots, report)
-
-    def _push_prebuilt(self, service: dict, machine_name: str,
-                       payload: bytes, files: dict[str, bytes],
-                       slot: _HostOutcome):
-        binding = self.binding_for(service["name"], machine_name)
-        if binding is None:
-            return UpdateResult(UpdateOutcome.SOFT_FAILURE,
-                                message="no binding for host")
-        slot.attempted = True
-        script = default_script(files, binding.post_command or None)
-        return push_update(
-            host=binding.host, daemon=binding.daemon,
-            network=self.network, target=service["target_file"],
-            payload=payload, script=script, faults=self.faults)
-
-    def _merge_outcomes(self, service: dict, slots: list[_HostOutcome],
-                        report: DCMReport) -> None:
-        """Fold worker results into the report in host order, then apply
-        service-level consequences exactly once."""
+    def _merge_outcomes(self, service: dict,
+                        slots: list[_HostOutcome]) -> _PushSummary:
+        """Fold the slots into one summary in host order, applying the
+        service-level consequences of a hard failure — origin
+        attribution, zephyrgram, mail, replicated-service poisoning —
+        exactly once."""
         name = service["name"]
-        first_hard: Optional[_HostOutcome] = None
+        origin = self._gen_seq.get(name, 0)
+        summary = _PushSummary()
+        poisoned_by = ""
         for slot in slots:
             if slot.locked:
-                report.skipped_locked += 1
+                summary.locked.append(slot.machine)
                 continue
-            if slot.cancelled or slot.result is None:
-                continue
-            if slot.attempted:
-                report.propagations_attempted += 1
             outcome = slot.result
+            if outcome is None:
+                continue    # cancelled: the service was poisoned first
+            summary.attempted += slot.attempted
+            summary.log.extend(slot.log)
             if outcome.ok:
-                report.propagations_succeeded += 1
-                report.bytes_propagated += outcome.bytes_sent
+                summary.succeeded.append(slot.machine)
+                summary.bytes_sent += outcome.bytes_sent
             elif outcome.outcome is UpdateOutcome.SOFT_FAILURE:
-                report.soft_failures += 1
+                summary.soft_failures += 1
             else:
-                report.hard_failures += 1
-                if first_hard is None:
-                    first_hard = slot
-            report.log.extend(slot.log)
-        origin = self._gen_seq.get(name, 0)
-        for slot in slots:
-            if slot.hard:
-                report.hard_failure_origins.append(
-                    (f"{name}/{slot.machine}", origin))
-                self._notify_hard_error(f"{name}/{slot.machine}",
-                                        slot.message, origin_seq=origin)
-                if self.mail_notify is not None:
-                    self.mail_notify(
-                        "moira-maintainers",
-                        f"{name}/{slot.machine}: "
-                        f"{self._attributed(slot.message, origin)}")
-        if first_hard is not None and service["type"] == "REPLICAT" \
-                and not service.get("harderror"):
+                what = f"{name}/{slot.machine}"
+                message = self._failure_message(outcome)
+                summary.hard_origins.append((what, origin))
+                self._notify_hard_error(what, message, origin, mail=True)
+                poisoned_by = poisoned_by or message
+        if summary.hard_origins and service["type"] == "REPLICAT":
             # "no more updates will be attempted to hosts supporting
             # this service"
-            self._set_service_flags(name, inprogress=0,
-                                    dfgen=service["dfgen"],
-                                    dfcheck=service["dfcheck"],
-                                    harderror=1,
-                                    errmsg=first_hard.message)
-            service["harderror"] = 1
+            self._set_service_flags(service, harderror=1,
+                                    errmsg=poisoned_by)
+        self.total_propagations += len(summary.succeeded)
+        self.total_bytes += summary.bytes_sent
+        return summary
 
-    # -- the per-host push and its bookkeeping --------------------------------------
+    # -- per-host bookkeeping ---------------------------------------------------------
 
-    def _push_one(self, service: dict, machine_name: str,
-                  result: GeneratorResult, now: int, report: DCMReport):
-        binding = self.binding_for(service["name"], machine_name)
-        if binding is None:
-            return UpdateResult(UpdateOutcome.SOFT_FAILURE,
-                                message="no binding for host")
-        files = result.payload_for(machine_name)
-        payload = build_payload(files, mtime=now)
-        script = default_script(files, binding.post_command or None)
-        report.propagations_attempted += 1
-        return push_update(
-            host=binding.host, daemon=binding.daemon,
-            network=self.network, target=service["target_file"],
-            payload=payload, script=script, faults=self.faults)
+    @staticmethod
+    def _failure_message(outcome: UpdateResult) -> str:
+        return outcome.message or error_message(outcome.error)
+
+    def _mark_host_updated(self, name: str, machine_name: str,
+                           host_row: dict, now: int) -> None:
+        """The host holds the current generation: success, lts = now,
+        override and errors cleared."""
+        self._set_host_flags(name, machine_name, host_row,
+                             inprogress=0, success=1, override=0,
+                             ltt=now, lts=now, hosterror=0, errmsg="")
 
     def _apply_host_outcome(self, service: dict, machine_name: str,
-                            host_row: dict, outcome, now: int,
-                            log: list[str]) -> bool:
+                            host_row: dict, outcome: UpdateResult,
+                            now: int, log: list[str]) -> bool:
         """Write one host's flags and log lines; True on hard failure.
 
         Service-level consequences (notifications, replicated-service
-        poisoning) are the caller's job, so this is safe to run from
+        poisoning) belong to the merge, so this is safe to run from
         propagation workers.
         """
         name = service["name"]
         if outcome.ok:
             self.governor.record_success(name, machine_name)
-            self._set_host_flags(name, machine_name, host_row,
-                                 inprogress=0, success=1, override=0,
-                                 ltt=now, lts=now, hosterror=0, errmsg="")
+            self._mark_host_updated(name, machine_name, host_row, now)
             log.append(f"dcm: {name}/{machine_name}: updated")
             return False
-        message = outcome.message or error_message(outcome.error)
+        message = self._failure_message(outcome)
         if outcome.outcome is UpdateOutcome.SOFT_FAILURE:
             self.governor.record_soft(name, machine_name, now)
             self._set_host_flags(name, machine_name, host_row,
@@ -739,47 +731,6 @@ class DCM:
         log.append(
             f"dcm: {name}/{machine_name}: HARD failure: {message}")
         return True
-
-    def _record_host_outcome(self, service: dict, machine_name: str,
-                             host_row: dict, outcome, now: int,
-                             report: DCMReport) -> None:
-        """Sequential-path bookkeeping: flags, counters, notifications,
-        and replicated-service poisoning, all in one step."""
-        name = service["name"]
-        if outcome.ok:
-            report.propagations_succeeded += 1
-            report.bytes_propagated += outcome.bytes_sent
-            self._apply_host_outcome(service, machine_name, host_row,
-                                     outcome, now, report.log)
-            return
-        message = outcome.message or error_message(outcome.error)
-        if outcome.outcome is UpdateOutcome.SOFT_FAILURE:
-            report.soft_failures += 1
-            self._apply_host_outcome(service, machine_name, host_row,
-                                     outcome, now, report.log)
-            return
-        # hard failure
-        report.hard_failures += 1
-        origin = self._gen_seq.get(name, 0)
-        report.hard_failure_origins.append(
-            (f"{name}/{machine_name}", origin))
-        self._apply_host_outcome(service, machine_name, host_row,
-                                 outcome, now, report.log)
-        self._notify_hard_error(f"{name}/{machine_name}", message,
-                                origin_seq=origin)
-        if self.mail_notify is not None:
-            self.mail_notify(
-                "moira-maintainers",
-                f"{name}/{machine_name}: "
-                f"{self._attributed(message, origin)}")
-        if service["type"] == "REPLICAT":
-            # "no more updates will be attempted to hosts supporting
-            # this service"
-            self._set_service_flags(name, inprogress=0,
-                                    dfgen=service["dfgen"],
-                                    dfcheck=service["dfcheck"],
-                                    harderror=1, errmsg=message)
-            service["harderror"] = 1
 
     def _set_host_flags(self, service: str, machine: str, host_row: dict,
                         *, inprogress: int, success: int | None = None,
@@ -797,23 +748,20 @@ class DCM:
             str(host_row["ltt"] if ltt is None else ltt),
             str(host_row["lts"] if lts is None else lts))
 
-    @staticmethod
-    def _attributed(message: str, origin_seq: int) -> str:
-        """Stamp the originating journal seq onto an error message so a
-        stuck consumer is attributable to a specific committed write,
-        not just a wall-clock time."""
+    def _notify_hard_error(self, what: str, message: str,
+                           origin_seq: int, *, mail: bool = False) -> None:
+        """Hard errors zephyr class MOIRA instance DCM (§5.7.1); a host's
+        also mails the maintainers.  The text carries the originating
+        journal seq when one is known, so a stuck consumer is
+        attributable to a specific committed write, not just a
+        wall-clock time."""
+        text = f"{what}: {message}"
         if origin_seq:
-            return f"{message} [origin seq {origin_seq}]"
-        return message
-
-    def _notify_hard_error(self, what: str, message: str, *,
-                           origin_seq: int = 0) -> None:
-        """Hard errors zephyr class MOIRA instance DCM (§5.7.1), carrying
-        the originating journal seq when one is known."""
+            text += f" [origin seq {origin_seq}]"
         if self.zephyr_notify is not None:
-            self.zephyr_notify(
-                "MOIRA", "DCM",
-                f"{what}: {self._attributed(message, origin_seq)}")
+            self.zephyr_notify("MOIRA", "DCM", text)
+        if mail and self.mail_notify is not None:
+            self.mail_notify("moira-maintainers", text)
 
     # -- CDC-driven convergence ------------------------------------------------------
 
@@ -880,65 +828,51 @@ class DCM:
                          now: int, origin_seq: int, out: dict) -> dict:
         name = service["name"]
         vector = generator.vector_for(db.versions())
-        recorded = self._recorded_vector(name, db)
         previous = self._generated.get(name)
-        if previous is not None and recorded is not None and \
-                vector == recorded and not self._any_override(name):
+        if previous is not None and \
+                self._recorded_vector(name, db) == vector and \
+                not self._any_override(name):
+            self.total_no_change += 1
             out["status"] = "no_change"
             out["reason"] = "version vector unchanged"
             return out
         prev_dfgen = service["dfgen"]
         hosts = self.db.table("serverhosts").select({"service": name})
-        ctx = GenContext(db, now, hosts=hosts)
-        try:
-            result, incremental = self._generate(generator, name, ctx,
-                                                 vector)
-        except Exception as exc:
-            message = f"generator failed: {exc!r}"
-            self._set_service_flags(name, inprogress=0,
-                                    dfgen=service["dfgen"],
-                                    dfcheck=service["dfcheck"],
-                                    harderror=1, errmsg=message)
-            self._notify_hard_error(name, message, origin_seq=origin_seq)
+        gen = self._generate(service, generator,
+                             GenContext(db, now, hosts=hosts), vector,
+                             origin_seq)
+        if gen.error:
             out["status"] = "harderror"
-            out["reason"] = message
+            out["reason"] = gen.error
             return out
-        self._record_generation(name, result, vector, db,
-                                origin_seq=origin_seq)
+        result = gen.result
         out["generated"] = True
-        out["incremental"] = incremental
+        out["incremental"] = gen.incremental
 
-        # classify hosts: fresh (converged to the previous generation,
-        # delta-eligible) vs stale (full payload)
-        pushes: list[tuple[dict, str, dict, bool]] = []
+        # policy: a fresh host (converged to the previous generation)
+        # gets the delta, or is marked converged when the delta is
+        # empty; a stale or overridden host gets the full payload
+        plan: list[tuple[dict, str, dict[str, bytes]]] = []
         marks: list[tuple[dict, str]] = []
+        delta_hosts: set[str] = set()
         changed_files: set[str] = set()
-        for row in hosts:
-            if not row["enable"] or row["hosterror"]:
-                continue
-            machine = self.db.table("machine").select(
-                {"mach_id": row["mach_id"]})
-            if not machine:
-                continue
-            machine_name = machine[0]["name"]
-            host_row = dict(row)
+        for host_row, machine_name in self._live_hosts(name):
             fresh = (prev_dfgen and previous is not None
                      and host_row["success"]
                      and host_row["lts"] >= prev_dfgen
                      and not host_row["override"])
             if fresh:
-                delta = result.delta_for(machine_name, previous)
-                if not delta:
+                files = result.delta_for(machine_name, previous)
+                if not files:
                     marks.append((host_row, machine_name))
                     continue
-                changed_files.update(delta)
-                pushes.append((host_row, machine_name, delta, True))
+                delta_hosts.add(machine_name)
             else:
-                full = result.payload_for(machine_name)
-                changed_files.update(full)
-                pushes.append((host_row, machine_name, full, False))
+                files = result.payload_for(machine_name)
+            changed_files.update(files)
+            plan.append((host_row, machine_name, files))
         out["files_changed"] = len(changed_files)
-        if not pushes:
+        if not plan:
             # new bytes reached no host (content-identical regeneration):
             # keep dfgen where it is so every converged host stays
             # converged and the next cron cycle stays a no-op
@@ -946,89 +880,36 @@ class DCM:
             out["reason"] = "content unchanged"
             return out
 
-        self._set_service_flags(name, inprogress=0, dfgen=now,
-                                dfcheck=now)
-        service["dfgen"] = service["dfcheck"] = now
+        self._set_service_flags(service, dfgen=now, dfcheck=now)
         for host_row, machine_name in marks:
-            self._set_host_flags(name, machine_name, host_row,
-                                 inprogress=0, success=1, override=0,
-                                 ltt=now, lts=now, hosterror=0,
-                                 errmsg="")
-            out["marked_converged"] += 1
+            self._mark_host_updated(name, machine_name, host_row, now)
             out["log"].append(
                 f"cdc: {name}/{machine_name}: unchanged, "
                 "marked converged")
-        for host_row, machine_name, files, is_delta in pushes:
-            if service.get("harderror"):
-                break   # replicated service poisoned mid-loop
-            ok, _reason = self.governor.admit(name, machine_name, now)
-            if not ok:
-                out["deferred"] += 1
-                out["retry"] = True
-                out["log"].append(
-                    f"cdc: {name}/{machine_name}: deferred by governor")
-                continue
-            try:
-                with self.locks.held(f"host:{name}/{machine_name}",
-                                     LockMode.EXCLUSIVE):
-                    self._set_host_flags(name, machine_name, host_row,
-                                         inprogress=1)
-                    outcome = self._push_files(service, machine_name,
-                                               files, now)
-                    hard = self._apply_host_outcome(
-                        service, machine_name, host_row, outcome, now,
-                        out["log"])
-                    if outcome.ok:
-                        out["pushes"] += 1
-                        out["delta_pushes" if is_delta
-                            else "full_pushes"] += 1
-                        out["bytes"] += outcome.bytes_sent
-                    elif hard:
-                        out["hard_failures"] += 1
-                        message = (outcome.message
-                                   or error_message(outcome.error))
-                        self._notify_hard_error(f"{name}/{machine_name}",
-                                                message,
-                                                origin_seq=origin_seq)
-                        if self.mail_notify is not None:
-                            self.mail_notify(
-                                "moira-maintainers",
-                                f"{name}/{machine_name}: "
-                                f"{self._attributed(message, origin_seq)}")
-                        if service["type"] == "REPLICAT":
-                            self._set_service_flags(
-                                name, inprogress=0,
-                                dfgen=service["dfgen"],
-                                dfcheck=service["dfcheck"],
-                                harderror=1, errmsg=message)
-                            service["harderror"] = 1
-                    else:
-                        out["soft_failures"] += 1
-                        out["retry"] = True
-            except LockHeld:
-                out["retry"] = True
-                out["log"].append(
-                    f"cdc: {name}/{machine_name}: locked, will retry")
+        out["marked_converged"] = len(marks)
+        plan, deferred = self._admit(name, plan, now)
+        out["deferred"] = len(deferred)
+        out["log"].extend(
+            f"cdc: {name}/{machine_name}: deferred by governor"
+            for _, machine_name, _ in deferred)
+        summary = self._push_plan(service, plan, now)
+        out["pushes"] = len(summary.succeeded)
+        out["delta_pushes"] = len(delta_hosts.intersection(
+            summary.succeeded))
+        out["full_pushes"] = out["pushes"] - out["delta_pushes"]
+        out["bytes"] = summary.bytes_sent
+        out["soft_failures"] = summary.soft_failures
+        out["hard_failures"] = len(summary.hard_origins)
+        out["log"].extend(summary.log)
+        out["log"].extend(
+            f"cdc: {name}/{machine_name}: locked, will retry"
+            for machine_name in summary.locked)
+        out["retry"] = bool(deferred or summary.soft_failures
+                            or summary.locked)
         if service.get("harderror"):
             out["status"] = "harderror"
-            out["reason"] = service.get("errmsg", "hard failure")
-        self.total_propagations += out["pushes"]
-        self.total_bytes += out["bytes"]
+            out["reason"] = service["errmsg"]
         return out
-
-    def _push_files(self, service: dict, machine_name: str,
-                    files: dict[str, bytes], now: int):
-        """One push of an explicit file set (full or delta payload)."""
-        binding = self.binding_for(service["name"], machine_name)
-        if binding is None:
-            return UpdateResult(UpdateOutcome.SOFT_FAILURE,
-                                message="no binding for host")
-        payload = build_payload(files, mtime=now)
-        script = default_script(files, binding.post_command or None)
-        return push_update(
-            host=binding.host, daemon=binding.daemon,
-            network=self.network, target=service["target_file"],
-            payload=payload, script=script, faults=self.faults)
 
     # -- observability ---------------------------------------------------------------
 

@@ -54,13 +54,15 @@ def host_rows(d, name):
     return d.db.table("serverhosts").select({"service": name})
 
 
-def installed_files(d) -> dict[str, dict[str, bytes]]:
-    """Every host's installed config files (push residue excluded)."""
+def installed_files(d, residue=False) -> dict[str, dict[str, bytes]]:
+    """Every host's installed config files (push residue excluded
+    unless *residue*)."""
     snapshot = {}
     for name, host in sorted(d.hosts.items()):
         files = {}
         for path in host.fs.listdir(""):
-            if path.endswith(RESIDUE) or path == SCRIPT_TEMP:
+            if not residue and (path.endswith(RESIDUE)
+                                or path == SCRIPT_TEMP):
                 continue
             files[path] = host.fs.read(path)
         snapshot[name] = files
@@ -444,6 +446,77 @@ class TestByteIdentityOracle:
         assert installed_files(d) == before
 
 
+# -- the shared push engine at width > 1 (mirrors TestParallelPropagation) -----
+
+
+class TestPoolWidth:
+    COMPARED = ("service", "status", "pushes", "delta_pushes",
+                "full_pushes", "marked_converged", "bytes")
+
+    def test_wide_pool_matches_width_one(self):
+        """The same mutation stream converged through the push loop at
+        width 1 and on the 8-wide pool: byte-identical host files and
+        identical per-service outcome counters."""
+        worlds = [make_deployment(push_pool_width=width)
+                  for width in (1, 8)]
+        for d in worlds:
+            d.run_hours(7)
+        clients = [d.direct_client() for d in worlds]
+        script = MutationScript(3)
+        script.setup(clients)
+        seen: list[list[dict]] = [[], []]
+
+        def pump_both():
+            for d, outcomes in zip(worlds, seen):
+                outcomes.extend({key: o[key] for key in self.COMPARED}
+                                for o in d.pump_cdc()["outcomes"])
+
+        pump_both()
+        for _ in range(4):
+            for _ in range(script.rng.randrange(1, 6)):
+                script.step(clients)
+            pump_both()
+        assert all(d.cdc.cursor_lag() == 0 for d in worlds)
+        assert seen[0] == seen[1]
+        # the pool really ran: some convergence pushed several hosts,
+        # by full payload (never-generated NFS/ZEPHYR) and by delta
+        assert any(o["pushes"] > 1 for o in seen[1])
+        assert any(o["delta_pushes"] for o in seen[1])
+        assert any(o["full_pushes"] for o in seen[1])
+        assert installed_files(worlds[0], residue=True) == \
+            installed_files(worlds[1], residue=True)
+
+    def test_replicated_poisoning_under_concurrency(self):
+        """A replicated hard failure during a CDC convergence on the
+        8-wide pool still poisons the service: one hosterror, one
+        zephyrgram, one mail."""
+        d = make_deployment(push_pool_width=8)
+        d.run_hours(7)      # ZEPHYR (24 h) never generated: all stale
+        first_zephyr = d.handles.zephyr_machines[0]
+        d.daemons[first_zephyr].register_command(
+            "install_zephyr_acls", lambda: 1)
+        add_user(d.direct_client(), "poisoner", 21350)
+        summary = d.pump_cdc()
+        zephyr = [o for o in summary["outcomes"]
+                  if o["service"] == "ZEPHYR"][0]
+        assert zephyr["status"] == "harderror"
+        assert zephyr["hard_failures"] == 1
+        assert "install script exited" in zephyr["reason"]
+        assert service_row(d, "ZEPHYR")["harderror"] != 0
+        failed = [h for h in host_rows(d, "ZEPHYR")
+                  if h["hosterror"] != 0]
+        assert len(failed) == 1
+        assert sum(1 for n in d.notifications
+                   if n[0] == "MOIRA" and n[1] == "DCM") == 1
+        assert len(d.mail_sent) == 1
+        # poisoned is poisoned: the extractor leaves it to the operator
+        add_user(d.direct_client(), "afterwards", 21351)
+        later = [o for o in d.pump_cdc()["outcomes"]
+                 if o["service"] == "ZEPHYR"][0]
+        assert (later["status"], later["reason"]) == ("skipped",
+                                                      "harderror")
+
+
 # -- origin-seq attribution (stuck consumers name their commit) ----------------
 
 
@@ -499,6 +572,30 @@ class TestObservability:
         hesiod = per_service["HESIOD"]
         assert int(hesiod[2]) > 0      # last_converged_seq
         assert int(hesiod[3]) >= 1     # converges
+
+    def test_dcm_totals_count_cdc_convergences(self, deployment):
+        """``DCM.total_*`` (what ``python -m repro`` prints) are bumped
+        where the work happens, so CDC-driven generations, no-change
+        checks and pushes all count."""
+        d = deployment
+        dcm = d.dcm
+        before = (dcm.total_generations, dcm.total_no_change,
+                  dcm.total_propagations, dcm.total_bytes)
+        add_user(d.direct_client(), "counted", 21401)
+        outcomes = d.pump_cdc()["outcomes"]
+        generated = sum(1 for o in outcomes if o["generated"])
+        assert generated >= 1
+        assert dcm.total_generations == before[0] + generated
+        assert dcm.total_propagations == before[2] + sum(
+            o["pushes"] for o in outcomes)
+        assert dcm.total_bytes == before[3] + sum(
+            o["bytes"] for o in outcomes)
+        # same vector again: a no-change check, counted as one
+        again = dcm.converge_service("HESIOD", d.clock.now())
+        assert (again["status"], again["generated"]) == ("no_change",
+                                                         False)
+        assert dcm.total_no_change == before[1] + 1
+        assert dcm.total_generations == before[0] + generated
 
     def test_repl_status_lists_cursor(self, deployment):
         d = deployment

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.locks import LockMode
+from repro.dcm.generators.base import get_generator
 from repro.workload import PopulationSpec
 
 
@@ -210,6 +211,34 @@ class TestFailureHandling:
                   if h["hosterror"] != 0]
         assert len(failed) == 1
         assert len(updated) < len(host_rows(d, "ZEPHYR"))
+
+    def test_generator_failure_while_regenerating_in_place(
+            self, deployment, monkeypatch):
+        """A restarted DCM (no files in memory, dfgen already set)
+        rebuilds a service's files in place during the host scan.  A
+        generator that raises there is a hard error like any other —
+        flagged, reported, zephyred once — and the cycle goes on."""
+        d = deployment
+        d.run_hours(25)
+        d.dcm._generated.clear()    # a new DCM process, same database
+
+        def disk_full(ctx):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(get_generator("MAIL"), "generate", disk_full)
+        report = d.dcm.run_once()
+        assert [name for name, _ in report.generation_errors] == ["MAIL"]
+        assert "disk full" in report.generation_errors[0][1]
+        assert [what for what, _ in report.hard_failure_origins] == \
+            ["MAIL"]
+        row = service_row(d, "MAIL")
+        assert row["harderror"] == 1 and "disk full" in row["errmsg"]
+        grams = [n for n in d.notifications
+                 if n[0] == "MOIRA" and n[1] == "DCM"]
+        assert len(grams) == 1 and grams[0][2].startswith("MAIL:")
+        # ZEPHYR is scanned after MAIL: the cycle reached it
+        assert "ZEPHYR" in d.dcm._generated
+        assert "MAIL" not in d.dcm._generated
 
     def test_reset_error_reenables_service(self, deployment):
         d = deployment

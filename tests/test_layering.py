@@ -81,3 +81,71 @@ def test_the_checker_catches_what_it_forbids():
         "c = self._db\n"
         "d = type(db).__name__\n")
     assert violations(fine) == []
+
+
+# -- one propagation engine ----------------------------------------------------
+#
+# Cron and CDC are policy over one mechanism (DESIGN.md §7): under
+# ``src/repro/dcm/`` a payload is tarred, scripted, pushed and — on a
+# hard failure — mailed about from exactly one place each, and a
+# generator runs only inside the guarded generate step.
+
+ENGINE_CALLS = ("push_update", "build_payload", "default_script",
+                "mail_notify")
+GENERATOR_CALLS = ("generate", "generate_incremental")
+GENERATE_STEP = "_generate"
+
+
+def engine_call_sites(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
+    """callee name -> ``file:line in function`` for every call of an
+    engine primitive or a generator entry point."""
+    sites: dict[str, list[str]] = {
+        name: [] for name in ENGINE_CALLS + GENERATOR_CALLS}
+
+    def visit(node: ast.AST, where: str, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = terminal_name(node.func)
+            wanted = (GENERATOR_CALLS
+                      if isinstance(node.func, ast.Attribute)
+                      else ()) + ENGINE_CALLS
+            if callee in wanted:
+                sites[callee].append(
+                    f"{where}:{node.lineno} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, function)
+
+    for where, tree in trees.items():
+        visit(tree, where, "<module>")
+    return sites
+
+
+def test_one_push_loop_and_one_generate_step():
+    sites = engine_call_sites({
+        str(path.relative_to(SRC)): ast.parse(
+            path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "dcm").rglob("*.py"))})
+    for name in ENGINE_CALLS:
+        assert len(sites[name]) == 1, (name, sites[name])
+    for name in GENERATOR_CALLS:
+        assert sites[name], name
+        assert all(site.startswith("dcm/dcm.py:")
+                   and site.endswith(f" in {GENERATE_STEP}")
+                   for site in sites[name]), (name, sites[name])
+
+
+def test_the_engine_guard_counts_what_it_should():
+    sites = engine_call_sites({"x.py": ast.parse(
+        "def a(self):\n"
+        "    push_update(payload=build_payload(files))\n"
+        "    self.mail_notify('who', 'what')\n"
+        "def b(self):\n"
+        "    def inner():\n"
+        "        return update.push_update()\n"
+        "    generator.generate(ctx)\n"
+        "    generate(ctx)\n")})
+    assert sites["push_update"] == ["x.py:2 in a", "x.py:6 in inner"]
+    assert sites["build_payload"] == ["x.py:2 in a"]
+    assert sites["mail_notify"] == ["x.py:3 in a"]
+    assert sites["generate"] == ["x.py:7 in b"]
