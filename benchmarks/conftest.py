@@ -1,17 +1,21 @@
-"""Shared benchmark fixtures.
+"""Shared benchmark fixtures and the one result writer.
 
 ``paper_deployment`` is the paper-scale world (10,000 active users, 20
 NFS servers, one Hesiod server, one mail hub, three Zephyr servers) —
-built once per benchmark session.  Each experiment module writes the
-table/series it reproduces into ``benchmarks/results/<exp>.txt`` so the
-numbers survive pytest's output capture; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+built once per benchmark session.  Every experiment emits through
+:func:`record`, one JSON file per experiment with one schema
+(``tests/test_bench_records.py`` checks it); EXPERIMENTS.md records
+the paper-vs-measured comparison.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -19,50 +23,50 @@ from repro.core import AthenaDeployment, DeploymentConfig
 from repro.workload import PopulationSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_JSON = RESULTS_DIR / "BENCH_dcm.json"
-BENCH_SERVER_JSON = RESULTS_DIR / "BENCH_server.json"
-BENCH_QUERIES_JSON = RESULTS_DIR / "BENCH_queries.json"
-BENCH_ROBUSTNESS_JSON = RESULTS_DIR / "BENCH_robustness.json"
-BENCH_REPLICATION_JSON = RESULTS_DIR / "BENCH_replication.json"
-BENCH_ENGINE_JSON = RESULTS_DIR / "BENCH_engine.json"
-BENCH_WRITES_JSON = RESULTS_DIR / "BENCH_writes.json"
-BENCH_SCALE_JSON = RESULTS_DIR / "BENCH_scale.json"
-BENCH_FAILOVER_JSON = RESULTS_DIR / "BENCH_failover.json"
-BENCH_FRESHNESS_JSON = RESULTS_DIR / "BENCH_freshness.json"
+
+# every size / gate knob an experiment reads: E11_USERS, E18_STORM, ...
+_KNOB = re.compile(r"^(E\d+|F1|T1)_[A-Z0-9_]+$")
 
 
-def write_result(exp_id: str, lines: list[str]) -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{exp_id}.txt"
-    text = "\n".join(lines) + "\n"
-    path.write_text(text)
-    print(f"\n{text}")
+def overrides() -> dict[str, str]:
+    """The experiment knobs set in the environment (``{}`` = every
+    experiment runs at its default, committed-baseline size)."""
+    return {k: v for k, v in sorted(os.environ.items()) if _KNOB.match(k)}
+
+
+def results_dir() -> Path:
+    """Where this run's records land.  Only a run at default sizes may
+    write a committed baseline; any knob override diverts the run to
+    the git-ignored ``results/smoke/``."""
+    return RESULTS_DIR / "smoke" if overrides() else RESULTS_DIR
+
+
+def _commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=RESULTS_DIR.parent,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def record(experiment: str, values: dict,
+           table: Sequence[str] = ()) -> Path:
+    """Write one experiment's record: its numbers (*values*), the
+    human-readable *table* (also printed, so ``pytest -s`` shows it),
+    and where they came from — the commit and the knob overrides."""
+    path = results_dir() / f"{experiment}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "experiment": experiment,
+        "commit": _commit(),
+        "overrides": overrides(),
+        "values": values,
+        "table": list(table),
+    }, indent=2, sort_keys=True) + "\n")
+    print("\n" + "\n".join(table))
     return path
-
-
-def record_bench_to(path: Path, section: str, values: dict) -> Path:
-    """Merge *values* into the JSON file at *path* under *section*.
-
-    The machine-readable twin of :func:`write_result`: each experiment
-    contributes its wall times / scaling numbers so the perf trajectory
-    is diffable across PRs.  Existing sections from other experiments
-    (or earlier runs) are preserved.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    data: dict = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = {}
-    data.setdefault(section, {}).update(values)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def record_bench(section: str, values: dict) -> Path:
-    """Merge *values* into ``BENCH_dcm.json`` under *section*."""
-    return record_bench_to(BENCH_JSON, section, values)
 
 
 @pytest.fixture(scope="session")

@@ -22,8 +22,7 @@ composites, and the closure enabled.  Reply streams are hashed per
 connection and must be byte-identical across modes.
 
 Gate: fast throughput must be ``E11_MIN_SPEEDUP`` (default 3x) the
-baseline.  Results land in ``benchmarks/results/E11.txt`` and
-``benchmarks/results/BENCH_queries.json``.
+baseline.  The record lands in ``benchmarks/results/E11.json``.
 
 Env knobs (CI smoke uses tiny values): E11_USERS, E11_TREE_FANOUT,
 E11_TREE_DEPTH, E11_TREE_USERS, E11_OPS, E11_CALLERS,
@@ -36,11 +35,7 @@ import hashlib
 import os
 import time
 
-from benchmarks.conftest import (
-    BENCH_QUERIES_JSON,
-    record_bench_to,
-    write_result,
-)
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.engine import _PATTERN_LRU
 from repro.protocol.wire import MajorRequest, encode_request
@@ -170,8 +165,7 @@ def test_e11_query_engine_fast_path():
         f"speedup {speedup:.2f}x (required >= {MIN_SPEEDUP}x), "
         "byte-identical replies",
     ]
-    write_result("E11", lines)
-    record_bench_to(BENCH_QUERIES_JSON, "e11_query_engine", {
+    record("E11", {
         "users": USERS,
         "tree_lists": n_lists,
         "tree_fanout": TREE_FANOUT,
@@ -187,6 +181,6 @@ def test_e11_query_engine_fast_path():
         "closure": closure.stats() if closure is not None else None,
         "pattern_lru": {"hits": _PATTERN_LRU.hits,
                         "misses": _PATTERN_LRU.misses},
-    })
+    }, lines)
     assert speedup >= MIN_SPEEDUP, (
         f"fast-path speedup {speedup:.2f}x < required {MIN_SPEEDUP}x")

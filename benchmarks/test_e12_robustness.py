@@ -17,8 +17,8 @@ one half-open probe per cooldown window, and the wall-clock cost of
 serving the *healthy* hosts must stay within ``E12_MAX_DEGRADATION``
 (default 25 %) of an identical fault-free run.
 
-Results land in ``benchmarks/results/E12.txt`` and
-``benchmarks/results/BENCH_robustness.json``.
+The records land in ``benchmarks/results/E12a.json`` and
+``E12b.json``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import (
-    BENCH_ROBUSTNESS_JSON,
-    record_bench_to,
-    write_result,
-)
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.backup import mrbackup
 from repro.db.journal import Journal
@@ -165,15 +161,14 @@ def test_e12a_crash_recovery_sweep(tmp_path):
         f"mean recovery time       {mean_recovery_ms:8.2f} ms",
         f"sweep wall time          {elapsed:8.1f} s",
     ]
-    write_result("E12a", lines)
-    record_bench_to(BENCH_ROBUSTNESS_JSON, "e12a_crash_recovery", {
+    record("E12a", {
         "mutations": MUTATIONS,
         "boundaries_swept": MUTATIONS,
         "crash_kinds": list(CRASH_KINDS),
         "byte_identical": True,
         "mean_recovery_ms": round(mean_recovery_ms, 2),
         "sweep_wall_s": round(elapsed, 2),
-    })
+    }, lines)
 
 
 # -- E12b: DCM convergence + healthy-host cost under faults -------------------
@@ -281,8 +276,7 @@ def test_e12b_propagation_under_faults():
         f"(gate {MAX_DEGRADATION:.0%} + {EPS_S}s epsilon)",
         f"breaker caps             {breaker_rows}",
     ]
-    write_result("E12b", lines)
-    record_bench_to(BENCH_ROBUSTNESS_JSON, "e12b_fault_propagation", {
+    record("E12b", {
         "partitioned_hosts": partitioned,
         "partition_cycles": 3,
         "loss_rate_elsewhere": LOSS_RATE,
@@ -294,7 +288,7 @@ def test_e12b_propagation_under_faults():
         "max_degradation_gate": MAX_DEGRADATION,
         "breakers": breaker_rows,
         "converged": True,
-    })
+    }, lines)
     assert fault_per_cycle <= limit, (
         f"healthy-host cost degraded {degradation:+.1%} per cycle "
         f"({fault_per_cycle:.3f}s vs {base_per_cycle:.3f}s baseline); "

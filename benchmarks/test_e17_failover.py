@@ -21,8 +21,7 @@ writes lost across the kill, the fenced old primary accepts zero writes
 afterwards (journal seq frozen), and the surviving replica follows the
 new primary to full convergence.
 
-Results land in ``benchmarks/results/E17.txt`` and
-``benchmarks/results/BENCH_failover.json``.
+The record lands in ``benchmarks/results/E17.json``.
 
 Env knobs (CI smoke uses tiny values): E17_USERS (design point 10000),
 E17_WRITES, E17_WORKERS.
@@ -36,11 +35,7 @@ import threading
 import time
 from pathlib import Path
 
-from benchmarks.conftest import (
-    BENCH_FAILOVER_JSON,
-    record_bench_to,
-    write_result,
-)
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.journal import Journal
 from repro.errors import MoiraError, MR_FENCED
@@ -114,7 +109,7 @@ def test_e17_failover_latency():
 
         coordinator = cluster.coordinator()
         candidate = cluster.replicas[0]
-        record = coordinator.promote(
+        promotion = coordinator.promote(
             candidate,
             journal=Journal(path=Path(tmp) / "promoted-wal"),
             feed_factory=cluster.feed_factory_for(candidate),
@@ -159,14 +154,14 @@ def test_e17_failover_latency():
         target = candidate.server.journal.current_seq()
         assert survivor.wait_for_seq(target, budget=10.0), \
             f"survivor stuck at {survivor.applied_seq} < {target}"
-        assert survivor.epoch == record.epoch
+        assert survivor.epoch == promotion.epoch
 
         rs.close()
         cluster.stop()
         d.server.shutdown()
 
     detection_ms = detection_s * 1000
-    promotion_ms = record.total_s * 1000
+    promotion_ms = promotion.total_s * 1000
     first_commit_ms = first_commit_s * 1000
     lines = [
         f"E17: fenced failover over TCP ({USERS} users, 2 replicas, "
@@ -174,30 +169,29 @@ def test_e17_failover_latency():
         f"detection (TCP status probe, 2ms cadence): "
         f"{detection_ms:.1f} ms",
         f"promotion: {promotion_ms:.1f} ms "
-        f"(salvage {record.salvaged_entries} entries "
-        f"{record.catch_up_s * 1000:.1f} ms, "
-        f"fence {record.fence_s * 1000:.1f} ms, "
-        f"promote {record.promote_s * 1000:.1f} ms) "
-        f"-> epoch {record.epoch}",
+        f"(salvage {promotion.salvaged_entries} entries "
+        f"{promotion.catch_up_s * 1000:.1f} ms, "
+        f"fence {promotion.fence_s * 1000:.1f} ms, "
+        f"promote {promotion.promote_s * 1000:.1f} ms) "
+        f"-> epoch {promotion.epoch}",
         f"kill -> first committed write on new primary: "
         f"{first_commit_ms:.1f} ms",
         "zero acknowledged writes lost; fenced primary accepted 0 "
         "writes; survivor converged",
     ]
-    write_result("E17", lines)
-    record_bench_to(BENCH_FAILOVER_JSON, "e17_failover", {
+    record("E17", {
         "users": USERS,
         "replicas": 2,
         "acked_writes": PRE_WRITES,
         "replica_lag_entries_at_kill": lag,
         "detection_ms": round(detection_ms, 2),
         "promotion_ms": round(promotion_ms, 2),
-        "salvaged_entries": record.salvaged_entries,
-        "catch_up_ms": round(record.catch_up_s * 1000, 2),
-        "fence_ms": round(record.fence_s * 1000, 2),
-        "promote_ms": round(record.promote_s * 1000, 2),
+        "salvaged_entries": promotion.salvaged_entries,
+        "catch_up_ms": round(promotion.catch_up_s * 1000, 2),
+        "fence_ms": round(promotion.fence_s * 1000, 2),
+        "promote_ms": round(promotion.promote_s * 1000, 2),
         "first_committed_write_ms": round(first_commit_ms, 2),
-        "epoch": record.epoch,
+        "epoch": promotion.epoch,
         "zero_lost_acked_writes": True,
         "fenced_primary_writes_accepted": 0,
-    })
+    }, lines)

@@ -7,16 +7,18 @@ affected hosts as the commit lands.  This bench measures the
 difference and gates the claims:
 
 * **Latency** — per design point (``E18_USERS``), N sampled mutations;
-  each is committed and the extractor pumped event-driven (the shape
-  the deployment's 1 s cron pump approximates).  Virtual
-  mutation-to-converged-host latency p50/p99 must be sub-second at the
-  primary design point; the real extraction cost per pump is recorded
-  alongside (wall seconds).
+  each is committed and the extractor pumped once, event-driven, and
+  the mutation must be on the Hesiod host when that one pump returns.
+  The wall-clock cost of the pump (extract, regenerate, push, install)
+  is the reported p50/p99.  A deployment adds the wait for its next
+  1 s cron pump (``CDC_PUMP_SECONDS``); ``perf``'s ``propagate_cdc``
+  workload (``client.freshness_p50_ms``) is the maintained measurement
+  of the same path.
 * **Baseline** — the same mutation applied to a cron-only world; the
-  delay until the next converging cycle is measured on the virtual
-  clock.  The gate: baseline p50 must beat the CDC p50 by
-  ``E18_MIN_SPEEDUP`` (default 100x; the CDC p50 is floored at 1 s for
-  the ratio so a 0 s measurement cannot manufacture infinity).
+  delay until the next converging cycle is read off the virtual clock
+  the bench advances cycle by cycle (the paper's cadence: hours).  The
+  gate: baseline p50 must exceed one pump period plus the CDC wall p50
+  by ``E18_MIN_SPEEDUP`` (default 100x).
 * **Storm** — ``E18_STORM`` registrations committed back to back, then
   pumped: coalescing must bound host pushes to under
   ``E18_STORM_FRAC`` (default 5%) of the mutation count.
@@ -26,8 +28,7 @@ difference and gates the claims:
   converged the slow way, and a cron cycle on the CDC world itself
   must be a no-op.
 
-Results land in ``benchmarks/results/E18.txt`` and
-``benchmarks/results/BENCH_freshness.json``.
+The record lands in ``benchmarks/results/E18.json``.
 
 Env knobs (CI smoke uses tiny values): E18_USERS (comma-separated
 design points; the first is the gate point with oracle + storm),
@@ -40,12 +41,9 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import (
-    BENCH_FRESHNESS_JSON,
-    record_bench_to,
-    write_result,
-)
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
+from repro.core.deployment import CDC_PUMP_SECONDS
 from repro.workload import PopulationSpec
 
 USERS = [int(x) for x in
@@ -99,14 +97,14 @@ def hesiod_passwd(d: AthenaDeployment) -> bytes:
 
 
 def measure_latency(d: AthenaDeployment, samples: int,
-                    uid_base: int, oracle=None) -> tuple[list, list]:
-    """Virtual + wall mutation-to-converged latency for N mutations."""
+                    uid_base: int, oracle=None) -> list[float]:
+    """Wall seconds of the one pump that converges each of N
+    mutations."""
     client = d.direct_client()
     oracle_client = oracle.direct_client() if oracle else None
-    virtual, wall = [], []
+    wall = []
     for i in range(samples):
         login = f"e18lat{uid_base + i}"
-        t0 = d.clock.now()
         add_user(client, login, uid_base + i)
         if oracle_client is not None:
             add_user(oracle_client, login, uid_base + i)
@@ -114,8 +112,7 @@ def measure_latency(d: AthenaDeployment, samples: int,
         d.pump_cdc()
         wall.append(time.perf_counter() - start)
         assert login.encode() in hesiod_passwd(d)
-        virtual.append(float(d.clock.now() - t0))
-    return virtual, wall
+    return wall
 
 
 def measure_baseline(d: AthenaDeployment, cdc_world: AthenaDeployment,
@@ -169,8 +166,8 @@ def test_e18_cdc_freshness():
         "E18 — CDC freshness: mutation-to-converged-host latency",
         f"design points {USERS}, {SAMPLES} samples each; storm "
         f"{STORM} mutations (gate: pushes < {STORM_FRAC:.0%})", ""]
+    values: dict = {"points": {}}
     gate_users = USERS[0]
-    gate_p50 = None
     uid = 800_000
 
     for users in USERS:
@@ -178,23 +175,19 @@ def test_e18_cdc_freshness():
         cdc_world = build_world(users, cdc=True)
         oracle = build_world(users, cdc=False) if is_gate else None
 
-        virtual, wall = measure_latency(cdc_world, SAMPLES, uid,
-                                        oracle)
+        wall = measure_latency(cdc_world, SAMPLES, uid, oracle)
         uid += SAMPLES
-        p50, p99 = percentile(virtual, 0.50), percentile(virtual, 0.99)
         wall_p50 = percentile(wall, 0.50)
         wall_p99 = percentile(wall, 0.99)
         lines.append(
-            f"{users}-user design point: virtual p50 {p50:.1f} s "
-            f"p99 {p99:.1f} s; extraction wall p50 "
-            f"{wall_p50 * 1000:.1f} ms p99 {wall_p99 * 1000:.1f} ms")
-        record_bench_to(BENCH_FRESHNESS_JSON, f"cdc_{users}", {
+            f"{users}-user design point: every mutation on its host "
+            f"after one pump; pump wall p50 {wall_p50 * 1000:.1f} ms "
+            f"p99 {wall_p99 * 1000:.1f} ms")
+        values["points"][str(users)] = {
             "samples": SAMPLES,
-            "virtual_p50_s": p50,
-            "virtual_p99_s": p99,
             "wall_p50_s": round(wall_p50, 4),
             "wall_p99_s": round(wall_p99, 4),
-        })
+        }
 
         # a cron cycle right after CDC convergence must be a no-op —
         # the cheap identity oracle, checked at every design point
@@ -203,23 +196,22 @@ def test_e18_cdc_freshness():
 
         if not is_gate:
             continue
-        gate_p50 = p50
-        assert p50 < 1.0, f"CDC p50 {p50:.1f}s is not sub-second"
 
         baseline = measure_baseline(oracle, cdc_world,
                                     BASELINE_SAMPLES, uid)
         uid += BASELINE_SAMPLES
         base_p50 = percentile(baseline, 0.50)
-        speedup = base_p50 / max(p50, 1.0)
+        speedup = base_p50 / (CDC_PUMP_SECONDS + wall_p50)
         lines.append(
-            f"  cron baseline p50 {base_p50:.0f} s "
-            f"({base_p50 / 3600:.1f} h) -> {speedup:.0f}x faster "
+            f"  cron baseline p50 {base_p50:.0f} s of cron cadence "
+            f"({base_p50 / 3600:.1f} h) vs one {CDC_PUMP_SECONDS} s "
+            f"pump period + {wall_p50 * 1000:.0f} ms: {speedup:.0f}x "
             f"(gate >= {MIN_SPEEDUP:.0f}x)")
-        record_bench_to(BENCH_FRESHNESS_JSON, "baseline", {
+        values["baseline"] = {
             "samples": BASELINE_SAMPLES,
-            "virtual_p50_s": base_p50,
+            "cron_cadence_p50_s": base_p50,
             "speedup_vs_cdc": round(speedup, 1),
-        })
+        }
         assert speedup >= MIN_SPEEDUP
 
         storm = run_storm(cdc_world, oracle, STORM, uid)
@@ -230,9 +222,7 @@ def test_e18_cdc_freshness():
             f"{storm['host_pushes']} host pushes ({frac:.1%}), "
             f"{storm['coalesced']} coalesced, "
             f"{storm['wall_s']:.1f} s wall")
-        record_bench_to(BENCH_FRESHNESS_JSON, "storm", {
-            **storm, "push_fraction": round(frac, 4),
-        })
+        values["storm"] = {**storm, "push_fraction": round(frac, 4)}
         assert frac < STORM_FRAC, \
             f"storm pushed {frac:.1%} of mutation count"
 
@@ -243,9 +233,4 @@ def test_e18_cdc_freshness():
         lines.append("  byte identity vs cron oracle: OK "
                      "(latency + storm mutations)")
 
-    lines.append("")
-    lines.append(
-        f"gate: p50 {gate_p50:.1f} s sub-second at the "
-        f"{gate_users}-user design point; coalescing and byte "
-        "identity hold")
-    write_result("E18", lines)
+    record("E18", values, lines)

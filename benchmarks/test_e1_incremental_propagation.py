@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_bench, write_result
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.workload import PopulationSpec
 
@@ -105,14 +105,14 @@ class TestIncrementalPropagation:
         t0 = time.perf_counter()
         dirty_cycle(steady)
         t_dirty = time.perf_counter() - t0
-        record_bench("e1", {
+        record("e1_incremental_propagation", {
             "quiet_cycle_s": round(t_quiet, 4),
             "dirty_cycle_s": round(t_dirty, 4),
             "week_with_no_change_check_s": round(t_opt, 3),
             "week_always_regenerate_s": round(t_abl, 3),
-        })
-
-        write_result("e1_incremental_propagation", [
+            "week_generations_with_check": gen_opt,
+            "week_generations_always": gen_abl,
+        }, [
             "E1: one quiet simulated week of DCM operation",
             f"  with no-change check:  {gen_opt:4d} generations, "
             f"{t_opt:6.2f}s wall",

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.client import MoiraClient
 from repro.db.backup import mrbackup, mrrestore
 from repro.db.schema import build_database
@@ -81,7 +81,11 @@ class TestConnectionStartup:
             lambda: athenareg_connect_and_query(d, dump), 2)
 
         speedup = t_athenareg / t_moira
-        write_result("e2_connection_startup", [
+        record("e2_connection_startup", {
+            "moira_connect_ms": round(t_moira * 1e3, 3),
+            "athenareg_connect_ms": round(t_athenareg * 1e3, 3),
+            "speedup": round(speedup, 1),
+        }, [
             "E2: cost of serving one new client connection",
             f"  Moira (shared backend):          {t_moira * 1e3:9.2f} ms",
             f"  Athenareg (backend per client):  "

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.client import MoiraClient
 
 
@@ -87,7 +87,11 @@ class TestAuthOverhead:
 
         t_auth = timeit(auth_once, rounds=100)
 
-        write_result("e3_auth_overhead", [
+        record("e3_auth_overhead", {
+            "noop_us": round(t_noop, 1),
+            "query_us": round(t_query, 1),
+            "auth_us": round(t_auth, 1),
+        }, [
             "E3: per-request cost on one connection (µs)",
             f"  mr_noop (RPC floor):      {t_noop:9.1f}",
             f"  simple read-only query:   {t_query:9.1f}",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.db.backup import mrbackup, mrrestore
 from repro.db.schema import build_database
 
@@ -70,7 +70,12 @@ class TestBackup:
                  "  largest relations:"]
         for name, size in top:
             lines.append(f"    {name:12s} {size:>9d} bytes")
-        write_result("e4_backup", lines)
+        record("e4_backup", {
+            "dump_bytes": total,
+            "rows_restored": sum(counts.values()),
+            "lossless": lossless,
+            "largest_relations": dict(top),
+        }, lines)
 
         assert lossless
         assert PAPER_DUMP_BYTES / 4 < total < PAPER_DUMP_BYTES * 4

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_bench, write_result
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.dcm.generators import get_generator
 from repro.dcm.generators.base import GenContext
@@ -118,14 +118,12 @@ class TestScalability:
                      "(flat = indexed)")
         lines.append(f"  extract growth 1k->10k: {x_ratio:5.1f}x "
                      "(linear expected ~10x)")
-        write_result("e5_scalability", lines)
-
-        record_bench("e5", {
+        record("e5_scalability", {
             "point_query_us": {str(u): round(queries[u], 1)
                                for u in SCALES},
             "hesiod_extract_s": {str(u): round(extracts[u], 3)
                                  for u in SCALES},
-        })
+        }, lines)
 
         # point queries stay roughly flat (indexes, not scans)
         assert q_ratio < 4
@@ -180,15 +178,14 @@ class TestScalability:
         c_par, t_par, p_par, files_par = measure(push_pool_width=8)
 
         speedup = t_legacy / t_par
-        record_bench("e5", {
+        record("e5_pipeline_speedup", {
             "cold_cycle_10k_legacy_s": round(c_legacy, 3),
             "cold_cycle_10k_parallel_s": round(c_par, 3),
             "full_cycle_10k_legacy_s": round(t_legacy, 3),
             "full_cycle_10k_sequential_s": round(t_seq, 3),
             "full_cycle_10k_parallel_s": round(t_par, 3),
             "full_cycle_10k_speedup": round(speedup, 2),
-        })
-        write_result("e5_pipeline_speedup", [
+        }, [
             "E5b: full 10k-user DCM cycle, seed pipeline vs incremental",
             f"(best of {rounds} steady-state cycles; cold first cycle "
             "in parens)",

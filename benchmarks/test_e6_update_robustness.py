@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.workload import PopulationSpec
 
@@ -104,7 +104,7 @@ class TestRobustnessMatrix:
         lines = ["E6: update-protocol robustness matrix"]
         for name, ok in outcomes:
             lines.append(f"  {'PASS' if ok else 'FAIL':4s}  {name}")
-        write_result("e6_update_robustness", lines)
+        record("e6_update_robustness", dict(outcomes), lines)
         assert all(ok for _, ok in outcomes)
 
         benchmark(lambda: None)
@@ -139,7 +139,10 @@ class TestRobustnessMatrix:
         survived = host2.fs.read("/etc/passwd.db")
         intact = survived in (b"OLD" * 1000, payload)
 
-        write_result("e6_atomicity_ablation", [
+        record("e6_atomicity_ablation", {
+            "in_place_write_torn": torn_file,
+            "atomic_rename_torn": not intact,
+        }, [
             "E6 ablation: crash during install",
             f"  in-place write:  torn file = {torn_file}",
             f"  atomic rename:   torn file = {not intact}",

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.apps import MrCheck
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.reg import RegistrationServer, UserReg
@@ -65,7 +65,12 @@ class TestRegistration:
         half_registered = d.db.table("users").select({"status": 2})
         check = MrCheck(d.db).run()
 
-        write_result("e7_registration", [
+        record("e7_registration", {
+            "registered": registered,
+            "wall_s": round(elapsed, 2),
+            "half_registered": len(half_registered),
+            "database_consistent": check == [],
+        }, [
             "E7: term-start registration burst",
             f"  students registered:   {registered}",
             f"  wall time:             {elapsed:6.2f}s "

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.client import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.server.access import AccessCache
@@ -102,7 +102,11 @@ class TestAccessCache:
         t_off = timeit(client_off)
         client_off.close()
 
-        write_result("e8_access_cache", [
+        record("e8_access_cache", {
+            "cache_enabled_us": round(t_on, 1),
+            "cache_disabled_us": round(t_off, 1),
+            "hit_rate": round(hit_rate, 3),
+        }, [
             "E8: the access-then-query doubled check (µs per pair)",
             f"  cache enabled:   {t_on:9.1f}  "
             f"(hit rate {hit_rate:.0%})",

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.db.backend import StorageBackend, create_backend
 from repro.queries.base import QueryContext, execute_query
 from repro.sim.clock import Clock
@@ -91,7 +91,13 @@ class TestBackendComparison:
         identical = tuple(map(str, py_row[:9])) == \
             tuple(map(str, sq_row[:9]))
 
-        write_result("e9_backend_comparison", [
+        record("e9_backend_comparison", {
+            "python_point_query_us": round(py_q, 1),
+            "python_update_us": round(py_u, 1),
+            "sqlite_point_query_us": round(sq_q, 1),
+            "sqlite_update_us": round(sq_u, 1),
+            "identical_results": identical,
+        }, [
             "E9: swapping the DBMS under the query interface "
             f"({N_USERS} users)",
             f"{'':16s} {'point query (µs)':>18s} {'update (µs)':>14s}",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 from repro.client import MoiraClient
 from repro.protocol.transport import TcpServerTransport
 
@@ -81,7 +81,11 @@ class TestSystemStructure:
             tcp.stop()
         inproc.close()
 
-        write_result("f1_system_structure", [
+        record("f1_system_structure", {
+            "direct_us": round(t_direct, 1),
+            "inproc_us": round(t_inproc, 1),
+            "tcp_us": round(t_tcp, 1),
+        }, [
             "F1: per-layer latency of one get_user_by_login (µs/query)",
             f"  direct glue library (DCM path):     {t_direct:9.1f}",
             f"  + protocol encode/decode (inproc):  {t_inproc:9.1f}",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import record
 
 # (file, paper size in bytes) from the §5.1 G table
 PAPER_HESIOD_SIZES = {
@@ -144,7 +144,13 @@ class TestFileOrganization:
                      f"(paper: {PAPER_TOTAL_FILES}); host propagations "
                      f"per cycle {total_props} "
                      f"(paper: {PAPER_TOTAL_PROPAGATIONS} file-level)")
-        write_result("t1_file_organization", lines)
+        record("t1_file_organization", {
+            "hesiod_file_bytes": sizes,
+            "aliases_bytes": aliases,
+            "zephyr_acl_files": len(acl_files),
+            "total_files": total_files,
+            "host_propagations_per_cycle": total_props,
+        }, lines)
 
     def test_benchmark_hesiod_generation(self, full_cycle, benchmark):
         """Time the hesiod extract at paper scale."""

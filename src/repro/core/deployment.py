@@ -77,18 +77,11 @@ class DeploymentConfig:
     # storage engine (default = the MVCC in-memory engine)
     backend: str = "memory"  # any repro.db.backend registered name
     backend_path: Optional[str] = None  # on-disk store where supported
-    # million-scale knob (docs/DATABASE.md): uid-range sub-shard count
-    # for the users writer shard (0/1 = one users lock, the classic
-    # shape; memory backend only)
-    user_subshards: int = 0
     # CDC push pipeline (docs/DCM_PIPELINE.md): consume the WAL as a
     # change stream and converge managed hosts per-mutation instead of
     # per-cron-cycle.
     cdc: bool = False
     cdc_source: str = "journal"  # "journal" (in-process) or "replica"
-    cdc_debounce_seconds: int = 0  # wait this long for more mutations
-    cdc_max_coalesce: int = 256  # converge early past this many
-    cdc_cursor_path: Optional[Union[str, Path]] = None  # durable token
 
 
 class AthenaDeployment:
@@ -101,8 +94,7 @@ class AthenaDeployment:
         self.network = Network(seed=self.config.population.seed,
                                faults=self.faults)
         if self.config.backend == "memory":
-            self.db = build_database(
-                user_subshards=self.config.user_subshards)
+            self.db = build_database()
         else:
             from repro.db.backend import create_backend
             self.db = create_backend(self.config.backend,
@@ -194,11 +186,7 @@ class AthenaDeployment:
                 f"unknown cdc_source {self.config.cdc_source!r}")
         cdc = CdcExtractor(
             self.dcm, source, self.clock,
-            journal=self.journal,
-            cursor_path=self.config.cdc_cursor_path,
-            debounce_seconds=self.config.cdc_debounce_seconds,
-            max_coalesce=self.config.cdc_max_coalesce,
-            extract_db=extract_db)
+            journal=self.journal, extract_db=extract_db)
         self.server.cdc_stats = cdc.stats_tuples
         # the pump rides cron like the DCM does; has_work keeps idle
         # ticks to a flag check (the commit listener sets the flag)

@@ -197,12 +197,9 @@ class StorageBackend(abc.ABC):
         commit order already, so the default re-allocates naturally."""
         return nullcontext()
 
-    def shards_for(self, tables, key: Optional[Callable] = None
-                   ) -> Optional[frozenset]:
+    def shards_for(self, tables) -> Optional[frozenset]:
         """The writer shards covering *tables*, or None for full
-        exclusion.  ``key()`` — called only when a partitioned shard
-        is involved — is the target row's partition value (or None),
-        narrowing that shard to one bucket lock."""
+        exclusion."""
         return None
 
     def hold_shards(self, shards, on_wait: Optional[Callable] = None

@@ -45,7 +45,7 @@ import re
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
 
 from repro.db.backend import LockTxn, StorageBackend, StorageTable
@@ -98,42 +98,6 @@ class _TxnLock(RWLock):
         super().release_exclusive()
 
 
-class ShardPartition:
-    """Uid-range sub-sharding of one writer shard (docs/WRITE_PATH.md).
-
-    Splits a shard's writer lock into *count* bucket locks named
-    ``shard/0`` .. ``shard/count-1``.  Rows of *table* map to buckets
-    by contiguous *span*-wide ranges of the integer *column* — uid
-    ranges, so one user's row always lands in the same bucket (uid is
-    immutable) and a registration-season burst of adjacent uids spreads
-    across ``count`` lanes instead of serializing on one lock.
-    """
-
-    __slots__ = ("shard", "count", "table", "column", "span")
-
-    def __init__(self, shard: str, count: int, *, table: str,
-                 column: str, span: int = 64):
-        if int(count) < 2:
-            raise ValueError("partition count must be >= 2")
-        self.shard = shard
-        self.count = int(count)
-        self.table = table
-        self.column = column
-        self.span = max(1, int(span))
-
-    def bucket(self, value) -> int:
-        """The sub-shard bucket an integer key falls in."""
-        return (int(value) // self.span) % self.count
-
-    def lock_name(self, bucket: int) -> str:
-        """The physical lock name of one bucket."""
-        return f"{self.shard}/{bucket}"
-
-    def lock_names(self) -> tuple:
-        """Every bucket's physical lock name, ascending."""
-        return tuple(f"{self.shard}/{k}" for k in range(self.count))
-
-
 class _Txn:
     """One writer transaction on a sharded database.
 
@@ -148,17 +112,11 @@ class _Txn:
     """
 
     __slots__ = ("shards", "all_shards", "facade", "depth", "seq",
-                 "dirty", "undo", "mutated", "bindings", "shard_set",
-                 "logical")
+                 "dirty", "undo", "mutated", "bindings")
 
     def __init__(self, shards: tuple, *, all_shards: bool,
                  facade: bool, undo: bool):
-        self.shards = shards            # sorted physical lock names held
-        self.shard_set = frozenset(shards)
-        # logical shard names covered (a bucket lock "users/3" covers
-        # part of the logical "users" shard) — the _mv_begin footprint
-        # check; the row-level bucket guard enforces the rest
-        self.logical = frozenset(n.split("/", 1)[0] for n in shards)
+        self.shards = shards            # sorted shard names held
         self.all_shards = all_shards
         self.facade = facade            # owned by the db.lock facade
         self.depth = 1
@@ -286,9 +244,7 @@ class _ShardTxnContext:
         if self._names is None:
             names = tuple(sorted(db._shard_locks))
         else:
-            # logical names expand to their bucket locks here, at
-            # acquisition time — footprints and lane keys stay logical
-            names = db.expand_shards(self._names)
+            names = db._sorted_shards(self._names)
         for name in names:              # sorted order: no cycles
             lock = db._shard_locks[name]
             lock.acquire_exclusive()
@@ -673,11 +629,6 @@ class TableStats:
                 self.deletes, self.modtime)
 
 
-# Shared no-op mutation latch: nullcontext is stateless, so one
-# instance can be entered concurrently from every unlatched table.
-_NO_LATCH = nullcontext()
-
-
 class Table(StorageTable):
     """One relation: schema, rows, indexes, uniqueness, statistics."""
 
@@ -710,13 +661,6 @@ class Table(StorageTable):
         # caches like the membership closure against their pinned seq
         self.mv_last_seq = 0
         self.stats = TableStats()
-        # sub-shard support (set by Database.declare_shards when the
-        # owning shard is partitioned): _latch makes each structural
-        # mutation atomic against writers holding *other* bucket locks
-        # of the same shard, _guard checks every mutated row's bucket
-        # against the current transaction's held lock set
-        self._latch: ContextManager = _NO_LATCH
-        self._guard: Optional[Callable] = None
         # data version: bumped once per mutated row (never by DCM
         # bookkeeping writes), the basis of the generators' exact
         # no-change check
@@ -833,34 +777,31 @@ class Table(StorageTable):
 
     def insert(self, values: dict, *, now: int = 0) -> Row:
         """Add a row; enforces uniqueness, fills defaults."""
-        with self._latch:
-            row = self._normalise(values)
-            if self._guard is not None:
-                self._guard([row], None)
-            if self._violates_unique(row):
-                raise MoiraError(MR_EXISTS, f"{self.name}: {values}")
-            self.rows.append(row)
-            for index in self._indexes.values():
-                index.add(row)
-            for comp in self._composites.values():
-                comp.add(row)
-            prev_modtime = self.stats.modtime
-            self.stats.appends += 1
-            self.stats.modtime = now
-            self._bump("insert", None, dict(row))
-            mv = self._mv
-            if mv is not None:
-                seq, auto = mv.db._mv_begin(self)
-                try:
-                    mv.on_insert(row, seq)
-                    self.mv_last_seq = seq
-                finally:
-                    mv.db._mv_finish(seq, auto)
-                undo = mv.db._txn_undo_list()
-                if undo is not None:
-                    undo.append(lambda: self._undo_insert(
-                        row, seq, prev_modtime))
-            return row
+        row = self._normalise(values)
+        if self._violates_unique(row):
+            raise MoiraError(MR_EXISTS, f"{self.name}: {values}")
+        self.rows.append(row)
+        for index in self._indexes.values():
+            index.add(row)
+        for comp in self._composites.values():
+            comp.add(row)
+        prev_modtime = self.stats.modtime
+        self.stats.appends += 1
+        self.stats.modtime = now
+        self._bump("insert", None, dict(row))
+        mv = self._mv
+        if mv is not None:
+            seq, auto = mv.db._mv_begin(self)
+            try:
+                mv.on_insert(row, seq)
+                self.mv_last_seq = seq
+            finally:
+                mv.db._mv_finish(seq, auto)
+            undo = mv.db._txn_undo_list()
+            if undo is not None:
+                undo.append(lambda: self._undo_insert(
+                    row, seq, prev_modtime))
+        return row
 
     def update_rows(self, rows: list[Row], changes: dict, *, now: int = 0,
                     touch_stats: bool = True) -> int:
@@ -872,99 +813,93 @@ class Table(StorageTable):
         them as data changes would make every DCM cycle look like new
         data for the generators' no-change check.
         """
-        with self._latch:
-            coerced = self._normalise(changes, partial=True)
-            if self._guard is not None and rows:
-                self._guard(rows, coerced)
-            for row in rows:
-                candidate = dict(row)
-                candidate.update(coerced)
-                if self._violates_unique(candidate, ignore=row):
-                    raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
-            touched_indexes = [idx for name, idx in self._indexes.items()
-                               if name in coerced]
-            touched_composites = [comp for comp in self._composites.values()
-                                  if any(name in coerced
-                                         for name in comp.names)]
-            mv = self._mv
-            undo = (mv.db._txn_undo_list()
-                    if (mv is not None and rows) else None)
-            old_values = None
-            prev_modtime = self.stats.modtime
-            if undo is not None:
-                old_values = [{name: row[name] for name in coerced}
-                              for row in rows]
-            for row in rows:
-                before = dict(row) if touch_stats else None
-                for index in touched_indexes:
-                    index.remove(row)
-                for comp in touched_composites:
-                    comp.remove(row)
-                row.update(coerced)
-                for index in touched_indexes:
-                    index.add(row)
-                for comp in touched_composites:
-                    comp.add(row)
-                if touch_stats:
-                    self._bump("update", before, dict(row))
+        coerced = self._normalise(changes, partial=True)
+        for row in rows:
+            candidate = dict(row)
+            candidate.update(coerced)
+            if self._violates_unique(candidate, ignore=row):
+                raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
+        touched_indexes = [idx for name, idx in self._indexes.items()
+                           if name in coerced]
+        touched_composites = [comp for comp in self._composites.values()
+                              if any(name in coerced
+                                     for name in comp.names)]
+        mv = self._mv
+        undo = (mv.db._txn_undo_list()
+                if (mv is not None and rows) else None)
+        old_values = None
+        prev_modtime = self.stats.modtime
+        if undo is not None:
+            old_values = [{name: row[name] for name in coerced}
+                          for row in rows]
+        for row in rows:
+            before = dict(row) if touch_stats else None
+            for index in touched_indexes:
+                index.remove(row)
+            for comp in touched_composites:
+                comp.remove(row)
+            row.update(coerced)
+            for index in touched_indexes:
+                index.add(row)
+            for comp in touched_composites:
+                comp.add(row)
             if touch_stats:
-                self.stats.updates += len(rows)
-                self.stats.modtime = now
-            if mv is not None and rows:
-                changed = set(coerced)
-                seq, auto = mv.db._mv_begin(self)
-                try:
-                    tokens = [mv.on_update(row, changed, seq)
-                              for row in rows]
-                    self.mv_last_seq = seq
-                finally:
-                    mv.db._mv_finish(seq, auto)
-                if undo is not None:
-                    undo.append(lambda: self._undo_update(
-                        list(rows), old_values, tokens, set(coerced), seq,
-                        touch_stats, prev_modtime))
-            return len(rows)
+                self._bump("update", before, dict(row))
+        if touch_stats:
+            self.stats.updates += len(rows)
+            self.stats.modtime = now
+        if mv is not None and rows:
+            changed = set(coerced)
+            seq, auto = mv.db._mv_begin(self)
+            try:
+                tokens = [mv.on_update(row, changed, seq)
+                          for row in rows]
+                self.mv_last_seq = seq
+            finally:
+                mv.db._mv_finish(seq, auto)
+            if undo is not None:
+                undo.append(lambda: self._undo_update(
+                    list(rows), old_values, tokens, set(coerced), seq,
+                    touch_stats, prev_modtime))
+        return len(rows)
 
     def delete_rows(self, rows: list[Row], *, now: int = 0) -> int:
         """Remove the given rows in one pass, maintaining indexes."""
         if not rows:
             return 0
-        with self._latch:
-            if self._guard is not None:
-                self._guard(rows, None)
-            mv = self._mv
-            undo = mv.db._txn_undo_list() if mv is not None else None
-            slots = None
-            prev_modtime = self.stats.modtime
+        mv = self._mv
+        undo = mv.db._txn_undo_list() if mv is not None else None
+        slots = None
+        prev_modtime = self.stats.modtime
+        if undo is not None:
+            # scan-order positions, so an abort restores rows exactly
+            # where they were (mrbackup dumps in scan order)
+            wanted = {id(row) for row in rows}
+            slots = [(i, row) for i, row in enumerate(self.rows)
+                     if id(row) in wanted]
+        for row in rows:
+            for index in self._indexes.values():
+                index.remove(row)
+            for comp in self._composites.values():
+                comp.remove(row)
+            self._bump("delete", dict(row), None)
+        # identity-set filter: one O(rows) pass instead of one
+        # list.remove() scan per deleted row
+        doomed = {id(row) for row in rows}
+        self.rows = [row for row in self.rows if id(row) not in doomed]
+        self.stats.deletes += len(rows)
+        self.stats.modtime = now
+        if mv is not None:
+            seq, auto = mv.db._mv_begin(self)
+            try:
+                tokens = [mv.on_delete(row, seq) for row in rows]
+                self.mv_last_seq = seq
+            finally:
+                mv.db._mv_finish(seq, auto)
             if undo is not None:
-                # scan-order positions, so an abort restores rows exactly
-                # where they were (mrbackup dumps in scan order)
-                wanted = {id(row) for row in rows}
-                slots = [(i, row) for i, row in enumerate(self.rows)
-                         if id(row) in wanted]
-            for row in rows:
-                for index in self._indexes.values():
-                    index.remove(row)
-                for comp in self._composites.values():
-                    comp.remove(row)
-                self._bump("delete", dict(row), None)
-            # identity-set filter: one O(rows) pass instead of one
-            # list.remove() scan per deleted row
-            doomed = {id(row) for row in rows}
-            self.rows = [row for row in self.rows if id(row) not in doomed]
-            self.stats.deletes += len(rows)
-            self.stats.modtime = now
-            if mv is not None:
-                seq, auto = mv.db._mv_begin(self)
-                try:
-                    tokens = [mv.on_delete(row, seq) for row in rows]
-                    self.mv_last_seq = seq
-                finally:
-                    mv.db._mv_finish(seq, auto)
-                if undo is not None:
-                    undo.append(lambda: self._undo_delete(
-                        slots, tokens, prev_modtime))
-            return len(rows)
+                undo.append(lambda: self._undo_delete(
+                    slots, tokens, prev_modtime))
+        return len(rows)
 
     def clear(self) -> None:
         """Drop every row (and index contents)."""
@@ -1007,43 +942,40 @@ class Table(StorageTable):
         """
         if not rows:
             return
-        with self._latch:
-            if self._guard is not None:
-                self._guard(rows, None)
-            if set(rows[0]) != set(self.columns):
-                raise MoiraError(
-                    MR_INTERNAL,
-                    f"bulk_load row shape does not match {self.name}")
-            indexes = list(self._indexes.values())
-            composites = list(self._composites.values())
-            append = self.rows.append
-            for row in rows:
-                if self._violates_unique(row):
-                    raise MoiraError(MR_EXISTS, f"{self.name}: {row}")
-                append(row)
-                for index in indexes:
-                    index.add(row)
-                for comp in composites:
-                    comp.add(row)
-            prev_modtime = self.stats.modtime
-            self.stats.appends += len(rows)
-            self.stats.modtime = now
-            self.version += len(rows)
-            if self._changelog is not None:
-                self._changelog.clear()
-            mv = self._mv
-            if mv is not None:
-                seq, auto = mv.db._mv_begin(self)
-                try:
-                    mv.bulk_admit(rows, seq)
-                    self.mv_last_seq = seq
-                finally:
-                    mv.db._mv_finish(seq, auto)
-                undo = mv.db._txn_undo_list()
-                if undo is not None:
-                    loaded = list(rows)
-                    undo.append(lambda: self._undo_bulk_load(
-                        loaded, seq, prev_modtime))
+        if set(rows[0]) != set(self.columns):
+            raise MoiraError(
+                MR_INTERNAL,
+                f"bulk_load row shape does not match {self.name}")
+        indexes = list(self._indexes.values())
+        composites = list(self._composites.values())
+        append = self.rows.append
+        for row in rows:
+            if self._violates_unique(row):
+                raise MoiraError(MR_EXISTS, f"{self.name}: {row}")
+            append(row)
+            for index in indexes:
+                index.add(row)
+            for comp in composites:
+                comp.add(row)
+        prev_modtime = self.stats.modtime
+        self.stats.appends += len(rows)
+        self.stats.modtime = now
+        self.version += len(rows)
+        if self._changelog is not None:
+            self._changelog.clear()
+        mv = self._mv
+        if mv is not None:
+            seq, auto = mv.db._mv_begin(self)
+            try:
+                mv.bulk_admit(rows, seq)
+                self.mv_last_seq = seq
+            finally:
+                mv.db._mv_finish(seq, auto)
+            undo = mv.db._txn_undo_list()
+            if undo is not None:
+                loaded = list(rows)
+                undo.append(lambda: self._undo_bulk_load(
+                    loaded, seq, prev_modtime))
 
     # -- abort undo ---------------------------------------------------------
     # Shard transactions (the server's batched write path) roll back a
@@ -1056,88 +988,84 @@ class Table(StorageTable):
     # incremental DCM consumers instead of rewinding versions.
 
     def _undo_insert(self, row: Row, seq: int, prev_modtime: int) -> None:
-        with self._latch:
-            doomed = id(row)
-            self.rows = [r for r in self.rows if id(r) != doomed]
+        doomed = id(row)
+        self.rows = [r for r in self.rows if id(r) != doomed]
+        for index in self._indexes.values():
+            index.remove(row)
+        for comp in self._composites.values():
+            comp.remove(row)
+        self.stats.appends -= 1
+        self.stats.modtime = prev_modtime
+        self._bump("delete", dict(row), None)
+        mv = self._mv
+        if mv is not None:
+            mv.undo_insert(row, seq)
+
+    def _undo_bulk_load(self, rows: list[Row], seq: int,
+                        prev_modtime: int) -> None:
+        doomed = {id(row) for row in rows}
+        self.rows = [r for r in self.rows if id(r) not in doomed]
+        for row in rows:
             for index in self._indexes.values():
                 index.remove(row)
             for comp in self._composites.values():
                 comp.remove(row)
-            self.stats.appends -= 1
-            self.stats.modtime = prev_modtime
-            self._bump("delete", dict(row), None)
-            mv = self._mv
-            if mv is not None:
+        self.stats.appends -= len(rows)
+        self.stats.modtime = prev_modtime
+        # one compensating bump; the changelog already reports a gap
+        self.version += 1
+        mv = self._mv
+        if mv is not None:
+            for row in reversed(rows):
                 mv.undo_insert(row, seq)
-
-    def _undo_bulk_load(self, rows: list[Row], seq: int,
-                        prev_modtime: int) -> None:
-        with self._latch:
-            doomed = {id(row) for row in rows}
-            self.rows = [r for r in self.rows if id(r) not in doomed]
-            for row in rows:
-                for index in self._indexes.values():
-                    index.remove(row)
-                for comp in self._composites.values():
-                    comp.remove(row)
-            self.stats.appends -= len(rows)
-            self.stats.modtime = prev_modtime
-            # one compensating bump; the changelog already reports a gap
-            self.version += 1
-            mv = self._mv
-            if mv is not None:
-                for row in reversed(rows):
-                    mv.undo_insert(row, seq)
 
     def _undo_update(self, rows: list[Row], old_values: list[dict],
                      tokens: list, changed: set, seq: int,
                      touch_stats: bool, prev_modtime: int) -> None:
-        with self._latch:
-            touched_indexes = [idx for name, idx in self._indexes.items()
-                               if name in changed]
-            touched_composites = [comp for comp in self._composites.values()
-                                  if any(name in changed
-                                         for name in comp.names)]
-            mv = self._mv
-            for row, old, token in zip(reversed(rows), reversed(old_values),
-                                       reversed(tokens)):
-                after = dict(row) if touch_stats else None
-                for index in touched_indexes:
-                    index.remove(row)
-                for comp in touched_composites:
-                    comp.remove(row)
-                row.update(old)
-                for index in touched_indexes:
-                    index.add(row)
-                for comp in touched_composites:
-                    comp.add(row)
-                if touch_stats:
-                    self._bump("update", after, dict(row))
-                if mv is not None and token is not None:
-                    mv.undo_update(token, seq)
+        touched_indexes = [idx for name, idx in self._indexes.items()
+                           if name in changed]
+        touched_composites = [comp for comp in self._composites.values()
+                              if any(name in changed
+                                     for name in comp.names)]
+        mv = self._mv
+        for row, old, token in zip(reversed(rows), reversed(old_values),
+                                   reversed(tokens)):
+            after = dict(row) if touch_stats else None
+            for index in touched_indexes:
+                index.remove(row)
+            for comp in touched_composites:
+                comp.remove(row)
+            row.update(old)
+            for index in touched_indexes:
+                index.add(row)
+            for comp in touched_composites:
+                comp.add(row)
             if touch_stats:
-                self.stats.updates -= len(rows)
-                self.stats.modtime = prev_modtime
+                self._bump("update", after, dict(row))
+            if mv is not None and token is not None:
+                mv.undo_update(token, seq)
+        if touch_stats:
+            self.stats.updates -= len(rows)
+            self.stats.modtime = prev_modtime
 
     def _undo_delete(self, slots: list, tokens: list,
                      prev_modtime: int) -> None:
-        with self._latch:
-            # ascending re-insertion restores every original scan index
-            for i, row in slots:
-                self.rows.insert(i, row)
-            for _i, row in slots:
-                for index in self._indexes.values():
-                    index.add(row)
-                for comp in self._composites.values():
-                    comp.add(row)
-                self._bump("insert", None, dict(row))
-            self.stats.deletes -= len(slots)
-            self.stats.modtime = prev_modtime
-            mv = self._mv
-            if mv is not None:
-                for token in reversed(tokens):
-                    if token is not None:
-                        mv.undo_delete(token)
+        # ascending re-insertion restores every original scan index
+        for i, row in slots:
+            self.rows.insert(i, row)
+        for _i, row in slots:
+            for index in self._indexes.values():
+                index.add(row)
+            for comp in self._composites.values():
+                comp.add(row)
+            self._bump("insert", None, dict(row))
+        self.stats.deletes -= len(slots)
+        self.stats.modtime = prev_modtime
+        mv = self._mv
+        if mv is not None:
+            for token in reversed(tokens):
+                if token is not None:
+                    mv.undo_delete(token)
 
     # -- retrieval ----------------------------------------------------------
 
@@ -1337,17 +1265,11 @@ class Database(StorageBackend):
     ``with db.lock:`` still means total exclusion, for whole-database
     operations.  Concurrency control at the *service/host* level is
     the DCM LockManager's job, not ours.
-
-    ``sim_backend_latency`` models the disk latency of the paper's
-    INGRES backend for benchmarks (seconds per read or commit window,
-    slept by the server); it defaults to zero and costs nothing when
-    unset.
     """
 
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
         self.lock = _TxnLock(self)
-        self.sim_backend_latency = 0.0
         # the incrementally maintained membership-closure index (lazy;
         # ``closure_enabled=False`` falls back to the recursive walk)
         self.closure_enabled = True
@@ -1366,9 +1288,6 @@ class Database(StorageBackend):
         self.shards: Optional[dict[str, tuple]] = None
         self._shard_locks: dict[str, RWLock] = {}
         self._shard_of: dict[str, str] = {}
-        # logical shard name -> ShardPartition for shards whose single
-        # writer lock is split into uid-range bucket locks
-        self._partitions: dict[str, ShardPartition] = {}
         self._unversioned: set[str] = set()
         self._txns: Optional[dict[int, _Txn]] = None
         # leaf latch for the system relations (values, strings): id
@@ -1454,8 +1373,7 @@ class Database(StorageBackend):
     # -- writer sharding ------------------------------------------------------
 
     def declare_shards(self, shards: dict, *,
-                       system: Iterable[str] = (),
-                       partitions: Optional[dict] = None) -> None:
+                       system: Iterable[str] = ()) -> None:
         """Split writer–writer exclusion by relation group.
 
         *shards* maps shard name -> iterable of table names; every
@@ -1467,14 +1385,6 @@ class Database(StorageBackend):
         so any shard transaction can allocate ids or intern strings
         without touching other shards.
 
-        *partitions* maps shard name -> :class:`ShardPartition`: that
-        shard's single lock is replaced by the partition's bucket locks
-        (``users/0`` .. ``users/N-1``), and the logical name becomes an
-        umbrella that :meth:`expand_shards` resolves to all of them.
-        Transactions holding disjoint bucket sets then commit
-        concurrently; a row-level guard on the partition table turns
-        any write outside the held buckets into a loud MR_INTERNAL.
-
         After this call ``db.lock`` is a facade that takes every shard
         in sorted-name order — ``with db.lock:`` still means total
         exclusion, one commit seq per hold.  Call once, on a quiescent
@@ -1484,26 +1394,7 @@ class Database(StorageBackend):
             raise ValueError("shards already declared")
         self.shards = {name: tuple(sorted(tables))
                        for name, tables in sorted(shards.items())}
-        self._partitions = {}
-        for shard_name, part in (partitions or {}).items():
-            if shard_name not in self.shards:
-                raise ValueError(
-                    f"partition for unknown shard {shard_name!r}")
-            if part.shard != shard_name:
-                raise ValueError(
-                    f"partition shard {part.shard!r} != {shard_name!r}")
-            self._partitions[shard_name] = part
-        self._shard_locks = {}
-        for name in self.shards:
-            part = self._partitions.get(name)
-            if part is None:
-                self._shard_locks[name] = RWLock()
-            else:
-                # bucket locks REPLACE the logical lock: the umbrella
-                # is "all buckets", so there is no separate lock whose
-                # ordering against the buckets could deadlock
-                for lock_name in part.lock_names():
-                    self._shard_locks[lock_name] = RWLock()
+        self._shard_locks = {name: RWLock() for name in self.shards}
         self._shard_of = {}
         for shard_name, tables in self.shards.items():
             for table_name in tables:
@@ -1516,53 +1407,24 @@ class Database(StorageBackend):
             table = self.tables.get(table_name)
             if table is not None:
                 table._mv = None
-        # sub-shard concurrency: transactions holding disjoint bucket
-        # locks mutate the same Table objects, so every table of a
-        # partitioned shard gets a mutation latch, and the partition
-        # table itself gets the row-bucket guard
-        for shard_name, part in self._partitions.items():
-            for table_name in self.shards[shard_name]:
-                table = self.tables.get(table_name)
-                if table is not None:
-                    table._latch = threading.RLock()
-            target = self.tables.get(part.table)
-            if target is not None:
-                target._guard = (
-                    lambda rows, changes, _t=target:
-                    self._guard_rows(_t, rows, changes))
         self._txns = {}
         self.supports_bulk_load = True  # bulk apply runs under shard txns
         self._seq_alloc = self._committed_seq
         self.lock = _ShardedTxnLock(self)
 
-    def expand_shards(self, names: Iterable[str]) -> tuple:
-        """Logical shard names -> sorted physical lock names.
+    def _sorted_shards(self, names: Iterable[str]) -> tuple:
+        """*names* in the one global acquisition order (sorted, so no
+        two holders can cycle); MR_INTERNAL on an undeclared shard."""
+        names = tuple(sorted(set(names)))
+        unknown = [n for n in names if n not in self._shard_locks]
+        if unknown:
+            raise MoiraError(MR_INTERNAL, f"unknown shards {unknown}")
+        return names
 
-        A partitioned shard's logical name (its umbrella) expands to
-        every one of its bucket locks; bucket lock names (``users/3``)
-        and unpartitioned shard names pass through.  Expansion happens
-        at lock-acquisition time so query footprints and batch lane
-        keys can stay logical.
-        """
-        out = set()
-        for name in names:
-            part = self._partitions.get(name)
-            if part is not None:
-                out.update(part.lock_names())
-            elif name in self._shard_locks:
-                out.add(name)
-            else:
-                raise MoiraError(MR_INTERNAL, f"unknown shards [{name!r}]")
-        return tuple(sorted(out))
-
-    def shards_for(self, tables, key: Optional[Callable] = None
-                   ) -> Optional[frozenset]:
+    def shards_for(self, tables) -> Optional[frozenset]:
         """Map a table footprint onto writer shard names; None (full
         exclusion) while shards are undeclared or when a table lies
-        outside every shard.  System tables are shard-free and ignored.
-        A partitioned shard narrows to the bucket lock ``key()`` falls
-        in, else keeps its logical name — the umbrella, expanded to
-        every bucket at lock time."""
+        outside every shard.  System tables are shard-free and ignored."""
         if not self.shards:
             return None
         out = set()
@@ -1572,23 +1434,16 @@ class Database(StorageBackend):
                 out.add(shard)
             elif name not in self._unversioned:
                 return None
-        if key is not None:
-            for shard in out & self._partitions.keys():
-                value = key()
-                if value is not None:
-                    part = self._partitions[shard]
-                    out.remove(shard)
-                    out.add(part.lock_name(part.bucket(value)))
         return frozenset(out)
 
     @contextmanager
     def hold_shards(self, shards, on_wait: Optional[Callable] = None):
-        """Hold *shards*' writer locks (expanded to sorted physical
-        names, exactly as a transaction over them will) so the
-        ``write_txn`` bodies inside re-enter instead of re-acquiring."""
+        """Hold *shards*' writer locks (in sorted order, exactly as a
+        transaction over them will) so the ``write_txn`` bodies inside
+        re-enter instead of re-acquiring."""
         held = []
         try:
-            for name in self.expand_shards(shards):
+            for name in self._sorted_shards(shards):
                 lock = self._shard_locks[name]
                 waited = time.perf_counter()
                 lock.acquire_exclusive()
@@ -1599,38 +1454,6 @@ class Database(StorageBackend):
         finally:
             for lock in reversed(held):
                 lock.release_exclusive()
-
-    def _guard_rows(self, table: "Table", rows, changes) -> None:
-        """Sub-shard row guard: every mutated row of a partitioned
-        table must fall in a bucket whose lock the transaction holds.
-
-        Umbrella transactions (or library writes under the facade)
-        pass trivially.  A mutation that changes the partition column
-        itself would re-bucket the row, so it requires the umbrella.
-        """
-        shard = self._shard_of.get(table.name)
-        part = self._partitions.get(shard) if shard is not None else None
-        if part is None or part.table != table.name:
-            return
-        txn = self._active_txn()
-        if txn is None or txn.all_shards:
-            return
-        held = txn.shard_set
-        if all(name in held for name in part.lock_names()):
-            return
-        if changes and part.column in changes:
-            raise MoiraError(
-                MR_INTERNAL,
-                f"{part.column} change on {table.name!r} requires the "
-                f"{part.shard!r} umbrella lock")
-        column = part.column
-        for row in rows:
-            name = part.lock_name(part.bucket(row[column]))
-            if name not in held:
-                raise MoiraError(
-                    MR_INTERNAL,
-                    f"{table.name} row with {column}={row[column]} is in "
-                    f"sub-shard {name!r}, outside the held locks")
 
     def shard_txn(self, shard_names: Optional[Iterable[str]], *,
                   commit_hook: Optional[Callable] = None,
@@ -1842,12 +1665,9 @@ class Database(StorageBackend):
             txn = self._txns.get(threading.get_ident())
             if txn is not None:
                 if table is not None:
-                    # logical check only — a bucket lock "users/3"
-                    # covers the logical "users" shard here, and the
-                    # row-level bucket guard enforces which rows
                     shard = self._shard_of.get(table.name)
                     if not txn.all_shards and (
-                            shard is None or shard not in txn.logical):
+                            shard is None or shard not in txn.shards):
                         raise MoiraError(
                             MR_INTERNAL,
                             f"mutation of {table.name!r} outside the "

@@ -646,6 +646,20 @@ class Journal:
                     "floor": self._compact_floor,
                     "retained": len(self.entries)}
 
+    def _write_atomic(self, path: Union[str, Path], entries) -> None:
+        """Replace *path* with exactly *entries* (after the epoch
+        header, when one is owed): tmp file, fsync, atomic rename — a
+        crash leaves the old file or the new one."""
+        tmp = Path(str(path) + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if self.epoch > 1:
+                fh.write(self._header_line() + "\n")
+            for entry in entries:
+                fh.write(entry.to_line() + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+
     def _rewrite_locked(self) -> None:
         """Rewrite the durable log to exactly the retained entries.
 
@@ -663,29 +677,13 @@ class Journal:
             fresh = None
             if self.entries:
                 fresh = self._segment_path(self.entries[0].seq)
-                tmp = Path(str(fresh) + ".tmp")
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    if self.epoch > 1:
-                        fh.write(self._header_line() + "\n")
-                    for entry in self.entries:
-                        fh.write(entry.to_line() + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, fresh)
+                self._write_atomic(fresh, self.entries)
             for part in old:
                 if fresh is not None and part == fresh:
                     continue
                 part.unlink()
         else:
-            tmp = Path(str(self.path) + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                if self.epoch > 1:
-                    fh.write(self._header_line() + "\n")
-                for entry in self.entries:
-                    fh.write(entry.to_line() + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            self._write_atomic(self.path, self.entries)
 
     # -- checkpoint / truncate ---------------------------------------------
 
@@ -708,15 +706,7 @@ class Journal:
                 if self.rotate_segments:
                     self._truncate_segments(upto_seq)
                 else:
-                    tmp = Path(str(self.path) + ".tmp")
-                    with open(tmp, "w", encoding="utf-8") as fh:
-                        if self.epoch > 1:
-                            fh.write(self._header_line() + "\n")
-                        for entry in self.entries:
-                            fh.write(entry.to_line() + "\n")
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    os.replace(tmp, self.path)
+                    self._write_atomic(self.path, self.entries)
             return dropped
 
     def _truncate_segments(self, upto_seq: int) -> None:
@@ -733,15 +723,7 @@ class Journal:
                 # straddles the watermark: keep only the live suffix
                 keep = [e for e in self.entries
                         if first <= e.seq <= last_covered]
-                tmp = Path(str(path) + ".tmp")
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    if self.epoch > 1:
-                        fh.write(self._header_line() + "\n")
-                    for entry in keep:
-                        fh.write(entry.to_line() + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self._segment_path(upto_seq + 1))
+                self._write_atomic(self._segment_path(upto_seq + 1), keep)
                 path.unlink()
 
     @classmethod
@@ -809,15 +791,7 @@ class Journal:
             if torn and journal.rotate_segments:
                 # scrub the torn record so appends land in a *new*
                 # segment that a future load will not stop short of
-                tmp = Path(str(part) + ".tmp")
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    if journal.epoch > 1:
-                        fh.write(journal._header_line() + "\n")
-                    for entry in entries[part_start:]:
-                        fh.write(entry.to_line() + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, part)
+                journal._write_atomic(part, entries[part_start:])
         journal.entries = entries
         journal._next_seq = (entries[-1].seq + 1) if entries else 1
         journal._when_monotonic = all(

@@ -806,10 +806,6 @@ class Snapshot:
     def __contains__(self, name: str) -> bool:
         return name in self.db.tables
 
-    @property
-    def sim_backend_latency(self) -> float:
-        return self.db.sim_backend_latency
-
     def membership_closure(self):
         inner = self.db.membership_closure()
         if inner is None:

@@ -12,7 +12,7 @@ Field names follow the paper exactly (``users_id``, ``mach_id``,
 
 from __future__ import annotations
 
-from repro.db.engine import Column, Database, ShardPartition, Table
+from repro.db.engine import Column, Database, Table
 
 __all__ = [
     "build_database",
@@ -58,13 +58,9 @@ def _audit() -> list[Column]:
     ]
 
 
-def build_database(*, user_subshards: int = 0) -> Database:
+def build_database() -> Database:
     """A fresh database with all twenty relations, ID hints,
-    and the type-checking alias rows.
-
-    *user_subshards* >= 2 splits the ``users`` writer shard into that
-    many uid-range bucket locks (see :func:`declare_standard_shards`).
-    """
+    the type-checking alias rows and the writer-shard map."""
     db = Database()
 
     db.create_table(Table(
@@ -386,7 +382,7 @@ def build_database(*, user_subshards: int = 0) -> Database:
 
     _seed_values(db)
     _seed_aliases(db)
-    declare_standard_shards(db, user_subshards=user_subshards)
+    db.declare_shards(SHARD_MAP, system=SYSTEM_TABLES)
     return db
 
 
@@ -404,32 +400,6 @@ SHARD_MAP = {
 }
 
 SYSTEM_TABLES = ("values", "strings")
-
-#: Uid-range bucket width for `users` sub-shards: one bucket covers
-#: `span` consecutive uids, so a registration-season run of adjacent
-#: uids still spreads across buckets at realistic storm sizes.
-USER_SUBSHARD_SPAN = 64
-
-
-def declare_standard_shards(db: Database, *,
-                            user_subshards: int = 0) -> None:
-    """Attach the standard writer-shard map to a schema database.
-
-    *user_subshards* >= 2 splits the ``users`` shard's writer lock into
-    that many uid-range bucket locks (``users/0`` ..): single-user
-    mutations routed by uid commit concurrently across buckets, while
-    anything touching lists/members — or an unroutable write — takes
-    the umbrella (every bucket, sorted order).  0 or 1 keeps the
-    one-lock-per-shard shape.
-    """
-    partitions = None
-    if user_subshards and int(user_subshards) >= 2:
-        partitions = {"users": ShardPartition(
-            "users", int(user_subshards), table="users", column="uid",
-            span=USER_SUBSHARD_SPAN)}
-    db.declare_shards(SHARD_MAP, system=SYSTEM_TABLES,
-                      partitions=partitions)
-
 
 def _seed_values(db: Database) -> None:
     """ID hints and state variables the paper names in the values relation."""

@@ -276,7 +276,6 @@ class SqliteDatabase(StorageBackend):
         self.conn.isolation_level = None  # autocommit
         self.tables: dict[str, SqliteTable] = {}
         self.lock = threading.RLock()
-        self.sim_backend_latency = 0.0
 
     def read_view(self) -> _LockedView:
         """The read verb: this database, under its lock."""

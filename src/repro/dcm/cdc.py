@@ -47,6 +47,12 @@ The pipeline, end to end:
    cron path uses (per-host locks, §5.9 update protocol, governor
    admission, ``push_pool_width``).  The cron ``run_once`` keeps its
    own host policy and is the byte-identity oracle.
+6. **Retry** — an outcome that left a host behind (soft failure,
+   governor deferral, held lock) re-opens the service's window, not
+   due before the governor's ``retry_at``; the re-entry finds the
+   version vector unchanged and pushes the recorded generation to the
+   hosts still owed it, so a healed host converges on the extractor's
+   schedule, not cron's.
 """
 
 from __future__ import annotations
@@ -214,8 +220,6 @@ class CdcExtractor:
         journal: Optional[Journal] = None,
         cursor_path: Optional[Union[str, Path]] = None,
         name: str = "cdc",
-        debounce_seconds: int = 0,
-        max_coalesce: int = 256,
         extract_db=None,
     ):
         self.dcm = dcm
@@ -225,8 +229,11 @@ class CdcExtractor:
         # extraction-replica mode so the cursor pins compaction there
         self.journal = journal
         self.name = name
-        self.debounce_seconds = max(0, int(debounce_seconds))
-        self.max_coalesce = max(1, int(max_coalesce))
+        # coalescing window (set on the built extractor): a dirty
+        # service converges once its window is this old, or earlier
+        # past this many mutations
+        self.debounce_seconds = 0
+        self.max_coalesce = 256
         # generation extracts from here (an extraction replica's
         # database, or None = the primary's)
         self.extract_db = extract_db
@@ -324,9 +331,14 @@ class CdcExtractor:
 
     @property
     def has_work(self) -> bool:
-        """True when a commit landed since the last pump, or windows
-        are still open — the cheap should-I-pump probe."""
-        return self._dirty.is_set() or bool(self._pending)
+        """True when a commit landed since the last pump, or an open
+        window has reached its not-before time — the cheap
+        should-I-pump probe."""
+        if self._dirty.is_set():
+            return True
+        now = self.clock.now()
+        return any(now >= slot.get("not_before", 0)
+                   for slot in list(self._pending.values()))
 
     def poll(self, now: Optional[int] = None) -> int:
         """Drain the change stream into dirty-service windows.
@@ -362,6 +374,7 @@ class CdcExtractor:
                 slot["first_seq"] = current
                 slot["last_seq"] = current
                 slot["forced"] = True
+                slot.pop("not_before", None)
         self.cursor.reset(current)
         if self.journal is not None:
             self.journal.set_cursor(self.name, self.cursor.seq)
@@ -383,6 +396,9 @@ class CdcExtractor:
                     "first_seq": entry.seq, "last_seq": entry.seq,
                     "first_at": now, "count": 1, "forced": False}
             else:
+                # new data never waits on a retry's not-before: the
+                # healthy hosts are owed it now
+                slot.pop("not_before", None)
                 slot["last_seq"] = entry.seq
                 slot["count"] += 1
                 self.stats["mutations_coalesced"] += 1
@@ -390,6 +406,8 @@ class CdcExtractor:
     def _due(self, now: int) -> list[str]:
         due = []
         for service, slot in self._pending.items():
+            if now < slot.get("not_before", 0):
+                continue    # a retry the governor would only defer
             if slot.get("forced") or slot["count"] >= self.max_coalesce \
                     or now - slot["first_at"] >= self.debounce_seconds:
                 due.append(service)
@@ -469,11 +487,13 @@ class CdcExtractor:
                 # data captured; host delivery deferred (soft failure /
                 # governor backoff).  Re-open a window pinned at the
                 # stream head — the retry needs current state, not the
-                # original entries.
+                # original entries — and not due before the governor
+                # would admit a host.
                 self._pending.setdefault(service, {
                     "first_seq": self._seen_seq,
                     "last_seq": self._seen_seq,
-                    "first_at": now, "count": 1, "forced": False})
+                    "first_at": now, "count": 1, "forced": False,
+                    "not_before": outcome["retry_at"]})
             return
         # skipped / harderror: the cron path (and the operator who
         # clears the error) own this service until further mutations

@@ -357,11 +357,15 @@ class DCM:
             report.skipped_locked += 1
             report.log.append(f"dcm: {name}: locked, skipping")
 
-    def _cycle_generate(self, service: dict,
-                        cycle: _Cycle) -> Optional[_Generation]:
+    def _cycle_generate(self, service: dict, cycle: _Cycle, *,
+                        record_vector: bool = True
+                        ) -> Optional[_Generation]:
         """Cron's call of the generate step: extract through the cycle's
         shared snapshot; a generator hard error lands in the report and
-        returns None."""
+        returns None.  *record_vector* False remembers the files without
+        their input vector — for a generation that does not move
+        ``dfgen``, so the next due check cannot pair today's vector with
+        yesterday's ``dfgen`` and falls back to ``changed_since``."""
         name = service["name"]
         generator = get_generator(name)
         hosts = self.db.table("serverhosts").select({"service": name})
@@ -369,8 +373,9 @@ class DCM:
             ctx = GenContext(self.db, cycle.now, hosts=hosts)
         else:
             ctx = cycle.ctx.for_service(hosts)
-        gen = self._generate(service, generator, ctx,
-                             cycle.vector(generator))
+        gen = self._generate(
+            service, generator, ctx,
+            cycle.vector(generator) if record_vector else None)
         if gen.error:
             cycle.report.generation_errors.append((name, gen.error))
             cycle.report.hard_failure_origins.append((name, gen.origin))
@@ -481,7 +486,8 @@ class DCM:
             # the real system they'd still be on the Moira disk), or an
             # operator's override demands files that were never built —
             # regenerate in place.
-            gen = self._cycle_generate(service, cycle)
+            gen = self._cycle_generate(
+                service, cycle, record_vector=not service["dfgen"])
             if gen is None:
                 return  # generator hard error: the service is flagged
             result = gen.result
@@ -784,8 +790,10 @@ class DCM:
         Returns a counter dict; ``status`` is one of ``converged``,
         ``no_change``, ``skipped``, ``locked``, or ``harderror``, and
         ``retry`` asks the extractor to keep the service queued (soft
-        failures / governor deferrals — the backoff machinery owns the
-        pacing).
+        failures / governor deferrals) until ``retry_at``, the
+        governor's earliest admission time over the hosts still owed a
+        push.  The re-entry finds the version vector unchanged and
+        pushes the recorded generation to just those hosts.
         """
         out = {"service": name, "status": "converged", "reason": "",
                "generated": False, "incremental": False,
@@ -793,7 +801,7 @@ class DCM:
                "marked_converged": 0, "soft_failures": 0,
                "hard_failures": 0, "deferred": 0, "bytes": 0,
                "files_changed": 0, "origin_seq": origin_seq,
-               "retry": False, "log": []}
+               "retry": False, "retry_at": now, "log": []}
 
         def skipped(reason: str) -> dict:
             out["status"] = "skipped"
@@ -829,13 +837,24 @@ class DCM:
         name = service["name"]
         vector = generator.vector_for(db.versions())
         previous = self._generated.get(name)
-        if previous is not None and \
-                self._recorded_vector(name, db) == vector and \
-                not self._any_override(name):
-            self.total_no_change += 1
-            out["status"] = "no_change"
-            out["reason"] = "version vector unchanged"
-            return out
+        recorded = self._recorded_vector(name, db)
+        if previous is not None and recorded == vector:
+            # nothing to generate; hosts that missed the recorded
+            # generation (a retry, an override) are owed all of it
+            stale = self._pending_targets(service)
+            if not stale:
+                self.total_no_change += 1
+                out["status"] = "no_change"
+                out["reason"] = "version vector unchanged"
+                return out
+            return self._converge_push(
+                service, [(row, machine, previous.payload_for(machine))
+                          for row, machine in stale], set(), now, out)
+        if recorded is None:
+            # files remembered without their inputs (regenerated in
+            # place, or read from another database instance) are not
+            # known to be what any host holds: no deltas against them
+            previous = None
         prev_dfgen = service["dfgen"]
         hosts = self.db.table("serverhosts").select({"service": name})
         gen = self._generate(service, generator,
@@ -887,6 +906,12 @@ class DCM:
                 f"cdc: {name}/{machine_name}: unchanged, "
                 "marked converged")
         out["marked_converged"] = len(marks)
+        return self._converge_push(service, plan, delta_hosts, now, out)
+
+    def _converge_push(self, service: dict, plan: list[tuple],
+                       delta_hosts: set[str], now: int, out: dict) -> dict:
+        """Admit and push a CDC *plan*; fold the round into *out*."""
+        name = service["name"]
         plan, deferred = self._admit(name, plan, now)
         out["deferred"] = len(deferred)
         out["log"].extend(
@@ -906,6 +931,11 @@ class DCM:
             for machine_name in summary.locked)
         out["retry"] = bool(deferred or summary.soft_failures
                             or summary.locked)
+        if out["retry"] and not summary.locked:
+            out["retry_at"] = min(
+                (self.governor.next_admission_at(name, machine_name)
+                 for _, machine_name in self._pending_targets(service)),
+                default=now)
         if service.get("harderror"):
             out["status"] = "harderror"
             out["reason"] = service["errmsg"]

@@ -183,6 +183,20 @@ class PropagationGovernor:
             health.attempts += 1
             return True, "ok"
 
+    def next_admission_at(self, service: str, machine: str) -> float:
+        """The earliest time :meth:`admit` can say yes to this target:
+        the end of an open breaker's cooldown (or of the current probe
+        window), else the backoff gate, else 0."""
+        with self._lock:
+            health = self._get(service, machine)
+            if health.breaker is BreakerState.OPEN:
+                return health.opened_at + self.policy.breaker_cooldown
+            if health.breaker is BreakerState.HALF_OPEN \
+                    and health.last_probe_at:
+                return health.last_probe_at + self.policy.breaker_cooldown
+            return health.next_attempt_at if health.consecutive_soft \
+                else 0.0
+
     # -- outcome recording ------------------------------------------------
 
     def record_success(self, service: str, machine: str) -> None:

@@ -100,12 +100,6 @@ class Query:
     # System tables (values/strings) need not be listed; they are
     # shard-free.
     tables: Optional[object] = None
-    # Sub-shard routing for single-row mutations of a partitioned
-    # shard: ``(db, args) -> Optional[int]`` returning the partition
-    # column's value (the target uid) or None when unresolvable.  Read
-    # *before* any lock is taken — the value it keys on must be
-    # immutable (uid is), else the row guard catches the stale route.
-    shard_key: Optional[Callable] = None
 
     def help_text(self) -> str:
         """The _help line for this query."""
@@ -422,7 +416,6 @@ def register(
     public: bool = False,
     database: str = "moira",
     tables: Optional[object] = None,
-    shard_key: Optional[Callable] = None,
 ) -> Callable[[Handler], Handler]:
     """Decorator registering a predefined query."""
 
@@ -444,7 +437,6 @@ def register(
             database=database,
             tables=tuple(tables) if isinstance(tables, (list, tuple, set))
             else tables,
-            shard_key=shard_key,
         )
         _REGISTRY[name] = query
         _BY_SHORT[shortname] = query

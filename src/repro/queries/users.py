@@ -44,19 +44,6 @@ def _self_only(ctx: QueryContext, args: Sequence[str]) -> bool:
     return ctx.is_caller(str(args[0]))
 
 
-def _login_uid_key(db, args) -> object:
-    """Sub-shard routing key for login-addressed single-user mutations.
-
-    Resolves the target's uid with a pre-lock read — uid is immutable,
-    so the bucket stays correct even if the row is renamed between
-    resolution and lock acquisition.  None (unknown login) routes to
-    the umbrella; the query then fails under full exclusion exactly as
-    it would have.
-    """
-    rows = db.table("users").select({"login": str(args[0])})
-    return rows[0]["uid"] if rows else None
-
-
 @register("get_all_logins", "galo", (), _USER_FIELDS[:6], side_effects=False)
 def get_all_logins(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Summary info for every account in the database."""
@@ -279,8 +266,7 @@ def update_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_user_shell", "uush", ("login", "shell"), (),
-          side_effects=True, access=_self_only, tables=("users",),
-          shard_key=_login_uid_key)
+          side_effects=True, access=_self_only, tables=("users",))
 def update_user_shell(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a user's login shell (self-service allowed)."""
     login, shell = args
@@ -291,8 +277,7 @@ def update_user_shell(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_user_status", "uust", ("login", "status"), (),
-          side_effects=True, tables=("users",),
-          shard_key=_login_uid_key)
+          side_effects=True, tables=("users",))
 def update_user_status(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a user's account status code."""
     login, status = args
@@ -372,8 +357,7 @@ def get_finger_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 @register("update_finger_by_login", "ufbl",
           ("login", "fullname", "nickname", "home_addr", "home_phone",
            "office_addr", "office_phone", "department", "affiliation"),
-          (), side_effects=True, access=_self_only, tables=("users",),
-          shard_key=_login_uid_key)
+          (), side_effects=True, access=_self_only, tables=("users",))
 def update_finger_by_login(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Replace the (free-form) finger fields for one user."""

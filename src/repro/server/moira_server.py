@@ -441,8 +441,9 @@ class MoiraServer:
                 failed = False
                 yield encode_reply(0)
                 return
-            for t in self._execute_read(ctx, query, query_args,
-                                        timing=timing):
+            # timing receives the view's snapshot counters; the
+            # lock-wait histogram stays writer-only
+            for t in run_read(ctx, query, query_args, timing):
                 count += 1
                 yield encode_reply(MR_MORE_DATA, t)
             self.stats.incr("queries_executed")
@@ -485,18 +486,6 @@ class MoiraServer:
                 f"{self.journal.fenced_by}")
         return self._write_batcher.submit(ctx, query, query_args,
                                           timing=timing)
-
-    def _execute_read(self, ctx: QueryContext, query: Query,
-                      query_args: list[str],
-                      timing: Optional[dict] = None) -> Iterator[tuple]:
-        """Run a retrieval, yielding tuples: one simulated backend
-        round trip, then :func:`~repro.queries.base.run_read`.  *timing*,
-        when given, receives the view's snapshot counters (the
-        lock-wait histogram stays writer-only)."""
-        delay = self.db.sim_backend_latency
-        if delay:
-            time.sleep(delay)
-        return run_read(ctx, query, query_args, timing)
 
     def _checked_access(self, ctx: QueryContext, query: Query,
                         args: tuple[str, ...]) -> None:

@@ -55,12 +55,10 @@ __all__ = ["WriteBatcher", "shards_for"]
 def shards_for(db, query, args) -> Optional[frozenset]:
     """The writer shards a query's declared footprint maps onto.
 
-    Resolves the footprint (``Query.tables``) and the sub-shard key
-    (``Query.shard_key``) and asks the backend
+    Resolves the footprint (``Query.tables``) and asks the backend
     (:meth:`~repro.db.backend.StorageBackend.shards_for`).  None means
     full exclusion: the footprint is undeclared or unresolvable, or
-    the backend says so; an unresolvable key keeps the partitioned
-    shard's umbrella.
+    the backend says so.
     """
     tables = query.tables
     if callable(tables):
@@ -70,14 +68,7 @@ def shards_for(db, query, args) -> Optional[frozenset]:
             return None
     if tables is None:
         return None
-    key = None
-    if query.shard_key is not None:
-        def key():
-            try:
-                return query.shard_key(db, args)
-            except Exception:
-                return None
-    return db.shards_for(tables, key)
+    return db.shards_for(tables)
 
 
 class _WriteItem:
@@ -262,11 +253,6 @@ class WriteBatcher:
         on_wait = self.metrics.record_shard_wait \
             if self.metrics is not None else None
         with self.db.hold_shards(lane.key, on_wait):
-            # the paper's backend round trip is paid once per group
-            # commit, not once per write — that is the batching win
-            delay = self.db.sim_backend_latency
-            if delay:
-                time.sleep(delay)
             for item in batch:
                 self._run_item(item, lane.key)
 

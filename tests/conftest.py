@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
 from repro.client import MoiraClient
@@ -11,6 +14,23 @@ from repro.kerberos import KDC
 from repro.queries.base import QueryContext, execute_query
 from repro.server import MoiraServer, seed_capacls
 from repro.sim.clock import Clock
+
+
+def pytest_collection_modifyitems(config, items):
+    """``REPRO_TEST_ORDER_SEED=<int>`` runs the modules in that seeded
+    random order (unset = collection order), so state one module leaks
+    into the next — a registry, a cache, a clock — fails in CI rather
+    than at a re-anchor.  Order inside a module is kept: several
+    modules walk one module-scoped world through a story on purpose."""
+    seed = os.environ.get("REPRO_TEST_ORDER_SEED")
+    if not seed:
+        return
+    modules: dict[str, list] = {}
+    for item in items:
+        modules.setdefault(item.module.__name__, []).append(item)
+    names = sorted(modules)
+    random.Random(int(seed)).shuffle(names)
+    items[:] = [item for name in names for item in modules[name]]
 
 
 @pytest.fixture

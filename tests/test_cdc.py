@@ -107,7 +107,8 @@ class TestCursor:
         assert d.cdc.cursor_lag() == 0
 
     def test_restart_resumes_from_durable_token(self, tmp_path):
-        d = make_deployment(cdc_cursor_path=tmp_path / "cursor.json")
+        d = make_deployment()
+        d.cdc.cursor.path = tmp_path / "cursor.json"
         d.run_hours(7)
         d.pump_cdc()
         token = d.cdc.cursor.seq
@@ -255,7 +256,8 @@ class TestMappingAndCoalescing:
         assert not d.cdc.has_work    # settled: cron ticks stay no-ops
 
     def test_debounce_window_holds_convergence(self):
-        d = make_deployment(cdc_debounce_seconds=300)
+        d = make_deployment()
+        d.cdc.debounce_seconds = 300
         d.run_hours(7)
         add_user(d.direct_client(), "slowed", 20956)
         summary = d.pump_cdc()
@@ -272,8 +274,8 @@ class TestMappingAndCoalescing:
         assert d.cdc.cursor_lag() == 0
 
     def test_max_coalesce_forces_early_convergence(self):
-        d = make_deployment(cdc_debounce_seconds=100000,
-                            cdc_max_coalesce=5)
+        d = make_deployment()
+        d.cdc.debounce_seconds, d.cdc.max_coalesce = 100000, 5
         d.run_hours(7)
         client = d.direct_client()
         for i in range(5):
@@ -444,6 +446,77 @@ class TestByteIdentityOracle:
         report = d.dcm.run_once()
         assert report.propagations_attempted == 0
         assert installed_files(d) == before
+
+
+# -- retries are the extractor's, not cron's ------------------------------------
+
+
+class TestRetry:
+    def test_healed_host_converges_on_the_extractors_schedule(self):
+        """A host that missed a CDC push is retried by the extractor at
+        the governor's not-before time — with cron's DCM removed — and
+        ends byte-identical to a twin that never partitioned."""
+        d, twin = make_deployment(), make_deployment()
+        for world in (d, twin):
+            world.run_hours(7)
+            world.cron.remove("dcm")    # only the extractor pushes now
+        victim = d.handles.nfs_machines[0]
+        d.network.partition(victim)
+        for world in (d, twin):
+            add_user(world.direct_client(), "retried", 20970)
+        twin.pump_cdc()
+        nfs = {o["service"]: o for o in d.pump_cdc()["outcomes"]}["NFS"]
+        hosts = len(d.handles.nfs_machines)
+        assert (nfs["status"], nfs["pushes"], nfs["soft_failures"],
+                nfs["retry"]) == ("converged", hosts - 1, 1, True)
+        assert nfs["retry_at"] > d.clock.now()
+        assert installed_files(d) != installed_files(twin)
+
+        # inside the backoff the queued retry costs no pump at all
+        pumps = d.cdc.stats["pumps"]
+        d.cron.run_for(30)
+        assert d.cdc.stats["pumps"] == pumps
+        d.network.heal(victim)
+        d.run_hours(1)
+        dfgen = service_row(d, "NFS")["dfgen"]
+        assert all(h["success"] and h["lts"] >= dfgen
+                   for h in host_rows(d, "NFS"))
+        assert d.cdc.debounce_occupancy() == 0
+        assert installed_files(d) == installed_files(twin)
+
+    def test_new_mutation_does_not_wait_on_a_retry(self):
+        """A mutation landing in a retry window converges the healthy
+        hosts on the next pump; only the dead host keeps waiting."""
+        d = make_deployment()
+        d.run_hours(7)
+        victim = d.handles.nfs_machines[0]
+        d.network.partition(victim)
+        add_user(d.direct_client(), "first", 20971)
+        d.pump_cdc()
+        add_user(d.direct_client(), "second", 20972)
+        d.pump_cdc()
+        for name in d.handles.nfs_machines[1:]:
+            creds = d.hosts[name.upper()].fs.read("/etc/nfs/credentials")
+            assert b"second" in creds
+
+
+class TestRestartedDcm:
+    def test_no_delta_against_files_regenerated_in_place(self):
+        """A restarted DCM's cron tick rebuilds HESIOD in place before
+        the extractor pumps: those files already hold the pending
+        change, so a delta against them would be empty and the change
+        would reach no host.  Files remembered without their input
+        vector are nobody's previous generation."""
+        d = make_deployment()
+        d.run_hours(7)
+        d.clock.advance(60)
+        d.direct_client().query("update_user_shell",
+                                d.handles.logins[0], "/bin/pending")
+        d.dcm._generated.clear()    # a new DCM process, same database
+        d.dcm.run_once()            # HESIOD not due: rebuilt in place
+        d.pump_cdc()
+        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
+        assert b"/bin/pending" in hesiod.fs.read("/etc/hesiod/passwd.db")
 
 
 # -- the shared push engine at width > 1 (mirrors TestParallelPropagation) -----

@@ -498,69 +498,3 @@ class TestBackpressureStall:
         assert got_exclusive.wait(timeout=5)
         t.join(timeout=5)
         server.close_connection(conn_id)
-
-
-class TestConcurrentReads:
-    def test_readers_overlap_under_simulated_backend_latency(
-            self, deployment):
-        """Four pooled readers with a 0.2 s simulated INGRES round trip
-        finish in ~one round trip, not four (shared lock mode)."""
-        d = deployment
-        d.db.sim_backend_latency = 0.2
-        try:
-            errors: list[Exception] = []
-
-            def reader(i):
-                try:
-                    client = MoiraClient(dispatcher=d.server)
-                    client.connect()
-                    client.query("get_machine", "*")
-                    client.close()
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=reader, args=(i,))
-                       for i in range(4)]
-            start = time.monotonic()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            elapsed = time.monotonic() - start
-        finally:
-            d.db.sim_backend_latency = 0.0
-        assert not errors
-        assert elapsed < 0.6  # serial would be >= 0.8
-
-    def test_writers_still_serialise(self, deployment):
-        """Two mutations with the same simulated latency take two round
-        trips (exclusive mode is untouched by the rwlock change)."""
-        d = deployment
-        login = d.handles.logins[1]
-        d.make_admin(login)
-        clients = [d.client_for(login, "pw2") for _ in range(2)]
-        d.db.sim_backend_latency = 0.1
-        try:
-            errors: list[Exception] = []
-
-            def writer(i):
-                try:
-                    clients[i].query(
-                        "add_machine", f"SER{i}.MIT.EDU", "VAX")
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=writer, args=(i,))
-                       for i in range(2)]
-            start = time.monotonic()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            elapsed = time.monotonic() - start
-        finally:
-            d.db.sim_backend_latency = 0.0
-            for c in clients:
-                c.close()
-        assert not errors
-        assert elapsed >= 0.19

@@ -240,6 +240,23 @@ class TestFailureHandling:
         assert "ZEPHYR" in d.dcm._generated
         assert "MAIL" not in d.dcm._generated
 
+    def test_regenerating_in_place_does_not_swallow_an_update(
+            self, deployment):
+        """In-place regeneration leaves ``dfgen`` where it was, so it
+        must not record today's version vector against it: a change
+        made since ``dfgen`` still has to be seen by the next due
+        check and reach the hosts."""
+        d = deployment
+        d.run_hours(7)              # HESIOD generated and pushed
+        d.clock.advance(60)
+        d.direct_client().query("update_user_shell", d.handles.logins[0],
+                                "/bin/inplace")
+        d.dcm._generated.clear()    # a new DCM process, same database
+        d.dcm.run_once()            # HESIOD not due: rebuilt in place
+        d.run_hours(30)
+        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
+        assert b"/bin/inplace" in hesiod.fs.read("/etc/hesiod/passwd.db")
+
     def test_reset_error_reenables_service(self, deployment):
         d = deployment
         first_zephyr = d.handles.zephyr_machines[0]

@@ -80,7 +80,7 @@ class TestConfigToggles:
     def test_knob_count_only_ratchets_down(self):
         # every independent knob doubles the configurations nobody
         # tests (DESIGN.md §17); adding one means deleting one first
-        assert len(dataclasses.fields(DeploymentConfig)) <= 23
+        assert len(dataclasses.fields(DeploymentConfig)) <= 19
 
     def test_access_cache_disabled_deployment(self):
         d = AthenaDeployment(DeploymentConfig(

@@ -71,7 +71,7 @@ def test_the_checker_catches_what_it_forbids():
     bad = ast.parse(
         "a = getattr(self.db, 'mvcc_stats', None)\n"
         "b = hasattr(table, 'changes_since')\n"
-        "c = getattr(query, 'shard_key', None)\n"
+        "c = getattr(query, 'tables', None)\n"
         "d = ctx.db._sys_latch\n"
         "e = db._shard_of.get(name)\n")
     assert len(violations(bad)) == 5

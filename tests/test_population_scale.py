@@ -122,8 +122,8 @@ def _digest(db, tmp_path, tag):
     return h.hexdigest()
 
 
-def _build(tmp_path, tag, *, parallel, workers=None, subshards=0):
-    db = build_database(user_subshards=subshards)
+def _build(tmp_path, tag, *, parallel, workers=None):
+    db = build_database()
     handles = load_population(db, PopulationSpec(**SMALL),
                               parallel=parallel, workers=workers)
     return handles, _digest(db, tmp_path, tag)
@@ -140,11 +140,6 @@ class TestParallelBuild:
         _, d_one = _build(tmp_path, "par1", parallel=True, workers=1)
         _, d_eight = _build(tmp_path, "par8", parallel=True, workers=8)
         assert d_one == d_eight
-
-    def test_subshards_are_invisible(self, tmp_path):
-        _, d_flat = _build(tmp_path, "flat", parallel=True)
-        _, d_sub = _build(tmp_path, "sub", parallel=True, subshards=8)
-        assert d_flat == d_sub
 
     def test_builds_are_rerun_stable(self, tmp_path):
         _, first = _build(tmp_path, "a", parallel=True)

@@ -17,6 +17,8 @@ import time
 
 import pytest
 
+from repro.core import AthenaDeployment, DeploymentConfig
+from repro.db.backend import create_backend
 from repro.db.backup import mrbackup
 from repro.db.journal import Journal
 from repro.db.recovery import apply_bindings, checkpoint, recover, replay_wal
@@ -29,6 +31,7 @@ from repro.replication.feed import entry_from_tuple, entry_to_tuple
 from repro.server import MoiraServer, seed_capacls
 from repro.sim.clock import DEFAULT_EPOCH, Clock
 from repro.sim.faults import FaultInjector, ServerCrash
+from repro.workload import PopulationSpec
 
 BASE = DEFAULT_EPOCH + 500
 
@@ -46,6 +49,12 @@ class TestShardedEngine:
         # system tables belong to no shard
         assert "values" not in db._shard_of
         assert "strings" not in db._shard_of
+
+    def test_unknown_shard_is_loud(self):
+        db = build_database()
+        with pytest.raises(MoiraError):
+            with db.shard_txn(["users/9"]):
+                pass
 
     def test_disjoint_shards_commit_concurrently(self):
         """A machines-shard writer commits while a users-shard
@@ -412,3 +421,159 @@ class TestWriteBatcher:
         journal.faults = None
         assert _send(server, conn_id,
                      ["add_machine", "CR1.MIT.EDU", "VAX"]) == 0
+
+
+# -- the whole write path under a pooled storm (the E15 / E16 oracles) ---------
+
+STORM_SPEC = dict(users=40, unregistered_users=12, nfs_servers=2,
+                  maillists=4, clusters=1, machines_per_cluster=2,
+                  printers=2, network_services=4)
+
+
+def _storm_world(tmp_path, backend="memory", *, workers=None, wal=True):
+    config = dict(population=PopulationSpec(**STORM_SPEC),
+                  server_workers=workers)
+    if wal:
+        config["wal_path"] = tmp_path / "wal"
+    config["backend"] = backend     # sqlite: in-memory, the WAL is on disk
+    d = AthenaDeployment(DeploymentConfig(**config))
+    admin = d.handles.logins[-1]
+    d.make_admin(admin)     # before any checkpoint: in the snapshot
+    return d, admin
+
+
+def _dump(db, directory):
+    mrbackup(db, directory)
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestPooledStorm:
+    def test_cross_shard_storm_replays_byte_identically(self, tmp_path):
+        """Registrations (all three writer shards), a status rollover
+        (users) and machine churn (machines) committed concurrently on
+        the default worker pool: the WAL is in commit-seq order and
+        checkpoint + replay rebuilds the primary byte for byte — id
+        bindings reproduce allocations that interleaved out of commit
+        order."""
+        d, admin = _storm_world(tmp_path)
+        unregistered = d.db.table("users").select({"status": 0})
+        plans = [
+            [["register_user", str(u["uid"]), f"storm{i}", "1"]
+             for i, u in enumerate(unregistered)][t::2]
+            for t in range(2)
+        ] + [
+            [["update_user_status", login, "3"]
+             for login in d.handles.logins[:24]][t::2]
+            for t in range(2)
+        ] + [
+            [["add_machine", f"STORM{i}.MIT.EDU", "VAX"]
+             for i in range(24)][t::2]
+            for t in range(2)
+        ]
+        checkpoint(d.db, d.journal, tmp_path / "snap")
+        errors: list[BaseException] = []
+        gate = threading.Barrier(len(plans))
+
+        def client(plan) -> None:
+            try:
+                conn_id = d.server.open_connection("storm")
+                d.server._connections[conn_id].principal = admin
+                gate.wait(timeout=30)
+                for query in plan:
+                    replies: list[bytes] = []
+                    done = threading.Event()
+                    d.server.submit_frame(
+                        conn_id, _query_frame(query),
+                        lambda r, acc=replies: (acc.append(r), True)[1],
+                        done.set)
+                    assert done.wait(timeout=60), f"stalled on {query}"
+                    code = decode_reply(replies[-1][4:]).code
+                    assert code == 0, (query, code)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(plan,))
+                   for plan in plans]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        alive = [t for t in threads if t.is_alive()]
+        d.server.shutdown()
+        d.journal.close()
+        assert not alive and not errors, errors[:3]
+
+        seqs = [e.commit_seq for e in d.journal.entries if e.commit_seq]
+        assert len(seqs) >= sum(len(plan) for plan in plans)
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        rec = recover(tmp_path / "snap", wal_path=tmp_path / "wal")
+        assert _dump(rec.db, tmp_path / "replayed") == \
+            _dump(d.db, tmp_path / "primary")
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_batch_boundary_crash_sweep(self, backend, tmp_path):
+        """Die at each of the first commit windows' durability points —
+        ``journal.batch_flush`` and a torn write, alternating — under
+        four inline clients; checkpoint + surviving WAL + an idempotent
+        re-run lands on the never-crashed oracle, on both backends."""
+        shells = ["/bin/sh", "/usr/athena/tcsh", "/bin/csh"]
+
+        def mutations(d):
+            return [["update_user_shell", login, shells[i % 3]]
+                    for i, login in enumerate(d.handles.logins[:16])]
+
+        def apply(db, clock, admin, query):
+            ctx = QueryContext(db=db, clock=clock, caller=admin,
+                               client="storm", privileged=True)
+            execute_query(ctx, query[0], query[1:])
+
+        workdir = tmp_path / "oracle"
+        workdir.mkdir()
+        d, admin = _storm_world(workdir, backend, workers=0, wal=False)
+        for query in mutations(d):
+            apply(d.db, d.clock, admin, query)
+        oracle = _dump(d.db, workdir / "dump")
+
+        for boundary in range(1, 5):
+            workdir = tmp_path / f"b{boundary}"
+            workdir.mkdir()
+            d, admin = _storm_world(workdir, backend, workers=0)
+            muts = mutations(d)
+            checkpoint(d.db, d.journal, workdir / "snap")
+            faults = FaultInjector()
+            if boundary % 2:
+                faults.crash_server("journal.batch_flush",
+                                    at_call=boundary)
+            else:
+                faults.tear_write("journal.write", at_call=boundary)
+            d.journal.faults = faults
+            dead = threading.Event()
+
+            def client(plan) -> None:
+                conn_id = d.server.open_connection("storm")
+                d.server._connections[conn_id].principal = admin
+                for query in plan:
+                    if dead.is_set():
+                        return
+                    try:
+                        d.server.handle_frame(conn_id,
+                                              _query_frame(query))
+                    except ServerCrash:
+                        dead.set()
+                        return
+
+            threads = [threading.Thread(target=client, args=(muts[t::4],))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert dead.is_set(), f"boundary {boundary} never fired"
+            db = recover(workdir / "snap", wal_path=workdir / "wal",
+                         db=create_backend(backend)).db
+            for query in muts:      # the operator re-runs the schedule
+                try:
+                    apply(db, d.clock, admin, query)
+                except MoiraError:
+                    pass            # the WAL already made it durable
+            assert _dump(db, workdir / "dump") == oracle, boundary
