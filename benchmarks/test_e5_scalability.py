@@ -47,12 +47,17 @@ def full_cycle_wall(d):
 
 
 def dirty_full_cycle_wall(d, serial):
-    """The steady-state full cycle: one user changed, every service due
-    again — all four generators run and all 25 hosts are re-propagated."""
+    """The steady-state full cycle: one user renamed — a login is a
+    column all four generators read, where a shell reaches only Hesiod
+    and the mail hub — every service due again: all four generators
+    run and all 25 hosts are re-propagated."""
     d.clock.advance(60)  # the change lands after the last generation
     login = d.handles.logins[serial % len(d.handles.logins)]
-    shell = f"/bin/sh{serial}"
-    d.direct_client().query("update_user_shell", login, shell)
+    user = d.db.table("users").select({"login": login})[0]
+    d.direct_client().query(
+        "update_user", login, f"{login}r{serial}", user["uid"],
+        user["shell"], user["last"], user["first"], user["middle"],
+        user["status"], user["mit_id"], user["mit_year"])
     return full_cycle_wall(d)
 
 
@@ -137,7 +142,7 @@ class TestScalability:
     def test_pipeline_speedup_at_10k(self, benchmark):
         """The incremental pipeline versus the seed-era one at 10k
         users — one cold full cycle, then three steady-state full
-        cycles (one user change each, every service due, all 25 hosts
+        cycles (one user renamed each, every service due, all 25 hosts
         re-propagated):
 
         * ``legacy_dcm=True`` reproduces the seed behaviour end to end

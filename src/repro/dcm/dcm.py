@@ -331,17 +331,26 @@ class DCM:
             with self.locks.held(f"service:{name}", LockMode.EXCLUSIVE):
                 self._set_service_flags(service, inprogress=1)
                 generator = get_generator(name)
+                vector = cycle.vector(generator)
+                changes = self._changes(name, generator, vector, self.db)
+                if changes is not None:
+                    unchanged = not changes
+                else:
+                    unchanged = not self._inputs_changed(generator, service,
+                                                         vector)
                 if not self.always_regenerate and service["dfgen"] and \
-                        not self._inputs_changed(generator, service,
-                                                 cycle.vector(generator)):
-                    # MR_NO_CHANGE: only dfcheck moves forward
+                        unchanged:
+                    # MR_NO_CHANGE: only dfcheck moves forward (and the
+                    # vector, past columns no output reads)
+                    if changes is not None:
+                        self._gen_versions[name] = vector
                     self.total_no_change += 1
                     report.generations_no_change += 1
                     report.no_change_services.append(name)
                     report.log.append(f"dcm: {name}: no change")
                     self._set_service_flags(service, dfcheck=now)
                     return
-                gen = self._cycle_generate(service, cycle)
+                gen = self._cycle_generate(service, cycle, changes=changes)
                 if gen is None:
                     return
                 report.generations += 1
@@ -358,7 +367,8 @@ class DCM:
             report.log.append(f"dcm: {name}: locked, skipping")
 
     def _cycle_generate(self, service: dict, cycle: _Cycle, *,
-                        record_vector: bool = True
+                        record_vector: bool = True,
+                        changes: Optional[dict] = None
                         ) -> Optional[_Generation]:
         """Cron's call of the generate step: extract through the cycle's
         shared snapshot; a generator hard error lands in the report and
@@ -375,7 +385,8 @@ class DCM:
             ctx = cycle.ctx.for_service(hosts)
         gen = self._generate(
             service, generator, ctx,
-            cycle.vector(generator) if record_vector else None)
+            cycle.vector(generator) if record_vector else None,
+            changes=changes)
         if gen.error:
             cycle.report.generation_errors.append((name, gen.error))
             cycle.report.hard_failure_origins.append((name, gen.origin))
@@ -401,18 +412,33 @@ class DCM:
             return None
         return self._gen_versions.get(name)
 
-    def _collect_changes(self, generator, recorded: dict[str, int],
-                         vector: dict[str, int], db: Database):
-        """Changed dependency tables -> their changed-row logs (None
-        where a log is unavailable or has overflowed)."""
+    def _changes(self, name: str, generator,
+                 vector: Optional[dict[str, int]], db: Database
+                 ) -> Optional[dict]:
+        """What moved since the remembered generation of *name*: changed
+        dependency table -> the changed-row-log entries touching a
+        column the generator reads (None where a log is unavailable or
+        has overflowed).  A table whose entries all touched columns no
+        output reads is left out, so an empty dict means nothing the
+        files show has moved.  None when there is no generation to
+        patch: no files in memory, or no vector comparable to *vector*.
+        """
+        recorded = self._recorded_vector(name, db)
+        if name not in self._generated or recorded is None \
+                or vector is None:
+            return None
         changes = {}
         for table_name, version in vector.items():
             old = recorded.get(table_name)
             if old == version:
                 continue
-            changes[table_name] = (
-                db.table(table_name).changes_since(old)
-                if old is not None else None)
+            log = (db.table(table_name).changes_since(old)
+                   if old is not None else None)
+            if log is not None:
+                log = generator.relevant(table_name, log)
+                if not log:
+                    continue
+            changes[table_name] = log
         # tables that vanished from the vector count as changed too
         for table_name in recorded:
             if table_name not in vector:
@@ -479,23 +505,28 @@ class DCM:
         name, now, report = service["name"], cycle.now, cycle.report
         result = self._generated.get(name)
         targets = self._pending_targets(service)
-        if result is None and (
-                service["dfgen"]
-                or any(row["override"] for row, _ in targets)):
-            # Either a previous DCM process generated these files (on
-            # the real system they'd still be on the Moira disk), or an
-            # operator's override demands files that were never built —
-            # regenerate in place.
+        if result is None:
+            # A previous DCM process generated these files (on the real
+            # system they would still be on the Moira disk) or an
+            # operator's override demands files never built: rebuild in
+            # place — when a host is waiting for them, or when the
+            # remembered input vector still describes the database, so
+            # the rebuild is exactly what the converged hosts hold and
+            # goes on record as the base CDC patches and deltas from.
+            vector = cycle.vector(get_generator(name))
+            current = (vector is not None and vector
+                       == self._recorded_vector(name, self.db))
+            if not (targets or current):
+                return
             gen = self._cycle_generate(
-                service, cycle, record_vector=not service["dfgen"])
+                service, cycle,
+                record_vector=current or not service["dfgen"])
             if gen is None:
                 return  # generator hard error: the service is flagged
             result = gen.result
             if not service["dfgen"]:
                 self._set_service_flags(service, dfgen=now, dfcheck=now)
                 targets = self._pending_targets(service)
-        if result is None:
-            return  # nothing has ever been generated
 
         if not self.legacy_pipeline:
             targets, _deferred = self._admit(name, targets, now)
@@ -535,11 +566,13 @@ class DCM:
 
     def _generate(self, service: dict, generator, ctx: GenContext,
                   vector: Optional[dict[str, int]],
-                  origin_seq: Optional[int] = None) -> _Generation:
-        """The guarded generate step: patch the previous result when the
-        generator knows how, else build in full, and remember the result
-        with its input vector (tagged with its source database) and the
-        journal watermark for attribution.
+                  origin_seq: Optional[int] = None,
+                  changes: Optional[dict] = None) -> _Generation:
+        """The guarded generate step: patch the previous result from
+        *changes* (:meth:`_changes`) when the generator knows how, else
+        build in full, and remember the result with its input vector
+        (tagged with its source database) and the journal watermark for
+        attribution.
 
         Any generator exception is a hard error: the service is flagged
         ``harderror``, MOIRA/DCM is zephyred with the origin seq, and
@@ -547,14 +580,12 @@ class DCM:
         """
         name = service["name"]
         previous = self._generated.get(name)
-        recorded = self._recorded_vector(name, ctx.db)
         result, message = None, ""
         try:
-            if previous is not None and recorded is not None and \
-                    vector is not None and not self.always_regenerate:
-                result = generator.generate_incremental(
-                    ctx, previous, self._collect_changes(
-                        generator, recorded, vector, ctx.db))
+            if previous is not None and changes is not None \
+                    and not self.always_regenerate:
+                result = generator.generate_incremental(ctx, previous,
+                                                        changes)
             incremental = result is not None
             if result is None:
                 result = generator.generate(ctx)
@@ -836,11 +867,13 @@ class DCM:
                          now: int, origin_seq: int, out: dict) -> dict:
         name = service["name"]
         vector = generator.vector_for(db.versions())
+        changes = self._changes(name, generator, vector, db)
         previous = self._generated.get(name)
-        recorded = self._recorded_vector(name, db)
-        if previous is not None and recorded == vector:
-            # nothing to generate; hosts that missed the recorded
+        if changes is not None and not changes:
+            # nothing any output reads has moved: the vector moves on
+            # without a generation, and hosts that missed the recorded
             # generation (a retry, an override) are owed all of it
+            self._gen_versions[name] = vector
             stale = self._pending_targets(service)
             if not stale:
                 self.total_no_change += 1
@@ -850,7 +883,7 @@ class DCM:
             return self._converge_push(
                 service, [(row, machine, previous.payload_for(machine))
                           for row, machine in stale], set(), now, out)
-        if recorded is None:
+        if self._recorded_vector(name, db) is None:
             # files remembered without their inputs (regenerated in
             # place, or read from another database instance) are not
             # known to be what any host holds: no deltas against them
@@ -859,7 +892,7 @@ class DCM:
         hosts = self.db.table("serverhosts").select({"service": name})
         gen = self._generate(service, generator,
                              GenContext(db, now, hosts=hosts), vector,
-                             origin_seq)
+                             origin_seq, changes)
         if gen.error:
             out["status"] = "harderror"
             out["reason"] = gen.error

@@ -9,20 +9,26 @@ DCM cycle; ``for_service`` hands each generator a view carrying its own
 serverhosts rows while sharing the cycle's memoised extracts, so the
 five generators never re-derive the same map.
 
-Each generator declares its input relations in ``depends``.  The DCM
+Each generator declares, per output, which columns of which relation it
+reads (``reads``); its input relations (``depends``) follow.  The DCM
 compares the per-table data versions of those relations (an exact
 version vector, see ``Database.versions()``) instead of scanning
-modtimes, and generators may implement ``generate_incremental`` to
-patch a previous :class:`GeneratorResult` from the tables' changed-row
-logs rather than re-extracting everything.
+modtimes, drops changed-row-log entries that touch no column the
+generator reads, and generators may implement ``generate_incremental``
+to patch a previous :class:`GeneratorResult` from what is left: an
+output the changes do not reach keeps its bytes, a :class:`Keyed`
+output re-renders only the lines whose rows moved, anything else is
+rebuilt.
 """
 
 from __future__ import annotations
 
 import io
 import tarfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional
 
 from repro.db.engine import Database, Row, TableChange
 from repro.db.schema import USER_STATE_ACTIVE
@@ -31,6 +37,9 @@ __all__ = [
     "GenContext",
     "Generator",
     "GeneratorResult",
+    "Keyed",
+    "changed_rows",
+    "users_keyed",
     "register_generator",
     "get_generator",
     "all_generators",
@@ -47,8 +56,8 @@ class GeneratorResult:
     ``files`` go to every host of the service; ``host_files`` adds or
     overrides per-machine content (NFS partitions differ per server;
     a serverhost's value3 selects a restricted credentials file).
-    ``meta`` is scratch space for incremental generators (e.g. keyed
-    line maps) — it never reaches a host.
+    ``meta`` is scratch space for incremental generators (each
+    output's bytes and sorted keys) — it never reaches a host.
     """
 
     files: dict[str, bytes] = field(default_factory=dict)
@@ -225,9 +234,10 @@ class GenContext:
                     stack.append(member["member_id"])
         return found
 
+    @property
     def groups_of_user(self) -> dict[int, list[Row]]:
         """users_id -> active group rows (direct membership only, as in
-        the grplist extract)."""
+        the grplist extract), memoised."""
 
         def build() -> dict[int, list[Row]]:
             out: dict[int, list[Row]] = {}
@@ -247,17 +257,266 @@ class GenContext:
         name = self.machine_names.get(mach_id, "???")
         return name.split(".")[0].lower()
 
+    @property
     def home_dirs(self) -> dict[int, str]:
-        """users_id -> home directory (mount point of their HOMEDIR)."""
+        """users_id -> home directory: the mount point of the user's
+        HOMEDIR locker (the lowest filsys_id, should there be several),
+        memoised."""
 
         def build() -> dict[int, str]:
-            out: dict[int, str] = {}
+            best: dict[int, Row] = {}
             for fs in self.db.table("filesys").rows:
                 if fs["lockertype"] == "HOMEDIR":
-                    out.setdefault(fs["owner"], fs["mount"])
-            return out
+                    held = best.get(fs["owner"])
+                    if held is None or fs["filsys_id"] < held["filsys_id"]:
+                        best[fs["owner"]] = fs
+            return {owner: fs["mount"] for owner, fs in best.items()}
 
         return self._memoised("home_dirs", build)
+
+    # -- point lookups: the patch path -----------------------------------------
+    #
+    # Each answers from the cycle's memoised map when a full extract has
+    # already built it, else with one index probe, so a patch touching
+    # a handful of rows never pays for a whole-relation map.  Both ways
+    # give the same answer — that is what keeps a patched file
+    # byte-identical to a full generate.
+
+    def find(self, table: str, where: dict) -> Optional[Row]:
+        """The row of *table* whose columns equal *where* — literally:
+        a value that looks like a wildcard matches only itself."""
+        for row in self.db.table(table).select(where):
+            if all(row[name] == value for name, value in where.items()):
+                return row
+        return None
+
+    def user(self, users_id: int) -> Optional[Row]:
+        """The users row with *users_id*, or None."""
+        memo = self._memo.get("users_by_id")
+        if memo is not None:
+            return memo.get(users_id)
+        return self.find("users", {"users_id": users_id})
+
+    def user_by_login(self, login: str) -> Optional[Row]:
+        """The users row with *login*, or None."""
+        return self.find("users", {"login": login})
+
+    def machine_name(self, mach_id: int) -> str:
+        """Canonical name of *mach_id* ("???" when there is none)."""
+        memo = self._memo.get("machine_names")
+        if memo is not None:
+            return memo.get(mach_id, "???")
+        row = self.find("machine", {"mach_id": mach_id})
+        return row["name"] if row else "???"
+
+    def list_row(self, list_id: int) -> Optional[Row]:
+        """The list row with *list_id*, or None."""
+        memo = self._memo.get("lists_by_id")
+        if memo is not None:
+            return memo.get(list_id)
+        return self.find("list", {"list_id": list_id})
+
+    def string(self, string_id: int) -> Optional[str]:
+        """The text of *string_id*, or None."""
+        memo = self._memo.get("strings_by_id")
+        if memo is not None:
+            return memo.get(string_id)
+        row = self.find("strings", {"string_id": string_id})
+        return row["string"] if row else None
+
+    def home_dir(self, users_id: int) -> Optional[str]:
+        """One user's entry of :attr:`home_dirs`."""
+        memo = self._memo.get("home_dirs")
+        if memo is not None:
+            return memo.get(users_id)
+        best = None
+        for fs in self.db.table("filesys").select({"owner": users_id}):
+            if fs["lockertype"] == "HOMEDIR" and (
+                    best is None or fs["filsys_id"] < best["filsys_id"]):
+                best = fs
+        return best["mount"] if best else None
+
+    def user_groups(self, users_id: int) -> list[Row]:
+        """One user's entry of :attr:`groups_of_user` (in no particular
+        order — every consumer sorts)."""
+        memo = self._memo.get("groups_of_user")
+        if memo is not None:
+            return memo.get(users_id, [])
+        groups = []
+        for member in self.db.table("members").select(
+                {"member_type": "USER", "member_id": users_id}):
+            group = self.list_row(member["list_id"])
+            if group is not None and group["grouplist"] and group["active"]:
+                groups.append(group)
+        return groups
+
+    def list_members(self, list_id: int) -> list[Row]:
+        """*list_id*'s member rows, always from the list_id index —
+        the order a rendered member list follows on every path."""
+        return self.db.table("members").select({"list_id": list_id})
+
+    def parent_lists(self, list_id: int) -> list[int]:
+        """Lists holding *list_id* as a LIST member."""
+        return [m["list_id"] for m in self.db.table("members").select(
+            {"member_type": "LIST", "member_id": list_id})]
+
+
+# -- keyed outputs -------------------------------------------------------------
+
+# columns several generators read
+MACHINE = ("mach_id", "name")
+GROUP = ("list_id", "name", "gid", "grouplist", "active")
+MEMBER = ("list_id", "member_type", "member_id")
+HOME = ("filsys_id", "owner", "lockertype", "mount")
+
+
+def users_with_ids(ctx: GenContext, users_ids: Iterable[int]) -> list[Row]:
+    """The users rows with *users_ids* (gone ones skipped)."""
+    return [user for user in map(ctx.user, users_ids) if user is not None]
+
+
+def changed_rows(change: TableChange) -> list[Row]:
+    """The row images around one change (before and/or after)."""
+    return [row for row in (change.before, change.after) if row is not None]
+
+
+def via_member(ctx: GenContext, change: TableChange) -> list[Row]:
+    """members change -> a USER member."""
+    return users_with_ids(ctx, {row["member_id"]
+                                for row in changed_rows(change)
+                                if row["member_type"] == "USER"})
+
+
+def via_group(ctx: GenContext, change: TableChange) -> list[Row]:
+    """list change -> the list's USER members."""
+    return users_with_ids(ctx, {
+        member["member_id"]
+        for row in changed_rows(change)
+        for member in ctx.list_members(row["list_id"])
+        if member["member_type"] == "USER"})
+
+
+@dataclass(frozen=True)
+class Keyed:
+    """An output with one entry per row of *table*, in key order, that
+    a patch re-renders entry by entry.
+
+    ``key(row)`` names and orders a row's entry; ``lookup(ctx, key)``
+    is the current row for a key (None once gone); ``render(ctx, row)``
+    is its text (None = no entry; usually one line, but it may span
+    several); ``rows(ctx)`` feeds a full build, which first builds the
+    memoised :class:`GenContext` maps named in ``maps`` so that
+    ``render``'s point lookups hit them.  ``via`` maps each other
+    relation the output reads to ``reach(ctx, change)``, the current
+    rows of *table* a change there reaches (through an index), and may
+    name *table* itself to reach entries beyond the changed row's own.
+    A change in a relation with no ``via`` entry rebuilds the output.
+
+    The rendered bytes stay the only copy of the text: the state a
+    patch needs is the sorted key list plus, only when an entry spans
+    several lines, each entry's line count.
+    """
+
+    table: str
+    key: Callable[[Row], Any]
+    lookup: Callable[[GenContext, Any], Optional[Row]]
+    render: Callable[[GenContext, Row], Optional[str]]
+    rows: Callable[[GenContext], Iterable[Row]]
+    via: dict = field(default_factory=dict)
+    maps: tuple[str, ...] = ()
+
+    def build(self, ctx: GenContext) -> tuple[bytes, tuple]:
+        """(bytes, patch state) from every row."""
+        for name in self.maps:
+            getattr(ctx, name)
+        key, render = self.key, self.render
+        by_key = {}
+        for row in self.rows(ctx):
+            text = render(ctx, row)
+            if text is not None:
+                by_key[key(row)] = text
+        if not by_key:
+            return b"", ((), None)
+        keys = sorted(by_key)
+        texts = [by_key[k] for k in keys]
+        body = "\n".join(texts)
+        spans = None
+        if body.count("\n") + 1 != len(texts):
+            spans = [text.count("\n") + 1 for text in texts]
+        return (body + "\n").encode("utf-8"), (keys, spans)
+
+    def patch(self, ctx: GenContext, data: bytes, state: tuple,
+              dirty: dict) -> Optional[tuple[bytes, tuple, bool]]:
+        """(bytes, state, whether any entry was reached) after the
+        changes in *dirty* (relation -> log), or None when one of them
+        can only rebuild the output."""
+        reached: set = set()
+        for table, log in dirty.items():
+            reach = self.via.get(table)
+            if log is None or (reach is None and table != self.table):
+                return None
+            for change in log:
+                if table == self.table:
+                    reached.update(self.key(row)
+                                   for row in changed_rows(change))
+                if reach is not None:
+                    reached.update(map(self.key, reach(ctx, change)))
+        if not reached:
+            return data, state, False
+        keys, spans = state
+        keys = list(keys)
+        spans = None if spans is None else list(spans)
+        lines = data.split(b"\n")
+        lines.pop()                 # the final newline's empty tail
+        for key in reached:
+            row = self.lookup(ctx, key)
+            text = None if row is None else self.render(ctx, row)
+            new = [] if text is None else text.encode("utf-8").split(b"\n")
+            if spans is None and len(new) > 1:
+                spans = [1] * len(keys)
+            i = bisect_left(keys, key)
+            here = i < len(keys) and keys[i] == key
+            at = i if spans is None else sum(spans[:i])
+            width = (1 if spans is None else spans[i]) if here else 0
+            lines[at:at + width] = new
+            if text is None:
+                if here:
+                    del keys[i]
+                    if spans is not None:
+                        del spans[i]
+            elif not here:
+                keys.insert(i, key)
+                if spans is not None:
+                    spans.insert(i, len(new))
+            elif spans is not None:
+                spans[i] = len(new)
+        return (b"\n".join(lines) + b"\n" if lines else b""), \
+            (keys, spans), True
+
+
+def users_keyed(render: Callable[[GenContext, Row], Optional[str]],
+                maps: tuple[str, ...] = (), **via) -> Keyed:
+    """A :class:`Keyed` output with one line per active user, by login
+    — Hesiod's passwd, uid, pobox and grplist files, the NFS master
+    credentials, the mail hub's passwd and pobox aliases."""
+
+    def line(ctx: GenContext, user: Row) -> Optional[str]:
+        if user["status"] != USER_STATE_ACTIVE:
+            return None
+        return render(ctx, user)
+
+    return Keyed("users", key=itemgetter("login"),
+                 lookup=GenContext.user_by_login, render=line,
+                 rows=lambda ctx: ctx.active_users, via=via, maps=maps)
+
+
+def touches(change: TableChange, columns: Iterable[str]) -> bool:
+    """Does *change* alter any of *columns*?  Inserts and deletes
+    (and a wholesale ``clear``) touch every column."""
+    before, after = change.before, change.after
+    if before is None or after is None:
+        return True
+    return any(before[name] != after[name] for name in columns)
 
 
 class Generator:
@@ -265,8 +524,32 @@ class Generator:
 
     #: service name in the servers relation
     service: str = ""
-    #: input relations whose modification requires regeneration
+    #: output -> {relation: columns it reads}.  An output is a shipped
+    #: file or an independently built part of one; the declaration is
+    #: the patch/rebuild granularity of incremental generation, and a
+    #: changed-row-log entry touching none of a generator's columns
+    #: never reaches it.  Row filters (``status``, ``active``...) count
+    #: as read.
+    reads: dict[str, dict[str, tuple[str, ...]]] = {}
+    #: outputs patchable entry by entry (:class:`Keyed`)
+    keyed: dict[str, Keyed] = {}
+    #: input relations whose modification requires regeneration —
+    #: derived from ``reads`` when a generator declares it, set directly
+    #: (or as ``tables``) by site-local generators that do not
     depends: tuple[str, ...] = ()
+    #: relation -> every column any output reads (from ``reads``)
+    _columns: dict[str, frozenset] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "reads" in cls.__dict__:
+            columns: dict[str, set[str]] = {}
+            for relations in cls.reads.values():
+                for table, names in relations.items():
+                    columns.setdefault(table, set()).update(names)
+            cls.depends = tuple(columns)
+            cls._columns = {table: frozenset(names)
+                            for table, names in columns.items()}
 
     @property
     def tables(self) -> tuple[str, ...]:
@@ -290,6 +573,80 @@ class Generator:
         :meth:`generate`; the default implementation always does.
         """
         return None
+
+    def relevant(self, table: str,
+                 log: list[TableChange]) -> list[TableChange]:
+        """The entries of *table*'s log that touch a column this
+        generator reads (every entry when it declares no ``reads``)."""
+        columns = self._columns.get(table)
+        if columns is None:
+            return log
+        return [change for change in log if touches(change, columns)]
+
+    def dirty(self, output: str,
+              changes: dict[str, Optional[list[TableChange]]]) -> dict:
+        """The changes that reach *output*: relation -> the log entries
+        touching a column it reads (None = log unavailable)."""
+        reached = {}
+        for table, columns in self.reads[output].items():
+            if table not in changes:
+                continue
+            log = changes[table]
+            if log is not None:
+                log = [change for change in log if touches(change, columns)]
+                if not log:
+                    continue
+            reached[table] = log
+        return reached
+
+    def build_parts(self, ctx: GenContext, names: Iterable[str],
+                    previous: Optional[GeneratorResult] = None,
+                    changes: Optional[dict] = None) -> tuple[dict, dict]:
+        """(name -> bytes, meta) for the outputs *names*.
+
+        With no *previous* every output is built in full.  Otherwise an
+        output the changes do not reach keeps its bytes, a keyed one is
+        patched, and the rest are rebuilt; ``files_patched`` /
+        ``files_rebuilt`` in the meta say which (an output the changes
+        reached but whose entries did not move is neither).  The meta
+        carries ``parts`` and ``keys`` forward for the next patch — the
+        bytes are shared with the result's files, not copied.
+        """
+        old_parts = previous.meta.get("parts", {}) if previous else {}
+        old_keys = previous.meta.get("keys", {}) if previous else {}
+        parts: dict[str, bytes] = {}
+        keys: dict[str, tuple] = {}
+        patched: list[str] = []
+        rebuilt: list[str] = []
+        for name in names:
+            spec = self.keyed.get(name)
+            if name in old_parts:
+                dirty = self.dirty(name, changes)
+                if not dirty:
+                    parts[name] = old_parts[name]
+                    if name in old_keys:
+                        keys[name] = old_keys[name]
+                    continue
+                done = None
+                if spec is not None and name in old_keys:
+                    done = spec.patch(ctx, old_parts[name], old_keys[name],
+                                      dirty)
+                if done is not None:
+                    parts[name], keys[name], moved = done
+                    if moved:
+                        patched.append(name)
+                    continue
+                rebuilt.append(name)
+            if spec is not None:
+                parts[name], keys[name] = spec.build(ctx)
+            else:
+                parts[name] = self.build_output(ctx, name)
+        return parts, {"parts": parts, "keys": keys,
+                       "files_patched": patched, "files_rebuilt": rebuilt}
+
+    def build_output(self, ctx: GenContext, name: str) -> bytes:
+        """Build output *name* that is not :class:`Keyed`."""
+        raise NotImplementedError(name)
 
     def vector_for(self, versions: dict[str, int]) -> dict[str, int]:
         """This generator's slice of a database version vector."""

@@ -10,15 +10,22 @@ more than one cluster, and so on).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
-from repro.db.engine import TableChange
-from repro.db.schema import USER_STATE_ACTIVE
+from repro.db.engine import Row, TableChange
 from repro.dcm.generators.base import (
+    GROUP,
+    HOME,
+    MACHINE,
+    MEMBER,
     GenContext,
     Generator,
     GeneratorResult,
     register_generator,
+    users_keyed,
+    via_group,
+    via_member,
 )
 
 __all__ = ["HesiodGenerator"]
@@ -38,66 +45,89 @@ def _encode(text: str) -> bytes:
     return (text + "\n").encode("utf-8") if text else b""
 
 
-def _emit(lines: dict[str, str]) -> str:
-    """Join keyed record lines in key order (deterministic output)."""
-    return "\n".join(lines[key] for key in sorted(lines))
+def passwd_fields(ctx: GenContext, user: Row, gecos: str) -> str:
+    """login:*:uid:gid:gecos:home:shell — the passwd line Hesiod and the
+    mail hub share (their gecos suffixes differ)."""
+    home = ctx.home_dir(user["users_id"])
+    if home is None:
+        home = f"/mit/{user['login']}"
+    return (f"{user['login']}:*:{user['uid']}:{DEFAULT_USERS_GID}:"
+            f"{user['fullname']}{gecos}:{home}:{user['shell']}")
+
+
+def _passwd(ctx: GenContext, user: Row) -> str:
+    return _record(f"{user['login']}.passwd",
+                   passwd_fields(ctx, user, ",,,,"))
+
+
+def _uid(ctx: GenContext, user: Row) -> str:
+    return _cname(f"{user['uid']}.uid", f"{user['login']}.passwd")
+
+
+def _pobox(ctx: GenContext, user: Row) -> Optional[str]:
+    if user["potype"] != "POP":
+        return None
+    return _record(f"{user['login']}.pobox",
+                   f"POP {ctx.machine_name(user['pop_id'])} "
+                   f"{user['login']}")
+
+
+def _grplist(ctx: GenContext, user: Row) -> Optional[str]:
+    groups = ctx.user_groups(user["users_id"])
+    if not groups:
+        return None
+    if len(groups) > 1:
+        groups = sorted(groups, key=itemgetter("gid", "name"))
+    pairs = ":".join(f"{g['name']}:{g['gid']}" for g in groups)
+    return _record(f"{user['login']}.grplist", pairs)
 
 
 class HesiodGenerator(Generator):
     """The eleven .db files, formats per §5.8.2.
 
-    This is the first *incremental* generator: each .db file declares
-    which relations back it (``FILE_DEPS``), so a change to ``machine``
-    rebuilds six files and leaves the other five byte-identical from
-    the previous run, and a users-only change patches ``passwd.db``/
-    ``uid.db``/``pobox.db`` row-by-row from the users changed-row log.
+    Each .db file declares the columns it reads, so a change rebuilds
+    or patches only the files it reaches and leaves the rest
+    byte-identical from the previous run.  The four with one line per
+    user (passwd, uid, pobox, grplist) are patched row by row from the
+    changed-row logs, grplist also through the ``members.member_id``
+    index; the other seven are rebuilt when a change reaches them.
     """
     service = "HESIOD"
-    depends = ("users", "machine", "cluster", "mcmap", "svc", "list",
-               "members", "filesys", "printcap", "services",
-               "serverhosts", "strings")
-
-    #: relations backing each output file (the patch/rebuild granularity)
-    FILE_DEPS = {
-        "cluster.db": ("svc", "cluster", "mcmap", "machine"),
-        "filsys.db": ("filesys", "machine"),
-        "gid.db": ("list",),
-        "group.db": ("list",),
-        "grplist.db": ("users", "list", "members"),
-        "passwd.db": ("users", "filesys"),
-        "pobox.db": ("users", "machine"),
-        "printcap.db": ("printcap", "machine"),
-        "service.db": ("services",),
-        "sloc.db": ("serverhosts", "machine"),
-        "uid.db": ("users",),
+    reads = {
+        "cluster.db": {"svc": ("clu_id", "serv_label", "serv_cluster"),
+                       "cluster": ("clu_id", "name"),
+                       "mcmap": ("mach_id", "clu_id"),
+                       "machine": MACHINE},
+        "filsys.db": {"filesys": ("label", "fsorder", "type", "name",
+                                  "mach_id", "access", "mount"),
+                      "machine": MACHINE},
+        "gid.db": {"list": GROUP},
+        "group.db": {"list": GROUP},
+        "grplist.db": {"users": ("login", "users_id", "status"),
+                       "list": GROUP, "members": MEMBER},
+        "passwd.db": {"users": ("login", "users_id", "uid", "fullname",
+                                "shell", "status"),
+                      "filesys": HOME},
+        "pobox.db": {"users": ("login", "potype", "pop_id", "status"),
+                     "machine": MACHINE},
+        "printcap.db": {"printcap": ("name", "rp", "mach_id", "dir"),
+                        "machine": MACHINE},
+        "service.db": {"services": ("name", "protocol", "port")},
+        "sloc.db": {"serverhosts": ("service", "mach_id"),
+                    "machine": MACHINE},
+        "uid.db": {"users": ("login", "uid", "status")},
     }
-
-    #: files patchable one row at a time from the users changed-row log
-    USER_KEYED = ("passwd.db", "pobox.db", "uid.db")
+    keyed = {
+        "grplist.db": users_keyed(_grplist, ("groups_of_user",),
+                                  members=via_member, list=via_group),
+        "passwd.db": users_keyed(_passwd, ("home_dirs",)),
+        "pobox.db": users_keyed(_pobox, ("machine_names",)),
+        "uid.db": users_keyed(_uid),
+    }
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         """Extract all eleven BIND-format files."""
-        meta = {f"{name}_lines": getattr(self, f"_{name[:-3]}_lines")(ctx)
-                for name in self.USER_KEYED}
-        files = {
-            "cluster.db": self._cluster_db(ctx),
-            "filsys.db": self._filsys_db(ctx),
-            "gid.db": self._gid_db(ctx),
-            "group.db": self._group_db(ctx),
-            "grplist.db": self._grplist_db(ctx),
-            "passwd.db": _emit(meta["passwd.db_lines"]),
-            "pobox.db": _emit(meta["pobox.db_lines"]),
-            "printcap.db": self._printcap_db(ctx),
-            "service.db": self._service_db(ctx),
-            "sloc.db": self._sloc_db(ctx),
-            "uid.db": _emit(meta["uid.db_lines"]),
-        }
-        # members carry their install path on the target host — the
-        # hesiod daemon reads /etc/hesiod/*.db
-        return GeneratorResult(
-            files={f"/etc/hesiod/{name}": _encode(text)
-                   for name, text in files.items()},
-            meta=meta)
+        return self._result(*self.build_parts(ctx, self.reads))
 
     def generate_incremental(
         self,
@@ -105,58 +135,25 @@ class HesiodGenerator(Generator):
         previous: GeneratorResult,
         changes: dict[str, Optional[list[TableChange]]],
     ) -> Optional[GeneratorResult]:
-        """Rebuild only the files whose backing relations changed."""
+        """Patch or rebuild only the files the changes reach."""
         if not previous.files:
             return None
-        changed = set(changes)
-        user_log = changes.get("users")
-        meta = dict(previous.meta)
-        files: dict[str, bytes] = {}
-        patched: list[str] = []
-        rebuilt: list[str] = []
-        for name, deps in self.FILE_DEPS.items():
-            path = f"/etc/hesiod/{name}"
-            dirty = changed.intersection(deps)
-            if not dirty:
-                files[path] = previous.files[path]
-                continue
-            lines_key = f"{name}_lines"
-            if (name in self.USER_KEYED and dirty == {"users"}
-                    and user_log is not None
-                    and lines_key in previous.meta):
-                lines = dict(previous.meta[lines_key])
-                self._patch_user_lines(ctx, name, lines, user_log)
-                meta[lines_key] = lines
-                files[path] = _encode(_emit(lines))
-                patched.append(name)
-            else:
-                if name in self.USER_KEYED:
-                    meta[lines_key] = getattr(
-                        self, f"_{name[:-3]}_lines")(ctx)
-                    files[path] = _encode(_emit(meta[lines_key]))
-                else:
-                    files[path] = _encode(
-                        getattr(self, f"_{name[:-3]}_db")(ctx))
-                rebuilt.append(name)
-        meta["files_patched"] = patched
-        meta["files_rebuilt"] = rebuilt
-        return GeneratorResult(files=files, meta=meta)
+        return self._result(*self.build_parts(ctx, self.reads, previous,
+                                              changes))
 
-    def _patch_user_lines(self, ctx: GenContext, name: str,
-                          lines: dict[str, str],
-                          log: list[TableChange]) -> None:
-        """Apply a users changed-row log to one keyed line map."""
-        render = getattr(self, f"_{name[:-3]}_line_for")
-        for change in log:
-            if change.before is not None:
-                lines.pop(change.before["login"], None)
-            after = change.after
-            if after is not None and after["status"] == USER_STATE_ACTIVE:
-                line = render(ctx, after)
-                if line is not None:
-                    lines[after["login"]] = line
+    @staticmethod
+    def _result(parts: dict, meta: dict) -> GeneratorResult:
+        # members carry their install path on the target host — the
+        # hesiod daemon reads /etc/hesiod/*.db
+        return GeneratorResult(
+            files={f"/etc/hesiod/{name}": data
+                   for name, data in parts.items()},
+            meta=meta)
 
-    # -- per-file extracts ----------------------------------------------------
+    def build_output(self, ctx: GenContext, name: str) -> bytes:
+        return _encode(getattr(self, f"_{name[:-3]}_db")(ctx))
+
+    # -- the files rebuilt whole ----------------------------------------------
 
     def _cluster_db(self, ctx: GenContext) -> str:
         lines = [
@@ -222,49 +219,6 @@ class HesiodGenerator(Generator):
             _record(f"{g['name']}.group", f"{g['name']}:*:{g['gid']}:")
             for g in self._active_group_rows(ctx))
 
-    def _grplist_db(self, ctx: GenContext) -> str:
-        groups_of = ctx.groups_of_user()
-        lines = []
-        for user in sorted(ctx.active_users, key=lambda u: u["login"]):
-            groups = groups_of.get(user["users_id"], [])
-            if not groups:
-                continue
-            pairs = ":".join(f"{g['name']}:{g['gid']}"
-                             for g in sorted(groups,
-                                             key=lambda g: g["gid"]))
-            lines.append(_record(f"{user['login']}.grplist", pairs))
-        return "\n".join(lines)
-
-    def _passwd_line(self, ctx: GenContext, user) -> str:
-        home = ctx.home_dirs().get(user["users_id"],
-                                   f"/mit/{user['login']}")
-        gecos = f"{user['fullname']},,,,"
-        return (f"{user['login']}:*:{user['uid']}:{DEFAULT_USERS_GID}:"
-                f"{gecos}:{home}:{user['shell']}")
-
-    def _passwd_line_for(self, ctx: GenContext, user) -> str:
-        return _record(f"{user['login']}.passwd",
-                       self._passwd_line(ctx, user))
-
-    def _passwd_lines(self, ctx: GenContext) -> dict[str, str]:
-        return {user["login"]: self._passwd_line_for(ctx, user)
-                for user in ctx.active_users}
-
-    def _pobox_line_for(self, ctx: GenContext, user) -> Optional[str]:
-        if user["potype"] != "POP":
-            return None
-        machine = ctx.machine_names.get(user["pop_id"], "???")
-        return _record(f"{user['login']}.pobox",
-                       f"POP {machine} {user['login']}")
-
-    def _pobox_lines(self, ctx: GenContext) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for user in ctx.active_users:
-            line = self._pobox_line_for(ctx, user)
-            if line is not None:
-                out[user["login"]] = line
-        return out
-
     def _printcap_db(self, ctx: GenContext) -> str:
         lines = []
         for printer in sorted(ctx.db.table("printcap").rows,
@@ -292,13 +246,6 @@ class HesiodGenerator(Generator):
             machine = ctx.machine_names.get(sh["mach_id"], "???")
             lines.append(f"{sh['service']}.sloc HS UNSPECA {machine}")
         return "\n".join(lines)
-
-    def _uid_line_for(self, ctx: GenContext, user) -> str:
-        return _cname(f"{user['uid']}.uid", f"{user['login']}.passwd")
-
-    def _uid_lines(self, ctx: GenContext) -> dict[str, str]:
-        return {user["login"]: self._uid_line_for(ctx, user)
-                for user in ctx.active_users}
 
 
 register_generator(HesiodGenerator())

@@ -16,6 +16,8 @@ machine — the machine's ACE expanded recursively.
 from __future__ import annotations
 
 from repro.dcm.generators.base import (
+    MACHINE,
+    MEMBER,
     GenContext,
     Generator,
     GeneratorResult,
@@ -28,7 +30,12 @@ __all__ = ["KloginGenerator"]
 class KloginGenerator(Generator):
     """Per-host /.klogin files from hostaccess."""
     service = "KLOGIN"
-    depends = ("hostaccess", "list", "members", "users", "machine")
+    reads = {
+        "/.klogin": {"hostaccess": ("mach_id", "acl_type", "acl_id"),
+                     "members": MEMBER,
+                     "users": ("users_id", "login", "status"),
+                     "machine": MACHINE},
+    }
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         """One /.klogin per KLOGIN serverhost."""

@@ -10,68 +10,134 @@ residing on that server's partitions.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.db.engine import Row, TableChange
 from repro.dcm.generators.base import (
+    GROUP,
+    MEMBER,
     GenContext,
     Generator,
     GeneratorResult,
     register_generator,
+    users_keyed,
+    via_group,
+    via_member,
 )
 
 __all__ = ["NFSGenerator"]
 
+CREDENTIALS = "/etc/nfs/credentials"
+_NO_FILES = {"quotas": b"", "directories": b""}
+
+
+def _credential(ctx: GenContext, user: Row) -> str:
+    """login:uid:gid... — the personal group first, then the others in
+    gid order."""
+    login = user["login"]
+    groups = ctx.user_groups(user["users_id"])
+    if len(groups) > 1:
+        groups = sorted(groups, key=lambda g: (g["name"] != login,
+                                               g["gid"], g["name"]))
+    return ":".join([login, str(user["uid"]),
+                     *(str(g["gid"]) for g in groups)])
+
 
 class NFSGenerator(Generator):
-    """credentials + per-host quotas/directories files."""
+    """credentials + per-host quotas/directories files.
+
+    The master credentials file is patched per user — the users log,
+    and the ``members.member_id`` index for a membership change; the
+    per-host files (a value3-restricted credentials file, quotas,
+    directories) are rebuilt when a change reaches them and otherwise
+    carried over.
+    """
     service = "NFS"
-    depends = ("users", "list", "members", "filesys", "nfsphys", "nfsquota",
-              "serverhosts")
+    reads = {
+        "credentials": {"users": ("login", "uid", "users_id", "status"),
+                        "list": GROUP, "members": MEMBER},
+        # which hosts there are, and which list restricts each one
+        "hosts": {"serverhosts": ("service", "mach_id", "value3")},
+        "quotas": {"nfsquota": ("users_id", "phys_id", "quota"),
+                   "nfsphys": ("nfsphys_id", "mach_id"),
+                   "users": ("users_id", "uid", "status")},
+        "directories": {"filesys": ("filsys_id", "type", "createflg",
+                                    "mach_id", "owner", "owners", "name",
+                                    "lockertype"),
+                        "users": ("users_id", "uid"),
+                        "list": ("list_id", "gid")},
+    }
+    keyed = {
+        "credentials": users_keyed(_credential, ("groups_of_user",),
+                                   members=via_member, list=via_group),
+    }
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         """Extract NFS files; value3 restricts credentials."""
-        result = GeneratorResult()
-        master_credentials = self._credentials(ctx, None)
-        result.files["/etc/nfs/credentials"] = master_credentials
-        per_host = self._per_host_files(ctx)
+        parts, meta = self.build_parts(ctx, ("credentials",))
+        return self._result(ctx, parts, meta, None, True, True)
+
+    def generate_incremental(
+        self,
+        ctx: GenContext,
+        previous: GeneratorResult,
+        changes: dict[str, Optional[list[TableChange]]],
+    ) -> Optional[GeneratorResult]:
+        """Patch the master credentials; rebuild per-host files only
+        when a change reaches them."""
+        if not previous.files:
+            return None
+        parts, meta = self.build_parts(ctx, ("credentials",), previous,
+                                       changes)
+        hosts = bool(self.dirty("hosts", changes))
+        return self._result(
+            ctx, parts, meta, previous,
+            hosts or bool(self.dirty("quotas", changes)
+                          or self.dirty("directories", changes)),
+            hosts or bool(self.dirty("credentials", changes)))
+
+    def _result(self, ctx: GenContext, parts: dict, meta: dict,
+                previous: Optional[GeneratorResult], per_host: bool,
+                restricted: bool) -> GeneratorResult:
+        result = GeneratorResult(files={CREDENTIALS: parts["credentials"]},
+                                 meta=meta)
+        if previous is not None and not (per_host or restricted):
+            result.host_files = previous.host_files
+            return result
+        fresh = self._per_host_files(ctx) if per_host else None
         for host_row in ctx.hosts:
-            machine = ctx.machine_names.get(host_row["mach_id"])
+            machine = ctx.find("machine", {"mach_id": host_row["mach_id"]})
             if machine is None:
                 continue
-            extra = per_host.get(host_row["mach_id"],
-                                 {"quotas": b"", "directories": b""})
-            files = {f"/etc/nfs/{name}": data
-                     for name, data in extra.items()}
+            name = machine["name"].upper()
+            old = previous.host_files.get(name, {}) if previous else {}
+            if fresh is not None:
+                files = {f"/etc/nfs/{kind}": data for kind, data in
+                         fresh.get(host_row["mach_id"], _NO_FILES).items()}
+            else:
+                files = {path: data for path, data in old.items()
+                         if path != CREDENTIALS}
             # "Which credentials file is loaded on a particular server is
             # determined by the value3 field of the serverhost relation."
-            if host_row.get("value3"):
-                files["/etc/nfs/credentials"] = self._credentials(
-                    ctx, host_row["value3"])
-            result.host_files[machine.upper()] = files
+            if host_row["value3"]:
+                files[CREDENTIALS] = (
+                    self._credentials(ctx, host_row["value3"])
+                    if restricted or CREDENTIALS not in old
+                    else old[CREDENTIALS])
+            result.host_files[name] = files
         return result
 
-    # -- credentials ---------------------------------------------------------
+    # -- a value3-restricted credentials file ---------------------------------
 
-    def _credentials(self, ctx: GenContext, list_name) -> bytes:
-        """login:uid:gid... — personal group first, then other groups."""
-        groups_of = ctx.groups_of_user()
-        if list_name:
-            lists = ctx.db.table("list").select({"name": list_name})
-            allowed = (ctx.expand_list_users(lists[0]["list_id"])
-                       if lists else set())
-            users = [u for u in ctx.active_users
-                     if u["users_id"] in allowed]
-        else:
-            users = list(ctx.active_users)
-        lines = []
-        for user in sorted(users, key=lambda u: u["login"]):
-            gids = []
-            for group in groups_of.get(user["users_id"], []):
-                if group["name"] == user["login"]:
-                    gids.insert(0, group["gid"])  # personal group first
-                else:
-                    gids.append(group["gid"])
-            entry = ":".join([user["login"], str(user["uid"]),
-                              *map(str, gids)])
-            lines.append(entry)
+    def _credentials(self, ctx: GenContext, list_name: str) -> bytes:
+        """The master file's lines for the users of *list_name*."""
+        lists = ctx.db.table("list").select({"name": list_name})
+        allowed = (ctx.expand_list_users(lists[0]["list_id"])
+                   if lists else set())
+        lines = [_credential(ctx, user)
+                 for user in sorted(ctx.active_users,
+                                    key=lambda u: u["login"])
+                 if user["users_id"] in allowed]
         return ("\n".join(lines) + "\n").encode() if lines else b""
 
     # -- per-host quotas and directories ----------------------------------------

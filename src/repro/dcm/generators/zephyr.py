@@ -11,6 +11,7 @@ uncontrolled, written as the ``*.*@*`` wildcard of the paper's example.
 from __future__ import annotations
 
 from repro.dcm.generators.base import (
+    MEMBER,
     GenContext,
     Generator,
     GeneratorResult,
@@ -25,7 +26,15 @@ _FUNCTIONS = ("xmt", "sub", "iws", "iui")
 class ZephyrGenerator(Generator):
     """Per-class ACL files, lists expanded."""
     service = "ZEPHYR"
-    depends = ("zephyr", "list", "members", "users")
+    reads = {
+        "<class>.<function>.acl": {
+            "zephyr": ("class",) + tuple(
+                f"{function}_{part}" for function in _FUNCTIONS
+                for part in ("type", "id")),
+            "members": MEMBER,
+            "users": ("users_id", "login", "status"),
+        },
+    }
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         """Four ACL files per zephyr class."""

@@ -101,6 +101,34 @@ class InstallScript:
         return script
 
 
+class _StagedTar:
+    """The staged tar file of one execution, parsed once — at the first
+    extract step — however many members the script extracts from it."""
+
+    def __init__(self, fs, path: str):
+        self._fs = fs
+        self._path = path
+        self._members: Optional[dict[str, bytes]] = None
+
+    def member(self, name: str) -> bytes:
+        """One member's bytes; MR_TAR_FAIL if the payload is missing or
+        unreadable or does not hold *name*."""
+        if self._members is None:
+            try:
+                with tarfile.open(fileobj=io.BytesIO(
+                        self._fs.read(self._path))) as tar:
+                    self._members = {
+                        info.name: tar.extractfile(info).read()
+                        for info in tar if info.isfile()}
+            except (tarfile.TarError, FileNotFoundError) as exc:
+                raise MoiraError(MR_TAR_FAIL, f"{name}: {exc}") from exc
+        try:
+            return self._members[name]
+        except KeyError:
+            raise MoiraError(MR_TAR_FAIL, f"{name}: not in the payload") \
+                from None
+
+
 class UpdateDaemon:
     """Runs on each managed host; executes DCM updates."""
 
@@ -179,13 +207,13 @@ class UpdateDaemon:
         except FileNotFoundError:
             return MR_OCONFIG
         script = InstallScript.deserialize(blob)
-        extracted: dict[str, bytes] = {}
+        payload = _StagedTar(self.host.fs, target + ".moira_update")
         try:
             for index, step in enumerate(script.steps):
                 if self.faults is not None:
                     self.faults.fire("daemon.step", host=self.host.name,
                                      op=step[0], index=index)
-                self._run_step(step, target, extracted)
+                self._run_step(step, payload)
         except MoiraError as exc:
             return exc.code
         except HostDown:
@@ -196,24 +224,13 @@ class UpdateDaemon:
         self.installs_executed += 1
         return 0
 
-    def _run_step(self, step: tuple, target: str,
-                  extracted: dict[str, bytes]) -> None:
+    def _run_step(self, step: tuple, payload: _StagedTar) -> None:
         fs = self.host.fs
         op = step[0]
         if op == "extract":
             member = step[1]
-            try:
-                payload = fs.read(target + ".moira_update")
-                with tarfile.open(fileobj=io.BytesIO(payload)) as tar:
-                    fileobj = tar.extractfile(member)
-                    if fileobj is None:
-                        raise KeyError(member)
-                    data = fileobj.read()
-            except (tarfile.TarError, KeyError, FileNotFoundError) as exc:
-                raise MoiraError(MR_TAR_FAIL, f"{member}: {exc}") from exc
             # "only the ones that are needed are extracted one at a time"
-            fs.write(member + ".moira_update", data)
-            extracted[member] = data
+            fs.write(member + ".moira_update", payload.member(member))
         elif op == "install":
             filename = step[1]
             staged = filename + ".moira_update"

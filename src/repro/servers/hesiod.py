@@ -8,16 +8,21 @@ The file format is the paper's: one record per line,
 Comment lines start with ``;``.  "The hesiod server uses these files
 from virtual memory on the target machine.  The server automatically
 loads the files from disk into memory when it is started" — so
-:meth:`start`/:meth:`restart` (the DCM's install script kills and
-restarts the daemon) re-read every ``*.db`` file under the data
-directory from the host's VFS.
+:meth:`start` (boot) reads every ``*.db`` file under the data directory
+from the host's VFS, and :meth:`restart` (the DCM's install script
+kills and restarts the daemon) reads only the records that moved: a
+file whose bytes are unchanged is skipped and a changed one is applied
+as a line delta (:mod:`repro.servers.reload`), falling back to the
+full read whenever the delta cannot be shown equal to it.
 """
 
 from __future__ import annotations
 
 import shlex
+from typing import Optional
 
 from repro.hosts.host import SimulatedHost
+from repro.servers.reload import Entry, reload_file
 
 __all__ = ["HesiodServer", "HesiodError"]
 
@@ -46,6 +51,10 @@ class HesiodServer:
         # records: name -> list of data strings; cnames: name -> target
         self._records: dict[str, list[str]] = {}
         self._cnames: dict[str, str] = {}
+        # path -> the bytes the two tables were parsed from, kept only
+        # when that parse defined no CNAME twice (CNAMEs are last-wins,
+        # so a shadowed one cannot be diffed): what reload diffs against
+        self._loaded: dict[str, bytes] = {}
         self.loads = 0
         self.queries_answered = 0
         self._process = None
@@ -54,84 +63,127 @@ class HesiodServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """(Re)load every .db file and ensure the daemon runs."""
+        """Load every .db file in full and ensure the daemon runs (the
+        boot path: a boot hook always full-loads)."""
         self.host.check_alive()
-        self._records.clear()
-        self._cnames.clear()
-        for path in self.host.fs.listdir(self.data_dir + "/"):
-            if path.endswith(".db"):
-                self._load_file(path)
+        self._load_all(self._read_files())
         self.loads += 1
+        self._ensure_running()
+
+    def restart(self) -> int:
+        """The DCM install script: kill the running server and restart,
+        "causing the newly updated files to be read into memory" — the
+        records that moved (:meth:`reload`)."""
+        try:
+            if self._process is not None and self._process.running:
+                self.host.kill(self._process.pid)
+                self._process = None
+            self.reload()
+            self._ensure_running()
+        except Exception:
+            return 1
+        return 0
+
+    def reload(self) -> None:
+        """Bring memory up to the installed files, parsing only what
+        moved.  A file added or removed, or a change the line delta
+        cannot describe exactly, re-reads everything."""
+        self.host.check_alive()
+        files = self._read_files()
+        if files.keys() != self._loaded.keys() or not all(
+                reload_file(self._loaded, path, data, self._entry)
+                for path, data in files.items()):
+            self._load_all(files)
+        self.loads += 1
+
+    def _ensure_running(self) -> None:
         if self._process is None or not self._process.running:
             self._process = self.host.spawn(
                 "hesiod", on_signal=self._on_signal,
                 pid_file="/etc/hesiod.pid")
 
-    def restart(self) -> int:
-        """The DCM install script: kill the running server and restart,
-        "causing the newly updated files to be read into memory"."""
-        try:
-            if self._process is not None and self._process.running:
-                self.host.kill(self._process.pid)
-                self._process = None
-            self.start()
-        except Exception:
-            return 1
-        return 0
-
     def _on_signal(self, signum: int) -> None:
         if signum == 1:  # SIGHUP = reload
-            self.start()
+            self.reload()
 
     # -- file parsing -----------------------------------------------------------
 
-    def _load_file(self, path: str) -> None:
-        records = self._records
-        cnames = self._cnames
-        for lineno, line in enumerate(
-                self.host.fs.read_text(path).splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith(";"):
-                continue
-            if self.fast_parse:
-                # the grammar is one record per line with at most one
-                # quoted field, always last: "name HS TYPE data" — a
-                # bounded split covers it; anything irregular (stray
-                # quotes, escapes) falls through to shlex below
-                parts = line.split(None, 3)
-                if len(parts) == 4 and parts[1] == "HS":
-                    rtype, data = parts[2], parts[3]
-                    if rtype == "UNSPECA":
-                        if (len(data) >= 2 and data[0] == '"'
-                                and data[-1] == '"'
-                                and data.count('"') == 2):
-                            records.setdefault(
-                                parts[0].lower(), []).append(data[1:-1])
-                            continue
-                        if '"' not in data and "'" not in data \
-                                and "\\" not in data and " " not in data:
-                            records.setdefault(
-                                parts[0].lower(), []).append(data)
-                            continue
-                    elif rtype == "CNAME":
-                        if '"' not in data and "'" not in data \
-                                and " " not in data:
-                            cnames[parts[0].lower()] = data.lower()
-                            continue
-            try:
-                parts = shlex.split(line)
-            except ValueError as exc:
-                raise HesiodError(f"{path}:{lineno}: {exc}") from exc
-            if len(parts) < 4 or parts[1] != "HS":
-                raise HesiodError(f"{path}:{lineno}: malformed record")
-            name, _, rtype, data = parts[0], parts[1], parts[2], parts[3]
-            key = name.lower()
-            if rtype == "UNSPECA":
-                records.setdefault(key, []).append(data)
-            elif rtype == "CNAME":
-                cnames[key] = data.lower()
-            else:
-                raise HesiodError(f"{path}:{lineno}: type {rtype!r}")
+    def _read_files(self) -> dict[str, bytes]:
+        fs = self.host.fs
+        return {path: fs.read(path)
+                for path in fs.listdir(self.data_dir + "/")
+                if path.endswith(".db")}
+
+    def _load_all(self, files: dict[str, bytes]) -> None:
+        records: dict[str, list[str]] = {}
+        cnames: dict[str, str] = {}
+        defined = 0
+        for path, data in files.items():
+            for lineno, line in enumerate(data.splitlines(), 1):
+                parsed = self._parse(line.decode("utf-8"),
+                                     f"{path}:{lineno}")
+                if parsed is None:
+                    continue
+                rtype, name, value = parsed
+                if rtype == "CNAME":
+                    cnames[name] = value
+                    defined += 1
+                else:
+                    records.setdefault(name, []).append(value)
+        self._records, self._cnames = records, cnames
+        self._loaded = dict(files) if defined == len(cnames) else {}
+
+    def _entry(self, line: bytes) -> Entry:
+        """One line's place in the tables, for the reload delta: a
+        record name holds a one-element list (a name with several
+        records never matches one, so touching it re-reads in full)."""
+        parsed = self._parse(line.decode("utf-8"), self.data_dir)
+        if parsed is None:
+            return None
+        rtype, name, value = parsed
+        if rtype == "CNAME":
+            return self._cnames, name, value
+        return self._records, name, [value]
+
+    def _parse(self, line: str,
+               where: str) -> Optional[tuple[str, str, str]]:
+        """(type, lowercased name, data) for one record line, or None
+        for a blank or comment line."""
+        line = line.strip()
+        if not line or line.startswith(";"):
+            return None
+        if self.fast_parse:
+            # the grammar is one record per line with at most one
+            # quoted field, always last: "name HS TYPE data" — a
+            # bounded split covers it; anything irregular (stray
+            # quotes, escapes) falls through to shlex below
+            parts = line.split(None, 3)
+            if len(parts) == 4 and parts[1] == "HS":
+                rtype, data = parts[2], parts[3]
+                if rtype == "UNSPECA":
+                    if (len(data) >= 2 and data[0] == '"'
+                            and data[-1] == '"'
+                            and data.count('"') == 2):
+                        return rtype, parts[0].lower(), data[1:-1]
+                    if '"' not in data and "'" not in data \
+                            and "\\" not in data and " " not in data:
+                        return rtype, parts[0].lower(), data
+                elif rtype == "CNAME":
+                    if '"' not in data and "'" not in data \
+                            and " " not in data:
+                        return rtype, parts[0].lower(), data.lower()
+        try:
+            parts = shlex.split(line)
+        except ValueError as exc:
+            raise HesiodError(f"{where}: {exc}") from exc
+        if len(parts) < 4 or parts[1] != "HS":
+            raise HesiodError(f"{where}: malformed record")
+        name, rtype, data = parts[0].lower(), parts[2], parts[3]
+        if rtype == "UNSPECA":
+            return rtype, name, data
+        if rtype == "CNAME":
+            return rtype, name, data.lower()
+        raise HesiodError(f"{where}: type {rtype!r}")
 
     # -- resolution ----------------------------------------------------------------
 

@@ -6,6 +6,12 @@ The hub resolves an address by expanding aliases recursively (with
 loop protection) down to addresses containing ``@`` or plain local
 names.  A second shipped file is a complete /etc/passwd "so that the
 finger server on the mailhub will know about everybody".
+
+:meth:`reload` (boot) parses both files in full; :meth:`install_aliases`
+(the DCM's install command) applies each changed file as a line delta
+(:mod:`repro.servers.reload`) — except an aliases file with continuation
+lines, whose lines belong to the alias above them and are re-parsed in
+full.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hosts.host import SimulatedHost
+from repro.servers.reload import Entry, load_file, reload_file
 
 __all__ = ["MailHub", "DeliveryResult"]
 
@@ -23,6 +30,12 @@ class DeliveryResult:
     recipient: str
     resolved: list[str] = field(default_factory=list)
     bounced: bool = False
+
+
+def _continued(data: bytes) -> bool:
+    """Does a sendmail file carry continuation lines?"""
+    return (b"\n " in data or b"\n\t" in data
+            or data.startswith((b" ", b"\t")))
 
 
 class MailHub:
@@ -38,6 +51,8 @@ class MailHub:
         self.passwd: dict[str, dict] = {}
         self.reloads = 0
         self.spool_enabled = True
+        # path -> the bytes last parsed from it (see reload_file)
+        self._loaded: dict[str, bytes] = {}
         host.add_boot_hook(lambda h: self.reload())
 
     # -- the install step -----------------------------------------------------
@@ -45,31 +60,56 @@ class MailHub:
     def install_aliases(self) -> int:
         """§5.8.2 Mail: "this file is not automatically installed ...
         because the mail spool must be disabled during the switchover."
-        The install command disables the spool, reloads, re-enables."""
+        The install command disables the spool, reloads what moved,
+        re-enables."""
         try:
             self.spool_enabled = False
-            self.reload()
+            self._reload(delta=True)
             self.spool_enabled = True
         except Exception:
             return 1
         return 0
 
     def reload(self) -> None:
-        """Re-read the aliases and passwd files from disk."""
+        """Re-read the aliases and passwd files from disk in full."""
+        self._reload(delta=False)
+
+    def _reload(self, *, delta: bool) -> None:
         self.host.check_alive()
-        if self.host.fs.exists(self.aliases_path):
-            self.aliases = self._parse_aliases(
-                self.host.fs.read_text(self.aliases_path))
-        if self.host.fs.exists(self.passwd_path):
-            self.passwd = self._parse_passwd(
-                self.host.fs.read_text(self.passwd_path))
+        fs = self.host.fs
+        for path, attr, entry in (
+                (self.aliases_path, "aliases", self._alias),
+                (self.passwd_path, "passwd", self._passwd_entry)):
+            if not fs.exists(path):
+                continue
+            data = fs.read(path)
+            diffable = delta and not (attr == "aliases" and _continued(data))
+            if not (diffable and reload_file(self._loaded, path, data,
+                                             entry)):
+                self._load(path, attr, data)
         self.reloads += 1
 
+    def _load(self, path: str, attr: str, data: bytes) -> None:
+        """Parse *path* in full.  An aliases file is remembered for the
+        next delta only when every name was defined once and no line
+        continues the one above it."""
+        if attr == "passwd":
+            self.passwd = load_file(self._loaded, path, data,
+                                    self._passwd_entry)
+            return
+        self._loaded.pop(path, None)
+        self.aliases, defined = self._parse_aliases(data)
+        if defined == len(self.aliases) and not _continued(data):
+            self._loaded[path] = data
+
     @staticmethod
-    def _parse_aliases(text: str) -> dict[str, list[str]]:
+    def _parse_aliases(data: bytes) -> tuple[dict[str, list[str]], int]:
+        """(name -> addresses, number of alias definitions)."""
         aliases: dict[str, list[str]] = {}
         current: str | None = None
-        for raw in text.splitlines():
+        defined = 0
+        for line in data.splitlines():
+            raw = line.decode("utf-8")
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
             if raw[0] in " \t":
@@ -82,21 +122,27 @@ class MailHub:
             current = name.strip().lower()
             aliases[current] = [a.strip() for a in rest.split(",")
                                 if a.strip()]
-        return aliases
+            defined += 1
+        return aliases, defined
 
-    @staticmethod
-    def _parse_passwd(text: str) -> dict[str, dict]:
-        table = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            fields = line.split(":")
-            table[fields[0]] = {
-                "login": fields[0], "uid": int(fields[2]),
-                "gid": int(fields[3]), "gecos": fields[4],
-                "home": fields[5], "shell": fields[6],
-            }
-        return table
+    def _alias(self, line: bytes) -> Entry:
+        raw = line.decode("utf-8")
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            return None
+        name, _, rest = raw.partition(":")
+        return self.aliases, name.strip().lower(), [
+            a.strip() for a in rest.split(",") if a.strip()]
+
+    def _passwd_entry(self, line: bytes) -> Entry:
+        text = line.decode("utf-8")
+        if not text.strip():
+            return None
+        fields = text.split(":")
+        return self.passwd, fields[0], {
+            "login": fields[0], "uid": int(fields[2]),
+            "gid": int(fields[3]), "gecos": fields[4],
+            "home": fields[5], "shell": fields[6],
+        }
 
     # -- delivery -----------------------------------------------------------------
 

@@ -6,14 +6,19 @@ tuples), and a ``directories`` file (name, owning uid/gid, locker
 type).  The shell script Moira executes after installing them performs
 "mkdir <username>, chown, chgrp, chmod — using directories file;
 setquota <quota> — using quotas file"; :meth:`apply_update` is that
-script.
+script.  It reads only what moved (:mod:`repro.servers.reload`): an
+unchanged file is skipped, a changed ``credentials`` or ``quotas`` is
+applied as a line delta, and only the added lines of ``directories``
+can create a locker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.hosts.host import SimulatedHost
+from repro.servers.reload import Entry, load_file, reload_file
 
 __all__ = ["NFSServer", "Credential"]
 
@@ -21,7 +26,7 @@ __all__ = ["NFSServer", "Credential"]
 HOMEDIR_INIT_FILES = (".cshrc", ".login", ".logout")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     """One credentials-file line: login, uid, group ids."""
     login: str
@@ -41,6 +46,8 @@ class NFSServer:
         self.quotas: dict[int, int] = {}      # uid -> quota units
         self.lockers_created: list[str] = []
         self.updates_applied = 0
+        # path -> the bytes last applied from it (see reload_file)
+        self._loaded: dict[str, bytes] = {}
         host.add_boot_hook(lambda h: self.load_credentials())
 
     # -- the install script ---------------------------------------------------
@@ -55,8 +62,8 @@ class NFSServer:
         are not harmful" (§5.9).
         """
         try:
-            self.load_credentials()
-            self._apply_quotas()
+            self._load("credentials", self._credential, delta=True)
+            self._load("quotas", self._quota, delta=True)
             self._apply_directories()
         except Exception:
             return 1
@@ -64,41 +71,54 @@ class NFSServer:
         return 0
 
     def load_credentials(self) -> None:
-        """Parse the installed credentials file."""
-        path = f"{self.data_dir}/credentials"
-        if not self.host.fs.exists(path):
-            return
-        table: dict[str, Credential] = {}
-        for line in self.host.fs.read_text(path).splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(":")
-            table[fields[0]] = Credential(
-                login=fields[0], uid=int(fields[1]),
-                gids=tuple(map(int, fields[2:])))
-        self.credentials = table
+        """Parse the installed credentials file in full."""
+        self._load("credentials", self._credential, delta=False)
 
-    def _apply_quotas(self) -> None:
-        path = f"{self.data_dir}/quotas"
+    def _load(self, name: str, entry: Callable[[bytes], Entry], *,
+              delta: bool) -> None:
+        """Bring the table *name* (``credentials`` or ``quotas``) up to
+        its installed file: as a line delta when *delta* and the delta
+        is exact, else by a full parse."""
+        path = f"{self.data_dir}/{name}"
         if not self.host.fs.exists(path):
             return
-        quotas: dict[int, int] = {}
-        for line in self.host.fs.read_text(path).splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            uid, quota = line.split()
-            quotas[int(uid)] = int(quota)
-        self.quotas = quotas
+        data = self.host.fs.read(path)
+        if not (delta and reload_file(self._loaded, path, data, entry)):
+            setattr(self, name, load_file(self._loaded, path, data, entry))
+
+    def _credential(self, line: bytes) -> Entry:
+        text = line.decode().strip()
+        if not text:
+            return None
+        fields = text.split(":")
+        return self.credentials, fields[0], Credential(
+            login=fields[0], uid=int(fields[1]),
+            gids=tuple(map(int, fields[2:])))
+
+    def _quota(self, line: bytes) -> Entry:
+        line = line.strip()
+        if not line:
+            return None
+        uid, quota = line.split()
+        return self.quotas, int(uid), int(quota)
 
     def _apply_directories(self) -> None:
+        """Create the lockers the directories file names that do not
+        exist yet.  Lockers are never removed, so once a version of the
+        file has been applied only its successor's added lines can
+        create anything."""
         path = f"{self.data_dir}/directories"
-        if not self.host.fs.exists(path):
-            return
         fs = self.host.fs
-        for line in fs.read_text(path).splitlines():
-            line = line.strip()
+        if not fs.exists(path):
+            return
+        data = fs.read(path)
+        old = self._loaded.pop(path, None)
+        lines = data.splitlines()
+        if old is not None:
+            applied = set(old.splitlines())
+            lines = [line for line in lines if line not in applied]
+        for line in lines:
+            line = line.decode().strip()
             if not line:
                 continue
             directory, uid, gid, lockertype = line.split()
@@ -112,6 +132,7 @@ class NFSServer:
                              f"# default {init_file}\n".encode())
             fs.fsync()
             self.lockers_created.append(directory)
+        self._loaded[path] = data
 
     # -- NFS access checks -----------------------------------------------------------
 

@@ -48,37 +48,51 @@ class ZephyrServer:
         self.notices: list[Notice] = []
         self.subscriptions: list[Subscription] = []
         self.reloads = 0
+        # path -> (the bytes last read from it, the entries they hold)
+        self._loaded: dict[str, tuple[bytes, set[str]]] = {}
         host.add_boot_hook(lambda h: self.reload_acls())
 
     # -- the install step -------------------------------------------------------
 
     def install_acls(self) -> int:
-        """The DCM install command: reload ACL files."""
+        """The DCM install command: reload the ACL files that moved."""
         try:
-            self.reload_acls()
+            self._reload(changed_only=True)
         except Exception:
             return 1
         return 0
 
     def reload_acls(self) -> None:
         """Re-read every .acl file from disk."""
+        self._reload(changed_only=False)
+
+    def _reload(self, *, changed_only: bool) -> None:
+        """Build the ACL table from the .acl files.  With *changed_only*
+        a file whose bytes equal the ones last read keeps its entries;
+        an ACL file is an unordered set of a few lines, so a changed (or
+        new) one is simply re-read."""
         self.host.check_alive()
+        fs = self.host.fs
+        files = {path: fs.read(path)
+                 for path in fs.listdir(self.acl_dir + "/")
+                 if path.endswith(".acl")}
         acls: dict[str, dict[str, set[str]]] = {}
-        for path in self.host.fs.listdir(self.acl_dir + "/"):
-            if not path.endswith(".acl"):
-                continue
+        loaded: dict[str, tuple[bytes, set[str]]] = {}
+        for path, data in files.items():
             #  <class>.<function>.acl
             stem = path[len(self.acl_dir) + 1:-4]
             klass, _, function = stem.rpartition(".")
             if function not in ACL_FUNCTIONS:
                 klass, function = stem, "xmt"
-            entries = {
-                line.strip()
-                for line in self.host.fs.read_text(path).splitlines()
-                if line.strip()
-            }
+            old, entries = self._loaded.get(path, (None, None))
+            if not (changed_only and (data is old or data == old)):
+                entries = {line.strip()
+                           for line in data.decode("utf-8").splitlines()
+                           if line.strip()}
             acls.setdefault(klass, {})[function] = entries
+            loaded[path] = (data, entries)
         self.acls = acls
+        self._loaded = loaded
         self.reloads += 1
 
     # -- authorization ------------------------------------------------------------

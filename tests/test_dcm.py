@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.locks import LockMode
+from repro.dcm.dcm import DCM
 from repro.dcm.generators.base import get_generator
 from repro.workload import PopulationSpec
 
@@ -273,6 +274,34 @@ class TestFailureHandling:
         d.run_hours(25)
         assert service_row(d, "ZEPHYR")["harderror"] == 0
         assert all(h["success"] == 1 for h in host_rows(d, "ZEPHYR"))
+
+
+class TestRestartedProcess:
+    """A new DCM process knows nothing it generated before — no files,
+    no input vectors — only what the database says about the hosts."""
+
+    @staticmethod
+    def restart(d):
+        old = d.dcm
+        d.dcm = DCM(d.db, d.clock, network=d.network,
+                    moira_host=d.moira_host, journal=d.journal)
+        for (service, machine), binding in old._bindings.items():
+            d.dcm.bind_host(service, machine, binding)
+        return d.dcm
+
+    def test_nothing_is_rebuilt_for_converged_hosts(self, deployment):
+        d = deployment
+        d.run_hours(25)
+        dcm = self.restart(d)
+        report = dcm.run_once()
+        assert dcm.total_generations == 0
+        assert report.propagations_attempted == 0
+        d.direct_client().query("set_server_host_override", "HESIOD",
+                                d.handles.hesiod_machine)
+        d.clock.advance(60)
+        report = dcm.run_once()
+        assert dcm.total_generations == 1       # in place, for the host
+        assert report.propagations_succeeded == 1
 
 
 class TestOverride:

@@ -1,0 +1,330 @@
+"""Propagation in proportion to the change, checked against the full
+path it replaces.
+
+* Generators: after any sequence of mutations — every non-audit column
+  of ``users``, ``list``, ``members`` and ``strings``, plus machine
+  inserts — converged by the CDC extractor, each service's remembered
+  result (patched, carried over, or skipped because no column it reads
+  moved) is byte-identical to a fresh full ``generate``.
+* Servers: every managed server's in-memory tables, moved by line
+  deltas install after install, equal a full parse of the files it has
+  installed.
+* The column filter: a change no output reads generates nothing, and a
+  changed-row log that has overflowed falls back to a rebuild that is
+  still byte-identical.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core import AthenaDeployment, DeploymentConfig
+from repro.dcm.generators.base import GenContext, get_generator
+from repro.hosts.host import SimulatedHost
+from repro.servers.hesiod import HesiodServer
+from repro.servers.mailhub import MailHub
+from repro.servers.nfs import NFSServer
+from repro.servers.zephyrd import ZephyrServer
+from repro.workload import PopulationSpec
+
+SMALL = PopulationSpec(users=40, unregistered_users=5, nfs_servers=3,
+                       maillists=8, clusters=3, machines_per_cluster=2,
+                       printers=5, network_services=12)
+SERVICES = ("HESIOD", "NFS", "MAIL", "ZEPHYR")
+
+
+def converged_world() -> AthenaDeployment:
+    """Every service generated and pushed by one cron cycle; the CDC
+    extractor takes it from there."""
+    d = AthenaDeployment(DeploymentConfig(population=SMALL, cdc=True))
+    d.clock.advance(25 * 3600)
+    d.dcm.run_once()
+    return d
+
+
+# -- checks -------------------------------------------------------------------
+
+
+def assert_generations_match_full(d: AthenaDeployment) -> None:
+    for service in SERVICES:
+        held = d.dcm._generated[service]
+        hosts = d.db.table("serverhosts").select({"service": service})
+        full = get_generator(service).generate(
+            GenContext(d.db, d.clock.now(), hosts=hosts))
+        assert held.files == full.files, service
+        assert held.host_files == full.host_files, service
+
+
+def clone(host: SimulatedHost) -> SimulatedHost:
+    twin = SimulatedHost(host.name)
+    for path in host.fs.listdir(""):
+        twin.fs.write(path, host.fs.read(path))
+    twin.fs.fsync()
+    return twin
+
+
+def full_parse_state(server):
+    """The tables a server of the same kind builds from scratch out of
+    *server*'s installed files."""
+    twin = clone(server.host)
+    if isinstance(server, HesiodServer):
+        fresh = HesiodServer(twin)
+        fresh.start()
+        return fresh._records, fresh._cnames
+    if isinstance(server, NFSServer):
+        fresh = NFSServer(twin, server.partitions)
+        assert fresh.apply_update() == 0
+        return fresh.credentials, fresh.quotas
+    if isinstance(server, MailHub):
+        fresh = MailHub(twin)
+        fresh.reload()
+        return fresh.aliases, fresh.passwd
+    fresh = ZephyrServer(twin)
+    fresh.reload_acls()
+    return fresh.acls
+
+
+def state_of(server):
+    if isinstance(server, HesiodServer):
+        return server._records, server._cnames
+    if isinstance(server, NFSServer):
+        return server.credentials, server.quotas
+    if isinstance(server, MailHub):
+        return server.aliases, server.passwd
+    return server.acls
+
+
+def servers(d: AthenaDeployment) -> list:
+    return [d.hesiod, d.mailhub, *d.nfs_servers.values(),
+            *d.zephyr_servers.values()]
+
+
+def assert_servers_match_full_parse(d: AthenaDeployment) -> None:
+    for server in servers(d):
+        assert state_of(server) == full_parse_state(server), \
+            server.host.name
+
+
+# -- the mutation vocabulary --------------------------------------------------
+
+KINDS = ("shell", "status", "rename", "uid", "names", "mitid", "finger",
+         "pop", "smtp", "nopobox", "add_user", "add_list", "update_list",
+         "add_member", "del_member", "machine")
+SHELLS = ("/bin/csh", "/bin/sh", "/bin/tcsh")
+
+
+def pick(items: list, n: int):
+    return items[n % len(items)]
+
+
+def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
+    """One mutation, chosen by *kind* and parameterised by two integers
+    resolved against the current world; invalid ones just fail."""
+    client = d.direct_client()
+    users = d.db.table("users").rows
+    user = pick(users, a)
+    login = user["login"]
+    lists = [row["name"] for row in d.db.table("list").rows]
+
+    def update_user(**changed):
+        fields = dict(newlogin=login, uid=user["uid"], shell=user["shell"],
+                      last=user["last"], first=user["first"],
+                      middle=user["middle"], status=user["status"],
+                      mitid=user["mit_id"], year=user["mit_year"])
+        fields.update(changed)
+        return ("update_user", login, *fields.values())
+
+    def list_fields(name: str) -> dict:
+        row = d.db.table("list").select({"name": name})[0]
+        ace_name = "NONE"
+        if row["acl_type"] == "USER":
+            ace_name = d.db.table("users").select(
+                {"users_id": row["acl_id"]})[0]["login"]
+        elif row["acl_type"] == "LIST":
+            ace_name = d.db.table("list").select(
+                {"list_id": row["acl_id"]})[0]["name"]
+        return dict(newname=name, active=row["active"],
+                    public=row["public"], hidden=row["hidden"],
+                    maillist=row["maillist"], group=row["grouplist"],
+                    gid=row["gid"], ace_type=row["acl_type"],
+                    ace_name=ace_name, desc=row["desc"])
+
+    if kind == "shell":
+        op = ("update_user_shell", login, pick(SHELLS, b))
+    elif kind == "status":
+        op = ("update_user_status", login, b % 4)
+    elif kind == "rename":
+        op = update_user(newlogin=f"ren{b % 6}")
+    elif kind == "uid":
+        op = update_user(uid=30000 + b % 5)     # collisions: shared uids
+    elif kind == "names":
+        op = update_user(last=f"L{b % 3}", first=f"F{b % 2}")
+    elif kind == "mitid":
+        op = update_user(mitid=f"9{b % 7}", year=pick(["1990", "G"], b))
+    elif kind == "finger":
+        op = ("update_finger_by_login", login, f"Full Name{b % 4}",
+              "nick", "home", "555", "office", "556", "dept", "affil")
+    elif kind == "pop":
+        op = ("set_pobox", login, "POP", pick(d.handles.pop_machines, b))
+    elif kind == "smtp":
+        op = ("set_pobox", login, "SMTP", f"box{b % 4}@far.example")
+    elif kind == "nopobox":
+        op = ("delete_pobox", login)
+    elif kind == "add_user":
+        op = ("add_user", f"new{b % 8}", 40000 + b % 8, "/bin/csh", "N",
+              "U", "", (a % 3) or 1, "", "G")
+    elif kind == "add_list":
+        ace = pick([("USER", login), ("LIST", f"hl{b % 5}"),
+                    ("NONE", "NONE")], a)
+        gid = -1 if a % 4 else 50000 + b % 3    # collisions: shared gids
+        op = ("add_list", f"hl{b % 5}", a % 2 or 1, 1, 0, (a >> 1) % 2,
+              (a >> 2) % 2, gid, *ace, pick(["", "some desc"], b))
+    elif kind == "update_list":
+        name = pick(lists, b)
+        fields = list_fields(name)
+        column = pick(["newname", "active", "maillist", "group", "gid",
+                       "ace", "desc"], a)
+        if column == "newname":
+            fields["newname"] = f"hl{b % 5}"
+        elif column == "gid":
+            fields["gid"] = 50000 + b % 3
+        elif column == "ace":
+            fields["ace_type"], fields["ace_name"] = pick(
+                [("USER", login), ("LIST", pick(lists, a))], b)
+        elif column == "desc":
+            fields["desc"] = pick(["", "renamed desc"], a)
+        else:
+            fields[column] = 1 - int(fields[column])
+        op = ("update_list", name, *fields.values())
+    elif kind == "add_member":
+        mtype = pick(["USER", "LIST", "STRING"], b)
+        member = {"USER": login, "LIST": pick(lists, a),
+                  "STRING": f"ext{a % 4}@far.example"}[mtype]
+        op = ("add_member_to_list", pick(lists, b), mtype, member)
+    elif kind == "del_member":
+        rows = d.db.table("members").rows
+        if not rows:
+            return
+        row = pick(rows, a * 7919 + b)
+        owner = d.db.table("list").select({"list_id": row["list_id"]})
+        table, key, column = {
+            "USER": ("users", "users_id", "login"),
+            "LIST": ("list", "list_id", "name"),
+            "STRING": ("strings", "string_id", "string")}[row["member_type"]]
+        name = d.db.table(table).select({key: row["member_id"]})[0][column]
+        op = ("delete_member_from_list", owner[0]["name"],
+              row["member_type"], name)
+    else:
+        op = ("add_machine", f"HM{b % 6}.MIT.EDU", "VAX")
+    client.mr_query(op[0], [str(arg) for arg in op[1:]])
+
+
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.integers(0, 10_000),
+              st.integers(0, 10_000)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(MUTATIONS)
+def test_patched_generations_and_reloaded_servers_match_full(mutations):
+    d = converged_world()
+    for kind, a, b in mutations:
+        apply(d, kind, a, b)
+        summary = d.pump_cdc()
+        assert not summary["pending"]
+        assert all(o["status"] in ("converged", "no_change", "skipped")
+                   for o in summary["outcomes"])
+        assert_generations_match_full(d)
+        assert_servers_match_full_parse(d)
+
+
+# -- the column filter --------------------------------------------------------
+
+
+def test_a_change_no_output_reads_generates_nothing():
+    """``mit_id`` reaches no file: the vector moves on, no service
+    generates, no host is pushed."""
+    d = converged_world()
+    generations = d.dcm.total_generations
+    login = d.handles.logins[0]
+    row = d.db.table("users").select({"login": login})[0]
+    d.direct_client().query(
+        "update_user", login, login, row["uid"], row["shell"], row["last"],
+        row["first"], row["middle"], row["status"], "12345", row["mit_year"])
+    outcomes = {o["service"]: o for o in d.pump_cdc()["outcomes"]}
+    assert all(outcomes[service]["status"] == "no_change"
+               for service in SERVICES)
+    assert not any(o["generated"] for o in outcomes.values())
+    assert d.dcm.total_generations == generations
+    assert d.cdc.stats["host_pushes"] == 0
+
+
+def test_a_shell_change_skips_nfs_and_zephyr():
+    d = converged_world()
+    d.direct_client().query("update_user_shell", d.handles.logins[0],
+                            "/bin/zsh")
+    outcomes = {o["service"]: o for o in d.pump_cdc()["outcomes"]}
+    assert outcomes["NFS"]["status"] == "no_change"
+    assert outcomes["ZEPHYR"]["status"] == "no_change"
+    assert outcomes["HESIOD"]["generated"] and outcomes["MAIL"]["generated"]
+    assert d.dcm._generated["HESIOD"].meta["files_patched"] == ["passwd.db"]
+    assert d.dcm._generated["MAIL"].meta["files_patched"] == ["passwd"]
+
+
+def test_a_membership_change_patches_one_line_per_file():
+    """Joining a list that is both a unix group and a maillist touches
+    the member's grplist and credentials lines and the list's alias
+    block — nothing is rebuilt."""
+    d = converged_world()
+    client = d.direct_client()
+    client.query("add_list", "both", 1, 1, 0, 1, 1, -1, "NONE", "NONE",
+                 "group and maillist")
+    d.pump_cdc()
+    login = d.handles.logins[3]
+    client.query("add_member_to_list", "both", "USER", login)
+    d.pump_cdc()
+    meta = {service: d.dcm._generated[service].meta
+            for service in ("HESIOD", "NFS", "MAIL")}
+    assert [meta[s]["files_patched"] for s in meta] == [
+        ["grplist.db"], ["credentials"], ["aliases.lists"]]
+    assert not any(meta[s]["files_rebuilt"] for s in meta)
+    assert login in d.mailhub.aliases["both"]
+    assert_generations_match_full(d)
+    assert_servers_match_full_parse(d)
+
+
+def test_an_overflowed_changelog_rebuilds_byte_identically():
+    """More shell changes than the users log holds: the log reports a
+    gap (None), the touched files are rebuilt, not patched, and still
+    equal a full generate."""
+    d = converged_world()
+    client = d.direct_client()
+    capacity = d.db.table("users")._changelog.maxlen
+    logins = d.handles.logins
+    for i in range(capacity + 1):
+        client.query("update_user_shell", pick(logins, i), f"/bin/s{i}")
+    d.pump_cdc()
+    meta = d.dcm._generated["HESIOD"].meta
+    assert "passwd.db" in meta["files_rebuilt"]
+    assert meta["files_patched"] == []
+    assert_generations_match_full(d)
+    assert_servers_match_full_parse(d)
+
+
+@pytest.mark.parametrize("table", ["list", "strings"])
+def test_list_and_strings_keep_changelogs(table):
+    """A membership change bumps its list; an SMTP pobox interns its
+    address — both logged, so neither forces a rebuild."""
+    d = converged_world()
+    before = d.db.table(table).version
+    if table == "list":
+        d.direct_client().query("add_member_to_list",
+                                d.handles.maillist_names[0], "STRING",
+                                "logged@far.example")
+    else:
+        d.direct_client().query("set_pobox", d.handles.logins[0], "SMTP",
+                                "logged@far.example")
+    assert d.db.table(table).changes_since(before)

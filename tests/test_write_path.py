@@ -57,33 +57,40 @@ class TestShardedEngine:
                 pass
 
     def test_disjoint_shards_commit_concurrently(self):
-        """A machines-shard writer commits while a users-shard
+        """A machines-shard writer runs its body while a users-shard
         transaction is still open — the seed's global lock forbade
-        exactly this."""
+        exactly this — and the two then publish in commit-seq order:
+        the machines commit waits in the gate for the earlier seq."""
         db = build_database()
-        entered = threading.Event()
-        release = threading.Event()
-        committed_during: list[bool] = []
+        users_open = threading.Event()
+        machines_ran = threading.Event()
+        published: list[tuple[str, int]] = []
+        overlapped: list[bool] = []
 
-        def users_writer():
-            with db.shard_txn(["users"]):
-                db.table("users").insert(
-                    {"login": "wp1", "users_id": 9001, "uid": 9001},
-                    now=BASE)
-                entered.set()
-                release.wait(timeout=30)
+        def writer(shard, table, row, body_done, wait_for=None):
+            def run():
+                with db.shard_txn([shard], commit_hook=lambda txn:
+                                  published.append((shard, txn.seq))):
+                    db.table(table).insert(row, now=BASE)
+                    body_done.set()
+                    if wait_for is not None:
+                        overlapped.append(wait_for.wait(timeout=30))
+            return threading.Thread(target=run)
 
-        t = threading.Thread(target=users_writer)
-        t.start()
-        assert entered.wait(timeout=30)
-        with db.shard_txn(["machines"]):
-            db.table("machine").insert(
-                {"name": "WP1.MIT.EDU", "mach_id": 9001, "type": "VAX"},
-                now=BASE)
-        committed_during.append(not release.is_set())
-        release.set()
-        t.join(timeout=30)
-        assert committed_during == [True]
+        users = writer("users", "users",
+                       {"login": "wp1", "users_id": 9001, "uid": 9001},
+                       users_open, wait_for=machines_ran)
+        machines = writer("machines", "machine",
+                          {"name": "WP1.MIT.EDU", "mach_id": 9001,
+                           "type": "VAX"}, machines_ran)
+        users.start()
+        assert users_open.wait(timeout=30)
+        machines.start()
+        for thread in (users, machines):
+            thread.join(timeout=30)
+        assert overlapped == [True]
+        assert [shard for shard, _ in published] == ["users", "machines"]
+        assert published[0][1] < published[1][1]
         assert db.table("machine").select({"name": "WP1.MIT.EDU"})
         assert db.table("users").select({"login": "wp1"})
 
