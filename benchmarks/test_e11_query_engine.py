@@ -1,28 +1,28 @@
-"""E11 — the query-engine fast path: compiled plans, composite
-indexes, and the membership-closure index vs the seed's per-call path.
+"""E11 — the membership-closure index vs the recursive walk.
 
 An ACL-heavy mixed-handle workload against a 10,000-user world whose
 ``moira-admins`` capability list fans out into a department *tree* of
 nested lists (fanout ``E11_TREE_FANOUT``, depth ``E11_TREE_DEPTH``)
 with ``E11_TREE_USERS`` users on the leaves.  Every capability-gated
-handle then forces a recursive membership question: the seed answers
-by expanding the whole tree per call; the fast path answers from the
-closure index in O(caller's direct lists).
+handle then forces a recursive membership question: the walk answers
+by expanding the whole tree per call; the closure index answers in
+O(caller's direct lists).
 
 The workload cycles capability-checked retrievals (``get_machine``,
 ``get_filesys_by_label``) with the recursive R-typed retrievals
 (``get_lists_of_member``, ``get_ace_use``), issued through the real
-server dispatch path with the access cache *disabled* — every request
-pays its access check, which is precisely what this PR accelerates.
+server dispatch path with the access cache *disabled* on the built
+server — every request pays its access check.
 
-Both modes run on the SAME world (read-only workload) — ``baseline``
-via ``db.set_fast_path(False)`` (the seed's per-call analysis and
-recursive walks, kept verbatim in the engine), ``fast`` with plans,
-composites, and the closure enabled.  Reply streams are hashed per
-connection and must be byte-identical across modes.
+Both modes run on the SAME world (read-only workload) — ``walk`` with
+``db.closure_enabled = False`` (the recursive walk the SQLite backend
+always runs), ``closure`` with the index.  Compiled plans and
+composite indexes serve both: they are the engine's only select path.
+Reply streams are hashed per connection and must be byte-identical
+across modes.
 
-Gate: fast throughput must be ``E11_MIN_SPEEDUP`` (default 3x) the
-baseline.  The record lands in ``benchmarks/results/E11.json``.
+Gate: closure throughput must be ``E11_MIN_SPEEDUP`` (default 3x) the
+walk's.  The record lands in ``benchmarks/results/E11.json``.
 
 Env knobs (CI smoke uses tiny values): E11_USERS, E11_TREE_FANOUT,
 E11_TREE_DEPTH, E11_TREE_USERS, E11_OPS, E11_CALLERS,
@@ -61,8 +61,8 @@ def _build_world() -> tuple[AthenaDeployment, list[str]]:
     """
     d = AthenaDeployment(DeploymentConfig(
         population=PopulationSpec(users=USERS, unregistered_users=0),
-        access_cache=False,   # every request pays its access check
         server_workers=0))    # single-threaded: engine speed, not pool
+    d.server.access_cache.enabled = False  # every request pays its check
     direct = d.direct_client()
     for k in range(BENCH_MACHINES):
         direct.query("add_machine", f"BENCH{k}.MIT.EDU", "VAX")
@@ -115,11 +115,11 @@ def _request_plan(d: AthenaDeployment, caller: str,
 
 
 def _run_mode(d: AthenaDeployment, callers: list[str],
-              fast: bool) -> tuple[float, list[str]]:
+              closure: bool) -> tuple[float, list[str]]:
     """One measurement pass over the shared world.
 
     Returns (requests/sec, per-connection reply-stream digests)."""
-    d.db.set_fast_path(fast)
+    d.db.closure_enabled = closure
     conn_ids = []
     for i, caller in enumerate(callers):
         conn_id = d.server.open_connection(f"e11-{i}")
@@ -144,9 +144,9 @@ def _run_mode(d: AthenaDeployment, callers: list[str],
 
 def test_e11_query_engine_fast_path():
     d, callers = _build_world()
-    base_rps, base_digests = _run_mode(d, callers, fast=False)
-    fast_rps, fast_digests = _run_mode(d, callers, fast=True)
-    # identical world, read-only workload: the fast path must produce
+    base_rps, base_digests = _run_mode(d, callers, closure=False)
+    fast_rps, fast_digests = _run_mode(d, callers, closure=True)
+    # identical world, read-only workload: the closure must produce
     # byte-identical reply streams, connection by connection
     assert fast_digests == base_digests, "reply drift between modes"
     speedup = fast_rps / base_rps
@@ -154,14 +154,14 @@ def test_e11_query_engine_fast_path():
     closure = d.db.membership_closure()
     n_lists = sum(TREE_FANOUT ** level for level in range(TREE_DEPTH))
     lines = [
-        "E11: query-engine fast path "
+        "E11: membership-closure index vs recursive walk "
         f"({USERS} users, {n_lists}-list admin tree "
         f"(fanout {TREE_FANOUT}, depth {TREE_DEPTH}, "
         f"{TREE_USERS} leaf users), {OPS} ops over {CALLERS} callers, "
         "access cache off)",
         f"{'mode':<10}{'rps':>10}",
-        f"{'baseline':<10}{base_rps:>10.0f}",
-        f"{'fast':<10}{fast_rps:>10.0f}",
+        f"{'walk':<10}{base_rps:>10.0f}",
+        f"{'closure':<10}{fast_rps:>10.0f}",
         f"speedup {speedup:.2f}x (required >= {MIN_SPEEDUP}x), "
         "byte-identical replies",
     ]
@@ -183,4 +183,4 @@ def test_e11_query_engine_fast_path():
                         "misses": _PATTERN_LRU.misses},
     }, lines)
     assert speedup >= MIN_SPEEDUP, (
-        f"fast-path speedup {speedup:.2f}x < required {MIN_SPEEDUP}x")
+        f"closure speedup {speedup:.2f}x < required {MIN_SPEEDUP}x")

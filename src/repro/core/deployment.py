@@ -23,7 +23,7 @@ from repro.dcm.retry import RetryPolicy
 from repro.hosts.host import SimulatedHost
 from repro.hosts.update_daemon import UpdateDaemon
 from repro.kerberos.kdc import KDC
-from repro.server.access import AccessCache, seed_capacls
+from repro.server.access import seed_capacls
 from repro.server.moira_server import MoiraServer
 from repro.servers.hesiod import HesiodServer
 from repro.servers.mailhub import MailHub
@@ -57,9 +57,7 @@ SERVICE_TABLE = [
 class DeploymentConfig:
     """Deployment knobs: population shape and feature toggles."""
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    access_cache: bool = True
     push_pool_width: int = 8  # DCM propagation fan-out (1 = sequential)
-    legacy_dcm: bool = False  # seed-era pipeline (benchmark baseline)
     server_workers: Optional[int] = None  # None = min(8, cpus); 0 = inline
     # robustness knobs
     faults: Optional[FaultInjector] = None  # shared injection harness
@@ -122,7 +120,6 @@ class AthenaDeployment:
         self.moira_host = self._make_host("MOIRA7.MIT.EDU")
         self.server = MoiraServer(
             self.db, self.clock, self.kdc, journal=self.journal,
-            access_cache=AccessCache(enabled=self.config.access_cache),
             workers=self.config.server_workers,
             faults=self.faults,
             admission_limit=self.config.admission_limit,
@@ -133,7 +130,6 @@ class AthenaDeployment:
             zephyr_notify=self._zephyr_notify,
             mail_notify=self._mail_notify,
             push_pool_width=self.config.push_pool_width,
-            legacy_pipeline=self.config.legacy_dcm,
             faults=self.faults,
             retry_policy=self.config.retry_policy)
         self.server.dcm_trigger = self.dcm.run_once
@@ -212,10 +208,7 @@ class AthenaDeployment:
     def _build_hosts(self) -> None:
         h = self.handles
         hesiod_host = self._make_host(h.hesiod_machine)
-        # legacy_dcm reproduces the seed era end to end, including the
-        # shlex-based record parser the fast splitter replaced
-        self.hesiod = HesiodServer(hesiod_host,
-                                   fast_parse=not self.config.legacy_dcm)
+        self.hesiod = HesiodServer(hesiod_host)
         self.hesiod.start()
         self.daemons[hesiod_host.name].register_command(
             "restart_hesiod", self.hesiod.restart)

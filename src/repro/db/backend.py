@@ -168,7 +168,7 @@ class StorageBackend(abc.ABC):
     lock: ContextManager
 
     # can `workload.population` bulk-apply (reserved id ranges,
-    # ``Table.bulk_load`` under ``shard_txn``)?
+    # ``Table.bulk_load`` under ``write_txn``)?
     supports_bulk_load = False
 
     def read_locked(self) -> ContextManager:

@@ -48,7 +48,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
 
-from repro.db.backend import LockTxn, StorageBackend, StorageTable
+from repro.db.backend import StorageBackend, StorageTable
 from repro.db.rwlock import RWLock
 
 from repro.errors import (
@@ -67,39 +67,8 @@ __all__ = ["Column", "Table", "TableChange", "Database", "Row",
            "WildcardPattern"]
 
 
-class _TxnLock(RWLock):
-    """The database lock, with MVCC transaction hooks.
-
-    The first exclusive acquisition by a thread opens an MVCC
-    transaction (one commit seq covering every mutation statement made
-    under the hold, however re-entrant); releasing the outermost hold
-    commits it — making the committed seq visible to new snapshot pins
-    only once every structure the transaction touched is published.
-    Shared mode is untouched: it still exists for whole-database
-    operations (backup, restore) even though snapshot readers no
-    longer take it.
-    """
-
-    def __init__(self, db: "Database") -> None:
-        super().__init__()
-        self._db = db
-
-    def acquire_exclusive(self) -> None:
-        super().acquire_exclusive()
-        if self._writer_count == 1:
-            self._db._mv_txn_enter()
-
-    def release_exclusive(self) -> None:
-        me = threading.get_ident()
-        if self._writer == me and self._writer_count == 1:
-            # still holding: commit before the lock opens to the next
-            # writer, so seqs stamp in strict lock order
-            self._db._mv_txn_exit()
-        super().release_exclusive()
-
-
 class _Txn:
-    """One writer transaction on a sharded database.
+    """One writer transaction.
 
     Created either by :meth:`Database.write_txn` (a query holding just
     the shards it touches, or all of them) or by the
@@ -112,7 +81,7 @@ class _Txn:
     """
 
     __slots__ = ("shards", "all_shards", "facade", "depth", "seq",
-                 "dirty", "undo", "mutated", "bindings")
+                 "undo", "mutated", "bindings")
 
     def __init__(self, shards: tuple, *, all_shards: bool,
                  facade: bool, undo: bool):
@@ -121,7 +90,6 @@ class _Txn:
         self.facade = facade            # owned by the db.lock facade
         self.depth = 1
         self.seq = 0                    # 0 = no commit seq assigned yet
-        self.dirty = False
         self.undo: Optional[list] = [] if undo else None
         self.mutated: set[str] = set()  # table names touched
         self.bindings: Optional[dict] = None   # consumed ids / strings
@@ -140,7 +108,7 @@ class _Txn:
 
 
 class _ShardedTxnLock:
-    """``db.lock`` on a sharded database: all shards, in order.
+    """``db.lock``: all writer shards, in order.
 
     Exclusive mode (``with db.lock:``) takes every shard's writer side
     in sorted-name order (the same global order every shard transaction
@@ -221,8 +189,7 @@ class _ShardedTxnLock:
 
 
 class _ShardTxnContext:
-    """Context manager behind :meth:`Database.write_txn` on a sharded
-    database."""
+    """Context manager behind :meth:`Database.write_txn`."""
 
     def __init__(self, db: "Database", shard_names, commit_hook,
                  abort_hook):
@@ -236,12 +203,10 @@ class _ShardTxnContext:
 
     def __enter__(self) -> _Txn:
         db = self._db
-        if db._txns is None:
-            raise MoiraError(MR_INTERNAL,
-                             "shard_txn on an unsharded database")
         if db._active_txn() is not None:
             raise MoiraError(MR_INTERNAL, "nested shard transaction")
-        if self._names is None:
+        if self._names is None or db.shards is None:
+            # undeclared shards: every footprint is the one shard
             names = tuple(sorted(db._shard_locks))
         else:
             names = db._sorted_shards(self._names)
@@ -652,9 +617,9 @@ class Table(StorageTable):
         self._composites: dict[tuple[str, ...], _CompositeIndex] = {}
         self._plans: dict[tuple, _Plan] = {}
         self._schema_epoch = 0
-        self._fast_path = True
-        # the MVCC side version store (attached by Database.create_table
-        # when MVCC is enabled; None = zero overhead, seed behaviour)
+        # the MVCC side version store (attached by Database.create_table;
+        # None for a table outside any database and for the unversioned
+        # system relations)
         self._mv = None
         # seq of this table's newest mutation, stamped at mutation time
         # (pre-commit) — snapshot readers use it to validate shared
@@ -710,15 +675,6 @@ class Table(StorageTable):
         self._schema_epoch += 1
         if self._mv is not None:
             self._mv.on_add_composite_index(index.names)
-
-    def set_fast_path(self, enabled: bool) -> None:
-        """Toggle the compiled-plan path (benchmark/oracle knob).
-
-        Disabled, ``iter_select`` runs the seed's per-call analysis
-        (single-column index pick, fresh pattern compilation) — results
-        are identical either way, which the oracle tests assert.
-        """
-        self._fast_path = bool(enabled)
 
     # -- change tracking ----------------------------------------------------
 
@@ -1091,10 +1047,6 @@ class Table(StorageTable):
         predicate: Optional[Callable[[Row], bool]] = None,
     ) -> Iterator[Row]:
         """Yield matching rows (see select())."""
-        where = where or {}
-        if not self._fast_path:
-            yield from self._iter_select_legacy(where, predicate)
-            return
         if not where:
             for row in self.rows:
                 if predicate is None or predicate(row):
@@ -1187,68 +1139,10 @@ class Table(StorageTable):
         """
         if not where:
             return len(self.rows)
-        if self._fast_path:
-            plan, exact, wild = self._bind_plan(where)
-            if plan.covered and not wild:
-                return len(plan.covered_bucket(exact))
+        plan, exact, wild = self._bind_plan(where)
+        if plan.covered:
+            return len(plan.covered_bucket(exact))
         return sum(1 for _ in self.iter_select(where))
-
-    def _iter_select_legacy(
-        self,
-        where: dict,
-        predicate: Optional[Callable[[Row], bool]] = None,
-    ) -> Iterator[Row]:
-        """The seed's per-call path: re-classify, re-compile, re-pick.
-
-        Kept verbatim as the ``set_fast_path(False)`` baseline — the
-        E11 benchmark and the oracle tests compare the compiled-plan
-        path against it for byte-identical results.
-        """
-        exact: dict[str, Any] = {}
-        wild: dict[str, WildcardPattern] = {}
-        for name, value in where.items():
-            column = self.column(name)
-            if column.kind is str and WildcardPattern.is_wild(str(value)):
-                wild[name] = WildcardPattern(str(value), column.fold_case)
-            else:
-                exact[name] = column.coerce(value)
-
-        candidates: Iterable[Row] = self.rows
-        # pick the most selective available index
-        best: Optional[tuple[str, list[Row]]] = None
-        for name, value in exact.items():
-            index = self._indexes.get(name)
-            if index is None:
-                continue
-            bucket = index.lookup(value)
-            if best is None or len(bucket) < len(best[1]):
-                best = (name, bucket)
-        for name, pattern in wild.items():
-            index = self._indexes.get(name)
-            prefix = _literal_prefix(pattern.pattern)
-            if index is None or prefix is None:
-                continue
-            bucket = index.prefix_lookup(prefix)
-            if best is None or len(bucket) < len(best[1]):
-                best = (name, bucket)
-        if best is not None:
-            candidates = best[1]
-
-        for row in candidates:
-            ok = True
-            for name, value in exact.items():
-                if not self.columns[name].equal(row[name], value):
-                    ok = False
-                    break
-            if ok:
-                for name, pattern in wild.items():
-                    if not pattern.matches(str(row[name])):
-                        ok = False
-                        break
-            if ok and predicate is not None and not predicate(row):
-                ok = False
-            if ok:
-                yield row
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -1260,36 +1154,37 @@ class Database(StorageBackend):
     The server holds exactly one Database (the paper's "one backend at
     daemon start-up").  Every query goes through one of two verbs:
     :meth:`read_view` pins a committed snapshot and takes no lock;
-    :meth:`write_txn` takes writer exclusion (per shard once
-    :meth:`declare_shards` ran) and commits through the in-order gate.
-    ``with db.lock:`` still means total exclusion, for whole-database
-    operations.  Concurrency control at the *service/host* level is
-    the DCM LockManager's job, not ours.
+    :meth:`write_txn` takes writer exclusion and commits through the
+    in-order gate.  A fresh database is one writer shard;
+    :meth:`declare_shards` splits it by relation group.  ``with
+    db.lock:`` means total exclusion, for whole-database operations.
+    Concurrency control at the *service/host* level is the DCM
+    LockManager's job, not ours.
     """
+
+    # bulk apply runs under write_txn (workload.population)
+    supports_bulk_load = True
 
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
-        self.lock = _TxnLock(self)
         # the incrementally maintained membership-closure index (lazy;
         # ``closure_enabled=False`` falls back to the recursive walk)
         self.closure_enabled = True
         self._closure = None
         # -- MVCC state (docs/STORAGE_ENGINE.md) --------------------------
         # snapshot readers pin `_committed_seq` and scan the version
-        # stores lock-free; only the exclusive (writer) side of `lock`
-        # is ever contended.
+        # stores lock-free; only the writer side of the shard locks is
+        # ever contended.
         self._committed_seq = 0
-        self._txn_owner: Optional[int] = None   # thread ident in txn
-        self._txn_seq = 0
-        self._txn_dirty = False
         # -- writer sharding (docs/WRITE_PATH.md) -------------------------
-        # None until declare_shards(); then writer-writer exclusion is
-        # per relation group and `lock` becomes the all-shards facade.
+        # one shard until declare_shards() splits writer-writer
+        # exclusion by relation group; `lock` takes every shard
         self.shards: Optional[dict[str, tuple]] = None
-        self._shard_locks: dict[str, RWLock] = {}
+        self._shard_locks: dict[str, RWLock] = {"all": RWLock()}
         self._shard_of: dict[str, str] = {}
         self._unversioned: set[str] = set()
-        self._txns: Optional[dict[int, _Txn]] = None
+        self._txns: dict[int, _Txn] = {}
+        self.lock = _ShardedTxnLock(self)
         # leaf latch for the system relations (values, strings): id
         # allocation and string interning serialize here instead of on
         # the shard locks, so a shard transaction can allocate without
@@ -1341,13 +1236,6 @@ class Database(StorageBackend):
             self._closure = MembershipClosure(self.tables["members"])
         return self._closure
 
-    def set_fast_path(self, enabled: bool) -> None:
-        """Toggle every fast path at once (benchmark knob): compiled
-        plans on each table and the membership-closure index."""
-        self.closure_enabled = bool(enabled)
-        for table in self.tables.values():
-            table.set_fast_path(enabled)
-
     def read_locked(self) -> ContextManager[None]:
         """Shared-mode critical section over the live tables (backup,
         the replication snapshot feed)."""
@@ -1357,8 +1245,8 @@ class Database(StorageBackend):
         """The leaf latch over ``values`` and ``strings`` once shards
         are declared (a shard transaction must never escalate to the
         full lock — two partial holders would deadlock); before that,
-        the one lock."""
-        return self._sys_latch if self._txns is not None else self.lock
+        the one shard, where they live."""
+        return self._sys_latch if self.shards is not None else self.lock
 
     def create_table(self, table: Table) -> Table:
         """Register a new relation."""
@@ -1378,17 +1266,16 @@ class Database(StorageBackend):
 
         *shards* maps shard name -> iterable of table names; every
         declared table gets its mutations guarded by that shard's
-        RWLock instead of one global lock.  *system* tables (the
+        RWLock instead of the one shard's.  *system* tables (the
         ``values`` hint variables and the ``strings`` heap) belong to
         no shard: they detach from MVCC (snapshot reads fall back to
         the live table) and serialize on the ``_sys_latch`` leaf lock,
         so any shard transaction can allocate ids or intern strings
         without touching other shards.
 
-        After this call ``db.lock`` is a facade that takes every shard
-        in sorted-name order — ``with db.lock:`` still means total
-        exclusion, one commit seq per hold.  Call once, on a quiescent
-        database.
+        ``db.lock`` takes every shard in sorted-name order — ``with
+        db.lock:`` still means total exclusion, one commit seq per
+        hold.  Call once, on a quiescent database.
         """
         if self.shards is not None:
             raise ValueError("shards already declared")
@@ -1407,9 +1294,6 @@ class Database(StorageBackend):
             table = self.tables.get(table_name)
             if table is not None:
                 table._mv = None
-        self._txns = {}
-        self.supports_bulk_load = True  # bulk apply runs under shard txns
-        self._seq_alloc = self._committed_seq
         self.lock = _ShardedTxnLock(self)
 
     def _sorted_shards(self, names: Iterable[str]) -> tuple:
@@ -1455,10 +1339,12 @@ class Database(StorageBackend):
             for lock in reversed(held):
                 lock.release_exclusive()
 
-    def shard_txn(self, shard_names: Optional[Iterable[str]], *,
+    def write_txn(self, shards: Optional[Iterable[str]] = None, *,
                   commit_hook: Optional[Callable] = None,
                   abort_hook: Optional[Callable] = None):
-        """A writer transaction over just *shard_names* (None = all).
+        """The write verb: a writer transaction over just *shards*
+        (None = all; every footprint is the one shard until
+        :meth:`declare_shards`).
 
         Acquires the named shards' writer locks in sorted order, runs
         the body as one transaction, and on normal exit commits through
@@ -1469,20 +1355,9 @@ class Database(StorageBackend):
         the seq still publishes as an abort so later writers don't
         stall; *abort_hook(txn)* runs (in the gate, when the
         transaction took a seq) so the caller can journal id/string
-        bindings that survive the abort — system tables are not rolled
-        back, and replay must reproduce them.
+        bindings that survive the abort — declared system tables are
+        not rolled back, and replay must reproduce them.
         """
-        return _ShardTxnContext(self, shard_names, commit_hook,
-                                abort_hook)
-
-    def write_txn(self, shards: Optional[Iterable[str]] = None, *,
-                  commit_hook: Optional[Callable] = None,
-                  abort_hook: Optional[Callable] = None):
-        """The write verb: :meth:`shard_txn` once shards are declared;
-        on a bare un-sharded database the exclusive lock with no undo
-        (:class:`~repro.db.backend.LockTxn`)."""
-        if self._txns is None:
-            return LockTxn(self, commit_hook, abort_hook)
         return _ShardTxnContext(self, shards, commit_hook, abort_hook)
 
     def read_view(self):
@@ -1492,10 +1367,7 @@ class Database(StorageBackend):
         return self.pin_snapshot()
 
     def _active_txn(self) -> Optional["_Txn"]:
-        txns = self._txns
-        if txns is None:
-            return None
-        return txns.get(threading.get_ident())
+        return self._txns.get(threading.get_ident())
 
     def _txn_undo_list(self) -> Optional[list]:
         txn = self._active_txn()
@@ -1586,7 +1458,7 @@ class Database(StorageBackend):
                 self._seq_cond.notify_all()
 
     def _facade_commit(self, txn: "_Txn") -> None:
-        """Outermost ``db.lock`` release on a sharded database."""
+        """Outermost ``db.lock`` release."""
         if txn.seq == 0:
             return          # nothing mutated, no bindings journaled here
         self._publish_seq(txn.seq)
@@ -1634,24 +1506,7 @@ class Database(StorageBackend):
 
     # -- MVCC: transactions, snapshots, garbage collection -------------------
 
-    def _mv_txn_enter(self) -> None:
-        """First exclusive acquisition: open a commit-seq transaction."""
-        self._txn_owner = threading.get_ident()
-        self._txn_seq = self._committed_seq + 1
-        self._txn_dirty = False
-
-    def _mv_txn_exit(self) -> None:
-        """Outermost exclusive release: commit (if anything mutated)."""
-        if self._txn_owner != threading.get_ident():
-            return
-        self._txn_owner = None
-        if self._txn_dirty:
-            self._txn_dirty = False
-            self._committed_seq = self._txn_seq
-            self._mv_counters["commits"] += 1
-            self.gc_if_due()
-
-    def _mv_begin(self, table: Optional["Table"] = None) -> tuple[int, bool]:
+    def _mv_begin(self, table: "Table") -> tuple[int, bool]:
         """The commit seq for one mutation statement.
 
         Inside a transaction every statement shares the transaction's
@@ -1661,36 +1516,24 @@ class Database(StorageBackend):
         load, tests) auto-commits — ``(seq, auto)`` where *auto* tells
         :meth:`_mv_finish` to publish immediately.
         """
-        if self._txns is not None:
-            txn = self._txns.get(threading.get_ident())
-            if txn is not None:
-                if table is not None:
-                    shard = self._shard_of.get(table.name)
-                    if not txn.all_shards and (
-                            shard is None or shard not in txn.shards):
-                        raise MoiraError(
-                            MR_INTERNAL,
-                            f"mutation of {table.name!r} outside the "
-                            f"transaction's shards {txn.shards}")
-                    txn.mutated.add(table.name)
-                if txn.seq == 0:
-                    self._alloc_seq(txn)
-                txn.dirty = True
-                return txn.seq, False
+        txn = self._txns.get(threading.get_ident())
+        if txn is None:
             return self._alloc_seq(), True
-        if self._txn_owner == threading.get_ident():
-            self._txn_dirty = True
-            return self._txn_seq, False
-        return self._committed_seq + 1, True
+        shard = self._shard_of.get(table.name)
+        if not txn.all_shards and (shard is None
+                                   or shard not in txn.shards):
+            raise MoiraError(
+                MR_INTERNAL,
+                f"mutation of {table.name!r} outside the "
+                f"transaction's shards {txn.shards}")
+        txn.mutated.add(table.name)
+        if txn.seq == 0:
+            self._alloc_seq(txn)
+        return txn.seq, False
 
     def _mv_finish(self, seq: int, auto: bool) -> None:
-        if not auto:
-            return
-        if self._txns is not None:
+        if auto:
             self._publish_seq(seq)
-        else:
-            self._committed_seq = seq
-            self._mv_counters["commits"] += 1
 
     def _mv_note(self, created: int, *,
                  dead: Optional[int] = None) -> None:

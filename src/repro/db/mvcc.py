@@ -3,8 +3,8 @@
 Snapshot-isolation reads over the live engine (docs/STORAGE_ENGINE.md):
 
 * Every mutation statement is stamped with a **commit sequence** (the
-  MVCC timeline; one seq per exclusive-lock transaction, advanced when
-  the outermost exclusive hold is released).
+  MVCC timeline; one seq per writer transaction, published through the
+  database's in-order commit gate).
 * Each mutated row gets an immutable :class:`_Version` — a frozen copy
   of the row dict with a ``[begin, end)`` visibility window — chained
   newest-first on a per-row :class:`_Record`.
@@ -598,13 +598,9 @@ class SnapshotTable:
         """Yield rows matching *where* at the pinned seq — same
         classification, index choice, and result order as the live
         table's path at that seq."""
-        where = where or {}
         table = self._table
         store = self._store
         snap = self._snap
-        if not table._fast_path:
-            yield from self._iter_select_legacy(where, predicate)
-            return
         if not where:
             for data in self._resolve(store.entries):
                 if predicate is None or predicate(data):
@@ -659,56 +655,6 @@ class SnapshotTable:
                 snap.rows_returned += 1
                 yield data
 
-    def _iter_select_legacy(self, where: dict,
-                            predicate=None) -> Iterator[dict]:
-        """Per-call analysis mirroring ``Table._iter_select_legacy``,
-        resolved against the version store (the ``set_fast_path(False)``
-        oracle keeps working under pinned snapshots)."""
-        from repro.db.engine import WildcardPattern, _literal_prefix
-        store = self._store
-        snap = self._snap
-        exact: dict[str, Any] = {}
-        wild: dict[str, Any] = {}
-        for name, value in where.items():
-            column = self._table.column(name)
-            if column.kind is str and WildcardPattern.is_wild(str(value)):
-                wild[name] = WildcardPattern(str(value), column.fold_case)
-            else:
-                exact[name] = column.coerce(value)
-        best: Optional[list[_Entry]] = None
-        for name, value in exact.items():
-            index = store.indexes.get(name)
-            if index is None:
-                continue
-            bucket = index.bucket(value)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        for name, pattern in wild.items():
-            index = store.indexes.get(name)
-            prefix = _literal_prefix(pattern.pattern)
-            if index is None or prefix is None:
-                continue
-            bucket = index.prefix_entries(prefix)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        candidates = store.entries if best is None else best
-        for data in self._resolve(candidates):
-            ok = True
-            for name, value in exact.items():
-                if not self._table.columns[name].equal(data[name], value):
-                    ok = False
-                    break
-            if ok:
-                for name, pattern in wild.items():
-                    if not pattern.matches(str(data[name])):
-                        ok = False
-                        break
-            if ok and predicate is not None and not predicate(data):
-                ok = False
-            if ok:
-                snap.rows_returned += 1
-                yield data
-
     def select(self, where: Optional[dict] = None, *,
                predicate=None) -> list[dict]:
         return list(self.iter_select(where, predicate=predicate))
@@ -718,11 +664,10 @@ class SnapshotTable:
         if not where:
             return sum(1 for e in self._store.entries
                        if e.begin <= seq < e.end)
-        if self._table._fast_path:
-            plan, exact, wild = self._table._bind_plan(where)
-            if plan.covered and not wild:
-                return sum(1 for e in self._covered_entries(plan, exact)
-                           if e.begin <= seq < e.end)
+        plan, exact, _wild = self._table._bind_plan(where)
+        if plan.covered:
+            return sum(1 for e in self._covered_entries(plan, exact)
+                       if e.begin <= seq < e.end)
         return sum(1 for _ in self.iter_select(where))
 
     @property

@@ -37,9 +37,7 @@ The incremental pipeline on top of the paper's algorithm:
   inline at ``push_pool_width`` 1, on a bounded thread pool otherwise:
   width 1 of the same loop, not another loop — cancels not-yet-started
   pushes once a replicated host fails hard, and merges the outcomes in
-  deterministic host order.  ``legacy_pipeline=True`` keeps the seed's
-  per-service contexts and modtime checks and makes two caller-side
-  choices, no governor admission and width 1 (the benchmark baseline).
+  deterministic host order.
 
 The paper names incremental update as future work; this realises it.
 The DCM talks to the database through the direct glue library
@@ -132,17 +130,16 @@ class DCMReport:
 class _Cycle:
     """One cron invocation's shared state: the clock reading, the report
     being filled, one extraction snapshot, and one database version
-    vector (None on the legacy pipeline, which checks modtimes)."""
+    vector."""
 
     now: int
     report: DCMReport
     ctx: GenContext
-    versions: Optional[dict[str, int]]
+    versions: dict[str, int]
 
-    def vector(self, generator) -> Optional[dict[str, int]]:
+    def vector(self, generator) -> dict[str, int]:
         """*generator*'s slice of the cycle's version vector."""
-        return (generator.vector_for(self.versions)
-                if self.versions is not None else None)
+        return generator.vector_for(self.versions)
 
 
 @dataclass
@@ -196,7 +193,6 @@ class DCM:
         zephyr_notify: Optional[Callable[[str, str, str], None]] = None,
         mail_notify: Optional[Callable[[str, str], None]] = None,
         push_pool_width: int = DEFAULT_PUSH_POOL_WIDTH,
-        legacy_pipeline: bool = False,
         faults: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
@@ -213,18 +209,12 @@ class DCM:
         # E1 ablation (set on a built DCM): disable the
         # dfcheck/MR_NO_CHANGE optimisation
         self.always_regenerate = False
-        # benchmark baseline: per-service contexts and modtime checks,
-        # plus two caller-side choices — no governor admission, width 1
-        self.legacy_pipeline = legacy_pipeline
         # propagation fan-out width; 1 = the push loop runs inline
-        self.push_pool_width = (1 if legacy_pipeline
-                                else max(1, push_pool_width))
+        self.push_pool_width = max(1, push_pool_width)
         # fault-injection harness (tests/benchmarks); begin_cycle applies
         # scheduled network weather at the top of each invocation
         self.faults = faults
-        # backoff + circuit breakers + retry budget for propagation;
-        # admission is skipped on the legacy pipeline (the paper's
-        # retry-every-cycle loop, and the benchmark baseline)
+        # backoff + circuit breakers + retry budget for propagation
         self.governor = PropagationGovernor(retry_policy)
         self._bindings: dict[tuple[str, str], ServiceBinding] = {}
         self._generated: dict[str, GeneratorResult] = {}
@@ -286,8 +276,7 @@ class DCM:
         # cycle: versions are captured before any data is read, so a
         # concurrent change mid-cycle is re-detected next cycle
         cycle = _Cycle(now, report, GenContext(self.db, now),
-                       None if self.legacy_pipeline
-                       else self.db.versions())
+                       self.db.versions())
 
         services = self._eligible_services(report)
         for service in services:
@@ -379,12 +368,8 @@ class DCM:
         name = service["name"]
         generator = get_generator(name)
         hosts = self.db.table("serverhosts").select({"service": name})
-        if self.legacy_pipeline:
-            ctx = GenContext(self.db, cycle.now, hosts=hosts)
-        else:
-            ctx = cycle.ctx.for_service(hosts)
         gen = self._generate(
-            service, generator, ctx,
+            service, generator, cycle.ctx.for_service(hosts),
             cycle.vector(generator) if record_vector else None,
             changes=changes)
         if gen.error:
@@ -394,12 +379,12 @@ class DCM:
         return gen
 
     def _inputs_changed(self, generator, service: dict,
-                        vector: Optional[dict[str, int]]) -> bool:
+                        vector: dict[str, int]) -> bool:
         """Exact version-vector comparison, falling back to the modtime
-        scan when no vector was recorded (fresh DCM over an old
-        database, or the legacy pipeline)."""
+        scan when no vector was recorded (a fresh DCM over an old
+        database)."""
         recorded = self._recorded_vector(service["name"], self.db)
-        if vector is not None and recorded is not None:
+        if recorded is not None:
             return vector != recorded
         return generator.changed_since(self.db, service["dfgen"])
 
@@ -413,7 +398,7 @@ class DCM:
         return self._gen_versions.get(name)
 
     def _changes(self, name: str, generator,
-                 vector: Optional[dict[str, int]], db: Database
+                 vector: dict[str, int], db: Database
                  ) -> Optional[dict]:
         """What moved since the remembered generation of *name*: changed
         dependency table -> the changed-row-log entries touching a
@@ -424,8 +409,7 @@ class DCM:
         patch: no files in memory, or no vector comparable to *vector*.
         """
         recorded = self._recorded_vector(name, db)
-        if name not in self._generated or recorded is None \
-                or vector is None:
+        if name not in self._generated or recorded is None:
             return None
         changes = {}
         for table_name, version in vector.items():
@@ -513,8 +497,7 @@ class DCM:
             # remembered input vector still describes the database, so
             # the rebuild is exactly what the converged hosts hold and
             # goes on record as the base CDC patches and deltas from.
-            vector = cycle.vector(get_generator(name))
-            current = (vector is not None and vector
+            current = (cycle.vector(get_generator(name))
                        == self._recorded_vector(name, self.db))
             if not (targets or current):
                 return
@@ -528,8 +511,7 @@ class DCM:
                 self._set_service_flags(service, dfgen=now, dfcheck=now)
                 targets = self._pending_targets(service)
 
-        if not self.legacy_pipeline:
-            targets, _deferred = self._admit(name, targets, now)
+        targets, _deferred = self._admit(name, targets, now)
         if not targets:
             return
         # every pending host gets its full payload

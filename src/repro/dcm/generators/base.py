@@ -535,7 +535,7 @@ class Generator:
     keyed: dict[str, Keyed] = {}
     #: input relations whose modification requires regeneration —
     #: derived from ``reads`` when a generator declares it, set directly
-    #: (or as ``tables``) by site-local generators that do not
+    #: by site-local generators that do not
     depends: tuple[str, ...] = ()
     #: relation -> every column any output reads (from ``reads``)
     _columns: dict[str, frozenset] = {}
@@ -550,11 +550,6 @@ class Generator:
             cls.depends = tuple(columns)
             cls._columns = {table: frozenset(names)
                             for table, names in columns.items()}
-
-    @property
-    def tables(self) -> tuple[str, ...]:
-        """Legacy alias for :attr:`depends`."""
-        return self.depends
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         """Produce this service's files from the database."""
@@ -655,9 +650,9 @@ class Generator:
     def changed_since(self, db: Database, since: int) -> bool:
         """Has any dependent relation changed since *since*?
 
-        This is the modtime form of the check behind MR_NO_CHANGE —
-        retained as the fallback for databases without data versions
-        and for services whose generation predates this DCM process.
+        This is the paper's modtime form of the check behind
+        MR_NO_CHANGE — the fallback for services whose generation
+        predates this DCM process.
         The version-vector comparison (:meth:`vector_for`) is exact
         and is what the DCM uses when it has a recorded vector.
         """
@@ -666,16 +661,7 @@ class Generator:
 
 
 def register_generator(gen: Generator) -> Generator:
-    """Install a generator under its service name.
-
-    Site-local generators written against the pre-version-vector API
-    may still declare ``tables = (...)``; normalise that spelling into
-    :attr:`Generator.depends` so the DCM's dependency tracking sees it.
-    """
-    if not gen.depends:
-        legacy = getattr(type(gen), "tables", None)
-        if isinstance(legacy, (tuple, list)) and legacy:
-            gen.depends = tuple(legacy)
+    """Install a generator under its service name."""
     _GENERATORS[gen.service.upper()] = gen
     return gen
 

@@ -40,14 +40,9 @@ class HesiodError(Exception):
 class HesiodServer:
     """In-memory resolver over the shipped .db files."""
 
-    def __init__(self, host: SimulatedHost, data_dir: str = "/etc/hesiod",
-                 fast_parse: bool = True):
+    def __init__(self, host: SimulatedHost, data_dir: str = "/etc/hesiod"):
         self.host = host
         self.data_dir = data_dir.rstrip("/")
-        # the fast splitter handles the rigid record grammar directly
-        # (shlex costs seconds per reload at 10k users); False keeps
-        # the original shlex path for every line
-        self.fast_parse = fast_parse
         # records: name -> list of data strings; cnames: name -> target
         self._records: dict[str, list[str]] = {}
         self._cnames: dict[str, str] = {}
@@ -152,26 +147,26 @@ class HesiodServer:
         line = line.strip()
         if not line or line.startswith(";"):
             return None
-        if self.fast_parse:
-            # the grammar is one record per line with at most one
-            # quoted field, always last: "name HS TYPE data" — a
-            # bounded split covers it; anything irregular (stray
-            # quotes, escapes) falls through to shlex below
-            parts = line.split(None, 3)
-            if len(parts) == 4 and parts[1] == "HS":
-                rtype, data = parts[2], parts[3]
-                if rtype == "UNSPECA":
-                    if (len(data) >= 2 and data[0] == '"'
-                            and data[-1] == '"'
-                            and data.count('"') == 2):
-                        return rtype, parts[0].lower(), data[1:-1]
-                    if '"' not in data and "'" not in data \
-                            and "\\" not in data and " " not in data:
-                        return rtype, parts[0].lower(), data
-                elif rtype == "CNAME":
-                    if '"' not in data and "'" not in data \
-                            and " " not in data:
-                        return rtype, parts[0].lower(), data.lower()
+        # the grammar is one record per line with at most one quoted
+        # field, always last: "name HS TYPE data" — a bounded split
+        # covers it (shlex costs seconds per reload at 10k users);
+        # anything irregular (stray quotes, escapes) falls through to
+        # shlex below
+        parts = line.split(None, 3)
+        if len(parts) == 4 and parts[1] == "HS":
+            rtype, data = parts[2], parts[3]
+            if rtype == "UNSPECA":
+                if (len(data) >= 2 and data[0] == '"'
+                        and data[-1] == '"'
+                        and data.count('"') == 2):
+                    return rtype, parts[0].lower(), data[1:-1]
+                if '"' not in data and "'" not in data \
+                        and "\\" not in data and " " not in data:
+                    return rtype, parts[0].lower(), data
+            elif rtype == "CNAME":
+                if '"' not in data and "'" not in data \
+                        and " " not in data:
+                    return rtype, parts[0].lower(), data.lower()
         try:
             parts = shlex.split(line)
         except ValueError as exc:

@@ -22,7 +22,7 @@ apply modes:
 
 * ``parallel=True`` (default) — ids come from one
   :meth:`Database.reserve_ids` range per hint per stage, rows land via
-  :meth:`Table.bulk_load` inside per-partition ``shard_txn`` batches,
+  :meth:`Table.bulk_load` inside per-partition ``write_txn`` batches,
   per-partition ``nfsphys.allocated`` deltas are folded into one
   update per partition row, and the cyclic GC is suspended for the
   duration.
@@ -531,7 +531,7 @@ class _Builder:
                 i += 1
 
             if self.parallel:
-                with db.shard_txn(None):
+                with db.write_txn(None):
                     if batch["strings"]:
                         strings_t.bulk_load(batch["strings"], now=now)
                     users_t.bulk_load(batch["users"], now=now)
@@ -543,7 +543,7 @@ class _Builder:
         if self.parallel and alloc:
             # one allocated-counter fold per partition row, not one
             # per homedir — same final blocks as the per-user path
-            with db.shard_txn(None):
+            with db.write_txn(None):
                 for idx in sorted(alloc):
                     phys = phys_rows[idx]
                     nfsphys.update_rows(
@@ -592,7 +592,7 @@ class _Builder:
                 self.handles.unregistered_ids.append((first, last, plain))
                 i += 1
             if self.parallel:
-                with db.shard_txn(None):
+                with db.write_txn(None):
                     users_t.bulk_load(batch, now=now)
 
     def _stage_lists(self) -> None:
@@ -650,7 +650,7 @@ class _Builder:
                 self.maillist_ids.append(list_id)
                 i += 1
             if self.parallel:
-                with db.shard_txn(None):
+                with db.write_txn(None):
                     lists_t.bulk_load(lists_batch, now=now)
                     if members_batch:
                         members_t.bulk_load(members_batch, now=now)

@@ -222,6 +222,26 @@ class TestDatabase:
         stats = db.table_stats()
         assert stats == [("t", 0, 1, 0, 0, 5)]
 
+    def test_bare_database_write_txn_rolls_back(self):
+        """A database with no declared shards is one writer shard with
+        the same transactions: a body that raises keeps none of its
+        rows, and its seq publishes as an abort."""
+        db = Database()
+        t = db.create_table(people_table())
+        t.insert({"name": "kept", "uid": 1, "host": "h"})
+        before = db.mvcc_stats()
+        with pytest.raises(KeyError):
+            with db.write_txn() as txn:
+                t.insert({"name": "ghost", "uid": 2, "host": "h"})
+                raise KeyError("handler failed")
+        assert [row["name"] for row in t.rows] == ["kept"]
+        assert t.select({"uid": 2}) == []
+        with db.read_view() as view:
+            assert view.table("people").count() == 1
+        after = db.mvcc_stats()
+        assert after["aborts"] == before["aborts"] + 1
+        assert after["committed_seq"] == txn.seq
+
 
 class TestPropertyBased:
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 1000)),

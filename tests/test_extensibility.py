@@ -38,7 +38,7 @@ class MotdGenerator(Generator):
     """A site-local service: ships /etc/motd from the values relation."""
 
     service = "MOTD"
-    tables = ("values",)
+    depends = ("values",)
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         stamp = ctx.db.get_value("motd_serial")

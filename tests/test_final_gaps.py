@@ -21,7 +21,7 @@ class ExplodingGenerator(Generator):
     """A generator whose extract crashes — a coding error in a .gen."""
 
     service = "BROKEN"
-    tables = ("values",)
+    depends = ("values",)
 
     def generate(self, ctx):
         """Always raise."""
@@ -80,12 +80,7 @@ class TestConfigToggles:
     def test_knob_count_only_ratchets_down(self):
         # every independent knob doubles the configurations nobody
         # tests (DESIGN.md §17); adding one means deleting one first
-        assert len(dataclasses.fields(DeploymentConfig)) <= 19
-
-    def test_access_cache_disabled_deployment(self):
-        d = AthenaDeployment(DeploymentConfig(
-            population=SMALL, access_cache=False))
-        assert not d.server.access_cache.enabled
+        assert len(dataclasses.fields(DeploymentConfig)) <= 17
 
     def test_run_hours_returns_cron_firings(self):
         d = AthenaDeployment(DeploymentConfig(population=SMALL))

@@ -10,6 +10,7 @@ from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.engine import Column, Database, Table
 from repro.dcm.generators.base import GenContext, get_generator
 from repro.workload import PopulationSpec
+from tests.test_cdc import MutationScript, installed_files
 
 SMALL = PopulationSpec(users=40, unregistered_users=5, nfs_servers=3,
                        maillists=8, clusters=3, machines_per_cluster=2,
@@ -355,16 +356,34 @@ class TestParallelPropagation:
                 for h in host_rows(d, "ZEPHYR")} == tried
 
 
-class TestLegacyPipeline:
-    def test_legacy_mode_still_converges(self):
-        d = make_deployment(legacy_dcm=True)
+class TestRegenerateOracle:
+    def test_matches_always_regenerate_after_every_cycle(self):
+        """The reference is E1's ablation: every due service built in
+        full, no MR_NO_CHANGE, no patching.  The default pipeline —
+        version vectors, patched keyed files, shared extracts — must
+        leave every host's installed files byte-identical to it after
+        each due cycle of one mutation stream."""
+        worlds = [make_deployment(), make_deployment()]
+        worlds[1].dcm.always_regenerate = True
+        clients = [d.direct_client() for d in worlds]
+        script = MutationScript(4)
+        script.setup(clients)
+        for _ in range(4):
+            for _ in range(script.rng.randrange(1, 6)):
+                script.step(clients)
+            for d in worlds:
+                d.clock.advance(25 * 3600)  # every service due
+                d.dcm.run_once()
+            assert installed_files(worlds[0]) == installed_files(worlds[1])
+        for s in ("HESIOD", "NFS", "MAIL", "ZEPHYR"):
+            assert all(h["success"] == 1 for h in host_rows(worlds[0], s))
+
+    def test_always_regenerate_converges(self):
+        """The oracle itself must reach every host: with no
+        MR_NO_CHANGE short-cut, a day of cron cycles still leaves every
+        host of every service marked successful."""
+        d = make_deployment()
+        d.dcm.always_regenerate = True
         d.run_hours(25)
         for s in ("HESIOD", "NFS", "MAIL", "ZEPHYR"):
             assert all(h["success"] == 1 for h in host_rows(d, s))
-
-    def test_legacy_matches_new_pipeline_bytes(self):
-        old = make_deployment(legacy_dcm=True)
-        new = make_deployment()
-        old.run_hours(25)
-        new.run_hours(25)
-        assert snapshot_host_files(old) == snapshot_host_files(new)

@@ -4,13 +4,44 @@ pinned snapshots, version GC, and the observability counters."""
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import AthenaDeployment, DeploymentConfig
+from repro.db.engine import Database
 from repro.db.schema import build_database
 from repro.workload import PopulationSpec
+from tests.test_query_plans import (
+    KINDS,
+    NAMES,
+    TAGS,
+    brute_force,
+    fill,
+    make_table,
+    row_ids,
+)
+
+CHURN = ("insert", "update", "delete")
+
+# one strategy per probe-table column; every WHERE shape the plans
+# distinguish is reachable: exact (id), covered composite (kind +
+# owner), wildcard, literal prefix and case-folded (name)
+_VALUES = {
+    "id": st.integers(0, 45),
+    "kind": st.sampled_from(KINDS + ["US*", "*", "L?ST"]),
+    "owner": st.integers(0, 28),
+    "name": st.sampled_from(NAMES + ["Al*", "alph*", "*a*", "??ta",
+                                     "ALPHA", "zzz*"]),
+    "tag": st.sampled_from(TAGS + ["h*"]),
+}
+WHERE = st.one_of(
+    st.just({}),
+    st.lists(st.sampled_from(sorted(_VALUES)), min_size=1, max_size=4,
+             unique=True).flatmap(lambda columns: st.fixed_dictionaries(
+                 {name: _VALUES[name] for name in columns})))
 
 
 @pytest.fixture(scope="module")
@@ -233,28 +264,38 @@ class TestClosureAndPlansUnderSnapshots:
         live = {r["name"] for r in t.select({"type": "VAX"})}
         assert "IDXNEW.MIT.EDU" in live
 
-    def test_fast_path_and_legacy_agree_on_snapshots(self):
-        """set_fast_path(False) oracle: snapshot reads answer the same
-        with compiled plans and with the per-call legacy path."""
-        db = build_database()
-        t = db.table("machine")
-        for i in range(12):
-            t.insert({"name": f"ORA{i}.MIT.EDU", "mach_id": 800 + i,
-                      "type": "VAX" if i % 3 else "RT"})
-        snap = db.pin_snapshot()
-        t.update_rows(t.select({"name": "ORA4.MIT.EDU"}),
-                      {"type": "RT"})
-        st = snap.table("machine")
-        queries = [{"type": "VAX"}, {"name": "ORA*.MIT.EDU"},
-                   {"name": "ora1.mit.edu"}, None]
-        fast = [st.select(q) for q in queries]
-        db.set_fast_path(False)
-        try:
-            legacy = [st.select(q) for q in queries]
-        finally:
-            db.set_fast_path(True)
-        assert fast == legacy
-        db.unpin_snapshot(snap)
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.sampled_from(CHURN),
+                              st.integers(0, 2 ** 16)), max_size=30),
+           st.lists(WHERE, min_size=1, max_size=8))
+    def test_snapshot_selects_match_brute_force(self, churn, wheres):
+        """Churn after a pin: the snapshot still holds the pinned rows,
+        and its plans (exact, covered composite, wildcard, literal
+        prefix, case-folded) answer as a scan of those rows does."""
+        db = Database()
+        table = db.create_table(make_table())
+        fill(table, random.Random(7), n=60)
+        with db.read_view() as snap:
+            pinned = [dict(row) for row in table.rows]
+            for op, seed in churn:
+                rng = random.Random(seed)
+                if op == "insert" or not table.rows:
+                    fill(table, rng, n=2)
+                elif op == "update":
+                    table.update_rows(
+                        [rng.choice(table.rows)],
+                        {"kind": rng.choice(KINDS),
+                         "owner": rng.randrange(25),
+                         "name": rng.choice(NAMES)})
+                else:
+                    table.delete_rows([rng.choice(table.rows)])
+            view = snap.table("probe")
+            assert [dict(row) for row in view.rows] == pinned
+            for where in wheres:
+                expected = row_ids(brute_force(view, where))
+                assert row_ids(view.select(where)) == expected, where
+                assert view.count(where) == len(expected), where
 
 
 class TestVersionGC:

@@ -2,9 +2,8 @@
 composite indexes, the per-(table, WHERE-shape) plan cache, the pattern
 LRU, and the covered ``count()`` fast path.
 
-The oracle is a brute-force predicate scan over ``Table.rows`` (plus
-the seed's per-call ``_iter_select_legacy`` path, kept verbatim) — the
-fast path must agree with both on every shape, including randomised
+The oracle is a brute-force predicate scan over ``Table.rows`` — the
+compiled plans must agree with it on every shape, including randomised
 ones, as a *multiset* of row objects."""
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ def row_ids(rows) -> list[int]:
 def assert_oracle_agreement(table: Table, where: dict) -> None:
     expected = row_ids(brute_force(table, where))
     assert row_ids(table.select(where)) == expected
-    assert row_ids(table._iter_select_legacy(dict(where))) == expected
     assert table.count(where) == len(expected)
 
 
@@ -154,12 +152,13 @@ class TestPlanOracle:
                 assert_oracle_agreement(table, where)
 
     def test_unknown_column_raises_both_paths(self):
+        """The live table and a pinned snapshot bind the same plans."""
         table = make_table()
         with pytest.raises(MoiraError):
             table.select({"nope": 1})
-        table.set_fast_path(False)
-        with pytest.raises(MoiraError):
-            table.select({"nope": 1})
+        with build_database().read_view() as view:
+            with pytest.raises(MoiraError):
+                view.table("machine").select({"nope": 1})
 
 
 class TestPlanCache:
@@ -294,12 +293,3 @@ class TestSchemaComposites:
         ):
             plan, _, _ = db.table(table)._bind_plan(where)
             assert plan.covered, f"{table} probe not covered"
-
-    def test_fast_path_toggle_is_database_wide(self):
-        db = build_database()
-        db.set_fast_path(False)
-        assert not db.closure_enabled
-        assert not db.table("members")._fast_path
-        db.set_fast_path(True)
-        assert db.closure_enabled
-        assert db.table("members")._fast_path

@@ -216,19 +216,6 @@ class TestDCMResilience:
         assert report.breaker_skips + report.breaker_probes >= 1
         assert ("HESIOD", hesiod) in report.breaker_open_hosts
 
-    def test_legacy_pipeline_retries_every_cycle(self):
-        """The seed-era pipeline keeps the paper's retry-every-cycle
-        behaviour: no governor admission at all."""
-        d = small_deployment(legacy_dcm=True)
-        hesiod = d.handles.hesiod_machine
-        d.network.set_loss_rate(hesiod, 1.0)
-        d.run_hours(7)   # generation due at 6h; transfers start failing
-        before = d.network.messages_lost
-        d.run_hours(1)   # 4 more cycles -> 4 more full-cost attempts
-        assert d.network.messages_lost - before >= 4
-        # and the governor was never consulted
-        assert d.dcm.governor.health("HESIOD", hesiod).attempts == 0
-
     def test_dcm_stats_pseudo_query(self):
         faults = FaultInjector(seed=5)
         d = small_deployment(faults)

@@ -53,7 +53,7 @@ class TestShardedEngine:
     def test_unknown_shard_is_loud(self):
         db = build_database()
         with pytest.raises(MoiraError):
-            with db.shard_txn(["users/9"]):
+            with db.write_txn(["users/9"]):
                 pass
 
     def test_disjoint_shards_commit_concurrently(self):
@@ -69,7 +69,7 @@ class TestShardedEngine:
 
         def writer(shard, table, row, body_done, wait_for=None):
             def run():
-                with db.shard_txn([shard], commit_hook=lambda txn:
+                with db.write_txn([shard], commit_hook=lambda txn:
                                   published.append((shard, txn.seq))):
                     db.table(table).insert(row, now=BASE)
                     body_done.set()
@@ -104,7 +104,7 @@ class TestShardedEngine:
         def spin(shards, mach_base):
             try:
                 for i in range(25):
-                    with db.shard_txn(shards):
+                    with db.write_txn(shards):
                         db.table("machine").insert(
                             {"name": f"X{mach_base + i}.MIT.EDU",
                              "mach_id": mach_base + i, "type": "VAX"},
@@ -139,7 +139,7 @@ class TestShardedEngine:
 
         def writer(shard, base):
             for i in range(20):
-                with db.shard_txn([shard], commit_hook=hook):
+                with db.write_txn([shard], commit_hook=hook):
                     db.table("machine" if shard == "machines"
                              else "nfsquota").insert(
                         {"name": f"H{base + i}.MIT.EDU",
@@ -168,7 +168,7 @@ class TestShardedEngine:
         seen: list[dict] = []
 
         with pytest.raises(RuntimeError):
-            with db.shard_txn(["users"],
+            with db.write_txn(["users"],
                               abort_hook=lambda txn: seen.append(
                                   txn.bindings)):
                 db.table("users").insert(
