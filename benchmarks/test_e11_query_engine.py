@@ -60,8 +60,7 @@ def _build_world() -> tuple[AthenaDeployment, list[str]]:
     nesting.
     """
     d = AthenaDeployment(DeploymentConfig(
-        population=PopulationSpec(users=USERS, unregistered_users=0),
-        server_workers=0))    # single-threaded: engine speed, not pool
+        population=PopulationSpec(users=USERS, unregistered_users=0)))
     d.server.access_cache.enabled = False  # every request pays its check
     direct = d.direct_client()
     for k in range(BENCH_MACHINES):

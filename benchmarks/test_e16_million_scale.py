@@ -123,7 +123,6 @@ def _compact_config(backend: str, workdir: Path, *,
                                   maillists=10, clusters=2,
                                   machines_per_cluster=2, printers=4,
                                   network_services=10),
-        server_workers=0,
         wal_path=workdir / "wal",
         wal_segments=True,
         replicas=replicas,

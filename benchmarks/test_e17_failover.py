@@ -24,7 +24,7 @@ new primary to full convergence.
 The record lands in ``benchmarks/results/E17.json``.
 
 Env knobs (CI smoke uses tiny values): E17_USERS (design point 10000),
-E17_WRITES, E17_WORKERS.
+E17_WRITES.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.workload import PopulationSpec
 
 USERS = int(os.environ.get("E17_USERS", "10000"))
 PRE_WRITES = int(os.environ.get("E17_WRITES", "40"))
-WORKERS = int(os.environ.get("E17_WORKERS", "2"))
 
 POPULATION = dict(users=USERS, unregistered_users=0, nfs_servers=4,
                   maillists=8, clusters=2, machines_per_cluster=2,
@@ -60,7 +59,7 @@ def test_e17_failover_latency():
     with tempfile.TemporaryDirectory() as tmp:
         d = AthenaDeployment(DeploymentConfig(
             population=PopulationSpec(**POPULATION),
-            replicas=2, server_workers=WORKERS, replica_workers=WORKERS,
+            replicas=2,
             replica_tcp=True, staleness_budget=0.1,
             wal_path=Path(tmp) / "primary-wal"))
         cluster = d.replica_cluster

@@ -20,13 +20,11 @@ from repro.core import AthenaDeployment, DeploymentConfig
 from repro.workload import PopulationSpec
 
 
-def small_deployment(users: int = 200,
-                     workers: int | None = None) -> AthenaDeployment:
+def small_deployment(users: int = 200) -> AthenaDeployment:
     """A quick demo-scale deployment."""
     return AthenaDeployment(DeploymentConfig(
         population=PopulationSpec(users=users, unregistered_users=20,
-                                  nfs_servers=4, maillists=20),
-        server_workers=workers))
+                                  nfs_servers=4, maillists=20)))
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -78,11 +76,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """The `serve` subcommand: a TCP Moira server until ^C."""
     from repro.protocol.transport import TcpServerTransport
 
-    d = small_deployment(args.users, workers=args.workers)
+    d = small_deployment(args.users)
     tcp = TcpServerTransport(d.server, port=args.port).start()
     host, port = tcp.address
     print(f"moira server listening on {host}:{port} "
-          f"(protocol version 2, {d.server.workers} workers); ^C to stop")
+          "(protocol version 2); ^C to stop")
     try:
         import time
         while True:
@@ -146,9 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("mrtest", help="interactive query shell")
     serve = sub.add_parser("serve", help="run a TCP Moira server")
     serve.add_argument("--port", type=int, default=0)
-    serve.add_argument("--workers", type=int, default=None,
-                       help="query worker threads (0 = run queries on "
-                            "the I/O loop; default min(8, cpus))")
     sub.add_parser("queries", help="list the predefined query handles")
     sub.add_parser("console", help="menu-driven administrative console")
 

@@ -61,7 +61,6 @@ class MoiraClient:
         service_principal: str = "moira",
         busy_retries: int = 3,
         busy_backoff: float = 0.01,
-        pooled: bool = False,
     ):
         if (dispatcher is None) == (tcp_address is None):
             raise ValueError("give exactly one of dispatcher/tcp_address")
@@ -71,11 +70,9 @@ class MoiraClient:
         self.credentials = credentials
         self.clock = clock
         self.service_principal = service_principal
-        # in-process only: run requests on the server's worker pool
-        # (the TCP concurrency shape) instead of inline on this thread
-        self.pooled = pooled
-        # MR_BUSY (load shed / deadline expired) is retryable; only
-        # queries known to be idempotent are retried automatically
+        # MR_BUSY (a replica behind the session token, a fenced
+        # primary) is retryable; only queries known to be idempotent
+        # are retried automatically
         self.busy_retries = busy_retries
         self.busy_backoff = busy_backoff
         self.busy_retried = 0    # lifetime counter, for tests/stats
@@ -91,8 +88,7 @@ class MoiraClient:
             return MR_ALREADY_CONNECTED
         try:
             if self._dispatcher is not None:
-                self._conn = connect_inproc(self._dispatcher,
-                                            pooled=self.pooled)
+                self._conn = connect_inproc(self._dispatcher)
             else:
                 host, port = self._tcp_address
                 self._conn = connect_tcp(host, port)
@@ -162,8 +158,8 @@ class MoiraClient:
         The callback signature matches the paper: (number of elements,
         the tuple data, callarg).
 
-        A final ``MR_BUSY`` (the server shed the request or its queue
-        deadline expired before a worker picked it up) is retried with
+        A final ``MR_BUSY`` (a replica behind the caller's session
+        token, a fenced primary's ``_repl_read``) is retried with
         exponential backoff — but only for **idempotent** queries
         (retrievals and the ``_``-pseudo-queries); a busy mutation is
         reported to the caller, who knows whether re-running is safe.

@@ -58,16 +58,12 @@ class DeploymentConfig:
     """Deployment knobs: population shape and feature toggles."""
     population: PopulationSpec = field(default_factory=PopulationSpec)
     push_pool_width: int = 8  # DCM propagation fan-out (1 = sequential)
-    server_workers: Optional[int] = None  # None = min(8, cpus); 0 = inline
     # robustness knobs
     faults: Optional[FaultInjector] = None  # shared injection harness
     wal_path: Optional[Union[str, Path]] = None  # fsync'd on-disk journal
     retry_policy: Optional[RetryPolicy] = None  # backoff/breaker/budget
-    admission_limit: Optional[int] = None  # queued frames before MR_BUSY
-    request_deadline: Optional[float] = None  # seconds in queue before shed
     # replication knobs (0 replicas = the seed single-server shape)
     replicas: int = 0
-    replica_workers: int = 0  # worker pool per replica (0 = inline)
     staleness_budget: float = 0.25  # max wait for read-your-writes, s
     replica_tcp: bool = False  # real sockets: feeds + clients dial TCP
     # WAL layout (default = seed: one monolithic file)
@@ -120,10 +116,7 @@ class AthenaDeployment:
         self.moira_host = self._make_host("MOIRA7.MIT.EDU")
         self.server = MoiraServer(
             self.db, self.clock, self.kdc, journal=self.journal,
-            workers=self.config.server_workers,
-            faults=self.faults,
-            admission_limit=self.config.admission_limit,
-            request_deadline=self.config.request_deadline)
+            faults=self.faults)
         self.dcm = DCM(
             self.db, self.clock, network=self.network,
             moira_host=self.moira_host, journal=self.journal,
@@ -150,7 +143,6 @@ class AthenaDeployment:
             from repro.replication.topology import ReplicaCluster
             self.replica_cluster = ReplicaCluster(
                 self, self.config.replicas,
-                workers=self.config.replica_workers,
                 staleness_budget=self.config.staleness_budget,
                 faults=self.faults,
                 tcp=self.config.replica_tcp)
@@ -338,8 +330,7 @@ class AthenaDeployment:
 
     def replica_set_client(self, login: Optional[str] = None,
                            password: str = "pw",
-                           client_name: str = "app", *,
-                           pooled: bool = False):
+                           client_name: str = "app"):
         """A :class:`~repro.client.lib.ReplicaSet` router over the
         primary and the configured replica tier."""
         if self.replica_cluster is None:
@@ -347,8 +338,7 @@ class AthenaDeployment:
         if login is not None and not self.kdc.principal_exists(login):
             self.kdc.add_principal(login, password)
         return self.replica_cluster.replica_set(login, password,
-                                                client_name,
-                                                pooled=pooled)
+                                                client_name)
 
     def make_admin(self, login: str) -> None:
         """Put *login* on the moira-admins capability list."""

@@ -35,7 +35,7 @@ rebuilt from a full scan — cycle-safe, since ancestor computation is an
 iterative BFS with a visited set.  Edge replay is idempotent (set
 discard/add), so replaying a change the rebuild already observed cannot
 corrupt the graph.  All state changes happen under one internal mutex;
-worker-pool readers share it safely.
+concurrent readers share it safely.
 
 The index is an *optimisation with a safety valve*: callers
 (:class:`repro.queries.base.QueryContext`) fall back to the seed's

@@ -284,7 +284,7 @@ class _PatternLRU:
     The predefined handles send the same handful of patterns over and
     over (``*``, caller-typed prefixes); regex compilation is the
     expensive part of wildcard classification, so it is paid once per
-    distinct (pattern, fold) pair.  Thread-safe: worker-pool readers
+    distinct (pattern, fold) pair.  Thread-safe: concurrent readers
     compile concurrently.
     """
 

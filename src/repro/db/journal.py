@@ -146,7 +146,7 @@ class Journal:
     epoch: int = 1
     # True when load() hit a torn/malformed tail and truncated there
     torn_tail: bool = field(default=False, compare=False)
-    # worker-pool threads journal concurrently; the mutex keeps the
+    # writer threads journal concurrently; the mutex keeps the
     # in-memory order and the mirrored file lines consistent.
     # Reentrant so a fault callback firing inside record()/sync() may
     # itself fence or inspect the journal (the chaos harness does).

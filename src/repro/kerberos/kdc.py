@@ -17,8 +17,10 @@ The interface mirrors what Moira needs from Kerberos v4:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import hmac
 import secrets
+import threading
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -100,7 +102,11 @@ class KDC:
         self.realm = realm
         self._keys: dict[str, bytes] = {}
         self._reserved: set[str] = set()
+        # (client, nonce) of every authenticator accepted inside its
+        # skew window, and a heap of (window end, key) that expires them
         self._replay_cache: set[tuple[str, str]] = set()
+        self._replay_expiry: list[tuple[int, tuple[str, str]]] = []
+        self._replay_lock = threading.Lock()
         # srvtabs handed to servers so they can verify tickets directly
         self._srvtabs: dict[str, bytes] = {}
 
@@ -238,7 +244,14 @@ class KDC:
         if not hmac.compare_digest(mac, auth.mac):
             raise MoiraError(KRB_BAD_INTEGRITY, "authenticator mac")
         replay_key = (ticket.client, auth.nonce)
-        if replay_key in self._replay_cache:
-            raise MoiraError(KRB_REPLAY, ticket.client)
-        self._replay_cache.add(replay_key)
+        with self._replay_lock:
+            # an authenticator older than max_skew fails the skew check
+            # above, so its cache entry can go once its window closes
+            expiry = self._replay_expiry
+            while expiry and expiry[0][0] < now:
+                self._replay_cache.discard(heapq.heappop(expiry)[1])
+            if replay_key in self._replay_cache:
+                raise MoiraError(KRB_REPLAY, ticket.client)
+            self._replay_cache.add(replay_key)
+            heapq.heappush(expiry, (auth.timestamp + max_skew, replay_key))
         return ticket.client

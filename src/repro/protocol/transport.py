@@ -12,44 +12,35 @@ Two interchangeable transports exist:
   the socket replaced by a direct call, for fast deterministic tests
   and benchmarks of everything above the socket layer.
 
-Both talk to a *dispatcher*: an object with ``open_connection(peer)``,
-``handle_frame(conn_id, frame) -> list[bytes]`` and
-``close_connection(conn_id)``.  The Moira server implements that
-interface, and optionally the asynchronous
-``submit_frame(conn_id, frame, on_reply, on_done) -> bool`` extension:
-when present (and returning True), query execution happens on the
-dispatcher's worker pool instead of the selector thread.  Replies come
-back through a wakeup pipe — the selector blocks in ``select()`` with
-no timeout (an idle server sleeps instead of polling) and is woken by
-one pipe byte whenever a worker queues reply bytes.
+Both talk to a :class:`Dispatcher`: ``open_connection(peer)``,
+``handle_frame_stream(conn_id, frame)`` yielding reply frames, and
+``close_connection(conn_id)``.  The Moira server implements it.
 
-Per-connection guarantees with the pool: request frames are submitted
-in arrival order and the dispatcher serialises them FIFO per
-connection, so reply streams never interleave or reorder on one
-connection.  Per-connection buffered output is bounded: past
-``high_water`` bytes the producing worker blocks until the selector
-drains the socket below ``low_water`` (backpressure), and a connection
-with ``max_pipeline`` requests in flight stops being read until the
-backlog drains.
+The TCP server runs everything on one thread, its selector loop.  Each
+request frame runs to completion through ``handle_frame_stream`` and
+its reply frames are appended to the connection's out-buffer; the loop
+then sends at once, so a reply is one buffer and usually one ``send``,
+and waits for ``EVENT_WRITE`` only when the kernel took less than all
+of it.  Nothing — no read view, no lock — is held from one loop
+iteration to the next, and per-connection order is the order frames
+arrived.  Sockets at both ends set ``TCP_NODELAY``: a reply is written
+whole, so there is nothing for Nagle's algorithm to coalesce and its
+wait for the peer's delayed ACK would only stall the exchange.
 
-The backpressure wait is client-paced, and a worker mid-stream may be
-holding the database's shared lock, so the wait cannot be unbounded: a
-connection that makes no drain progress for ``stall_timeout`` seconds
-is dropped (``on_reply`` returns False, the server closes the reply
-generator, and any held lock is released) rather than letting one
-stalled client wedge writers — and, through writer preference, every
-other client — indefinitely.
+Backpressure: a connection with ``high_water`` or more bytes buffered
+for sending is not read (nor are its already-read frames run) until it
+drains to ``low_water``, so the kernel's TCP window pushes back on
+the client.  Such a connection that makes no drain progress for
+``stall_timeout`` seconds is dropped; ``select()`` has a timeout only
+while one exists, so an idle server sleeps.
 """
 
 from __future__ import annotations
 
-import os
-import queue
 import selectors
 import socket
 import threading
 import time
-from collections import deque
 from typing import Iterator, Protocol
 
 from repro.errors import (
@@ -83,8 +74,10 @@ class Dispatcher(Protocol):
         """Register a new client; returns its connection id."""
         ...
 
-    def handle_frame(self, conn_id: int, frame: bytes) -> list[bytes]:
-        """Process one request frame; returns reply frames."""
+    def handle_frame_stream(self, conn_id: int,
+                            frame: bytes) -> Iterator[bytes]:
+        """Process one request frame body; yields length-prefixed
+        reply frames, the last one a final (non-MR_MORE_DATA) status."""
         ...
 
     def close_connection(self, conn_id: int) -> None:
@@ -138,13 +131,6 @@ class InProcessTransport:
         conn_id = self.dispatcher.open_connection(peer)
         return _InProcessConnection(self.dispatcher, conn_id)
 
-    def connect_pooled(self, peer: str = "inproc"
-                       ) -> "_PooledInProcessConnection":
-        """Open a connection whose requests run on the dispatcher's
-        worker pool rather than inline on the calling thread."""
-        conn_id = self.dispatcher.open_connection(peer)
-        return _PooledInProcessConnection(self.dispatcher, conn_id)
-
 
 class _InProcessConnection(ClientConnection):
     def __init__(self, dispatcher: Dispatcher, conn_id: int):
@@ -155,16 +141,10 @@ class _InProcessConnection(ClientConnection):
     def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
         if not self._open:
             raise MoiraError(MR_NOT_CONNECTED)
-        # strip the length prefix: dispatchers receive frame bodies.
-        # Prefer the streaming variant so large retrieves flow tuple by
-        # tuple instead of materialising the whole reply list.
-        stream = getattr(self.dispatcher, "handle_frame_stream", None)
-        if stream is not None:
-            frames = stream(self.conn_id, request_frame[4:])
-        else:
-            frames = self.dispatcher.handle_frame(self.conn_id,
-                                                  request_frame[4:])
-        for frame in frames:
+        # strip the length prefixes: dispatchers take and give frame
+        # bodies; large retrieves flow tuple by tuple on this thread
+        for frame in self.dispatcher.handle_frame_stream(
+                self.conn_id, request_frame[4:]):
             yield frame[4:]
 
     def close(self) -> None:
@@ -174,105 +154,30 @@ class _InProcessConnection(ClientConnection):
             self.dispatcher.close_connection(self.conn_id)
 
 
-class _PooledInProcessConnection(ClientConnection):
-    """In-process client whose requests execute on the server's worker
-    pool — the concurrency shape of the TCP path (the client thread
-    blocks while a server worker runs the query) without the sockets.
-
-    The plain :class:`_InProcessConnection` runs the query inline on
-    the *calling* thread, so N client threads get N-way execution no
-    matter how the server is configured; that hides the server's pool
-    as the capacity limit.  This variant routes through
-    ``submit_frame``, falling back to the inline path when the
-    dispatcher has no pool (``workers=0``) or no ``submit_frame``.
-    """
-
-    _DONE = object()    # end-of-stream sentinel from on_done
-
-    def __init__(self, dispatcher: Dispatcher, conn_id: int,
-                 timeout: float = 60.0):
-        self.dispatcher = dispatcher
-        self.conn_id = conn_id
-        self.timeout = timeout
-        self._open = True
-
-    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
-        if not self._open:
-            raise MoiraError(MR_NOT_CONNECTED)
-        body = request_frame[4:]
-        submit = getattr(self.dispatcher, "submit_frame", None)
-        if submit is None:
-            yield from _inline_frames(self.dispatcher, self.conn_id, body)
-            return
-        replies: queue.SimpleQueue = queue.SimpleQueue()
-        accepted = submit(
-            self.conn_id, body,
-            lambda frame: (replies.put(frame), True)[1],
-            lambda: replies.put(self._DONE))
-        if not accepted:    # workers=0: pool disabled
-            yield from _inline_frames(self.dispatcher, self.conn_id, body)
-            return
-        while True:
-            try:
-                frame = replies.get(timeout=self.timeout)
-            except queue.Empty:
-                raise MoiraError(MR_ABORTED,
-                                 "pooled reply timed out") from None
-            if frame is self._DONE:
-                return
-            yield frame[4:]
-
-    def close(self) -> None:
-        """Tear down the connection."""
-        if self._open:
-            self._open = False
-            self.dispatcher.close_connection(self.conn_id)
-
-
-def _inline_frames(dispatcher: Dispatcher, conn_id: int,
-                   body: bytes) -> Iterator[bytes]:
-    stream = getattr(dispatcher, "handle_frame_stream", None)
-    if stream is not None:
-        frames = stream(conn_id, body)
-    else:
-        frames = dispatcher.handle_frame(conn_id, body)
-    for frame in frames:
-        yield frame[4:]
-
-
-def connect_inproc(dispatcher: Dispatcher, peer: str = "inproc", *,
-                   pooled: bool = False) -> ClientConnection:
-    """A client connection straight into *dispatcher*.
-
-    ``pooled=True`` routes requests through the dispatcher's worker
-    pool (see :class:`_PooledInProcessConnection`); the default is the
-    seed inline path, byte-for-byte unchanged.
-    """
-    transport = InProcessTransport(dispatcher)
-    return transport.connect_pooled(peer) if pooled \
-        else transport.connect(peer)
+def connect_inproc(dispatcher: Dispatcher,
+                   peer: str = "inproc") -> ClientConnection:
+    """A client connection straight into *dispatcher*; requests run on
+    the calling thread."""
+    return InProcessTransport(dispatcher).connect(peer)
 
 
 # -- TCP ---------------------------------------------------------------------------
 
 
-class _ConnState:
-    """Per-socket bookkeeping shared by the selector and the workers."""
+def _nodelay(sock: socket.socket) -> None:
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    __slots__ = ("conn_id", "inbuf", "outbuf", "pending", "cv",
-                 "buffered", "inflight", "open", "paused", "mask")
+
+class _ConnState:
+    """Per-socket bookkeeping, touched only by the selector thread."""
+
+    __slots__ = ("conn_id", "inbuf", "outbuf", "mask")
 
     def __init__(self, conn_id: int):
         self.conn_id = conn_id
-        self.inbuf = bytearray()      # selector thread only
-        self.outbuf = bytearray()     # selector thread only
-        self.pending: deque[bytes] = deque()  # workers -> selector (cv)
-        self.cv = threading.Condition(threading.Lock())
-        self.buffered = 0             # bytes in pending + outbuf (cv)
-        self.inflight = 0             # submitted, not yet done (cv)
-        self.open = True              # False after drop (cv)
-        self.paused = False           # reading paused: too many inflight
-        self.mask = 0                 # currently registered selector mask
+        self.inbuf = bytearray()      # received, not yet run
+        self.outbuf = bytearray()     # reply bytes the kernel has not taken
+        self.mask = selectors.EVENT_READ   # registered selector interest
 
 
 class TcpServerTransport:
@@ -280,12 +185,10 @@ class TcpServerTransport:
 
     def __init__(self, dispatcher: Dispatcher, host: str = "127.0.0.1",
                  port: int = 0, *, high_water: int = 1 << 20,
-                 low_water: int = 1 << 18, max_pipeline: int = 64,
-                 stall_timeout: float = 15.0):
+                 low_water: int = 1 << 18, stall_timeout: float = 15.0):
         self.dispatcher = dispatcher
         self.high_water = high_water
         self.low_water = low_water
-        self.max_pipeline = max_pipeline
         self.stall_timeout = stall_timeout
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -295,19 +198,11 @@ class TcpServerTransport:
         self.address = self._listener.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, None)
-        # the wakeup pipe: workers (and stop()) write one byte to nudge
-        # the selector out of its fully blocking select()
-        self._wakeup_r, self._wakeup_w = os.pipe()
-        os.set_blocking(self._wakeup_r, False)
-        os.set_blocking(self._wakeup_w, False)
-        self._selector.register(self._wakeup_r, selectors.EVENT_READ, None)
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._conn_state: dict[socket.socket, _ConnState] = {}
-        self._flush_lock = threading.Lock()
-        self._flush_set: set[socket.socket] = set()
-        self._kill_set: set[socket.socket] = set()
-        self._async = callable(getattr(dispatcher, "submit_frame", None))
+        # connections over high water (not read): socket -> when it
+        # last made drain progress
+        self._blocked: dict[socket.socket, float] = {}
         self._stopped = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -340,94 +235,52 @@ class TcpServerTransport:
         Idempotent: chaos teardown paths (a scenario's ``finally``, the
         cluster's ``stop``, and an explicit kill step) may all call it;
         only the first does the work, the rest return immediately —
-        never a double-close of the wakeup pipe or listener.
+        never a double-close of the listener.
         """
         if self._stopped:
             return
         self._stopped = True
-        self._stop.set()
-        self._wake()
         if self._thread is not None:
+            # wake select() by making the listener readable
+            try:
+                socket.create_connection(self.address, timeout=1).close()
+            except OSError:
+                pass
             self._thread.join(timeout=5)
             self._thread = None
         for sock in list(self._conn_state):
             self._drop(sock)
         self._selector.close()
         self._listener.close()
-        os.close(self._wakeup_r)
-        os.close(self._wakeup_w)
-
-    # -- wakeup plumbing ------------------------------------------------------
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wakeup_w, b"\x00")
-        except (BlockingIOError, OSError):
-            pass  # pipe full = a wakeup is already pending, or stopping
-
-    def _request_flush(self, sock: socket.socket) -> None:
-        """Worker side: mark *sock* as having replies to ship."""
-        with self._flush_lock:
-            self._flush_set.add(sock)
-        self._wake()
-
-    def _request_drop(self, sock: socket.socket) -> None:
-        """Worker side: ask the selector thread to drop *sock* (only
-        the selector may touch sockets and selector registrations)."""
-        with self._flush_lock:
-            self._kill_set.add(sock)
-        self._wake()
 
     # -- event loop -----------------------------------------------------------
 
     def _serve(self) -> None:
-        while not self._stop.is_set():
-            events = self._selector.select()  # blocks: no idle polling
-            woken = False
+        while True:
+            timeout = None
+            if self._blocked:
+                oldest = min(self._blocked.values())
+                timeout = max(0.0, oldest + self.stall_timeout
+                              - time.monotonic())
+            events = self._selector.select(timeout)
+            if self._stopped:
+                return
             for key, mask in events:
-                if key.fileobj is self._listener:
+                sock = key.fileobj
+                if sock is self._listener:
                     self._accept()
-                elif key.fileobj == self._wakeup_r:
-                    woken = True
-                else:
-                    sock = key.fileobj
-                    if mask & selectors.EVENT_READ:
-                        self._readable(sock)
-                    if sock in self._conn_state and \
-                            mask & selectors.EVENT_WRITE:
-                        self._writable(sock)
-            if woken:
+                    continue
+                state = self._conn_state.get(sock)
+                if state is None:
+                    continue
                 try:
-                    while os.read(self._wakeup_r, 4096):
-                        pass
-                except (BlockingIOError, OSError):
-                    pass
-                self._flush_pending()
-
-    def _flush_pending(self) -> None:
-        """Move worker-queued reply bytes into socket out-buffers and
-        resume paused reads whose backlog drained."""
-        with self._flush_lock:
-            socks, self._flush_set = self._flush_set, set()
-            kills, self._kill_set = self._kill_set, set()
-        for sock in kills:
-            self._drop(sock)
-            socks.discard(sock)
-        for sock in socks:
-            state = self._conn_state.get(sock)
-            if state is None:
-                continue
-            with state.cv:
-                while state.pending:
-                    state.outbuf.extend(state.pending.popleft())
-                resume = state.paused and \
-                    state.inflight <= self.max_pipeline // 2
-            if resume:
-                state.paused = False
-                # decode whatever piled up while reading was paused
-                self._pump_frames(sock, state)
-            else:
-                self._update_interest(sock, state)
+                    if mask & selectors.EVENT_READ:
+                        self._receive(sock, state)
+                    self._service(sock, state)
+                except Exception:   # peer gone, or the dispatcher failed
+                    self._drop(sock)
+            if self._blocked:
+                self._drop_stalled()
 
     def _accept(self) -> None:
         try:
@@ -435,173 +288,109 @@ class TcpServerTransport:
         except OSError:
             return
         sock.setblocking(False)
+        _nodelay(sock)
         conn_id = self.dispatcher.open_connection(f"{addr[0]}:{addr[1]}")
-        state = _ConnState(conn_id)
-        self._conn_state[sock] = state
+        self._conn_state[sock] = _ConnState(conn_id)
         self._selector.register(sock, selectors.EVENT_READ, None)
-        state.mask = selectors.EVENT_READ
 
-    def _readable(self, sock: socket.socket) -> None:
-        state = self._conn_state.get(sock)
-        if state is None:
-            return
+    @staticmethod
+    def _receive(sock: socket.socket, state: _ConnState) -> None:
         try:
             data = sock.recv(65536)
         except (BlockingIOError, InterruptedError):
             return
-        except OSError:
-            self._drop(sock)
-            return
         if not data:
-            self._drop(sock)
-            return
-        state.inbuf.extend(data)
-        self._pump_frames(sock, state)
+            raise ConnectionResetError("peer closed")
+        state.inbuf += data
 
-    def _pump_frames(self, sock: socket.socket, state: _ConnState) -> None:
-        buf = state.inbuf
-        while len(buf) >= 4:
-            if self._async and state.inflight >= self.max_pipeline:
-                # pipelining bound: stop decoding (and reading) until
-                # the dispatcher drains this connection's backlog
-                state.paused = True
+    def _service(self, sock: socket.socket, state: _ConnState) -> None:
+        """Run the connection's whole buffered frames, send what the
+        kernel takes, and set the connection's selector interest."""
+        while True:
+            more = sock not in self._blocked and self._run_frames(state)
+            self._send(sock, state)
+            size = len(state.outbuf)
+            if size >= self.high_water:
+                self._blocked.setdefault(sock, time.monotonic())
                 break
-            length = int.from_bytes(buf[:4], "big")
-            if len(buf) < 4 + length:
+            if sock in self._blocked:
+                if size > self.low_water:
+                    break
+                del self._blocked[sock]
+                more = True     # run what arrived while blocked
+            if not more:
                 break
-            frame = bytes(buf[4:4 + length])
-            del buf[:4 + length]
-            if not self._submit(sock, state, frame):
-                return  # connection dropped
-        self._update_interest(sock, state)
-
-    def _submit(self, sock: socket.socket, state: _ConnState,
-                frame: bytes) -> bool:
-        """Hand one decoded frame to the dispatcher (pool or inline)."""
-        if self._async:
-            with state.cv:
-                state.inflight += 1
-            on_reply, on_done = self._reply_sinks(sock, state)
-            if self.dispatcher.submit_frame(state.conn_id, frame,
-                                            on_reply, on_done):
-                return True
-            with state.cv:  # workers=0: dispatcher says "run it inline"
-                state.inflight -= 1
-        try:
-            replies = self.dispatcher.handle_frame(state.conn_id, frame)
-        except Exception:
-            self._drop(sock)
-            return False
-        for reply in replies:
-            state.outbuf.extend(reply)
-        with state.cv:
-            state.buffered += sum(len(r) for r in replies)
-        return True
-
-    def _reply_sinks(self, sock: socket.socket, state: _ConnState):
-        """(on_reply, on_done) callbacks for one submitted frame; they
-        run on worker threads."""
-
-        def on_reply(frame: bytes) -> bool:
-            stalled = False
-            queued = False
-            with state.cv:
-                # backpressure: wait for the selector to drain, but
-                # never indefinitely — the worker may hold the DB's
-                # shared lock, and this wait is paced by the client.
-                # A connection with no drain progress for
-                # stall_timeout seconds gets dropped instead.
-                deadline = None
-                while state.open and state.buffered >= self.high_water:
-                    now = time.monotonic()
-                    if deadline is None:
-                        deadline = now + self.stall_timeout
-                    elif now >= deadline:
-                        state.open = False
-                        stalled = True
-                        break
-                    before = state.buffered
-                    state.cv.wait(deadline - now)
-                    if state.buffered < before:
-                        deadline = None  # progress: restart the clock
-                if state.open:
-                    state.pending.append(frame)
-                    state.buffered += len(frame)
-                    queued = True
-            if stalled:
-                self._request_drop(sock)
-            if queued:
-                self._request_flush(sock)
-            return queued
-
-        def on_done() -> None:
-            with state.cv:
-                state.inflight -= 1
-            self._request_flush(sock)
-
-        return on_reply, on_done
-
-    def _writable(self, sock: socket.socket) -> None:
-        state = self._conn_state.get(sock)
-        if state is None:
-            return
-        out = state.outbuf
-        if out:
-            try:
-                # memoryview: send a window without copying the buffer
-                with memoryview(out) as view:
-                    with view[:65536] as chunk:
-                        sent = sock.send(chunk)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._drop(sock)
-                return
-            del out[:sent]
-            with state.cv:
-                state.buffered -= sent
-                if state.buffered < self.low_water:
-                    state.cv.notify_all()  # release backpressured workers
-        self._update_interest(sock, state)
-
-    def _update_interest(self, sock: socket.socket,
-                         state: _ConnState) -> None:
-        mask = 0
-        if not state.paused:
-            mask |= selectors.EVENT_READ
-        with state.cv:
-            if state.outbuf or state.pending:
-                mask |= selectors.EVENT_WRITE
-        if mask == state.mask:
-            return
-        try:
-            if mask == 0:
-                self._selector.unregister(sock)
-            elif state.mask == 0:
-                self._selector.register(sock, mask, None)
-            else:
-                self._selector.modify(sock, mask, None)
+        # a blocked connection still has bytes to send: never mask 0
+        mask = 0 if sock in self._blocked else selectors.EVENT_READ
+        if state.outbuf:
+            mask |= selectors.EVENT_WRITE
+        if mask != state.mask:
+            self._selector.modify(sock, mask, None)
             state.mask = mask
-        except (KeyError, ValueError):  # pragma: no cover - racing drop
-            pass
+
+    def _run_frames(self, state: _ConnState) -> bool:
+        """Run each whole frame in the in-buffer to completion, in
+        order; True if it stopped at high water with bytes left."""
+        buf, out = state.inbuf, state.outbuf
+        while len(buf) >= 4:
+            if len(out) >= self.high_water:
+                return True
+            end = 4 + int.from_bytes(buf[:4], "big")
+            if len(buf) < end:
+                break
+            frame = bytes(buf[4:end])
+            del buf[:end]
+            for reply in self.dispatcher.handle_frame_stream(
+                    state.conn_id, frame):
+                out += reply
+        return False
+
+    def _send(self, sock: socket.socket, state: _ConnState) -> None:
+        """One non-blocking send of the out-buffer."""
+        if not state.outbuf:
+            return
+        try:
+            sent = sock.send(state.outbuf)
+        except (BlockingIOError, InterruptedError):
+            return
+        del state.outbuf[:sent]
+        if sent and sock in self._blocked:
+            self._blocked[sock] = time.monotonic()  # drain progress
+
+    def _drop_stalled(self) -> None:
+        deadline = time.monotonic() - self.stall_timeout
+        for sock in [s for s, progress in self._blocked.items()
+                     if progress <= deadline]:
+            self._drop(sock)
 
     def _drop(self, sock: socket.socket) -> None:
         state = self._conn_state.pop(sock, None)
+        self._blocked.pop(sock, None)
         try:
             self._selector.unregister(sock)
         except (KeyError, ValueError, RuntimeError):
             pass
         sock.close()
         if state is not None:
-            with state.cv:
-                state.open = False
-                state.cv.notify_all()  # unblock backpressured workers
             self.dispatcher.close_connection(state.conn_id)
 
 
 class _TcpClientConnection(ClientConnection):
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        _nodelay(self._sock)
+        self._buf = b""     # received, not yet parsed
+        self._pos = 0
+
+    def _recv(self, n: int) -> bytes:
+        """``read_frame``'s reader: up to *n* buffered bytes, refilling
+        the buffer with one ``recv`` only when it is empty — a whole
+        reply usually arrives in one."""
+        if self._pos >= len(self._buf):
+            self._buf, self._pos = self._sock.recv(65536), 0
+        chunk = self._buf[self._pos:self._pos + n]
+        self._pos += len(chunk)
+        return chunk
 
     def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
         try:
@@ -609,7 +398,7 @@ class _TcpClientConnection(ClientConnection):
         except OSError as exc:
             raise MoiraError(MR_ABORTED, str(exc)) from exc
         while True:
-            frame = read_frame(self._sock.recv)
+            frame = read_frame(self._recv)
             if not frame:
                 raise MoiraError(MR_ABORTED, "server closed connection")
             yield frame

@@ -1,9 +1,9 @@
 """The read-only replica: WAL apply loop + full Moira serving stack.
 
 A :class:`ReplicaServer` owns a schema-fresh database and a complete
-:class:`~repro.server.moira_server.MoiraServer` over it (worker pool,
-access cache, query metrics — everything a primary has), but never
-accepts mutations: ``side_effects=True`` handles answer ``MR_PERM``.
+:class:`~repro.server.moira_server.MoiraServer` over it (access cache,
+query metrics — everything a primary has), but never accepts
+mutations: ``side_effects=True`` handles answer ``MR_PERM``.
 State arrives exclusively from the primary's replication feed:
 
 * **Bootstrap / resync** — ``_repl_snapshot`` streams a consistent cut
@@ -109,9 +109,8 @@ class ReplicaMoiraServer(MoiraServer):
     """
 
     def __init__(self, replica: "ReplicaServer", *, kdc=None,
-                 workers: int = 0, faults=None):
-        super().__init__(replica.db, replica.clock, kdc,
-                         workers=workers, faults=faults)
+                 faults=None):
+        super().__init__(replica.db, replica.clock, kdc, faults=faults)
         self.replica = replica
 
     @property
@@ -190,7 +189,6 @@ class ReplicaServer:
         feed_factory: FeedFactory,
         kdc=None,
         name: str = "replica",
-        workers: int = 0,
         staleness_budget: float = 0.25,
         poll_interval: float = 0.005,
         faults: Optional[FaultInjector] = None,
@@ -237,7 +235,7 @@ class ReplicaServer:
         self._seq_cv = threading.Condition()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self.server = ReplicaMoiraServer(self, kdc=kdc, workers=workers)
+        self.server = ReplicaMoiraServer(self, kdc=kdc)
 
     # -- CDC taps ------------------------------------------------------------
 
@@ -623,6 +621,5 @@ class ReplicaServer:
         self._drop_feed()
 
     def stop(self) -> None:
-        """Stop the pump and the serving worker pool (idempotent)."""
+        """Stop the pump (idempotent)."""
         self.stop_pump()
-        self.server.shutdown()

@@ -47,7 +47,6 @@ class ReplicaCluster:
         deployment,
         count: int,
         *,
-        workers: int = 0,
         staleness_budget: float = 0.25,
         faults: Optional[FaultInjector] = None,
         sync: bool = True,
@@ -68,7 +67,6 @@ class ReplicaCluster:
                 feed_factory=self._primary_feed_factory(f"replica{i}"),
                 kdc=d.kdc,
                 name=f"replica{i}",
-                workers=workers,
                 staleness_budget=staleness_budget,
                 faults=faults,
                 feed_credentials=self.feed_credentials(),
@@ -178,7 +176,6 @@ class ReplicaCluster:
         password: str = "pw",
         client_name: str = "app",
         *,
-        pooled: bool = False,
         retry_policy=None,
         seed: int = 0,
     ) -> ReplicaSet:
@@ -214,7 +211,6 @@ class ReplicaCluster:
                                    if r.name == node))
                 client = MoiraClient(dispatcher=dispatcher, kdc=d.kdc,
                                      credentials=creds, clock=d.clock,
-                                     pooled=pooled,
                                      busy_retries=busy_retries)
             client.connect()
             if creds is not None:

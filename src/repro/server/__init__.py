@@ -8,8 +8,7 @@ opened "only once, at the start up time of the daemon".
 """
 
 from repro.server.access import ACL_TABLES, AccessCache, seed_capacls
-from repro.server.dispatch import WorkerPool
 from repro.server.moira_server import MoiraServer, ServerStats
 
 __all__ = ["MoiraServer", "ServerStats", "AccessCache", "ACL_TABLES",
-           "WorkerPool", "seed_capacls"]
+           "seed_capacls"]

@@ -13,8 +13,8 @@ mutating query and passes the touched tables in; only mutations that
 touch an ACL-relevant relation (membership, capability, or ACE state)
 bump the generation, so a read-mostly workload no longer loses the
 whole cache to every quota update or string interning.  The cache is
-thread-safe: worker-pool threads look up, store, and invalidate
-concurrently.
+thread-safe: client threads and transport loops look up, store, and
+invalidate concurrently.
 
 This cache memoises whole access *decisions*; the membership-closure
 index (``repro.db.closure``, see docs/QUERY_ENGINE.md) accelerates the

@@ -17,8 +17,8 @@ held back the version GC horizon), the age kept as its own log2-µs
 histogram.
 
 Recording is one dict lookup, a few integer adds, and a handful of
-bucket increments under a per-handle lock, so worker-pool threads
-serving different handles never contend.  Wall time for a streamed
+bucket increments under a per-handle lock, so threads serving
+different handles never contend.  Wall time for a streamed
 retrieval covers the full stream (first scan to last tuple drained),
 matching what a client actually experiences.
 """

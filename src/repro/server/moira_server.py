@@ -22,12 +22,12 @@ Concurrency (beyond the paper, after MCS's multithreaded engine):
   the backend's ``write_txn()`` (:func:`~repro.queries.base.run_write`),
   so journal order is commit order; only writer–writer exclusion
   remains, and only between writes whose shard footprints overlap.
-* A bounded :class:`~repro.server.dispatch.WorkerPool` (``workers``
-  constructor knob; 0 = the original inline path) executes requests
-  off the transport's I/O loop, FIFO per connection.
+* A request runs to completion on the thread that hands the frame in:
+  the TCP transport's one selector thread, or an in-process client's
+  own thread.  The server owns no threads.
 * :meth:`handle_frame_stream` yields reply frames as tuples are
-  produced, so a 10k-tuple retrieve starts answering before the scan
-  finishes instead of materialising every encoded reply in a list.
+  produced, so an in-process client consumes a 10k-tuple retrieve as
+  the scan runs instead of after it.
 
 Every query execution is folded into a per-handle
 :class:`~repro.server.metrics.QueryMetrics` row (calls, errors, tuples,
@@ -40,7 +40,6 @@ active pins) ride along as ``_mvcc.*`` rows.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -74,20 +73,14 @@ from repro.queries.base import (
     run_read,
 )
 from repro.server.access import AccessCache
-from repro.server.dispatch import WorkerPool
 from repro.server.metrics import QueryMetrics
 from repro.server.write_batch import WriteBatcher
 from repro.sim.clock import Clock
 from repro.sim.faults import FaultInjector
 
-__all__ = ["MoiraServer", "ServerStats", "default_workers"]
+__all__ = ["MoiraServer", "ServerStats"]
 
 MOIRA_SERVICE_PRINCIPAL = "moira"
-
-
-def default_workers() -> int:
-    """The default serve-pool width: ``min(8, cpus)``."""
-    return min(8, os.cpu_count() or 1)
 
 
 class ServerStats:
@@ -96,7 +89,7 @@ class ServerStats:
     Counters stay plain integer attributes (read them directly), but
     increments go through :meth:`incr`, which serialises on one of a
     small set of sharded locks — counters on different shards never
-    contend with each other under the worker pool.
+    contend with each other when client threads call in concurrently.
     """
 
     FIELDS = (
@@ -109,8 +102,6 @@ class ServerStats:
         "auth_failures",
         "tuples_returned",
         "errors_returned",
-        "requests_shed",
-        "deadlines_expired",
     )
     _SHARDS = 4
 
@@ -158,11 +149,8 @@ class MoiraServer:
         access_cache: Optional[AccessCache] = None,
         dcm_trigger: Optional[Callable[[], None]] = None,
         service_principal: str = MOIRA_SERVICE_PRINCIPAL,
-        workers: Optional[int] = None,
         metrics: Optional[QueryMetrics] = None,
         faults: Optional[FaultInjector] = None,
-        admission_limit: Optional[int] = None,
-        request_deadline: Optional[float] = None,
         dcm_stats: Optional[Callable[[], list]] = None,
         write_batch: int = 8,
     ):
@@ -175,16 +163,7 @@ class MoiraServer:
         self.service_principal = service_principal
         self.stats = ServerStats()
         self.metrics = metrics if metrics is not None else QueryMetrics()
-        self.workers = default_workers() if workers is None else workers
-        self._pool: Optional[WorkerPool] = (
-            WorkerPool(self.workers) if self.workers > 0 else None)
-        # graceful degradation: bound the admission queue in front of
-        # the pool (None = unbounded, the historical behaviour) and give
-        # each accepted request a real-time completion deadline; both
-        # answer MR_BUSY, which idempotent clients retry with backoff
         self.faults = faults
-        self.admission_limit = admission_limit
-        self.request_deadline = request_deadline
         # provider of per-target DCM retry/breaker rows for _dcm_stats
         # (wired by the deployment to DCM.dcm_stats_tuples)
         self.dcm_stats = dcm_stats
@@ -223,10 +202,9 @@ class MoiraServer:
         return "fenced" if self.journal.fenced else "primary"
 
     def shutdown(self) -> None:
-        """Stop the worker pool (idempotent; inline mode is a no-op)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Nothing to stop: the server owns no threads (transports own
+        the I/O loop and stop it themselves).  Kept so an owner can
+        tear every component down the same way."""
 
     # -- Dispatcher interface ---------------------------------------------------
 
@@ -253,9 +231,9 @@ class MoiraServer:
 
     def handle_frame_stream(self, conn_id: int,
                             frame: bytes) -> Iterator[bytes]:
-        """Like :meth:`handle_frame`, but yields reply frames as they
-        are produced — large retrieves start answering before the scan
-        completes, bounding per-connection server memory."""
+        """The transports' entry: like :meth:`handle_frame`, but yields
+        reply frames as they are produced, so an in-process caller
+        consumes a large retrieve while the scan runs."""
         if self.faults is not None:
             # a ServerCrash armed here is a BaseException: it sails past
             # the blanket handlers below, exactly like a real SIGKILL
@@ -296,59 +274,21 @@ class MoiraServer:
     def submit_frame(self, conn_id: int, frame: bytes,
                      on_reply: Callable[[bytes], bool],
                      on_done: Callable[[], None]) -> bool:
-        """Dispatch one frame asynchronously on the worker pool.
-
-        Returns False when there is no pool (``workers=0``) — the
-        caller must fall back to inline :meth:`handle_frame`.  Replies
-        go to ``on_reply(frame) -> bool`` (return False to abandon the
-        stream, e.g. the connection died); ``on_done()`` always fires
-        exactly once, after the last reply.
-
-        Graceful degradation: when ``admission_limit`` is set and that
-        many accepted requests are already waiting for a worker, the
-        frame is **shed** — answered immediately with the retryable
-        ``MR_BUSY`` instead of joining a queue the server cannot drain.
-        """
-        if self._pool is None:
-            return False
-        if self.admission_limit is not None and \
-                self._pool.queued() >= self.admission_limit:
-            self.stats.incr("requests_shed")
-            try:
-                on_reply(encode_reply(MR_BUSY, ("admission queue full",)))
-            finally:
-                on_done()
-            return True
-        enqueued = time.monotonic()
-        self._pool.submit(
-            conn_id, lambda: self._run_frame(conn_id, frame,
-                                             on_reply, on_done,
-                                             enqueued=enqueued))
-        return True
-
-    def _run_frame(self, conn_id: int, frame: bytes,
-                   on_reply: Callable[[bytes], bool],
-                   on_done: Callable[[], None],
-                   enqueued: Optional[float] = None) -> None:
-        if enqueued is not None and self.request_deadline is not None \
-                and time.monotonic() - enqueued > self.request_deadline:
-            # the request aged out waiting for a worker; answering it
-            # now would only add more load behind an overload — tell
-            # the client to retry instead
-            self.stats.incr("deadlines_expired")
-            try:
-                on_reply(encode_reply(MR_BUSY, ("deadline expired",)))
-            finally:
-                on_done()
-            return
+        """The callback form of :meth:`handle_frame_stream`, run to
+        completion on the calling thread: each reply frame goes to
+        ``on_reply(frame) -> bool`` (False abandons the stream, which
+        closes it and releases its read view), then ``on_done()`` fires
+        exactly once.  Always returns True.  ``perf/trace.py`` wraps
+        this method by name."""
         stream = self.handle_frame_stream(conn_id, frame)
         try:
             for reply in stream:
                 if not on_reply(reply):
                     break
         finally:
-            stream.close()  # releases a held shared lock mid-stream
+            stream.close()
             on_done()
+        return True
 
     # -- major request handlers ---------------------------------------------------
 
@@ -582,20 +522,14 @@ class MoiraServer:
         return rows
 
     def _dcm_stats(self) -> Iterator[bytes]:
-        """The ``_dcm_stats`` pseudo-query: the server's degradation
-        counters, the DCM's per-target retry/breaker rows (service,
-        machine, breaker state, attempts, successes, soft, hard,
-        breaker_opens, consecutive_soft), then — when the CDC pipeline
+        """The ``_dcm_stats`` pseudo-query: the DCM's per-target
+        retry/breaker rows (service, machine, breaker state, attempts,
+        successes, soft, hard, breaker_opens, consecutive_soft), then —
+        when the CDC pipeline
         is wired — the extractor's freshness rows (``_cdc`` counters:
         cursor, cursor_lag, debounce_occupancy, pushes_coalesced...
         and per-service ``_cdc.service`` rows carrying
         last_converged_seq; docs/DCM_PIPELINE.md)."""
-        yield encode_reply(MR_MORE_DATA,
-                           ("_server", "requests_shed",
-                            str(self.stats.requests_shed)))
-        yield encode_reply(MR_MORE_DATA,
-                           ("_server", "deadlines_expired",
-                            str(self.stats.deadlines_expired)))
         if self.dcm_stats is not None:
             for t in self.dcm_stats():
                 yield encode_reply(MR_MORE_DATA, tuple(t))

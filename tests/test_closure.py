@@ -246,9 +246,10 @@ class TestClosureFallback:
 
 class TestClosureUnderWorkerPool:
     def test_concurrent_churn_stays_consistent(self):
-        """Writers mutate memberships over TCP (through the worker
-        pool) while readers run recursive retrievals; afterwards the
-        closure agrees with the walk for every entity."""
+        """Writers mutate memberships over TCP (a pool of client
+        threads, one selector loop) while readers run recursive
+        retrievals; afterwards the closure agrees with the walk for
+        every entity."""
         d = AthenaDeployment(DeploymentConfig(population=PopulationSpec(
             users=20, unregistered_users=0, nfs_servers=1, maillists=2,
             clusters=1, machines_per_cluster=1, printers=1,

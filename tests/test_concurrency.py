@@ -1,6 +1,7 @@
 """Concurrency tests: simultaneous clients, competing DCMs, threaded
 TCP traffic against the single-process server, the reader–writer
-database lock, the worker pool, and the thread-safe access cache."""
+database lock, transport backpressure, and the thread-safe access
+cache."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from repro.db.locks import LockManager, LockMode
 from repro.db.rwlock import RWLock
 from repro.dcm.dcm import DCM
 from repro.protocol.transport import TcpServerTransport
-from repro.server import AccessCache, WorkerPool
+from repro.server import AccessCache
 from repro.workload import PopulationSpec
 
 
@@ -242,51 +243,6 @@ class TestRWLock:
             assert lock.write_locked
 
 
-class TestWorkerPool:
-    def test_fifo_per_key(self):
-        pool = WorkerPool(4)
-        order: list[int] = []
-        done = threading.Event()
-
-        def job(i):
-            order.append(i)
-            if i == 49:
-                done.set()
-
-        for i in range(50):
-            pool.submit("conn-1", lambda i=i: job(i))
-        assert done.wait(timeout=10)
-        pool.shutdown()
-        assert order == list(range(50))
-
-    def test_different_keys_run_in_parallel(self):
-        pool = WorkerPool(2)
-        both_running = threading.Barrier(2, timeout=5)
-        ok: list[bool] = []
-
-        def job():
-            both_running.wait()  # only passes if both keys run at once
-            ok.append(True)
-
-        pool.submit("a", job)
-        pool.submit("b", job)
-        deadline = time.monotonic() + 5
-        while len(ok) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        pool.shutdown()
-        assert ok == [True, True]
-
-    def test_shutdown_drains_queued_jobs(self):
-        pool = WorkerPool(1)
-        ran: list[int] = []
-        for i in range(10):
-            pool.submit("k", lambda i=i: ran.append(i))
-        pool.shutdown(wait=True)
-        assert ran == list(range(10))
-        with pytest.raises(RuntimeError):
-            pool.submit("k", lambda: None)
-
-
 class TestAccessCacheEviction:
     def test_fifo_eviction_keeps_newest(self):
         cache = AccessCache(max_entries=4)
@@ -403,98 +359,92 @@ class TestJournalOrdering:
         assert seen == [True]
 
 
+class _BigReply:
+    """A dispatcher whose every request is answered by one *size*-byte
+    frame, larger than every socket buffer on the path."""
+
+    def __init__(self, size: int):
+        self.reply = size.to_bytes(4, "big") + bytes(size)
+        self.closed = threading.Event()
+
+    def open_connection(self, peer):
+        return 1
+
+    def handle_frame_stream(self, conn_id, frame):
+        yield self.reply
+
+    def close_connection(self, conn_id):
+        self.closed.set()
+
+
 class TestBackpressureStall:
-    """A connected-but-stalled client must not hold workers (and any
-    shared DB lock they carry) hostage: past stall_timeout without
-    drain progress the backpressure wait gives up and the connection
-    is handed to the selector for dropping."""
+    """On the one selector thread: a connection over high water is not
+    read; one that then makes no drain progress for stall_timeout is
+    dropped, while one that drains slowly survives."""
 
-    def _transport_and_state(self, deployment, **kwargs):
-        tcp = TcpServerTransport(deployment.server, **kwargs)
-        from repro.protocol.transport import _ConnState
-        a, b = socket.socketpair()
-        state = _ConnState(deployment.server.open_connection("stall"))
-        tcp._conn_state[a] = state
-        return tcp, a, b, state
-
-    def test_stalled_connection_is_dropped(self, deployment):
-        tcp, a, b, state = self._transport_and_state(
-            deployment, high_water=64, low_water=32, stall_timeout=0.2)
+    def test_stalled_connection_is_dropped(self):
+        dispatcher = _BigReply(16 << 20)
+        tcp = TcpServerTransport(dispatcher, high_water=64 << 10,
+                                 low_water=16 << 10,
+                                 stall_timeout=0.2).start()
         try:
-            on_reply, on_done = tcp._reply_sinks(a, state)
-            with state.cv:
-                state.buffered = tcp.high_water  # nothing ever drains
-            start = time.monotonic()
-            assert on_reply(b"x" * 16) is False
-            assert time.monotonic() - start >= 0.2
-            with tcp._flush_lock:
-                assert a in tcp._kill_set  # queued for selector drop
-            assert state.open is False
-            on_done()
+            with socket.create_connection(tcp.address) as sock:
+                sock.sendall(b"\x00\x00\x00\x01x")
+                start = time.monotonic()
+                assert dispatcher.closed.wait(timeout=10)  # never read
+                assert time.monotonic() - start >= 0.2
         finally:
-            b.close()
-            tcp.stop()  # never started: just drops conns, closes fds
+            tcp.stop()
 
-    def test_draining_connection_survives_past_timeout(self, deployment):
-        """Progress resets the stall clock: a slow-but-draining client
-        waits through several timeout windows without being dropped."""
-        tcp, a, b, state = self._transport_and_state(
-            deployment, high_water=64, low_water=32, stall_timeout=0.3)
+    def test_draining_connection_survives_past_timeout(self):
+        """Progress resets the stall clock: a client pausing under the
+        timeout between reads gets the whole reply."""
+        size = 2 << 20
+        dispatcher = _BigReply(size)
+        tcp = TcpServerTransport(dispatcher, high_water=64 << 10,
+                                 low_water=16 << 10,
+                                 stall_timeout=0.3).start()
         try:
-            on_reply, on_done = tcp._reply_sinks(a, state)
-            with state.cv:
-                state.buffered = tcp.high_water
-
-            def drain_slowly():
-                # two partial drains inside separate timeout windows,
-                # then drop below high_water
-                for step in (8, 8, 40):
-                    time.sleep(0.2)
-                    with state.cv:
-                        state.buffered -= step
-                        state.cv.notify_all()
-
-            t = threading.Thread(target=drain_slowly)
-            t.start()
-            assert on_reply(b"x" * 16) is True  # not dropped
-            t.join(timeout=5)
-            with tcp._flush_lock:
-                assert a not in tcp._kill_set
-            on_done()
+            with socket.create_connection(tcp.address) as sock:
+                sock.sendall(b"\x00\x00\x00\x01x")
+                start = time.monotonic()
+                got = 0
+                while got < 4 + size:
+                    time.sleep(0.15)
+                    chunk = sock.recv(256 << 10)
+                    assert chunk, "dropped mid-drain"
+                    got += len(chunk)
+                assert time.monotonic() - start > 0.3
+            assert got == 4 + size
         finally:
-            b.close()
             tcp.stop()
 
     def test_stalled_reader_releases_shared_lock_for_writers(
             self, deployment):
-        """End to end at the server layer: a lazy retrieve whose client
-        sink stalls forever is abandoned, the reply generator is
-        closed, and the shared lock is released (a writer proceeds)."""
+        """A retrieve runs to completion before the loop moves on, so a
+        client that never reads its reply holds no read view or lock:
+        a writer gets the exclusive lock while the reply sits unread."""
         d = deployment
-        server = d.server
+        tcp = TcpServerTransport(d.server).start()
         from repro.protocol.wire import MajorRequest, encode_request
-        conn_id = server.open_connection("stall-e2e")
-        frame = encode_request(
-            MajorRequest.QUERY, ["get_machine", "*"])[4:]
-        abandoned = threading.Event()
+        try:
+            with socket.create_connection(tcp.address) as sock:
+                handled = d.server.stats.requests_handled
+                sock.sendall(encode_request(
+                    MajorRequest.QUERY, ["get_machine", "*"]))
+                deadline = time.monotonic() + 10
+                while d.server.stats.requests_handled == handled:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                got_exclusive = threading.Event()
 
-        def on_reply(reply: bytes) -> bool:
-            return False  # client sink gives up immediately (stall)
+                def writer():
+                    with d.db.lock:
+                        got_exclusive.set()
 
-        def on_done() -> None:
-            abandoned.set()
-
-        server._run_frame(conn_id, frame, on_reply, on_done)
-        assert abandoned.wait(timeout=5)
-        # the shared lock must be free again: a writer gets through
-        got_exclusive = threading.Event()
-
-        def writer():
-            with d.db.lock:
-                got_exclusive.set()
-
-        t = threading.Thread(target=writer)
-        t.start()
-        assert got_exclusive.wait(timeout=5)
-        t.join(timeout=5)
-        server.close_connection(conn_id)
+                t = threading.Thread(target=writer)
+                t.start()
+                assert got_exclusive.wait(timeout=5)
+                t.join(timeout=5)
+        finally:
+            tcp.stop()

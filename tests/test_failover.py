@@ -83,7 +83,7 @@ def chaos_world(wal_path=None, *, faults=None, write_batch=4):
                   ["moira-admins", "USER", "fo3"])
     kdc = KDC(clock)
     journal = Journal(path=wal_path, faults=faults)
-    server = MoiraServer(db, clock, kdc, journal=journal, workers=0,
+    server = MoiraServer(db, clock, kdc, journal=journal,
                          write_batch=write_batch)
     return SimpleNamespace(db=db, clock=clock, kdc=kdc, journal=journal,
                            server=server)
@@ -301,7 +301,7 @@ class TestFeedAuth:
         (the unit-test enclave shape from earlier PRs)."""
         db = build_database()
         clock = Clock()
-        server = MoiraServer(db, clock, journal=Journal(), workers=0)
+        server = MoiraServer(db, clock, journal=Journal())
         cid = server.open_connection("anon")
         frame = encode_request(MajorRequest.QUERY, ["_repl_snapshot"])[4:]
         assert decode_reply(

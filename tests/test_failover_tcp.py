@@ -57,8 +57,8 @@ class _NullDispatcher:
     def open_connection(self, peer):
         return 1
 
-    def handle_frame(self, conn_id, frame):
-        return []
+    def handle_frame_stream(self, conn_id, frame):
+        return iter(())
 
     def close_connection(self, conn_id):
         pass
@@ -184,7 +184,7 @@ def tcp_world(backend_name, tmp_path):
     execute_query(ctx, "add_member_to_list", ["moira-admins", "USER", "tft"])
     kdc = KDC(clock)
     kdc.add_principal("tft", "pw")
-    server = MoiraServer(db, clock, kdc, journal=Journal(), workers=0)
+    server = MoiraServer(db, clock, kdc, journal=Journal())
     transport = TcpServerTransport(server, port=0).start()
     return SimpleNamespace(db=db, clock=clock, kdc=kdc, server=server,
                            transport=transport)
@@ -317,7 +317,7 @@ class TestTcpTopology:
     def world(self):
         d = AthenaDeployment(DeploymentConfig(
             population=PopulationSpec(**SMALL),
-            replicas=2, server_workers=0,
+            replicas=2,
             staleness_budget=0.05, replica_tcp=True,
             faults=FaultInjector()))
         yield d

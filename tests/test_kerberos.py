@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +84,59 @@ class TestTickets:
         auth = kdc.make_authenticator(ticket, clock.now())
         kdc.verify_authenticator(auth, "moira")
         expect_krb(KRB_REPLAY, kdc.verify_authenticator, auth, "moira")
+
+    def test_replay_cache_stays_bounded(self, world):
+        """An entry lives only while the skew check would still accept
+        its authenticator: a day of second-by-second mr_auths keeps one
+        skew window of entries, and replays are still caught — inside
+        the window by the cache, past it by the skew check."""
+        clock, kdc = world
+        cache = kdc.kinit("babette", "secret")
+        ticket = kdc.get_service_ticket(cache, "moira")
+        sent = []
+        for _ in range(10_000):
+            clock.advance(1)
+            auth = kdc.make_authenticator(ticket, clock.now())
+            kdc.verify_authenticator(auth, "moira")
+            sent.append(auth)
+        assert len(kdc._replay_cache) <= 301    # max_skew + 1 seconds
+        expect_krb(KRB_REPLAY, kdc.verify_authenticator, sent[-300],
+                   "moira")
+        expect_krb(KRB_SKEW, kdc.verify_authenticator, sent[0], "moira")
+
+    def test_concurrent_verifiers_accept_each_authenticator_once(
+            self, world):
+        """Transport loops and client threads share one KDC: racing
+        verifications of the same authenticators admit each once."""
+        clock, kdc = world
+        ticket = kdc.get_service_ticket(kdc.kinit("babette", "secret"),
+                                        "moira")
+        auths = [kdc.make_authenticator(ticket, clock.now())
+                 for _ in range(200)]
+        accepted: list[str] = []
+        errors: list[BaseException] = []
+
+        def verifier():
+            for auth in auths:
+                try:
+                    kdc.verify_authenticator(auth, "moira")
+                    accepted.append(auth.nonce)
+                except MoiraError as exc:
+                    if exc.code != KRB_REPLAY:
+                        errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=verifier) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not [t for t in threads if t.is_alive()] and not errors
+        assert sorted(accepted) == sorted(a.nonce for a in auths)
 
     def test_clock_skew_rejected(self, world):
         clock, kdc = world

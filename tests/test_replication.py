@@ -49,7 +49,7 @@ def make_primary(**journal_kwargs):
     db = build_database()
     clock = Clock()
     journal = Journal(**journal_kwargs)
-    server = MoiraServer(db, clock, journal=journal, workers=0)
+    server = MoiraServer(db, clock, journal=journal)
     return SimpleNamespace(db=db, clock=clock, journal=journal,
                            server=server)
 
@@ -295,8 +295,7 @@ class TestCrashMatrix:
         primary.journal.close()
         rec = recover(tmp_path / "snap", wal_path=wal)
         journal = Journal.load(wal)
-        restarted = MoiraServer(rec.db, Clock(), journal=journal,
-                                workers=0)
+        restarted = MoiraServer(rec.db, Clock(), journal=journal)
         box["server"] = restarted
         replica._drop_feed()     # its old connection died with the crash
         clock = Clock()
@@ -332,7 +331,7 @@ class TestReplicaSetRouting:
     def world(self):
         d = AthenaDeployment(DeploymentConfig(
             population=PopulationSpec(**SMALL),
-            replicas=2, server_workers=0,
+            replicas=2,
             staleness_budget=0.05,
             faults=FaultInjector()))
         yield d

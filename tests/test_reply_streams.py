@@ -1,15 +1,15 @@
 """Concurrency may not change a single reply byte.
 
-N client threads drive their own connections through ``submit_frame``
-on the default worker pool; the same plans then run one connection
-after another through ``handle_frame`` on an inline server over an
+A pool of N client threads drives its own TCP connections, all served
+by the one selector loop of a ``TcpServerTransport``; the same plans
+then run one connection after another through ``handle_frame`` over an
 identically built world.  Every connection's reply stream must hash
 the same both ways — content and per-connection order are the
 contract, whatever the interleaving.  (This is the oracle the
 withdrawn E10 / E14 speed benchmarks carried; no timing is asserted.)
 
-The last test is E13's: rows served by pooled replicas are the rows
-the primary serves.
+The last test is E13's: rows a pool of replica routers reads from the
+replicas are the rows the primary serves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ import pytest
 
 from repro.client.lib import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
-from repro.protocol.wire import MajorRequest, encode_request
+from repro.protocol.transport import TcpServerTransport, connect_tcp
+from repro.protocol.wire import (
+    MajorRequest,
+    encode_reply,
+    encode_request,
+    pack_authenticator,
+)
 from repro.workload import PopulationSpec
 
 CLIENTS = 6
@@ -32,6 +38,7 @@ SMALL = dict(users=30, unregistered_users=0, nfs_servers=2, maillists=4,
              network_services=4)
 
 MIXES = {"read_only": 0.0, "mixed_90_10": 0.1, "write_heavy": 0.8}
+PASSWORD = "streams-pw"
 
 
 def build_world(**config) -> AthenaDeployment:
@@ -44,11 +51,11 @@ def build_world(**config) -> AthenaDeployment:
 
 
 def plan(d: AthenaDeployment, client: int, write_frac: float) -> list:
-    """One connection's frames.  Reads hit pre-seeded rows by exact
+    """One connection's queries.  Reads hit pre-seeded rows by exact
     name and writes touch client-private targets on two writer shards,
     so the connection's replies do not depend on what the others do."""
     login = d.handles.logins[client]
-    frames = []
+    queries = []
     for j in range(REQUESTS):
         write = int(j * write_frac) != int((j + 1) * write_frac)
         if write and j % 2:
@@ -60,8 +67,8 @@ def plan(d: AthenaDeployment, client: int, write_frac: float) -> list:
         else:
             query = ["get_machine",
                      f"SEED{(client * 7 + j * 3) % MACHINES}.MIT.EDU"]
-        frames.append(encode_request(MajorRequest.QUERY, query)[4:])
-    return frames
+        queries.append(query)
+    return queries
 
 
 def connect(d: AthenaDeployment) -> list[int]:
@@ -73,6 +80,19 @@ def connect(d: AthenaDeployment) -> list[int]:
         d.server._connections[conn_id].principal = admin
         conn_ids.append(conn_id)
     return conn_ids
+
+
+def connect_admin_tcp(d: AthenaDeployment, transport: TcpServerTransport):
+    """A raw TCP connection authenticated as the admin."""
+    admin = d.handles.logins[0]
+    ticket = d.kdc.get_service_ticket(d.kdc.kinit(admin, PASSWORD),
+                                      "moira")
+    auth = d.kdc.make_authenticator(ticket, d.clock.now())
+    conn = connect_tcp(*transport.address)
+    replies = conn.call(MajorRequest.AUTHENTICATE,
+                        [b"streams", pack_authenticator(auth)])
+    assert replies[-1].code == 0, replies
+    return conn
 
 
 def run_clients(client) -> None:
@@ -99,11 +119,12 @@ def run_clients(client) -> None:
 
 
 def serial_digests(write_frac: float) -> list[str]:
-    d = build_world(server_workers=0)
+    d = build_world()
     digests = []
     for i, conn_id in enumerate(connect(d)):
         digest = hashlib.sha256()
-        for body in plan(d, i, write_frac):
+        for query in plan(d, i, write_frac):
+            body = encode_request(MajorRequest.QUERY, query)[4:]
             for reply in d.server.handle_frame(conn_id, body):
                 digest.update(reply)
         digests.append(digest.hexdigest())
@@ -111,23 +132,28 @@ def serial_digests(write_frac: float) -> list[str]:
 
 
 def pooled_digests(write_frac: float) -> list[str]:
-    d = build_world()       # the default worker pool
-    conn_ids = connect(d)
+    """Each client thread's reply stream over its own TCP connection;
+    replies are hashed re-encoded, the bytes ``handle_frame`` makes."""
+    d = build_world()
+    d.make_admin(d.handles.logins[0])
+    d.kdc.add_principal(d.handles.logins[0], PASSWORD)
+    transport = TcpServerTransport(d.server).start()
     digests = [hashlib.sha256() for _ in range(CLIENTS)]
 
     def client(i: int) -> None:
-        for body in plan(d, i, write_frac):
-            done = threading.Event()
-            d.server.submit_frame(
-                conn_ids[i], body,
-                lambda reply: (digests[i].update(reply), True)[1],
-                done.set)
-            assert done.wait(timeout=60), f"client {i} stalled"
+        conn = connect_admin_tcp(d, transport)
+        try:
+            for query in plan(d, i, write_frac):
+                for reply in conn.stream(MajorRequest.QUERY, query):
+                    digests[i].update(encode_reply(reply.code,
+                                                   reply.fields))
+        finally:
+            conn.close()
 
     try:
         run_clients(client)
     finally:
-        d.server.shutdown()
+        transport.stop()
     return [digest.hexdigest() for digest in digests]
 
 
@@ -137,14 +163,14 @@ def test_pooled_reply_streams_match_the_serial_run(mix):
 
 
 def test_pooled_replicas_serve_the_primarys_rows():
-    d = build_world(server_workers=2, replicas=2, replica_workers=2)
+    d = build_world(replicas=2)
     d.replica_cluster.sync_all()
     names = [f"SEED{k}.MIT.EDU" for k in range(MACHINES)]
     primary = MoiraClient(dispatcher=d.server).connect()
     expected = {name: primary.query("get_machine", name)
                 for name in names}
     primary.close()
-    routers = [d.replica_cluster.replica_set(pooled=True, seed=i)
+    routers = [d.replica_cluster.replica_set(seed=i)
                for i in range(CLIENTS)]
 
     def client(i: int) -> None:
@@ -161,4 +187,3 @@ def test_pooled_replicas_serve_the_primarys_rows():
         for router in routers:
             router.close()
         d.replica_cluster.stop()
-        d.server.shutdown()

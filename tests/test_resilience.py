@@ -2,8 +2,8 @@
 
 Covers the :class:`PropagationGovernor` state machine (backoff,
 circuit breaker, per-cycle retry budget), its integration into the DCM
-cycle report and the ``_dcm_stats`` pseudo-query, and the server's
-bounded-admission load shedding with client-side MR_BUSY retry.
+cycle report and the ``_dcm_stats`` pseudo-query, and client-side
+MR_BUSY retry.
 """
 
 from __future__ import annotations
@@ -225,7 +225,6 @@ class TestDCMResilience:
         rows = client.query("_dcm_stats")
         client.close()
         by_first = {r[0] for r in rows}
-        assert "_server" in by_first
         assert "HESIOD" in by_first
         hesiod_row = [r for r in rows if r[0] == "HESIOD"][0]
         assert hesiod_row[1] == d.handles.hesiod_machine
@@ -251,58 +250,17 @@ class Replies:
 
 
 class TestLoadShedding:
-    def make_server(self, **kw):
-        db = build_database()
-        return MoiraServer(db, Clock(), workers=1, **kw)
-
-    def test_admission_limit_sheds_with_busy(self):
-        server = self.make_server(admission_limit=1)
-        conn = server.open_connection("test")
-        started = threading.Event()
-        release = threading.Event()
-
-        def blocker():
-            started.set()
-            release.wait(timeout=10)
-
-        # occupy the single worker, then fill the one admission slot
-        server._pool.submit("blocker", blocker)
-        assert started.wait(timeout=10)
-        queued = Replies()
-        assert server.submit_frame(conn, query_frame("_list_users"),
-                                   queued.on_reply, queued.on_done)
-        shed = Replies()
-        assert server.submit_frame(conn, query_frame("_list_users"),
-                                   shed.on_reply, shed.on_done)
-        assert shed.done.wait(timeout=10)   # answered immediately
-        assert shed.frames[-1].code == MR_BUSY
-        assert server.stats.requests_shed == 1
-        release.set()
-        assert queued.done.wait(timeout=10)
-        assert queued.frames[-1].code == 0  # the accepted one completed
-        server.shutdown()
-
-    def test_deadline_expires_queued_request(self):
-        server = self.make_server(request_deadline=0.0)
-        conn = server.open_connection("test")
-        r = Replies()
-        assert server.submit_frame(conn, query_frame("_list_users"),
-                                   r.on_reply, r.on_done)
-        assert r.done.wait(timeout=10)
-        assert r.frames[-1].code == MR_BUSY
-        assert server.stats.deadlines_expired == 1
-        server.shutdown()
-
     def test_no_limit_no_shedding(self):
-        server = self.make_server()
+        """The server keeps no admission queue to shed from: a frame
+        handed in is answered, never with MR_BUSY."""
+        server = MoiraServer(build_database(), Clock())
         conn = server.open_connection("test")
         r = Replies()
         assert server.submit_frame(conn, query_frame("_list_users"),
                                    r.on_reply, r.on_done)
-        assert r.done.wait(timeout=10)
-        assert r.frames[-1].code == 0
-        assert server.stats.requests_shed == 0
-        server.shutdown()
+        assert r.done.is_set()      # ran to completion on this thread
+        assert [f.code for f in r.frames][-1] == 0
+        assert MR_BUSY not in [f.code for f in r.frames]
 
 
 class BusyDispatcher:

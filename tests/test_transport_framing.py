@@ -2,9 +2,8 @@
 frames split across segments, and pipelined request/reply ordering.
 
 These drive raw sockets (no MoiraClient) so TCP segmentation is under
-the test's control, and run against both dispatch modes: ``inline``
-(workers=0, queries on the selector thread — the seed behaviour) and
-``pooled`` (worker-pool dispatch with the wakeup-pipe reply path).
+the test's control.  The server has one dispatch mode, ``inline``:
+every request runs on the transport's selector thread.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from repro.sim.clock import Clock
 MACHINES = 5
 
 
-def _make_server(workers: int) -> MoiraServer:
+def _make_server() -> MoiraServer:
     db = build_database()
     clock = Clock()
-    server = MoiraServer(db, clock, KDC(clock), workers=workers)
+    server = MoiraServer(db, clock, KDC(clock))
     seed_capacls(db)
     ctx = QueryContext(db=db, clock=clock, caller="root",
                        client="framing", privileged=True)
@@ -43,13 +42,12 @@ def _make_server(workers: int) -> MoiraServer:
     return server
 
 
-@pytest.fixture(params=[0, 4], ids=["inline", "pooled"])
+@pytest.fixture(params=["inline"])
 def tcp(request):
-    server = _make_server(request.param)
+    server = _make_server()
     transport = TcpServerTransport(server).start()
     yield transport
     transport.stop()
-    server.shutdown()
 
 
 def _gmac(pattern: str) -> bytes:
@@ -141,12 +139,47 @@ class TestPipelining:
             conn.close()
 
 
+class TestOneSend:
+    """A reply leaves the server as one buffer on a socket that does
+    not wait for the peer's ACK, so it never sits out a delayed-ACK
+    timer waiting for its own status frame."""
+
+    def test_nodelay_on_accepted_and_dialled_sockets(self, tcp):
+        conn = connect_tcp(*tcp.address)
+        try:
+            conn.call(MajorRequest.NOOP, [])
+            dialled = conn._sock.getsockopt(socket.IPPROTO_TCP,
+                                            socket.TCP_NODELAY)
+            accepted = [sock.getsockopt(socket.IPPROTO_TCP,
+                                        socket.TCP_NODELAY)
+                        for sock in list(tcp._conn_state)]
+        finally:
+            conn.close()
+        assert dialled
+        assert accepted and all(accepted)
+
+    def test_one_tuple_reply_arrives_in_the_first_recv(self, tcp):
+        with socket.create_connection(tcp.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(50):
+                name = f"FRAME{i % MACHINES}.MIT.EDU"
+                sock.sendall(_gmac(name))
+                data = sock.recv(65536)
+                frames = []
+                while data:
+                    end = 4 + int.from_bytes(data[:4], "big")
+                    frames.append(decode_reply(data[4:end]))
+                    data = data[end:]
+                assert [r.code for r in frames] == [MR_MORE_DATA, 0], i
+                assert frames[0].fields[0] == name.encode()
+
+
 class TestBackpressure:
     def test_tiny_high_water_mark_does_not_deadlock(self):
         """A big retrieve through a 2 KiB output window completes
-        byte-perfect: workers block on the high-water mark and resume
-        as the (slow) client drains."""
-        server = _make_server(workers=4)
+        byte-perfect: the connection stops being read at the high-water
+        mark and resumes as the client drains."""
+        server = _make_server()
         ctx = QueryContext(db=server.db, clock=server.clock,
                            caller="root", client="framing",
                            privileged=True)
@@ -163,4 +196,3 @@ class TestBackpressure:
             assert replies[-1].code == 0
         finally:
             transport.stop()
-            server.shutdown()

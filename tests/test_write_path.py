@@ -285,7 +285,7 @@ def _mini_world(wal_path=None, *, write_batch=4):
                   ["moira-admins", "USER", "wp7"])
     journal = Journal(path=wal_path)
     server = MoiraServer(db, clock, KDC(clock), journal=journal,
-                         workers=0, write_batch=write_batch)
+                         write_batch=write_batch)
     return db, clock, journal, server
 
 
@@ -430,16 +430,16 @@ class TestWriteBatcher:
                      ["add_machine", "CR1.MIT.EDU", "VAX"]) == 0
 
 
-# -- the whole write path under a pooled storm (the E15 / E16 oracles) ---------
+# -- the whole write path under a storm from a pool of client threads ---------
+# (the E15 / E16 oracles)
 
 STORM_SPEC = dict(users=40, unregistered_users=12, nfs_servers=2,
                   maillists=4, clusters=1, machines_per_cluster=2,
                   printers=2, network_services=4)
 
 
-def _storm_world(tmp_path, backend="memory", *, workers=None, wal=True):
-    config = dict(population=PopulationSpec(**STORM_SPEC),
-                  server_workers=workers)
+def _storm_world(tmp_path, backend="memory", *, wal=True):
+    config = dict(population=PopulationSpec(**STORM_SPEC))
     if wal:
         config["wal_path"] = tmp_path / "wal"
     config["backend"] = backend     # sqlite: in-memory, the WAL is on disk
@@ -457,8 +457,8 @@ def _dump(db, directory):
 class TestPooledStorm:
     def test_cross_shard_storm_replays_byte_identically(self, tmp_path):
         """Registrations (all three writer shards), a status rollover
-        (users) and machine churn (machines) committed concurrently on
-        the default worker pool: the WAL is in commit-seq order and
+        (users) and machine churn (machines) committed concurrently by
+        six client threads: the WAL is in commit-seq order and
         checkpoint + replay rebuilds the primary byte for byte — id
         bindings reproduce allocations that interleaved out of commit
         order."""
@@ -487,14 +487,7 @@ class TestPooledStorm:
                 d.server._connections[conn_id].principal = admin
                 gate.wait(timeout=30)
                 for query in plan:
-                    replies: list[bytes] = []
-                    done = threading.Event()
-                    d.server.submit_frame(
-                        conn_id, _query_frame(query),
-                        lambda r, acc=replies: (acc.append(r), True)[1],
-                        done.set)
-                    assert done.wait(timeout=60), f"stalled on {query}"
-                    code = decode_reply(replies[-1][4:]).code
+                    code = _send(d.server, conn_id, query)
                     assert code == 0, (query, code)
             except BaseException as exc:
                 errors.append(exc)
@@ -506,7 +499,6 @@ class TestPooledStorm:
         for t in threads:
             t.join(timeout=120)
         alive = [t for t in threads if t.is_alive()]
-        d.server.shutdown()
         d.journal.close()
         assert not alive and not errors, errors[:3]
 
@@ -536,7 +528,7 @@ class TestPooledStorm:
 
         workdir = tmp_path / "oracle"
         workdir.mkdir()
-        d, admin = _storm_world(workdir, backend, workers=0, wal=False)
+        d, admin = _storm_world(workdir, backend, wal=False)
         for query in mutations(d):
             apply(d.db, d.clock, admin, query)
         oracle = _dump(d.db, workdir / "dump")
@@ -544,7 +536,7 @@ class TestPooledStorm:
         for boundary in range(1, 5):
             workdir = tmp_path / f"b{boundary}"
             workdir.mkdir()
-            d, admin = _storm_world(workdir, backend, workers=0)
+            d, admin = _storm_world(workdir, backend)
             muts = mutations(d)
             checkpoint(d.db, d.journal, workdir / "snap")
             faults = FaultInjector()
