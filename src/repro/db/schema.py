@@ -8,6 +8,10 @@ pobox types, locker types, service types, ACE types...).
 
 Field names follow the paper exactly (``users_id``, ``mach_id``,
 ``clu_id``, ``modby``/``modwith``/``modtime`` audit triples, and so on).
+
+Every relation a DCM generator reads keeps a bounded changed-row log
+(``changelog=``); the rest (``servers``, ``capacls``, ``alias``,
+``values``) keep none.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ FS_STUDENT = 1 << 0
 FS_FACULTY = 1 << 1
 FS_STAFF = 1 << 2
 FS_MISC = 1 << 3
+
+# Changed-row log capacity of the relations DCM generators read (users,
+# list, members and strings size their own).  With a log a generator
+# sees which rows moved and rebuilds only the outputs they reach;
+# without one, any change there rebuilds every output reading the
+# relation.  tests/test_incremental_equivalence.py checks that every
+# relation a registered generator reads has a log.
+GENERATOR_LOG = 1024
 
 
 def _audit() -> list[Column]:
@@ -114,6 +126,7 @@ def build_database() -> Database:
         ] + _audit(),
         unique=[("name",), ("mach_id",)],
         indexes=["name", "mach_id"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -126,6 +139,7 @@ def build_database() -> Database:
         ] + _audit(),
         unique=[("name",), ("clu_id",)],
         indexes=["name", "clu_id"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -137,6 +151,7 @@ def build_database() -> Database:
         unique=[("mach_id", "clu_id")],
         indexes=["mach_id", "clu_id"],
         composite_indexes=[("mach_id", "clu_id")],  # mapping probe
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -147,6 +162,7 @@ def build_database() -> Database:
             Column("serv_cluster", str, max_len=32),
         ],
         indexes=["clu_id", "serv_label"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -231,6 +247,7 @@ def build_database() -> Database:
         ] + _audit(),
         unique=[("service", "mach_id")],
         indexes=["service", "mach_id"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -254,6 +271,7 @@ def build_database() -> Database:
         unique=[("label", "fsorder"), ("filsys_id",)],
         indexes=["label", "filsys_id", "mach_id", "phys_id", "owner",
                  "owners"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -269,6 +287,7 @@ def build_database() -> Database:
         ] + _audit(),
         unique=[("nfsphys_id",), ("mach_id", "dir")],
         indexes=["nfsphys_id", "mach_id"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -282,6 +301,7 @@ def build_database() -> Database:
         unique=[("users_id", "filsys_id")],
         indexes=["users_id", "filsys_id", "phys_id"],
         composite_indexes=[("users_id", "filsys_id")],  # quota probe
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -302,6 +322,7 @@ def build_database() -> Database:
         # each Zephyr ACL slot is probed as an (entity type, id) pair
         composite_indexes=[("xmt_type", "xmt_id"), ("sub_type", "sub_id"),
                            ("iws_type", "iws_id"), ("iui_type", "iui_id")],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -314,6 +335,7 @@ def build_database() -> Database:
         unique=[("mach_id",)],
         indexes=["mach_id"],
         composite_indexes=[("acl_type", "acl_id")],  # ACE reverse probe
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -339,6 +361,7 @@ def build_database() -> Database:
         ] + _audit(),
         unique=[("name", "protocol")],
         indexes=["name"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(
@@ -352,6 +375,7 @@ def build_database() -> Database:
         ] + _audit(),
         unique=[("name",)],
         indexes=["name", "mach_id"],
+        changelog=GENERATOR_LOG,
     ))
 
     db.create_table(Table(

@@ -18,7 +18,8 @@ generator reads, and generators may implement ``generate_incremental``
 to patch a previous :class:`GeneratorResult` from what is left: an
 output the changes do not reach keeps its bytes, a :class:`Keyed`
 output re-renders only the lines whose rows moved, anything else is
-rebuilt.
+rebuilt.  A change in a lookup relation (``machine``) reaches an output
+only when an index probe finds a row of it naming the changed one.
 """
 
 from __future__ import annotations
@@ -218,7 +219,12 @@ class GenContext:
                      for s in self.db.table("strings").rows})
 
     def expand_list_users(self, list_id: int) -> set[int]:
-        """Recursive closure of USER members (sub-lists expanded)."""
+        """Recursive closure of USER members (sub-lists expanded), from
+        :attr:`members_by_list` when a full extract built it, else from
+        the ``members.list_id`` index."""
+        memo = self._memo.get("members_by_list")
+        members = (self.list_members if memo is None
+                   else lambda lid: memo.get(lid, ()))
         found: set[int] = set()
         seen: set[int] = set()
         stack = [list_id]
@@ -227,7 +233,7 @@ class GenContext:
             if lid in seen:
                 continue
             seen.add(lid)
-            for member in self.members_by_list.get(lid, ()):
+            for member in members(lid):
                 if member["member_type"] == "USER":
                     found.add(member["member_id"])
                 elif member["member_type"] == "LIST":
@@ -355,10 +361,26 @@ class GenContext:
         the order a rendered member list follows on every path."""
         return self.db.table("members").select({"list_id": list_id})
 
-    def parent_lists(self, list_id: int) -> list[int]:
-        """Lists holding *list_id* as a LIST member."""
-        return [m["list_id"] for m in self.db.table("members").select(
-            {"member_type": "LIST", "member_id": list_id})]
+    def lists_holding(self, member_type: str,
+                      member_ids: Iterable[int]) -> set[int]:
+        """Lists with a direct *member_type* member among *member_ids*."""
+        members = self.db.table("members")
+        return {m["list_id"] for member_id in member_ids
+                for m in members.select({"member_type": member_type,
+                                         "member_id": member_id})}
+
+    def lists_above(self, list_ids: Iterable[int]) -> set[int]:
+        """*list_ids* and every list holding one of them, directly or
+        through sub-lists — the lists whose :meth:`expand_list_users`
+        a membership change in *list_ids* can move."""
+        found: set[int] = set()
+        stack = list(list_ids)
+        while stack:
+            list_id = stack.pop()
+            if list_id not in found:
+                found.add(list_id)
+                stack.extend(self.lists_holding("LIST", (list_id,)))
+        return found
 
 
 # -- keyed outputs -------------------------------------------------------------
@@ -394,6 +416,26 @@ def via_group(ctx: GenContext, change: TableChange) -> list[Row]:
         for row in changed_rows(change)
         for member in ctx.list_members(row["list_id"])
         if member["member_type"] == "USER"})
+
+
+def referenced(table: str, column: str, key: Optional[str] = None
+               ) -> Callable[[GenContext, TableChange], list[Row]]:
+    """A reach: the rows of *table* whose indexed *column* holds the
+    changed row's *key* (default: *column*) in its before or after
+    image — how a lookup relation (``machine``) reaches what names it."""
+    key = key or column
+
+    def reach(ctx: GenContext, change: TableChange) -> list[Row]:
+        rows = ctx.db.table(table)
+        values = {image[key] for image in changed_rows(change)}
+        return [row for value in values
+                for row in rows.select({column: value})]
+
+    return reach
+
+
+# machine change -> the users whose POP box it serves
+POP_USERS = referenced("users", "pop_id", "mach_id")
 
 
 @dataclass(frozen=True)
@@ -533,6 +575,11 @@ class Generator:
     reads: dict[str, dict[str, tuple[str, ...]]] = {}
     #: outputs patchable entry by entry (:class:`Keyed`)
     keyed: dict[str, Keyed] = {}
+    #: outputs rebuilt whole -> {lookup relation: reach(ctx, change)}:
+    #: a change there reaches the output only when ``reach`` finds a row
+    #: naming the changed one (:func:`referenced`) — as a
+    #: :class:`Keyed` output's ``via`` names the entries a change reaches
+    via: dict[str, dict[str, Callable]] = {}
     #: input relations whose modification requires regeneration —
     #: derived from ``reads`` when a generator declares it, set directly
     #: by site-local generators that do not
@@ -579,16 +626,23 @@ class Generator:
         return [change for change in log if touches(change, columns)]
 
     def dirty(self, output: str,
-              changes: dict[str, Optional[list[TableChange]]]) -> dict:
+              changes: dict[str, Optional[list[TableChange]]],
+              ctx: GenContext) -> dict:
         """The changes that reach *output*: relation -> the log entries
-        touching a column it reads (None = log unavailable)."""
+        touching a column it reads and, through a lookup relation in
+        ``via``, naming a row the output shows (None = log
+        unavailable)."""
+        via = self.via.get(output, {})
         reached = {}
         for table, columns in self.reads[output].items():
             if table not in changes:
                 continue
             log = changes[table]
             if log is not None:
-                log = [change for change in log if touches(change, columns)]
+                reach = via.get(table)
+                log = [change for change in log
+                       if touches(change, columns)
+                       and (reach is None or reach(ctx, change))]
                 if not log:
                     continue
             reached[table] = log
@@ -600,8 +654,8 @@ class Generator:
         """(name -> bytes, meta) for the outputs *names*.
 
         With no *previous* every output is built in full.  Otherwise an
-        output the changes do not reach keeps its bytes, a keyed one is
-        patched, and the rest are rebuilt; ``files_patched`` /
+        output the changes do not reach (:meth:`dirty`) keeps its bytes,
+        a keyed one is patched, and the rest are rebuilt; ``files_patched`` /
         ``files_rebuilt`` in the meta say which (an output the changes
         reached but whose entries did not move is neither).  The meta
         carries ``parts`` and ``keys`` forward for the next patch — the
@@ -616,7 +670,7 @@ class Generator:
         for name in names:
             spec = self.keyed.get(name)
             if name in old_parts:
-                dirty = self.dirty(name, changes)
+                dirty = self.dirty(name, changes, ctx)
                 if not dirty:
                     parts[name] = old_parts[name]
                     if name in old_keys:

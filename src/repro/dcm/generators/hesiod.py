@@ -19,9 +19,11 @@ from repro.dcm.generators.base import (
     HOME,
     MACHINE,
     MEMBER,
+    POP_USERS,
     GenContext,
     Generator,
     GeneratorResult,
+    referenced,
     register_generator,
     users_keyed,
     via_group,
@@ -90,7 +92,8 @@ class HesiodGenerator(Generator):
     byte-identical from the previous run.  The four with one line per
     user (passwd, uid, pobox, grplist) are patched row by row from the
     changed-row logs, grplist also through the ``members.member_id``
-    index; the other seven are rebuilt when a change reaches them.
+    index; the other seven are rebuilt when a change reaches them — a
+    ``machine`` change only when a row of the file names that machine.
     """
     service = "HESIOD"
     reads = {
@@ -121,8 +124,15 @@ class HesiodGenerator(Generator):
         "grplist.db": users_keyed(_grplist, ("groups_of_user",),
                                   members=via_member, list=via_group),
         "passwd.db": users_keyed(_passwd, ("home_dirs",)),
-        "pobox.db": users_keyed(_pobox, ("machine_names",)),
+        "pobox.db": users_keyed(_pobox, ("machine_names",),
+                                machine=POP_USERS),
         "uid.db": users_keyed(_uid),
+    }
+    via = {
+        "cluster.db": {"machine": referenced("mcmap", "mach_id")},
+        "filsys.db": {"machine": referenced("filesys", "mach_id")},
+        "printcap.db": {"machine": referenced("printcap", "mach_id")},
+        "sloc.db": {"machine": referenced("serverhosts", "mach_id")},
     }
 
     def generate(self, ctx: GenContext) -> GeneratorResult:

@@ -19,6 +19,7 @@ from repro.dcm.generators.base import (
     HOME,
     MACHINE,
     MEMBER,
+    POP_USERS,
     GenContext,
     Generator,
     GeneratorResult,
@@ -112,14 +113,8 @@ def _blocks_rendering(ctx: GenContext, list_ids) -> list[Row]:
         if _is_maillist(lst):
             blocks.append(lst)
         else:
-            stack.extend(ctx.parent_lists(list_id))
+            stack.extend(ctx.lists_holding("LIST", (list_id,)))
     return blocks
-
-
-def _members_of(ctx: GenContext, member_type: str, ids) -> set[int]:
-    members = ctx.db.table("members")
-    return {m["list_id"] for member_id in ids for m in members.select(
-        {"member_type": member_type, "member_id": member_id})}
 
 
 def _lists_owned_by(ctx: GenContext, acl_type: str, ids) -> list[Row]:
@@ -135,22 +130,20 @@ def _via_members(ctx: GenContext, change: TableChange) -> list[Row]:
 
 def _via_users(ctx: GenContext, change: TableChange) -> list[Row]:
     ids = {row["users_id"] for row in changed_rows(change)}
-    return (_blocks_rendering(ctx, _members_of(ctx, "USER", ids))
+    return (_blocks_rendering(ctx, ctx.lists_holding("USER", ids))
             + _lists_owned_by(ctx, "USER", ids))
 
 
 def _via_strings(ctx: GenContext, change: TableChange) -> list[Row]:
     ids = {row["string_id"] for row in changed_rows(change)}
-    return _blocks_rendering(ctx, _members_of(ctx, "STRING", ids))
+    return _blocks_rendering(ctx, ctx.lists_holding("STRING", ids))
 
 
 def _via_lists(ctx: GenContext, change: TableChange) -> list[Row]:
     """A list's own block is its key; beyond it a list change reaches
     the blocks that name or expand it and those it owns."""
     ids = {row["list_id"] for row in changed_rows(change)}
-    return (_blocks_rendering(
-                ctx, {parent for list_id in ids
-                      for parent in ctx.parent_lists(list_id)})
+    return (_blocks_rendering(ctx, ctx.lists_holding("LIST", ids))
             + _lists_owned_by(ctx, "LIST", ids))
 
 
@@ -212,7 +205,7 @@ class MailGenerator(Generator):
             maps=("users_by_id", "lists_by_id", "strings_by_id")),
         "aliases.poboxes": users_keyed(
             _pobox_alias, ("machine_names", "strings_by_id"),
-            strings=_via_boxes),
+            strings=_via_boxes, machine=POP_USERS),
     }
 
     def generate(self, ctx: GenContext) -> GeneratorResult:

@@ -15,10 +15,12 @@ from typing import Optional
 from repro.db.engine import Row, TableChange
 from repro.dcm.generators.base import (
     GROUP,
+    MACHINE,
     MEMBER,
     GenContext,
     Generator,
     GeneratorResult,
+    changed_rows,
     register_generator,
     users_keyed,
     via_group,
@@ -43,21 +45,31 @@ def _credential(ctx: GenContext, user: Row) -> str:
                      *(str(g["gid"]) for g in groups)])
 
 
+def _own_hosts(ctx: GenContext, change: TableChange) -> list[Row]:
+    """machine change -> this service's serverhosts rows on that machine
+    (``ctx.hosts``; their per-host files are keyed by its name)."""
+    ids = {row["mach_id"] for row in changed_rows(change)}
+    return [host for host in ctx.hosts if host["mach_id"] in ids]
+
+
 class NFSGenerator(Generator):
     """credentials + per-host quotas/directories files.
 
     The master credentials file is patched per user — the users log,
     and the ``members.member_id`` index for a membership change; the
     per-host files (a value3-restricted credentials file, quotas,
-    directories) are rebuilt when a change reaches them and otherwise
+    directories) are rebuilt when a change reaches them — a ``machine``
+    change when it renames one of the service's hosts — and otherwise
     carried over.
     """
     service = "NFS"
     reads = {
         "credentials": {"users": ("login", "uid", "users_id", "status"),
                         "list": GROUP, "members": MEMBER},
-        # which hosts there are, and which list restricts each one
-        "hosts": {"serverhosts": ("service", "mach_id", "value3")},
+        # which hosts there are, what they are called, and which list
+        # restricts each one
+        "hosts": {"serverhosts": ("service", "mach_id", "value3"),
+                  "machine": MACHINE},
         "quotas": {"nfsquota": ("users_id", "phys_id", "quota"),
                    "nfsphys": ("nfsphys_id", "mach_id"),
                    "users": ("users_id", "uid", "status")},
@@ -71,6 +83,7 @@ class NFSGenerator(Generator):
         "credentials": users_keyed(_credential, ("groups_of_user",),
                                    members=via_member, list=via_group),
     }
+    via = {"hosts": {"machine": _own_hosts}}
 
     def generate(self, ctx: GenContext) -> GeneratorResult:
         """Extract NFS files; value3 restricts credentials."""
@@ -89,12 +102,12 @@ class NFSGenerator(Generator):
             return None
         parts, meta = self.build_parts(ctx, ("credentials",), previous,
                                        changes)
-        hosts = bool(self.dirty("hosts", changes))
+        hosts = bool(self.dirty("hosts", changes, ctx))
         return self._result(
             ctx, parts, meta, previous,
-            hosts or bool(self.dirty("quotas", changes)
-                          or self.dirty("directories", changes)),
-            hosts or bool(self.dirty("credentials", changes)))
+            hosts or bool(self.dirty("quotas", changes, ctx)
+                          or self.dirty("directories", changes, ctx)),
+            hosts or bool(self.dirty("credentials", changes, ctx)))
 
     def _result(self, ctx: GenContext, parts: dict, meta: dict,
                 previous: Optional[GeneratorResult], per_host: bool,

@@ -385,9 +385,13 @@ class _TcpClientConnection(ClientConnection):
     def _recv(self, n: int) -> bytes:
         """``read_frame``'s reader: up to *n* buffered bytes, refilling
         the buffer with one ``recv`` only when it is empty — a whole
-        reply usually arrives in one."""
+        reply usually arrives in one.  A timeout or reset is
+        MR_ABORTED, as a failed send is."""
         if self._pos >= len(self._buf):
-            self._buf, self._pos = self._sock.recv(65536), 0
+            try:
+                self._buf, self._pos = self._sock.recv(65536), 0
+            except OSError as exc:
+                raise MoiraError(MR_ABORTED, str(exc)) from exc
         chunk = self._buf[self._pos:self._pos + n]
         self._pos += len(chunk)
         return chunk

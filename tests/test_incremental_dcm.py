@@ -216,15 +216,19 @@ class TestVectorNoChange:
         assert "HESIOD" in report.no_change_services
 
     def test_machine_change_reruns_only_dependents(self, deployment):
-        """A machine-only change regenerates HESIOD and MAIL (which
-        declare ``machine``) and leaves NFS and ZEPHYR untouched."""
+        """A machine-only change regenerates HESIOD, MAIL and NFS (which
+        declare ``machine``) and leaves ZEPHYR untouched; no file names
+        the new machine, so nothing is rebuilt."""
         d = deployment
         d.run_hours(25)
         d.direct_client().query("add_machine", "NEWBOX.MIT.EDU", "VAX")
         d.clock.advance(25 * 3600)
         report = d.dcm.run_once()
-        assert set(report.generated_services) == {"HESIOD", "MAIL"}
-        assert set(report.no_change_services) == {"NFS", "ZEPHYR"}
+        assert set(report.generated_services) == {"HESIOD", "MAIL", "NFS"}
+        assert set(report.no_change_services) == {"ZEPHYR"}
+        assert report.generations_incremental == 3
+        assert not any(d.dcm._generated[service].meta["files_rebuilt"]
+                       for service in ("HESIOD", "MAIL", "NFS"))
 
     def test_dcm_bookkeeping_does_not_dirty_vectors(self, deployment):
         """The host-scan's serverhosts flag writes must not make NFS
@@ -271,19 +275,31 @@ class TestIncrementalHesiod:
         assert patched.files == full.files
 
     def test_machine_change_rebuilds_without_patch(self, deployment):
+        """A machine change rebuilds only the files with a row naming
+        that machine: a new one reaches none, renaming a cluster
+        workstation rebuilds cluster.db alone."""
         d = deployment
         d.run_hours(7)
-        d.direct_client().query("add_machine", "NEWBOX.MIT.EDU", "VAX")
+        client = d.direct_client()
+        client.query("add_machine", "NEWBOX.MIT.EDU", "VAX")
+        d.clock.advance(7 * 3600)
+        d.dcm.run_once()
+        assert d.dcm._generated["HESIOD"].meta["files_rebuilt"] == []
+        mcmap = d.db.table("mcmap").rows[0]
+        machine = d.db.table("machine").select(
+            {"mach_id": mcmap["mach_id"]})[0]
+        client.query("update_machine", machine["name"], "RENAMED.MIT.EDU",
+                     machine["type"])
         d.clock.advance(7 * 3600)
         d.dcm.run_once()
         result = d.dcm._generated["HESIOD"]
-        # machine-backed files rebuilt; user-keyed files untouched
         assert result.meta["files_patched"] == []
-        assert "cluster.db" in result.meta["files_rebuilt"]
-        assert "passwd.db" not in result.meta["files_rebuilt"]
+        assert result.meta["files_rebuilt"] == ["cluster.db"]
         full = get_generator("HESIOD").generate(
             GenContext(d.db, d.clock.now()))
         assert result.files == full.files
+        assert b"RENAMED.MIT.EDU.cluster" in result.files[
+            "/etc/hesiod/cluster.db"]
 
 
 # -- parallel propagation -------------------------------------------------------

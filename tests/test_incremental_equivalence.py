@@ -2,16 +2,22 @@
 path it replaces.
 
 * Generators: after any sequence of mutations — every non-audit column
-  of ``users``, ``list``, ``members`` and ``strings``, plus machine
-  inserts — converged by the CDC extractor, each service's remembered
-  result (patched, carried over, or skipped because no column it reads
-  moved) is byte-identical to a fresh full ``generate``.
+  of ``users``, ``list``, ``members`` and ``strings``, machine inserts
+  and renames (POP servers included), filesystems, Zephyr classes and
+  the lists their ACEs expand — converged by the CDC extractor, each
+  service's remembered result (patched, carried over, or skipped
+  because no change reaches it) is byte-identical to a fresh full
+  ``generate``.
 * Servers: every managed server's in-memory tables, moved by line
   deltas install after install, equal a full parse of the files it has
   installed.
 * The column filter: a change no output reads generates nothing, and a
   changed-row log that has overflowed falls back to a rebuild that is
   still byte-identical.
+* The reach rule: a change in a lookup relation reaches an output only
+  through a row naming the changed one — a new machine reaches no file,
+  a membership change reaches only the Zephyr classes expanding the
+  list — and every relation a generator reads keeps a changelog.
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import AthenaDeployment, DeploymentConfig
-from repro.dcm.generators.base import GenContext, get_generator
+from repro.db.schema import build_database
+from repro.dcm.generators.base import (
+    GenContext,
+    Generator,
+    all_generators,
+    get_generator,
+)
 from repro.hosts.host import SimulatedHost
 from repro.servers.hesiod import HesiodServer
 from repro.servers.mailhub import MailHub
@@ -110,12 +122,37 @@ def assert_servers_match_full_parse(d: AthenaDeployment) -> None:
 
 KINDS = ("shell", "status", "rename", "uid", "names", "mitid", "finger",
          "pop", "smtp", "nopobox", "add_user", "add_list", "update_list",
-         "add_member", "del_member", "machine")
+         "add_member", "del_member", "machine", "rename_machine",
+         "add_filesys", "update_filesys", "add_zclass", "update_zclass",
+         "ace_member")
 SHELLS = ("/bin/csh", "/bin/sh", "/bin/tcsh")
+FUNCTIONS = ("xmt", "sub", "iws", "iui")
 
 
 def pick(items: list, n: int):
     return items[n % len(items)]
+
+
+def name_of(d: AthenaDeployment, table: str, key: str, value: int,
+            column: str = "name") -> str:
+    rows = d.db.table(table).select({key: value})
+    return rows[0][column] if rows else "???"
+
+
+def unbound_machines(d: AthenaDeployment) -> list[str]:
+    """Machines no DCM service pushes to — renaming one of those breaks
+    no host binding (workstations, POP servers, added machines)."""
+    h = d.handles
+    bound = {name.upper() for name in (h.hesiod_machine, h.mailhub_machine,
+                                       *h.nfs_machines, *h.zephyr_machines)}
+    return [row["name"] for row in d.db.table("machine").rows
+            if row["name"] not in bound]
+
+
+def ace_lists(d: AthenaDeployment) -> list[int]:
+    """The lists a Zephyr ACE slot names."""
+    return [row[f"{function}_id"] for row in d.db.table("zephyr").rows
+            for function in FUNCTIONS if row[f"{function}_type"] == "LIST"]
 
 
 def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
@@ -149,6 +186,24 @@ def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
                     maillist=row["maillist"], group=row["grouplist"],
                     gid=row["gid"], ace_type=row["acl_type"],
                     ace_name=ace_name, desc=row["desc"])
+
+    def delete_member(rows: list):
+        if not rows:
+            return None
+        row = pick(rows, a * 7919 + b)
+        table, key, column = {
+            "USER": ("users", "users_id", "login"),
+            "LIST": ("list", "list_id", "name"),
+            "STRING": ("strings", "string_id", "string")}[row["member_type"]]
+        return ("delete_member_from_list",
+                name_of(d, "list", "list_id", row["list_id"]),
+                row["member_type"],
+                name_of(d, table, key, row["member_id"], column))
+
+    def aces(n: int) -> list:
+        return [part for i in range(4) for part in pick(
+            [("USER", login), ("LIST", pick(lists, n + i)),
+             ("NONE", "NONE")], n >> i)]
 
     if kind == "shell":
         op = ("update_user_shell", login, pick(SHELLS, b))
@@ -203,21 +258,61 @@ def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
                   "STRING": f"ext{a % 4}@far.example"}[mtype]
         op = ("add_member_to_list", pick(lists, b), mtype, member)
     elif kind == "del_member":
-        rows = d.db.table("members").rows
-        if not rows:
-            return
-        row = pick(rows, a * 7919 + b)
-        owner = d.db.table("list").select({"list_id": row["list_id"]})
-        table, key, column = {
-            "USER": ("users", "users_id", "login"),
-            "LIST": ("list", "list_id", "name"),
-            "STRING": ("strings", "string_id", "string")}[row["member_type"]]
-        name = d.db.table(table).select({key: row["member_id"]})[0][column]
-        op = ("delete_member_from_list", owner[0]["name"],
-              row["member_type"], name)
-    else:
+        op = delete_member(d.db.table("members").rows)
+    elif kind == "machine":
         op = ("add_machine", f"HM{b % 6}.MIT.EDU", "VAX")
-    client.mr_query(op[0], [str(arg) for arg in op[1:]])
+    elif kind == "rename_machine":
+        op = ("update_machine", pick(unbound_machines(d), a),
+              f"RM{b % 6}.MIT.EDU", "VAX")
+    elif kind == "add_filesys":
+        op = ("add_filesys", f"fs{b % 5}", "RVD",
+              pick(unbound_machines(d), a), f"pack{b % 3}",
+              f"/mit/fs{b % 5}", "r", "", login, pick(lists, a),
+              b % 2, pick(["PROJECT", "HOMEDIR"], a))
+    elif kind == "update_filesys":
+        fs = pick(d.db.table("filesys").rows, a)
+        fields = dict(
+            newname=fs["label"], fstype=fs["type"],
+            machine=name_of(d, "machine", "mach_id", fs["mach_id"]),
+            packname=fs["name"], mount=fs["mount"], access=fs["access"],
+            comments=fs["comments"],
+            owner=name_of(d, "users", "users_id", fs["owner"], "login"),
+            owners=name_of(d, "list", "list_id", fs["owners"]),
+            create=fs["createflg"], lockertype=fs["lockertype"])
+        column = pick(["newname", "mount", "lockertype", "create",
+                       "machine"], b)
+        if column == "newname":
+            fields["newname"] = f"fs{b % 5}"
+        elif column == "mount":
+            fields["mount"] = f"/mnt/u{b % 3}"
+        elif column == "lockertype":
+            fields["lockertype"] = pick(["HOMEDIR", "PROJECT"], a)
+        elif column == "create":
+            fields["create"] = 1 - fields["create"]
+        elif fs["type"] == "RVD":      # NFS packnames bind the machine
+            fields["machine"] = pick(unbound_machines(d), b)
+        op = ("update_filesys", fs["label"], *fields.values())
+    elif kind == "add_zclass":
+        op = ("add_zephyr_class", f"zc{b % 4}", *aces(a))
+    elif kind == "update_zclass":
+        klass = pick(d.db.table("zephyr").rows, a)["class"]
+        op = ("update_zephyr_class", klass,
+              pick([klass, f"zc{b % 4}"], a), *aces(b))
+    else:   # ace_member: a membership change in a list an ACE expands
+        named = ace_lists(d)
+        if not named:
+            return
+        target = pick(named, a)
+        if b % 3 == 2:
+            op = delete_member(
+                d.db.table("members").select({"list_id": target}))
+        else:
+            mtype = pick(["USER", "LIST"], b)
+            op = ("add_member_to_list",
+                  name_of(d, "list", "list_id", target), mtype,
+                  login if mtype == "USER" else pick(lists, a))
+    if op is not None:
+        client.mr_query(op[0], [str(arg) for arg in op[1:]])
 
 
 MUTATIONS = st.lists(
@@ -328,3 +423,103 @@ def test_list_and_strings_keep_changelogs(table):
         d.direct_client().query("set_pobox", d.handles.logins[0], "SMTP",
                                 "logged@far.example")
     assert d.db.table(table).changes_since(before)
+
+
+# -- the reach rule -----------------------------------------------------------
+
+
+def test_a_new_machine_reaches_no_file():
+    """No row names a machine just added: HESIOD, MAIL and NFS take the
+    change and rebuild nothing, and no host is pushed."""
+    d = converged_world()
+    d.direct_client().query("add_machine", "FRESH.MIT.EDU", "VAX")
+    outcomes = {o["service"]: o for o in d.pump_cdc()["outcomes"]}
+    for service in ("HESIOD", "MAIL", "NFS"):
+        assert outcomes[service]["status"] == "no_change", service
+        meta = d.dcm._generated[service].meta
+        assert meta["files_rebuilt"] == [], service
+        assert meta["files_patched"] == [], service
+    assert d.cdc.stats["host_pushes"] == 0
+    assert_generations_match_full(d)
+
+
+def test_renaming_an_nfs_server_moves_its_per_host_files():
+    """NFS keys its per-host files by machine name, so a rename reaches
+    them: the generation held afterwards equals a full generate."""
+    d = converged_world()
+    old = d.handles.nfs_machines[0].upper()
+    d.direct_client().query("update_machine", old, "LOCKER-NEW.MIT.EDU",
+                            "VAX")
+    d.pump_cdc()
+    held = d.dcm._generated["NFS"]
+    assert "LOCKER-NEW.MIT.EDU" in held.host_files
+    assert old not in held.host_files
+    assert_generations_match_full(d)
+
+
+def ace_world() -> tuple[AthenaDeployment, str]:
+    """A converged world with a class whose four ACEs name one fresh
+    list, which no other class names."""
+    d = converged_world()
+    client = d.direct_client()
+    client.query("add_list", "zacl", 1, 0, 0, 0, 0, -1, "NONE", "NONE", "")
+    client.query("add_member_to_list", "zacl", "USER", d.handles.logins[0])
+    client.query("add_zephyr_class", "zall", *["LIST", "zacl"] * 4)
+    d.pump_cdc()
+    return d, "zacl"
+
+
+def test_a_member_of_a_list_no_ace_names_leaves_zephyr_alone():
+    d, _ = ace_world()
+    named = set(ace_lists(d))
+    free = next(row["name"] for row in d.db.table("list").rows
+                if row["list_id"] not in named)
+    d.direct_client().query("add_member_to_list", free, "USER",
+                            d.handles.logins[5])
+    outcomes = {o["service"]: o for o in d.pump_cdc()["outcomes"]}
+    assert outcomes["ZEPHYR"]["status"] == "no_change"
+    assert outcomes["ZEPHYR"]["incremental"]
+    assert_generations_match_full(d)
+
+
+def test_a_member_of_an_ace_list_changes_that_class_only():
+    d, acl = ace_world()
+    before = dict(d.dcm._generated["ZEPHYR"].files)
+    d.direct_client().query("add_member_to_list", acl, "USER",
+                            d.handles.logins[5])
+    outcomes = {o["service"]: o for o in d.pump_cdc()["outcomes"]}
+    after = d.dcm._generated["ZEPHYR"].files
+    assert {path for path, data in after.items()
+            if before.get(path) != data} == {
+        f"/etc/zephyr/acl/zall.{function}.acl" for function in FUNCTIONS}
+    assert outcomes["ZEPHYR"]["files_changed"] == 4
+    assert outcomes["ZEPHYR"]["incremental"]
+    assert_generations_match_full(d)
+    assert_servers_match_full_parse(d)
+
+
+# -- schema and declarations agree --------------------------------------------
+
+
+def unlogged_reads(generators) -> set[str]:
+    """Relations some generator's ``reads`` names that keep no
+    changed-row log in a fresh schema."""
+    db = build_database()
+    return {table for generator in generators
+            for relations in generator.reads.values()
+            for table in relations
+            if db.table(table).changes_since(db.table(table).version)
+            is None}
+
+
+def test_every_relation_a_generator_reads_keeps_a_changelog():
+    assert unlogged_reads(all_generators().values()) == set()
+
+
+def test_a_read_without_a_changelog_is_caught():
+    class CapaclsGenerator(Generator):      # never registered
+        service = "CAPS"
+        reads = {"caps": {"capacls": ("capability", "list_id")}}
+
+    assert unlogged_reads([*all_generators().values(),
+                           CapaclsGenerator()]) == {"capacls"}

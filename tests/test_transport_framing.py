@@ -8,13 +8,19 @@ every request runs on the transport's selector thread.
 
 from __future__ import annotations
 
+import functools
 import socket
+import struct
+import threading
 import time
 
 import pytest
 
+from repro.client import lib as client_lib
+from repro.client.lib import MoiraClient
 from repro.db.schema import build_database
-from repro.errors import MR_MORE_DATA, MR_NO_MATCH
+from repro.errors import MR_ABORTED, MR_MORE_DATA, MR_NO_MATCH, \
+    MR_NOT_CONNECTED
 from repro.kerberos import KDC
 from repro.protocol.transport import TcpServerTransport, connect_tcp
 from repro.protocol.wire import (
@@ -172,6 +178,51 @@ class TestOneSend:
                     data = data[end:]
                 assert [r.code for r in frames] == [MR_MORE_DATA, 0], i
                 assert frames[0].fields[0] == name.encode()
+
+
+class TestClientAborts:
+    """A reply that never comes, or a reset mid-reply, is MR_ABORTED
+    from ``mr_query`` — not a socket exception."""
+
+    @pytest.fixture
+    def listener(self):
+        sock = socket.create_server(("127.0.0.1", 0))
+        yield sock
+        sock.close()
+
+    @staticmethod
+    def _client(listener, monkeypatch, timeout: float) -> MoiraClient:
+        monkeypatch.setattr(client_lib, "connect_tcp",
+                            functools.partial(connect_tcp, timeout=timeout))
+        client = MoiraClient(tcp_address=listener.getsockname())
+        assert client.mr_connect() == 0
+        return client
+
+    def test_timeout_is_aborted(self, listener, monkeypatch):
+        client = self._client(listener, monkeypatch, timeout=0.2)
+        peer, _ = listener.accept()     # accepts, never replies
+        try:
+            assert client.mr_query("get_machine", ["X"]) == MR_ABORTED
+        finally:
+            peer.close()
+        assert client.mr_query("get_machine", ["X"]) == MR_NOT_CONNECTED
+
+    def test_reset_is_aborted(self, listener, monkeypatch):
+        client = self._client(listener, monkeypatch, timeout=10)
+        peer, _ = listener.accept()
+
+        def reset_after_request():
+            read_frame(peer.recv)
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            peer.close()
+
+        resetter = threading.Thread(target=reset_after_request)
+        resetter.start()
+        try:
+            assert client.mr_query("get_machine", ["X"]) == MR_ABORTED
+        finally:
+            resetter.join()
 
 
 class TestBackpressure:
