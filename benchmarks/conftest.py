@@ -10,6 +10,7 @@ the paper-vs-measured comparison.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -67,6 +68,21 @@ def record(experiment: str, values: dict,
     }, indent=2, sort_keys=True) + "\n")
     print("\n" + "\n".join(table))
     return path
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _collect_between_experiments():
+    """Start every experiment module from a fully collected heap.
+
+    CPython runs a full (generation-2) collection once ten generation-1
+    collections have passed since the last one (and enough objects have
+    been promoted since), and a full collection walks every live
+    object: ~0.3-0.5 s over the paper-scale world.
+    Where that pause lands depends on what earlier modules allocated —
+    after E12's dropped worlds it fell inside E3's 200-round timed loop
+    and read as +1.3 ms per query (48 µs alone).  The garbage is not the
+    cost; the schedule is, so reset it here rather than in ``src/``."""
+    gc.collect()
 
 
 @pytest.fixture(scope="session")

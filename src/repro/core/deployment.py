@@ -148,8 +148,8 @@ class AthenaDeployment:
                 tcp=self.config.replica_tcp)
 
         # the CDC push pipeline (docs/DCM_PIPELINE.md): WAL-as-change-
-        # stream extraction driving sub-second host convergence; the
-        # cron DCM above stays intact as the byte-identity oracle
+        # stream extraction driving sub-second host convergence through
+        # the same DCM the cron above invokes
         self.cdc = None
         if self.config.cdc:
             self.cdc = self._build_cdc()
@@ -165,16 +165,16 @@ class AthenaDeployment:
                 raise ValueError("cdc_source='replica' needs replicas>0")
             replica = self.replica_cluster.replicas[0]
             source = ReplicaChangeSource(replica)
-            extract_db = replica.db
+            # both triggers extract there, so every recorded version
+            # vector is the replica's
+            self.dcm.extract_db = replica.db
         elif self.config.cdc_source == "journal":
             source = JournalChangeSource(self.journal)
-            extract_db = None
         else:
             raise ValueError(
                 f"unknown cdc_source {self.config.cdc_source!r}")
-        cdc = CdcExtractor(
-            self.dcm, source, self.clock,
-            journal=self.journal, extract_db=extract_db)
+        cdc = CdcExtractor(self.dcm, source, self.clock,
+                           journal=self.journal)
         self.server.cdc_stats = cdc.stats_tuples
         # the pump rides cron like the DCM does; has_work keeps idle
         # ticks to a flag check (the commit listener sets the flag)

@@ -39,14 +39,14 @@ The pipeline, end to end:
    have piled up.  Every mutation that lands in an existing window
    rides the same regeneration and push — a registration storm becomes
    a handful of batched pushes.
-5. **Converge** — :meth:`~repro.dcm.dcm.DCM.converge_service`
-   regenerates incrementally (version vectors + changed-row logs, the
-   PR 1 machinery) and pushes *delta payloads* — only files whose
-   bytes changed — to hosts already converged to the previous
-   generation, through the same generate step and host-push loop the
-   cron path uses (per-host locks, §5.9 update protocol, governor
-   admission, ``push_pool_width``).  The cron ``run_once`` keeps its
-   own host policy and is the byte-identity oracle.
+5. **Converge** — :meth:`~repro.dcm.dcm.DCM.converge_service` runs
+   the DCM's one classify step and one deliver step, the same two the
+   cron ``run_once`` runs: regenerate incrementally (version vectors +
+   changed-row logs) and push *delta payloads* — only files whose
+   bytes changed — to hosts holding the previous generation (per-host
+   locks, §5.9 update protocol, governor admission,
+   ``push_pool_width``).  The reference for the installed bytes is a
+   full build every due cycle (``TestRegenerateOracle``).
 6. **Retry** — an outcome that left a host behind (soft failure,
    governor deferral, held lock) re-opens the service's window, not
    due before the governor's ``retry_at``; the re-entry finds the
@@ -151,9 +151,9 @@ class JournalChangeSource:
 class ReplicaChangeSource:
     """Change source over a read replica's apply loop — the extraction
     replica: entries arrive via ``_repl_tail`` and are buffered by an
-    apply listener, so CDC extraction (and generation, when the DCM is
-    given the replica's database) costs the primary nothing beyond the
-    feed it already serves.
+    apply listener, so CDC extraction (and generation, when the DCM's
+    ``extract_db`` is the replica's database) costs the primary nothing
+    beyond the feed it already serves.
 
     The resync discipline mirrors the journal's compaction floor: a
     snapshot resync on the replica, or a cursor that predates this
@@ -220,7 +220,6 @@ class CdcExtractor:
         journal: Optional[Journal] = None,
         cursor_path: Optional[Union[str, Path]] = None,
         name: str = "cdc",
-        extract_db=None,
     ):
         self.dcm = dcm
         self.source = source
@@ -234,9 +233,6 @@ class CdcExtractor:
         # past this many mutations
         self.debounce_seconds = 0
         self.max_coalesce = 256
-        # generation extracts from here (an extraction replica's
-        # database, or None = the primary's)
-        self.extract_db = extract_db
         self.cursor = CdcCursor(name, cursor_path)
         # dirty-service windows: service -> {first_seq, last_seq,
         # first_at, count}
@@ -430,8 +426,7 @@ class CdcExtractor:
             for service in due:
                 slot = self._pending.pop(service)
                 outcome = self.dcm.converge_service(
-                    service, now, origin_seq=slot["last_seq"],
-                    extract_db=self.extract_db)
+                    service, now, origin_seq=slot["last_seq"])
                 self._account(service, slot, outcome, now)
                 outcomes.append(outcome)
             if due:

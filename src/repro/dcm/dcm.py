@@ -17,31 +17,18 @@ On each invocation (cron or the Trigger_DCM request) the DCM:
 5. on replicated services, a hard host failure also poisons the
    service record "so that no more updates will be attempted".
 
-The incremental pipeline on top of the paper's algorithm:
-
-* **Exact change tracking** — each generation records the data-version
-  vector of its input relations; the MR_NO_CHANGE check compares
-  vectors instead of scanning modtimes, and generators with changed
-  inputs may patch their previous result (``generate_incremental``)
-  from the tables' changed-row logs.
-* **One shared extraction snapshot per cycle** — a single
-  :class:`GenContext` serves every service, so cross-relation maps
-  (active users, membership closures...) are derived once per cycle,
-  not once per service.
-* **One propagation engine** — cron (:meth:`DCM.run_once`) and the CDC
-  extractor (:meth:`DCM.converge_service`) are *policy*: each decides
-  which hosts are due and which files each one receives.  Both then
-  use the same *mechanism*: one guarded generate step (``_generate``)
-  and one host-push loop (``_push_plan``) that tars each distinct file
-  set once, pushes every host under its per-host exclusive lock —
-  inline at ``push_pool_width`` 1, on a bounded thread pool otherwise:
-  width 1 of the same loop, not another loop — cancels not-yet-started
-  pushes once a replicated host fails hard, and merges the outcomes in
-  deterministic host order.
-
-The paper names incremental update as future work; this realises it.
-The DCM talks to the database through the direct glue library
-(:class:`DirectClient`) as the paper specifies, authenticating as root.
+On top of it, the paper's future work, "update only the information
+that changed": the no-change check compares data-version vectors;
+generators patch their previous result from the changed-row logs; one
+:class:`GenContext` per cycle derives each cross-relation map once; a
+host holding the previous generation receives only the files whose
+bytes changed.  Cron (:meth:`DCM.run_once`) and the CDC extractor
+(:meth:`DCM.converge_service`) differ only in *when* a service is
+looked at: both call the same classify step (steps 3 and the per-host
+plan, ``_classify``) and the same deliver step (4 and 5, ``_deliver``),
+whose one host-push loop runs inline at ``push_pool_width`` 1 and on a
+bounded thread pool otherwise.  The DCM talks to the database through
+the direct glue library (:class:`DirectClient`), authenticating as root.
 """
 
 from __future__ import annotations
@@ -127,22 +114,6 @@ class DCMReport:
 
 
 @dataclass
-class _Cycle:
-    """One cron invocation's shared state: the clock reading, the report
-    being filled, one extraction snapshot, and one database version
-    vector."""
-
-    now: int
-    report: DCMReport
-    ctx: GenContext
-    versions: dict[str, int]
-
-    def vector(self, generator) -> dict[str, int]:
-        """*generator*'s slice of the cycle's version vector."""
-        return generator.vector_for(self.versions)
-
-
-@dataclass
 class _Generation:
     """What the guarded generate step did: the files, or the hard error."""
 
@@ -150,6 +121,24 @@ class _Generation:
     incremental: bool = False
     error: str = ""
     origin: int = 0
+
+
+@dataclass
+class _Plan:
+    """What the classify step decided for one service: ``status`` is
+    ``converged`` (something to push or mark), ``no_change`` (nothing
+    moved anywhere), ``locked`` or ``harderror``; ``changed`` is the
+    no-change check's answer; ``pushes`` are ``(host_row, machine,
+    files)`` in serverhosts order."""
+
+    status: str = "converged"
+    changed: bool = False
+    generation: Optional[_Generation] = None
+    pushes: list[tuple[dict, str, dict[str, bytes]]] = field(
+        default_factory=list)
+    delta_hosts: set[str] = field(default_factory=set)
+    marks: list[tuple[dict, str]] = field(default_factory=list)
+    log: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -167,11 +156,13 @@ class _HostOutcome:
 
 @dataclass
 class _PushSummary:
-    """One push round folded in host order — what a caller reports."""
+    """One delivery folded in host order — what a caller reports."""
 
     attempted: int = 0
     succeeded: list[str] = field(default_factory=list)   # machine names
     locked: list[str] = field(default_factory=list)      # machine names
+    deferred: list[str] = field(default_factory=list)    # machine names
+    service_locked: bool = False
     soft_failures: int = 0
     bytes_sent: int = 0
     # (service/machine, origin journal seq) per hard failure
@@ -206,9 +197,14 @@ class DCM:
         self.locks = lock_manager or LockManager()
         self.zephyr_notify = zephyr_notify
         self.mail_notify = mail_notify
-        # E1 ablation (set on a built DCM): disable the
-        # dfcheck/MR_NO_CHANGE optimisation
+        # E1 ablation and the pipeline's reference (set on a built DCM):
+        # every due service built in full and pushed whole — no
+        # MR_NO_CHANGE, no patching, no deltas
         self.always_regenerate = False
+        # generators extract from here (an extraction replica's
+        # database, set by the deployment before the first invocation);
+        # None = the primary.  Bookkeeping always writes the primary.
+        self.extract_db: Optional[Database] = None
         # propagation fan-out width; 1 = the push loop runs inline
         self.push_pool_width = max(1, push_pool_width)
         # fault-injection harness (tests/benchmarks); begin_cycle applies
@@ -218,20 +214,17 @@ class DCM:
         self.governor = PropagationGovernor(retry_policy)
         self._bindings: dict[tuple[str, str], ServiceBinding] = {}
         self._generated: dict[str, GeneratorResult] = {}
-        # service -> data-version vector of its inputs at generation time
+        # service -> data-version vector of its inputs at generation
+        # time, read from the extraction database
         self._gen_versions: dict[str, dict[str, int]] = {}
-        # service -> id() of the database the vector was read from.
-        # Version counters are per-database-instance (an extraction
-        # replica's differ from the primary's), so a recorded vector is
-        # only comparable against the same instance — anything else is
-        # treated as "no recorded vector" and regenerates fully.
-        self._gen_db: dict[str, int] = {}
+        # services whose files were rebuilt on changed_since's word alone
+        self._unproven: set[str] = set()
         # service -> journal watermark at generation time (hard-error
         # origin attribution; 0 = no journal)
         self._gen_seq: dict[str, int] = {}
         self.runs = 0
         # cumulative counters across every invocation of either trigger,
-        # bumped where the work happens (generate step / push merge)
+        # bumped where the work happens (classify / generate / push merge)
         self.total_generations = 0
         self.total_no_change = 0
         self.total_propagations = 0
@@ -249,7 +242,12 @@ class DCM:
         """The binding for a service/machine pair, or None."""
         return self._bindings.get((service.upper(), machine.upper()))
 
-    # -- one invocation ------------------------------------------------------------
+    def _view(self, now: int) -> GenContext:
+        """A fresh extraction snapshot over the extraction database."""
+        return GenContext(self.db if self.extract_db is None
+                          else self.extract_db, now)
+
+    # -- trigger 1: the cron invocation ----------------------------------------
 
     def run_once(self) -> DCMReport:
         """One §5.7.1 invocation; returns the structured report."""
@@ -272,17 +270,49 @@ class DCM:
             self.faults.begin_cycle(self.network)
         self.governor.begin_cycle()
 
-        # one extraction snapshot and one version vector for the whole
-        # cycle: versions are captured before any data is read, so a
-        # concurrent change mid-cycle is re-detected next cycle
-        cycle = _Cycle(now, report, GenContext(self.db, now),
-                       self.db.versions())
-
+        # one extraction snapshot for the whole cycle; its version
+        # vector is read before any data is, so a concurrent change
+        # mid-cycle is re-detected next cycle
+        ctx = self._view(now)
         services = self._eligible_services(report)
+        plans: dict[str, _Plan] = {}
         for service in services:
-            self._maybe_generate(service, cycle)
+            name = service["name"]
+            if not self._due(service, now):
+                continue
+            report.services_due += 1
+            plan = plans[name] = self._classify(service, now, ctx)
+            report.log.extend(plan.log)
+            gen = plan.generation
+            if plan.status == "locked":
+                report.skipped_locked += 1
+            elif plan.status == "harderror":
+                report.generation_errors.append((name, gen.error))
+                report.hard_failure_origins.append((name, gen.origin))
+            elif plan.changed:
+                report.generations += 1
+                report.generations_incremental += gen.incremental
+                report.generated_services.append(name)
+                report.files_generated += gen.result.file_count()
+            else:
+                report.generations_no_change += 1
+                report.no_change_services.append(name)
         for service in services:
-            self._host_scan(service, cycle)
+            if service["harderror"]:
+                continue    # this cycle's generation failed
+            plan = plans.get(service["name"])
+            summary = self._deliver(
+                service, plan if plan and plan.status != "locked" else None,
+                now)
+            report.skipped_locked += (len(summary.locked)
+                                      + summary.service_locked)
+            report.propagations_attempted += summary.attempted
+            report.propagations_succeeded += len(summary.succeeded)
+            report.bytes_propagated += summary.bytes_sent
+            report.soft_failures += summary.soft_failures
+            report.hard_failures += len(summary.hard_origins)
+            report.hard_failure_origins.extend(summary.hard_origins)
+            report.log.extend(summary.log)
         report.retries_deferred = self.governor.cycle_deferred
         report.breaker_skips = self.governor.cycle_breaker_skips
         report.breaker_probes = self.governor.cycle_probes
@@ -290,127 +320,193 @@ class DCM:
         report.breaker_open_hosts = self.governor.open_hosts()
         return report
 
-    # -- service scan ------------------------------------------------------------
-
     def _eligible_services(self, report: DCMReport) -> list[dict]:
         rows = self.db.table("servers").rows
         report.services_scanned = len(rows)
-        eligible = []
-        for row in rows:
-            if not row["enable"] or row["harderror"]:
-                continue
-            if row["update_int"] <= 0:
-                continue
-            if get_generator(row["name"]) is None:
-                continue
-            eligible.append(dict(row))
-        return eligible
+        return [dict(row) for row in rows
+                if row["enable"] and not row["harderror"]
+                and row["update_int"] > 0
+                and get_generator(row["name"]) is not None]
 
-    def _maybe_generate(self, service: dict, cycle: _Cycle) -> None:
-        name, now, report = service["name"], cycle.now, cycle.report
-        interval_seconds = service["update_int"] * 60
-        if now < service["dfcheck"] + interval_seconds and \
-                not self._any_override(name):
-            # not yet time for another update — unless an operator set
-            # a host override, which makes the service immediately due
-            # (the no-change check below still avoids wasted extracts)
-            return
-        report.services_due += 1
-        try:
-            with self.locks.held(f"service:{name}", LockMode.EXCLUSIVE):
-                self._set_service_flags(service, inprogress=1)
-                generator = get_generator(name)
-                vector = cycle.vector(generator)
-                changes = self._changes(name, generator, vector, self.db)
-                if changes is not None:
-                    unchanged = not changes
-                else:
-                    unchanged = not self._inputs_changed(generator, service,
-                                                         vector)
-                if not self.always_regenerate and service["dfgen"] and \
-                        unchanged:
-                    # MR_NO_CHANGE: only dfcheck moves forward (and the
-                    # vector, past columns no output reads)
-                    if changes is not None:
-                        self._gen_versions[name] = vector
-                    self.total_no_change += 1
-                    report.generations_no_change += 1
-                    report.no_change_services.append(name)
-                    report.log.append(f"dcm: {name}: no change")
-                    self._set_service_flags(service, dfcheck=now)
-                    return
-                gen = self._cycle_generate(service, cycle, changes=changes)
-                if gen is None:
-                    return
-                report.generations += 1
-                if gen.incremental:
-                    report.generations_incremental += 1
-                report.generated_services.append(name)
-                report.files_generated += gen.result.file_count()
-                how = "patched" if gen.incremental else "generated"
-                report.log.append(
-                    f"dcm: {name}: {how} {gen.result.file_count()} files")
-                self._set_service_flags(service, dfgen=now, dfcheck=now)
-        except LockHeld:
-            report.skipped_locked += 1
-            report.log.append(f"dcm: {name}: locked, skipping")
+    def _due(self, service: dict, now: int) -> bool:
+        """Cron classifies a service when its interval has elapsed, when
+        an operator set a host override, or when a host is owed files
+        this process does not hold (a restarted DCM)."""
+        name = service["name"]
+        return (now >= service["dfcheck"] + service["update_int"] * 60
+                or any(row["override"] for row in self.db.table(
+                    "serverhosts").select({"service": name}))
+                or (name not in self._generated and bool(service["dfgen"])
+                    and bool(self._stale_hosts(service))))
 
-    def _cycle_generate(self, service: dict, cycle: _Cycle, *,
-                        record_vector: bool = True,
-                        changes: Optional[dict] = None
-                        ) -> Optional[_Generation]:
-        """Cron's call of the generate step: extract through the cycle's
-        shared snapshot; a generator hard error lands in the report and
-        returns None.  *record_vector* False remembers the files without
-        their input vector — for a generation that does not move
-        ``dfgen``, so the next due check cannot pair today's vector with
-        yesterday's ``dfgen`` and falls back to ``changed_since``."""
+    # -- trigger 2: the CDC extractor ------------------------------------------
+
+    def converge_service(self, name: str, now: int, *,
+                         origin_seq: int = 0) -> dict:
+        """Classify and deliver one service *now* — the CDC extractor's
+        entry point, with no interval check: a committed write dirtied
+        the service.
+
+        Returns a counter dict; ``status`` is one of ``converged``,
+        ``no_change``, ``skipped``, ``locked``, or ``harderror``, and
+        ``retry`` asks the extractor to re-queue the service until
+        ``retry_at``, the governor's earliest admission time over the
+        hosts still owed a push; the re-entry finds the inputs
+        unchanged and pushes the held generation to just those hosts."""
+        out = {"service": name, "status": "converged", "reason": "",
+               "generated": False, "incremental": False,
+               "pushes": 0, "delta_pushes": 0, "full_pushes": 0,
+               "marked_converged": 0, "soft_failures": 0,
+               "hard_failures": 0, "deferred": 0, "bytes": 0,
+               "files_changed": 0, "origin_seq": origin_seq,
+               "retry": False, "retry_at": now, "log": []}
+        rows = self.db.table("servers").select({"name": name})
+        service = dict(rows[0]) if rows else None
+        reason = ("unknown service" if service is None else
+                  "no generator" if get_generator(name) is None else
+                  "disabled" if not service["enable"] else
+                  "harderror" if service["harderror"] else
+                  "dcm_enable is 0" if not self.db.get_value("dcm_enable")
+                  else "")
+        if reason:
+            out["status"], out["reason"] = "skipped", reason
+            return out
+        plan = self._classify(service, now, self._view(now), origin_seq)
+        out["log"].extend(plan.log)
+        if plan.status == "locked":
+            out["status"], out["retry"] = "locked", True
+            return out
+        gen = plan.generation
+        if plan.status == "harderror":
+            out["status"], out["reason"] = "harderror", gen.error
+            return out
+        if gen is not None:
+            out["generated"], out["incremental"] = True, gen.incremental
+        out["marked_converged"] = len(plan.marks)
+        out["files_changed"] = len({path for _, _, files in plan.pushes
+                                    for path in files})
+        if plan.status == "no_change":
+            out["status"] = "no_change"
+            out["reason"] = ("content unchanged" if plan.changed
+                             else "inputs unchanged")
+            return out
+
+        summary = self._deliver(service, plan, now)
+        out["pushes"] = len(summary.succeeded)
+        out["delta_pushes"] = len(plan.delta_hosts.intersection(
+            summary.succeeded))
+        out["full_pushes"] = out["pushes"] - out["delta_pushes"]
+        out["bytes"] = summary.bytes_sent
+        out["soft_failures"] = summary.soft_failures
+        out["hard_failures"] = len(summary.hard_origins)
+        out["deferred"] = len(summary.deferred)
+        out["log"].extend(summary.log)
+        held = summary.locked or summary.service_locked
+        out["retry"] = bool(summary.deferred or summary.soft_failures
+                            or held)
+        if summary.service_locked:
+            out["status"] = "locked"
+        elif out["retry"] and not held:
+            out["retry_at"] = min(
+                (self.governor.next_admission_at(name, machine_name)
+                 for _, machine_name in self._stale_hosts(service)),
+                default=now)
+        if service["harderror"]:
+            out["status"] = "harderror"
+            out["reason"] = service["errmsg"]
+        return out
+
+    # -- step 1: classify (exclusive service lock) -------------------------------
+
+    def _classify(self, service: dict, now: int, ctx: GenContext,
+                  origin_seq: Optional[int] = None) -> _Plan:
+        """Under the EXCLUSIVE service lock: the no-change check (the
+        recorded version vector against *ctx*'s, over the columns the
+        generator reads; a process holding no vector counts a CDC call
+        as changed and otherwise falls back to the paper's
+        ``changed_since(dfgen)``), the guarded generate step (with
+        InProgress set), and the per-host plan (:meth:`_plan`).
+
+        Unchanged inputs mean the database is the ``dfgen`` generation,
+        so files this process does not hold are rebuilt as that base;
+        one only ``changed_since`` vouched for is pushed whole at the
+        next change.  ``dfgen`` moves, and hosts with an empty delta are
+        marked converged, only when the bytes moved: a content-identical
+        regeneration moves neither ``dfgen`` nor any host.
+        *origin_seq* is the dirtying write's seq from the CDC extractor
+        (None = cron: a hard error is attributed to the journal
+        watermark now)."""
         name = service["name"]
         generator = get_generator(name)
-        hosts = self.db.table("serverhosts").select({"service": name})
-        gen = self._generate(
-            service, generator, cycle.ctx.for_service(hosts),
-            cycle.vector(generator) if record_vector else None,
-            changes=changes)
-        if gen.error:
-            cycle.report.generation_errors.append((name, gen.error))
-            cycle.report.hard_failure_origins.append((name, gen.origin))
-            return None
-        return gen
+        try:
+            with self.locks.held(f"service:{name}", LockMode.EXCLUSIVE):
+                vector = generator.vector_for(ctx.versions)
+                held = self._generated.get(name)
+                recorded = self._gen_versions.get(name)
+                changes = (None if recorded is None else self._changes(
+                    generator, vector, recorded, ctx.db))
+                changed = (
+                    self.always_regenerate or not service["dfgen"]
+                    or (bool(changes) if changes is not None else
+                        origin_seq is not None or
+                        generator.changed_since(ctx.db, service["dfgen"])))
+                gen = None
+                if changed or held is None:
+                    self._set_service_flags(service, inprogress=1)
+                    hosts = self.db.table("serverhosts").select(
+                        {"service": name})
+                    gen = self._generate(service, generator,
+                                         ctx.for_service(hosts), vector,
+                                         origin_seq, changes)
+                    if gen.error:
+                        return _Plan(status="harderror", changed=changed,
+                                     generation=gen)
+                    result = gen.result
+                else:
+                    result = held
+                    # the vector moves on past columns no output reads
+                    self._gen_versions[name] = vector
+                if changed:
+                    previous = (None if self.always_regenerate
+                                or name in self._unproven else held)
+                    how = ("patched" if gen.incremental else "generated")
+                    log = f"{how} {result.file_count()} files"
+                else:
+                    previous = result
+                    if changes is None and gen is not None:
+                        # whole seconds: a write in dfgen's own second
+                        # may be in these files and on no host
+                        self._unproven.add(name)
+                    self.total_no_change += 1
+                    log = "no change"
+                plan = self._plan(service, result, previous)
+                plan.changed, plan.generation = changed, gen
+                plan.log.append(f"dcm: {name}: {log}")
+                if previous is None or result != previous:
+                    self._unproven.discard(name)
+                    self._set_service_flags(service, dfgen=now, dfcheck=now)
+                    for host_row, machine_name in plan.marks:
+                        self._mark_host_updated(name, machine_name,
+                                                host_row, now)
+                        plan.log.append(f"dcm: {name}/{machine_name}: "
+                                        "unchanged, marked converged")
+                else:
+                    self._set_service_flags(service, dfcheck=now)
+                    plan.marks = []     # they hold these bytes already
+                    if not plan.pushes:
+                        plan.status = "no_change"
+                return plan
+        except LockHeld:
+            return _Plan(status="locked",
+                         log=[f"dcm: {name}: locked, skipping"])
 
-    def _inputs_changed(self, generator, service: dict,
-                        vector: dict[str, int]) -> bool:
-        """Exact version-vector comparison, falling back to the modtime
-        scan when no vector was recorded (a fresh DCM over an old
-        database)."""
-        recorded = self._recorded_vector(service["name"], self.db)
-        if recorded is not None:
-            return vector != recorded
-        return generator.changed_since(self.db, service["dfgen"])
-
-    def _recorded_vector(self, name: str,
-                         db: Database) -> Optional[dict[str, int]]:
-        """The vector recorded for *name*, but only when it was read
-        from *db* — version counters from another database instance
-        (primary vs extraction replica) are incomparable."""
-        if self._gen_db.get(name) != id(db):
-            return None
-        return self._gen_versions.get(name)
-
-    def _changes(self, name: str, generator,
-                 vector: dict[str, int], db: Database
-                 ) -> Optional[dict]:
-        """What moved since the remembered generation of *name*: changed
-        dependency table -> the changed-row-log entries touching a
-        column the generator reads (None where a log is unavailable or
-        has overflowed).  A table whose entries all touched columns no
-        output reads is left out, so an empty dict means nothing the
-        files show has moved.  None when there is no generation to
-        patch: no files in memory, or no vector comparable to *vector*.
-        """
-        recorded = self._recorded_vector(name, db)
-        if name not in self._generated or recorded is None:
-            return None
+    def _changes(self, generator, vector: dict[str, int],
+                 recorded: dict[str, int], db: Database) -> dict:
+        """What moved since *recorded*: changed dependency table -> the
+        changed-row-log entries touching a column the generator reads
+        (None where a log is unavailable or has overflowed).  A table
+        whose entries all touched columns no output reads is left out,
+        so an empty dict means nothing the files show has moved."""
         changes = {}
         for table_name, version in vector.items():
             old = recorded.get(table_name)
@@ -429,41 +525,33 @@ class DCM:
                 changes[table_name] = None
         return changes
 
-    def _any_override(self, service_name: str) -> bool:
-        return any(row["override"]
-                   for row in self.db.table("serverhosts").select(
-                       {"service": service_name}))
+    def _plan(self, service: dict, result: GeneratorResult,
+              previous: Optional[GeneratorResult]) -> _Plan:
+        """The one host policy: a live host holding *previous* (the
+        generation at ``dfgen``) receives only the files whose bytes
+        changed, or — when none did — is a mark; every other live host
+        (stale, failed, overridden, or *previous* unknown) receives
+        *result*'s full payload."""
+        plan = _Plan()
+        for host_row, machine_name in self._live_hosts(service["name"]):
+            if previous is not None and \
+                    self._holds(host_row, service["dfgen"]):
+                files = result.delta_for(machine_name, previous)
+                if not files:
+                    plan.marks.append((host_row, machine_name))
+                    continue
+                plan.delta_hosts.add(machine_name)
+            else:
+                files = result.payload_for(machine_name)
+            plan.pushes.append((host_row, machine_name, files))
+        return plan
 
-    def _set_service_flags(self, service: dict, *, inprogress: int = 0,
-                           dfgen: Optional[int] = None,
-                           dfcheck: Optional[int] = None,
-                           harderror: int = 0, errmsg: str = "") -> None:
-        """Write the service's internal flags, keeping the caller's
-        *service* copy in step; dfgen / dfcheck stay put unless given."""
-        if dfgen is not None:
-            service["dfgen"] = dfgen
-        if dfcheck is not None:
-            service["dfcheck"] = dfcheck
-        service["harderror"], service["errmsg"] = harderror, errmsg
-        self.client.query(
-            "set_server_internal_flags", service["name"],
-            str(service["dfgen"]), str(service["dfcheck"]),
-            str(inprogress), str(harderror), errmsg)
-
-    # -- host scan (cron's policy: which hosts, which files) -----------------------
-
-    def _host_scan(self, service: dict, cycle: _Cycle) -> None:
-        name, report = service["name"], cycle.report
-        if service.get("harderror"):
-            return
-        mode = (LockMode.EXCLUSIVE if service["type"] == "REPLICAT"
-                else LockMode.SHARED)
-        try:
-            with self.locks.held(f"service:{name}", mode):
-                self._update_hosts(service, cycle)
-        except LockHeld:
-            report.skipped_locked += 1
-            report.log.append(f"dcm: {name}: locked for host scan")
+    @staticmethod
+    def _holds(host_row: dict, dfgen: int) -> bool:
+        """Does the host hold the ``dfgen`` generation?"""
+        return bool(dfgen and host_row["success"]
+                    and host_row["lts"] >= dfgen
+                    and not host_row["override"])
 
     def _live_hosts(self, name: str) -> list[tuple[dict, str]]:
         """Enabled, error-free serverhost rows of service *name* joined
@@ -478,88 +566,21 @@ class DCM:
                 live.append((dict(row), machine[0]["name"]))
         return live
 
-    def _pending_targets(self, service: dict) -> list[tuple[dict, str]]:
-        """Live hosts not successfully updated since the last generation
-        (or overridden)."""
+    def _stale_hosts(self, service: dict) -> list[tuple[dict, str]]:
+        """Live hosts that do not hold the ``dfgen`` generation."""
         return [(row, machine)
                 for row, machine in self._live_hosts(service["name"])
-                if row["lts"] < service["dfgen"] or row["override"]]
-
-    def _update_hosts(self, service: dict, cycle: _Cycle) -> None:
-        name, now, report = service["name"], cycle.now, cycle.report
-        result = self._generated.get(name)
-        targets = self._pending_targets(service)
-        if result is None:
-            # A previous DCM process generated these files (on the real
-            # system they would still be on the Moira disk) or an
-            # operator's override demands files never built: rebuild in
-            # place — when a host is waiting for them, or when the
-            # remembered input vector still describes the database, so
-            # the rebuild is exactly what the converged hosts hold and
-            # goes on record as the base CDC patches and deltas from.
-            current = (cycle.vector(get_generator(name))
-                       == self._recorded_vector(name, self.db))
-            if not (targets or current):
-                return
-            gen = self._cycle_generate(
-                service, cycle,
-                record_vector=current or not service["dfgen"])
-            if gen is None:
-                return  # generator hard error: the service is flagged
-            result = gen.result
-            if not service["dfgen"]:
-                self._set_service_flags(service, dfgen=now, dfcheck=now)
-                targets = self._pending_targets(service)
-
-        targets, _deferred = self._admit(name, targets, now)
-        if not targets:
-            return
-        # every pending host gets its full payload
-        summary = self._push_plan(
-            service,
-            [(row, machine, result.payload_for(machine))
-             for row, machine in targets], now)
-        report.skipped_locked += len(summary.locked)
-        report.propagations_attempted += summary.attempted
-        report.propagations_succeeded += len(summary.succeeded)
-        report.bytes_propagated += summary.bytes_sent
-        report.soft_failures += summary.soft_failures
-        report.hard_failures += len(summary.hard_origins)
-        report.hard_failure_origins.extend(summary.hard_origins)
-        report.log.extend(summary.log)
-
-    def _admit(self, name: str, plan: list[tuple],
-               now: int) -> tuple[list[tuple], list[tuple]]:
-        """Split ``(host_row, machine, ...)`` entries through the
-        propagation governor into (admitted, deferred): backoff
-        deferrals, open breakers, and the per-cycle retry budget all
-        skip a host *without* burning a timeout on it."""
-        admitted, deferred = [], []
-        for entry in plan:
-            ok, _reason = self.governor.admit(name, entry[1], now)
-            (admitted if ok else deferred).append(entry)
-        return admitted, deferred
-
-    # -- the propagation engine: one generate step, one push loop ------------------
-    #
-    # Mechanism only.  Which hosts are due and which files each receives
-    # is the caller's policy (cron: _update_hosts; CDC: _converge_locked);
-    # nothing below knows which of them is calling.
+                if not self._holds(row, service["dfgen"])]
 
     def _generate(self, service: dict, generator, ctx: GenContext,
-                  vector: Optional[dict[str, int]],
+                  vector: dict[str, int],
                   origin_seq: Optional[int] = None,
                   changes: Optional[dict] = None) -> _Generation:
-        """The guarded generate step: patch the previous result from
-        *changes* (:meth:`_changes`) when the generator knows how, else
-        build in full, and remember the result with its input vector
-        (tagged with its source database) and the journal watermark for
-        attribution.
-
-        Any generator exception is a hard error: the service is flagged
-        ``harderror``, MOIRA/DCM is zephyred with the origin seq, and
-        the message comes back for the caller's report.
-        """
+        """The guarded generate step: patch the held result from
+        *changes* when the generator knows how, else build in full;
+        remember the result with its input vector and origin seq.  Any
+        generator exception is a hard error: ``harderror`` on the
+        service, one MOIRA/DCM zephyrgram, the message returned."""
         name = service["name"]
         previous = self._generated.get(name)
         result, message = None, ""
@@ -582,34 +603,73 @@ class DCM:
             self._notify_hard_error(name, message, origin)
             return _Generation(error=message, origin=origin)
         self._generated[name] = result
-        if vector is not None:
-            self._gen_versions[name] = vector
-            self._gen_db[name] = id(ctx.db)
-        else:
-            self._gen_versions.pop(name, None)
-            self._gen_db.pop(name, None)
+        self._gen_versions[name] = vector
         self._gen_seq[name] = origin
         self.total_generations += 1
         return _Generation(result, incremental, origin=origin)
+
+    def _set_service_flags(self, service: dict, *, inprogress: int = 0,
+                           dfgen: Optional[int] = None,
+                           dfcheck: Optional[int] = None,
+                           harderror: int = 0, errmsg: str = "") -> None:
+        """Write the service's internal flags, keeping the caller's
+        *service* copy in step; dfgen / dfcheck stay put unless given."""
+        if dfgen is not None:
+            service["dfgen"] = dfgen
+        if dfcheck is not None:
+            service["dfcheck"] = dfcheck
+        service["harderror"], service["errmsg"] = harderror, errmsg
+        self.client.query(
+            "set_server_internal_flags", service["name"],
+            str(service["dfgen"]), str(service["dfcheck"]),
+            str(inprogress), str(harderror), errmsg)
+
+    # -- step 2: deliver (host-scan lock) ------------------------------------------
+
+    def _deliver(self, service: dict, plan: Optional[_Plan],
+                 now: int) -> _PushSummary:
+        """Admit and push *plan* — or, for a service not classified this
+        cycle (None), the held generation to its stale hosts — under
+        §5.7.1's host-scan lock: SHARED for a UNIQUE service, EXCLUSIVE
+        for a REPLICAT one."""
+        name = service["name"]
+        mode = (LockMode.EXCLUSIVE if service["type"] == "REPLICAT"
+                else LockMode.SHARED)
+        try:
+            with self.locks.held(f"service:{name}", mode):
+                if plan is None:
+                    held = self._generated.get(name)
+                    if held is None:
+                        return _PushSummary()
+                    plan = self._plan(service, held, held)
+                # backoff, open breakers and the per-cycle retry budget
+                # skip a host without burning a timeout on it
+                admitted, deferred = [], []
+                for entry in plan.pushes:
+                    ok, _reason = self.governor.admit(name, entry[1], now)
+                    (admitted if ok else deferred).append(entry)
+                summary = self._push_plan(service, admitted, now)
+        except LockHeld:
+            return _PushSummary(service_locked=True, log=[
+                f"dcm: {name}: locked for host scan"])
+        summary.deferred = [machine for _, machine, _ in deferred]
+        summary.log.extend(f"dcm: {name}/{machine}: deferred by governor"
+                           for machine in summary.deferred)
+        summary.log.extend(f"dcm: {name}/{machine}: locked, will retry"
+                           for machine in summary.locked)
+        return summary
 
     def _push_plan(self, service: dict,
                    plan: list[tuple[dict, str, dict[str, bytes]]],
                    now: int) -> _PushSummary:
         """The host-push loop: push every admitted ``(host_row, machine,
         files)`` of *plan* (serverhosts order) under its per-host
-        exclusive lock.
-
-        The expensive part — the tar — is built once per distinct file
-        set; replicated hosts all share one payload (the paper's
-        "prepare only one set of files").  At ``push_pool_width`` 1, or
-        with a single target, the loop runs inline; otherwise the same
-        loop fans out over a bounded thread pool.  Safety comes from the
-        per-host locks and the database's own lock; determinism from
-        merging every slot back in plan order.  A replicated hard
-        failure sets the poison event so not-yet-started pushes are
-        cancelled, matching the paper's "no more updates will be
-        attempted".
-        """
+        exclusive lock, inline at ``push_pool_width`` 1 or with one
+        target, on a bounded thread pool otherwise.  Each distinct file
+        set is tarred once (the paper's "prepare only one set of
+        files"); slots merge back in plan order; a replicated hard
+        failure cancels the pushes not yet started ("no more updates
+        will be attempted")."""
         name = service["name"]
         built: dict[frozenset, bytes] = {}     # file-set content -> tar
         payloads: list[bytes] = []              # one per plan entry
@@ -692,7 +752,7 @@ class DCM:
                 summary.soft_failures += 1
             else:
                 what = f"{name}/{slot.machine}"
-                message = self._failure_message(outcome)
+                message = outcome.message or error_message(outcome.error)
                 summary.hard_origins.append((what, origin))
                 self._notify_hard_error(what, message, origin, mail=True)
                 poisoned_by = poisoned_by or message
@@ -706,10 +766,6 @@ class DCM:
         return summary
 
     # -- per-host bookkeeping ---------------------------------------------------------
-
-    @staticmethod
-    def _failure_message(outcome: UpdateResult) -> str:
-        return outcome.message or error_message(outcome.error)
 
     def _mark_host_updated(self, name: str, machine_name: str,
                            host_row: dict, now: int) -> None:
@@ -734,7 +790,7 @@ class DCM:
             self._mark_host_updated(name, machine_name, host_row, now)
             log.append(f"dcm: {name}/{machine_name}: updated")
             return False
-        message = self._failure_message(outcome)
+        message = outcome.message or error_message(outcome.error)
         if outcome.outcome is UpdateOutcome.SOFT_FAILURE:
             self.governor.record_soft(name, machine_name, now)
             self._set_host_flags(name, machine_name, host_row,
@@ -781,180 +837,6 @@ class DCM:
             self.zephyr_notify("MOIRA", "DCM", text)
         if mail and self.mail_notify is not None:
             self.mail_notify("moira-maintainers", text)
-
-    # -- CDC-driven convergence ------------------------------------------------------
-
-    def converge_service(self, name: str, now: int, *,
-                         origin_seq: int = 0,
-                         extract_db: Optional[Database] = None) -> dict:
-        """Regenerate one service *now* and push only what changed.
-
-        The CDC extractor's entry point: no interval check — the caller
-        already knows a committed write dirtied this service.  Extraction
-        may run against *extract_db* (a dedicated extraction replica);
-        bookkeeping always writes through the primary.  Hosts converged
-        to the previous generation receive a delta payload (only the
-        files whose bytes changed — the §5.8 install path applies tar
-        members individually, so the rest of the host tree is
-        untouched); stale or overridden hosts get the full payload.  A
-        host whose delta is empty is marked converged without a push —
-        a coalesced push.
-
-        Returns a counter dict; ``status`` is one of ``converged``,
-        ``no_change``, ``skipped``, ``locked``, or ``harderror``, and
-        ``retry`` asks the extractor to keep the service queued (soft
-        failures / governor deferrals) until ``retry_at``, the
-        governor's earliest admission time over the hosts still owed a
-        push.  The re-entry finds the version vector unchanged and
-        pushes the recorded generation to just those hosts.
-        """
-        out = {"service": name, "status": "converged", "reason": "",
-               "generated": False, "incremental": False,
-               "pushes": 0, "delta_pushes": 0, "full_pushes": 0,
-               "marked_converged": 0, "soft_failures": 0,
-               "hard_failures": 0, "deferred": 0, "bytes": 0,
-               "files_changed": 0, "origin_seq": origin_seq,
-               "retry": False, "retry_at": now, "log": []}
-
-        def skipped(reason: str) -> dict:
-            out["status"] = "skipped"
-            out["reason"] = reason
-            return out
-
-        rows = self.db.table("servers").select({"name": name})
-        if not rows:
-            return skipped("unknown service")
-        service = dict(rows[0])
-        generator = get_generator(name)
-        if generator is None:
-            return skipped("no generator")
-        if not service["enable"]:
-            return skipped("disabled")
-        if service["harderror"]:
-            return skipped("harderror")
-        if not self.db.get_value("dcm_enable"):
-            return skipped("dcm_enable is 0")
-        db = extract_db if extract_db is not None else self.db
-        try:
-            with self.locks.held(f"service:{name}", LockMode.EXCLUSIVE):
-                return self._converge_locked(service, generator, db, now,
-                                             origin_seq, out)
-        except LockHeld:
-            out["status"] = "locked"
-            out["retry"] = True
-            out["log"].append(f"cdc: {name}: locked, will retry")
-            return out
-
-    def _converge_locked(self, service: dict, generator, db: Database,
-                         now: int, origin_seq: int, out: dict) -> dict:
-        name = service["name"]
-        vector = generator.vector_for(db.versions())
-        changes = self._changes(name, generator, vector, db)
-        previous = self._generated.get(name)
-        if changes is not None and not changes:
-            # nothing any output reads has moved: the vector moves on
-            # without a generation, and hosts that missed the recorded
-            # generation (a retry, an override) are owed all of it
-            self._gen_versions[name] = vector
-            stale = self._pending_targets(service)
-            if not stale:
-                self.total_no_change += 1
-                out["status"] = "no_change"
-                out["reason"] = "version vector unchanged"
-                return out
-            return self._converge_push(
-                service, [(row, machine, previous.payload_for(machine))
-                          for row, machine in stale], set(), now, out)
-        if self._recorded_vector(name, db) is None:
-            # files remembered without their inputs (regenerated in
-            # place, or read from another database instance) are not
-            # known to be what any host holds: no deltas against them
-            previous = None
-        prev_dfgen = service["dfgen"]
-        hosts = self.db.table("serverhosts").select({"service": name})
-        gen = self._generate(service, generator,
-                             GenContext(db, now, hosts=hosts), vector,
-                             origin_seq, changes)
-        if gen.error:
-            out["status"] = "harderror"
-            out["reason"] = gen.error
-            return out
-        result = gen.result
-        out["generated"] = True
-        out["incremental"] = gen.incremental
-
-        # policy: a fresh host (converged to the previous generation)
-        # gets the delta, or is marked converged when the delta is
-        # empty; a stale or overridden host gets the full payload
-        plan: list[tuple[dict, str, dict[str, bytes]]] = []
-        marks: list[tuple[dict, str]] = []
-        delta_hosts: set[str] = set()
-        changed_files: set[str] = set()
-        for host_row, machine_name in self._live_hosts(name):
-            fresh = (prev_dfgen and previous is not None
-                     and host_row["success"]
-                     and host_row["lts"] >= prev_dfgen
-                     and not host_row["override"])
-            if fresh:
-                files = result.delta_for(machine_name, previous)
-                if not files:
-                    marks.append((host_row, machine_name))
-                    continue
-                delta_hosts.add(machine_name)
-            else:
-                files = result.payload_for(machine_name)
-            changed_files.update(files)
-            plan.append((host_row, machine_name, files))
-        out["files_changed"] = len(changed_files)
-        if not plan:
-            # new bytes reached no host (content-identical regeneration):
-            # keep dfgen where it is so every converged host stays
-            # converged and the next cron cycle stays a no-op
-            out["status"] = "no_change"
-            out["reason"] = "content unchanged"
-            return out
-
-        self._set_service_flags(service, dfgen=now, dfcheck=now)
-        for host_row, machine_name in marks:
-            self._mark_host_updated(name, machine_name, host_row, now)
-            out["log"].append(
-                f"cdc: {name}/{machine_name}: unchanged, "
-                "marked converged")
-        out["marked_converged"] = len(marks)
-        return self._converge_push(service, plan, delta_hosts, now, out)
-
-    def _converge_push(self, service: dict, plan: list[tuple],
-                       delta_hosts: set[str], now: int, out: dict) -> dict:
-        """Admit and push a CDC *plan*; fold the round into *out*."""
-        name = service["name"]
-        plan, deferred = self._admit(name, plan, now)
-        out["deferred"] = len(deferred)
-        out["log"].extend(
-            f"cdc: {name}/{machine_name}: deferred by governor"
-            for _, machine_name, _ in deferred)
-        summary = self._push_plan(service, plan, now)
-        out["pushes"] = len(summary.succeeded)
-        out["delta_pushes"] = len(delta_hosts.intersection(
-            summary.succeeded))
-        out["full_pushes"] = out["pushes"] - out["delta_pushes"]
-        out["bytes"] = summary.bytes_sent
-        out["soft_failures"] = summary.soft_failures
-        out["hard_failures"] = len(summary.hard_origins)
-        out["log"].extend(summary.log)
-        out["log"].extend(
-            f"cdc: {name}/{machine_name}: locked, will retry"
-            for machine_name in summary.locked)
-        out["retry"] = bool(deferred or summary.soft_failures
-                            or summary.locked)
-        if out["retry"] and not summary.locked:
-            out["retry_at"] = min(
-                (self.governor.next_admission_at(name, machine_name)
-                 for _, machine_name in self._pending_targets(service)),
-                default=now)
-        if service.get("harderror"):
-            out["status"] = "harderror"
-            out["reason"] = service["errmsg"]
-        return out
 
     # -- observability ---------------------------------------------------------------
 

@@ -156,6 +156,13 @@ class GenContext:
             value = self._memo[key] = build()
             return value
 
+    @property
+    def versions(self) -> dict[str, int]:
+        """The database's data-version vector, read once per snapshot —
+        the DCM reads it before any extract, so a change landing
+        mid-cycle is re-detected by the next one."""
+        return self._memoised("versions", self.db.versions)
+
     # -- memoised cross-relation maps ------------------------------------------
 
     @property

@@ -688,7 +688,7 @@ class TestReplicaSource:
         d = make_deployment(cdc_source="replica", replicas=1)
         d.run_hours(7)
         replica = d.replica_cluster.replicas[0]
-        assert d.cdc.extract_db is replica.db
+        assert d.dcm.extract_db is replica.db
         add_user(d.direct_client(), "offloaded", 21500)
         summary = d.pump_cdc()      # poll steps the replica first
         assert "HESIOD" in summary["converged"]

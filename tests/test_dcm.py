@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import tarfile
+
 import pytest
 
 from repro.core import AthenaDeployment, DeploymentConfig
@@ -79,9 +82,51 @@ class TestBasicCycle:
         d = deployment
         d.run_hours(7)
         first_dfgen = service_row(d, "HESIOD")["dfgen"]
-        d.direct_client().query("add_machine", "NEWBOX.MIT.EDU", "VAX")
+        d.direct_client().query("update_user_shell", d.handles.logins[0],
+                                "/bin/changed")
         d.run_hours(7)
         assert service_row(d, "HESIOD")["dfgen"] > first_dfgen
+
+    def test_change_no_file_shows_moves_nothing(self, deployment):
+        """A new machine is named by no file: the due cycle regenerates
+        the services reading ``machine`` and finds the bytes unchanged,
+        so neither ``dfgen`` nor any host moves and nothing is pushed."""
+        d = deployment
+        d.run_hours(25)
+        before = {name: (service_row(d, name)["dfgen"],
+                         [h["lts"] for h in host_rows(d, name)])
+                  for name in ("HESIOD", "NFS", "MAIL", "ZEPHYR")}
+        d.direct_client().query("add_machine", "NEWBOX.MIT.EDU", "VAX")
+        d.clock.advance(25 * 3600)
+        report = d.dcm.run_once()
+        assert set(report.generated_services) == {"HESIOD", "MAIL", "NFS"}
+        assert report.propagations_attempted == 0
+        assert {name: (service_row(d, name)["dfgen"],
+                       [h["lts"] for h in host_rows(d, name)])
+                for name in before} == before
+
+    def test_shell_change_sends_hesiod_only_passwd(self, deployment):
+        d = deployment
+        d.run_hours(7)
+        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
+        daemon = d.daemons[hesiod.name]
+        staged = []
+        receive = daemon.receive_file
+
+        def spy(target, data, digest):
+            staged.append(data)
+            return receive(target, data, digest)
+
+        daemon.receive_file = spy
+        d.direct_client().query("update_user_shell", d.handles.logins[0],
+                                "/bin/delta")
+        d.clock.advance(7 * 3600)
+        report = d.dcm.run_once()
+        assert "HESIOD" in report.generated_services
+        assert len(staged) == 1
+        with tarfile.open(fileobj=io.BytesIO(staged[0])) as tar:
+            assert tar.getnames() == ["/etc/hesiod/passwd.db"]
+        assert b"/bin/delta" in hesiod.fs.read("/etc/hesiod/passwd.db")
 
     def test_unrelated_change_does_not_regenerate_zephyr(self,
                                                          deployment):
@@ -216,18 +261,24 @@ class TestFailureHandling:
     def test_generator_failure_while_regenerating_in_place(
             self, deployment, monkeypatch):
         """A restarted DCM (no files in memory, dfgen already set)
-        rebuilds a service's files in place during the host scan.  A
-        generator that raises there is a hard error like any other —
-        flagged, reported, zephyred once — and the cycle goes on."""
+        rebuilds the files an overridden host is owed.  A generator
+        that raises there is a hard error like any other — flagged,
+        reported, zephyred once — and the cycle goes on."""
         d = deployment
         d.run_hours(25)
-        d.dcm._generated.clear()    # a new DCM process, same database
+        dcm = TestRestartedProcess.restart(d)
+        client = d.direct_client()
+        client.query("set_server_host_override", "MAIL",
+                     d.handles.mailhub_machine)
+        client.query("set_server_host_override", "ZEPHYR",
+                     d.handles.zephyr_machines[0])
+        d.clock.advance(60)
 
         def disk_full(ctx):
             raise RuntimeError("disk full")
 
         monkeypatch.setattr(get_generator("MAIL"), "generate", disk_full)
-        report = d.dcm.run_once()
+        report = dcm.run_once()
         assert [name for name, _ in report.generation_errors] == ["MAIL"]
         assert "disk full" in report.generation_errors[0][1]
         assert [what for what, _ in report.hard_failure_origins] == \
@@ -238,22 +289,22 @@ class TestFailureHandling:
                  if n[0] == "MOIRA" and n[1] == "DCM"]
         assert len(grams) == 1 and grams[0][2].startswith("MAIL:")
         # ZEPHYR is scanned after MAIL: the cycle reached it
-        assert "ZEPHYR" in d.dcm._generated
-        assert "MAIL" not in d.dcm._generated
+        assert "ZEPHYR" in dcm._generated
+        assert "MAIL" not in dcm._generated
 
     def test_regenerating_in_place_does_not_swallow_an_update(
             self, deployment):
-        """In-place regeneration leaves ``dfgen`` where it was, so it
-        must not record today's version vector against it: a change
-        made since ``dfgen`` still has to be seen by the next due
-        check and reach the hosts."""
+        """A DCM that lost its files but kept its vector rebuilds
+        nothing while no host is owed anything; a change made since
+        ``dfgen`` is still seen by the next due check and reaches the
+        hosts."""
         d = deployment
         d.run_hours(7)              # HESIOD generated and pushed
         d.clock.advance(60)
         d.direct_client().query("update_user_shell", d.handles.logins[0],
                                 "/bin/inplace")
-        d.dcm._generated.clear()    # a new DCM process, same database
-        d.dcm.run_once()            # HESIOD not due: rebuilt in place
+        d.dcm._generated.clear()    # files gone, same database
+        d.dcm.run_once()            # HESIOD not due, its host converged
         d.run_hours(30)
         hesiod = d.hosts[d.handles.hesiod_machine.upper()]
         assert b"/bin/inplace" in hesiod.fs.read("/etc/hesiod/passwd.db")
@@ -284,7 +335,9 @@ class TestRestartedProcess:
     def restart(d):
         old = d.dcm
         d.dcm = DCM(d.db, d.clock, network=d.network,
-                    moira_host=d.moira_host, journal=d.journal)
+                    moira_host=d.moira_host, journal=d.journal,
+                    zephyr_notify=old.zephyr_notify,
+                    mail_notify=old.mail_notify)
         for (service, machine), binding in old._bindings.items():
             d.dcm.bind_host(service, machine, binding)
         return d.dcm
@@ -302,6 +355,79 @@ class TestRestartedProcess:
         report = dcm.run_once()
         assert dcm.total_generations == 1       # in place, for the host
         assert report.propagations_succeeded == 1
+
+    @staticmethod
+    def passwd_on_hesiod(d):
+        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
+        return hesiod.fs.read("/etc/hesiod/passwd.db")
+
+    def test_write_in_dfgen_second_is_not_a_delta_base(self, deployment):
+        """``changed_since`` reads whole seconds, so to a restarted
+        process a write in ``dfgen``'s own second reads as no change.
+        The files it then rebuilds hold that write and no host does:
+        the next change, to another file, must still carry it."""
+        d = deployment
+        d.clock.advance(25 * 3600)
+        d.dcm.run_once()                # every dfgen is this second
+        dcm = self.restart(d)
+        client = d.direct_client()
+        client.query("update_user_shell", d.handles.logins[0],
+                     "/bin/samesecond")
+        d.clock.advance(25 * 3600)
+        report = dcm.run_once()
+        assert "HESIOD" in report.no_change_services
+        assert b"/bin/samesecond" not in self.passwd_on_hesiod(d)
+        login = d.handles.logins[1]
+        box = d.hesiod.get_pobox(login)["machine"]
+        client.query("set_pobox", login, "POP", next(
+            m for m in d.handles.pop_machines if m != box))
+        d.clock.advance(25 * 3600)
+        report = dcm.run_once()
+        assert "HESIOD" in report.generated_services
+        assert b"/bin/samesecond" in self.passwd_on_hesiod(d)
+
+    def test_cdc_write_in_dfgen_second_reaches_hosts(self):
+        """CDC was woken by the write itself: a restarted process
+        holding no vector counts it as a change, whatever second it
+        landed in."""
+        d = AthenaDeployment(DeploymentConfig(
+            population=PopulationSpec(
+                users=40, unregistered_users=5, nfs_servers=3,
+                maillists=8, clusters=3, machines_per_cluster=2,
+                printers=5, network_services=12),
+            cdc=True))
+        d.clock.advance(25 * 3600)
+        d.dcm.run_once()                # every dfgen is this second
+        d.pump_cdc()
+        d.cdc.dcm = self.restart(d)
+        d.direct_client().query("update_user_shell", d.handles.logins[0],
+                                "/bin/samesecond")
+        hesiod = {o["service"]: o for o in d.pump_cdc()["outcomes"]}[
+            "HESIOD"]
+        assert (hesiod["generated"], hesiod["full_pushes"]) == (True, 1)
+        assert b"/bin/samesecond" in self.passwd_on_hesiod(d)
+
+
+class TestOneVectorRecorder:
+    def test_replica_sourced_cdc_deltas_after_a_cron_cycle(self):
+        """With an extraction replica, cron and CDC record vectors
+        against the same database, so after a cron cycle a shell
+        change reaches every host as a delta."""
+        d = AthenaDeployment(DeploymentConfig(
+            population=PopulationSpec(
+                users=40, unregistered_users=5, nfs_servers=3,
+                maillists=8, clusters=3, machines_per_cluster=2,
+                printers=5, network_services=12),
+            cdc=True, cdc_source="replica", replicas=1))
+        d.clock.advance(25 * 3600)
+        assert d.dcm.run_once().generations == 4
+        d.direct_client().query("update_user_shell", d.handles.logins[0],
+                                "/bin/replica")
+        outcomes = d.pump_cdc()["outcomes"]
+        assert sum(o["delta_pushes"] for o in outcomes) >= 1
+        assert sum(o["full_pushes"] for o in outcomes) == 0
+        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
+        assert b"/bin/replica" in hesiod.fs.read("/etc/hesiod/passwd.db")
 
 
 class TestOverride:

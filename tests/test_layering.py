@@ -94,20 +94,29 @@ ENGINE_CALLS = ("push_update", "build_payload", "default_script",
                 "mail_notify")
 GENERATOR_CALLS = ("generate", "generate_incremental")
 GENERATE_STEP = "_generate"
+# one convergence policy: method -> the only DCM functions calling it
+POLICY_CALLERS = {
+    "_generate": {"_classify"},
+    "_plan": {"_classify", "_deliver"},
+    "payload_for": {"_plan"},
+    "delta_for": {"_plan"},
+    "_push_plan": {"_deliver"},
+}
+METHOD_CALLS = GENERATOR_CALLS + tuple(POLICY_CALLERS)
 
 
 def engine_call_sites(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
     """callee name -> ``file:line in function`` for every call of an
-    engine primitive or a generator entry point."""
+    engine primitive, a generator entry point or a policy step."""
     sites: dict[str, list[str]] = {
-        name: [] for name in ENGINE_CALLS + GENERATOR_CALLS}
+        name: [] for name in ENGINE_CALLS + METHOD_CALLS}
 
     def visit(node: ast.AST, where: str, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.Call):
             callee = terminal_name(node.func)
-            wanted = (GENERATOR_CALLS
+            wanted = (METHOD_CALLS
                       if isinstance(node.func, ast.Attribute)
                       else ()) + ENGINE_CALLS
             if callee in wanted:
@@ -121,11 +130,15 @@ def engine_call_sites(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
     return sites
 
 
-def test_one_push_loop_and_one_generate_step():
-    sites = engine_call_sites({
+def dcm_call_sites() -> dict[str, list[str]]:
+    return engine_call_sites({
         str(path.relative_to(SRC)): ast.parse(
             path.read_text(encoding="utf-8"))
         for path in sorted((SRC / "dcm").rglob("*.py"))})
+
+
+def test_one_push_loop_and_one_generate_step():
+    sites = dcm_call_sites()
     for name in ENGINE_CALLS:
         assert len(sites[name]) == 1, (name, sites[name])
     for name in GENERATOR_CALLS:
@@ -133,6 +146,20 @@ def test_one_push_loop_and_one_generate_step():
         assert all(site.startswith("dcm/dcm.py:")
                    and site.endswith(f" in {GENERATE_STEP}")
                    for site in sites[name]), (name, sites[name])
+
+
+def test_one_classify_step_and_one_deliver_step():
+    """Cron and CDC share one policy: a generation starts only in
+    ``_classify``, which files a host receives is decided only in
+    ``_plan``, and a push round starts only in ``_deliver`` (the
+    generators' result type builds a delta from its own payloads)."""
+    sites = dcm_call_sites()
+    for name, callers in POLICY_CALLERS.items():
+        found = [site for site in sites[name]
+                 if not site.startswith("dcm/generators/")]
+        assert found, name
+        assert {site.rsplit(" in ", 1)[1] for site in found} <= callers, \
+            (name, found)
 
 
 def test_the_engine_guard_counts_what_it_should():
