@@ -124,7 +124,6 @@ def _compact_config(backend: str, workdir: Path, *,
                                   machines_per_cluster=2, printers=4,
                                   network_services=10),
         wal_path=workdir / "wal",
-        wal_segments=True,
         replicas=replicas,
     )
     if backend != "memory":

@@ -14,9 +14,9 @@ Run with:  python examples/disaster_recovery.py
 import tempfile
 from pathlib import Path
 
-from repro.client.lib import DirectClient
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.backup import mrbackup, mrrestore, rotate
+from repro.db.recovery import replay_wal
 from repro.db.schema import build_database
 from repro.workload import PopulationSpec
 
@@ -86,7 +86,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         backup_dir = rotate(Path(tmp))
         sizes = mrbackup(deployment.db, backup_dir)
-        backup_time = deployment.clock.now()
+        backup_seq = deployment.journal.current_seq()
         print(f"  mrbackup wrote {len(sizes)} relations, "
               f"{sum(sizes.values())} bytes")
 
@@ -103,11 +103,8 @@ def main() -> None:
               f"{len(restored.table('machine'))} machines "
               "(missing today's)")
 
-        replay = DirectClient(restored, deployment.clock,
-                              caller="recovery")
-        count = deployment.journal.replay(
-            lambda q, args, who: replay.query(q, *args),
-            since=backup_time)
+        count = replay_wal(restored, deployment.journal,
+                           after_seq=backup_seq).replayed
         print(f"  journal replayed {count} change(s); machine count "
               f"now {len(restored.table('machine'))}")
         assert restored.table("machine").select(

@@ -66,8 +66,6 @@ class DeploymentConfig:
     replicas: int = 0
     staleness_budget: float = 0.25  # max wait for read-your-writes, s
     replica_tcp: bool = False  # real sockets: feeds + clients dial TCP
-    # WAL layout (default = seed: one monolithic file)
-    wal_segments: bool = False
     # storage engine (default = the MVCC in-memory engine)
     backend: str = "memory"  # any repro.db.backend registered name
     backend_path: Optional[str] = None  # on-disk store where supported
@@ -75,7 +73,6 @@ class DeploymentConfig:
     # change stream and converge managed hosts per-mutation instead of
     # per-cron-cycle.
     cdc: bool = False
-    cdc_source: str = "journal"  # "journal" (in-process) or "replica"
 
 
 class AthenaDeployment:
@@ -95,8 +92,7 @@ class AthenaDeployment:
                                      self.config.backend_path)
         self.kdc = KDC(self.clock)
         self.journal = Journal(path=self.config.wal_path,
-                               faults=self.faults,
-                               rotate_segments=self.config.wal_segments)
+                               faults=self.faults)
 
         # the synthetic campus
         self.handles = load_population(self.db, self.config.population,
@@ -155,26 +151,8 @@ class AthenaDeployment:
             self.cdc = self._build_cdc()
 
     def _build_cdc(self):
-        from repro.dcm.cdc import (
-            CdcExtractor,
-            JournalChangeSource,
-            ReplicaChangeSource,
-        )
-        if self.config.cdc_source == "replica":
-            if self.replica_cluster is None:
-                raise ValueError("cdc_source='replica' needs replicas>0")
-            replica = self.replica_cluster.replicas[0]
-            source = ReplicaChangeSource(replica)
-            # both triggers extract there, so every recorded version
-            # vector is the replica's
-            self.dcm.extract_db = replica.db
-        elif self.config.cdc_source == "journal":
-            source = JournalChangeSource(self.journal)
-        else:
-            raise ValueError(
-                f"unknown cdc_source {self.config.cdc_source!r}")
-        cdc = CdcExtractor(self.dcm, source, self.clock,
-                           journal=self.journal)
+        from repro.dcm.cdc import CdcExtractor
+        cdc = CdcExtractor(self.dcm, self.journal, self.clock)
         self.server.cdc_stats = cdc.stats_tuples
         # the pump rides cron like the DCM does; has_work keeps idle
         # ticks to a flag check (the commit listener sets the flag)

@@ -26,13 +26,14 @@ append durable — the server's commit window does exactly that and
 acknowledges nothing before the sync returns (docs/WRITE_PATH.md).
 :meth:`truncate` and :meth:`close` flush deferred appends too.
 
-**Segment rotation** — ``rotate_segments`` stores the WAL as
-``wal.<first_seq>`` segment files instead of one monolithic file.
-:meth:`truncate` at a checkpoint then *unlinks* whole covered
+**Segments** — the WAL is stored as ``wal.<first_seq>`` segment
+files.  :meth:`truncate` at a checkpoint *unlinks* whole covered
 segments (rewriting at most the one segment straddling the
 watermark) instead of rewriting the entire remaining log, and a
 restarted primary serving ``_repl_tail`` reads never rescan
-checkpoint-covered history.
+checkpoint-covered history.  A monolithic ``wal`` file (the seed
+layout) is still read by :meth:`load`, before the segments; the first
+truncate or compaction folds it into a segment.
 
 Failover fencing (the cluster *epoch*): every journal carries a
 monotonic ``epoch`` — WAL ownership.  A promoted replica's journal
@@ -42,7 +43,7 @@ old primary's journal as superseded: subsequent :meth:`sync` calls
 (the group-commit durability point) and fsync'ing :meth:`record` calls
 raise ``MR_FENCED`` — a *retryable* refusal, so in-flight write-batch
 lanes fail cleanly and the client router re-routes to the new primary.
-Epoch 1 writes no header, keeping seed WAL files byte-identical.
+Epoch 1 writes no header, keeping WAL lines seed-identical.
 """
 
 from __future__ import annotations
@@ -138,9 +139,6 @@ class Journal:
     path: Optional[Union[str, Path]] = None
     entries: list[JournalEntry] = field(default_factory=list)
     faults: Optional[FaultInjector] = None
-    # Store the log as wal.<first_seq> segment files; truncate() then
-    # unlinks covered segments instead of rewriting one monolithic file.
-    rotate_segments: bool = False
     # Cluster epoch — WAL ownership.  Bumped (never lowered) at
     # promotion; epoch 1 is the seed and writes no header line.
     epoch: int = 1
@@ -299,23 +297,28 @@ class Journal:
                 out.append((int(suffix), p))
         return sorted(out)
 
+    def _files(self) -> list[tuple[int, Path]]:
+        """Every on-disk file of the log, oldest first: a monolithic
+        seed file at *path* (first seq 0 — it predates every segment),
+        then the segments."""
+        seed = Path(str(self.path))
+        return ([(0, seed)] if seed.is_file() else []) + \
+            self.segment_files()
+
     def _header_line(self) -> str:
         return json.dumps({"_hdr": "epoch", "epoch": self.epoch},
                           separators=(",", ":"))
 
     def _file(self):
         if self._fh is None:
-            if self.rotate_segments:
-                if self._segment_first <= 0:
-                    self._segment_first = self._next_seq
-                target = self._segment_path(self._segment_first)
-            else:
-                target = self.path
-            self._fh = open(target, "a", encoding="utf-8")
+            if self._segment_first <= 0:
+                self._segment_first = self._next_seq
+            self._fh = open(self._segment_path(self._segment_first), "a",
+                            encoding="utf-8")
             # stamp WAL ownership at the top of every fresh handle so
             # a checkpoint unlinking the original segment can't lose
             # the epoch; duplicates are fine (load takes the max).
-            # Epoch 1 stays silent — seed WAL files are byte-identical.
+            # Epoch 1 stays silent — WAL lines stay seed-identical.
             self._header_epoch = 0
             if self.epoch > 1:
                 self._fh.write(self._header_line() + "\n")
@@ -326,7 +329,7 @@ class Journal:
     def _append_durable(self, entry: JournalEntry, *,
                         fsync: bool = True) -> None:
         line = entry.to_line()
-        if self.rotate_segments and self._segment_first <= 0:
+        if self._segment_first <= 0:
             self._segment_first = entry.seq   # names the new segment
         fh = self._file()
         if self.faults is not None:
@@ -453,19 +456,12 @@ class Journal:
     def stats(self) -> dict:
         """WAL observability counters (the ``_wal_stats`` rows)."""
         with self._lock:
-            segments = (self.segment_files()
-                        if (self.path is not None
-                            and self.rotate_segments) else [])
-            wal_bytes = 0
+            segments, wal_bytes = [], 0
             if self.path is not None:
                 if self._fh is not None:
                     self._fh.flush()
-                base = Path(str(self.path))
-                if base.exists():
-                    wal_bytes += base.stat().st_size
-                for _first, part in segments:
-                    if part.exists():
-                        wal_bytes += part.stat().st_size
+                segments = self.segment_files()
+                wal_bytes = sum(p.stat().st_size for _, p in self._files())
             fsyncs = self._stat_fsyncs
             return {
                 "appends": self._stat_appends,
@@ -479,7 +475,6 @@ class Journal:
                 "next_seq": self._next_seq,
                 "oldest_seq": (self.entries[0].seq if self.entries
                                else self._next_seq),
-                "segment_count": len(segments),
                 "segments": len(segments),
                 "oldest_segment_seq": (segments[0][0] if segments
                                        else 0),
@@ -558,25 +553,6 @@ class Journal:
         with self._lock:
             lo = bisect_left(self.entries, seq + 1, key=lambda e: e.seq)
             return self.entries[lo:]
-
-    def replay(
-        self,
-        execute: Callable[[str, tuple[str, ...], str], None],
-        *,
-        since: int = 0,
-    ) -> int:
-        """Re-apply journaled changes through *execute(query, args, who)*.
-
-        Returns the number of entries replayed.  Callers replay against a
-        database restored from the most recent backup; entries that now
-        conflict (e.g. MR_EXISTS because the backup already contains the
-        change) are the caller's to tolerate.
-        """
-        count = 0
-        for entry in self.since(since):
-            execute(entry.query, entry.args, entry.who)
-            count += 1
-        return count
 
     # -- compaction ----------------------------------------------------------
 
@@ -661,60 +637,42 @@ class Journal:
         os.replace(tmp, path)
 
     def _rewrite_locked(self) -> None:
-        """Rewrite the durable log to exactly the retained entries.
-
-        Segmented mode folds everything into one fresh segment (the
-        next append then opens a new active segment at ``_next_seq``);
-        monolithic mode rewrites the file atomically, like truncate.
-        """
-        if self._fh is not None:
-            self._sync_locked()
-            self._fh.close()
-            self._fh = None
-        if self.rotate_segments:
-            old = [p for _, p in self.segment_files()]
-            self._segment_first = 0
-            fresh = None
-            if self.entries:
-                fresh = self._segment_path(self.entries[0].seq)
-                self._write_atomic(fresh, self.entries)
-            for part in old:
-                if fresh is not None and part == fresh:
-                    continue
+        """Rewrite the durable log to exactly the retained entries: one
+        fresh segment replaces every file (a seed file included); the
+        next append opens a new active segment at ``_next_seq``."""
+        self.close()
+        old = [p for _, p in self._files()]
+        self._segment_first = 0
+        fresh = None
+        if self.entries:
+            fresh = self._segment_path(self.entries[0].seq)
+            self._write_atomic(fresh, self.entries)
+        for part in old:
+            if part != fresh:
                 part.unlink()
-        else:
-            self._write_atomic(self.path, self.entries)
 
     # -- checkpoint / truncate ---------------------------------------------
 
     def truncate(self, upto_seq: int) -> int:
         """Drop entries with ``seq <= upto_seq`` (they are covered by a
-        snapshot).  Monolithic mode atomically rewrites the WAL file
-        with the remainder; segmented mode unlinks every fully covered
-        segment and rewrites at most the one straddling the watermark.
-        Returns the number of entries dropped."""
+        snapshot): every fully covered file is unlinked and at most the
+        one straddling the watermark is rewritten as a segment holding
+        its live suffix.  Returns the number of entries dropped."""
         with self._lock:
             keep_from = bisect_left(self.entries, upto_seq + 1,
                                     key=lambda e: e.seq)
-            dropped = keep_from
             self.entries = self.entries[keep_from:]
             if self.path is not None:
-                if self._fh is not None:
-                    self._sync_locked()     # don't lose batched appends
-                    self._fh.close()
-                    self._fh = None
-                if self.rotate_segments:
-                    self._truncate_segments(upto_seq)
-                else:
-                    self._write_atomic(self.path, self.entries)
-            return dropped
+                self.close()        # don't lose batched appends
+                self._truncate_files(upto_seq)
+            return keep_from
 
-    def _truncate_segments(self, upto_seq: int) -> None:
+    def _truncate_files(self, upto_seq: int) -> None:
         # next append opens a fresh segment at _next_seq
         self._segment_first = 0
-        segments = self.segment_files()
-        for i, (first, path) in enumerate(segments):
-            next_first = (segments[i + 1][0] if i + 1 < len(segments)
+        files = self._files()
+        for i, (first, path) in enumerate(files):
+            next_first = (files[i + 1][0] if i + 1 < len(files)
                           else self._next_seq)
             last_covered = next_first - 1
             if last_covered <= upto_seq:
@@ -737,25 +695,17 @@ class Journal:
         instead.  Legacy records without sequence numbers are assigned
         their 1-based file position so replay windows keep working.
 
-        ``wal.<seq>`` segment files beside *path* are detected
-        automatically (a monolithic file, if present, reads first —
-        segments always hold newer entries) and flip the journal into
-        segmented mode for subsequent appends and truncates.
+        The ``wal.<seq>`` segment files beside *path* are read in seq
+        order, after a monolithic seed file at *path* itself when one
+        exists (segments always hold newer entries).
         """
         journal = cls(path=path)
-        path = Path(path)
-        files: list[Path] = []
-        if path.exists():
-            files.append(path)
-        segments = journal.segment_files()
-        if segments:
-            journal.rotate_segments = True
-            files.extend(p for _, p in segments)
+        files = journal._files()
         if not files:
             return journal
         entries: list[JournalEntry] = []
         torn = False
-        for part in files:
+        for first, part in files:
             if torn:
                 break   # only the newest file can have a live tail
             part_start = len(entries)
@@ -788,10 +738,16 @@ class Journal:
                     if entry.seq == 0:
                         entry = replace(entry, seq=len(entries) + 1)
                     entries.append(entry)
-            if torn and journal.rotate_segments:
+            if torn:
                 # scrub the torn record so appends land in a *new*
-                # segment that a future load will not stop short of
-                journal._write_atomic(part, entries[part_start:])
+                # segment that a future load will not stop short of; a
+                # torn seed file is rewritten as a segment
+                kept = entries[part_start:]
+                target = journal._segment_path(
+                    first or (kept[0].seq if kept else 1))
+                journal._write_atomic(target, kept)
+                if target != part:
+                    part.unlink()
         journal.entries = entries
         journal._next_seq = (entries[-1].seq + 1) if entries else 1
         journal._when_monotonic = all(

@@ -9,14 +9,12 @@ per-cycle.
 
 The pipeline, end to end:
 
-1. **Subscribe** — a change source wraps either the primary's journal
-   in-process (:class:`JournalChangeSource`, ``Journal.tail``) or a
-   read replica's apply loop (:class:`ReplicaChangeSource`), which is
-   itself fed by ``_repl_tail`` — the extraction-replica shape, where
-   generator extraction load moves off the primary.
+1. **Subscribe** — the extractor tails the primary's journal
+   in-process (``Journal.tail``); a notify-only commit listener flags
+   pending work, so an idle pump is a flag check.
 2. **Cursor** — the extractor owns a durable named cursor (a min-seq
    token persisted like the checkpoint watermark: tmp + fsync +
-   rename).  The cursor is registered with the primary journal, and
+   rename).  The cursor is registered with the journal, and
    ``Journal.compact`` treats it as a pin with the same discipline as
    replica applied-seq watermarks.  Forced compaction past the cursor
    makes the next poll return the resync signal; the extractor then
@@ -66,13 +64,7 @@ from typing import Optional, Union
 from repro.db.journal import Journal, JournalEntry
 from repro.dcm.generators.base import all_generators
 
-__all__ = [
-    "CDC_BOOKKEEPING_QUERIES",
-    "CdcCursor",
-    "CdcExtractor",
-    "JournalChangeSource",
-    "ReplicaChangeSource",
-]
+__all__ = ["CDC_BOOKKEEPING_QUERIES", "CdcCursor", "CdcExtractor"]
 
 # Journaled writes the CDC must NOT treat as data changes: the DCM's
 # own flag bookkeeping (version-neutral by design — touch_stats=False)
@@ -130,78 +122,6 @@ class CdcCursor:
         self._save()
 
 
-class JournalChangeSource:
-    """In-process change source over the primary's journal."""
-
-    def __init__(self, journal: Journal):
-        self.journal = journal
-
-    def current(self) -> int:
-        return self.journal.current_seq()
-
-    def poll(self, after_seq: int
-             ) -> tuple[int, Optional[list[JournalEntry]]]:
-        """``(current_seq, entries after after_seq)``; entries is None
-        when *after_seq* predates the retained log (compaction or a
-        checkpoint truncated past it) — the resync signal."""
-        _oldest, current, entries = self.journal.tail(after_seq)
-        return current, entries
-
-
-class ReplicaChangeSource:
-    """Change source over a read replica's apply loop — the extraction
-    replica: entries arrive via ``_repl_tail`` and are buffered by an
-    apply listener, so CDC extraction (and generation, when the DCM's
-    ``extract_db`` is the replica's database) costs the primary nothing
-    beyond the feed it already serves.
-
-    The resync discipline mirrors the journal's compaction floor: a
-    snapshot resync on the replica, or a cursor that predates this
-    source's subscription, yields ``None`` from :meth:`poll` and the
-    extractor reconverges everything.
-    """
-
-    def __init__(self, replica):
-        self.replica = replica
-        self._lock = threading.Lock()
-        self._buffer: list[JournalEntry] = []
-        self._resync = False
-        # entries applied before we subscribed were never buffered; a
-        # cursor below this floor cannot be served incrementally
-        self._floor = replica.applied_seq
-        replica.add_apply_listener(self._on_apply)
-
-    def _on_apply(self, entry) -> None:
-        with self._lock:
-            if entry is None:       # snapshot resync wiped the stream
-                self._resync = True
-                self._buffer.clear()
-            else:
-                self._buffer.append(entry)
-
-    def current(self) -> int:
-        return self.replica.applied_seq
-
-    def poll(self, after_seq: int
-             ) -> tuple[int, Optional[list[JournalEntry]]]:
-        try:
-            self.replica.step()
-        except Exception:
-            pass    # primary unreachable: serve what is buffered
-        with self._lock:
-            resync = self._resync
-            self._resync = False
-            entries = [e for e in self._buffer if e.seq > after_seq]
-            self._buffer.clear()
-            if resync:
-                self._floor = self.replica.applied_seq
-            floor = self._floor
-        current = self.replica.applied_seq
-        if resync or after_seq < floor:
-            return current, None
-        return current, entries
-
-
 class CdcExtractor:
     """Consumes the change stream and drives targeted convergence.
 
@@ -214,19 +134,15 @@ class CdcExtractor:
     def __init__(
         self,
         dcm,
-        source,
+        journal: Journal,
         clock,
         *,
-        journal: Optional[Journal] = None,
         cursor_path: Optional[Union[str, Path]] = None,
         name: str = "cdc",
     ):
         self.dcm = dcm
-        self.source = source
-        self.clock = clock
-        # the PRIMARY journal (compaction authority) — present even in
-        # extraction-replica mode so the cursor pins compaction there
         self.journal = journal
+        self.clock = clock
         self.name = name
         # coalescing window (set on the built extractor): a dirty
         # service converges once its window is this old, or earlier
@@ -243,9 +159,8 @@ class CdcExtractor:
         if self.cursor.loaded:
             self._seen_seq = self.cursor.seq
         else:
-            self._seen_seq = self.source.current()
+            self._seen_seq = journal.current_seq()
             self.cursor.reset(self._seen_seq)
-        self._current_seq = self._seen_seq
         self.stats = {
             "pumps": 0,
             "entries_seen": 0,
@@ -270,15 +185,13 @@ class CdcExtractor:
         #             "pending", "coalesced"}
         self.service_stats: dict[str, dict] = {}
         self._table_map = self._build_table_map()
-        if self.journal is not None:
-            self.journal.set_cursor(self.name, self.cursor.seq)
-            self.journal.add_commit_listener(self._on_commit)
+        journal.set_cursor(self.name, self.cursor.seq)
+        journal.add_commit_listener(self._on_commit)
 
     def close(self) -> None:
         """Detach from the journal (pin dropped, listener removed)."""
-        if self.journal is not None:
-            self.journal.remove_commit_listener(self._on_commit)
-            self.journal.clear_cursor(self.name)
+        self.journal.remove_commit_listener(self._on_commit)
+        self.journal.clear_cursor(self.name)
 
     # -- mapping committed entries to dirty services -------------------------
 
@@ -340,13 +253,12 @@ class CdcExtractor:
         """Drain the change stream into dirty-service windows.
 
         Returns the number of entries consumed.  A resync signal
-        (compaction or snapshot reload passed the cursor) resets the
-        cursor to the stream head and dirties every service — the
+        (compaction or a checkpoint truncated past the cursor) resets
+        the cursor to the stream head and dirties every service — the
         full-reconvergence self-heal.
         """
         now = self.clock.now() if now is None else now
-        current, entries = self.source.poll(self._seen_seq)
-        self._current_seq = max(self._current_seq, current)
+        _oldest, current, entries = self.journal.tail(self._seen_seq)
         if entries is None:
             self._resync(current, now)
             return 0
@@ -372,8 +284,7 @@ class CdcExtractor:
                 slot["forced"] = True
                 slot.pop("not_before", None)
         self.cursor.reset(current)
-        if self.journal is not None:
-            self.journal.set_cursor(self.name, self.cursor.seq)
+        self.journal.set_cursor(self.name, self.cursor.seq)
 
     def _ingest(self, entry: JournalEntry, now: int) -> None:
         self.stats["entries_seen"] += 1
@@ -501,16 +412,13 @@ class CdcExtractor:
         for slot in self._pending.values():
             floor = min(floor, slot["first_seq"] - 1)
         self.cursor.advance_to(floor)
-        if self.journal is not None:
-            self.journal.set_cursor(self.name, self.cursor.seq)
+        self.journal.set_cursor(self.name, self.cursor.seq)
 
     # -- observability -------------------------------------------------------
 
     def cursor_lag(self) -> int:
         """Committed entries the durable cursor has not yet covered."""
-        head = (self.journal.current_seq() if self.journal is not None
-                else max(self._current_seq, self._seen_seq))
-        return max(0, head - self.cursor.seq)
+        return max(0, self.journal.current_seq() - self.cursor.seq)
 
     def debounce_occupancy(self) -> int:
         """Services currently sitting in an open debounce window."""

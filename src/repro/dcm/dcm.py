@@ -201,10 +201,6 @@ class DCM:
         # every due service built in full and pushed whole — no
         # MR_NO_CHANGE, no patching, no deltas
         self.always_regenerate = False
-        # generators extract from here (an extraction replica's
-        # database, set by the deployment before the first invocation);
-        # None = the primary.  Bookkeeping always writes the primary.
-        self.extract_db: Optional[Database] = None
         # propagation fan-out width; 1 = the push loop runs inline
         self.push_pool_width = max(1, push_pool_width)
         # fault-injection harness (tests/benchmarks); begin_cycle applies
@@ -215,7 +211,7 @@ class DCM:
         self._bindings: dict[tuple[str, str], ServiceBinding] = {}
         self._generated: dict[str, GeneratorResult] = {}
         # service -> data-version vector of its inputs at generation
-        # time, read from the extraction database
+        # time
         self._gen_versions: dict[str, dict[str, int]] = {}
         # services whose files were rebuilt on changed_since's word alone
         self._unproven: set[str] = set()
@@ -243,9 +239,8 @@ class DCM:
         return self._bindings.get((service.upper(), machine.upper()))
 
     def _view(self, now: int) -> GenContext:
-        """A fresh extraction snapshot over the extraction database."""
-        return GenContext(self.db if self.extract_db is None
-                          else self.extract_db, now)
+        """A fresh extraction snapshot over the database."""
+        return GenContext(self.db, now)
 
     # -- trigger 1: the cron invocation ----------------------------------------
 

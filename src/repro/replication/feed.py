@@ -96,30 +96,21 @@ def entry_to_tuple(entry: JournalEntry) -> tuple[str, ...]:
 
 
 def entry_from_tuple(fields: Sequence[str]) -> JournalEntry:
-    """Invert :func:`entry_to_tuple`; raises ``ValueError`` if mangled.
-
-    Accepts the legacy 6-field tuple (no commit seq / bindings) so a
-    new replica can still tail an old primary.
-    """
-    if len(fields) not in (6, 8):
-        raise ValueError(
-            f"journal tuple wants 6 or 8 fields, got {len(fields)}")
-    seq, when, who, client, query, args = fields[:6]
+    """Invert :func:`entry_to_tuple`; raises ``ValueError`` if mangled."""
+    if len(fields) != 8:
+        raise ValueError(f"journal tuple wants 8 fields, got {len(fields)}")
+    seq, when, who, client, query, args, commit_seq, bindings = fields
     parsed = json.loads(args)
     if not isinstance(parsed, list):
         raise ValueError("journal tuple args not a list")
-    commit_seq = 0
-    bindings = None
-    if len(fields) == 8:
-        commit_seq = int(fields[6]) if fields[6] else 0
-        if fields[7]:
-            bindings = json.loads(fields[7])
-            if not isinstance(bindings, dict):
-                raise ValueError("journal tuple bindings not an object")
+    bindings = json.loads(bindings) if bindings else None
+    if bindings is not None and not isinstance(bindings, dict):
+        raise ValueError("journal tuple bindings not an object")
     return JournalEntry(seq=int(seq), when=int(when), who=who,
                         client=client, query=query,
                         args=tuple(str(a) for a in parsed),
-                        commit_seq=commit_seq, bindings=bindings)
+                        commit_seq=int(commit_seq) if commit_seq else 0,
+                        bindings=bindings)
 
 
 def versions_json(versions: dict) -> str:

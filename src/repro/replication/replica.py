@@ -227,35 +227,11 @@ class ReplicaServer:
         # follows each entry's original timestamp during apply, so
         # audit fields replay byte-identical (the replay_wal discipline)
         self._apply_clock = Clock(0)
-        # CDC taps: fn(entry) after every applied entry, fn(None) when
-        # a snapshot resync wipes local state (buffered entries between
-        # the listener's cursor and the new watermark are gone)
-        self._apply_listeners: list[Callable] = []
         self._pull_lock = threading.Lock()   # one puller at a time
         self._seq_cv = threading.Condition()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.server = ReplicaMoiraServer(self, kdc=kdc)
-
-    # -- CDC taps ------------------------------------------------------------
-
-    def add_apply_listener(self, fn: Callable) -> None:
-        """Register ``fn(entry)``, called after each entry is applied
-        (``fn(None)`` when a snapshot resync invalidates the stream).
-        Listeners run on the apply path — keep them cheap (the CDC
-        change source only appends to a buffer)."""
-        self._apply_listeners.append(fn)
-
-    def remove_apply_listener(self, fn: Callable) -> None:
-        if fn in self._apply_listeners:
-            self._apply_listeners.remove(fn)
-
-    def _notify_apply(self, entry) -> None:
-        for fn in self._apply_listeners:
-            try:
-                fn(entry)
-            except Exception:
-                pass    # a broken consumer must not stall replication
 
     # -- the feed connection -----------------------------------------------
 
@@ -364,7 +340,6 @@ class ReplicaServer:
             self.applied_seq = watermark
             self._applied_commit_seq = 0
             self._seq_cv.notify_all()
-        self._notify_apply(None)    # stream broken: consumers resync
         return watermark
 
     # -- the apply loop -----------------------------------------------------
@@ -453,7 +428,6 @@ class ReplicaServer:
                 self.entries_applied += 1
                 applied += 1
                 self._advance(entry.seq)
-                self._notify_apply(entry)
         except OutOfCommitOrder as exc:
             # appends happen inside the primary's commit gate, so this
             # is a mangled feed: a feed error like any other

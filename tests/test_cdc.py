@@ -14,7 +14,7 @@ import pytest
 from repro.client.lib import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.journal import Journal
-from repro.dcm.cdc import CdcCursor, CdcExtractor, JournalChangeSource
+from repro.dcm.cdc import CdcCursor, CdcExtractor
 from repro.replication.feed import CURSOR_ROW
 from repro.sim.clock import DEFAULT_EPOCH
 from repro.workload import PopulationSpec
@@ -116,9 +116,8 @@ class TestCursor:
         # crash before the pump: the mutation is committed but not
         # converged, and the durable token still floors it
         d.cdc.close()
-        revived = CdcExtractor(
-            d.dcm, JournalChangeSource(d.journal), d.clock,
-            journal=d.journal, cursor_path=tmp_path / "cursor.json")
+        revived = CdcExtractor(d.dcm, d.journal, d.clock,
+                               cursor_path=tmp_path / "cursor.json")
         assert revived.cursor.loaded
         assert revived.cursor.seq == token
         summary = revived.pump()
@@ -679,34 +678,3 @@ class TestObservability:
         cursors = {r[1]: int(r[2]) for r in rows if r[0] == CURSOR_ROW}
         assert cursors["cdc"] == d.cdc.cursor.seq
 
-
-# -- the extraction-replica shape ----------------------------------------------
-
-
-class TestReplicaSource:
-    def test_extraction_from_replica(self):
-        d = make_deployment(cdc_source="replica", replicas=1)
-        d.run_hours(7)
-        replica = d.replica_cluster.replicas[0]
-        assert d.dcm.extract_db is replica.db
-        add_user(d.direct_client(), "offloaded", 21500)
-        summary = d.pump_cdc()      # poll steps the replica first
-        assert "HESIOD" in summary["converged"]
-        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
-        assert b"offloaded" in hesiod.fs.read("/etc/hesiod/passwd.db")
-        # the durable cursor pins the PRIMARY journal either way
-        assert d.journal.cursors()["cdc"] == d.cdc.cursor.seq
-
-    def test_replica_resync_triggers_full_reconvergence(self):
-        d = make_deployment(cdc_source="replica", replicas=1)
-        d.run_hours(7)
-        add_user(d.direct_client(), "resynced", 21501)
-        # wipe the replica's incremental stream: snapshot reload
-        replica = d.replica_cluster.replicas[0]
-        replica.sync_snapshot()
-        summary = d.pump_cdc()
-        assert d.cdc.stats["resyncs"] >= 1
-        assert set(summary["converged"]) >= {"HESIOD", "MAIL", "NFS",
-                                             "ZEPHYR"}
-        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
-        assert b"resynced" in hesiod.fs.read("/etc/hesiod/passwd.db")

@@ -409,25 +409,25 @@ class TestRestartedProcess:
 
 
 class TestOneVectorRecorder:
-    def test_replica_sourced_cdc_deltas_after_a_cron_cycle(self):
-        """With an extraction replica, cron and CDC record vectors
-        against the same database, so after a cron cycle a shell
-        change reaches every host as a delta."""
+    def test_cdc_deltas_after_a_cron_cycle(self):
+        """Cron and CDC record vectors against the same database, so
+        after a cron cycle a shell change reaches every host as a
+        delta."""
         d = AthenaDeployment(DeploymentConfig(
             population=PopulationSpec(
                 users=40, unregistered_users=5, nfs_servers=3,
                 maillists=8, clusters=3, machines_per_cluster=2,
                 printers=5, network_services=12),
-            cdc=True, cdc_source="replica", replicas=1))
+            cdc=True))
         d.clock.advance(25 * 3600)
         assert d.dcm.run_once().generations == 4
         d.direct_client().query("update_user_shell", d.handles.logins[0],
-                                "/bin/replica")
+                                "/bin/onevector")
         outcomes = d.pump_cdc()["outcomes"]
         assert sum(o["delta_pushes"] for o in outcomes) >= 1
         assert sum(o["full_pushes"] for o in outcomes) == 0
         hesiod = d.hosts[d.handles.hesiod_machine.upper()]
-        assert b"/bin/replica" in hesiod.fs.read("/etc/hesiod/passwd.db")
+        assert b"/bin/onevector" in hesiod.fs.read("/etc/hesiod/passwd.db")
 
 
 class TestOverride:

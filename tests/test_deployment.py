@@ -8,6 +8,7 @@ import pytest
 from repro.apps import MrCheck
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.backup import mrbackup, mrrestore
+from repro.db.recovery import replay_wal
 from repro.db.schema import build_database
 from repro.workload import PopulationSpec, load_population, random_names
 
@@ -132,7 +133,7 @@ class TestJournalRecovery:
             network_services=3)))
         # nightly backup happens now
         mrbackup(d.db, tmp_path / "nightly")
-        backup_time = d.clock.now()
+        backup_seq = d.journal.current_seq()
         # next day: changes accumulate in the journal
         d.clock.advance(3600)
         client = d.direct_client()
@@ -145,14 +146,8 @@ class TestJournalRecovery:
         assert not restored.table("machine").select(
             {"name": "LOST1.MIT.EDU"})
         # ...then replay the journal
-        from repro.client.lib import DirectClient
-        replay_client = DirectClient(restored, d.clock, caller="recovery")
-
-        def execute(query, args, who):
-            replay_client.query(query, *args)
-
-        replayed = d.journal.replay(execute, since=backup_time)
-        assert replayed == 3
+        replayed = replay_wal(restored, d.journal, after_seq=backup_seq)
+        assert replayed.replayed == 3
         assert restored.table("machine").select({"name": "LOST1.MIT.EDU"})
         assert restored.table("users").select(
             {"login": d.handles.logins[0]})[0]["shell"] == "/bin/sh"

@@ -156,7 +156,7 @@ class TestEpochDurability:
         journal.close()
         # no header line at the default epoch: seed-era WAL files are
         # byte-identical, and old readers never see an unknown line
-        lines = wal.read_text().splitlines()
+        lines = journal.segment_files()[0][1].read_text().splitlines()
         assert len(lines) == 1
         assert "_hdr" not in lines[0]
         assert Journal.load(wal).epoch == 1

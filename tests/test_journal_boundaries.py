@@ -9,6 +9,7 @@ only riding along inside the crash sweeps.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -137,7 +138,7 @@ class TestGroupCommit:
 class TestSegmentRotation:
     def test_appends_go_to_segment_files(self, tmp_path):
         wal = tmp_path / "wal"
-        journal = Journal(path=wal, rotate_segments=True)
+        journal = Journal(path=wal)
         fill(journal, 10)
         journal.close()
         assert not wal.exists()          # no monolithic file
@@ -146,7 +147,7 @@ class TestSegmentRotation:
 
     def test_truncate_unlinks_covered_segments(self, tmp_path):
         wal = tmp_path / "wal"
-        journal = Journal(path=wal, rotate_segments=True)
+        journal = Journal(path=wal)
         fill(journal, 10)
         journal.truncate(10)             # checkpoint covers everything
         assert journal.segment_files() == []
@@ -156,11 +157,10 @@ class TestSegmentRotation:
         assert [first for first, _ in segs] == [11]
         loaded = Journal.load(wal)
         assert [e.seq for e in loaded.entries] == [11, 12, 13, 14, 15]
-        assert loaded.rotate_segments    # auto-detected
 
     def test_truncate_rewrites_straddling_segment(self, tmp_path):
         wal = tmp_path / "wal"
-        journal = Journal(path=wal, rotate_segments=True)
+        journal = Journal(path=wal)
         fill(journal, 10)
         journal.truncate(4)              # watermark inside the segment
         segs = journal.segment_files()
@@ -172,7 +172,7 @@ class TestSegmentRotation:
         """Repeated checkpoint cycles keep the segment count bounded:
         covered segments are unlinked, never rescanned or rewritten."""
         wal = tmp_path / "wal"
-        journal = Journal(path=wal, rotate_segments=True)
+        journal = Journal(path=wal)
         for cycle in range(5):
             fill(journal, 20, start=cycle * 20)
             assert len(journal.segment_files()) == 1
@@ -182,7 +182,7 @@ class TestSegmentRotation:
 
     def test_torn_tail_in_segment_is_scrubbed(self, tmp_path):
         wal = tmp_path / "wal"
-        journal = Journal(path=wal, rotate_segments=True)
+        journal = Journal(path=wal)
         fill(journal, 3)
         journal.close()
         seg = journal.segment_files()[0][1]
@@ -199,10 +199,49 @@ class TestSegmentRotation:
         assert [e.seq for e in again.entries] == [1, 2, 3, 4]
         assert not again.torn_tail
 
+    def write_seed(self, wal, tail):
+        """Hand-write a monolithic seed-layout WAL file: three records,
+        then *tail*."""
+        with open(wal, "w", encoding="utf-8") as fh:
+            for i in range(3):
+                fh.write(json.dumps({"seq": i + 1, "when": BASE + i,
+                                     "who": "root", "query": "q",
+                                     "args": [str(i)]}) + "\n")
+            fh.write(tail)
+
+    def test_seed_file_folds_into_segments_on_truncate(self, tmp_path):
+        wal = tmp_path / "wal"
+        self.write_seed(wal, "")
+        journal = Journal.load(wal)
+        assert [e.seq for e in journal.entries] == [1, 2, 3]
+        fill(journal, 2, start=3)        # appends open segment 4
+        assert [first for first, _ in journal.segment_files()] == [4]
+        journal.truncate(2)              # watermark inside the seed file
+        journal.close()
+        assert not wal.exists()          # folded: no monolithic file
+        assert [first for first, _ in journal.segment_files()] == [3, 4]
+        loaded = Journal.load(wal)
+        assert [e.seq for e in loaded.entries] == [3, 4, 5]
+        assert loaded.current_seq() == 5
+        assert not loaded.torn_tail
+
+    def test_torn_seed_file_stops_load_cleanly(self, tmp_path):
+        wal = tmp_path / "wal"
+        self.write_seed(wal, '{"seq": 4, "when": 567')   # torn mid-record
+        loaded = Journal.load(wal)
+        assert loaded.torn_tail
+        assert [e.seq for e in loaded.entries] == [1, 2, 3]
+        loaded.record(BASE, "root", "q", ())
+        loaded.close()
+        assert not wal.exists()          # scrubbed into a segment
+        again = Journal.load(wal)
+        assert [e.seq for e in again.entries] == [1, 2, 3, 4]
+        assert not again.torn_tail
+
     def test_checkpoint_recover_with_segments(self, tmp_path):
         """The PR 4 recovery protocol is segment-agnostic end to end."""
         db = build_database()
-        journal = Journal(path=tmp_path / "wal", rotate_segments=True)
+        journal = Journal(path=tmp_path / "wal")
         clock = Clock()
         muts = mutations(12)
         for i, (name, args) in enumerate(muts[:8]):

@@ -21,7 +21,7 @@ LAYERS = ("queries", "server", "dcm", "replication", "workload", "client",
           "core")
 
 # what a variable holding one of these objects is called in this tree
-STORAGE = {"db", "extract_db", "target_db", "view", "snapshot", "snap",
+STORAGE = {"db", "target_db", "view", "snapshot", "snap",
            "table", "users", "source"}
 DECLARED = STORAGE | {"query", "config", "server"}
 
@@ -160,6 +160,32 @@ def test_one_classify_step_and_one_deliver_step():
         assert found, name
         assert {site.rsplit(" in ", 1)[1] for site in found} <= callers, \
             (name, found)
+
+
+def test_dcm_reads_one_stream():
+    """The DCM extracts from the one database and tails the one
+    journal: nothing under ``dcm/`` imports the replication tier, and a
+    replica's apply loop offers no tap to consume."""
+    for path in sorted((SRC / "dcm").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.startswith("repro.replication")
+                           for m in modules), (path.name, node.lineno)
+    tree = ast.parse((SRC / "replication" / "replica.py").read_text(
+        encoding="utf-8"))
+    replica = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "ReplicaServer")
+    names = {node.name for node in ast.walk(replica)
+             if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(replica)
+              if isinstance(node, ast.Attribute)}
+    assert not [name for name in names if "listener" in name]
 
 
 def test_the_engine_guard_counts_what_it_should():

@@ -468,8 +468,8 @@ class TestSeedPathUnchanged:
         assert d.replica_cluster is None
         with pytest.raises(ValueError):
             d.replica_set_client()
-        # the journal keeps the seed write-path default
-        assert d.journal.rotate_segments is False
+        # the journal keeps the seed write-path default: in memory
+        assert d.journal.path is None
         d.server.shutdown()
 
     def test_replicaset_with_no_replicas_is_a_plain_client(self):

@@ -1,5 +1,5 @@
 """WAL compaction: supersede folding, barriers, pins, the resync
-floor, and durable rewrite in monolithic and segmented modes.
+floor, and the durable segment rewrite (a seed-layout file included).
 
 ``Journal.compact`` drops a whitelisted record when a later record of
 the same query with the same key follows it, unshielded by a barrier.
@@ -172,18 +172,25 @@ class TestDurableRewrite:
             shell(journal, "bob", sh)
 
     def test_monolithic_rewrite_survives_reload(self, tmp_path):
+        """A seed-layout monolithic file is folded into one segment by
+        the compaction rewrite."""
         wal = tmp_path / "wal"
-        journal = Journal(path=wal)
+        journal = Journal()
         self._churn(journal)
+        wal.write_text("".join(e.to_line() + "\n"
+                               for e in journal.entries))
+        journal = Journal.load(wal)
         journal.compact(supersedable=SUP)
         journal.close()
+        assert not wal.exists()
+        assert [first for first, _ in journal.segment_files()] == [5]
         loaded = Journal.load(wal)
         assert [(e.seq, e.args) for e in loaded.entries] == [
             (5, ("ann", "/bin/tcsh")), (6, ("bob", "/bin/tcsh"))]
 
     def test_segmented_rewrite_survives_reload(self, tmp_path):
         wal = tmp_path / "wal"
-        journal = Journal(path=wal, rotate_segments=True)
+        journal = Journal(path=wal)
         self._churn(journal)
         before = len(journal.segment_files())
         journal.compact(supersedable=SUP)
@@ -200,10 +207,12 @@ class TestDurableRewrite:
         wal = tmp_path / "wal"
         journal = Journal(path=wal)
         shell(journal, "ann", "/bin/sh")
-        raw = wal.read_bytes()
+        seg = journal.segment_files()[0][1]
+        raw = seg.read_bytes()
         out = journal.compact(supersedable=SUP)
         assert out["dropped"] == 0
-        assert wal.read_bytes() == raw
+        assert seg.read_bytes() == raw
+        journal.close()
 
 
 class TestEndToEndRecovery:

@@ -66,14 +66,16 @@ class TestDurableJournal:
         journal = Journal(path=wal)
         journal.record(BASE, "root", "add_user", ("a",))
         journal.close()
-        with open(wal, "a", encoding="utf-8") as fh:
+        with open(journal.segment_files()[0][1], "a",
+                  encoding="utf-8") as fh:
             fh.write('{"seq": 2, "when": 5679946')  # torn mid-record
+        # strict mode refuses...
+        with pytest.raises(ValueError):
+            Journal.load(wal, strict=True)
+        # ...the default stops cleanly at the torn record
         loaded = Journal.load(wal)
         assert len(loaded.entries) == 1
         assert loaded.torn_tail
-        # strict mode refuses instead
-        with pytest.raises(ValueError):
-            Journal.load(wal, strict=True)
 
     def test_malformed_line_variants(self):
         for bad in ["", "{", "[1,2]", '{"when": 1}',

@@ -259,10 +259,9 @@ class TestBindingsReplay:
         assert back.commit_seq == 9
         assert back.bindings == {"id": {"mach_id": [5]}, "intern": {}}
         assert back.query == "add_machine"
-        # a pre-sharding 6-field tuple still parses
-        legacy = entry_from_tuple(fields[:6])
-        assert legacy.commit_seq == 0
-        assert legacy.query == "add_machine"
+        # a pre-sharding 6-field tuple is a mangled entry
+        with pytest.raises(ValueError):
+            entry_from_tuple(fields[:6])
 
 
 # -- the server's group-commit window ------------------------------------------
