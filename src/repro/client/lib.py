@@ -559,14 +559,14 @@ class DirectClient:
             return exc.code
         if callproc is not None:
             for row in rows:
-                fields = tuple(str(f) for f in row)
+                fields = tuple(map(str, row))
                 callproc(len(fields), fields, callarg)
         return 0
 
     def query(self, name: str, *args: str) -> list[tuple[str, ...]]:
         """Run a query, returning tuples; raises MoiraError."""
         rows = execute_query(self._ctx, name, [str(a) for a in args])
-        return [tuple(str(f) for f in row) for row in rows]
+        return [tuple(map(str, row)) for row in rows]
 
     def query_maybe(self, name: str, *args: str) -> list[tuple[str, ...]]:
         """Like query(), but MR_NO_MATCH yields []."""

@@ -236,8 +236,6 @@ class _ShardTxnContext:
         return False
 
 
-_WILDCARD_CHARS = ("*", "?")
-
 # Characters Moira rejects in checked string fields (names, logins...).
 # The paper's MR_BAD_CHAR covers control characters and the backup
 # format's reserved separators.
@@ -262,7 +260,7 @@ class WildcardPattern:
     @staticmethod
     def is_wild(value: str) -> bool:
         """Does *value* contain a Moira wildcard character?"""
-        return any(ch in value for ch in _WILDCARD_CHARS)
+        return "*" in value or "?" in value
 
     @classmethod
     def compile(cls, pattern: str,
@@ -1110,14 +1108,14 @@ class Table(StorageTable):
 
         Returns (plan, coerced exact values, compiled wildcard patterns
         aligned with ``plan.wild``).  Classification per column is one
-        ``is_wild`` string scan; everything else replays from the plan.
+        ``is_wild`` test; everything else replays from the plan.
         """
+        columns = self.columns
         shape_parts = []
         for name in sorted(where):
-            column = self.column(name)
-            is_wild = (column.kind is str
-                       and WildcardPattern.is_wild(str(where[name])))
-            shape_parts.append((name, is_wild))
+            column = columns.get(name) or self.column(name)
+            shape_parts.append((name, column.kind is str and
+                                WildcardPattern.is_wild(str(where[name]))))
         shape = tuple(shape_parts)
         plan = self._plans.get(shape)
         if plan is None or plan.epoch != self._schema_epoch:
@@ -1125,8 +1123,14 @@ class Table(StorageTable):
                 self._plans.clear()
             plan = _Plan(self, shape, self._schema_epoch)
             self._plans[shape] = plan
-        exact = {name: column.coerce(where[name])
-                 for name, column in plan.exact}
+        exact = {}
+        for name, column in plan.exact:
+            value = where[name]
+            # an int for an int column is stored as given: skip coerce
+            exact[name] = value if type(value) is int and \
+                column.kind is int else column.coerce(value)
+        if not plan.wild:
+            return plan, exact, []
         wild = [WildcardPattern.compile(str(where[name]), column.fold_case)
                 for name, column, _index in plan.wild]
         return plan, exact, wild

@@ -602,18 +602,13 @@ class SnapshotTable:
         store = self._store
         snap = self._snap
         if not where:
-            for data in self._resolve(store.entries):
-                if predicate is None or predicate(data):
-                    snap.rows_returned += 1
-                    yield data
+            yield from self._matching(store.entries, predicate)
             return
         plan, exact, wild = table._bind_plan(where)
         if plan.covered:
             # bucket membership at seq *is* the full answer
-            for data in self._resolve(self._covered_entries(plan, exact)):
-                if predicate is None or predicate(data):
-                    snap.rows_returned += 1
-                    yield data
+            yield from self._matching(self._covered_entries(plan, exact),
+                                      predicate)
             return
         from repro.db.engine import _literal_prefix
         best: Optional[list[_Entry]] = None
@@ -655,8 +650,41 @@ class SnapshotTable:
                 snap.rows_returned += 1
                 yield data
 
+    def _matching(self, entries, predicate) -> Iterator[dict]:
+        """Visible rows of *entries* that pass *predicate*, counted on
+        the snapshot: one loop, no generator per stage — the whole
+        table for a scan, one bucket for a covered plan."""
+        snap = self._snap
+        seq = snap.seq
+        scanned = returned = 0
+        try:
+            for entry in entries:
+                scanned += 1
+                if entry.begin <= seq < entry.end:
+                    data = _visible(entry.record, seq)
+                    if data is not None and (predicate is None
+                                             or predicate(data)):
+                        returned += 1
+                        yield data
+        finally:
+            snap.rows_scanned += scanned
+            snap.rows_returned += returned
+
     def select(self, where: Optional[dict] = None, *,
                predicate=None) -> list[dict]:
+        if where and predicate is None:
+            plan, exact, _wild = self._table._bind_plan(where)
+            if plan.covered:
+                # a join's probe: resolve its one bucket in a plain loop
+                snap = self._snap
+                seq = snap.seq
+                entries = self._covered_entries(plan, exact)
+                out = [data for entry in entries
+                       if entry.begin <= seq < entry.end
+                       and (data := _visible(entry.record, seq)) is not None]
+                snap.rows_scanned += len(entries)
+                snap.rows_returned += len(out)
+                return out
         return list(self.iter_select(where, predicate=predicate))
 
     def count(self, where: Optional[dict] = None) -> int:

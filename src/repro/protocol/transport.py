@@ -13,12 +13,15 @@ Two interchangeable transports exist:
   and benchmarks of everything above the socket layer.
 
 Both talk to a :class:`Dispatcher`: ``open_connection(peer)``,
-``handle_frame_stream(conn_id, frame)`` yielding reply frames, and
-``close_connection(conn_id)``.  The Moira server implements it.
+``handle_frame_stream(conn_id, frame)`` yielding buffers of reply
+frames, and ``close_connection(conn_id)``.  The Moira server implements
+it.  Neither end handles a frame on its own: a client decodes each
+buffer it is given — a dispatcher's run, or one TCP ``recv`` — in one
+loop (:func:`~repro.protocol.wire.decode_replies`).
 
 The TCP server runs everything on one thread, its selector loop.  Each
 request frame runs to completion through ``handle_frame_stream`` and
-its reply frames are appended to the connection's out-buffer; the loop
+its reply buffers are appended to the connection's out-buffer; the loop
 then sends at once, so a reply is one buffer and usually one ``send``,
 and waits for ``EVENT_WRITE`` only when the kernel took less than all
 of it.  Nothing — no read view, no lock — is held from one loop
@@ -52,9 +55,8 @@ from repro.errors import (
 from repro.protocol.wire import (
     MajorRequest,
     Reply,
-    decode_reply,
+    decode_replies,
     encode_request,
-    read_frame,
 )
 
 __all__ = [
@@ -76,8 +78,9 @@ class Dispatcher(Protocol):
 
     def handle_frame_stream(self, conn_id: int,
                             frame: bytes) -> Iterator[bytes]:
-        """Process one request frame body; yields length-prefixed
-        reply frames, the last one a final (non-MR_MORE_DATA) status."""
+        """Process one request frame body; yields buffers of whole
+        length-prefixed reply frames, the last frame a final
+        (non-MR_MORE_DATA) status."""
         ...
 
     def close_connection(self, conn_id: int) -> None:
@@ -100,16 +103,22 @@ class ClientConnection:
 
     def stream(self, major: MajorRequest,
                args: list[bytes | str]) -> Iterator[Reply]:
-        """Yield replies one at a time until the final status."""
-        frame_iter = self._roundtrip(encode_request(major, args))
-        for frame in frame_iter:
-            reply = decode_reply(frame)
-            yield reply
-            if reply.code != MR_MORE_DATA:
+        """Yield replies one at a time until the final status.
+
+        Each buffer the transport hands over is decoded in one loop; a
+        frame split across two buffers waits for the second."""
+        tail = b""
+        for chunk in self._roundtrip(encode_request(major, args)):
+            buf = tail + chunk if tail else chunk
+            replies, used = decode_replies(buf)
+            yield from replies
+            if replies and replies[-1].code != MR_MORE_DATA:
                 return
+            tail = buf[used:]
         raise MoiraError(MR_ABORTED, "reply stream ended early")
 
     def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
+        """Send a request; yield the reply bytes as they arrive."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -141,11 +150,10 @@ class _InProcessConnection(ClientConnection):
     def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
         if not self._open:
             raise MoiraError(MR_NOT_CONNECTED)
-        # strip the length prefixes: dispatchers take and give frame
-        # bodies; large retrieves flow tuple by tuple on this thread
-        for frame in self.dispatcher.handle_frame_stream(
-                self.conn_id, request_frame[4:]):
-            yield frame[4:]
+        # a dispatcher takes a frame body and gives buffers of whole
+        # frames; a large retrieve flows run by run on this thread
+        yield from self.dispatcher.handle_frame_stream(
+            self.conn_id, request_frame[4:])
 
     def close(self) -> None:
         """Tear down the connection."""
@@ -379,35 +387,23 @@ class _TcpClientConnection(ClientConnection):
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         _nodelay(self._sock)
-        self._buf = b""     # received, not yet parsed
-        self._pos = 0
-
-    def _recv(self, n: int) -> bytes:
-        """``read_frame``'s reader: up to *n* buffered bytes, refilling
-        the buffer with one ``recv`` only when it is empty — a whole
-        reply usually arrives in one.  A timeout or reset is
-        MR_ABORTED, as a failed send is."""
-        if self._pos >= len(self._buf):
-            try:
-                self._buf, self._pos = self._sock.recv(65536), 0
-            except OSError as exc:
-                raise MoiraError(MR_ABORTED, str(exc)) from exc
-        chunk = self._buf[self._pos:self._pos + n]
-        self._pos += len(chunk)
-        return chunk
 
     def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
+        """Each ``recv`` as it comes — a whole reply usually arrives in
+        one.  A timeout, a reset or end of stream before the final
+        reply is MR_ABORTED, as a failed send is."""
         try:
             self._sock.sendall(request_frame)
         except OSError as exc:
             raise MoiraError(MR_ABORTED, str(exc)) from exc
         while True:
-            frame = read_frame(self._recv)
-            if not frame:
+            try:
+                data = self._sock.recv(65536)
+            except OSError as exc:
+                raise MoiraError(MR_ABORTED, str(exc)) from exc
+            if not data:
                 raise MoiraError(MR_ABORTED, "server closed connection")
-            yield frame
-            # caller stops iterating at the final reply; keep yielding
-            # until then.
+            yield data
 
     def close(self) -> None:
         """Tear down the connection."""

@@ -14,6 +14,10 @@ terminated by a reply whose code is the final status (0 on success).
 "Requests and replies also contain a version number, to allow clean
 handling of version skew" — mismatched versions raise
 ``MR_VERSION_MISMATCH``.
+
+The stream is one frame per tuple on the wire, but neither end pays
+per frame: :func:`encode_replies` writes a run of tuple frames into one
+buffer and :func:`decode_replies` reads a buffer's frames in one loop.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Iterable, NamedTuple
 
-from repro.errors import MoiraError, MR_ABORTED, MR_VERSION_MISMATCH
+from repro.errors import (MoiraError, MR_ABORTED, MR_MORE_DATA,
+                          MR_VERSION_MISMATCH)
 from repro.kerberos.kdc import Authenticator, Ticket
 
 __all__ = [
@@ -33,7 +39,10 @@ __all__ = [
     "encode_request",
     "decode_request",
     "encode_reply",
+    "encode_replies",
     "decode_reply",
+    "decode_replies",
+    "split_frames",
     "read_frame",
     "pack_authenticator",
     "unpack_authenticator",
@@ -42,6 +51,13 @@ __all__ = [
 VERSION = 2  # the query protocol version deployed at Athena in 1988
 
 MAX_ARG = 1 << 20  # sanity cap on counted-string length
+MAX_FRAME = 64 * MAX_ARG  # sanity cap on a frame body
+
+_U32 = struct.Struct(">I")
+# a reply frame's fixed part: body length, version, code, fieldc
+_REPLY_HEAD = struct.Struct(">IHiH")
+# the 4-byte count of every field shorter than 256 bytes, built once
+_SHORT_COUNTS = tuple(n.to_bytes(4, "big") for n in range(256))
 
 
 class MajorRequest(IntEnum):
@@ -65,15 +81,14 @@ class Request:
         return [a.decode("utf-8") for a in self.args]
 
 
-@dataclass(frozen=True)
-class Reply:
+class Reply(NamedTuple):
     """A decoded reply: error code + byte-string fields."""
     code: int
     fields: tuple[bytes, ...]
 
     def str_fields(self) -> tuple[str, ...]:
         """Fields decoded as UTF-8 strings."""
-        return tuple(f.decode("utf-8") for f in self.fields)
+        return tuple(map(bytes.decode, self.fields))
 
 
 def _counted(items: tuple[bytes, ...]) -> bytes:
@@ -128,26 +143,100 @@ def decode_request(body: bytes) -> Request:
 
 def encode_reply(code: int, fields: tuple = ()) -> bytes:
     """Frame a reply for the wire."""
-    encoded = tuple(
-        f if isinstance(f, bytes) else str(f).encode("utf-8")
-        for f in fields
-    )
-    body = struct.pack(">HiH", VERSION, code, len(encoded))
-    body += _counted(encoded)
-    return struct.pack(">I", len(body)) + body
+    return encode_replies((fields,), code)
+
+
+def encode_replies(rows: Iterable[tuple],
+                   code: int = MR_MORE_DATA) -> bytes:
+    """Frame one reply per row into one buffer.
+
+    Byte-identical to ``b"".join(encode_reply(code, row) for row in
+    rows)``: a field is sent as its bytes, or as the UTF-8 of ``str()``.
+    The run is built as one list of pieces and joined once.
+    """
+    parts: list = []
+    append = parts.append
+    head = _REPLY_HEAD.pack
+    short_counts = _SHORT_COUNTS
+    count = _U32.pack
+    for row in rows:
+        at = len(parts)
+        append(b"")             # the frame head, once its size is known
+        size = 8
+        for field in row:
+            if type(field) is str:
+                field = field.encode()
+            elif not isinstance(field, bytes):
+                field = str(field).encode()
+            n = len(field)
+            append(short_counts[n] if n < 256 else count(n))
+            append(field)
+            size += 4 + n
+        parts[at] = head(size, VERSION, code, len(row))
+    return b"".join(parts)
 
 
 def decode_reply(body: bytes) -> Reply:
     """Parse a reply frame body."""
     if len(body) < 8:
         raise MoiraError(MR_ABORTED, "short reply")
-    version, code, fieldc = struct.unpack_from(">HiH", body, 0)
-    if version != VERSION:
-        raise MoiraError(MR_VERSION_MISMATCH, f"got {version}")
-    fields, offset = _read_counted(body, 8, fieldc)
-    if offset != len(body):
-        raise MoiraError(MR_ABORTED, "trailing bytes in reply")
-    return Reply(code=code, fields=fields)
+    replies, _ = decode_replies(_U32.pack(len(body)) + body)
+    return replies[0]
+
+
+def decode_replies(buf: bytes, offset: int = 0) -> tuple[list[Reply], int]:
+    """Decode the whole reply frames of *buf* in one loop.
+
+    Starts at *offset* and stops at the end of the last whole frame or
+    after a final (non-``MR_MORE_DATA``) reply, whichever comes first.
+    Returns the replies and the offset just past them: a partial
+    trailing frame is the caller's to complete from its next buffer.
+    """
+    if not isinstance(buf, bytes):
+        buf = bytes(buf)
+    replies: list[Reply] = []
+    append = replies.append
+    end = len(buf)
+    count, head = _U32.unpack_from, _REPLY_HEAD.unpack_from
+    make = tuple.__new__
+    try:
+        while end - offset >= 4:
+            length = count(buf, offset)[0]
+            if length < 8 or length > MAX_FRAME:
+                raise MoiraError(MR_ABORTED, f"bad reply length {length}")
+            stop = offset + 4 + length
+            if stop > end:
+                break
+            _, version, code, fieldc = head(buf, offset)
+            if version != VERSION:
+                raise MoiraError(MR_VERSION_MISMATCH, f"got {version}")
+            p = offset + 12
+            fields = [b""] * fieldc
+            for i in range(fieldc):
+                n = count(buf, p)[0]
+                p += 4 + n
+                fields[i] = buf[p - n:p]
+            if p != stop or (length > MAX_ARG
+                             and max(map(len, fields)) > MAX_ARG):
+                raise MoiraError(MR_ABORTED, "malformed reply frame")
+            append(make(Reply, (code, tuple(fields))))
+            offset = stop
+            if code != MR_MORE_DATA:
+                break
+    except struct.error:
+        raise MoiraError(MR_ABORTED, "malformed reply frame") from None
+    return replies, offset
+
+
+def split_frames(buf: bytes) -> list[bytes]:
+    """A buffer of whole length-prefixed frames, one frame per element."""
+    frames = []
+    offset = 0
+    while offset < len(buf):
+        stop = offset + 4 + _U32.unpack_from(buf, offset)[0]
+        frames.append(buf[offset:stop])
+        offset = stop
+    return frames
 
 
 def read_frame(recv) -> bytes:
@@ -160,7 +249,7 @@ def read_frame(recv) -> bytes:
     if not header:
         return b""
     (length,) = struct.unpack(">I", header)
-    if length == 0 or length > 64 * MAX_ARG:
+    if length == 0 or length > MAX_FRAME:
         raise MoiraError(MR_ABORTED, f"bad frame length {length}")
     return _read_exact(recv, length, allow_eof=False)
 

@@ -36,6 +36,7 @@ library, WAL replay and replica apply all go through them
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _replace
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.db.engine import Database, Row, WildcardPattern
@@ -72,6 +73,9 @@ __all__ = [
 
 _REGISTRY: dict[str, "Query"] = {}
 _BY_SHORT: dict[str, "Query"] = {}
+
+# most tuples in one run of a retrieval's reply stream
+RUN_ROWS = 256
 
 Handler = Callable[["QueryContext", Sequence[str]], list[tuple]]
 AccessCheck = Callable[["QueryContext", Sequence[str]], bool]
@@ -356,6 +360,24 @@ class QueryContext:
         serialises the strings heap and records replay bindings)."""
         return self.db.intern_string(text, now=self.now)
 
+    def lookup(self, table: str, key: str,
+               column: str) -> Callable[[object], object]:
+        """A join for one scan: ``value -> row[column]`` of the *table*
+        row whose *key* equals *value*, ``"???"`` when there is none.
+        Each distinct value is probed once, so rows that share a
+        machine or a partition pay for it once, not once a row."""
+        select = self.db.table(table).select
+        memo: dict = {}
+
+        def get(value):
+            try:
+                return memo[value]
+            except KeyError:
+                rows = select({key: value})
+                found = memo[value] = rows[0][column] if rows else "???"
+                return found
+        return get
+
     def string_by_id(self, string_id: int) -> str:
         """The text for a string_id."""
         rows = self.db.table("strings").select({"string_id": string_id})
@@ -492,8 +514,10 @@ def check_argc(query: Query, args: Sequence[str]) -> None:
 
 
 def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
-             timing: Optional[dict] = None) -> Iterator[tuple]:
-    """Run a retrieval on one consistent committed cut, yielding tuples.
+             timing: Optional[dict] = None) -> Iterator[list]:
+    """Run a retrieval on one consistent committed cut, yielding runs
+    (lists) of at most ``RUN_ROWS`` tuples — a caller framing a run at
+    a time holds one run of reply bytes, however large the result.
 
     The handler sees the backend's ``read_view()`` as its database.  A
     ``list`` result releases the view *before* it is streamed; a lazy
@@ -506,19 +530,20 @@ def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
             result = query.handler(_replace(ctx, db=view), args)
             if not isinstance(result, list):
                 iterator = iter(result)
-                try:
-                    first = next(iterator)
-                except StopIteration:
-                    raise MoiraError(MR_NO_MATCH, query.name) from None
-                yield first
-                yield from iterator
+                run = list(islice(iterator, RUN_ROWS))
+                if not run:
+                    raise MoiraError(MR_NO_MATCH, query.name)
+                while run:
+                    yield run
+                    run = list(islice(iterator, RUN_ROWS))
                 return
         finally:
             if timing is not None:
                 timing.update(view.read_stats())
     if not result:
         raise MoiraError(MR_NO_MATCH, query.name)
-    yield from result
+    for start in range(0, len(result), RUN_ROWS):
+        yield result[start:start + RUN_ROWS]
 
 
 def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
@@ -574,4 +599,4 @@ def execute_query(ctx: QueryContext, name: str,
         # version GC takes every shard, so it runs here, with none held
         ctx.db.gc_if_due()
         return result
-    return list(run_read(ctx, query, args))
+    return list(chain.from_iterable(run_read(ctx, query, args)))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import (
     MoiraError,
@@ -24,17 +24,17 @@ _FS_FIELDS = ("name", "fstype", "machine", "packname", "mountpoint",
               "lockertype", "modtime", "modby", "modwith")
 
 
-def _fs_tuple(ctx: QueryContext, row) -> tuple:
-    machines = ctx.db.table("machine").select({"mach_id": row["mach_id"]})
-    owner_rows = ctx.db.table("users").select({"users_id": row["owner"]})
-    owners_rows = ctx.db.table("list").select({"list_id": row["owners"]})
-    return (row["label"], row["type"],
-            machines[0]["name"] if machines else "???",
-            row["name"], row["mount"], row["access"], row["comments"],
-            owner_rows[0]["login"] if owner_rows else "???",
-            owners_rows[0]["name"] if owners_rows else "???",
-            row["createflg"], row["lockertype"], row["modtime"],
-            row["modby"], row["modwith"])
+def _fs_tuples(ctx: QueryContext, rows) -> Iterator[tuple]:
+    """The reply tuple of each filesys row, as the rows come."""
+    machine = ctx.lookup("machine", "mach_id", "name")
+    login = ctx.lookup("users", "users_id", "login")
+    group = ctx.lookup("list", "list_id", "name")
+    for row in rows:
+        yield (row["label"], row["type"], machine(row["mach_id"]),
+               row["name"], row["mount"], row["access"], row["comments"],
+               login(row["owner"]), group(row["owners"]),
+               row["createflg"], row["lockertype"], row["modtime"],
+               row["modby"], row["modwith"])
 
 
 @register("get_filesys_by_label", "gfsl", ("name",), _FS_FIELDS,
@@ -45,8 +45,8 @@ def get_filesys_by_label(ctx: QueryContext, args: Sequence[str]):
     Lazy: yields tuples as the scan produces them, so the server can
     stream MR_MORE_DATA replies before a large wildcard scan finishes.
     """
-    return (_fs_tuple(ctx, r)
-            for r in ctx.db.table("filesys").iter_select({"label": args[0]}))
+    return _fs_tuples(
+        ctx, ctx.db.table("filesys").iter_select({"label": args[0]}))
 
 
 @register("get_filesys_by_machine", "gfsm", ("machine",), _FS_FIELDS,
@@ -55,9 +55,8 @@ def get_filesys_by_machine(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """All filesystems served by one machine."""
     mach = ctx.find_machine(args[0])
-    return [_fs_tuple(ctx, r)
-            for r in ctx.db.table("filesys").select(
-                {"mach_id": mach["mach_id"]})]
+    return list(_fs_tuples(ctx, ctx.db.table("filesys").select(
+        {"mach_id": mach["mach_id"]})))
 
 
 @register("get_filesys_by_nfsphys", "gfsn", ("machine", "partition"),
@@ -70,12 +69,10 @@ def get_filesys_by_nfsphys(ctx: QueryContext,
         {"mach_id": mach["mach_id"], "dir": args[1]})
     if not phys:
         raise MoiraError(MR_NO_MATCH, args[1])
-    out = []
-    for p in phys:
-        out.extend(_fs_tuple(ctx, r)
-                   for r in ctx.db.table("filesys").select(
-                       {"phys_id": p["nfsphys_id"]}))
-    return out
+    filesys = ctx.db.table("filesys")
+    return list(_fs_tuples(ctx, (
+        r for p in phys
+        for r in filesys.select({"phys_id": p["nfsphys_id"]}))))
 
 
 @register("get_filesys_by_group", "gfsg", ("list",), _FS_FIELDS,
@@ -88,9 +85,8 @@ def get_filesys_by_group(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Filesystems owned by a list (members may ask)."""
     lst = ctx.find_list(args[0])
-    return [_fs_tuple(ctx, r)
-            for r in ctx.db.table("filesys").select(
-                {"owners": lst["list_id"]})]
+    return list(_fs_tuples(ctx, ctx.db.table("filesys").select(
+        {"owners": lst["list_id"]})))
 
 
 def _validate_filesys_args(ctx: QueryContext, fstype: str, machine: str,
@@ -286,22 +282,25 @@ def delete_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 # -- quotas ------------------------------------------------------------------
 
 
-def _quota_tuple(ctx: QueryContext, row) -> tuple:
-    fs = ctx.db.table("filesys").select({"filsys_id": row["filsys_id"]})
-    users = ctx.db.table("users").select({"users_id": row["users_id"]})
-    phys = ctx.db.table("nfsphys").select({"nfsphys_id": row["phys_id"]})
-    machine = "???"
-    directory = "???"
-    if phys:
-        directory = phys[0]["dir"]
-        machines = ctx.db.table("machine").select(
-            {"mach_id": phys[0]["mach_id"]})
-        if machines:
-            machine = machines[0]["name"]
-    return (fs[0]["label"] if fs else "???",
-            users[0]["login"] if users else "???",
-            row["quota"], directory, machine, row["modtime"], row["modby"],
-            row["modwith"])
+def _quota_tuples(ctx: QueryContext, rows) -> list[tuple]:
+    """The reply tuple of each nfsquota row."""
+    label = ctx.lookup("filesys", "filsys_id", "label")
+    login = ctx.lookup("users", "users_id", "login")
+    machine = ctx.lookup("machine", "mach_id", "name")
+    nfsphys = ctx.db.table("nfsphys")
+    partitions: dict = {}       # phys_id -> (directory, machine)
+    out = []
+    for row in rows:
+        where = partitions.get(row["phys_id"])
+        if where is None:
+            phys = nfsphys.select({"nfsphys_id": row["phys_id"]})
+            where = partitions[row["phys_id"]] = (
+                (phys[0]["dir"], machine(phys[0]["mach_id"])) if phys
+                else ("???", "???"))
+        out.append((label(row["filsys_id"]), login(row["users_id"]),
+                    row["quota"], *where, row["modtime"], row["modby"],
+                    row["modwith"]))
+    return out
 
 
 def _fs_owner_access(ctx: QueryContext, args: Sequence[str]) -> bool:
@@ -326,10 +325,10 @@ def get_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     user = ctx.find_user(args[1])
     fs_rows = ctx.db.table("filesys").select({"label": args[0]})
     fs_ids = {f["filsys_id"] for f in fs_rows}
-    return [_quota_tuple(ctx, r)
-            for r in ctx.db.table("nfsquota").select(
-                {"users_id": user["users_id"]})
-            if r["filsys_id"] in fs_ids]
+    return _quota_tuples(ctx, [
+        r for r in ctx.db.table("nfsquota").select(
+            {"users_id": user["users_id"]})
+        if r["filsys_id"] in fs_ids])
 
 
 @register("get_nfs_quotas_by_partition", "gnqp", ("machine", "dir"),
@@ -337,14 +336,15 @@ def get_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           side_effects=False)
 def get_nfs_quotas_by_partition(ctx: QueryContext,
                                 args: Sequence[str]) -> list[tuple]:
-    """Every quota on one partition."""
+    """Every quota on one partition (partitions in turn, when the
+    directory is a wildcard): a probe of the phys_id index each."""
     mach = ctx.find_machine(args[0])
     phys_rows = ctx.db.table("nfsphys").select(
         {"mach_id": mach["mach_id"], "dir": args[1]})
-    phys_ids = {p["nfsphys_id"] for p in phys_rows}
-    return [_quota_tuple(ctx, r)[:5]
-            for r in ctx.db.table("nfsquota").rows
-            if r["phys_id"] in phys_ids]
+    quotas = ctx.db.table("nfsquota")
+    rows = [r for p in phys_rows
+            for r in quotas.select({"phys_id": p["nfsphys_id"]})]
+    return [t[:5] for t in _quota_tuples(ctx, rows)]
 
 
 def _adjust_phys_allocation(ctx: QueryContext, phys_id: int,

@@ -10,7 +10,7 @@ self-add/remove, ACE members manage the list) are implemented here.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.db.schema import UNIQUE_GID
 from repro.errors import (
@@ -321,14 +321,17 @@ def get_lists_of_member(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 def qualified_get_lists(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """List names matching five TRUE/FALSE/DONTCARE flags."""
     flags = ["active", "public", "hidden", "maillist", "grouplist"]
-    wanted: list[tuple[str, Optional[bool]]] = [
-        (flag, ctx.tristate(arg)) for flag, arg in zip(flags, args)
+    wanted: list[tuple[str, bool]] = [
+        (flag, want) for flag, arg in zip(flags, args)
+        if (want := ctx.tristate(arg)) is not None
     ]
 
     def matches(row) -> bool:
         """Row satisfies every non-DONTCARE flag."""
-        return all(want is None or bool(row[flag]) == want
-                   for flag, want in wanted)
+        for flag, want in wanted:
+            if bool(row[flag]) != want:
+                return False
+        return True
 
     return [(r["name"],)
             for r in ctx.db.table("list").iter_select(predicate=matches)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from repro.db.schema import (
@@ -28,15 +29,8 @@ from repro.queries.base import (QueryContext, exactly_one,
 _USER_FIELDS = ("login", "uid", "shell", "last", "first", "middle",
                 "status", "mit_id", "mit_year", "modtime", "modby",
                 "modwith")
-
-
-def _user_tuple(row) -> tuple:
-    return tuple(row[f] for f in _USER_FIELDS)
-
-
-def _summary_tuple(row) -> tuple:
-    return (row["login"], row["uid"], row["shell"], row["last"],
-            row["first"], row["middle"])
+_user_tuple = itemgetter(*_USER_FIELDS)
+_summary_tuple = itemgetter(*_USER_FIELDS[:6])
 
 
 def _self_only(ctx: QueryContext, args: Sequence[str]) -> bool:
@@ -47,16 +41,15 @@ def _self_only(ctx: QueryContext, args: Sequence[str]) -> bool:
 @register("get_all_logins", "galo", (), _USER_FIELDS[:6], side_effects=False)
 def get_all_logins(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Summary info for every account in the database."""
-    return [_summary_tuple(r) for r in ctx.db.table("users").rows]
+    return list(map(_summary_tuple, ctx.db.table("users").rows))
 
 
 @register("get_all_active_logins", "gaal", (), _USER_FIELDS[:6],
           side_effects=False)
 def get_all_active_logins(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Summary info for accounts with non-zero status."""
-    return [_summary_tuple(r)
-            for r in ctx.db.table("users").iter_select(
-                predicate=lambda r: r["status"] != 0)]
+    return list(map(_summary_tuple, ctx.db.table("users").iter_select(
+        predicate=lambda r: r["status"] != 0)))
 
 
 @register("get_user_by_login", "gubl", ("login",), _USER_FIELDS,
@@ -65,8 +58,8 @@ def get_user_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Complete account info by login; wildcards allowed.
 
     Non-ACL callers may only retrieve their own record."""
-    return [_user_tuple(r)
-            for r in ctx.db.table("users").select({"login": args[0]})]
+    return list(map(_user_tuple,
+                    ctx.db.table("users").select({"login": args[0]})))
 
 
 @register("get_user_by_uid", "gubu", ("uid",), _USER_FIELDS,
@@ -76,8 +69,8 @@ def get_user_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
               and str(row["uid"]) == str(args[0])))
 def get_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Complete account info for the account with this uid."""
-    return [_user_tuple(r)
-            for r in ctx.db.table("users").select({"uid": args[0]})]
+    return list(map(_user_tuple,
+                    ctx.db.table("users").select({"uid": args[0]})))
 
 
 @register("get_user_by_name", "gubn", ("first", "last"), _USER_FIELDS,
@@ -85,25 +78,24 @@ def get_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 def get_user_by_name(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Account info matching first and last name (wildcards ok)."""
     first, last = args
-    return [_user_tuple(r)
-            for r in ctx.db.table("users").select(
-                {"first": first, "last": last})]
+    return list(map(_user_tuple, ctx.db.table("users").select(
+        {"first": first, "last": last})))
 
 
 @register("get_user_by_class", "gubc", ("class",), _USER_FIELDS,
           side_effects=False)
 def get_user_by_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Account info for every account in an academic class."""
-    return [_user_tuple(r)
-            for r in ctx.db.table("users").select({"mit_year": args[0]})]
+    return list(map(_user_tuple,
+                    ctx.db.table("users").select({"mit_year": args[0]})))
 
 
 @register("get_user_by_mitid", "gubm", ("mitid",), _USER_FIELDS,
           side_effects=False)
 def get_user_by_mitid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Account info matching an encrypted MIT ID."""
-    return [_user_tuple(r)
-            for r in ctx.db.table("users").select({"mit_id": args[0]})]
+    return list(map(_user_tuple,
+                    ctx.db.table("users").select({"mit_id": args[0]})))
 
 
 @register("add_user", "ausr",
@@ -343,6 +335,7 @@ def delete_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 _FINGER_FIELDS = ("login", "fullname", "nickname", "home_addr", "home_phone",
                   "office_addr", "office_phone", "mit_dept", "mit_affil",
                   "fmodtime", "fmodby", "fmodwith")
+_finger_tuple = itemgetter(*_FINGER_FIELDS)
 
 
 @register("get_finger_by_login", "gfbl", ("login",), _FINGER_FIELDS,
@@ -351,7 +344,7 @@ def get_finger_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """All finger information for one user."""
     row = exactly_one(ctx.db.table("users").select({"login": args[0]}),
                       MR_USER, args[0])
-    return [tuple(row[f] for f in _FINGER_FIELDS)]
+    return [_finger_tuple(row)]
 
 
 @register("update_finger_by_login", "ufbl",

@@ -58,7 +58,7 @@ from repro.errors import (
     MR_NO_HANDLE,
     MR_PERM,
 )
-from repro.protocol.wire import encode_reply
+from repro.protocol.wire import encode_replies, encode_reply
 
 if TYPE_CHECKING:    # pragma: no cover
     from repro.server.moira_server import MoiraServer
@@ -148,19 +148,15 @@ def _status(server: "MoiraServer") -> Iterator[bytes]:
     with server.db.read_locked():
         seq = server.journal.current_seq()
         versions = server.db.versions()
-    yield encode_reply(MR_MORE_DATA,
-                       (server.role, str(seq), versions_json(versions),
-                        str(server.journal.epoch)))
-    for row in sorted(server.repl_endpoints.items()):
-        name, (address, role) = row
-        yield encode_reply(MR_MORE_DATA,
-                           (ENDPOINT_ROW, name, address, role))
+    rows = [(server.role, str(seq), versions_json(versions),
+             str(server.journal.epoch))]
+    rows.extend((ENDPOINT_ROW, name, address, role) for name, (address, role)
+                in sorted(server.repl_endpoints.items()))
     # registered CDC consumer cursors: how far each extractor has
     # durably processed the WAL (compaction pins, like replica seqs)
-    for name, cursor_seq in sorted(server.journal.cursors().items()):
-        yield encode_reply(MR_MORE_DATA,
-                           (CURSOR_ROW, name, str(cursor_seq)))
-    yield encode_reply(0)
+    rows.extend((CURSOR_ROW, name, str(cursor_seq)) for name, cursor_seq
+                in sorted(server.journal.cursors().items()))
+    yield encode_replies(rows) + encode_reply(0)
 
 
 def _snapshot(server: "MoiraServer") -> Iterator[bytes]:
@@ -200,10 +196,8 @@ def _tail(server: "MoiraServer", args: Sequence[str]) -> Iterator[bytes]:
                            (RESYNC_ROW, str(oldest), str(current)))
         yield encode_reply(0)
         return
-    yield encode_reply(MR_MORE_DATA, (META_ROW, str(current),
-                                      str(server.journal.epoch)))
     if limit > 0:
         entries = entries[:limit]
-    for entry in entries:
-        yield encode_reply(MR_MORE_DATA, entry_to_tuple(entry))
+    yield encode_replies([(META_ROW, str(current), str(server.journal.epoch)),
+                          *map(entry_to_tuple, entries)])
     yield encode_reply(0)

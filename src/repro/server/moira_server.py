@@ -25,9 +25,11 @@ Concurrency (beyond the paper, after MCS's multithreaded engine):
 * A request runs to completion on the thread that hands the frame in:
   the TCP transport's one selector thread, or an in-process client's
   own thread.  The server owns no threads.
-* :meth:`handle_frame_stream` yields reply frames as tuples are
-  produced, so an in-process client consumes a 10k-tuple retrieve as
-  the scan runs instead of after it.
+* :meth:`handle_frame_stream` yields reply buffers as runs of tuples
+  are produced (:func:`~repro.queries.base.run_read`), each run framed
+  by one :func:`~repro.protocol.wire.encode_replies` call, so an
+  in-process client consumes a 10k-tuple retrieve as the scan runs
+  instead of after it.
 
 Every query execution is folded into a per-handle
 :class:`~repro.server.metrics.QueryMetrics` row (calls, errors, tuples,
@@ -53,7 +55,6 @@ from repro.errors import (
     MR_BUSY,
     MR_FENCED,
     MR_INTERNAL,
-    MR_MORE_DATA,
     MR_NO_HANDLE,
     MR_PERM,
 )
@@ -61,7 +62,9 @@ from repro.kerberos.kdc import KDC
 from repro.protocol.wire import (
     MajorRequest,
     decode_request,
+    encode_replies,
     encode_reply,
+    split_frames,
     unpack_authenticator,
 )
 from repro.queries.base import (
@@ -226,14 +229,16 @@ class MoiraServer:
             self.stats.incr("connections_closed")
 
     def handle_frame(self, conn_id: int, frame: bytes) -> list[bytes]:
-        """Decode, dispatch, and answer one request frame."""
-        return list(self.handle_frame_stream(conn_id, frame))
+        """Decode, dispatch, and answer one request frame; one reply
+        frame per element."""
+        return split_frames(b"".join(self.handle_frame_stream(conn_id,
+                                                              frame)))
 
     def handle_frame_stream(self, conn_id: int,
                             frame: bytes) -> Iterator[bytes]:
         """The transports' entry: like :meth:`handle_frame`, but yields
-        reply frames as they are produced, so an in-process caller
-        consumes a large retrieve while the scan runs."""
+        buffers of reply frames as they are produced, so an in-process
+        caller consumes a large retrieve while the scan runs."""
         if self.faults is not None:
             # a ServerCrash armed here is a BaseException: it sails past
             # the blanket handlers below, exactly like a real SIGKILL
@@ -282,7 +287,8 @@ class MoiraServer:
         this method by name."""
         stream = self.handle_frame_stream(conn_id, frame)
         try:
-            for reply in stream:
+            for reply in (one for run in stream
+                          for one in split_frames(run)):
                 if not on_reply(reply):
                     break
         finally:
@@ -374,18 +380,18 @@ class MoiraServer:
                 self.access_cache.invalidate(mutated)
                 if "members" in mutated:
                     self._poke_closure()
-                for t in tuples:
-                    count += 1
-                    yield encode_reply(MR_MORE_DATA, t)
+                count = len(tuples)
+                if tuples:
+                    yield encode_replies(tuples)
                 self.stats.incr("tuples_returned", count)
                 failed = False
                 yield encode_reply(0)
                 return
             # timing receives the view's snapshot counters; the
             # lock-wait histogram stays writer-only
-            for t in run_read(ctx, query, query_args, timing):
-                count += 1
-                yield encode_reply(MR_MORE_DATA, t)
+            for run in run_read(ctx, query, query_args, timing):
+                count += len(run)
+                yield encode_replies(run)
             self.stats.incr("queries_executed")
             self.stats.incr("tuples_returned", count)
             failed = False
@@ -496,19 +502,17 @@ class MoiraServer:
         """The ``_query_stats`` pseudo-query: per-handle metrics rows,
         optionally filtered to one handle name (first argument)."""
         handle = query_args[0] if query_args else None
-        for t in self.metrics.report_tuples(handle):
-            yield encode_reply(MR_MORE_DATA, t)
+        rows = list(self.metrics.report_tuples(handle))
         if handle is None:
             # engine-level MVCC counters ride along as two-column rows
             # so one _query_stats round trip paints the whole picture
-            for key, value in sorted(self.db.mvcc_stats().items()):
-                yield encode_reply(MR_MORE_DATA,
-                                   ("_mvcc." + key, str(value)))
+            mvcc = self.db.mvcc_stats()
+            rows.extend(("_mvcc." + key, str(mvcc[key]))
+                        for key in sorted(mvcc))
             # cluster topology rides along too: the same role/epoch/
             # endpoint rows _repl_status serves, visible from any node
-            for row in self.repl_stat_rows():
-                yield encode_reply(MR_MORE_DATA, row)
-        yield encode_reply(0)
+            rows.extend(self.repl_stat_rows())
+        yield encode_replies(rows) + encode_reply(0)
 
     def repl_stat_rows(self) -> list[tuple[str, str]]:
         """``_repl.*`` topology rows for `_query_stats`: this node's
@@ -530,13 +534,12 @@ class MoiraServer:
         cursor, cursor_lag, debounce_occupancy, pushes_coalesced...
         and per-service ``_cdc.service`` rows carrying
         last_converged_seq; docs/DCM_PIPELINE.md)."""
+        rows = []
         if self.dcm_stats is not None:
-            for t in self.dcm_stats():
-                yield encode_reply(MR_MORE_DATA, tuple(t))
+            rows.extend(map(tuple, self.dcm_stats()))
         if self.cdc_stats is not None:
-            for t in self.cdc_stats():
-                yield encode_reply(MR_MORE_DATA, tuple(t))
-        yield encode_reply(0)
+            rows.extend(map(tuple, self.cdc_stats()))
+        yield encode_replies(rows) + encode_reply(0)
 
     def _wal_stats(self) -> Iterator[bytes]:
         """The ``_wal_stats`` pseudo-query: journal durability counters
@@ -544,22 +547,17 @@ class MoiraServer:
         as ``_wal.*`` rows, then the write batcher's group-commit
         window occupancy as ``_batch.*`` rows."""
         stats = self.journal.stats()
-        for key in sorted(stats):
-            yield encode_reply(MR_MORE_DATA,
-                               ("_wal." + key, str(stats[key])))
-        for key, value in sorted(self._write_batcher.occupancy().items()):
-            yield encode_reply(MR_MORE_DATA, ("_batch." + key, str(value)))
-        yield encode_reply(0)
+        rows = [("_wal." + key, str(stats[key])) for key in sorted(stats)]
+        rows.extend(("_batch." + key, str(value)) for key, value
+                    in sorted(self._write_batcher.occupancy().items()))
+        yield encode_replies(rows) + encode_reply(0)
 
     def _list_users(self) -> list[bytes]:
-        replies = []
+        rows = []
         with self._lock:
             for conn in self._connections.values():
                 host, _, port = conn.peer.partition(":")
-                replies.append(encode_reply(
-                    MR_MORE_DATA,
-                    (conn.principal or "unauthenticated", host,
-                     port or "0", str(conn.connect_time),
-                     str(conn.conn_id))))
-        replies.append(encode_reply(0))
-        return replies
+                rows.append((conn.principal or "unauthenticated", host,
+                             port or "0", str(conn.connect_time),
+                             str(conn.conn_id)))
+        return [encode_replies(rows) + encode_reply(0)]

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.engine import Database
 from repro.db.schema import build_database
+from repro.queries.base import RUN_ROWS
 from repro.workload import PopulationSpec
 from tests.test_query_plans import (
     KINDS,
@@ -140,23 +141,26 @@ class TestConsistentCut:
         on another connection returns the pre-write row set."""
         d, client = world
         direct = d.direct_client()
-        for k in range(6):
+        count = RUN_ROWS + 6    # more than one run of the lazy retrieve
+        for k in range(count):
             direct.query("add_machine", f"STREAM{k}.MIT.EDU", "RT")
-        from repro.protocol.wire import MajorRequest, encode_request
+        from repro.protocol.wire import (MajorRequest, encode_request,
+                                         split_frames)
         conn_id = d.server.open_connection("mvcc-stream")
         d.server._connections[conn_id].principal = d.handles.logins[0]
         frame = encode_request(MajorRequest.QUERY,
                                ["get_machine", "STREAM*.MIT.EDU"])[4:]
         stream = d.server.handle_frame_stream(conn_id, frame)
         first = next(stream)  # the read has pinned its snapshot
-        direct.query("add_machine", "STREAM9.MIT.EDU", "RT")
+        direct.query("add_machine", "STREAMX.MIT.EDU", "RT")
         rest = list(stream)
-        replies = [first] + rest
-        # 6 tuples + final status; the mid-stream commit is invisible
-        assert len(replies) == 7
-        assert not any(b"STREAM9" in r for r in replies)
+        replies = split_frames(b"".join([first] + rest))
+        # the tuples + final status; the mid-stream commit is invisible
+        assert len(split_frames(first)) == RUN_ROWS
+        assert len(replies) == count + 1
+        assert not any(b"STREAMX" in r for r in replies)
         rows = client.query("get_machine", "STREAM*.MIT.EDU")
-        assert len(rows) == 7  # a fresh read sees the new machine
+        assert len(rows) == count + 1  # a fresh read sees the new one
         d.server.close_connection(conn_id)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,15 +15,36 @@ from repro.errors import (
 )
 from repro.kerberos.kdc import KDC
 from repro.protocol.wire import (
+    VERSION,
     MajorRequest,
+    decode_replies,
     decode_reply,
     decode_request,
+    encode_replies,
     encode_reply,
     encode_request,
     pack_authenticator,
+    split_frames,
     unpack_authenticator,
 )
 from repro.sim.clock import Clock
+
+
+def reference_frame(code: int, fields) -> bytes:
+    """One reply frame spelled out field by field, as docs/PROTOCOL.md
+    defines it: the oracle the batched encoder must match."""
+    body = struct.pack(">HiH", VERSION, code, len(fields))
+    for field in fields:
+        data = field if isinstance(field, bytes) else str(field).encode()
+        body += struct.pack(">I", len(data)) + data
+    return struct.pack(">I", len(body)) + body
+
+
+# fields as handlers return them: text (long enough for a four-byte
+# count past 255), integers, and bytes
+FIELD = st.one_of(st.text(max_size=300), st.integers(-2 ** 40, 2 ** 40),
+                  st.binary(max_size=300))
+ROWS = st.lists(st.lists(FIELD, max_size=8).map(tuple), max_size=12)
 
 
 class TestRequestEncoding:
@@ -93,6 +116,97 @@ class TestReplyEncoding:
         frame = encode_reply(MR_MORE_DATA, tuple(fields))
         reply = decode_reply(frame[4:])
         assert list(reply.str_fields()) == fields
+
+
+class TestReplyRuns:
+    """A run of tuple frames is one buffer at each end; the wire still
+    carries one frame per tuple."""
+
+    @given(ROWS, st.integers(-2 ** 31, 2 ** 31 - 1))
+    def test_run_is_the_per_tuple_frames(self, rows, code):
+        expected = b"".join(reference_frame(code, row) for row in rows)
+        assert encode_replies(rows, code) == expected
+        assert b"".join(encode_reply(code, row) for row in rows) == expected
+
+    @given(ROWS)
+    def test_decoded_in_one_loop(self, rows):
+        run = encode_replies(rows) + encode_reply(0)
+        replies, used = decode_replies(run)
+        assert used == len(run)
+        assert [r.code for r in replies] == [MR_MORE_DATA] * len(rows) + [0]
+        assert [r.fields for r in replies[:-1]] == [
+            tuple(f if isinstance(f, bytes) else str(f).encode()
+                  for f in row) for row in rows]
+        assert split_frames(run) == [reference_frame(MR_MORE_DATA, row)
+                                     for row in rows] + [encode_reply(0)]
+
+    def test_partial_frame_is_left_for_the_next_buffer(self):
+        run = encode_replies([("a", "bb"), ("ccc",)]) + encode_reply(0)
+        ends = [0]
+        for frame in split_frames(run):
+            ends.append(ends[-1] + len(frame))
+        for cut in range(len(run)):
+            replies, used = decode_replies(run[:cut])
+            assert used == max(end for end in ends if end <= cut)
+            rest, end = decode_replies(run, used)
+            assert end == len(run)
+            assert [r.code for r in replies + rest] == \
+                [MR_MORE_DATA, MR_MORE_DATA, 0]
+
+    def test_stops_after_the_final_reply(self):
+        run = encode_reply(MR_MORE_DATA, ("x",)) + encode_reply(0)
+        replies, used = decode_replies(run + encode_reply(MR_MORE_DATA, ()))
+        assert used == len(run)
+        assert [r.code for r in replies] == [MR_MORE_DATA, 0]
+
+    @pytest.mark.parametrize("damage", ["short_length", "count_overrun",
+                                        "trailing"])
+    def test_malformed_frame_aborts(self, damage):
+        frame = bytearray(encode_reply(MR_MORE_DATA, ("abc", "de")))
+        if damage == "short_length":
+            frame[:4] = (7).to_bytes(4, "big")
+        elif damage == "count_overrun":
+            frame[12:16] = (9).to_bytes(4, "big")    # "abc" claims 9
+        else:
+            frame[:4] = (len(frame) - 3).to_bytes(4, "big")
+            frame += b"zz"
+        with pytest.raises(MoiraError) as exc:
+            decode_replies(bytes(frame) + encode_reply(0))
+        assert exc.value.code == MR_ABORTED
+
+    def test_version_mismatch_in_a_run(self):
+        run = bytearray(encode_replies([("x",), ("y",)]))
+        second = len(encode_reply(MR_MORE_DATA, ("x",)))
+        run[second + 4:second + 6] = (99).to_bytes(2, "big")
+        with pytest.raises(MoiraError) as exc:
+            decode_replies(bytes(run))
+        assert exc.value.code == MR_VERSION_MISMATCH
+
+    def test_client_reassembles_frames_split_anywhere(self):
+        """A transport may hand the client any cut of the reply bytes
+        (TCP segments do); every tuple still reaches the callback once,
+        in order."""
+        from repro.client import MoiraClient
+        rows = [(f"row{i}", i, "x" * (i * 37 % 300)) for i in range(40)]
+        reply = encode_replies(rows) + encode_reply(0)
+
+        class Chopped:
+            def open_connection(self, peer):
+                return 1
+
+            def close_connection(self, conn_id):
+                pass
+
+            def handle_frame_stream(self, conn_id, frame):
+                for start in range(0, len(reply), 7):
+                    yield reply[start:start + 7]
+
+        client = MoiraClient(dispatcher=Chopped()).connect()
+        got = []
+        assert client.mr_query("_list_users", [],
+                               lambda n, argv, out: out.append(argv),
+                               got) == 0
+        assert got == [tuple(str(f) for f in row) for row in rows]
 
 
 class TestAuthenticatorPacking:

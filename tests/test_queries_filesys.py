@@ -173,3 +173,16 @@ class TestQuotas:
                    "/u1")
         assert {(r[1], int(r[2])) for r in rows} == {("aab", 300),
                                                      ("second", 200)}
+
+    def test_quotas_by_wildcard_partition(self, run, nfs_world):
+        """A wildcard directory answers partition by partition, each row
+        joined to its own partition's directory and machine."""
+        run("add_nfsphys", "CHARON.MIT.EDU", "/u2", "ra81b", 1, 0, 10000)
+        add_fs(run)
+        add_fs(run, label="bee", packname="/u2/bee", mount="/mit/bee")
+        run("add_nfs_quota", "bee", "aab", 200)
+        run("add_nfs_quota", "aab", "aab", 300)
+        rows = run("get_nfs_quotas_by_partition", "CHARON.MIT.EDU", "/u*")
+        assert [(r[0], int(r[2]), r[3], r[4]) for r in rows] == [
+            ("aab", 300, "/u1", "CHARON.MIT.EDU"),
+            ("bee", 200, "/u2", "CHARON.MIT.EDU")]

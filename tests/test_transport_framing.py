@@ -29,9 +29,10 @@ from repro.protocol.wire import (
     encode_request,
     read_frame,
 )
-from repro.queries.base import QueryContext, execute_query
+from repro.queries.base import RUN_ROWS, QueryContext, execute_query
 from repro.server import MoiraServer, seed_capacls
 from repro.sim.clock import Clock
+from tests.test_protocol import reference_frame
 
 MACHINES = 5
 
@@ -178,6 +179,42 @@ class TestOneSend:
                     data = data[end:]
                 assert [r.code for r in frames] == [MR_MORE_DATA, 0], i
                 assert frames[0].fields[0] == name.encode()
+
+
+class TestBatchedReplyBytes:
+    """Runs are each end's encoding detail: a retrieve longer than one
+    run reaches a TCP peer as exactly the bytes its per-tuple frames
+    spell, in order, then the final status."""
+
+    def test_tcp_stream_is_the_per_tuple_frames(self):
+        server = _make_server()
+        ctx = QueryContext(db=server.db, clock=server.clock,
+                           caller="root", client="framing",
+                           privileged=True)
+        for i in range(2 * RUN_ROWS + 44):
+            execute_query(ctx, "add_machine", [f"RUN{i}.MIT.EDU", "VAX"])
+        rows = execute_query(ctx, "get_machine", ["RUN*"])
+        expected = b"".join(reference_frame(MR_MORE_DATA, row)
+                            for row in rows) + reference_frame(0, ())
+        transport = TcpServerTransport(server).start()
+        try:
+            with socket.create_connection(transport.address,
+                                          timeout=30) as sock:
+                sock.sendall(_gmac("RUN*"))
+                data = b""
+                while len(data) < len(expected):
+                    chunk = sock.recv(65536)
+                    assert chunk, "server closed connection mid-stream"
+                    data += chunk
+            assert data == expected
+            client = MoiraClient(tcp_address=transport.address).connect()
+            try:
+                assert client.query("get_machine", "RUN*") == \
+                    [tuple(map(str, row)) for row in rows]
+            finally:
+                client.close()
+        finally:
+            transport.stop()
 
 
 class TestClientAborts:
