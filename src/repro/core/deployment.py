@@ -57,7 +57,6 @@ SERVICE_TABLE = [
 class DeploymentConfig:
     """Deployment knobs: population shape and feature toggles."""
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    push_pool_width: int = 8  # DCM propagation fan-out (1 = sequential)
     # robustness knobs
     faults: Optional[FaultInjector] = None  # shared injection harness
     wal_path: Optional[Union[str, Path]] = None  # fsync'd on-disk journal
@@ -118,7 +117,6 @@ class AthenaDeployment:
             moira_host=self.moira_host, journal=self.journal,
             zephyr_notify=self._zephyr_notify,
             mail_notify=self._mail_notify,
-            push_pool_width=self.config.push_pool_width,
             faults=self.faults,
             retry_policy=self.config.retry_policy)
         self.server.dcm_trigger = self.dcm.run_once

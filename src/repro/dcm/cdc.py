@@ -42,8 +42,8 @@ The pipeline, end to end:
    cron ``run_once`` runs: regenerate incrementally (version vectors +
    changed-row logs) and push *delta payloads* — only files whose
    bytes changed — to hosts holding the previous generation (per-host
-   locks, §5.9 update protocol, governor admission,
-   ``push_pool_width``).  The reference for the installed bytes is a
+   locks, §5.9 update protocol, governor admission, one serverhosts
+   scan).  The reference for the installed bytes is a
    full build every due cycle (``TestRegenerateOracle``).
 6. **Retry** — an outcome that left a host behind (soft failure,
    governor deferral, held lock) re-opens the service's window, not

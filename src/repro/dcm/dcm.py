@@ -26,15 +26,13 @@ bytes changed.  Cron (:meth:`DCM.run_once`) and the CDC extractor
 (:meth:`DCM.converge_service`) differ only in *when* a service is
 looked at: both call the same classify step (steps 3 and the per-host
 plan, ``_classify``) and the same deliver step (4 and 5, ``_deliver``),
-whose one host-push loop runs inline at ``push_pool_width`` 1 and on a
-bounded thread pool otherwise.  The DCM talks to the database through
-the direct glue library (:class:`DirectClient`), authenticating as root.
+whose host-push loop is the one serverhosts scan, on the calling
+thread.  The DCM talks to the database through the direct glue library
+(:class:`DirectClient`), authenticating as root.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,8 +61,6 @@ from repro.sim.faults import FaultInjector
 from repro.sim.network import Network
 
 __all__ = ["DCM", "DCMReport", "ServiceBinding"]
-
-DEFAULT_PUSH_POOL_WIDTH = 8
 
 
 @dataclass
@@ -142,19 +138,6 @@ class _Plan:
 
 
 @dataclass
-class _HostOutcome:
-    """One host's slot in a push round.  ``result`` stays None when the
-    host lock was held elsewhere (``locked``) or the push was cancelled
-    by a replicated hard failure."""
-
-    machine: str
-    locked: bool = False
-    attempted: bool = False
-    result: Optional[UpdateResult] = None
-    log: list[str] = field(default_factory=list)
-
-
-@dataclass
 class _PushSummary:
     """One delivery folded in host order — what a caller reports."""
 
@@ -183,7 +166,6 @@ class DCM:
         lock_manager: Optional[LockManager] = None,
         zephyr_notify: Optional[Callable[[str, str, str], None]] = None,
         mail_notify: Optional[Callable[[str, str], None]] = None,
-        push_pool_width: int = DEFAULT_PUSH_POOL_WIDTH,
         faults: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
@@ -201,8 +183,6 @@ class DCM:
         # every due service built in full and pushed whole — no
         # MR_NO_CHANGE, no patching, no deltas
         self.always_regenerate = False
-        # propagation fan-out width; 1 = the push loop runs inline
-        self.push_pool_width = max(1, push_pool_width)
         # fault-injection harness (tests/benchmarks); begin_cycle applies
         # scheduled network weather at the top of each invocation
         self.faults = faults
@@ -657,105 +637,46 @@ class DCM:
     def _push_plan(self, service: dict,
                    plan: list[tuple[dict, str, dict[str, bytes]]],
                    now: int) -> _PushSummary:
-        """The host-push loop: push every admitted ``(host_row, machine,
-        files)`` of *plan* (serverhosts order) under its per-host
-        exclusive lock, inline at ``push_pool_width`` 1 or with one
-        target, on a bounded thread pool otherwise.  Each distinct file
-        set is tarred once (the paper's "prepare only one set of
-        files"); slots merge back in plan order; a replicated hard
-        failure cancels the pushes not yet started ("no more updates
+        """The host-push loop — §5.7.1's serverhosts scan: push every
+        admitted ``(host_row, machine, files)`` of *plan* in serverhosts
+        order under its per-host exclusive lock, folding each outcome
+        into the summary as it lands.  Each distinct file set is tarred
+        once (the paper's "prepare only one set of files").  A hard
+        failure on a replicated service ends the scan ("no more updates
         will be attempted")."""
         name = service["name"]
         built: dict[frozenset, bytes] = {}     # file-set content -> tar
-        payloads: list[bytes] = []              # one per plan entry
-        for _, _, files in plan:
+        summary = _PushSummary()
+        for host_row, machine_name, files in plan:
             key = frozenset(files.items())
             if key not in built:
                 built[key] = build_payload(files, mtime=now)
-            payloads.append(built[key])
-        poison = threading.Event()
-        slots = [_HostOutcome(machine=machine) for _, machine, _ in plan]
-
-        def push_host(index: int) -> None:
-            host_row, machine_name, files = plan[index]
-            slot = slots[index]
-            if poison.is_set():
-                return
             try:
-                with self.locks.held(
-                        f"host:{name}/{machine_name}",
-                        LockMode.EXCLUSIVE):
+                with self.locks.held(f"host:{name}/{machine_name}",
+                                     LockMode.EXCLUSIVE):
                     self._set_host_flags(name, machine_name, host_row,
                                          inprogress=1)
                     binding = self.binding_for(name, machine_name)
                     if binding is None:
-                        slot.result = UpdateResult(
+                        outcome = UpdateResult(
                             UpdateOutcome.SOFT_FAILURE,
                             message="no binding for host")
                     else:
-                        slot.attempted = True
-                        slot.result = push_update(
+                        summary.attempted += 1
+                        outcome = push_update(
                             host=binding.host, daemon=binding.daemon,
                             network=self.network,
                             target=service["target_file"],
-                            payload=payloads[index],
+                            payload=built[key],
                             script=default_script(
                                 files, binding.post_command or None),
                             faults=self.faults)
-                    hard = self._apply_host_outcome(
-                        service, machine_name, host_row, slot.result,
-                        now, slot.log)
-                    if hard and service["type"] == "REPLICAT":
-                        poison.set()
+                    if self._apply_host_outcome(service, machine_name,
+                                                host_row, outcome, now,
+                                                summary):
+                        break
             except LockHeld:
-                slot.locked = True
-
-        width = min(self.push_pool_width, len(plan))
-        if width <= 1:
-            for index in range(len(plan)):
-                push_host(index)
-        else:
-            with ThreadPoolExecutor(
-                    max_workers=width,
-                    thread_name_prefix=f"dcm-push-{name}") as pool:
-                list(pool.map(push_host, range(len(plan))))
-        return self._merge_outcomes(service, slots)
-
-    def _merge_outcomes(self, service: dict,
-                        slots: list[_HostOutcome]) -> _PushSummary:
-        """Fold the slots into one summary in host order, applying the
-        service-level consequences of a hard failure — origin
-        attribution, zephyrgram, mail, replicated-service poisoning —
-        exactly once."""
-        name = service["name"]
-        origin = self._gen_seq.get(name, 0)
-        summary = _PushSummary()
-        poisoned_by = ""
-        for slot in slots:
-            if slot.locked:
-                summary.locked.append(slot.machine)
-                continue
-            outcome = slot.result
-            if outcome is None:
-                continue    # cancelled: the service was poisoned first
-            summary.attempted += slot.attempted
-            summary.log.extend(slot.log)
-            if outcome.ok:
-                summary.succeeded.append(slot.machine)
-                summary.bytes_sent += outcome.bytes_sent
-            elif outcome.outcome is UpdateOutcome.SOFT_FAILURE:
-                summary.soft_failures += 1
-            else:
-                what = f"{name}/{slot.machine}"
-                message = outcome.message or error_message(outcome.error)
-                summary.hard_origins.append((what, origin))
-                self._notify_hard_error(what, message, origin, mail=True)
-                poisoned_by = poisoned_by or message
-        if summary.hard_origins and service["type"] == "REPLICAT":
-            # "no more updates will be attempted to hosts supporting
-            # this service"
-            self._set_service_flags(service, harderror=1,
-                                    errmsg=poisoned_by)
+                summary.locked.append(machine_name)
         self.total_propagations += len(summary.succeeded)
         self.total_bytes += summary.bytes_sent
         return summary
@@ -772,18 +693,19 @@ class DCM:
 
     def _apply_host_outcome(self, service: dict, machine_name: str,
                             host_row: dict, outcome: UpdateResult,
-                            now: int, log: list[str]) -> bool:
-        """Write one host's flags and log lines; True on hard failure.
-
-        Service-level consequences (notifications, replicated-service
-        poisoning) belong to the merge, so this is safe to run from
-        propagation workers.
-        """
+                            now: int, summary: _PushSummary) -> bool:
+        """Write one host's flags, governor record and log line and fold
+        the outcome into *summary*.  A hard failure is also attributed
+        to the generation's origin seq, zephyred and mailed; on a
+        replicated service it poisons the service record and returns
+        True: the scan ends."""
         name = service["name"]
         if outcome.ok:
             self.governor.record_success(name, machine_name)
             self._mark_host_updated(name, machine_name, host_row, now)
-            log.append(f"dcm: {name}/{machine_name}: updated")
+            summary.succeeded.append(machine_name)
+            summary.bytes_sent += outcome.bytes_sent
+            summary.log.append(f"dcm: {name}/{machine_name}: updated")
             return False
         message = outcome.message or error_message(outcome.error)
         if outcome.outcome is UpdateOutcome.SOFT_FAILURE:
@@ -791,15 +713,24 @@ class DCM:
             self._set_host_flags(name, machine_name, host_row,
                                  inprogress=0, success=0, ltt=now,
                                  errmsg=message)
-            log.append(
+            summary.soft_failures += 1
+            summary.log.append(
                 f"dcm: {name}/{machine_name}: soft failure: {message}")
             return False
         self.governor.record_hard(name, machine_name)
         self._set_host_flags(name, machine_name, host_row, inprogress=0,
                              success=0, ltt=now, hosterror=outcome.error,
                              errmsg=message)
-        log.append(
+        summary.log.append(
             f"dcm: {name}/{machine_name}: HARD failure: {message}")
+        what, origin = f"{name}/{machine_name}", self._gen_seq.get(name, 0)
+        summary.hard_origins.append((what, origin))
+        self._notify_hard_error(what, message, origin, mail=True)
+        if service["type"] != "REPLICAT":
+            return False
+        # "no more updates will be attempted to hosts supporting this
+        # service"
+        self._set_service_flags(service, harderror=1, errmsg=message)
         return True
 
     def _set_host_flags(self, service: str, machine: str, host_row: dict,

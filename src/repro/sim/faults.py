@@ -105,8 +105,9 @@ class _NetWeather:
 class FaultInjector:
     """Registry of armed faults + the fire() sites consult it.
 
-    Thread-safe: the DCM's propagation workers and the server's worker
-    pool cross injection points concurrently.
+    Thread-safe: a TCP transport's selector thread (server frames, a
+    Trigger_DCM push), the replica pull loops and the deployment's own
+    thread (cron, the CDC pump) cross injection points concurrently.
     """
 
     def __init__(self, seed: int = 0):

@@ -31,8 +31,10 @@ class Network:
     def __init__(self, seed: int = 0, faults=None):
         self._rng = random.Random(seed)
         self.faults = faults
-        # the DCM's propagation workers deliver concurrently; the RNG
-        # and counters need a mutex to stay consistent
+        # the DCM pushes on whichever thread invoked it — a TCP
+        # transport's selector thread running Trigger_DCM beside the
+        # deployment's own cron or CDC pump; the RNG and counters need
+        # a mutex to stay consistent
         self._lock = threading.Lock()
         self._partitioned: set[str] = set()
         self._loss_rate: dict[str, float] = {}

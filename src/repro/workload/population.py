@@ -15,10 +15,9 @@ The build is a dependency-ordered stage graph (machines/clusters →
 nfsphys → users → unregistered → lists → printers/services/zephyr).
 Each bulk stage splits its rows into fixed-size partitions whose
 contents come from a partition-private RNG seeded by ``(spec.seed,
-stage, partition)``, so the generated world depends only on the spec —
-never on worker count or scheduling.  Generation runs on a bounded
-worker pool; rows are applied in partition order through one of two
-apply modes:
+stage, partition)``, so the generated world depends only on the spec.
+Partitions are generated and applied in partition order through one
+of two apply modes:
 
 * ``parallel=True`` (default) — ids come from one
   :meth:`Database.reserve_ids` range per hint per stage, rows land via
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import gc
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.db.engine import Database
@@ -53,10 +51,9 @@ from repro.kerberos.crypt import unix_crypt
 __all__ = ["PopulationSpec", "PopulationHandles", "load_population",
            "random_names", "USERS_PARTITION", "LISTS_PARTITION"]
 
-# Stage partition grains.  Fixed by contract, NOT derived from the
-# worker count: every partition's RNG is seeded (seed, stage, p), so
-# changing the grain changes the generated world.  Bump these only
-# with a deliberate world-format change.
+# Stage partition grains.  Fixed by contract: every partition's RNG is
+# seeded (seed, stage, p), so changing the grain changes the generated
+# world.  Bump these only with a deliberate world-format change.
 USERS_PARTITION = 2048
 LISTS_PARTITION = 512
 
@@ -162,17 +159,15 @@ class PopulationHandles:
 
 
 def load_population(db: Database, spec: PopulationSpec, now: int = 0, *,
-                    parallel: bool = True,
-                    workers: int | None = None) -> PopulationHandles:
+                    parallel: bool = True) -> PopulationHandles:
     """Fill *db* with a deterministic Athena-shaped campus.
 
     *parallel* selects the bulk apply path (reserved id ranges +
     ``bulk_load`` batches under shard transactions); it silently falls
     back to the classic per-row path on backends without writer shards
-    (sqlite).  *workers* bounds the generation pool (default
-    4); the generated world is identical for every worker count.
+    (sqlite); the generated world is identical either way.
     """
-    builder = _Builder(db, spec, now, parallel=parallel, workers=workers)
+    builder = _Builder(db, spec, now, parallel=parallel)
     if not builder.parallel:
         return builder.build()
     was_enabled = gc.isenabled()
@@ -256,14 +251,13 @@ def _gen_lists_partition(spec, p, start, count, active_ids):
 class _Builder:
     """One population build: stage graph + one of two apply modes."""
 
-    def __init__(self, db, spec, now, *, parallel, workers):
+    def __init__(self, db, spec, now, *, parallel):
         self.db = db
         self.spec = spec
         self.now = now
         # bulk apply (reserve_ids, bulk_load under shard transactions)
         # is the in-memory engine's; sqlite takes the classic path
         self.parallel = bool(parallel and db.supports_bulk_load)
-        self.workers = max(1, int(workers)) if workers else 4
         self.handles = PopulationHandles()
         self.machine_ids: dict[str, int] = {}   # NAME -> mach_id
         self.registered_ids: list[int] = []     # users_id, build order
@@ -298,13 +292,6 @@ class _Builder:
         return self.handles
 
     # -- shared plumbing --------------------------------------------------
-
-    def _map(self, fn, jobs: list) -> list:
-        """Order-preserving map, pooled when the build is parallel."""
-        if self.parallel and self.workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(fn, jobs))
-        return [fn(job) for job in jobs]
 
     def _reserve(self, hint: str, count: int, base: int) -> None:
         """Claim a contiguous id range and check it starts where the
@@ -395,7 +382,7 @@ class _Builder:
         if not spec.users:
             return
         parts = _ranges(spec.users, USERS_PARTITION)
-        gen = self._map(lambda job: _gen_users_partition(spec, *job), parts)
+        gen = [_gen_users_partition(spec, *job) for job in parts]
 
         bases = {h: db.get_value(h)
                  for h in ("users_id", "uid", "strings_id", "gid",
@@ -559,8 +546,7 @@ class _Builder:
         if not total:
             return
         parts = _ranges(total, USERS_PARTITION)
-        gen = self._map(
-            lambda job: _gen_unregistered_partition(spec, *job), parts)
+        gen = [_gen_unregistered_partition(spec, *job) for job in parts]
         base_users_id = db.get_value("users_id")
         base_uid = db.get_value("uid")
         if self.parallel:
@@ -601,8 +587,7 @@ class _Builder:
         if not active or not spec.maillists:
             return
         parts = _ranges(spec.maillists, LISTS_PARTITION)
-        gen = self._map(
-            lambda job: _gen_lists_partition(spec, *job, active), parts)
+        gen = [_gen_lists_partition(spec, *job, active) for job in parts]
         base_list = db.get_value("list_id")
         base_gid = db.get_value("gid")
         n_groups = sum(1 for rows in gen for item in rows if item[1])

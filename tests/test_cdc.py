@@ -54,15 +54,13 @@ def host_rows(d, name):
     return d.db.table("serverhosts").select({"service": name})
 
 
-def installed_files(d, residue=False) -> dict[str, dict[str, bytes]]:
-    """Every host's installed config files (push residue excluded
-    unless *residue*)."""
+def installed_files(d) -> dict[str, dict[str, bytes]]:
+    """Every host's installed config files (push residue excluded)."""
     snapshot = {}
     for name, host in sorted(d.hosts.items()):
         files = {}
         for path in host.fs.listdir(""):
-            if not residue and (path.endswith(RESIDUE)
-                                or path == SCRIPT_TEMP):
+            if path.endswith(RESIDUE) or path == SCRIPT_TEMP:
                 continue
             files[path] = host.fs.read(path)
         snapshot[name] = files
@@ -518,51 +516,14 @@ class TestRestartedDcm:
         assert b"/bin/pending" in hesiod.fs.read("/etc/hesiod/passwd.db")
 
 
-# -- the shared push engine at width > 1 (mirrors TestParallelPropagation) -----
+# -- a replicated hard failure under CDC (mirrors test_incremental_dcm) ---------
 
 
-class TestPoolWidth:
-    COMPARED = ("service", "status", "pushes", "delta_pushes",
-                "full_pushes", "marked_converged", "bytes")
-
-    def test_wide_pool_matches_width_one(self):
-        """The same mutation stream converged through the push loop at
-        width 1 and on the 8-wide pool: byte-identical host files and
-        identical per-service outcome counters."""
-        worlds = [make_deployment(push_pool_width=width)
-                  for width in (1, 8)]
-        for d in worlds:
-            d.run_hours(7)
-        clients = [d.direct_client() for d in worlds]
-        script = MutationScript(3)
-        script.setup(clients)
-        seen: list[list[dict]] = [[], []]
-
-        def pump_both():
-            for d, outcomes in zip(worlds, seen):
-                outcomes.extend({key: o[key] for key in self.COMPARED}
-                                for o in d.pump_cdc()["outcomes"])
-
-        pump_both()
-        for _ in range(4):
-            for _ in range(script.rng.randrange(1, 6)):
-                script.step(clients)
-            pump_both()
-        assert all(d.cdc.cursor_lag() == 0 for d in worlds)
-        assert seen[0] == seen[1]
-        # the pool really ran: some convergence pushed several hosts,
-        # by full payload (never-generated NFS/ZEPHYR) and by delta
-        assert any(o["pushes"] > 1 for o in seen[1])
-        assert any(o["delta_pushes"] for o in seen[1])
-        assert any(o["full_pushes"] for o in seen[1])
-        assert installed_files(worlds[0], residue=True) == \
-            installed_files(worlds[1], residue=True)
-
-    def test_replicated_poisoning_under_concurrency(self):
-        """A replicated hard failure during a CDC convergence on the
-        8-wide pool still poisons the service: one hosterror, one
-        zephyrgram, one mail."""
-        d = make_deployment(push_pool_width=8)
+class TestReplicatedPoisoning:
+    def test_replicated_poisoning(self):
+        """A replicated hard failure during a CDC convergence poisons
+        the service: one hosterror, one zephyrgram, one mail."""
+        d = make_deployment()
         d.run_hours(7)      # ZEPHYR (24 h) never generated: all stale
         first_zephyr = d.handles.zephyr_machines[0]
         d.daemons[first_zephyr].register_command(

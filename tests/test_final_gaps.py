@@ -80,7 +80,7 @@ class TestConfigToggles:
     def test_knob_count_only_ratchets_down(self):
         # every independent knob doubles the configurations nobody
         # tests (DESIGN.md §17); adding one means deleting one first
-        assert len(dataclasses.fields(DeploymentConfig)) <= 11
+        assert len(dataclasses.fields(DeploymentConfig)) <= 10
 
     def test_run_hours_returns_cron_firings(self):
         d = AthenaDeployment(DeploymentConfig(population=SMALL))

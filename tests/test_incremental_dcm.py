@@ -1,6 +1,6 @@
 """The incremental DCM pipeline: data versions, changed-row logs, the
-shared extraction cache, incremental generation, and parallel
-propagation (determinism + paper semantics under concurrency)."""
+shared extraction cache, incremental generation, and the host-push
+loop (the paper's serverhosts scan and its replicated poisoning)."""
 
 from __future__ import annotations
 
@@ -302,38 +302,12 @@ class TestIncrementalHesiod:
             "/etc/hesiod/cluster.db"]
 
 
-# -- parallel propagation -------------------------------------------------------
+# -- the host-push loop ----------------------------------------------------------
 
 
-def snapshot_host_files(d) -> dict[str, dict[str, bytes]]:
-    out = {}
-    for name, host in d.hosts.items():
-        out[name] = {path: host.fs.read(path)
-                     for path in host.fs.listdir("/")
-                     if host.fs.exists(path)}
-    return out
-
-
-class TestParallelPropagation:
-    def test_parallel_matches_sequential(self):
-        """Same seed, sequential vs 8-wide pool: byte-identical host
-        files and identical report counters."""
-        seq = make_deployment(push_pool_width=1)
-        par = make_deployment(push_pool_width=8)
-        seq.clock.advance(25 * 3600)  # everything due in one cycle
-        par.clock.advance(25 * 3600)
-        r1 = seq.dcm.run_once()
-        r2 = par.dcm.run_once()
-        assert r1.propagations_succeeded > 0
-        assert (r1.propagations_attempted, r1.propagations_succeeded,
-                r1.soft_failures, r1.hard_failures) == \
-            (r2.propagations_attempted, r2.propagations_succeeded,
-             r2.soft_failures, r2.hard_failures)
-        assert r1.bytes_propagated == r2.bytes_propagated
-        assert snapshot_host_files(seq) == snapshot_host_files(par)
-
-    def test_parallel_full_cycle_counters(self):
-        d = make_deployment(push_pool_width=8)
+class TestPushLoop:
+    def test_full_cycle_counters(self):
+        d = make_deployment()
         d.clock.advance(25 * 3600)
         report = d.dcm.run_once()
         # 1 hesiod + 3 nfs + 1 mailhub + 3 zephyr hosts
@@ -343,10 +317,10 @@ class TestParallelPropagation:
         for s in ("HESIOD", "NFS", "MAIL", "ZEPHYR"):
             assert all(h["success"] == 1 for h in host_rows(d, s))
 
-    def test_replicated_poisoning_under_concurrency(self):
-        """A replicated hard failure still poisons the service with an
-        8-wide pool; exactly one host records the hard error."""
-        d = make_deployment(push_pool_width=8)
+    def test_replicated_poisoning(self):
+        """A replicated hard failure poisons the service; exactly one
+        host records the hard error."""
+        d = make_deployment()
         first_zephyr = d.handles.zephyr_machines[0]
         d.daemons[first_zephyr].register_command(
             "install_zephyr_acls", lambda: 1)
@@ -360,7 +334,7 @@ class TestParallelPropagation:
                    if n[0] == "MOIRA" and n[1] == "DCM") == 1
 
     def test_poisoned_service_not_retried(self):
-        d = make_deployment(push_pool_width=8)
+        d = make_deployment()
         first_zephyr = d.handles.zephyr_machines[0]
         d.daemons[first_zephyr].register_command(
             "install_zephyr_acls", lambda: 1)
@@ -370,6 +344,29 @@ class TestParallelPropagation:
         d.run_hours(25)
         assert {h["mach_id"]: h["ltt"]
                 for h in host_rows(d, "ZEPHYR")} == tried
+
+    def test_replicated_hard_failure_ends_the_scan(self):
+        """§5.7.1 scans serverhosts in order: the hosts before a
+        REPLICAT hard failure are updated, the failing one records the
+        error, and no host after it is attempted."""
+        d = make_deployment()
+        hosts = d.dcm._live_hosts("ZEPHYR")
+        assert len(hosts) == 3
+        failing = hosts[1][1]
+        d.daemons[failing].register_command("install_zephyr_acls",
+                                            lambda: 1)
+        d.clock.advance(25 * 3600)
+        before = {h["mach_id"]: h["ltt"] for h in host_rows(d, "ZEPHYR")}
+        report = d.dcm.run_once()
+        after = {h["mach_id"]: h for h in host_rows(d, "ZEPHYR")}
+        first, hit, rest = (after[row["mach_id"]] for row, _ in hosts)
+        assert first["success"] == 1 and first["ltt"] == d.clock.now()
+        assert hit["hosterror"] != 0 and hit["ltt"] == d.clock.now()
+        assert rest["ltt"] == before[rest["mach_id"]]
+        assert rest["success"] == 0 and rest["hosterror"] == 0
+        assert [what for what, _ in report.hard_failure_origins] == \
+            ["ZEPHYR/" + failing]
+        assert service_row(d, "ZEPHYR")["harderror"] != 0
 
 
 class TestRegenerateOracle:

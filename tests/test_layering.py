@@ -202,3 +202,57 @@ def test_the_engine_guard_counts_what_it_should():
     assert sites["build_payload"] == ["x.py:2 in a"]
     assert sites["mail_notify"] == ["x.py:3 in a"]
     assert sites["generate"] == ["x.py:7 in b"]
+
+
+# -- threads only where something waits ------------------------------------------
+#
+# Simulated hosts, the network and the update daemon are in-process calls
+# under one interpreter lock, so a pool around them overlaps nothing.  A
+# thread is started only by what blocks: a TCP transport's selector loop
+# and a replica's pull loop.
+
+THREAD_OWNERS = {"protocol/transport.py", "replication/replica.py"}
+
+
+def thread_sites(tree: ast.AST) -> list[str]:
+    """Each ``Thread(...)`` construction and each ``concurrent``
+    import in *tree*."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "threading.Thread", "Thread"):
+            found.append(f"line {node.lineno}: Thread(...)")
+        elif isinstance(node, ast.Import):
+            found.extend(f"line {node.lineno}: import {alias.name}"
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "concurrent")
+        elif (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "concurrent"):
+            found.append(f"line {node.lineno}: import {node.module}")
+    return found
+
+
+def test_threads_only_where_something_waits():
+    starters = {}
+    for path in sorted(SRC.rglob("*.py")):
+        sites = thread_sites(ast.parse(path.read_text(encoding="utf-8")))
+        if sites:
+            starters[str(path.relative_to(SRC))] = sites
+    assert not any("concurrent" in site
+                   for sites in starters.values() for site in sites), \
+        starters
+    assert set(starters) == THREAD_OWNERS, starters
+
+
+def test_the_thread_walk_catches_what_it_forbids():
+    bad = ast.parse(
+        "import concurrent.futures\n"
+        "from concurrent.futures import wait\n"
+        "t = threading.Thread(target=run)\n"
+        "u = Thread(target=run)\n")
+    assert len(thread_sites(bad)) == 4
+    fine = ast.parse(
+        "import threading\n"
+        "lock = threading.Lock()\n"
+        "done = threading.Event()\n")
+    assert thread_sites(fine) == []

@@ -10,8 +10,6 @@ floor from seq gaps so the contract survives restarts.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.db.journal import Journal
 from repro.db.recovery import SUPERSEDABLE_QUERIES, checkpoint, recover
 from repro.db.schema import build_database
