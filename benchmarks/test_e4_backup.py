@@ -57,7 +57,7 @@ class TestBackup:
         restored = build_database()
         counts = mrrestore(restored, dump_dir / "shape")
         lossless = all(
-            restored.tables[name].rows == table.rows
+            list(restored.tables[name].rows) == list(table.rows)
             for name, table in d.db.tables.items()
         )
 

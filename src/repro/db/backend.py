@@ -16,7 +16,9 @@ backup, and recovery code can be handed *any* conforming backend:
 * :class:`StorageTable` — the relation surface (``select``/
   ``iter_select``/``count``, ``insert``/``update_rows``/
   ``delete_rows``/``clear``, ``column``, ``rows``, ``stats``,
-  ``version``/``changes_since``).
+  ``version``/``changes_since``).  ``rows`` is an iterable of the
+  relation's rows in scan order, with ``len``; it is not a sequence,
+  so a caller that wants positions takes ``list(table.rows)``.
 
 Two backends register here:
 

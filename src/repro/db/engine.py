@@ -3,7 +3,9 @@
 Design notes
 ------------
 
-*Tables* hold rows as dicts keyed by column name.  Columns are typed
+*Tables* hold rows as dicts keyed by column name, in an identity-keyed
+insertion-ordered store, so a delete costs the rows it removes and
+only the abort of a delete pays for the table.  Columns are typed
 (``int`` or ``str``) and may be declared case-insensitive (Moira machine
 and service names compare case-insensitively and are stored uppercase) or
 size-limited (the original schema has fixed-width INGRES ``c`` fields and
@@ -592,6 +594,46 @@ class TableStats:
                 self.deletes, self.modtime)
 
 
+class _RowStore:
+    """The live rows of one table, in scan order.
+
+    An insertion-ordered map keyed by row identity: iterating yields
+    the rows in the order they were appended, and removing a row costs
+    one dict deletion, not a pass over the table.  It is an iterable,
+    not a sequence — callers that want positions take ``list(rows)``.
+
+    An iteration walks a copy of the rows taken when it starts (one C
+    loop, no slower than walking the dict itself), so a loop that
+    mutates the table, or that a writer on another thread interrupts,
+    sees the rows as they were instead of raising.
+    """
+
+    __slots__ = ("_map",)
+
+    def __init__(self, rows: Iterable[Row] = ()):
+        self._map: dict[int, Row] = {id(row): row for row in rows}
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(list(self._map.values()))
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+    def append(self, row: Row) -> None:
+        self._map[id(row)] = row
+
+    def remove(self, row: Row) -> None:
+        """Drop *row* (MR_INTERNAL if it is not a live row here)."""
+        if self._map.pop(id(row), None) is not row:
+            raise MoiraError(MR_INTERNAL, "row is not live in this table")
+
+    def clear(self) -> None:
+        self._map.clear()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"_RowStore({len(self._map)} rows)"
+
+
 class Table(StorageTable):
     """One relation: schema, rows, indexes, uniqueness, statistics."""
 
@@ -609,7 +651,7 @@ class Table(StorageTable):
         self.columns: dict[str, Column] = {c.name: c for c in columns}
         if len(self.columns) != len(columns):
             raise ValueError(f"duplicate column in {name}")
-        self.rows: list[Row] = []
+        self.rows = _RowStore()
         self.unique_keys: list[tuple[str, ...]] = [tuple(u) for u in unique]
         self._indexes: dict[str, _Index] = {}
         self._composites: dict[tuple[str, ...], _CompositeIndex] = {}
@@ -818,29 +860,24 @@ class Table(StorageTable):
         return len(rows)
 
     def delete_rows(self, rows: list[Row], *, now: int = 0) -> int:
-        """Remove the given rows in one pass, maintaining indexes."""
+        """Remove the given rows, maintaining indexes.
+
+        Costs O(len(rows)): each row leaves the identity-keyed store
+        without a pass over the rest of the table.
+        """
         if not rows:
             return 0
         mv = self._mv
         undo = mv.db._txn_undo_list() if mv is not None else None
-        slots = None
         prev_modtime = self.stats.modtime
-        if undo is not None:
-            # scan-order positions, so an abort restores rows exactly
-            # where they were (mrbackup dumps in scan order)
-            wanted = {id(row) for row in rows}
-            slots = [(i, row) for i, row in enumerate(self.rows)
-                     if id(row) in wanted]
+        remove = self.rows.remove
         for row in rows:
+            remove(row)
             for index in self._indexes.values():
                 index.remove(row)
             for comp in self._composites.values():
                 comp.remove(row)
             self._bump("delete", dict(row), None)
-        # identity-set filter: one O(rows) pass instead of one
-        # list.remove() scan per deleted row
-        doomed = {id(row) for row in rows}
-        self.rows = [row for row in self.rows if id(row) not in doomed]
         self.stats.deletes += len(rows)
         self.stats.modtime = now
         if mv is not None:
@@ -851,8 +888,9 @@ class Table(StorageTable):
             finally:
                 mv.db._mv_finish(seq, auto)
             if undo is not None:
+                gone = list(rows)
                 undo.append(lambda: self._undo_delete(
-                    slots, tokens, prev_modtime))
+                    gone, tokens, prev_modtime))
         return len(rows)
 
     def clear(self) -> None:
@@ -942,8 +980,7 @@ class Table(StorageTable):
     # incremental DCM consumers instead of rewinding versions.
 
     def _undo_insert(self, row: Row, seq: int, prev_modtime: int) -> None:
-        doomed = id(row)
-        self.rows = [r for r in self.rows if id(r) != doomed]
+        self.rows.remove(row)
         for index in self._indexes.values():
             index.remove(row)
         for comp in self._composites.values():
@@ -957,9 +994,8 @@ class Table(StorageTable):
 
     def _undo_bulk_load(self, rows: list[Row], seq: int,
                         prev_modtime: int) -> None:
-        doomed = {id(row) for row in rows}
-        self.rows = [r for r in self.rows if id(r) not in doomed]
         for row in rows:
+            self.rows.remove(row)
             for index in self._indexes.values():
                 index.remove(row)
             for comp in self._composites.values():
@@ -1002,24 +1038,25 @@ class Table(StorageTable):
             self.stats.updates -= len(rows)
             self.stats.modtime = prev_modtime
 
-    def _undo_delete(self, slots: list, tokens: list,
+    def _undo_delete(self, rows: list[Row], tokens: list,
                      prev_modtime: int) -> None:
-        # ascending re-insertion restores every original scan index
-        for i, row in slots:
-            self.rows.insert(i, row)
-        for _i, row in slots:
+        # only a versioned table registers this undo, and its version
+        # store's scan list mirrors scan order: reopen the rows there,
+        # then rebuild the live store in that order — the one O(table)
+        # step of any undo, paid on abort only
+        mv = self._mv
+        for token in reversed(tokens):
+            if token is not None:
+                mv.undo_delete(token)
+        self.rows = _RowStore(mv.scan_order(self.rows, rows))
+        for row in rows:
             for index in self._indexes.values():
                 index.add(row)
             for comp in self._composites.values():
                 comp.add(row)
             self._bump("insert", None, dict(row))
-        self.stats.deletes -= len(slots)
+        self.stats.deletes -= len(rows)
         self.stats.modtime = prev_modtime
-        mv = self._mv
-        if mv is not None:
-            for token in reversed(tokens):
-                if token is not None:
-                    mv.undo_delete(token)
 
     # -- retrieval ----------------------------------------------------------
 

@@ -39,9 +39,9 @@ from __future__ import annotations
 import bisect
 import time
 from contextlib import nullcontext
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
-from repro.errors import MoiraError, MR_NO_ID, MR_NO_MATCH
+from repro.errors import MoiraError, MR_INTERNAL, MR_NO_ID, MR_NO_MATCH
 
 __all__ = ["INF_SEQ", "Snapshot", "SnapshotTable", "TableVersionStore",
            "SnapshotStale"]
@@ -398,6 +398,32 @@ class TableVersionStore:
         for entry in live.values():
             entry.end = INF_SEQ
         record.live = live
+
+    def scan_order(self, live: Iterable[dict],
+                   reopened: list) -> list[dict]:
+        """*live* (the table's rows, in scan order) with *reopened* —
+        rows whose delete ``undo_delete`` just reversed — merged back
+        in at their scan positions, read off the open scan entries.
+        O(entries): abort undo only."""
+        records = self.records
+        back = {records[id(row)]: row for row in reopened}
+        rest = iter(live)
+        out = []
+        for entry in self.entries:
+            if entry.end != INF_SEQ:
+                continue
+            record = entry.record
+            row = back.get(record)
+            if row is None:
+                row = next(rest, None)
+                if row is None or records.get(id(row)) is not record:
+                    raise MoiraError(MR_INTERNAL,
+                                     "scan list out of step with live rows")
+            out.append(row)
+        if next(rest, None) is not None:
+            raise MoiraError(MR_INTERNAL,
+                             "scan list out of step with live rows")
+        return out
 
     def on_clear(self, seq: int) -> None:
         for record in self.records.values():

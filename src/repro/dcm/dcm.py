@@ -55,7 +55,7 @@ from repro.dcm.update import (
 from repro.dcm.retry import PropagationGovernor, RetryPolicy
 from repro.errors import error_message
 from repro.hosts.host import SimulatedHost
-from repro.hosts.update_daemon import UpdateDaemon
+from repro.hosts.update_daemon import UpdateDaemon, checksum
 from repro.sim.clock import Clock
 from repro.sim.faults import FaultInjector
 from repro.sim.network import Network
@@ -641,16 +641,19 @@ class DCM:
         admitted ``(host_row, machine, files)`` of *plan* in serverhosts
         order under its per-host exclusive lock, folding each outcome
         into the summary as it lands.  Each distinct file set is tarred
-        once (the paper's "prepare only one set of files").  A hard
-        failure on a replicated service ends the scan ("no more updates
-        will be attempted")."""
+        and checksummed once (the paper's "prepare only one set of
+        files").  A hard failure on a replicated service ends the scan
+        ("no more updates will be attempted")."""
         name = service["name"]
-        built: dict[frozenset, bytes] = {}     # file-set content -> tar
+        # file-set content -> (tar, its transfer checksum)
+        built: dict[frozenset, tuple[bytes, str]] = {}
         summary = _PushSummary()
         for host_row, machine_name, files in plan:
             key = frozenset(files.items())
             if key not in built:
-                built[key] = build_payload(files, mtime=now)
+                payload = build_payload(files, mtime=now)
+                built[key] = (payload, checksum(payload))
+            payload, digest = built[key]
             try:
                 with self.locks.held(f"host:{name}/{machine_name}",
                                      LockMode.EXCLUSIVE):
@@ -667,10 +670,10 @@ class DCM:
                             host=binding.host, daemon=binding.daemon,
                             network=self.network,
                             target=service["target_file"],
-                            payload=built[key],
+                            payload=payload,
                             script=default_script(
                                 files, binding.post_command or None),
-                            faults=self.faults)
+                            faults=self.faults, digest=digest)
                     if self._apply_host_outcome(service, machine_name,
                                                 host_row, outcome, now,
                                                 summary):

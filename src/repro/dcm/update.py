@@ -100,8 +100,13 @@ def push_update(
     principal: str = "moira",
     timeout: int = 120,
     faults: Optional[FaultInjector] = None,
+    digest: Optional[str] = None,
 ) -> UpdateResult:
     """Run the full three-phase update against one host.
+
+    *digest* is ``checksum(payload)`` when the caller already holds it
+    (the DCM hashes each distinct payload once per push scan, not once
+    per host); it is computed here otherwise.
 
     *timeout* is the per-operation ceiling of §5.9 A: "If any single
     operation takes longer than a reasonable amount of time, the
@@ -139,7 +144,8 @@ def push_update(
         # a fresh update invalidates any stale staged file (§5.9 B)
         op("cleanup", daemon.cleanup_stale_update, target)
         received = op("transfer", network.deliver, host.name, payload)
-        daemon.receive_file(target, received, checksum(payload))
+        daemon.receive_file(target, received,
+                            checksum(payload) if digest is None else digest)
         script_blob = script.serialize()
         received_script = op("script", network.deliver, host.name,
                              script_blob)

@@ -112,7 +112,10 @@ class NFSServer:
         if not fs.exists(path):
             return
         data = fs.read(path)
-        old = self._loaded.pop(path, None)
+        old = self._loaded.get(path)
+        if old is data or old == data:
+            return      # this very file is applied: nothing can be new
+        self._loaded.pop(path, None)
         lines = data.splitlines()
         if old is not None:
             applied = set(old.splitlines())

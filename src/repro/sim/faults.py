@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = ["FaultInjector", "Fault", "ServerCrash", "TornWrite"]

@@ -297,7 +297,7 @@ class TestMrCheck:
 
     def test_detects_allocation_drift(self, world):
         d, _, _, _ = world
-        phys = d.db.table("nfsphys").rows[0]
+        phys = list(d.db.table("nfsphys").rows)[0]
         phys["allocated"] += 7
         problems = MrCheck(d.db).run()
         assert any("quota sum" in p for p in problems)

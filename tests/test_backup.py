@@ -70,7 +70,7 @@ class TestBackupRestore:
         for name, table in db.tables.items():
             rtable = restored.tables[name]
             assert len(rtable) == len(table), name
-            assert rtable.rows == table.rows, name
+            assert list(rtable.rows) == list(table.rows), name
         assert sizes["users"] > 0
 
     def test_backup_writes_one_file_per_relation(self, tmp_path):

@@ -69,7 +69,7 @@ class TestClosureOracle:
         members = db.table("members")
         for step in range(250):
             roll = rng.random()
-            existing = members.rows
+            existing = list(members.rows)
             if roll < 0.45 or not existing:
                 mtype = rng.choice(["USER", "USER", "LIST", "STRING"])
                 mid = (500 + rng.randrange(N_USERS) if mtype == "USER"

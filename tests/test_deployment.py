@@ -31,8 +31,8 @@ class TestPopulation:
         h1 = load_population(db1, spec)
         h2 = load_population(db2, spec)
         assert h1.logins == h2.logins
-        assert db1.table("users").rows == db2.table("users").rows
-        assert db1.table("members").rows == db2.table("members").rows
+        assert list(db1.table("users").rows) == list(db2.table("users").rows)
+        assert list(db1.table("members").rows) == list(db2.table("members").rows)
 
     def test_logins_unique(self):
         import random

@@ -4,10 +4,15 @@ loop (the paper's serverhosts scan and its replicated poisoning)."""
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.engine import Column, Database, Table
+from repro.dcm import dcm as dcm_module
+from repro.dcm import update as update_module
 from repro.dcm.generators.base import GenContext, get_generator
 from repro.workload import PopulationSpec
 from tests.test_cdc import MutationScript, installed_files
@@ -285,7 +290,7 @@ class TestIncrementalHesiod:
         d.clock.advance(7 * 3600)
         d.dcm.run_once()
         assert d.dcm._generated["HESIOD"].meta["files_rebuilt"] == []
-        mcmap = d.db.table("mcmap").rows[0]
+        mcmap = list(d.db.table("mcmap").rows)[0]
         machine = d.db.table("machine").select(
             {"mach_id": mcmap["mach_id"]})[0]
         client.query("update_machine", machine["name"], "RENAMED.MIT.EDU",
@@ -367,6 +372,48 @@ class TestPushLoop:
         assert [what for what, _ in report.hard_failure_origins] == \
             ["ZEPHYR/" + failing]
         assert service_row(d, "ZEPHYR")["harderror"] != 0
+
+    def test_each_distinct_payload_is_hashed_once(self, monkeypatch):
+        """A membership round pushes one credentials tar to all 20 NFS
+        hosts: the DCM digests it once and hands that digest to every
+        push, instead of rehashing the same bytes per host."""
+        d = AthenaDeployment(DeploymentConfig(
+            population=replace(SMALL, nfs_servers=20)))
+        d.clock.advance(25 * 3600)
+        d.dcm.run_once()                                 # cold cycle
+        digests, pushes = [], []
+        real_checksum, real_push = dcm_module.checksum, \
+            dcm_module.push_update
+
+        def counting_checksum(data):
+            digests.append(data)
+            return real_checksum(data)
+
+        def recording_push(**kwargs):
+            pushes.append(kwargs)
+            return real_push(**kwargs)
+
+        def no_rehash(data):
+            raise AssertionError("push_update rehashed its payload")
+
+        monkeypatch.setattr(dcm_module, "checksum", counting_checksum)
+        monkeypatch.setattr(dcm_module, "push_update", recording_push)
+        monkeypatch.setattr(update_module, "checksum", no_rehash)
+        group = next(row["name"] for row in d.db.table("list").rows
+                     if row["grouplist"])
+        login = list(d.db.table("users").rows)[3]["login"]
+        d.direct_client().query("add_member_to_list", group, "USER", login)
+        d.clock.advance(25 * 3600)
+        d.dcm.run_once()
+        nfs = [p for p in pushes if p["target"] == service_row(
+            d, "NFS")["target_file"]]
+        assert len(nfs) == 20
+        assert all(h["success"] == 1 for h in host_rows(d, "NFS"))
+        distinct = {p["payload"] for p in pushes}
+        assert len({p["payload"] for p in nfs}) == 1
+        assert len(digests) == len(distinct)
+        for p in pushes:
+            assert p["digest"] == hashlib.sha256(p["payload"]).hexdigest()
 
 
 class TestRegenerateOracle:

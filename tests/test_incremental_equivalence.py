@@ -159,7 +159,7 @@ def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
     """One mutation, chosen by *kind* and parameterised by two integers
     resolved against the current world; invalid ones just fail."""
     client = d.direct_client()
-    users = d.db.table("users").rows
+    users = list(d.db.table("users").rows)
     user = pick(users, a)
     login = user["login"]
     lists = [row["name"] for row in d.db.table("list").rows]
@@ -258,7 +258,7 @@ def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
                   "STRING": f"ext{a % 4}@far.example"}[mtype]
         op = ("add_member_to_list", pick(lists, b), mtype, member)
     elif kind == "del_member":
-        op = delete_member(d.db.table("members").rows)
+        op = delete_member(list(d.db.table("members").rows))
     elif kind == "machine":
         op = ("add_machine", f"HM{b % 6}.MIT.EDU", "VAX")
     elif kind == "rename_machine":
@@ -270,7 +270,7 @@ def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
               f"/mit/fs{b % 5}", "r", "", login, pick(lists, a),
               b % 2, pick(["PROJECT", "HOMEDIR"], a))
     elif kind == "update_filesys":
-        fs = pick(d.db.table("filesys").rows, a)
+        fs = pick(list(d.db.table("filesys").rows), a)
         fields = dict(
             newname=fs["label"], fstype=fs["type"],
             machine=name_of(d, "machine", "mach_id", fs["mach_id"]),
@@ -295,7 +295,7 @@ def apply(d: AthenaDeployment, kind: str, a: int, b: int) -> None:
     elif kind == "add_zclass":
         op = ("add_zephyr_class", f"zc{b % 4}", *aces(a))
     elif kind == "update_zclass":
-        klass = pick(d.db.table("zephyr").rows, a)["class"]
+        klass = pick(list(d.db.table("zephyr").rows), a)["class"]
         op = ("update_zephyr_class", klass,
               pick([klass, f"zc{b % 4}"], a), *aces(b))
     else:   # ace_member: a membership change in a list an ACE expands

@@ -176,6 +176,34 @@ class TestNFS:
         assert server.apply_update() == 0
         assert server.lockers_created == created
 
+    def test_an_applied_directories_file_is_not_split_again(
+            self, nfs, monkeypatch):
+        """Reinstalling the directories file already applied returns
+        before splitting either version: it can create no locker."""
+        host, server = nfs
+        assert server.apply_update() == 0
+        created = list(server.lockers_created)
+        splits = []
+
+        class Counted(bytes):
+            def splitlines(self, *args, **kwargs):
+                splits.append(1)
+                return super().splitlines(*args, **kwargs)
+
+        real_read = host.fs.read
+
+        def read(path):
+            data = real_read(path)
+            return Counted(data) if path.endswith("/directories") else data
+
+        monkeypatch.setattr(host.fs, "read", read)
+        host.fs.write("/etc/nfs/directories",
+                      bytes(real_read("/etc/nfs/directories")))
+        host.fs.fsync()
+        assert server.apply_update() == 0
+        assert server.lockers_created == created
+        assert splits == []
+
     def test_credential_gid_list(self, nfs):
         _, server = nfs
         server.apply_update()

@@ -288,12 +288,12 @@ class TestClosureAndPlansUnderSnapshots:
                     fill(table, rng, n=2)
                 elif op == "update":
                     table.update_rows(
-                        [rng.choice(table.rows)],
+                        [rng.choice(list(table.rows))],
                         {"kind": rng.choice(KINDS),
                          "owner": rng.randrange(25),
                          "name": rng.choice(NAMES)})
                 else:
-                    table.delete_rows([rng.choice(table.rows)])
+                    table.delete_rows([rng.choice(list(table.rows))])
             view = snap.table("probe")
             assert [dict(row) for row in view.rows] == pinned
             for where in wheres:

@@ -142,7 +142,7 @@ class TestInvariantsUnderRandomWorkloads:
             restored = build_database()
             mrrestore(restored, Path(tmp) / "dump")
         for name, table in db.tables.items():
-            assert restored.tables[name].rows == table.rows, name
+            assert list(restored.tables[name].rows) == list(table.rows), name
 
 
 class TestProtocolFuzzing:

@@ -138,12 +138,12 @@ class TestPlanOracle:
             if roll < 0.4 or not table.rows:
                 fill(table, rng, n=3)
             elif roll < 0.7:
-                victim = rng.choice(table.rows)
+                victim = rng.choice(list(table.rows))
                 table.update_rows([victim],
                                   {"owner": rng.randrange(25),
                                    "kind": rng.choice(KINDS)})
             else:
-                doomed = rng.sample(table.rows,
+                doomed = rng.sample(list(table.rows),
                                     min(3, len(table.rows)))
                 table.delete_rows(doomed)
             for where in ({"kind": "USER", "owner": 3},

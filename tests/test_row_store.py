@@ -1,0 +1,273 @@
+"""The memory engine's live row store.
+
+A table's rows live in an identity-keyed, insertion-ordered store, so a
+delete costs the rows it removes and only the abort of a delete pays
+for the table (to put rows back at their scan positions).  Two kinds of
+test hold it there:
+
+* a complexity pin — deleting from, or aborting an insert into, a
+  50,000-row table never iterates the store;
+* a stateful model test — inserts, updates, deletes and bulk loads,
+  each in a ``write_txn`` that commits or aborts, against a plain-list
+  reference model, with the scan order, a pinned snapshot's scan and
+  every index bucket checked after each step.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.db.engine import Column, Database, Table
+from repro.errors import MoiraError
+
+KINDS = ("alpha", "Beta", "gamma")
+
+
+def probe_table() -> Table:
+    """key is unique (so no two live rows are ever equal), kind is
+    indexed and case-folded, note is unindexed; (kind, key) is a
+    composite index."""
+    return Table(
+        "probe",
+        [Column("key", int), Column("kind", str, fold_case=True),
+         Column("note", str)],
+        unique=[("key",)],
+        indexes=["kind"],
+        composite_indexes=[("kind", "key")])
+
+
+class _Abort(Exception):
+    """Raised inside a write_txn to roll it back."""
+
+
+# -- the complexity pin ---------------------------------------------------------
+
+
+class TestDeleteCost:
+    ROWS = 50_000
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        db = Database()
+        table = db.create_table(probe_table())
+        with db.write_txn():
+            table.bulk_load([{"key": i, "kind": KINDS[i % 3], "note": ""}
+                             for i in range(self.ROWS)])
+        iterations = []
+        store = type(table.rows)
+        real_iter = store.__iter__
+
+        def counted(self):
+            iterations.append(1)
+            return real_iter(self)
+
+        monkeypatch.setattr(store, "__iter__", counted)
+        return db, table, iterations
+
+    def test_delete_never_iterates_the_store(self, loaded):
+        db, table, iterations = loaded
+        victims = table.select({"key": 25_000}) + table.select({"key": 7})
+        with db.write_txn():
+            assert table.delete_rows(victims) == 2
+        table.delete_rows(table.select({"key": 8}))     # auto-commit
+        assert iterations == []
+        assert len(table) == self.ROWS - 3
+
+    def test_insert_abort_never_iterates_the_store(self, loaded):
+        db, table, iterations = loaded
+        with pytest.raises(_Abort):
+            with db.write_txn():
+                table.insert({"key": -1, "kind": "alpha"})
+                raise _Abort
+        assert iterations == []
+        assert len(table) == self.ROWS
+        assert table.select({"key": -1}) == []
+
+    def test_delete_abort_restores_scan_position(self, loaded):
+        """The one O(table) undo: rows come back where they stood."""
+        db, table, _ = loaded
+        before = [row["key"] for row in list(table.rows)[24_990:25_010]]
+        with pytest.raises(_Abort):
+            with db.write_txn():
+                table.delete_rows(table.select({"key": 25_000}))
+                raise _Abort
+        assert [row["key"] for row in list(table.rows)[24_990:25_010]] \
+            == before
+
+
+def test_a_loop_may_delete_from_and_insert_into_the_table_it_walks():
+    """An iteration walks the rows as they were when it started."""
+    table = probe_table()
+    for key in range(10):
+        table.insert({"key": key, "kind": "alpha"})
+    seen = []
+    for row in table.rows:
+        seen.append(row["key"])
+        if row["key"] % 2:
+            table.delete_rows([row])
+        table.insert({"key": 100 + row["key"], "kind": "gamma"})
+    assert seen == list(range(10))
+    assert [row["key"] for row in table.rows] == \
+        [0, 2, 4, 6, 8] + list(range(100, 110))
+
+
+# -- the model test ------------------------------------------------------------
+
+
+statements = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(1, 3)),
+        st.tuples(st.just("update"), st.sampled_from(["kind", "note"]),
+                  st.lists(st.integers(0, 10_000), min_size=1,
+                           max_size=3)),
+        st.tuples(st.just("delete"),
+                  st.lists(st.integers(0, 10_000), min_size=1,
+                           max_size=4)),
+        st.tuples(st.just("bulk_load"), st.integers(1, 4)),
+        st.tuples(st.just("duplicate"), st.integers(0, 10_000)),
+    ),
+    min_size=1, max_size=4)
+
+
+class RowStoreMachine(RuleBasedStateMachine):
+    """One versioned table against a plain list of ``(row, values)``.
+
+    The model holds the live row objects themselves, so scan order and
+    index buckets are compared by identity; the values beside each row
+    are what an abort must put back.
+    """
+
+    @initialize()
+    def open_table(self):
+        self.db = Database()
+        self.table = self.db.create_table(probe_table())
+        self.model: list[tuple[dict, dict]] = []
+        self.next_key = 0
+        self.pinned: list[tuple[object, list[dict]]] = []
+
+    def teardown(self):
+        for snap, _ in getattr(self, "pinned", ()):
+            self.db.unpin_snapshot(snap)
+
+    # -- statements, run against the table and a scratch model ---------------
+
+    def _fresh(self, n: int) -> list[dict]:
+        rows = [{"key": self.next_key + i, "kind": KINDS[i % 3],
+                 "note": f"n{self.next_key + i}"} for i in range(n)]
+        self.next_key += n
+        return rows
+
+    def _apply(self, statement, model: list) -> None:
+        table = self.table
+        op = statement[0]
+        if op == "insert":
+            for values in self._fresh(statement[1]):
+                row = table.insert(values)
+                model.append((row, dict(row)))
+        elif op == "bulk_load":
+            rows = self._fresh(statement[1])
+            table.bulk_load(rows)
+            model.extend((row, dict(row)) for row in rows)
+        elif op == "duplicate":
+            if model:
+                key = model[statement[1] % len(model)][0]["key"]
+                with pytest.raises(MoiraError):
+                    table.insert({"key": key, "kind": "alpha"})
+        elif model:
+            picks = dict.fromkeys(i % len(model) for i in statement[-1])
+            chosen = [model[i][0] for i in picks]
+            if op == "update":
+                column = statement[1]
+                value = ("BETA" if column == "kind"
+                         else f"u{self.next_key}")
+                self.next_key += 1
+                table.update_rows(chosen, {column: value})
+                for i in picks:
+                    model[i] = (model[i][0], dict(model[i][0]))
+            else:
+                table.delete_rows(chosen)
+                doomed = {id(row) for row in chosen}
+                model[:] = [(row, values) for row, values in model
+                            if id(row) not in doomed]
+
+    @rule(body=statements, commit=st.booleans())
+    def transaction(self, body, commit):
+        scratch = list(self.model)
+        try:
+            with self.db.write_txn():
+                for statement in body:
+                    self._apply(statement, scratch)
+                if not commit:
+                    raise _Abort
+        except _Abort:
+            return
+        self.model = scratch
+
+    @rule()
+    def pin(self):
+        snap = self.db.pin_snapshot()
+        self.pinned.append((snap, [dict(values)
+                                   for _, values in self.model]))
+
+    @precondition(lambda self: self.pinned)
+    @rule()
+    def unpin(self):
+        snap, _ = self.pinned.pop(0)
+        self.db.unpin_snapshot(snap)
+
+    @rule()
+    def collect(self):
+        self.db.gc_versions()
+
+    # -- invariants ---------------------------------------------------------------
+
+    @invariant()
+    def scan_order_is_the_model(self):
+        rows = list(self.table.rows)
+        assert [id(row) for row in rows] == \
+            [id(row) for row, _ in self.model]
+        assert rows == [values for _, values in self.model]
+        assert len(self.table) == len(self.model)
+
+    @invariant()
+    def snapshots_scan_in_live_order(self):
+        with self.db.read_view() as snap:
+            assert snap.table("probe").rows == \
+                [values for _, values in self.model]
+        for snap, expected in self.pinned:
+            assert snap.table("probe").rows == expected
+
+    @invariant()
+    def buckets_hold_exactly_the_live_rows(self):
+        table = self.table
+        for index in table._indexes.values():
+            expected: dict = {}
+            for row, _ in self.model:
+                key = index._key(row[index.column.name])
+                expected.setdefault(key, set()).add(id(row))
+            assert {key: {id(row) for row in bucket}
+                    for key, bucket in index.buckets.items()} == expected
+            assert all(len(bucket) == len(expected[key])
+                       for key, bucket in index.buckets.items())
+        for comp in table._composites.values():
+            expected = {}
+            for row, _ in self.model:
+                expected.setdefault(comp._row_key(row), set()).add(id(row))
+            assert {key: {id(row) for row in bucket}
+                    for key, bucket in comp.buckets.items()} == expected
+            assert all(len(bucket) == len(expected[key])
+                       for key, bucket in comp.buckets.items())
+
+
+RowStoreMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None,
+    derandomize=True)
+TestRowStoreModel = RowStoreMachine.TestCase
