@@ -22,13 +22,14 @@ that changed": the no-change check compares data-version vectors;
 generators patch their previous result from the changed-row logs; one
 :class:`GenContext` per cycle derives each cross-relation map once; a
 host holding the previous generation receives only the files whose
-bytes changed.  Cron (:meth:`DCM.run_once`) and the CDC extractor
-(:meth:`DCM.converge_service`) differ only in *when* a service is
-looked at: both call the same classify step (steps 3 and the per-host
-plan, ``_classify``) and the same deliver step (4 and 5, ``_deliver``),
-whose host-push loop is the one serverhosts scan, on the calling
-thread.  The DCM talks to the database through the direct glue library
-(:class:`DirectClient`), authenticating as root.
+bytes changed, and a patched one as the splices the generator made
+(a :class:`FileDelta` member).  Cron (:meth:`DCM.run_once`) and the
+CDC extractor (:meth:`DCM.converge_service`) differ only in *when* a
+service is looked at: both call the same classify step (steps 3 and
+the per-host plan, ``_classify``) and the same deliver step (4 and 5,
+``_deliver``), whose host-push loop is the one serverhosts scan, on
+the calling thread.  The DCM talks to the database through the direct
+glue library (:class:`DirectClient`), authenticating as root.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.dcm.update import (
 from repro.dcm.retry import PropagationGovernor, RetryPolicy
 from repro.errors import error_message
 from repro.hosts.host import SimulatedHost
-from repro.hosts.update_daemon import UpdateDaemon, checksum
+from repro.hosts.update_daemon import FileDelta, UpdateDaemon, checksum
 from repro.sim.clock import Clock
 from repro.sim.faults import FaultInjector
 from repro.sim.network import Network
@@ -125,12 +126,12 @@ class _Plan:
     ``converged`` (something to push or mark), ``no_change`` (nothing
     moved anywhere), ``locked`` or ``harderror``; ``changed`` is the
     no-change check's answer; ``pushes`` are ``(host_row, machine,
-    files)`` in serverhosts order."""
+    files)`` in serverhosts order, a file whole or a delta member."""
 
     status: str = "converged"
     changed: bool = False
     generation: Optional[_Generation] = None
-    pushes: list[tuple[dict, str, dict[str, bytes]]] = field(
+    pushes: list[tuple[dict, str, dict[str, bytes | FileDelta]]] = field(
         default_factory=list)
     delta_hosts: set[str] = field(default_factory=set)
     marks: list[tuple[dict, str]] = field(default_factory=list)
@@ -188,7 +189,8 @@ class DCM:
         self.faults = faults
         # backoff + circuit breakers + retry budget for propagation
         self.governor = PropagationGovernor(retry_policy)
-        self._bindings: dict[tuple[str, str], ServiceBinding] = {}
+        # (service, mach_id) -> binding: a renamed machine keeps its host
+        self._bindings: dict[tuple[str, int], ServiceBinding] = {}
         self._generated: dict[str, GeneratorResult] = {}
         # service -> data-version vector of its inputs at generation
         # time
@@ -208,15 +210,21 @@ class DCM:
 
     # -- deployment wiring ----------------------------------------------------
 
-    def bind_host(self, service: str, machine: str,
+    def bind_host(self, service: str, machine: str | int,
                   binding: ServiceBinding) -> None:
-        """Associate a service/machine pair with a simulated host."""
-        self._bindings[(service.upper(), machine.upper())] = binding
+        """Associate a service's machine — its name, resolved to its
+        ``mach_id`` now, or the ``mach_id`` — with a simulated host."""
+        if isinstance(machine, str):
+            rows = self.db.table("machine").select({"name": machine.upper()})
+            if not rows:
+                raise ValueError(f"no machine {machine!r}")
+            machine = rows[0]["mach_id"]
+        self._bindings[(service.upper(), machine)] = binding
 
     def binding_for(self, service: str,
-                    machine: str) -> Optional[ServiceBinding]:
+                    mach_id: int) -> Optional[ServiceBinding]:
         """The binding for a service/machine pair, or None."""
-        return self._bindings.get((service.upper(), machine.upper()))
+        return self._bindings.get((service.upper(), mach_id))
 
     def _view(self, now: int) -> GenContext:
         """A fresh extraction snapshot over the database."""
@@ -504,9 +512,10 @@ class DCM:
               previous: Optional[GeneratorResult]) -> _Plan:
         """The one host policy: a live host holding *previous* (the
         generation at ``dfgen``) receives only the files whose bytes
-        changed, or — when none did — is a mark; every other live host
-        (stale, failed, overridden, or *previous* unknown) receives
-        *result*'s full payload."""
+        changed — a patched one as its delta member — or, when none
+        did, is a mark; every other live host (stale, failed,
+        overridden, or *previous* unknown) receives *result*'s full
+        payload."""
         plan = _Plan()
         for host_row, machine_name in self._live_hosts(service["name"]):
             if previous is not None and \
@@ -635,7 +644,7 @@ class DCM:
         return summary
 
     def _push_plan(self, service: dict,
-                   plan: list[tuple[dict, str, dict[str, bytes]]],
+                   plan: list[tuple[dict, str, dict]],
                    now: int) -> _PushSummary:
         """The host-push loop — §5.7.1's serverhosts scan: push every
         admitted ``(host_row, machine, files)`` of *plan* in serverhosts
@@ -659,7 +668,7 @@ class DCM:
                                      LockMode.EXCLUSIVE):
                     self._set_host_flags(name, machine_name, host_row,
                                          inprogress=1)
-                    binding = self.binding_for(name, machine_name)
+                    binding = self.binding_for(name, host_row["mach_id"])
                     if binding is None:
                         outcome = UpdateResult(
                             UpdateOutcome.SOFT_FAILURE,

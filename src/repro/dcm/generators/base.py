@@ -19,12 +19,15 @@ to patch a previous :class:`GeneratorResult` from what is left: an
 output the changes do not reach keeps its bytes, a :class:`Keyed`
 output re-renders only the lines whose rows moved, anything else is
 rebuilt.  A change in a lookup relation (``machine``) reaches an output
-only when an index probe finds a row of it naming the changed one.
+only when an index probe finds a row of it naming the changed one.  A
+patch records the byte splices it made, and a result assembled from
+patched parts (:meth:`GeneratorResult.from_parts`) carries them per
+file as a :class:`FileDelta` — what a host holding the previous
+generation is sent instead of the whole file.
 """
 
 from __future__ import annotations
 
-import io
 import tarfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -33,6 +36,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.db.engine import Database, Row, TableChange
 from repro.db.schema import USER_STATE_ACTIVE
+from repro.hosts.update_daemon import FileDelta, Splice, checksum, splice
 
 __all__ = [
     "GenContext",
@@ -59,11 +63,72 @@ class GeneratorResult:
     a serverhost's value3 selects a restricted credentials file).
     ``meta`` is scratch space for incremental generators (each
     output's bytes and sorted keys) — it never reaches a host.
+    ``deltas`` holds, for a file of ``files`` patched from the previous
+    generation, the splices that made it, named by both versions'
+    SHA-256 (:meth:`digest`, computed at most once per file).
     """
 
     files: dict[str, bytes] = field(default_factory=dict)
     host_files: dict[str, dict[str, bytes]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict, repr=False, compare=False)
+    deltas: dict[str, FileDelta] = field(default_factory=dict, repr=False,
+                                         compare=False)
+    _digests: dict[str, str] = field(default_factory=dict, repr=False,
+                                     compare=False)
+
+    @classmethod
+    def from_parts(cls, layout: dict[str, tuple], parts: dict, meta: dict,
+                   previous: Optional["GeneratorResult"] = None
+                   ) -> "GeneratorResult":
+        """The result whose file *path* is ``layout[path]`` joined: the
+        named outputs of :meth:`Generator.build_parts` and literal
+        bytes.  Against *previous* (what the parts were patched from) a
+        file whose parts all kept their bytes keeps its bytes and
+        digest, and one whose changed parts were all patched gets a
+        :class:`FileDelta`: each part's splices shifted by the part's
+        offset in the previous file."""
+        result = cls(meta=meta)
+        old_parts = previous.meta.get("parts", {}) if previous else {}
+        cuts = meta.get("splices", {})
+        for path, pieces in layout.items():
+            named = [isinstance(piece, str) for piece in pieces]
+            news = [parts[p] if n else p for p, n in zip(pieces, named)]
+            olds = [old_parts.get(p) if n else p
+                    for p, n in zip(pieces, named)]
+            old_file = previous.files.get(path) if previous else None
+            if old_file is not None and all(
+                    new is old for new, old in zip(news, olds)):
+                result.files[path] = old_file
+                if path in previous._digests:
+                    result._digests[path] = previous._digests[path]
+                continue
+            result.files[path] = news[0] if len(news) == 1 \
+                else b"".join(news)
+            if old_file is None or None in olds:
+                continue
+            splices: list[Splice] = []
+            at = 0
+            for piece, new, old in zip(pieces, news, olds):
+                if new is not old and new != old:
+                    if piece not in cuts:
+                        break       # rebuilt whole: no delta
+                    splices += [(at + start, at + end, data)
+                                for start, end, data in cuts[piece]]
+                at += len(old)
+            else:
+                if splices:
+                    result.deltas[path] = FileDelta(
+                        previous.digest(path), result.digest(path),
+                        tuple(splices))
+        return result
+
+    def digest(self, path: str) -> str:
+        """SHA-256 of ``files[path]``, memoised."""
+        try:
+            return self._digests[path]
+        except KeyError:
+            value = self._digests[path] = checksum(self.files[path])
+            return value
 
     def payload_for(self, machine: str) -> dict[str, bytes]:
         """The files one machine should receive."""
@@ -80,25 +145,38 @@ class GeneratorResult:
 
     def delta_for(self, machine: str,
                   previous: Optional["GeneratorResult"]
-                  ) -> dict[str, bytes]:
-        """The files *machine* must receive to get from *previous* to
-        this result — the CDC push payload.
+                  ) -> dict[str, bytes | FileDelta]:
+        """What *machine*, holding *previous*, must receive to hold this
+        result — the push payload of a host at the ``dfgen`` generation.
 
-        Install scripts extract and install tar members individually,
-        so a payload carrying only the changed files leaves the rest of
-        the host's tree intact.  With no *previous* (or for a machine
-        whose previous payload is unknown) the full payload is the
-        delta.  Deleted files cannot be expressed (the update protocol
-        only installs members); generators keep file *sets* stable
-        across runs, so a vanished name only happens on a service
-        redefinition — callers fall back to a full push if they care.
+        Install scripts stage and install members individually, so a
+        payload carrying only the changed files leaves the rest of the
+        host's tree intact.  A changed file this result patched from
+        *previous*'s shared bytes travels as its :class:`FileDelta`; any
+        other changed file whole.  With no *previous* the full payload
+        is the delta.  Deleted files cannot be expressed (the update
+        protocol only installs members); generators keep file *sets*
+        stable across runs, so a vanished name only happens on a
+        service redefinition — callers fall back to a full push if
+        they care.
         """
         mine = self.payload_for(machine)
         if previous is None:
             return mine
         old = previous.payload_for(machine)
-        return {name: data for name, data in mine.items()
-                if old.get(name) != data}
+        out: dict[str, bytes | FileDelta] = {}
+        for name, data in mine.items():
+            was = old.get(name)
+            if was is data or was == data:
+                continue
+            delta = self.deltas.get(name)
+            if (delta is not None and data is self.files[name]
+                    and was is previous.files.get(name)
+                    and previous.digest(name) == delta.base):
+                out[name] = delta
+            else:
+                out[name] = data
+        return out
 
     def total_bytes(self) -> int:
         """Total size of every produced file."""
@@ -115,16 +193,22 @@ class GeneratorResult:
 
 def make_tar(files: dict[str, bytes], mtime: int = 0) -> bytes:
     """Deterministic tar of *files* (the §5.8 "tar file of several
-    BIND files" / "tar file of ASCII acl files" data format)."""
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w") as tar:
-        for name in sorted(files):
-            data = files[name]
-            info = tarfile.TarInfo(name=name)
-            info.size = len(data)
-            info.mtime = mtime
-            tar.addfile(info, io.BytesIO(data))
-    return buf.getvalue()
+    BIND files" / "tar file of ASCII acl files" data format): what
+    ``tarfile`` writes — a header and the data padded to 512-byte
+    blocks per member, then two zero blocks — without padding the
+    archive out to a 10 kB record, so a payload of one small delta
+    member stays small."""
+    out = []
+    for name in sorted(files):
+        data = files[name]
+        info = tarfile.TarInfo(name=name)
+        info.size = len(data)
+        info.mtime = mtime
+        out += (info.tobuf(tarfile.DEFAULT_FORMAT, "utf-8",
+                           "surrogateescape"),
+                data, bytes(-len(data) % tarfile.BLOCKSIZE))
+    out.append(bytes(2 * tarfile.BLOCKSIZE))
+    return b"".join(out)
 
 
 class GenContext:
@@ -443,6 +527,8 @@ def referenced(table: str, column: str, key: Optional[str] = None
 
 # machine change -> the users whose POP box it serves
 POP_USERS = referenced("users", "pop_id", "mach_id")
+# filesys change -> the owner, whose passwd line shows a HOMEDIR's mount
+HOME_OWNER = referenced("users", "users_id", "owner")
 
 
 @dataclass(frozen=True)
@@ -462,8 +548,10 @@ class Keyed:
     A change in a relation with no ``via`` entry rebuilds the output.
 
     The rendered bytes stay the only copy of the text: the state a
-    patch needs is the sorted key list plus, only when an entry spans
-    several lines, each entry's line count.
+    patch needs is the sorted key list and each entry's encoded size
+    (its trailing newline not counted), from which a patch finds an
+    entry's byte offset with C-level sums instead of splitting the
+    file.
     """
 
     table: str
@@ -485,20 +573,25 @@ class Keyed:
             if text is not None:
                 by_key[key(row)] = text
         if not by_key:
-            return b"", ((), None)
+            return b"", ([], [])
         keys = sorted(by_key)
         texts = [by_key[k] for k in keys]
-        body = "\n".join(texts)
-        spans = None
-        if body.count("\n") + 1 != len(texts):
-            spans = [text.count("\n") + 1 for text in texts]
-        return (body + "\n").encode("utf-8"), (keys, spans)
+        body = ("\n".join(texts) + "\n").encode("utf-8")
+        sizes = (list(map(len, texts)) if body.isascii()
+                 else [len(text.encode("utf-8")) for text in texts])
+        return body, (keys, sizes)
 
     def patch(self, ctx: GenContext, data: bytes, state: tuple,
-              dirty: dict) -> Optional[tuple[bytes, tuple, bool]]:
-        """(bytes, state, whether any entry was reached) after the
-        changes in *dirty* (relation -> log), or None when one of them
-        can only rebuild the output."""
+              dirty: dict) -> Optional[tuple[bytes, tuple, bool, tuple]]:
+        """(bytes, state, whether any entry was reached, the splices
+        against *data*) after the changes in *dirty* (relation -> log),
+        or None when one of them can only rebuild the output.
+
+        Each reached entry is re-rendered in key order; its offset in
+        *data* is the sizes before it plus one newline each, summed in
+        C from the previous reached entry on.  An entry whose bytes moved is
+        one splice, and the new bytes are *data* with the splices
+        applied (*data* itself when none moved)."""
         reached: set = set()
         for table, log in dirty.items():
             reach = self.via.get(table)
@@ -511,36 +604,34 @@ class Keyed:
                 if reach is not None:
                     reached.update(map(self.key, reach(ctx, change)))
         if not reached:
-            return data, state, False
-        keys, spans = state
-        keys = list(keys)
-        spans = None if spans is None else list(spans)
-        lines = data.split(b"\n")
-        lines.pop()                 # the final newline's empty tail
-        for key in reached:
+            return data, state, False, ()
+        keys, sizes = state
+        new_keys: list = []
+        new_sizes: list[int] = []
+        splices: list[Splice] = []
+        done = offset = 0   # old entries passed so far, and their bytes
+        for key in sorted(reached):
             row = self.lookup(ctx, key)
             text = None if row is None else self.render(ctx, row)
-            new = [] if text is None else text.encode("utf-8").split(b"\n")
-            if spans is None and len(new) > 1:
-                spans = [1] * len(keys)
             i = bisect_left(keys, key)
             here = i < len(keys) and keys[i] == key
-            at = i if spans is None else sum(spans[:i])
-            width = (1 if spans is None else spans[i]) if here else 0
-            lines[at:at + width] = new
-            if text is None:
-                if here:
-                    del keys[i]
-                    if spans is not None:
-                        del spans[i]
-            elif not here:
-                keys.insert(i, key)
-                if spans is not None:
-                    spans.insert(i, len(new))
-            elif spans is not None:
-                spans[i] = len(new)
-        return (b"\n".join(lines) + b"\n" if lines else b""), \
-            (keys, spans), True
+            new_keys += keys[done:i]
+            new_sizes += sizes[done:i]
+            offset += sum(sizes[done:i]) + i - done
+            end = offset + sizes[i] + 1 if here else offset
+            new = b""
+            if text is not None:
+                new = text.encode("utf-8") + b"\n"
+                new_keys.append(key)
+                new_sizes.append(len(new) - 1)
+            if data[offset:end] != new:
+                splices.append((offset, end, new))
+            offset, done = end, i + here
+        new_keys += keys[done:]
+        new_sizes += sizes[done:]
+        if splices:
+            data = splice(data, splices)
+        return data, (new_keys, new_sizes), True, tuple(splices)
 
 
 def users_keyed(render: Callable[[GenContext, Row], Optional[str]],
@@ -664,14 +755,17 @@ class Generator:
         output the changes do not reach (:meth:`dirty`) keeps its bytes,
         a keyed one is patched, and the rest are rebuilt; ``files_patched`` /
         ``files_rebuilt`` in the meta say which (an output the changes
-        reached but whose entries did not move is neither).  The meta
-        carries ``parts`` and ``keys`` forward for the next patch — the
-        bytes are shared with the result's files, not copied.
+        reached but whose entries did not move is neither), and
+        ``splices`` holds each patched output's splices against its
+        previous bytes.  The meta carries ``parts`` and ``keys`` forward
+        for the next patch — the bytes are shared with the result's
+        files, not copied.
         """
         old_parts = previous.meta.get("parts", {}) if previous else {}
         old_keys = previous.meta.get("keys", {}) if previous else {}
         parts: dict[str, bytes] = {}
         keys: dict[str, tuple] = {}
+        splices: dict[str, tuple] = {}
         patched: list[str] = []
         rebuilt: list[str] = []
         for name in names:
@@ -688,16 +782,18 @@ class Generator:
                     done = spec.patch(ctx, old_parts[name], old_keys[name],
                                       dirty)
                 if done is not None:
-                    parts[name], keys[name], moved = done
+                    parts[name], keys[name], moved, cut = done
                     if moved:
                         patched.append(name)
+                    if cut:
+                        splices[name] = cut
                     continue
                 rebuilt.append(name)
             if spec is not None:
                 parts[name], keys[name] = spec.build(ctx)
             else:
                 parts[name] = self.build_output(ctx, name)
-        return parts, {"parts": parts, "keys": keys,
+        return parts, {"parts": parts, "keys": keys, "splices": splices,
                        "files_patched": patched, "files_rebuilt": rebuilt}
 
     def build_output(self, ctx: GenContext, name: str) -> bytes:

@@ -17,6 +17,7 @@ from repro.db.engine import Row, TableChange
 from repro.dcm.generators.base import (
     GROUP,
     HOME,
+    HOME_OWNER,
     MACHINE,
     MEMBER,
     POP_USERS,
@@ -123,7 +124,8 @@ class HesiodGenerator(Generator):
     keyed = {
         "grplist.db": users_keyed(_grplist, ("groups_of_user",),
                                   members=via_member, list=via_group),
-        "passwd.db": users_keyed(_passwd, ("home_dirs",)),
+        "passwd.db": users_keyed(_passwd, ("home_dirs",),
+                                 filesys=HOME_OWNER),
         "pobox.db": users_keyed(_pobox, ("machine_names",),
                                 machine=POP_USERS),
         "uid.db": users_keyed(_uid),
@@ -149,16 +151,17 @@ class HesiodGenerator(Generator):
         if not previous.files:
             return None
         return self._result(*self.build_parts(ctx, self.reads, previous,
-                                              changes))
+                                              changes), previous)
 
     @staticmethod
-    def _result(parts: dict, meta: dict) -> GeneratorResult:
+    def _result(parts: dict, meta: dict,
+                previous: Optional[GeneratorResult] = None
+                ) -> GeneratorResult:
         # members carry their install path on the target host — the
         # hesiod daemon reads /etc/hesiod/*.db
-        return GeneratorResult(
-            files={f"/etc/hesiod/{name}": data
-                   for name, data in parts.items()},
-            meta=meta)
+        return GeneratorResult.from_parts(
+            {f"/etc/hesiod/{name}": (name,) for name in parts}, parts,
+            meta, previous)
 
     def build_output(self, ctx: GenContext, name: str) -> bytes:
         return _encode(getattr(self, f"_{name[:-3]}_db")(ctx))

@@ -17,6 +17,7 @@ from repro.db.engine import Row, TableChange
 from repro.db.schema import USER_STATE_ACTIVE
 from repro.dcm.generators.base import (
     HOME,
+    HOME_OWNER,
     MACHINE,
     MEMBER,
     POP_USERS,
@@ -195,7 +196,7 @@ class MailGenerator(Generator):
     keyed = {
         "passwd": users_keyed(
             lambda ctx, user: passwd_fields(ctx, user, ",,,"),
-            ("home_dirs",)),
+            ("home_dirs",), filesys=HOME_OWNER),
         "aliases.lists": Keyed(
             "list", key=itemgetter("name"),
             lookup=lambda ctx, name: ctx.find("list", {"name": name}),
@@ -223,15 +224,17 @@ class MailGenerator(Generator):
         if not previous.files:
             return None
         return self._result(*self.build_parts(ctx, self.reads, previous,
-                                              changes))
+                                              changes), previous)
 
     @staticmethod
-    def _result(parts: dict, meta: dict) -> GeneratorResult:
-        return GeneratorResult(files={
-            "/usr/lib/aliases": (ALIASES_HEADER + parts["aliases.lists"]
-                                 + b"\n" + parts["aliases.poboxes"]),
-            "/etc/passwd": parts["passwd"],
-        }, meta=meta)
+    def _result(parts: dict, meta: dict,
+                previous: Optional[GeneratorResult] = None
+                ) -> GeneratorResult:
+        return GeneratorResult.from_parts({
+            "/usr/lib/aliases": (ALIASES_HEADER, "aliases.lists", b"\n",
+                                 "aliases.poboxes"),
+            "/etc/passwd": ("passwd",),
+        }, parts, meta, previous)
 
 
 register_generator(MailGenerator())

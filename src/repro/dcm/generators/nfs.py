@@ -112,8 +112,8 @@ class NFSGenerator(Generator):
     def _result(self, ctx: GenContext, parts: dict, meta: dict,
                 previous: Optional[GeneratorResult], per_host: bool,
                 restricted: bool) -> GeneratorResult:
-        result = GeneratorResult(files={CREDENTIALS: parts["credentials"]},
-                                 meta=meta)
+        result = GeneratorResult.from_parts(
+            {CREDENTIALS: ("credentials",)}, parts, meta, previous)
         if previous is not None and not (per_host or restricted):
             result.host_files = previous.host_files
             return result

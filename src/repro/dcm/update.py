@@ -9,9 +9,9 @@ B. Execution phase — one command starts the staged instruction
 C. Confirmation — the script's exit status comes back; zero is success.
 
 Failures are classified the way the DCM's tables need them:
-*soft* (host down, network loss, checksum mismatch, timeout — retry
-later) versus *hard* (the install script itself failed — needs human
-attention, sets hosterror).
+*soft* (host down, network loss, checksum mismatch — of the transfer
+or of a delta member's base — timeout: retry later) versus *hard* (the
+install script itself failed — needs human attention, sets hosterror).
 
 The §5.9 per-operation timeout is enforced **observationally**: each
 protocol operation is run and its simulated cost (the daemon's
@@ -37,7 +37,12 @@ from repro.errors import (
     MoiraError,
 )
 from repro.hosts.host import HostDown, SimulatedHost
-from repro.hosts.update_daemon import InstallScript, UpdateDaemon, checksum
+from repro.hosts.update_daemon import (
+    FileDelta,
+    InstallScript,
+    UpdateDaemon,
+    checksum,
+)
 from repro.sim.faults import FaultInjector
 from repro.sim.network import Network, NetworkError
 
@@ -69,20 +74,31 @@ class _OpTimeout(Exception):
     """One protocol operation blew the §5.9 per-operation ceiling."""
 
 
-def build_payload(files: dict[str, bytes], mtime: int = 0) -> bytes:
+def build_payload(files: dict[str, bytes | FileDelta],
+                  mtime: int = 0) -> bytes:
     """One tar file containing the service's data files (§5.9 A.2:
     "Only one file is transferred, although it may be a tar file
-    containing many more")."""
-    return make_tar(files, mtime=mtime)
+    containing many more"); a :class:`FileDelta` value travels as its
+    encoded delta member."""
+    return make_tar({name: data.encode() if isinstance(data, FileDelta)
+                     else data for name, data in files.items()},
+                    mtime=mtime)
 
 
-def default_script(files: dict[str, bytes],
+def default_script(files: dict[str, bytes | FileDelta],
                    post_command: Optional[str] = None) -> InstallScript:
-    """The standard install sequence: extract + atomically install each
-    member, then run the service's restart/convergence command."""
+    """The standard install sequence: stage every member (extract a
+    whole file, patch one from a delta), then atomically install each,
+    then run the service's restart/convergence command.  Staging all
+    before renaming any means a refused delta base leaves every file
+    as it was."""
     script = InstallScript()
     for name in sorted(files):
-        script.extract(name)
+        if isinstance(files[name], FileDelta):
+            script.patch(name)
+        else:
+            script.extract(name)
+    for name in sorted(files):
         script.install(name)
     if post_command:
         script.execute(post_command)
@@ -186,5 +202,11 @@ def push_update(
     if status == 0:
         return UpdateResult(UpdateOutcome.SUCCESS,
                             bytes_sent=len(payload))
+    if status == MR_CHECKSUM:
+        # a delta member's base is not the file on disk (hand-edited,
+        # or lost in a crash): nothing was renamed into place, and the
+        # host's next push carries whole files
+        return UpdateResult(UpdateOutcome.SOFT_FAILURE, error=status,
+                            message="delta base mismatch")
     return UpdateResult(UpdateOutcome.HARD_FAILURE, error=status,
                         message=f"install script exited {status}")

@@ -50,6 +50,11 @@ class SimulatedHost:
         self._boot_hooks: list[Callable[["SimulatedHost"], None]] = []
         # fault injection: crash after N more fs syncs (None = never)
         self._crash_after_syncs: Optional[int] = None
+        # path -> (base bytes, staged bytes, FileDelta) the update daemon
+        # last built from a delta member: the install command's servers
+        # reload from its lines instead of diffing the two versions
+        # (process memory, so a crash forgets it)
+        self.handed: dict[str, tuple] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -62,6 +67,7 @@ class SimulatedHost:
         """Machine crash: unsynced data lost, every process dies."""
         self.alive = False
         self.fs.crash()
+        self.handed.clear()
         for proc in self.processes.values():
             proc.running = False
         self.processes.clear()

@@ -7,14 +7,16 @@ A. **Transfer phase** — authenticate, receive the data file (with
    script into a temporary file, flush everything to disk.
 
 B. **Execution phase** — on a single command, run the instruction
-   sequence: extract needed members from the tar file one at a time,
-   swap files in with atomic renames, optionally revert, signal a
-   process via its pid file, or execute a supplied command.
+   sequence: extract needed members from the tar file one at a time
+   (or build one from the file on disk and a delta member), swap files
+   in with atomic renames, optionally revert, signal a process via its
+   pid file, or execute a supplied command.
 
 C. **Confirm** — report success or the error number back to the DCM.
 
 The install *script* is an :class:`InstallScript` — an ordered list of
-the five instruction kinds from §5.9 B.  Scripts are serialised to a
+the five instruction kinds from §5.9 B plus ``patch``, which stages a
+file from a :class:`FileDelta` member.  Scripts are serialised to a
 plain-text format so they really are "transferred to the server" and
 "stored in a temporary file" rather than passed as live objects.
 """
@@ -25,7 +27,7 @@ import hashlib
 import io
 import tarfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import (
     MoiraError,
@@ -36,21 +38,102 @@ from repro.errors import (
 )
 from repro.hosts.host import HostDown, SimulatedHost
 
-__all__ = ["UpdateDaemon", "InstallScript", "checksum"]
+__all__ = ["UpdateDaemon", "InstallScript", "FileDelta", "Splice",
+           "checksum", "splice"]
+
+#: one byte splice: ``old[start:end]`` is replaced by the bytes
+Splice = tuple[int, int, bytes]
 
 
 def checksum(data: bytes) -> str:
-    """The file-transfer integrity check (§5.9 A.2)."""
+    """The file-transfer integrity check (§5.9 A.2), also the content
+    hash a delta member names its base and result by."""
     return hashlib.sha256(data).hexdigest()
+
+
+def splice(data: bytes, splices: Iterable[Splice]) -> bytes:
+    """*data* with each ``(start, end, new)`` of *splices* (ascending,
+    non-overlapping, offsets into *data*) applied: one join of
+    zero-copy slices."""
+    view = memoryview(data)
+    pieces, at = [], 0
+    for start, end, new in splices:
+        if not at <= start <= end <= len(data):
+            raise ValueError(f"splice {start}:{end} out of order")
+        pieces += (view[at:start], new)
+        at = end
+    pieces.append(view[at:])
+    return b"".join(pieces)
+
+
+@dataclass(frozen=True)
+class FileDelta:
+    """A delta member: the splices that turn the file whose SHA-256 is
+    *base* into the one whose SHA-256 is *digest*.
+
+    On the wire it is a header line ``moira-delta 1 <base> <digest>
+    <count>`` and, per splice, a line ``<start> <end> <length>``
+    followed by *length* raw bytes.
+    """
+
+    base: str
+    digest: str
+    splices: tuple[Splice, ...]
+
+    MAGIC = b"moira-delta 1"
+
+    def encode(self) -> bytes:
+        """The member's bytes."""
+        out = [b"%s %s %s %d\n" % (self.MAGIC, self.base.encode(),
+                                    self.digest.encode(),
+                                    len(self.splices))]
+        for start, end, new in self.splices:
+            out += (b"%d %d %d\n" % (start, end, len(new)), new)
+        return b"".join(out)
+
+    @classmethod
+    def decode(cls, blob: bytes) -> "FileDelta":
+        """Parse :meth:`encode`'s bytes; ValueError when malformed."""
+        at = blob.index(b"\n") + 1
+        head = blob[:at].split()
+        if len(head) != 5 or b" ".join(head[:2]) != cls.MAGIC:
+            raise ValueError("not a delta member")
+        splices = []
+        for _ in range(int(head[4])):
+            end_of_line = blob.index(b"\n", at)
+            start, end, size = map(int, blob[at:end_of_line].split())
+            at = end_of_line + 1 + size
+            if at > len(blob):
+                raise ValueError("truncated delta member")
+            splices.append((start, end, blob[end_of_line + 1:at]))
+        if at != len(blob):
+            raise ValueError("trailing bytes after the splices")
+        return cls(head[2].decode(), head[3].decode(), tuple(splices))
+
+    def lines(self, base: bytes) -> tuple[list[bytes], list[bytes]]:
+        """(removed lines, added lines) when applied to *base* — what a
+        server reloads from instead of diffing the two versions."""
+        view = memoryview(base)
+        removed = b"".join([view[start:end]
+                            for start, end, _ in self.splices])
+        added = b"".join([new for _, _, new in self.splices])
+        return removed.splitlines(), added.splitlines()
 
 
 @dataclass
 class InstallScript:
-    """§5.9 B: the installation instruction sequence.
+    """§5.9 B: the installation instruction sequence — the paper's five
+    instruction kinds, plus ``patch`` beside ``extract`` for a member
+    that carries a delta instead of the whole file.
 
     Each step is ``(op, args...)``:
 
     * ``("extract", member)`` — pull one member out of the tar file
+    * ``("patch", member)`` — stage ``member.moira_update`` from the
+      file on disk and the :class:`FileDelta` member, only when the
+      file's SHA-256 is the delta's base (else MR_CHECKSUM, which the
+      DCM classifies soft: the host keeps its file and its next push
+      is a whole one)
     * ``("install", filename)`` — atomically rename
       ``filename.moira_update`` over ``filename``
     * ``("revert", filename)`` — put the saved old file back
@@ -64,6 +147,11 @@ class InstallScript:
     def extract(self, member: str) -> "InstallScript":
         """Append an extract step."""
         self.steps.append(("extract", member))
+        return self
+
+    def patch(self, member: str) -> "InstallScript":
+        """Append a stage-from-delta step."""
+        self.steps.append(("patch", member))
         return self
 
     def install(self, filename: str) -> "InstallScript":
@@ -115,8 +203,9 @@ class _StagedTar:
         unreadable or does not hold *name*."""
         if self._members is None:
             try:
+                # "r:" reads a plain tar without probing compressions
                 with tarfile.open(fileobj=io.BytesIO(
-                        self._fs.read(self._path))) as tar:
+                        self._fs.read(self._path)), mode="r:") as tar:
                     self._members = {
                         info.name: tar.extractfile(info).read()
                         for info in tar if info.isfile()}
@@ -231,6 +320,8 @@ class UpdateDaemon:
             member = step[1]
             # "only the ones that are needed are extracted one at a time"
             fs.write(member + ".moira_update", payload.member(member))
+        elif op == "patch":
+            self._patch(step[1], payload)
         elif op == "install":
             filename = step[1]
             staged = filename + ".moira_update"
@@ -266,6 +357,27 @@ class UpdateDaemon:
                                  f"{command} exited {status}")
         else:
             raise MoiraError(MR_OCONFIG, f"unknown op {op!r}")
+
+    def _patch(self, member: str, payload: _StagedTar) -> None:
+        """Stage *member* from the file on disk plus the delta member,
+        and leave the delta for the servers' reload (``host.handed``)."""
+        fs = self.host.fs
+        try:
+            delta = FileDelta.decode(payload.member(member))
+        except ValueError as exc:
+            raise MoiraError(MR_TAR_FAIL, f"{member}: {exc}") from exc
+        try:
+            base = fs.read(member)
+        except FileNotFoundError:
+            raise MoiraError(MR_CHECKSUM, f"{member}: no base") from None
+        if checksum(base) != delta.base:
+            raise MoiraError(MR_CHECKSUM, f"{member}: base mismatch")
+        try:
+            data = splice(base, delta.splices)
+        except ValueError as exc:
+            raise MoiraError(MR_TAR_FAIL, f"{member}: {exc}") from exc
+        fs.write(member + ".moira_update", data)
+        self.host.handed[member] = (base, data, delta)
 
     # -- crash-recovery housekeeping ----------------------------------------------
 

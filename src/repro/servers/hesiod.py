@@ -12,8 +12,9 @@ loads the files from disk into memory when it is started" — so
 from the host's VFS, and :meth:`restart` (the DCM's install script
 kills and restarts the daemon) reads only the records that moved: a
 file whose bytes are unchanged is skipped and a changed one is applied
-as a line delta (:mod:`repro.servers.reload`), falling back to the
-full read whenever the delta cannot be shown equal to it.
+as a line delta (:mod:`repro.servers.reload`) — the lines the update
+daemon spliced, when it was handed them — falling back to the full
+read whenever the delta cannot be shown equal to it.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ class HesiodServer:
         cannot describe exactly, re-reads everything."""
         self.host.check_alive()
         files = self._read_files()
+        handed = {path: self.host.handed.pop(path, None) for path in files}
         if files.keys() != self._loaded.keys() or not all(
-                reload_file(self._loaded, path, data, self._entry)
+                reload_file(self._loaded, path, data, self._entry,
+                            handed[path])
                 for path, data in files.items()):
             self._load_all(files)
         self.loads += 1

@@ -9,9 +9,11 @@ finger server on the mailhub will know about everybody".
 
 :meth:`reload` (boot) parses both files in full; :meth:`install_aliases`
 (the DCM's install command) applies each changed file as a line delta
-(:mod:`repro.servers.reload`) — except an aliases file with continuation
+(:mod:`repro.servers.reload`, from the lines the update daemon spliced
+when it was handed them) — except an aliases file with continuation
 lines, whose lines belong to the alias above them and are re-parsed in
-full.
+full: a full parse that met one is not remembered, and a delta adding
+one is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hosts.host import SimulatedHost
-from repro.servers.reload import Entry, load_file, reload_file
+from repro.servers.reload import Entry, Undescribable, load_file, reload_file
 
 __all__ = ["MailHub", "DeliveryResult"]
 
@@ -83,9 +85,9 @@ class MailHub:
             if not fs.exists(path):
                 continue
             data = fs.read(path)
-            diffable = delta and not (attr == "aliases" and _continued(data))
-            if not (diffable and reload_file(self._loaded, path, data,
-                                             entry)):
+            handed = self.host.handed.pop(path, None)
+            if not (delta and reload_file(self._loaded, path, data, entry,
+                                          handed)):
                 self._load(path, attr, data)
         self.reloads += 1
 
@@ -129,6 +131,9 @@ class MailHub:
         raw = line.decode("utf-8")
         if not raw.strip() or raw.lstrip().startswith("#"):
             return None
+        if raw[0] in " \t":
+            # a continuation belongs to the alias above it
+            raise Undescribable(raw)
         name, _, rest = raw.partition(":")
         return self.aliases, name.strip().lower(), [
             a.strip() for a in rest.split(",") if a.strip()]

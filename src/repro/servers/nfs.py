@@ -8,8 +8,9 @@ type).  The shell script Moira executes after installing them performs
 setquota <quota> — using quotas file"; :meth:`apply_update` is that
 script.  It reads only what moved (:mod:`repro.servers.reload`): an
 unchanged file is skipped, a changed ``credentials`` or ``quotas`` is
-applied as a line delta, and only the added lines of ``directories``
-can create a locker.
+applied as a line delta (the lines the update daemon spliced, when it
+was handed them), and only the added lines of ``directories`` can
+create a locker.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class NFSServer:
         if not self.host.fs.exists(path):
             return
         data = self.host.fs.read(path)
-        if not (delta and reload_file(self._loaded, path, data, entry)):
+        handed = self.host.handed.pop(path, None)
+        if not (delta and reload_file(self._loaded, path, data, entry,
+                                      handed)):
             setattr(self, name, load_file(self._loaded, path, data, entry))
 
     def _credential(self, line: bytes) -> Entry:

@@ -4,8 +4,11 @@ uses instead of re-parsing a whole installed file.
 A server remembers, per file, the bytes its in-memory tables were
 built from — and only when that full parse defined every key once.
 On install it skips a file whose bytes are unchanged.  For a changed
-keyed file it finds the part that moved: the longest common prefix
-and suffix of whole lines, located by binary search over zero-copy
+keyed file it takes the lines that moved from the delta the update
+daemon applied, when it was handed one that turned the remembered
+bytes into the installed ones (``SimulatedHost.handed``).  Otherwise —
+a whole-file push — it finds them: the longest common prefix and
+suffix of whole lines, located by binary search over zero-copy
 comparisons, leave two short middles.  It splits those into line sets
 (the split and the set difference run in C), unparses the removed
 lines and parses the added ones.  That equals a full parse only when
@@ -16,7 +19,9 @@ server re-parses in full, on:
 * a removed line whose key does not hold exactly that line's value
   (e.g. a Hesiod name with several records, whose order matters);
 * an added line whose key is already defined (a duplicate key, or a
-  Hesiod name gaining a second record).
+  Hesiod name gaining a second record);
+* a line the server's entry function refuses (:class:`Undescribable`:
+  a sendmail continuation line belongs to the alias above it).
 
 A line repeated elsewhere in the file needs no check of its own: the
 remembered tables define every key once, so removing or adding a copy
@@ -31,13 +36,18 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Optional
 
-__all__ = ["Entry", "load_file", "reload_file"]
+__all__ = ["Entry", "Undescribable", "load_file", "reload_file"]
 
 #: where one line lives in a server's tables: (table, key, value), or
 #: None for a line that defines nothing (comment, blank)
 Entry = Optional[tuple[dict, Hashable, object]]
 
 _MISSING = object()
+
+
+class Undescribable(Exception):
+    """Raised by an entry function for a line whose meaning depends on
+    the lines around it: the delta is refused and the file re-parsed."""
 
 
 def load_file(loaded: dict[str, bytes], path: str, data: bytes,
@@ -59,9 +69,13 @@ def load_file(loaded: dict[str, bytes], path: str, data: bytes,
 
 
 def reload_file(loaded: dict[str, bytes], path: str, data: bytes,
-                entry: Callable[[bytes], Entry]) -> bool:
+                entry: Callable[[bytes], Entry],
+                handed: Optional[tuple] = None) -> bool:
     """Move *path*'s tables from the bytes in *loaded* to *data*.
 
+    *handed* is the update daemon's ``(base, staged, FileDelta)`` for
+    *path*: when it took the remembered bytes to *data*, its removed
+    and added lines are the delta; otherwise the two are diffed.
     True when the tables now equal a full parse of *data* (nothing
     moved, or the line delta applied) and *loaded* records *data*.
     False when the caller must parse in full: no usable previous
@@ -75,25 +89,33 @@ def reload_file(loaded: dict[str, bytes], path: str, data: bytes,
     if data is old or data == old:
         return True
     del loaded[path]
-    old_middle, new_middle = _middles(old, data)
-    old_lines, new_lines = old_middle.splitlines(), new_middle.splitlines()
+    if handed is not None and handed[1] is data and (
+            handed[0] is old or handed[0] == old):
+        old_lines, new_lines = handed[2].lines(old)
+    else:
+        old_middle, new_middle = _middles(old, data)
+        old_lines = old_middle.splitlines()
+        new_lines = new_middle.splitlines()
     old_set, new_set = set(old_lines), set(new_lines)
     if len(old_set) != len(old_lines) or len(new_set) != len(new_lines):
         return False
-    for line in old_set - new_set:
-        found = entry(line)
-        if found is not None:
-            table, key, value = found
-            if table.get(key, _MISSING) != value:
-                return False
-            del table[key]
-    for line in new_set - old_set:
-        found = entry(line)
-        if found is not None:
-            table, key, value = found
-            if key in table:
-                return False
-            table[key] = value
+    try:
+        for line in old_set - new_set:
+            found = entry(line)
+            if found is not None:
+                table, key, value = found
+                if table.get(key, _MISSING) != value:
+                    return False
+                del table[key]
+        for line in new_set - old_set:
+            found = entry(line)
+            if found is not None:
+                table, key, value = found
+                if key in table:
+                    return False
+                table[key] = value
+    except Undescribable:
+        return False
     loaded[path] = data
     return True
 
