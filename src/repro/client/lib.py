@@ -563,9 +563,13 @@ class DirectClient:
                 callproc(len(fields), fields, callarg)
         return 0
 
-    def query(self, name: str, *args: str) -> list[tuple[str, ...]]:
-        """Run a query, returning tuples; raises MoiraError."""
-        rows = execute_query(self._ctx, name, [str(a) for a in args])
+    def query(self, name: str, *args: str,
+              fsync: bool = True) -> list[tuple[str, ...]]:
+        """Run a query, returning tuples; raises MoiraError.
+        ``fsync=False`` journals a write without the fsync: the caller
+        owns the ``journal.sync()`` that makes it durable."""
+        rows = execute_query(self._ctx, name, [str(a) for a in args],
+                             fsync=fsync)
         return [tuple(map(str, row)) for row in rows]
 
     def query_maybe(self, name: str, *args: str) -> list[tuple[str, ...]]:

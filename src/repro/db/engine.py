@@ -757,8 +757,10 @@ class Table(StorageTable):
                              f"unknown columns {sorted(unknown)} in {self.name}")
         return row
 
-    def _violates_unique(self, candidate: Row, *, ignore: Optional[Row] = None) -> bool:
-        for key in self.unique_keys:
+    def _violates_unique(self, candidate: Row, *,
+                         ignore: Optional[Row] = None,
+                         keys: Optional[list] = None) -> bool:
+        for key in self.unique_keys if keys is None else keys:
             first = key[0]
             probe = self._indexes[first].lookup(candidate[first])
             for row in probe:
@@ -810,11 +812,16 @@ class Table(StorageTable):
         data for the generators' no-change check.
         """
         coerced = self._normalise(changes, partial=True)
-        for row in rows:
-            candidate = dict(row)
-            candidate.update(coerced)
-            if self._violates_unique(candidate, ignore=row):
-                raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
+        # only a key whose columns the change sets can become a
+        # duplicate: the others are still unique as they stand
+        keys = [key for key in self.unique_keys
+                if any(name in coerced for name in key)]
+        if keys:
+            for row in rows:
+                candidate = dict(row)
+                candidate.update(coerced)
+                if self._violates_unique(candidate, ignore=row, keys=keys):
+                    raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
         touched_indexes = [idx for name, idx in self._indexes.items()
                            if name in coerced]
         touched_composites = [comp for comp in self._composites.values()

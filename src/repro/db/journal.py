@@ -198,8 +198,8 @@ class Journal:
 
         ``fsync=False`` defers durability entirely: the line reaches
         the kernel but the group-commit caller (the server's write
-        batcher) owns the :meth:`sync` — one fsync covers the whole
-        commit window.
+        batcher, the DCM's cron cycle or extraction round) owns the
+        :meth:`sync` — one fsync covers the whole commit window.
 
         Fault points: ``journal.record`` fires before anything is
         appended (a crash here loses the record entirely),
@@ -210,14 +210,14 @@ class Journal:
 
         A fenced journal (a newer epoch owns the cluster) refuses the
         append with ``MR_FENCED`` — checked only on the fsync'ing path;
-        ``fsync=False`` calls run inside the engine's commit gate, where
-        the group-commit :meth:`sync` is the clean refusal point.
+        ``fsync=False`` calls run inside the engine's commit gate, so
+        ``run_write`` refuses them before their handler runs
+        (:meth:`refuse_if_fenced`) and the group-commit :meth:`sync`
+        refuses whatever a fence raced past that check.
         """
         with self._lock:
-            if fsync and self._fenced_epoch > self.epoch:
-                raise MoiraError(
-                    MR_FENCED,
-                    f"epoch {self.epoch} fenced by {self._fenced_epoch}")
+            if fsync:
+                self.refuse_if_fenced()
             if self.faults is not None:
                 self.faults.fire("journal.record", query=query, who=who,
                                  seq=self._next_seq)
@@ -372,10 +372,7 @@ class Journal:
         before anything is declared durable.
         """
         with self._lock:
-            if self._fenced_epoch > self.epoch:
-                raise MoiraError(
-                    MR_FENCED,
-                    f"epoch {self.epoch} fenced by {self._fenced_epoch}")
+            self.refuse_if_fenced()
             if self.faults is not None:
                 self.faults.fire("journal.batch_flush",
                                  pending=self._unsynced,
@@ -436,6 +433,14 @@ class Journal:
     def fenced(self) -> bool:
         """True when a newer epoch has fenced this journal."""
         return self._fenced_epoch > self.epoch
+
+    def refuse_if_fenced(self) -> None:
+        """Raise ``MR_FENCED`` when a newer epoch has fenced this
+        journal — the check a write makes before its handler runs."""
+        if self._fenced_epoch > self.epoch:
+            raise MoiraError(
+                MR_FENCED,
+                f"epoch {self.epoch} fenced by {self._fenced_epoch}")
 
     @property
     def fenced_by(self) -> int:

@@ -44,7 +44,9 @@ The pipeline, end to end:
    bytes changed — to hosts holding the previous generation (per-host
    locks, §5.9 update protocol, governor admission, one serverhosts
    scan).  The reference for the installed bytes is a
-   full build every due cycle (``TestRegenerateOracle``).
+   full build every due cycle (``TestRegenerateOracle``).  The
+   round's bookkeeping writes are fsync'd together, once, by
+   :meth:`~repro.dcm.dcm.DCM.sync` before the cursor moves.
 6. **Retry** — an outcome that left a host behind (soft failure,
    governor deferral, held lock) re-opens the service's window, not
    due before the governor's ``retry_at``; the re-entry finds the
@@ -341,6 +343,9 @@ class CdcExtractor:
                 self._account(service, slot, outcome, now)
                 outcomes.append(outcome)
             if due:
+                # one fsync makes the round's bookkeeping durable, and
+                # it comes before the cursor moves
+                self.dcm.sync()
                 # absorb our own bookkeeping writes so cursor lag
                 # settles back to zero instead of trailing every push;
                 # clear the flag first — our pushes raised it, and any

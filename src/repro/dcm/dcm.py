@@ -29,7 +29,11 @@ service is looked at: both call the same classify step (steps 3 and
 the per-host plan, ``_classify``) and the same deliver step (4 and 5,
 ``_deliver``), whose host-push loop is the one serverhosts scan, on
 the calling thread.  The DCM talks to the database through the direct
-glue library (:class:`DirectClient`), authenticating as root.
+glue library (:class:`DirectClient`), authenticating as root.  Its
+bookkeeping writes (the service and host flags) reach the WAL file one
+by one but are fsync'd together: one :meth:`DCM.sync` ends each cron
+cycle and each extraction round, the server's group commit with a DCM
+invocation as the window.
 """
 
 from __future__ import annotations
@@ -296,6 +300,8 @@ class DCM:
             report.hard_failures += len(summary.hard_origins)
             report.hard_failure_origins.extend(summary.hard_origins)
             report.log.extend(summary.log)
+        # the cycle's one fsync, before cron reports it done
+        self.sync()
         report.retries_deferred = self.governor.cycle_deferred
         report.breaker_skips = self.governor.cycle_breaker_skips
         report.breaker_probes = self.governor.cycle_probes
@@ -335,7 +341,10 @@ class DCM:
         ``retry`` asks the extractor to re-queue the service until
         ``retry_at``, the governor's earliest admission time over the
         hosts still owed a push; the re-entry finds the inputs
-        unchanged and pushes the held generation to just those hosts."""
+        unchanged and pushes the held generation to just those hosts.
+        Its bookkeeping writes are not fsync'd here: the caller's
+        :meth:`sync` makes them durable — the extractor's, once per
+        round, before its cursor moves."""
         out = {"service": name, "status": "converged", "reason": "",
                "generated": False, "incremental": False,
                "pushes": 0, "delta_pushes": 0, "full_pushes": 0,
@@ -606,7 +615,7 @@ class DCM:
         self.client.query(
             "set_server_internal_flags", service["name"],
             str(service["dfgen"]), str(service["dfcheck"]),
-            str(inprogress), str(harderror), errmsg)
+            str(inprogress), str(harderror), errmsg, fsync=False)
 
     # -- step 2: deliver (host-scan lock) ------------------------------------------
 
@@ -759,7 +768,17 @@ class DCM:
             str(host_row["hosterror"] if hosterror is None else hosterror),
             host_row["hosterrmsg"] if errmsg is None else errmsg,
             str(host_row["ltt"] if ltt is None else ltt),
-            str(host_row["lts"] if lts is None else lts))
+            str(host_row["lts"] if lts is None else lts), fsync=False)
+
+    def sync(self) -> None:
+        """Group commit: the one fsync that makes every bookkeeping
+        write since the last one durable.  Each write already reached
+        the WAL file (``write`` + ``flush``) before the push it
+        describes; a crash before this fsync costs a re-push, never an
+        acknowledged client write (those fsync'd before they were
+        acknowledged)."""
+        if self.journal is not None:
+            self.journal.sync()
 
     def _notify_hard_error(self, what: str, message: str,
                            origin_seq: int, *, mail: bool = False) -> None:

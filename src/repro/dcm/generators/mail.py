@@ -163,11 +163,12 @@ def _pobox_alias(ctx: GenContext, user: Row) -> Optional[str]:
 
 
 def _via_boxes(ctx: GenContext, change: TableChange) -> list[Row]:
-    """strings change -> the users whose SMTP box it holds (``box_id``
-    has no index; this scans the users relation)."""
+    """strings change -> the users whose SMTP box it holds (a probe of
+    the ``box_id`` index per changed string)."""
     ids = {row["string_id"] for row in changed_rows(change)}
-    return ctx.db.table("users").select(
-        predicate=lambda row: row["box_id"] in ids)
+    users = ctx.db.table("users")
+    return [user for string_id in ids
+            for user in users.select({"box_id": string_id})]
 
 
 class MailGenerator(Generator):

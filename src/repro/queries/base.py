@@ -557,11 +557,14 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
     commit; on an abort that consumed id/string bindings (which survive
     the rollback), an ``_aborted`` marker carrying them.  *shards*
     narrows writer exclusion (None = every shard); ``fsync=False``
-    leaves durability to the caller's one ``journal.sync()``.
+    leaves durability to the caller's one ``journal.sync()``.  A
+    fenced journal refuses the write with ``MR_FENCED`` before its
+    handler runs, whichever way it is made durable.
     """
     record = record_abort = None
     if ctx.journal is not None:
         journal = ctx.journal
+        journal.refuse_if_fenced()
 
         def record(txn, name=query.name, entry_args=args):
             journal.record(ctx.now, ctx.caller or "unauthenticated", name,
@@ -581,9 +584,10 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
     return result, txn.mutated
 
 
-def execute_query(ctx: QueryContext, name: str,
-                  args: Sequence[str]) -> list[tuple]:
-    """Resolve, validate, access-check, run, and journal one query."""
+def execute_query(ctx: QueryContext, name: str, args: Sequence[str], *,
+                  fsync: bool = True) -> list[tuple]:
+    """Resolve, validate, access-check, run, and journal one query;
+    ``fsync=False`` is :func:`run_write`'s (a read ignores it)."""
     query = get_query(name)
     if query is None:
         raise MoiraError(MR_NO_HANDLE, name)
@@ -595,7 +599,7 @@ def execute_query(ctx: QueryContext, name: str,
         # function, which then resolves the database and query"
         ctx = _replace(ctx, db=target_db)
     if query.side_effects:
-        result, _ = run_write(ctx, query, args)
+        result, _ = run_write(ctx, query, args, fsync=fsync)
         # version GC takes every shard, so it runs here, with none held
         ctx.db.gc_if_due()
         return result

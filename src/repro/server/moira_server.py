@@ -53,7 +53,6 @@ from repro.errors import (
     MoiraError,
     MR_ARGS,
     MR_BUSY,
-    MR_FENCED,
     MR_INTERNAL,
     MR_NO_HANDLE,
     MR_PERM,
@@ -423,13 +422,9 @@ class MoiraServer:
         moved) — the latter scopes the access-cache invalidation.
         *timing*, when given, receives ``lock_wait_s``.
         """
-        if self.journal.fenced:
-            # a newer epoch owns the cluster: refuse before the handler
-            # mutates anything — the client router re-routes on MR_FENCED
-            raise MoiraError(
-                MR_FENCED,
-                f"epoch {self.journal.epoch} fenced by "
-                f"{self.journal.fenced_by}")
+        # a newer epoch owns the cluster: refuse before the handler
+        # mutates anything — the client router re-routes on MR_FENCED
+        self.journal.refuse_if_fenced()
         return self._write_batcher.submit(ctx, query, query_args,
                                           timing=timing)
 

@@ -46,7 +46,7 @@ import time
 from collections import deque
 from typing import Optional, Sequence
 
-from repro.errors import MR_FENCED, MoiraError
+from repro.errors import MoiraError
 from repro.queries.base import run_write
 
 __all__ = ["WriteBatcher", "shards_for"]
@@ -209,17 +209,17 @@ class WriteBatcher:
             self._batched_writes += len(batch)
             self._max_batch = max(self._max_batch, len(batch))
         journal = batch[0].ctx.journal
-        if journal is not None and journal.fenced:
+        try:
+            if journal is not None:
+                journal.refuse_if_fenced()
+        except MoiraError as exc:
             # a newer epoch fenced this primary between admission and
             # the window: fail the whole lane retryably before any
             # handler runs — stale group commits must never land
-            exc = MoiraError(
-                MR_FENCED,
-                f"epoch {journal.epoch} fenced by {journal.fenced_by}")
             for item in batch:
                 item.error = exc
                 item.done.set()
-            raise exc
+            raise
         fatal: Optional[BaseException] = None
         try:
             self._run_window(lane, batch)

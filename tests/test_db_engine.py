@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.db.engine import Column, Database, Table, WildcardPattern
+from repro.db.schema import build_database
 from repro.errors import (
     MoiraError,
     MR_ARG_TOO_LONG,
@@ -181,6 +182,36 @@ class TestTable:
         t = people_table()
         with pytest.raises(MoiraError):
             t.insert({"name": "x", "bogus": 1})
+
+    @staticmethod
+    def two_serverhosts():
+        db = build_database()
+        hosts = db.table("serverhosts")
+        return hosts, [hosts.insert({"service": "NFS", "mach_id": m})
+                       for m in (7, 8)]
+
+    def test_a_non_key_update_probes_no_unique_key(self, monkeypatch):
+        """The DCM's host-flag writes set no column of (service,
+        mach_id): nothing to re-prove unique."""
+        hosts, (row, _) = self.two_serverhosts()
+
+        def probe(*args, **kwargs):
+            raise AssertionError("a non-key update probed a unique key")
+
+        monkeypatch.setattr(hosts, "_violates_unique", probe)
+        hosts.update_rows([row], {"success": 1, "inprogress": 0,
+                                  "lts": 99}, touch_stats=False)
+        assert row["lts"] == 99
+
+    def test_a_key_update_to_a_duplicate_changes_nothing(self):
+        hosts, (first, second) = self.two_serverhosts()
+        with pytest.raises(MoiraError) as exc:
+            hosts.update_rows([second], {"mach_id": 7, "lts": 5})
+        assert exc.value.code == MR_EXISTS
+        assert second["mach_id"] == 8 and second["lts"] == 0
+        assert hosts.select({"mach_id": 8}) == [second]
+        assert hosts.select({"mach_id": 7}) == [first]
+        assert hosts.select({"service": "NFS", "mach_id": 7}) == [first]
 
     def test_add_index_on_existing_rows(self):
         t = people_table()
