@@ -38,7 +38,7 @@ from repro.protocol.transport import (
     connect_inproc,
     connect_tcp,
 )
-from repro.protocol.wire import MajorRequest, pack_authenticator
+from repro.protocol.wire import MajorRequest, pack_authenticator, str_row
 from repro.queries.base import QueryContext, execute_query
 from repro.sim.clock import Clock
 
@@ -559,7 +559,7 @@ class DirectClient:
             return exc.code
         if callproc is not None:
             for row in rows:
-                fields = tuple(map(str, row))
+                fields = str_row(row)
                 callproc(len(fields), fields, callarg)
         return 0
 
@@ -570,7 +570,7 @@ class DirectClient:
         owns the ``journal.sync()`` that makes it durable."""
         rows = execute_query(self._ctx, name, [str(a) for a in args],
                              fsync=fsync)
-        return [tuple(map(str, row)) for row in rows]
+        return [str_row(row) for row in rows]
 
     def query_maybe(self, name: str, *args: str) -> list[tuple[str, ...]]:
         """Like query(), but MR_NO_MATCH yields []."""

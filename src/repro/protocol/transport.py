@@ -8,20 +8,20 @@ Two interchangeable transports exist:
   server which handles multiple simultaneous TCP connections", able to
   read new requests and send old replies simultaneously).
 
-* :class:`InProcessTransport` — same byte-level encode/decode path with
-  the socket replaced by a direct call, for fast deterministic tests
-  and benchmarks of everything above the socket layer.
+* :class:`InProcessTransport` — the socket replaced by a direct call
+  that hands the client each row as the text a TCP client would decode
+  (:func:`~repro.protocol.wire.str_row`), with no framing at all.
 
 Both talk to a :class:`Dispatcher`: ``open_connection(peer)``,
-``handle_frame_stream(conn_id, frame)`` yielding buffers of reply
-frames, and ``close_connection(conn_id)``.  The Moira server implements
-it.  Neither end handles a frame on its own: a client decodes each
-buffer it is given — a dispatcher's run, or one TCP ``recv`` — in one
-loop (:func:`~repro.protocol.wire.decode_replies`).
+``handle_frame_stream(conn_id, frame)`` yielding runs ``(code, rows)``,
+and ``close_connection(conn_id)``.  The Moira server implements it.
+Bytes exist only where there is a wire: the TCP server frames a run
+with one :func:`~repro.protocol.wire.encode_replies` call and its
+client decodes each ``recv`` in one loop.
 
 The TCP server runs everything on one thread, its selector loop.  Each
 request frame runs to completion through ``handle_frame_stream`` and
-its reply buffers are appended to the connection's out-buffer; the loop
+its runs are framed onto the connection's out-buffer; the loop
 then sends at once, so a reply is one buffer and usually one ``send``,
 and waits for ``EVENT_WRITE`` only when the kernel took less than all
 of it.  Nothing — no read view, no lock — is held from one loop
@@ -55,8 +55,11 @@ from repro.errors import (
 from repro.protocol.wire import (
     MajorRequest,
     Reply,
+    Run,
     decode_replies,
+    encode_replies,
     encode_request,
+    str_row,
 )
 
 __all__ = [
@@ -77,10 +80,10 @@ class Dispatcher(Protocol):
         ...
 
     def handle_frame_stream(self, conn_id: int,
-                            frame: bytes) -> Iterator[bytes]:
-        """Process one request frame body; yields buffers of whole
-        length-prefixed reply frames, the last frame a final
-        (non-MR_MORE_DATA) status."""
+                            frame: bytes) -> Iterator[Run]:
+        """Process one request frame body; yields runs ``(code,
+        rows)``, one reply per row, the last a final (non-MR_MORE_DATA)
+        status."""
         ...
 
     def close_connection(self, conn_id: int) -> None:
@@ -98,27 +101,30 @@ class ClientConnection:
         The returned list always ends with the final (non-MR_MORE_DATA)
         reply; tuple replies precede it.
         """
-        replies = list(self.stream(major, args))
-        return replies
+        return list(self.stream(major, args))
 
     def stream(self, major: MajorRequest,
                args: list[bytes | str]) -> Iterator[Reply]:
         """Yield replies one at a time until the final status.
 
-        Each buffer the transport hands over is decoded in one loop; a
-        frame split across two buffers waits for the second."""
+        The transport hands over wire bytes, each buffer decoded in
+        one loop (a frame split across two waits for the second), or
+        a list of replies ready-made."""
         tail = b""
-        for chunk in self._roundtrip(encode_request(major, args)):
-            buf = tail + chunk if tail else chunk
-            replies, used = decode_replies(buf)
+        for item in self._roundtrip(encode_request(major, args)):
+            if type(item) is list:
+                replies = item
+            else:
+                buf = tail + item if tail else item
+                replies, used = decode_replies(buf)
+                tail = buf[used:]
             yield from replies
             if replies and replies[-1].code != MR_MORE_DATA:
                 return
-            tail = buf[used:]
         raise MoiraError(MR_ABORTED, "reply stream ended early")
 
-    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
-        """Send a request; yield the reply bytes as they arrive."""
+    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | list]:
+        """Send a request; yield the replies as they arrive."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -129,8 +135,16 @@ class ClientConnection:
 # -- in-process -------------------------------------------------------------------
 
 
+class _TextReply(Reply):
+    """A reply handed over in process: its fields are already text."""
+    __slots__ = ()
+
+    def str_fields(self) -> tuple[str, ...]:
+        return self.fields
+
+
 class InProcessTransport:
-    """Connects clients straight to a dispatcher, bytes and all."""
+    """Connects clients straight to a dispatcher."""
 
     def __init__(self, dispatcher: Dispatcher):
         self.dispatcher = dispatcher
@@ -147,13 +161,20 @@ class _InProcessConnection(ClientConnection):
         self.conn_id = conn_id
         self._open = True
 
-    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes]:
+    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | list]:
         if not self._open:
             raise MoiraError(MR_NOT_CONNECTED)
-        # a dispatcher takes a frame body and gives buffers of whole
-        # frames; a large retrieve flows run by run on this thread
-        yield from self.dispatcher.handle_frame_stream(
-            self.conn_id, request_frame[4:])
+        # a large retrieve flows run by run on this thread; wire bytes
+        # from a dispatcher are decoded as a TCP recv is
+        make = tuple.__new__
+        for run in self.dispatcher.handle_frame_stream(
+                self.conn_id, request_frame[4:]):
+            if type(run) is tuple:
+                code, rows = run
+                yield [make(_TextReply, (code, str_row(row)))
+                       for row in rows]
+            else:
+                yield run
 
     def close(self) -> None:
         """Tear down the connection."""
@@ -348,9 +369,9 @@ class TcpServerTransport:
                 break
             frame = bytes(buf[4:end])
             del buf[:end]
-            for reply in self.dispatcher.handle_frame_stream(
+            for code, rows in self.dispatcher.handle_frame_stream(
                     state.conn_id, frame):
-                out += reply
+                out += encode_replies(rows, code)
         return False
 
     def _send(self, sock: socket.socket, state: _ConnState) -> None:

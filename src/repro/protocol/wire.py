@@ -11,6 +11,7 @@ this module pins one down in its spirit:
 
 Query results stream as one reply per tuple with code ``MR_MORE_DATA``,
 terminated by a reply whose code is the final status (0 on success).
+A server yields it as runs, ``(code, rows)``; only a socket frames them.
 "Requests and replies also contain a version number, to allow clean
 handling of version skew" — mismatched versions raise
 ``MR_VERSION_MISMATCH``.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import (MoiraError, MR_ABORTED, MR_MORE_DATA,
                           MR_VERSION_MISMATCH)
@@ -36,6 +37,7 @@ __all__ = [
     "MajorRequest",
     "Request",
     "Reply",
+    "Run",
     "encode_request",
     "decode_request",
     "encode_reply",
@@ -43,7 +45,8 @@ __all__ = [
     "decode_reply",
     "decode_replies",
     "split_frames",
-    "read_frame",
+    "final",
+    "str_row",
     "pack_authenticator",
     "unpack_authenticator",
 ]
@@ -79,6 +82,9 @@ class Request:
     def str_args(self) -> list[str]:
         """Arguments decoded as UTF-8 strings."""
         return [a.decode("utf-8") for a in self.args]
+
+
+Run = tuple[int, Sequence[tuple]]   # (code, rows): one reply per row
 
 
 class Reply(NamedTuple):
@@ -228,6 +234,20 @@ def decode_replies(buf: bytes, offset: int = 0) -> tuple[list[Reply], int]:
     return replies, offset
 
 
+def final(code: int, fields: tuple = ()) -> Run:
+    """A final status reply, as the run of one it is streamed as."""
+    return code, (fields,)
+
+
+def str_row(row: Sequence) -> tuple[str, ...]:
+    """A row's fields as the text a TCP client decodes from them: a
+    ``str`` as it is, ``bytes`` as UTF-8, anything else as ``str()``."""
+    if bytes in map(type, row):
+        return tuple(f.decode() if isinstance(f, bytes) else str(f)
+                     for f in row)
+    return tuple(map(str, row))
+
+
 def split_frames(buf: bytes) -> list[bytes]:
     """A buffer of whole length-prefixed frames, one frame per element."""
     frames = []
@@ -237,35 +257,6 @@ def split_frames(buf: bytes) -> list[bytes]:
         frames.append(buf[offset:stop])
         offset = stop
     return frames
-
-
-def read_frame(recv) -> bytes:
-    """Read one length-prefixed frame via *recv(n) -> bytes*.
-
-    Raises MR_ABORTED on EOF mid-frame; returns b"" on clean EOF at a
-    frame boundary.
-    """
-    header = _read_exact(recv, 4, allow_eof=True)
-    if not header:
-        return b""
-    (length,) = struct.unpack(">I", header)
-    if length == 0 or length > MAX_FRAME:
-        raise MoiraError(MR_ABORTED, f"bad frame length {length}")
-    return _read_exact(recv, length, allow_eof=False)
-
-
-def _read_exact(recv, n: int, *, allow_eof: bool) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == n:
-                return b""
-            raise MoiraError(MR_ABORTED, "connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 # -- Kerberos authenticator packing ------------------------------------------------

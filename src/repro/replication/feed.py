@@ -58,7 +58,7 @@ from repro.errors import (
     MR_NO_HANDLE,
     MR_PERM,
 )
-from repro.protocol.wire import encode_replies, encode_reply
+from repro.protocol.wire import Run, final
 
 if TYPE_CHECKING:    # pragma: no cover
     from repro.server.moira_server import MoiraServer
@@ -119,8 +119,8 @@ def versions_json(versions: dict) -> str:
 
 def serve_repl_query(server: "MoiraServer", name: str,
                      args: Sequence[str],
-                     principal: str = "") -> Iterator[bytes]:
-    """Serve one `_repl_*` pseudo-query; yields encoded reply frames.
+                     principal: str = "") -> Iterator[Run]:
+    """Serve one `_repl_*` pseudo-query; yields runs of replies.
 
     *principal* is the connection's authenticated Kerberos identity
     ("" = unauthenticated).  On a server with a KDC, the data-bearing
@@ -144,7 +144,7 @@ def serve_repl_query(server: "MoiraServer", name: str,
     raise MoiraError(MR_NO_HANDLE, name)
 
 
-def _status(server: "MoiraServer") -> Iterator[bytes]:
+def _status(server: "MoiraServer") -> Iterator[Run]:
     with server.db.read_locked():
         seq = server.journal.current_seq()
         versions = server.db.versions()
@@ -156,30 +156,30 @@ def _status(server: "MoiraServer") -> Iterator[bytes]:
     # durably processed the WAL (compaction pins, like replica seqs)
     rows.extend((CURSOR_ROW, name, str(cursor_seq)) for name, cursor_seq
                 in sorted(server.journal.cursors().items()))
-    yield encode_replies(rows) + encode_reply(0)
+    yield MR_MORE_DATA, rows
+    yield final(0)
 
 
-def _snapshot(server: "MoiraServer") -> Iterator[bytes]:
+def _snapshot(server: "MoiraServer") -> Iterator[Run]:
     db = server.db
     # one shared-lock hold across the whole stream: the dump is a
     # consistent cut at the watermark (writers take the lock exclusively
     # and journal inside it, so the journal is quiescent here too)
     with db.read_locked():
         watermark = server.journal.current_seq()
-        yield encode_reply(MR_MORE_DATA,
-                           (META_ROW, str(watermark),
-                            versions_json(db.versions()),
-                            str(server.journal.epoch)))
+        yield MR_MORE_DATA, [(META_ROW, str(watermark),
+                              versions_json(db.versions()),
+                              str(server.journal.epoch))]
         for name in sorted(db.tables):
             table = db.tables[name]
-            for row in table.rows:
-                line = ":".join(escape_field(str(row[col]))
-                                for col in table.columns)
-                yield encode_reply(MR_MORE_DATA, (name, line))
-    yield encode_reply(0)
+            yield MR_MORE_DATA, [
+                (name, ":".join(escape_field(str(row[col]))
+                                for col in table.columns))
+                for row in table.rows]
+    yield final(0)
 
 
-def _tail(server: "MoiraServer", args: Sequence[str]) -> Iterator[bytes]:
+def _tail(server: "MoiraServer", args: Sequence[str]) -> Iterator[Run]:
     if not args:
         raise MoiraError(MR_ARGS, "_repl_tail wants after_seq [limit]")
     try:
@@ -192,12 +192,11 @@ def _tail(server: "MoiraServer", args: Sequence[str]) -> Iterator[bytes]:
     oldest, current, entries = server.journal.tail(after)
     if entries is None:
         # the checkpoint truncated past the replica: snapshot required
-        yield encode_reply(MR_MORE_DATA,
-                           (RESYNC_ROW, str(oldest), str(current)))
-        yield encode_reply(0)
+        yield MR_MORE_DATA, [(RESYNC_ROW, str(oldest), str(current))]
+        yield final(0)
         return
     if limit > 0:
         entries = entries[:limit]
-    yield encode_replies([(META_ROW, str(current), str(server.journal.epoch)),
-                          *map(entry_to_tuple, entries)])
-    yield encode_reply(0)
+    yield MR_MORE_DATA, [(META_ROW, str(current), str(server.journal.epoch)),
+                         *map(entry_to_tuple, entries)]
+    yield final(0)

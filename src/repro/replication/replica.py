@@ -76,11 +76,7 @@ from repro.errors import (
     MR_PERM,
 )
 from repro.protocol.transport import ClientConnection
-from repro.protocol.wire import (
-    MajorRequest,
-    encode_reply,
-    pack_authenticator,
-)
+from repro.protocol.wire import MajorRequest, Run, final, pack_authenticator
 from repro.replication.feed import (
     META_ROW,
     RESYNC_ROW,
@@ -129,18 +125,16 @@ class ReplicaMoiraServer(MoiraServer):
             rows.append((f"_repl.endpoint.{name}", f"{address} {role}"))
         return rows
 
-    def _do_query(self, conn, args) -> Iterator[bytes]:
+    def _do_query(self, conn, args) -> Iterator[Run]:
         # a promoted replica IS the primary: every gate below falls
         # away and the inherited server serves writes and the feed
         # from its own (new-epoch) journal
         if args and self.replica.role != "primary":
             name = args[0]
             if name == "_repl_status":
-                yield encode_reply(MR_MORE_DATA,
-                                   self.replica.status_tuple())
-                for row in self._endpoint_rows():
-                    yield encode_reply(MR_MORE_DATA, row)
-                yield encode_reply(0)
+                yield MR_MORE_DATA, [self.replica.status_tuple(),
+                                     *self._endpoint_rows()]
+                yield final(0)
                 return
             if name == "_repl_read":
                 yield from self._repl_read(conn, args[1:])
@@ -160,7 +154,7 @@ class ReplicaMoiraServer(MoiraServer):
                 for name, (address, role)
                 in sorted(self.repl_endpoints.items())]
 
-    def _repl_read(self, conn, args) -> Iterator[bytes]:
+    def _repl_read(self, conn, args) -> Iterator[Run]:
         if len(args) < 2:
             raise MoiraError(MR_ARGS,
                              "_repl_read wants min_seq, query, args...")

@@ -3,8 +3,9 @@
 Implements the transport ``Dispatcher`` interface: connections are
 opened/closed by a transport (TCP or in-process) and each request frame
 is decoded, dispatched on its major request number, and answered with
-one or more reply frames.  Query results stream back one tuple per
-reply with ``MR_MORE_DATA`` followed by a final status reply (§5.3).
+runs of replies, ``(code, rows)``: one tuple per ``MR_MORE_DATA`` reply,
+then a final status reply (§5.3).  Only the TCP transport frames them
+(and the byte adapters ``handle_frame`` / ``submit_frame``).
 
 The server opens its single database "backend" once at start-up (§5.4);
 every connection shares it.  Authentication is per-connection: after a
@@ -25,11 +26,9 @@ Concurrency (beyond the paper, after MCS's multithreaded engine):
 * A request runs to completion on the thread that hands the frame in:
   the TCP transport's one selector thread, or an in-process client's
   own thread.  The server owns no threads.
-* :meth:`handle_frame_stream` yields reply buffers as runs of tuples
-  are produced (:func:`~repro.queries.base.run_read`), each run framed
-  by one :func:`~repro.protocol.wire.encode_replies` call, so an
-  in-process client consumes a 10k-tuple retrieve as the scan runs
-  instead of after it.
+* :meth:`handle_frame_stream` yields each run of tuples as it is
+  produced (:func:`~repro.queries.base.run_read`), so an in-process
+  client consumes a 10k-tuple retrieve as the scan runs.
 
 Every query execution is folded into a per-handle
 :class:`~repro.server.metrics.QueryMetrics` row (calls, errors, tuples,
@@ -54,16 +53,17 @@ from repro.errors import (
     MR_ARGS,
     MR_BUSY,
     MR_INTERNAL,
+    MR_MORE_DATA,
     MR_NO_HANDLE,
     MR_PERM,
 )
 from repro.kerberos.kdc import KDC
 from repro.protocol.wire import (
     MajorRequest,
+    Run,
     decode_request,
-    encode_replies,
     encode_reply,
-    split_frames,
+    final,
     unpack_authenticator,
 )
 from repro.queries.base import (
@@ -230,21 +230,20 @@ class MoiraServer:
     def handle_frame(self, conn_id: int, frame: bytes) -> list[bytes]:
         """Decode, dispatch, and answer one request frame; one reply
         frame per element."""
-        return split_frames(b"".join(self.handle_frame_stream(conn_id,
-                                                              frame)))
+        return [encode_reply(code, row) for code, rows
+                in self.handle_frame_stream(conn_id, frame) for row in rows]
 
     def handle_frame_stream(self, conn_id: int,
-                            frame: bytes) -> Iterator[bytes]:
-        """The transports' entry: like :meth:`handle_frame`, but yields
-        buffers of reply frames as they are produced, so an in-process
-        caller consumes a large retrieve while the scan runs."""
+                            frame: bytes) -> Iterator[Run]:
+        """The transports' entry: answer one request frame with runs
+        ``(code, rows)`` as they are produced, the last a final status."""
         if self.faults is not None:
             # a ServerCrash armed here is a BaseException: it sails past
             # the blanket handlers below, exactly like a real SIGKILL
             self.faults.fire("server.frame", conn_id=conn_id)
         conn = self._connections.get(conn_id)
         if conn is None:
-            yield encode_reply(MR_INTERNAL)
+            yield final(MR_INTERNAL)
             return
         self.stats.incr("requests_handled")
         conn.requests += 1
@@ -252,11 +251,11 @@ class MoiraServer:
             request = decode_request(frame)
         except MoiraError as exc:
             self.stats.incr("errors_returned")
-            yield encode_reply(exc.code)
+            yield final(exc.code)
             return
         try:
             if request.major is MajorRequest.NOOP:
-                yield encode_reply(0)
+                yield final(0)
             elif request.major is MajorRequest.AUTHENTICATE:
                 yield from self._do_auth(conn, request.args)
             elif request.major is MajorRequest.QUERY:
@@ -266,14 +265,13 @@ class MoiraServer:
             elif request.major is MajorRequest.TRIGGER_DCM:
                 yield from self._do_trigger_dcm(conn)
             else:
-                yield encode_reply(MR_NO_HANDLE)
+                yield final(MR_NO_HANDLE)
         except MoiraError as exc:
             self.stats.incr("errors_returned")
-            yield encode_reply(exc.code, (exc.detail,) if exc.detail
-                               else ())
+            yield final(exc.code, (exc.detail,) if exc.detail else ())
         except Exception as exc:  # never crash the daemon on one request
             self.stats.incr("errors_returned")
-            yield encode_reply(MR_INTERNAL, (repr(exc),))
+            yield final(MR_INTERNAL, (repr(exc),))
 
     def submit_frame(self, conn_id: int, frame: bytes,
                      on_reply: Callable[[bytes], bool],
@@ -286,8 +284,8 @@ class MoiraServer:
         this method by name."""
         stream = self.handle_frame_stream(conn_id, frame)
         try:
-            for reply in (one for run in stream
-                          for one in split_frames(run)):
+            for reply in (encode_reply(code, row) for code, rows in stream
+                          for row in rows):
                 if not on_reply(reply):
                     break
         finally:
@@ -297,7 +295,7 @@ class MoiraServer:
 
     # -- major request handlers ---------------------------------------------------
 
-    def _do_auth(self, conn: _Connection, args: tuple[bytes, ...]) -> list[bytes]:
+    def _do_auth(self, conn: _Connection, args: tuple[bytes, ...]) -> list[Run]:
         if len(args) != 2:
             raise MoiraError(MR_ARGS, "auth wants clientname, authenticator")
         if self.kdc is None:
@@ -313,7 +311,7 @@ class MoiraServer:
         conn.principal = principal
         conn.client_name = client_name
         self.stats.incr("auth_successes")
-        return [encode_reply(0)]
+        return [final(0)]
 
     def _context_for(self, conn: _Connection) -> QueryContext:
         return QueryContext(
@@ -325,21 +323,14 @@ class MoiraServer:
         )
 
     def _do_query(self, conn: _Connection,
-                  args: list[str]) -> Iterator[bytes]:
+                  args: list[str]) -> Iterator[Run]:
         if not args:
             raise MoiraError(MR_ARGS, "query wants a handle name")
         name, query_args = args[0], args[1:]
-        if name == "_list_users":
-            yield from self._list_users()
-            return
-        if name == "_query_stats":
-            yield from self._query_stats(query_args)
-            return
-        if name == "_dcm_stats":
-            yield from self._dcm_stats()
-            return
-        if name == "_wal_stats":
-            yield from self._wal_stats()
+        pseudo = self._PSEUDO_QUERIES.get(name)
+        if pseudo is not None:
+            yield MR_MORE_DATA, pseudo(self, query_args)
+            yield final(0)
             return
         if name == "_repl_read":
             # the replica router's freshness wrapper — on a live
@@ -381,20 +372,20 @@ class MoiraServer:
                     self._poke_closure()
                 count = len(tuples)
                 if tuples:
-                    yield encode_replies(tuples)
+                    yield MR_MORE_DATA, tuples
                 self.stats.incr("tuples_returned", count)
                 failed = False
-                yield encode_reply(0)
+                yield final(0)
                 return
             # timing receives the view's snapshot counters; the
             # lock-wait histogram stays writer-only
             for run in run_read(ctx, query, query_args, timing):
                 count += len(run)
-                yield encode_replies(run)
+                yield MR_MORE_DATA, run
             self.stats.incr("queries_executed")
             self.stats.incr("tuples_returned", count)
             failed = False
-            yield encode_reply(0)
+            yield final(0)
         except GeneratorExit:
             failed = False  # client abandoned the stream; not a failure
             raise
@@ -459,7 +450,7 @@ class MoiraServer:
         self.access_cache.store(ctx.caller, query.name, args, True,
                                 generation=generation)
 
-    def _do_access(self, conn: _Connection, args: list[str]) -> list[bytes]:
+    def _do_access(self, conn: _Connection, args: list[str]) -> list[Run]:
         """The Access major request: would this query be allowed?"""
         if not args:
             raise MoiraError(MR_ARGS, "access wants a handle name")
@@ -470,16 +461,16 @@ class MoiraServer:
         check_argc(query, query_args)
         ctx = self._context_for(conn)
         self._checked_access(ctx, query, tuple(query_args))
-        return [encode_reply(0)]
+        return [final(0)]
 
-    def _do_trigger_dcm(self, conn: _Connection) -> list[bytes]:
+    def _do_trigger_dcm(self, conn: _Connection) -> list[Run]:
         ctx = self._context_for(conn)
         if not ctx.on_capability("trigger_dcm"):
             raise MoiraError(MR_PERM, "trigger_dcm")
         if self.dcm_trigger is None:
             raise MoiraError(MR_INTERNAL, "no DCM attached")
         self.dcm_trigger()
-        return [encode_reply(0)]
+        return [final(0)]
 
     def _poke_closure(self) -> None:
         """Opportunistically sync the membership-closure index after a
@@ -493,10 +484,10 @@ class MoiraServer:
         except Exception:
             pass
 
-    def _query_stats(self, query_args: list[str]) -> Iterator[bytes]:
+    def _query_stats(self, args: list[str]) -> list[tuple]:
         """The ``_query_stats`` pseudo-query: per-handle metrics rows,
         optionally filtered to one handle name (first argument)."""
-        handle = query_args[0] if query_args else None
+        handle = args[0] if args else None
         rows = list(self.metrics.report_tuples(handle))
         if handle is None:
             # engine-level MVCC counters ride along as two-column rows
@@ -507,7 +498,7 @@ class MoiraServer:
             # cluster topology rides along too: the same role/epoch/
             # endpoint rows _repl_status serves, visible from any node
             rows.extend(self.repl_stat_rows())
-        yield encode_replies(rows) + encode_reply(0)
+        return rows
 
     def repl_stat_rows(self) -> list[tuple[str, str]]:
         """``_repl.*`` topology rows for `_query_stats`: this node's
@@ -520,7 +511,7 @@ class MoiraServer:
             rows.append((f"_repl.endpoint.{name}", f"{address} {role}"))
         return rows
 
-    def _dcm_stats(self) -> Iterator[bytes]:
+    def _dcm_stats(self, args: list[str]) -> list[tuple]:
         """The ``_dcm_stats`` pseudo-query: the DCM's per-target
         retry/breaker rows (service, machine, breaker state, attempts,
         successes, soft, hard, breaker_opens, consecutive_soft), then —
@@ -534,9 +525,9 @@ class MoiraServer:
             rows.extend(map(tuple, self.dcm_stats()))
         if self.cdc_stats is not None:
             rows.extend(map(tuple, self.cdc_stats()))
-        yield encode_replies(rows) + encode_reply(0)
+        return rows
 
-    def _wal_stats(self) -> Iterator[bytes]:
+    def _wal_stats(self, args: list[str]) -> list[tuple]:
         """The ``_wal_stats`` pseudo-query: journal durability counters
         (appends, fsyncs, mean batch size, segments, retained entries)
         as ``_wal.*`` rows, then the write batcher's group-commit
@@ -545,9 +536,9 @@ class MoiraServer:
         rows = [("_wal." + key, str(stats[key])) for key in sorted(stats)]
         rows.extend(("_batch." + key, str(value)) for key, value
                     in sorted(self._write_batcher.occupancy().items()))
-        yield encode_replies(rows) + encode_reply(0)
+        return rows
 
-    def _list_users(self) -> list[bytes]:
+    def _list_users(self, args: list[str]) -> list[tuple]:
         rows = []
         with self._lock:
             for conn in self._connections.values():
@@ -555,4 +546,8 @@ class MoiraServer:
                 rows.append((conn.principal or "unauthenticated", host,
                              port or "0", str(conn.connect_time),
                              str(conn.conn_id)))
-        return [encode_replies(rows) + encode_reply(0)]
+        return rows
+
+    # pseudo-queries answered from the server's own state: name -> rows
+    _PSEUDO_QUERIES = {"_list_users": _list_users, "_wal_stats": _wal_stats,
+                       "_query_stats": _query_stats, "_dcm_stats": _dcm_stats}

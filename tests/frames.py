@@ -1,0 +1,37 @@
+"""Reading length-prefixed frames off a blocking byte source, for tests
+that drive a raw socket; the program itself reads frames only in the
+TCP transport's non-blocking loop."""
+
+from __future__ import annotations
+
+from repro.errors import MoiraError, MR_ABORTED
+from repro.protocol.wire import MAX_FRAME
+
+
+def read_frame(recv) -> bytes:
+    """Read one length-prefixed frame via *recv(n) -> bytes*.
+
+    Raises MR_ABORTED on EOF mid-frame; returns b"" on clean EOF at a
+    frame boundary.
+    """
+    header = _read_exact(recv, 4, allow_eof=True)
+    if not header:
+        return b""
+    length = int.from_bytes(header, "big")
+    if length == 0 or length > MAX_FRAME:
+        raise MoiraError(MR_ABORTED, f"bad frame length {length}")
+    return _read_exact(recv, length, allow_eof=False)
+
+
+def _read_exact(recv, n: int, *, allow_eof: bool) -> bytes:
+    chunks = []
+    remaining = n
+    while remaining:
+        chunk = recv(remaining)
+        if not chunk:
+            if allow_eof and remaining == n:
+                return b""
+            raise MoiraError(MR_ABORTED, "connection closed mid-frame")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)

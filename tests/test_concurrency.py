@@ -364,7 +364,9 @@ class _BigReply:
     frame, larger than every socket buffer on the path."""
 
     def __init__(self, size: int):
-        self.reply = size.to_bytes(4, "big") + bytes(size)
+        # one row of one field: with the reply head (8 bytes) and the
+        # field's count (4), a *size*-byte frame body
+        self.reply = (0, ((bytes(size - 12),),))
         self.closed = threading.Event()
 
     def open_connection(self, peer):

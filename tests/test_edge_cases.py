@@ -9,8 +9,9 @@ from repro.db.backup import rotate
 from repro.db.engine import Column, Table
 from repro.db.journal import Journal, JournalEntry
 from repro.errors import MoiraError, MR_ABORTED
-from repro.protocol.wire import MAX_ARG, encode_request, read_frame
+from repro.protocol.wire import MAX_ARG, encode_request
 from repro.protocol.wire import MajorRequest
+from tests.frames import read_frame
 
 
 class TestJournalFile:

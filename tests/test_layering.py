@@ -256,3 +256,75 @@ def test_the_thread_walk_catches_what_it_forbids():
         "lock = threading.Lock()\n"
         "done = threading.Event()\n")
     assert thread_sites(fine) == []
+
+
+# -- a reply is framed only where there is a wire ----------------------------------
+#
+# Handlers, pseudo-queries and the replication feed yield runs of rows;
+# the TCP transport frames them.  In the server only the byte adapters
+# ``handle_frame`` / ``submit_frame`` encode, for byte-level callers.
+
+REPLY_ENCODERS = {"encode_reply", "encode_replies"}
+RUN_LAYERS = ("queries", "replication", "dcm")
+BYTE_ADAPTERS = {"handle_frame", "submit_frame"}
+
+
+def encoder_sites(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(site, enclosing function)`` for each import of a reply
+    encoder from ``repro.protocol`` and each call of one."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("repro.protocol")):
+            found.extend((f"line {node.lineno}: import {alias.name}",
+                          function) for alias in node.names
+                         if alias.name in REPLY_ENCODERS)
+        elif (isinstance(node, ast.Call)
+                and terminal_name(node.func) in REPLY_ENCODERS):
+            found.append((f"line {node.lineno}: "
+                          f"{ast.unparse(node.func)}(...)", function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_handlers_and_the_feed_yield_rows_not_frames():
+    for layer in RUN_LAYERS:
+        for path in sorted((SRC / layer).rglob("*.py")):
+            sites = encoder_sites(ast.parse(path.read_text(encoding="utf-8")))
+            assert sites == [], (str(path.relative_to(SRC)), sites)
+
+
+def test_only_the_byte_adapters_encode_in_the_server():
+    calls = {}
+    for path in sorted((SRC / "server").rglob("*.py")):
+        for site, function in encoder_sites(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            if "import" not in site:
+                calls.setdefault(function, []).append(site)
+    assert set(calls) == BYTE_ADAPTERS, calls
+
+
+def test_the_encoder_walk_catches_what_it_forbids():
+    bad = ast.parse(
+        "from repro.protocol.wire import encode_reply, final\n"
+        "from repro.protocol import encode_replies\n"
+        "def _do_query(self):\n"
+        "    yield encode_replies(rows)\n"
+        "    yield wire.encode_reply(0)\n")
+    assert encoder_sites(bad) == [
+        ("line 1: import encode_reply", "<module>"),
+        ("line 2: import encode_replies", "<module>"),
+        ("line 4: encode_replies(...)", "_do_query"),
+        ("line 5: wire.encode_reply(...)", "_do_query")]
+    fine = ast.parse(
+        "from repro.protocol.wire import final, str_row\n"
+        "def _do_query(self):\n"
+        "    yield MR_MORE_DATA, rows\n"
+        "    yield final(0)\n")
+    assert encoder_sites(fine) == []

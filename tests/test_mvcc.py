@@ -144,13 +144,14 @@ class TestConsistentCut:
         count = RUN_ROWS + 6    # more than one run of the lazy retrieve
         for k in range(count):
             direct.query("add_machine", f"STREAM{k}.MIT.EDU", "RT")
-        from repro.protocol.wire import (MajorRequest, encode_request,
-                                         split_frames)
+        from repro.protocol.wire import (MajorRequest, encode_replies,
+                                         encode_request, split_frames)
         conn_id = d.server.open_connection("mvcc-stream")
         d.server._connections[conn_id].principal = d.handles.logins[0]
         frame = encode_request(MajorRequest.QUERY,
                                ["get_machine", "STREAM*.MIT.EDU"])[4:]
-        stream = d.server.handle_frame_stream(conn_id, frame)
+        stream = (encode_replies(rows, code) for code, rows
+                  in d.server.handle_frame_stream(conn_id, frame))
         first = next(stream)  # the read has pinned its snapshot
         direct.query("add_machine", "STREAMX.MIT.EDU", "RT")
         rest = list(stream)

@@ -23,15 +23,11 @@ from repro.errors import MR_ABORTED, MR_MORE_DATA, MR_NO_MATCH, \
     MR_NOT_CONNECTED
 from repro.kerberos import KDC
 from repro.protocol.transport import TcpServerTransport, connect_tcp
-from repro.protocol.wire import (
-    MajorRequest,
-    decode_reply,
-    encode_request,
-    read_frame,
-)
+from repro.protocol.wire import MajorRequest, decode_reply, encode_request
 from repro.queries.base import RUN_ROWS, QueryContext, execute_query
 from repro.server import MoiraServer, seed_capacls
 from repro.sim.clock import Clock
+from tests.frames import read_frame
 from tests.test_protocol import reference_frame
 
 MACHINES = 5
