@@ -1,23 +1,22 @@
-"""A mixed-footprint durable write storm: three writer shards vs one.
+"""A mixed-footprint durable write storm.
 
 N admin clients write as fast as they can for a fixed window, each
-rotating through four footprints — ``update_user_shell`` (users
-shard), ``add_cluster`` (machines), ``add_zephyr_class`` (quota +
-users) and ``add_machine`` (machines + quota) — against a deployment
-with an fsync'd WAL.  The traffic arrives one of two ways:
+rotating through four footprints — ``update_user_shell`` (users),
+``add_cluster`` (machines), ``add_zephyr_class`` (zephyr + users) and
+``add_machine`` (machines + quota) — against a deployment with an
+fsync'd WAL.  The traffic arrives one of two ways:
 
 * ``tcp`` — N TCP connections to one transport, whose one selector
-  thread runs every request to completion;
-* ``inproc`` — N client threads calling the server in-process, so
-  writes can queue in a lane while its leader holds the window.
+  thread runs every ready request, then syncs once for all of them;
+* ``inproc`` — N client threads calling the server in-process, each
+  syncing before it takes its reply, so a thread whose write another
+  thread's fsync covered skips its own.
 
-``one`` collapses ``repro.db.schema.SHARD_MAP`` into a single shard
-holding every relation before the world is built; ``three`` keeps the
-standard map.  The script prints writes per second and, from the
-server's own ``_wal_stats`` rows, the group-commit window's mean size
+The script prints writes per second and, from the server's own
+``_wal_stats`` rows, the mean group-commit window (appends per fsync)
 and fsyncs per write over the window.
 
-Run with:  PYTHONPATH=src python benchmarks/write_storm.py tcp three
+Run with:  PYTHONPATH=src python benchmarks/write_storm.py tcp
            [--clients 8] [--seconds 8] [--seed 1]
 """
 
@@ -26,8 +25,6 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-
-from repro.db import schema
 
 PASSWORD = "pw"
 
@@ -61,14 +58,10 @@ def counters(client) -> dict[str, int]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("mode", choices=("tcp", "inproc"))
-    parser.add_argument("shards", choices=("three", "one"))
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    if args.shards == "one":
-        schema.SHARD_MAP = {"all": tuple(
-            table for group in schema.SHARD_MAP.values() for table in group)}
 
     from repro.client import MoiraClient
     from repro.core import AthenaDeployment, DeploymentConfig
@@ -123,7 +116,7 @@ def main() -> None:
         after = counters(clients[0])
         delta = {key: after[key] - before[key] for key in after}
 
-        print(f"mode={args.mode} shards={args.shards} "
+        print(f"mode={args.mode} "
               f"clients={args.clients} seed={args.seed} "
               f"writes={sum(done)} failed={sum(failed)} "
               f"writes_per_s={sum(done) / elapsed:.0f} "

@@ -130,23 +130,18 @@ class StorageBackend(abc.ABC):
         one consistent committed cut for the life of the ``with``."""
 
     @abc.abstractmethod
-    def write_txn(self, shards=None, *, commit_hook=None,
-                  abort_hook=None):
+    def write_txn(self, *, commit_hook=None, abort_hook=None):
         """Context manager running its body as one writer transaction.
 
         Yields a transaction with ``.seq`` (commit seq, 0 when the
         backend has none), ``.bindings`` (ids/strings consumed, or
         None) and ``.mutated`` (names of the tables whose data version
-        moved; complete once the ``with`` exits).  *shards* narrows
-        writer exclusion where the backend has writer shards (None =
-        every shard).  ``commit_hook(txn)`` runs exactly once on normal
+        moved; complete once the ``with`` exits).  ``commit_hook(txn)``
+        runs exactly once on normal
         exit and ``abort_hook(txn)`` on an exception, both before the
         backend's locks drop — which is what keeps journal order equal
         to commit order.
         """
-
-    # writer-shard map (shard name -> table names); None = one writer
-    shards: Optional[dict] = None
 
     def read_stats(self) -> dict:
         """What a finished read cost, as per-handle metric fields
@@ -156,8 +151,8 @@ class StorageBackend(abc.ABC):
 
     def gc_if_due(self) -> None:
         """Reclaim storage no reader can still see, if enough has
-        accumulated.  The write path calls it after a commit window
-        (or a library write) with no lock held; the default backend
+        accumulated.  The write path calls it after each write with
+        no lock held; the default backend
         keeps no history."""
 
     # -- capabilities (DESIGN.md §17) ------------------------------------
@@ -199,19 +194,6 @@ class StorageBackend(abc.ABC):
         commit order already, so the default re-allocates naturally."""
         return nullcontext()
 
-    def shards_for(self, tables) -> Optional[frozenset]:
-        """The writer shards covering *tables*, or None for full
-        exclusion."""
-        return None
-
-    def hold_shards(self, shards, on_wait: Optional[Callable] = None
-                    ) -> ContextManager:
-        """Hold the writer locks of *shards* across several
-        ``write_txn(shards)`` bodies (a group-commit window);
-        ``on_wait(lock_name, seconds)`` observes each acquisition.
-        With one writer lock every ``write_txn`` takes it itself."""
-        return nullcontext()
-
     def membership_closure(self):
         """The membership-closure index, or None when there is none
         (the caller walks the ``members`` relation instead)."""
@@ -227,7 +209,7 @@ class StorageBackend(abc.ABC):
 
 
 class LockTxn:
-    """``write_txn()`` for a backend without shard transactions: the
+    """``write_txn()`` for a backend without transactions: the
     exclusive ``db.lock``, no commit seq, no bindings, no undo —
     ``mutated`` is the ``versions()`` diff across the body."""
 

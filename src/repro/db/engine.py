@@ -65,6 +65,12 @@ from repro.errors import (
 
 Row = dict  # rows are plain dicts; Table owns their lifecycle
 
+# Moira's system relations: the ``values`` id hints and the ``strings``
+# heap live outside MVCC (snapshot reads see the live table) and, like
+# Moira's id counters, never roll back — an aborted writer's ids and
+# strings stay consumed, journaled as its ``_aborted`` bindings.
+SYSTEM_TABLES = frozenset({"values", "strings"})
+
 __all__ = ["Column", "Table", "TableChange", "Database", "Row",
            "WildcardPattern"]
 
@@ -72,23 +78,18 @@ __all__ = ["Column", "Table", "TableChange", "Database", "Row",
 class _Txn:
     """One writer transaction.
 
-    Created either by :meth:`Database.write_txn` (a query holding just
-    the shards it touches, or all of them) or by the
-    :class:`_ShardedTxnLock` facade (``with db.lock:`` — every shard,
-    the seed's total exclusion).  The commit seq is assigned lazily at
-    the first mutation, *while the shard locks are held*, so version
-    chains stay monotone per record; publication goes through the
-    database's commit gate so seqs become visible — and reach the
-    journal — in strictly increasing order.
+    Created either by :meth:`Database.write_txn` or by the
+    :class:`_WriterLock` facade (``with db.lock:``, for whole-database
+    operations).  The commit seq is assigned lazily at the first
+    mutation, *while the writer lock is held*, so version chains stay
+    monotone per record; publication goes through the database's
+    commit gate so seqs become visible — and reach the journal — in
+    strictly increasing order.
     """
 
-    __slots__ = ("shards", "all_shards", "facade", "depth", "seq",
-                 "undo", "mutated", "bindings")
+    __slots__ = ("facade", "depth", "seq", "undo", "mutated", "bindings")
 
-    def __init__(self, shards: tuple, *, all_shards: bool,
-                 facade: bool, undo: bool):
-        self.shards = shards            # sorted shard names held
-        self.all_shards = all_shards
+    def __init__(self, *, facade: bool, undo: bool):
         self.facade = facade            # owned by the db.lock facade
         self.depth = 1
         self.seq = 0                    # 0 = no commit seq assigned yet
@@ -109,45 +110,34 @@ class _Txn:
         b.setdefault("intern", {})[text] = string_id
 
 
-class _ShardedTxnLock:
-    """``db.lock``: all writer shards, in order.
+class _WriterLock:
+    """``db.lock``: the one writer lock.
 
-    Exclusive mode (``with db.lock:``) takes every shard's writer side
-    in sorted-name order (the same global order every shard transaction
-    uses, so no acquisition cycles exist), shared mode
-    (``read_locked()``) every reader side.  The first exclusive hold by a
-    thread opens an all-shards transaction and the outermost release
-    commits it, preserving the seed's ``with db.lock:`` semantics
-    byte for byte: whole-database operations (restore, replica reload,
-    version GC) get one commit seq per lock hold and never roll back.
+    Exclusive mode (``with db.lock:``) takes the writer side, shared
+    mode (``read_locked()``) the reader side.  The first exclusive hold
+    by a thread opens a facade transaction and the outermost release
+    commits it, preserving the seed's ``with db.lock:`` semantics:
+    whole-database operations (restore, replica reload, version GC) get
+    one commit seq per lock hold and never roll back.  A write
+    transaction re-entering it keeps its own transaction.
     """
 
     def __init__(self, db: "Database") -> None:
         self._db = db
-        self._names = tuple(sorted(db._shard_locks))
-        self._locks = [db._shard_locks[name] for name in self._names]
+        self._lock = db._writer
 
-    # -- exclusive ----------------------------------------------------------
+    def __enter__(self) -> "_WriterLock":
+        self._lock.acquire_exclusive()
+        txns, me = self._db._txns, threading.get_ident()
+        txn = txns.get(me)
+        if txn is None:
+            txns[me] = _Txn(facade=True, undo=False)
+        elif txn.facade:
+            txn.depth += 1
+        return self
 
-    def acquire_exclusive(self) -> None:
-        for lock in self._locks:
-            lock.acquire_exclusive()
-        db = self._db
-        me = threading.get_ident()
-        txn = db._txns.get(me)
-        if txn is not None:
-            if txn.facade:
-                txn.depth += 1
-            # a shard txn re-entering via the facade keeps its own txn:
-            # the extra locks are plain re-entrant holds (it already
-            # owns a subset; the rest are fresh but commit-free)
-            return
-        db._txns[me] = _Txn(self._names, all_shards=True,
-                            facade=True, undo=False)
-
-    def release_exclusive(self) -> None:
-        db = self._db
-        me = threading.get_ident()
+    def __exit__(self, *exc_info) -> None:
+        db, me = self._db, threading.get_ident()
         txn = db._txns.get(me)
         if txn is not None and txn.facade:
             if txn.depth == 1:
@@ -155,87 +145,14 @@ class _ShardedTxnLock:
                 db._facade_commit(txn)
             else:
                 txn.depth -= 1
-        for lock in reversed(self._locks):
-            lock.release_exclusive()
+        self._lock.release_exclusive()
 
-    # -- shared -------------------------------------------------------------
-
-    def acquire_shared(self) -> None:
-        for lock in self._locks:
-            lock.acquire_shared()
-
-    def release_shared(self) -> None:
-        for lock in reversed(self._locks):
-            lock.release_shared()
-
-    # -- context managers (``read_locked()`` / ``with db.lock:``) -----------
-
-    @contextmanager
     def shared(self):
-        self.acquire_shared()
-        try:
-            yield
-        finally:
-            self.release_shared()
-
-    def __enter__(self) -> "_ShardedTxnLock":
-        self.acquire_exclusive()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release_exclusive()
+        return self._lock.shared()
 
     @property
     def write_locked(self) -> bool:
-        return any(lock.write_locked for lock in self._locks)
-
-
-class _ShardTxnContext:
-    """Context manager behind :meth:`Database.write_txn`."""
-
-    def __init__(self, db: "Database", shard_names, commit_hook,
-                 abort_hook):
-        self._db = db
-        self._names = (None if shard_names is None
-                       else tuple(shard_names))
-        self._commit_hook = commit_hook
-        self._abort_hook = abort_hook
-        self._locks: list[RWLock] = []
-        self._txn: Optional[_Txn] = None
-
-    def __enter__(self) -> _Txn:
-        db = self._db
-        if db._active_txn() is not None:
-            raise MoiraError(MR_INTERNAL, "nested shard transaction")
-        if self._names is None or db.shards is None:
-            # undeclared shards: every footprint is the one shard
-            names = tuple(sorted(db._shard_locks))
-        else:
-            names = db._sorted_shards(self._names)
-        for name in names:              # sorted order: no cycles
-            lock = db._shard_locks[name]
-            lock.acquire_exclusive()
-            self._locks.append(lock)
-        txn = _Txn(names,
-                   all_shards=(len(names) == len(db._shard_locks)),
-                   facade=False, undo=True)
-        db._txns[threading.get_ident()] = txn
-        self._txn = txn
-        return txn
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        db = self._db
-        txn = self._txn
-        try:
-            db._txns.pop(threading.get_ident(), None)
-            if exc_type is None:
-                db._txn_commit(txn, self._commit_hook)
-            else:
-                db._txn_abort(txn, self._abort_hook)
-        finally:
-            for lock in reversed(self._locks):
-                lock.release_exclusive()
-        return False
+        return self._lock.write_locked
 
 
 # Characters Moira rejects in checked string fields (names, logins...).
@@ -977,12 +894,12 @@ class Table(StorageTable):
                     loaded, seq, prev_modtime))
 
     # -- abort undo ---------------------------------------------------------
-    # Shard transactions (the server's batched write path) roll back a
-    # failing write's own mutations so one bad write in a commit window
-    # cannot poison its neighbors.  Undo restores logical row state and
-    # scan order exactly (the mrbackup oracle dumps scan order); hash-
-    # bucket order within an index may differ from the never-mutated
-    # ordering, which is invisible to the dump and to any exact lookup.
+    # Write transactions roll back a failing write's own mutations, so
+    # a bad write leaves nothing behind for the writes after it.  Undo
+    # restores logical row state and scan order exactly (the mrbackup
+    # oracle dumps scan order); hash-bucket order within an index may
+    # differ from the never-mutated ordering, which is invisible to the
+    # dump and to any exact lookup.
     # Compensating _bump() entries keep the changelog consistent for
     # incremental DCM consumers instead of rewinding versions.
 
@@ -1202,10 +1119,9 @@ class Database(StorageBackend):
     The server holds exactly one Database (the paper's "one backend at
     daemon start-up").  Every query goes through one of two verbs:
     :meth:`read_view` pins a committed snapshot and takes no lock;
-    :meth:`write_txn` takes writer exclusion and commits through the
-    in-order gate.  A fresh database is one writer shard;
-    :meth:`declare_shards` splits it by relation group.  ``with
-    db.lock:`` means total exclusion, for whole-database operations.
+    :meth:`write_txn` takes the one writer lock and commits through
+    the in-order gate.  ``with db.lock:`` is the same lock, for
+    whole-database operations.
     Concurrency control at the *service/host* level is the DCM
     LockManager's job, not ours.
     """
@@ -1221,29 +1137,19 @@ class Database(StorageBackend):
         self._closure = None
         # -- MVCC state (docs/STORAGE_ENGINE.md) --------------------------
         # snapshot readers pin `_committed_seq` and scan the version
-        # stores lock-free; only the writer side of the shard locks is
-        # ever contended.
+        # stores lock-free; only the writer lock is ever contended.
         self._committed_seq = 0
-        # -- writer sharding (docs/WRITE_PATH.md) -------------------------
-        # one shard until declare_shards() splits writer-writer
-        # exclusion by relation group; `lock` takes every shard
-        self.shards: Optional[dict[str, tuple]] = None
-        self._shard_locks: dict[str, RWLock] = {"all": RWLock()}
-        self._shard_of: dict[str, str] = {}
-        self._unversioned: set[str] = set()
+        # -- the one writer (docs/WRITE_PATH.md) --------------------------
+        self._writer = RWLock()
         self._txns: dict[int, _Txn] = {}
-        self.lock = _ShardedTxnLock(self)
-        # leaf latch for the system relations (values, strings): id
-        # allocation and string interning serialize here instead of on
-        # the shard locks, so a shard transaction can allocate without
-        # escalating to every shard (which would deadlock two partial
-        # holders against each other)
+        self.lock = _WriterLock(self)
+        # the SYSTEM_TABLES serialize on this leaf latch, which readers
+        # take too
         self._sys_latch = threading.RLock()
         # WAL-replay id scripting: thread ident -> {hint: [values]}.
-        # Under concurrent shard commits, id allocations interleave in
-        # an order that differs from commit-seq order, so a serial
-        # replay must consume the journaled bindings instead of
-        # re-allocating naturally (see recovery.apply_entries).
+        # An aborted writer's ids stay consumed, so a replay must
+        # consume the journaled bindings instead of re-allocating
+        # naturally (see recovery.apply_entries).
         self._scripted_ids: dict[int, dict[str, list]] = {}
         # the commit gate: `_seq_alloc` hands out seqs, `_seq_cond`
         # publishes them to `_committed_seq` in strictly increasing
@@ -1290,123 +1196,51 @@ class Database(StorageBackend):
         return self.lock.shared()
 
     def system_latch(self) -> ContextManager[None]:
-        """The leaf latch over ``values`` and ``strings`` once shards
-        are declared (a shard transaction must never escalate to the
-        full lock — two partial holders would deadlock); before that,
-        the one shard, where they live."""
-        return self._sys_latch if self.shards is not None else self.lock
+        """The leaf latch over ``values`` and ``strings``."""
+        return self._sys_latch
 
     def create_table(self, table: Table) -> Table:
         """Register a new relation."""
         if table.name in self.tables:
             raise ValueError(f"table {table.name} already exists")
         self.tables[table.name] = table
-        if table._mv is None and table.name not in self._unversioned:
+        if table._mv is None and table.name not in SYSTEM_TABLES:
             from repro.db.mvcc import TableVersionStore
             table._mv = TableVersionStore(self, table)
         return table
 
-    # -- writer sharding ------------------------------------------------------
-
-    def declare_shards(self, shards: dict, *,
-                       system: Iterable[str] = ()) -> None:
-        """Split writer–writer exclusion by relation group.
-
-        *shards* maps shard name -> iterable of table names; every
-        declared table gets its mutations guarded by that shard's
-        RWLock instead of the one shard's.  *system* tables (the
-        ``values`` hint variables and the ``strings`` heap) belong to
-        no shard: they detach from MVCC (snapshot reads fall back to
-        the live table) and serialize on the ``_sys_latch`` leaf lock,
-        so any shard transaction can allocate ids or intern strings
-        without touching other shards.
-
-        ``db.lock`` takes every shard in sorted-name order — ``with
-        db.lock:`` still means total exclusion, one commit seq per
-        hold.  Call once, on a quiescent database.
-        """
-        if self.shards is not None:
-            raise ValueError("shards already declared")
-        self.shards = {name: tuple(sorted(tables))
-                       for name, tables in sorted(shards.items())}
-        self._shard_locks = {name: RWLock() for name in self.shards}
-        self._shard_of = {}
-        for shard_name, tables in self.shards.items():
-            for table_name in tables:
-                if table_name in self._shard_of:
-                    raise ValueError(
-                        f"table {table_name!r} in two shards")
-                self._shard_of[table_name] = shard_name
-        self._unversioned = set(system)
-        for table_name in self._unversioned:
-            table = self.tables.get(table_name)
-            if table is not None:
-                table._mv = None
-        self.lock = _ShardedTxnLock(self)
-
-    def _sorted_shards(self, names: Iterable[str]) -> tuple:
-        """*names* in the one global acquisition order (sorted, so no
-        two holders can cycle); MR_INTERNAL on an undeclared shard."""
-        names = tuple(sorted(set(names)))
-        unknown = [n for n in names if n not in self._shard_locks]
-        if unknown:
-            raise MoiraError(MR_INTERNAL, f"unknown shards {unknown}")
-        return names
-
-    def shards_for(self, tables) -> Optional[frozenset]:
-        """Map a table footprint onto writer shard names; None (full
-        exclusion) while shards are undeclared or when a table lies
-        outside every shard.  System tables are shard-free and ignored."""
-        if not self.shards:
-            return None
-        out = set()
-        for name in tables:
-            shard = self._shard_of.get(name)
-            if shard is not None:
-                out.add(shard)
-            elif name not in self._unversioned:
-                return None
-        return frozenset(out)
-
     @contextmanager
-    def hold_shards(self, shards, on_wait: Optional[Callable] = None):
-        """Hold *shards*' writer locks (in sorted order, exactly as a
-        transaction over them will) so the ``write_txn`` bodies inside
-        re-enter instead of re-acquiring."""
-        held = []
-        try:
-            for name in self._sorted_shards(shards):
-                lock = self._shard_locks[name]
-                waited = time.perf_counter()
-                lock.acquire_exclusive()
-                held.append(lock)
-                if on_wait is not None:
-                    on_wait(name, time.perf_counter() - waited)
-            yield
-        finally:
-            for lock in reversed(held):
-                lock.release_exclusive()
+    def write_txn(self, *, commit_hook: Optional[Callable] = None,
+                  abort_hook: Optional[Callable] = None) -> Iterator[_Txn]:
+        """The write verb: a writer transaction.
 
-    def write_txn(self, shards: Optional[Iterable[str]] = None, *,
-                  commit_hook: Optional[Callable] = None,
-                  abort_hook: Optional[Callable] = None):
-        """The write verb: a writer transaction over just *shards*
-        (None = all; every footprint is the one shard until
-        :meth:`declare_shards`).
-
-        Acquires the named shards' writer locks in sorted order, runs
-        the body as one transaction, and on normal exit commits through
-        the gate: the commit seq publishes — and *commit_hook(txn)*
-        (the journal append) runs — only once every earlier seq has
-        published, so journal order is commit-seq order.  On exception
-        the transaction's own mutations are undone (reverse order) and
-        the seq still publishes as an abort so later writers don't
-        stall; *abort_hook(txn)* runs (in the gate, when the
-        transaction took a seq) so the caller can journal id/string
-        bindings that survive the abort — declared system tables are
-        not rolled back, and replay must reproduce them.
+        Takes the writer lock, runs the body as one transaction, and on
+        normal exit commits through the gate: the commit seq publishes
+        — and *commit_hook(txn)* (the journal append) runs — only once
+        every earlier seq has published, so journal order is commit-seq
+        order.  On exception the transaction's own mutations are undone
+        (reverse order) and the seq still publishes as an abort so
+        later writers don't stall; *abort_hook(txn)* runs (in the gate,
+        when the transaction took a seq) so the caller can journal
+        id/string bindings that survive the abort — the system tables
+        are not rolled back, and replay must reproduce them.
         """
-        return _ShardTxnContext(self, shards, commit_hook, abort_hook)
+        me = threading.get_ident()
+        if me in self._txns:
+            raise MoiraError(MR_INTERNAL, "nested write transaction")
+        self._writer.acquire_exclusive()
+        txn = self._txns[me] = _Txn(facade=False, undo=True)
+        try:
+            try:
+                yield txn
+            except BaseException:
+                del self._txns[me]
+                self._txn_abort(txn, abort_hook)
+                raise
+            del self._txns[me]
+            self._txn_commit(txn, commit_hook)
+        finally:
+            self._writer.release_exclusive()
 
     def read_view(self):
         """The read verb: pin the committed seq; the
@@ -1426,12 +1260,10 @@ class Database(StorageBackend):
     def intern_string(self, text: str, *, now: int = 0) -> int:
         """The string_id for *text*, creating it if new.
 
-        The strings heap is shard-free and serializes on the system
-        latch, so any shard transaction can intern without escalating.
-        The id — found or allocated — is recorded as a binding on the
-        transaction: the looking-up transaction can commit before its
-        allocator, so replay (commit-seq order) must be able to
-        pre-seed the row.
+        The strings heap serializes on the system latch.  The id —
+        found or allocated — is recorded as a binding on the
+        transaction, so replay can pre-seed the row even when its
+        allocator aborted.
         """
         with self.system_latch():
             string_id = super().intern_string(text, now=now)
@@ -1450,8 +1282,7 @@ class Database(StorageBackend):
         journaled value for *hint* instead of the hint variable's
         current value (the hint is still advanced past the consumed
         id).  This is how replay reproduces the exact id trajectory of
-        a concurrent run, where allocations interleaved across
-        transactions in non-commit order.
+        a run whose aborted writers consumed ids.
         """
         ident = threading.get_ident()
         queues = {hint: list(vals) for hint, vals
@@ -1514,14 +1345,13 @@ class Database(StorageBackend):
 
     def _txn_commit(self, txn: "_Txn",
                     hook: Optional[Callable]) -> None:
-        """Commit a shard transaction through the gate.
+        """Commit a write transaction through the gate.
 
         Every committed write consumes one seq — even a mutation-free
         one — so its journal entry (appended by *hook* inside the
         gate) lands in a strict, gap-checkable seq order.  Version GC
-        is deliberately *not* triggered here: it takes every shard,
-        and this thread may hold only a subset — callers run
-        :meth:`gc_if_due` after releasing their locks instead.
+        is not triggered here: callers run :meth:`gc_if_due` after the
+        writer lock drops.
         """
         if txn.seq == 0:
             self._alloc_seq(txn)
@@ -1530,7 +1360,7 @@ class Database(StorageBackend):
 
     def _txn_abort(self, txn: "_Txn",
                    hook: Optional[Callable]) -> None:
-        """Undo a failed shard transaction and publish its seq.
+        """Undo a failed write transaction and publish its seq.
 
         The transaction's own versions and live-table mutations are
         rolled back in reverse order; its seq still publishes (as an
@@ -1558,8 +1388,8 @@ class Database(StorageBackend):
         """The commit seq for one mutation statement.
 
         Inside a transaction every statement shares the transaction's
-        seq (assigned lazily, while the transaction's shard locks are
-        held, so per-record version chains stay monotone); an unlocked
+        seq (assigned lazily, while the writer lock is held, so
+        per-record version chains stay monotone); an unlocked
         statement (single-threaded setup: schema seeding, population
         load, tests) auto-commits — ``(seq, auto)`` where *auto* tells
         :meth:`_mv_finish` to publish immediately.
@@ -1567,13 +1397,6 @@ class Database(StorageBackend):
         txn = self._txns.get(threading.get_ident())
         if txn is None:
             return self._alloc_seq(), True
-        shard = self._shard_of.get(table.name)
-        if not txn.all_shards and (shard is None
-                                   or shard not in txn.shards):
-            raise MoiraError(
-                MR_INTERNAL,
-                f"mutation of {table.name!r} outside the "
-                f"transaction's shards {txn.shards}")
         txn.mutated.add(table.name)
         if txn.seq == 0:
             self._alloc_seq(txn)
@@ -1656,8 +1479,7 @@ class Database(StorageBackend):
 
     def gc_if_due(self) -> None:
         """Run :meth:`gc_versions` once ``mv_gc_threshold`` reclaimable
-        versions have accumulated.  It takes every shard, so a caller
-        holding only some of them must release those first."""
+        versions have accumulated."""
         if self._mv_pressure >= self.mv_gc_threshold:
             self.gc_versions()
 
@@ -1714,10 +1536,8 @@ class Database(StorageBackend):
     def next_id(self, hint_name: str, *, now: int = 0) -> int:
         """Allocate the next unique internal ID from a hint variable.
 
-        On a sharded database the hint lives outside every shard and
-        the allocation serializes on the system-table leaf latch — a
-        shard transaction must never escalate to the full lock here
-        (two partial holders would deadlock).  The allocated value is
+        The allocation serializes on the system latch.  The allocated
+        value is
         recorded in the transaction's bindings so WAL replay can
         reproduce the hint trajectory even past aborted writers.
         """

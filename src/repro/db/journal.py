@@ -20,11 +20,18 @@ malformed input with ``ValueError`` instead of arbitrary exceptions, and
 :meth:`Journal.load` stops cleanly at a torn final record (the expected
 artifact of dying mid-append).
 
-Group commit is the caller's: ``record(fsync=False)`` appends without
-forcing the disk and one :meth:`Journal.sync` makes every deferred
-append durable — the server's commit window does exactly that and
-acknowledges nothing before the sync returns (docs/WRITE_PATH.md).
-:meth:`truncate` and :meth:`close` flush deferred appends too.
+Group commit is :meth:`sync`, the one durability point:
+``record(fsync=False)`` appends without forcing the disk and one
+``sync()`` makes every append so far durable.  A caller whose appends a
+concurrent ``sync()`` already fsync'd returns without an fsync of its
+own; the fsync itself runs outside the append lock, so writers keep
+appending while it runs.  The server releases no reply before the sync
+that covers it (docs/WRITE_PATH.md).  :meth:`truncate` and
+:meth:`close` flush deferred appends too.
+
+A :class:`Journal` built with a *path* that already holds a log adopts
+it, as :meth:`load` does, and numbers its next append after the
+highest seq on disk.
 
 **Segments** — the WAL is stored as ``wal.<first_seq>`` segment
 files.  :meth:`truncate` at a checkpoint *unlinks* whole covered
@@ -41,8 +48,8 @@ starts at ``old epoch + 1`` (stamped durably as a ``{"_hdr":"epoch"}``
 header line, restored by :meth:`load`), and :meth:`fence` marks the
 old primary's journal as superseded: subsequent :meth:`sync` calls
 (the group-commit durability point) and fsync'ing :meth:`record` calls
-raise ``MR_FENCED`` — a *retryable* refusal, so in-flight write-batch
-lanes fail cleanly and the client router re-routes to the new primary.
+raise ``MR_FENCED`` — a *retryable* refusal, so the replies a sync
+held fail cleanly and the client router re-routes to the new primary.
 Epoch 1 writes no header, keeping WAL lines seed-identical.
 """
 
@@ -75,9 +82,9 @@ class JournalEntry:
     args: tuple[str, ...]
     seq: int = 0    # monotonic WAL sequence number (0 = legacy record)
     client: str = ""  # program name -> modwith; "" = legacy record
-    # MVCC commit seq (0 = legacy / non-transactional backend).  With
-    # sharded writers, appends happen inside the commit gate, so these
-    # stamp strictly increasing — the replay-order oracle.
+    # MVCC commit seq (0 = legacy / non-transactional backend).
+    # Appends happen inside the commit gate, so these stamp strictly
+    # increasing — the replay-order oracle.
     commit_seq: int = 0
     # ids allocated / strings interned by the transaction ({"id": {hint:
     # [v, ...]}, "intern": {text: string_id}}); replay uses them to
@@ -150,6 +157,11 @@ class Journal:
     # itself fence or inspect the journal (the chaos harness does).
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False, compare=False)
+    # held across an fsync (taken before _lock, never after it), so a
+    # sync's fsync runs while writers append; close, truncate and
+    # compact take it too, so no fsync sees its handle closed
+    _sync_mutex: threading.RLock = field(default_factory=threading.RLock,
+                                         repr=False, compare=False)
     _fh: object = field(default=None, repr=False, compare=False)
     _next_seq: int = field(default=1, repr=False, compare=False)
     # entries arrive in mutation order; `when` is normally nondecreasing
@@ -157,6 +169,9 @@ class Journal:
     _when_monotonic: bool = field(default=True, repr=False, compare=False)
     # appends written with fsync=False and not yet covered by a sync
     _unsynced: int = field(default=0, repr=False, compare=False)
+    # every seq at or below this one is covered by a sync (or was
+    # fsync'd by its own record)
+    _synced_seq: int = field(default=0, repr=False, compare=False)
     # epoch that fenced this journal (0 = unfenced; > epoch = refuse
     # appends and syncs with MR_FENCED)
     _fenced_epoch: int = field(default=0, repr=False, compare=False)
@@ -184,11 +199,17 @@ class Journal:
     # observability (the `_wal_stats` pseudo-query)
     _stat_appends: int = field(default=0, repr=False, compare=False)
     _stat_fsyncs: int = field(default=0, repr=False, compare=False)
+    # appends those fsyncs covered (the `_batch` window rows)
+    _stat_fsynced: int = field(default=0, repr=False, compare=False)
     _stat_batch_flushes: int = field(default=0, repr=False,
                                      compare=False)
     _stat_compactions: int = field(default=0, repr=False, compare=False)
     _stat_compacted_away: int = field(default=0, repr=False,
                                       compare=False)
+
+    def __post_init__(self) -> None:
+        if self.path is not None:
+            self._read(strict=False)
 
     def record(self, when: int, who: str, query: str,
                args: tuple[str, ...], client: str = "", *,
@@ -197,9 +218,9 @@ class Journal:
         """Append an entry; when a path is set, fsync it to the WAL.
 
         ``fsync=False`` defers durability entirely: the line reaches
-        the kernel but the group-commit caller (the server's write
-        batcher, the DCM's cron cycle or extraction round) owns the
-        :meth:`sync` — one fsync covers the whole commit window.
+        the kernel but the caller (the server before it releases a
+        reply, the DCM's cron cycle or extraction round) owns the
+        :meth:`sync` — one fsync covers every append before it.
 
         Fault points: ``journal.record`` fires before anything is
         appended (a crash here loses the record entirely),
@@ -233,6 +254,11 @@ class Journal:
             self.entries.append(entry)
             if self.path is not None:
                 self._append_durable(entry, fsync=fsync)
+            if fsync:
+                self._unsynced = 0
+                self._synced_seq = entry.seq
+            else:
+                self._unsynced += 1
             if self.faults is not None:
                 self.faults.fire("journal.appended", query=query,
                                  who=who, seq=entry.seq)
@@ -347,42 +373,61 @@ class Journal:
         if fsync:
             os.fsync(fh.fileno())
             self._stat_fsyncs += 1
-            self._unsynced = 0
-        else:
-            self._unsynced += 1
+            self._stat_fsynced += self._unsynced + 1
 
     def _sync_locked(self) -> None:
         if self._fh is not None and self._unsynced:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self._stat_fsyncs += 1
+            self._stat_fsynced += self._unsynced
             self._unsynced = 0
+            self._synced_seq = self._next_seq - 1
+
+    def synced(self) -> bool:
+        """True when every appended seq is covered by a sync — the
+        check that lets a caller skip :meth:`sync` (no lock taken)."""
+        return self._synced_seq >= self._next_seq - 1
 
     def sync(self) -> None:
-        """Force any group-commit-deferred appends to stable storage.
+        """Make every append so far durable: the group-commit point.
 
-        The write batcher calls this once per commit window — the
-        group-commit durability point.  Fault point:
+        One fsync covers every deferred append; a caller whose appends
+        a concurrent sync already covered returns without one.  The
+        fsync runs outside the append lock.  Fault point:
         ``journal.batch_flush`` fires before the fsync with the number
-        of deferred appends it would cover (a crash here loses the
-        whole un-fsync'd window, the batch-boundary recovery case).
+        of deferred appends it would cover (a crash here loses every
+        un-fsync'd append, the batch-boundary recovery case).
 
         Raises ``MR_FENCED`` when a newer epoch has fenced this
-        journal: the in-flight group-commit window fails retryably
-        before anything is declared durable.
+        journal: nothing the sync would cover is declared durable.
         """
-        with self._lock:
-            self.refuse_if_fenced()
-            if self.faults is not None:
-                self.faults.fire("journal.batch_flush",
-                                 pending=self._unsynced,
-                                 seq=self._next_seq - 1)
-            self._stat_batch_flushes += 1
-            self._sync_locked()
+        self.refuse_if_fenced()
+        target = self._next_seq - 1     # covers the caller's own appends
+        with self._sync_mutex:
+            if self._synced_seq >= target:
+                return
+            with self._lock:
+                self.refuse_if_fenced()
+                if self.faults is not None:
+                    self.faults.fire("journal.batch_flush",
+                                     pending=self._unsynced,
+                                     seq=self._next_seq - 1)
+                self._stat_batch_flushes += 1
+                target = self._next_seq - 1
+                pending, self._unsynced = self._unsynced, 0
+                fh = self._fh
+            if fh is not None and pending:
+                os.fsync(fh.fileno())
+            with self._lock:
+                if fh is not None and pending:
+                    self._stat_fsyncs += 1
+                    self._stat_fsynced += pending
+                self._synced_seq = max(self._synced_seq, target)
 
     def close(self) -> None:
         """Sync pending appends and close the WAL handle (idempotent)."""
-        with self._lock:
+        with self._sync_mutex, self._lock:
             if self._fh is not None:
                 self._sync_locked()
                 self._fh.close()
@@ -457,6 +502,8 @@ class Journal:
         """
         with self._lock:
             self._next_seq = max(self._next_seq, int(seq) + 1)
+            if not self._unsynced:
+                self._synced_seq = self._next_seq - 1
 
     def stats(self) -> dict:
         """WAL observability counters (the ``_wal_stats`` rows)."""
@@ -471,6 +518,7 @@ class Journal:
             return {
                 "appends": self._stat_appends,
                 "fsyncs": fsyncs,
+                "fsynced_appends": self._stat_fsynced,
                 "batch_flushes": self._stat_batch_flushes,
                 "mean_appends_per_fsync": (
                     round(self._stat_appends / fsyncs, 3)
@@ -592,7 +640,7 @@ class Journal:
         "floor", "retained"}``.
         """
         supersedable = dict(supersedable or {})
-        with self._lock:
+        with self._sync_mutex, self._lock:
             ceiling = self._next_seq - 1
             if not force:
                 for pin in pins:
@@ -663,7 +711,7 @@ class Journal:
         snapshot): every fully covered file is unlinked and at most the
         one straddling the watermark is rewritten as a segment holding
         its live suffix.  Returns the number of entries dropped."""
-        with self._lock:
+        with self._sync_mutex, self._lock:
             keep_from = bisect_left(self.entries, upto_seq + 1,
                                     key=lambda e: e.seq)
             self.entries = self.entries[keep_from:]
@@ -692,7 +740,9 @@ class Journal:
     @classmethod
     def load(cls, path: Union[str, Path], *,
              strict: bool = False) -> "Journal":
-        """Read a journal file from disk.
+        """Read a journal file from disk (``Journal(path=path)`` does
+        the same, never strict).  The next append is numbered after the
+        highest seq read.
 
         A malformed line (the torn final record of a crash mid-append)
         ends the load: everything before it is kept, ``torn_tail`` is
@@ -704,10 +754,16 @@ class Journal:
         order, after a monolithic seed file at *path* itself when one
         exists (segments always hold newer entries).
         """
-        journal = cls(path=path)
-        files = journal._files()
+        journal = cls()
+        journal.path = path
+        journal._read(strict)
+        return journal
+
+    def _read(self, strict: bool) -> None:
+        """Adopt the log on disk at ``self.path`` (see :meth:`load`)."""
+        files = self._files()
         if not files:
-            return journal
+            return
         entries: list[JournalEntry] = []
         torn = False
         for first, part in files:
@@ -724,21 +780,21 @@ class Journal:
                         # reopen or rewrite may have stamped it twice)
                         try:
                             hdr = json.loads(stripped)
-                            journal.epoch = max(journal.epoch,
-                                                int(hdr["epoch"]))
+                            self.epoch = max(self.epoch,
+                                             int(hdr["epoch"]))
                             continue
                         except (ValueError, KeyError, TypeError):
                             if strict:
                                 raise ValueError(
                                     f"malformed journal header: {stripped!r}")
-                            journal.torn_tail = torn = True
+                            self.torn_tail = torn = True
                             break
                     try:
                         entry = JournalEntry.from_line(line)
                     except ValueError:
                         if strict:
                             raise
-                        journal.torn_tail = torn = True
+                        self.torn_tail = torn = True
                         break
                     if entry.seq == 0:
                         entry = replace(entry, seq=len(entries) + 1)
@@ -748,14 +804,15 @@ class Journal:
                 # segment that a future load will not stop short of; a
                 # torn seed file is rewritten as a segment
                 kept = entries[part_start:]
-                target = journal._segment_path(
+                target = self._segment_path(
                     first or (kept[0].seq if kept else 1))
-                journal._write_atomic(target, kept)
+                self._write_atomic(target, kept)
                 if target != part:
                     part.unlink()
-        journal.entries = entries
-        journal._next_seq = (entries[-1].seq + 1) if entries else 1
-        journal._when_monotonic = all(
+        self.entries = entries
+        self._next_seq = max((e.seq for e in entries), default=0) + 1
+        self._synced_seq = self._next_seq - 1
+        self._when_monotonic = all(
             a.when <= b.when for a, b in zip(entries, entries[1:]))
         # re-derive the compaction floor: record() assigns contiguous
         # seqs, so any mid-log gap is a compaction hole — a tail() from
@@ -764,8 +821,7 @@ class Journal:
         for a, b in zip(entries, entries[1:]):
             if b.seq > a.seq + 1:
                 floor = b.seq - 1
-        journal._compact_floor = floor
-        return journal
+        self._compact_floor = floor
 
     def __len__(self) -> int:
         return len(self.entries)

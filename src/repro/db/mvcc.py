@@ -305,7 +305,7 @@ class TableVersionStore:
 
     def on_update(self, row: dict, changed: set, seq: int):
         """Version one row update; returns an opaque undo token (used
-        by shard-transaction aborts) or None for untracked rows."""
+        by write-transaction aborts) or None for untracked rows."""
         record = self.records.get(id(row))
         if record is None:          # untracked row; nothing to version
             return None
@@ -360,9 +360,9 @@ class TableVersionStore:
         self.db._mv_note(1)
         return token
 
-    # -- abort undo (shard transactions) -------------------------------------
-    # All undo runs on the writer path, under the aborting transaction's
-    # shard locks and *before* its seq publishes as an abort — so no
+    # -- abort undo (write transactions) -------------------------------------
+    # All undo runs on the writer path, under the writer lock and
+    # *before* the aborting transaction's seq publishes — so no
     # snapshot can ever be pinned at the aborted seq, and closing a
     # window to the empty range [seq, seq) makes the version dead for
     # every reader past and future.  GC reclaims the husks normally.

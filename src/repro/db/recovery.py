@@ -201,10 +201,9 @@ def apply_entries(db: Database, entries: Iterable[JournalEntry], *,
     marker applies only its bindings.  Entries are pulled lazily, one
     at a time, so the caller may filter and fire fault points upstream.
 
-    Replay-order oracle: sharded writers append inside the commit gate,
-    so log order must equal commit-seq order even when shards committed
-    concurrently.  A violation means the gate (or the log, or the feed)
-    is corrupt — never silently reorder history.  The high-water starts
+    Replay-order oracle: writers append inside the commit gate, so log
+    order must equal commit-seq order.  A violation means the gate (or
+    the log, or the feed) is corrupt — never silently reorder history.  The high-water starts
     at *after_commit_seq* and moves only once an entry has been
     applied, so an entry whose execution raised can be offered again.
     """

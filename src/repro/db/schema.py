@@ -72,7 +72,7 @@ def _audit() -> list[Column]:
 
 def build_database() -> Database:
     """A fresh database with all twenty relations, ID hints,
-    the type-checking alias rows and the writer-shard map."""
+    and the type-checking alias rows."""
     db = Database()
 
     db.create_table(Table(
@@ -412,24 +412,8 @@ def build_database() -> Database:
 
     _seed_values(db)
     _seed_aliases(db)
-    db.declare_shards(SHARD_MAP, system=SYSTEM_TABLES)
     return db
 
-
-#: Writer-shard map (docs/WRITE_PATH.md): mutations touching disjoint
-#: groups commit concurrently; cross-shard mutations take their groups
-#: in sorted-name order.  The ``values`` hints and the ``strings`` heap
-#: belong to no shard — they serialize on the system-table leaf latch
-#: so any shard transaction can allocate ids or intern strings.
-SHARD_MAP = {
-    "users": ("users", "list", "members", "capacls"),
-    "machines": ("machine", "cluster", "mcmap", "svc", "filesys",
-                 "nfsphys", "hostaccess", "printcap", "servers",
-                 "serverhosts", "services"),
-    "quota": ("nfsquota", "alias", "zephyr"),
-}
-
-SYSTEM_TABLES = ("values", "strings")
 
 def _seed_values(db: Database) -> None:
     """ID hints and state variables the paper names in the values relation."""

@@ -281,12 +281,10 @@ class SqliteDatabase(StorageBackend):
         """The read verb: this database, under its lock."""
         return _LockedView(self)
 
-    def write_txn(self, shards=None, *, commit_hook=None,
-                  abort_hook=None) -> LockTxn:
-        """The write verb: the exclusive lock (*shards* is ignored —
-        there is one writer).  The connection runs in autocommit with
-        no undo log, so a body that raises midway keeps the rows it
-        already wrote; only the memory backend rolls back."""
+    def write_txn(self, *, commit_hook=None, abort_hook=None) -> LockTxn:
+        """The write verb: the exclusive lock.  The connection runs in
+        autocommit with no undo log, so a body that raises midway keeps
+        the rows it already wrote; only the memory backend rolls back."""
         return LockTxn(self, commit_hook, abort_hook)
 
     def create_table_from(self, spec) -> SqliteTable:

@@ -24,7 +24,8 @@ The pipeline, end to end:
    entries only decide *which* services are dirty, never what the
    files contain).
 3. **Map** — each committed entry maps to dirty services through the
-   registered query's declared relation footprint (``Query.tables``)
+   registered query's declared relation footprint (``Query.tables``,
+   which nothing else reads: every write takes the one writer lock)
    intersected with each generator's ``depends``.  Undeclared
    footprints conservatively dirty everything.  The DCM's own
    bookkeeping writes (``set_server_internal_flags`` /

@@ -14,19 +14,27 @@ Two interchangeable transports exist:
 
 Both talk to a :class:`Dispatcher`: ``open_connection(peer)``,
 ``handle_frame_stream(conn_id, frame)`` yielding runs ``(code, rows)``,
-and ``close_connection(conn_id)``.  The Moira server implements it.
-Bytes exist only where there is a wire: the TCP server frames a run
-with one :func:`~repro.protocol.wire.encode_replies` call and its
-client decodes each ``recv`` in one loop.
+``sync()`` and ``close_connection(conn_id)``.  The Moira server
+implements it.  Bytes exist only where there is a wire: the TCP server
+frames a run with one :func:`~repro.protocol.wire.encode_replies` call
+and its client decodes each ``recv`` in one loop.
 
-The TCP server runs everything on one thread, its selector loop.  Each
-request frame runs to completion through ``handle_frame_stream`` and
-its runs are framed onto the connection's out-buffer; the loop
-then sends at once, so a reply is one buffer and usually one ``send``,
-and waits for ``EVENT_WRITE`` only when the kernel took less than all
-of it.  Nothing — no read view, no lock — is held from one loop
-iteration to the next, and per-connection order is the order frames
-arrived.  Sockets at both ends set ``TCP_NODELAY``: a reply is written
+Sync before release: no reply leaves a transport before a
+``dispatcher.sync()`` that returned after the frame ran.  A sync that
+raises :class:`MoiraError` (a fence) answers every frame it held with
+that status instead; one that raises anything else (a simulated crash)
+releases nothing.
+
+The TCP server runs everything on one thread, its selector loop.  Per
+wakeup it runs every ready connection's whole frames to completion
+through ``handle_frame_stream``, framing their runs into each
+connection's held buffer; then one ``sync()`` covers every write among
+them, and only then are the held bytes moved to the out-buffers and
+sent, so a reply is one buffer and usually one ``send``, and the loop
+waits for ``EVENT_WRITE`` only when the kernel took less than all of
+it.  Nothing — no read view, no lock — is held from one loop iteration
+to the next, and per-connection order is the order frames arrived.
+Sockets at both ends set ``TCP_NODELAY``: a reply is written
 whole, so there is nothing for Nagle's algorithm to coalesce and its
 wait for the peer's delayed ACK would only stall the exchange.
 
@@ -59,6 +67,7 @@ from repro.protocol.wire import (
     decode_replies,
     encode_replies,
     encode_request,
+    failed,
     str_row,
 )
 
@@ -84,6 +93,11 @@ class Dispatcher(Protocol):
         """Process one request frame body; yields runs ``(code,
         rows)``, one reply per row, the last a final (non-MR_MORE_DATA)
         status."""
+        ...
+
+    def sync(self) -> None:
+        """Make durable what every frame run so far wrote; a transport
+        releases no reply before it returns."""
         ...
 
     def close_connection(self, conn_id: int) -> None:
@@ -164,17 +178,27 @@ class _InProcessConnection(ClientConnection):
     def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | list]:
         if not self._open:
             raise MoiraError(MR_NOT_CONNECTED)
-        # a large retrieve flows run by run on this thread; wire bytes
-        # from a dispatcher are decoded as a TCP recv is
+        # a large retrieve flows run by run on this thread, each run
+        # released only after a sync; wire bytes from a dispatcher are
+        # decoded as a TCP recv is
         make = tuple.__new__
-        for run in self.dispatcher.handle_frame_stream(
-                self.conn_id, request_frame[4:]):
-            if type(run) is tuple:
-                code, rows = run
-                yield [make(_TextReply, (code, str_row(row)))
-                       for row in rows]
-            else:
-                yield run
+        stream = self.dispatcher.handle_frame_stream(
+            self.conn_id, request_frame[4:])
+        try:
+            for run in stream:
+                try:
+                    self.dispatcher.sync()
+                except MoiraError as exc:
+                    run = failed(exc)       # the last run this frame sends
+                    stream.close()
+                if type(run) is tuple:
+                    code, rows = run
+                    yield [make(_TextReply, (code, str_row(row)))
+                           for row in rows]
+                else:
+                    yield run
+        finally:
+            stream.close()
 
     def close(self) -> None:
         """Tear down the connection."""
@@ -200,11 +224,13 @@ def _nodelay(sock: socket.socket) -> None:
 class _ConnState:
     """Per-socket bookkeeping, touched only by the selector thread."""
 
-    __slots__ = ("conn_id", "inbuf", "outbuf", "mask")
+    __slots__ = ("conn_id", "inbuf", "held", "frames", "outbuf", "mask")
 
     def __init__(self, conn_id: int):
         self.conn_id = conn_id
         self.inbuf = bytearray()      # received, not yet run
+        self.held = bytearray()       # replies of frames run, not yet synced
+        self.frames = 0               # frames whose replies are held
         self.outbuf = bytearray()     # reply bytes the kernel has not taken
         self.mask = selectors.EVENT_READ   # registered selector interest
 
@@ -294,6 +320,7 @@ class TcpServerTransport:
             events = self._selector.select(timeout)
             if self._stopped:
                 return
+            ready = []
             for key, mask in events:
                 sock = key.fileobj
                 if sock is self._listener:
@@ -305,9 +332,12 @@ class TcpServerTransport:
                 try:
                     if mask & selectors.EVENT_READ:
                         self._receive(sock, state)
-                    self._service(sock, state)
-                except Exception:   # peer gone, or the dispatcher failed
+                except Exception:   # peer gone
                     self._drop(sock)
+                    continue
+                ready.append(sock)
+            while ready:
+                ready = self._round(ready)
             if self._blocked:
                 self._drop_stalled()
 
@@ -332,23 +362,50 @@ class TcpServerTransport:
             raise ConnectionResetError("peer closed")
         state.inbuf += data
 
-    def _service(self, sock: socket.socket, state: _ConnState) -> None:
-        """Run the connection's whole buffered frames, send what the
-        kernel takes, and set the connection's selector interest."""
-        while True:
-            more = sock not in self._blocked and self._run_frames(state)
-            self._send(sock, state)
-            size = len(state.outbuf)
-            if size >= self.high_water:
-                self._blocked.setdefault(sock, time.monotonic())
-                break
-            if sock in self._blocked:
-                if size > self.low_water:
-                    break
-                del self._blocked[sock]
-                more = True     # run what arrived while blocked
-            if not more:
-                break
+    def _round(self, socks: list) -> list:
+        """Run the listed connections' whole frames, sync once, then
+        release and send their replies; returns the connections that
+        stopped at high water with frames left to run."""
+        ran = []
+        for sock in socks:
+            state = self._conn_state.get(sock)
+            if state is None:
+                continue
+            try:
+                if sock not in self._blocked:
+                    self._run_frames(state)
+            except Exception:   # the dispatcher failed
+                self._drop(sock)
+                continue
+            ran.append((sock, state))
+        try:
+            self.dispatcher.sync()
+        except MoiraError as exc:
+            code, rows = failed(exc)
+            refusal = encode_replies(rows, code)
+            for _, state in ran:
+                state.held[:] = refusal * state.frames
+        again = []
+        for sock, state in ran:
+            state.outbuf += state.held
+            state.held.clear()
+            state.frames = 0
+            try:
+                if self._service(sock, state):
+                    again.append(sock)
+            except Exception:   # peer gone
+                self._drop(sock)
+        return again
+
+    def _service(self, sock: socket.socket, state: _ConnState) -> bool:
+        """Send what the kernel takes and set the connection's selector
+        interest; True when it has whole frames to run now."""
+        self._send(sock, state)
+        size = len(state.outbuf)
+        if size >= self.high_water:
+            self._blocked.setdefault(sock, time.monotonic())
+        elif sock in self._blocked and size <= self.low_water:
+            del self._blocked[sock]     # run what arrived while blocked
         # a blocked connection still has bytes to send: never mask 0
         mask = 0 if sock in self._blocked else selectors.EVENT_READ
         if state.outbuf:
@@ -356,23 +413,27 @@ class TcpServerTransport:
         if mask != state.mask:
             self._selector.modify(sock, mask, None)
             state.mask = mask
+        return sock not in self._blocked and self._whole_frame(state.inbuf)
 
-    def _run_frames(self, state: _ConnState) -> bool:
+    @staticmethod
+    def _whole_frame(buf: bytearray) -> bool:
+        return len(buf) >= 4 and \
+            len(buf) >= 4 + int.from_bytes(buf[:4], "big")
+
+    def _run_frames(self, state: _ConnState) -> None:
         """Run each whole frame in the in-buffer to completion, in
-        order; True if it stopped at high water with bytes left."""
-        buf, out = state.inbuf, state.outbuf
-        while len(buf) >= 4:
-            if len(out) >= self.high_water:
-                return True
+        order, holding its replies; stop at high water."""
+        buf, held = state.inbuf, state.held
+        while self._whole_frame(buf):
+            if len(state.outbuf) + len(held) >= self.high_water:
+                return
             end = 4 + int.from_bytes(buf[:4], "big")
-            if len(buf) < end:
-                break
             frame = bytes(buf[4:end])
             del buf[:end]
             for code, rows in self.dispatcher.handle_frame_stream(
                     state.conn_id, frame):
-                out += encode_replies(rows, code)
-        return False
+                held += encode_replies(rows, code)
+            state.frames += 1
 
     def _send(self, sock: socket.socket, state: _ConnState) -> None:
         """One non-blocking send of the out-buffer."""

@@ -46,6 +46,7 @@ __all__ = [
     "decode_replies",
     "split_frames",
     "final",
+    "failed",
     "str_row",
     "pack_authenticator",
     "unpack_authenticator",
@@ -237,6 +238,11 @@ def decode_replies(buf: bytes, offset: int = 0) -> tuple[list[Reply], int]:
 def final(code: int, fields: tuple = ()) -> Run:
     """A final status reply, as the run of one it is streamed as."""
     return code, (fields,)
+
+
+def failed(exc: MoiraError) -> Run:
+    """The final status answering a request that raised *exc*."""
+    return final(exc.code, (exc.detail,) if exc.detail else ())
 
 
 def str_row(row: Sequence) -> tuple[str, ...]:

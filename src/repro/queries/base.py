@@ -28,13 +28,13 @@ produce no rows raise ``MR_NO_MATCH`` exactly as the paper specifies.
 Every handler call in the system is made by one of two executors here —
 :func:`run_read` (on a backend ``read_view()``) and :func:`run_write`
 (inside a backend ``write_txn()``, which is also the one place a
-journal entry is built).  The server, its commit windows, the direct
-library, WAL replay and replica apply all go through them
-(DESIGN.md §17).
+journal entry is built).  The server, the direct library, WAL replay
+and replica apply all go through them (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace as _replace
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence
@@ -97,12 +97,12 @@ class Query:
     # databases through the same query mechanism" — each handle names
     # the database it resolves against; "moira" is the primary.
     database: str = "moira"
-    # Full relation footprint (reads AND writes) of a mutation, used to
-    # map it onto writer shards: a tuple of table names, or a callable
-    # ``(args) -> Sequence[str]`` when the footprint is data-dependent.
-    # None means undeclared — the executor falls back to full exclusion.
-    # System tables (values/strings) need not be listed; they are
-    # shard-free.
+    # Relation footprint (reads AND writes) of a mutation, which the CDC
+    # extractor reads to tell which services a journaled write may
+    # touch: a tuple of table names, or a callable ``(args) ->
+    # Sequence[str]`` when the footprint is data-dependent.  None means
+    # undeclared — the write may touch anything.  System tables
+    # (values/strings) need not be listed.
     tables: Optional[object] = None
 
     def help_text(self) -> str:
@@ -547,7 +547,8 @@ def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
 
 
 def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
-              shards=None, fsync: bool = True) -> tuple[list, set]:
+              fsync: bool = True,
+              timing: Optional[dict] = None) -> tuple[list, set]:
     """Run a mutation as one backend transaction and journal it.
 
     Returns ``(result tuples, names of tables whose data version
@@ -555,11 +556,11 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
     hook — before the writer locks drop, in commit-seq order — and is
     the only place an entry is built: query name + stringified args on
     commit; on an abort that consumed id/string bindings (which survive
-    the rollback), an ``_aborted`` marker carrying them.  *shards*
-    narrows writer exclusion (None = every shard); ``fsync=False``
-    leaves durability to the caller's one ``journal.sync()``.  A
-    fenced journal refuses the write with ``MR_FENCED`` before its
-    handler runs, whichever way it is made durable.
+    the rollback), an ``_aborted`` marker carrying them.
+    ``fsync=False`` leaves durability to the caller's one
+    ``journal.sync()``.  A fenced journal refuses the write with
+    ``MR_FENCED`` before its handler runs, whichever way it is made
+    durable.  *timing*, when given, receives ``lock_wait_s``.
     """
     record = record_abort = None
     if ctx.journal is not None:
@@ -576,8 +577,11 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
             if txn.bindings:
                 record(txn, "_aborted", ())
 
-    with ctx.db.write_txn(shards, commit_hook=record,
+    waited = time.perf_counter()
+    with ctx.db.write_txn(commit_hook=record,
                           abort_hook=record_abort) as txn:
+        if timing is not None:
+            timing["lock_wait_s"] = time.perf_counter() - waited
         result = query.handler(ctx, args)
         if not isinstance(result, list):
             result = list(result)
@@ -600,7 +604,6 @@ def execute_query(ctx: QueryContext, name: str, args: Sequence[str], *,
         ctx = _replace(ctx, db=target_db)
     if query.side_effects:
         result, _ = run_write(ctx, query, args, fsync=fsync)
-        # version GC takes every shard, so it runs here, with none held
         ctx.db.gc_if_due()
         return result
     return list(chain.from_iterable(run_read(ctx, query, args)))

@@ -83,7 +83,7 @@ CURSOR_ROW = "_cursor"
 def entry_to_tuple(entry: JournalEntry) -> tuple[str, ...]:
     """Encode one journal entry as a wire tuple.
 
-    Two trailing fields carry the sharded write path's metadata: the
+    Two trailing fields carry the write transaction's metadata: the
     MVCC commit seq (replay-order oracle) and the id/intern bindings
     (system-table trajectory, including aborted writers').
     """

@@ -86,39 +86,11 @@ class QueryMetrics:
         self.enabled = enabled
         self._handles: dict[str, _HandleMetrics] = {}
         self._registry_lock = threading.Lock()
-        # writer-shard lock-wait histograms: shard name -> (waits,
-        # wait_us, log2-µs hist), fed by the write batcher's leaders
-        self._shards: dict[str, list] = {}
 
-    def record_shard_wait(self, shard: str, wait_s: float) -> None:
-        """Fold one shard writer-lock acquisition wait into *shard*."""
-        if not self.enabled:
-            return
-        found = self._shards.get(shard)
-        if found is None:
-            with self._registry_lock:
-                found = self._shards.setdefault(
-                    shard, [threading.Lock(), 0, 0,
-                            [0] * HISTOGRAM_BUCKETS])
-        wait_us = int(wait_s * 1e6)
-        with found[0]:
-            found[1] += 1
-            found[2] += wait_us
-            found[3][_bucket_of(wait_us)] += 1
-
-    def shard_waits(self) -> dict[str, dict]:
-        """Per-shard writer lock-wait counters and histograms."""
-        out: dict[str, dict] = {}
-        for shard, found in list(self._shards.items()):
-            with found[0]:
-                out[shard] = {
-                    "waits": found[1],
-                    "wait_us": found[2],
-                    "hist": list(found[3]),
-                    "wait_p50_us": _quantile_us(found[3], 0.50),
-                    "wait_p99_us": _quantile_us(found[3], 0.99),
-                }
-        return out
+    def shard_waits(self) -> dict:
+        """Empty: there is one writer lock, and its waits are the
+        writers' ``lock_wait_us``.  Kept for callers that read it."""
+        return {}
 
     def _handle(self, name: str) -> _HandleMetrics:
         found = self._handles.get(name)
@@ -212,10 +184,3 @@ class QueryMetrics:
                    str(row["rows_returned"]),
                    str(row["snap_age_p50_us"]),
                    str(row["snap_age_p99_us"]))
-        if handle is None:
-            # writer-shard lock-wait rows ride along, name-prefixed so
-            # they sort after the per-handle rows
-            for shard, row in sorted(self.shard_waits().items()):
-                yield ("_shard." + shard, str(row["waits"]),
-                       str(row["wait_us"]), str(row["wait_p50_us"]),
-                       str(row["wait_p99_us"]))

@@ -18,11 +18,15 @@ Concurrency (beyond the paper, after MCS's multithreaded engine):
 * Queries declared ``side_effects=False`` run on the backend's
   ``read_view()`` (:func:`~repro.queries.base.run_read`): on the
   memory engine a pinned committed snapshot scanned without any lock —
-  readers never block on writers.  Mutations join a group-commit
-  window (:class:`~repro.server.write_batch.WriteBatcher`) and run in
-  the backend's ``write_txn()`` (:func:`~repro.queries.base.run_write`),
-  so journal order is commit order; only writer–writer exclusion
-  remains, and only between writes whose shard footprints overlap.
+  readers never block on writers.  Mutations run in the backend's
+  ``write_txn()`` (:func:`~repro.queries.base.run_write`) under its one
+  writer lock, so journal order is commit order, and are journaled
+  without an fsync.
+* Sync before release: no reply leaves before :meth:`sync` — one
+  ``journal.sync()`` — covers every write appended so far.  The
+  transports call it: the TCP loop once per wakeup, after it ran every
+  ready frame; an in-process connection before it hands over a run.
+  A read is held too, since it may have seen an un-fsync'd write.
 * A request runs to completion on the thread that hands the frame in:
   the TCP transport's one selector thread, or an in-process client's
   own thread.  The server owns no threads.
@@ -63,6 +67,7 @@ from repro.protocol.wire import (
     Run,
     decode_request,
     encode_reply,
+    failed,
     final,
     unpack_authenticator,
 )
@@ -73,10 +78,10 @@ from repro.queries.base import (
     check_query_access,
     get_query,
     run_read,
+    run_write,
 )
 from repro.server.access import AccessCache
 from repro.server.metrics import QueryMetrics
-from repro.server.write_batch import WriteBatcher
 from repro.sim.clock import Clock
 from repro.sim.faults import FaultInjector
 
@@ -89,9 +94,7 @@ class ServerStats:
     """Counters the daemon keeps about itself (thread-safe).
 
     Counters stay plain integer attributes (read them directly), but
-    increments go through :meth:`incr`, which serialises on one of a
-    small set of sharded locks — counters on different shards never
-    contend with each other when client threads call in concurrently.
+    increments go through :meth:`incr`, which serialises on one lock.
     """
 
     FIELDS = (
@@ -105,18 +108,15 @@ class ServerStats:
         "tuples_returned",
         "errors_returned",
     )
-    _SHARDS = 4
 
     def __init__(self) -> None:
-        locks = tuple(threading.Lock() for _ in range(self._SHARDS))
-        self._shard = {name: locks[i % self._SHARDS]
-                       for i, name in enumerate(self.FIELDS)}
+        self._lock = threading.Lock()
         for name in self.FIELDS:
             setattr(self, name, 0)
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Atomically add *amount* to the counter *name*."""
-        with self._shard[name]:
+        with self._lock:
             setattr(self, name, getattr(self, name) + amount)
 
     def as_dict(self) -> dict[str, int]:
@@ -154,7 +154,6 @@ class MoiraServer:
         metrics: Optional[QueryMetrics] = None,
         faults: Optional[FaultInjector] = None,
         dcm_stats: Optional[Callable[[], list]] = None,
-        write_batch: int = 8,
     ):
         self.db = db
         self.clock = clock
@@ -172,10 +171,6 @@ class MoiraServer:
         # provider of CDC freshness rows for _dcm_stats (wired by the
         # deployment to CdcExtractor.stats_tuples when cdc=True)
         self.cdc_stats: Optional[Callable[[], list]] = None
-        # the write path: every mutation joins a group-commit window
-        # of up to *write_batch* writes on its shard lane
-        self._write_batcher = WriteBatcher(
-            db, window=write_batch, metrics=self.metrics)
         self._connections: dict[int, _Connection] = {}
         self._next_conn = 1
         self._lock = threading.Lock()
@@ -203,6 +198,14 @@ class MoiraServer:
         """
         return "fenced" if self.journal.fenced else "primary"
 
+    def sync(self) -> None:
+        """Make every write appended so far durable before a reply is
+        released; returns at once when a sync already covers them.
+        Raises what ``journal.sync()`` raises: ``MR_FENCED``, or a
+        simulated crash."""
+        if not self.journal.synced():
+            self.journal.sync()
+
     def shutdown(self) -> None:
         """Nothing to stop: the server owns no threads (transports own
         the I/O loop and stop it themselves).  Kept so an owner can
@@ -229,9 +232,19 @@ class MoiraServer:
 
     def handle_frame(self, conn_id: int, frame: bytes) -> list[bytes]:
         """Decode, dispatch, and answer one request frame; one reply
-        frame per element."""
+        frame per element, released by a :meth:`sync`."""
         return [encode_reply(code, row) for code, rows
-                in self.handle_frame_stream(conn_id, frame) for row in rows]
+                in self._synced_runs(conn_id, frame) for row in rows]
+
+    def _synced_runs(self, conn_id: int, frame: bytes) -> list[Run]:
+        """One frame's runs once a :meth:`sync` covers them; a fence at
+        the sync answers the frame with its status alone."""
+        runs = list(self.handle_frame_stream(conn_id, frame))
+        try:
+            self.sync()
+        except MoiraError as exc:
+            return [failed(exc)]
+        return runs
 
     def handle_frame_stream(self, conn_id: int,
                             frame: bytes) -> Iterator[Run]:
@@ -268,7 +281,7 @@ class MoiraServer:
                 yield final(MR_NO_HANDLE)
         except MoiraError as exc:
             self.stats.incr("errors_returned")
-            yield final(exc.code, (exc.detail,) if exc.detail else ())
+            yield failed(exc)
         except Exception as exc:  # never crash the daemon on one request
             self.stats.incr("errors_returned")
             yield final(MR_INTERNAL, (repr(exc),))
@@ -276,20 +289,17 @@ class MoiraServer:
     def submit_frame(self, conn_id: int, frame: bytes,
                      on_reply: Callable[[bytes], bool],
                      on_done: Callable[[], None]) -> bool:
-        """The callback form of :meth:`handle_frame_stream`, run to
-        completion on the calling thread: each reply frame goes to
-        ``on_reply(frame) -> bool`` (False abandons the stream, which
-        closes it and releases its read view), then ``on_done()`` fires
-        exactly once.  Always returns True.  ``perf/trace.py`` wraps
-        this method by name."""
-        stream = self.handle_frame_stream(conn_id, frame)
+        """The callback form of :meth:`handle_frame`, run to completion
+        on the calling thread: each reply frame goes to
+        ``on_reply(frame) -> bool`` (False drops the rest), then
+        ``on_done()`` fires exactly once.  Always returns True.
+        ``perf/trace.py`` wraps this method by name."""
         try:
-            for reply in (encode_reply(code, row) for code, rows in stream
-                          for row in rows):
-                if not on_reply(reply):
-                    break
+            for code, rows in self._synced_runs(conn_id, frame):
+                for row in rows:
+                    if not on_reply(encode_reply(code, row)):
+                        return True
         finally:
-            stream.close()
             on_done()
         return True
 
@@ -364,8 +374,10 @@ class MoiraServer:
             check_argc(query, query_args)
             self._checked_access(ctx, query, tuple(query_args))
             if query.side_effects:
-                tuples, mutated = self._execute_write(
-                    ctx, query, query_args, timing=timing)
+                # durable at the transport's sync, before any reply
+                tuples, mutated = run_write(ctx, query, query_args,
+                                            fsync=False, timing=timing)
+                self.db.gc_if_due()
                 self.stats.incr("queries_executed")
                 self.access_cache.invalidate(mutated)
                 if "members" in mutated:
@@ -400,33 +412,14 @@ class MoiraServer:
                 rows_returned=timing.get("rows_returned", 0),
                 snap_age_s=timing.get("snap_age_s"))
 
-    def _execute_write(self, ctx: QueryContext, query: Query,
-                       query_args: list[str],
-                       timing: Optional[dict] = None
-                       ) -> tuple[list, set[str]]:
-        """Run a mutating query: it joins a group-commit window
-        (:class:`~repro.server.write_batch.WriteBatcher`), where writes
-        with disjoint shard footprints commit concurrently and the
-        whole window shares one journal fsync.
-
-        Returns (result tuples, names of tables whose data version
-        moved) — the latter scopes the access-cache invalidation.
-        *timing*, when given, receives ``lock_wait_s``.
-        """
-        # a newer epoch owns the cluster: refuse before the handler
-        # mutates anything — the client router re-routes on MR_FENCED
-        self.journal.refuse_if_fenced()
-        return self._write_batcher.submit(ctx, query, query_args,
-                                          timing=timing)
-
     def _checked_access(self, ctx: QueryContext, query: Query,
                         args: tuple[str, ...]) -> None:
         """check_query_access with the §5.5 access cache in front.
 
         A miss runs the check on a ``read_view()``: it happens before
-        any lock is taken, and with sharded writers committing
-        concurrently a live-table read here could see a half-applied
-        mutation — the view is one consistent committed cut.
+        any lock is taken, and with a writer committing concurrently a
+        live-table read here could see a half-applied mutation — the
+        view is one consistent committed cut.
         """
         self.stats.incr("access_checks")
         # capture the generation before the check runs: if an
@@ -530,12 +523,13 @@ class MoiraServer:
     def _wal_stats(self, args: list[str]) -> list[tuple]:
         """The ``_wal_stats`` pseudo-query: journal durability counters
         (appends, fsyncs, mean batch size, segments, retained entries)
-        as ``_wal.*`` rows, then the write batcher's group-commit
-        window occupancy as ``_batch.*`` rows."""
+        as ``_wal.*`` rows, then the group-commit windows as
+        ``_batch.*`` rows: each fsync a window, and the appends the
+        windows covered."""
         stats = self.journal.stats()
         rows = [("_wal." + key, str(stats[key])) for key in sorted(stats)]
-        rows.extend(("_batch." + key, str(value)) for key, value
-                    in sorted(self._write_batcher.occupancy().items()))
+        rows += [("_batch.batches", str(stats["fsyncs"])),
+                 ("_batch.batched_writes", str(stats["fsynced_appends"]))]
         return rows
 
     def _list_users(self, args: list[str]) -> list[tuple]:

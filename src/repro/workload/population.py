@@ -163,8 +163,8 @@ def load_population(db: Database, spec: PopulationSpec, now: int = 0, *,
     """Fill *db* with a deterministic Athena-shaped campus.
 
     *parallel* selects the bulk apply path (reserved id ranges +
-    ``bulk_load`` batches under shard transactions); it silently falls
-    back to the classic per-row path on backends without writer shards
+    ``bulk_load`` batches under write transactions); it silently falls
+    back to the classic per-row path on backends without bulk load
     (sqlite); the generated world is identical either way.
     """
     builder = _Builder(db, spec, now, parallel=parallel)
@@ -255,7 +255,7 @@ class _Builder:
         self.db = db
         self.spec = spec
         self.now = now
-        # bulk apply (reserve_ids, bulk_load under shard transactions)
+        # bulk apply (reserve_ids, bulk_load under write transactions)
         # is the in-memory engine's; sqlite takes the classic path
         self.parallel = bool(parallel and db.supports_bulk_load)
         self.handles = PopulationHandles()
@@ -518,7 +518,7 @@ class _Builder:
                 i += 1
 
             if self.parallel:
-                with db.write_txn(None):
+                with db.write_txn():
                     if batch["strings"]:
                         strings_t.bulk_load(batch["strings"], now=now)
                     users_t.bulk_load(batch["users"], now=now)
@@ -530,7 +530,7 @@ class _Builder:
         if self.parallel and alloc:
             # one allocated-counter fold per partition row, not one
             # per homedir — same final blocks as the per-user path
-            with db.write_txn(None):
+            with db.write_txn():
                 for idx in sorted(alloc):
                     phys = phys_rows[idx]
                     nfsphys.update_rows(
@@ -578,7 +578,7 @@ class _Builder:
                 self.handles.unregistered_ids.append((first, last, plain))
                 i += 1
             if self.parallel:
-                with db.write_txn(None):
+                with db.write_txn():
                     users_t.bulk_load(batch, now=now)
 
     def _stage_lists(self) -> None:
@@ -635,7 +635,7 @@ class _Builder:
                 self.maillist_ids.append(list_id)
                 i += 1
             if self.parallel:
-                with db.write_txn(None):
+                with db.write_txn():
                     lists_t.bulk_load(lists_batch, now=now)
                     if members_batch:
                         members_t.bulk_load(members_batch, now=now)

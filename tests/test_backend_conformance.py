@@ -22,6 +22,7 @@ from repro.db.backend import (
     create_backend,
 )
 from repro.db.backup import mrbackup
+from repro.db.engine import Database
 from repro.db.journal import Journal
 from repro.db.recovery import checkpoint, recover
 from repro.errors import MoiraError, MR_EXISTS, MR_NO_ID, MR_NO_MATCH
@@ -266,7 +267,7 @@ class TestCapabilityDefaults:
 
     @pytest.fixture
     def is_memory(self, backend):
-        return backend.shards is not None
+        return isinstance(backend, Database)
 
     def test_lock_and_read_locked(self, backend, is_memory):
         with backend.lock:
@@ -282,7 +283,7 @@ class TestCapabilityDefaults:
         with backend.system_latch():
             backend.set_value("cap_hint", 5, now=BASE)
         assert backend.get_value("cap_hint") == 5
-        # default: the one lock; memory: a leaf latch below the shards
+        # default: the one lock; memory: a leaf latch below the writer
         assert (backend.system_latch() is backend.lock) != is_memory
 
     def test_intern_string_allocates_once_and_binds(self, backend,
@@ -320,27 +321,6 @@ class TestCapabilityDefaults:
         # default: one writer allocates in commit order — natural ids
         assert got == (natural + 7 if is_memory else natural)
         assert backend.next_id("gid", now=BASE) == got + 1
-
-    def test_shards_for(self, backend, is_memory):
-        routed = backend.shards_for(("users", "strings"))
-        assert routed == (frozenset({"users"}) if is_memory else None)
-        assert backend.shards_for(("no_such_table",)) is None
-
-    def test_hold_shards_wraps_a_commit_window(self, backend, is_memory):
-        waits = []
-        shards = backend.shards_for(("machine",)) or frozenset()
-        with backend.hold_shards(shards,
-                                 lambda name, s: waits.append(name)):
-            for i in range(2):
-                with backend.write_txn(shards):
-                    backend.table("machine").insert(
-                        {"name": f"CAP{i}.MIT.EDU", "mach_id": 61 + i,
-                         "type": "VAX"}, now=BASE)
-        assert waits == (sorted(shards) if is_memory else [])
-        assert backend.table("machine").count() == 2
-        # released: total exclusion is available again
-        with backend.lock:
-            pass
 
     def test_membership_closure(self, backend, is_memory):
         closure = backend.membership_closure()

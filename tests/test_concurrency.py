@@ -375,6 +375,9 @@ class _BigReply:
     def handle_frame_stream(self, conn_id, frame):
         yield self.reply
 
+    def sync(self):
+        pass
+
     def close_connection(self, conn_id):
         self.closed.set()
 

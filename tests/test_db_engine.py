@@ -254,9 +254,9 @@ class TestDatabase:
         assert stats == [("t", 0, 1, 0, 0, 5)]
 
     def test_bare_database_write_txn_rolls_back(self):
-        """A database with no declared shards is one writer shard with
-        the same transactions: a body that raises keeps none of its
-        rows, and its seq publishes as an abort."""
+        """A bare database has the schema's transactions: a body that
+        raises keeps none of its rows, and its seq publishes as an
+        abort."""
         db = Database()
         t = db.create_table(people_table())
         t.insert({"name": "kept", "uid": 1, "host": "h"})

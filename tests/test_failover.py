@@ -67,7 +67,7 @@ def write_when(wnum: int) -> int:
 # -- world builders ------------------------------------------------------------
 
 
-def chaos_world(wal_path=None, *, faults=None, write_batch=4):
+def chaos_world(wal_path=None, *, faults=None):
     """A primary world: schema db + capacls + admin, seeded pre-WAL."""
     db = build_database()
     clock = Clock()
@@ -83,8 +83,7 @@ def chaos_world(wal_path=None, *, faults=None, write_batch=4):
                   ["moira-admins", "USER", "fo3"])
     kdc = KDC(clock)
     journal = Journal(path=wal_path, faults=faults)
-    server = MoiraServer(db, clock, kdc, journal=journal,
-                         write_batch=write_batch)
+    server = MoiraServer(db, clock, kdc, journal=journal)
     return SimpleNamespace(db=db, clock=clock, kdc=kdc, journal=journal,
                            server=server)
 

@@ -60,6 +60,9 @@ class _NullDispatcher:
     def handle_frame_stream(self, conn_id, frame):
         return iter(())
 
+    def sync(self):
+        pass
+
     def close_connection(self, conn_id):
         pass
 

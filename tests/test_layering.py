@@ -328,3 +328,48 @@ def test_the_encoder_walk_catches_what_it_forbids():
         "    yield MR_MORE_DATA, rows\n"
         "    yield final(0)\n")
     assert encoder_sites(fine) == []
+
+
+# -- one durability point ------------------------------------------------------
+#
+# A write becomes durable at ``Journal.sync()``, the one group-commit
+# point every reply waits for (docs/WRITE_PATH.md).  A second place that
+# fsyncs would be a second commit point nobody batches; the only other
+# file allowed one is the CDC cursor's own tmp + rename.
+
+FSYNC_OWNERS = {"db/journal.py", "dcm/cdc.py"}
+
+
+def fsync_sites(tree: ast.AST) -> list[str]:
+    """Each ``os.fsync`` call or ``fsync`` import in *tree*."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "os.fsync", "fsync"):
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}()")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name == "fsync" for alias in node.names)):
+            found.append(f"line {node.lineno}: from os import fsync")
+    return found
+
+
+def test_fsync_only_at_the_durability_points():
+    owners = set()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "fsync" in text and fsync_sites(ast.parse(text)):
+            owners.add(str(path.relative_to(SRC)))
+    assert owners == FSYNC_OWNERS, owners
+
+
+def test_the_fsync_walk_catches_what_it_forbids():
+    bad = ast.parse(
+        "from os import fsync\n"
+        "os.fsync(fh.fileno())\n"
+        "fsync(fd)\n")
+    assert len(fsync_sites(bad)) == 3
+    fine = ast.parse(
+        "self.host.fsync()\n"
+        "fs.fsync()\n"
+        "journal.sync()\n")
+    assert fsync_sites(fine) == []

@@ -197,6 +197,9 @@ class TestReplyRuns:
             def close_connection(self, conn_id):
                 pass
 
+            def sync(self):
+                pass
+
             def handle_frame_stream(self, conn_id, frame):
                 for start in range(0, len(reply), 7):
                     yield reply[start:start + 7]

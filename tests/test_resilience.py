@@ -276,6 +276,9 @@ class BusyDispatcher:
     def close_connection(self, conn_id):
         pass
 
+    def sync(self):
+        pass
+
     def handle_frame_stream(self, conn_id, frame):
         self.calls += 1
         if self.busy_left > 0:

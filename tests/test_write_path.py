@@ -1,19 +1,18 @@
-"""Write-path scale-out tests: sharded writer locks, group-committed
-batch windows, and bindings-driven WAL replay (docs/WRITE_PATH.md).
+"""Write-path tests: the one writer lock, group commit at the sync
+before a reply is released, and bindings-driven WAL replay
+(docs/WRITE_PATH.md).
 
-The engine half proves the locking discipline directly — disjoint
-shards commit concurrently, cross-shard writers never deadlock,
-commit hooks fire in exact commit-seq order, aborts roll data back
-but leave system-table bindings behind.  The server half drives the
-:class:`~repro.server.write_batch.WriteBatcher` through real frames:
-error isolation inside a window, and a torn write mid-batch that must
-recover + resume to the never-crashed oracle byte for byte.
+The engine half proves the transaction discipline directly — commit
+hooks fire in exact commit-seq order, aborts roll data back but leave
+system-table bindings behind.  The server half drives concurrent
+writers through real frames: error isolation between writes sharing a
+sync, and a torn write mid-batch that must recover + resume to the
+never-crashed oracle byte for byte.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -36,96 +35,10 @@ from repro.workload import PopulationSpec
 BASE = DEFAULT_EPOCH + 500
 
 
-# -- the sharded engine --------------------------------------------------------
+# -- the engine's writer transactions ----------------------------------------
 
 
 class TestShardedEngine:
-    def test_schema_declares_standard_shards(self):
-        db = build_database()
-        assert set(db.shards) == {"users", "machines", "quota"}
-        assert db._shard_of["users"] == "users"
-        assert db._shard_of["machine"] == "machines"
-        assert db._shard_of["nfsquota"] == "quota"
-        # system tables belong to no shard
-        assert "values" not in db._shard_of
-        assert "strings" not in db._shard_of
-
-    def test_unknown_shard_is_loud(self):
-        db = build_database()
-        with pytest.raises(MoiraError):
-            with db.write_txn(["users/9"]):
-                pass
-
-    def test_disjoint_shards_commit_concurrently(self):
-        """A machines-shard writer runs its body while a users-shard
-        transaction is still open — the seed's global lock forbade
-        exactly this — and the two then publish in commit-seq order:
-        the machines commit waits in the gate for the earlier seq."""
-        db = build_database()
-        users_open = threading.Event()
-        machines_ran = threading.Event()
-        published: list[tuple[str, int]] = []
-        overlapped: list[bool] = []
-
-        def writer(shard, table, row, body_done, wait_for=None):
-            def run():
-                with db.write_txn([shard], commit_hook=lambda txn:
-                                  published.append((shard, txn.seq))):
-                    db.table(table).insert(row, now=BASE)
-                    body_done.set()
-                    if wait_for is not None:
-                        overlapped.append(wait_for.wait(timeout=30))
-            return threading.Thread(target=run)
-
-        users = writer("users", "users",
-                       {"login": "wp1", "users_id": 9001, "uid": 9001},
-                       users_open, wait_for=machines_ran)
-        machines = writer("machines", "machine",
-                          {"name": "WP1.MIT.EDU", "mach_id": 9001,
-                           "type": "VAX"}, machines_ran)
-        users.start()
-        assert users_open.wait(timeout=30)
-        machines.start()
-        for thread in (users, machines):
-            thread.join(timeout=30)
-        assert overlapped == [True]
-        assert [shard for shard, _ in published] == ["users", "machines"]
-        assert published[0][1] < published[1][1]
-        assert db.table("machine").select({"name": "WP1.MIT.EDU"})
-        assert db.table("users").select({"login": "wp1"})
-
-    def test_cross_shard_writers_never_deadlock(self):
-        """Writers naming overlapping shard pairs in opposite orders
-        always make progress (locks are taken in sorted-name order
-        regardless of how the caller spells the set)."""
-        db = build_database()
-        errors: list[BaseException] = []
-
-        def spin(shards, mach_base):
-            try:
-                for i in range(25):
-                    with db.write_txn(shards):
-                        db.table("machine").insert(
-                            {"name": f"X{mach_base + i}.MIT.EDU",
-                             "mach_id": mach_base + i, "type": "VAX"},
-                            now=BASE)
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=spin, args=(["users", "machines"], 100)),
-            threading.Thread(target=spin, args=(["machines", "quota"], 200)),
-            threading.Thread(target=spin, args=(["quota", "users",
-                                                 "machines"], 300)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads), "deadlocked"
-        assert not errors
-        assert db.table("machine").count() == 75
-
     def test_commit_hooks_fire_in_commit_seq_order(self):
         """The publication gate runs each commit hook only after every
         earlier seq has published — the WAL-order invariant."""
@@ -139,7 +52,7 @@ class TestShardedEngine:
 
         def writer(shard, base):
             for i in range(20):
-                with db.write_txn([shard], commit_hook=hook):
+                with db.write_txn(commit_hook=hook):
                     db.table("machine" if shard == "machines"
                              else "nfsquota").insert(
                         {"name": f"H{base + i}.MIT.EDU",
@@ -168,9 +81,8 @@ class TestShardedEngine:
         seen: list[dict] = []
 
         with pytest.raises(RuntimeError):
-            with db.write_txn(["users"],
-                              abort_hook=lambda txn: seen.append(
-                                  txn.bindings)):
+            with db.write_txn(abort_hook=lambda txn: seen.append(
+                    txn.bindings)):
                 db.table("users").insert(
                     {"login": "doomed", "users_id": 9100, "uid": 9100},
                     now=BASE)
@@ -264,10 +176,10 @@ class TestBindingsReplay:
             entry_from_tuple(fields[:6])
 
 
-# -- the server's group-commit window ------------------------------------------
+# -- the server's group commit --------------------------------------------------
 
 
-def _mini_world(wal_path=None, *, write_batch=4):
+def _mini_world(wal_path=None):
     """A tiny server world: schema db + capacls + eight users + an
     admin on moira-admins, all seeded before any WAL exists."""
     db = build_database()
@@ -283,8 +195,7 @@ def _mini_world(wal_path=None, *, write_batch=4):
     execute_query(ctx, "add_member_to_list",
                   ["moira-admins", "USER", "wp7"])
     journal = Journal(path=wal_path)
-    server = MoiraServer(db, clock, KDC(clock), journal=journal,
-                         write_batch=write_batch)
+    server = MoiraServer(db, clock, KDC(clock), journal=journal)
     return db, clock, journal, server
 
 
@@ -352,7 +263,6 @@ class TestWriteBatcher:
         keys = {row[0].decode() if isinstance(row[0], bytes) else row[0]
                 for row in rows}
         assert "_wal.appends" in keys
-        assert "_batch.window" in keys
         assert "_batch.batches" in keys
 
     def test_torn_write_mid_batch_recovers_to_oracle(self, tmp_path):
@@ -373,8 +283,7 @@ class TestWriteBatcher:
         mrbackup(odb, oracle_dir)
         oracle = {p.name: p.read_bytes() for p in oracle_dir.iterdir()}
 
-        db, clock, journal, server = _mini_world(tmp_path / "wal",
-                                                 write_batch=2)
+        db, clock, journal, server = _mini_world(tmp_path / "wal")
         checkpoint(db, journal, tmp_path / "snap")
         faults = FaultInjector()
         faults.tear_write("journal.write", at_call=3)
@@ -416,8 +325,7 @@ class TestWriteBatcher:
     def test_batcher_survives_crash_and_serves_again(self, tmp_path):
         """After a mid-batch crash the lane releases leadership and
         queued writes fail fast — a post-recovery submit succeeds."""
-        db, clock, journal, server = _mini_world(tmp_path / "wal",
-                                                 write_batch=2)
+        db, clock, journal, server = _mini_world(tmp_path / "wal")
         faults = FaultInjector()
         faults.crash_server("journal.batch_flush", at_call=1)
         journal.faults = faults
