@@ -1171,6 +1171,9 @@ class Database(StorageBackend):
             "gc_runs": 0,
             "versions_reclaimed": 0,
             "entries_reclaimed": 0,
+            # retired items, list elements and versions the collector
+            # looked at: its cost, which tracks the garbage
+            "gc_visited": 0,
         }
 
     def membership_closure(self):
@@ -1455,23 +1458,28 @@ class Database(StorageBackend):
         The horizon is the oldest pinned seq (or the committed seq when
         nothing is pinned): any version or index entry whose window
         closed at or before it can never be read again.  Runs under the
-        exclusive lock; checkpointing calls this after truncating the
-        WAL, and :meth:`gc_if_due` once ``mv_gc_threshold`` versions
-        have accumulated.
+        exclusive lock, visiting only what closed windows retired
+        (:meth:`TableVersionStore.gc`), so the pause grows with the
+        garbage, not the database; checkpointing calls this after
+        truncating the WAL, and :meth:`gc_if_due` once
+        ``mv_gc_threshold`` versions have accumulated.
         """
         with self.lock:
             with self._pin_lock:
                 horizon = self._committed_seq
                 if self._pins:
                     horizon = min(horizon, min(self._pins))
-            entries = versions = 0
+            entries = versions = visited = 0
             for table in self.tables.values():
                 if table._mv is not None:
-                    freed_entries, freed_versions = table._mv.gc(horizon)
+                    freed_entries, freed_versions, seen = \
+                        table._mv.gc(horizon)
                     entries += freed_entries
                     versions += freed_versions
+                    visited += seen
             self._mv_pressure = 0
             self._mv_counters["gc_runs"] += 1
+            self._mv_counters["gc_visited"] += visited
             self._mv_counters["entries_reclaimed"] += entries
             self._mv_counters["versions_reclaimed"] += versions
         return {"entries": entries, "versions": versions,

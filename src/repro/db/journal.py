@@ -61,16 +61,32 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import MR_FENCED, MoiraError
 from repro.sim.faults import FaultInjector, TornWrite
 
-__all__ = ["Journal", "JournalEntry"]
+__all__ = ["Journal", "JournalEntry", "fsync_paths"]
 
 # Durable epoch header: one JSON line {"_hdr": "epoch", "epoch": N}.
 # Parsed (max wins) and skipped by load(); never a JournalEntry.
 _HDR_PREFIX = '{"_hdr"'
+
+
+def fsync_paths(paths: Iterable[Union[str, Path]]) -> None:
+    """Force each file or directory in *paths* to disk, in order.
+
+    A checkpoint makes its snapshot durable this way before
+    :meth:`Journal.truncate` drops the log the snapshot covers: the
+    dump files and watermark first, then the directory holding their
+    names.
+    """
+    for path in paths:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,11 @@ torn read can only ever observe a *consistent* older state.
 
 Garbage collection (:meth:`Database.gc_versions`) reclaims versions and
 entries whose windows closed at or before the **horizon** — the oldest
-pinned seq (or the committed seq when nothing is pinned) — by
-structure replacement, so in-flight readers keep iterating the old
-lists safely.
+pinned seq (or the committed seq when nothing is pinned).  Whatever
+closes a window queues what it retired, and a collection visits only
+that queue: it copies and swaps just the buckets (and scan lists) the
+retired entries sit in, so in-flight readers keep iterating the old
+lists safely, and trims just the chains that hold a closed version.
 """
 
 from __future__ import annotations
@@ -162,20 +164,6 @@ class _MvIndex:
             out.extend(self.buckets.get(key, ()))
         return out
 
-    def gc(self, horizon: int) -> int:
-        """Drop entries dead at *horizon*; returns the count dropped."""
-        freed = 0
-        fresh: dict[Any, list[_Entry]] = {}
-        for key, bucket in list(self.buckets.items()):
-            keep = [e for e in bucket if e.end > horizon]
-            freed += len(bucket) - len(keep)
-            if keep:
-                fresh[key] = keep
-        self.buckets = fresh
-        self.key_epoch += 1
-        self._sorted_cache = None
-        return freed
-
 
 class _MvComposite:
     """Versioned mirror of a composite (tuple-keyed) hash index."""
@@ -201,17 +189,6 @@ class _MvComposite:
         key = tuple(self._fold(c, values[c.name]) for c in self.columns)
         return self.buckets.get(key, [])
 
-    def gc(self, horizon: int) -> int:
-        freed = 0
-        fresh: dict[tuple, list[_Entry]] = {}
-        for key, bucket in list(self.buckets.items()):
-            keep = [e for e in bucket if e.end > horizon]
-            freed += len(bucket) - len(keep)
-            if keep:
-                fresh[key] = keep
-        self.buckets = fresh
-        return freed
-
 
 class TableVersionStore:
     """The side version store of one :class:`~repro.db.engine.Table`.
@@ -234,10 +211,35 @@ class TableVersionStore:
             names: _MvComposite(comp.columns)
             for names, comp in table._composites.items()}
         self.records: dict[int, _Record] = {}  # id(live row) -> record
+        # what closed windows retired, for the collector: (slot, key) ->
+        # entries closed in that bucket (slot None, key None: the scan
+        # list), and id(record) -> records whose chain holds a closed
+        # version
+        self.retired: dict[tuple, list[_Entry]] = {}
+        self.retired_chains: dict[int, _Record] = {}
         for row in table.rows:
             self._admit(row, base_seq)
 
     # -- writer-side hooks ---------------------------------------------------
+
+    def _slot_key(self, slot, data: dict) -> Any:
+        """The bucket key of *data* in structure *slot*."""
+        if slot is None:
+            return None
+        if isinstance(slot, str):
+            return self.indexes[slot].key_of(data[slot])
+        return self.composites[slot].key_of(data)
+
+    def _retire(self, slot, key, entry: _Entry) -> None:
+        self.retired.setdefault((slot, key), []).append(entry)
+
+    def _retire_live(self, record: _Record, seq: int) -> None:
+        """Close every open entry of *record* at *seq* and queue them."""
+        data = record.current.data
+        for slot, entry in record.live.items():
+            entry.end = seq
+            self._retire(slot, self._slot_key(slot, data), entry)
+        record.live = {}
 
     def _admit(self, row: dict, seq: int) -> _Record:
         data = dict(row)
@@ -317,8 +319,10 @@ class TableVersionStore:
         # or (fresh → old), all of which resolve identically below seq
         old.end = seq
         record.current = fresh
-        # (slot, retired entry, fresh entry) per re-bucketed structure,
-        # so an abort can reopen exactly what this statement closed
+        self.retired_chains[id(record)] = record
+        # (slot, retired entry, fresh entry, fresh key) per re-bucketed
+        # structure, so an abort can reopen exactly what this statement
+        # closed
         replaced: list = []
         # an assignment to an indexed column re-buckets the live index
         # (remove + append) even when the key value is unchanged;
@@ -330,20 +334,24 @@ class TableVersionStore:
             stale = record.live.get(name)
             if stale is not None:
                 stale.end = seq
+                self._retire(name, index.key_of(old.data[name]), stale)
             entry = _Entry(record, seq, INF_SEQ)
-            index.append(index.key_of(data[name]), entry)
+            key = index.key_of(data[name])
+            index.append(key, entry)
             record.live[name] = entry
-            replaced.append((name, stale, entry))
+            replaced.append((name, stale, entry, key))
         for names, comp in self.composites.items():
             if not any(name in changed for name in names):
                 continue
             stale = record.live.get(names)
             if stale is not None:
                 stale.end = seq
+                self._retire(names, comp.key_of(old.data), stale)
             entry = _Entry(record, seq, INF_SEQ)
-            comp.append(comp.key_of(data), entry)
+            key = comp.key_of(data)
+            comp.append(key, entry)
             record.live[names] = entry
-            replaced.append((names, stale, entry))
+            replaced.append((names, stale, entry, key))
         self.db._mv_note(1)
         return (row, old, replaced)
 
@@ -354,9 +362,7 @@ class TableVersionStore:
             return None
         token = (row, record, dict(record.live))
         record.current.end = seq
-        for entry in record.live.values():
-            entry.end = seq
-        record.live = {}
+        self._retire_live(record, seq)
         self.db._mv_note(1)
         return token
 
@@ -365,16 +371,16 @@ class TableVersionStore:
     # *before* the aborting transaction's seq publishes — so no
     # snapshot can ever be pinned at the aborted seq, and closing a
     # window to the empty range [seq, seq) makes the version dead for
-    # every reader past and future.  GC reclaims the husks normally.
+    # every reader past and future.  GC reclaims the husks normally:
+    # they are queued like any retirement, and an entry an abort
+    # reopens leaves the queue when the collector finds it open.
 
     def undo_insert(self, row: dict, seq: int) -> None:
         record = self.records.pop(id(row), None)
         if record is None:
             return
         record.current.end = seq        # empty window: never visible
-        for entry in record.live.values():
-            entry.end = seq
-        record.live = {}
+        self._retire_live(record, seq)
 
     def undo_update(self, token, seq: int) -> None:
         row, old, replaced = token
@@ -384,8 +390,9 @@ class TableVersionStore:
             # the publication order; the aborted version is orphaned)
             old.end = INF_SEQ
             record.current = old
-        for slot, stale, entry in replaced:
+        for slot, stale, entry, key in replaced:
             entry.end = seq             # dead: [seq, seq)
+            self._retire(slot, key, entry)
             if stale is not None:
                 stale.end = INF_SEQ
                 if record is not None:
@@ -428,9 +435,7 @@ class TableVersionStore:
     def on_clear(self, seq: int) -> None:
         for record in self.records.values():
             record.current.end = seq
-            for entry in record.live.values():
-                entry.end = seq
-            record.live = {}
+            self._retire_live(record, seq)
         self.records.clear()
         self.db._mv_note(1)
 
@@ -450,6 +455,8 @@ class TableVersionStore:
                 index.append(key, entry)
                 if is_open:
                     record.live[column_name] = entry
+                else:
+                    self._retire(column_name, key, entry)
         self.indexes[column_name] = index
 
     def on_add_composite_index(self, names: tuple) -> None:
@@ -463,6 +470,8 @@ class TableVersionStore:
                 comp.append(key, entry)
                 if is_open:
                     record.live[comp.names] = entry
+                else:
+                    self._retire(comp.names, key, entry)
         self.composites[comp.names] = comp
 
     @staticmethod
@@ -489,43 +498,78 @@ class TableVersionStore:
 
     # -- garbage collection --------------------------------------------------
 
-    def gc(self, horizon: int) -> tuple[int, int]:
-        """Reclaim entries/versions dead at *horizon*.
+    def gc(self, horizon: int) -> tuple[int, int, int]:
+        """Reclaim the retired entries and versions dead at *horizon*.
 
-        Returns ``(entries_freed, versions_freed)``.  Runs under the
-        exclusive lock; every structure shrinks by replacement so
-        concurrent readers keep their own consistent references.
+        Returns ``(entries_freed, versions_freed, visited)``, *visited*
+        counting every queued item, list element and version looked
+        at.  Runs under the exclusive lock and visits only what was
+        retired: each bucket (or scan list) holding a dead retired
+        entry is copied and swapped, and each queued chain trimmed.
+        Items closed after *horizon* stay queued; an item an abort
+        reopened is dropped.
         """
-        entries_freed = versions_freed = 0
-        keep: list[_Entry] = []
-        for entry in self.entries:
-            if entry.end > horizon:
-                keep.append(entry)
+        entries_freed = versions_freed = visited = 0
+        retired, self.retired = self.retired, {}
+        for (slot, key), queued in retired.items():
+            visited += len(queued)
+            dead = []
+            waiting = []
+            for entry in dict.fromkeys(queued):
+                if entry.end <= horizon:
+                    dead.append(entry)
+                elif entry.end != INF_SEQ:
+                    waiting.append(entry)
+            if waiting:
+                self.retired[(slot, key)] = waiting
+            if not dead:
                 continue
-            entries_freed += 1
-            record = entry.record
-            if record.current.end <= horizon:
-                # dead record: its whole chain goes with the scan entry
-                v = record.current
-                while v is not None:
-                    versions_freed += 1
-                    v = v.older
-        self.entries = keep
-        for index in self.indexes.values():
-            entries_freed += index.gc(horizon)
-        for comp in self.composites.values():
-            entries_freed += comp.gc(horizon)
-        for record in self.records.values():
-            v = record.current
+            if slot is None:
+                old = self.entries
+                self.entries = [e for e in old if e.end > horizon]
+                visited += len(old)
+                entries_freed += len(old) - len(self.entries)
+                for entry in dead:
+                    v = entry.record.current
+                    if v.end <= horizon:
+                        # dead record: its whole chain goes with the
+                        # scan entry
+                        while v is not None:
+                            versions_freed += 1
+                            v = v.older
+                continue
+            structure = (self.indexes[slot] if isinstance(slot, str)
+                         else self.composites[slot])
+            bucket = structure.buckets.get(key, [])
+            keep = [e for e in bucket if e.end > horizon]
+            visited += len(bucket)
+            entries_freed += len(bucket) - len(keep)
+            if keep:
+                structure.buckets[key] = keep
+            elif key in structure.buckets:
+                del structure.buckets[key]
+                if isinstance(structure, _MvIndex):
+                    structure.key_epoch += 1
+        chains, self.retired_chains = self.retired_chains, {}
+        for rid, record in chains.items():
+            visited += 1
+            current = record.current
+            if current.end <= horizon:
+                continue    # dead: the chain goes with its scan entry
+            v = current
             while v.older is not None and v.older.end > horizon:
                 v = v.older
+                visited += 1
             cut = v.older
             if cut is not None:
                 v.older = None
                 while cut is not None:
                     versions_freed += 1
+                    visited += 1
                     cut = cut.older
-        return entries_freed, versions_freed
+            if current.older is not None:
+                self.retired_chains[rid] = record
+        return entries_freed, versions_freed, visited
 
 
 class _SnapshotClosure:

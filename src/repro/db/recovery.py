@@ -6,7 +6,8 @@ this module turns that into a real recovery protocol:
 
 * :func:`checkpoint` — dump every relation with :func:`mrbackup`, record
   the WAL watermark (the newest journaled sequence number the snapshot
-  covers) beside the dump, then truncate the WAL up to it.
+  covers) beside the dump, fsync the dump, the watermark and the
+  directory, then truncate the WAL up to it.
 * :func:`recover` — rebuild a schema-fresh database, :func:`mrrestore`
   the snapshot into it, and replay every WAL entry past the watermark.
 
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.db.backup import mrbackup, mrrestore
 from repro.db.engine import Database
-from repro.db.journal import Journal, JournalEntry
+from repro.db.journal import Journal, JournalEntry, fsync_paths
 from repro.errors import (
     MoiraError,
     MR_EXISTS,
@@ -119,16 +120,18 @@ def checkpoint(db: Database, journal: Journal,
                directory: Union[str, Path]) -> int:
     """Snapshot *db* into *directory* and truncate the WAL behind it.
 
-    Returns the recorded watermark sequence number.  The watermark is
-    written *before* the truncate so a crash between the two steps only
-    costs replay work, never correctness (covered entries replay as
-    tolerated conflicts).
+    Returns the recorded watermark sequence number.  Every dump file,
+    the watermark and the directory reach the disk *before* the
+    truncate, so a crash between the two steps only costs replay work,
+    never correctness (covered entries replay as tolerated conflicts),
+    and a power loss after it cannot take acknowledged writes along.
     """
     directory = Path(directory)
-    mrbackup(db, directory)
+    dumped = mrbackup(db, directory)
     watermark = journal.last_seq()
-    (directory / CHECKPOINT_META).write_text(f"{watermark}\n",
-                                             encoding="utf-8")
+    meta = directory / CHECKPOINT_META
+    meta.write_text(f"{watermark}\n", encoding="utf-8")
+    fsync_paths([*(directory / name for name in dumped), meta, directory])
     journal.truncate(watermark)
     # checkpoint is the natural MVCC horizon: everything up to the
     # watermark is durably on disk, so reclaim row versions no pinned

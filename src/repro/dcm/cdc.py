@@ -13,8 +13,8 @@ The pipeline, end to end:
    in-process (``Journal.tail``); a notify-only commit listener flags
    pending work, so an idle pump is a flag check.
 2. **Cursor** — the extractor owns a durable named cursor (a min-seq
-   token persisted like the checkpoint watermark: tmp + fsync +
-   rename).  The cursor is registered with the journal, and
+   token in a sidecar file written by tmp + fsync + rename).  The
+   cursor is registered with the journal, and
    ``Journal.compact`` treats it as a pin with the same discipline as
    replica applied-seq watermarks.  Forced compaction past the cursor
    makes the next poll return the resync signal; the extractor then
@@ -82,10 +82,10 @@ CDC_BOOKKEEPING_QUERIES = frozenset({
 
 
 class CdcCursor:
-    """A durable named min-seq token, persisted like the checkpoint
-    watermark: written to a sidecar JSON file via tmp + fsync + atomic
-    rename, reloaded on construction.  ``path=None`` keeps it in
-    memory only (tests, throwaway deployments)."""
+    """A durable named min-seq token: written to a sidecar JSON file
+    via tmp + fsync + atomic rename, reloaded on construction.
+    ``path=None`` keeps it in memory only (tests, throwaway
+    deployments)."""
 
     def __init__(self, name: str = "cdc",
                  path: Optional[Union[str, Path]] = None):

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.db.backup import escape_field
+from repro.db.backup import dump_line, row_values
 from repro.db.journal import JournalEntry
 from repro.errors import (
     MoiraError,
@@ -172,10 +172,9 @@ def _snapshot(server: "MoiraServer") -> Iterator[Run]:
                               str(server.journal.epoch))]
         for name in sorted(db.tables):
             table = db.tables[name]
-            yield MR_MORE_DATA, [
-                (name, ":".join(escape_field(str(row[col]))
-                                for col in table.columns))
-                for row in table.rows]
+            values = row_values(table.columns)
+            yield MR_MORE_DATA, [(name, dump_line(values(row)))
+                                 for row in table.rows]
     yield final(0)
 
 

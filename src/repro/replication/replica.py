@@ -62,7 +62,7 @@ import threading
 import time
 from typing import Callable, Iterator, Optional
 
-from repro.db.backup import _split_escaped, unescape_field
+from repro.db.backup import parse_line
 from repro.db.journal import Journal
 from repro.db.recovery import OutOfCommitOrder, apply_entries
 from repro.db.schema import build_database
@@ -314,9 +314,8 @@ class ReplicaServer:
                 table.clear()
                 loaded = 0
                 for line in by_table.get(tname, ()):
-                    fields = _split_escaped(line)
-                    table.insert({col: unescape_field(f) for col, f
-                                  in zip(table.columns, fields)})
+                    table.insert(dict(zip(table.columns,
+                                          parse_line(line))))
                     loaded += 1
                 # replication is not user modification (mrrestore rule)
                 table.stats.appends -= loaded

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.db.backup import (
+    dump_line,
     escape_field,
     mrbackup,
     mrrestore,
+    parse_line,
     rotate,
     unescape_field,
 )
@@ -114,6 +116,108 @@ class TestBackupRestore:
         (tmp_path / "b" / "machine").write_text("only:two\n")
         with pytest.raises(ValueError):
             mrrestore(build_database(), tmp_path / "b")
+
+
+class TestStrictDecoding:
+    """A backslash is followed by ``:``, ``\\`` or three octal digits;
+    anything else is a malformed dump, not a guess."""
+
+    @pytest.mark.parametrize("field", [
+        "a\\",          # trailing backslash
+        "a\\7",         # one octal digit
+        "a\\07",        # two octal digits
+        "a\\08x",       # not octal
+        "a\\x41",       # not an escape at all
+        "a\\ 17",       # int() would strip the space
+        "a\\400",       # past one byte
+    ])
+    def test_unescape_rejects(self, field):
+        with pytest.raises(ValueError):
+            unescape_field(field)
+
+    def test_three_octal_digits_decode(self):
+        assert unescape_field("a\\007b") == "a\x07b"
+        assert unescape_field("\\303\\251") == "\u00e9"
+
+    @pytest.mark.parametrize("line", [
+        "BAD.MIT.EDU:1:VAX:x\\",
+        "BAD.MIT.EDU:1:VAX:x\\7",
+        "BAD.MIT.EDU:1:VAX:x\\9zz",
+    ])
+    def test_restore_names_relation_and_line(self, tmp_path, line):
+        db = build_database()
+        db.table("machine").insert(
+            {"name": "GOOD.MIT.EDU", "mach_id": 1, "type": "VAX"})
+        mrbackup(db, tmp_path / "b")
+        good = (tmp_path / "b" / "machine").read_text().splitlines()[0]
+        fields = good.split(":")
+        fields[3] = line.split(":")[3]
+        (tmp_path / "b" / "machine").write_text(
+            good + "\n" + ":".join(fields) + "\n")
+        with pytest.raises(ValueError, match=r"^machine line 2: "):
+            mrrestore(build_database(), tmp_path / "b")
+
+    def test_wrong_field_count_names_relation_and_line(self, tmp_path):
+        mrbackup(build_database(), tmp_path / "b")
+        (tmp_path / "b" / "machine").write_text("only:two\n")
+        with pytest.raises(ValueError, match=r"^machine line 1: expected"):
+            mrrestore(build_database(), tmp_path / "b")
+
+
+def seed_escape_field(value: str) -> str:
+    """The per-character escaper every dump line used to go through:
+    the oracle the row-at-a-time codec must match byte for byte."""
+    out = []
+    for ch in value:
+        if ch == ":":
+            out.append("\\:")
+        elif ch == "\\":
+            out.append("\\\\")
+        elif not ch.isprintable() or ch == "\n":
+            out.extend(f"\\{byte:03o}" for byte in ch.encode("utf-8"))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+field_text = st.text(
+    alphabet=st.one_of(st.sampled_from(":\\\n\x07\u00e9 "),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=12)
+
+
+class TestRowCodec:
+    @given(st.lists(field_text, min_size=1, max_size=6))
+    def test_dump_line_matches_the_per_character_escaper(self, fields):
+        line = dump_line(tuple(fields))
+        assert line == ":".join(seed_escape_field(f) for f in fields)
+        assert parse_line(line) == fields
+
+    @pytest.fixture(scope="class")
+    def dbs(self):
+        return build_database(), build_database()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(field_text, field_text), min_size=1,
+                    max_size=8))
+    def test_mrbackup_is_byte_identical_and_round_trips(self, tmp_path,
+                                                        dbs, rows):
+        db, restored = dbs
+        users = db.table("users")
+        users.clear()
+        for i, (fullname, shell) in enumerate(rows):
+            users.insert({"login": f"u{i}", "users_id": i + 1,
+                          "fullname": fullname, "shell": shell})
+        target = tmp_path / "codec"
+        mrbackup(db, target)
+        expected = "".join(
+            ":".join(seed_escape_field(str(row[col]))
+                     for col in users.columns) + "\n"
+            for row in users.rows)
+        assert (target / "users").read_bytes() == expected.encode("utf-8")
+        mrrestore(restored, target)
+        assert list(restored.table("users").rows) == list(users.rows)
 
 
 class TestRotation:

@@ -323,6 +323,65 @@ class TestVersionGC:
         assert t.select({"name": "GC1.MIT.EDU"})[0]["type"] == "RT"
         assert report["horizon"] <= freed["horizon"]
 
+    def test_collections_beside_lock_free_readers(self):
+        """A collection swaps only the buckets it touches, in place,
+        while readers iterate without the lock: a writer moves quota
+        between two rows, flips a third row between two buckets (one
+        of which empties) and collects after every step; no reader
+        ever sees a torn sum or the flipping row twice."""
+        import sys
+        db = build_database()
+        t = db.table("nfsphys")
+        a, b, flip = (
+            t.insert({"nfsphys_id": i, "mach_id": 1, "dir": f"/{i}",
+                      "allocated": 5000, "size": 10_000})
+            for i in (1, 2, 3))
+        stop = threading.Event()
+        bad: list = []
+
+        def writer():
+            delta = 1
+            while not stop.is_set():
+                with db.lock:
+                    t.update_rows([a],
+                                  {"allocated": a["allocated"] - delta})
+                    t.update_rows([b],
+                                  {"allocated": b["allocated"] + delta})
+                    t.update_rows([flip],
+                                  {"mach_id": 4 - flip["mach_id"]})
+                db.gc_versions()
+                delta = -delta
+
+        def reader():
+            for _ in range(300):
+                with db.read_view() as snap:
+                    view = snap.table("nfsphys")
+                    rows = view.select({"mach_id": 1})
+                    ids = [r["nfsphys_id"] for r in rows]
+                    moved = view.select({"mach_id": 3})
+                    total = sum(r["allocated"] for r in rows
+                                if r["nfsphys_id"] < 3)
+                    if total != 10_000 or ids.count(3) + len(moved) != 1:
+                        bad.append((total, ids, len(moved)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            w = threading.Thread(target=writer)
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            w.start()
+            for r in readers:
+                r.start()
+            for r in readers:
+                r.join(timeout=60)
+            stop.set()
+            w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(r.is_alive() for r in readers) and not w.is_alive()
+        assert not bad, bad[:5]
+        assert db.mvcc_stats()["versions_reclaimed"] > 0
+
     def test_checkpoint_triggers_gc(self, tmp_path):
         from repro.db.journal import Journal
         from repro.db.recovery import checkpoint

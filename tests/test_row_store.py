@@ -6,14 +6,18 @@ for the table (to put rows back at their scan positions).  Two kinds of
 test hold it there:
 
 * a complexity pin — deleting from, or aborting an insert into, a
-  50,000-row table never iterates the store;
+  50,000-row table never iterates the store, and collecting after one
+  update never iterates a bucket the update did not touch;
 * a stateful model test — inserts, updates, deletes and bulk loads,
   each in a ``write_txn`` that commits or aborts, against a plain-list
   reference model, with the scan order, a pinned snapshot's scan and
-  every index bucket checked after each step.
+  every index bucket checked after each step, and after each
+  collection nothing dead at its horizon left in the version store.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -101,6 +105,128 @@ class TestDeleteCost:
                 raise _Abort
         assert [row["key"] for row in list(table.rows)[24_990:25_010]] \
             == before
+
+
+class _CountedBucket(list):
+    """A bucket that records each iteration of itself."""
+
+    walks: list = []
+
+    def __iter__(self):
+        self.walks.append(self)
+        return super().__iter__()
+
+
+class TestCollectCost:
+    ROWS = 10_000
+
+    def test_collect_visits_only_what_one_update_retired(self):
+        db = Database()
+        table = db.create_table(probe_table())
+        table.bulk_load([{"key": i, "kind": KINDS[i % 3], "note": ""}
+                         for i in range(self.ROWS)])
+        store = table._mv
+        # a small kind bucket, so the one touched bucket stays cheap
+        table.update_rows(table.select({"key": 4_321}), {"kind": "delta"})
+        walks = _CountedBucket.walks = []
+        for structure in [*store.indexes.values(),
+                          *store.composites.values()]:
+            for key, bucket in list(structure.buckets.items()):
+                structure.buckets[key] = _CountedBucket(bucket)
+        store.entries = _CountedBucket(store.entries)
+        before = db.mvcc_stats()["gc_visited"]
+
+        report = db.gc_versions()
+
+        # the update retired one version, the old "kind" entry and the
+        # old (kind, key) entry: only their two buckets are walked
+        assert report["versions"] == 1 and report["entries"] == 2
+        assert sorted(map(len, walks)) == [1, self.ROWS // 3]
+        visited = db.mvcc_stats()["gc_visited"]
+        assert visited - before < self.ROWS // 3 + 10
+        assert table.select({"kind": "delta"})[0]["key"] == 4_321
+        # the queue drained: with nothing retired, nothing is visited
+        assert db.gc_versions()["versions"] == 0
+        assert db.mvcc_stats()["gc_visited"] == visited
+
+
+def dead_at(store, horizon: int) -> list:
+    """Every scan, index or composite entry and every version in
+    *store* whose window closed at or before *horizon*, and every empty
+    bucket: what a collection at *horizon* must leave none of."""
+    buckets = [bucket for structure in [*store.indexes.values(),
+                                        *store.composites.values()]
+               for bucket in structure.buckets.values()]
+    found: list = [bucket for bucket in buckets if not bucket]
+    for entries in [store.entries, *buckets]:
+        for entry in entries:
+            if entry.end <= horizon:
+                found.append(entry)
+            version = entry.record.current
+            while version is not None:
+                if version.end <= horizon:
+                    found.append(version)
+                version = version.older
+    return found
+
+
+def test_collections_under_a_seeded_history_leave_nothing_dead():
+    """The model test's postcondition over a longer history than its
+    examples reach: writes that commit or abort, pins taken and
+    released out of order, a collection every few steps.  Every pinned
+    snapshot still reads what it read when it was taken."""
+    rng = random.Random(38)
+    db = Database()
+    table = db.create_table(probe_table())
+    table.bulk_load([{"key": i, "kind": KINDS[i % 3], "note": ""}
+                     for i in range(40)])
+    next_key, pins, reclaimed = 40, [], 0
+    for step in range(400):
+        op = rng.random()
+        if op < 0.1:
+            pins.append((db.pin_snapshot(),
+                         [dict(row) for row in table.rows]))
+        elif op < 0.2 and pins:
+            db.unpin_snapshot(pins.pop(rng.randrange(len(pins)))[0])
+        elif op < 0.35:
+            report = db.gc_versions()
+            reclaimed += report["versions"]
+            assert dead_at(table._mv, report["horizon"]) == [], step
+            for snap, rows in pins:
+                view = snap.table("probe")
+                assert view.rows == rows, step
+                for kind in KINDS:
+                    found = view.select({"kind": kind})
+                    assert sorted(row["key"] for row in found) == [
+                        row["key"] for row in sorted(
+                            rows, key=lambda row: row["key"])
+                        if row["kind"].lower() == kind.lower()], step
+        else:
+            try:
+                with db.write_txn():
+                    for _ in range(rng.randint(1, 3)):
+                        rows = list(table.rows)
+                        kind = rng.random()
+                        if kind < 0.3 or not rows:
+                            table.insert({"key": next_key,
+                                          "kind": rng.choice(KINDS)})
+                            next_key += 1
+                        elif kind < 0.75:
+                            column = rng.choice(["kind", "note"])
+                            table.update_rows(
+                                rng.sample(rows, min(2, len(rows))),
+                                {column: rng.choice(KINDS)})
+                        else:
+                            table.delete_rows([rng.choice(rows)])
+                    if rng.random() < 0.25:
+                        raise _Abort
+            except _Abort:
+                pass
+    for snap, _ in pins:
+        db.unpin_snapshot(snap)
+    report = db.gc_versions()
+    assert dead_at(table._mv, report["horizon"]) == []
+    assert reclaimed + report["versions"] > 0
 
 
 def test_a_loop_may_delete_from_and_insert_into_the_table_it_walks():
@@ -228,6 +354,18 @@ class RowStoreMachine(RuleBasedStateMachine):
         self.db.gc_versions()
 
     # -- invariants ---------------------------------------------------------------
+
+    @invariant()
+    def a_collection_leaves_nothing_dead(self):
+        """Right after a collection, nothing closed at or before its
+        horizon remains in the version store."""
+        runs = self.db.mvcc_stats()["gc_runs"]
+        if runs == getattr(self, "gc_runs_checked", 0):
+            return
+        self.gc_runs_checked = runs
+        horizon = min([self.db._committed_seq]
+                      + [snap.seq for snap, _ in self.pinned])
+        assert dead_at(self.table._mv, horizon) == []
 
     @invariant()
     def scan_order_is_the_model(self):
