@@ -45,8 +45,9 @@ The pipeline, end to end:
    bytes changed — to hosts holding the previous generation (per-host
    locks, §5.9 update protocol, governor admission, one serverhosts
    scan).  The reference for the installed bytes is a
-   full build every due cycle (``TestRegenerateOracle``).  The
-   round's bookkeeping writes are fsync'd together, once, by
+   full build every due cycle (``TestRegenerateOracle``).  A service
+   journals its round's outcomes once, not its progress; the round's
+   writes are fsync'd together, once, by
    :meth:`~repro.dcm.dcm.DCM.sync` before the cursor moves.
 6. **Retry** — an outcome that left a host behind (soft failure,
    governor deferral, held lock) re-opens the service's window, not

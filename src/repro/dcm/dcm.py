@@ -7,7 +7,8 @@ On each invocation (cron or the Trigger_DCM request) the DCM:
 2. scans the servers relation for services that are enabled, have no
    hard error, a non-zero interval, and a registered generator;
 3. for each such service due for an update, takes an exclusive service
-   lock, sets InProgress, and runs the generator — recording success
+   lock (here the paper's InProgress: never journaled), and runs the
+   generator — recording success
    (dfgen+dfcheck), MR_NO_CHANGE (dfcheck only), soft errors (errmsg),
    or hard errors (harderror + errmsg + a zephyrgram to MOIRA/DCM);
 4. for each such service — "regardless of the result of attempting to
@@ -29,11 +30,11 @@ service is looked at: both call the same classify step (steps 3 and
 the per-host plan, ``_classify``) and the same deliver step (4 and 5,
 ``_deliver``), whose host-push loop is the one serverhosts scan, on
 the calling thread.  The DCM talks to the database through the direct
-glue library (:class:`DirectClient`), authenticating as root.  Its
-bookkeeping writes (the service and host flags) reach the WAL file one
-by one but are fsync'd together: one :meth:`DCM.sync` ends each cron
-cycle and each extraction round, the server's group commit with a DCM
-invocation as the window.
+glue library (:class:`DirectClient`), authenticating as root.  A
+service round journals outcomes, not progress — its flags, and one
+``set_server_host_internal`` for every host it marked or pushed — and
+is fsync'd with the rest: one :meth:`DCM.sync` ends each cron cycle and
+each extraction round, a group commit with the invocation as window.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.dcm.update import (
     push_update,
 )
 from repro.dcm.retry import PropagationGovernor, RetryPolicy
-from repro.errors import error_message
+from repro.errors import MR_SERVICE, MoiraError, error_message
 from repro.hosts.host import SimulatedHost
 from repro.hosts.update_daemon import FileDelta, UpdateDaemon, checksum
 from repro.sim.clock import Clock
@@ -155,6 +156,9 @@ class _PushSummary:
     bytes_sent: int = 0
     # (service/machine, origin journal seq) per hard failure
     hard_origins: list[tuple[str, int]] = field(default_factory=list)
+    # (host_row, sshi group) per host marked or pushed; _deliver writes
+    outcomes: list[tuple[dict, tuple[str, ...]]] = field(
+        default_factory=list)
     log: list[str] = field(default_factory=list)
 
 
@@ -416,8 +420,8 @@ class DCM:
         recorded version vector against *ctx*'s, over the columns the
         generator reads; a process holding no vector counts a CDC call
         as changed and otherwise falls back to the paper's
-        ``changed_since(dfgen)``), the guarded generate step (with
-        InProgress set), and the per-host plan (:meth:`_plan`).
+        ``changed_since(dfgen)``), the guarded generate step, and the
+        per-host plan (:meth:`_plan`).
 
         Unchanged inputs mean the database is the ``dfgen`` generation,
         so files this process does not hold are rebuilt as that base;
@@ -444,7 +448,6 @@ class DCM:
                         generator.changed_since(ctx.db, service["dfgen"])))
                 gen = None
                 if changed or held is None:
-                    self._set_service_flags(service, inprogress=1)
                     hosts = self.db.table("serverhosts").select(
                         {"service": name})
                     gen = self._generate(service, generator,
@@ -477,11 +480,9 @@ class DCM:
                 if previous is None or result != previous:
                     self._unproven.discard(name)
                     self._set_service_flags(service, dfgen=now, dfcheck=now)
-                    for host_row, machine_name in plan.marks:
-                        self._mark_host_updated(name, machine_name,
-                                                host_row, now)
-                        plan.log.append(f"dcm: {name}/{machine_name}: "
-                                        "unchanged, marked converged")
+                    plan.log.extend(f"dcm: {name}/{machine_name}: "
+                                    "unchanged, marked converged"
+                                    for _, machine_name in plan.marks)
                 else:
                     self._set_service_flags(service, dfcheck=now)
                     plan.marks = []     # they hold these bytes already
@@ -601,7 +602,7 @@ class DCM:
         self.total_generations += 1
         return _Generation(result, incremental, origin=origin)
 
-    def _set_service_flags(self, service: dict, *, inprogress: int = 0,
+    def _set_service_flags(self, service: dict, *,
                            dfgen: Optional[int] = None,
                            dfcheck: Optional[int] = None,
                            harderror: int = 0, errmsg: str = "") -> None:
@@ -614,8 +615,8 @@ class DCM:
         service["harderror"], service["errmsg"] = harderror, errmsg
         self.client.query(
             "set_server_internal_flags", service["name"],
-            str(service["dfgen"]), str(service["dfcheck"]),
-            str(inprogress), str(harderror), errmsg, fsync=False)
+            str(service["dfgen"]), str(service["dfcheck"]), "0",
+            str(harderror), errmsg, fsync=False)
 
     # -- step 2: deliver (host-scan lock) ------------------------------------------
 
@@ -624,10 +625,12 @@ class DCM:
         """Admit and push *plan* — or, for a service not classified this
         cycle (None), the held generation to its stale hosts — under
         §5.7.1's host-scan lock: SHARED for a UNIQUE service, EXCLUSIVE
-        for a REPLICAT one."""
+        for a REPLICAT one; then one write records the plan's marks and
+        every push's outcome (none if the round raises: a re-push)."""
         name = service["name"]
         mode = (LockMode.EXCLUSIVE if service["type"] == "REPLICAT"
                 else LockMode.SHARED)
+        marks = [] if plan is None else plan.marks
         try:
             with self.locks.held(f"service:{name}", mode):
                 if plan is None:
@@ -643,13 +646,16 @@ class DCM:
                     (admitted if ok else deferred).append(entry)
                 summary = self._push_plan(service, admitted, now)
         except LockHeld:
-            return _PushSummary(service_locked=True, log=[
-                f"dcm: {name}: locked for host scan"])
+            summary, deferred = _PushSummary(service_locked=True, log=[
+                f"dcm: {name}: locked for host scan"]), []
         summary.deferred = [machine for _, machine, _ in deferred]
         summary.log.extend(f"dcm: {name}/{machine}: deferred by governor"
                            for machine in summary.deferred)
         summary.log.extend(f"dcm: {name}/{machine}: locked, will retry"
                            for machine in summary.locked)
+        summary.outcomes[:0] = [self._converged(host_row, machine, now)
+                                for host_row, machine in marks]
+        self._write_outcomes(name, summary)
         return summary
 
     def _push_plan(self, service: dict,
@@ -667,6 +673,9 @@ class DCM:
         built: dict[frozenset, tuple[bytes, str]] = {}
         summary = _PushSummary()
         for host_row, machine_name, files in plan:
+            if self.journal is not None:
+                # a newer epoch stops the scan before the next push
+                self.journal.refuse_if_fenced()
             key = frozenset(files.items())
             if key not in built:
                 payload = build_payload(files, mtime=now)
@@ -675,8 +684,6 @@ class DCM:
             try:
                 with self.locks.held(f"host:{name}/{machine_name}",
                                      LockMode.EXCLUSIVE):
-                    self._set_host_flags(name, machine_name, host_row,
-                                         inprogress=1)
                     binding = self.binding_for(name, host_row["mach_id"])
                     if binding is None:
                         outcome = UpdateResult(
@@ -704,26 +711,37 @@ class DCM:
 
     # -- per-host bookkeeping ---------------------------------------------------------
 
-    def _mark_host_updated(self, name: str, machine_name: str,
-                           host_row: dict, now: int) -> None:
+    @staticmethod
+    def _outcome(host_row: dict, machine_name: str,
+                 **flags) -> tuple[dict, tuple[str, ...]]:
+        """*host_row* and its ``set_server_host_internal`` group: the
+        row's flags with *flags* applied, InProgress 0."""
+        row = {**host_row, **flags}
+        return host_row, (
+            machine_name, str(row["override"]), str(row["success"]), "0",
+            str(row["hosterror"]), row["hosterrmsg"], str(row["ltt"]),
+            str(row["lts"]))
+
+    def _converged(self, host_row: dict, machine_name: str,
+                   now: int) -> tuple[dict, tuple[str, ...]]:
         """The host holds the current generation: success, lts = now,
         override and errors cleared."""
-        self._set_host_flags(name, machine_name, host_row,
-                             inprogress=0, success=1, override=0,
-                             ltt=now, lts=now, hosterror=0, errmsg="")
+        return self._outcome(host_row, machine_name, success=1, override=0,
+                             hosterror=0, hosterrmsg="", ltt=now, lts=now)
 
     def _apply_host_outcome(self, service: dict, machine_name: str,
                             host_row: dict, outcome: UpdateResult,
                             now: int, summary: _PushSummary) -> bool:
-        """Write one host's flags, governor record and log line and fold
-        the outcome into *summary*.  A hard failure is also attributed
-        to the generation's origin seq, zephyred and mailed; on a
-        replicated service it poisons the service record and returns
-        True: the scan ends."""
+        """Record one host's outcome with the governor and in *summary*
+        (its bookkeeping group, log line and counts).  A hard failure is
+        also attributed to the generation's origin seq, zephyred and
+        mailed; on a replicated service it poisons the service record
+        and returns True: the scan ends."""
         name = service["name"]
         if outcome.ok:
             self.governor.record_success(name, machine_name)
-            self._mark_host_updated(name, machine_name, host_row, now)
+            summary.outcomes.append(
+                self._converged(host_row, machine_name, now))
             summary.succeeded.append(machine_name)
             summary.bytes_sent += outcome.bytes_sent
             summary.log.append(f"dcm: {name}/{machine_name}: updated")
@@ -731,17 +749,17 @@ class DCM:
         message = outcome.message or error_message(outcome.error)
         if outcome.outcome is UpdateOutcome.SOFT_FAILURE:
             self.governor.record_soft(name, machine_name, now)
-            self._set_host_flags(name, machine_name, host_row,
-                                 inprogress=0, success=0, ltt=now,
-                                 errmsg=message)
+            summary.outcomes.append(self._outcome(
+                host_row, machine_name, success=0, ltt=now,
+                hosterrmsg=message))
             summary.soft_failures += 1
             summary.log.append(
                 f"dcm: {name}/{machine_name}: soft failure: {message}")
             return False
         self.governor.record_hard(name, machine_name)
-        self._set_host_flags(name, machine_name, host_row, inprogress=0,
-                             success=0, ltt=now, hosterror=outcome.error,
-                             errmsg=message)
+        summary.outcomes.append(self._outcome(
+            host_row, machine_name, success=0, ltt=now,
+            hosterror=outcome.error, hosterrmsg=message))
         summary.log.append(
             f"dcm: {name}/{machine_name}: HARD failure: {message}")
         what, origin = f"{name}/{machine_name}", self._gen_seq.get(name, 0)
@@ -754,26 +772,34 @@ class DCM:
         self._set_service_flags(service, harderror=1, errmsg=message)
         return True
 
-    def _set_host_flags(self, service: str, machine: str, host_row: dict,
-                        *, inprogress: int, success: int | None = None,
-                        override: int | None = None,
-                        ltt: int | None = None, lts: int | None = None,
-                        hosterror: int | None = None,
-                        errmsg: str | None = None) -> None:
-        self.client.query(
-            "set_server_host_internal", service, machine,
-            str(host_row["override"] if override is None else override),
-            str(host_row["success"] if success is None else success),
-            str(inprogress),
-            str(host_row["hosterror"] if hosterror is None else hosterror),
-            host_row["hosterrmsg"] if errmsg is None else errmsg,
-            str(host_row["ltt"] if ltt is None else ltt),
-            str(host_row["lts"] if lts is None else lts), fsync=False)
+    def _write_outcomes(self, name: str, summary: _PushSummary) -> None:
+        """One ``set_server_host_internal`` for every host in *summary*'s
+        outcomes.  A host detached mid-round fails it whole
+        (``MR_SERVICE``): drop and log that group, write the rest."""
+        outcomes = summary.outcomes
+        while outcomes:
+            try:
+                self.client.query("set_server_host_internal", name, *(
+                    arg for _, group in outcomes for arg in group),
+                    fsync=False)
+                return
+            except MoiraError as exc:
+                live = {row["mach_id"] for row in self.db.table(
+                    "serverhosts").select({"service": name})}
+                kept = [entry for entry in outcomes
+                        if entry[0]["mach_id"] in live]
+                if exc.code != MR_SERVICE or len(kept) == len(outcomes):
+                    raise
+                summary.log.extend(
+                    f"dcm: {name}/{group[0]}: detached mid-round, outcome "
+                    "dropped" for host_row, group in outcomes
+                    if host_row["mach_id"] not in live)
+                outcomes = kept
 
     def sync(self) -> None:
         """Group commit: the one fsync that makes every bookkeeping
         write since the last one durable.  Each write already reached
-        the WAL file (``write`` + ``flush``) before the push it
+        the WAL file (``write`` + ``flush``) after the pushes it
         describes; a crash before this fsync costs a re-push, never an
         acknowledged client write (those fsync'd before they were
         acknowledged)."""

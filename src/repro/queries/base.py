@@ -92,7 +92,7 @@ class Query:
     side_effects: bool
     check_access: Optional[AccessCheck] = None
     public: bool = False           # "safe for the ACL to be everybody"
-    variable_args: bool = False    # e.g. none currently; reserved
+    repeat: int = 0    # the last ``repeat`` args may recur, whole groups
     # §5.1 D: "the ultimate capability of Moira supporting multiple
     # databases through the same query mechanism" — each handle names
     # the database it resolves against; "moira" is the primary.
@@ -438,6 +438,7 @@ def register(
     public: bool = False,
     database: str = "moira",
     tables: Optional[object] = None,
+    repeat: int = 0,
 ) -> Callable[[Handler], Handler]:
     """Decorator registering a predefined query."""
 
@@ -459,6 +460,7 @@ def register(
             database=database,
             tables=tuple(tables) if isinstance(tables, (list, tuple, set))
             else tables,
+            repeat=repeat,
         )
         _REGISTRY[name] = query
         _BY_SHORT[shortname] = query
@@ -502,12 +504,14 @@ def check_query_access(ctx: QueryContext, query: Query,
 
 
 def check_argc(query: Query, args: Sequence[str]) -> None:
-    """Raise MR_ARGS unless *args* fits the handle's signature.
+    """Raise MR_ARGS unless *args* fits the handle's signature (and,
+    with ``repeat``, whole further groups of its last ``repeat`` args).
 
     Runs before any access relaxation: those index ``args`` and must
     never see a short list.
     """
-    if not query.variable_args and len(args) != len(query.args):
+    extra = len(args) - len(query.args)
+    if extra < 0 or (extra % query.repeat if query.repeat else extra):
         raise MoiraError(
             MR_ARGS, f"{query.name} wants {len(query.args)}, got {len(args)}"
         )

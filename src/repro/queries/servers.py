@@ -273,20 +273,23 @@ def set_server_host_override(ctx: QueryContext,
 @register("set_server_host_internal", "sshi",
           ("service", "machine", "override", "success", "inprogress",
            "hosterror", "errmsg", "lasttry", "lastsuccess"),
-          (), side_effects=True)
+          (), side_effects=True, repeat=8)
 def set_server_host_internal(ctx: QueryContext,
                              args: Sequence[str]) -> list[tuple]:
-    """DCM-only host bookkeeping write; modtime untouched."""
-    (service, machine, override, success, inprogress, hosterror, errmsg,
-     lasttry, lastsuccess) = args
-    row = _find_server_host(ctx, service, machine)
-    # modtime deliberately untouched — DCM bookkeeping, not user change.
-    ctx.db.table("serverhosts").update_rows(
-        [row],
-        dict(override=int(override), success=int(success),
-             inprogress=int(inprogress), hosterror=int(hosterror),
-             hosterrmsg=errmsg, ltt=int(lasttry), lts=int(lastsuccess)),
-        now=ctx.now, touch_stats=False)
+    """DCM-only host bookkeeping write; modtime untouched.  The eight
+    host fields repeat, one group per host; an unknown host undoes all."""
+    service = args[0]
+    for at in range(1, len(args), 8):
+        (machine, override, success, inprogress, hosterror, errmsg,
+         lasttry, lastsuccess) = args[at:at + 8]
+        row = _find_server_host(ctx, service, machine)
+        # modtime deliberately untouched — DCM bookkeeping, not user change.
+        ctx.db.table("serverhosts").update_rows(
+            [row],
+            dict(override=int(override), success=int(success),
+                 inprogress=int(inprogress), hosterror=int(hosterror),
+                 hosterrmsg=errmsg, ltt=int(lasttry), lts=int(lastsuccess)),
+            now=ctx.now, touch_stats=False)
     return []
 
 

@@ -66,9 +66,17 @@ class TestFsyncCount:
         nfs = next(o for o in summary["outcomes"] if o["service"] == "NFS")
         assert nfs["pushes"] == 20
         assert after["fsyncs"] - before["fsyncs"] <= 2
-        # the client's write, then an inprogress and an outcome write
-        # per pushed host, besides the service flags
-        assert after["appends"] - before["appends"] > 1 + 2 * 20
+        # the client's write; a flags write per classified service
+        # (HESIOD, MAIL, NFS, ZEPHYR); one outcome write per service
+        # that pushed (HESIOD, NFS), NFS's naming all twenty hosts
+        assert after["appends"] - before["appends"] == 1 + 4 + 2
+        [outcome] = [entry for entry in d.journal.after_seq(
+                         before["next_seq"] - 1)
+                     if entry.query == "set_server_host_internal"
+                     and entry.args[0] == "NFS"]
+        assert len(outcome.args) == 1 + 8 * 20
+        assert sorted(outcome.args[1::8]) == sorted(
+            machine for _, machine in d.dcm._live_hosts("NFS"))
         assert after["unsynced"] == 0
 
 
@@ -145,7 +153,8 @@ class TestCrashBeforeSync:
         with pytest.raises(ServerCrash):
             d.pump_cdc()
         assert d.cdc.cursor.seq == cursor   # the fsync comes first
-        assert d.journal.stats()["unsynced"] > 2 * 20
+        # four services' flags writes and two services' outcome writes
+        assert d.journal.stats()["unsynced"] == 4 + 2
         d.journal.close()
         assert d.journal.segment_files()[-1][1] == segment
         if tail == "lost":

@@ -16,8 +16,8 @@ from repro.protocol.wire import MajorRequest, encode_request
 from repro.queries.base import all_queries, register, unregister
 from tests.conftest import make_user
 
-FIXED_ARITY = sorted(name for name, query in all_queries().items()
-                     if query.args and not query.variable_args)
+TAKES_ARGS = sorted(name for name, query in all_queries().items()
+                    if query.args)
 
 
 class TestNoop:
@@ -138,7 +138,7 @@ class TestAccessControl:
 
 
 class TestArgcBeforeAccess:
-    @pytest.mark.parametrize("name", FIXED_ARITY)
+    @pytest.mark.parametrize("name", TAKES_ARGS)
     def test_zero_args_is_mr_args_for_a_non_admin(self, name, user_client,
                                                   db, clock):
         """argc is validated before any access relaxation indexes the
