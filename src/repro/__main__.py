@@ -8,7 +8,8 @@ Commands:
   (type ``help`` for the built-ins, ``quit`` to exit).
 * ``serve``   — start a Moira server on TCP and print its address;
   useful for poking at the wire protocol with external tools.
-* ``queries`` — print the registry of predefined query handles.
+* ``queries`` — print the registry of predefined query handles;
+  ``--markdown`` prints ``docs/QUERIES.md``.
 """
 
 from __future__ import annotations
@@ -120,10 +121,48 @@ def cmd_console(args: argparse.Namespace) -> int:
     return 0
 
 
+_QUERIES_MD_HEAD = """\
+# The predefined query handles
+
+Generated from the registry: `python -m repro queries --markdown >
+docs/QUERIES.md` (tier-1 checks it is current).  Each handle has a long
+name, a four-character short name, a fixed argument signature, and a
+kind (retrieval or update).  An argument shown as `name: Type` is
+parsed through that declared type (`repro.queries.base`) before the
+handler runs, and a malformed value is refused with the type's error
+code; a bare name is free text.  See section 7 of the paper for the
+semantics; the implementations live under `src/repro/queries/`.
+
+| short | kind | handle |
+|---|---|---|
+"""
+
+
+def queries_markdown() -> str:
+    """``docs/QUERIES.md``: the registry as a table."""
+    from repro.queries.base import Text, all_queries
+
+    lines = [_QUERIES_MD_HEAD]
+    for query in sorted(all_queries().values(), key=lambda q: q.name):
+        args = ", ".join(spec.name if type(spec) is Text
+                         else f"{spec.name}: {spec.kind()}"
+                         for spec in query.specs)
+        kind = "update" if query.side_effects else "query"
+        note = (f" — the last {query.repeat} arguments may recur in whole "
+                f"groups (`Query.repeat`; a partial group is `MR_ARGS`)"
+                if query.repeat else "")
+        lines.append(f"| `{query.shortname}` | {kind} | "
+                     f"`{query.name}({args})`{note} |\n")
+    return "".join(lines)
+
+
 def cmd_queries(args: argparse.Namespace) -> int:
     """The `queries` subcommand: dump the query registry."""
     from repro.queries.base import all_queries
 
+    if args.markdown:
+        sys.stdout.write(queries_markdown())
+        return 0
     for query in sorted(all_queries().values(), key=lambda q: q.name):
         kind = "update" if query.side_effects else "query "
         print(f"{query.shortname:4s} {kind} {query.name}"
@@ -144,7 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("mrtest", help="interactive query shell")
     serve = sub.add_parser("serve", help="run a TCP Moira server")
     serve.add_argument("--port", type=int, default=0)
-    sub.add_parser("queries", help="list the predefined query handles")
+    queries = sub.add_parser("queries",
+                             help="list the predefined query handles")
+    queries.add_argument("--markdown", action="store_true",
+                         help="print docs/QUERIES.md")
     sub.add_parser("console", help="menu-driven administrative console")
 
     args = parser.parse_args(argv)

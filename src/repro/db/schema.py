@@ -397,7 +397,7 @@ def build_database() -> Database:
             Column("trans", str, max_len=128),
         ],
         indexes=["name", "type"],
-        composite_indexes=[("name", "type")],  # the check_type probe
+        composite_indexes=[("name", "type")],  # the Alias type's probe
     ))
 
     db.create_table(Table(

@@ -22,6 +22,10 @@ name, argument and return signatures) with two callables:
     empty) for retrievals or ``[]`` for mutations.  Raises
     :class:`MoiraError` on any failure.
 
+Each argument is declared with a type (:class:`Int`, :class:`Name`...);
+the executors parse a call's arguments through them once, after the
+argc and access checks, and hand the parsed tuple to the handler.
+
 Side-effecting queries are journaled on success.  Retrieval queries that
 produce no rows raise ``MR_NO_MATCH`` exactly as the paper specifies.
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace as _replace
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.db.engine import Database, Row, WildcardPattern
 from repro.db.journal import Journal
@@ -46,6 +50,7 @@ from repro.errors import (
     MR_ACE,
     MR_ARGS,
     MR_CLUSTER,
+    MR_INTEGER,
     MR_LIST,
     MR_MACHINE,
     MR_NO_HANDLE,
@@ -65,7 +70,7 @@ __all__ = [
     "get_query",
     "all_queries",
     "exactly_one",
-    "no_wildcards",
+    "Text", "Int", "Name", "Upper", "Alias", "Tristate", "OneOf",
     "check_argc",
     "run_read",
     "run_write",
@@ -81,12 +86,140 @@ Handler = Callable[["QueryContext", Sequence[str]], list[tuple]]
 AccessCheck = Callable[["QueryContext", Sequence[str]], bool]
 
 
+# -- declared argument types -------------------------------------------------
+# Each names one argument of a register() call; ``parse(ctx, value)``
+# returns what the handler sees, or raises the paper's error code.
+
+
+@dataclass(frozen=True)
+class Text:
+    """Free text (or a wildcard pattern), handed over as given."""
+    name: str
+
+    def parse(self, ctx: "QueryContext", value: str) -> Any:
+        return value
+
+    def kind(self) -> str:        # as docs/QUERIES.md shows the type
+        return type(self).__name__
+
+
+@dataclass(frozen=True)
+class Int(Text):
+    """An integer a backend column stores (``MR_INTEGER`` otherwise)."""
+
+    def parse(self, ctx: "QueryContext", value: str) -> int:
+        try:
+            if -(1 << 63) <= (number := int(value)) < 1 << 63:
+                return number
+        except ValueError:
+            pass
+        raise MoiraError(MR_INTEGER, f"{self.name}={value!r}")
+
+
+@dataclass(frozen=True)
+class Name(Text):
+    """A name being created or renamed: a wildcard in it would poison
+    every later exact-match lookup (``MR_WILDCARD``).  ``UNIQUE_LOGIN``
+    (``#``) is not one.  *upper*: stored upper case (machine names)."""
+    upper: bool = False
+
+    def parse(self, ctx: "QueryContext", value: str) -> str:
+        if WildcardPattern.is_wild(value):
+            raise MoiraError(MR_WILDCARD, value)
+        return value.upper() if self.upper else value
+
+    def kind(self) -> str:
+        return "Name(upper)" if self.upper else "Name"
+
+
+@dataclass(frozen=True)
+class Upper(Text):
+    """A machine or service name or pattern, upper-cased."""
+
+    def parse(self, ctx: "QueryContext", value: str) -> str:
+        return value.upper()
+
+
+@dataclass(frozen=True)
+class Alias(Text):
+    """A TYPE alias registered for *of* (default: the argument's name),
+    parsed to its stored spelling; *errcode* otherwise."""
+    of: str = ""
+    errcode: int = MR_TYPE
+
+    def parse(self, ctx: "QueryContext", value: str) -> str:
+        for row in ctx.db.table("alias").select(
+                {"name": self.of or self.name, "type": "TYPE"}):
+            if row["trans"].upper() == value.upper():
+                return row["trans"]
+        raise MoiraError(self.errcode, f"{self.of or self.name}={value!r}")
+
+    def kind(self) -> str:
+        return f"Alias({self.of or self.name})"
+
+
+@dataclass(frozen=True)
+class Tristate(Text):
+    """TRUE / FALSE / DONTCARE, parsed to True / False / None."""
+    words = {"TRUE": True, "FALSE": False, "DONTCARE": None}
+
+    def parse(self, ctx: "QueryContext", value: str) -> Optional[bool]:
+        if value.upper() not in self.words:
+            raise MoiraError(MR_TYPE, f"{self.name}={value!r}")
+        return self.words[value.upper()]
+
+    @staticmethod
+    def matcher(flags: Sequence[str], wants: Sequence[Optional[bool]]):
+        """The qualified_get_* row predicate: each of *flags* whose
+        parsed value is not DONTCARE holds as wanted."""
+        wanted = [(flag, want) for flag, want in zip(flags, wants)
+                  if want is not None]
+
+        def matches(row) -> bool:
+            for flag, want in wanted:
+                if bool(row[flag]) != want:
+                    return False
+            return True
+        return matches
+
+
+@dataclass(frozen=True)
+class OneOf(Text):
+    """One of *choices* in any case, parsed upper case; *errcode*
+    otherwise.  *recursive* admits each choice ``R``-prefixed too and
+    parses to ``(choice, is_recursive)``."""
+    choices: tuple[str, ...] = ()
+    errcode: int = MR_TYPE
+    recursive: bool = False
+
+    def parse(self, ctx: "QueryContext", value: str) -> Any:
+        value = value.upper()
+        if value in self.choices:
+            return (value, False) if self.recursive else value
+        if self.recursive and value[:1] == "R" and value[1:] in self.choices:
+            return value[1:], True
+        raise MoiraError(self.errcode, value)
+
+    def kind(self) -> str:
+        forms = (f"{c}/R{c}" if self.recursive else c for c in self.choices)
+        return f"OneOf({'/'.join(forms)})"
+
+
+ACE_TYPES = ("USER", "LIST", "NONE")
+
+
+def keyword(value: str, *words: str) -> bool:
+    """Is *value* one of the upper-case *words*, in any case?  For the
+    access relaxations: they run on the caller's strings, unparsed."""
+    return str(value).upper() in words
+
+
 @dataclass
 class Query:
     """One predefined query: metadata + handler + access policy."""
     name: str
     shortname: str
-    args: tuple[str, ...]
+    specs: tuple[Text, ...]        # one declared type per argument
     returns: tuple[str, ...]
     handler: Handler
     side_effects: bool
@@ -104,6 +237,20 @@ class Query:
     # undeclared — the write may touch anything.  System tables
     # (values/strings) need not be listed.
     tables: Optional[object] = None
+    args: tuple[str, ...] = field(init=False)      # the specs' names
+
+    def __post_init__(self) -> None:
+        self.args = tuple(spec.name for spec in self.specs)
+
+    def parse(self, ctx: "QueryContext", args: Sequence[str]) -> tuple:
+        """*args* through the declared types, the last ``repeat``
+        recurring in whole groups."""
+        specs = self.specs
+        if self.repeat:
+            specs += specs[-self.repeat:] * (
+                (len(args) - len(specs)) // self.repeat)
+        return tuple(spec.parse(ctx, value)
+                     for spec, value in zip(specs, args))
 
     def help_text(self) -> str:
         """The _help line for this query."""
@@ -113,6 +260,9 @@ class Query:
 
 
 _UNSET = object()  # caller-row memo sentinel (None is a valid cached miss)
+# entity type -> (table, name column, id column)
+_ENTITIES = {"USER": ("users", "login", "users_id"),
+             "LIST": ("list", "name", "list_id")}
 
 
 @dataclass
@@ -286,21 +436,6 @@ class QueryContext:
             return self.user_on_list_id(ace_id, self.caller)
         return False
 
-    # -- type checking against the alias relation ---------------------------
-
-    def check_type(self, type_name: str, value: str,
-                   errcode: int = MR_TYPE) -> str:
-        """Validate *value* as a legal TYPE alias for *type_name*.
-
-        Returns the canonical (stored) spelling.  Raises *errcode* if the
-        value is not registered — e.g. ``MR_BAD_CLASS`` for user classes.
-        """
-        alias = self.db.table("alias")
-        for row in alias.select({"name": type_name, "type": "TYPE"}):
-            if row["trans"].upper() == str(value).upper():
-                return row["trans"]
-        raise MoiraError(errcode, f"{type_name}={value!r}")
-
     # -- object resolution ---------------------------------------------------
 
     def find_user(self, login: str, *, errcode: int = MR_USER) -> Row:
@@ -309,8 +444,8 @@ class QueryContext:
         return exactly_one(rows, errcode, f"user {login!r}")
 
     def find_machine(self, name: str) -> Row:
-        """Exactly one machine by name, or raise."""
-        rows = self.db.table("machine").select({"name": name.upper()})
+        """Exactly one machine by (upper-case) name, or raise."""
+        rows = self.db.table("machine").select({"name": name})
         return exactly_one(rows, MR_MACHINE, f"machine {name!r}")
 
     def find_cluster(self, name: str) -> Row:
@@ -323,35 +458,34 @@ class QueryContext:
         rows = self.db.table("list").select({"name": name})
         return exactly_one(rows, MR_LIST, f"list {name!r}")
 
-    def resolve_ace(self, ace_type: str, ace_name: str) -> tuple[str, int]:
-        """Resolve an access-control entity to (type, id).
+    def entity_id(self, etype: str, name: str, errcode: int) -> int:
+        """The id of a USER (by login), LIST (by name) or STRING
+        (interned) entity; *errcode* unless exactly one matches."""
+        if etype == "STRING":
+            return self.intern_string(name)
+        table, key, id_column = _ENTITIES[etype]
+        rows = self.db.table(table).select({key: name})
+        if len(rows) != 1:
+            raise MoiraError(errcode, f"{etype.lower()} {name!r}")
+        return rows[0][id_column]
 
-        Types are USER, LIST, or NONE; MR_ACE on anything unresolvable.
-        """
-        ace_type = str(ace_type).upper()
+    def resolve_ace(self, ace_type: str, ace_name: str) -> tuple[str, int]:
+        """An access-control entity (its type declared
+        ``OneOf(ACE_TYPES)``) as (type, id); MR_ACE if it names none."""
         if ace_type == "NONE":
             return "NONE", 0
-        if ace_type == "USER":
-            rows = self.db.table("users").select({"login": ace_name})
-            if len(rows) != 1:
-                raise MoiraError(MR_ACE, f"user {ace_name!r}")
-            return "USER", rows[0]["users_id"]
-        if ace_type == "LIST":
-            rows = self.db.table("list").select({"name": ace_name})
-            if len(rows) != 1:
-                raise MoiraError(MR_ACE, f"list {ace_name!r}")
-            return "LIST", rows[0]["list_id"]
-        raise MoiraError(MR_ACE, f"type {ace_type!r}")
+        return ace_type, self.entity_id(ace_type, ace_name, MR_ACE)
 
     def ace_name(self, ace_type: str, ace_id: int) -> str:
-        """Inverse of resolve_ace, for query return values."""
-        if ace_type == "USER":
-            rows = self.db.table("users").select({"users_id": ace_id})
-            return rows[0]["login"] if rows else "???"
-        if ace_type == "LIST":
-            rows = self.db.table("list").select({"list_id": ace_id})
-            return rows[0]["name"] if rows else "???"
-        return "NONE"
+        """Inverse of :meth:`entity_id` / :meth:`resolve_ace`, for
+        query return values: an ACE's or a list member's name."""
+        if ace_type == "STRING":
+            return self.string_by_id(ace_id)
+        if ace_type not in _ENTITIES:
+            return "NONE"
+        table, key, id_column = _ENTITIES[ace_type]
+        rows = self.db.table(table).select({id_column: ace_id})
+        return rows[0][key] if rows else "???"
 
     # -- string interning (the strings relation) -----------------------------
 
@@ -393,19 +527,6 @@ class QueryContext:
             f"{prefix}modwith": self.client,
         }
 
-    # -- boolean tri-state for qualified_get_* --------------------------------
-
-    def tristate(self, value: str) -> Optional[bool]:
-        """Parse TRUE/FALSE/DONTCARE to bool/None."""
-        v = str(value).upper()
-        if v == "TRUE":
-            return True
-        if v == "FALSE":
-            return False
-        if v == "DONTCARE":
-            return None
-        raise MoiraError(MR_TYPE, f"expected TRUE/FALSE/DONTCARE, got {value!r}")
-
 
 def exactly_one(rows: list[Row], errcode: int, what: str) -> Row:
     """The paper's "must match exactly one" rule.
@@ -420,17 +541,10 @@ def exactly_one(rows: list[Row], errcode: int, what: str) -> Row:
     return rows[0]
 
 
-def no_wildcards(value: str) -> str:
-    """Reject wildcard characters where the paper forbids them."""
-    if WildcardPattern.is_wild(value):
-        raise MoiraError(MR_WILDCARD, value)
-    return value
-
-
 def register(
     name: str,
     shortname: str,
-    args: Sequence[str],
+    args: Sequence[Union[str, Text]],
     returns: Sequence[str],
     *,
     side_effects: bool,
@@ -440,7 +554,8 @@ def register(
     tables: Optional[object] = None,
     repeat: int = 0,
 ) -> Callable[[Handler], Handler]:
-    """Decorator registering a predefined query."""
+    """Decorator registering a predefined query; each of *args* is a
+    declared type, or a bare name for :class:`Text`."""
 
     def wrap(handler: Handler) -> Handler:
         """Register *handler* and return it unchanged."""
@@ -451,7 +566,8 @@ def register(
         query = Query(
             name=name,
             shortname=shortname,
-            args=tuple(args),
+            specs=tuple(Text(a) if isinstance(a, str) else a
+                        for a in args),
             returns=tuple(returns),
             handler=handler,
             side_effects=side_effects,
@@ -527,11 +643,13 @@ def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
     ``list`` result releases the view *before* it is streamed; a lazy
     result streams under it, and closing this generator early
     (``GeneratorExit``) releases it too.  No rows is ``MR_NO_MATCH``.
-    *timing*, when given, receives the view's ``read_stats()``.
+    *timing*, when given, receives the view's ``read_stats()``.  The
+    handler gets the arguments parsed through the query's declared types.
     """
     with ctx.db.read_view() as view:
         try:
-            result = query.handler(_replace(ctx, db=view), args)
+            ctx = _replace(ctx, db=view)
+            result = query.handler(ctx, query.parse(ctx, args))
             if not isinstance(result, list):
                 iterator = iter(result)
                 run = list(islice(iterator, RUN_ROWS))
@@ -564,7 +682,9 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
     ``fsync=False`` leaves durability to the caller's one
     ``journal.sync()``.  A fenced journal refuses the write with
     ``MR_FENCED`` before its handler runs, whichever way it is made
-    durable.  *timing*, when given, receives ``lock_wait_s``.
+    durable.  *timing*, when given, receives ``lock_wait_s``.  The
+    handler gets the arguments parsed through the query's declared
+    types, inside the transaction; the journal keeps the caller's.
     """
     record = record_abort = None
     if ctx.journal is not None:
@@ -586,7 +706,7 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
                           abort_hook=record_abort) as txn:
         if timing is not None:
             timing["lock_wait_s"] = time.perf_counter() - waited
-        result = query.handler(ctx, args)
+        result = query.handler(ctx, query.parse(ctx, args))
         if not isinstance(result, list):
             result = list(result)
     return result, txn.mutated

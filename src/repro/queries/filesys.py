@@ -17,7 +17,8 @@ from repro.errors import (
     MR_QUOTA,
     MR_USER,
 )
-from repro.queries.base import QueryContext, exactly_one, register
+from repro.queries.base import (Alias, Int, QueryContext, Upper,
+                                exactly_one, register)
 
 _FS_FIELDS = ("name", "fstype", "machine", "packname", "mountpoint",
               "access", "comments", "owner", "owners", "create",
@@ -49,7 +50,10 @@ def get_filesys_by_label(ctx: QueryContext, args: Sequence[str]):
         ctx, ctx.db.table("filesys").iter_select({"label": args[0]}))
 
 
-@register("get_filesys_by_machine", "gfsm", ("machine",), _FS_FIELDS,
+_MACHINE = Upper("machine")
+
+
+@register("get_filesys_by_machine", "gfsm", (_MACHINE,), _FS_FIELDS,
           side_effects=False)
 def get_filesys_by_machine(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
@@ -59,7 +63,7 @@ def get_filesys_by_machine(ctx: QueryContext,
         {"mach_id": mach["mach_id"]})))
 
 
-@register("get_filesys_by_nfsphys", "gfsn", ("machine", "partition"),
+@register("get_filesys_by_nfsphys", "gfsn", (_MACHINE, "partition"),
           _FS_FIELDS, side_effects=False)
 def get_filesys_by_nfsphys(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
@@ -89,10 +93,17 @@ def get_filesys_by_group(ctx: QueryContext,
         {"owners": lst["list_id"]})))
 
 
-def _validate_filesys_args(ctx: QueryContext, fstype: str, machine: str,
-                           packname: str, access: str, lockertype: str):
-    fstype = ctx.check_type("filesys", fstype, MR_FSTYPE)
-    lockertype = ctx.check_type("lockertype", lockertype)
+_FS_ARGS = (Alias("fstype", "filesys", MR_FSTYPE), _MACHINE, "packname",
+            "mountpoint", "access", "comments", "owner", "owners",
+            Int("create"), Alias("lockertype"))
+
+
+def _filesys_fields(ctx: QueryContext, args: Sequence) -> dict:
+    """The columns add_filesys and update_filesys set from their
+    arguments after the name(s): NFS packnames must be exported, and
+    NFS access r or w."""
+    (fstype, machine, packname, mountpoint, access, comments, owner,
+     owners, create, lockertype) = args
     mach = ctx.find_machine(machine)
     phys_id = 0
     if fstype == "NFS":
@@ -108,59 +119,38 @@ def _validate_filesys_args(ctx: QueryContext, fstype: str, machine: str,
                 break
         else:
             raise MoiraError(MR_NFS, f"{machine}:{packname}")
-    return fstype, lockertype, mach, phys_id
+    return dict(phys_id=phys_id, type=fstype, mach_id=mach["mach_id"],
+                name=packname, mount=mountpoint, access=access,
+                comments=comments, owner=ctx.find_user(owner)["users_id"],
+                owners=ctx.find_list(owners)["list_id"], createflg=create,
+                lockertype=lockertype, **ctx.audit())
 
 
-@register("add_filesys", "afil",
-          ("name", "fstype", "machine", "packname", "mountpoint", "access",
-           "comments", "owner", "owners", "create", "lockertype"),
-          (), side_effects=True)
+@register("add_filesys", "afil", ("name", *_FS_ARGS), (), side_effects=True)
 def add_filesys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
-    """Add a filesystem; NFS packnames must be exported, access r/w."""
-    (name, fstype, machine, packname, mountpoint, access, comments,
-     owner, owners, create, lockertype) = args
+    """Add a filesystem; it goes last in its label's mount order."""
     filesys = ctx.db.table("filesys")
-    existing = filesys.select({"label": name})
-    fstype, lockertype, mach, phys_id = _validate_filesys_args(
-        ctx, fstype, machine, packname, access, lockertype)
-    owner_row = ctx.find_user(owner)
-    owners_row = ctx.find_list(owners)
-    filsys_id = ctx.db.next_id("filsys_id", now=ctx.now)
+    existing = filesys.select({"label": args[0]})
+    fields = _filesys_fields(ctx, args[1:])
     filesys.insert(
-        dict(label=name, filsys_id=filsys_id, phys_id=phys_id, type=fstype,
-             mach_id=mach["mach_id"], name=packname, mount=mountpoint,
-             access=access, comments=comments,
-             owner=owner_row["users_id"], owners=owners_row["list_id"],
-             createflg=int(create), lockertype=lockertype,
-             fsorder=len(existing) + 1, **ctx.audit()),
+        dict(label=args[0], filsys_id=ctx.db.next_id("filsys_id", now=ctx.now),
+             fsorder=len(existing) + 1, **fields),
         now=ctx.now)
     return []
 
 
-@register("update_filesys", "ufil",
-          ("name", "newname", "fstype", "machine", "packname", "mountpoint",
-           "access", "comments", "owner", "owners", "create", "lockertype"),
-          (), side_effects=True)
+@register("update_filesys", "ufil", ("name", "newname", *_FS_ARGS), (),
+          side_effects=True)
 def update_filesys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change filesystem attributes; same checks as add."""
-    (name, newname, fstype, machine, packname, mountpoint, access,
-     comments, owner, owners, create, lockertype) = args
+    name, newname = args[:2]
     filesys = ctx.db.table("filesys")
     row = exactly_one(filesys.select({"label": name}), MR_FILESYS, name)
     if newname != name and filesys.select({"label": newname}):
         raise MoiraError(MR_NOT_UNIQUE, newname)
-    fstype, lockertype, mach, phys_id = _validate_filesys_args(
-        ctx, fstype, machine, packname, access, lockertype)
-    owner_row = ctx.find_user(owner)
-    owners_row = ctx.find_list(owners)
-    filesys.update_rows(
-        [row],
-        dict(label=newname, phys_id=phys_id, type=fstype,
-             mach_id=mach["mach_id"], name=packname, mount=mountpoint,
-             access=access, comments=comments,
-             owner=owner_row["users_id"], owners=owners_row["list_id"],
-             createflg=int(create), lockertype=lockertype, **ctx.audit()),
-        now=ctx.now)
+    filesys.update_rows([row], dict(label=newname,
+                                    **_filesys_fields(ctx, args[2:])),
+                        now=ctx.now)
     return []
 
 
@@ -206,7 +196,7 @@ def get_all_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return [_phys_tuple(ctx, r) for r in ctx.db.table("nfsphys").rows]
 
 
-@register("get_nfsphys", "gnfp", ("machine", "dir"), _NFSPHYS_FIELDS,
+@register("get_nfsphys", "gnfp", (_MACHINE, "dir"), _NFSPHYS_FIELDS,
           side_effects=False)
 def get_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """One machine's partitions (directory may wildcard)."""
@@ -216,18 +206,20 @@ def get_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
                 {"mach_id": mach["mach_id"], "dir": args[1]})]
 
 
-@register("add_nfsphys", "anfp",
-          ("machine", "dir", "device", "status", "allocated", "size"), (),
-          side_effects=True, tables=("machine", "nfsphys"))
+# the settable nfsphys columns, named as the arguments are
+_PHYS_COLUMNS = ("device", "status", "allocated", "size")
+_NFSPHYS_ARGS = (_MACHINE, "dir", "device", *map(Int, _PHYS_COLUMNS[1:]))
+
+
+@register("add_nfsphys", "anfp", _NFSPHYS_ARGS, (), side_effects=True,
+          tables=("machine", "nfsphys"))
 def add_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Export a new physical partition."""
-    machine, directory, device, status, allocated, size = args
-    mach = ctx.find_machine(machine)
+    mach = ctx.find_machine(args[0])
     nfsphys_id = ctx.db.next_id("nfsphys_id", now=ctx.now)
     ctx.db.table("nfsphys").insert(
-        dict(nfsphys_id=nfsphys_id, mach_id=mach["mach_id"], dir=directory,
-             device=device, status=int(status), allocated=int(allocated),
-             size=int(size), **ctx.audit()),
+        dict(zip(_PHYS_COLUMNS, args[2:]), nfsphys_id=nfsphys_id,
+             mach_id=mach["mach_id"], dir=args[1], **ctx.audit()),
         now=ctx.now)
     return []
 
@@ -239,36 +231,31 @@ def _find_nfsphys(ctx: QueryContext, machine: str, directory: str):
     return exactly_one(rows, MR_NFSPHYS, f"{machine}:{directory}")
 
 
-@register("update_nfsphys", "unfp",
-          ("machine", "dir", "device", "status", "allocated", "size"), (),
-          side_effects=True, tables=("machine", "nfsphys"))
+@register("update_nfsphys", "unfp", _NFSPHYS_ARGS, (), side_effects=True,
+          tables=("machine", "nfsphys"))
 def update_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a partition's device/status/allocation/size."""
-    machine, directory, device, status, allocated, size = args
-    row = _find_nfsphys(ctx, machine, directory)
+    row = _find_nfsphys(ctx, args[0], args[1])
     ctx.db.table("nfsphys").update_rows(
-        [row],
-        dict(device=device, status=int(status), allocated=int(allocated),
-             size=int(size), **ctx.audit()),
+        [row], dict(zip(_PHYS_COLUMNS, args[2:]), **ctx.audit()),
         now=ctx.now)
     return []
 
 
 @register("adjust_nfsphys_allocation", "ajnf",
-          ("machine", "dir", "delta"), (), side_effects=True,
+          (_MACHINE, "dir", Int("delta")), (), side_effects=True,
           tables=("machine", "nfsphys"))
 def adjust_nfsphys_allocation(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
     """Add a (signed) delta to a partition's allocation."""
     row = _find_nfsphys(ctx, args[0], args[1])
     ctx.db.table("nfsphys").update_rows(
-        [row], dict(allocated=row["allocated"] + int(args[2]),
-                    **ctx.audit()),
+        [row], dict(allocated=row["allocated"] + args[2], **ctx.audit()),
         now=ctx.now)
     return []
 
 
-@register("delete_nfsphys", "dnfp", ("machine", "dir"), (),
+@register("delete_nfsphys", "dnfp", (_MACHINE, "dir"), (),
           side_effects=True, tables=("machine", "nfsphys", "filesys"))
 def delete_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove an export with no filesystems on it."""
@@ -331,7 +318,7 @@ def get_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
         if r["filsys_id"] in fs_ids])
 
 
-@register("get_nfs_quotas_by_partition", "gnqp", ("machine", "dir"),
+@register("get_nfs_quotas_by_partition", "gnqp", (_MACHINE, "dir"),
           ("filesys", "login", "quota", "directory", "machine"),
           side_effects=False)
 def get_nfs_quotas_by_partition(ctx: QueryContext,
@@ -357,17 +344,30 @@ def _adjust_phys_allocation(ctx: QueryContext, phys_id: int,
             phys, {"allocated": phys[0]["allocated"] + delta}, now=ctx.now)
 
 
-@register("add_nfs_quota", "anfq", ("filesys", "login", "quota"), (),
+def _quota_target(ctx: QueryContext, label: str, login: str) -> tuple:
+    """The filesystem row and the users row an ``*_nfs_quota`` names."""
+    fs = exactly_one(ctx.db.table("filesys").select({"label": label}),
+                     MR_FILESYS, label)
+    return fs, ctx.find_user(login)
+
+
+def _find_quota(ctx: QueryContext, label: str, login: str) -> tuple:
+    """The filesystem row and *login*'s nfsquota row on it."""
+    fs, user = _quota_target(ctx, label, login)
+    rows = ctx.db.table("nfsquota").select(
+        {"users_id": user["users_id"], "filsys_id": fs["filsys_id"]})
+    return fs, exactly_one(rows, MR_USER, f"no quota for {login} on {label}")
+
+
+@register("add_nfs_quota", "anfq", ("filesys", "login", Int("quota")), (),
           side_effects=True,
           tables=("filesys", "users", "nfsquota", "nfsphys"))
 def add_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Grant a quota; partition allocation increases."""
-    fs = exactly_one(ctx.db.table("filesys").select({"label": args[0]}),
-                     MR_FILESYS, args[0])
-    user = ctx.find_user(args[1])
-    quota = int(args[2])
+    fs, user = _quota_target(ctx, args[0], args[1])
+    quota = args[2]
     if quota < 0:
-        raise MoiraError(MR_QUOTA, args[2])
+        raise MoiraError(MR_QUOTA, str(quota))
     ctx.db.table("nfsquota").insert(
         dict(users_id=user["users_id"], filsys_id=fs["filsys_id"],
              phys_id=fs["phys_id"], quota=quota, **ctx.audit()),
@@ -376,20 +376,15 @@ def add_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-@register("update_nfs_quota", "unfq", ("filesys", "login", "quota"), (),
+@register("update_nfs_quota", "unfq", ("filesys", "login", Int("quota")), (),
           side_effects=True,
           tables=("filesys", "users", "nfsquota", "nfsphys"))
 def update_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a quota; allocation moves by the delta."""
-    fs = exactly_one(ctx.db.table("filesys").select({"label": args[0]}),
-                     MR_FILESYS, args[0])
-    user = ctx.find_user(args[1])
-    quota = int(args[2])
+    quota = args[2]
     if quota < 0:
-        raise MoiraError(MR_QUOTA, args[2])
-    rows = ctx.db.table("nfsquota").select(
-        {"users_id": user["users_id"], "filsys_id": fs["filsys_id"]})
-    row = exactly_one(rows, MR_USER, f"no quota for {args[1]} on {args[0]}")
+        raise MoiraError(MR_QUOTA, str(quota))
+    fs, row = _find_quota(ctx, args[0], args[1])
     _adjust_phys_allocation(ctx, fs["phys_id"], quota - row["quota"])
     ctx.db.table("nfsquota").update_rows(
         [row], dict(quota=quota, **ctx.audit()), now=ctx.now)
@@ -401,12 +396,7 @@ def update_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           tables=("filesys", "users", "nfsquota", "nfsphys"))
 def delete_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Revoke a quota; allocation decreases."""
-    fs = exactly_one(ctx.db.table("filesys").select({"label": args[0]}),
-                     MR_FILESYS, args[0])
-    user = ctx.find_user(args[1])
-    rows = ctx.db.table("nfsquota").select(
-        {"users_id": user["users_id"], "filsys_id": fs["filsys_id"]})
-    row = exactly_one(rows, MR_USER, f"no quota for {args[1]} on {args[0]}")
+    fs, row = _find_quota(ctx, args[0], args[1])
     _adjust_phys_allocation(ctx, fs["phys_id"], -row["quota"])
     ctx.db.table("nfsquota").delete_rows([row], now=ctx.now)
     return []

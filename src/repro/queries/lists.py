@@ -15,14 +15,14 @@ from typing import Sequence
 from repro.db.schema import UNIQUE_GID
 from repro.errors import (
     MoiraError,
+    MR_ACE,
     MR_EXISTS,
     MR_IN_USE,
     MR_LIST,
     MR_NO_MATCH,
-    MR_TYPE,
 )
-from repro.queries.base import (QueryContext, exactly_one,
-                                no_wildcards, register)
+from repro.queries.base import (ACE_TYPES, Int, Name, OneOf, QueryContext,
+                                Tristate, exactly_one, keyword, register)
 
 _LIST_INFO_FIELDS = ("list", "active", "public", "hidden", "maillist",
                      "group", "gid", "ace_type", "ace_name", "description",
@@ -79,64 +79,57 @@ def expand_list_names(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
             if not r["hidden"]]
 
 
-@register("add_list", "alis",
-          ("list", "active", "public", "hidden", "maillist", "group", "gid",
-           "ace_type", "ace_name", "description"),
-          (), side_effects=True, tables=("list", "users"))
-def add_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
-    """Create a list; UNIQUE_GID allocates, the ACE may be itself."""
-    (name, active, public, hidden, maillist, group, gid,
-     ace_type, ace_name, desc) = args
-    lists = ctx.db.table("list")
-    no_wildcards(name)
-    if lists.select({"name": name}):
-        raise MoiraError(MR_EXISTS, name)
-    gid = int(gid)
-    if int(group) and gid == UNIQUE_GID:
+_LIST_ARGS = (Int("active"), Int("public"), Int("hidden"), Int("maillist"),
+              Int("group"), Int("gid"), OneOf("ace_type", ACE_TYPES, MR_ACE),
+              "ace_name", "description")
+
+
+def _list_fields(ctx: QueryContext, args: Sequence, list_id: int,
+                 names: tuple) -> dict:
+    """The columns add_list and update_list set from their arguments
+    after the name(s): UNIQUE_GID allocates a group's gid, and "the
+    access list may be the list that is being created (self-referential)",
+    named by any of *names*."""
+    (active, public, hidden, maillist, group, gid, ace_type, ace_name,
+     desc) = args
+    if group and gid == UNIQUE_GID:
         gid = ctx.db.next_id("gid", now=ctx.now)
-    list_id = ctx.db.next_id("list_id", now=ctx.now)
-    # "The access list may be the list that is being created
-    # (self-referential)."
-    if str(ace_type).upper() == "LIST" and ace_name == name:
+    if ace_type == "LIST" and ace_name in names:
         acl_type, acl_id = "LIST", list_id
     else:
         acl_type, acl_id = ctx.resolve_ace(ace_type, ace_name)
-    lists.insert(
-        dict(name=name, list_id=list_id, active=int(active),
-             public=int(public), hidden=int(hidden), maillist=int(maillist),
-             grouplist=int(group), gid=gid, desc=desc, acl_type=acl_type,
-             acl_id=acl_id, **ctx.audit()),
-        now=ctx.now)
+    return dict(active=active, public=public, hidden=hidden,
+                maillist=maillist, grouplist=group, gid=gid, desc=desc,
+                acl_type=acl_type, acl_id=acl_id, **ctx.audit())
+
+
+@register("add_list", "alis", (Name("list"), *_LIST_ARGS),
+          (), side_effects=True, tables=("list", "users"))
+def add_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
+    """Create a list; UNIQUE_GID allocates, the ACE may be itself."""
+    name = args[0]
+    lists = ctx.db.table("list")
+    if lists.select({"name": name}):
+        raise MoiraError(MR_EXISTS, name)
+    list_id = ctx.db.next_id("list_id", now=ctx.now)
+    lists.insert(dict(name=name, list_id=list_id,
+                      **_list_fields(ctx, args[1:], list_id, (name,))),
+                 now=ctx.now)
     return []
 
 
-@register("update_list", "ulis",
-          ("list", "newname", "active", "public", "hidden", "maillist",
-           "group", "gid", "ace_type", "ace_name", "description"),
+@register("update_list", "ulis", ("list", Name("newname"), *_LIST_ARGS),
           (), side_effects=True, access=_ace_of_named_list,
           tables=("list", "users"))
 def update_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change list attributes; references follow a rename."""
-    (name, newname, active, public, hidden, maillist, group, gid,
-     ace_type, ace_name, desc) = args
+    name, newname = args[:2]
     lists = ctx.db.table("list")
     row = exactly_one(lists.select({"name": name}), MR_LIST, name)
     if newname != name and lists.select({"name": newname}):
         raise MoiraError(MR_EXISTS, newname)
-    gid = int(gid)
-    if int(group) and gid == UNIQUE_GID:
-        gid = ctx.db.next_id("gid", now=ctx.now)
-    if str(ace_type).upper() == "LIST" and ace_name in (name, newname):
-        acl_type, acl_id = "LIST", row["list_id"]
-    else:
-        acl_type, acl_id = ctx.resolve_ace(ace_type, ace_name)
-    lists.update_rows(
-        [row],
-        dict(name=newname, active=int(active), public=int(public),
-             hidden=int(hidden), maillist=int(maillist),
-             grouplist=int(group), gid=gid, desc=desc, acl_type=acl_type,
-             acl_id=acl_id, **ctx.audit()),
-        now=ctx.now)
+    lists.update_rows([row], dict(name=newname, **_list_fields(
+        ctx, args[2:], row["list_id"], (name, newname))), now=ctx.now)
     return []
 
 
@@ -146,14 +139,12 @@ def _list_referenced(ctx: QueryContext, list_id: int) -> bool:
             {"member_type": "LIST", "member_id": list_id}):
         return True
     for table in ("list", "servers", "hostaccess"):
-        if ctx.db.table(table).select({"acl_type": "LIST",
-                                       "acl_id": list_id}):
-            # a list may be its own ACE; that self-reference doesn't
-            # block deletion
-            refs = ctx.db.table(table).select(
-                {"acl_type": "LIST", "acl_id": list_id})
-            if table != "list" or any(r["list_id"] != list_id for r in refs):
-                return True
+        refs = ctx.db.table(table).select({"acl_type": "LIST",
+                                           "acl_id": list_id})
+        # a list may be its own ACE; that self-reference doesn't block
+        # deletion
+        if any(table != "list" or r["list_id"] != list_id for r in refs):
+            return True
     if ctx.db.table("filesys").select({"owners": list_id}):
         return True
     if ctx.db.table("capacls").select({"list_id": list_id}):
@@ -185,38 +176,13 @@ def delete_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 # -- members ---------------------------------------------------------------
 
 
-def _resolve_member(ctx: QueryContext, mtype: str,
-                    member: str) -> tuple[str, int]:
-    mtype = str(mtype).upper()
-    if mtype == "USER":
-        rows = ctx.db.table("users").select({"login": member})
-        if len(rows) != 1:
-            raise MoiraError(MR_NO_MATCH, f"user {member!r}")
-        return "USER", rows[0]["users_id"]
-    if mtype == "LIST":
-        rows = ctx.db.table("list").select({"name": member})
-        if len(rows) != 1:
-            raise MoiraError(MR_NO_MATCH, f"list {member!r}")
-        return "LIST", rows[0]["list_id"]
-    if mtype == "STRING":
-        return "STRING", ctx.intern_string(member)
-    raise MoiraError(MR_TYPE, mtype)
-
-
-def _member_name(ctx: QueryContext, mtype: str, member_id: int) -> str:
-    if mtype == "USER":
-        rows = ctx.db.table("users").select({"users_id": member_id})
-        return rows[0]["login"] if rows else "???"
-    if mtype == "LIST":
-        rows = ctx.db.table("list").select({"list_id": member_id})
-        return rows[0]["name"] if rows else "???"
-    return ctx.string_by_id(member_id)
+_MEMBER_TYPES = ("USER", "LIST", "STRING")
 
 
 def _self_on_public_list(ctx: QueryContext, args: Sequence[str]) -> bool:
     """Anyone may add/delete *themselves* as USER on a public list."""
     list_name, mtype, member = str(args[0]), str(args[1]), str(args[2])
-    if mtype.upper() != "USER" or not ctx.is_caller(member):
+    if not keyword(mtype, "USER") or not ctx.is_caller(member):
         return _ace_of_named_list(ctx, args)
     rows = ctx.db.table("list").select({"name": list_name})
     if len(rows) != 1:
@@ -224,13 +190,14 @@ def _self_on_public_list(ctx: QueryContext, args: Sequence[str]) -> bool:
     return bool(rows[0]["public"]) or _caller_on_list_ace(ctx, rows[0])
 
 
-@register("add_member_to_list", "amtl", ("list", "type", "member"), (),
+@register("add_member_to_list", "amtl",
+          ("list", OneOf("type", _MEMBER_TYPES), "member"), (),
           side_effects=True, access=_self_on_public_list,
           tables=("list", "members", "users"))
 def add_member_to_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a USER/LIST/STRING member (self-add on public lists)."""
     row = ctx.find_list(args[0])
-    mtype, member_id = _resolve_member(ctx, args[1], args[2])
+    mtype, member_id = args[1], ctx.entity_id(args[1], args[2], MR_NO_MATCH)
     members = ctx.db.table("members")
     if members.select({"list_id": row["list_id"], "member_type": mtype,
                        "member_id": member_id}):
@@ -241,14 +208,15 @@ def add_member_to_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-@register("delete_member_from_list", "dmfl", ("list", "type", "member"), (),
+@register("delete_member_from_list", "dmfl",
+          ("list", OneOf("type", _MEMBER_TYPES), "member"), (),
           side_effects=True, access=_self_on_public_list,
           tables=("list", "members", "users"))
 def delete_member_from_list(ctx: QueryContext,
                             args: Sequence[str]) -> list[tuple]:
     """Remove a member (self-remove on public lists)."""
     row = ctx.find_list(args[0])
-    mtype, member_id = _resolve_member(ctx, args[1], args[2])
+    mtype, member_id = args[1], ctx.entity_id(args[1], args[2], MR_NO_MATCH)
     members = ctx.db.table("members")
     found = members.select({"list_id": row["list_id"], "member_type": mtype,
                             "member_id": member_id})
@@ -267,7 +235,7 @@ def get_members_of_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     out = []
     for member in ctx.db.table("members").select({"list_id": row["list_id"]}):
         out.append((member["member_type"],
-                    _member_name(ctx, member["member_type"],
+                    ctx.ace_name(member["member_type"],
                                  member["member_id"])))
     return out
 
@@ -281,19 +249,16 @@ def count_members_of_list(ctx: QueryContext,
     return [(ctx.db.table("members").count({"list_id": row["list_id"]}),)]
 
 
-@register("get_lists_of_member", "glom", ("type", "value"),
+@register("get_lists_of_member", "glom",
+          (OneOf("type", _MEMBER_TYPES, recursive=True), "value"),
           ("list", "active", "public", "hidden", "maillist", "group"),
           side_effects=False,
-          access=lambda ctx, args: (str(args[0]).upper() in ("USER", "RUSER")
+          access=lambda ctx, args: (keyword(args[0], "USER", "RUSER")
                                     and ctx.is_caller(str(args[1]))))
 def get_lists_of_member(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Lists containing a member; R-types recurse sub-lists."""
-    mtype, value = str(args[0]).upper(), str(args[1])
-    recursive = mtype.startswith("R")
-    base_type = mtype[1:] if recursive else mtype
-    if base_type not in ("USER", "LIST", "STRING"):
-        raise MoiraError(MR_TYPE, mtype)
-    _, member_id = _resolve_member(ctx, base_type, value)
+    (base_type, recursive), value = args
+    member_id = ctx.entity_id(base_type, value, MR_NO_MATCH)
 
     if recursive:
         # closure-indexed: direct lists plus every ancestor, no walk
@@ -314,42 +279,29 @@ def get_lists_of_member(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("qualified_get_lists", "qgli",
-          ("active", "public", "hidden", "maillist", "group"), ("list",),
+          tuple(map(Tristate, ("active", "public", "hidden", "maillist",
+                               "group"))), ("list",),
           side_effects=False,
-          access=lambda ctx, args: (str(args[0]).upper() == "TRUE"
-                                    and str(args[2]).upper() == "FALSE"))
+          access=lambda ctx, args: (keyword(args[0], "TRUE")
+                                    and keyword(args[2], "FALSE")))
 def qualified_get_lists(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """List names matching five TRUE/FALSE/DONTCARE flags."""
-    flags = ["active", "public", "hidden", "maillist", "grouplist"]
-    wanted: list[tuple[str, bool]] = [
-        (flag, want) for flag, arg in zip(flags, args)
-        if (want := ctx.tristate(arg)) is not None
-    ]
-
-    def matches(row) -> bool:
-        """Row satisfies every non-DONTCARE flag."""
-        for flag, want in wanted:
-            if bool(row[flag]) != want:
-                return False
-        return True
-
+    matches = Tristate.matcher(
+        ("active", "public", "hidden", "maillist", "grouplist"), args)
     return [(r["name"],)
             for r in ctx.db.table("list").iter_select(predicate=matches)]
 
 
-@register("get_ace_use", "gaus", ("ace_type", "ace_name"),
+@register("get_ace_use", "gaus",
+          (OneOf("ace_type", ("USER", "LIST"), recursive=True), "ace_name"),
           ("object_type", "object_name"), side_effects=False,
           access=lambda ctx, args: (
-              str(args[0]).upper() in ("USER", "RUSER")
+              keyword(args[0], "USER", "RUSER")
               and ctx.is_caller(str(args[1]))))
 def get_ace_use(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Objects guarded by an entity as ACE; R-types check sub-lists."""
-    ace_type, ace_name = str(args[0]).upper(), str(args[1])
-    recursive = ace_type.startswith("R")
-    base_type = ace_type[1:] if recursive else ace_type
-    if base_type not in ("USER", "LIST"):
-        raise MoiraError(MR_TYPE, ace_type)
-    _, target_id = _resolve_member(ctx, base_type, ace_name)
+    (base_type, recursive), ace_name = args
+    target_id = ctx.entity_id(base_type, ace_name, MR_NO_MATCH)
 
     # Candidate ACE entities: the target itself, plus (recursively) every
     # list the target is a member of when the R-type is used — one

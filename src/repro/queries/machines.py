@@ -11,13 +11,15 @@ from repro.errors import (
     MR_MACHINE,
     MR_NO_MATCH,
     MR_NOT_UNIQUE,
-    MR_TYPE,
 )
-from repro.queries.base import (QueryContext, exactly_one,
-                                no_wildcards, register)
+from repro.queries.base import (Alias, Name, QueryContext, Upper,
+                                exactly_one, register)
+
+_MACH_TYPE = Alias("type", "mach_type")
+_MACHINE = Upper("machine")
 
 
-@register("get_machine", "gmac", ("name",),
+@register("get_machine", "gmac", (Upper("name"),),
           ("name", "type", "modtime", "modby", "modwith"),
           side_effects=False, public=True)
 def get_machine(ctx: QueryContext, args: Sequence[str]):
@@ -27,38 +29,33 @@ def get_machine(ctx: QueryContext, args: Sequence[str]):
     stream MR_MORE_DATA replies before a large wildcard scan finishes.
     """
     return ((r["name"], r["type"], r["modtime"], r["modby"], r["modwith"])
-            for r in ctx.db.table("machine").iter_select(
-                {"name": args[0].upper()}))
+            for r in ctx.db.table("machine").iter_select({"name": args[0]}))
 
 
-@register("add_machine", "amac", ("name", "type"), (), side_effects=True,
-          tables=("machine", "alias"))
+@register("add_machine", "amac", (Name("name", upper=True), _MACH_TYPE), (),
+          side_effects=True, tables=("machine", "alias"))
 def add_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a machine; the name is uppercased, the type checked."""
     name, mtype = args
-    name = no_wildcards(name.upper())
     machines = ctx.db.table("machine")
     if machines.select({"name": name}):
         raise MoiraError(MR_NOT_UNIQUE, name)
-    mtype = ctx.check_type("mach_type", mtype, MR_TYPE)
     mach_id = ctx.db.next_id("mach_id", now=ctx.now)
     machines.insert(dict(name=name, mach_id=mach_id, type=mtype,
                          **ctx.audit()), now=ctx.now)
     return []
 
 
-@register("update_machine", "umac", ("name", "newname", "type"), (),
+@register("update_machine", "umac",
+          (Upper("name"), Name("newname", upper=True), _MACH_TYPE), (),
           side_effects=True, tables=("machine", "alias"))
 def update_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Rename a machine and/or change its type."""
     name, newname, mtype = args
-    newname = newname.upper()
     machines = ctx.db.table("machine")
-    row = exactly_one(machines.select({"name": name.upper()}),
-                      MR_MACHINE, name)
+    row = exactly_one(machines.select({"name": name}), MR_MACHINE, name)
     if newname != row["name"] and machines.select({"name": newname}):
         raise MoiraError(MR_NOT_UNIQUE, newname)
-    mtype = ctx.check_type("mach_type", mtype, MR_TYPE)
     machines.update_rows([row], dict(name=newname, type=mtype,
                                      **ctx.audit()), now=ctx.now)
     return []
@@ -78,14 +75,13 @@ def _machine_in_use(ctx: QueryContext, mach_id: int) -> bool:
     return any(ctx.db.table(t).select(w) for t, w in checks)
 
 
-@register("delete_machine", "dmac", ("name",), (), side_effects=True,
+@register("delete_machine", "dmac", (Upper("name"),), (), side_effects=True,
           tables=("machine", "users", "filesys", "nfsphys", "printcap",
                   "hostaccess", "serverhosts", "mcmap"))
 def delete_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a machine that nothing references."""
     machines = ctx.db.table("machine")
-    row = exactly_one(machines.select({"name": args[0].upper()}),
-                      MR_MACHINE, args[0])
+    row = exactly_one(machines.select({"name": args[0]}), MR_MACHINE, args[0])
     if _machine_in_use(ctx, row["mach_id"]):
         raise MoiraError(MR_IN_USE, row["name"])
     # drop cluster memberships silently (they are pure mappings)
@@ -108,12 +104,11 @@ def get_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
             for r in ctx.db.table("cluster").select({"name": args[0]})]
 
 
-@register("add_cluster", "aclu", ("name", "description", "location"), (),
-          side_effects=True, tables=("cluster",))
+@register("add_cluster", "aclu", (Name("name"), "description", "location"),
+          (), side_effects=True, tables=("cluster",))
 def add_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a cluster; names are case sensitive."""
     name, desc, location = args
-    no_wildcards(name)
     clusters = ctx.db.table("cluster")
     if clusters.select({"name": name}):
         raise MoiraError(MR_NOT_UNIQUE, name)
@@ -124,7 +119,7 @@ def add_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_cluster", "uclu",
-          ("name", "newname", "description", "location"), (),
+          ("name", Name("newname"), "description", "location"), (),
           side_effects=True, tables=("cluster",))
 def update_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Rename a cluster and/or change its description/location."""
@@ -143,32 +138,28 @@ def update_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           tables=("cluster", "mcmap", "svc"))
 def delete_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a machine-less cluster (service data goes too)."""
-    clusters = ctx.db.table("cluster")
-    row = exactly_one(clusters.select({"name": args[0]}),
-                      MR_CLUSTER, args[0])
+    row = ctx.find_cluster(args[0])
     if ctx.db.table("mcmap").select({"clu_id": row["clu_id"]}):
         raise MoiraError(MR_IN_USE, row["name"])
     svc = ctx.db.table("svc")
     svc.delete_rows(svc.select({"clu_id": row["clu_id"]}), now=ctx.now)
-    clusters.delete_rows([row], now=ctx.now)
+    ctx.db.table("cluster").delete_rows([row], now=ctx.now)
     return []
 
 
 # -- machine/cluster map ---------------------------------------------------------
 
 
-@register("get_machine_to_cluster_map", "gmcm", ("machine", "cluster"),
+@register("get_machine_to_cluster_map", "gmcm", (_MACHINE, "cluster"),
           ("machine", "cluster"), side_effects=False, public=True)
 def get_machine_to_cluster_map(ctx: QueryContext,
                                args: Sequence[str]) -> list[tuple]:
     """Machine/cluster pairs matching both patterns."""
     machine_pat, cluster_pat = args
     machines = {m["mach_id"]: m["name"]
-                for m in ctx.db.table("machine").select(
-                    {"name": machine_pat.upper()})}
+                for m in ctx.db.table("machine").select({"name": machine_pat})}
     clusters = {c["clu_id"]: c["name"]
-                for c in ctx.db.table("cluster").select(
-                    {"name": cluster_pat})}
+                for c in ctx.db.table("cluster").select({"name": cluster_pat})}
     out = []
     for row in ctx.db.table("mcmap").rows:
         if row["mach_id"] in machines and row["clu_id"] in clusters:
@@ -176,7 +167,7 @@ def get_machine_to_cluster_map(ctx: QueryContext,
     return out
 
 
-@register("add_machine_to_cluster", "amtc", ("machine", "cluster"), (),
+@register("add_machine_to_cluster", "amtc", (_MACHINE, "cluster"), (),
           side_effects=True, tables=("machine", "cluster", "mcmap"))
 def add_machine_to_cluster(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
@@ -190,7 +181,7 @@ def add_machine_to_cluster(ctx: QueryContext,
     return []
 
 
-@register("delete_machine_from_cluster", "dmfc", ("machine", "cluster"), (),
+@register("delete_machine_from_cluster", "dmfc", (_MACHINE, "cluster"), (),
           side_effects=True, tables=("machine", "cluster", "mcmap"))
 def delete_machine_from_cluster(ctx: QueryContext,
                                 args: Sequence[str]) -> list[tuple]:
@@ -225,14 +216,14 @@ def get_cluster_data(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return out
 
 
-@register("add_cluster_data", "acld", ("cluster", "label", "data"), (),
+@register("add_cluster_data", "acld",
+          ("cluster", Alias("label", "slabel"), "data"), (),
           side_effects=True, tables=("cluster", "svc", "alias"))
 def add_cluster_data(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Attach service data to a cluster (label type-checked)."""
     cluster = ctx.find_cluster(args[0])
-    label = ctx.check_type("slabel", args[1], MR_TYPE)
     ctx.db.table("svc").insert(
-        {"clu_id": cluster["clu_id"], "serv_label": label,
+        {"clu_id": cluster["clu_id"], "serv_label": args[1],
          "serv_cluster": args[2]},
         now=ctx.now)
     ctx.db.table("cluster").update_rows([cluster], ctx.audit(), now=ctx.now)

@@ -12,19 +12,24 @@ from typing import Sequence
 
 from repro.errors import (
     MoiraError,
+    MR_ACE,
     MR_EXISTS,
     MR_NO_HANDLE,
     MR_NO_MATCH,
     MR_NOT_UNIQUE,
-    MR_TYPE,
 )
-from repro.queries.base import QueryContext, exactly_one, register
+from repro.queries.base import (ACE_TYPES, Alias, Int, OneOf, QueryContext,
+                                Upper, exactly_one, register)
+
+_MACHINE = Upper("machine")
+_HOST_ACCESS_ARGS = (_MACHINE, OneOf("ace_type", ACE_TYPES, MR_ACE),
+                     "ace_name")
 
 
 # -- host access (/.klogin generation) -------------------------------------------
 
 
-@register("get_server_host_access", "gsha", ("machine",),
+@register("get_server_host_access", "gsha", (_MACHINE,),
           ("machine", "ace_type", "ace_name", "modtime", "modby",
            "modwith"),
           side_effects=False)
@@ -32,8 +37,7 @@ def get_server_host_access(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Who may log in on a machine (feeds /.klogin)."""
     machines = {m["mach_id"]: m["name"]
-                for m in ctx.db.table("machine").select(
-                    {"name": args[0].upper()})}
+                for m in ctx.db.table("machine").select({"name": args[0]})}
     out = []
     for row in ctx.db.table("hostaccess").rows:
         if row["mach_id"] in machines:
@@ -43,8 +47,8 @@ def get_server_host_access(ctx: QueryContext,
     return out
 
 
-@register("add_server_host_access", "asha",
-          ("machine", "ace_type", "ace_name"), (), side_effects=True)
+@register("add_server_host_access", "asha", _HOST_ACCESS_ARGS, (),
+          side_effects=True)
 def add_server_host_access(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Grant an entity access to a machine."""
@@ -57,8 +61,8 @@ def add_server_host_access(ctx: QueryContext,
     return []
 
 
-@register("update_server_host_access", "usha",
-          ("machine", "ace_type", "ace_name"), (), side_effects=True)
+@register("update_server_host_access", "usha", _HOST_ACCESS_ARGS, (),
+          side_effects=True)
 def update_server_host_access(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
     """Change a machine's access entity."""
@@ -72,7 +76,7 @@ def update_server_host_access(ctx: QueryContext,
     return []
 
 
-@register("delete_server_host_access", "dsha", ("machine",), (),
+@register("delete_server_host_access", "dsha", (_MACHINE,), (),
           side_effects=True)
 def delete_server_host_access(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
@@ -99,28 +103,31 @@ def get_service(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("add_service", "asvc",
-          ("service", "protocol", "port", "description"), (),
+          ("service", Alias("protocol"), Int("port"), "description"), (),
           side_effects=True)
 def add_service(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a network service (protocol type-checked)."""
     name, protocol, port, desc = args
-    protocol = ctx.check_type("protocol", protocol, MR_TYPE)
     services = ctx.db.table("services")
     if services.select({"name": name}):
         raise MoiraError(MR_EXISTS, name)
-    services.insert(dict(name=name, protocol=protocol, port=int(port),
+    services.insert(dict(name=name, protocol=protocol, port=port,
                          desc=desc, **ctx.audit()), now=ctx.now)
+    return []
+
+
+def _delete_named(ctx: QueryContext, table: str, name: str) -> list[tuple]:
+    """Delete the one *table* row called *name* (MR_NO_MATCH if none)."""
+    rows = ctx.db.table(table).select({"name": name})
+    ctx.db.table(table).delete_rows([exactly_one(rows, MR_NO_MATCH, name)],
+                                    now=ctx.now)
     return []
 
 
 @register("delete_service", "dsvc", ("service",), (), side_effects=True)
 def delete_service(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove a network service."""
-    services = ctx.db.table("services")
-    rows = services.select({"name": args[0]})
-    row = exactly_one(rows, MR_NO_MATCH, args[0])
-    services.delete_rows([row], now=ctx.now)
-    return []
+    return _delete_named(ctx, "services", args[0])
 
 
 # -- printcap ------------------------------------------------------------------
@@ -144,7 +151,7 @@ def get_printcap(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("add_printcap", "apcp",
-          ("printer", "spool_host", "spool_directory", "rprinter",
+          ("printer", Upper("spool_host"), "spool_directory", "rprinter",
            "comments"),
           (), side_effects=True)
 def add_printcap(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
@@ -163,11 +170,7 @@ def add_printcap(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 @register("delete_printcap", "dpcp", ("printer",), (), side_effects=True)
 def delete_printcap(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove a printer."""
-    printcap = ctx.db.table("printcap")
-    rows = printcap.select({"name": args[0]})
-    row = exactly_one(rows, MR_NO_MATCH, args[0])
-    printcap.delete_rows([row], now=ctx.now)
-    return []
+    return _delete_named(ctx, "printcap", args[0])
 
 
 # -- aliases --------------------------------------------------------------------
@@ -182,12 +185,11 @@ def get_alias(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
                 {"name": args[0], "type": args[1], "trans": args[2]})]
 
 
-@register("add_alias", "aali", ("name", "type", "translation"), (),
-          side_effects=True)
+@register("add_alias", "aali", ("name", Alias("type", "alias"), "translation"),
+          (), side_effects=True)
 def add_alias(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add an alias row (alias type itself type-checked)."""
     name, atype, trans = args
-    atype = ctx.check_type("alias", atype, MR_TYPE)
     alias = ctx.db.table("alias")
     if alias.select({"name": name, "type": atype, "trans": trans}):
         raise MoiraError(MR_EXISTS, f"{name}/{atype}/{trans}")
@@ -219,36 +221,32 @@ def get_value(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return [(r["value"],) for r in rows]
 
 
-@register("add_value", "aval", ("variable", "value"), (),
+@register("add_value", "aval", ("variable", Int("value")), (),
           side_effects=True)
 def add_value(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Create a values variable."""
     values = ctx.db.table("values")
     if values.select({"name": args[0]}):
         raise MoiraError(MR_EXISTS, args[0])
-    values.insert({"name": args[0], "value": int(args[1])}, now=ctx.now)
+    values.insert({"name": args[0], "value": args[1]}, now=ctx.now)
     return []
 
 
-@register("update_value", "uval", ("variable", "value"), (),
+@register("update_value", "uval", ("variable", Int("value")), (),
           side_effects=True)
 def update_value(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Replace a values variable's value."""
     values = ctx.db.table("values")
     rows = values.select({"name": args[0]})
     row = exactly_one(rows, MR_NO_MATCH, args[0])
-    values.update_rows([row], {"value": int(args[1])}, now=ctx.now)
+    values.update_rows([row], {"value": args[1]}, now=ctx.now)
     return []
 
 
 @register("delete_value", "dval", ("variable",), (), side_effects=True)
 def delete_value(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove a values variable."""
-    values = ctx.db.table("values")
-    rows = values.select({"name": args[0]})
-    row = exactly_one(rows, MR_NO_MATCH, args[0])
-    values.delete_rows([row], now=ctx.now)
-    return []
+    return _delete_named(ctx, "values", args[0])
 
 
 # -- table statistics -------------------------------------------------------------

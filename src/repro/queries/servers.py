@@ -6,10 +6,12 @@ from typing import Sequence
 
 from repro.errors import (
     MoiraError,
+    MR_ACE,
     MR_IN_USE,
     MR_SERVICE,
 )
-from repro.queries.base import QueryContext, exactly_one, register
+from repro.queries.base import (ACE_TYPES, Alias, Int, OneOf, QueryContext,
+                                Tristate, Upper, exactly_one, register)
 
 _SERVER_FIELDS = ("service", "interval", "target", "script", "dfgen",
                   "dfcheck", "type", "enable", "inprogress", "harderror",
@@ -27,83 +29,78 @@ def _server_tuple(ctx: QueryContext, row) -> tuple:
 
 
 def _ace_of_named_service(ctx: QueryContext, args: Sequence[str]) -> bool:
-    rows = ctx.db.table("servers").select({"name": str(args[0]).upper()})
+    # service names fold case: the caller's spelling finds the row
+    rows = ctx.db.table("servers").select({"name": str(args[0])})
     return len(rows) == 1 and ctx.caller_satisfies_ace(
         rows[0]["acl_type"], rows[0]["acl_id"])
 
 
 def _find_service(ctx: QueryContext, name: str):
-    return exactly_one(
-        ctx.db.table("servers").select({"name": name.upper()}),
-        MR_SERVICE, name)
+    return exactly_one(ctx.db.table("servers").select({"name": name}),
+                       MR_SERVICE, name)
 
 
-@register("get_server_info", "gsin", ("service",), _SERVER_FIELDS,
+_SERVICE = Upper("service")
+_MACHINE = Upper("machine")
+_SERVER_ARGS = (_SERVICE, Int("interval"), "target", "script",
+                Alias("type", "service-type"), Int("enable"),
+                OneOf("ace_type", ACE_TYPES, MR_ACE), "ace_name")
+# the user-settable serverhosts columns, named as the arguments are
+_HOST_COLUMNS = ("enable", "value1", "value2", "value3")
+_HOST_ARGS = (_SERVICE, _MACHINE, *map(Int, _HOST_COLUMNS[:3]), "value3")
+
+
+@register("get_server_info", "gsin", (_SERVICE,), _SERVER_FIELDS,
           side_effects=False, access=_ace_of_named_service)
 def get_server_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Per-service DCM state (intervals, flags, errors)."""
     return [_server_tuple(ctx, r)
-            for r in ctx.db.table("servers").select(
-                {"name": args[0].upper()})]
+            for r in ctx.db.table("servers").select({"name": args[0]})]
+
+
+_SERVER_FLAGS = ("enable", "inprogress", "harderror")
 
 
 @register("qualified_get_server", "qgsv",
-          ("enable", "inprogress", "harderror"), ("service",),
+          tuple(map(Tristate, _SERVER_FLAGS)), ("service",),
           side_effects=False)
 def qualified_get_server(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Service names matching tri-state flag criteria."""
-    wants = [("enable", ctx.tristate(args[0])),
-             ("inprogress", ctx.tristate(args[1])),
-             ("harderror", ctx.tristate(args[2]))]
-
-    def matches(row) -> bool:
-        """Row satisfies every non-DONTCARE flag."""
-        return all(want is None or bool(row[flag]) == want
-                   for flag, want in wants)
-
+    matches = Tristate.matcher(_SERVER_FLAGS, args)
     return [(r["name"],)
             for r in ctx.db.table("servers").iter_select(predicate=matches)]
 
 
-@register("add_server_info", "asin",
-          ("service", "interval", "target", "script", "type", "enable",
-           "ace_type", "ace_name"),
-          (), side_effects=True)
+def _server_fields(ctx: QueryContext, args: Sequence) -> dict:
+    """The user-settable service columns, from the arguments after the
+    service name (add_server_info and update_server_info)."""
+    interval, target, script, stype, enable, ace_type, ace_name = args
+    acl_type, acl_id = ctx.resolve_ace(ace_type, ace_name)
+    return dict(update_int=interval, target_file=target, script=script,
+                type=stype, enable=enable, acl_type=acl_type, acl_id=acl_id,
+                **ctx.audit())
+
+
+@register("add_server_info", "asin", _SERVER_ARGS, (), side_effects=True)
 def add_server_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Register a service for DCM updates."""
-    service, interval, target, script, stype, enable, ace_type, ace_name = args
-    stype = ctx.check_type("service-type", stype)
-    acl_type, acl_id = ctx.resolve_ace(ace_type, ace_name)
     ctx.db.table("servers").insert(
-        dict(name=service.upper(), update_int=int(interval),
-             target_file=target, script=script, type=stype,
-             enable=int(enable), acl_type=acl_type, acl_id=acl_id,
-             **ctx.audit()),
-        now=ctx.now)
+        dict(name=args[0], **_server_fields(ctx, args[1:])), now=ctx.now)
     return []
 
 
-@register("update_server_info", "usin",
-          ("service", "interval", "target", "script", "type", "enable",
-           "ace_type", "ace_name"),
-          (), side_effects=True, access=_ace_of_named_service)
+@register("update_server_info", "usin", _SERVER_ARGS, (), side_effects=True,
+          access=_ace_of_named_service)
 def update_server_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change the user-settable service fields."""
-    service, interval, target, script, stype, enable, ace_type, ace_name = args
-    row = _find_service(ctx, service)
-    stype = ctx.check_type("service-type", stype)
-    acl_type, acl_id = ctx.resolve_ace(ace_type, ace_name)
+    row = _find_service(ctx, args[0])
     ctx.db.table("servers").update_rows(
-        [row],
-        dict(update_int=int(interval), target_file=target, script=script,
-             type=stype, enable=int(enable), acl_type=acl_type,
-             acl_id=acl_id, **ctx.audit()),
-        now=ctx.now)
+        [row], _server_fields(ctx, args[1:]), now=ctx.now)
     return []
 
 
-@register("reset_server_error", "rsve", ("service",), (),
+@register("reset_server_error", "rsve", (_SERVICE,), (),
           side_effects=True, access=_ace_of_named_service)
 def reset_server_error(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Clear a hard error and snap dfcheck back to dfgen."""
@@ -116,8 +113,8 @@ def reset_server_error(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("set_server_internal_flags", "ssif",
-          ("service", "dfgen", "dfcheck", "inprogress", "harderror",
-           "errmsg"),
+          (_SERVICE, Int("dfgen"), Int("dfcheck"), Int("inprogress"),
+           Int("harderror"), "errmsg"),
           (), side_effects=True)
 def set_server_internal_flags(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
@@ -128,14 +125,13 @@ def set_server_internal_flags(ctx: QueryContext,
     # modifications, and they don't count as table changes either.
     ctx.db.table("servers").update_rows(
         [row],
-        dict(dfgen=int(dfgen), dfcheck=int(dfcheck),
-             inprogress=int(inprogress), harderror=int(harderror),
-             errmsg=errmsg),
+        dict(dfgen=dfgen, dfcheck=dfcheck, inprogress=inprogress,
+             harderror=harderror, errmsg=errmsg),
         now=ctx.now, touch_stats=False)
     return []
 
 
-@register("delete_server_info", "dsin", ("service",), (), side_effects=True)
+@register("delete_server_info", "dsin", (_SERVICE,), (), side_effects=True)
 def delete_server_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a service with no hosts and no update running."""
     row = _find_service(ctx, args[0])
@@ -168,19 +164,18 @@ def _host_tuple(ctx: QueryContext, row) -> tuple:
 def _find_server_host(ctx: QueryContext, service: str, machine: str):
     mach = ctx.find_machine(machine)
     rows = ctx.db.table("serverhosts").select(
-        {"service": service.upper(), "mach_id": mach["mach_id"]})
+        {"service": service, "mach_id": mach["mach_id"]})
     return exactly_one(rows, MR_SERVICE, f"{service}/{machine}")
 
 
-@register("get_server_host_info", "gshi", ("service", "machine"),
+@register("get_server_host_info", "gshi", (_SERVICE, _MACHINE),
           _HOST_FIELDS, side_effects=False, access=_ace_of_named_service)
 def get_server_host_info(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Per-host DCM state for matching service/machine."""
-    service_pat, machine_pat = args[0].upper(), args[1].upper()
+    service_pat, machine_pat = args
     machines = {m["mach_id"]: m["name"]
-                for m in ctx.db.table("machine").select(
-                    {"name": machine_pat})}
+                for m in ctx.db.table("machine").select({"name": machine_pat})}
     out = []
     for row in ctx.db.table("serverhosts").select({"service": service_pat}):
         if row["mach_id"] in machines:
@@ -188,24 +183,19 @@ def get_server_host_info(ctx: QueryContext,
     return out
 
 
+_HOST_FLAGS = ("enable", "override", "success", "inprogress", "hosterror")
+
+
 @register("qualified_get_server_host", "qgsh",
-          ("service", "enable", "override", "success", "inprogress",
-           "hosterror"),
+          (_SERVICE, *map(Tristate, _HOST_FLAGS)),
           ("service", "machine"), side_effects=False)
 def qualified_get_server_host(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
     """Service/machine pairs matching flag criteria."""
-    service_pat = args[0].upper()
-    wants = [(flag, ctx.tristate(arg))
-             for flag, arg in zip(
-                 ("enable", "override", "success", "inprogress",
-                  "hosterror"),
-                 args[1:])]
-
+    matches = Tristate.matcher(_HOST_FLAGS, args[1:])
     out = []
-    for row in ctx.db.table("serverhosts").select({"service": service_pat}):
-        if all(want is None or bool(row[flag]) == want
-               for flag, want in wants):
+    for row in ctx.db.table("serverhosts").select({"service": args[0]}):
+        if matches(row):
             machines = ctx.db.table("machine").select(
                 {"mach_id": row["mach_id"]})
             if machines:
@@ -213,42 +203,35 @@ def qualified_get_server_host(ctx: QueryContext,
     return out
 
 
-@register("add_server_host_info", "ashi",
-          ("service", "machine", "enable", "value1", "value2", "value3"),
-          (), side_effects=True, access=_ace_of_named_service)
+@register("add_server_host_info", "ashi", _HOST_ARGS, (), side_effects=True,
+          access=_ace_of_named_service)
 def add_server_host_info(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Attach a host to a service (value1-3 are per-service)."""
-    service, machine, enable, value1, value2, value3 = args
-    srv = _find_service(ctx, service)
-    mach = ctx.find_machine(machine)
+    srv = _find_service(ctx, args[0])
+    mach = ctx.find_machine(args[1])
     ctx.db.table("serverhosts").insert(
-        dict(service=srv["name"], mach_id=mach["mach_id"],
-             enable=int(enable), value1=int(value1), value2=int(value2),
-             value3=value3, **ctx.audit()),
+        dict(zip(_HOST_COLUMNS, args[2:]), service=srv["name"],
+             mach_id=mach["mach_id"], **ctx.audit()),
         now=ctx.now)
     return []
 
 
-@register("update_server_host_info", "ushi",
-          ("service", "machine", "enable", "value1", "value2", "value3"),
-          (), side_effects=True, access=_ace_of_named_service)
+@register("update_server_host_info", "ushi", _HOST_ARGS, (),
+          side_effects=True, access=_ace_of_named_service)
 def update_server_host_info(ctx: QueryContext,
                             args: Sequence[str]) -> list[tuple]:
     """Change user-settable host fields (not in-progress)."""
-    service, machine, enable, value1, value2, value3 = args
-    row = _find_server_host(ctx, service, machine)
+    row = _find_server_host(ctx, args[0], args[1])
     if row["inprogress"]:
-        raise MoiraError(MR_IN_USE, f"{service}/{machine} in progress")
+        raise MoiraError(MR_IN_USE, f"{args[0]}/{args[1]} in progress")
     ctx.db.table("serverhosts").update_rows(
-        [row],
-        dict(enable=int(enable), value1=int(value1), value2=int(value2),
-             value3=value3, **ctx.audit()),
+        [row], dict(zip(_HOST_COLUMNS, args[2:]), **ctx.audit()),
         now=ctx.now)
     return []
 
 
-@register("reset_server_host_error", "rshe", ("service", "machine"), (),
+@register("reset_server_host_error", "rshe", (_SERVICE, _MACHINE), (),
           side_effects=True, access=_ace_of_named_service)
 def reset_server_host_error(ctx: QueryContext,
                             args: Sequence[str]) -> list[tuple]:
@@ -259,7 +242,7 @@ def reset_server_host_error(ctx: QueryContext,
     return []
 
 
-@register("set_server_host_override", "ssho", ("service", "machine"), (),
+@register("set_server_host_override", "ssho", (_SERVICE, _MACHINE), (),
           side_effects=True, access=_ace_of_named_service)
 def set_server_host_override(ctx: QueryContext,
                              args: Sequence[str]) -> list[tuple]:
@@ -271,8 +254,9 @@ def set_server_host_override(ctx: QueryContext,
 
 
 @register("set_server_host_internal", "sshi",
-          ("service", "machine", "override", "success", "inprogress",
-           "hosterror", "errmsg", "lasttry", "lastsuccess"),
+          (_SERVICE, _MACHINE, Int("override"), Int("success"),
+           Int("inprogress"), Int("hosterror"), "errmsg", Int("lasttry"),
+           Int("lastsuccess")),
           (), side_effects=True, repeat=8)
 def set_server_host_internal(ctx: QueryContext,
                              args: Sequence[str]) -> list[tuple]:
@@ -286,14 +270,14 @@ def set_server_host_internal(ctx: QueryContext,
         # modtime deliberately untouched — DCM bookkeeping, not user change.
         ctx.db.table("serverhosts").update_rows(
             [row],
-            dict(override=int(override), success=int(success),
-                 inprogress=int(inprogress), hosterror=int(hosterror),
-                 hosterrmsg=errmsg, ltt=int(lasttry), lts=int(lastsuccess)),
+            dict(override=override, success=success, inprogress=inprogress,
+                 hosterror=hosterror, hosterrmsg=errmsg, ltt=lasttry,
+                 lts=lastsuccess),
             now=ctx.now, touch_stats=False)
     return []
 
 
-@register("delete_server_host_info", "dshi", ("service", "machine"), (),
+@register("delete_server_host_info", "dshi", (_SERVICE, _MACHINE), (),
           side_effects=True, access=_ace_of_named_service)
 def delete_server_host_info(ctx: QueryContext,
                             args: Sequence[str]) -> list[tuple]:
@@ -305,14 +289,13 @@ def delete_server_host_info(ctx: QueryContext,
     return []
 
 
-@register("get_server_locations", "gslo", ("service",),
+@register("get_server_locations", "gslo", (_SERVICE,),
           ("service", "machine"), side_effects=False, public=True)
 def get_server_locations(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Which machines support a service (public)."""
     out = []
-    for row in ctx.db.table("serverhosts").select(
-            {"service": args[0].upper()}):
+    for row in ctx.db.table("serverhosts").select({"service": args[0]}):
         machines = ctx.db.table("machine").select(
             {"mach_id": row["mach_id"]})
         if machines:

@@ -20,11 +20,10 @@ from repro.errors import (
     MR_NO_MATCH,
     MR_NO_POBOX,
     MR_NOT_UNIQUE,
-    MR_TYPE,
     MR_USER,
 )
-from repro.queries.base import (QueryContext, exactly_one,
-                                no_wildcards, register)
+from repro.queries.base import (Alias, Int, Name, QueryContext,
+                                exactly_one, register)
 
 _USER_FIELDS = ("login", "uid", "shell", "last", "first", "middle",
                 "status", "mit_id", "mit_year", "modtime", "modby",
@@ -62,7 +61,7 @@ def get_user_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
                     ctx.db.table("users").select({"login": args[0]})))
 
 
-@register("get_user_by_uid", "gubu", ("uid",), _USER_FIELDS,
+@register("get_user_by_uid", "gubu", (Int("uid"),), _USER_FIELDS,
           side_effects=False,
           access=lambda ctx, args: (
               (row := ctx.caller_row()) is not None
@@ -98,32 +97,30 @@ def get_user_by_mitid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
                     ctx.db.table("users").select({"mit_id": args[0]})))
 
 
-@register("add_user", "ausr",
-          ("login", "uid", "shell", "last", "first", "middle", "status",
-           "mitid", "class"),
-          (), side_effects=True, tables=("users", "alias"))
+_USER_ARGS = (Int("uid"), "shell", "last", "first", "middle", Int("status"),
+              "mitid", Alias("class", errcode=MR_BAD_CLASS))
+
+
+@register("add_user", "ausr", (Name("login"), *_USER_ARGS), (),
+          side_effects=True, tables=("users", "alias"))
 def add_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a new user; UNIQUE_UID/UNIQUE_LOGIN sentinels supported.
 
     Initializes the finger record and sets the pobox to NONE."""
     login, uid, shell, last, first, middle, status, mitid, year = args
     users = ctx.db.table("users")
-    uid = int(uid)
     if uid == UNIQUE_UID:
         uid = ctx.db.next_id("uid", now=ctx.now)
     if login == UNIQUE_LOGIN:
         login = f"#{uid}"
-    else:
-        no_wildcards(login)
     if users.select({"login": login}):
         raise MoiraError(MR_NOT_UNIQUE, f"login {login!r}")
-    year = ctx.check_type("class", year, MR_BAD_CLASS)
     users_id = ctx.db.next_id("users_id", now=ctx.now)
     fullname = " ".join(p for p in (first, middle, last) if p)
     users.insert(
         dict(
             login=login, users_id=users_id, uid=uid, shell=shell,
-            last=last, first=first, middle=middle, status=int(status),
+            last=last, first=first, middle=middle, status=status,
             mit_id=mitid, mit_year=year, fullname=fullname, potype="NONE",
             **ctx.audit(), **ctx.audit("f"), **ctx.audit("p"),
         ),
@@ -132,8 +129,8 @@ def add_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-@register("register_user", "rusr", ("uid", "login", "fstype"), (),
-          side_effects=True,
+@register("register_user", "rusr",
+          (Int("uid"), Name("login"), Int("fstype")), (), side_effects=True,
           tables=("users", "list", "members", "serverhosts", "machine",
                   "nfsphys", "filesys", "nfsquota"))
 def register_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
@@ -142,7 +139,6 @@ def register_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     on the least-loaded matching partition, and the default quota."""
     uid, login, fstype = args
     users = ctx.db.table("users")
-    no_wildcards(login)
     row = exactly_one(users.select({"uid": uid}), MR_NO_MATCH, f"uid {uid}")
     if row["status"] != USER_STATE_REGISTERABLE:
         raise MoiraError(MR_IN_USE, f"uid {uid} has status {row['status']}")
@@ -151,7 +147,7 @@ def register_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
     pop_machine = _least_loaded_pop(ctx)
     group_gid = _create_user_group(ctx, login, row["users_id"])
-    _create_home_filesystem(ctx, login, row, int(fstype), group_gid)
+    _create_home_filesystem(ctx, login, row, fstype, group_gid)
 
     users.update_rows(
         [row],
@@ -233,51 +229,39 @@ def _create_home_filesystem(ctx: QueryContext, login: str, user_row,
         [best], {"allocated": best["allocated"] + quota}, now=ctx.now)
 
 
-@register("update_user", "uusr",
-          ("login", "newlogin", "uid", "shell", "last", "first", "middle",
-           "status", "mitid", "class"),
+def _update_user(ctx: QueryContext, row, **changes) -> list[tuple]:
+    """Set *changes* on one users *row*."""
+    ctx.db.table("users").update_rows([row], changes, now=ctx.now)
+    return []
+
+
+@register("update_user", "uusr", ("login", Name("newlogin"), *_USER_ARGS),
           (), side_effects=True, tables=("users", "alias"))
 def update_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Replace every account field; references follow a rename."""
     login, newlogin, uid, shell, last, first, middle, status, mitid, year = args
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
-    if newlogin != login:
-        no_wildcards(newlogin)
-    if newlogin != login and users.select({"login": newlogin}):
+    row = ctx.find_user(login)
+    if newlogin != login and ctx.db.table("users").select({"login": newlogin}):
         raise MoiraError(MR_NOT_UNIQUE, f"login {newlogin!r}")
-    year = ctx.check_type("class", year, MR_BAD_CLASS)
-    users.update_rows(
-        [row],
-        dict(login=newlogin, uid=int(uid), shell=shell, last=last,
-             first=first, middle=middle, status=int(status), mit_id=mitid,
-             mit_year=year, **ctx.audit()),
-        now=ctx.now,
-    )
-    return []
+    return _update_user(ctx, row, login=newlogin, uid=uid, shell=shell,
+                        last=last, first=first, middle=middle, status=status,
+                        mit_id=mitid, mit_year=year, **ctx.audit())
 
 
 @register("update_user_shell", "uush", ("login", "shell"), (),
           side_effects=True, access=_self_only, tables=("users",))
 def update_user_shell(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a user's login shell (self-service allowed)."""
-    login, shell = args
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
-    users.update_rows([row], dict(shell=shell, **ctx.audit()), now=ctx.now)
-    return []
+    return _update_user(ctx, ctx.find_user(args[0]), shell=args[1],
+                        **ctx.audit())
 
 
-@register("update_user_status", "uust", ("login", "status"), (),
+@register("update_user_status", "uust", ("login", Int("status")), (),
           side_effects=True, tables=("users",))
 def update_user_status(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a user's account status code."""
-    login, status = args
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
-    users.update_rows([row], dict(status=int(status), **ctx.audit()),
-                      now=ctx.now)
-    return []
+    return _update_user(ctx, ctx.find_user(args[0]), status=args[1],
+                        **ctx.audit())
 
 
 def _user_references(ctx: QueryContext, users_id: int) -> bool:
@@ -289,12 +273,9 @@ def _user_references(ctx: QueryContext, users_id: int) -> bool:
         return True
     if ctx.db.table("filesys").select({"owner": users_id}):
         return True
-    for table, type_col, id_col in [
-        ("list", "acl_type", "acl_id"),
-        ("servers", "acl_type", "acl_id"),
-        ("hostaccess", "acl_type", "acl_id"),
-    ]:
-        if ctx.db.table(table).select({type_col: "USER", id_col: users_id}):
+    for table in ("list", "servers", "hostaccess"):
+        if ctx.db.table(table).select({"acl_type": "USER",
+                                       "acl_id": users_id}):
             return True
     return False
 
@@ -313,13 +294,12 @@ def _delete_user_row(ctx: QueryContext, row) -> None:
                   "servers", "hostaccess"))
 def delete_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a status-0 user with no remaining references."""
-    row = exactly_one(ctx.db.table("users").select({"login": args[0]}),
-                      MR_USER, args[0])
+    row = ctx.find_user(args[0])
     _delete_user_row(ctx, row)
     return []
 
 
-@register("delete_user_by_uid", "dubu", ("uid",), (), side_effects=True,
+@register("delete_user_by_uid", "dubu", (Int("uid"),), (), side_effects=True,
           tables=("users", "members", "nfsquota", "filesys", "list",
                   "servers", "hostaccess"))
 def delete_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
@@ -342,8 +322,7 @@ _finger_tuple = itemgetter(*_FINGER_FIELDS)
           side_effects=False, access=_self_only)
 def get_finger_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """All finger information for one user."""
-    row = exactly_one(ctx.db.table("users").select({"login": args[0]}),
-                      MR_USER, args[0])
+    row = ctx.find_user(args[0])
     return [_finger_tuple(row)]
 
 
@@ -354,17 +333,11 @@ def get_finger_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 def update_finger_by_login(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Replace the (free-form) finger fields for one user."""
-    login = args[0]
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
-    users.update_rows(
-        [row],
-        dict(fullname=args[1], nickname=args[2], home_addr=args[3],
-             home_phone=args[4], office_addr=args[5], office_phone=args[6],
-             mit_dept=args[7], mit_affil=args[8], **ctx.audit("f")),
-        now=ctx.now,
-    )
-    return []
+    return _update_user(
+        ctx, ctx.find_user(args[0]), fullname=args[1], nickname=args[2],
+        home_addr=args[3], home_phone=args[4], office_addr=args[5],
+        office_phone=args[6], mit_dept=args[7], mit_affil=args[8],
+        **ctx.audit("f"))
 
 
 # -- post office boxes ---------------------------------------------------------
@@ -397,8 +370,7 @@ def _pobox_value(ctx: QueryContext, row) -> str:
           side_effects=False, access=_self_only)
 def get_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """A user's post office box assignment."""
-    row = exactly_one(ctx.db.table("users").select({"login": args[0]}),
-                      MR_USER, args[0])
+    row = ctx.find_user(args[0])
     return [(row["login"], row["potype"], _pobox_value(ctx, row),
              row["pmodtime"], row["pmodby"], row["pmodwith"])]
 
@@ -427,18 +399,17 @@ def get_poboxes_smtp(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
             for r in ctx.db.table("users").select({"potype": "SMTP"})]
 
 
-@register("set_pobox", "spob", ("login", "type", "box"), (),
+@register("set_pobox", "spob", ("login", Alias("type", "pobox"), "box"), (),
           side_effects=True, access=_self_only,
           tables=("users", "alias", "machine", "serverhosts"))
 def set_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Set a pobox: POP needs a known machine, SMTP a string."""
     login, potype, box = args
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
-    potype = ctx.check_type("pobox", potype, MR_TYPE)
+    row = ctx.find_user(login)
     changes: dict = {"potype": potype}
     if potype == "POP":
-        machines = ctx.db.table("machine").select({"name": box.upper()})
+        # machine names fold case: the box need not be upper case
+        machines = ctx.db.table("machine").select({"name": box})
         if len(machines) != 1:
             raise MoiraError(MR_MACHINE, box)
         changes["pop_id"] = machines[0]["mach_id"]
@@ -447,7 +418,7 @@ def set_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     changes.update(ctx.audit("p"))
     was_pop = row["potype"] == "POP"
     old_pop_id = row["pop_id"]
-    users.update_rows([row], changes, now=ctx.now)
+    _update_user(ctx, row, **changes)
     if was_pop and not (potype == "POP"
                         and changes.get("pop_id") == old_pop_id):
         _adjust_pop_load(ctx, old_pop_id, -1)
@@ -461,15 +432,12 @@ def set_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           access=_self_only, tables=("users", "serverhosts"))
 def set_pobox_pop(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Restore the previous POP assignment (MR_MACHINE if none)."""
-    login = args[0]
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
+    row = ctx.find_user(args[0])
     if row["potype"] == "POP":
         return []
     if not row["pop_id"]:
         raise MoiraError(MR_MACHINE, "no previous POP assignment")
-    users.update_rows([row], dict(potype="POP", **ctx.audit("p")),
-                      now=ctx.now)
+    _update_user(ctx, row, potype="POP", **ctx.audit("p"))
     _adjust_pop_load(ctx, row["pop_id"], +1)
     return []
 
@@ -478,12 +446,9 @@ def set_pobox_pop(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           access=_self_only, tables=("users", "serverhosts"))
 def delete_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove a pobox by setting its type to NONE."""
-    login = args[0]
-    users = ctx.db.table("users")
-    row = exactly_one(users.select({"login": login}), MR_USER, login)
+    row = ctx.find_user(args[0])
     was_pop = row["potype"] == "POP"
-    users.update_rows([row], dict(potype="NONE", **ctx.audit("p")),
-                      now=ctx.now)
+    _update_user(ctx, row, potype="NONE", **ctx.audit("p"))
     if was_pop:
         _adjust_pop_load(ctx, row["pop_id"], -1)
     return []

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import MoiraError, MR_EXISTS
-from repro.queries.base import QueryContext, exactly_one, register
-from repro.errors import MR_NO_MATCH
+from repro.errors import MoiraError, MR_ACE, MR_EXISTS, MR_NO_MATCH
+from repro.queries.base import (ACE_TYPES, OneOf, QueryContext, exactly_one,
+                                register)
 
 _ZEPHYR_FIELDS = ("class", "xmttype", "xmtname", "subtype", "subname",
                   "iwstype", "iwsname", "iuitype", "iuiname", "modtime",
                   "modby", "modwith")
 
 _ACL_COLS = ("xmt", "sub", "iws", "iui")
+# the four (type, name) ACE pairs, after the class name(s)
+_ACE_ARGS = tuple(arg for col in _ACL_COLS for arg in (
+    OneOf(f"{col}type", ACE_TYPES, MR_ACE), f"{col}name"))
 
 
 def _zephyr_tuple(ctx: QueryContext, row) -> tuple:
@@ -42,10 +45,8 @@ def get_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
             for r in ctx.db.table("zephyr").select({"class": args[0]})]
 
 
-@register("add_zephyr_class", "azcl",
-          ("class", "xmttype", "xmtname", "subtype", "subname", "iwstype",
-           "iwsname", "iuitype", "iuiname"),
-          (), side_effects=True, tables=("zephyr", "users", "list"))
+@register("add_zephyr_class", "azcl", ("class", *_ACE_ARGS), (),
+          side_effects=True, tables=("zephyr", "users", "list"))
 def add_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Register a controlled zephyr class."""
     name = args[0]
@@ -58,9 +59,7 @@ def add_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-@register("update_zephyr_class", "uzcl",
-          ("class", "newclass", "xmttype", "xmtname", "subtype", "subname",
-           "iwstype", "iwsname", "iuitype", "iuiname"),
+@register("update_zephyr_class", "uzcl", ("class", "newclass", *_ACE_ARGS),
           (), side_effects=True, tables=("zephyr", "users", "list"))
 def update_zephyr_class(ctx: QueryContext,
                         args: Sequence[str]) -> list[tuple]:

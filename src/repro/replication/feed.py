@@ -113,6 +113,15 @@ def entry_from_tuple(fields: Sequence[str]) -> JournalEntry:
                         bindings=bindings)
 
 
+def parse_seq(value: str, what: str) -> int:
+    """The integer a ``_repl_*`` argument carries (a sequence number or
+    a count), or ``MR_ARGS`` naming *what* it should have been."""
+    try:
+        return int(value)
+    except ValueError:
+        raise MoiraError(MR_ARGS, f"{what} must be an integer") from None
+
+
 def versions_json(versions: dict) -> str:
     return json.dumps(versions, sort_keys=True, separators=(",", ":"))
 
@@ -181,13 +190,8 @@ def _snapshot(server: "MoiraServer") -> Iterator[Run]:
 def _tail(server: "MoiraServer", args: Sequence[str]) -> Iterator[Run]:
     if not args:
         raise MoiraError(MR_ARGS, "_repl_tail wants after_seq [limit]")
-    try:
-        after = int(args[0])
-        limit = int(args[1]) if len(args) > 1 else 0
-    except ValueError:
-        raise MoiraError(MR_ARGS,
-                         "_repl_tail after_seq/limit must be integers"
-                         ) from None
+    after = parse_seq(args[0], "_repl_tail after_seq")
+    limit = parse_seq(args[1], "_repl_tail limit") if len(args) > 1 else 0
     oldest, current, entries = server.journal.tail(after)
     if entries is None:
         # the checkpoint truncated past the replica: snapshot required

@@ -81,6 +81,7 @@ from repro.replication.feed import (
     META_ROW,
     RESYNC_ROW,
     entry_from_tuple,
+    parse_seq,
 )
 from repro.server.moira_server import (
     MOIRA_SERVICE_PRINCIPAL,
@@ -158,12 +159,7 @@ class ReplicaMoiraServer(MoiraServer):
         if len(args) < 2:
             raise MoiraError(MR_ARGS,
                              "_repl_read wants min_seq, query, args...")
-        try:
-            min_seq = int(args[0])
-        except ValueError:
-            raise MoiraError(MR_ARGS,
-                             "_repl_read min_seq must be an integer"
-                             ) from None
+        min_seq = parse_seq(args[0], "_repl_read min_seq")
         if not self.replica.wait_for_seq(min_seq):
             raise MoiraError(
                 MR_BUSY,

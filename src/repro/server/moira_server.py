@@ -348,8 +348,10 @@ class MoiraServer:
             # unwrap.  A *fenced* primary is frozen at fence time and
             # must not serve stale reads as authoritative: answer
             # MR_BUSY (retryable) so the router routes around it.
+            from repro.replication.feed import parse_seq
             if len(query_args) < 2:
                 raise MoiraError(MR_ARGS, "_repl_read wants min_seq, query")
+            parse_seq(query_args[0], "_repl_read min_seq")
             if self.journal.fenced:
                 raise MoiraError(
                     MR_BUSY,
