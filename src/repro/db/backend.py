@@ -46,10 +46,17 @@ __all__ = [
     "StorageBackend",
     "StorageTable",
     "LockTxn",
+    "SYSTEM_TABLES",
     "create_backend",
     "available_backends",
     "register_backend",
 ]
+
+# Moira's system relations: the ``values`` id hints and the ``strings``
+# heap.  Like Moira's id counters they never roll back — an aborted
+# writer's ids and strings stay consumed, journaled as its ``_aborted``
+# bindings — and no write transaction's ``mutated`` names them.
+SYSTEM_TABLES = frozenset({"values", "strings"})
 
 
 class StorageTable(abc.ABC):
@@ -135,8 +142,12 @@ class StorageBackend(abc.ABC):
 
         Yields a transaction with ``.seq`` (commit seq, 0 when the
         backend has none), ``.bindings`` (ids/strings consumed, or
-        None) and ``.mutated`` (names of the tables whose data version
-        moved; complete once the ``with`` exits).  ``commit_hook(txn)``
+        None) and ``.mutated``: table -> the columns whose data
+        version moved.  An update names the columns it sets; an
+        insert, delete or clear names every column; a ``touch_stats=
+        False`` update, the :data:`SYSTEM_TABLES` and a rolled-back
+        transaction name nothing.  ``mutated`` is complete when a hook
+        runs.  ``commit_hook(txn)``
         runs exactly once on normal
         exit and ``abort_hook(txn)`` on an exception, both before the
         backend's locks drop — which is what keeps journal order equal
@@ -211,7 +222,8 @@ class StorageBackend(abc.ABC):
 class LockTxn:
     """``write_txn()`` for a backend without transactions: the
     exclusive ``db.lock``, no commit seq, no bindings, no undo —
-    ``mutated`` is the ``versions()`` diff across the body."""
+    ``mutated`` names every column of each table in the
+    ``versions()`` diff across the body."""
 
     seq = 0
     bindings = None
@@ -220,7 +232,7 @@ class LockTxn:
         self._db = db
         self._commit_hook = commit_hook
         self._abort_hook = abort_hook
-        self.mutated: set = set()
+        self.mutated: dict = {}
 
     def __enter__(self) -> "LockTxn":
         self._db.lock.__enter__()
@@ -229,10 +241,12 @@ class LockTxn:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            before = self._before
-            self.mutated = {name for name, version
-                            in self._db.versions().items()
-                            if before.get(name) != version}
+            before, db = self._before, self._db
+            self.mutated = {
+                name: frozenset(db.table(name).columns)
+                for name, version in db.versions().items()
+                if before.get(name) != version
+                and name not in SYSTEM_TABLES}
             hook = self._commit_hook if exc_type is None \
                 else self._abort_hook
             if hook is not None:

@@ -50,7 +50,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
 
-from repro.db.backend import StorageBackend, StorageTable
+from repro.db.backend import SYSTEM_TABLES, StorageBackend, StorageTable
 from repro.db.rwlock import RWLock
 
 from repro.errors import (
@@ -64,12 +64,6 @@ from repro.errors import (
 )
 
 Row = dict  # rows are plain dicts; Table owns their lifecycle
-
-# Moira's system relations: the ``values`` id hints and the ``strings``
-# heap live outside MVCC (snapshot reads see the live table) and, like
-# Moira's id counters, never roll back — an aborted writer's ids and
-# strings stay consumed, journaled as its ``_aborted`` bindings.
-SYSTEM_TABLES = frozenset({"values", "strings"})
 
 __all__ = ["Column", "Table", "TableChange", "Database", "Row",
            "WildcardPattern"]
@@ -94,7 +88,9 @@ class _Txn:
         self.depth = 1
         self.seq = 0                    # 0 = no commit seq assigned yet
         self.undo: Optional[list] = [] if undo else None
-        self.mutated: set[str] = set()  # table names touched
+        # table -> columns whose data version moved (a DCM bookkeeping
+        # update, ``touch_stats=False``, names nothing)
+        self.mutated: dict[str, frozenset] = {}
         self.bindings: Optional[dict] = None   # consumed ids / strings
 
     def bind_id(self, hint: str, value: int) -> None:
@@ -568,6 +564,8 @@ class Table(StorageTable):
         self.columns: dict[str, Column] = {c.name: c for c in columns}
         if len(self.columns) != len(columns):
             raise ValueError(f"duplicate column in {name}")
+        # what an insert, delete, clear or bulk load changes
+        self.every_column = frozenset(self.columns)
         self.rows = _RowStore()
         self.unique_keys: list[tuple[str, ...]] = [tuple(u) for u in unique]
         self._indexes: dict[str, _Index] = {}
@@ -706,7 +704,7 @@ class Table(StorageTable):
         self._bump("insert", None, dict(row))
         mv = self._mv
         if mv is not None:
-            seq, auto = mv.db._mv_begin(self)
+            seq, auto = mv.db._mv_begin(self, self.every_column)
             try:
                 mv.on_insert(row, seq)
                 self.mv_last_seq = seq
@@ -770,7 +768,8 @@ class Table(StorageTable):
             self.stats.modtime = now
         if mv is not None and rows:
             changed = set(coerced)
-            seq, auto = mv.db._mv_begin(self)
+            seq, auto = mv.db._mv_begin(
+                self, frozenset(changed) if touch_stats else None)
             try:
                 tokens = [mv.on_update(row, changed, seq)
                           for row in rows]
@@ -805,7 +804,7 @@ class Table(StorageTable):
         self.stats.deletes += len(rows)
         self.stats.modtime = now
         if mv is not None:
-            seq, auto = mv.db._mv_begin(self)
+            seq, auto = mv.db._mv_begin(self, self.every_column)
             try:
                 tokens = [mv.on_delete(row, seq) for row in rows]
                 self.mv_last_seq = seq
@@ -835,7 +834,7 @@ class Table(StorageTable):
         # which never aborts
         mv = self._mv
         if mv is not None:
-            seq, auto = mv.db._mv_begin(self)
+            seq, auto = mv.db._mv_begin(self, self.every_column)
             try:
                 mv.on_clear(seq)
                 self.mv_last_seq = seq
@@ -881,7 +880,7 @@ class Table(StorageTable):
             self._changelog.clear()
         mv = self._mv
         if mv is not None:
-            seq, auto = mv.db._mv_begin(self)
+            seq, auto = mv.db._mv_begin(self, self.every_column)
             try:
                 mv.bulk_admit(rows, seq)
                 self.mv_last_seq = seq
@@ -1207,6 +1206,8 @@ class Database(StorageBackend):
         if table.name in self.tables:
             raise ValueError(f"table {table.name} already exists")
         self.tables[table.name] = table
+        # the system relations live outside MVCC: snapshot reads see
+        # the live table
         if table._mv is None and table.name not in SYSTEM_TABLES:
             from repro.db.mvcc import TableVersionStore
             table._mv = TableVersionStore(self, table)
@@ -1376,6 +1377,7 @@ class Database(StorageBackend):
         if txn.undo:
             for fn in reversed(txn.undo):
                 fn()
+        txn.mutated = {}    # rolled back: no data changed
         if txn.seq == 0 and not txn.bindings:
             if hook is not None:
                 hook(txn)   # nothing to order: no seq was ever taken
@@ -1387,8 +1389,11 @@ class Database(StorageBackend):
 
     # -- MVCC: transactions, snapshots, garbage collection -------------------
 
-    def _mv_begin(self, table: "Table") -> tuple[int, bool]:
-        """The commit seq for one mutation statement.
+    def _mv_begin(self, table: "Table",
+                  columns: Optional[frozenset]) -> tuple[int, bool]:
+        """The commit seq for one mutation statement of *columns* of
+        *table* (None: a bookkeeping update, which the transaction's
+        ``mutated`` does not name).
 
         Inside a transaction every statement shares the transaction's
         seq (assigned lazily, while the writer lock is held, so
@@ -1400,7 +1405,12 @@ class Database(StorageBackend):
         txn = self._txns.get(threading.get_ident())
         if txn is None:
             return self._alloc_seq(), True
-        txn.mutated.add(table.name)
+        if columns:
+            named = txn.mutated.get(table.name)
+            if named is None:
+                txn.mutated[table.name] = columns
+            elif not columns <= named:
+                txn.mutated[table.name] = named | columns
         if txn.seq == 0:
             self._alloc_seq(txn)
         return txn.seq, False

@@ -18,7 +18,9 @@ bound the file's growth.
 Crash tolerance on the read side: :meth:`JournalEntry.from_line` rejects
 malformed input with ``ValueError`` instead of arbitrary exceptions, and
 :meth:`Journal.load` stops cleanly at a torn final record (the expected
-artifact of dying mid-append).
+artifact of dying mid-append).  A torn write is the process's death —
+the journal refuses every later append — so a malformed line anywhere
+else is damage, which :meth:`Journal.load` refuses.
 
 Group commit is :meth:`sync`, the one durability point:
 ``record(fsync=False)`` appends without forcing the disk and one
@@ -64,13 +66,38 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import MR_FENCED, MoiraError
-from repro.sim.faults import FaultInjector, TornWrite
+from repro.sim.faults import FaultInjector, ServerCrash, TornWrite
 
-__all__ = ["Journal", "JournalEntry", "fsync_paths"]
+__all__ = ["Journal", "JournalDamaged", "JournalEntry", "fsync_paths"]
 
 # Durable epoch header: one JSON line {"_hdr": "epoch", "epoch": N}.
 # Parsed (max wins) and skipped by load(); never a JournalEntry.
 _HDR_PREFIX = '{"_hdr"'
+
+# Every distinct footprint as one shared tuple, keyed by its unordered
+# form: the journal holds each entry until a checkpoint, and a workload
+# has few footprints.
+_STAMPS: dict[frozenset, tuple] = {}
+_STAMPS_MAX = 4096
+
+
+class JournalDamaged(ValueError):
+    """A malformed journal line where no crash leaves one: anywhere
+    but the last record of the newest file.  Never skipped."""
+
+
+def stamp(changed: dict[str, frozenset]) -> tuple:
+    """*changed* (table -> columns) as the canonical footprint
+    ``((table, (column, ...)), ...)``, both levels sorted, shared by
+    every entry with the same one."""
+    key = frozenset(changed.items())
+    found = _STAMPS.get(key)
+    if found is None:
+        found = tuple(sorted((table, tuple(sorted(columns)))
+                             for table, columns in changed.items()))
+        if len(_STAMPS) < _STAMPS_MAX:
+            _STAMPS[key] = found
+    return found
 
 
 def fsync_paths(paths: Iterable[Union[str, Path]]) -> None:
@@ -107,6 +134,10 @@ class JournalEntry:
     # reproduce the system-table trajectory even past aborted writers
     # (query "_aborted"), whose entries carry bindings and nothing else.
     bindings: Optional[dict] = None
+    # the commit's footprint (:func:`stamp`); () when it changed no
+    # data (a DCM bookkeeping write, an abort), None when unknown (a
+    # WAL written before entries carried it)
+    changed: Optional[tuple] = None
 
     def to_line(self) -> str:
         """Serialise to one JSON line."""
@@ -117,6 +148,8 @@ class JournalEntry:
             data["commit_seq"] = self.commit_seq
         if self.bindings:
             data["bindings"] = self.bindings
+        if self.changed is not None:
+            data["changed"] = dict(self.changed)
         return json.dumps(data, separators=(",", ":"))
 
     @classmethod
@@ -142,6 +175,16 @@ class JournalEntry:
             if bindings is not None and not isinstance(bindings, dict):
                 raise ValueError(
                     "malformed journal line: bindings not an object")
+            changed = data.get("changed")
+            if changed is not None:
+                if not isinstance(changed, dict) or not all(
+                        isinstance(columns, list)
+                        and all(isinstance(c, str) for c in columns)
+                        for columns in changed.values()):
+                    raise ValueError("malformed journal line: changed not "
+                                     "an object of column lists")
+                changed = stamp({table: frozenset(columns)
+                                 for table, columns in changed.items()})
             return cls(
                 when=int(data["when"]),
                 who=str(data["who"]),
@@ -151,6 +194,7 @@ class JournalEntry:
                 client=str(data.get("client", "")),
                 commit_seq=int(data.get("commit_seq", 0)),
                 bindings=bindings,
+                changed=changed,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed journal line: {exc!r}") from exc
@@ -165,7 +209,7 @@ class Journal:
     # Cluster epoch — WAL ownership.  Bumped (never lowered) at
     # promotion; epoch 1 is the seed and writes no header line.
     epoch: int = 1
-    # True when load() hit a torn/malformed tail and truncated there
+    # True when load() hit a torn final record and scrubbed it
     torn_tail: bool = field(default=False, compare=False)
     # writer threads journal concurrently; the mutex keeps the
     # in-memory order and the mirrored file lines consistent.
@@ -179,6 +223,8 @@ class Journal:
     _sync_mutex: threading.RLock = field(default_factory=threading.RLock,
                                          repr=False, compare=False)
     _fh: object = field(default=None, repr=False, compare=False)
+    # a torn write killed the process: every later append is refused
+    _dead: bool = field(default=False, repr=False, compare=False)
     _next_seq: int = field(default=1, repr=False, compare=False)
     # entries arrive in mutation order; `when` is normally nondecreasing
     # (virtual clock), letting since() bisect — tracked, not assumed
@@ -230,8 +276,12 @@ class Journal:
     def record(self, when: int, who: str, query: str,
                args: tuple[str, ...], client: str = "", *,
                commit_seq: int = 0, bindings: Optional[dict] = None,
+               changed: Optional[dict] = None,
                fsync: bool = True) -> JournalEntry:
         """Append an entry; when a path is set, fsync it to the WAL.
+
+        *changed* is the commit's footprint, table -> frozenset of
+        columns (:func:`stamp`); None records none.
 
         ``fsync=False`` defers durability entirely: the line reaches
         the kernel but the caller (the server before it releases a
@@ -242,7 +292,9 @@ class Journal:
         appended (a crash here loses the record entirely),
         ``journal.write`` fires as the line is written (a
         :class:`~repro.sim.faults.TornWrite` leaves a partial record on
-        disk), and ``journal.appended`` fires after the fsync (a crash
+        disk, and the journal refuses every later append with
+        :class:`~repro.sim.faults.ServerCrash`, as a dead process
+        would), and ``journal.appended`` fires after the fsync (a crash
         here is the "after append #N" boundary — the record is durable).
 
         A fenced journal (a newer epoch owns the cluster) refuses the
@@ -252,7 +304,11 @@ class Journal:
         (:meth:`refuse_if_fenced`) and the group-commit :meth:`sync`
         refuses whatever a fence raced past that check.
         """
+        if changed is not None:
+            changed = stamp(changed)
         with self._lock:
+            if self._dead:
+                raise ServerCrash("the journal died mid-write")
             if fsync:
                 self.refuse_if_fenced()
             if self.faults is not None:
@@ -262,7 +318,7 @@ class Journal:
                                  args=tuple(str(a) for a in args),
                                  seq=self._next_seq, client=client,
                                  commit_seq=commit_seq,
-                                 bindings=bindings)
+                                 bindings=bindings, changed=changed)
             self._next_seq += 1
             self._stat_appends += 1
             if self.entries and when < self.entries[-1].when:
@@ -379,6 +435,7 @@ class Journal:
                 self.faults.fire("journal.write", seq=entry.seq)
             except TornWrite as torn:
                 # crash mid-write: a prefix of the record reaches disk
+                self._dead = True
                 keep = max(1, int(len(line) * torn.fraction))
                 fh.write(line[:keep])
                 fh.flush()
@@ -760,11 +817,14 @@ class Journal:
         the same, never strict).  The next append is numbered after the
         highest seq read.
 
-        A malformed line (the torn final record of a crash mid-append)
-        ends the load: everything before it is kept, ``torn_tail`` is
-        set, and the remainder is discarded.  ``strict=True`` raises
-        instead.  Legacy records without sequence numbers are assigned
-        their 1-based file position so replay windows keep working.
+        Only the last record of the newest file may be malformed — the
+        torn final record of a crash mid-append: it is scrubbed from
+        disk and ``torn_tail`` is set.  A malformed line anywhere else
+        is damage, not a crash, and raises :class:`JournalDamaged`
+        naming the file and the line, with nothing rewritten;
+        ``strict=True`` raises for the torn record too.  Legacy records
+        without sequence numbers are assigned their 1-based file
+        position so replay windows keep working.
 
         The ``wal.<seq>`` segment files beside *path* are read in seq
         order, after a monolithic seed file at *path* itself when one
@@ -781,41 +841,32 @@ class Journal:
         if not files:
             return
         entries: list[JournalEntry] = []
-        torn = False
         for first, part in files:
-            if torn:
-                break   # only the newest file can have a live tail
             part_start = len(entries)
             with open(part, encoding="utf-8") as fh:
-                for line in fh:
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    if stripped.startswith(_HDR_PREFIX):
+                lines = [(number, text) for number, line in enumerate(fh, 1)
+                         if (text := line.strip())]
+            for number, text in lines:
+                try:
+                    if text.startswith(_HDR_PREFIX):
                         # epoch ownership header: max wins (a handle
                         # reopen or rewrite may have stamped it twice)
-                        try:
-                            hdr = json.loads(stripped)
-                            self.epoch = max(self.epoch,
-                                             int(hdr["epoch"]))
-                            continue
-                        except (ValueError, KeyError, TypeError):
-                            if strict:
-                                raise ValueError(
-                                    f"malformed journal header: {stripped!r}")
-                            self.torn_tail = torn = True
-                            break
-                    try:
-                        entry = JournalEntry.from_line(line)
-                    except ValueError:
-                        if strict:
-                            raise
-                        self.torn_tail = torn = True
-                        break
-                    if entry.seq == 0:
-                        entry = replace(entry, seq=len(entries) + 1)
-                    entries.append(entry)
-            if torn:
+                        self.epoch = max(self.epoch,
+                                         int(json.loads(text)["epoch"]))
+                        continue
+                    entry = JournalEntry.from_line(text)
+                except (ValueError, KeyError, TypeError) as exc:
+                    # only the newest file's last record may be torn
+                    if (strict or part != files[-1][1]
+                            or number != lines[-1][0]):
+                        raise JournalDamaged(
+                            f"{part}: line {number}: {exc!r}") from exc
+                    self.torn_tail = True
+                    break
+                if entry.seq == 0:
+                    entry = replace(entry, seq=len(entries) + 1)
+                entries.append(entry)
+            if self.torn_tail:
                 # scrub the torn record so appends land in a *new*
                 # segment that a future load will not stop short of; a
                 # torn seed file is rewritten as a segment

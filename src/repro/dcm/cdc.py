@@ -23,15 +23,14 @@ The pipeline, end to end:
    generation always extracts from current database state (journal
    entries only decide *which* services are dirty, never what the
    files contain).
-3. **Map** — each committed entry maps to dirty services through the
-   registered query's declared relation footprint (``Query.tables``,
-   which nothing else reads: every write takes the one writer lock)
-   intersected with each generator's ``depends``.  Undeclared
-   footprints conservatively dirty everything.  The DCM's own
-   bookkeeping writes (``set_server_internal_flags`` /
-   ``set_server_host_internal``) are journaled but version-neutral;
-   ignoring them here is what breaks the push -> bookkeeping ->
-   dirty -> push feedback loop.
+3. **Map** — stamp ∩ reads: each entry carries its commit's footprint
+   (``JournalEntry.changed``: table -> the columns whose data version
+   moved), and a service is dirty when it meets a column the service's
+   generator reads.  A host-policy stamp (``servers``, ``serverhosts``),
+   an unstamped entry (a WAL from before stamps) and a service the DCM
+   has not generated yet widen that.  The DCM's ``touch_stats=False``
+   bookkeeping and aborts stamp nothing, which breaks the push ->
+   bookkeeping -> dirty -> push feedback loop.
 4. **Debounce / coalesce** — a dirty service converges once
    ``debounce_seconds`` have passed since it first went dirty (0 =
    immediately on the next pump) or once ``max_coalesce`` mutations
@@ -68,18 +67,11 @@ from typing import Optional, Union
 from repro.db.journal import Journal, JournalEntry
 from repro.dcm.generators.base import all_generators
 
-__all__ = ["CDC_BOOKKEEPING_QUERIES", "CdcCursor", "CdcExtractor"]
+__all__ = ["CdcCursor", "CdcExtractor"]
 
-# Journaled writes the CDC must NOT treat as data changes: the DCM's
-# own flag bookkeeping (version-neutral by design — touch_stats=False)
-# and aborted-writer binding markers.  Without this set, every push
-# would journal flag writes that re-dirty the serverhosts-dependent
-# generators: a feedback loop.
-CDC_BOOKKEEPING_QUERIES = frozenset({
-    "set_server_internal_flags",
-    "set_server_host_internal",
-    "_aborted",
-})
+# The DCM's host policy: which hosts each service pushes to, and how.
+# An operator write there dirties every service.
+HOST_POLICY = frozenset({"servers", "serverhosts"})
 
 
 class CdcCursor:
@@ -188,7 +180,6 @@ class CdcExtractor:
         # service -> {"last_converged_seq", "converges", "pushes",
         #             "pending", "coalesced"}
         self.service_stats: dict[str, dict] = {}
-        self._table_map = self._build_table_map()
         journal.set_cursor(self.name, self.cursor.seq)
         journal.add_commit_listener(self._on_commit)
 
@@ -199,42 +190,28 @@ class CdcExtractor:
 
     # -- mapping committed entries to dirty services -------------------------
 
-    @staticmethod
-    def _build_table_map() -> dict[str, set[str]]:
-        """table name -> services whose generator depends on it."""
-        table_map: dict[str, set[str]] = {}
-        for service, generator in all_generators().items():
-            for table in generator.depends:
-                table_map.setdefault(table, set()).add(service)
-        return table_map
-
     def _all_services(self) -> set[str]:
         return set(all_generators())
 
     def _services_for(self, entry: JournalEntry) -> set[str]:
-        """Dirty services for one committed entry.
-
-        Resolution: registered query -> declared relation footprint ->
-        generator dependency intersection.  Unknown queries and
-        undeclared footprints dirty everything — correctness over
-        precision; generation from current state makes over-marking
-        merely a wasted no-change check.
-        """
-        from repro.queries.base import get_query
-        query = get_query(entry.query)
-        if query is None:
+        """Dirty services for one committed entry: those whose
+        generator reads a column the entry's stamp names (any column,
+        for a service not generated yet) — every service for a
+        host-policy write or an entry with no stamp (generation from
+        current state makes over-marking merely a wasted no-change
+        check)."""
+        if entry.changed is None:
             return self._all_services()
-        tables = query.tables
-        if callable(tables):
-            try:
-                tables = tables(list(entry.args))
-            except Exception:
-                tables = None
-        if tables is None:
-            return self._all_services()
+        generators = all_generators()
         dirty: set[str] = set()
-        for table in tables:
-            dirty |= self._table_map.get(table, set())
+        for table, columns in entry.changed:
+            if table in HOST_POLICY:
+                return set(generators)
+            dirty.update(
+                service for service, generator in generators.items()
+                if generator.reads_any(table, columns)
+                or (table in generator.depends
+                    and not self.dcm.has_generation(service)))
         return dirty
 
     # -- the stream ----------------------------------------------------------
@@ -292,9 +269,6 @@ class CdcExtractor:
 
     def _ingest(self, entry: JournalEntry, now: int) -> None:
         self.stats["entries_seen"] += 1
-        if entry.query in CDC_BOOKKEEPING_QUERIES:
-            self.stats["entries_ignored"] += 1
-            return
         services = self._services_for(entry)
         if not services:
             self.stats["entries_ignored"] += 1

@@ -229,6 +229,10 @@ class DCM:
             machine = rows[0]["mach_id"]
         self._bindings[(service.upper(), machine)] = binding
 
+    def has_generation(self, service: str) -> bool:
+        """Does this process hold a generation of *service*?"""
+        return service.upper() in self._generated
+
     def binding_for(self, service: str,
                     mach_id: int) -> Optional[ServiceBinding]:
         """The binding for a service/machine pair, or None."""

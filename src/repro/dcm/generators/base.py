@@ -714,6 +714,15 @@ class Generator:
         """
         return None
 
+    def reads_any(self, table: str, columns: Iterable[str]) -> bool:
+        """Does this generator read one of *columns* of *table*?  (Any
+        column of a ``depends`` relation when it declares no
+        ``reads``.)"""
+        if table not in self.depends:
+            return False
+        read = self._columns.get(table)
+        return read is None or not read.isdisjoint(columns)
+
     def relevant(self, table: str,
                  log: list[TableChange]) -> list[TableChange]:
         """The entries of *table*'s log that touch a column this

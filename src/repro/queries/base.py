@@ -230,13 +230,6 @@ class Query:
     # databases through the same query mechanism" — each handle names
     # the database it resolves against; "moira" is the primary.
     database: str = "moira"
-    # Relation footprint (reads AND writes) of a mutation, which the CDC
-    # extractor reads to tell which services a journaled write may
-    # touch: a tuple of table names, or a callable ``(args) ->
-    # Sequence[str]`` when the footprint is data-dependent.  None means
-    # undeclared — the write may touch anything.  System tables
-    # (values/strings) need not be listed.
-    tables: Optional[object] = None
     args: tuple[str, ...] = field(init=False)      # the specs' names
 
     def __post_init__(self) -> None:
@@ -551,7 +544,6 @@ def register(
     access: Optional[AccessCheck] = None,
     public: bool = False,
     database: str = "moira",
-    tables: Optional[object] = None,
     repeat: int = 0,
 ) -> Callable[[Handler], Handler]:
     """Decorator registering a predefined query; each of *args* is a
@@ -574,8 +566,6 @@ def register(
             check_access=access,
             public=public,
             database=database,
-            tables=tuple(tables) if isinstance(tables, (list, tuple, set))
-            else tables,
             repeat=repeat,
         )
         _REGISTRY[name] = query
@@ -670,15 +660,17 @@ def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
 
 def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
               fsync: bool = True,
-              timing: Optional[dict] = None) -> tuple[list, set]:
+              timing: Optional[dict] = None) -> tuple[list, dict]:
     """Run a mutation as one backend transaction and journal it.
 
-    Returns ``(result tuples, names of tables whose data version
+    Returns ``(result tuples, table -> columns whose data version
     moved)``.  The journal append happens inside ``write_txn``'s commit
     hook — before the writer locks drop, in commit-seq order — and is
-    the only place an entry is built: query name + stringified args on
+    the only place an entry is built: query name + stringified args
+    and the transaction's ``mutated`` as the entry's ``changed`` on
     commit; on an abort that consumed id/string bindings (which survive
-    the rollback), an ``_aborted`` marker carrying them.
+    the rollback), an ``_aborted`` marker carrying them (its rolled-back
+    transaction names nothing).
     ``fsync=False`` leaves durability to the caller's one
     ``journal.sync()``.  A fenced journal refuses the write with
     ``MR_FENCED`` before its handler runs, whichever way it is made
@@ -695,7 +687,8 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
             journal.record(ctx.now, ctx.caller or "unauthenticated", name,
                            tuple(str(a) for a in entry_args),
                            client=ctx.client, commit_seq=txn.seq,
-                           bindings=txn.bindings, fsync=fsync)
+                           bindings=txn.bindings, changed=txn.mutated,
+                           fsync=fsync)
 
         def record_abort(txn):
             if txn.bindings:

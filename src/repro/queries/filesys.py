@@ -211,8 +211,7 @@ _PHYS_COLUMNS = ("device", "status", "allocated", "size")
 _NFSPHYS_ARGS = (_MACHINE, "dir", "device", *map(Int, _PHYS_COLUMNS[1:]))
 
 
-@register("add_nfsphys", "anfp", _NFSPHYS_ARGS, (), side_effects=True,
-          tables=("machine", "nfsphys"))
+@register("add_nfsphys", "anfp", _NFSPHYS_ARGS, (), side_effects=True)
 def add_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Export a new physical partition."""
     mach = ctx.find_machine(args[0])
@@ -231,8 +230,7 @@ def _find_nfsphys(ctx: QueryContext, machine: str, directory: str):
     return exactly_one(rows, MR_NFSPHYS, f"{machine}:{directory}")
 
 
-@register("update_nfsphys", "unfp", _NFSPHYS_ARGS, (), side_effects=True,
-          tables=("machine", "nfsphys"))
+@register("update_nfsphys", "unfp", _NFSPHYS_ARGS, (), side_effects=True)
 def update_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a partition's device/status/allocation/size."""
     row = _find_nfsphys(ctx, args[0], args[1])
@@ -243,8 +241,7 @@ def update_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("adjust_nfsphys_allocation", "ajnf",
-          (_MACHINE, "dir", Int("delta")), (), side_effects=True,
-          tables=("machine", "nfsphys"))
+          (_MACHINE, "dir", Int("delta")), (), side_effects=True)
 def adjust_nfsphys_allocation(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
     """Add a (signed) delta to a partition's allocation."""
@@ -256,7 +253,7 @@ def adjust_nfsphys_allocation(ctx: QueryContext,
 
 
 @register("delete_nfsphys", "dnfp", (_MACHINE, "dir"), (),
-          side_effects=True, tables=("machine", "nfsphys", "filesys"))
+          side_effects=True)
 def delete_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove an export with no filesystems on it."""
     row = _find_nfsphys(ctx, args[0], args[1])
@@ -360,8 +357,7 @@ def _find_quota(ctx: QueryContext, label: str, login: str) -> tuple:
 
 
 @register("add_nfs_quota", "anfq", ("filesys", "login", Int("quota")), (),
-          side_effects=True,
-          tables=("filesys", "users", "nfsquota", "nfsphys"))
+          side_effects=True)
 def add_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Grant a quota; partition allocation increases."""
     fs, user = _quota_target(ctx, args[0], args[1])
@@ -377,8 +373,7 @@ def add_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_nfs_quota", "unfq", ("filesys", "login", Int("quota")), (),
-          side_effects=True,
-          tables=("filesys", "users", "nfsquota", "nfsphys"))
+          side_effects=True)
 def update_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a quota; allocation moves by the delta."""
     quota = args[2]
@@ -392,8 +387,7 @@ def update_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("delete_nfs_quota", "dnfq", ("filesys", "login"), (),
-          side_effects=True,
-          tables=("filesys", "users", "nfsquota", "nfsphys"))
+          side_effects=True)
 def delete_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Revoke a quota; allocation decreases."""
     fs, row = _find_quota(ctx, args[0], args[1])

@@ -104,7 +104,7 @@ def _list_fields(ctx: QueryContext, args: Sequence, list_id: int,
 
 
 @register("add_list", "alis", (Name("list"), *_LIST_ARGS),
-          (), side_effects=True, tables=("list", "users"))
+          (), side_effects=True)
 def add_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Create a list; UNIQUE_GID allocates, the ACE may be itself."""
     name = args[0]
@@ -119,8 +119,7 @@ def add_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_list", "ulis", ("list", Name("newname"), *_LIST_ARGS),
-          (), side_effects=True, access=_ace_of_named_list,
-          tables=("list", "users"))
+          (), side_effects=True, access=_ace_of_named_list)
 def update_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change list attributes; references follow a rename."""
     name, newname = args[:2]
@@ -157,9 +156,7 @@ def _list_referenced(ctx: QueryContext, list_id: int) -> bool:
 
 
 @register("delete_list", "dlis", ("list",), (), side_effects=True,
-          access=_ace_of_named_list,
-          tables=("list", "members", "servers", "hostaccess", "filesys",
-                  "capacls", "zephyr"))
+          access=_ace_of_named_list)
 def delete_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete an empty, unreferenced list."""
     lists = ctx.db.table("list")
@@ -192,8 +189,7 @@ def _self_on_public_list(ctx: QueryContext, args: Sequence[str]) -> bool:
 
 @register("add_member_to_list", "amtl",
           ("list", OneOf("type", _MEMBER_TYPES), "member"), (),
-          side_effects=True, access=_self_on_public_list,
-          tables=("list", "members", "users"))
+          side_effects=True, access=_self_on_public_list)
 def add_member_to_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a USER/LIST/STRING member (self-add on public lists)."""
     row = ctx.find_list(args[0])
@@ -210,8 +206,7 @@ def add_member_to_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 @register("delete_member_from_list", "dmfl",
           ("list", OneOf("type", _MEMBER_TYPES), "member"), (),
-          side_effects=True, access=_self_on_public_list,
-          tables=("list", "members", "users"))
+          side_effects=True, access=_self_on_public_list)
 def delete_member_from_list(ctx: QueryContext,
                             args: Sequence[str]) -> list[tuple]:
     """Remove a member (self-remove on public lists)."""

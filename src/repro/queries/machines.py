@@ -33,7 +33,7 @@ def get_machine(ctx: QueryContext, args: Sequence[str]):
 
 
 @register("add_machine", "amac", (Name("name", upper=True), _MACH_TYPE), (),
-          side_effects=True, tables=("machine", "alias"))
+          side_effects=True)
 def add_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a machine; the name is uppercased, the type checked."""
     name, mtype = args
@@ -48,7 +48,7 @@ def add_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 @register("update_machine", "umac",
           (Upper("name"), Name("newname", upper=True), _MACH_TYPE), (),
-          side_effects=True, tables=("machine", "alias"))
+          side_effects=True)
 def update_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Rename a machine and/or change its type."""
     name, newname, mtype = args
@@ -75,9 +75,7 @@ def _machine_in_use(ctx: QueryContext, mach_id: int) -> bool:
     return any(ctx.db.table(t).select(w) for t, w in checks)
 
 
-@register("delete_machine", "dmac", (Upper("name"),), (), side_effects=True,
-          tables=("machine", "users", "filesys", "nfsphys", "printcap",
-                  "hostaccess", "serverhosts", "mcmap"))
+@register("delete_machine", "dmac", (Upper("name"),), (), side_effects=True)
 def delete_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a machine that nothing references."""
     machines = ctx.db.table("machine")
@@ -105,7 +103,7 @@ def get_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("add_cluster", "aclu", (Name("name"), "description", "location"),
-          (), side_effects=True, tables=("cluster",))
+          (), side_effects=True)
 def add_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a cluster; names are case sensitive."""
     name, desc, location = args
@@ -120,7 +118,7 @@ def add_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 @register("update_cluster", "uclu",
           ("name", Name("newname"), "description", "location"), (),
-          side_effects=True, tables=("cluster",))
+          side_effects=True)
 def update_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Rename a cluster and/or change its description/location."""
     name, newname, desc, location = args
@@ -134,8 +132,7 @@ def update_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-@register("delete_cluster", "dclu", ("name",), (), side_effects=True,
-          tables=("cluster", "mcmap", "svc"))
+@register("delete_cluster", "dclu", ("name",), (), side_effects=True)
 def delete_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a machine-less cluster (service data goes too)."""
     row = ctx.find_cluster(args[0])
@@ -168,7 +165,7 @@ def get_machine_to_cluster_map(ctx: QueryContext,
 
 
 @register("add_machine_to_cluster", "amtc", (_MACHINE, "cluster"), (),
-          side_effects=True, tables=("machine", "cluster", "mcmap"))
+          side_effects=True)
 def add_machine_to_cluster(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Put a machine in a cluster."""
@@ -182,7 +179,7 @@ def add_machine_to_cluster(ctx: QueryContext,
 
 
 @register("delete_machine_from_cluster", "dmfc", (_MACHINE, "cluster"), (),
-          side_effects=True, tables=("machine", "cluster", "mcmap"))
+          side_effects=True)
 def delete_machine_from_cluster(ctx: QueryContext,
                                 args: Sequence[str]) -> list[tuple]:
     """Take a machine out of a cluster."""
@@ -218,7 +215,7 @@ def get_cluster_data(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 @register("add_cluster_data", "acld",
           ("cluster", Alias("label", "slabel"), "data"), (),
-          side_effects=True, tables=("cluster", "svc", "alias"))
+          side_effects=True)
 def add_cluster_data(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Attach service data to a cluster (label type-checked)."""
     cluster = ctx.find_cluster(args[0])
@@ -231,7 +228,7 @@ def add_cluster_data(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("delete_cluster_data", "dcld", ("cluster", "label", "data"), (),
-          side_effects=True, tables=("cluster", "svc"))
+          side_effects=True)
 def delete_cluster_data(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove one exact piece of cluster service data."""
     cluster = ctx.find_cluster(args[0])

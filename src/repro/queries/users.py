@@ -61,11 +61,21 @@ def get_user_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
                     ctx.db.table("users").select({"login": args[0]})))
 
 
-@register("get_user_by_uid", "gubu", (Int("uid"),), _USER_FIELDS,
-          side_effects=False,
-          access=lambda ctx, args: (
-              (row := ctx.caller_row()) is not None
-              and str(row["uid"]) == str(args[0])))
+_UID = Int("uid")
+
+
+def _own_uid(ctx: QueryContext, args: Sequence[str]) -> bool:
+    """Relaxation: the uid, parsed as the query parses it, is the
+    caller's own (a malformed one is not)."""
+    row = ctx.caller_row()
+    try:
+        return row is not None and row["uid"] == _UID.parse(ctx, args[0])
+    except MoiraError:
+        return False
+
+
+@register("get_user_by_uid", "gubu", (_UID,), _USER_FIELDS,
+          side_effects=False, access=_own_uid)
 def get_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Complete account info for the account with this uid."""
     return list(map(_user_tuple,
@@ -102,7 +112,7 @@ _USER_ARGS = (Int("uid"), "shell", "last", "first", "middle", Int("status"),
 
 
 @register("add_user", "ausr", (Name("login"), *_USER_ARGS), (),
-          side_effects=True, tables=("users", "alias"))
+          side_effects=True)
 def add_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Add a new user; UNIQUE_UID/UNIQUE_LOGIN sentinels supported.
 
@@ -130,9 +140,7 @@ def add_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("register_user", "rusr",
-          (Int("uid"), Name("login"), Int("fstype")), (), side_effects=True,
-          tables=("users", "list", "members", "serverhosts", "machine",
-                  "nfsphys", "filesys", "nfsquota"))
+          (Int("uid"), Name("login"), Int("fstype")), (), side_effects=True)
 def register_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Register a status-0 user: assign the login, a POP pobox on
     the least-loaded post office, a personal group, a home filesystem
@@ -236,7 +244,7 @@ def _update_user(ctx: QueryContext, row, **changes) -> list[tuple]:
 
 
 @register("update_user", "uusr", ("login", Name("newlogin"), *_USER_ARGS),
-          (), side_effects=True, tables=("users", "alias"))
+          (), side_effects=True)
 def update_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Replace every account field; references follow a rename."""
     login, newlogin, uid, shell, last, first, middle, status, mitid, year = args
@@ -249,7 +257,7 @@ def update_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_user_shell", "uush", ("login", "shell"), (),
-          side_effects=True, access=_self_only, tables=("users",))
+          side_effects=True, access=_self_only)
 def update_user_shell(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a user's login shell (self-service allowed)."""
     return _update_user(ctx, ctx.find_user(args[0]), shell=args[1],
@@ -257,7 +265,7 @@ def update_user_shell(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_user_status", "uust", ("login", Int("status")), (),
-          side_effects=True, tables=("users",))
+          side_effects=True)
 def update_user_status(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Change a user's account status code."""
     return _update_user(ctx, ctx.find_user(args[0]), status=args[1],
@@ -289,9 +297,7 @@ def _delete_user_row(ctx: QueryContext, row) -> None:
     ctx.db.table("users").delete_rows([row], now=ctx.now)
 
 
-@register("delete_user", "dusr", ("login",), (), side_effects=True,
-          tables=("users", "members", "nfsquota", "filesys", "list",
-                  "servers", "hostaccess"))
+@register("delete_user", "dusr", ("login",), (), side_effects=True)
 def delete_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a status-0 user with no remaining references."""
     row = ctx.find_user(args[0])
@@ -299,9 +305,7 @@ def delete_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-@register("delete_user_by_uid", "dubu", (Int("uid"),), (), side_effects=True,
-          tables=("users", "members", "nfsquota", "filesys", "list",
-                  "servers", "hostaccess"))
+@register("delete_user_by_uid", "dubu", (Int("uid"),), (), side_effects=True)
 def delete_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a user located by uid (same constraints)."""
     row = exactly_one(ctx.db.table("users").select({"uid": args[0]}),
@@ -329,7 +333,7 @@ def get_finger_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 @register("update_finger_by_login", "ufbl",
           ("login", "fullname", "nickname", "home_addr", "home_phone",
            "office_addr", "office_phone", "department", "affiliation"),
-          (), side_effects=True, access=_self_only, tables=("users",))
+          (), side_effects=True, access=_self_only)
 def update_finger_by_login(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Replace the (free-form) finger fields for one user."""
@@ -400,8 +404,7 @@ def get_poboxes_smtp(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("set_pobox", "spob", ("login", Alias("type", "pobox"), "box"), (),
-          side_effects=True, access=_self_only,
-          tables=("users", "alias", "machine", "serverhosts"))
+          side_effects=True, access=_self_only)
 def set_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Set a pobox: POP needs a known machine, SMTP a string."""
     login, potype, box = args
@@ -429,7 +432,7 @@ def set_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("set_pobox_pop", "spop", ("login",), (), side_effects=True,
-          access=_self_only, tables=("users", "serverhosts"))
+          access=_self_only)
 def set_pobox_pop(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Restore the previous POP assignment (MR_MACHINE if none)."""
     row = ctx.find_user(args[0])
@@ -443,7 +446,7 @@ def set_pobox_pop(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("delete_pobox", "dpob", ("login",), (), side_effects=True,
-          access=_self_only, tables=("users", "serverhosts"))
+          access=_self_only)
 def delete_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove a pobox by setting its type to NONE."""
     row = ctx.find_user(args[0])

@@ -46,7 +46,7 @@ def get_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("add_zephyr_class", "azcl", ("class", *_ACE_ARGS), (),
-          side_effects=True, tables=("zephyr", "users", "list"))
+          side_effects=True)
 def add_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Register a controlled zephyr class."""
     name = args[0]
@@ -60,7 +60,7 @@ def add_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 @register("update_zephyr_class", "uzcl", ("class", "newclass", *_ACE_ARGS),
-          (), side_effects=True, tables=("zephyr", "users", "list"))
+          (), side_effects=True)
 def update_zephyr_class(ctx: QueryContext,
                         args: Sequence[str]) -> list[tuple]:
     """Rename a class and/or change its four ACEs."""
@@ -76,8 +76,7 @@ def update_zephyr_class(ctx: QueryContext,
     return []
 
 
-@register("delete_zephyr_class", "dzcl", ("class",), (), side_effects=True,
-          tables=("zephyr",))
+@register("delete_zephyr_class", "dzcl", ("class",), (), side_effects=True)
 def delete_zephyr_class(ctx: QueryContext,
                         args: Sequence[str]) -> list[tuple]:
     """Remove a zephyr class."""

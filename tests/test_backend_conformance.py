@@ -234,7 +234,10 @@ class TestVerbsContract:
                 {"name": "verb-clu", "clu_id": 73}, now=BASE)
         moved = {name for name, version in backend.versions().items()
                  if before[name] != version}
-        assert txn.mutated == moved == {"machine", "cluster"}
+        assert set(txn.mutated) == moved == {"machine", "cluster"}
+        # an insert names every column of its table
+        for name, columns in txn.mutated.items():
+            assert columns == set(backend.table(name).columns)
 
     def test_memory_view_is_one_cut_and_unpins_on_generator_exit(self):
         db = create_backend("memory")
