@@ -39,8 +39,9 @@ below.
 from __future__ import annotations
 
 import abc
-from contextlib import nullcontext
 from typing import Callable, ContextManager, Iterator, Optional
+
+from repro.errors import MoiraError, MR_NO_ID
 
 __all__ = [
     "StorageBackend",
@@ -52,10 +53,10 @@ __all__ = [
     "register_backend",
 ]
 
-# Moira's system relations: the ``values`` id hints and the ``strings``
-# heap.  Like Moira's id counters they never roll back — an aborted
-# writer's ids and strings stay consumed, journaled as its ``_aborted``
-# bindings — and no write transaction's ``mutated`` names them.
+# Moira's allocator relations: the ``values`` id hints and the
+# ``strings`` heap.  They version and roll back like any relation, but
+# a stamp never names them: a hint bump or an interned string changes
+# nothing a generator reads until a referencing column does.
 SYSTEM_TABLES = frozenset({"values", "strings"})
 
 
@@ -111,17 +112,32 @@ class StorageBackend(abc.ABC):
     def table(self, name: str) -> StorageTable:
         """The relation named *name* (MR_INTERNAL if unknown)."""
 
-    @abc.abstractmethod
+    # -- the ``values`` relation: ids are allocated from hint variables
+    # ("hints for the next ID number to assign"), exactly as the paper
+    # describes.  A hint bump is an ordinary write of the caller's
+    # transaction, so it rolls back with it.
+
     def get_value(self, name: str) -> int:
         """Integer value of a values-relation variable (MR_NO_ID)."""
+        rows = self.table("values").select({"name": name})
+        if not rows:
+            raise MoiraError(MR_NO_ID, name)
+        return int(rows[0]["value"])
 
-    @abc.abstractmethod
     def set_value(self, name: str, value: int, *, now: int = 0) -> None:
         """Insert or update a values-relation variable."""
+        table = self.table("values")
+        rows = table.select({"name": name})
+        if rows:
+            table.update_rows(rows, {"value": value}, now=now)
+        else:
+            table.insert({"name": name, "value": value}, now=now)
 
-    @abc.abstractmethod
     def next_id(self, hint_name: str, *, now: int = 0) -> int:
         """Allocate the next unique ID from a hint variable."""
+        value = self.get_value(hint_name)
+        self.set_value(hint_name, value + 1, now=now)
+        return value
 
     @abc.abstractmethod
     def table_stats(self) -> list:
@@ -137,21 +153,19 @@ class StorageBackend(abc.ABC):
         one consistent committed cut for the life of the ``with``."""
 
     @abc.abstractmethod
-    def write_txn(self, *, commit_hook=None, abort_hook=None):
+    def write_txn(self, *, commit_hook=None):
         """Context manager running its body as one writer transaction.
 
         Yields a transaction with ``.seq`` (commit seq, 0 when the
-        backend has none), ``.bindings`` (ids/strings consumed, or
-        None) and ``.mutated``: table -> the columns whose data
-        version moved.  An update names the columns it sets; an
+        backend has none) and ``.mutated``: table -> the columns whose
+        data version moved.  An update names the columns it sets; an
         insert, delete or clear names every column; a ``touch_stats=
         False`` update, the :data:`SYSTEM_TABLES` and a rolled-back
-        transaction name nothing.  ``mutated`` is complete when a hook
-        runs.  ``commit_hook(txn)``
-        runs exactly once on normal
-        exit and ``abort_hook(txn)`` on an exception, both before the
-        backend's locks drop — which is what keeps journal order equal
-        to commit order.
+        transaction name nothing.  ``mutated`` is complete when the
+        hook runs.  ``commit_hook(txn)`` runs exactly once on normal
+        exit, before the backend's locks drop — which is what keeps
+        journal order equal to commit order — and never on an
+        exception.
         """
 
     def read_stats(self) -> dict:
@@ -184,11 +198,6 @@ class StorageBackend(abc.ABC):
         the replication snapshot feed)."""
         return self.lock
 
-    def system_latch(self) -> ContextManager:
-        """What serialises the system relations (``values`` hints,
-        the ``strings`` heap) against concurrent writers."""
-        return self.lock
-
     def intern_string(self, text: str, *, now: int = 0) -> int:
         """The ``string_id`` for *text*, allocating one if new."""
         table = self.table("strings")
@@ -198,12 +207,6 @@ class StorageBackend(abc.ABC):
         string_id = self.next_id("strings_id", now=now)
         table.insert({"string_id": string_id, "string": text}, now=now)
         return string_id
-
-    def scripted_ids(self, bindings: Optional[dict]) -> ContextManager:
-        """While held, ``next_id`` on this thread hands out the ids
-        journaled in *bindings* (WAL replay).  One writer allocates in
-        commit order already, so the default re-allocates naturally."""
-        return nullcontext()
 
     def membership_closure(self):
         """The membership-closure index, or None when there is none
@@ -221,17 +224,15 @@ class StorageBackend(abc.ABC):
 
 class LockTxn:
     """``write_txn()`` for a backend without transactions: the
-    exclusive ``db.lock``, no commit seq, no bindings, no undo —
-    ``mutated`` names every column of each table in the
-    ``versions()`` diff across the body."""
+    exclusive ``db.lock``, no commit seq, no undo — ``mutated`` names
+    every column of each table in the ``versions()`` diff across the
+    body."""
 
     seq = 0
-    bindings = None
 
-    def __init__(self, db, commit_hook, abort_hook):
+    def __init__(self, db, commit_hook):
         self._db = db
         self._commit_hook = commit_hook
-        self._abort_hook = abort_hook
         self.mutated: dict = {}
 
     def __enter__(self) -> "LockTxn":
@@ -241,16 +242,15 @@ class LockTxn:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            before, db = self._before, self._db
-            self.mutated = {
-                name: frozenset(db.table(name).columns)
-                for name, version in db.versions().items()
-                if before.get(name) != version
-                and name not in SYSTEM_TABLES}
-            hook = self._commit_hook if exc_type is None \
-                else self._abort_hook
-            if hook is not None:
-                hook(self)
+            if exc_type is None:
+                before, db = self._before, self._db
+                self.mutated = {
+                    name: frozenset(db.table(name).columns)
+                    for name, version in db.versions().items()
+                    if before.get(name) != version
+                    and name not in SYSTEM_TABLES}
+                if self._commit_hook is not None:
+                    self._commit_hook(self)
         finally:
             self._db.lock.__exit__(exc_type, exc, tb)
 

@@ -60,7 +60,6 @@ from repro.errors import (
     MR_EXISTS,
     MR_INTEGER,
     MR_INTERNAL,
-    MR_NO_ID,
 )
 
 Row = dict  # rows are plain dicts; Table owns their lifecycle
@@ -81,7 +80,7 @@ class _Txn:
     strictly increasing order.
     """
 
-    __slots__ = ("facade", "depth", "seq", "undo", "mutated", "bindings")
+    __slots__ = ("facade", "depth", "seq", "undo", "mutated")
 
     def __init__(self, *, facade: bool, undo: bool):
         self.facade = facade            # owned by the db.lock facade
@@ -89,21 +88,9 @@ class _Txn:
         self.seq = 0                    # 0 = no commit seq assigned yet
         self.undo: Optional[list] = [] if undo else None
         # table -> columns whose data version moved (a DCM bookkeeping
-        # update, ``touch_stats=False``, names nothing)
+        # update, ``touch_stats=False``, and the SYSTEM_TABLES name
+        # nothing)
         self.mutated: dict[str, frozenset] = {}
-        self.bindings: Optional[dict] = None   # consumed ids / strings
-
-    def bind_id(self, hint: str, value: int) -> None:
-        b = self.bindings
-        if b is None:
-            b = self.bindings = {}
-        b.setdefault("id", {}).setdefault(hint, []).append(value)
-
-    def bind_intern(self, text: str, string_id: int) -> None:
-        b = self.bindings
-        if b is None:
-            b = self.bindings = {}
-        b.setdefault("intern", {})[text] = string_id
 
 
 class _WriterLock:
@@ -573,8 +560,7 @@ class Table(StorageTable):
         self._plans: dict[tuple, _Plan] = {}
         self._schema_epoch = 0
         # the MVCC side version store (attached by Database.create_table;
-        # None for a table outside any database and for the unversioned
-        # system relations)
+        # None for a table outside any database)
         self._mv = None
         # seq of this table's newest mutation, stamped at mutation time
         # (pre-commit) — snapshot readers use it to validate shared
@@ -1142,14 +1128,6 @@ class Database(StorageBackend):
         self._writer = RWLock()
         self._txns: dict[int, _Txn] = {}
         self.lock = _WriterLock(self)
-        # the SYSTEM_TABLES serialize on this leaf latch, which readers
-        # take too
-        self._sys_latch = threading.RLock()
-        # WAL-replay id scripting: thread ident -> {hint: [values]}.
-        # An aborted writer's ids stay consumed, so a replay must
-        # consume the journaled bindings instead of re-allocating
-        # naturally (see recovery.apply_entries).
-        self._scripted_ids: dict[int, dict[str, list]] = {}
         # the commit gate: `_seq_alloc` hands out seqs, `_seq_cond`
         # publishes them to `_committed_seq` in strictly increasing
         # order (journal appends happen inside the gate)
@@ -1197,37 +1175,29 @@ class Database(StorageBackend):
         the replication snapshot feed)."""
         return self.lock.shared()
 
-    def system_latch(self) -> ContextManager[None]:
-        """The leaf latch over ``values`` and ``strings``."""
-        return self._sys_latch
-
     def create_table(self, table: Table) -> Table:
         """Register a new relation."""
         if table.name in self.tables:
             raise ValueError(f"table {table.name} already exists")
         self.tables[table.name] = table
-        # the system relations live outside MVCC: snapshot reads see
-        # the live table
-        if table._mv is None and table.name not in SYSTEM_TABLES:
+        if table._mv is None:
             from repro.db.mvcc import TableVersionStore
             table._mv = TableVersionStore(self, table)
         return table
 
     @contextmanager
-    def write_txn(self, *, commit_hook: Optional[Callable] = None,
-                  abort_hook: Optional[Callable] = None) -> Iterator[_Txn]:
+    def write_txn(self, *,
+                  commit_hook: Optional[Callable] = None) -> Iterator[_Txn]:
         """The write verb: a writer transaction.
 
         Takes the writer lock, runs the body as one transaction, and on
         normal exit commits through the gate: the commit seq publishes
         — and *commit_hook(txn)* (the journal append) runs — only once
         every earlier seq has published, so journal order is commit-seq
-        order.  On exception the transaction's own mutations are undone
-        (reverse order) and the seq still publishes as an abort so
-        later writers don't stall; *abort_hook(txn)* runs (in the gate,
-        when the transaction took a seq) so the caller can journal
-        id/string bindings that survive the abort — the system tables
-        are not rolled back, and replay must reproduce them.
+        order.  On exception every mutation the body made — its ids
+        and interned strings included — is undone (reverse order) and
+        the seq still publishes as an abort so later writers don't
+        stall; nothing is journaled.
         """
         me = threading.get_ident()
         if me in self._txns:
@@ -1239,7 +1209,7 @@ class Database(StorageBackend):
                 yield txn
             except BaseException:
                 del self._txns[me]
-                self._txn_abort(txn, abort_hook)
+                self._txn_abort(txn)
                 raise
             del self._txns[me]
             self._txn_commit(txn, commit_hook)
@@ -1252,62 +1222,9 @@ class Database(StorageBackend):
         ``with`` exits."""
         return self.pin_snapshot()
 
-    def _active_txn(self) -> Optional["_Txn"]:
-        return self._txns.get(threading.get_ident())
-
     def _txn_undo_list(self) -> Optional[list]:
-        txn = self._active_txn()
-        if txn is None:
-            return None
-        return txn.undo
-
-    def intern_string(self, text: str, *, now: int = 0) -> int:
-        """The string_id for *text*, creating it if new.
-
-        The strings heap serializes on the system latch.  The id —
-        found or allocated — is recorded as a binding on the
-        transaction, so replay can pre-seed the row even when its
-        allocator aborted.
-        """
-        with self.system_latch():
-            string_id = super().intern_string(text, now=now)
-            txn = self._active_txn()
-            if txn is not None:
-                txn.bind_intern(text, string_id)
-            return string_id
-
-    # -- WAL-replay id scripting ----------------------------------------------
-
-    @contextmanager
-    def scripted_ids(self, bindings: Optional[dict]):
-        """Arm journaled id bindings for the calling thread.
-
-        While held, each ``next_id(hint)`` call consumes the next
-        journaled value for *hint* instead of the hint variable's
-        current value (the hint is still advanced past the consumed
-        id).  This is how replay reproduces the exact id trajectory of
-        a run whose aborted writers consumed ids.
-        """
-        ident = threading.get_ident()
-        queues = {hint: list(vals) for hint, vals
-                  in ((bindings or {}).get("id") or {}).items() if vals}
-        if queues:
-            self._scripted_ids[ident] = queues
-        try:
-            yield
-        finally:
-            self._scripted_ids.pop(ident, None)
-
-    def _scripted_next(self, hint_name: str) -> Optional[int]:
-        if not self._scripted_ids:
-            return None
-        queues = self._scripted_ids.get(threading.get_ident())
-        if queues is None:
-            return None
-        vals = queues.get(hint_name)
-        if not vals:
-            return None
-        return vals.pop(0)
+        txn = self._txns.get(threading.get_ident())
+        return None if txn is None else txn.undo
 
     def _alloc_seq(self, txn: Optional["_Txn"] = None) -> int:
         with self._seq_cond:
@@ -1343,7 +1260,7 @@ class Database(StorageBackend):
     def _facade_commit(self, txn: "_Txn") -> None:
         """Outermost ``db.lock`` release."""
         if txn.seq == 0:
-            return          # nothing mutated, no bindings journaled here
+            return          # nothing mutated
         self._publish_seq(txn.seq)
         self.gc_if_due()
 
@@ -1362,30 +1279,21 @@ class Database(StorageBackend):
         run = None if hook is None else (lambda: hook(txn))
         self._publish_seq(txn.seq, hook=run)
 
-    def _txn_abort(self, txn: "_Txn",
-                   hook: Optional[Callable]) -> None:
+    def _txn_abort(self, txn: "_Txn") -> None:
         """Undo a failed write transaction and publish its seq.
 
-        The transaction's own versions and live-table mutations are
-        rolled back in reverse order; its seq still publishes (as an
-        abort) so later writers waiting in the gate don't hang on a
-        seq that will never commit.  System-table effects — allocated
-        ids, interned strings — are *not* undone; *hook* sees them as
-        ``txn.bindings`` and journals an ``_aborted`` marker carrying
-        them so replay reproduces the values/strings state.
+        The transaction's own versions and live-table mutations —
+        ``values`` hint bumps and ``strings`` inserts alike — are
+        rolled back in reverse order; its seq, if it took one, still
+        publishes (as an abort) so later writers waiting in the gate
+        don't hang on a seq that will never commit.
         """
         if txn.undo:
             for fn in reversed(txn.undo):
                 fn()
         txn.mutated = {}    # rolled back: no data changed
-        if txn.seq == 0 and not txn.bindings:
-            if hook is not None:
-                hook(txn)   # nothing to order: no seq was ever taken
-            return
-        if txn.seq == 0:
-            self._alloc_seq(txn)
-        run = None if hook is None else (lambda: hook(txn))
-        self._publish_seq(txn.seq, hook=run, aborted=True)
+        if txn.seq:
+            self._publish_seq(txn.seq, aborted=True)
 
     # -- MVCC: transactions, snapshots, garbage collection -------------------
 
@@ -1405,7 +1313,7 @@ class Database(StorageBackend):
         txn = self._txns.get(threading.get_ident())
         if txn is None:
             return self._alloc_seq(), True
-        if columns:
+        if columns and table.name not in SYSTEM_TABLES:
             named = txn.mutated.get(table.name)
             if named is None:
                 txn.mutated[table.name] = columns
@@ -1528,52 +1436,6 @@ class Database(StorageBackend):
     def __contains__(self, name: str) -> bool:
         return name in self.tables
 
-    # -- the "values" relation helpers ---------------------------------------
-    # IDs are allocated from hint variables stored in the values relation
-    # ("hints for the next ID number to assign"), exactly as the paper
-    # describes.  MR_NO_ID is raised if a hint is missing.
-
-    def get_value(self, name: str) -> int:
-        """Integer value of a values-relation variable."""
-        with self._sys_latch:
-            rows = self.table("values").select({"name": name})
-            if not rows:
-                raise MoiraError(MR_NO_ID, name)
-            return int(rows[0]["value"])
-
-    def set_value(self, name: str, value: int, *, now: int = 0) -> None:
-        """Insert or update a values-relation variable."""
-        with self._sys_latch:
-            table = self.table("values")
-            rows = table.select({"name": name})
-            if rows:
-                table.update_rows(rows, {"value": value}, now=now)
-            else:
-                table.insert({"name": name, "value": value}, now=now)
-
-    def next_id(self, hint_name: str, *, now: int = 0) -> int:
-        """Allocate the next unique internal ID from a hint variable.
-
-        The allocation serializes on the system latch.  The allocated
-        value is
-        recorded in the transaction's bindings so WAL replay can
-        reproduce the hint trajectory even past aborted writers.
-        """
-        scripted = self._scripted_next(hint_name)
-        with self.system_latch():
-            if scripted is not None:
-                value = scripted
-                self.set_value(hint_name,
-                               max(self.get_value(hint_name), value + 1),
-                               now=now)
-            else:
-                value = self.get_value(hint_name)
-                self.set_value(hint_name, value + 1, now=now)
-        txn = self._active_txn()
-        if txn is not None:
-            txn.bind_id(hint_name, value)
-        return value
-
     def reserve_ids(self, hint_name: str, count: int, *,
                     now: int = 0) -> int:
         """Reserve *count* consecutive ids from a hint, returning the
@@ -1581,17 +1443,16 @@ class Database(StorageBackend):
 
         One get/set pair instead of *count* :meth:`next_id` round
         trips — the parallel population builder prefix-sums its
-        partitions' row counts and hands each partition a range.  The
-        reservation is NOT recorded in any transaction's bindings, so
-        it is only for pre-journal bulk loading (the journal starts
-        empty after the build; recovery snapshots the loaded world).
+        partitions' row counts and hands each partition a range.  No
+        journal entry re-executes it, so it is only for pre-journal
+        bulk loading (the journal starts empty after the build;
+        recovery snapshots the loaded world).
         """
         if count <= 0:
             raise ValueError("reserve_ids needs a positive count")
-        with self.system_latch():
-            value = self.get_value(hint_name)
-            self.set_value(hint_name, value + count, now=now)
-            return value
+        value = self.get_value(hint_name)
+        self.set_value(hint_name, value + count, now=now)
+        return value
 
     def table_stats(self) -> list[tuple]:
         """TBLSTATS rows for every relation, sorted by name."""

@@ -129,14 +129,9 @@ class JournalEntry:
     # Appends happen inside the commit gate, so these stamp strictly
     # increasing — the replay-order oracle.
     commit_seq: int = 0
-    # ids allocated / strings interned by the transaction ({"id": {hint:
-    # [v, ...]}, "intern": {text: string_id}}); replay uses them to
-    # reproduce the system-table trajectory even past aborted writers
-    # (query "_aborted"), whose entries carry bindings and nothing else.
-    bindings: Optional[dict] = None
     # the commit's footprint (:func:`stamp`); () when it changed no
-    # data (a DCM bookkeeping write, an abort), None when unknown (a
-    # WAL written before entries carried it)
+    # data (a DCM bookkeeping write), None when unknown (a WAL written
+    # before entries carried it)
     changed: Optional[tuple] = None
 
     def to_line(self) -> str:
@@ -146,8 +141,6 @@ class JournalEntry:
                 "args": list(self.args)}
         if self.commit_seq:
             data["commit_seq"] = self.commit_seq
-        if self.bindings:
-            data["bindings"] = self.bindings
         if self.changed is not None:
             data["changed"] = dict(self.changed)
         return json.dumps(data, separators=(",", ":"))
@@ -171,10 +164,6 @@ class JournalEntry:
             args = data["args"]
             if not isinstance(args, list):
                 raise ValueError("malformed journal line: args not a list")
-            bindings = data.get("bindings")
-            if bindings is not None and not isinstance(bindings, dict):
-                raise ValueError(
-                    "malformed journal line: bindings not an object")
             changed = data.get("changed")
             if changed is not None:
                 if not isinstance(changed, dict) or not all(
@@ -193,7 +182,6 @@ class JournalEntry:
                 seq=int(data.get("seq", 0)),
                 client=str(data.get("client", "")),
                 commit_seq=int(data.get("commit_seq", 0)),
-                bindings=bindings,
                 changed=changed,
             )
         except (KeyError, TypeError) as exc:
@@ -226,9 +214,6 @@ class Journal:
     # a torn write killed the process: every later append is refused
     _dead: bool = field(default=False, repr=False, compare=False)
     _next_seq: int = field(default=1, repr=False, compare=False)
-    # entries arrive in mutation order; `when` is normally nondecreasing
-    # (virtual clock), letting since() bisect — tracked, not assumed
-    _when_monotonic: bool = field(default=True, repr=False, compare=False)
     # appends written with fsync=False and not yet covered by a sync
     _unsynced: int = field(default=0, repr=False, compare=False)
     # every seq at or below this one is covered by a sync (or was
@@ -275,8 +260,7 @@ class Journal:
 
     def record(self, when: int, who: str, query: str,
                args: tuple[str, ...], client: str = "", *,
-               commit_seq: int = 0, bindings: Optional[dict] = None,
-               changed: Optional[dict] = None,
+               commit_seq: int = 0, changed: Optional[dict] = None,
                fsync: bool = True) -> JournalEntry:
         """Append an entry; when a path is set, fsync it to the WAL.
 
@@ -317,12 +301,9 @@ class Journal:
             entry = JournalEntry(when=when, who=who, query=query,
                                  args=tuple(str(a) for a in args),
                                  seq=self._next_seq, client=client,
-                                 commit_seq=commit_seq,
-                                 bindings=bindings, changed=changed)
+                                 commit_seq=commit_seq, changed=changed)
             self._next_seq += 1
             self._stat_appends += 1
-            if self.entries and when < self.entries[-1].when:
-                self._when_monotonic = False
             self.entries.append(entry)
             if self.path is not None:
                 self._append_durable(entry, fsync=fsync)
@@ -660,20 +641,6 @@ class Journal:
                              key=lambda e: e.seq)
             return oldest, current, self.entries[lo:]
 
-    def since(self, when: int) -> list[JournalEntry]:
-        """Entries at or after *when* — the replay window after a restore.
-
-        Bisects when timestamps are nondecreasing (the normal case under
-        the virtual clock); falls back to a linear scan if out-of-order
-        stamps were ever appended.
-        """
-        with self._lock:
-            if self._when_monotonic:
-                lo = bisect_left(self.entries, when,
-                                 key=lambda e: e.when)
-                return self.entries[lo:]
-            return [e for e in self.entries if e.when >= when]
-
     def after_seq(self, seq: int) -> list[JournalEntry]:
         """Entries with sequence numbers strictly greater than *seq*."""
         with self._lock:
@@ -691,11 +658,7 @@ class Journal:
         of a whitelisted query is dropped when a later entry of the
         same query with the same key follows it with no *barrier* in
         between — a barrier being any entry of a non-whitelisted query
-        (its replay may read fields the dropped record wrote) or any
-        entry carrying bindings (its id/string allocations must
-        survive).  ``_aborted`` markers are transparent: they execute
-        nothing, only re-apply their own bindings, so they neither
-        supersede nor shield anything — and they are always kept.
+        (its replay may read fields the dropped record wrote).
 
         *pins* are replica ``applied_seq`` watermarks: entries above
         ``min(pins)`` are never dropped, so a feeding replica's next
@@ -723,11 +686,8 @@ class Journal:
             dropped: set = set()
             pending: dict = {}
             for entry in self.entries:
-                if entry.query == "_aborted":
-                    continue
                 key_arg = supersedable.get(entry.query)
-                if (key_arg is None or entry.bindings
-                        or key_arg >= len(entry.args)):
+                if key_arg is None or key_arg >= len(entry.args):
                     pending.clear()     # barrier
                     continue
                 key = (entry.query, entry.args[key_arg])
@@ -879,8 +839,6 @@ class Journal:
         self.entries = entries
         self._next_seq = max((e.seq for e in entries), default=0) + 1
         self._synced_seq = self._next_seq - 1
-        self._when_monotonic = all(
-            a.when <= b.when for a, b in zip(entries, entries[1:]))
         # re-derive the compaction floor: record() assigns contiguous
         # seqs, so any mid-log gap is a compaction hole — a tail() from
         # below the last hole must resync, even across a restart

@@ -833,12 +833,7 @@ class Snapshot:
         found = self._tables.get(name)
         if found is None:
             live = self.db.table(name)
-            store = live._mv
-            if store is None:
-                # an unversioned system relation (values, strings):
-                # serve the live table
-                return live
-            found = SnapshotTable(self, live, store)
+            found = SnapshotTable(self, live, live._mv)
             self._tables[name] = found
         return found
 

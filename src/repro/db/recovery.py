@@ -39,8 +39,8 @@ from repro.errors import (
 )
 from repro.sim.clock import Clock
 
-__all__ = ["checkpoint", "recover", "replay_wal", "apply_bindings",
-           "apply_entries", "OutOfCommitOrder", "RecoveryResult",
+__all__ = ["checkpoint", "recover", "replay_wal", "apply_entries",
+           "OutOfCommitOrder", "RecoveryResult",
            "CHECKPOINT_META", "SUPERSEDABLE_QUERIES"]
 
 # Written beside the per-relation dumps: the WAL sequence number the
@@ -56,8 +56,10 @@ TOLERATED_REPLAY_ERRORS = frozenset({MR_EXISTS, MR_NOT_UNIQUE,
 # index of the argument that keys the record.  A query belongs here
 # only if (a) it writes a fixed field set addressed by that key, and a
 # later call with the same key rewrites every one of those fields
-# (audit columns included), and (b) no journaled query's replay
-# *behaviour* reads any of those fields.  ``update_user_status`` is
+# (audit columns included), (b) no journaled query's replay
+# *behaviour* reads any of those fields, and (c) it allocates no id or
+# string (replay allocates naturally, so a dropped allocation would
+# shift every later one).  ``update_user_status`` is
 # deliberately absent: ``register_user`` checks status ==
 # REGISTERABLE, so dropping a superseded status write could flip a
 # replayed registration into a tolerated conflict and silently diverge.
@@ -76,44 +78,8 @@ class RecoveryResult:
     watermark: int = 0
     replayed: int = 0
     skipped_conflicts: int = 0
-    aborted_applied: int = 0
     torn_tail: bool = False
     log: list[str] = field(default_factory=list)
-
-
-def apply_bindings(db: Database, bindings: Optional[dict], *,
-                   now: int = 0) -> None:
-    """Reproduce a transaction's system-table effects from its bindings.
-
-    Aborted writers leave their id-hint bumps and interned strings
-    behind (the system relations never roll back), journaled as the
-    ``_aborted`` entry's bindings; committed writers may have interned
-    a string another transaction allocated.  Applying the bindings is
-    idempotent: hints only move forward, strings insert only if absent.
-    """
-    if not bindings:
-        return
-    def advance(hint: str, top: int) -> None:
-        try:
-            cur = db.get_value(hint)
-        except MoiraError:
-            cur = 0
-        if top > cur:
-            db.set_value(hint, top, now=now)
-
-    with db.system_latch():
-        for hint, vals in (bindings.get("id") or {}).items():
-            if vals:
-                advance(hint, max(vals) + 1)
-        intern = bindings.get("intern") or {}
-        if intern:
-            table = db.table("strings")
-            for text, sid in intern.items():
-                sid = int(sid)
-                if not table.select({"string_id": sid}):
-                    table.insert({"string_id": sid, "string": text},
-                                 now=now)
-                advance("strings_id", sid + 1)
 
 
 def checkpoint(db: Database, journal: Journal,
@@ -198,11 +164,13 @@ def apply_entries(db: Database, entries: Iterable[JournalEntry], *,
     Each entry re-executes through the predefined-query layer as its
     original principal and client (*client* when it recorded none) at
     its original timestamp — *clock* follows ``entry.when`` forward —
-    with the journaled id bindings scripted.  ``conflict`` is the
-    tolerated :class:`MoiraError` when the target already held the
-    entry's effect (never under *strict*), else None; an ``_aborted``
-    marker applies only its bindings.  Entries are pulled lazily, one
-    at a time, so the caller may filter and fire fault points upstream.
+    allocating ids and strings as the original did: the one writer
+    allocated in commit order, and a failed write rolled its
+    allocations back.  ``conflict`` is the tolerated
+    :class:`MoiraError` when the target already held the entry's
+    effect (never under *strict*), else None.  Entries are pulled
+    lazily, one at a time, so the caller may filter and fire fault
+    points upstream.
 
     Replay-order oracle: writers append inside the commit gate, so log
     order must equal commit-seq order.  A violation means the gate (or
@@ -220,24 +188,15 @@ def apply_entries(db: Database, entries: Iterable[JournalEntry], *,
                 f"{entry.commit_seq} after {last_commit_seq}")
         if entry.when > clock.now():
             clock.set(entry.when)
-        # system-table trajectory first: bump id hints past the entry's
-        # allocations and pre-seed interned strings (idempotent), so
-        # even a conflict-skipped or aborted entry leaves values/strings
-        # exactly as the original run did
-        apply_bindings(db, entry.bindings, now=entry.when)
         conflict = None
-        # an aborted writer rolled back; only its bindings survive
-        if entry.query != "_aborted":
-            ctx = QueryContext(db=db, clock=clock, caller=entry.who,
-                               client=entry.client or client,
-                               privileged=True)
-            try:
-                with db.scripted_ids(entry.bindings):
-                    execute_query(ctx, entry.query, list(entry.args))
-            except MoiraError as exc:
-                if strict or exc.code not in TOLERATED_REPLAY_ERRORS:
-                    raise
-                conflict = exc
+        ctx = QueryContext(db=db, clock=clock, caller=entry.who,
+                           client=entry.client or client, privileged=True)
+        try:
+            execute_query(ctx, entry.query, list(entry.args))
+        except MoiraError as exc:
+            if strict or exc.code not in TOLERATED_REPLAY_ERRORS:
+                raise
+            conflict = exc
         last_commit_seq = entry.commit_seq or last_commit_seq
         yield entry, conflict
 
@@ -253,9 +212,7 @@ def replay_wal(db: Database, journal: Journal, *, after_seq: int = 0,
     for entry, conflict in apply_entries(
             db, journal.after_seq(after_seq), clock=Clock(0),
             strict=strict):
-        if entry.query == "_aborted":
-            result.aborted_applied += 1
-        elif conflict is None:
+        if conflict is None:
             result.replayed += 1
         else:
             result.skipped_conflicts += 1

@@ -13,8 +13,8 @@ Semantics:
 * **Writer-preferring** — once a writer is waiting, new readers queue
   behind it, so a read-heavy workload cannot starve mutations.
 * **Re-entrant exclusive** — a thread holding exclusive mode may
-  re-acquire it (query handlers call ``Database.next_id``, which locks
-  again), and may also take shared mode as a no-op, so helper code that
+  re-acquire it (a write transaction's body may enter ``db.lock``),
+  and may also take shared mode as a no-op, so helper code that
   only reads works from either side.
 * **Re-entrant shared** — a reader may re-acquire shared mode even
   while a writer waits (blocking there would deadlock the reader

@@ -36,7 +36,7 @@ from repro.db.engine import (
     TableStats,
     WildcardPattern,
 )
-from repro.errors import MoiraError, MR_EXISTS, MR_INTERNAL, MR_NO_ID
+from repro.errors import MoiraError, MR_EXISTS, MR_INTERNAL
 
 __all__ = ["SqliteDatabase", "SqliteTable", "sqlite_database_from_schema"]
 
@@ -281,11 +281,11 @@ class SqliteDatabase(StorageBackend):
         """The read verb: this database, under its lock."""
         return _LockedView(self)
 
-    def write_txn(self, *, commit_hook=None, abort_hook=None) -> LockTxn:
+    def write_txn(self, *, commit_hook=None) -> LockTxn:
         """The write verb: the exclusive lock.  The connection runs in
         autocommit with no undo log, so a body that raises midway keeps
         the rows it already wrote; only the memory backend rolls back."""
-        return LockTxn(self, commit_hook, abort_hook)
+        return LockTxn(self, commit_hook)
 
     def create_table_from(self, spec) -> SqliteTable:
         """Create a relation from an engine Table (schema carrier)."""
@@ -307,30 +307,11 @@ class SqliteDatabase(StorageBackend):
     def __contains__(self, name: str) -> bool:
         return name in self.tables
 
-    # -- values helpers (identical contract to engine.Database) ----------------
-
-    def get_value(self, name: str) -> int:
-        """Integer value of a values-relation variable."""
-        rows = self.table("values").select({"name": name})
-        if not rows:
-            raise MoiraError(MR_NO_ID, name)
-        return int(rows[0]["value"])
-
-    def set_value(self, name: str, value: int, *, now: int = 0) -> None:
-        """Insert or update a values-relation variable."""
-        table = self.table("values")
-        rows = table.select({"name": name})
-        if rows:
-            table.update_rows(rows, {"value": value}, now=now)
-        else:
-            table.insert({"name": name, "value": value}, now=now)
-
     def next_id(self, hint_name: str, *, now: int = 0) -> int:
-        """Allocate the next unique ID from a hint variable."""
+        """Allocate the next unique ID from a hint variable, under the
+        lock even outside a write transaction."""
         with self.lock:
-            value = self.get_value(hint_name)
-            self.set_value(hint_name, value + 1, now=now)
-            return value
+            return super().next_id(hint_name, now=now)
 
     def table_stats(self) -> list[tuple]:
         """TBLSTATS rows for every relation, sorted by name."""

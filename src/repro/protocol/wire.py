@@ -44,7 +44,6 @@ __all__ = [
     "encode_replies",
     "decode_reply",
     "decode_replies",
-    "split_frames",
     "final",
     "failed",
     "str_row",
@@ -252,17 +251,6 @@ def str_row(row: Sequence) -> tuple[str, ...]:
         return tuple(f.decode() if isinstance(f, bytes) else str(f)
                      for f in row)
     return tuple(map(str, row))
-
-
-def split_frames(buf: bytes) -> list[bytes]:
-    """A buffer of whole length-prefixed frames, one frame per element."""
-    frames = []
-    offset = 0
-    while offset < len(buf):
-        stop = offset + 4 + _U32.unpack_from(buf, offset)[0]
-        frames.append(buf[offset:stop])
-        offset = stop
-    return frames
 
 
 # -- Kerberos authenticator packing ------------------------------------------------

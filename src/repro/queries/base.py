@@ -483,8 +483,7 @@ class QueryContext:
     # -- string interning (the strings relation) -----------------------------
 
     def intern_string(self, text: str) -> int:
-        """The string_id for *text*, creating it if new (the backend
-        serialises the strings heap and records replay bindings)."""
+        """The string_id for *text*, creating it if new."""
         return self.db.intern_string(text, now=self.now)
 
     def lookup(self, table: str, key: str,
@@ -667,10 +666,9 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
     moved)``.  The journal append happens inside ``write_txn``'s commit
     hook — before the writer locks drop, in commit-seq order — and is
     the only place an entry is built: query name + stringified args
-    and the transaction's ``mutated`` as the entry's ``changed`` on
-    commit; on an abort that consumed id/string bindings (which survive
-    the rollback), an ``_aborted`` marker carrying them (its rolled-back
-    transaction names nothing).
+    and the transaction's ``mutated`` as the entry's ``changed``.  A
+    write that raises rolls back whole — its ids and strings too — and
+    journals nothing.
     ``fsync=False`` leaves durability to the caller's one
     ``journal.sync()``.  A fenced journal refuses the write with
     ``MR_FENCED`` before its handler runs, whichever way it is made
@@ -678,25 +676,19 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
     handler gets the arguments parsed through the query's declared
     types, inside the transaction; the journal keeps the caller's.
     """
-    record = record_abort = None
+    record = None
     if ctx.journal is not None:
         journal = ctx.journal
         journal.refuse_if_fenced()
 
-        def record(txn, name=query.name, entry_args=args):
-            journal.record(ctx.now, ctx.caller or "unauthenticated", name,
-                           tuple(str(a) for a in entry_args),
+        def record(txn):
+            journal.record(ctx.now, ctx.caller or "unauthenticated",
+                           query.name, tuple(str(a) for a in args),
                            client=ctx.client, commit_seq=txn.seq,
-                           bindings=txn.bindings, changed=txn.mutated,
-                           fsync=fsync)
-
-        def record_abort(txn):
-            if txn.bindings:
-                record(txn, "_aborted", ())
+                           changed=txn.mutated, fsync=fsync)
 
     waited = time.perf_counter()
-    with ctx.db.write_txn(commit_hook=record,
-                          abort_hook=record_abort) as txn:
+    with ctx.db.write_txn(commit_hook=record) as txn:
         if timing is not None:
             timing["lock_wait_s"] = time.perf_counter() - waited
         result = query.handler(ctx, query.parse(ctx, args))

@@ -172,7 +172,8 @@ def register_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 
 
 def _least_loaded_pop(ctx: QueryContext):
-    """Pick the POP serverhost with the most headroom (value1 < value2)."""
+    """Pick the POP serverhost with the most headroom (value1 < value2)
+    and count the new box on it, as bookkeeping like ``set_pobox``."""
     hosts = ctx.db.table("serverhosts").select({"service": "POP"})
     candidates = [h for h in hosts
                   if h["enable"] and (h["value2"] == 0
@@ -180,8 +181,7 @@ def _least_loaded_pop(ctx: QueryContext):
     if not candidates:
         raise MoiraError(MR_NO_POBOX, "no POP server with space")
     best = min(candidates, key=lambda h: h["value1"])
-    ctx.db.table("serverhosts").update_rows(
-        [best], {"value1": best["value1"] + 1}, now=ctx.now)
+    _adjust_pop_load(ctx, best["mach_id"], +1)
     machines = ctx.db.table("machine").select({"mach_id": best["mach_id"]})
     return machines[0]
 

@@ -83,34 +83,27 @@ CURSOR_ROW = "_cursor"
 def entry_to_tuple(entry: JournalEntry) -> tuple[str, ...]:
     """Encode one journal entry as a wire tuple.
 
-    Two trailing fields carry the write transaction's metadata: the
-    MVCC commit seq (replay-order oracle) and the id/intern bindings
-    (system-table trajectory, including aborted writers').
+    The trailing field carries the MVCC commit seq (the replay-order
+    oracle).
     """
     return (str(entry.seq), str(entry.when), entry.who, entry.client,
             entry.query,
             json.dumps(list(entry.args), separators=(",", ":")),
-            str(entry.commit_seq),
-            json.dumps(entry.bindings, separators=(",", ":"))
-            if entry.bindings else "")
+            str(entry.commit_seq))
 
 
 def entry_from_tuple(fields: Sequence[str]) -> JournalEntry:
     """Invert :func:`entry_to_tuple`; raises ``ValueError`` if mangled."""
-    if len(fields) != 8:
-        raise ValueError(f"journal tuple wants 8 fields, got {len(fields)}")
-    seq, when, who, client, query, args, commit_seq, bindings = fields
+    if len(fields) != 7:
+        raise ValueError(f"journal tuple wants 7 fields, got {len(fields)}")
+    seq, when, who, client, query, args, commit_seq = fields
     parsed = json.loads(args)
     if not isinstance(parsed, list):
         raise ValueError("journal tuple args not a list")
-    bindings = json.loads(bindings) if bindings else None
-    if bindings is not None and not isinstance(bindings, dict):
-        raise ValueError("journal tuple bindings not an object")
     return JournalEntry(seq=int(seq), when=int(when), who=who,
                         client=client, query=query,
                         args=tuple(str(a) for a in parsed),
-                        commit_seq=int(commit_seq) if commit_seq else 0,
-                        bindings=bindings)
+                        commit_seq=int(commit_seq) if commit_seq else 0)
 
 
 def parse_seq(value: str, what: str) -> int:

@@ -404,8 +404,8 @@ class ReplicaServer:
                 if conflict is not None:
                     # the snapshot already absorbed this entry's effect
                     self.apply_conflicts += 1
-                # (binding-only movement of values/strings counts too;
-                # neither is an ACL table, so it invalidates nothing)
+                # (a conflict's rolled-back writes move versions too,
+                # which only invalidates more than it must)
                 after = self.db.versions()
                 mutated = {t for t, v in after.items()
                            if before.get(t) != v}

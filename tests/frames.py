@@ -1,6 +1,7 @@
-"""Reading length-prefixed frames off a blocking byte source, for tests
-that drive a raw socket; the program itself reads frames only in the
-TCP transport's non-blocking loop."""
+"""Reading length-prefixed frames off a blocking byte source or out of a
+buffer, for tests that drive a raw socket or inspect encoded replies;
+the program itself reads frames only in the TCP transport's
+non-blocking loop."""
 
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ def read_frame(recv) -> bytes:
     if length == 0 or length > MAX_FRAME:
         raise MoiraError(MR_ABORTED, f"bad frame length {length}")
     return _read_exact(recv, length, allow_eof=False)
+
+
+def split_frames(buf: bytes) -> list[bytes]:
+    """A buffer of whole length-prefixed frames, one frame per element."""
+    frames = []
+    offset = 0
+    while offset < len(buf):
+        stop = offset + 4 + int.from_bytes(buf[offset:offset + 4], "big")
+        frames.append(buf[offset:stop])
+        offset = stop
+    return frames
 
 
 def _read_exact(recv, n: int, *, allow_eof: bool) -> bytes:

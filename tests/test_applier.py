@@ -34,23 +34,21 @@ def user(login, uid):
                          f"m{uid}", "1990"))
 
 
-# (query, args, bindings): a committed write, an aborted writer that
-# kept an id and a string, a write the target already holds (tolerated
-# conflict), another committed write
+# (query, args): a committed write, one that allocates an id, a write
+# the target already holds (tolerated conflict), another committed write
 GOOD = [
-    (*user("ap1", 7401), None),
-    ("_aborted", (), {"id": {"gid": [10900]}, "intern": {"ghost": 77}}),
-    (*user("ap1", 7401), None),
-    ("add_machine", ("AP1.MIT.EDU", "VAX"), None),
+    user("ap1", 7401),
+    ("add_machine", ("AP0.MIT.EDU", "VAX")),
+    user("ap1", 7401),
+    ("add_machine", ("AP1.MIT.EDU", "VAX")),
 ]
 
 
 def write_wal(path, script, commit_seqs=None):
     journal = Journal(path=path)
-    for i, (query, args, bindings) in enumerate(script):
+    for i, (query, args) in enumerate(script):
         journal.record(BASE + i, "root", query, args, client="test",
-                       commit_seq=(commit_seqs or range(1, 99))[i],
-                       bindings=bindings)
+                       commit_seq=(commit_seqs or range(1, 99))[i])
     journal.close()
     return path
 
@@ -67,16 +65,15 @@ def test_replay_and_replica_agree_byte_for_byte(name, tmp_path):
     wal = write_wal(tmp_path / "wal", GOOD)
     db = create_backend(name)
     result = replay_wal(db, Journal.load(wal))
-    assert (result.replayed, result.aborted_applied,
-            result.skipped_conflicts) == (2, 1, 1)
+    assert (result.replayed, result.skipped_conflicts) == (3, 1)
     assert "tolerated MR_NOT_UNIQUE" in result.log[0]
 
     replica, feed = replica_over(wal)
     assert feed() == 4
     assert (replica.entries_applied, replica.apply_conflicts,
             replica.applied_seq) == (4, 1, 4)
-    # the aborted writer's bindings survived on both sides
-    assert db.get_value("gid") == replica.db.get_value("gid") == 10901
+    # both allocated the same ids, naturally
+    assert db.get_value("mach_id") == replica.db.get_value("mach_id")
     assert dump(db, tmp_path / "replayed") == \
         dump(replica.db, tmp_path / "replica")
 
@@ -99,13 +96,11 @@ def test_strict_turns_the_tolerated_conflict_into_a_raise(tmp_path):
 BAD = {
     # WAL order must equal commit-seq order
     "out_of_commit_order": (
-        [(*user("ap1", 7401), None), (*user("ap2", 7402), None),
-         (*user("ap3", 7403), None)],
+        [user("ap1", 7401), user("ap2", 7402), user("ap3", 7403)],
         [1, 3, 2], ValueError, "out of commit order"),
     # an error replay does not tolerate
     "untolerated_error": (
-        [(*user("ap1", 7401), None), (*user("ap2", 7402), None),
-         ("no_such_query", (), None)],
+        [user("ap1", 7401), user("ap2", 7402), ("no_such_query", ())],
         None, MoiraError, "no_such_query"),
 }
 

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.db.backend import (
+    SYSTEM_TABLES,
     StorageBackend,
     StorageTable,
     available_backends,
@@ -202,27 +203,24 @@ class TestVerbsContract:
         thread = threading.Thread(target=rival)
 
         def commit_hook(txn):
-            calls.append(("commit", txn.seq, txn.bindings))
+            calls.append(("commit", txn.seq))
             thread.start()
             assert not entered.wait(0.2)    # still excluded
 
-        with backend.write_txn(commit_hook=commit_hook,
-                               abort_hook=calls.append) as txn:
+        with backend.write_txn(commit_hook=commit_hook) as txn:
             backend.table("machine").insert(
                 {"name": "VERB1.MIT.EDU", "mach_id": 71, "type": "VAX"},
                 now=BASE)
         thread.join(5)
         assert entered.is_set()
-        assert calls == [("commit", txn.seq, txn.bindings)]
+        assert calls == [("commit", txn.seq)]
 
-    def test_exception_fires_abort_hook_never_commit_hook(self, backend):
-        commits, aborts = [], []
+    def test_exception_never_fires_the_commit_hook(self, backend):
+        commits = []
         with pytest.raises(KeyError):
-            with backend.write_txn(commit_hook=commits.append,
-                                   abort_hook=aborts.append) as txn:
+            with backend.write_txn(commit_hook=commits.append):
                 raise KeyError("handler failed")
         assert commits == []
-        assert aborts == [txn]
 
     def test_mutated_names_the_tables_whose_versions_moved(self, backend):
         before = backend.versions()
@@ -282,15 +280,8 @@ class TestCapabilityDefaults:
         # default: the one lock; memory: its shared side
         assert (backend.read_locked() is backend.lock) != is_memory
 
-    def test_system_latch(self, backend, is_memory):
-        with backend.system_latch():
-            backend.set_value("cap_hint", 5, now=BASE)
-        assert backend.get_value("cap_hint") == 5
-        # default: the one lock; memory: a leaf latch below the writer
-        assert (backend.system_latch() is backend.lock) != is_memory
-
-    def test_intern_string_allocates_once_and_binds(self, backend,
-                                                    is_memory):
+    def test_intern_string_allocates_once_and_binds(self, backend):
+        """Interning binds a text to one id: the second call finds it."""
         hint = backend.get_value("strings_id")
         with backend.write_txn() as txn:
             first = backend.intern_string("cap-string", now=BASE)
@@ -299,10 +290,8 @@ class TestCapabilityDefaults:
         assert backend.get_value("strings_id") == hint + 1
         rows = backend.table("strings").select({"string": "cap-string"})
         assert [r["string_id"] for r in rows] == [first]
-        if is_memory:
-            assert txn.bindings["intern"] == {"cap-string": first}
-        else:
-            assert txn.bindings is None
+        # the allocator relations moved, but a stamp never names them
+        assert not set(txn.mutated) & SYSTEM_TABLES
 
     def test_read_view_interns_by_lookup(self, backend, is_memory):
         """A retrieval resolving a STRING member asks the view."""
@@ -316,14 +305,6 @@ class TestCapabilityDefaults:
                     view.intern_string("cap-unknown", now=BASE)
                 assert caught.value.code == MR_NO_MATCH
         assert backend.get_value("strings_id") == hint
-
-    def test_scripted_ids(self, backend, is_memory):
-        natural = backend.get_value("gid")
-        with backend.scripted_ids({"id": {"gid": [natural + 7]}}):
-            got = backend.next_id("gid", now=BASE)
-        # default: one writer allocates in commit order — natural ids
-        assert got == (natural + 7 if is_memory else natural)
-        assert backend.next_id("gid", now=BASE) == got + 1
 
     def test_membership_closure(self, backend, is_memory):
         closure = backend.membership_closure()

@@ -29,13 +29,6 @@ class TestJournalFile:
         journal = Journal.load(tmp_path / "nothing")
         assert len(journal) == 0
 
-    def test_since_filters(self):
-        journal = Journal()
-        journal.record(100, "a", "q1", ())
-        journal.record(200, "a", "q2", ())
-        journal.record(300, "a", "q3", ())
-        assert [e.query for e in journal.since(200)] == ["q2", "q3"]
-
     def test_entry_roundtrip_with_odd_characters(self):
         entry = JournalEntry(when=1, who="x", query="q",
                              args=("colon:here", 'quote"there', "new\nline"))

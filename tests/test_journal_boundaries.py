@@ -1,4 +1,4 @@
-"""Journal edge-case tests: since()/after_seq()/tail() bisection
+"""Journal edge-case tests: after_seq()/tail() bisection
 boundaries, group-commit fsync batching, and WAL segment rotation.
 
 The replication tail protocol leans on these exact edges — an empty
@@ -32,8 +32,6 @@ def fill(journal, n, start=0, fsync=True):
 class TestBisectionBoundaries:
     def test_empty_log(self):
         journal = Journal()
-        assert journal.since(0) == []
-        assert journal.since(BASE) == []
         assert journal.after_seq(0) == []
         assert journal.after_seq(99) == []
         assert journal.last_seq() == 0
@@ -46,8 +44,6 @@ class TestBisectionBoundaries:
         fill(journal, 1)
         assert [e.seq for e in journal.after_seq(0)] == [1]
         assert journal.after_seq(1) == []
-        assert len(journal.since(BASE)) == 1      # exactly at the stamp
-        assert len(journal.since(BASE + 1)) == 0  # one past it
         assert journal.tail(0)[2] == journal.entries
         assert journal.tail(1) == (1, 1, [])
 
@@ -56,14 +52,10 @@ class TestBisectionBoundaries:
         fill(journal, 20)
         # first retained entry
         assert journal.after_seq(0)[0].seq == 1
-        assert journal.since(BASE)[0].seq == 1
-        assert journal.since(BASE - 1)[0].seq == 1
         # last retained entry
         assert [e.seq for e in journal.after_seq(19)] == [20]
-        assert [e.seq for e in journal.since(BASE + 19 * 10)] == [20]
         # one past the end
         assert journal.after_seq(20) == []
-        assert journal.since(BASE + 19 * 10 + 1) == []
 
     def test_seq_gap_after_truncate(self):
         journal = Journal()

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.engine import Database
+from repro.db.mvcc import SnapshotTable
 from repro.db.schema import build_database
 from repro.queries.base import RUN_ROWS
 from repro.workload import PopulationSpec
@@ -58,6 +59,24 @@ def world():
 
 
 class TestConsistentCut:
+    def test_every_relation_is_served_from_its_version_store(self):
+        """No relation is read live: the allocator relations
+        (``values``, ``strings``) version like the rest, so a snapshot
+        never sees an id or a string drawn after its pin."""
+        db = build_database()
+        with db.read_view() as view:
+            for name, live in db.tables.items():
+                served = view.table(name)
+                assert isinstance(served, SnapshotTable), name
+                assert served._store is live._mv, name
+            hint = view.get_value("gid")
+            db.next_id("gid")
+            db.intern_string("after-the-pin")
+            assert view.get_value("gid") == hint
+            assert not view.table("strings").select(
+                {"string": "after-the-pin"})
+        assert db.get_value("gid") == hint + 1
+
     def test_streamed_read_ignores_later_mutations(self):
         """A pinned snapshot drained *after* inserts, updates, and
         deletes still returns exactly the rows visible at pin time."""
@@ -145,7 +164,8 @@ class TestConsistentCut:
         for k in range(count):
             direct.query("add_machine", f"STREAM{k}.MIT.EDU", "RT")
         from repro.protocol.wire import (MajorRequest, encode_replies,
-                                         encode_request, split_frames)
+                                         encode_request)
+        from tests.frames import split_frames
         conn_id = d.server.open_connection("mvcc-stream")
         d.server._connections[conn_id].principal = d.handles.logins[0]
         frame = encode_request(MajorRequest.QUERY,

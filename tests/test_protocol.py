@@ -24,10 +24,10 @@ from repro.protocol.wire import (
     encode_reply,
     encode_request,
     pack_authenticator,
-    split_frames,
     unpack_authenticator,
 )
 from repro.sim.clock import Clock
+from tests.frames import split_frames
 
 
 def reference_frame(code: int, fields) -> bytes:

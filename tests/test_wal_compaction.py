@@ -64,30 +64,6 @@ class TestSupersedeFolding:
         shell(journal, "ann", "/bin/csh")
         assert journal.compact(supersedable=SUP)["dropped"] == 0
 
-    def test_bindings_are_a_barrier_and_kept(self):
-        """Entries carrying id/string bindings must survive — replay
-        needs their allocations — and they shield earlier records."""
-        journal = Journal()
-        shell(journal, "ann", "/bin/sh")
-        journal.record(BASE, "root", "update_user_shell",
-                       ("ann", "/bin/csh"),
-                       bindings={"id": {"users_id": [9]}})
-        shell(journal, "ann", "/bin/tcsh")
-        out = journal.compact(supersedable=SUP)
-        assert out["dropped"] == 0
-        assert len(journal.entries) == 3
-
-    def test_aborted_markers_are_transparent_and_kept(self):
-        journal = Journal()
-        shell(journal, "ann", "/bin/sh")
-        journal.record(BASE, "root", "_aborted", ("update_user_shell",),
-                       bindings={"id": {"users_id": [9]}})
-        shell(journal, "ann", "/bin/csh")
-        out = journal.compact(supersedable=SUP)
-        assert out["dropped"] == 1      # the abort does not shield
-        assert [e.query for e in journal.entries] == [
-            "_aborted", "update_user_shell"]
-
     def test_register_user_is_not_whitelisted(self):
         """update_user_status stays out of the whitelist: register_user
         replay reads status == REGISTERABLE."""

@@ -97,25 +97,6 @@ class TestDurableJournal:
         entry = loaded.record(BASE + 9, "root", "q2", ())
         assert entry.seq == 4
 
-    def test_since_bisects_and_matches_linear(self):
-        journal = Journal()
-        for i in range(50):
-            journal.record(BASE + i * 7, "root", "q", (str(i),))
-        for probe in (BASE - 1, BASE, BASE + 70, BASE + 71,
-                      BASE + 49 * 7, BASE + 49 * 7 + 1):
-            expect = [e for e in journal.entries if e.when >= probe]
-            assert journal.since(probe) == expect
-
-    def test_since_with_out_of_order_stamps(self):
-        """Worker-pool timing can journal a smaller `when` after a
-        larger one; since() must fall back to the exact linear scan."""
-        journal = Journal()
-        journal.record(BASE + 100, "root", "q", ())
-        journal.record(BASE + 50, "root", "q", ())   # out of order
-        journal.record(BASE + 200, "root", "q", ())
-        got = journal.since(BASE + 60)
-        assert [e.when for e in got] == [BASE + 100, BASE + 200]
-
     def test_after_seq(self):
         journal = Journal()
         for i in range(10):

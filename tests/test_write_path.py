@@ -1,10 +1,9 @@
 """Write-path tests: the one writer lock, group commit at the sync
-before a reply is released, and bindings-driven WAL replay
-(docs/WRITE_PATH.md).
+before a reply is released, and WAL replay (docs/WRITE_PATH.md).
 
 The engine half proves the transaction discipline directly — commit
-hooks fire in exact commit-seq order, aborts roll data back but leave
-system-table bindings behind.  The server half drives concurrent
+hooks fire in exact commit-seq order, aborts roll back everything,
+the ids and strings they drew included.  The server half drives concurrent
 writers through real frames: error isolation between writes sharing a
 sync, and a torn write mid-batch that must recover + resume to the
 never-crashed oracle byte for byte.
@@ -20,7 +19,7 @@ from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.backend import create_backend
 from repro.db.backup import mrbackup
 from repro.db.journal import Journal
-from repro.db.recovery import apply_bindings, checkpoint, recover, replay_wal
+from repro.db.recovery import checkpoint, recover, replay_wal
 from repro.db.schema import build_database
 from repro.errors import MoiraError
 from repro.kerberos import KDC
@@ -72,60 +71,35 @@ class TestShardedEngine:
         assert order == sorted(order), "hooks fired out of commit order"
         assert order == list(range(order[0], order[0] + 40))
 
-    def test_abort_rolls_back_rows_but_not_bindings(self):
-        """An aborted writer's row changes vanish; the ids it drew from
-        the system tables stay consumed and reach the abort hook as
-        bindings (for the WAL's ``_aborted`` marker)."""
+    def test_abort_rolls_back_rows_and_ids(self):
+        """An aborted writer's row changes vanish, and so do the id it
+        drew and the string it interned: the next writer gets them."""
         db = build_database()
         hint_before = db.get_value("gid")
-        seen: list[dict] = []
+        strings_before = db.get_value("strings_id")
 
         with pytest.raises(RuntimeError):
-            with db.write_txn(abort_hook=lambda txn: seen.append(
-                    txn.bindings)):
+            with db.write_txn():
                 db.table("users").insert(
                     {"login": "doomed", "users_id": 9100, "uid": 9100},
                     now=BASE)
                 assert db.next_id("gid", now=BASE) == hint_before
+                assert db.intern_string("doomed@x", now=BASE) == \
+                    strings_before
                 raise RuntimeError("boom")
 
         assert not db.table("users").select({"login": "doomed"})
-        assert db.get_value("gid") == hint_before + 1  # hint not rolled back
-        assert seen and seen[0]["id"]["gid"] == [hint_before]
-
-    def test_scripted_ids_reproduce_allocation(self):
-        """Replay scripting: ``next_id`` consumes journaled values and
-        only ever advances the hint."""
-        db = build_database()
-        natural = db.get_value("gid")
-        with db.scripted_ids({"id": {"gid": [natural + 7]}}):
-            assert db.next_id("gid", now=BASE) == natural + 7
-        # hint advanced past the scripted value, not to natural + 1
-        assert db.get_value("gid") == natural + 8
-        # a lower scripted value must not move the hint backwards
-        with db.scripted_ids({"id": {"gid": [natural]}}):
-            assert db.next_id("gid", now=BASE) == natural
-        assert db.get_value("gid") == natural + 8
+        assert not db.table("strings").select({"string": "doomed@x"})
+        assert db.get_value("gid") == hint_before
+        with db.write_txn():
+            assert db.next_id("gid", now=BASE) == hint_before
+            assert db.intern_string("kept@x", now=BASE) == strings_before
 
 
-# -- bindings + replay ---------------------------------------------------------
+# -- replay ------------------------------------------------------------------
 
 
-class TestBindingsReplay:
-    def test_apply_bindings_is_idempotent(self):
-        db = build_database()
-        base = db.get_value("list_id")
-        bindings = {"id": {"list_id": [base, base + 1]},
-                    "intern": {"write-path": 41}}
-        apply_bindings(db, bindings, now=BASE)
-        apply_bindings(db, bindings, now=BASE)
-        assert db.get_value("list_id") == base + 2
-        rows = db.table("strings").select({"string_id": 41})
-        assert len(rows) == 1 and rows[0]["string"] == "write-path"
-        # hints never move backwards
-        apply_bindings(db, {"id": {"list_id": [1]}}, now=BASE)
-        assert db.get_value("list_id") == base + 2
-
+class TestReplay:
     def test_replay_rejects_out_of_commit_order(self, tmp_path):
         wal = tmp_path / "wal"
         journal = Journal(path=wal)
@@ -142,38 +116,22 @@ class TestBindingsReplay:
         with pytest.raises(ValueError, match="out of commit order"):
             replay_wal(build_database(), Journal.load(wal))
 
-    def test_replay_applies_aborted_entry_bindings(self, tmp_path):
-        """An ``_aborted`` marker replays as its bindings only — the
-        hint bump and interned string survive, no query runs."""
-        wal = tmp_path / "wal"
-        journal = Journal(path=wal)
-        journal.record(BASE, "root", "_aborted", (), commit_seq=1,
-                       bindings={"id": {"gid": [10900]},
-                                 "intern": {"ghost": 77}})
-        journal.close()
-        db = build_database()
-        result = replay_wal(db, Journal.load(wal))
-        assert result.aborted_applied == 1
-        assert result.replayed == 0
-        assert db.get_value("gid") == 10901
-        assert db.table("strings").select({"string_id": 77})
-
-    def test_feed_tuple_carries_commit_seq_and_bindings(self):
+    def test_feed_tuple_carries_commit_seq(self):
         journal = Journal()
         journal.record(BASE, "root", "add_machine",
                        ("F1.MIT.EDU", "VAX"), client="test",
-                       commit_seq=9,
-                       bindings={"id": {"mach_id": [5]}, "intern": {}})
+                       commit_seq=9)
         entry = journal.entries[0]
         fields = entry_to_tuple(entry)
-        assert len(fields) == 8
+        assert len(fields) == 7
         back = entry_from_tuple(fields)
         assert back.commit_seq == 9
-        assert back.bindings == {"id": {"mach_id": [5]}, "intern": {}}
         assert back.query == "add_machine"
-        # a pre-sharding 6-field tuple is a mangled entry
-        with pytest.raises(ValueError):
-            entry_from_tuple(fields[:6])
+        # a pre-sharding 6-field tuple is a mangled entry, and so is
+        # one that still carries an id-bindings field
+        for mangled in (fields[:6], (*fields, "")):
+            with pytest.raises(ValueError):
+                entry_from_tuple(mangled)
 
 
 # -- the server's group commit --------------------------------------------------
