@@ -38,7 +38,7 @@ from repro.protocol.transport import (
     connect_inproc,
     connect_tcp,
 )
-from repro.protocol.wire import MajorRequest, pack_authenticator, str_row
+from repro.protocol.wire import MajorRequest, pack_authenticator
 from repro.queries.base import QueryContext, execute_query
 from repro.sim.clock import Clock
 
@@ -559,8 +559,7 @@ class DirectClient:
             return exc.code
         if callproc is not None:
             for row in rows:
-                fields = str_row(row)
-                callproc(len(fields), fields, callarg)
+                callproc(len(row), row, callarg)
         return 0
 
     def query(self, name: str, *args: str,
@@ -568,9 +567,8 @@ class DirectClient:
         """Run a query, returning tuples; raises MoiraError.
         ``fsync=False`` journals a write without the fsync: the caller
         owns the ``journal.sync()`` that makes it durable."""
-        rows = execute_query(self._ctx, name, [str(a) for a in args],
+        return execute_query(self._ctx, name, [str(a) for a in args],
                              fsync=fsync)
-        return [str_row(row) for row in rows]
 
     def query_maybe(self, name: str, *args: str) -> list[tuple[str, ...]]:
         """Like query(), but MR_NO_MATCH yields []."""

@@ -14,11 +14,12 @@ backup, and recovery code can be handed *any* conforming backend:
   memory engine overrides, every capability a caller may use
   (DESIGN.md §17): nothing above this package probes a backend.
 * :class:`StorageTable` — the relation surface (``select``/
-  ``iter_select``/``count``, ``insert``/``update_rows``/
-  ``delete_rows``/``clear``, ``column``, ``rows``, ``stats``,
-  ``version``/``changes_since``).  ``rows`` is an iterable of the
-  relation's rows in scan order, with ``len``; it is not a sequence,
-  so a caller that wants positions takes ``list(table.rows)``.
+  ``iter_select``/``count``, the one-row join ``probe``,
+  ``insert``/``update_rows``/``delete_rows``/``clear``, ``column``,
+  ``rows``, ``stats``, ``version``/``changes_since``).  ``rows`` is an
+  iterable of the relation's rows in scan order, with ``len``; it is
+  not a sequence, so a caller that wants positions takes
+  ``list(table.rows)``.
 
 Two backends register here:
 
@@ -39,7 +40,7 @@ below.
 from __future__ import annotations
 
 import abc
-from typing import Callable, ContextManager, Iterator, Optional
+from typing import Any, Callable, ContextManager, Iterator, Optional
 
 from repro.errors import MoiraError, MR_NO_ID
 
@@ -94,6 +95,19 @@ class StorageTable(abc.ABC):
     def count(self, where: Optional[dict] = None) -> int:
         """Number of rows matching *where*."""
 
+    def probe(self, column: str) -> Callable[[Any], Optional[dict]]:
+        """A one-row join on *column*, built once per scan: ``value ->``
+        the first row :meth:`select` gives for ``{column: value}``, or
+        None.  *value* is a stored column value (an id), not a pattern.
+        A memory-engine snapshot (``mvcc.SnapshotTable``), where every
+        retrieval runs, answers from the column's index bucket."""
+        select = self.select
+
+        def first(value):
+            rows = select({column: value})
+            return rows[0] if rows else None
+        return first
+
     # data version: moves on every data mutation (DCM bookkeeping
     # writes with ``touch_stats=False`` excluded)
     version: int = 0
@@ -107,6 +121,9 @@ class StorageTable(abc.ABC):
 
 class StorageBackend(abc.ABC):
     """The database surface every Moira subsystem codes against."""
+
+    # every relation by name; each backend fills it in ``__init__``
+    tables: dict
 
     @abc.abstractmethod
     def table(self, name: str) -> StorageTable:
@@ -139,13 +156,19 @@ class StorageBackend(abc.ABC):
         self.set_value(hint_name, value + 1, now=now)
         return value
 
-    @abc.abstractmethod
     def table_stats(self) -> list:
         """TBLSTATS rows for every relation, sorted by name."""
+        return [table.stats.as_tuple(name)
+                for name, table in sorted(self.tables.items())]
 
-    @abc.abstractmethod
     def versions(self) -> dict:
-        """Per-table data-version vector (DCM no-change checks)."""
+        """The data-version vector: table name -> version.
+
+        Versions move only on data mutations (DCM bookkeeping writes
+        with ``touch_stats=False`` excluded), so two equal vectors mean
+        the generators' inputs are byte-for-byte identical.
+        """
+        return {name: table.version for name, table in self.tables.items()}
 
     @abc.abstractmethod
     def read_view(self):

@@ -326,9 +326,13 @@ class _Index:
             return str(value).lower()
         return value
 
+    def _row_key(self, row: Row) -> Any:
+        """The bucket key *row* is indexed under."""
+        return self._key(row[self.column.name])
+
     def add(self, row: Row) -> None:
         """Index *row* under its column value."""
-        key = self._key(row[self.column.name])
+        key = self._row_key(row)
         bucket = self.buckets.get(key)
         if bucket is None:
             self.buckets[key] = [row]
@@ -338,7 +342,18 @@ class _Index:
 
     def remove(self, row: Row) -> None:
         """Drop *row* from its bucket."""
-        key = self._key(row[self.column.name])
+        self._drop(self._row_key(row), row)
+
+    def rekey(self, row: Row, old_key: Any) -> None:
+        """Re-bucket *row*, indexed under *old_key* before an update.
+        A row whose key the update kept keeps its place: a bucket is a
+        list, and taking a row out of a large one (a flag column's) is
+        a scan of it."""
+        if self._row_key(row) != old_key:
+            self._drop(old_key, row)
+            self.add(row)
+
+    def _drop(self, key: Any, row: Row) -> None:
         bucket = self.buckets.get(key)
         if bucket is None:
             raise MoiraError(MR_INTERNAL, f"index missing bucket {key!r}")
@@ -394,6 +409,7 @@ class _CompositeIndex:
         return value
 
     def _row_key(self, row: Row) -> tuple:
+        """The bucket key *row* is indexed under."""
         return tuple(self._fold(c, row[c.name]) for c in self.columns)
 
     def add(self, row: Row) -> None:
@@ -402,7 +418,15 @@ class _CompositeIndex:
 
     def remove(self, row: Row) -> None:
         """Drop *row* from its bucket."""
-        key = self._row_key(row)
+        self._drop(self._row_key(row), row)
+
+    def rekey(self, row: Row, old_key: tuple) -> None:
+        """Re-bucket *row* (see ``_Index.rekey``)."""
+        if self._row_key(row) != old_key:
+            self._drop(old_key, row)
+            self.add(row)
+
+    def _drop(self, key: tuple, row: Row) -> None:
         bucket = self.buckets.get(key)
         if bucket is None:
             raise MoiraError(MR_INTERNAL,
@@ -702,6 +726,14 @@ class Table(StorageTable):
                     row, seq, prev_modtime))
         return row
 
+    def _indexes_over(self, names) -> list:
+        """The single-column and composite indexes over any of
+        *names*: those an update of those columns may re-bucket."""
+        return ([index for name, index in self._indexes.items()
+                 if name in names]
+                + [comp for comp in self._composites.values()
+                   if any(name in names for name in comp.names)])
+
     def update_rows(self, rows: list[Row], changes: dict, *, now: int = 0,
                     touch_stats: bool = True) -> int:
         """Apply *changes* to each row in *rows* (rows must belong here).
@@ -723,11 +755,7 @@ class Table(StorageTable):
                 candidate.update(coerced)
                 if self._violates_unique(candidate, ignore=row, keys=keys):
                     raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
-        touched_indexes = [idx for name, idx in self._indexes.items()
-                           if name in coerced]
-        touched_composites = [comp for comp in self._composites.values()
-                              if any(name in coerced
-                                     for name in comp.names)]
+        touched = self._indexes_over(coerced)
         mv = self._mv
         undo = (mv.db._txn_undo_list()
                 if (mv is not None and rows) else None)
@@ -738,15 +766,10 @@ class Table(StorageTable):
                           for row in rows]
         for row in rows:
             before = dict(row) if touch_stats else None
-            for index in touched_indexes:
-                index.remove(row)
-            for comp in touched_composites:
-                comp.remove(row)
+            keys = [index._row_key(row) for index in touched]
             row.update(coerced)
-            for index in touched_indexes:
-                index.add(row)
-            for comp in touched_composites:
-                comp.add(row)
+            for index, key in zip(touched, keys):
+                index.rekey(row, key)
             if touch_stats:
                 self._bump("update", before, dict(row))
         if touch_stats:
@@ -921,24 +944,15 @@ class Table(StorageTable):
     def _undo_update(self, rows: list[Row], old_values: list[dict],
                      tokens: list, changed: set, seq: int,
                      touch_stats: bool, prev_modtime: int) -> None:
-        touched_indexes = [idx for name, idx in self._indexes.items()
-                           if name in changed]
-        touched_composites = [comp for comp in self._composites.values()
-                              if any(name in changed
-                                     for name in comp.names)]
+        touched = self._indexes_over(changed)
         mv = self._mv
         for row, old, token in zip(reversed(rows), reversed(old_values),
                                    reversed(tokens)):
             after = dict(row) if touch_stats else None
-            for index in touched_indexes:
-                index.remove(row)
-            for comp in touched_composites:
-                comp.remove(row)
+            keys = [index._row_key(row) for index in touched]
             row.update(old)
-            for index in touched_indexes:
-                index.add(row)
-            for comp in touched_composites:
-                comp.add(row)
+            for index, key in zip(touched, keys):
+                index.rekey(row, key)
             if touch_stats:
                 self._bump("update", after, dict(row))
             if mv is not None and token is not None:
@@ -1453,18 +1467,3 @@ class Database(StorageBackend):
         value = self.get_value(hint_name)
         self.set_value(hint_name, value + count, now=now)
         return value
-
-    def table_stats(self) -> list[tuple]:
-        """TBLSTATS rows for every relation, sorted by name."""
-        return [table.stats.as_tuple(name)
-                for name, table in sorted(self.tables.items())]
-
-    def versions(self) -> dict[str, int]:
-        """The current data-version vector: table name -> version.
-
-        Versions move only on data mutations (DCM bookkeeping writes
-        with ``touch_stats=False`` excluded), so two equal vectors mean
-        the generators' inputs are byte-for-byte identical.
-        """
-        return {name: table.version
-                for name, table in self.tables.items()}

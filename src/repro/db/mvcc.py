@@ -43,6 +43,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Iterable, Iterator, Optional
 
+from repro.db.backend import StorageTable
 from repro.errors import MoiraError, MR_INTERNAL, MR_NO_ID, MR_NO_MATCH
 
 __all__ = ["INF_SEQ", "Snapshot", "SnapshotTable", "TableVersionStore",
@@ -324,31 +325,37 @@ class TableVersionStore:
         # structure, so an abort can reopen exactly what this statement
         # closed
         replaced: list = []
-        # an assignment to an indexed column re-buckets the live index
-        # (remove + append) even when the key value is unchanged;
-        # mirror that exactly so bucket order stays byte-identical
+        # the live index re-buckets a row (remove + append) only when an
+        # update changes its key; mirror that exactly so bucket order
+        # stays byte-identical.  A kept entry answers for both versions:
+        # each reader resolves the record at its own seq.
         for name in changed:
             index = self.indexes.get(name)
             if index is None:
                 continue
+            key = index.key_of(data[name])
+            stale_key = index.key_of(old.data[name])
+            if key == stale_key:
+                continue
             stale = record.live.get(name)
             if stale is not None:
                 stale.end = seq
-                self._retire(name, index.key_of(old.data[name]), stale)
+                self._retire(name, stale_key, stale)
             entry = _Entry(record, seq, INF_SEQ)
-            key = index.key_of(data[name])
             index.append(key, entry)
             record.live[name] = entry
             replaced.append((name, stale, entry, key))
         for names, comp in self.composites.items():
             if not any(name in changed for name in names):
                 continue
+            key, stale_key = comp.key_of(data), comp.key_of(old.data)
+            if key == stale_key:
+                continue
             stale = record.live.get(names)
             if stale is not None:
                 stale.end = seq
-                self._retire(names, comp.key_of(old.data), stale)
+                self._retire(names, stale_key, stale)
             entry = _Entry(record, seq, INF_SEQ)
-            key = comp.key_of(data)
             comp.append(key, entry)
             record.live[names] = entry
             replaced.append((names, stale, entry, key))
@@ -745,7 +752,7 @@ class SnapshotTable:
         if where and predicate is None:
             plan, exact, _wild = self._table._bind_plan(where)
             if plan.covered:
-                # a join's probe: resolve its one bucket in a plain loop
+                # one index bucket is the answer, resolved in one loop
                 snap = self._snap
                 seq = snap.seq
                 entries = self._covered_entries(plan, exact)
@@ -756,6 +763,35 @@ class SnapshotTable:
                 snap.rows_returned += len(out)
                 return out
         return list(self.iter_select(where, predicate=predicate))
+
+    def probe(self, column: str):
+        """The one-row join at the pinned seq: one bucket of *column*'s
+        versioned index per value, its first entry visible here — no
+        plan — counted on the snapshot as :meth:`select` counts."""
+        index = self._store.indexes.get(column)
+        if index is None:
+            return StorageTable.probe(self, column)
+        buckets = index.buckets
+        kind, coerce = index.column.kind, index.column.coerce
+        fold = kind is str and index.column.fold_case
+        snap = self._snap
+        seq = snap.seq
+
+        def first(value):
+            if type(value) is not kind:
+                value = coerce(value)
+            scanned = 0
+            for entry in buckets.get(value.lower() if fold else value, ()):
+                scanned += 1
+                if entry.begin <= seq < entry.end:
+                    data = _visible(entry.record, seq)
+                    if data is not None:
+                        snap.rows_scanned += scanned
+                        snap.rows_returned += 1
+                        return data
+            snap.rows_scanned += scanned
+            return None
+        return first
 
     def count(self, where: Optional[dict] = None) -> int:
         seq = self._snap.seq

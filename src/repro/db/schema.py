@@ -181,7 +181,8 @@ def build_database() -> Database:
             Column("acl_id", int),
         ] + _audit(),
         unique=[("name",), ("list_id",)],
-        indexes=["name", "list_id", "gid", "acl_id"],
+        # the maillist index answers qualified_get_lists from one bucket
+        indexes=["name", "list_id", "gid", "acl_id", "maillist"],
         composite_indexes=[("acl_type", "acl_id")],  # ACE reverse probe
         # every membership change bumps its list's audit columns; with a
         # log the generators see that those columns are all it touched

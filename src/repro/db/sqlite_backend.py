@@ -313,16 +313,6 @@ class SqliteDatabase(StorageBackend):
         with self.lock:
             return super().next_id(hint_name, now=now)
 
-    def table_stats(self) -> list[tuple]:
-        """TBLSTATS rows for every relation, sorted by name."""
-        return [table.stats.as_tuple(name)
-                for name, table in sorted(self.tables.items())]
-
-    def versions(self) -> dict[str, int]:
-        """Data-version vector, matching engine.Database.versions()."""
-        return {name: table.version
-                for name, table in self.tables.items()}
-
     def close(self) -> None:
         """Close the underlying SQLite connection."""
         self.conn.close()

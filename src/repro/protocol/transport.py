@@ -9,8 +9,9 @@ Two interchangeable transports exist:
   read new requests and send old replies simultaneously).
 
 * :class:`InProcessTransport` — the socket replaced by a direct call
-  that hands the client each row as the text a TCP client would decode
-  (:func:`~repro.protocol.wire.str_row`), with no framing at all.
+  that hands the client each row as the dispatcher yields it, with no
+  framing and no conversion: every run a dispatcher yields is already
+  the text a TCP client would decode.
 
 Both talk to a :class:`Dispatcher`: ``open_connection(peer)``,
 ``handle_frame_stream(conn_id, frame)`` yielding runs ``(code, rows)``,
@@ -68,7 +69,6 @@ from repro.protocol.wire import (
     encode_replies,
     encode_request,
     failed,
-    str_row,
 )
 
 __all__ = [
@@ -179,8 +179,8 @@ class _InProcessConnection(ClientConnection):
         if not self._open:
             raise MoiraError(MR_NOT_CONNECTED)
         # a large retrieve flows run by run on this thread, each run
-        # released only after a sync; wire bytes from a dispatcher are
-        # decoded as a TCP recv is
+        # released only after a sync; its rows are text already, and
+        # wire bytes from a dispatcher are decoded as a TCP recv is
         make = tuple.__new__
         stream = self.dispatcher.handle_frame_stream(
             self.conn_id, request_frame[4:])
@@ -193,8 +193,7 @@ class _InProcessConnection(ClientConnection):
                     stream.close()
                 if type(run) is tuple:
                     code, rows = run
-                    yield [make(_TextReply, (code, str_row(row)))
-                           for row in rows]
+                    yield [make(_TextReply, (code, row)) for row in rows]
                 else:
                     yield run
         finally:

@@ -241,7 +241,7 @@ def final(code: int, fields: tuple = ()) -> Run:
 
 def failed(exc: MoiraError) -> Run:
     """The final status answering a request that raised *exc*."""
-    return final(exc.code, (exc.detail,) if exc.detail else ())
+    return final(exc.code, (str(exc.detail),) if exc.detail else ())
 
 
 def str_row(row: Sequence) -> tuple[str, ...]:

@@ -18,8 +18,8 @@ name, argument and return signatures) with two callables:
     on the ACE of the target service", ...).
 
 ``handler(ctx, args)``
-    Performs the query, returning a list of result tuples (possibly
-    empty) for retrievals or ``[]`` for mutations.  Raises
+    Performs the query, returning result tuples of text (built by a
+    :class:`Reply`) for retrievals or ``[]`` for mutations.  Raises
     :class:`MoiraError` on any failure.
 
 Each argument is declared with a type (:class:`Int`, :class:`Name`...);
@@ -41,10 +41,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace as _replace
 from itertools import chain, islice
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
+                    Union)
 
 from repro.db.engine import Database, Row, WildcardPattern
 from repro.db.journal import Journal
+from repro.protocol.wire import str_row
 from repro.errors import (
     MoiraError,
     MR_ACE,
@@ -70,7 +72,8 @@ __all__ = [
     "get_query",
     "all_queries",
     "exactly_one",
-    "Text", "Int", "Name", "Upper", "Alias", "Tristate", "OneOf",
+    "Text", "Int", "Bool01", "Name", "Upper", "Alias", "Tristate", "OneOf",
+    "Reply", "Join", "name_of", "ace", "MACHINE_NAME",
     "check_argc",
     "run_read",
     "run_write",
@@ -105,15 +108,29 @@ class Text:
 
 @dataclass(frozen=True)
 class Int(Text):
-    """An integer a backend column stores (``MR_INTEGER`` otherwise)."""
+    """An integer a backend column stores (``MR_INTEGER`` otherwise).
+    *bool01*: a flag, stored as ``1 if value else 0`` (:func:`Bool01`)."""
+    bool01: bool = False
 
     def parse(self, ctx: "QueryContext", value: str) -> int:
         try:
             if -(1 << 63) <= (number := int(value)) < 1 << 63:
-                return number
+                return (1 if number else 0) if self.bool01 else number
         except ValueError:
             pass
         raise MoiraError(MR_INTEGER, f"{self.name}={value!r}")
+
+    def kind(self) -> str:
+        return "Bool01" if self.bool01 else "Int"
+
+
+def Bool01(name: str) -> Int:
+    """A 0/1 flag: an :class:`Int` (a malformed value is still
+    ``MR_INTEGER``) stored as ``1 if value else 0``, so an exact
+    ``where`` on the column finds every row the flag is set on.  It is
+    an ``Int``, not a subclass of it: code that tells argument types
+    apart by ``type(spec)`` treats a flag as the integer it is."""
+    return Int(name, bool01=True)
 
 
 @dataclass(frozen=True)
@@ -169,9 +186,18 @@ class Tristate(Text):
         return self.words[value.upper()]
 
     @staticmethod
+    def where(flags: Sequence[str],
+              wants: Sequence[Optional[bool]]) -> dict:
+        """The exact ``where`` on :func:`Bool01` columns *flags*: each
+        whose parsed value is not DONTCARE, as 1 or 0."""
+        return {flag: 1 if want else 0
+                for flag, want in zip(flags, wants) if want is not None}
+
+    @staticmethod
     def matcher(flags: Sequence[str], wants: Sequence[Optional[bool]]):
-        """The qualified_get_* row predicate: each of *flags* whose
-        parsed value is not DONTCARE holds as wanted."""
+        """The qualified_get_server* row predicate, for flags not
+        stored 0/1: each of *flags* whose parsed value is not DONTCARE
+        holds as wanted."""
         wanted = [(flag, want) for flag, want in zip(flags, wants)
                   if want is not None]
 
@@ -255,7 +281,8 @@ class Query:
 _UNSET = object()  # caller-row memo sentinel (None is a valid cached miss)
 # entity type -> (table, name column, id column)
 _ENTITIES = {"USER": ("users", "login", "users_id"),
-             "LIST": ("list", "name", "list_id")}
+             "LIST": ("list", "name", "list_id"),
+             "STRING": ("strings", "string", "string_id")}
 
 
 @dataclass
@@ -469,16 +496,22 @@ class QueryContext:
             return "NONE", 0
         return ace_type, self.entity_id(ace_type, ace_name, MR_ACE)
 
-    def ace_name(self, ace_type: str, ace_id: int) -> str:
-        """Inverse of :meth:`entity_id` / :meth:`resolve_ace`, for
-        query return values: an ACE's or a list member's name."""
-        if ace_type == "STRING":
-            return self.string_by_id(ace_id)
-        if ace_type not in _ENTITIES:
-            return "NONE"
-        table, key, id_column = _ENTITIES[ace_type]
-        rows = self.db.table(table).select({id_column: ace_id})
-        return rows[0][key] if rows else "???"
+    def ace_names(self) -> Callable[[str, int], str]:
+        """Inverse of :meth:`entity_id` / :meth:`resolve_ace` for one
+        scan's replies: ``(type, id) ->`` the ACE's or list member's
+        name, ``"???"`` for an unknown id, ``"NONE"`` for another type.
+        Each type's relation is joined through one :meth:`lookup`."""
+        lookups: dict = {}
+
+        def name(ace_type: str, ace_id: int) -> str:
+            get = lookups.get(ace_type)
+            if get is None:
+                if ace_type not in _ENTITIES:
+                    return "NONE"
+                table, key, id_column = _ENTITIES[ace_type]
+                get = lookups[ace_type] = self.lookup(table, id_column, key)
+            return get(ace_id)
+        return name
 
     # -- string interning (the strings relation) -----------------------------
 
@@ -490,24 +523,23 @@ class QueryContext:
                column: str) -> Callable[[object], object]:
         """A join for one scan: ``value -> row[column]`` of the *table*
         row whose *key* equals *value*, ``"???"`` when there is none.
-        Each distinct value is probed once, so rows that share a
-        machine or a partition pay for it once, not once a row."""
-        select = self.db.table(table).select
+        Each distinct value is probed once (``StorageTable.probe``: one
+        index bucket), so rows that share a machine or a partition pay
+        for it once, not once a row."""
         memo: dict = {}
+        probe = None        # built at the first miss: a join may go unused
 
         def get(value):
+            nonlocal probe
             try:
                 return memo[value]
             except KeyError:
-                rows = select({key: value})
-                found = memo[value] = rows[0][column] if rows else "???"
+                if probe is None:
+                    probe = self.db.table(table).probe(key)
+                row = probe(value)
+                found = memo[value] = "???" if row is None else row[column]
                 return found
         return get
-
-    def string_by_id(self, string_id: int) -> str:
-        """The text for a string_id."""
-        rows = self.db.table("strings").select({"string_id": string_id})
-        return rows[0]["string"] if rows else "???"
 
     # -- audit fields ---------------------------------------------------------
 
@@ -518,6 +550,84 @@ class QueryContext:
             f"{prefix}modby": self.caller or "unauthenticated",
             f"{prefix}modwith": self.client,
         }
+
+
+# -- reply tuples -------------------------------------------------------------
+# The paper's server answers a retrieval with tuples of strings.  Each
+# handler declares its reply once and builds its rows as text, so no
+# layer after it converts a field.
+
+
+@dataclass(frozen=True)
+class Join:
+    """A reply field read through other relations: ``make(ctx)``,
+    called once per scan, returns a function of this row's *columns*
+    giving the field's text."""
+    columns: tuple[str, ...]
+    make: Callable[["QueryContext"], Callable[..., str]]
+
+
+def name_of(column: str, table: str, key: str, name: str = "name") -> Join:
+    """The *name* of the *table* row whose *key* is this row's
+    *column* (:meth:`QueryContext.lookup`)."""
+    return Join((column,), lambda ctx: ctx.lookup(table, key, name))
+
+
+# the name of the machine a row's mach_id names
+MACHINE_NAME = name_of("mach_id", "machine", "mach_id")
+
+
+def ace(type_column: str = "acl_type", id_column: str = "acl_id") -> Join:
+    """The name of the entity this row's (*type_column*, *id_column*)
+    names (:meth:`QueryContext.ace_names`)."""
+    return Join((type_column, id_column), lambda ctx: ctx.ace_names())
+
+
+class Reply:
+    """A retrieval's reply tuple: each of *fields* a column of *table*,
+    or a :class:`Join`.  :meth:`texts` maps rows to their tuples of
+    text, calling ``str()`` only on a column the schema does not
+    declare ``str``."""
+
+    def __init__(self, table: str, fields: Sequence[Union[str, Join]]):
+        self.table = table
+        self.fields = tuple(fields)
+        self._columns = [f for f in self.fields if not isinstance(f, Join)]
+        self._joins = [f for f in self.fields if isinstance(f, Join)]
+        self._build: Optional[Callable] = None  # compiled at first use
+
+    def texts(self, ctx: "QueryContext",
+              rows: Iterable[Row]) -> Iterator[tuple[str, ...]]:
+        """The reply tuple of each of *rows*, as the rows come."""
+        build = self._build
+        if build is None:
+            # every backend takes its column kinds from the one schema
+            columns = ctx.db.table(self.table).columns
+            build = self._build = self._compile(
+                tuple(columns[name].kind for name in self._columns))
+        if self._joins:
+            build = build(*[join.make(ctx) for join in self._joins])
+        return map(build, rows)
+
+    def _compile(self, kinds: tuple) -> Callable:
+        """``row -> tuple``, or ``(*joins) -> (row -> tuple)`` when the
+        reply has joins: one generated expression per row, as
+        ``collections.namedtuple`` generates its methods."""
+        kind_of = iter(kinds)
+        parts, joins = [], []
+        for field in self.fields:
+            if isinstance(field, Join):
+                joins.append(f"j{len(joins)}")
+                parts.append(f"{joins[-1]}("
+                             + ", ".join(f"r[{c!r}]" for c in field.columns)
+                             + ")")
+            elif next(kind_of) is str:
+                parts.append(f"r[{field!r}]")
+            else:
+                parts.append(f"str(r[{field!r}])")
+        row = f"lambda r: ({', '.join(parts)},)"
+        return eval(f"lambda {', '.join(joins)}: {row}" if joins else row,
+                    {"str": str})
 
 
 def exactly_one(rows: list[Row], errcode: int, what: str) -> Row:
@@ -627,6 +737,8 @@ def run_read(ctx: QueryContext, query: Query, args: Sequence[str],
     """Run a retrieval on one consistent committed cut, yielding runs
     (lists) of at most ``RUN_ROWS`` tuples — a caller framing a run at
     a time holds one run of reply bytes, however large the result.
+    The handler builds its tuples as text (:class:`Reply`); nothing
+    here converts them.
 
     The handler sees the backend's ``read_view()`` as its database.  A
     ``list`` result releases the view *before* it is streamed; a lazy
@@ -662,10 +774,11 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
               timing: Optional[dict] = None) -> tuple[list, dict]:
     """Run a mutation as one backend transaction and journal it.
 
-    Returns ``(result tuples, table -> columns whose data version
-    moved)``.  The journal append happens inside ``write_txn``'s commit
-    hook — before the writer locks drop, in commit-seq order — and is
-    the only place an entry is built: query name + stringified args
+    Returns ``(result tuples as text, table -> columns whose data
+    version moved)``.  The journal append happens inside
+    ``write_txn``'s commit hook — before the writer locks drop, in
+    commit-seq order — and is the only place an entry is built:
+    query name + stringified args
     and the transaction's ``mutated`` as the entry's ``changed``.  A
     write that raises rolls back whole — its ids and strings too — and
     journals nothing.
@@ -692,8 +805,7 @@ def run_write(ctx: QueryContext, query: Query, args: Sequence[str], *,
         if timing is not None:
             timing["lock_wait_s"] = time.perf_counter() - waited
         result = query.handler(ctx, query.parse(ctx, args))
-        if not isinstance(result, list):
-            result = list(result)
+        result = list(map(str_row, result))
     return result, txn.mutated
 
 

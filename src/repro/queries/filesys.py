@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import (
     MoiraError,
@@ -17,25 +17,18 @@ from repro.errors import (
     MR_QUOTA,
     MR_USER,
 )
-from repro.queries.base import (Alias, Int, QueryContext, Upper,
-                                exactly_one, register)
+from repro.queries.base import (MACHINE_NAME, Alias, Int, Join,
+                                QueryContext, Reply, Upper, exactly_one,
+                                name_of, register)
 
 _FS_FIELDS = ("name", "fstype", "machine", "packname", "mountpoint",
               "access", "comments", "owner", "owners", "create",
               "lockertype", "modtime", "modby", "modwith")
-
-
-def _fs_tuples(ctx: QueryContext, rows) -> Iterator[tuple]:
-    """The reply tuple of each filesys row, as the rows come."""
-    machine = ctx.lookup("machine", "mach_id", "name")
-    login = ctx.lookup("users", "users_id", "login")
-    group = ctx.lookup("list", "list_id", "name")
-    for row in rows:
-        yield (row["label"], row["type"], machine(row["mach_id"]),
-               row["name"], row["mount"], row["access"], row["comments"],
-               login(row["owner"]), group(row["owners"]),
-               row["createflg"], row["lockertype"], row["modtime"],
-               row["modby"], row["modwith"])
+_FS = Reply("filesys", (
+    "label", "type", MACHINE_NAME, "name", "mount", "access", "comments",
+    name_of("owner", "users", "users_id", "login"),
+    name_of("owners", "list", "list_id"), "createflg", "lockertype",
+    "modtime", "modby", "modwith"))
 
 
 @register("get_filesys_by_label", "gfsl", ("name",), _FS_FIELDS,
@@ -46,7 +39,7 @@ def get_filesys_by_label(ctx: QueryContext, args: Sequence[str]):
     Lazy: yields tuples as the scan produces them, so the server can
     stream MR_MORE_DATA replies before a large wildcard scan finishes.
     """
-    return _fs_tuples(
+    return _FS.texts(
         ctx, ctx.db.table("filesys").iter_select({"label": args[0]}))
 
 
@@ -59,7 +52,7 @@ def get_filesys_by_machine(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """All filesystems served by one machine."""
     mach = ctx.find_machine(args[0])
-    return list(_fs_tuples(ctx, ctx.db.table("filesys").select(
+    return list(_FS.texts(ctx, ctx.db.table("filesys").select(
         {"mach_id": mach["mach_id"]})))
 
 
@@ -74,7 +67,7 @@ def get_filesys_by_nfsphys(ctx: QueryContext,
     if not phys:
         raise MoiraError(MR_NO_MATCH, args[1])
     filesys = ctx.db.table("filesys")
-    return list(_fs_tuples(ctx, (
+    return list(_FS.texts(ctx, (
         r for p in phys
         for r in filesys.select({"phys_id": p["nfsphys_id"]}))))
 
@@ -89,7 +82,7 @@ def get_filesys_by_group(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Filesystems owned by a list (members may ask)."""
     lst = ctx.find_list(args[0])
-    return list(_fs_tuples(ctx, ctx.db.table("filesys").select(
+    return list(_FS.texts(ctx, ctx.db.table("filesys").select(
         {"owners": lst["list_id"]})))
 
 
@@ -182,18 +175,16 @@ _NFSPHYS_FIELDS = ("machine", "dir", "device", "status", "allocated",
                    "size", "modtime", "modby", "modwith")
 
 
-def _phys_tuple(ctx: QueryContext, row) -> tuple:
-    machines = ctx.db.table("machine").select({"mach_id": row["mach_id"]})
-    return (machines[0]["name"] if machines else "???", row["dir"],
-            row["device"], row["status"], row["allocated"], row["size"],
-            row["modtime"], row["modby"], row["modwith"])
+_NFSPHYS = Reply("nfsphys", (MACHINE_NAME, "dir", "device", "status",
+                             "allocated", "size", "modtime", "modby",
+                             "modwith"))
 
 
 @register("get_all_nfsphys", "ganf", (), _NFSPHYS_FIELDS,
           side_effects=False)
 def get_all_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Every exported NFS physical partition."""
-    return [_phys_tuple(ctx, r) for r in ctx.db.table("nfsphys").rows]
+    return list(_NFSPHYS.texts(ctx, ctx.db.table("nfsphys").rows))
 
 
 @register("get_nfsphys", "gnfp", (_MACHINE, "dir"), _NFSPHYS_FIELDS,
@@ -201,9 +192,8 @@ def get_all_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 def get_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """One machine's partitions (directory may wildcard)."""
     mach = ctx.find_machine(args[0])
-    return [_phys_tuple(ctx, r)
-            for r in ctx.db.table("nfsphys").select(
-                {"mach_id": mach["mach_id"], "dir": args[1]})]
+    return list(_NFSPHYS.texts(ctx, ctx.db.table("nfsphys").select(
+        {"mach_id": mach["mach_id"], "dir": args[1]})))
 
 
 # the settable nfsphys columns, named as the arguments are
@@ -266,25 +256,24 @@ def delete_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 # -- quotas ------------------------------------------------------------------
 
 
-def _quota_tuples(ctx: QueryContext, rows) -> list[tuple]:
-    """The reply tuple of each nfsquota row."""
-    label = ctx.lookup("filesys", "filsys_id", "label")
-    login = ctx.lookup("users", "users_id", "login")
+def _partition_machines(ctx: QueryContext):
+    """A partition's machine name, by its nfsphys_id."""
+    mach_id = ctx.lookup("nfsphys", "nfsphys_id", "mach_id")
     machine = ctx.lookup("machine", "mach_id", "name")
-    nfsphys = ctx.db.table("nfsphys")
-    partitions: dict = {}       # phys_id -> (directory, machine)
-    out = []
-    for row in rows:
-        where = partitions.get(row["phys_id"])
-        if where is None:
-            phys = nfsphys.select({"nfsphys_id": row["phys_id"]})
-            where = partitions[row["phys_id"]] = (
-                (phys[0]["dir"], machine(phys[0]["mach_id"])) if phys
-                else ("???", "???"))
-        out.append((label(row["filsys_id"]), login(row["users_id"]),
-                    row["quota"], *where, row["modtime"], row["modby"],
-                    row["modwith"]))
-    return out
+
+    def name(phys_id: int) -> str:
+        found = mach_id(phys_id)
+        return "???" if found == "???" else machine(found)
+    return name
+
+
+# an nfsquota row: filesys, login, quota, directory, machine
+_QUOTA_FIELDS = (name_of("filsys_id", "filesys", "filsys_id", "label"),
+                 name_of("users_id", "users", "users_id", "login"), "quota",
+                 name_of("phys_id", "nfsphys", "nfsphys_id", "dir"),
+                 Join(("phys_id",), _partition_machines))
+_QUOTA = Reply("nfsquota", (*_QUOTA_FIELDS, "modtime", "modby", "modwith"))
+_PARTITION_QUOTA = Reply("nfsquota", _QUOTA_FIELDS)
 
 
 def _fs_owner_access(ctx: QueryContext, args: Sequence[str]) -> bool:
@@ -309,10 +298,10 @@ def get_nfs_quota(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     user = ctx.find_user(args[1])
     fs_rows = ctx.db.table("filesys").select({"label": args[0]})
     fs_ids = {f["filsys_id"] for f in fs_rows}
-    return _quota_tuples(ctx, [
+    return list(_QUOTA.texts(ctx, [
         r for r in ctx.db.table("nfsquota").select(
             {"users_id": user["users_id"]})
-        if r["filsys_id"] in fs_ids])
+        if r["filsys_id"] in fs_ids]))
 
 
 @register("get_nfs_quotas_by_partition", "gnqp", (_MACHINE, "dir"),
@@ -326,9 +315,9 @@ def get_nfs_quotas_by_partition(ctx: QueryContext,
     phys_rows = ctx.db.table("nfsphys").select(
         {"mach_id": mach["mach_id"], "dir": args[1]})
     quotas = ctx.db.table("nfsquota")
-    rows = [r for p in phys_rows
-            for r in quotas.select({"phys_id": p["nfsphys_id"]})]
-    return [t[:5] for t in _quota_tuples(ctx, rows)]
+    return list(_PARTITION_QUOTA.texts(ctx, (
+        r for p in phys_rows
+        for r in quotas.select({"phys_id": p["nfsphys_id"]}))))
 
 
 def _adjust_phys_allocation(ctx: QueryContext, phys_id: int,

@@ -21,19 +21,18 @@ from repro.errors import (
     MR_LIST,
     MR_NO_MATCH,
 )
-from repro.queries.base import (ACE_TYPES, Int, Name, OneOf, QueryContext,
-                                Tristate, exactly_one, keyword, register)
+from repro.queries.base import (ACE_TYPES, Bool01, Int, Name, OneOf,
+                                QueryContext, Reply, Tristate, ace,
+                                exactly_one, keyword, register)
 
 _LIST_INFO_FIELDS = ("list", "active", "public", "hidden", "maillist",
                      "group", "gid", "ace_type", "ace_name", "description",
                      "modtime", "modby", "modwith")
-
-
-def _list_tuple(ctx: QueryContext, row) -> tuple:
-    return (row["name"], row["active"], row["public"], row["hidden"],
-            row["maillist"], row["grouplist"], row["gid"], row["acl_type"],
-            ctx.ace_name(row["acl_type"], row["acl_id"]), row["desc"],
-            row["modtime"], row["modby"], row["modwith"])
+# the five flags, as the list relation names them (each stored 0/1)
+_FLAGS = ("active", "public", "hidden", "maillist", "grouplist")
+_LIST_INFO = Reply("list", ("name", *_FLAGS, "gid", "acl_type", ace(),
+                            "desc", "modtime", "modby", "modwith"))
+_LIST_FLAGS = Reply("list", ("name", *_FLAGS))
 
 
 def _caller_on_list_ace(ctx: QueryContext, row) -> bool:
@@ -60,14 +59,10 @@ def _visible_or_ace(ctx: QueryContext, args: Sequence[str]) -> bool:
 def get_list_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Full list attributes; hidden lists need ACE or capability."""
     rows = ctx.db.table("list").select({"name": args[0]})
-    out = []
-    for row in rows:
-        if row["hidden"] and not (
-                ctx.on_capability("get_list_info")
-                or _caller_on_list_ace(ctx, row)):
-            continue
-        out.append(_list_tuple(ctx, row))
-    return out
+    return list(_LIST_INFO.texts(ctx, (
+        row for row in rows
+        if not row["hidden"] or ctx.on_capability("get_list_info")
+        or _caller_on_list_ace(ctx, row))))
 
 
 @register("expand_list_names", "exln", ("list",), ("list",),
@@ -79,9 +74,9 @@ def expand_list_names(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
             if not r["hidden"]]
 
 
-_LIST_ARGS = (Int("active"), Int("public"), Int("hidden"), Int("maillist"),
-              Int("group"), Int("gid"), OneOf("ace_type", ACE_TYPES, MR_ACE),
-              "ace_name", "description")
+_LIST_ARGS = (Bool01("active"), Bool01("public"), Bool01("hidden"),
+              Bool01("maillist"), Bool01("group"), Int("gid"),
+              OneOf("ace_type", ACE_TYPES, MR_ACE), "ace_name", "description")
 
 
 def _list_fields(ctx: QueryContext, args: Sequence, list_id: int,
@@ -222,17 +217,16 @@ def delete_member_from_list(ctx: QueryContext,
     return []
 
 
+_MEMBER = Reply("members", ("member_type", ace("member_type", "member_id")))
+
+
 @register("get_members_of_list", "gmol", ("list",), ("type", "value"),
           side_effects=False, access=_visible_or_ace)
 def get_members_of_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """All (type, name) members of one list."""
     row = ctx.find_list(args[0])
-    out = []
-    for member in ctx.db.table("members").select({"list_id": row["list_id"]}):
-        out.append((member["member_type"],
-                    ctx.ace_name(member["member_type"],
-                                 member["member_id"])))
-    return out
+    return list(_MEMBER.texts(
+        ctx, ctx.db.table("members").select({"list_id": row["list_id"]})))
 
 
 @register("count_members_of_list", "cmol", ("list",), ("count",),
@@ -241,7 +235,8 @@ def count_members_of_list(ctx: QueryContext,
                           args: Sequence[str]) -> list[tuple]:
     """How many members are on one list."""
     row = ctx.find_list(args[0])
-    return [(ctx.db.table("members").count({"list_id": row["list_id"]}),)]
+    return [(str(ctx.db.table("members").count(
+        {"list_id": row["list_id"]})),)]
 
 
 @register("get_lists_of_member", "glom",
@@ -262,15 +257,9 @@ def get_lists_of_member(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
         found = {m["list_id"] for m in ctx.db.table("members").select(
             {"member_type": base_type, "member_id": member_id})}
 
-    lists = ctx.db.table("list")
-    out = []
-    for lid in sorted(found):
-        rows = lists.select({"list_id": lid})
-        if rows:
-            r = rows[0]
-            out.append((r["name"], r["active"], r["public"], r["hidden"],
-                        r["maillist"], r["grouplist"]))
-    return out
+    probe = ctx.db.table("list").probe("list_id")
+    return list(_LIST_FLAGS.texts(
+        ctx, filter(None, map(probe, sorted(found)))))
 
 
 @register("qualified_get_lists", "qgli",
@@ -280,11 +269,10 @@ def get_lists_of_member(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           access=lambda ctx, args: (keyword(args[0], "TRUE")
                                     and keyword(args[2], "FALSE")))
 def qualified_get_lists(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
-    """List names matching five TRUE/FALSE/DONTCARE flags."""
-    matches = Tristate.matcher(
-        ("active", "public", "hidden", "maillist", "grouplist"), args)
-    return [(r["name"],)
-            for r in ctx.db.table("list").iter_select(predicate=matches)]
+    """List names matching five TRUE/FALSE/DONTCARE flags: an exact
+    ``where``, so the planner answers from the smallest flag bucket."""
+    return [(r["name"],) for r in ctx.db.table("list").iter_select(
+        Tristate.where(_FLAGS, args))]
 
 
 @register("get_ace_use", "gaus",
@@ -334,13 +322,13 @@ def get_ace_use(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
             for row in db.table("capacls").select({"list_id": acl_id})}
     out.extend(("QUERY", cap) for cap in sorted(caps))
     hosts = set()
+    machine = db.table("machine").probe("mach_id")
     for acl_type, acl_id in entities:
         for row in db.table("hostaccess").select(
                 {"acl_type": acl_type, "acl_id": acl_id}):
-            machines = db.table("machine").select(
-                {"mach_id": row["mach_id"]})
-            if machines:
-                hosts.add(machines[0]["name"])
+            found = machine(row["mach_id"])
+            if found is not None:
+                hosts.add(found["name"])
     out.extend(("HOSTACCESS", host) for host in sorted(hosts))
     for row in ctx.db.table("zephyr").rows:
         for col in ("xmt", "sub", "iws", "iui"):

@@ -12,11 +12,15 @@ from repro.errors import (
     MR_NO_MATCH,
     MR_NOT_UNIQUE,
 )
-from repro.queries.base import (Alias, Name, QueryContext, Upper,
+from repro.queries.base import (Alias, Name, QueryContext, Reply, Upper,
                                 exactly_one, register)
 
 _MACH_TYPE = Alias("type", "mach_type")
 _MACHINE = Upper("machine")
+_MACHINE_INFO = Reply("machine", ("name", "type", "modtime", "modby",
+                                  "modwith"))
+_CLUSTER = Reply("cluster", ("name", "desc", "location", "modtime", "modby",
+                             "modwith"))
 
 
 @register("get_machine", "gmac", (Upper("name"),),
@@ -28,8 +32,8 @@ def get_machine(ctx: QueryContext, args: Sequence[str]):
     Lazy: yields tuples as the scan produces them, so the server can
     stream MR_MORE_DATA replies before a large wildcard scan finishes.
     """
-    return ((r["name"], r["type"], r["modtime"], r["modby"], r["modwith"])
-            for r in ctx.db.table("machine").iter_select({"name": args[0]}))
+    return _MACHINE_INFO.texts(
+        ctx, ctx.db.table("machine").iter_select({"name": args[0]}))
 
 
 @register("add_machine", "amac", (Name("name", upper=True), _MACH_TYPE), (),
@@ -97,9 +101,8 @@ def delete_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           side_effects=False, public=True)
 def get_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Cluster info by (wildcardable, case-sensitive) name."""
-    return [(r["name"], r["desc"], r["location"], r["modtime"], r["modby"],
-             r["modwith"])
-            for r in ctx.db.table("cluster").select({"name": args[0]})]
+    return list(_CLUSTER.texts(
+        ctx, ctx.db.table("cluster").select({"name": args[0]})))
 
 
 @register("add_cluster", "aclu", (Name("name"), "description", "location"),

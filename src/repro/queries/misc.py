@@ -18,8 +18,10 @@ from repro.errors import (
     MR_NO_MATCH,
     MR_NOT_UNIQUE,
 )
-from repro.queries.base import (ACE_TYPES, Alias, Int, OneOf, QueryContext,
-                                Upper, exactly_one, register)
+from repro.protocol.wire import str_row
+from repro.queries.base import (ACE_TYPES, MACHINE_NAME, Alias, Int, OneOf,
+                                QueryContext, Reply, Upper, ace, exactly_one,
+                                register)
 
 _MACHINE = Upper("machine")
 _HOST_ACCESS_ARGS = (_MACHINE, OneOf("ace_type", ACE_TYPES, MR_ACE),
@@ -29,6 +31,10 @@ _HOST_ACCESS_ARGS = (_MACHINE, OneOf("ace_type", ACE_TYPES, MR_ACE),
 # -- host access (/.klogin generation) -------------------------------------------
 
 
+_HOST_ACCESS = Reply("hostaccess", (MACHINE_NAME, "acl_type", ace(),
+                                    "modtime", "modby", "modwith"))
+
+
 @register("get_server_host_access", "gsha", (_MACHINE,),
           ("machine", "ace_type", "ace_name", "modtime", "modby",
            "modwith"),
@@ -36,15 +42,11 @@ _HOST_ACCESS_ARGS = (_MACHINE, OneOf("ace_type", ACE_TYPES, MR_ACE),
 def get_server_host_access(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
     """Who may log in on a machine (feeds /.klogin)."""
-    machines = {m["mach_id"]: m["name"]
+    machines = {m["mach_id"]
                 for m in ctx.db.table("machine").select({"name": args[0]})}
-    out = []
-    for row in ctx.db.table("hostaccess").rows:
-        if row["mach_id"] in machines:
-            out.append((machines[row["mach_id"]], row["acl_type"],
-                        ctx.ace_name(row["acl_type"], row["acl_id"]),
-                        row["modtime"], row["modby"], row["modwith"]))
-    return out
+    return list(_HOST_ACCESS.texts(
+        ctx, ctx.db.table("hostaccess").iter_select(
+            predicate=lambda row: row["mach_id"] in machines)))
 
 
 @register("add_server_host_access", "asha", _HOST_ACCESS_ARGS, (),
@@ -91,15 +93,18 @@ def delete_server_host_access(ctx: QueryContext,
 # -- network services (/etc/services) ----------------------------------------------
 
 
+_SERVICE = Reply("services", ("name", "protocol", "port", "desc", "modtime",
+                              "modby", "modwith"))
+
+
 @register("get_service", "gsvc", ("service",),
           ("service", "protocol", "port", "description", "modtime",
            "modby", "modwith"),
           side_effects=False, public=True)
 def get_service(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """An /etc/services entry by (wildcardable) name."""
-    return [(r["name"], r["protocol"], r["port"], r["desc"], r["modtime"],
-             r["modby"], r["modwith"])
-            for r in ctx.db.table("services").select({"name": args[0]})]
+    return list(_SERVICE.texts(
+        ctx, ctx.db.table("services").select({"name": args[0]})))
 
 
 @register("add_service", "asvc",
@@ -133,21 +138,18 @@ def delete_service(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 # -- printcap ------------------------------------------------------------------
 
 
+_PRINTCAP = Reply("printcap", ("name", MACHINE_NAME, "dir", "rp",
+                               "comments", "modtime", "modby", "modwith"))
+
+
 @register("get_printcap", "gpcp", ("printer",),
           ("printer", "spool_host", "spool_directory", "rprinter",
            "comments", "modtime", "modby", "modwith"),
           side_effects=False, public=True)
 def get_printcap(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Printer capability entries by (wildcardable) name."""
-    out = []
-    for row in ctx.db.table("printcap").select({"name": args[0]}):
-        machines = ctx.db.table("machine").select(
-            {"mach_id": row["mach_id"]})
-        out.append((row["name"],
-                    machines[0]["name"] if machines else "???",
-                    row["dir"], row["rp"], row["comments"], row["modtime"],
-                    row["modby"], row["modwith"]))
-    return out
+    return list(_PRINTCAP.texts(
+        ctx, ctx.db.table("printcap").select({"name": args[0]})))
 
 
 @register("add_printcap", "apcp",
@@ -176,13 +178,15 @@ def delete_printcap(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 # -- aliases --------------------------------------------------------------------
 
 
+_ALIAS = Reply("alias", ("name", "type", "trans"))
+
+
 @register("get_alias", "gali", ("name", "type", "translation"),
           ("name", "type", "translation"), side_effects=False, public=True)
 def get_alias(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Alias rows matching all three (wildcardable) fields."""
-    return [(r["name"], r["type"], r["trans"])
-            for r in ctx.db.table("alias").select(
-                {"name": args[0], "type": args[1], "trans": args[2]})]
+    return list(_ALIAS.texts(ctx, ctx.db.table("alias").select(
+        {"name": args[0], "type": args[1], "trans": args[2]})))
 
 
 @register("add_alias", "aali", ("name", Alias("type", "alias"), "translation"),
@@ -213,12 +217,15 @@ def delete_alias(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 # -- values ---------------------------------------------------------------------
 
 
+_VALUE = Reply("values", ("value",))
+
+
 @register("get_value", "gval", ("variable",), ("value",),
           side_effects=False, public=True)
 def get_value(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Look up a variable in the values relation."""
-    rows = ctx.db.table("values").select({"name": args[0]})
-    return [(r["value"],) for r in rows]
+    return list(_VALUE.texts(
+        ctx, ctx.db.table("values").select({"name": args[0]})))
 
 
 @register("add_value", "aval", ("variable", Int("value")), (),
@@ -259,7 +266,7 @@ def delete_value(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 def get_all_table_stats(ctx: QueryContext,
                         args: Sequence[str]) -> list[tuple]:
     """Per-relation append/update/delete counters."""
-    return list(ctx.db.table_stats())
+    return list(map(str_row, ctx.db.table_stats()))
 
 
 # -- built-in specials (§7.0.8) -----------------------------------------------------

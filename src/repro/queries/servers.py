@@ -10,22 +10,18 @@ from repro.errors import (
     MR_IN_USE,
     MR_SERVICE,
 )
-from repro.queries.base import (ACE_TYPES, Alias, Int, OneOf, QueryContext,
-                                Tristate, Upper, exactly_one, register)
+from repro.queries.base import (ACE_TYPES, MACHINE_NAME, Alias, Int, OneOf,
+                                QueryContext, Reply, Tristate, Upper, ace,
+                                exactly_one, register)
 
 _SERVER_FIELDS = ("service", "interval", "target", "script", "dfgen",
                   "dfcheck", "type", "enable", "inprogress", "harderror",
                   "errmsg", "ace_type", "ace_name", "modtime", "modby",
                   "modwith")
-
-
-def _server_tuple(ctx: QueryContext, row) -> tuple:
-    return (row["name"], row["update_int"], row["target_file"],
-            row["script"], row["dfgen"], row["dfcheck"], row["type"],
-            row["enable"], row["inprogress"], row["harderror"],
-            row["errmsg"], row["acl_type"],
-            ctx.ace_name(row["acl_type"], row["acl_id"]),
-            row["modtime"], row["modby"], row["modwith"])
+_SERVER = Reply("servers", (
+    "name", "update_int", "target_file", "script", "dfgen", "dfcheck",
+    "type", "enable", "inprogress", "harderror", "errmsg", "acl_type", ace(),
+    "modtime", "modby", "modwith"))
 
 
 def _ace_of_named_service(ctx: QueryContext, args: Sequence[str]) -> bool:
@@ -54,8 +50,8 @@ _HOST_ARGS = (_SERVICE, _MACHINE, *map(Int, _HOST_COLUMNS[:3]), "value3")
           side_effects=False, access=_ace_of_named_service)
 def get_server_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Per-service DCM state (intervals, flags, errors)."""
-    return [_server_tuple(ctx, r)
-            for r in ctx.db.table("servers").select({"name": args[0]})]
+    return list(_SERVER.texts(
+        ctx, ctx.db.table("servers").select({"name": args[0]})))
 
 
 _SERVER_FLAGS = ("enable", "inprogress", "harderror")
@@ -151,14 +147,10 @@ _HOST_FIELDS = ("service", "machine", "enable", "override", "success",
                 "modby", "modwith")
 
 
-def _host_tuple(ctx: QueryContext, row) -> tuple:
-    machines = ctx.db.table("machine").select({"mach_id": row["mach_id"]})
-    mname = machines[0]["name"] if machines else "???"
-    return (row["service"], mname, row["enable"], row["override"],
-            row["success"], row["inprogress"], row["hosterror"],
-            row["hosterrmsg"], row["ltt"], row["lts"], row["value1"],
-            row["value2"], row["value3"], row["modtime"], row["modby"],
-            row["modwith"])
+_HOST = Reply("serverhosts", (
+    "service", MACHINE_NAME, "enable",
+    "override", "success", "inprogress", "hosterror", "hosterrmsg", "ltt",
+    "lts", "value1", "value2", "value3", "modtime", "modby", "modwith"))
 
 
 def _find_server_host(ctx: QueryContext, service: str, machine: str):
@@ -174,16 +166,22 @@ def get_server_host_info(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Per-host DCM state for matching service/machine."""
     service_pat, machine_pat = args
-    machines = {m["mach_id"]: m["name"]
+    machines = {m["mach_id"]
                 for m in ctx.db.table("machine").select({"name": machine_pat})}
-    out = []
-    for row in ctx.db.table("serverhosts").select({"service": service_pat}):
-        if row["mach_id"] in machines:
-            out.append(_host_tuple(ctx, row))
-    return out
+    return list(_HOST.texts(ctx, ctx.db.table("serverhosts").iter_select(
+        {"service": service_pat},
+        predicate=lambda row: row["mach_id"] in machines)))
 
 
 _HOST_FLAGS = ("enable", "override", "success", "inprogress", "hosterror")
+
+
+def _host_machines(ctx: QueryContext, rows) -> list[tuple]:
+    """(service, machine name) of each serverhosts row whose machine
+    exists."""
+    machine = ctx.db.table("machine").probe("mach_id")
+    return [(row["service"], found["name"]) for row in rows
+            if (found := machine(row["mach_id"])) is not None]
 
 
 @register("qualified_get_server_host", "qgsh",
@@ -193,14 +191,8 @@ def qualified_get_server_host(ctx: QueryContext,
                               args: Sequence[str]) -> list[tuple]:
     """Service/machine pairs matching flag criteria."""
     matches = Tristate.matcher(_HOST_FLAGS, args[1:])
-    out = []
-    for row in ctx.db.table("serverhosts").select({"service": args[0]}):
-        if matches(row):
-            machines = ctx.db.table("machine").select(
-                {"mach_id": row["mach_id"]})
-            if machines:
-                out.append((row["service"], machines[0]["name"]))
-    return out
+    return _host_machines(ctx, ctx.db.table("serverhosts").iter_select(
+        {"service": args[0]}, predicate=matches))
 
 
 @register("add_server_host_info", "ashi", _HOST_ARGS, (), side_effects=True,
@@ -294,10 +286,5 @@ def delete_server_host_info(ctx: QueryContext,
 def get_server_locations(ctx: QueryContext,
                          args: Sequence[str]) -> list[tuple]:
     """Which machines support a service (public)."""
-    out = []
-    for row in ctx.db.table("serverhosts").select({"service": args[0]}):
-        machines = ctx.db.table("machine").select(
-            {"mach_id": row["mach_id"]})
-        if machines:
-            out.append((row["service"], machines[0]["name"]))
-    return out
+    return _host_machines(
+        ctx, ctx.db.table("serverhosts").iter_select({"service": args[0]}))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 from repro.db.schema import (
@@ -22,14 +21,14 @@ from repro.errors import (
     MR_NOT_UNIQUE,
     MR_USER,
 )
-from repro.queries.base import (Alias, Int, Name, QueryContext,
-                                exactly_one, register)
+from repro.queries.base import (Alias, Int, Join, Name, QueryContext,
+                                Reply, exactly_one, register)
 
 _USER_FIELDS = ("login", "uid", "shell", "last", "first", "middle",
                 "status", "mit_id", "mit_year", "modtime", "modby",
                 "modwith")
-_user_tuple = itemgetter(*_USER_FIELDS)
-_summary_tuple = itemgetter(*_USER_FIELDS[:6])
+_USER = Reply("users", _USER_FIELDS)
+_SUMMARY = Reply("users", _USER_FIELDS[:6])
 
 
 def _self_only(ctx: QueryContext, args: Sequence[str]) -> bool:
@@ -40,14 +39,14 @@ def _self_only(ctx: QueryContext, args: Sequence[str]) -> bool:
 @register("get_all_logins", "galo", (), _USER_FIELDS[:6], side_effects=False)
 def get_all_logins(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Summary info for every account in the database."""
-    return list(map(_summary_tuple, ctx.db.table("users").rows))
+    return list(_SUMMARY.texts(ctx, ctx.db.table("users").rows))
 
 
 @register("get_all_active_logins", "gaal", (), _USER_FIELDS[:6],
           side_effects=False)
 def get_all_active_logins(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Summary info for accounts with non-zero status."""
-    return list(map(_summary_tuple, ctx.db.table("users").iter_select(
+    return list(_SUMMARY.texts(ctx, ctx.db.table("users").iter_select(
         predicate=lambda r: r["status"] != 0)))
 
 
@@ -57,8 +56,8 @@ def get_user_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Complete account info by login; wildcards allowed.
 
     Non-ACL callers may only retrieve their own record."""
-    return list(map(_user_tuple,
-                    ctx.db.table("users").select({"login": args[0]})))
+    return list(_USER.texts(
+        ctx, ctx.db.table("users").select({"login": args[0]})))
 
 
 _UID = Int("uid")
@@ -78,8 +77,8 @@ def _own_uid(ctx: QueryContext, args: Sequence[str]) -> bool:
           side_effects=False, access=_own_uid)
 def get_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Complete account info for the account with this uid."""
-    return list(map(_user_tuple,
-                    ctx.db.table("users").select({"uid": args[0]})))
+    return list(_USER.texts(
+        ctx, ctx.db.table("users").select({"uid": args[0]})))
 
 
 @register("get_user_by_name", "gubn", ("first", "last"), _USER_FIELDS,
@@ -87,7 +86,7 @@ def get_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 def get_user_by_name(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Account info matching first and last name (wildcards ok)."""
     first, last = args
-    return list(map(_user_tuple, ctx.db.table("users").select(
+    return list(_USER.texts(ctx, ctx.db.table("users").select(
         {"first": first, "last": last})))
 
 
@@ -95,16 +94,16 @@ def get_user_by_name(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
           side_effects=False)
 def get_user_by_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Account info for every account in an academic class."""
-    return list(map(_user_tuple,
-                    ctx.db.table("users").select({"mit_year": args[0]})))
+    return list(_USER.texts(
+        ctx, ctx.db.table("users").select({"mit_year": args[0]})))
 
 
 @register("get_user_by_mitid", "gubm", ("mitid",), _USER_FIELDS,
           side_effects=False)
 def get_user_by_mitid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Account info matching an encrypted MIT ID."""
-    return list(map(_user_tuple,
-                    ctx.db.table("users").select({"mit_id": args[0]})))
+    return list(_USER.texts(
+        ctx, ctx.db.table("users").select({"mit_id": args[0]})))
 
 
 _USER_ARGS = (Int("uid"), "shell", "last", "first", "middle", Int("status"),
@@ -319,15 +318,14 @@ def delete_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 _FINGER_FIELDS = ("login", "fullname", "nickname", "home_addr", "home_phone",
                   "office_addr", "office_phone", "mit_dept", "mit_affil",
                   "fmodtime", "fmodby", "fmodwith")
-_finger_tuple = itemgetter(*_FINGER_FIELDS)
+_FINGER = Reply("users", _FINGER_FIELDS)
 
 
 @register("get_finger_by_login", "gfbl", ("login",), _FINGER_FIELDS,
           side_effects=False, access=_self_only)
 def get_finger_by_login(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """All finger information for one user."""
-    row = ctx.find_user(args[0])
-    return [_finger_tuple(row)]
+    return list(_FINGER.texts(ctx, [ctx.find_user(args[0])]))
 
 
 @register("update_finger_by_login", "ufbl",
@@ -360,13 +358,25 @@ def _adjust_pop_load(ctx: QueryContext, mach_id: int, delta: int) -> None:
             now=ctx.now, touch_stats=False)
 
 
-def _pobox_value(ctx: QueryContext, row) -> str:
-    if row["potype"] == "POP":
-        machines = ctx.db.table("machine").select({"mach_id": row["pop_id"]})
-        return machines[0]["name"] if machines else "???"
-    if row["potype"] == "SMTP":
-        return ctx.string_by_id(row["box_id"])
-    return "NONE"
+def _poboxes(ctx: QueryContext):
+    """A pobox's box, by its type: the POP machine's name, the SMTP
+    address string, or NONE."""
+    machine = ctx.lookup("machine", "mach_id", "name")
+    string = ctx.lookup("strings", "string_id", "string")
+
+    def box(potype: str, pop_id: int, box_id: int) -> str:
+        if potype == "POP":
+            return machine(pop_id)
+        if potype == "SMTP":
+            return string(box_id)
+        return "NONE"
+    return box
+
+
+_BOX = Join(("potype", "pop_id", "box_id"), _poboxes)
+_POBOX = Reply("users", ("login", "potype", _BOX))
+_POBOX_INFO = Reply("users", ("login", "potype", _BOX, "pmodtime", "pmodby",
+                              "pmodwith"))
 
 
 @register("get_pobox", "gpob", ("login",),
@@ -374,33 +384,31 @@ def _pobox_value(ctx: QueryContext, row) -> str:
           side_effects=False, access=_self_only)
 def get_pobox(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """A user's post office box assignment."""
-    row = ctx.find_user(args[0])
-    return [(row["login"], row["potype"], _pobox_value(ctx, row),
-             row["pmodtime"], row["pmodby"], row["pmodwith"])]
+    return list(_POBOX_INFO.texts(ctx, [ctx.find_user(args[0])]))
 
 
 @register("get_all_poboxes", "gapo", (), ("login", "type", "box"),
           side_effects=False)
 def get_all_poboxes(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Every pobox in the database (type != NONE)."""
-    return [(r["login"], r["potype"], _pobox_value(ctx, r))
-            for r in ctx.db.table("users").rows if r["potype"] != "NONE"]
+    return list(_POBOX.texts(ctx, ctx.db.table("users").iter_select(
+        predicate=lambda r: r["potype"] != "NONE")))
 
 
 @register("get_poboxes_pop", "gpop", (), ("login", "type", "box"),
           side_effects=False)
 def get_poboxes_pop(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """All POP-type poboxes."""
-    return [(r["login"], "POP", _pobox_value(ctx, r))
-            for r in ctx.db.table("users").select({"potype": "POP"})]
+    return list(_POBOX.texts(
+        ctx, ctx.db.table("users").select({"potype": "POP"})))
 
 
 @register("get_poboxes_smtp", "gpos", (), ("login", "type", "box"),
           side_effects=False)
 def get_poboxes_smtp(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """All SMTP-type poboxes."""
-    return [(r["login"], "SMTP", _pobox_value(ctx, r))
-            for r in ctx.db.table("users").select({"potype": "SMTP"})]
+    return list(_POBOX.texts(
+        ctx, ctx.db.table("users").select({"potype": "SMTP"})))
 
 
 @register("set_pobox", "spob", ("login", Alias("type", "pobox"), "box"), (),

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import MoiraError, MR_ACE, MR_EXISTS, MR_NO_MATCH
-from repro.queries.base import (ACE_TYPES, OneOf, QueryContext, exactly_one,
-                                register)
+from repro.queries.base import (ACE_TYPES, OneOf, QueryContext, Reply, ace,
+                                exactly_one, register)
 
 _ZEPHYR_FIELDS = ("class", "xmttype", "xmtname", "subtype", "subname",
                   "iwstype", "iwsname", "iuitype", "iuiname", "modtime",
@@ -18,13 +18,10 @@ _ACE_ARGS = tuple(arg for col in _ACL_COLS for arg in (
     OneOf(f"{col}type", ACE_TYPES, MR_ACE), f"{col}name"))
 
 
-def _zephyr_tuple(ctx: QueryContext, row) -> tuple:
-    values: list = [row["class"]]
-    for col in _ACL_COLS:
-        values.append(row[f"{col}_type"])
-        values.append(ctx.ace_name(row[f"{col}_type"], row[f"{col}_id"]))
-    values.extend((row["modtime"], row["modby"], row["modwith"]))
-    return tuple(values)
+_ZEPHYR = Reply("zephyr", (
+    "class", *(field for col in _ACL_COLS for field in (
+        f"{col}_type", ace(f"{col}_type", f"{col}_id"))),
+    "modtime", "modby", "modwith"))
 
 
 def _resolve_four_aces(ctx: QueryContext, args: Sequence[str]) -> dict:
@@ -41,8 +38,8 @@ def _resolve_four_aces(ctx: QueryContext, args: Sequence[str]) -> dict:
           side_effects=False)
 def get_zephyr_class(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """A class's four ACE pairs (xmt/sub/iws/iui)."""
-    return [_zephyr_tuple(ctx, r)
-            for r in ctx.db.table("zephyr").select({"class": args[0]})]
+    return list(_ZEPHYR.texts(
+        ctx, ctx.db.table("zephyr").select({"class": args[0]})))
 
 
 @register("add_zephyr_class", "azcl", ("class", *_ACE_ARGS), (),

@@ -58,7 +58,7 @@ from repro.errors import (
     MR_NO_HANDLE,
     MR_PERM,
 )
-from repro.protocol.wire import Run, final
+from repro.protocol.wire import Run, final, str_row
 
 if TYPE_CHECKING:    # pragma: no cover
     from repro.server.moira_server import MoiraServer
@@ -158,7 +158,7 @@ def _status(server: "MoiraServer") -> Iterator[Run]:
     # durably processed the WAL (compaction pins, like replica seqs)
     rows.extend((CURSOR_ROW, name, str(cursor_seq)) for name, cursor_seq
                 in sorted(server.journal.cursors().items()))
-    yield MR_MORE_DATA, rows
+    yield MR_MORE_DATA, list(map(str_row, rows))
     yield final(0)
 
 

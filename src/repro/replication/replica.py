@@ -76,7 +76,8 @@ from repro.errors import (
     MR_PERM,
 )
 from repro.protocol.transport import ClientConnection
-from repro.protocol.wire import MajorRequest, Run, final, pack_authenticator
+from repro.protocol.wire import (MajorRequest, Run, final,
+                                 pack_authenticator, str_row)
 from repro.replication.feed import (
     META_ROW,
     RESYNC_ROW,
@@ -133,8 +134,8 @@ class ReplicaMoiraServer(MoiraServer):
         if args and self.replica.role != "primary":
             name = args[0]
             if name == "_repl_status":
-                yield MR_MORE_DATA, [self.replica.status_tuple(),
-                                     *self._endpoint_rows()]
+                yield MR_MORE_DATA, list(map(str_row, [
+                    self.replica.status_tuple(), *self._endpoint_rows()]))
                 yield final(0)
                 return
             if name == "_repl_read":

@@ -69,6 +69,7 @@ from repro.protocol.wire import (
     encode_reply,
     failed,
     final,
+    str_row,
     unpack_authenticator,
 )
 from repro.queries.base import (
@@ -339,7 +340,7 @@ class MoiraServer:
         name, query_args = args[0], args[1:]
         pseudo = self._PSEUDO_QUERIES.get(name)
         if pseudo is not None:
-            yield MR_MORE_DATA, pseudo(self, query_args)
+            yield MR_MORE_DATA, list(map(str_row, pseudo(self, query_args)))
             yield final(0)
             return
         if name == "_repl_read":

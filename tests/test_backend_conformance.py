@@ -306,6 +306,53 @@ class TestCapabilityDefaults:
                 assert caught.value.code == MR_NO_MATCH
         assert backend.get_value("strings_id") == hint
 
+    def test_probe_is_a_one_row_select(self, backend, is_memory):
+        """``probe(column)``: ``value ->`` the first row ``select``
+        gives for it, or None — on the live tables and on a read view
+        (memory: a pinned snapshot, blind to rows inserted after the
+        pin), moving the view's counters as ``select`` moves them."""
+        machines = backend.table("machine")
+        for i in range(3):
+            machines.insert({"name": f"PROBE{i}.MIT.EDU", "mach_id": 80 + i,
+                             "type": "VAX"}, now=BASE)
+
+        def check(table):
+            by_id, by_name = table.probe("mach_id"), table.probe("name")
+            assert by_id(81) == table.select({"mach_id": 81})[0]
+            assert by_id(81)["name"] == "PROBE1.MIT.EDU"
+            # a fold-case key is found in any case
+            assert (by_name("probe2.mit.edu") == by_name("Probe2.MIT.edu")
+                    == table.select({"name": "PROBE2.MIT.EDU"})[0])
+            assert by_id(99) is None and by_name("NOSUCH.MIT.EDU") is None
+
+        check(machines)
+        with backend.read_view() as view:
+            table = view.table("machine")
+            check(table)
+            if is_memory:
+                machines.insert({"name": "PROBE9.MIT.EDU", "mach_id": 89,
+                                 "type": "VAX"}, now=BASE)
+                assert table.probe("mach_id")(89) is None
+                assert table.probe("name")("probe9.mit.edu") is None
+            by_id = table.probe("mach_id")
+            moved = {}
+            for value in (80, 99, 89):
+                counts = [view.read_stats()]
+                by_id(value)
+                counts.append(view.read_stats())
+                table.select({"mach_id": value})
+                counts.append(view.read_stats())
+                probe, select = (
+                    tuple(after.get(key, 0) - before.get(key, 0)
+                          for key in ("rows_scanned", "rows_returned"))
+                    for before, after in zip(counts, counts[1:]))
+                assert probe == select, value
+                moved[value] = probe
+            if is_memory:     # a hit, a miss, a row inserted after the pin
+                assert moved == {80: (1, 1), 99: (0, 0), 89: (1, 0)}
+        if is_memory:
+            assert machines.probe("mach_id")(89)["name"] == "PROBE9.MIT.EDU"
+
     def test_membership_closure(self, backend, is_memory):
         closure = backend.membership_closure()
         assert (closure is not None) == is_memory

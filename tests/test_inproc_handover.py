@@ -128,7 +128,7 @@ def test_inline_stream_is_the_tcp_stream(world):
     ctx = QueryContext(db=d.db, clock=d.clock, caller="root",
                        privileged=True)
     user = execute_query(ctx, "get_user_by_login", [d.handles.logins[1]])
-    assert int in map(type, user[0])            # handed over as text
+    assert all(type(f) is str for f in user[0])   # born as text
     assert streams[3][-1][1]                    # the error's detail
     assert len({stream[-1][0] for stream in streams}) >= 4
 

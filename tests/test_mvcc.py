@@ -322,6 +322,31 @@ class TestClosureAndPlansUnderSnapshots:
                 assert row_ids(view.select(where)) == expected, where
                 assert view.count(where) == len(expected), where
 
+    def test_an_update_rebuckets_a_row_only_when_its_key_moves(self):
+        """An update that keeps a row's indexed values keeps its place
+        in their buckets; one that changes a key appends the row to its
+        new bucket — on the live table and in a snapshot alike."""
+        db = Database()
+        table = db.create_table(make_table())
+        first, *_ = (table.insert({"id": i, "kind": "USER", "owner": 1,
+                                   "name": f"n{i}", "tag": ""})
+                     for i in range(3))
+
+        def order(view, where):
+            return [row["id"] for row in view.select(where)]
+
+        table.update_rows([first], {"kind": "USER", "owner": 1, "tag": "x"})
+        with db.read_view() as snap:
+            for view in (table, snap.table("probe")):
+                assert order(view, {"kind": "USER"}) == [0, 1, 2]
+                assert order(view, {"kind": "USER", "owner": 1}) == [0, 1, 2]
+        table.update_rows([first], {"kind": "LIST"})
+        table.update_rows([first], {"kind": "USER"})
+        with db.read_view() as snap:
+            for view in (table, snap.table("probe")):
+                assert order(view, {"kind": "USER"}) == [1, 2, 0]
+                assert order(view, {"kind": "USER", "owner": 1}) == [1, 2, 0]
+
 
 class TestVersionGC:
     def test_gc_respects_oldest_pin(self):

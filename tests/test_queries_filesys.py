@@ -99,10 +99,10 @@ class TestFilesys:
         add_fs(run)
         run("add_nfs_quota", "aab", "aab", 500)
         before = run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0]
-        assert before[4] == 500
+        assert before[4] == "500"
         run("delete_filesys", "aab")
         after = run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0]
-        assert after[4] == 0
+        assert after[4] == "0"
         expect_error(MR_NO_MATCH, run, "get_nfs_quota", "aab", "aab")
 
 
@@ -110,20 +110,20 @@ class TestNfsphys:
     def test_get_all(self, run, nfs_world):
         rows = run("get_all_nfsphys")
         assert rows[0][0] == "CHARON.MIT.EDU"
-        assert rows[0][5] == 10000
+        assert rows[0][5] == "10000"
 
     def test_adjust_allocation(self, run, nfs_world):
         run("adjust_nfsphys_allocation", "CHARON.MIT.EDU", "/u1", 250)
-        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == 250
+        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == "250"
         run("adjust_nfsphys_allocation", "CHARON.MIT.EDU", "/u1", -50)
-        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == 200
+        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == "200"
 
     def test_update(self, run, nfs_world):
         run("update_nfsphys", "CHARON.MIT.EDU", "/u1", "ra90", 3, 10,
             20000)
         row = run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0]
         assert row[2] == "ra90"
-        assert row[5] == 20000
+        assert row[5] == "20000"
 
     def test_delete_in_use_refused(self, run, nfs_world):
         add_fs(run)
@@ -139,7 +139,7 @@ class TestQuotas:
     def test_add_updates_allocation(self, run, nfs_world):
         add_fs(run)
         run("add_nfs_quota", "aab", "aab", 300)
-        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == 300
+        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == "300"
         row = run("get_nfs_quota", "aab", "aab")[0]
         assert int(row[2]) == 300
         assert row[4] == "CHARON.MIT.EDU"
@@ -148,13 +148,13 @@ class TestQuotas:
         add_fs(run)
         run("add_nfs_quota", "aab", "aab", 300)
         run("update_nfs_quota", "aab", "aab", 500)
-        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == 500
+        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == "500"
 
     def test_delete_returns_allocation(self, run, nfs_world):
         add_fs(run)
         run("add_nfs_quota", "aab", "aab", 300)
         run("delete_nfs_quota", "aab", "aab")
-        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == 0
+        assert run("get_nfsphys", "CHARON.MIT.EDU", "/u1")[0][4] == "0"
 
     def test_negative_quota_rejected(self, run, nfs_world):
         add_fs(run)

@@ -76,7 +76,7 @@ class TestServices:
     def test_add_get_delete(self, run):
         run("add_service", "smtp", "TCP", 25, "mail transfer")
         row = run("get_service", "smtp")[0]
-        assert row[2] == 25
+        assert row[2] == "25"
         run("delete_service", "smtp")
         expect_error(MR_NO_MATCH, run, "get_service", "smtp")
 
@@ -134,30 +134,30 @@ class TestAlias:
 class TestValues:
     def test_crud(self, run):
         run("add_value", "test_var", 42)
-        assert run("get_value", "test_var") == [(42,)]
+        assert run("get_value", "test_var") == [("42",)]
         run("update_value", "test_var", 43)
-        assert run("get_value", "test_var") == [(43,)]
+        assert run("get_value", "test_var") == [("43",)]
         run("delete_value", "test_var")
         expect_error(MR_NO_MATCH, run, "get_value", "test_var")
 
     def test_seeded_values_exist(self, run):
-        assert run("get_value", "dcm_enable") == [(1,)]
-        assert run("get_value", "def_quota")[0][0] > 0
+        assert run("get_value", "dcm_enable") == [("1",)]
+        assert int(run("get_value", "def_quota")[0][0]) > 0
 
 
 class TestTableStats:
     def test_appends_counted(self, run):
         make_user(run, "counted")
         stats = {r[0]: r for r in run("get_all_table_stats")}
-        assert stats["users"][2] == 1  # appends
+        assert stats["users"][2] == "1"  # appends
 
     def test_updates_and_deletes_counted(self, run):
         make_user(run, "mutate", status=0)
         run("update_user_shell", "mutate", "/bin/sh")
         run("delete_user", "mutate")
         stats = {r[0]: r for r in run("get_all_table_stats")}
-        assert stats["users"][3] >= 1  # updates
-        assert stats["users"][4] == 1  # deletes
+        assert int(stats["users"][3]) >= 1  # updates
+        assert stats["users"][4] == "1"  # deletes
 
 
 class TestBuiltins:

@@ -32,7 +32,7 @@ class TestServerInfo:
     def test_names_uppercased(self, run, svc):
         row = run("get_server_info", "hesiod")[0]
         assert row[0] == "HESIOD"
-        assert row[1] == 360
+        assert row[1] == "360"
         assert row[6] == "REPLICAT"
 
     def test_bad_service_type(self, run):
@@ -43,24 +43,24 @@ class TestServerInfo:
         run("update_server_info", "hesiod", 720, "/tmp/h2.out",
             "/bin/h2.sh", "UNIQUE", 0, "NONE", "NONE")
         row = run("get_server_info", "HESIOD")[0]
-        assert row[1] == 720
-        assert row[7] == 0
+        assert row[1] == "720"
+        assert row[7] == "0"
 
     def test_internal_flags_do_not_touch_modtime(self, run, svc, clock):
         before = run("get_server_info", svc)[0][13]
         clock.advance(500)
         run("set_server_internal_flags", svc, 100, 200, 1, 0, "")
         row = run("get_server_info", svc)[0]
-        assert row[4] == 100    # dfgen
-        assert row[5] == 200    # dfcheck
-        assert row[8] == 1      # inprogress
+        assert row[4] == "100"    # dfgen
+        assert row[5] == "200"    # dfcheck
+        assert row[8] == "1"      # inprogress
         assert row[13] == before  # modtime unchanged
 
     def test_reset_server_error(self, run, svc):
         run("set_server_internal_flags", svc, 100, 200, 0, 1, "boom")
         run("reset_server_error", svc)
         row = run("get_server_info", svc)[0]
-        assert row[9] == 0
+        assert row[9] == "0"
         assert row[5] == row[4]  # dfcheck snapped back to dfgen
 
     def test_delete_with_hosts_refused(self, run, svc):
@@ -89,7 +89,7 @@ class TestServerHosts:
         run("update_server_host_info", svc, "SUOMI.MIT.EDU", 1, 42, 99,
             "slist")
         row = run("get_server_host_info", svc, "SUOMI*")[0]
-        assert (row[10], row[11], row[12]) == (42, 99, "slist")
+        assert (row[10], row[11], row[12]) == ("42", "99", "slist")
 
     def test_update_refused_while_inprogress(self, run, svc):
         run("set_server_host_internal", svc, "SUOMI.MIT.EDU", 0, 0, 1, 0,
@@ -106,22 +106,22 @@ class TestServerHosts:
     def test_override_flag(self, run, svc):
         run("set_server_host_override", svc, "SUOMI.MIT.EDU")
         row = run("get_server_host_info", svc, "*")[0]
-        assert row[3] == 1
+        assert row[3] == "1"
 
     def test_internal_updates_times(self, run, svc):
         run("set_server_host_internal", svc, "SUOMI.MIT.EDU", 0, 1, 0, 0,
             "", 1111, 2222)
         row = run("get_server_host_info", svc, "*")[0]
-        assert row[8] == 1111   # lasttry
-        assert row[9] == 2222   # lastsuccess
-        assert row[4] == 1      # success
+        assert row[8] == "1111"   # lasttry
+        assert row[9] == "2222"   # lastsuccess
+        assert row[4] == "1"      # success
 
     def test_reset_host_error(self, run, svc):
         run("set_server_host_internal", svc, "SUOMI.MIT.EDU", 0, 0, 0,
             55, "bad", 0, 0)
         run("reset_server_host_error", svc, "SUOMI.MIT.EDU")
         row = run("get_server_host_info", svc, "*")[0]
-        assert row[6] == 0
+        assert row[6] == "0"
         assert row[7] == ""
 
     def test_qualified_get_server_host(self, run, svc):

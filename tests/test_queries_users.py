@@ -31,8 +31,8 @@ class TestAddUser:
             "C", 1, "crypt", "1990")
         row = run("get_user_by_login", "babette")[0]
         assert row[0] == "babette"
-        assert row[1] == 6530
-        assert row[6] == 1
+        assert row[1] == "6530"
+        assert row[6] == "1"
 
     def test_unique_uid_sentinel_allocates(self, run):
         run("add_user", "u1", UNIQUE_UID, "/bin/csh", "A", "B", "", 1,
@@ -41,7 +41,7 @@ class TestAddUser:
             "", "1990")
         uid1 = run("get_user_by_login", "u1")[0][1]
         uid2 = run("get_user_by_login", "u2")[0][1]
-        assert uid2 == uid1 + 1
+        assert int(uid2) == int(uid1) + 1
 
     def test_unique_login_sentinel(self, run):
         run("add_user", UNIQUE_LOGIN, 7000, "/bin/csh", "A", "B", "", 0,
@@ -131,7 +131,7 @@ class TestUpdateUser:
     def test_update_status(self, run):
         make_user(run, "st", status=1)
         run("update_user_status", "st", 3)
-        assert run("get_user_by_login", "st")[0][6] == 3
+        assert run("get_user_by_login", "st")[0][6] == "3"
 
     def test_update_nonexistent_user(self, run):
         expect_error(MR_USER, run, "update_user_shell", "ghost",
@@ -188,7 +188,7 @@ class TestFinger:
         run("update_finger_by_login", "fmod", "F", "", "", "", "", "", "",
             "")
         row = run("get_finger_by_login", "fmod")[0]
-        assert row[9] == before + 100   # fmodtime updated
+        assert int(row[9]) == int(before) + 100   # fmodtime updated
         assert run("get_user_by_login", "fmod")[0][9] == before
 
 
@@ -272,7 +272,7 @@ class TestRegisterUser:
             "", 0, "hash", "1992")
         run("register_user", 7100, "newkid", 1)
         row = run("get_user_by_login", "newkid")[0]
-        assert row[6] == 2  # half-registered
+        assert row[6] == "2"  # half-registered
         # pobox assigned
         assert run("get_pobox", "newkid")[0][1] == "POP"
         # personal group created with the user as member
@@ -309,4 +309,4 @@ class TestRegisterUser:
             "", "1992")
         run("register_user", 7500, "loaded", 1)
         row = run("get_server_host_info", "POP", "PO.MIT.EDU")[0]
-        assert row[10] == 1  # value1 incremented
+        assert row[10] == "1"  # value1 incremented

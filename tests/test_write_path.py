@@ -321,12 +321,13 @@ def _dump(db, directory):
 
 class TestPooledStorm:
     def test_cross_shard_storm_replays_byte_identically(self, tmp_path):
-        """Registrations (all three writer shards), a status rollover
-        (users) and machine churn (machines) committed concurrently by
-        six client threads: the WAL is in commit-seq order and
-        checkpoint + replay rebuilds the primary byte for byte — id
-        bindings reproduce allocations that interleaved out of commit
-        order."""
+        """Registrations (users, lists, filesystems, quotas and POP
+        load), a status rollover (users) and machine churn (machines)
+        committed concurrently by six client threads through the one
+        writer: every seq is unique and the WAL is in commit-seq order,
+        and checkpoint + replay rebuilds the primary byte for byte —
+        replay re-executes each entry, so it allocates the ids and
+        interned strings the writer allocated in commit order."""
         d, admin = _storm_world(tmp_path)
         unregistered = d.db.table("users").select({"status": 0})
         plans = [
