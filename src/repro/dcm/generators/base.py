@@ -28,7 +28,6 @@ generation is sent instead of the whole file.
 
 from __future__ import annotations
 
-import tarfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -48,7 +47,6 @@ __all__ = [
     "register_generator",
     "get_generator",
     "all_generators",
-    "make_tar",
 ]
 
 _GENERATORS: dict[str, "Generator"] = {}
@@ -189,26 +187,6 @@ class GeneratorResult:
         """Number of files produced (per-host files counted)."""
         return len(self.files) + sum(len(v)
                                      for v in self.host_files.values())
-
-
-def make_tar(files: dict[str, bytes], mtime: int = 0) -> bytes:
-    """Deterministic tar of *files* (the §5.8 "tar file of several
-    BIND files" / "tar file of ASCII acl files" data format): what
-    ``tarfile`` writes — a header and the data padded to 512-byte
-    blocks per member, then two zero blocks — without padding the
-    archive out to a 10 kB record, so a payload of one small delta
-    member stays small."""
-    out = []
-    for name in sorted(files):
-        data = files[name]
-        info = tarfile.TarInfo(name=name)
-        info.size = len(data)
-        info.mtime = mtime
-        out += (info.tobuf(tarfile.DEFAULT_FORMAT, "utf-8",
-                           "surrogateescape"),
-                data, bytes(-len(data) % tarfile.BLOCKSIZE))
-    out.append(bytes(2 * tarfile.BLOCKSIZE))
-    return b"".join(out)
 
 
 class GenContext:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from repro.dcm.generators.base import make_tar
 from repro.errors import (
     MR_CHECKSUM,
     MR_HOST_UNREACHABLE,
@@ -42,6 +41,7 @@ from repro.hosts.update_daemon import (
     InstallScript,
     UpdateDaemon,
     checksum,
+    make_tar,
 )
 from repro.sim.faults import FaultInjector
 from repro.sim.network import Network, NetworkError

@@ -55,6 +55,10 @@ class SimulatedHost:
         # reload from its lines instead of diffing the two versions
         # (process memory, so a crash forgets it)
         self.handed: dict[str, tuple] = {}
+        # path -> (bytes object, its SHA-256) the update daemon last
+        # patched or hashed there: the next patch's base check while
+        # fs.read(path) is still that object (process memory too)
+        self.digests: dict[str, tuple[bytes, str]] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -68,6 +72,7 @@ class SimulatedHost:
         self.alive = False
         self.fs.crash()
         self.handed.clear()
+        self.digests.clear()
         for proc in self.processes.values():
             proc.running = False
         self.processes.clear()

@@ -24,8 +24,6 @@ plain-text format so they really are "transferred to the server" and
 from __future__ import annotations
 
 import hashlib
-import io
-import tarfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -39,7 +37,7 @@ from repro.errors import (
 from repro.hosts.host import HostDown, SimulatedHost
 
 __all__ = ["UpdateDaemon", "InstallScript", "FileDelta", "Splice",
-           "checksum", "splice"]
+           "checksum", "splice", "make_tar", "read_tar"]
 
 #: one byte splice: ``old[start:end]`` is replaced by the bytes
 Splice = tuple[int, int, bytes]
@@ -120,6 +118,74 @@ class FileDelta:
         return removed.splitlines(), added.splitlines()
 
 
+# -- the payload: a plain ustar archive ---------------------------------------
+
+#: a tar block: headers and padded member data are whole blocks
+BLOCK = 512
+_ZERO = bytes(BLOCK)
+_END = 2 * _ZERO                # the end-of-archive marker
+_MAGIC = b"ustar\x0000"         # POSIX magic and version, at offset 257
+_LIMIT = 8 ** 11                # an 11-digit octal field holds less
+
+
+def _header(name: str, size: int, mtime: int) -> bytes:
+    """The ustar header ``tarfile`` writes for a regular file of *size*
+    bytes: mode 0644, owner 0:0, no user or group name."""
+    raw = name.encode("ascii")
+    if not 0 < len(raw) <= 100 or b"\0" in raw:
+        raise ValueError(f"{name!r}: a ustar name is 1-100 bytes")
+    if not (0 <= size < _LIMIT and 0 <= mtime < _LIMIT):
+        raise ValueError(f"{name!r}: size or mtime out of ustar range")
+    head = b"".join((raw.ljust(100, b"\0"), b"0000644\0", b"0000000\0",
+                     b"0000000\0", b"%011o\0" % size, b"%011o\0" % mtime,
+                     b" " * 8, b"0", bytes(100), _MAGIC)).ljust(BLOCK, b"\0")
+    return head[:148] + b"%06o\0" % sum(head) + head[155:]
+
+
+def make_tar(files: dict[str, bytes], mtime: int = 0) -> bytes:
+    """Deterministic tar of *files* (the §5.8 "tar file of several
+    BIND files" / "tar file of ASCII acl files" data format): per
+    member a ustar header and the data padded to 512-byte blocks, then
+    two zero blocks — the bytes ``tarfile`` writes, without padding
+    the archive out to a 10 kB record, so a payload of one small delta
+    member stays small.  A name plain ustar cannot hold (not ASCII,
+    over 100 bytes) raises ValueError here, before any host sees it."""
+    out = []
+    for name in sorted(files):
+        data = files[name]
+        out += (_header(name, len(data), mtime), data,
+                bytes(-len(data) % BLOCK))
+    out.append(_END)
+    return b"".join(out)
+
+
+def read_tar(blob: bytes) -> dict[str, bytes]:
+    """Member name -> bytes of an archive :func:`make_tar` wrote, read
+    from its headers; ValueError for anything else — a short block, a
+    bad header checksum, a member that is not a regular file (a PAX
+    record, a link), a missing end-of-archive block."""
+    members, at = {}, 0
+    while True:
+        head = blob[at:at + BLOCK]
+        if len(head) < BLOCK:
+            raise ValueError("truncated header")
+        if head == _ZERO:
+            if blob[at:] != _END:
+                raise ValueError("no end-of-archive block")
+            return members
+        if head[257:265] != _MAGIC or head[156] != ord("0"):
+            raise ValueError("not a ustar regular file")
+        size, check = int(head[124:135], 8), int(head[148:154], 8)
+        if check != sum(head[:148]) + sum(head[156:]) + 8 * ord(" "):
+            raise ValueError("bad header checksum")
+        at += BLOCK
+        if not 0 <= size <= len(blob) - at:
+            raise ValueError("truncated member")
+        members[head[:100].rstrip(b"\0").decode("ascii")] = \
+            blob[at:at + size]
+        at += size + (-size % BLOCK)
+
+
 @dataclass
 class InstallScript:
     """§5.9 B: the installation instruction sequence — the paper's five
@@ -133,7 +199,8 @@ class InstallScript:
       file on disk and the :class:`FileDelta` member, only when the
       file's SHA-256 is the delta's base (else MR_CHECKSUM, which the
       DCM classifies soft: the host keeps its file and its next push
-      is a whole one)
+      is a whole one); a file this step staged is not hashed again
+      while it is the object on disk
     * ``("install", filename)`` — atomically rename
       ``filename.moira_update`` over ``filename``
     * ``("revert", filename)`` — put the saved old file back
@@ -200,16 +267,12 @@ class _StagedTar:
 
     def member(self, name: str) -> bytes:
         """One member's bytes; MR_TAR_FAIL if the payload is missing or
-        unreadable or does not hold *name*."""
+        is not an archive :func:`make_tar` writes, or does not hold
+        *name*."""
         if self._members is None:
             try:
-                # "r:" reads a plain tar without probing compressions
-                with tarfile.open(fileobj=io.BytesIO(
-                        self._fs.read(self._path)), mode="r:") as tar:
-                    self._members = {
-                        info.name: tar.extractfile(info).read()
-                        for info in tar if info.isfile()}
-            except (tarfile.TarError, FileNotFoundError) as exc:
+                self._members = read_tar(self._fs.read(self._path))
+            except (ValueError, FileNotFoundError) as exc:
                 raise MoiraError(MR_TAR_FAIL, f"{name}: {exc}") from exc
         try:
             return self._members[name]
@@ -370,14 +433,29 @@ class UpdateDaemon:
             base = fs.read(member)
         except FileNotFoundError:
             raise MoiraError(MR_CHECKSUM, f"{member}: no base") from None
-        if checksum(base) != delta.base:
+        if self._digest(member, base) != delta.base:
             raise MoiraError(MR_CHECKSUM, f"{member}: base mismatch")
         try:
             data = splice(base, delta.splices)
         except ValueError as exc:
             raise MoiraError(MR_TAR_FAIL, f"{member}: {exc}") from exc
         fs.write(member + ".moira_update", data)
+        # a verified base plus splices that came under the transfer
+        # checksum: *data* is the DCM's file, named by the delta's digest
+        self.host.digests[member] = (data, delta.digest)
         self.host.handed[member] = (base, data, delta)
+
+    def _digest(self, path: str, data: bytes) -> str:
+        """SHA-256 of *data*, the file at *path*: the digest recorded for
+        it while the VFS still holds the recorded object — a write,
+        unlink, revert or crash rollback puts another one there, a
+        rename carries it — else a hash, which is then recorded."""
+        known = self.host.digests.get(path)
+        if known is not None and known[0] is data:
+            return known[1]
+        digest = checksum(data)
+        self.host.digests[path] = (data, digest)
+        return digest
 
     # -- crash-recovery housekeeping ----------------------------------------------
 

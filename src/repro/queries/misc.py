@@ -41,12 +41,13 @@ _HOST_ACCESS = Reply("hostaccess", (MACHINE_NAME, "acl_type", ace(),
           side_effects=False)
 def get_server_host_access(ctx: QueryContext,
                            args: Sequence[str]) -> list[tuple]:
-    """Who may log in on a machine (feeds /.klogin)."""
-    machines = {m["mach_id"]
-                for m in ctx.db.table("machine").select({"name": args[0]})}
-    return list(_HOST_ACCESS.texts(
-        ctx, ctx.db.table("hostaccess").iter_select(
-            predicate=lambda row: row["mach_id"] in machines)))
+    """Who may log in on a machine (feeds /.klogin): one probe of
+    ``hostaccess`` (unique on ``mach_id``) per matched machine, in the
+    machines' order."""
+    access = ctx.db.table("hostaccess").probe("mach_id")
+    rows = (access(m["mach_id"])
+            for m in ctx.db.table("machine").select({"name": args[0]}))
+    return list(_HOST_ACCESS.texts(ctx, filter(None, rows)))
 
 
 @register("add_server_host_access", "asha", _HOST_ACCESS_ARGS, (),

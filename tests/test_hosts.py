@@ -3,13 +3,16 @@ update daemon's install scripts (§5.9)."""
 
 from __future__ import annotations
 
+import io
+import tarfile
+
 import pytest
 
-from repro.dcm.generators.base import make_tar
 from repro.errors import MR_CHECKSUM, MR_OCONFIG, MR_SCRIPT_FAILED, \
     MR_TAR_FAIL, MoiraError
 from repro.hosts.host import HostDown, SimulatedHost
-from repro.hosts.update_daemon import InstallScript, UpdateDaemon, checksum
+from repro.hosts.update_daemon import BLOCK, InstallScript, UpdateDaemon, \
+    checksum, make_tar, read_tar
 from repro.hosts.vfs import VirtualFileSystem
 
 
@@ -265,3 +268,88 @@ class TestUpdateDaemon:
             daemon.execute(target)
         host.reboot()
         assert host.fs.read("/etc/f") in (b"old", b"new")
+
+
+# -- the payload's tar reader ---------------------------------------------------
+
+
+def tarfile_reference(files: dict[str, bytes], mtime: int = 0) -> bytes:
+    """What ``tarfile`` writes for *files*, members in name order and
+    without the 10 kB record padding: the bytes make_tar must keep."""
+    out = []
+    for name in sorted(files):
+        info = tarfile.TarInfo(name=name)
+        info.size, info.mtime = len(files[name]), mtime
+        out += (info.tobuf(tarfile.DEFAULT_FORMAT, "utf-8",
+                           "surrogateescape"),
+                files[name], bytes(-len(files[name]) % BLOCK))
+    out.append(bytes(2 * BLOCK))
+    return b"".join(out)
+
+
+EDGES = {"/etc/empty": b"", "/etc/block": b"b" * BLOCK,
+         "/etc/long": b"line\n" * 300, "/" + "n" * 99: b"x"}
+
+
+class TestTarReader:
+    @pytest.mark.parametrize("mtime", [0, 1_700_000_000, 8 ** 11 - 1])
+    def test_make_tar_writes_what_tarfile_writes(self, mtime):
+        assert make_tar(EDGES, mtime) == tarfile_reference(EDGES, mtime)
+
+    def test_round_trip_with_an_empty_and_a_one_block_member(self):
+        assert read_tar(make_tar(EDGES)) == EDGES
+        assert read_tar(make_tar({})) == {}
+
+    @pytest.mark.parametrize("name", ["", "/" + "n" * 100, "/etc/café",
+                                      "/etc/a\0b"])
+    def test_a_name_plain_ustar_cannot_hold_fails_at_make_tar(self, name):
+        with pytest.raises(ValueError):
+            make_tar({name: b"x"})
+
+    @staticmethod
+    def mend(header: bytes) -> bytes:
+        """*header* with its checksum field recomputed."""
+        header = header[:148] + b" " * 8 + header[156:]
+        return header[:148] + b"%06o\0" % sum(header) + header[155:]
+
+    @classmethod
+    def damaged(cls) -> dict[str, bytes]:
+        good = make_tar({"/etc/f": b"data\n" * 200})   # 2 data blocks
+        pax = io.BytesIO()
+        with tarfile.open(fileobj=pax, mode="w",
+                          format=tarfile.PAX_FORMAT) as tar:
+            info = tarfile.TarInfo("/etc/f")
+            info.pax_headers = {"comment": "x"}
+            tar.addfile(info, io.BytesIO(b""))
+        return {
+            "truncated header": good[:BLOCK - 1],
+            "truncated member": good[:BLOCK + 700],
+            "bad header checksum": good[:5] + b"g" + good[6:],
+            "no end-of-archive block": good[:-BLOCK],
+            "symlink": cls.mend(good[:156] + b"2" + good[157:BLOCK])
+            + good[BLOCK:],
+            "pax record": pax.getvalue(),
+            "record padding": good + bytes(BLOCK),
+        }
+
+    @pytest.mark.parametrize("case, reason", [
+        ("truncated header", "truncated header"),
+        ("truncated member", "truncated member"),
+        ("bad header checksum", "bad header checksum"),
+        ("no end-of-archive block", "no end-of-archive block"),
+        ("symlink", "not a ustar regular file"),
+        ("pax record", "not a ustar regular file"),
+        ("record padding", "no end-of-archive block")])
+    def test_anything_else_is_a_tar_failure(self, case, reason):
+        payload = self.damaged()[case]
+        with pytest.raises(ValueError, match=reason):
+            read_tar(payload)
+        host = SimulatedHost("t")
+        daemon = UpdateDaemon(host)
+        daemon.authenticate("moira")
+        daemon.receive_file("/tmp/out", payload, checksum(payload))
+        daemon.receive_script(
+            InstallScript().extract("/etc/f").install("/etc/f").serialize())
+        daemon.flush()
+        assert daemon.execute("/tmp/out") == MR_TAR_FAIL
+        assert not host.fs.exists("/etc/f")
