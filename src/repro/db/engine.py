@@ -3,9 +3,12 @@
 Design notes
 ------------
 
-*Tables* hold rows as dicts keyed by column name, in an identity-keyed
-insertion-ordered store, so a delete costs the rows it removes and
-only the abort of a delete pays for the table.  Columns are typed
+*Tables* hold rows as dicts keyed by column name.  Each relation is
+stored once, in its version store (:mod:`repro.db.mvcc`): a scan list
+and index buckets of windowed entries, each naming a record that
+carries the writer's row dict and its immutable versions.  A delete
+closes its rows' entries and the abort of one reopens them where they
+stand, so both cost the rows they touch.  Columns are typed
 (``int`` or ``str``) and may be declared case-insensitive (Moira machine
 and service names compare case-insensitively and are stored uppercase) or
 size-limited (the original schema has fixed-width INGRES ``c`` fields and
@@ -14,7 +17,7 @@ over-long arguments yield ``MR_ARG_TOO_LONG``).
 *Wildcards* follow the paper's query semantics: ``*`` matches any run of
 characters and ``?`` a single character, anywhere in a string argument.
 
-*Indexes* are plain hash indexes maintained on insert/update/delete; the
+*Indexes* are hash indexes maintained on insert/update/delete; the
 query layer requests them on the columns its handles filter by, which is
 what keeps the 10,000-user design point fast.  *Composite* indexes hash
 several columns at once for the hot multi-column WHERE shapes (the
@@ -26,7 +29,9 @@ predefined query handles hit a small fixed set of shapes, so column
 classification (exact vs wildcard), coercion dispatch, and index choice
 happen once and replay with zero re-analysis.  Compiled wildcard
 patterns live in a bounded LRU.  Plans are invalidated by a schema
-epoch that moves on ``add_index``/``add_composite_index``.
+epoch that moves on ``add_index``/``add_composite_index``.  A head read
+(this module's ``Table``) and a pinned snapshot read plan the same way;
+only the loop that resolves an entry to a row differs.
 
 *Statistics* reproduce the TBLSTATS relation: per-table append/update/
 delete counters plus a modtime, maintained automatically.
@@ -41,7 +46,6 @@ can patch their extracts instead of re-deriving them.
 
 from __future__ import annotations
 
-import bisect
 import fnmatch
 import re
 import threading
@@ -51,6 +55,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
 
 from repro.db.backend import SYSTEM_TABLES, StorageBackend, StorageTable
+from repro.db.mvcc import INF_SEQ, TableVersionStore
 from repro.db.rwlock import RWLock
 
 from repro.errors import (
@@ -307,140 +312,6 @@ class TableChange:
         return f"TableChange(v{self.version}, {self.op})"
 
 
-class _Index:
-    """Hash index on one column, maintained by the owning table.
-
-    Besides exact lookups, the index answers *prefix* queries (the
-    ``CHURN*`` wildcard shape) from a lazily rebuilt sorted key list —
-    rebuilt at most once per mutation epoch, so repeated prefix queries
-    against a stable table never scan.
-    """
-
-    def __init__(self, column: Column):
-        self.column = column
-        self.buckets: dict[Any, list[Row]] = {}
-        self._sorted_keys: Optional[list] = None
-
-    def _key(self, value: Any) -> Any:
-        if self.column.kind is str and self.column.fold_case:
-            return str(value).lower()
-        return value
-
-    def _row_key(self, row: Row) -> Any:
-        """The bucket key *row* is indexed under."""
-        return self._key(row[self.column.name])
-
-    def add(self, row: Row) -> None:
-        """Index *row* under its column value."""
-        key = self._row_key(row)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [row]
-            self._sorted_keys = None  # key set changed
-        else:
-            bucket.append(row)
-
-    def remove(self, row: Row) -> None:
-        """Drop *row* from its bucket."""
-        self._drop(self._row_key(row), row)
-
-    def rekey(self, row: Row, old_key: Any) -> None:
-        """Re-bucket *row*, indexed under *old_key* before an update.
-        A row whose key the update kept keeps its place: a bucket is a
-        list, and taking a row out of a large one (a flag column's) is
-        a scan of it."""
-        if self._row_key(row) != old_key:
-            self._drop(old_key, row)
-            self.add(row)
-
-    def _drop(self, key: Any, row: Row) -> None:
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            raise MoiraError(MR_INTERNAL, f"index missing bucket {key!r}")
-        bucket.remove(row)
-        if not bucket:
-            del self.buckets[key]
-            self._sorted_keys = None  # key set changed
-
-    def lookup(self, value: Any) -> list[Row]:
-        """All rows indexed under *value*."""
-        return self.buckets.get(self._key(value), [])
-
-    def prefix_lookup(self, prefix: str) -> list[Row]:
-        """All rows whose (folded) key starts with *prefix*.
-
-        Non-string keys (an index on an int-typed column) can never
-        match a string prefix, so they are excluded from the sorted key
-        list instead of crashing ``key.startswith``.
-        """
-        if self.column.fold_case:
-            prefix = prefix.lower()
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(
-                k for k in self.buckets if isinstance(k, str))
-        keys = self._sorted_keys
-        out: list[Row] = []
-        for i in range(bisect.bisect_left(keys, prefix), len(keys)):
-            key = keys[i]
-            if not key.startswith(prefix):
-                break
-            out.extend(self.buckets[key])
-        return out
-
-
-class _CompositeIndex:
-    """Hash index over several columns (tuple-keyed buckets).
-
-    Declared in the schema for hot multi-column WHERE shapes; a bucket
-    holds exactly the rows equal (per column semantics, case folded
-    where declared) on every indexed column, so an exact WHERE fully
-    covered by the index needs no residual filtering at all.
-    """
-
-    def __init__(self, columns: list[Column]):
-        self.columns = tuple(columns)
-        self.names = tuple(c.name for c in columns)
-        self.buckets: dict[tuple, list[Row]] = {}
-
-    @staticmethod
-    def _fold(column: Column, value: Any) -> Any:
-        if column.kind is str and column.fold_case:
-            return str(value).lower()
-        return value
-
-    def _row_key(self, row: Row) -> tuple:
-        """The bucket key *row* is indexed under."""
-        return tuple(self._fold(c, row[c.name]) for c in self.columns)
-
-    def add(self, row: Row) -> None:
-        """Index *row* under its tuple of column values."""
-        self.buckets.setdefault(self._row_key(row), []).append(row)
-
-    def remove(self, row: Row) -> None:
-        """Drop *row* from its bucket."""
-        self._drop(self._row_key(row), row)
-
-    def rekey(self, row: Row, old_key: tuple) -> None:
-        """Re-bucket *row* (see ``_Index.rekey``)."""
-        if self._row_key(row) != old_key:
-            self._drop(old_key, row)
-            self.add(row)
-
-    def _drop(self, key: tuple, row: Row) -> None:
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            raise MoiraError(MR_INTERNAL,
-                             f"composite index missing bucket {key!r}")
-        bucket.remove(row)
-        if not bucket:
-            del self.buckets[key]
-
-    def lookup_values(self, values: dict) -> list[Row]:
-        """All rows whose indexed columns equal *values* (coerced)."""
-        key = tuple(self._fold(c, values[c.name]) for c in self.columns)
-        return self.buckets.get(key, [])
-
-
 # WHERE-shapes per table kept compiled; ad-hoc callers with unbounded
 # shape variety (tests) just recompile instead of growing the dict.
 _PLAN_CACHE_LIMIT = 64
@@ -454,50 +325,67 @@ class _Plan:
     actual argument values: resolved Column objects for coercion, the
     widest composite index contained in the exact columns, the
     single-column indexes available for selectivity comparison, and
-    whether the plan is fully *covered* (one bucket answers the query
-    with no residual filtering; its length answers ``count()``).
-    Compiled once, replayed with zero re-analysis until the table's
-    schema epoch moves.
+    the index that *covers* the plan, if one does (its one bucket
+    answers the query with no residual filtering).  Compiled once,
+    replayed with zero re-analysis until the table's schema epoch
+    moves.
     """
 
     __slots__ = ("epoch", "exact", "wild", "composite", "covered", "single")
 
     def __init__(self, table: "Table", shape: tuple[tuple[str, bool], ...],
                  epoch: int):
+        store = table._mv
         self.epoch = epoch
         self.exact: tuple[tuple[str, Column], ...] = tuple(
             (name, table.columns[name])
             for name, is_wild in shape if not is_wild)
         # wildcard columns carry their single index (or None) for the
         # literal-prefix fast path
-        self.wild: tuple[tuple[str, Column, Optional[_Index]], ...] = tuple(
-            (name, table.columns[name], table._indexes.get(name))
+        self.wild: tuple = tuple(
+            (name, table.columns[name], store.indexes.get(name))
             for name, is_wild in shape if is_wild)
         exact_names = {name for name, _ in self.exact}
-        self.composite: Optional[_CompositeIndex] = None
-        for comp in table._composites.values():
+        self.composite = None
+        for comp in store.composites.values():
             if set(comp.names) <= exact_names:
                 if self.composite is None or \
                         len(comp.names) > len(self.composite.names):
                     self.composite = comp
-        self.single: tuple[tuple[str, _Index], ...] = tuple(
-            (name, table._indexes[name])
-            for name, _ in self.exact if name in table._indexes)
+        self.single: tuple = tuple(
+            (name, store.indexes[name])
+            for name, _ in self.exact if name in store.indexes)
         # covered: no wildcards, and one bucket *is* the full answer —
         # either a composite over every exact column, or a single
         # indexed column that is the whole WHERE
-        self.covered = not self.wild and (
-            (self.composite is not None
-             and len(self.composite.names) == len(self.exact))
-            or (len(self.exact) == 1 and len(self.single) == 1))
+        self.covered = None
+        if not self.wild:
+            if self.composite is not None and \
+                    len(self.composite.names) == len(self.exact):
+                self.covered = self.composite
+            elif len(self.exact) == 1 and self.single:
+                self.covered = self.single[0][1]
 
-    def covered_bucket(self, exact_values: dict) -> list[Row]:
-        """The one bucket answering a covered plan (see ``covered``)."""
-        if self.composite is not None and \
-                len(self.composite.names) == len(self.exact):
-            return self.composite.lookup_values(exact_values)
-        name, index = self.single[0]
-        return index.lookup(exact_values[name])
+
+def _residual(plan: _Plan, exact: dict, wild: list,
+              predicate: Optional[Callable[[Row], bool]]
+              ) -> Callable[[Row], bool]:
+    """The test a candidate row of an uncovered plan must pass: every
+    exact and wildcard column, then *predicate*."""
+    equals = [(name, column.equal, exact[name])
+              for name, column in plan.exact]
+    patterns = [(name, pattern.matches)
+                for (name, _column, _index), pattern in zip(plan.wild, wild)]
+
+    def check(row: Row) -> bool:
+        for name, equal, value in equals:
+            if not equal(row[name], value):
+                return False
+        for name, matches in patterns:
+            if not matches(str(row[name])):
+                return False
+        return predicate is None or predicate(row)
+    return check
 
 
 class TableStats:
@@ -518,48 +406,17 @@ class TableStats:
                 self.deletes, self.modtime)
 
 
-class _RowStore:
-    """The live rows of one table, in scan order.
-
-    An insertion-ordered map keyed by row identity: iterating yields
-    the rows in the order they were appended, and removing a row costs
-    one dict deletion, not a pass over the table.  It is an iterable,
-    not a sequence — callers that want positions take ``list(rows)``.
-
-    An iteration walks a copy of the rows taken when it starts (one C
-    loop, no slower than walking the dict itself), so a loop that
-    mutates the table, or that a writer on another thread interrupts,
-    sees the rows as they were instead of raising.
-    """
-
-    __slots__ = ("_map",)
-
-    def __init__(self, rows: Iterable[Row] = ()):
-        self._map: dict[int, Row] = {id(row): row for row in rows}
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(list(self._map.values()))
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def append(self, row: Row) -> None:
-        self._map[id(row)] = row
-
-    def remove(self, row: Row) -> None:
-        """Drop *row* (MR_INTERNAL if it is not a live row here)."""
-        if self._map.pop(id(row), None) is not row:
-            raise MoiraError(MR_INTERNAL, "row is not live in this table")
-
-    def clear(self) -> None:
-        self._map.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_RowStore({len(self._map)} rows)"
-
-
 class Table(StorageTable):
-    """One relation: schema, rows, indexes, uniqueness, statistics."""
+    """One relation: schema, rows, indexes, uniqueness, statistics.
+
+    Rows, scan order and index buckets live once, in the table's
+    version store ``_mv`` (:class:`~repro.db.mvcc.TableVersionStore`).
+    A *head* read — the writer's, and any caller of this class — sees
+    the open entries resolved to the writer's row dicts, which stay
+    mutable handles for :meth:`update_rows` and :meth:`delete_rows`; a
+    snapshot (:class:`~repro.db.mvcc.SnapshotTable`) plans the same way
+    and resolves each entry at its pinned seq.
+    """
 
     def __init__(
         self,
@@ -577,15 +434,10 @@ class Table(StorageTable):
             raise ValueError(f"duplicate column in {name}")
         # what an insert, delete, clear or bulk load changes
         self.every_column = frozenset(self.columns)
-        self.rows = _RowStore()
+        self._mv = TableVersionStore(self)
         self.unique_keys: list[tuple[str, ...]] = [tuple(u) for u in unique]
-        self._indexes: dict[str, _Index] = {}
-        self._composites: dict[tuple[str, ...], _CompositeIndex] = {}
         self._plans: dict[tuple, _Plan] = {}
         self._schema_epoch = 0
-        # the MVCC side version store (attached by Database.create_table;
-        # None for a table outside any database)
-        self._mv = None
         # seq of this table's newest mutation, stamped at mutation time
         # (pre-commit) — snapshot readers use it to validate shared
         # caches like the membership closure against their pinned seq
@@ -604,7 +456,7 @@ class Table(StorageTable):
         # every unique key's first column gets an index so uniqueness
         # checks don't scan
         for key in self.unique_keys:
-            if key[0] not in self._indexes:
+            if key[0] not in self._mv.indexes:
                 self.add_index(key[0])
 
     # -- schema helpers -----------------------------------------------------
@@ -619,27 +471,16 @@ class Table(StorageTable):
 
     def add_index(self, column_name: str) -> None:
         """Create (and backfill) a hash index on a column."""
-        column = self.column(column_name)
-        index = _Index(column)
-        for row in self.rows:
-            index.add(row)
-        self._indexes[column_name] = index
+        self._mv.on_add_index(self.column(column_name))
         self._schema_epoch += 1  # cached plans re-analyse lazily
-        if self._mv is not None:
-            self._mv.on_add_index(column_name)
 
     def add_composite_index(self, column_names: Iterable[str]) -> None:
         """Create (and backfill) a hash index over several columns."""
         columns = [self.column(name) for name in column_names]
         if len(columns) < 2:
             raise ValueError("composite index needs at least two columns")
-        index = _CompositeIndex(columns)
-        for row in self.rows:
-            index.add(row)
-        self._composites[index.names] = index
+        self._mv.on_add_composite_index(columns)
         self._schema_epoch += 1
-        if self._mv is not None:
-            self._mv.on_add_composite_index(index.names)
 
     # -- change tracking ----------------------------------------------------
 
@@ -687,9 +528,9 @@ class Table(StorageTable):
                          keys: Optional[list] = None) -> bool:
         for key in self.unique_keys if keys is None else keys:
             first = key[0]
-            probe = self._indexes[first].lookup(candidate[first])
-            for row in probe:
-                if row is ignore:
+            for entry in self._mv.indexes[first].bucket(candidate[first]):
+                row = entry.record.row
+                if entry.end != INF_SEQ or row is ignore:
                     continue
                 if all(self.columns[col].equal(row[col], candidate[col])
                        for col in key):
@@ -697,42 +538,55 @@ class Table(StorageTable):
         return False
 
     # -- mutation -----------------------------------------------------------
+    # Each statement takes its commit seq from the database (or 0 for a
+    # table outside any database) and, inside a write transaction,
+    # leaves an undo closure: a failing write leaves nothing behind for
+    # the writes after it.  Undo restores logical row state, scan order
+    # and bucket order exactly (the mrbackup oracle dumps scan order);
+    # compensating _bump() entries keep the changelog consistent for
+    # incremental DCM consumers instead of rewinding versions.
+
+    def _begin(self, columns: Optional[frozenset]) -> tuple[int, bool]:
+        db = self._mv.db
+        return (0, False) if db is None else db._mv_begin(self, columns)
+
+    def _end(self, seq: int, auto: bool) -> None:
+        if auto:
+            self._mv.db._publish_seq(seq)
+
+    def _undo_list(self) -> Optional[list]:
+        db = self._mv.db
+        return None if db is None else db._txn_undo_list()
+
+    def _records(self, rows: list[Row]) -> list:
+        """The records of *rows* (MR_INTERNAL unless each is live here)."""
+        records = self._mv.records
+        found = [records.get(id(row)) for row in rows]
+        if None in found:
+            raise MoiraError(MR_INTERNAL,
+                             f"row is not live in {self.name}")
+        return found
 
     def insert(self, values: dict, *, now: int = 0) -> Row:
         """Add a row; enforces uniqueness, fills defaults."""
         row = self._normalise(values)
         if self._violates_unique(row):
             raise MoiraError(MR_EXISTS, f"{self.name}: {values}")
-        self.rows.append(row)
-        for index in self._indexes.values():
-            index.add(row)
-        for comp in self._composites.values():
-            comp.add(row)
         prev_modtime = self.stats.modtime
-        self.stats.appends += 1
-        self.stats.modtime = now
-        self._bump("insert", None, dict(row))
-        mv = self._mv
-        if mv is not None:
-            seq, auto = mv.db._mv_begin(self, self.every_column)
-            try:
-                mv.on_insert(row, seq)
-                self.mv_last_seq = seq
-            finally:
-                mv.db._mv_finish(seq, auto)
-            undo = mv.db._txn_undo_list()
-            if undo is not None:
-                undo.append(lambda: self._undo_insert(
-                    row, seq, prev_modtime))
+        seq, auto = self._begin(self.every_column)
+        try:
+            record = self._mv.on_insert(row, seq)
+            self.mv_last_seq = seq
+            self.stats.appends += 1
+            self.stats.modtime = now
+            self._bump("insert", None, record.current.data)
+        finally:
+            self._end(seq, auto)
+        undo = self._undo_list()
+        if undo is not None:
+            undo.append(lambda: self._undo_insert(record, seq,
+                                                  prev_modtime))
         return row
-
-    def _indexes_over(self, names) -> list:
-        """The single-column and composite indexes over any of
-        *names*: those an update of those columns may re-bucket."""
-        return ([index for name, index in self._indexes.items()
-                 if name in names]
-                + [comp for comp in self._composites.values()
-                   if any(name in names for name in comp.names)])
 
     def update_rows(self, rows: list[Row], changes: dict, *, now: int = 0,
                     touch_stats: bool = True) -> int:
@@ -755,84 +609,57 @@ class Table(StorageTable):
                 candidate.update(coerced)
                 if self._violates_unique(candidate, ignore=row, keys=keys):
                     raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
-        touched = self._indexes_over(coerced)
-        mv = self._mv
-        undo = (mv.db._txn_undo_list()
-                if (mv is not None and rows) else None)
-        old_values = None
+        records = self._records(rows)
         prev_modtime = self.stats.modtime
-        if undo is not None:
-            old_values = [{name: row[name] for name in coerced}
-                          for row in rows]
-        for row in rows:
-            before = dict(row) if touch_stats else None
-            keys = [index._row_key(row) for index in touched]
-            row.update(coerced)
-            for index, key in zip(touched, keys):
-                index.rekey(row, key)
-            if touch_stats:
-                self._bump("update", before, dict(row))
+        if records:
+            seq, auto = self._begin(
+                frozenset(coerced) if touch_stats else None)
+            tokens = []
+            try:
+                for record in records:
+                    before = record.current.data
+                    tokens.append(self._mv.on_update(record, coerced, seq))
+                    if touch_stats:
+                        self._bump("update", before, record.current.data)
+                self.mv_last_seq = seq
+            finally:
+                self._end(seq, auto)
+            undo = self._undo_list()
+            if undo is not None:
+                undo.append(lambda: self._undo_update(
+                    tokens, seq, touch_stats, prev_modtime))
         if touch_stats:
             self.stats.updates += len(rows)
             self.stats.modtime = now
-        if mv is not None and rows:
-            changed = set(coerced)
-            seq, auto = mv.db._mv_begin(
-                self, frozenset(changed) if touch_stats else None)
-            try:
-                tokens = [mv.on_update(row, changed, seq)
-                          for row in rows]
-                self.mv_last_seq = seq
-            finally:
-                mv.db._mv_finish(seq, auto)
-            if undo is not None:
-                undo.append(lambda: self._undo_update(
-                    list(rows), old_values, tokens, set(coerced), seq,
-                    touch_stats, prev_modtime))
         return len(rows)
 
     def delete_rows(self, rows: list[Row], *, now: int = 0) -> int:
-        """Remove the given rows, maintaining indexes.
-
-        Costs O(len(rows)): each row leaves the identity-keyed store
-        without a pass over the rest of the table.
-        """
+        """Remove the given rows: O(len(rows)), no other row visited."""
         if not rows:
             return 0
-        mv = self._mv
-        undo = mv.db._txn_undo_list() if mv is not None else None
+        records = self._records(rows)
+        if len(set(map(id, records))) != len(records):
+            # checked before any change, so the statement is atomic
+            raise MoiraError(MR_INTERNAL,
+                             f"a row deleted twice from {self.name}")
         prev_modtime = self.stats.modtime
-        remove = self.rows.remove
-        for row in rows:
-            remove(row)
-            for index in self._indexes.values():
-                index.remove(row)
-            for comp in self._composites.values():
-                comp.remove(row)
-            self._bump("delete", dict(row), None)
-        self.stats.deletes += len(rows)
-        self.stats.modtime = now
-        if mv is not None:
-            seq, auto = mv.db._mv_begin(self, self.every_column)
-            try:
-                tokens = [mv.on_delete(row, seq) for row in rows]
-                self.mv_last_seq = seq
-            finally:
-                mv.db._mv_finish(seq, auto)
-            if undo is not None:
-                gone = list(rows)
-                undo.append(lambda: self._undo_delete(
-                    gone, tokens, prev_modtime))
+        seq, auto = self._begin(self.every_column)
+        try:
+            tokens = [self._mv.on_delete(record, seq) for record in records]
+            self.mv_last_seq = seq
+            for record in records:
+                self._bump("delete", record.current.data, None)
+            self.stats.deletes += len(rows)
+            self.stats.modtime = now
+        finally:
+            self._end(seq, auto)
+        undo = self._undo_list()
+        if undo is not None:
+            undo.append(lambda: self._undo_delete(tokens, prev_modtime))
         return len(rows)
 
     def clear(self) -> None:
-        """Drop every row (and index contents)."""
-        self.rows.clear()
-        for index in self._indexes.values():
-            index.buckets.clear()
-            index._sorted_keys = None
-        for comp in self._composites.values():
-            comp.buckets.clear()
+        """Drop every row."""
         self._bump("clear", None, None)
         if self._changelog is not None:
             # a wholesale reload can't be described row-by-row; empty the
@@ -841,14 +668,12 @@ class Table(StorageTable):
         # no undo hook: clear() is a whole-database operation (restore,
         # reload) that only ever runs under the full-exclusion facade,
         # which never aborts
-        mv = self._mv
-        if mv is not None:
-            seq, auto = mv.db._mv_begin(self, self.every_column)
-            try:
-                mv.on_clear(seq)
-                self.mv_last_seq = seq
-            finally:
-                mv.db._mv_finish(seq, auto)
+        seq, auto = self._begin(self.every_column)
+        try:
+            self._mv.on_clear(seq)
+            self.mv_last_seq = seq
+        finally:
+            self._end(seq, auto)
 
     def bulk_load(self, rows: list[Row], *, now: int = 0) -> None:
         """Trusted batched append — the parallel population builder's path.
@@ -857,12 +682,13 @@ class Table(StorageTable):
         with a value of the column's declared kind (the builder derives
         them from the schema, and the serial oracle build coerces the
         very same inputs through ``insert``).  Uniqueness is still
-        enforced per row, but the per-row overheads of the general path
-        are paid once per batch: the version advances by ``len(rows)``
-        in one step, the changelog is emptied so ``changes_since``
-        reports the gap (``clear()`` semantics — a bulk load is not
-        describable row-by-row to incremental consumers), and every row
-        shares one MVCC statement window and one undo closure.
+        enforced per row (a duplicate loads none of the batch), but the
+        per-row overheads of the general path are paid once per batch:
+        the version advances by ``len(rows)`` in one step, the
+        changelog is emptied so ``changes_since`` reports the gap
+        (``clear()`` semantics — a bulk load is not describable
+        row-by-row to incremental consumers), and every row shares one
+        MVCC statement window and one undo closure.
         """
         if not rows:
             return
@@ -870,118 +696,102 @@ class Table(StorageTable):
             raise MoiraError(
                 MR_INTERNAL,
                 f"bulk_load row shape does not match {self.name}")
-        indexes = list(self._indexes.values())
-        composites = list(self._composites.values())
-        append = self.rows.append
-        for row in rows:
-            if self._violates_unique(row):
-                raise MoiraError(MR_EXISTS, f"{self.name}: {row}")
-            append(row)
-            for index in indexes:
-                index.add(row)
-            for comp in composites:
-                comp.add(row)
         prev_modtime = self.stats.modtime
-        self.stats.appends += len(rows)
-        self.stats.modtime = now
-        self.version += len(rows)
-        if self._changelog is not None:
-            self._changelog.clear()
-        mv = self._mv
-        if mv is not None:
-            seq, auto = mv.db._mv_begin(self, self.every_column)
-            try:
-                mv.bulk_admit(rows, seq)
-                self.mv_last_seq = seq
-            finally:
-                mv.db._mv_finish(seq, auto)
-            undo = mv.db._txn_undo_list()
-            if undo is not None:
-                loaded = list(rows)
-                undo.append(lambda: self._undo_bulk_load(
-                    loaded, seq, prev_modtime))
+        seq, auto = self._begin(self.every_column)
+        try:
+            self._mv.bulk_admit(rows, seq, self._violates_unique)
+            self.mv_last_seq = seq
+            self.stats.appends += len(rows)
+            self.stats.modtime = now
+            self.version += len(rows)
+            if self._changelog is not None:
+                self._changelog.clear()
+        finally:
+            self._end(seq, auto)
+        undo = self._undo_list()
+        if undo is not None:
+            loaded = list(rows)
+            undo.append(lambda: self._undo_bulk_load(
+                loaded, seq, prev_modtime))
 
     # -- abort undo ---------------------------------------------------------
-    # Write transactions roll back a failing write's own mutations, so
-    # a bad write leaves nothing behind for the writes after it.  Undo
-    # restores logical row state and scan order exactly (the mrbackup
-    # oracle dumps scan order); hash-bucket order within an index may
-    # differ from the never-mutated ordering, which is invisible to the
-    # dump and to any exact lookup.
-    # Compensating _bump() entries keep the changelog consistent for
-    # incremental DCM consumers instead of rewinding versions.
 
-    def _undo_insert(self, row: Row, seq: int, prev_modtime: int) -> None:
-        self.rows.remove(row)
-        for index in self._indexes.values():
-            index.remove(row)
-        for comp in self._composites.values():
-            comp.remove(row)
+    def _undo_insert(self, record, seq: int, prev_modtime: int) -> None:
+        self._mv.undo_insert(record, seq)
         self.stats.appends -= 1
         self.stats.modtime = prev_modtime
-        self._bump("delete", dict(row), None)
-        mv = self._mv
-        if mv is not None:
-            mv.undo_insert(row, seq)
+        self._bump("delete", record.current.data, None)
 
     def _undo_bulk_load(self, rows: list[Row], seq: int,
                         prev_modtime: int) -> None:
-        for row in rows:
-            self.rows.remove(row)
-            for index in self._indexes.values():
-                index.remove(row)
-            for comp in self._composites.values():
-                comp.remove(row)
+        for record in reversed(self._records(rows)):
+            self._mv.undo_insert(record, seq)
         self.stats.appends -= len(rows)
         self.stats.modtime = prev_modtime
         # one compensating bump; the changelog already reports a gap
         self.version += 1
-        mv = self._mv
-        if mv is not None:
-            for row in reversed(rows):
-                mv.undo_insert(row, seq)
 
-    def _undo_update(self, rows: list[Row], old_values: list[dict],
-                     tokens: list, changed: set, seq: int,
-                     touch_stats: bool, prev_modtime: int) -> None:
-        touched = self._indexes_over(changed)
-        mv = self._mv
-        for row, old, token in zip(reversed(rows), reversed(old_values),
-                                   reversed(tokens)):
-            after = dict(row) if touch_stats else None
-            keys = [index._row_key(row) for index in touched]
-            row.update(old)
-            for index, key in zip(touched, keys):
-                index.rekey(row, key)
+    def _undo_update(self, tokens: list, seq: int, touch_stats: bool,
+                     prev_modtime: int) -> None:
+        for token in reversed(tokens):
+            record = token[0]
+            after = record.current.data
+            self._mv.undo_update(token, seq)
             if touch_stats:
-                self._bump("update", after, dict(row))
-            if mv is not None and token is not None:
-                mv.undo_update(token, seq)
+                self._bump("update", after, record.current.data)
         if touch_stats:
-            self.stats.updates -= len(rows)
+            self.stats.updates -= len(tokens)
             self.stats.modtime = prev_modtime
 
-    def _undo_delete(self, rows: list[Row], tokens: list,
-                     prev_modtime: int) -> None:
-        # only a versioned table registers this undo, and its version
-        # store's scan list mirrors scan order: reopen the rows there,
-        # then rebuild the live store in that order — the one O(table)
-        # step of any undo, paid on abort only
-        mv = self._mv
+    def _undo_delete(self, tokens: list, prev_modtime: int) -> None:
+        # each record's entries reopen where they stand, so the rows
+        # come back at their scan and bucket positions
         for token in reversed(tokens):
-            if token is not None:
-                mv.undo_delete(token)
-        self.rows = _RowStore(mv.scan_order(self.rows, rows))
-        for row in rows:
-            for index in self._indexes.values():
-                index.add(row)
-            for comp in self._composites.values():
-                comp.add(row)
-            self._bump("insert", None, dict(row))
-        self.stats.deletes -= len(rows)
+            self._mv.undo_delete(token)
+        for record, _live in tokens:
+            self._bump("insert", None, record.current.data)
+        self.stats.deletes -= len(tokens)
         self.stats.modtime = prev_modtime
 
     # -- retrieval ----------------------------------------------------------
+
+    def _plan_read(self, where: Optional[dict],
+                   predicate: Optional[Callable[[Row], bool]]) -> tuple:
+        """The one planning path of head and snapshot reads.
+
+        Returns ``(entries, check)``: the candidate entries for *where*
+        in result order (the scan list, a covering bucket, or the
+        smallest exact or literal-prefix bucket) and the test a
+        resolved row must pass — None when every visible entry matches.
+        String values containing ``*``/``?`` match as Moira wildcards.
+        """
+        if not where:
+            return self._mv.entries, predicate
+        plan, exact, wild = self._bind_plan(where)
+        if plan.covered is not None:
+            return plan.covered.lookup(exact), predicate
+        best: Optional[list] = None
+        if plan.composite is not None:
+            best = plan.composite.lookup(exact)
+        for _name, index in plan.single:
+            bucket = index.lookup(exact)
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        # literal-prefix wildcards ("CHURN*") can use an index too —
+        # the common prefix-query shape must not force a full scan
+        for (_name, _column, index), pattern in zip(plan.wild, wild):
+            if index is None:
+                continue
+            prefix = _literal_prefix(pattern.pattern)
+            if prefix is None:
+                continue
+            bucket = index.prefix_entries(prefix)
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        if best is not None and not best:
+            return (), None
+        return (self._mv.entries if best is None else best,
+                _residual(plan, exact, wild, predicate))
 
     def select(
         self,
@@ -989,14 +799,13 @@ class Table(StorageTable):
         *,
         predicate: Optional[Callable[[Row], bool]] = None,
     ) -> list[Row]:
-        """Return rows matching *where* (exact/wildcard per column) and
-        *predicate*.
-
-        String values containing ``*``/``?`` match as Moira wildcards;
-        integer columns and exact strings use index lookups when one is
-        available on that column.
-        """
-        return list(self.iter_select(where, predicate=predicate))
+        """The head's rows matching *where* (exact/wildcard per column)
+        and *predicate*: the open entries of the planned candidates."""
+        entries, check = self._plan_read(where, predicate)
+        if check is None:
+            return [e.record.row for e in entries if e.end == INF_SEQ]
+        return [row for e in entries
+                if e.end == INF_SEQ and check(row := e.record.row)]
 
     def iter_select(
         self,
@@ -1004,63 +813,14 @@ class Table(StorageTable):
         *,
         predicate: Optional[Callable[[Row], bool]] = None,
     ) -> Iterator[Row]:
-        """Yield matching rows (see select())."""
-        if not where:
-            for row in self.rows:
-                if predicate is None or predicate(row):
-                    yield row
-            return
+        """Iterate the matching rows as they were when it started (see
+        select()): a loop may mutate the table it walks."""
+        return iter(self.select(where, predicate=predicate))
 
-        plan, exact, wild = self._bind_plan(where)
-
-        # fully covered exact WHERE: one bucket is the whole answer,
-        # no residual filtering
-        if plan.covered:
-            bucket = plan.covered_bucket(exact)
-            for row in bucket:
-                if predicate is None or predicate(row):
-                    yield row
-            return
-
-        # pick the most selective available bucket
-        best: Optional[list[Row]] = None
-        if plan.composite is not None:
-            best = plan.composite.lookup_values(exact)
-        for name, index in plan.single:
-            bucket = index.lookup(exact[name])
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        # literal-prefix wildcards ("CHURN*") can use an index too —
-        # the common prefix-query shape must not force a full scan
-        for (name, _column, index), pattern in zip(plan.wild, wild):
-            if index is None:
-                continue
-            prefix = _literal_prefix(pattern.pattern)
-            if prefix is None:
-                continue
-            bucket = index.prefix_lookup(prefix)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        if best is not None and not best:
-            return
-        candidates: Iterable[Row] = self.rows if best is None else best
-
-        columns = self.columns
-        for row in candidates:
-            ok = True
-            for name, _column in plan.exact:
-                if not columns[name].equal(row[name], exact[name]):
-                    ok = False
-                    break
-            if ok:
-                for (name, _column, _index), pattern in zip(plan.wild, wild):
-                    if not pattern.matches(str(row[name])):
-                        ok = False
-                        break
-            if ok and predicate is not None and not predicate(row):
-                ok = False
-            if ok:
-                yield row
+    @property
+    def rows(self) -> list[Row]:
+        """Every row, in scan order (a fresh list)."""
+        return self.select()
 
     def _bind_plan(self, where: dict) -> tuple[
             _Plan, dict[str, Any], list[WildcardPattern]]:
@@ -1096,20 +856,15 @@ class Table(StorageTable):
         return plan, exact, wild
 
     def count(self, where: Optional[dict] = None) -> int:
-        """Number of rows matching *where*.
-
-        An exact-only WHERE fully covered by a (composite) index
-        answers from the bucket length without iterating rows.
-        """
+        """Number of rows matching *where*."""
         if not where:
-            return len(self.rows)
-        plan, exact, wild = self._bind_plan(where)
-        if plan.covered:
-            return len(plan.covered_bucket(exact))
-        return sum(1 for _ in self.iter_select(where))
+            return len(self._mv.records)
+        entries, check = self._plan_read(where, None)
+        return sum(1 for e in entries if e.end == INF_SEQ
+                   and (check is None or check(e.record.row)))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._mv.records)
 
 
 class Database(StorageBackend):
@@ -1185,7 +940,7 @@ class Database(StorageBackend):
         return self._closure
 
     def read_locked(self) -> ContextManager[None]:
-        """Shared-mode critical section over the live tables (backup,
+        """Shared-mode critical section over the tables' heads (backup,
         the replication snapshot feed)."""
         return self.lock.shared()
 
@@ -1194,9 +949,7 @@ class Database(StorageBackend):
         if table.name in self.tables:
             raise ValueError(f"table {table.name} already exists")
         self.tables[table.name] = table
-        if table._mv is None:
-            from repro.db.mvcc import TableVersionStore
-            table._mv = TableVersionStore(self, table)
+        table._mv.db = self
         return table
 
     @contextmanager
@@ -1296,11 +1049,11 @@ class Database(StorageBackend):
     def _txn_abort(self, txn: "_Txn") -> None:
         """Undo a failed write transaction and publish its seq.
 
-        The transaction's own versions and live-table mutations —
-        ``values`` hint bumps and ``strings`` inserts alike — are
-        rolled back in reverse order; its seq, if it took one, still
-        publishes (as an abort) so later writers waiting in the gate
-        don't hang on a seq that will never commit.
+        The transaction's own mutations — ``values`` hint bumps and
+        ``strings`` inserts alike — are rolled back in reverse order;
+        its seq, if it took one, still publishes (as an abort) so later
+        writers waiting in the gate don't hang on a seq that will never
+        commit.
         """
         if txn.undo:
             for fn in reversed(txn.undo):
@@ -1322,7 +1075,7 @@ class Database(StorageBackend):
         per-record version chains stay monotone); an unlocked
         statement (single-threaded setup: schema seeding, population
         load, tests) auto-commits — ``(seq, auto)`` where *auto* tells
-        :meth:`_mv_finish` to publish immediately.
+        ``Table._end`` to publish immediately.
         """
         txn = self._txns.get(threading.get_ident())
         if txn is None:
@@ -1336,10 +1089,6 @@ class Database(StorageBackend):
         if txn.seq == 0:
             self._alloc_seq(txn)
         return txn.seq, False
-
-    def _mv_finish(self, seq: int, auto: bool) -> None:
-        if auto:
-            self._publish_seq(seq)
 
     def _mv_note(self, created: int, *,
                  dead: Optional[int] = None) -> None:
@@ -1403,12 +1152,10 @@ class Database(StorageBackend):
                     horizon = min(horizon, min(self._pins))
             entries = versions = visited = 0
             for table in self.tables.values():
-                if table._mv is not None:
-                    freed_entries, freed_versions, seen = \
-                        table._mv.gc(horizon)
-                    entries += freed_entries
-                    versions += freed_versions
-                    visited += seen
+                freed_entries, freed_versions, seen = table._mv.gc(horizon)
+                entries += freed_entries
+                versions += freed_versions
+                visited += seen
             self._mv_pressure = 0
             self._mv_counters["gc_runs"] += 1
             self._mv_counters["gc_visited"] += visited

@@ -1,25 +1,27 @@
 """Multi-version concurrency control for the in-memory engine.
 
-Snapshot-isolation reads over the live engine (docs/STORAGE_ENGINE.md):
+Each relation is stored once, in its :class:`TableVersionStore`
+(docs/STORAGE_ENGINE.md), and the writer and snapshot readers both
+read it:
 
 * Every mutation statement is stamped with a **commit sequence** (the
   MVCC timeline; one seq per writer transaction, published through the
   database's in-order commit gate).
-* Each mutated row gets an immutable :class:`_Version` — a frozen copy
-  of the row dict with a ``[begin, end)`` visibility window — chained
-  newest-first on a per-row :class:`_Record`.
-* Scan order and index-bucket membership are mirrored by
-  :class:`_Entry` objects carrying their own ``[begin, end)`` windows,
-  so a snapshot reader sees exactly the rows — **in exactly the
-  order** — a locked reader would have seen at that seq.  (Inserts
-  append; an update that touches an indexed column retires the old
-  bucket entry and appends a new one, mirroring the live index's
-  remove+append; deletes retire every entry.)
+* Each row is a :class:`_Record`: the writer's mutable row dict
+  (``record.row``) plus a chain, newest first, of immutable
+  :class:`_Version` copies of it, each with a ``[begin, end)``
+  visibility window.
+* The scan list and every index bucket hold :class:`_Entry` objects
+  carrying their own ``[begin, end)`` windows.  Inserts append; an
+  update that moves an indexed key closes the old bucket entry and
+  appends a new one; deletes close every entry.  The **head** (the
+  writer's view) is the open entries (``end == INF_SEQ``) resolved to
+  ``record.row``; a snapshot sees exactly the rows — **in exactly the
+  order** — the head showed at its seq.
 * A reader **pins** the current committed seq (``Database.
-  pin_snapshot``) and scans the version store without taking the
-  RWLock's shared side at all: readers never block on writers and
-  writers never wait on readers.  Only writer–writer exclusion
-  remains on the lock.
+  pin_snapshot``) and scans the store without taking the RWLock's
+  shared side at all: readers never block on writers and writers never
+  wait on readers.  Only writer–writer exclusion remains on the lock.
 
 Lock-free safety rests on CPython's per-opcode atomicity: version
 ``data`` dicts are never mutated after publication, list appends are
@@ -41,10 +43,10 @@ from __future__ import annotations
 import bisect
 import time
 from contextlib import nullcontext
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.db.backend import StorageTable
-from repro.errors import MoiraError, MR_INTERNAL, MR_NO_ID, MR_NO_MATCH
+from repro.errors import MoiraError, MR_EXISTS, MR_NO_ID, MR_NO_MATCH
 
 __all__ = ["INF_SEQ", "Snapshot", "SnapshotTable", "TableVersionStore",
            "SnapshotStale"]
@@ -72,7 +74,8 @@ class _Version:
 
 
 class _Record:
-    """The version chain of one logical row (newest first).
+    """One logical row: the writer's row dict and its version chain
+    (newest first).
 
     ``live`` maps slot → the record's current open :class:`_Entry` per
     structure (``None`` slot = the scan list, a column name = a single
@@ -80,9 +83,10 @@ class _Record:
     exactly the entries they invalidate.
     """
 
-    __slots__ = ("current", "live")
+    __slots__ = ("row", "current", "live")
 
-    def __init__(self, current: _Version):
+    def __init__(self, row: dict, current: _Version):
+        self.row = row
         self.current = current
         self.live: dict = {}
 
@@ -112,13 +116,13 @@ def _visible(record: _Record, seq: int) -> Optional[dict]:
 
 
 class _MvIndex:
-    """Versioned mirror of a single-column hash index.
+    """Hash index on one column: buckets of :class:`_Entry` lists.
 
-    Buckets hold :class:`_Entry` lists in live-index order.  The sorted
-    key list for prefix queries is epoch-validated: writers bump
-    ``key_epoch`` whenever the key set changes, and a reader that
-    cached against an older epoch recomputes — a stale cache can never
-    be revalidated, only replaced.
+    Besides exact lookups it answers *prefix* queries (the ``CHURN*``
+    wildcard shape) from a sorted key list that is epoch-validated:
+    writers bump ``key_epoch`` whenever the key set changes, and a
+    reader that cached against an older epoch recomputes — a stale
+    cache can never be revalidated, only replaced.
     """
 
     def __init__(self, column):
@@ -143,9 +147,14 @@ class _MvIndex:
     def bucket(self, value: Any) -> list[_Entry]:
         return self.buckets.get(self.key_of(value), [])
 
+    def lookup(self, values: dict) -> list[_Entry]:
+        """The bucket of ``values[column]`` (coerced)."""
+        return self.bucket(values[self.column.name])
+
     def prefix_entries(self, prefix: str) -> list[_Entry]:
         """Entries under keys starting with *prefix* (folded), in key
-        order then bucket order — mirroring ``_Index.prefix_lookup``."""
+        order then bucket order.  Non-string keys (an int column) never
+        match a string prefix."""
         if self.column.fold_case:
             prefix = prefix.lower()
         epoch = self.key_epoch
@@ -167,7 +176,10 @@ class _MvIndex:
 
 
 class _MvComposite:
-    """Versioned mirror of a composite (tuple-keyed) hash index."""
+    """Hash index over several columns (tuple-keyed buckets): a bucket
+    holds exactly the rows equal (case folded where declared) on every
+    indexed column, so an exact WHERE it fully covers needs no residual
+    filtering."""
 
     def __init__(self, columns):
         self.columns = tuple(columns)
@@ -186,42 +198,39 @@ class _MvComposite:
     def append(self, key: tuple, entry: _Entry) -> None:
         self.buckets.setdefault(key, []).append(entry)
 
-    def bucket_values(self, values: dict) -> list[_Entry]:
-        key = tuple(self._fold(c, values[c.name]) for c in self.columns)
-        return self.buckets.get(key, [])
+    def lookup(self, values: dict) -> list[_Entry]:
+        """The bucket of *values*' indexed columns (coerced)."""
+        return self.buckets.get(self.key_of(values), [])
 
 
 class TableVersionStore:
-    """The side version store of one :class:`~repro.db.engine.Table`.
+    """The rows of one :class:`~repro.db.engine.Table` (its ``_mv``).
 
-    The live table's rows/indexes stay the writer's (and the byte-
-    identity oracle's) structures; this store is an append-mostly
-    mirror that snapshot readers scan lock-free.  All mutation methods
-    run on the writer path (under the exclusive lock, or on the
-    single-threaded setup path) — only the read side is concurrent.
+    All mutation methods run on the writer path (under the exclusive
+    lock, or on the single-threaded setup path) — only the read side
+    is concurrent.  ``db`` is attached by ``Database.create_table``; a
+    table outside any database writes at seq 0.
     """
 
-    def __init__(self, db, table, *, base_seq: int = 0):
-        self.db = db
+    def __init__(self, table):
+        self.db = None
         self.table = table
-        self.entries: list[_Entry] = []       # scan order (mirrors rows)
-        self.indexes: dict[str, _MvIndex] = {
-            name: _MvIndex(index.column)
-            for name, index in table._indexes.items()}
-        self.composites: dict[tuple, _MvComposite] = {
-            names: _MvComposite(comp.columns)
-            for names, comp in table._composites.items()}
-        self.records: dict[int, _Record] = {}  # id(live row) -> record
+        self.entries: list[_Entry] = []       # scan order
+        self.indexes: dict[str, _MvIndex] = {}
+        self.composites: dict[tuple, _MvComposite] = {}
+        self.records: dict[int, _Record] = {}  # id(record.row) -> record
         # what closed windows retired, for the collector: (slot, key) ->
         # entries closed in that bucket (slot None, key None: the scan
         # list), and id(record) -> records whose chain holds a closed
         # version
         self.retired: dict[tuple, list[_Entry]] = {}
         self.retired_chains: dict[int, _Record] = {}
-        for row in table.rows:
-            self._admit(row, base_seq)
 
     # -- writer-side hooks ---------------------------------------------------
+
+    def _note(self, created: int, *, dead: Optional[int] = None) -> None:
+        if self.db is not None:
+            self.db._mv_note(created, dead=dead)
 
     def _slot_key(self, slot, data: dict) -> Any:
         """The bucket key of *data* in structure *slot*."""
@@ -242,33 +251,18 @@ class TableVersionStore:
             self._retire(slot, self._slot_key(slot, data), entry)
         record.live = {}
 
-    def _admit(self, row: dict, seq: int) -> _Record:
-        data = dict(row)
-        record = _Record(_Version(data, seq, INF_SEQ, None))
-        self.records[id(row)] = record
-        entry = _Entry(record, seq, INF_SEQ)
-        self.entries.append(entry)
-        record.live[None] = entry
-        for name, index in self.indexes.items():
-            entry = _Entry(record, seq, INF_SEQ)
-            index.append(index.key_of(data[name]), entry)
-            record.live[name] = entry
-        for names, comp in self.composites.items():
-            entry = _Entry(record, seq, INF_SEQ)
-            comp.append(comp.key_of(data), entry)
-            record.live[names] = entry
-        return record
+    def on_insert(self, row: dict, seq: int) -> _Record:
+        self.bulk_admit([row], seq)
+        return self.records[id(row)]
 
-    def on_insert(self, row: dict, seq: int) -> None:
-        self._admit(row, seq)
-        self.db._mv_note(1, dead=0)
+    def bulk_admit(self, rows: list, seq: int, violates=None) -> None:
+        """Admit a batch of rows in one pass (writer path).
 
-    def bulk_admit(self, rows: list, seq: int) -> None:
-        """Admit a bulk-loaded batch in one pass (writer path).
-
-        Semantically ``on_insert`` per row; the loop hoists every
-        per-row attribute lookup and the per-index case-fold decision,
-        so a million-row registrar's tape pays allocation cost only.
+        The loop hoists every per-row attribute lookup and the
+        per-index case-fold decision, so a million-row registrar's tape
+        pays allocation cost only.  *violates(row)*, when given, is
+        asked before each row is admitted; a true answer takes the
+        batch's rows back out and raises MR_EXISTS.
         """
         entries_append = self.entries.append
         records = self.records
@@ -280,9 +274,13 @@ class TableVersionStore:
         comp_plan = [(names, comp.key_of, comp.buckets)
                      for names, comp in self.composites.items()]
         inf = INF_SEQ
-        for row in rows:
+        for n, row in enumerate(rows):
+            if violates is not None and violates(row):
+                for done in reversed(rows[:n]):
+                    self.undo_insert(records[id(done)], seq)
+                raise MoiraError(MR_EXISTS, f"{self.table.name}: {row}")
             data = dict(row)
-            record = _Record(_Version(data, seq, inf, None))
+            record = _Record(row, _Version(data, seq, inf, None))
             records[id(row)] = record
             live = record.live
             entry = _Entry(record, seq, inf)
@@ -304,15 +302,13 @@ class TableVersionStore:
                 entry = _Entry(record, seq, inf)
                 buckets.setdefault(key_of(data), []).append(entry)
                 live[names] = entry
-        self.db._mv_note(len(rows), dead=0)
+        self._note(len(rows), dead=0)
 
-    def on_update(self, row: dict, changed: set, seq: int):
-        """Version one row update; returns an opaque undo token (used
-        by write-transaction aborts) or None for untracked rows."""
-        record = self.records.get(id(row))
-        if record is None:          # untracked row; nothing to version
-            return None
-        data = dict(row)            # the post-update state
+    def on_update(self, record: _Record, changes: dict, seq: int):
+        """Apply *changes* to the record's row and version it; returns
+        the undo token (used by write-transaction aborts)."""
+        record.row.update(changes)
+        data = dict(record.row)     # the post-update state
         old = record.current
         fresh = _Version(data, seq, INF_SEQ, old)
         # publication order: close the old window, then swap the head —
@@ -323,54 +319,47 @@ class TableVersionStore:
         self.retired_chains[id(record)] = record
         # (slot, retired entry, fresh entry, fresh key) per re-bucketed
         # structure, so an abort can reopen exactly what this statement
-        # closed
+        # closed.  A row is re-bucketed only when the update moves its
+        # key, so a kept entry keeps its place and answers for both
+        # versions: each reader resolves the record at its own seq.
         replaced: list = []
-        # the live index re-buckets a row (remove + append) only when an
-        # update changes its key; mirror that exactly so bucket order
-        # stays byte-identical.  A kept entry answers for both versions:
-        # each reader resolves the record at its own seq.
-        for name in changed:
+        for name in changes:
             index = self.indexes.get(name)
             if index is None:
                 continue
             key = index.key_of(data[name])
             stale_key = index.key_of(old.data[name])
-            if key == stale_key:
-                continue
-            stale = record.live.get(name)
-            if stale is not None:
-                stale.end = seq
-                self._retire(name, stale_key, stale)
-            entry = _Entry(record, seq, INF_SEQ)
-            index.append(key, entry)
-            record.live[name] = entry
-            replaced.append((name, stale, entry, key))
+            if key != stale_key:
+                self._rebucket(record, name, index, stale_key, key, seq,
+                               replaced)
         for names, comp in self.composites.items():
-            if not any(name in changed for name in names):
+            if not any(name in changes for name in names):
                 continue
             key, stale_key = comp.key_of(data), comp.key_of(old.data)
-            if key == stale_key:
-                continue
-            stale = record.live.get(names)
-            if stale is not None:
-                stale.end = seq
-                self._retire(names, stale_key, stale)
-            entry = _Entry(record, seq, INF_SEQ)
-            comp.append(key, entry)
-            record.live[names] = entry
-            replaced.append((names, stale, entry, key))
-        self.db._mv_note(1)
-        return (row, old, replaced)
+            if key != stale_key:
+                self._rebucket(record, names, comp, stale_key, key, seq,
+                               replaced)
+        self._note(1)
+        return (record, old, replaced)
 
-    def on_delete(self, row: dict, seq: int):
-        """Retire one row; returns an opaque undo token or None."""
-        record = self.records.pop(id(row), None)
-        if record is None:
-            return None
-        token = (row, record, dict(record.live))
+    def _rebucket(self, record: _Record, slot, structure, stale_key, key,
+                  seq: int, replaced: list) -> None:
+        stale = record.live.get(slot)
+        if stale is not None:
+            stale.end = seq
+            self._retire(slot, stale_key, stale)
+        entry = _Entry(record, seq, INF_SEQ)
+        structure.append(key, entry)
+        record.live[slot] = entry
+        replaced.append((slot, stale, entry, key))
+
+    def on_delete(self, record: _Record, seq: int):
+        """Retire one row; returns the undo token."""
+        del self.records[id(record.row)]
+        token = (record, dict(record.live))
         record.current.end = seq
         self._retire_live(record, seq)
-        self.db._mv_note(1)
+        self._note(1)
         return token
 
     # -- abort undo (write transactions) -------------------------------------
@@ -380,106 +369,71 @@ class TableVersionStore:
     # window to the empty range [seq, seq) makes the version dead for
     # every reader past and future.  GC reclaims the husks normally:
     # they are queued like any retirement, and an entry an abort
-    # reopens leaves the queue when the collector finds it open.
+    # reopens leaves the queue when the collector finds it open.  Each
+    # undo costs the rows it undoes: entries are reopened where they
+    # stand, so scan and bucket order come back as they were.
 
-    def undo_insert(self, row: dict, seq: int) -> None:
-        record = self.records.pop(id(row), None)
-        if record is None:
-            return
+    def undo_insert(self, record: _Record, seq: int) -> None:
+        del self.records[id(record.row)]
         record.current.end = seq        # empty window: never visible
         self._retire_live(record, seq)
 
     def undo_update(self, token, seq: int) -> None:
-        row, old, replaced = token
-        record = self.records.get(id(row))
-        if record is not None and record.current.begin == seq:
-            # reopen the pre-update head, then swap it back (reverse of
-            # the publication order; the aborted version is orphaned)
-            old.end = INF_SEQ
-            record.current = old
+        record, old, replaced = token
+        # reopen the pre-update head, then swap it back (reverse of the
+        # publication order; the aborted version is orphaned)
+        old.end = INF_SEQ
+        record.current = old
+        record.row.update(old.data)
         for slot, stale, entry, key in replaced:
             entry.end = seq             # dead: [seq, seq)
             self._retire(slot, key, entry)
             if stale is not None:
                 stale.end = INF_SEQ
-                if record is not None:
-                    record.live[slot] = stale
+                record.live[slot] = stale
 
     def undo_delete(self, token) -> None:
-        row, record, live = token
-        self.records[id(row)] = record
+        record, live = token
+        self.records[id(record.row)] = record
         record.current.end = INF_SEQ
         for entry in live.values():
             entry.end = INF_SEQ
         record.live = live
-
-    def scan_order(self, live: Iterable[dict],
-                   reopened: list) -> list[dict]:
-        """*live* (the table's rows, in scan order) with *reopened* —
-        rows whose delete ``undo_delete`` just reversed — merged back
-        in at their scan positions, read off the open scan entries.
-        O(entries): abort undo only."""
-        records = self.records
-        back = {records[id(row)]: row for row in reopened}
-        rest = iter(live)
-        out = []
-        for entry in self.entries:
-            if entry.end != INF_SEQ:
-                continue
-            record = entry.record
-            row = back.get(record)
-            if row is None:
-                row = next(rest, None)
-                if row is None or records.get(id(row)) is not record:
-                    raise MoiraError(MR_INTERNAL,
-                                     "scan list out of step with live rows")
-            out.append(row)
-        if next(rest, None) is not None:
-            raise MoiraError(MR_INTERNAL,
-                             "scan list out of step with live rows")
-        return out
 
     def on_clear(self, seq: int) -> None:
         for record in self.records.values():
             record.current.end = seq
             self._retire_live(record, seq)
         self.records.clear()
-        self.db._mv_note(1)
+        self._note(1)
 
-    def on_add_index(self, column_name: str) -> None:
-        """Backfill a new single-column mirror, windows included.
+    def on_add_index(self, column) -> None:
+        """Create and backfill a single-column index, windows included.
 
         Historical windows are reconstructed by coalescing equal-key
         runs along each record's version chain, so already-pinned
         snapshots resolve correctly through the new index too.
         """
-        index = _MvIndex(self.table.columns[column_name])
+        index = _MvIndex(column)
+        self._backfill(column.name, index,
+                       lambda data: index.key_of(data[column.name]))
+        self.indexes[column.name] = index
+
+    def on_add_composite_index(self, columns) -> None:
+        comp = _MvComposite(columns)
+        self._backfill(comp.names, comp, comp.key_of)
+        self.composites[comp.names] = comp
+
+    def _backfill(self, slot, structure, key_of) -> None:
         for scan_entry in self.entries:     # one scan entry per record
             record = scan_entry.record
-            for key, begin, end, is_open in self._key_runs(
-                    record, lambda data: index.key_of(data[column_name])):
+            for key, begin, end, is_open in self._key_runs(record, key_of):
                 entry = _Entry(record, begin, end)
-                index.append(key, entry)
+                structure.append(key, entry)
                 if is_open:
-                    record.live[column_name] = entry
+                    record.live[slot] = entry
                 else:
-                    self._retire(column_name, key, entry)
-        self.indexes[column_name] = index
-
-    def on_add_composite_index(self, names: tuple) -> None:
-        live = self.table._composites[tuple(names)]
-        comp = _MvComposite(live.columns)
-        for scan_entry in self.entries:
-            record = scan_entry.record
-            for key, begin, end, is_open in self._key_runs(
-                    record, comp.key_of):
-                entry = _Entry(record, begin, end)
-                comp.append(key, entry)
-                if is_open:
-                    record.live[comp.names] = entry
-                else:
-                    self._retire(comp.names, key, entry)
-        self.composites[comp.names] = comp
+                    self._retire(slot, key, entry)
 
     @staticmethod
     def _key_runs(record: _Record, key_of) -> Iterator[tuple]:
@@ -621,11 +575,12 @@ class SnapshotTable:
     """One relation as of a pinned seq; quacks like a read-only
     :class:`~repro.db.engine.Table`.
 
-    Plan *classification* is borrowed from the live table (shapes and
-    schema epochs are thread-safe enough under the GIL), but every row
-    and bucket comes from the version store — the live rows/indexes
-    are never touched, so in-place writer mutations cannot tear a
-    snapshot read.
+    Planning is the table's own (``Table._plan_read``: shapes and
+    schema epochs are thread-safe enough under the GIL); only the
+    resolve loop differs from a head read: an entry counts when its
+    window holds the pinned seq, and it resolves to the record's
+    version at that seq, never to the writer's mutable row — so
+    in-place writer mutations cannot tear a snapshot read.
     """
 
     def __init__(self, snapshot: "Snapshot", table, store: TableVersionStore):
@@ -643,94 +598,21 @@ class SnapshotTable:
 
     def changes_since(self, version: int):
         """Snapshots carry no changed-row log (incremental consumers
-        run on the live writer path)."""
+        run on the writer's head)."""
         return None
 
     # -- retrieval -----------------------------------------------------------
 
-    def _resolve(self, entries) -> Iterator[dict]:
-        """Visible row states from candidate entries, counting
-        scanned row-versions on the owning snapshot."""
-        snap = self._snap
-        seq = snap.seq
-        for entry in entries:
-            snap.rows_scanned += 1
-            if not (entry.begin <= seq < entry.end):
-                continue
-            data = _visible(entry.record, seq)
-            if data is not None:
-                yield data
-
-    def _covered_entries(self, plan, exact: dict) -> list[_Entry]:
-        store = self._store
-        if plan.composite is not None and \
-                len(plan.composite.names) == len(plan.exact):
-            return store.composites[plan.composite.names] \
-                .bucket_values(exact)
-        name, _index = plan.single[0]
-        return store.indexes[name].bucket(exact[name])
-
     def iter_select(self, where: Optional[dict] = None, *,
                     predicate=None) -> Iterator[dict]:
-        """Yield rows matching *where* at the pinned seq — same
-        classification, index choice, and result order as the live
-        table's path at that seq."""
-        table = self._table
-        store = self._store
-        snap = self._snap
-        if not where:
-            yield from self._matching(store.entries, predicate)
-            return
-        plan, exact, wild = table._bind_plan(where)
-        if plan.covered:
-            # bucket membership at seq *is* the full answer
-            yield from self._matching(self._covered_entries(plan, exact),
-                                      predicate)
-            return
-        from repro.db.engine import _literal_prefix
-        best: Optional[list[_Entry]] = None
-        if plan.composite is not None:
-            best = store.composites[plan.composite.names] \
-                .bucket_values(exact)
-        for name, _index in plan.single:
-            bucket = store.indexes[name].bucket(exact[name])
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        for (name, _column, index), pattern in zip(plan.wild, wild):
-            if index is None:
-                continue
-            prefix = _literal_prefix(pattern.pattern)
-            if prefix is None:
-                continue
-            bucket = store.indexes[name].prefix_entries(prefix)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        if best is not None and not best:
-            return
-        candidates = store.entries if best is None else best
-        columns = table.columns
-        for data in self._resolve(candidates):
-            ok = True
-            for name, _column in plan.exact:
-                if not columns[name].equal(data[name], exact[name]):
-                    ok = False
-                    break
-            if ok:
-                for (name, _column, _index), pattern in zip(plan.wild,
-                                                            wild):
-                    if not pattern.matches(str(data[name])):
-                        ok = False
-                        break
-            if ok and predicate is not None and not predicate(data):
-                ok = False
-            if ok:
-                snap.rows_returned += 1
-                yield data
+        """Yield rows matching *where* at the pinned seq — the head
+        read's plan, candidates and result order at that seq."""
+        entries, check = self._table._plan_read(where, predicate)
+        return self._matching(entries, check)
 
-    def _matching(self, entries, predicate) -> Iterator[dict]:
-        """Visible rows of *entries* that pass *predicate*, counted on
-        the snapshot: one loop, no generator per stage — the whole
-        table for a scan, one bucket for a covered plan."""
+    def _matching(self, entries, check) -> Iterator[dict]:
+        """Visible rows of *entries* that pass *check*, counted on
+        the snapshot: one loop, no generator per stage."""
         snap = self._snap
         seq = snap.seq
         scanned = returned = 0
@@ -739,8 +621,8 @@ class SnapshotTable:
                 scanned += 1
                 if entry.begin <= seq < entry.end:
                     data = _visible(entry.record, seq)
-                    if data is not None and (predicate is None
-                                             or predicate(data)):
+                    if data is not None and (check is None
+                                             or check(data)):
                         returned += 1
                         yield data
         finally:
@@ -749,25 +631,24 @@ class SnapshotTable:
 
     def select(self, where: Optional[dict] = None, *,
                predicate=None) -> list[dict]:
-        if where and predicate is None:
-            plan, exact, _wild = self._table._bind_plan(where)
-            if plan.covered:
-                # one index bucket is the answer, resolved in one loop
-                snap = self._snap
-                seq = snap.seq
-                entries = self._covered_entries(plan, exact)
-                out = [data for entry in entries
-                       if entry.begin <= seq < entry.end
-                       and (data := _visible(entry.record, seq)) is not None]
-                snap.rows_scanned += len(entries)
-                snap.rows_returned += len(out)
-                return out
-        return list(self.iter_select(where, predicate=predicate))
+        entries, check = self._table._plan_read(where, predicate)
+        if check is not None:
+            return list(self._matching(entries, check))
+        # every visible entry matches (a scan, or one covering bucket):
+        # resolved in one loop
+        snap = self._snap
+        seq = snap.seq
+        out = [data for entry in entries
+               if entry.begin <= seq < entry.end
+               and (data := _visible(entry.record, seq)) is not None]
+        snap.rows_scanned += len(entries)
+        snap.rows_returned += len(out)
+        return out
 
     def probe(self, column: str):
         """The one-row join at the pinned seq: one bucket of *column*'s
-        versioned index per value, its first entry visible here — no
-        plan — counted on the snapshot as :meth:`select` counts."""
+        index per value, its first entry visible here — no plan —
+        counted on the snapshot as :meth:`select` counts."""
         index = self._store.indexes.get(column)
         if index is None:
             return StorageTable.probe(self, column)
@@ -794,30 +675,19 @@ class SnapshotTable:
         return first
 
     def count(self, where: Optional[dict] = None) -> int:
+        entries, check = self._table._plan_read(where, None)
+        if check is not None:
+            return sum(1 for _ in self._matching(entries, check))
         seq = self._snap.seq
-        if not where:
-            return sum(1 for e in self._store.entries
-                       if e.begin <= seq < e.end)
-        plan, exact, _wild = self._table._bind_plan(where)
-        if plan.covered:
-            return sum(1 for e in self._covered_entries(plan, exact)
-                       if e.begin <= seq < e.end)
-        return sum(1 for _ in self.iter_select(where))
+        return sum(1 for e in entries if e.begin <= seq < e.end)
 
     @property
     def rows(self) -> list[dict]:
         """Visible row states in scan order (immutable dicts)."""
         seq = self._snap.seq
-        out = []
-        for entry in self.entries_snapshot():
-            if entry.begin <= seq < entry.end:
-                data = _visible(entry.record, seq)
-                if data is not None:
-                    out.append(data)
-        return out
-
-    def entries_snapshot(self) -> list[_Entry]:
-        return self._store.entries
+        return [data for entry in self._store.entries
+                if entry.begin <= seq < entry.end
+                and (data := _visible(entry.record, seq)) is not None]
 
     def __len__(self) -> int:
         return self.count()

@@ -111,7 +111,7 @@ def build_database() -> Database:
         ],
         unique=[("login",), ("users_id",)],
         indexes=["login", "users_id", "uid", "last", "first", "mit_id",
-                 "status", "mit_year", "pop_id", "box_id"],
+                 "status", "mit_year", "pop_id", "box_id", "potype"],
         # the hottest relation: keep a changed-row log so incremental
         # generators can patch user-keyed files instead of re-extracting
         changelog=1024,

@@ -292,7 +292,7 @@ class SqliteDatabase(StorageBackend):
         table = SqliteTable(self, spec.name,
                             list(spec.columns.values()),
                             unique=spec.unique_keys,
-                            indexes=list(spec._indexes))
+                            indexes=list(spec._mv.indexes))
         self.tables[spec.name] = table
         return table
 

@@ -201,8 +201,8 @@ class InstallScript:
       DCM classifies soft: the host keeps its file and its next push
       is a whole one); a file this step staged is not hashed again
       while it is the object on disk
-    * ``("install", filename)`` — atomically rename
-      ``filename.moira_update`` over ``filename``
+    * ``("install", filename)`` — fsync the staged bytes, then
+      atomically rename ``filename.moira_update`` over ``filename``
     * ``("revert", filename)`` — put the saved old file back
     * ``("signal", pid_file, signum)`` — signal the process whose pid
       is recorded in *pid_file*
@@ -390,6 +390,10 @@ class UpdateDaemon:
             staged = filename + ".moira_update"
             if not fs.exists(staged):
                 raise MoiraError(MR_TAR_FAIL, f"missing {staged}")
+            # the staged bytes are durable before the old file moves
+            # (a durable rename is durable at once), so a crash from
+            # here on reboots with the new file, never with none
+            self.host.fsync()
             if fs.exists(filename):
                 # keep the old file for a possible revert
                 fs.rename(filename, filename + ".moira_old")

@@ -238,14 +238,14 @@ class TestIndexGuards:
         to crash on ``int.startswith``; now it just matches nothing."""
         table = make_table()
         fill(table, random.Random(5), n=30)
-        assert table._indexes["id"].prefix_lookup("1") == []
+        assert table._mv.indexes["id"].prefix_entries("1") == []
 
     def test_prefix_lookup_folds_case(self):
         table = make_table()
         table.insert({"id": 1, "kind": "USER", "owner": 1,
                       "name": "MixedCase", "tag": ""})
-        found = table._indexes["name"].prefix_lookup("mixed")
-        assert [r["name"] for r in found] == ["MixedCase"]
+        found = table._mv.indexes["name"].prefix_entries("mixed")
+        assert [e.record.row["name"] for e in found] == ["MixedCase"]
 
 
 class TestPatternLRU:

@@ -34,9 +34,7 @@ READS = sorted(name for name, query in all_queries().items()
                if not query.side_effects)
 
 # handle -> why its view reads more rows than it returns
-SCANS = {
-    "get_poboxes_smtp": "users.potype is not indexed: a users scan",
-}
+SCANS: dict[str, str] = {}
 
 
 @pytest.fixture(scope="module")

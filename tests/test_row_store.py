@@ -1,13 +1,14 @@
-"""The memory engine's live row store.
+"""The memory engine's row store.
 
-A table's rows live in an identity-keyed, insertion-ordered store, so a
-delete costs the rows it removes and only the abort of a delete pays
-for the table (to put rows back at their scan positions).  Two kinds of
-test hold it there:
+A table's rows live once, as entries in its version store's scan list
+and index buckets, so a delete costs the rows it removes (it closes
+their entries) and so does the abort of one (it reopens them where
+they stand).  Two kinds of test hold it there:
 
-* a complexity pin — deleting from, or aborting an insert into, a
-  50,000-row table never iterates the store, and collecting after one
-  update never iterates a bucket the update did not touch;
+* a complexity pin — deleting from a 50,000-row table, or aborting an
+  insert into or a delete from it, never walks or removes from its
+  scan list or any bucket, and collecting after one update never
+  iterates a bucket the update did not touch;
 * a stateful model test — inserts, updates, deletes and bulk loads,
   each in a ``write_txn`` that commits or aborts, against a plain-list
   reference model, with the scan order, a pinned snapshot's scan and
@@ -30,6 +31,7 @@ from hypothesis.stateful import (
 )
 
 from repro.db.engine import Column, Database, Table
+from repro.db.mvcc import INF_SEQ
 from repro.errors import MoiraError
 
 KINDS = ("alpha", "Beta", "gamma")
@@ -55,56 +57,84 @@ class _Abort(Exception):
 # -- the complexity pin ---------------------------------------------------------
 
 
+class _Recorded(list):
+    """A scan list or bucket that records each walk and ``remove``."""
+
+    log: list = []
+
+    def __iter__(self):
+        self.log.append(("walk", len(self)))
+        return super().__iter__()
+
+    def remove(self, item):
+        self.log.append(("remove", len(self)))
+        super().remove(item)
+
+
 class TestDeleteCost:
     ROWS = 50_000
 
     @pytest.fixture
-    def loaded(self, monkeypatch):
+    def loaded(self):
         db = Database()
         table = db.create_table(probe_table())
         with db.write_txn():
             table.bulk_load([{"key": i, "kind": KINDS[i % 3], "note": ""}
                              for i in range(self.ROWS)])
-        iterations = []
-        store = type(table.rows)
-        real_iter = store.__iter__
+        store = table._mv
+        for structure in [*store.indexes.values(),
+                          *store.composites.values()]:
+            for key, bucket in list(structure.buckets.items()):
+                structure.buckets[key] = _Recorded(bucket)
+        store.entries = _Recorded(store.entries)
+        return db, table
 
-        def counted(self):
-            iterations.append(1)
-            return real_iter(self)
-
-        monkeypatch.setattr(store, "__iter__", counted)
-        return db, table, iterations
+    @staticmethod
+    def record() -> list:
+        log = _Recorded.log = []
+        return log
 
     def test_delete_never_iterates_the_store(self, loaded):
-        db, table, iterations = loaded
+        """A delete touches no bucket: it closes the rows' entries."""
+        db, table = loaded
         victims = table.select({"key": 25_000}) + table.select({"key": 7})
+        eighth = table.select({"key": 8})
+        log = self.record()
         with db.write_txn():
             assert table.delete_rows(victims) == 2
-        table.delete_rows(table.select({"key": 8}))     # auto-commit
-        assert iterations == []
+        table.delete_rows(eighth)                       # auto-commit
+        assert log == []
         assert len(table) == self.ROWS - 3
+        assert table.select({"key": 7}) == []
 
     def test_insert_abort_never_iterates_the_store(self, loaded):
-        db, table, iterations = loaded
+        db, table = loaded
+        log = self.record()
         with pytest.raises(_Abort):
             with db.write_txn():
                 table.insert({"key": -1, "kind": "alpha"})
                 raise _Abort
-        assert iterations == []
+        assert log == []
         assert len(table) == self.ROWS
         assert table.select({"key": -1}) == []
 
     def test_delete_abort_restores_scan_position(self, loaded):
-        """The one O(table) undo: rows come back where they stood."""
-        db, table, _ = loaded
+        """The abort of a delete walks no scan list: each row's entries
+        reopen where they stand, in the scan list and in its buckets."""
+        db, table = loaded
         before = [row["key"] for row in list(table.rows)[24_990:25_010]]
+        bucket = [row["key"] for row in table.select({"kind": "beta"})]
+        victims = table.select({"key": 25_000})
+        log = self.record()
         with pytest.raises(_Abort):
             with db.write_txn():
-                table.delete_rows(table.select({"key": 25_000}))
+                table.delete_rows(victims)
                 raise _Abort
-        assert [row["key"] for row in list(table.rows)[24_990:25_010]] \
-            == before
+        assert log == []
+        after = [row["key"] for row in list(table.rows)[24_990:25_010]]
+        assert after == before
+        assert [row["key"] for row in table.select({"kind": "beta"})] \
+            == bucket
 
 
 class _CountedBucket(list):
@@ -385,24 +415,26 @@ class RowStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def buckets_hold_exactly_the_live_rows(self):
-        table = self.table
-        for index in table._indexes.values():
+        """The open entries of every bucket are the model's rows under
+        that key, each once."""
+        store = self.table._mv
+        structures = [(index, lambda row, index=index:
+                       index.key_of(row[index.column.name]))
+                      for index in store.indexes.values()]
+        structures += [(comp, comp.key_of)
+                       for comp in store.composites.values()]
+        for structure, key_of in structures:
             expected: dict = {}
             for row, _ in self.model:
-                key = index._key(row[index.column.name])
-                expected.setdefault(key, set()).add(id(row))
-            assert {key: {id(row) for row in bucket}
-                    for key, bucket in index.buckets.items()} == expected
-            assert all(len(bucket) == len(expected[key])
-                       for key, bucket in index.buckets.items())
-        for comp in table._composites.values():
-            expected = {}
-            for row, _ in self.model:
-                expected.setdefault(comp._row_key(row), set()).add(id(row))
-            assert {key: {id(row) for row in bucket}
-                    for key, bucket in comp.buckets.items()} == expected
-            assert all(len(bucket) == len(expected[key])
-                       for key, bucket in comp.buckets.items())
+                expected.setdefault(key_of(row), []).append(id(row))
+            found: dict = {}
+            for key, bucket in structure.buckets.items():
+                for entry in bucket:
+                    if entry.end == INF_SEQ:
+                        found.setdefault(key, []).append(
+                            id(entry.record.row))
+            assert {key: sorted(ids) for key, ids in found.items()} == \
+                {key: sorted(ids) for key, ids in expected.items()}
 
 
 RowStoreMachine.TestCase.settings = settings(
