@@ -1,29 +1,32 @@
-"""E16 — the last 10x: parallel build and WAL compaction.
+"""E16 — the last 10x: parallel build and the checkpoint-bounded WAL.
 
 The 1M-user design point stresses two places the 100k write path never
 did: building the world (the serial loader extrapolates to ~10 minutes
 at 1M) and the unbounded WAL (a semester of shell/finger churn keeps
-every superseded record forever).  E16 gates the two fixes:
+every record forever).  E16 gates the two answers:
 
 1. **Parallel population build** — ``load_population(parallel=True)``
    partitions each bulk stage across a worker pool with per-partition
    derived RNGs and pre-reserved id ranges.  Gate: ≥
    ``E16_MIN_BUILD_SPEEDUP`` (default 4x) over the serial loader at
    ``E16_USERS``, with the built worlds **byte-identical** under an
-   ``mrbackup`` dump of both.
+   ``mrbackup`` dump of both.  One ``checkpoint()`` of the serial
+   world is timed at each design point (``checkpoint_s``).
 
-2. **WAL compaction** — ``Journal.compact()`` folds superseded
-   shell/finger records.  Gate: WAL bytes stay bounded across a
-   ``E16_COMPACT_WRITES`` rollover storm (final WAL ≪ the uncompacted
-   trajectory), crash-boundary recovery from checkpoint + compacted
-   WAL is byte-identical on the ``memory`` and ``sqlite`` backends,
-   and compaction respects replica pins: the default ``compact_wal``
-   never strands a lagging replica, while ``force=True`` past its pin
-   makes the replica **resync** (not corrupt) and converge.
+2. **The checkpoint bounds the WAL** (paper §5.2.2: the nightly
+   ``mrbackup`` plus the journal of changes since).  An
+   ``E16_STORM_WRITES`` shell/finger rollover storm runs with a
+   ``checkpoint()`` after every wave but the last.  Gate: retained
+   entries, sampled just before each checkpoint, stay ≤ 2 × 64 + 64;
+   the WAL-bytes trajectory stays flat; recovery from the last
+   checkpoint + the WAL is byte-identical to the primary on the
+   ``memory`` and ``sqlite`` backends.  A replica a checkpoint
+   truncated past resyncs from a snapshot (``test_replication.py``
+   ``test_checkpoint_past_lagging_replica_forces_resync``).
 
 The record lands in ``benchmarks/results/E16.json``.
 
-Env knobs (CI smoke uses tiny values): E16_USERS, E16_COMPACT_WRITES,
+Env knobs (CI smoke uses tiny values): E16_USERS, E16_STORM_WRITES,
 E16_MIN_BUILD_SPEEDUP.
 """
 
@@ -38,12 +41,13 @@ from pathlib import Path
 from benchmarks.conftest import record
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.backup import mrbackup
+from repro.db.journal import Journal
 from repro.db.recovery import checkpoint, recover
 from repro.db.schema import build_database
 from repro.workload import PopulationSpec, load_population
 
 USERS = int(os.environ.get("E16_USERS", "100000"))
-COMPACT_WRITES = int(os.environ.get("E16_COMPACT_WRITES", "100000"))
+STORM_WRITES = int(os.environ.get("E16_STORM_WRITES", "100000"))
 MIN_BUILD_SPEEDUP = float(os.environ.get("E16_MIN_BUILD_SPEEDUP", "4.0"))
 
 
@@ -85,6 +89,9 @@ def _bench_build(tmp_path: Path) -> dict:
         # whichever direction it is held
         db_s, t_ser = _timed_build(users, parallel=False)
         ser = _dump(db_s, tmp_path / f"build-serial-{users}")
+        started = time.perf_counter()
+        checkpoint(db_s, Journal(), tmp_path / f"checkpoint-{users}")
+        t_ckpt = time.perf_counter() - started
         del db_s
         gc.collect()
         db_p, t_par = _timed_build(users, parallel=True)
@@ -95,6 +102,7 @@ def _bench_build(tmp_path: Path) -> dict:
             "serial_s": round(t_ser, 2),
             "parallel_s": round(t_par, 2),
             "speedup": round(t_ser / t_par, 2),
+            "checkpoint_s": round(t_ckpt, 2),
         }
         assert par == ser, (
             f"parallel build diverged from the serial oracle at {users}")
@@ -109,22 +117,20 @@ def _bench_build(tmp_path: Path) -> dict:
     }
 
 
-# -- part 2: WAL compaction ----------------------------------------------------
+# -- part 2: the checkpoint-bounded WAL -----------------------------------------
 
-COMPACT_USERS = 200
-COMPACT_EVERY = 16  # compact every N rollover waves
+STORM_USERS = 200
+STORM_LOGINS = 64
 
 
-def _compact_config(backend: str, workdir: Path, *,
-                    replicas: int = 0) -> DeploymentConfig:
+def _storm_config(backend: str, workdir: Path) -> DeploymentConfig:
     kwargs = dict(
-        population=PopulationSpec(users=COMPACT_USERS,
+        population=PopulationSpec(users=STORM_USERS,
                                   unregistered_users=10, nfs_servers=4,
                                   maillists=10, clusters=2,
                                   machines_per_cluster=2, printers=4,
                                   network_services=10),
         wal_path=workdir / "wal",
-        replicas=replicas,
     )
     if backend != "memory":
         kwargs["backend"] = backend
@@ -132,24 +138,25 @@ def _compact_config(backend: str, workdir: Path, *,
     return DeploymentConfig(**kwargs)
 
 
-def _compact_storm(backend: str, tmp_path: Path) -> dict:
-    """Rollover churn with periodic compaction: N waves of shell +
-    finger updates over a fixed login set.  Every record but the last
-    per (query, target) is superseded, so the compacted WAL must stay
-    ~flat while total writes grow; recovery from checkpoint + the
-    compacted WAL must still reproduce the primary byte for byte."""
-    workdir = tmp_path / f"compact-{backend}"
+def _checkpointed_storm(backend: str, tmp_path: Path) -> dict:
+    """Rollover churn bounded by the checkpoint: N waves of shell +
+    finger updates over a fixed login set, a ``checkpoint()`` after
+    every wave but the last.  The WAL must stay ~flat while total
+    writes grow; recovery from the last checkpoint + the WAL (the last
+    wave) must reproduce the primary byte for byte."""
+    workdir = tmp_path / f"storm-{backend}"
     workdir.mkdir()
-    d = AthenaDeployment(_compact_config(backend, workdir))
+    d = AthenaDeployment(_storm_config(backend, workdir))
     admin = d.handles.logins[-1]
     d.make_admin(admin)
     client = d.direct_client(admin)
     checkpoint(d.db, d.journal, workdir / "snap")
 
-    logins = d.handles.logins[:64]
+    logins = d.handles.logins[:STORM_LOGINS]
     shells = ["/bin/sh", "/usr/athena/tcsh", "/bin/csh"]
-    waves = max(1, COMPACT_WRITES // (len(logins) * 2))
-    wal_trajectory = []
+    waves = max(1, STORM_WRITES // (len(logins) * 2))
+    trajectory = []
+    checkpoint_s = []
     writes = 0
     for wave in range(waves):
         for i, login in enumerate(logins):
@@ -159,29 +166,28 @@ def _compact_storm(backend: str, tmp_path: Path) -> dict:
                          f"Wave {wave} User {i}", "", "", "",
                          "", "", "", "staff")
             writes += 2
-        if (wave + 1) % COMPACT_EVERY == 0 or wave == waves - 1:
-            d.compact_wal()
-            wal_trajectory.append(
-                {"writes": writes,
-                 "wal_bytes": d.journal.stats()["wal_bytes"]})
+        stats = d.journal.stats()
+        trajectory.append({"writes": writes,
+                           "entries": stats["entries_retained"],
+                           "wal_bytes": stats["wal_bytes"]})
+        if wave < waves - 1:
+            started = time.perf_counter()
+            checkpoint(d.db, d.journal, workdir / "snap")
+            checkpoint_s.append(time.perf_counter() - started)
 
-    stats = d.journal.stats()
-    assert stats["compactions"] >= 1
-    # boundedness: the folded WAL holds ~one live record per (query,
-    # target) pair regardless of how many waves ran over it
-    live_entries = len(d.journal.entries)
-    assert live_entries <= 2 * len(logins) + 64, (
-        f"{backend}: WAL not bounded — {live_entries} entries "
-        f"after compaction for {writes} writes")
-    if len(wal_trajectory) >= 2:
-        assert wal_trajectory[-1]["wal_bytes"] <= (
-            2 * wal_trajectory[0]["wal_bytes"]), (
-            f"{backend}: compacted WAL bytes still growing "
-            f"with write count: {wal_trajectory}")
+    most = max(point["entries"] for point in trajectory)
+    assert most <= 2 * len(logins) + 64, (
+        f"{backend}: WAL not bounded — {most} entries before a "
+        f"checkpoint for {writes} writes")
+    assert trajectory[-1]["wal_bytes"] <= 2 * trajectory[0]["wal_bytes"], (
+        f"{backend}: WAL bytes still growing with write count: "
+        f"{trajectory[0]} -> {trajectory[-1]}")
 
-    # crash-boundary recovery: the process dies here; checkpoint +
-    # compacted WAL must rebuild the exact primary
+    # the process dies here: the last checkpoint + the WAL must
+    # rebuild the exact primary
     primary = _dump(d.db, workdir / "primary-dump")
+    d.server.shutdown()
+    started = time.perf_counter()
     if backend == "memory":
         rec = recover(workdir / "snap", wal_path=workdir / "wal")
     else:
@@ -190,88 +196,49 @@ def _compact_storm(backend: str, tmp_path: Path) -> dict:
                                str(workdir / f"recovered.{backend}"))
         rec = recover(workdir / "snap", wal_path=workdir / "wal",
                       db=fresh)
+    recover_s = time.perf_counter() - started
+    assert rec.replayed == trajectory[-1]["entries"]
     assert _dump(rec.db, workdir / "recover-dump") == primary, (
-        f"{backend}: recovery from the compacted WAL diverged")
-    d.server.shutdown()
-    return {"writes": writes, "entries_after_compaction": live_entries,
-            "compactions": stats["compactions"],
-            "wal_trajectory": wal_trajectory}
-
-
-def _compact_replica_pins(tmp_path: Path) -> dict:
-    """Default compaction respects replica pins (lagging replica
-    catches up from the WAL); force-compacting past the pin makes the
-    replica resync from a snapshot — never corrupt."""
-    workdir = tmp_path / "compact-pins"
-    workdir.mkdir()
-    d = AthenaDeployment(_compact_config("memory", workdir, replicas=1))
-    admin = d.handles.logins[-1]
-    d.make_admin(admin)
-    client = d.direct_client(admin)
-    replica = d.replica_cluster.replicas[0]
-    d.replica_cluster.sync_all()
-
-    logins = d.handles.logins[:16]
-    for i, login in enumerate(logins):
-        client.query("update_user_shell", login, "/bin/csh")
-    replica.step()  # replica current through the first rollover
-
-    # lagging replica: new writes it has not pulled yet
-    for login in logins:
-        client.query("update_user_shell", login, "/bin/sh")
-    pinned = d.compact_wal()          # bounded by replica.applied_seq
-    replica.step()
-    assert replica.resyncs == 0, (
-        "pin-bounded compaction forced a replica resync")
-
-    # force past the pin: two superseding waves the replica never saw,
-    # so force-compaction folds the first and the floor passes the
-    # replica's applied_seq — it must detect the hole and resync
-    replica.step()
-    for login in logins:
-        client.query("update_user_shell", login, "/bin/athena/tcsh")
-    for login in logins:
-        client.query("update_user_shell", login, "/bin/sh")
-    forced = d.compact_wal(force=True)
-    assert forced["dropped"] >= 1, "force-compaction folded nothing"
-    replica.step()
-    assert replica.resyncs >= 1, (
-        "force-compaction past the pin did not trigger a resync")
-    primary = _dump(d.db, workdir / "primary-dump")
-    assert _dump(replica.db, workdir / "replica-dump") == primary, (
-        "replica diverged from the primary after resync")
-    d.server.shutdown()
-    return {"pinned_compact": pinned, "forced_compact": forced,
-            "resyncs": replica.resyncs}
+        f"{backend}: recovery from the last checkpoint + WAL diverged")
+    checkpoint_s.sort()
+    return {"writes": writes, "checkpoints": len(checkpoint_s),
+            "max_entries_before_checkpoint": most,
+            "final_wal_bytes": trajectory[-1]["wal_bytes"],
+            "wal_bytes_range": [min(p["wal_bytes"] for p in trajectory),
+                                max(p["wal_bytes"] for p in trajectory)],
+            "checkpoint_p50_s": round(
+                checkpoint_s[len(checkpoint_s) // 2], 4)
+            if checkpoint_s else 0.0,
+            "recover_s": round(recover_s, 4)}
 
 
 def test_e16_million_scale(tmp_path):
     build = _bench_build(tmp_path)
 
-    compaction = {backend: _compact_storm(backend, tmp_path)
-                  for backend in ("memory", "sqlite")}
-    pins = _compact_replica_pins(tmp_path)
+    storm = {backend: _checkpointed_storm(backend, tmp_path)
+             for backend in ("memory", "sqlite")}
 
     lines = [
         f"E16: the {USERS // 1000}k design point "
-        "(build + WAL compaction)",
+        "(build + checkpoint-bounded WAL)",
         "build trajectory (serial vs parallel, one process):",
     ] + [
         f"  {int(users):>8} users: serial {row['serial_s']:>7.2f}s  "
         f"parallel {row['parallel_s']:>7.2f}s  "
-        f"speedup {row['speedup']:.2f}x"
+        f"speedup {row['speedup']:.2f}x  "
+        f"checkpoint {row['checkpoint_s']:.2f}s"
         for users, row in sorted(build["points"].items(),
                                  key=lambda kv: int(kv[0]))
     ] + [
         f"build gate: {build['speedup']:.2f}x "
         f"(required {MIN_BUILD_SPEEDUP}x), worlds byte-identical",
-        f"compaction: {compaction['memory']['writes']} writes folded "
-        f"to {compaction['memory']['entries_after_compaction']} WAL "
-        f"entries ({compaction['memory']['compactions']} compactions); "
-        "recovery byte-identical on memory + sqlite",
-        f"replica pins: default compact -> {0} resyncs, "
-        f"forced past pin -> {pins['resyncs']} resync(s), "
-        "replica byte-identical after",
+    ] + [
+        f"storm ({backend}): {row['writes']} writes, "
+        f"{row['checkpoints']} checkpoints, "
+        f"<= {row['max_entries_before_checkpoint']} WAL entries before "
+        f"each, final WAL {row['final_wal_bytes']} B, recover "
+        f"{row['recover_s']:.3f}s, byte-identical"
+        for backend, row in storm.items()
     ]
     section = {
         "users": USERS,
@@ -279,8 +246,7 @@ def test_e16_million_scale(tmp_path):
         "build_speedup": build["speedup"],
         "min_build_speedup_required": MIN_BUILD_SPEEDUP,
         "build_byte_identical": True,
-        "compaction": compaction,
-        "replica_pins": pins,
+        "storm": storm,
     }
     record("E16", section, lines)
     assert build["speedup"] >= MIN_BUILD_SPEEDUP, (

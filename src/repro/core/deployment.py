@@ -324,23 +324,3 @@ class AthenaDeployment:
     def run_hours(self, hours: float) -> int:
         """Advance simulated time, firing cron (and so the DCM)."""
         return self.cron.run_for(int(hours * 3600))
-
-    def compact_wal(self, *, force: bool = False) -> dict:
-        """Compact the journal, bounded by replica applied-seq pins.
-
-        Each replica pins everything past what it has applied, so the
-        default compaction only folds records every replica has seen —
-        feeds never find a hole.  Registered CDC cursors pin the same
-        way (inside ``Journal.compact`` itself).  ``force=True``
-        ignores all pins: a replica still below the resulting floor
-        detects it on its next pull and resyncs from a snapshot
-        (docs/REPLICATION.md); a CDC extractor resets its cursor and
-        reconverges every service (docs/DCM_PIPELINE.md).
-        """
-        from repro.db.recovery import SUPERSEDABLE_QUERIES
-        pins = ()
-        if self.replica_cluster is not None:
-            pins = tuple(r.applied_seq
-                         for r in self.replica_cluster.replicas)
-        return self.journal.compact(supersedable=SUPERSEDABLE_QUERIES,
-                                    pins=pins, force=force)

@@ -36,13 +36,15 @@ it, as :meth:`load` does, and numbers its next append after the
 highest seq on disk.
 
 **Segments** — the WAL is stored as ``wal.<first_seq>`` segment
-files.  :meth:`truncate` at a checkpoint *unlinks* whole covered
-segments (rewriting at most the one segment straddling the
-watermark) instead of rewriting the entire remaining log, and a
-restarted primary serving ``_repl_tail`` reads never rescan
-checkpoint-covered history.  A monolithic ``wal`` file (the seed
-layout) is still read by :meth:`load`, before the segments; the first
-truncate or compaction folds it into a segment.
+files.  The checkpoint is the log's one bound: :meth:`truncate`
+*unlinks* whole covered segments, rewriting at most the one straddling
+the watermark.  A monolithic ``wal`` file (the seed layout) is still
+read by :meth:`load`, before the segments; the first truncate folds it
+into a segment.  Only truncate drops entries, from the front, so the
+seqs on disk run without a gap.  A crash mid-rewrite leaves one
+overlap: a segment ``wal.N`` supersedes the earlier files' entries with
+seq ≥ N.  Any other gap is damage, which :meth:`load` refuses with
+:class:`JournalDamaged`.
 
 Failover fencing (the cluster *epoch*): every journal carries a
 monotonic ``epoch`` — WAL ownership.  A promoted replica's journal
@@ -58,6 +60,7 @@ Epoch 1 writes no header, keeping WAL lines seed-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from bisect import bisect_left
@@ -82,8 +85,9 @@ _STAMPS_MAX = 4096
 
 
 class JournalDamaged(ValueError):
-    """A malformed journal line where no crash leaves one: anywhere
-    but the last record of the newest file.  Never skipped."""
+    """A malformed journal line where no crash leaves one (anywhere
+    but the last record of the newest file), or a gap in the seqs on
+    disk.  Never skipped."""
 
 
 def stamp(changed: dict[str, frozenset]) -> tuple:
@@ -206,8 +210,8 @@ class Journal:
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False, compare=False)
     # held across an fsync (taken before _lock, never after it), so a
-    # sync's fsync runs while writers append; close, truncate and
-    # compact take it too, so no fsync sees its handle closed
+    # sync's fsync runs while writers append; close and truncate take
+    # it too, so no fsync sees its handle closed
     _sync_mutex: threading.RLock = field(default_factory=threading.RLock,
                                          repr=False, compare=False)
     _fh: object = field(default=None, repr=False, compare=False)
@@ -226,18 +230,6 @@ class Journal:
     _header_epoch: int = field(default=0, repr=False, compare=False)
     # first seq of the active segment (0 = start one at the next append)
     _segment_first: int = field(default=0, repr=False, compare=False)
-    # highest seq ever dropped by compact() — a mid-log hole boundary.
-    # A replica tailing from below the floor would silently skip
-    # dropped records, so tail() refuses and forces a snapshot resync.
-    # Derived again at load() from mid-log seq gaps (journal seqs are
-    # otherwise contiguous: every record() assigns one).
-    _compact_floor: int = field(default=0, repr=False, compare=False)
-    # named CDC consumer cursors (consumer name -> durably-processed
-    # seq).  compact() treats them as pins — same discipline as replica
-    # applied_seq watermarks — so a CDC extractor's next tail() finds a
-    # contiguous suffix unless compaction was forced past it.
-    _cursors: dict = field(default_factory=dict, repr=False,
-                           compare=False)
     # notify-only commit hooks: called as fn(entry) at the end of
     # record(), while the journal mutex is held.  Listeners must be
     # cheap (set a flag, bump a counter) — never pump work inline.
@@ -250,9 +242,6 @@ class Journal:
     _stat_fsynced: int = field(default=0, repr=False, compare=False)
     _stat_batch_flushes: int = field(default=0, repr=False,
                                      compare=False)
-    _stat_compactions: int = field(default=0, repr=False, compare=False)
-    _stat_compacted_away: int = field(default=0, repr=False,
-                                      compare=False)
 
     def __post_init__(self) -> None:
         if self.path is not None:
@@ -336,27 +325,6 @@ class Journal:
         with self._lock:
             if fn in self._commit_listeners:
                 self._commit_listeners.remove(fn)
-
-    def set_cursor(self, name: str, seq: int) -> None:
-        """Register/advance the named CDC consumer's cursor.
-
-        :meth:`compact` treats every registered cursor as a pin, so
-        entries the consumer has not durably processed are never folded
-        away (unless ``force=True``, after which the consumer's next
-        :meth:`tail` returns ``None`` and it must resync).
-        """
-        with self._lock:
-            self._cursors[name] = int(seq)
-
-    def clear_cursor(self, name: str) -> None:
-        """Drop the named consumer's pin (consumer decommissioned)."""
-        with self._lock:
-            self._cursors.pop(name, None)
-
-    def cursors(self) -> dict:
-        """Registered CDC consumer cursors ``{name: seq}`` (a copy)."""
-        with self._lock:
-            return dict(self._cursors)
 
     # -- the durable tail --------------------------------------------------
 
@@ -586,10 +554,6 @@ class Journal:
                 "oldest_segment_seq": (segments[0][0] if segments
                                        else 0),
                 "wal_bytes": wal_bytes,
-                "compactions": self._stat_compactions,
-                "compacted_away": self._stat_compacted_away,
-                "compact_floor": self._compact_floor,
-                "cursors": dict(self._cursors),
                 "epoch": self.epoch,
                 "fenced_by": self._fenced_epoch,
             }
@@ -624,89 +588,20 @@ class Journal:
         Returns ``(oldest_retained, current, entries)`` where *entries*
         is every retained entry with ``seq > after_seq`` — or ``None``
         when *after_seq* predates the retained log (a checkpoint
-        truncated past it), meaning the caller must resync from a full
-        snapshot rather than silently skip the gap ``after_seq`` →
-        *oldest_retained* (which :meth:`after_seq` alone would do).
+        truncated past it): the caller must resync from a full
+        snapshot rather than silently skip the gap.
         """
         with self._lock:
-            oldest = (self.entries[0].seq if self.entries
-                      else self._next_seq)
-            current = self._next_seq - 1
-            if after_seq + 1 < oldest or after_seq < self._compact_floor:
-                # predates the retained log, or lands below a compaction
-                # hole: the retained suffix would silently skip dropped
-                # records, so the caller must snapshot-resync instead
+            oldest, current = self.oldest_seq(), self._next_seq - 1
+            if after_seq + 1 < oldest:
                 return oldest, current, None
-            lo = bisect_left(self.entries, after_seq + 1,
-                             key=lambda e: e.seq)
-            return oldest, current, self.entries[lo:]
+            return oldest, current, self.after_seq(after_seq)
 
     def after_seq(self, seq: int) -> list[JournalEntry]:
         """Entries with sequence numbers strictly greater than *seq*."""
         with self._lock:
             lo = bisect_left(self.entries, seq + 1, key=lambda e: e.seq)
             return self.entries[lo:]
-
-    # -- compaction ----------------------------------------------------------
-
-    def compact(self, *, supersedable: Optional[dict] = None,
-                pins: tuple = (), force: bool = False) -> dict:
-        """Fold superseded records out of the retained log.
-
-        *supersedable* maps query name -> index of the argument that
-        keys the record (``recovery.SUPERSEDABLE_QUERIES``).  An entry
-        of a whitelisted query is dropped when a later entry of the
-        same query with the same key follows it with no *barrier* in
-        between — a barrier being any entry of a non-whitelisted query
-        (its replay may read fields the dropped record wrote).
-
-        *pins* are replica ``applied_seq`` watermarks: entries above
-        ``min(pins)`` are never dropped, so a feeding replica's next
-        :meth:`tail` finds a contiguous suffix.  Registered CDC
-        consumer cursors (:meth:`set_cursor`) pin with the same
-        discipline, automatically.  ``force=True`` ignores both; a
-        replica or extractor left below the resulting
-        ``compact_floor`` then gets ``None`` from :meth:`tail` and
-        resyncs (snapshot / full-reconverge) instead of silently
-        losing the hole.
-
-        Safe to call at any commit boundary (it takes the journal
-        mutex, like every append); rewrites the durable file(s) when
-        anything was dropped.  Returns ``{"dropped", "ceiling",
-        "floor", "retained"}``.
-        """
-        supersedable = dict(supersedable or {})
-        with self._sync_mutex, self._lock:
-            ceiling = self._next_seq - 1
-            if not force:
-                for pin in pins:
-                    ceiling = min(ceiling, int(pin))
-                for pin in self._cursors.values():
-                    ceiling = min(ceiling, int(pin))
-            dropped: set = set()
-            pending: dict = {}
-            for entry in self.entries:
-                key_arg = supersedable.get(entry.query)
-                if key_arg is None or key_arg >= len(entry.args):
-                    pending.clear()     # barrier
-                    continue
-                key = (entry.query, entry.args[key_arg])
-                prev = pending.get(key)
-                if prev is not None and prev.seq <= ceiling:
-                    dropped.add(prev.seq)
-                pending[key] = entry
-            self._stat_compactions += 1
-            if dropped:
-                self.entries = [e for e in self.entries
-                                if e.seq not in dropped]
-                self._compact_floor = max(self._compact_floor,
-                                          max(dropped))
-                self._stat_compacted_away += len(dropped)
-                if self.path is not None:
-                    self._rewrite_locked()
-            return {"dropped": len(dropped), "ceiling": ceiling,
-                    "floor": self._compact_floor,
-                    "retained": len(self.entries)}
 
     def _write_atomic(self, path: Union[str, Path], entries) -> None:
         """Replace *path* with exactly *entries* (after the epoch
@@ -722,21 +617,6 @@ class Journal:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
 
-    def _rewrite_locked(self) -> None:
-        """Rewrite the durable log to exactly the retained entries: one
-        fresh segment replaces every file (a seed file included); the
-        next append opens a new active segment at ``_next_seq``."""
-        self.close()
-        old = [p for _, p in self._files()]
-        self._segment_first = 0
-        fresh = None
-        if self.entries:
-            fresh = self._segment_path(self.entries[0].seq)
-            self._write_atomic(fresh, self.entries)
-        for part in old:
-            if part != fresh:
-                part.unlink()
-
     # -- checkpoint / truncate ---------------------------------------------
 
     def truncate(self, upto_seq: int) -> int:
@@ -748,27 +628,23 @@ class Journal:
             keep_from = bisect_left(self.entries, upto_seq + 1,
                                     key=lambda e: e.seq)
             self.entries = self.entries[keep_from:]
-            if self.path is not None:
-                self.close()        # don't lose batched appends
-                self._truncate_files(upto_seq)
+            if self.path is None:
+                return keep_from
+            self.close()            # don't lose batched appends
+            self._segment_first = 0     # the next append opens one
+            files = self._files()
+            for i, (first, path) in enumerate(files):
+                next_first = (files[i + 1][0] if i + 1 < len(files)
+                              else self._next_seq)
+                if next_first - 1 <= upto_seq:
+                    path.unlink()   # the snapshot covers it entirely
+                elif first <= upto_seq:
+                    # straddles the watermark: keep only the live suffix
+                    keep = [e for e in self.entries if e.seq < next_first]
+                    self._write_atomic(self._segment_path(upto_seq + 1),
+                                       keep)
+                    path.unlink()
             return keep_from
-
-    def _truncate_files(self, upto_seq: int) -> None:
-        # next append opens a fresh segment at _next_seq
-        self._segment_first = 0
-        files = self._files()
-        for i, (first, path) in enumerate(files):
-            next_first = (files[i + 1][0] if i + 1 < len(files)
-                          else self._next_seq)
-            last_covered = next_first - 1
-            if last_covered <= upto_seq:
-                path.unlink()       # the snapshot covers it entirely
-            elif first <= upto_seq:
-                # straddles the watermark: keep only the live suffix
-                keep = [e for e in self.entries
-                        if first <= e.seq <= last_covered]
-                self._write_atomic(self._segment_path(upto_seq + 1), keep)
-                path.unlink()
 
     @classmethod
     def load(cls, path: Union[str, Path], *,
@@ -788,7 +664,9 @@ class Journal:
 
         The ``wal.<seq>`` segment files beside *path* are read in seq
         order, after a monolithic seed file at *path* itself when one
-        exists (segments always hold newer entries).
+        exists (segments always hold newer entries).  A seq gap the
+        module docstring's crash overlap does not explain raises
+        :class:`JournalDamaged` naming the file and the missing seqs.
         """
         journal = cls()
         journal.path = path
@@ -801,8 +679,14 @@ class Journal:
         if not files:
             return
         entries: list[JournalEntry] = []
-        for first, part in files:
-            part_start = len(entries)
+        high = 0        # the highest seq kept
+        for i, (first, part) in enumerate(files):
+            # the next segment holds this file's entries from its name
+            # on: a crash between writing it and unlinking this file
+            # leaves both
+            newest = i + 1 == len(files)
+            until = math.inf if newest else files[i + 1][0]
+            part_start, read = len(entries), high
             with open(part, encoding="utf-8") as fh:
                 lines = [(number, text) for number, line in enumerate(fh, 1)
                          if (text := line.strip())]
@@ -816,15 +700,25 @@ class Journal:
                         continue
                     entry = JournalEntry.from_line(text)
                 except (ValueError, KeyError, TypeError) as exc:
+                    last = number == lines[-1][0]
+                    if last and until <= read + 1:
+                        break   # torn, and the next segment holds its seq
                     # only the newest file's last record may be torn
-                    if (strict or part != files[-1][1]
-                            or number != lines[-1][0]):
+                    if strict or not newest or not last:
                         raise JournalDamaged(
                             f"{part}: line {number}: {exc!r}") from exc
                     self.torn_tail = True
                     break
                 if entry.seq == 0:
                     entry = replace(entry, seq=len(entries) + 1)
+                read = entry.seq
+                if read >= until:
+                    continue
+                if high and read > high + 1:
+                    raise JournalDamaged(
+                        f"{part}: line {number}: seq {read} follows "
+                        f"{high}; seqs {high + 1}..{read - 1} are missing")
+                high = max(high, read)
                 entries.append(entry)
             if self.torn_tail:
                 # scrub the torn record so appends land in a *new*
@@ -837,16 +731,8 @@ class Journal:
                 if target != part:
                     part.unlink()
         self.entries = entries
-        self._next_seq = max((e.seq for e in entries), default=0) + 1
-        self._synced_seq = self._next_seq - 1
-        # re-derive the compaction floor: record() assigns contiguous
-        # seqs, so any mid-log gap is a compaction hole — a tail() from
-        # below the last hole must resync, even across a restart
-        floor = 0
-        for a, b in zip(entries, entries[1:]):
-            if b.seq > a.seq + 1:
-                floor = b.seq - 1
-        self._compact_floor = floor
+        self._next_seq = high + 1
+        self._synced_seq = high
 
     def __len__(self) -> int:
         return len(self.entries)

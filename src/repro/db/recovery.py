@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.db.backup import mrbackup, mrrestore
 from repro.db.engine import Database
-from repro.db.journal import Journal, JournalEntry, fsync_paths
+from repro.db.journal import (Journal, JournalDamaged, JournalEntry,
+                               fsync_paths)
 from repro.errors import (
     MoiraError,
     MR_EXISTS,
@@ -41,7 +42,7 @@ from repro.sim.clock import Clock
 
 __all__ = ["checkpoint", "recover", "replay_wal", "apply_entries",
            "OutOfCommitOrder", "RecoveryResult",
-           "CHECKPOINT_META", "SUPERSEDABLE_QUERIES"]
+           "CHECKPOINT_META"]
 
 # Written beside the per-relation dumps: the WAL sequence number the
 # snapshot covers.  Replay starts strictly after it.
@@ -51,23 +52,6 @@ CHECKPOINT_META = "_wal_checkpoint"
 # already contains its effect (crash between mrbackup and truncate).
 TOLERATED_REPLAY_ERRORS = frozenset({MR_EXISTS, MR_NOT_UNIQUE,
                                      MR_IN_USE, MR_NO_MATCH})
-
-# WAL-compaction supersede whitelist (Journal.compact): query name ->
-# index of the argument that keys the record.  A query belongs here
-# only if (a) it writes a fixed field set addressed by that key, and a
-# later call with the same key rewrites every one of those fields
-# (audit columns included), (b) no journaled query's replay
-# *behaviour* reads any of those fields, and (c) it allocates no id or
-# string (replay allocates naturally, so a dropped allocation would
-# shift every later one).  ``update_user_status`` is
-# deliberately absent: ``register_user`` checks status ==
-# REGISTERABLE, so dropping a superseded status write could flip a
-# replayed registration into a tolerated conflict and silently diverge.
-SUPERSEDABLE_QUERIES = {
-    "update_user_shell": 0,
-    "update_finger_by_login": 0,
-}
-
 
 @dataclass
 class RecoveryResult:
@@ -80,6 +64,8 @@ class RecoveryResult:
     skipped_conflicts: int = 0
     torn_tail: bool = False
     log: list[str] = field(default_factory=list)
+    # the WAL replayed, numbering its next append past the watermark
+    journal: Optional[Journal] = None
 
 
 def checkpoint(db: Database, journal: Journal,
@@ -94,7 +80,9 @@ def checkpoint(db: Database, journal: Journal,
     """
     directory = Path(directory)
     dumped = mrbackup(db, directory)
-    watermark = journal.last_seq()
+    # the highest seq ever assigned, not the newest retained entry: a
+    # log an earlier checkpoint emptied still covers everything before
+    watermark = journal.current_seq()
     meta = directory / CHECKPOINT_META
     meta.write_text(f"{watermark}\n", encoding="utf-8")
     fsync_paths([*(directory / name for name in dumped), meta, directory])
@@ -126,7 +114,14 @@ def recover(directory: Union[str, Path], *,
 
     Give either *journal* (already loaded) or *wal_path* (loaded here,
     tolerating a torn tail).  *db* defaults to a fresh schema database.
-    Returns a :class:`RecoveryResult` whose ``db`` is ready to serve.
+    Returns a :class:`RecoveryResult` whose ``db`` is ready to serve
+    and whose ``journal`` numbers its next append past the watermark,
+    even when the checkpoint left no WAL on disk.
+
+    A WAL whose first retained seq is past the watermark + 1 (a newer
+    checkpoint truncated what this snapshot lacks) raises
+    :class:`~repro.db.journal.JournalDamaged`: replaying it would make
+    a state no commit made.
 
     Cluster-epoch WAL headers (``{"_hdr": "epoch", ...}``) survive this
     path untouched: :meth:`Journal.load` adopts the highest stamped
@@ -136,14 +131,19 @@ def recover(directory: Union[str, Path], *,
     if db is None:
         from repro.db.schema import build_database
         db = build_database()
-    counts = mrrestore(db, directory)
     watermark = read_watermark(directory)
     if journal is None:
         journal = (Journal.load(wal_path, strict=strict)
                    if wal_path is not None else Journal())
+    if journal.entries and journal.entries[0].seq > watermark + 1:
+        raise JournalDamaged(
+            f"WAL gap: the log starts at seq {journal.entries[0].seq}, "
+            f"the snapshot covers through {watermark}")
+    journal.advance_to(watermark)
+    counts = mrrestore(db, directory)
     result = RecoveryResult(db=db, rows_restored=sum(counts.values()),
                             watermark=watermark,
-                            torn_tail=journal.torn_tail)
+                            torn_tail=journal.torn_tail, journal=journal)
     replay_wal(db, journal, after_seq=watermark, result=result,
                strict=strict)
     return result

@@ -14,15 +14,13 @@ The pipeline, end to end:
    pending work, so an idle pump is a flag check.
 2. **Cursor** — the extractor owns a durable named cursor (a min-seq
    token in a sidecar file written by tmp + fsync + rename).  The
-   cursor is registered with the journal, and
-   ``Journal.compact`` treats it as a pin with the same discipline as
-   replica applied-seq watermarks.  Forced compaction past the cursor
-   makes the next poll return the resync signal; the extractor then
-   resets the cursor to the stream head and marks *every* service
-   dirty — a full reconvergence cycle that self-heals the gap, because
-   generation always extracts from current database state (journal
-   entries only decide *which* services are dirty, never what the
-   files contain).
+   journal does not know it: a checkpoint truncates the WAL past it
+   whenever it runs, and a poll from below the retained log gets the
+   resync signal; the extractor then resets the cursor to the stream
+   head and marks *every* service dirty — a full reconvergence cycle
+   that self-heals the gap, because generation always extracts from
+   current database state (journal entries only decide *which*
+   services are dirty, never what the files contain).
 3. **Map** — stamp ∩ reads: each entry carries its commit's footprint
    (``JournalEntry.changed``: table -> the columns whose data version
    moved), and a service is dirty when it meets a column the service's
@@ -180,13 +178,11 @@ class CdcExtractor:
         # service -> {"last_converged_seq", "converges", "pushes",
         #             "pending", "coalesced"}
         self.service_stats: dict[str, dict] = {}
-        journal.set_cursor(self.name, self.cursor.seq)
         journal.add_commit_listener(self._on_commit)
 
     def close(self) -> None:
-        """Detach from the journal (pin dropped, listener removed)."""
+        """Detach from the journal (listener removed)."""
         self.journal.remove_commit_listener(self._on_commit)
-        self.journal.clear_cursor(self.name)
 
     # -- mapping committed entries to dirty services -------------------------
 
@@ -233,10 +229,10 @@ class CdcExtractor:
     def poll(self, now: Optional[int] = None) -> int:
         """Drain the change stream into dirty-service windows.
 
-        Returns the number of entries consumed.  A resync signal
-        (compaction or a checkpoint truncated past the cursor) resets
-        the cursor to the stream head and dirties every service — the
-        full-reconvergence self-heal.
+        Returns the number of entries consumed.  A resync signal (a
+        checkpoint truncated past the cursor) resets the cursor to the
+        stream head and dirties every service — the full-reconvergence
+        self-heal.
         """
         now = self.clock.now() if now is None else now
         _oldest, current, entries = self.journal.tail(self._seen_seq)
@@ -265,7 +261,6 @@ class CdcExtractor:
                 slot["forced"] = True
                 slot.pop("not_before", None)
         self.cursor.reset(current)
-        self.journal.set_cursor(self.name, self.cursor.seq)
 
     def _ingest(self, entry: JournalEntry, now: int) -> None:
         self.stats["entries_seen"] += 1
@@ -393,7 +388,6 @@ class CdcExtractor:
         for slot in self._pending.values():
             floor = min(floor, slot["first_seq"] - 1)
         self.cursor.advance_to(floor)
-        self.journal.set_cursor(self.name, self.cursor.seq)
 
     # -- observability -------------------------------------------------------
 

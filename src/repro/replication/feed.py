@@ -15,8 +15,7 @@ dispatched by :meth:`MoiraServer._do_query` ahead of the registry lookup
     replicas compare version vectors for freshness accounting.  After
     the status tuple come ``(_endpoint, name, address, role)`` rows —
     the feed topology as this node knows it — so an operator can see
-    cluster state from any node, then ``(_cursor, name, seq)`` rows
-    for every registered CDC consumer cursor (compaction pins).
+    cluster state from any node.
 
 ``_repl_snapshot``
     The bootstrap: ``(_meta, watermark_seq, versions_json, epoch)``
@@ -64,7 +63,7 @@ if TYPE_CHECKING:    # pragma: no cover
     from repro.server.moira_server import MoiraServer
 
 __all__ = ["REPL_QUERIES", "META_ROW", "RESYNC_ROW", "ENDPOINT_ROW",
-           "CURSOR_ROW", "REPL_SERVICE_PRINCIPAL", "serve_repl_query",
+           "REPL_SERVICE_PRINCIPAL", "serve_repl_query",
            "entry_to_tuple", "entry_from_tuple"]
 
 REPL_QUERIES = ("_repl_status", "_repl_snapshot", "_repl_tail")
@@ -77,7 +76,6 @@ REPL_SERVICE_PRINCIPAL = "repl"
 META_ROW = "_meta"
 RESYNC_ROW = "_resync"
 ENDPOINT_ROW = "_endpoint"
-CURSOR_ROW = "_cursor"
 
 
 def entry_to_tuple(entry: JournalEntry) -> tuple[str, ...]:
@@ -154,10 +152,6 @@ def _status(server: "MoiraServer") -> Iterator[Run]:
              str(server.journal.epoch))]
     rows.extend((ENDPOINT_ROW, name, address, role) for name, (address, role)
                 in sorted(server.repl_endpoints.items()))
-    # registered CDC consumer cursors: how far each extractor has
-    # durably processed the WAL (compaction pins, like replica seqs)
-    rows.extend((CURSOR_ROW, name, str(cursor_seq)) for name, cursor_seq
-                in sorted(server.journal.cursors().items()))
     yield MR_MORE_DATA, list(map(str_row, rows))
     yield final(0)
 

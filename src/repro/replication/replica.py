@@ -498,7 +498,8 @@ class ReplicaServer:
         which until now rejected mutations and proxied `_repl_status`
         — flips to the full inherited server over a *journal* claiming
         *epoch* (default: one past the highest epoch seen) with seq
-        numbering continued at ``applied_seq + 1``.  Callers fence the
+        numbering continued at ``applied_seq + 1``; a *journal* that
+        ends short of that is emptied first.  Callers fence the
         old primary's journal with the same epoch; in-flight writes
         there fail retryably and the client router re-routes here.
         """
@@ -511,6 +512,10 @@ class ReplicaServer:
             if self.faults is not None:
                 self.faults.fire("failover.promote", replica=self.name,
                                  epoch=new_epoch, seq=self.applied_seq)
+            # the WAL continues at applied_seq + 1: a log that ends
+            # short of that would sit before a gap on disk, so drop it
+            if new_journal.current_seq() < self.applied_seq:
+                new_journal.truncate(self.applied_seq)
             new_journal.advance_to(self.applied_seq)
             if new_epoch > new_journal.epoch:
                 new_journal.set_epoch(new_epoch)

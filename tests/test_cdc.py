@@ -1,6 +1,6 @@
 """The CDC push pipeline: WAL-as-change-stream extraction, durable
-cursors (compaction pins, restart resume, forced-compaction resync
-self-heal), debounce/coalescing windows, origin-seq attribution, the
+cursors (restart resume, the resync self-heal after a checkpoint
+truncates past the cursor), debounce/coalescing windows, origin-seq attribution, the
 ``_cdc`` observability rows, and — the load-bearing property — byte
 identity between CDC-converged host files and the cron ``run_once``
 oracle under randomized mutation interleavings."""
@@ -13,9 +13,8 @@ import pytest
 
 from repro.client.lib import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
-from repro.db.journal import Journal
+from repro.db.recovery import checkpoint
 from repro.dcm.cdc import CdcCursor, CdcExtractor
-from repro.replication.feed import CURSOR_ROW
 from repro.sim.clock import DEFAULT_EPOCH
 from repro.workload import PopulationSpec
 
@@ -125,74 +124,23 @@ class TestCursor:
         revived.close()
 
 
-# -- compaction pins and the resync self-heal ---------------------------------
+# -- the resync self-heal ------------------------------------------------------
 
 
-class TestCompactionPins:
-    def shell(self, journal, login, sh):
-        return journal.record(BASE, "root", "update_user_shell",
-                              (login, sh))
-
-    def test_cursor_pins_compaction(self):
-        journal = Journal()
-        self.shell(journal, "ann", "/bin/sh")
-        self.shell(journal, "ann", "/bin/csh")
-        self.shell(journal, "ann", "/bin/tcsh")
-        journal.set_cursor("cdc", 1)
-        # seq 1 is below the cursor (already processed): droppable.
-        # seq 2 is superseded too but sits above the pin: retained, so
-        # the extractor's tail(1) still finds a contiguous suffix.
-        out = journal.compact(
-            supersedable={"update_user_shell": 0})
-        assert out["dropped"] == 1
-        assert [e.seq for e in journal.entries] == [2, 3]
-        _oldest, _current, entries = journal.tail(1)
-        assert entries is not None and len(entries) == 2
-        journal.clear_cursor("cdc")
-        assert journal.compact(
-            supersedable={"update_user_shell": 0})["dropped"] == 1
-        assert [e.seq for e in journal.entries] == [3]
-
-    def test_cursor_listed_in_stats(self):
-        journal = Journal()
-        journal.set_cursor("cdc", 7)
-        assert journal.stats()["cursors"] == {"cdc": 7}
-
-    def test_forced_compaction_ignores_cursor(self):
-        journal = Journal()
-        self.shell(journal, "ann", "/bin/sh")
-        self.shell(journal, "ann", "/bin/csh")
-        journal.set_cursor("cdc", 0)
-        assert journal.compact(supersedable={"update_user_shell": 0},
-                               force=True)["dropped"] == 1
-
-    def test_default_compaction_never_strands_extractor(self, deployment):
-        d = deployment
-        add_user(d.direct_client(), "pinned", 20951)
-        # cursor is behind (pump not yet run); default compaction must
-        # respect the pin so the poll still sees the mutation
-        d.compact_wal()
-        summary = d.pump_cdc()
-        assert d.cdc.stats["resyncs"] == 0
-        assert "HESIOD" in summary["converged"]
-        hesiod = d.hosts[d.handles.hesiod_machine.upper()]
-        assert b"pinned" in hesiod.fs.read("/etc/hesiod/passwd.db")
-
-    def test_forced_compaction_resync_self_heals(self, deployment):
-        """Forced compaction past the cursor wipes the window the
-        extractor was counting on; the next pump must detect it, reset
-        the cursor, and reconverge *every* service from current state
-        — and the result must still carry the missed mutation."""
+class TestCheckpointResync:
+    def test_checkpoint_past_the_cursor_self_heals(self, deployment,
+                                                   tmp_path):
+        """A checkpoint truncating the WAL past the unpumped cursor
+        wipes the window the extractor was counting on; the next pump
+        must detect it, reset the cursor, and reconverge *every*
+        service from current state — and the result must still carry
+        the missed mutation."""
         d = deployment
         client = d.direct_client()
         add_user(client, "healme", 20952)
-        # a superseded record above the cursor: forced compaction folds
-        # it and the floor lands past the cursor — a real hole
-        client.query("update_user_shell", "healme", "/bin/sh")
         client.query("update_user_shell", "healme", "/bin/tcsh")
-        out = d.compact_wal(force=True)     # ignores the cursor pin
-        assert out["dropped"] >= 1
-        assert d.cdc.cursor.seq < d.journal.stats()["compact_floor"]
+        checkpoint(d.db, d.journal, tmp_path / "snap")
+        assert d.cdc.cursor.seq < d.journal.oldest_seq() - 1
         summary = d.pump_cdc()
         assert d.cdc.stats["resyncs"] == 1
         # the full-reconvergence cycle touched every pushable service
@@ -206,9 +154,6 @@ class TestCompactionPins:
         before = installed_files(d)
         d.run_hours(25)
         assert installed_files(d) == before
-
-
-# -- mapping, debounce, coalescing --------------------------------------------
 
 
 class TestMappingAndCoalescing:
@@ -629,13 +574,3 @@ class TestObservability:
                                                          False)
         assert dcm.total_no_change == before[1] + 1
         assert dcm.total_generations == before[0] + generated
-
-    def test_repl_status_lists_cursor(self, deployment):
-        d = deployment
-        d.pump_cdc()
-        client = MoiraClient(dispatcher=d.server).connect()
-        rows = client.query("_repl_status")
-        client.close()
-        cursors = {r[1]: int(r[2]) for r in rows if r[0] == CURSOR_ROW}
-        assert cursors["cdc"] == d.cdc.cursor.seq
-
