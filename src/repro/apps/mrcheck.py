@@ -1,14 +1,23 @@
 """mrcheck — database consistency checker.
 
 "What is important is that the database remain internally consistant"
-(§5.2.2).  mrcheck audits the referential invariants the query layer is
-supposed to maintain; a clean run returns an empty list.  The test
-suite uses it as an oracle after random query workloads.
+(§5.2.2).  mrcheck audits what the query layer is supposed to keep
+true; a clean run returns an empty list.  The test suite uses it as an
+oracle after random query workloads.
+
+Every reference the schema declares (``repro.db.schema.REFERENCES``)
+is checked: a row naming a row that does not exist, or carrying a
+type its declaration does not know, is a problem.  Two audits are not
+references and are written out here: a quota sits on its filesystem's
+partition and each partition's ``allocated`` equals the sum of the
+quotas on it, and every key a reference names (and each uid) is
+unique.
 """
 
 from __future__ import annotations
 
 from repro.db.engine import Database
+from repro.db.schema import KEYS, REFERENCES
 
 __all__ = ["MrCheck"]
 
@@ -20,92 +29,52 @@ class MrCheck:
 
     def run(self) -> list[str]:
         """Audit every invariant; returns problem strings (empty=clean)."""
-        problems: list[str] = []
-        problems += self._check_members()
-        problems += self._check_aces()
-        problems += self._check_filesys()
-        problems += self._check_quota_allocation()
-        problems += self._check_poboxes()
-        problems += self._check_serverhosts()
-        problems += self._check_unique_ids()
-        return problems
+        self._read: dict[str, list] = {}
+        return (self._check_references() + self._check_quota_allocation()
+                + self._check_unique_ids())
 
-    def _user_ids(self) -> set[int]:
-        return {u["users_id"] for u in self.db.table("users").rows}
+    def _rows(self, table: str) -> list:
+        """*table*'s rows, read once per run."""
+        if table not in self._read:
+            self._read[table] = self.db.table(table).rows
+        return self._read[table]
 
-    def _list_ids(self) -> set[int]:
-        return {l["list_id"] for l in self.db.table("list").rows}
-
-    def _check_members(self) -> list[str]:
+    def _check_references(self) -> list[str]:
         problems = []
-        users = self._user_ids()
-        lists = self._list_ids()
-        strings = {s["string_id"] for s in self.db.table("strings").rows}
-        for m in self.db.table("members").rows:
-            if m["list_id"] not in lists:
+        keys: dict[tuple[str, str], set] = {}
+        for ref in REFERENCES:
+            for row in self._rows(ref.table):
+                try:
+                    target = ref.target(row)
+                except KeyError:
+                    problems.append(f"{ref.table}.{ref.type_column}: bad "
+                                    f"type {row[ref.type_column]!r}")
+                    continue
+                if target is not None and target not in keys:
+                    keys[target] = {r[target[1]]
+                                    for r in self._rows(target[0])}
+                if target is None or row[ref.column] in keys[target]:
+                    continue
+                what = (f"missing {target[0]}" if ref.type_column is None
+                        else f"dangling {row[ref.type_column]} "
+                             f"{ref.column.removesuffix('_id')}")
                 problems.append(
-                    f"members: row references missing list {m['list_id']}")
-            target = {"USER": users, "LIST": lists,
-                      "STRING": strings}.get(m["member_type"])
-            if target is None:
-                problems.append(
-                    f"members: bad member_type {m['member_type']!r}")
-            elif m["member_id"] not in target:
-                problems.append(
-                    f"members: dangling {m['member_type']} member "
-                    f"{m['member_id']} on list {m['list_id']}")
-        return problems
-
-    def _check_aces(self) -> list[str]:
-        problems = []
-        users = self._user_ids()
-        lists = self._list_ids()
-        for table, what in [("list", "name"), ("servers", "name"),
-                            ("hostaccess", "mach_id")]:
-            for row in self.db.table(table).rows:
-                ace_type, ace_id = row["acl_type"], row["acl_id"]
-                if ace_type == "USER" and ace_id not in users:
-                    problems.append(
-                        f"{table} {row[what]}: dangling USER ace {ace_id}")
-                elif ace_type == "LIST" and ace_id not in lists:
-                    problems.append(
-                        f"{table} {row[what]}: dangling LIST ace {ace_id}")
-                elif ace_type not in ("USER", "LIST", "NONE"):
-                    problems.append(
-                        f"{table} {row[what]}: bad ace type {ace_type!r}")
-        return problems
-
-    def _check_filesys(self) -> list[str]:
-        problems = []
-        users = self._user_ids()
-        lists = self._list_ids()
-        machines = {m["mach_id"] for m in self.db.table("machine").rows}
-        phys = {p["nfsphys_id"] for p in self.db.table("nfsphys").rows}
-        for fs in self.db.table("filesys").rows:
-            if fs["mach_id"] not in machines:
-                problems.append(
-                    f"filesys {fs['label']}: missing machine "
-                    f"{fs['mach_id']}")
-            if fs["owner"] and fs["owner"] not in users:
-                problems.append(
-                    f"filesys {fs['label']}: dangling owner {fs['owner']}")
-            if fs["owners"] and fs["owners"] not in lists:
-                problems.append(
-                    f"filesys {fs['label']}: dangling owners "
-                    f"{fs['owners']}")
-            if fs["type"] == "NFS" and fs["phys_id"] not in phys:
-                problems.append(
-                    f"filesys {fs['label']}: dangling nfsphys "
-                    f"{fs['phys_id']}")
+                    f"{ref.table}.{ref.column}: {what} {row[ref.column]}")
         return problems
 
     def _check_quota_allocation(self) -> list[str]:
-        """nfsphys.allocated must equal the sum of quotas on it."""
+        """A quota sits on its filesystem's partition, and
+        nfsphys.allocated equals the sum of the quotas on it."""
         problems = []
         sums: dict[int, int] = {}
-        for q in self.db.table("nfsquota").rows:
+        phys = {f["filsys_id"]: f["phys_id"]
+                for f in self._rows("filesys")}
+        for q in self._rows("nfsquota"):
             sums[q["phys_id"]] = sums.get(q["phys_id"], 0) + q["quota"]
-        for p in self.db.table("nfsphys").rows:
+            if phys.get(q["filsys_id"], q["phys_id"]) != q["phys_id"]:
+                problems.append(f"nfsquota {q['users_id']}/{q['filsys_id']}"
+                                f": not on its filesystem's partition")
+        for p in self._rows("nfsphys"):
             expect = sums.get(p["nfsphys_id"], 0)
             if p["allocated"] != expect:
                 problems.append(
@@ -113,42 +82,12 @@ class MrCheck:
                     f"{p['allocated']} != quota sum {expect}")
         return problems
 
-    def _check_poboxes(self) -> list[str]:
-        problems = []
-        machines = {m["mach_id"] for m in self.db.table("machine").rows}
-        strings = {s["string_id"] for s in self.db.table("strings").rows}
-        for u in self.db.table("users").rows:
-            if u["potype"] == "POP" and u["pop_id"] not in machines:
-                problems.append(
-                    f"user {u['login']}: POP box on missing machine "
-                    f"{u['pop_id']}")
-            if u["potype"] == "SMTP" and u["box_id"] not in strings:
-                problems.append(
-                    f"user {u['login']}: SMTP box missing string "
-                    f"{u['box_id']}")
-        return problems
-
-    def _check_serverhosts(self) -> list[str]:
-        problems = []
-        machines = {m["mach_id"] for m in self.db.table("machine").rows}
-        services = {s["name"] for s in self.db.table("servers").rows}
-        for sh in self.db.table("serverhosts").rows:
-            if sh["mach_id"] not in machines:
-                problems.append(
-                    f"serverhosts {sh['service']}: missing machine "
-                    f"{sh['mach_id']}")
-            if sh["service"] not in services:
-                problems.append(
-                    f"serverhosts: orphan service {sh['service']}")
-        return problems
-
     def _check_unique_ids(self) -> list[str]:
+        """Every key a reference names, and each uid, is unique."""
         problems = []
-        for table, column in [("users", "users_id"), ("users", "uid"),
-                              ("list", "list_id"), ("machine", "mach_id"),
-                              ("filesys", "filsys_id")]:
+        for table, column in [*KEYS.items(), ("users", "uid")]:
             seen: dict[int, int] = {}
-            for row in self.db.table(table).rows:
+            for row in self._rows(table):
                 value = row[column]
                 seen[value] = seen.get(value, 0) + 1
             dupes = {v: c for v, c in seen.items() if c > 1}

@@ -12,10 +12,17 @@ Field names follow the paper exactly (``users_id``, ``mach_id``,
 Every relation a DCM generator reads keeps a bounded changed-row log
 (``changelog=``); the rest (``servers``, ``capacls``, ``alias``,
 ``values``) keep none.
+
+``REFERENCES`` declares every id a row points at, once, for the delete
+queries, ``mrcheck`` and ``get_ace_use``; the engine enforces none.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional
+
+from repro.db.backend import StorageBackend
 from repro.db.engine import Column, Database, Table
 
 __all__ = [
@@ -32,6 +39,8 @@ __all__ = [
     "FS_FACULTY",
     "FS_STAFF",
     "FS_MISC",
+    "Reference", "REFERENCES", "ACE_TARGETS", "MEMBER_TARGETS", "INBOUND",
+    "KEYS", "referencing", "references_markdown",
 ]
 
 # Account status codes (users.status in the paper).
@@ -465,3 +474,129 @@ def _seed_aliases(db: Database) -> None:
         ("STRING", "string"),
     ]:
         alias.insert({"name": name, "type": "TYPEDATA", "trans": trans})
+
+
+# -- references: the server, not the database, keeps each id naming a
+# row that exists (§5.2.2: "the database remain internally consistant")
+
+@dataclass(frozen=True)
+class Reference:
+    """*table*.*column* names the (relation, key) *targets* maps the
+    row's *type_column* value to (None: nothing); an untyped one keeps
+    its target under None, and when *optional* its 0 names nothing.
+    *on_delete*: a named row's delete is refused (MR_IN_USE) or takes
+    its namers too."""
+
+    table: str
+    column: str
+    targets: Mapping[Optional[str], Optional[tuple[str, str]]]
+    type_column: Optional[str] = None
+    on_delete: str = "refuse"     # or "cascade"
+    optional: bool = False
+
+    def target(self, row) -> Optional[tuple[str, str]]:
+        """What *row* names; KeyError for an undeclared type value."""
+        if self.type_column is None:
+            return None if self.optional and not row[self.column] \
+                else self.targets[None]
+        return self.targets[row[self.type_column]]
+
+
+_USER, _LIST = ("users", "users_id"), ("list", "list_id")
+_MACHINE, _CLUSTER = ("machine", "mach_id"), ("cluster", "clu_id")
+_STRING, _PHYS = ("strings", "string_id"), ("nfsphys", "nfsphys_id")
+# what an ACE (a Zephyr ACL slot too) and a list member name, by type
+ACE_TARGETS = {"USER": _USER, "LIST": _LIST, "NONE": None}
+MEMBER_TARGETS = {"USER": _USER, "LIST": _LIST, "STRING": _STRING}
+
+
+def _to(table: str, column: str, target: tuple, **kw) -> Reference:
+    return Reference(table, column, {None: target}, **kw)
+
+
+def _ace(table: str, slot: str = "acl") -> Reference:
+    return Reference(table, f"{slot}_id", ACE_TARGETS, f"{slot}_type")
+
+
+REFERENCES: tuple[Reference, ...] = (
+    _to("mcmap", "mach_id", _MACHINE, on_delete="cascade"),
+    _to("mcmap", "clu_id", _CLUSTER),
+    _to("svc", "clu_id", _CLUSTER, on_delete="cascade"),
+    _ace("list"),
+    _to("members", "list_id", _LIST),
+    Reference("members", "member_id", MEMBER_TARGETS, "member_type"),
+    _ace("servers"),
+    _to("serverhosts", "service", ("servers", "name")),
+    _to("serverhosts", "mach_id", _MACHINE),
+    _to("filesys", "mach_id", _MACHINE),
+    Reference("filesys", "phys_id", {"NFS": _PHYS, "RVD": None,
+                                     "ERR": None}, "type"),
+    _to("filesys", "owner", _USER, optional=True),
+    _to("filesys", "owners", _LIST, optional=True),
+    _to("nfsphys", "mach_id", _MACHINE),
+    _to("nfsquota", "users_id", _USER),
+    _to("nfsquota", "filsys_id", ("filesys", "filsys_id"),
+        on_delete="cascade"),
+    # 0 for a quota on a filesystem that is not NFS
+    _to("nfsquota", "phys_id", _PHYS, optional=True),
+    *(_ace("zephyr", slot) for slot in ("xmt", "sub", "iws", "iui")),
+    _ace("hostaccess"),
+    _to("hostaccess", "mach_id", _MACHINE),
+    _to("printcap", "mach_id", _MACHINE),
+    _to("capacls", "list_id", _LIST),
+    Reference("users", "pop_id", {"POP": _MACHINE, "SMTP": None,
+                                  "NONE": None}, "potype"),
+    Reference("users", "box_id", {"SMTP": _STRING, "POP": None,
+                                  "NONE": None}, "potype"),
+)
+
+# relation -> [(reference, type value)] naming a row of it, and the
+# one key they all name it by
+INBOUND: dict[str, list[tuple[Reference, Optional[str]]]] = {}
+KEYS: dict[str, str] = {}
+for _ref in REFERENCES:
+    for _type, _target in _ref.targets.items():
+        if _target is not None:
+            INBOUND.setdefault(_target[0], []).append((_ref, _type))
+            KEYS[_target[0]] = _target[1]
+
+
+def referencing(db: StorageBackend, table: str, value,
+                tables=None) -> Iterator[tuple[Reference, list]]:
+    """``(reference, rows)`` naming the *table* row whose key is
+    *value*: one index probe per reference (from *tables* only, if
+    given)."""
+    for ref, type_value in INBOUND.get(table, ()):
+        if tables is None or ref.table in tables:
+            where = {ref.column: value}
+            if type_value is not None:
+                where[ref.type_column] = type_value
+            yield ref, db.table(ref.table).select(where)
+
+
+_REFERENCES_MD = """\
+## References
+
+Rendered by `repro.db.schema.references_markdown()` from `REFERENCES`
+(tier-1 checks it is current).  A delete query refuses with `MR_IN_USE`
+while a `refuse` row names its row, and takes the `cascade` rows with
+it; `mrcheck` reports every row naming a row that does not exist.  An
+optional column holding 0 names nothing.
+
+| column | when | names | on delete |
+|---|---|---|---|
+"""
+
+
+def references_markdown() -> str:
+    """docs/DATABASE.md's References section, from ``REFERENCES``."""
+    lines = [_REFERENCES_MD]
+    for ref in REFERENCES:
+        for kind, target in ref.targets.items():
+            if target is not None:
+                when = (f"`{ref.type_column}` = {kind}" if kind
+                        else "optional" if ref.optional else "")
+                lines.append(f"| `{ref.table}.{ref.column}` | {when} | "
+                             f"`{target[0]}.{target[1]}` | "
+                             f"{ref.on_delete} |\n")
+    return "".join(lines)

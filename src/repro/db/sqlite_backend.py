@@ -49,7 +49,7 @@ class SqliteTable(StorageTable):
     def __init__(self, db: "SqliteDatabase", name: str,
                  columns: list[Column],
                  unique: Iterable[tuple[str, ...]] = (),
-                 indexes: Iterable[str] = ()):
+                 indexes: Iterable[tuple[str, ...]] = ()):
         self._db = db
         self.name = name
         self.columns: dict[str, Column] = {c.name: c for c in columns}
@@ -60,10 +60,11 @@ class SqliteTable(StorageTable):
             f'"{c.name}" {"INTEGER" if c.kind is int else "TEXT"}'
             for c in columns)
         db.conn.execute(f'CREATE TABLE IF NOT EXISTS "{name}" ({defs})')
-        for col in indexes:
+        for cols in indexes:     # each one column or a composite
+            quoted = ", ".join(f'"{col}"' for col in cols)
             db.conn.execute(
-                f'CREATE INDEX IF NOT EXISTS "ix_{name}_{col}" '
-                f'ON "{name}" ("{col}")')
+                f'CREATE INDEX IF NOT EXISTS "ix_{name}_{"_".join(cols)}" '
+                f'ON "{name}" ({quoted})')
 
     # -- helpers -----------------------------------------------------------
 
@@ -292,7 +293,8 @@ class SqliteDatabase(StorageBackend):
         table = SqliteTable(self, spec.name,
                             list(spec.columns.values()),
                             unique=spec.unique_keys,
-                            indexes=list(spec._mv.indexes))
+                            indexes=[(col,) for col in spec._mv.indexes]
+                            + list(spec._mv.composites))
         self.tables[spec.name] = table
         return table
 

@@ -45,6 +45,7 @@ from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
                     Union)
 
 from repro.db.engine import Database, Row, WildcardPattern
+from repro.db.schema import ACE_TARGETS, KEYS, MEMBER_TARGETS, referencing
 from repro.db.journal import Journal
 from repro.protocol.wire import str_row
 from repro.errors import (
@@ -52,6 +53,7 @@ from repro.errors import (
     MR_ACE,
     MR_ARGS,
     MR_CLUSTER,
+    MR_IN_USE,
     MR_INTEGER,
     MR_LIST,
     MR_MACHINE,
@@ -231,7 +233,7 @@ class OneOf(Text):
         return f"OneOf({'/'.join(forms)})"
 
 
-ACE_TYPES = ("USER", "LIST", "NONE")
+ACE_TYPES = tuple(ACE_TARGETS)
 
 
 def keyword(value: str, *words: str) -> bool:
@@ -279,10 +281,10 @@ class Query:
 
 
 _UNSET = object()  # caller-row memo sentinel (None is a valid cached miss)
-# entity type -> (table, name column, id column)
-_ENTITIES = {"USER": ("users", "login", "users_id"),
-             "LIST": ("list", "name", "list_id"),
-             "STRING": ("strings", "string", "string_id")}
+# entity type -> (table, name column, id column), from the schema
+_NAMED_BY = {"users": "login", "list": "name", "strings": "string"}
+_ENTITIES = {etype: (table, _NAMED_BY[table], key)
+             for etype, (table, key) in MEMBER_TARGETS.items()}
 
 
 @dataclass
@@ -512,6 +514,23 @@ class QueryContext:
                 get = lookups[ace_type] = self.lookup(table, id_column, key)
             return get(ace_id)
         return name
+
+    def delete(self, table: str, row: Row, name: str) -> None:
+        """Delete *row* of *table* as the schema's ``REFERENCES`` say:
+        ``MR_IN_USE`` (for *name*) while a ``refuse`` row other than
+        itself names it, else with the ``cascade`` rows naming it."""
+        key = KEYS[table]
+        cascade = []
+        for ref, rows in referencing(self.db, table, row[key]):
+            if ref.on_delete == "cascade":
+                cascade.append((ref.table, rows))
+            elif any(ref.table != table or r[key] != row[key]
+                     for r in rows):
+                raise MoiraError(MR_IN_USE,
+                                 f"{name}: named by {ref.table}.{ref.column}")
+        for referrer, rows in cascade:
+            self.db.table(referrer).delete_rows(rows, now=self.now)
+        self.db.table(table).delete_rows([row], now=self.now)
 
     # -- string interning (the strings relation) -----------------------------
 

@@ -9,7 +9,6 @@ from repro.errors import (
     MR_FILESYS,
     MR_FILESYS_ACCESS,
     MR_FSTYPE,
-    MR_IN_USE,
     MR_NFS,
     MR_NFSPHYS,
     MR_NO_MATCH,
@@ -135,37 +134,36 @@ def add_filesys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 @register("update_filesys", "ufil", ("name", "newname", *_FS_ARGS), (),
           side_effects=True)
 def update_filesys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
-    """Change filesystem attributes; same checks as add."""
+    """Change filesystem attributes; same checks as add.  Its quotas,
+    and their blocks, move with it to a new partition."""
     name, newname = args[:2]
     filesys = ctx.db.table("filesys")
     row = exactly_one(filesys.select({"label": name}), MR_FILESYS, name)
     if newname != name and filesys.select({"label": newname}):
         raise MoiraError(MR_NOT_UNIQUE, newname)
-    filesys.update_rows([row], dict(label=newname,
-                                    **_filesys_fields(ctx, args[2:])),
-                        now=ctx.now)
+    fields = _filesys_fields(ctx, args[2:])
+    if fields["phys_id"] != row["phys_id"]:
+        quotas = ctx.db.table("nfsquota").select(
+            {"filsys_id": row["filsys_id"]})
+        total = sum(q["quota"] for q in quotas)
+        _adjust_phys_allocation(ctx, row["phys_id"], -total)
+        _adjust_phys_allocation(ctx, fields["phys_id"], total)
+        ctx.db.table("nfsquota").update_rows(
+            quotas, {"phys_id": fields["phys_id"]}, now=ctx.now)
+    filesys.update_rows([row], dict(label=newname, **fields), now=ctx.now)
     return []
 
 
 @register("delete_filesys", "dfil", ("name",), (), side_effects=True)
 def delete_filesys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
-    """Delete a filesystem, returning its quota allocation."""
-    filesys = ctx.db.table("filesys")
-    row = exactly_one(filesys.select({"label": args[0]}),
+    """Delete a filesystem and its quotas, returning their allocation
+    to the partition."""
+    row = exactly_one(ctx.db.table("filesys").select({"label": args[0]}),
                       MR_FILESYS, args[0])
-    # delete quotas and return their allocation to the partition
     quotas = ctx.db.table("nfsquota").select({"filsys_id": row["filsys_id"]})
-    total = sum(q["quota"] for q in quotas)
-    if quotas:
-        ctx.db.table("nfsquota").delete_rows(quotas, now=ctx.now)
-    if total and row["phys_id"]:
-        phys = ctx.db.table("nfsphys").select(
-            {"nfsphys_id": row["phys_id"]})
-        if phys:
-            ctx.db.table("nfsphys").update_rows(
-                phys, {"allocated": phys[0]["allocated"] - total},
-                now=ctx.now)
-    filesys.delete_rows([row], now=ctx.now)
+    _adjust_phys_allocation(ctx, row["phys_id"],
+                            -sum(q["quota"] for q in quotas))
+    ctx.delete("filesys", row, args[0])
     return []
 
 
@@ -246,10 +244,8 @@ def adjust_nfsphys_allocation(ctx: QueryContext,
           side_effects=True)
 def delete_nfsphys(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Remove an export with no filesystems on it."""
-    row = _find_nfsphys(ctx, args[0], args[1])
-    if ctx.db.table("filesys").select({"phys_id": row["nfsphys_id"]}):
-        raise MoiraError(MR_IN_USE, f"{args[0]}:{args[1]}")
-    ctx.db.table("nfsphys").delete_rows([row], now=ctx.now)
+    ctx.delete("nfsphys", _find_nfsphys(ctx, args[0], args[1]),
+               f"{args[0]}:{args[1]}")
     return []
 
 

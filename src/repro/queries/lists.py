@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.db.schema import UNIQUE_GID
+from repro.db.schema import (ACE_TARGETS, REFERENCES, UNIQUE_GID,
+                             referencing)
 from repro.errors import (
     MoiraError,
     MR_ACE,
     MR_EXISTS,
-    MR_IN_USE,
     MR_LIST,
     MR_NO_MATCH,
 )
@@ -127,41 +127,11 @@ def update_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-def _list_referenced(ctx: QueryContext, list_id: int) -> bool:
-    """Is the list a member of another list or an ACL for any object?"""
-    if ctx.db.table("members").select(
-            {"member_type": "LIST", "member_id": list_id}):
-        return True
-    for table in ("list", "servers", "hostaccess"):
-        refs = ctx.db.table(table).select({"acl_type": "LIST",
-                                           "acl_id": list_id})
-        # a list may be its own ACE; that self-reference doesn't block
-        # deletion
-        if any(table != "list" or r["list_id"] != list_id for r in refs):
-            return True
-    if ctx.db.table("filesys").select({"owners": list_id}):
-        return True
-    if ctx.db.table("capacls").select({"list_id": list_id}):
-        return True
-    zephyr = ctx.db.table("zephyr")
-    for col in ("xmt", "sub", "iws", "iui"):
-        if zephyr.select({f"{col}_type": "LIST", f"{col}_id": list_id}):
-            return True
-    return False
-
-
 @register("delete_list", "dlis", ("list",), (), side_effects=True,
           access=_ace_of_named_list)
 def delete_list(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete an empty, unreferenced list."""
-    lists = ctx.db.table("list")
-    row = exactly_one(lists.select({"name": args[0]}), MR_LIST, args[0])
-    members = ctx.db.table("members")
-    if members.select({"list_id": row["list_id"]}):
-        raise MoiraError(MR_IN_USE, f"{args[0]} is not empty")
-    if _list_referenced(ctx, row["list_id"]):
-        raise MoiraError(MR_IN_USE, args[0])
-    lists.delete_rows([row], now=ctx.now)
+    ctx.delete("list", ctx.find_list(args[0]), args[0])
     return []
 
 
@@ -275,6 +245,20 @@ def qualified_get_lists(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
         Tristate.where(_FLAGS, args))]
 
 
+# what get_ace_use reports, in reply order: each relation whose rows
+# an ACE guards -> (reply kind, the row's unique key, its name column)
+_ACE_USE = {"list": ("LIST", "list_id", "name"),
+            "servers": ("SERVICE", "name", "name"),
+            "filesys": ("FILESYS", "filsys_id", "label"),
+            "capacls": ("QUERY", "capability", "capability"),
+            "hostaccess": ("HOSTACCESS", "mach_id", None),
+            "zephyr": ("ZEPHYR", "class", "class")}
+# Zephyr's declared ACL slots: its few classes cost less as one scan
+# than as four composite probes an entity; the rest are probed
+_ZEPHYR_SLOTS = [ref for ref in REFERENCES if ref.table == "zephyr"]
+_PROBED = _ACE_USE.keys() - {"zephyr"}
+
+
 @register("get_ace_use", "gaus",
           (OneOf("ace_type", ("USER", "LIST"), recursive=True), "ace_name"),
           ("object_type", "object_name"), side_effects=False,
@@ -294,45 +278,26 @@ def get_ace_use(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
         entities |= {("LIST", lid)
                      for lid in ctx.lists_containing(base_type, target_id)}
 
-    # Per-entity *reverse* probes against the ACE composite indexes
-    # (and the filesys owner / capacls list_id single indexes) instead
-    # of five full-table scans: O(entities + results), not O(database).
-    # Each category is emitted name-sorted, so the answer is a function
-    # of the data alone.
-    db = ctx.db
+    # Per-entity *reverse* probes, one per declared reference from a
+    # relation in _PROBED (each served by an index), instead of table
+    # scans: O(entities + results), not O(database).  Each category is
+    # emitted name-sorted, so the answer is a function of the data alone.
+    found: dict[str, dict] = {table: {} for table in _ACE_USE}
+    for ace_type, ace_id in entities:
+        for ref, rows in referencing(ctx.db, ACE_TARGETS[ace_type][0],
+                                     ace_id, _PROBED):
+            _kind, key, name = _ACE_USE[ref.table]
+            found[ref.table].update((row[key], row[name or key])
+                                    for row in rows)
+    found["zephyr"] = {
+        row["class"]: row["class"] for row in ctx.db.table("zephyr").rows
+        if any((row[ref.type_column], row[ref.column]) in entities
+               for ref in _ZEPHYR_SLOTS)}
+    machine = ctx.lookup("machine", "mach_id", "name")
     out: list[tuple[str, str]] = []
-    for kind, table in (("LIST", "list"), ("SERVICE", "servers")):
-        names = {row["name"]
-                 for acl_type, acl_id in entities
-                 for row in db.table(table).select(
-                     {"acl_type": acl_type, "acl_id": acl_id})}
-        out.extend((kind, name) for name in sorted(names))
-    # a filesys row can match through owner AND owners: dedupe by row
-    matched_filesys: dict[int, str] = {}
-    filesys = db.table("filesys")
-    for acl_type, acl_id in entities:
-        column = {"USER": "owner", "LIST": "owners"}.get(acl_type)
-        if column is not None:
-            for row in filesys.select({column: acl_id}):
-                matched_filesys[id(row)] = row["label"]
-    out.extend(("FILESYS", label)
-               for label in sorted(matched_filesys.values()))
-    caps = {row["capability"]
-            for acl_type, acl_id in entities if acl_type == "LIST"
-            for row in db.table("capacls").select({"list_id": acl_id})}
-    out.extend(("QUERY", cap) for cap in sorted(caps))
-    hosts = set()
-    machine = db.table("machine").probe("mach_id")
-    for acl_type, acl_id in entities:
-        for row in db.table("hostaccess").select(
-                {"acl_type": acl_type, "acl_id": acl_id}):
-            found = machine(row["mach_id"])
-            if found is not None:
-                hosts.add(found["name"])
-    out.extend(("HOSTACCESS", host) for host in sorted(hosts))
-    for row in ctx.db.table("zephyr").rows:
-        for col in ("xmt", "sub", "iws", "iui"):
-            if (row[f"{col}_type"], row[f"{col}_id"]) in entities:
-                out.append(("ZEPHYR", row["class"]))
-                break
+    for table, (kind, _key, name) in _ACE_USE.items():
+        names = found[table].values()
+        if name is None:    # a hostaccess row is named by its machine
+            names = [n for n in map(machine, names) if n != "???"]
+        out.extend((kind, n) for n in sorted(names))
     return out

@@ -7,7 +7,6 @@ from typing import Sequence
 from repro.errors import (
     MoiraError,
     MR_CLUSTER,
-    MR_IN_USE,
     MR_MACHINE,
     MR_NO_MATCH,
     MR_NOT_UNIQUE,
@@ -65,31 +64,10 @@ def update_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     return []
 
 
-def _machine_in_use(ctx: QueryContext, mach_id: int) -> bool:
-    """Post office, file system, printer spooling host, hostaccess, or
-    DCM service update reference (paper's delete_machine constraints)."""
-    checks = [
-        ("users", {"pop_id": mach_id, "potype": "POP"}),
-        ("filesys", {"mach_id": mach_id}),
-        ("nfsphys", {"mach_id": mach_id}),
-        ("printcap", {"mach_id": mach_id}),
-        ("hostaccess", {"mach_id": mach_id}),
-        ("serverhosts", {"mach_id": mach_id}),
-    ]
-    return any(ctx.db.table(t).select(w) for t, w in checks)
-
-
 @register("delete_machine", "dmac", (Upper("name"),), (), side_effects=True)
 def delete_machine(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a machine that nothing references."""
-    machines = ctx.db.table("machine")
-    row = exactly_one(machines.select({"name": args[0]}), MR_MACHINE, args[0])
-    if _machine_in_use(ctx, row["mach_id"]):
-        raise MoiraError(MR_IN_USE, row["name"])
-    # drop cluster memberships silently (they are pure mappings)
-    mcmap = ctx.db.table("mcmap")
-    mcmap.delete_rows(mcmap.select({"mach_id": row["mach_id"]}), now=ctx.now)
-    machines.delete_rows([row], now=ctx.now)
+    ctx.delete("machine", ctx.find_machine(args[0]), args[0])
     return []
 
 
@@ -138,12 +116,7 @@ def update_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
 @register("delete_cluster", "dclu", ("name",), (), side_effects=True)
 def delete_cluster(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a machine-less cluster (service data goes too)."""
-    row = ctx.find_cluster(args[0])
-    if ctx.db.table("mcmap").select({"clu_id": row["clu_id"]}):
-        raise MoiraError(MR_IN_USE, row["name"])
-    svc = ctx.db.table("svc")
-    svc.delete_rows(svc.select({"clu_id": row["clu_id"]}), now=ctx.now)
-    ctx.db.table("cluster").delete_rows([row], now=ctx.now)
+    ctx.delete("cluster", ctx.find_cluster(args[0]), args[0])
     return []
 
 

@@ -133,9 +133,7 @@ def delete_server_info(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     row = _find_service(ctx, args[0])
     if row["inprogress"]:
         raise MoiraError(MR_IN_USE, f"{args[0]} update in progress")
-    if ctx.db.table("serverhosts").select({"service": row["name"]}):
-        raise MoiraError(MR_IN_USE, f"{args[0]} has server hosts")
-    ctx.db.table("servers").delete_rows([row], now=ctx.now)
+    ctx.delete("servers", row, args[0])
     return []
 
 

@@ -271,46 +271,26 @@ def update_user_status(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
                         **ctx.audit())
 
 
-def _user_references(ctx: QueryContext, users_id: int) -> bool:
-    """Is the user a list member, quota holder, or owner/ACE of anything?"""
-    if ctx.db.table("members").select(
-            {"member_type": "USER", "member_id": users_id}):
-        return True
-    if ctx.db.table("nfsquota").select({"users_id": users_id}):
-        return True
-    if ctx.db.table("filesys").select({"owner": users_id}):
-        return True
-    for table in ("list", "servers", "hostaccess"):
-        if ctx.db.table(table).select({"acl_type": "USER",
-                                       "acl_id": users_id}):
-            return True
-    return False
-
-
-def _delete_user_row(ctx: QueryContext, row) -> None:
+def _delete_user_row(ctx: QueryContext, row) -> list[tuple]:
     if row["status"] != USER_STATE_REGISTERABLE:
         raise MoiraError(MR_IN_USE,
                          f"{row['login']} has status {row['status']}")
-    if _user_references(ctx, row["users_id"]):
-        raise MoiraError(MR_IN_USE, row["login"])
-    ctx.db.table("users").delete_rows([row], now=ctx.now)
+    ctx.delete("users", row, row["login"])
+    return []
 
 
 @register("delete_user", "dusr", ("login",), (), side_effects=True)
 def delete_user(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a status-0 user with no remaining references."""
-    row = ctx.find_user(args[0])
-    _delete_user_row(ctx, row)
-    return []
+    return _delete_user_row(ctx, ctx.find_user(args[0]))
 
 
 @register("delete_user_by_uid", "dubu", (Int("uid"),), (), side_effects=True)
 def delete_user_by_uid(ctx: QueryContext, args: Sequence[str]) -> list[tuple]:
     """Delete a user located by uid (same constraints)."""
-    row = exactly_one(ctx.db.table("users").select({"uid": args[0]}),
-                      MR_USER, f"uid {args[0]}")
-    _delete_user_row(ctx, row)
-    return []
+    return _delete_user_row(ctx, exactly_one(
+        ctx.db.table("users").select({"uid": args[0]}), MR_USER,
+        f"uid {args[0]}"))
 
 
 # -- finger ------------------------------------------------------------------
