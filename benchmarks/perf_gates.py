@@ -30,6 +30,13 @@ def framing(workload):
                 "queries.execute_self_us"]
 
 
+def access_share(workload):
+    """access check / execute self."""
+    layers = workload["per_layer"]["layers"]
+    return layers["server.access.check_us"] / layers[
+        "queries.execute_self_us"]
+
+
 #: (document, workload, figure, reading, ceiling, what a failure means)
 GATES = (
     # A reply written in pieces on a Nagle socket stalls ~40 ms for the
@@ -58,6 +65,13 @@ GATES = (
     # self times keeps host speed out of the check.
     ("traced", "scan_read_inproc", "(transport + handle_frame) / execute",
      framing, 1.5, "frames its replies in process again"),
+    # An access cache keyed on (principal, query, args) hit one check
+    # in six over the 500 logins and read check / execute = 54.3 / 25.8
+    # = 2.1 here at smoke size; keeping a capability grant per
+    # (principal, query), 3.2 / 32 = 0.1.  Another ratio of layer
+    # times, so host speed stays out of the check.
+    ("traced", "point_read_tcp", "access check / execute",
+     access_share, 1.0, "pays a full access check per read again"),
 )
 
 

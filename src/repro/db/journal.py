@@ -104,6 +104,19 @@ def stamp(changed: dict[str, frozenset]) -> tuple:
     return found
 
 
+def stamp_from_json(changed) -> tuple:
+    """A footprint as JSON carries it (``{table: [column, ...]}``) as a
+    :func:`stamp`; ``ValueError`` if it is anything else."""
+    if not isinstance(changed, dict) or not all(
+            isinstance(columns, list)
+            and all(isinstance(c, str) for c in columns)
+            for columns in changed.values()):
+        raise ValueError("malformed journal line: changed not an object "
+                         "of column lists")
+    return stamp({table: frozenset(columns)
+                  for table, columns in changed.items()})
+
+
 def fsync_paths(paths: Iterable[Union[str, Path]]) -> None:
     """Force each file or directory in *paths* to disk, in order.
 
@@ -170,14 +183,7 @@ class JournalEntry:
                 raise ValueError("malformed journal line: args not a list")
             changed = data.get("changed")
             if changed is not None:
-                if not isinstance(changed, dict) or not all(
-                        isinstance(columns, list)
-                        and all(isinstance(c, str) for c in columns)
-                        for columns in changed.values()):
-                    raise ValueError("malformed journal line: changed not "
-                                     "an object of column lists")
-                changed = stamp({table: frozenset(columns)
-                                 for table, columns in changed.items()})
+                changed = stamp_from_json(changed)
             return cls(
                 when=int(data["when"]),
                 who=str(data["who"]),

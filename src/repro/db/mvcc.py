@@ -41,6 +41,7 @@ lists safely, and trims just the chains that hold a closed version.
 from __future__ import annotations
 
 import bisect
+import operator
 import time
 from contextlib import nullcontext
 from typing import Any, Iterator, Optional
@@ -185,15 +186,29 @@ class _MvComposite:
         self.columns = tuple(columns)
         self.names = tuple(c.name for c in columns)
         self.buckets: dict[tuple, list[_Entry]] = {}
+        self.key_of = self._make_key_of()
 
-    @staticmethod
-    def _fold(column, value: Any) -> Any:
-        if column.kind is str and column.fold_case:
-            return str(value).lower()
-        return value
+    def _make_key_of(self):
+        """``key_of(data)``: the indexed columns of *data* as a tuple
+        (case folded where declared), one ``itemgetter`` call deep."""
+        get = operator.itemgetter(*self.names)
+        folded = [i for i, c in enumerate(self.columns)
+                  if c.kind is str and c.fold_case]
+        if len(self.names) == 1:
+            def key_of(data: dict) -> tuple:
+                return (get(data),)
+        else:
+            key_of = get
+        if not folded:
+            return key_of
+        raw = key_of
 
-    def key_of(self, data: dict) -> tuple:
-        return tuple(self._fold(c, data[c.name]) for c in self.columns)
+        def folded_key_of(data: dict) -> tuple:
+            key = list(raw(data))
+            for i in folded:
+                key[i] = str(key[i]).lower()
+            return tuple(key)
+        return folded_key_of
 
     def append(self, key: tuple, entry: _Entry) -> None:
         self.buckets.setdefault(key, []).append(entry)

@@ -721,19 +721,21 @@ def all_queries() -> dict[str, Query]:
 
 
 def check_query_access(ctx: QueryContext, query: Query,
-                       args: Sequence[str]) -> None:
+                       args: Sequence[str]) -> str:
     """Raise MR_PERM unless the caller may execute *query* with *args*.
 
-    Policy, per §5.5 and §7: public retrieval queries are open; a query
-    whose per-query relaxation (``check_access``) grants access is
-    allowed; otherwise the caller must be on the capability ACL.
+    Policy, per §5.5 and §7: public retrieval queries are open; a
+    caller on the query's capability ACL is allowed; otherwise the
+    query's per-query relaxation (``check_access``) must grant access.
+    Returns the rule that granted: ``"public"`` or ``"capability"``,
+    which read no argument, or ``"relaxation"``, which does.
     """
     if query.public and not query.side_effects:
-        return
+        return "public"
     if ctx.on_capability(query.name):
-        return
+        return "capability"
     if query.check_access is not None and query.check_access(ctx, args):
-        return
+        return "relaxation"
     raise MoiraError(MR_PERM, query.name)
 
 

@@ -49,7 +49,7 @@ import json
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.db.backup import dump_line, row_values
-from repro.db.journal import JournalEntry
+from repro.db.journal import JournalEntry, stamp_from_json
 from repro.errors import (
     MoiraError,
     MR_ARGS,
@@ -81,27 +81,32 @@ ENDPOINT_ROW = "_endpoint"
 def entry_to_tuple(entry: JournalEntry) -> tuple[str, ...]:
     """Encode one journal entry as a wire tuple.
 
-    The trailing field carries the MVCC commit seq (the replay-order
-    oracle).
+    The last two fields carry the MVCC commit seq (the replay-order
+    oracle) and the entry's footprint, ``changed`` (``""`` when it has
+    none), which scopes the replica's access-cache invalidation.
     """
     return (str(entry.seq), str(entry.when), entry.who, entry.client,
             entry.query,
             json.dumps(list(entry.args), separators=(",", ":")),
-            str(entry.commit_seq))
+            str(entry.commit_seq),
+            "" if entry.changed is None else json.dumps(
+                dict(entry.changed), separators=(",", ":")))
 
 
 def entry_from_tuple(fields: Sequence[str]) -> JournalEntry:
     """Invert :func:`entry_to_tuple`; raises ``ValueError`` if mangled."""
-    if len(fields) != 7:
-        raise ValueError(f"journal tuple wants 7 fields, got {len(fields)}")
-    seq, when, who, client, query, args, commit_seq = fields
+    if len(fields) != 8:
+        raise ValueError(f"journal tuple wants 8 fields, got {len(fields)}")
+    seq, when, who, client, query, args, commit_seq, changed = fields
     parsed = json.loads(args)
     if not isinstance(parsed, list):
         raise ValueError("journal tuple args not a list")
     return JournalEntry(seq=int(seq), when=int(when), who=who,
                         client=client, query=query,
                         args=tuple(str(a) for a in parsed),
-                        commit_seq=int(commit_seq) if commit_seq else 0)
+                        commit_seq=int(commit_seq) if commit_seq else 0,
+                        changed=stamp_from_json(json.loads(changed))
+                        if changed else None)
 
 
 def parse_seq(value: str, what: str) -> int:

@@ -316,7 +316,7 @@ class ReplicaServer:
                     loaded += 1
                 # replication is not user modification (mrrestore rule)
                 table.stats.appends -= loaded
-        self.server.access_cache.invalidate(set(self.db.tables))
+        self.server.access_cache.invalidate()
         self.server._poke_closure()
         self._apply_clock = Clock(0)
         self.primary_versions = versions
@@ -394,7 +394,6 @@ class ReplicaServer:
 
     def _apply(self, entries) -> int:
         applied = 0
-        before = self.db.versions()
         try:
             for entry, conflict in apply_entries(
                     self.db, self._fresh(entries), clock=self._apply_clock,
@@ -405,16 +404,14 @@ class ReplicaServer:
                 if conflict is not None:
                     # the snapshot already absorbed this entry's effect
                     self.apply_conflicts += 1
-                # (a conflict's rolled-back writes move versions too,
-                # which only invalidates more than it must)
-                after = self.db.versions()
-                mutated = {t for t, v in after.items()
-                           if before.get(t) != v}
-                before = after
-                if mutated:
-                    self.server.access_cache.invalidate(mutated)
-                    if "members" in mutated:
-                        self.server._poke_closure()
+                # the entry's stamp is what it changed; an unstamped
+                # entry (a WAL from before stamps) may have changed
+                # anything
+                mutated = (None if entry.changed is None
+                           else dict(entry.changed))
+                self.server.access_cache.invalidate(mutated)
+                if mutated is None or "members" in mutated:
+                    self.server._poke_closure()
                 self.entries_applied += 1
                 applied += 1
                 self._advance(entry.seq)

@@ -7,8 +7,8 @@ executes predefined queries against the one shared database backend
 opened "only once, at the start up time of the daemon".
 """
 
-from repro.server.access import ACL_TABLES, AccessCache, seed_capacls
+from repro.server.access import ACL_COLUMNS, AccessCache, seed_capacls
 from repro.server.moira_server import MoiraServer, ServerStats
 
-__all__ = ["MoiraServer", "ServerStats", "AccessCache", "ACL_TABLES",
+__all__ = ["MoiraServer", "ServerStats", "AccessCache", "ACL_COLUMNS",
            "seed_capacls"]

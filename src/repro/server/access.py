@@ -7,14 +7,28 @@ eventually be worked into the server for performance reasons."  The
 cache here is that anticipated optimisation, made toggleable so the E8
 benchmark can measure its effect.
 
-Invalidation is generation-based but **scoped by mutated relation**:
-the server diffs the engine's per-table data versions around each
-mutating query and passes the touched tables in; only mutations that
-touch an ACL-relevant relation (membership, capability, or ACE state)
-bump the generation, so a read-mostly workload no longer loses the
-whole cache to every quota update or string interning.  The cache is
-thread-safe: client threads and transport loops look up, store, and
-invalidate concurrently.
+Two key shapes share one dict and one ``max_entries`` bound:
+
+- ``(principal, query)`` holds a grant that read no argument: the
+  ``public`` rule or the capability list
+  (:func:`~repro.queries.base.check_query_access` says which rule
+  granted).  One entry serves the caller's calls with any arguments,
+  so an administrator's reads over ten thousand logins hit.
+- ``(principal, query, args)`` holds a grant made by a per-query
+  relaxation, which reads the arguments, and every denial.
+
+:meth:`AccessCache.lookup` probes both under one lock; a hit pins no
+``read_view()``.
+
+Invalidation is generation-based and **scoped by column**: the server
+passes each write's ``txn.mutated`` (table -> the columns it set), and
+only a write that sets one of :data:`ACL_COLUMNS` — the columns the
+capability check, the membership closure and the relaxations read —
+bumps the generation.  A shell or finger change keeps the cache.  A
+backend that stamps every column of a moved table (SQLite) degrades
+this to table grain, which is still sound.  The cache is thread-safe:
+client threads and transport loops look up, store, and invalidate
+concurrently.
 
 This cache memoises whole access *decisions*; the membership-closure
 index (``repro.db.closure``, see docs/QUERY_ENGINE.md) accelerates the
@@ -25,31 +39,38 @@ invalidation are cheap too — the two layers compose.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.db.engine import Database
 from repro.queries.base import all_queries
 
-__all__ = ["AccessCache", "ACL_TABLES", "seed_capacls"]
+__all__ = ["AccessCache", "ACL_COLUMNS", "seed_capacls"]
 
-# Relations whose contents can change an access decision: capability
-# lists and membership (capacls/list/members/users), plus every table
-# carrying an ACE that per-query relaxations consult ("someone on the
-# ACE of the target service", filesystem owners, host access).
-ACL_TABLES = frozenset({
-    "users", "list", "members", "capacls",
-    "servers", "filesys", "machine", "hostaccess",
-})
+# The columns an access decision reads, per relation: the capability
+# list (capacls), the caller's row (users), list flags and ACEs, all of
+# membership (the closure), and the ACEs the relaxations consult on
+# filesystems and services.  No relaxation reads machine or hostaccess.
+# tests/test_access_soundness.py checks this list against the writes.
+ACL_COLUMNS: dict[str, frozenset[str]] = {
+    "capacls": frozenset({"capability", "list_id"}),
+    "users": frozenset({"login", "users_id", "uid"}),
+    "list": frozenset({"name", "list_id", "hidden", "public", "acl_type",
+                       "acl_id"}),
+    "members": frozenset({"list_id", "member_type", "member_id"}),
+    "filesys": frozenset({"label", "owner", "owners"}),
+    "servers": frozenset({"name", "acl_type", "acl_id"}),
+}
+
+# the rules of check_query_access whose grant reads no argument
+ARGS_FREE_RULES = frozenset({"public", "capability"})
 
 
 class AccessCache:
-    """Memoises (principal, query, args) -> allowed decisions."""
+    """Memoises access decisions, keyed as the module docstring says."""
 
-    def __init__(self, enabled: bool = True, max_entries: int = 4096,
-                 acl_tables: Optional[frozenset[str]] = ACL_TABLES):
+    def __init__(self, enabled: bool = True, max_entries: int = 4096):
         self.enabled = enabled
         self.max_entries = max_entries
-        self.acl_tables = acl_tables  # None = every mutation invalidates
         self._cache: dict[tuple, bool] = {}
         self._lock = threading.Lock()
         self.generation = 0
@@ -62,8 +83,9 @@ class AccessCache:
         if not self.enabled:
             return None
         with self._lock:
-            key = (self.generation, principal, query, args)
-            found = self._cache.get(key)
+            found = self._cache.get((principal, query))
+            if found is None:
+                found = self._cache.get((principal, query, args))
             if found is None:
                 self.misses += 1
             else:
@@ -76,8 +98,13 @@ class AccessCache:
             return self.generation
 
     def store(self, principal: str, query: str, args: tuple[str, ...],
-              allowed: bool, *, generation: Optional[int] = None) -> None:
+              allowed: bool, *, generation: Optional[int] = None,
+              rule: Optional[str] = None) -> None:
         """Remember a decision for the current generation.
+
+        *rule* is the rule that granted (:func:`check_query_access`'s
+        result); a grant by one of :data:`ARGS_FREE_RULES` is kept per
+        (principal, query), anything else per (principal, query, args).
 
         *generation* is the value of :meth:`generation_now` captured
         **before** the access check ran.  If an invalidation landed in
@@ -88,33 +115,38 @@ class AccessCache:
         """
         if not self.enabled:
             return
+        key = ((principal, query) if allowed and rule in ARGS_FREE_RULES
+               else (principal, query, args))
         with self._lock:
             if generation is not None and generation != self.generation:
                 return
             # FIFO eviction: dict order is insertion order, so popping
-            # the first key drops the oldest entry (oldest generation
-            # first) — no wholesale clear, no thundering-herd refill
+            # the first key drops the oldest entry — no wholesale
+            # clear, no thundering-herd refill
             while len(self._cache) >= self.max_entries:
                 self._cache.pop(next(iter(self._cache)))
-            self._cache[(self.generation, principal, query, args)] = allowed
+            self._cache[key] = allowed
 
-    def invalidate(self,
-                   mutated: Optional[Iterable[str]] = None) -> bool:
+    def invalidate(self, mutated: Union[Mapping[str, Iterable[str]],
+                                        Iterable[str], None] = None
+                   ) -> bool:
         """Drop cached decisions after a mutation.
 
-        *mutated* names the relations whose data versions moved; when
-        given and none of them is ACL-relevant the cache survives
-        untouched.  ``invalidate()`` with no argument keeps the old
-        contract: everything goes.  Returns True if the generation
-        bumped.
+        *mutated* is a write's ``txn.mutated`` (table -> columns), or
+        bare table names meaning every column; when it meets no
+        :data:`ACL_COLUMNS` the cache survives untouched.
+        ``invalidate()`` with no argument drops everything.  Returns
+        True if the generation bumped.
         """
-        if mutated is not None and self.acl_tables is not None:
-            if self.acl_tables.isdisjoint(mutated):
+        if isinstance(mutated, Mapping):
+            if all(table not in ACL_COLUMNS
+                   or ACL_COLUMNS[table].isdisjoint(columns)
+                   for table, columns in mutated.items()):
                 return False
+        elif mutated is not None and ACL_COLUMNS.keys().isdisjoint(mutated):
+            return False
         with self._lock:
             self.generation += 1
-            # every existing entry is keyed to a dead generation now;
-            # dropping them eagerly keeps lookups from walking garbage
             self._cache.clear()
         return True
 

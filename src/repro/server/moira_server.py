@@ -419,32 +419,36 @@ class MoiraServer:
                         args: tuple[str, ...]) -> None:
         """check_query_access with the §5.5 access cache in front.
 
-        A miss runs the check on a ``read_view()``: it happens before
-        any lock is taken, and with a writer committing concurrently a
-        live-table read here could see a half-applied mutation — the
-        view is one consistent committed cut.
+        A hit is one probe under the cache's lock.  A miss runs the
+        check on a ``read_view()``: it happens before any lock is
+        taken, and with a writer committing concurrently a live-table
+        read here could see a half-applied mutation — the view is one
+        consistent committed cut.  The rule that granted picks the
+        key the decision is kept under.
         """
         self.stats.incr("access_checks")
-        # capture the generation before the check runs: if an
-        # ACL-relevant mutation invalidates mid-check, store() discards
-        # the now-stale decision instead of caching it under the new
-        # generation (TOCTOU)
-        generation = self.access_cache.generation_now()
-        cached = self.access_cache.lookup(ctx.caller, query.name, args)
+        cache = self.access_cache
+        cached = cache.lookup(ctx.caller, query.name, args)
         if cached is True:
             return
         if cached is False:
             raise MoiraError(MR_PERM, query.name)
+        # capture the generation before the check runs: if an
+        # ACL-relevant mutation invalidates mid-check, store() discards
+        # the now-stale decision instead of caching it under the new
+        # generation (TOCTOU)
+        generation = cache.generation_now()
         try:
             with self.db.read_view() as view:
-                check_query_access(replace(ctx, db=view), query, args)
+                rule = check_query_access(replace(ctx, db=view), query,
+                                          args)
         except MoiraError as exc:
             if exc.code == MR_PERM:
-                self.access_cache.store(ctx.caller, query.name, args,
-                                        False, generation=generation)
+                cache.store(ctx.caller, query.name, args, False,
+                            generation=generation)
             raise
-        self.access_cache.store(ctx.caller, query.name, args, True,
-                                generation=generation)
+        cache.store(ctx.caller, query.name, args, True,
+                    generation=generation, rule=rule)
 
     def _do_access(self, conn: _Connection, args: list[str]) -> list[Run]:
         """The Access major request: would this query be allowed?"""

@@ -281,8 +281,8 @@ class TestAccessCacheEviction:
 
     def test_server_skips_invalidation_for_non_acl_mutations(
             self, deployment):
-        """End to end: a cluster add (no ACL-relevant table touched)
-        keeps the access cache; a machine add clears it."""
+        """End to end: a cluster add (no ACL column touched) keeps the
+        access cache; a capability list membership change clears it."""
         d = deployment
         client = MoiraClient(dispatcher=d.server)
         client.connect()
@@ -293,7 +293,8 @@ class TestAccessCacheEviction:
         gen = d.server.access_cache.generation
         ac.query("add_cluster", "cache-test", "d", "l")
         assert d.server.access_cache.generation == gen
-        ac.query("add_machine", "CACHETEST.MIT.EDU", "VAX")
+        ac.query("add_member_to_list", "moira-admins", "USER",
+                 d.handles.logins[1])
         assert d.server.access_cache.generation > gen
         ac.close()
         client.close()

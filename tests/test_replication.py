@@ -326,6 +326,39 @@ class TestCrashMatrix:
             dump(rewound.db, tmp_path / "p")
 
 
+class TestReplicaAccessCache:
+    """A replica invalidates its access cache by what each applied
+    entry changed: its stamp, ``entry.changed``."""
+
+    def test_shell_change_keeps_the_generation(self):
+        primary = make_primary()
+        mutate(primary, mutations(2))
+        replica = make_replica(primary)
+        replica.step()
+        cache = replica.server.access_cache
+        gen = cache.generation
+        apply_one(primary.db, primary.journal, primary.clock, BASE + 100,
+                  "update_user_shell", ["user0", "/bin/sh"])
+        assert replica.step() == 1
+        assert cache.generation == gen
+        assert replica.db.table("users").select(
+            {"login": "user0"})[0]["shell"] == "/bin/sh"
+
+    def test_an_unstamped_entry_invalidates_everything(self):
+        from dataclasses import replace
+        primary = make_primary()
+        mutate(primary, mutations(2))
+        replica = make_replica(primary)
+        replica.step()
+        cache = replica.server.access_cache
+        gen = cache.generation
+        apply_one(primary.db, primary.journal, primary.clock, BASE + 100,
+                  "update_user_shell", ["user0", "/bin/sh"])
+        entry = primary.journal.entries[-1]
+        assert replica._apply([replace(entry, changed=None)]) == 1
+        assert cache.generation == gen + 1
+
+
 class TestReplicaSetRouting:
     @pytest.fixture()
     def world(self):

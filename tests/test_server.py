@@ -158,10 +158,14 @@ class TestAccessCache:
         user_client.access("update_user_shell", "joeuser", "/bin/sh")
         assert server.access_cache.hits == before_hits + 1
 
-    def test_mutation_invalidates(self, server, user_client, run):
-        user_client.access("update_user_shell", "joeuser", "/bin/sh")
+    def test_mutation_invalidates(self, server, admin_client, run):
+        """A write that moves an ACL column (membership) clears it."""
+        make_user(run, "newadmin")
+        admin_client.access("add_member_to_list", "moira-admins", "USER",
+                            "newadmin")
         gen = server.access_cache.generation
-        user_client.query("update_user_shell", "joeuser", "/bin/sh")
+        admin_client.query("add_member_to_list", "moira-admins", "USER",
+                           "newadmin")
         assert server.access_cache.generation > gen
 
     def test_denial_also_cached(self, server, user_client, run):

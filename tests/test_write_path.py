@@ -123,13 +123,14 @@ class TestReplay:
                        commit_seq=9)
         entry = journal.entries[0]
         fields = entry_to_tuple(entry)
-        assert len(fields) == 7
+        assert len(fields) == 8
         back = entry_from_tuple(fields)
         assert back.commit_seq == 9
         assert back.query == "add_machine"
+        assert back.changed is None
         # a pre-sharding 6-field tuple is a mangled entry, and so is
-        # one that still carries an id-bindings field
-        for mangled in (fields[:6], (*fields, "")):
+        # one without the stamp field or with a field past it
+        for mangled in (fields[:6], fields[:7], (*fields, "")):
             with pytest.raises(ValueError):
                 entry_from_tuple(mangled)
 
