@@ -18,7 +18,8 @@ def main() -> None:
         population=PopulationSpec(users=100, unregistered_users=30,
                                   nfs_servers=4)))
     reg_server = RegistrationServer(deployment.db, deployment.clock,
-                                    deployment.kdc)
+                                    deployment.kdc,
+                                    journal=deployment.journal)
     userreg = UserReg(reg_server, deployment.kdc)
 
     first, last, mit_id = deployment.handles.unregistered_ids[0]

@@ -65,7 +65,7 @@ def main() -> None:
     um = UserMaint(client)
     um.preregister("Justin", "Time", hash_mit_id("955555555", "Justin",
                                                  "Time"), "1992")
-    reg = RegistrationServer(d.db, d.clock, d.kdc)
+    reg = RegistrationServer(d.db, d.clock, d.kdc, journal=d.journal)
     forms = RegistrationForms(UserReg(reg, d.kdc))
     result = forms.session(["Justin", "X", "Time", "955555555",
                             "jtime", "hunter2", "hunter2"])

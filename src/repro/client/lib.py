@@ -175,14 +175,13 @@ class MoiraClient:
                 time.sleep(self.busy_backoff * (2 ** (attempt - 1)))
             try:
                 final = 0
-                for reply in self._conn.stream(
+                for code, rows in self._conn.stream(
                         MajorRequest.QUERY, [name, *map(str, args)]):
-                    if reply.code == MR_MORE_DATA:
-                        fields = reply.str_fields()
-                        if callproc is not None:
+                    if code != MR_MORE_DATA:
+                        final = code
+                    elif callproc is not None:
+                        for fields in rows:
                             callproc(len(fields), fields, callarg)
-                    else:
-                        final = reply.code
             except MoiraError as exc:
                 self._abort()
                 return exc.code

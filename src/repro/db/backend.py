@@ -14,7 +14,7 @@ backup, and recovery code can be handed *any* conforming backend:
   memory engine overrides, every capability a caller may use
   (DESIGN.md §17): nothing above this package probes a backend.
 * :class:`StorageTable` — the relation surface (``select``/
-  ``iter_select``/``count``, the one-row join ``probe``,
+  ``iter_select``/``count``, the one-row joins ``probe`` and ``join``,
   ``insert``/``update_rows``/``delete_rows``/``clear``, ``column``,
   ``rows``, ``stats``, ``version``/``changes_since``).  ``rows`` is an
   iterable of the relation's rows in scan order, with ``len``; it is
@@ -48,6 +48,7 @@ __all__ = [
     "StorageBackend",
     "StorageTable",
     "LockTxn",
+    "memo_join",
     "SYSTEM_TABLES",
     "create_backend",
     "available_backends",
@@ -108,6 +109,15 @@ class StorageTable(abc.ABC):
             return rows[0] if rows else None
         return first
 
+    def join(self, key: str, column: str) -> Callable[[Any], Any]:
+        """A reply's join on this relation: ``value ->`` ``row[column]``
+        of the row :meth:`probe` finds for *value* on *key*, ``"???"``
+        when none does.  Here each distinct value is probed once per
+        returned function, i.e. once per scan.  A memory-engine
+        snapshot (``mvcc.SnapshotTable``) shares one memo across scans
+        for as long as the relation is unchanged."""
+        return memo_join(self.probe(key), column, {})
+
     # data version: moves on every data mutation (DCM bookkeeping
     # writes with ``touch_stats=False`` excluded)
     version: int = 0
@@ -119,11 +129,32 @@ class StorageTable(abc.ABC):
         return None
 
 
+_MISS = object()
+
+
+def memo_join(probe: Callable[[Any], Optional[dict]], column: str,
+              memo: dict) -> Callable[[Any], Any]:
+    """``value -> row[column]`` through *memo*, asking *probe* only for
+    a value *memo* does not hold yet (``"???"`` when it finds no row)."""
+    hit = memo.get
+
+    def get(value):
+        found = hit(value, _MISS)
+        if found is _MISS:
+            row = probe(value)
+            found = memo[value] = "???" if row is None else row[column]
+        return found
+    return get
+
+
 class StorageBackend(abc.ABC):
     """The database surface every Moira subsystem codes against."""
 
     # every relation by name; each backend fills it in ``__init__``
     tables: dict
+    # what :meth:`add_commit_listener` registered; each backend starts
+    # it empty in ``__init__``
+    commit_listeners: list
 
     @abc.abstractmethod
     def table(self, name: str) -> StorageTable:
@@ -190,6 +221,21 @@ class StorageBackend(abc.ABC):
         journal order equal to commit order — and never on an
         exception.
         """
+
+    def add_commit_listener(self, listener: Callable[[dict], None]) -> None:
+        """Call ``listener(mutated)`` after every ``write_txn`` (and, on
+        the memory engine, every ``with db.lock:`` hold) that changed
+        data, with its ``mutated``.  It runs once every later read sees
+        the write (on the memory engine: its seq published; on SQLite:
+        the lock dropped), so a cache it clears cannot be refilled from
+        the state before the write."""
+        self.commit_listeners.append(listener)
+
+    def _notify_commit(self, mutated: dict) -> None:
+        """Tell the listeners a write committed *mutated*."""
+        if mutated:
+            for listener in self.commit_listeners:
+                listener(mutated)
 
     def read_stats(self) -> dict:
         """What a finished read cost, as per-handle metric fields
@@ -276,6 +322,8 @@ class LockTxn:
                     self._commit_hook(self)
         finally:
             self._db.lock.__exit__(exc_type, exc, tb)
+        if exc_type is None:
+            self._db._notify_commit(self.mutated)
 
 
 # name -> zero-config factory(path=None) -> StorageBackend

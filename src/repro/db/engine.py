@@ -885,6 +885,7 @@ class Database(StorageBackend):
 
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
+        self.commit_listeners: list = []
         # the incrementally maintained membership-closure index (lazy;
         # ``closure_enabled=False`` falls back to the recursive walk)
         self.closure_enabled = True
@@ -1028,7 +1029,10 @@ class Database(StorageBackend):
         """Outermost ``db.lock`` release."""
         if txn.seq == 0:
             return          # nothing mutated
-        self._publish_seq(txn.seq)
+        try:
+            self._publish_seq(txn.seq)
+        finally:
+            self._notify_commit(txn.mutated)
         self.gc_if_due()
 
     def _txn_commit(self, txn: "_Txn",
@@ -1044,7 +1048,11 @@ class Database(StorageBackend):
         if txn.seq == 0:
             self._alloc_seq(txn)
         run = None if hook is None else (lambda: hook(txn))
-        self._publish_seq(txn.seq, hook=run)
+        # the seq publishes even when the hook raises
+        try:
+            self._publish_seq(txn.seq, hook=run)
+        finally:
+            self._notify_commit(txn.mutated)
 
     def _txn_abort(self, txn: "_Txn") -> None:
         """Undo a failed write transaction and publish its seq.

@@ -46,7 +46,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Iterator, Optional
 
-from repro.db.backend import StorageTable
+from repro.db.backend import StorageTable, memo_join
 from repro.errors import MoiraError, MR_EXISTS, MR_NO_ID, MR_NO_MATCH
 
 __all__ = ["INF_SEQ", "Snapshot", "SnapshotTable", "TableVersionStore",
@@ -240,6 +240,29 @@ class TableVersionStore:
         # version
         self.retired: dict[tuple, list[_Entry]] = {}
         self.retired_chains: dict[int, _Record] = {}
+        # the snapshots' join memo: (the table's mv_last_seq it was
+        # filled at, (key, column) -> {value: row[column] or "???"})
+        self._joins: tuple[int, dict] = (0, {})
+
+    def join_memo(self, seq: int) -> Optional[dict]:
+        """The join memo every snapshot at *seq* may share: (key,
+        column) -> {value: joined text}, or None when *seq* predates
+        the relation's last commit.
+
+        ``mv_last_seq`` is stamped as a mutation happens, before its
+        seq publishes, so while it is at most *seq* the relation holds
+        the same rows at every seq from it on, and an answer any such
+        snapshot gave is every such snapshot's.  ``version`` would not
+        do: it skips ``touch_stats=False`` writes.  A memo filled at
+        another stamp is replaced, never revalidated; a reader still
+        filling a replaced memo fills a dict no one reads."""
+        stamp = self.table.mv_last_seq
+        if stamp > seq:
+            return None
+        joins = self._joins
+        if joins[0] != stamp:
+            joins = self._joins = (stamp, {})
+        return joins[1]
 
     # -- writer-side hooks ---------------------------------------------------
 
@@ -688,6 +711,19 @@ class SnapshotTable:
             snap.rows_scanned += scanned
             return None
         return first
+
+    def join(self, key: str, column: str):
+        """:meth:`StorageTable.join`, its memo shared by every snapshot
+        that sees this relation's current rows
+        (:meth:`TableVersionStore.join_memo`): a value joined once is
+        a dict hit for every later scan until the relation changes.
+        A snapshot older than the relation's last commit memoises for
+        this scan alone."""
+        memos = self._store.join_memo(self._snap.seq)
+        if memos is None:
+            return StorageTable.join(self, key, column)
+        return memo_join(self.probe(key), column,
+                         memos.setdefault((key, column), {}))
 
     def count(self, where: Optional[dict] = None) -> int:
         entries, check = self._table._plan_read(where, None)

@@ -276,6 +276,7 @@ class SqliteDatabase(StorageBackend):
         self.conn = sqlite3.connect(path, check_same_thread=False)
         self.conn.isolation_level = None  # autocommit
         self.tables: dict[str, SqliteTable] = {}
+        self.commit_listeners: list = []
         self.lock = threading.RLock()
 
     def read_view(self) -> _LockedView:

@@ -9,7 +9,7 @@ Two interchangeable transports exist:
   read new requests and send old replies simultaneously).
 
 * :class:`InProcessTransport` — the socket replaced by a direct call
-  that hands the client each row as the dispatcher yields it, with no
+  that hands the client each run as the dispatcher yields it, with no
   framing and no conversion: every run a dispatcher yields is already
   the text a TCP client would decode.
 
@@ -63,7 +63,6 @@ from repro.errors import (
 )
 from repro.protocol.wire import (
     MajorRequest,
-    Reply,
     Run,
     decode_replies,
     encode_replies,
@@ -109,36 +108,51 @@ class ClientConnection:
     """Common client-side reply collection over any raw frame channel."""
 
     def call(self, major: MajorRequest,
-             args: list[bytes | str]) -> list[Reply]:
-        """Send one request; collect replies until the final status.
+             args: list[bytes | str]) -> list[Run]:
+        """Send one request; collect its runs until the final status.
 
         The returned list always ends with the final (non-MR_MORE_DATA)
-        reply; tuple replies precede it.
+        status, a run of one; runs of tuple replies precede it.
         """
         return list(self.stream(major, args))
 
     def stream(self, major: MajorRequest,
-               args: list[bytes | str]) -> Iterator[Reply]:
-        """Yield replies one at a time until the final status.
+               args: list[bytes | str]) -> Iterator[Run]:
+        """Yield runs ``(code, rows)`` until the final status, a run of
+        one; every row is a tuple of ``str``.
 
-        The transport hands over wire bytes, each buffer decoded in
-        one loop (a frame split across two waits for the second), or
-        a list of replies ready-made."""
+        The transport hands over a dispatcher's runs as they are, or
+        wire bytes: each buffer is decoded in one loop (a frame split
+        across two waits for the second) into one run of its tuples,
+        then the final status if the buffer holds it."""
         tail = b""
         for item in self._roundtrip(encode_request(major, args)):
-            if type(item) is list:
-                replies = item
-            else:
-                buf = tail + item if tail else item
-                replies, used = decode_replies(buf)
-                tail = buf[used:]
-            yield from replies
-            if replies and replies[-1].code != MR_MORE_DATA:
+            if isinstance(item, tuple):
+                run = item if type(item) is Run else Run._make(item)
+                yield run
+                if run.code != MR_MORE_DATA:
+                    return
+                continue
+            buf = tail + item if tail else item
+            replies, used = decode_replies(buf)
+            tail = buf[used:]
+            if not replies:
+                continue
+            last = replies[-1]
+            done = last.code != MR_MORE_DATA
+            if done:
+                replies.pop()
+            if replies:
+                yield Run(MR_MORE_DATA,
+                          [reply.str_fields() for reply in replies])
+            if done:
+                yield Run(last.code, (last.str_fields(),))
                 return
         raise MoiraError(MR_ABORTED, "reply stream ended early")
 
-    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | list]:
-        """Send a request; yield the replies as they arrive."""
+    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | Run]:
+        """Send a request; yield its runs, or wire bytes, as they
+        arrive."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -147,14 +161,6 @@ class ClientConnection:
 
 
 # -- in-process -------------------------------------------------------------------
-
-
-class _TextReply(Reply):
-    """A reply handed over in process: its fields are already text."""
-    __slots__ = ()
-
-    def str_fields(self) -> tuple[str, ...]:
-        return self.fields
 
 
 class InProcessTransport:
@@ -175,13 +181,12 @@ class _InProcessConnection(ClientConnection):
         self.conn_id = conn_id
         self._open = True
 
-    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | list]:
+    def _roundtrip(self, request_frame: bytes) -> Iterator[bytes | Run]:
         if not self._open:
             raise MoiraError(MR_NOT_CONNECTED)
         # a large retrieve flows run by run on this thread, each run
         # released only after a sync; its rows are text already, and
         # wire bytes from a dispatcher are decoded as a TCP recv is
-        make = tuple.__new__
         stream = self.dispatcher.handle_frame_stream(
             self.conn_id, request_frame[4:])
         try:
@@ -191,11 +196,7 @@ class _InProcessConnection(ClientConnection):
                 except MoiraError as exc:
                     run = failed(exc)       # the last run this frame sends
                     stream.close()
-                if type(run) is tuple:
-                    code, rows = run
-                    yield [make(_TextReply, (code, row)) for row in rows]
-                else:
-                    yield run
+                yield run
         finally:
             stream.close()
 

@@ -84,7 +84,10 @@ class Request:
         return [a.decode("utf-8") for a in self.args]
 
 
-Run = tuple[int, Sequence[tuple]]   # (code, rows): one reply per row
+class Run(NamedTuple):
+    """A run of replies sharing one code: one reply per row."""
+    code: int
+    rows: Sequence[tuple]
 
 
 class Reply(NamedTuple):
@@ -236,7 +239,7 @@ def decode_replies(buf: bytes, offset: int = 0) -> tuple[list[Reply], int]:
 
 def final(code: int, fields: tuple = ()) -> Run:
     """A final status reply, as the run of one it is streamed as."""
-    return code, (fields,)
+    return Run(code, (fields,))
 
 
 def failed(exc: MoiraError) -> Run:

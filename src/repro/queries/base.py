@@ -541,24 +541,10 @@ class QueryContext:
     def lookup(self, table: str, key: str,
                column: str) -> Callable[[object], object]:
         """A join for one scan: ``value -> row[column]`` of the *table*
-        row whose *key* equals *value*, ``"???"`` when there is none.
-        Each distinct value is probed once (``StorageTable.probe``: one
-        index bucket), so rows that share a machine or a partition pay
-        for it once, not once a row."""
-        memo: dict = {}
-        probe = None        # built at the first miss: a join may go unused
-
-        def get(value):
-            nonlocal probe
-            try:
-                return memo[value]
-            except KeyError:
-                if probe is None:
-                    probe = self.db.table(table).probe(key)
-                row = probe(value)
-                found = memo[value] = "???" if row is None else row[column]
-                return found
-        return get
+        row whose *key* equals *value*, ``"???"`` when there is none
+        (``StorageTable.join``: on a snapshot, a dict hit while the
+        relation is unchanged)."""
+        return self.db.table(table).join(key, column)
 
     # -- audit fields ---------------------------------------------------------
 

@@ -22,9 +22,11 @@ hash stored in the users relation and checking the embedded ID.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.client.lib import DirectClient
 from repro.db.engine import Database, Row
+from repro.db.journal import Journal
 from repro.db.schema import (
     FS_STUDENT,
     USER_STATE_HALF_REGISTERED,
@@ -79,12 +81,15 @@ class VerifyReply:
 
 class RegistrationServer:
     """The §5.10 server for the three walk-up requests."""
-    def __init__(self, db: Database, clock: Clock, kdc: KDC):
+    def __init__(self, db: Database, clock: Clock, kdc: KDC, *,
+                 journal: Optional[Journal] = None):
         self.db = db
         self.clock = clock
         self.kdc = kdc
-        self.client = DirectClient(db, clock, caller="root",
-                                   client="registration")
+        # the deployment's journal: a registration is a write like any
+        # other, so the WAL, the CDC extractor and the replicas see it
+        self.client = DirectClient(db, clock, journal=journal,
+                                   caller="root", client="registration")
         self.requests_served = 0
         # the srvtab-srvtab channel to the kerberos admin server
         kdc.add_service("registration")

@@ -83,7 +83,8 @@ def entry_to_tuple(entry: JournalEntry) -> tuple[str, ...]:
 
     The last two fields carry the MVCC commit seq (the replay-order
     oracle) and the entry's footprint, ``changed`` (``""`` when it has
-    none), which scopes the replica's access-cache invalidation.
+    none), which tells the replica whether to poke its membership
+    closure.
     """
     return (str(entry.seq), str(entry.when), entry.who, entry.client,
             entry.query,

@@ -274,11 +274,11 @@ class ReplicaServer:
         conn = self._connection()
         try:
             rows: list[tuple[str, ...]] = []
-            for reply in conn.stream(MajorRequest.QUERY, list(args)):
-                if reply.code == MR_MORE_DATA:
-                    rows.append(reply.str_fields())
-                elif reply.code != 0:
-                    raise MoiraError(reply.code, f"feed {args[0]}")
+            for code, run in conn.stream(MajorRequest.QUERY, list(args)):
+                if code == MR_MORE_DATA:
+                    rows.extend(run)
+                elif code != 0:
+                    raise MoiraError(code, f"feed {args[0]}")
             return rows
         except MoiraError:
             self._drop_feed()
@@ -316,7 +316,6 @@ class ReplicaServer:
                     loaded += 1
                 # replication is not user modification (mrrestore rule)
                 table.stats.appends -= loaded
-        self.server.access_cache.invalidate()
         self.server._poke_closure()
         self._apply_clock = Clock(0)
         self.primary_versions = versions
@@ -404,13 +403,13 @@ class ReplicaServer:
                 if conflict is not None:
                     # the snapshot already absorbed this entry's effect
                     self.apply_conflicts += 1
-                # the entry's stamp is what it changed; an unstamped
-                # entry (a WAL from before stamps) may have changed
-                # anything
-                mutated = (None if entry.changed is None
-                           else dict(entry.changed))
-                self.server.access_cache.invalidate(mutated)
-                if mutated is None or "members" in mutated:
+                # the access cache heard what the apply changed at its
+                # commit; an unstamped entry (a WAL from before stamps)
+                # is still taken to have changed anything
+                if entry.changed is None:
+                    self.server.access_cache.invalidate()
+                if entry.changed is None or "members" in dict(
+                        entry.changed):
                     self.server._poke_closure()
                 self.entries_applied += 1
                 applied += 1

@@ -21,10 +21,13 @@ Two key shapes share one dict and one ``max_entries`` bound:
 ``read_view()``.
 
 Invalidation is generation-based and **scoped by column**: the server
-passes each write's ``txn.mutated`` (table -> the columns it set), and
-only a write that sets one of :data:`ACL_COLUMNS` — the columns the
-capability check, the membership closure and the relaxations read —
-bumps the generation.  A shell or finger change keeps the cache.  A
+registers :meth:`AccessCache.invalidate` as a commit listener of its
+backend, so every committed write — through the server or not — hands
+it its ``txn.mutated`` (table -> the columns it set) once its seq has
+published, and only a write that sets one of :data:`ACL_COLUMNS` — the
+columns the capability check, the membership closure and the
+relaxations read — bumps the generation.  A shell or finger change
+keeps the cache.  A
 backend that stamps every column of a moved table (SQLite) degrades
 this to table grain, which is still sound.  The cache is thread-safe:
 client threads and transport loops look up, store, and invalidate

@@ -161,6 +161,10 @@ class MoiraServer:
         self.kdc = kdc
         self.journal = journal if journal is not None else Journal()
         self.access_cache = access_cache or AccessCache()
+        # every committed write to this backend drops what it made
+        # stale — a write through this server, DirectClient, the DCM,
+        # the registration server or replica apply alike
+        db.add_commit_listener(self.access_cache.invalidate)
         self.dcm_trigger = dcm_trigger
         self.service_principal = service_principal
         self.stats = ServerStats()
@@ -382,7 +386,6 @@ class MoiraServer:
                                             fsync=False, timing=timing)
                 self.db.gc_if_due()
                 self.stats.incr("queries_executed")
-                self.access_cache.invalidate(mutated)
                 if "members" in mutated:
                     self._poke_closure()
                 count = len(tuples)

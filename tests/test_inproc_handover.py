@@ -105,8 +105,8 @@ def script(d: AthenaDeployment) -> list:
 
 
 def texts(conn, major, args) -> list:
-    return [(reply.code, reply.str_fields())
-            for reply in conn.stream(major, args)]
+    return [(code, row)
+            for code, rows in conn.stream(major, args) for row in rows]
 
 
 def test_inline_stream_is_the_tcp_stream(world):

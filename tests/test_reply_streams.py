@@ -144,9 +144,9 @@ def pooled_digests(write_frac: float) -> list[str]:
         conn = connect_admin_tcp(d, transport)
         try:
             for query in plan(d, i, write_frac):
-                for reply in conn.stream(MajorRequest.QUERY, query):
-                    digests[i].update(encode_reply(reply.code,
-                                                   reply.fields))
+                for code, rows in conn.stream(MajorRequest.QUERY, query):
+                    for row in rows:
+                        digests[i].update(encode_reply(code, row))
         finally:
             conn.close()
 

@@ -136,7 +136,7 @@ class TestPipelining:
         try:
             replies = conn.call(MajorRequest.QUERY,
                                 ["get_machine", "FRAME0.MIT.EDU"])
-            assert replies[0].fields[0] == b"FRAME0.MIT.EDU"
+            assert replies[0].rows[0][0] == "FRAME0.MIT.EDU"
             assert replies[-1].code == 0
         finally:
             conn.close()
