@@ -72,6 +72,13 @@ GATES = (
     # times, so host speed stays out of the check.
     ("traced", "point_read_tcp", "access check / execute",
      access_share, 1.0, "pays a full access check per read again"),
+    # Holding each row twice, as the writer's dict and as the head
+    # version's frozen copy, read 14,022 B of traced heap per user here
+    # at smoke size; one dict per row state (copy on write) and a slot
+    # list of open entries per record, 10,144 B.  A ceiling between
+    # the two catches a silent return to copying each row.
+    ("traced", "point_read_tcp", "db.bytes_per_user",
+     layer("db.bytes_per_user"), 12000, "holds each row twice again"),
 )
 
 

@@ -76,7 +76,14 @@ class StorageTable(abc.ABC):
     @abc.abstractmethod
     def update_rows(self, rows: list, changes: dict, *, now: int = 0,
                     touch_stats: bool = True) -> int:
-        """Apply *changes* to previously-selected *rows*."""
+        """Apply *changes* to previously-selected *rows*.
+
+        A row a table hands out is a read-only value: this leaves the
+        dicts in *rows* as they were, so a caller that reads the new
+        values selects them again.  On the memory engine a row is a
+        handle only while it is its record's newest state; passing it
+        again after an update is ``MR_INTERNAL`` ("row is not live").
+        """
 
     @abc.abstractmethod
     def delete_rows(self, rows: list, *, now: int = 0) -> int:

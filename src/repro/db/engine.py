@@ -6,7 +6,8 @@ Design notes
 *Tables* hold rows as dicts keyed by column name.  Each relation is
 stored once, in its version store (:mod:`repro.db.mvcc`): a scan list
 and index buckets of windowed entries, each naming a record that
-carries the writer's row dict and its immutable versions.  A delete
+carries its immutable versions; the newest is the head row, one dict
+shared by the writer and every snapshot that sees it.  A delete
 closes its rows' entries and the abort of one reopens them where they
 stand, so both cost the rows they touch.  Columns are typed
 (``int`` or ``str``) and may be declared case-insensitive (Moira machine
@@ -412,10 +413,13 @@ class Table(StorageTable):
     Rows, scan order and index buckets live once, in the table's
     version store ``_mv`` (:class:`~repro.db.mvcc.TableVersionStore`).
     A *head* read — the writer's, and any caller of this class — sees
-    the open entries resolved to the writer's row dicts, which stay
-    mutable handles for :meth:`update_rows` and :meth:`delete_rows`; a
-    snapshot (:class:`~repro.db.mvcc.SnapshotTable`) plans the same way
-    and resolves each entry at its pinned seq.
+    the open entries resolved to their head versions' rows.  A row is
+    a read-only value and a handle for :meth:`update_rows` and
+    :meth:`delete_rows` while it is the head: an update publishes a new
+    row and leaves the old one as it was, so a caller that wants the
+    new values selects again.  A snapshot
+    (:class:`~repro.db.mvcc.SnapshotTable`) plans the same way and
+    resolves each entry at its pinned seq.
     """
 
     def __init__(
@@ -590,7 +594,8 @@ class Table(StorageTable):
 
     def update_rows(self, rows: list[Row], changes: dict, *, now: int = 0,
                     touch_stats: bool = True) -> int:
-        """Apply *changes* to each row in *rows* (rows must belong here).
+        """Publish each row in *rows* (head rows of this table) with
+        *changes* applied; the rows passed in are left as they were.
 
         ``touch_stats=False`` suppresses the TBLSTATS modtime bump for
         DCM bookkeeping writes — the paper is explicit that those "refer
@@ -599,6 +604,7 @@ class Table(StorageTable):
         data for the generators' no-change check.
         """
         coerced = self._normalise(changes, partial=True)
+        records = self._records(rows)
         # only a key whose columns the change sets can become a
         # duplicate: the others are still unique as they stand
         keys = [key for key in self.unique_keys
@@ -609,7 +615,6 @@ class Table(StorageTable):
                 candidate.update(coerced)
                 if self._violates_unique(candidate, ignore=row, keys=keys):
                     raise MoiraError(MR_EXISTS, f"{self.name}: {changes}")
-        records = self._records(rows)
         prev_modtime = self.stats.modtime
         if records:
             seq, auto = self._begin(

@@ -143,7 +143,9 @@ class SqliteTable(StorageTable):
 
     def update_rows(self, rows: list[Row], changes: dict, *,
                     now: int = 0, touch_stats: bool = True) -> int:
-        """Apply *changes* to rows located by their rowids."""
+        """Apply *changes* to rows located by their rowids; the row
+        dicts passed in are left as they were (select again to read the
+        new values), as on the memory engine."""
         coerced = self._normalise(changes, partial=True)
         for row in rows:
             candidate = {c: row[c] for c in self.columns}
@@ -157,7 +159,6 @@ class SqliteTable(StorageTable):
                 self._db.conn.execute(
                     f'UPDATE "{self.name}" SET {sets} WHERE rowid = ?',
                     (*coerced.values(), row[_ROWID]))
-                row.update(coerced)
         if touch_stats:
             self.stats.updates += len(rows)
             self.stats.modtime = now

@@ -97,8 +97,9 @@ class RegistrationServer:
     # -- request verification ----------------------------------------------------
 
     def _find_student(self, first: str, last: str,
-                      authenticator: bytes) -> Row:
-        """Locate the student and verify the authenticator.
+                      authenticator: bytes) -> tuple[Row, str]:
+        """Locate the student and verify the authenticator: the users
+        row and the authenticator's payload (``""`` when it has none).
 
         Candidates match on (first, last); the authenticator must
         decrypt under the candidate's stored encrypted ID and embed
@@ -120,8 +121,7 @@ class RegistrationServer:
                 continue
             if hash_mit_id(fields[0], first, last) != stored_hash:
                 continue
-            row["_auth_payload"] = fields[2] if len(fields) > 2 else ""
-            return row
+            return row, fields[2] if len(fields) > 2 else ""
         raise RegError(MR_BAD_AUTHENTICATOR, f"{first} {last}")
 
     # -- the three requests ----------------------------------------------------------
@@ -130,15 +130,14 @@ class RegistrationServer:
                     authenticator: bytes) -> VerifyReply:
         """Is this student known, and what is their status?"""
         self.requests_served += 1
-        row = self._find_student(first, last, authenticator)
+        row, _payload = self._find_student(first, last, authenticator)
         return VerifyReply(status=row["status"], login=row["login"])
 
     def grab_login(self, first: str, last: str,
                    authenticator: bytes) -> str:
         """Assign the requested login; returns the login on success."""
         self.requests_served += 1
-        row = self._find_student(first, last, authenticator)
-        login = row.pop("_auth_payload", "")
+        row, login = self._find_student(first, last, authenticator)
         if not login:
             raise RegError(MR_BAD_AUTHENTICATOR, "no login in request")
         if row["status"] != USER_STATE_REGISTERABLE:
@@ -160,8 +159,7 @@ class RegistrationServer:
                      authenticator: bytes) -> str:
         """Set the initial Kerberos password; returns the login."""
         self.requests_served += 1
-        row = self._find_student(first, last, authenticator)
-        password = row.pop("_auth_payload", "")
+        row, password = self._find_student(first, last, authenticator)
         if not password:
             raise RegError(MR_BAD_AUTHENTICATOR, "no password in request")
         if row["status"] != USER_STATE_HALF_REGISTERED:

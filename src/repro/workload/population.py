@@ -512,6 +512,9 @@ class _Builder:
                         [phys], {"allocated": phys["allocated"]
                                  + def_quota},
                         now=now, touch_stats=False)
+                    # the update published a new row: hold that one
+                    phys_rows[i % nphys] = nfsphys.select(
+                        {"nfsphys_id": phys["nfsphys_id"]})[0]
 
                 self.handles.logins.append(login)
                 self.registered_ids.append(users_id)

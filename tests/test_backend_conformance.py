@@ -80,9 +80,26 @@ class TestCrudConformance:
                   "type": "VAX"}, now=BASE)
         rows = t.select({"name": "CONF2.MIT.EDU"})
         assert t.update_rows(rows, {"type": "RT"}, now=BASE + 1) == 1
-        assert t.select({"name": "CONF2.MIT.EDU"})[0]["type"] == "RT"
+        rows = t.select({"name": "CONF2.MIT.EDU"})
+        assert rows[0]["type"] == "RT"
         assert t.delete_rows(rows, now=BASE + 2) == 1
         assert t.count({"name": "CONF2.MIT.EDU"}) == 0
+
+    def test_an_update_leaves_the_held_row_as_it_was(self, backend):
+        """A row a table hands out is a read-only value: an update
+        changes what a fresh select reads, never the dict the caller
+        holds."""
+        t = backend.table("machine")
+        held = t.insert({"name": "CONF4.MIT.EDU", "mach_id": 44,
+                         "type": "VAX"}, now=BASE)
+        selected = t.select({"name": "CONF4.MIT.EDU"})
+        before = dict(selected[0])
+        assert t.update_rows(selected, {"type": "RT"}, now=BASE + 1) == 1
+        assert selected[0] == before and selected[0]["type"] == "VAX"
+        assert held["type"] == "VAX"
+        fresh = t.select({"name": "CONF4.MIT.EDU"})
+        assert [row["type"] for row in fresh] == ["RT"]
+        assert fresh[0] is not selected[0]
 
     def test_empty_update_and_delete_semantics(self, backend):
         """The divergences the conformance suite exists to catch: an
@@ -165,7 +182,7 @@ class TestStatsConformance:
                   "type": "VAX"}, now=BASE)
         rows = t.select({"name": "STAT1.MIT.EDU"})
         t.update_rows(rows, {"type": "RT"}, now=BASE + 1)
-        t.delete_rows(rows, now=BASE + 2)
+        t.delete_rows(t.select({"name": "STAT1.MIT.EDU"}), now=BASE + 2)
         assert (t.stats.appends, t.stats.updates, t.stats.deletes) == \
             (1, 1, 1)
         assert t.stats.modtime == BASE + 2

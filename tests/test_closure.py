@@ -19,7 +19,7 @@ from repro.client import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.closure import MembershipClosure
 from repro.db.engine import Column, Table
-from repro.errors import MoiraError
+from repro.errors import MR_EXISTS, MoiraError
 from repro.protocol.transport import TcpServerTransport
 from repro.workload import PopulationSpec
 
@@ -79,8 +79,9 @@ class TestClosureOracle:
                     members.insert({"list_id": rng.choice(list_ids),
                                     "member_type": mtype,
                                     "member_id": mid})
-                except MoiraError:
-                    pass  # duplicate membership; uniqueness holds
+                except MoiraError as exc:
+                    # a duplicate membership; uniqueness holds
+                    assert exc.code == MR_EXISTS
             elif roll < 0.7:
                 members.delete_rows([rng.choice(existing)])
             else:
@@ -88,8 +89,9 @@ class TestClosureOracle:
                 try:
                     members.update_rows([rng.choice(existing)],
                                         {"list_id": rng.choice(list_ids)})
-                except MoiraError:
-                    pass
+                except MoiraError as exc:
+                    # a duplicate, never a row that is no longer live
+                    assert exc.code == MR_EXISTS
             if step % 25 == 0:
                 assert_closure_matches_walk(ctx, list_ids)
         assert_closure_matches_walk(ctx, list_ids)

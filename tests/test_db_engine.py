@@ -114,7 +114,7 @@ class TestTable:
         t = people_table()
         row = t.insert({"name": "ann", "uid": 1})
         t.update_rows([row], {"uid": 99})
-        assert t.select({"uid": 99}) == [row]
+        assert t.select({"uid": 99}) == [{**row, "uid": 99}]
         assert t.select({"uid": 1}) == []
 
     def test_update_unique_violation(self):
@@ -130,7 +130,8 @@ class TestTable:
         t = people_table()
         row = t.insert({"name": "ann", "uid": 1})
         t.update_rows([row], {"name": "ann", "uid": 5})
-        assert row["uid"] == 5
+        assert t.select({"name": "ann"})[0]["uid"] == 5
+        assert row["uid"] == 1      # the held row is a read-only value
 
     def test_delete_maintains_indexes(self):
         t = people_table()
@@ -174,7 +175,7 @@ class TestTable:
         assert t.stats.modtime == 100
         t.update_rows([row], {"uid": 2}, now=200)
         assert t.stats.updates == 1
-        t.delete_rows([row], now=300)
+        t.delete_rows(t.select({"uid": 2}), now=300)
         assert t.stats.deletes == 1
         assert t.stats.modtime == 300
 
@@ -201,7 +202,7 @@ class TestTable:
         monkeypatch.setattr(hosts, "_violates_unique", probe)
         hosts.update_rows([row], {"success": 1, "inprogress": 0,
                                   "lts": 99}, touch_stats=False)
-        assert row["lts"] == 99
+        assert hosts.select({"mach_id": 7})[0]["lts"] == 99
 
     def test_a_key_update_to_a_duplicate_changes_nothing(self):
         hosts, (first, second) = self.two_serverhosts()

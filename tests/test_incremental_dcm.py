@@ -59,7 +59,7 @@ class TestDataVersions:
         assert t.version == 1
         t.update_rows([row], {"value": 2})
         assert t.version == 2
-        t.delete_rows([row])
+        t.delete_rows(t.select({"name": "a"}))
         assert t.version == 3
 
     def test_touch_stats_false_does_not_bump(self):
@@ -99,7 +99,7 @@ class TestChangelog:
         row = t.insert({"name": "a", "value": 1})
         v1 = t.version
         t.update_rows([row], {"value": 2})
-        t.delete_rows([row])
+        t.delete_rows(t.select({"name": "a"}))
         log = t.changes_since(v1)
         assert [c.op for c in log] == ["update", "delete"]
         assert log[0].before["value"] == 1

@@ -122,16 +122,23 @@ class TestConsistentCut:
         total = a["allocated"] + b["allocated"]
         stop = threading.Event()
         torn: list[int] = []
+        failed: list[Exception] = []
 
         def writer():
             delta = 1
-            while not stop.is_set():
-                with db.lock:
-                    t.update_rows([a],
-                                  {"allocated": a["allocated"] - delta})
-                    t.update_rows([b],
-                                  {"allocated": b["allocated"] + delta})
-                delta = -delta
+            try:
+                while not stop.is_set():
+                    with db.lock:
+                        # an update publishes a new row: select the heads
+                        a, b = (t.select({"nfsphys_id": i})[0]
+                                for i in (1, 2))
+                        t.update_rows([a],
+                                      {"allocated": a["allocated"] - delta})
+                        t.update_rows([b],
+                                      {"allocated": b["allocated"] + delta})
+                    delta = -delta
+            except Exception as exc:    # a dead writer tests nothing
+                failed.append(exc)
 
         def reader():
             for _ in range(400):
@@ -154,6 +161,9 @@ class TestConsistentCut:
         stop.set()
         w.join(timeout=60)
         assert not torn, f"torn reads observed: {torn[:5]}"
+        assert not failed and not w.is_alive(), failed
+        assert sum(r["allocated"] for r in t.select({"mach_id": 1})) \
+            == total
 
     def test_server_stream_vs_concurrent_writer(self, world):
         """A streamed server read drained alongside a committed write
@@ -335,13 +345,16 @@ class TestClosureAndPlansUnderSnapshots:
         def order(view, where):
             return [row["id"] for row in view.select(where)]
 
+        def head():
+            return table.select({"id": 0})
+
         table.update_rows([first], {"kind": "USER", "owner": 1, "tag": "x"})
         with db.read_view() as snap:
             for view in (table, snap.table("probe")):
                 assert order(view, {"kind": "USER"}) == [0, 1, 2]
                 assert order(view, {"kind": "USER", "owner": 1}) == [0, 1, 2]
-        table.update_rows([first], {"kind": "LIST"})
-        table.update_rows([first], {"kind": "USER"})
+        table.update_rows(head(), {"kind": "LIST"})
+        table.update_rows(head(), {"kind": "USER"})
         with db.read_view() as snap:
             for view in (table, snap.table("probe")):
                 assert order(view, {"kind": "USER"}) == [1, 2, 0]
@@ -352,11 +365,11 @@ class TestVersionGC:
     def test_gc_respects_oldest_pin(self):
         db = build_database()
         t = db.table("machine")
-        row = t.insert({"name": "GC1.MIT.EDU", "mach_id": 900,
-                        "type": "VAX"})
+        t.insert({"name": "GC1.MIT.EDU", "mach_id": 900, "type": "VAX"})
         snap = db.pin_snapshot()
         for i in range(10):
-            t.update_rows([row], {"type": "RT" if i % 2 else "VAX"})
+            t.update_rows(t.select({"mach_id": 900}),
+                          {"type": "RT" if i % 2 else "VAX"})
         report = db.gc_versions()
         # the pin holds the horizon back: history since the pin stays
         assert snap.table("machine").select(
@@ -377,25 +390,31 @@ class TestVersionGC:
         import sys
         db = build_database()
         t = db.table("nfsphys")
-        a, b, flip = (
+        for i in (1, 2, 3):
             t.insert({"nfsphys_id": i, "mach_id": 1, "dir": f"/{i}",
                       "allocated": 5000, "size": 10_000})
-            for i in (1, 2, 3))
         stop = threading.Event()
         bad: list = []
+        failed: list[Exception] = []
 
         def writer():
             delta = 1
-            while not stop.is_set():
-                with db.lock:
-                    t.update_rows([a],
-                                  {"allocated": a["allocated"] - delta})
-                    t.update_rows([b],
-                                  {"allocated": b["allocated"] + delta})
-                    t.update_rows([flip],
-                                  {"mach_id": 4 - flip["mach_id"]})
-                db.gc_versions()
-                delta = -delta
+            try:
+                while not stop.is_set():
+                    with db.lock:
+                        # an update publishes a new row: select the heads
+                        a, b, flip = (t.select({"nfsphys_id": i})[0]
+                                      for i in (1, 2, 3))
+                        t.update_rows([a],
+                                      {"allocated": a["allocated"] - delta})
+                        t.update_rows([b],
+                                      {"allocated": b["allocated"] + delta})
+                        t.update_rows([flip],
+                                      {"mach_id": 4 - flip["mach_id"]})
+                    db.gc_versions()
+                    delta = -delta
+            except Exception as exc:    # a dead writer tests nothing
+                failed.append(exc)
 
         def reader():
             for _ in range(300):
@@ -424,6 +443,7 @@ class TestVersionGC:
         finally:
             sys.setswitchinterval(interval)
         assert not any(r.is_alive() for r in readers) and not w.is_alive()
+        assert not failed, failed
         assert not bad, bad[:5]
         assert db.mvcc_stats()["versions_reclaimed"] > 0
 
@@ -432,10 +452,10 @@ class TestVersionGC:
         from repro.db.recovery import checkpoint
         db = build_database()
         t = db.table("machine")
-        row = t.insert({"name": "GC2.MIT.EDU", "mach_id": 901,
-                        "type": "VAX"})
+        t.insert({"name": "GC2.MIT.EDU", "mach_id": 901, "type": "VAX"})
         for i in range(6):
-            t.update_rows([row], {"type": "RT" if i % 2 else "VAX"})
+            t.update_rows(t.select({"mach_id": 901}),
+                          {"type": "RT" if i % 2 else "VAX"})
         journal = Journal()
         before = db.mvcc_stats()["versions_reclaimed"]
         checkpoint(db, journal, tmp_path / "snap")

@@ -347,7 +347,13 @@ class RowStoreMachine(RuleBasedStateMachine):
                 self.next_key += 1
                 table.update_rows(chosen, {column: value})
                 for i in picks:
-                    model[i] = (model[i][0], dict(model[i][0]))
+                    # the held row keeps its values; the update
+                    # published a new head row, which the model follows
+                    held, values = model[i]
+                    assert held == values
+                    head = table.select({"key": held["key"]})[0]
+                    assert head is not held and head[column] == value
+                    model[i] = (head, dict(head))
             else:
                 table.delete_rows(chosen)
                 doomed = {id(row) for row in chosen}
@@ -404,6 +410,25 @@ class RowStoreMachine(RuleBasedStateMachine):
             [id(row) for row, _ in self.model]
         assert rows == [values for _, values in self.model]
         assert len(self.table) == len(self.model)
+
+    @invariant()
+    def each_head_row_is_its_head_version(self):
+        """One row object per row: a live record's head row is its
+        newest version's data, the store finds the record by it, every
+        open entry is one of the record's slots, and a snapshot of the
+        head hands out the same objects."""
+        store = self.table._mv
+        assert len(store.records) == len(self.model)
+        for row, _ in self.model:
+            record = store.records[id(row)]
+            assert record.row is row and record.current.data is row
+            assert record.current.end == INF_SEQ
+            assert len(record.live) == len(store.slots)
+            assert all(entry.record is record and entry.end == INF_SEQ
+                       for entry in record.live)
+        with self.db.read_view() as snap:
+            assert [id(row) for row in snap.table("probe").rows] == \
+                [id(row) for row, _ in self.model]
 
     @invariant()
     def snapshots_scan_in_live_order(self):

@@ -131,9 +131,12 @@ EXAMPLES = [
 
 
 def contents(db) -> dict:
-    """table -> {row identity: (row, its values)}; holding each row
-    keeps its identity from being reused by a later insert."""
-    return {name: {id(row): (row, dict(row)) for row in table.rows}
+    """table -> {row identity: (its record, its values)} on the memory
+    engine.  An update publishes a new row dict, so a row is known by
+    its version-store record; holding each record keeps its identity
+    from being reused by a later insert."""
+    return {name: {id(record): (record, dict(record.current.data))
+                   for record in table._mv.records.values()}
             for name, table in db.tables.items()
             if name not in SYSTEM_TABLES}
 
