@@ -269,10 +269,18 @@ class StorageBackend(abc.ABC):
     # ``Table.bulk_load`` under ``write_txn``)?
     supports_bulk_load = False
 
+    # does a ``read_view()`` pin a commit seq (``view.seq``) writers
+    # commit past?  False: the view holds the writer lock
+    read_view_pins_seq = False
+
     def read_locked(self) -> ContextManager:
-        """A critical section that only reads the live tables (backup,
-        the replication snapshot feed)."""
+        """A critical section that only reads the live tables (the
+        replication feed, whose version vector must match its rows)."""
         return self.lock
+
+    def continue_commit_seqs(self, seq: int) -> None:
+        """Number every later commit past *seq*, the highest commit seq
+        of the WAL recovered into this database (no-op: no seqs)."""
 
     def intern_string(self, text: str, *, now: int = 0) -> int:
         """The ``string_id`` for *text*, allocating one if new."""

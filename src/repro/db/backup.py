@@ -114,15 +114,14 @@ def mrbackup(db: Database, directory: Union[str, Path]) -> dict[str, int]:
 
     One file per relation, one line per row, colon-separated escaped
     fields followed by a newline (ASCII 10), per the paper.  Lines
-    stream to the file as they are made.
+    stream to the file as they are made.  The dump reads one committed
+    cut, ``db.read_view()``; pass a view to dump that cut.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     sizes: dict[str, int] = {}
-    # a dump only reads; shared mode lets queries keep flowing while
-    # the nightly backup walks the relations
-    with db.read_locked():
-        for name, table in sorted(db.tables.items()):
+    with db.read_view() as view:
+        for name, table in sorted(view.tables.items()):
             path = directory / name
             values = row_values(table.columns)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

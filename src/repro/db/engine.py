@@ -887,6 +887,7 @@ class Database(StorageBackend):
 
     # bulk apply runs under write_txn (workload.population)
     supports_bulk_load = True
+    read_view_pins_seq = True
 
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
@@ -946,9 +947,15 @@ class Database(StorageBackend):
         return self._closure
 
     def read_locked(self) -> ContextManager[None]:
-        """Shared-mode critical section over the tables' heads (backup,
-        the replication snapshot feed)."""
+        """Shared-mode critical section over the tables' heads (the
+        replication feed's snapshot and status)."""
         return self.lock.shared()
+
+    def continue_commit_seqs(self, seq: int) -> None:
+        # called with no write in flight (recovery, before serving)
+        with self._seq_cond:
+            self._seq_alloc = max(self._seq_alloc, seq)
+            self._committed_seq = max(self._committed_seq, seq)
 
     def create_table(self, table: Table) -> Table:
         """Register a new relation."""

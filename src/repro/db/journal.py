@@ -43,8 +43,8 @@ read by :meth:`load`, before the segments; the first truncate folds it
 into a segment.  Only truncate drops entries, from the front, so the
 seqs on disk run without a gap.  A crash mid-rewrite leaves one
 overlap: a segment ``wal.N`` supersedes the earlier files' entries with
-seq ≥ N.  Any other gap is damage, which :meth:`load` refuses with
-:class:`JournalDamaged`.
+seq ≥ N.  Any other gap, and a seq that repeats or goes back, is
+damage, which :meth:`load` refuses with :class:`JournalDamaged`.
 
 Failover fencing (the cluster *epoch*): every journal carries a
 monotonic ``epoch`` — WAL ownership.  A promoted replica's journal
@@ -63,7 +63,7 @@ import json
 import math
 import os
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -603,6 +603,18 @@ class Journal:
                 return oldest, current, None
             return oldest, current, self.after_seq(after_seq)
 
+    def seq_at_commit(self, commit_seq: int) -> int:
+        """The watermark of a read view pinned at *commit_seq*: the seq
+        of the newest entry committed at or below it, else the seq
+        before the oldest retained.  Writers append inside the commit
+        gate, before their seq publishes, and log order is commit-seq
+        order, so the entries it covers are a prefix (bisected)."""
+        with self._lock:
+            covered = bisect_right(self.entries, commit_seq,
+                                   key=lambda e: e.commit_seq)
+            return (self.entries[covered - 1].seq if covered
+                    else self.oldest_seq() - 1)
+
     def after_seq(self, seq: int) -> list[JournalEntry]:
         """Entries with sequence numbers strictly greater than *seq*."""
         with self._lock:
@@ -670,9 +682,11 @@ class Journal:
 
         The ``wal.<seq>`` segment files beside *path* are read in seq
         order, after a monolithic seed file at *path* itself when one
-        exists (segments always hold newer entries).  A seq gap the
-        module docstring's crash overlap does not explain raises
-        :class:`JournalDamaged` naming the file and the missing seqs.
+        exists (segments always hold newer entries).  A seq that does
+        not follow the one before it by one — a gap the module
+        docstring's crash overlap does not explain, a repeat or a step
+        back — raises :class:`JournalDamaged` naming the file, the line
+        and any missing seqs.
         """
         journal = cls()
         journal.path = path
@@ -720,11 +734,12 @@ class Journal:
                 read = entry.seq
                 if read >= until:
                     continue
-                if high and read > high + 1:
-                    raise JournalDamaged(
-                        f"{part}: line {number}: seq {read} follows "
-                        f"{high}; seqs {high + 1}..{read - 1} are missing")
-                high = max(high, read)
+                if high and read != high + 1:
+                    why = (f"seqs {high + 1}..{read - 1} are missing"
+                           if read > high else "seqs never go back")
+                    raise JournalDamaged(f"{part}: line {number}: seq {read} "
+                                         f"follows {high}; {why}")
+                high = read
                 entries.append(entry)
             if self.torn_tail:
                 # scrub the torn record so appends land in a *new*

@@ -4,10 +4,10 @@ The paper bounds data loss with nightly ASCII backups plus the journal
 ("the journal file ... contains a listing of all successful changes");
 this module turns that into a real recovery protocol:
 
-* :func:`checkpoint` — dump every relation with :func:`mrbackup`, record
-  the WAL watermark (the newest journaled sequence number the snapshot
-  covers) beside the dump, fsync the dump, the watermark and the
-  directory, then truncate the WAL up to it.
+* :func:`checkpoint` — dump every relation with :func:`mrbackup` from
+  one read view, record beside the dump the WAL watermark that view
+  covers (the seq of the newest entry it holds), fsync the dump, the
+  watermark and the directory, then truncate the WAL up to it.
 * :func:`recover` — rebuild a schema-fresh database, :func:`mrrestore`
   the snapshot into it, and replay every WAL entry past the watermark.
 
@@ -16,14 +16,14 @@ query layer under the *original* principal and the *original* timestamp
 (a private clock pinned to each entry's ``when``), so audit fields —
 ``modby``/``modtime``/``modwith`` — come out byte-identical to a run
 that never crashed.  A torn final record (crash mid-append) is dropped
-by :meth:`Journal.load`; entries the snapshot already contains (crash
-between backup and truncate) surface as ``MR_EXISTS``-style conflicts
-and are tolerated and counted.
+by :meth:`Journal.load`.  The watermark is exact, so no replayed entry
+meets its own effect in the snapshot: an entry that fails is a
+divergence, and replay raises it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -31,13 +31,6 @@ from repro.db.backup import mrbackup, mrrestore
 from repro.db.engine import Database
 from repro.db.journal import (Journal, JournalDamaged, JournalEntry,
                                fsync_paths)
-from repro.errors import (
-    MoiraError,
-    MR_EXISTS,
-    MR_IN_USE,
-    MR_NO_MATCH,
-    MR_NOT_UNIQUE,
-)
 from repro.sim.clock import Clock
 
 __all__ = ["checkpoint", "recover", "replay_wal", "apply_entries",
@@ -48,10 +41,6 @@ __all__ = ["checkpoint", "recover", "replay_wal", "apply_entries",
 # snapshot covers.  Replay starts strictly after it.
 CHECKPOINT_META = "_wal_checkpoint"
 
-# Conflict codes a replayed entry may legitimately hit when the snapshot
-# already contains its effect (crash between mrbackup and truncate).
-TOLERATED_REPLAY_ERRORS = frozenset({MR_EXISTS, MR_NOT_UNIQUE,
-                                     MR_IN_USE, MR_NO_MATCH})
 
 @dataclass
 class RecoveryResult:
@@ -61,9 +50,9 @@ class RecoveryResult:
     rows_restored: int = 0
     watermark: int = 0
     replayed: int = 0
+    # always 0, replay tolerates nothing; perf/workloads.py reads it
     skipped_conflicts: int = 0
     torn_tail: bool = False
-    log: list[str] = field(default_factory=list)
     # the WAL replayed, numbering its next append past the watermark
     journal: Optional[Journal] = None
 
@@ -72,17 +61,18 @@ def checkpoint(db: Database, journal: Journal,
                directory: Union[str, Path]) -> int:
     """Snapshot *db* into *directory* and truncate the WAL behind it.
 
-    Returns the recorded watermark sequence number.  Every dump file,
-    the watermark and the directory reach the disk *before* the
-    truncate, so a crash between the two steps only costs replay work,
-    never correctness (covered entries replay as tolerated conflicts),
-    and a power loss after it cannot take acknowledged writes along.
+    Returns the recorded watermark sequence number: the dump and it
+    are one cut, read from one ``read_view()`` (writers commit past a
+    view that pins a seq).  Every dump file, the watermark and the
+    directory reach the disk *before* the truncate, so a power loss
+    after it cannot take acknowledged writes along.
     """
     directory = Path(directory)
-    dumped = mrbackup(db, directory)
-    # the highest seq ever assigned, not the newest retained entry: a
-    # log an earlier checkpoint emptied still covers everything before
-    watermark = journal.current_seq()
+    with db.read_view() as view:
+        dumped = mrbackup(view, directory)
+        # a view holding the writer lock holds every entry so far
+        watermark = (journal.seq_at_commit(view.seq)
+                     if db.read_view_pins_seq else journal.current_seq())
     meta = directory / CHECKPOINT_META
     meta.write_text(f"{watermark}\n", encoding="utf-8")
     fsync_paths([*(directory / name for name in dumped), meta, directory])
@@ -108,15 +98,16 @@ def read_watermark(directory: Union[str, Path]) -> int:
 def recover(directory: Union[str, Path], *,
             wal_path: Optional[Union[str, Path]] = None,
             journal: Optional[Journal] = None,
-            db: Optional[Database] = None,
-            strict: bool = False) -> RecoveryResult:
+            db: Optional[Database] = None) -> RecoveryResult:
     """Restore the snapshot in *directory* and replay the WAL on top.
 
     Give either *journal* (already loaded) or *wal_path* (loaded here,
     tolerating a torn tail).  *db* defaults to a fresh schema database.
     Returns a :class:`RecoveryResult` whose ``db`` is ready to serve
     and whose ``journal`` numbers its next append past the watermark,
-    even when the checkpoint left no WAL on disk.
+    even when the checkpoint left no WAL on disk.  The ``db`` numbers
+    its next commit past the highest commit seq the WAL holds, so the
+    log stays in commit-seq order across the restart.
 
     A WAL whose first retained seq is past the watermark + 1 (a newer
     checkpoint truncated what this snapshot lacks) raises
@@ -133,8 +124,7 @@ def recover(directory: Union[str, Path], *,
         db = build_database()
     watermark = read_watermark(directory)
     if journal is None:
-        journal = (Journal.load(wal_path, strict=strict)
-                   if wal_path is not None else Journal())
+        journal = Journal.load(wal_path) if wal_path is not None else Journal()
     if journal.entries and journal.entries[0].seq > watermark + 1:
         raise JournalDamaged(
             f"WAL gap: the log starts at seq {journal.entries[0].seq}, "
@@ -144,8 +134,9 @@ def recover(directory: Union[str, Path], *,
     result = RecoveryResult(db=db, rows_restored=sum(counts.values()),
                             watermark=watermark,
                             torn_tail=journal.torn_tail, journal=journal)
-    replay_wal(db, journal, after_seq=watermark, result=result,
-               strict=strict)
+    replay_wal(db, journal, after_seq=watermark, result=result)
+    db.continue_commit_seqs(
+        max((entry.commit_seq for entry in journal.entries), default=0))
     return result
 
 
@@ -156,21 +147,19 @@ class OutOfCommitOrder(ValueError):
 
 def apply_entries(db: Database, entries: Iterable[JournalEntry], *,
                   clock: Clock, after_commit_seq: int = 0,
-                  strict: bool = False, client: str = "recovery"
-                  ) -> Iterator[tuple[JournalEntry, Optional[MoiraError]]]:
-    """Apply journal *entries* to *db*, yielding ``(entry, conflict)``
-    after each one — the one loop behind WAL replay and replica apply.
+                  client: str = "recovery") -> Iterator[JournalEntry]:
+    """Apply journal *entries* to *db*, yielding each entry once it
+    applied — the one loop behind WAL replay and replica apply.
 
     Each entry re-executes through the predefined-query layer as its
     original principal and client (*client* when it recorded none) at
     its original timestamp — *clock* follows ``entry.when`` forward —
     allocating ids and strings as the original did: the one writer
     allocated in commit order, and a failed write rolled its
-    allocations back.  ``conflict`` is the tolerated
-    :class:`MoiraError` when the target already held the entry's
-    effect (never under *strict*), else None.  Entries are pulled
-    lazily, one at a time, so the caller may filter and fire fault
-    points upstream.
+    allocations back.  An entry that fails raises, after every entry
+    before it applied: it succeeded once, so the target diverged from
+    the log.  Entries are pulled lazily, one at a time, so the caller
+    may filter and fire fault points upstream.
 
     Replay-order oracle: writers append inside the commit gate, so log
     order must equal commit-seq order.  A violation means the gate (or
@@ -188,35 +177,20 @@ def apply_entries(db: Database, entries: Iterable[JournalEntry], *,
                 f"{entry.commit_seq} after {last_commit_seq}")
         if entry.when > clock.now():
             clock.set(entry.when)
-        conflict = None
         ctx = QueryContext(db=db, clock=clock, caller=entry.who,
                            client=entry.client or client, privileged=True)
-        try:
-            execute_query(ctx, entry.query, list(entry.args))
-        except MoiraError as exc:
-            if strict or exc.code not in TOLERATED_REPLAY_ERRORS:
-                raise
-            conflict = exc
+        execute_query(ctx, entry.query, list(entry.args))
         last_commit_seq = entry.commit_seq or last_commit_seq
-        yield entry, conflict
+        yield entry
 
 
 def replay_wal(db: Database, journal: Journal, *, after_seq: int = 0,
-               result: Optional[RecoveryResult] = None,
-               strict: bool = False) -> RecoveryResult:
+               result: Optional[RecoveryResult] = None) -> RecoveryResult:
     """Re-execute WAL entries past *after_seq* against *db*
-    (:func:`apply_entries`).  Conflicts the snapshot already absorbed
-    are tolerated and counted (unless *strict*)."""
+    (:func:`apply_entries`), counting them in ``result.replayed``."""
     if result is None:
         result = RecoveryResult(db=db)
-    for entry, conflict in apply_entries(
-            db, journal.after_seq(after_seq), clock=Clock(0),
-            strict=strict):
-        if conflict is None:
-            result.replayed += 1
-        else:
-            result.skipped_conflicts += 1
-            result.log.append(
-                f"replay seq {entry.seq} {entry.query}: tolerated "
-                f"{conflict.symbol}")
+    for _ in apply_entries(db, journal.after_seq(after_seq),
+                           clock=Clock(0)):
+        result.replayed += 1
     return result

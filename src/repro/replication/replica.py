@@ -210,7 +210,6 @@ class ReplicaServer:
         self.primary_versions: dict[str, int] = {}
         self.snapshots_loaded = 0
         self.entries_applied = 0
-        self.apply_conflicts = 0
         self.resyncs = 0
         self._feed_factory = feed_factory
         self._feed: Optional[ClientConnection] = None
@@ -394,15 +393,12 @@ class ReplicaServer:
     def _apply(self, entries) -> int:
         applied = 0
         try:
-            for entry, conflict in apply_entries(
+            for entry in apply_entries(
                     self.db, self._fresh(entries), clock=self._apply_clock,
                     after_commit_seq=self._applied_commit_seq,
                     client="replication"):
                 self._applied_commit_seq = (entry.commit_seq
                                             or self._applied_commit_seq)
-                if conflict is not None:
-                    # the snapshot already absorbed this entry's effect
-                    self.apply_conflicts += 1
                 # the access cache heard what the apply changed at its
                 # commit; an unstamped entry (a WAL from before stamps)
                 # is still taken to have changed anything

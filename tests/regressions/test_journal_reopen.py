@@ -1,12 +1,14 @@
 """A journal reopened over its WAL keeps numbering after the highest
-seq on disk, never from 1 again, nor from whatever seq the last line
-happens to carry."""
+seq on disk, never from 1 again; a log whose seqs repeat or go back
+is refused."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.db.journal import Journal, JournalEntry
+import pytest
+
+from repro.db.journal import Journal, JournalDamaged, JournalEntry
 from repro.sim.clock import DEFAULT_EPOCH
 
 BASE = DEFAULT_EPOCH + 900
@@ -29,10 +31,13 @@ def test_a_journal_built_over_a_wal_continues_its_seqs(tmp_path):
     assert [e.seq for e in Journal.load(wal).entries] == [1, 2, 3, 4]
 
 
-def test_load_numbers_after_the_highest_seq_not_the_last(tmp_path):
+def test_load_refuses_a_seq_that_goes_back(tmp_path):
+    """Seqs 1, 2, 3, 1 once loaded, numbered the next append 4 and
+    answered ``after_seq(2)`` with seq 3 and the second seq 1: every
+    reader of ``entries`` assumes them sorted."""
     wal = tmp_path / "wal"
     lines = [JournalEntry(when=BASE, who="root", query="q", args=(),
                           seq=seq).to_line() for seq in (1, 2, 3, 1)]
     Path(f"{wal}.{1:016d}").write_text("\n".join(lines) + "\n")
-    journal = Journal.load(wal)
-    assert journal.record(BASE, "root", "q", ()).seq == 4
+    with pytest.raises(JournalDamaged, match="line 4: seq 1 follows 3"):
+        Journal.load(wal)

@@ -34,12 +34,11 @@ def user(login, uid):
                          f"m{uid}", "1990"))
 
 
-# (query, args): a committed write, one that allocates an id, a write
-# the target already holds (tolerated conflict), another committed write
+# (query, args): a committed write, one that allocates an id, another
+# committed write
 GOOD = [
     user("ap1", 7401),
     ("add_machine", ("AP0.MIT.EDU", "VAX")),
-    user("ap1", 7401),
     ("add_machine", ("AP1.MIT.EDU", "VAX")),
 ]
 
@@ -64,33 +63,40 @@ def replica_over(path):
 def test_replay_and_replica_agree_byte_for_byte(name, tmp_path):
     wal = write_wal(tmp_path / "wal", GOOD)
     db = create_backend(name)
-    result = replay_wal(db, Journal.load(wal))
-    assert (result.replayed, result.skipped_conflicts) == (3, 1)
-    assert "tolerated MR_NOT_UNIQUE" in result.log[0]
+    assert replay_wal(db, Journal.load(wal)).replayed == 3
 
     replica, feed = replica_over(wal)
-    assert feed() == 4
-    assert (replica.entries_applied, replica.apply_conflicts,
-            replica.applied_seq) == (4, 1, 4)
+    assert feed() == 3
+    assert (replica.entries_applied, replica.applied_seq) == (3, 3)
     # both allocated the same ids, naturally
     assert db.get_value("mach_id") == replica.db.get_value("mach_id")
     assert dump(db, tmp_path / "replayed") == \
         dump(replica.db, tmp_path / "replica")
 
 
-def test_strict_turns_the_tolerated_conflict_into_a_raise(tmp_path):
-    wal = write_wal(tmp_path / "wal", GOOD)
+def test_every_replay_refuses_a_conflicting_entry_after_its_prefix(
+        tmp_path):
+    """A logged write that fails again means the target diverged from
+    the log: both callers raise it, with every entry before it applied
+    and none after."""
+    wal = write_wal(tmp_path / "wal", GOOD[:2] + [GOOD[0]] + GOOD[2:])
     db = create_backend("memory")
     with pytest.raises(MoiraError) as caught:
-        replay_wal(db, Journal.load(wal), strict=True)
+        replay_wal(db, Journal.load(wal))
     assert caught.value.code == MR_NOT_UNIQUE
-    # everything before the conflict was applied, nothing after
-    lenient = create_backend("memory")
-    done = [entry.seq for entry, _ in apply_entries(
-        lenient, Journal.load(wal).entries[:2], clock=Clock(0))]
+    replica, feed = replica_over(wal)
+    with pytest.raises(MoiraError) as fed:
+        feed()
+    assert fed.value.code == MR_NOT_UNIQUE
+    assert replica.applied_seq == 2
+
+    prefix = create_backend("memory")
+    done = [entry.seq for entry in apply_entries(
+        prefix, Journal.load(wal).entries[:2], clock=Clock(0))]
     assert done == [1, 2]
-    assert dump(db, tmp_path / "strict") == \
-        dump(lenient, tmp_path / "prefix")
+    assert dump(db, tmp_path / "replayed") == \
+        dump(prefix, tmp_path / "prefix") == \
+        dump(replica.db, tmp_path / "replica")
 
 
 BAD = {
@@ -98,7 +104,7 @@ BAD = {
     "out_of_commit_order": (
         [user("ap1", 7401), user("ap2", 7402), user("ap3", 7403)],
         [1, 3, 2], ValueError, "out of commit order"),
-    # an error replay does not tolerate
+    # a query the target does not know
     "untolerated_error": (
         [user("ap1", 7401), user("ap2", 7402), ("no_such_query", ())],
         None, MoiraError, "no_such_query"),

@@ -393,6 +393,22 @@ class TestCapabilityDefaults:
     def test_supports_bulk_load(self, backend, is_memory):
         assert backend.supports_bulk_load is is_memory
 
+    def test_read_view_pins_seq_and_continue_commit_seqs(self, backend,
+                                                         is_memory):
+        """Memory: a view is pinned at ``view.seq`` and a commit after
+        ``continue_commit_seqs(n)`` is numbered past *n*.  Default: the
+        view holds the writer lock, and commits carry no seq."""
+        assert backend.read_view_pins_seq is is_memory
+        backend.continue_commit_seqs(5000)
+        with backend.write_txn() as txn:
+            backend.table("machine").insert(
+                {"name": "CAP1.MIT.EDU", "mach_id": 61, "type": "VAX"},
+                now=BASE)
+        assert txn.seq == (5001 if is_memory else 0)
+        if is_memory:
+            with backend.read_view() as view:
+                assert view.seq == 5001
+
     def test_table_version_and_changes_since(self, backend, is_memory):
         # capacls: a relation no generator reads keeps no log
         table = backend.table("capacls")

@@ -11,7 +11,7 @@ from repro.db.backup import mrbackup
 from repro.db.journal import Journal, JournalEntry
 from repro.db.recovery import checkpoint, read_watermark, recover
 from repro.db.schema import build_database
-from repro.errors import MoiraError
+from repro.errors import MoiraError, MR_NOT_UNIQUE
 from repro.queries.base import QueryContext, execute_query
 from repro.sim.clock import DEFAULT_EPOCH, Clock
 from repro.sim.faults import FaultInjector, ServerCrash
@@ -105,6 +105,18 @@ class TestDurableJournal:
         assert journal.after_seq(10) == []
         assert len(journal.after_seq(0)) == 10
 
+    def test_seq_at_commit_is_the_newest_entry_a_view_covers(self):
+        journal = Journal()
+        for commit_seq in (5, 7, 9):
+            journal.record(BASE, "root", "q", (), commit_seq=commit_seq)
+        assert [journal.seq_at_commit(c) for c in (4, 5, 8, 9, 50)] == \
+            [0, 1, 2, 3, 3]
+        journal.truncate(2)
+        # none retained at or below: the seq before the oldest retained
+        assert journal.seq_at_commit(8) == 2
+        journal.truncate(3)
+        assert journal.seq_at_commit(8) == 3
+
     def test_truncate_rewrites_file(self, tmp_path):
         wal = tmp_path / "wal"
         journal = Journal(path=wal)
@@ -142,9 +154,11 @@ class TestCheckpointRecover:
         assert rec.skipped_conflicts == 0
         assert dump(rec.db, tmp_path / "d1") == dump(db, tmp_path / "d2")
 
-    def test_recover_tolerates_already_applied(self, tmp_path):
-        """Crash between mrbackup and truncate: the snapshot already
-        contains journaled entries; replay skips the conflicts."""
+    def test_recover_refuses_a_snapshot_that_already_holds_the_wal(
+            self, tmp_path):
+        """A dump with no watermark over a WAL whose entries it already
+        contains: the first replayed entry meets its own effect, and
+        recovery raises it instead of absorbing it."""
         db = build_database()
         journal = Journal(path=tmp_path / "wal")
         clock = Clock()
@@ -152,10 +166,9 @@ class TestCheckpointRecover:
             apply_one(db, journal, clock, BASE + i * 10, name, args)
         mrbackup(db, tmp_path / "snap")   # snapshot WITHOUT watermark
         journal.close()
-        rec = recover(tmp_path / "snap", wal_path=tmp_path / "wal")
-        assert rec.watermark == 0
-        assert rec.skipped_conflicts == 6
-        assert dump(rec.db, tmp_path / "d1") == dump(db, tmp_path / "d2")
+        with pytest.raises(MoiraError) as caught:
+            recover(tmp_path / "snap", wal_path=tmp_path / "wal")
+        assert caught.value.code == MR_NOT_UNIQUE
 
 
 CRASH_KINDS = ("record", "torn", "appended")
