@@ -5,13 +5,14 @@ did: building the world (the serial loader extrapolates to ~10 minutes
 at 1M) and the unbounded WAL (a semester of shell/finger churn keeps
 every record forever).  E16 gates the two answers:
 
-1. **Parallel population build** — ``load_population(parallel=True)``
-   partitions each bulk stage across a worker pool with per-partition
-   derived RNGs and pre-reserved id ranges.  Gate: ≥
-   ``E16_MIN_BUILD_SPEEDUP`` (default 4x) over the serial loader at
-   ``E16_USERS``, with the built worlds **byte-identical** under an
-   ``mrbackup`` dump of both.  One ``checkpoint()`` of the serial
-   world is timed at each design point (``checkpoint_s``).
+1. **Bulk population build** — ``load_population()`` splits each
+   bulk stage into partitions with partition-derived RNGs and
+   pre-reserved id ranges, applied on the calling thread through
+   ``bulk_load`` batches.  Gate: ≥ ``E16_MIN_BUILD_SPEEDUP``
+   (default 4x) over the per-row loader at ``E16_USERS``, with the
+   built worlds **byte-identical** under an ``mrbackup`` dump of
+   both.  One ``checkpoint()`` of the per-row world is timed at each
+   design point (``checkpoint_s``).
 
 2. **The checkpoint bounds the WAL** (paper §5.2.2: the nightly
    ``mrbackup`` plus the journal of changes since).  An
@@ -67,11 +68,11 @@ def _dump_digest(dump: dict[str, bytes]) -> str:
 # -- part 1: parallel population build -----------------------------------------
 
 
-def _timed_build(users: int, *, parallel: bool):
+def _timed_build(users: int, *, per_row: bool):
     db = build_database()
     spec = PopulationSpec.design_point(users)
     started = time.perf_counter()
-    load_population(db, spec, parallel=parallel)
+    load_population(db, spec, per_row=per_row)
     return db, time.perf_counter() - started
 
 
@@ -87,14 +88,14 @@ def _bench_build(tmp_path: Path) -> dict:
         # build starts — a live 100k world drags the second build
         # 3-4x through allocator pressure, poisoning the ratio in
         # whichever direction it is held
-        db_s, t_ser = _timed_build(users, parallel=False)
+        db_s, t_ser = _timed_build(users, per_row=True)
         ser = _dump(db_s, tmp_path / f"build-serial-{users}")
         started = time.perf_counter()
         checkpoint(db_s, Journal(), tmp_path / f"checkpoint-{users}")
         t_ckpt = time.perf_counter() - started
         del db_s
         gc.collect()
-        db_p, t_par = _timed_build(users, parallel=True)
+        db_p, t_par = _timed_build(users, per_row=False)
         par = _dump(db_p, tmp_path / f"build-parallel-{users}")
         del db_p
         gc.collect()

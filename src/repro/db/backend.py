@@ -8,18 +8,19 @@ abstract base classes and a factory, so the query layer, server, DCM,
 backup, and recovery code can be handed *any* conforming backend:
 
 * :class:`StorageBackend` — the database surface (``table``,
-  ``get_value``/``set_value``/``next_id``, ``table_stats``,
-  ``versions``), the two verbs every request goes through —
-  ``read_view()`` and ``write_txn()`` — and, as concrete defaults the
-  memory engine overrides, every capability a caller may use
-  (DESIGN.md §17): nothing above this package probes a backend.
+  ``get_value``/``set_value``/``next_id``/``reserve_ids``,
+  ``table_stats``, ``versions``), the two verbs every request goes
+  through — ``read_view()`` and ``write_txn()`` — the one loader,
+  ``load()``, and, as concrete defaults the memory engine overrides,
+  every capability a caller may use (DESIGN.md §17): nothing above
+  this package probes a backend.
 * :class:`StorageTable` — the relation surface (``select``/
   ``iter_select``/``count``, the one-row joins ``probe`` and ``join``,
-  ``insert``/``update_rows``/``delete_rows``/``clear``, ``column``,
-  ``rows``, ``stats``, ``version``/``changes_since``).  ``rows`` is an
-  iterable of the relation's rows in scan order, with ``len``; it is
-  not a sequence, so a caller that wants positions takes
-  ``list(table.rows)``.
+  ``insert``/``bulk_load``/``update_rows``/``delete_rows``/``clear``,
+  ``column``, ``rows``, ``stats``, ``version``/``changes_since``).
+  ``rows`` is an iterable of the relation's rows in scan order, with
+  ``len``; it is not a sequence, so a caller that wants positions
+  takes ``list(table.rows)``.
 
 Two backends register here:
 
@@ -40,15 +41,19 @@ below.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, ContextManager, Iterator, Optional
+import gc
+from contextlib import contextmanager
+from typing import (Any, Callable, ContextManager, Iterable, Iterator,
+                    Mapping, Optional, Sequence)
 
-from repro.errors import MoiraError, MR_NO_ID
+from repro.errors import MoiraError, MR_INTERNAL, MR_NO_ID
 
 __all__ = [
     "StorageBackend",
     "StorageTable",
     "LockTxn",
     "memo_join",
+    "gc_suspended",
     "SYSTEM_TABLES",
     "create_backend",
     "available_backends",
@@ -65,13 +70,50 @@ SYSTEM_TABLES = frozenset({"values", "strings"})
 class StorageTable(abc.ABC):
     """One relation: typed columns, uniqueness, Moira wildcards."""
 
-    @abc.abstractmethod
+    name: str
+    # column name -> Column, in schema order; each backend fills it in
+    # ``__init__``
+    columns: dict
+    # keys a row handed out carries besides its columns (SQLite's
+    # rowid handle), which a write may pass back
+    handle_keys: frozenset = frozenset()
+
     def column(self, name: str):
         """The Column named *name* (MR_INTERNAL if unknown)."""
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise MoiraError(MR_INTERNAL,
+                             f"no column {name!r} in {self.name}") from None
+
+    def _normalise(self, values: dict, *, partial: bool = False) -> dict:
+        """*values* coerced per column, in column order, defaults filling
+        the rest unless *partial*; MR_INTERNAL for an unknown key."""
+        row = {}
+        for name, column in self.columns.items():
+            if name in values:
+                row[name] = column.coerce(values[name])
+            elif not partial:
+                row[name] = column.default
+        unknown = set(values) - set(self.columns) - self.handle_keys
+        if unknown:
+            raise MoiraError(MR_INTERNAL, f"unknown columns "
+                             f"{sorted(unknown)} in {self.name}")
+        return row
 
     @abc.abstractmethod
     def insert(self, values: dict, *, now: int = 0) -> dict:
         """Add a row; enforce uniqueness, fill defaults, coerce types."""
+
+    def bulk_load(self, rows: list, *, now: int = 0) -> None:
+        """Append *rows*, each a full normalised row, uniqueness still
+        enforced: one :meth:`insert` each (memory: one batch)."""
+        for row in rows:
+            self.insert(row, now=now)
+
+    @abc.abstractmethod
+    def clear(self) -> None:
+        """Drop every row (:meth:`StorageBackend.load` only)."""
 
     @abc.abstractmethod
     def update_rows(self, rows: list, changes: dict, *, now: int = 0,
@@ -94,10 +136,10 @@ class StorageTable(abc.ABC):
                     predicate: Optional[Callable] = None) -> Iterator:
         """Yield rows matching *where* (exact, folded, or wildcard)."""
 
-    @abc.abstractmethod
     def select(self, where: Optional[dict] = None, *,
                predicate: Optional[Callable] = None) -> list:
         """Matching rows as a list."""
+        return list(self.iter_select(where, predicate=predicate))
 
     @abc.abstractmethod
     def count(self, where: Optional[dict] = None) -> int:
@@ -154,6 +196,19 @@ def memo_join(probe: Callable[[Any], Optional[dict]], column: str,
     return get
 
 
+@contextmanager
+def gc_suspended() -> Iterator[None]:
+    """Hold the cyclic collector off for a bulk load: the rows it makes
+    all live on, so a collection over them frees nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class StorageBackend(abc.ABC):
     """The database surface every Moira subsystem codes against."""
 
@@ -163,9 +218,15 @@ class StorageBackend(abc.ABC):
     # it empty in ``__init__``
     commit_listeners: list
 
-    @abc.abstractmethod
     def table(self, name: str) -> StorageTable:
         """The relation named *name* (MR_INTERNAL if unknown)."""
+        try:
+            return self.tables[name]
+        except KeyError:
+            raise MoiraError(MR_INTERNAL, f"no relation {name!r}") from None
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.tables
 
     # -- the ``values`` relation: ids are allocated from hint variables
     # ("hints for the next ID number to assign"), exactly as the paper
@@ -193,6 +254,53 @@ class StorageBackend(abc.ABC):
         value = self.get_value(hint_name)
         self.set_value(hint_name, value + 1, now=now)
         return value
+
+    def reserve_ids(self, hint_name: str, count: int, *,
+                    now: int = 0) -> int:
+        """Reserve *count* consecutive ids from a hint and return the
+        first (one get/set pair).  No journal entry re-executes it: only
+        for loading before the journal starts."""
+        if count <= 0:
+            raise ValueError("reserve_ids needs a positive count")
+        value = self.get_value(hint_name)
+        self.set_value(hint_name, value + count, now=now)
+        return value
+
+    def load(self, relations: Mapping[str, Iterable[Sequence]]
+             ) -> dict[str, int]:
+        """Replace every relation's rows (the paper's mrrestore,
+        §5.2.2); returns rows loaded per relation.  *relations* maps a
+        name to its rows, each one dump line's fields in column order,
+        read once; a relation it does not name ends empty.
+
+        Every row is built first — a wrong field count raises
+        ``ValueError`` naming the relation and line, a value ``coerce``
+        refuses its ``MoiraError`` — so a malformed row touches
+        nothing.  Then one ``lock`` hold clears and ``bulk_load``s each
+        relation; TBLSTATS appends are left as they were.  The cyclic
+        collector is held off throughout.
+        """
+        built = {}
+        with gc_suspended():
+            for name, table in self.tables.items():
+                names = list(table.columns)
+                coercers = [col.coerce for col in table.columns.values()]
+                rows = built[name] = []
+                for number, fields in enumerate(relations.get(name, ()), 1):
+                    if len(fields) != len(names):
+                        raise ValueError(
+                            f"{name} line {number}: expected {len(names)} "
+                            f"fields, got {len(fields)}: "
+                            f"{':'.join(map(str, fields))!r}")
+                    rows.append({column: coerce(value) for column, coerce,
+                                 value in zip(names, coercers, fields)})
+            with self.lock:
+                for name, table in self.tables.items():
+                    appends = table.stats.appends
+                    table.clear()
+                    table.bulk_load(built[name])
+                    table.stats.appends = appends
+        return {name: len(rows) for name, rows in built.items()}
 
     def table_stats(self) -> list:
         """TBLSTATS rows for every relation, sorted by name."""
@@ -264,10 +372,6 @@ class StorageBackend(abc.ABC):
     # total exclusion over every relation (``with db.lock:``); each
     # backend sets it in ``__init__``
     lock: ContextManager
-
-    # can `workload.population` bulk-apply (reserved id ranges,
-    # ``Table.bulk_load`` under ``write_txn``)?
-    supports_bulk_load = False
 
     # does a ``read_view()`` pin a commit seq (``view.seq``) writers
     # commit past?  False: the view holds the writer lock

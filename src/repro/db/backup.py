@@ -14,7 +14,7 @@ import os
 import shutil
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from repro.db.engine import Database
 
@@ -136,44 +136,29 @@ def mrrestore(db: Database, directory: Union[str, Path]) -> dict[str, int]:
 
     The paper's mrrestore works on an *empty* database created from the
     schema definition; here the caller passes a fresh (or to-be-wiped)
-    Database built by ``build_database`` and we clear each relation
-    before loading.  Returns rows loaded per relation.  A malformed
-    line raises ``ValueError`` naming the relation and line number.
+    database built by ``build_database`` and :meth:`db.load
+    <repro.db.backend.StorageBackend.load>` replaces every relation.
+    Returns rows loaded per relation.  A malformed line raises
+    ``ValueError`` naming the relation and line number before *db* is
+    touched.
     """
     directory = Path(directory)
-    counts: dict[str, int] = {}
-    with db.lock:
-        for name, table in db.tables.items():
-            path = directory / name
-            table.clear()
-            if not path.exists():
-                counts[name] = 0
-                continue
-            columns = list(table.columns)
-            loaded = 0
-            with open(path, encoding="utf-8") as fh:
-                for number, line in enumerate(fh, 1):
-                    line = line.rstrip("\n")
-                    if not line and len(columns) > 1:
-                        continue
-                    try:
-                        fields = parse_line(line)
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"{name} line {number}: {exc}: {line!r}"
-                        ) from None
-                    if len(fields) != len(columns):
-                        raise ValueError(
-                            f"{name} line {number}: expected "
-                            f"{len(columns)} fields, got {len(fields)}: "
-                            f"{line!r}"
-                        )
-                    table.insert(dict(zip(columns, fields)))
-                    loaded += 1
-            # restoring is not user modification; zero the counters back out
-            table.stats.appends -= loaded
-            counts[name] = loaded
-    return counts
+    return db.load({name: _read_rows(directory / name, name)
+                    for name in db.tables
+                    if (directory / name).exists()})
+
+
+def _read_rows(path: Path, name: str) -> Iterator[list[str]]:
+    """The fields of each line of one relation file, read as asked."""
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            try:
+                fields = parse_line(line)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{name} line {number}: {exc}: {line!r}") from None
+            yield fields
 
 
 def _split_escaped(line: str) -> list[str]:

@@ -465,14 +465,6 @@ class Table(StorageTable):
 
     # -- schema helpers -----------------------------------------------------
 
-    def column(self, name: str) -> Column:
-        """The Column named *name* (MR_INTERNAL if unknown)."""
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise MoiraError(MR_INTERNAL,
-                             f"no column {name!r} in {self.name}") from None
-
     def add_index(self, column_name: str) -> None:
         """Create (and backfill) a hash index on a column."""
         self._mv.on_add_index(self.column(column_name))
@@ -513,19 +505,6 @@ class Table(StorageTable):
         if not self._changelog or self._changelog[0].version > version + 1:
             return None
         return [c for c in self._changelog if c.version > version]
-
-    def _normalise(self, values: dict, *, partial: bool = False) -> Row:
-        row: Row = {}
-        for name, column in self.columns.items():
-            if name in values:
-                row[name] = column.coerce(values[name])
-            elif not partial:
-                row[name] = column.default
-        unknown = set(values) - set(self.columns)
-        if unknown:
-            raise MoiraError(MR_INTERNAL,
-                             f"unknown columns {sorted(unknown)} in {self.name}")
-        return row
 
     def _violates_unique(self, candidate: Row, *,
                          ignore: Optional[Row] = None,
@@ -670,9 +649,8 @@ class Table(StorageTable):
             # a wholesale reload can't be described row-by-row; empty the
             # log so changes_since() reports the gap
             self._changelog.clear()
-        # no undo hook: clear() is a whole-database operation (restore,
-        # reload) that only ever runs under the full-exclusion facade,
-        # which never aborts
+        # no undo hook: clear() is StorageBackend.load's, which runs it
+        # under the full-exclusion facade, which never aborts
         seq, auto = self._begin(self.every_column)
         try:
             self._mv.on_clear(seq)
@@ -681,17 +659,18 @@ class Table(StorageTable):
             self._end(seq, auto)
 
     def bulk_load(self, rows: list[Row], *, now: int = 0) -> None:
-        """Trusted batched append — the parallel population builder's path.
+        """Trusted batched append — the population builder's and
+        :meth:`StorageBackend.load`'s path.
 
         *rows* must already be fully normalised: every column present
         with a value of the column's declared kind (the builder derives
-        them from the schema, and the serial oracle build coerces the
-        very same inputs through ``insert``).  Uniqueness is still
-        enforced per row (a duplicate loads none of the batch), but the
-        per-row overheads of the general path are paid once per batch:
-        the version advances by ``len(rows)`` in one step, the
-        changelog is emptied so ``changes_since`` reports the gap
-        (``clear()`` semantics — a bulk load is not describable
+        them from the schema, ``load`` coerces them, and the per-row
+        oracle build coerces the very same inputs through ``insert``).
+        Uniqueness is still enforced per row (a duplicate loads none of
+        the batch), but the per-row overheads of the general path are
+        paid once per batch: the version advances by ``len(rows)`` in
+        one step, the changelog is emptied so ``changes_since`` reports
+        the gap (``clear()`` semantics — a bulk load is not describable
         row-by-row to incremental consumers), and every row shares one
         MVCC statement window and one undo closure.
         """
@@ -885,8 +864,6 @@ class Database(StorageBackend):
     LockManager's job, not ours.
     """
 
-    # bulk apply runs under write_txn (workload.population)
-    supports_bulk_load = True
     read_view_pins_seq = True
 
     def __init__(self) -> None:
@@ -1206,31 +1183,3 @@ class Database(StorageBackend):
             "gc_pressure": self._mv_pressure,
         })
         return out
-
-    def table(self, name: str) -> Table:
-        """The relation named *name* (MR_INTERNAL if unknown)."""
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise MoiraError(MR_INTERNAL, f"no relation {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables
-
-    def reserve_ids(self, hint_name: str, count: int, *,
-                    now: int = 0) -> int:
-        """Reserve *count* consecutive ids from a hint, returning the
-        first.
-
-        One get/set pair instead of *count* :meth:`next_id` round
-        trips — the parallel population builder prefix-sums its
-        partitions' row counts and hands each partition a range.  No
-        journal entry re-executes it, so it is only for pre-journal
-        bulk loading (the journal starts empty after the build;
-        recovery snapshots the loaded world).
-        """
-        if count <= 0:
-            raise ValueError("reserve_ids needs a positive count")
-        value = self.get_value(hint_name)
-        self.set_value(hint_name, value + count, now=now)
-        return value

@@ -251,7 +251,7 @@ class Journal:
 
     def __post_init__(self) -> None:
         if self.path is not None:
-            self._read(strict=False)
+            self._read()
 
     def record(self, when: int, who: str, query: str,
                args: tuple[str, ...], client: str = "", *,
@@ -665,20 +665,18 @@ class Journal:
             return keep_from
 
     @classmethod
-    def load(cls, path: Union[str, Path], *,
-             strict: bool = False) -> "Journal":
+    def load(cls, path: Union[str, Path]) -> "Journal":
         """Read a journal file from disk (``Journal(path=path)`` does
-        the same, never strict).  The next append is numbered after the
-        highest seq read.
+        the same).  The next append is numbered after the highest seq
+        read.
 
         Only the last record of the newest file may be malformed — the
         torn final record of a crash mid-append: it is scrubbed from
         disk and ``torn_tail`` is set.  A malformed line anywhere else
         is damage, not a crash, and raises :class:`JournalDamaged`
-        naming the file and the line, with nothing rewritten;
-        ``strict=True`` raises for the torn record too.  Legacy records
-        without sequence numbers are assigned their 1-based file
-        position so replay windows keep working.
+        naming the file and the line, with nothing rewritten.  Legacy
+        records without sequence numbers are assigned their 1-based
+        file position so replay windows keep working.
 
         The ``wal.<seq>`` segment files beside *path* are read in seq
         order, after a monolithic seed file at *path* itself when one
@@ -690,10 +688,10 @@ class Journal:
         """
         journal = cls()
         journal.path = path
-        journal._read(strict)
+        journal._read()
         return journal
 
-    def _read(self, strict: bool) -> None:
+    def _read(self) -> None:
         """Adopt the log on disk at ``self.path`` (see :meth:`load`)."""
         files = self._files()
         if not files:
@@ -724,7 +722,7 @@ class Journal:
                     if last and until <= read + 1:
                         break   # torn, and the next segment holds its seq
                     # only the newest file's last record may be torn
-                    if strict or not newest or not last:
+                    if not newest or not last:
                         raise JournalDamaged(
                             f"{part}: line {number}: {exc!r}") from exc
                     self.torn_tail = True

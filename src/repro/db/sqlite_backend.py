@@ -36,7 +36,7 @@ from repro.db.engine import (
     TableStats,
     WildcardPattern,
 )
-from repro.errors import MoiraError, MR_EXISTS, MR_INTERNAL
+from repro.errors import MoiraError, MR_EXISTS
 
 __all__ = ["SqliteDatabase", "SqliteTable", "sqlite_database_from_schema"]
 
@@ -45,6 +45,8 @@ _ROWID = "_rowid"
 
 class SqliteTable(StorageTable):
     """One relation stored in SQLite, same surface as engine.Table."""
+
+    handle_keys = frozenset({_ROWID})
 
     def __init__(self, db: "SqliteDatabase", name: str,
                  columns: list[Column],
@@ -67,28 +69,6 @@ class SqliteTable(StorageTable):
                 f'ON "{name}" ({quoted})')
 
     # -- helpers -----------------------------------------------------------
-
-    def column(self, name: str) -> Column:
-        """The Column named *name* (MR_INTERNAL if unknown)."""
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise MoiraError(MR_INTERNAL,
-                             f"no column {name!r} in {self.name}") from None
-
-    def _normalise(self, values: dict, *, partial: bool = False) -> Row:
-        row: Row = {}
-        for name, column in self.columns.items():
-            if name in values:
-                row[name] = column.coerce(values[name])
-            elif not partial:
-                row[name] = column.default
-        unknown = set(values) - set(self.columns) - {_ROWID}
-        if unknown:
-            raise MoiraError(
-                MR_INTERNAL,
-                f"unknown columns {sorted(unknown)} in {self.name}")
-        return row
 
     def _fetch(self, where_sql: str = "", params: tuple = ()) -> list[Row]:
         cols = ", ".join(f'"{c}"' for c in self.columns)
@@ -221,12 +201,6 @@ class SqliteTable(StorageTable):
             if ok:
                 yield row
 
-    def select(self, where: Optional[dict] = None, *,
-               predicate: Optional[Callable[[Row], bool]] = None
-               ) -> list[Row]:
-        """Matching rows as a list."""
-        return list(self.iter_select(where, predicate=predicate))
-
     def count(self, where: Optional[dict] = None) -> int:
         """Number of rows matching *where*."""
         if not where:
@@ -300,17 +274,6 @@ class SqliteDatabase(StorageBackend):
         self.tables[spec.name] = table
         return table
 
-    def table(self, name: str) -> SqliteTable:
-        """The relation named *name* (MR_INTERNAL if unknown)."""
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise MoiraError(MR_INTERNAL,
-                             f"no relation {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables
-
     def next_id(self, hint_name: str, *, now: int = 0) -> int:
         """Allocate the next unique ID from a hint variable, under the
         lock even outside a write transaction."""
@@ -333,11 +296,9 @@ def sqlite_database_from_schema(path: str = ":memory:") -> SqliteDatabase:
 
     carrier: Database = build_database()
     db = SqliteDatabase(path)
-    for name, spec in carrier.tables.items():
-        table = db.create_table_from(spec)
-        for row in spec.rows:
-            table.insert(dict(row))
-        # seed rows are schema, not user appends
-        table.stats.appends = 0
-        table.stats.modtime = 0
+    for spec in carrier.tables.values():
+        db.create_table_from(spec)
+    db.load({name: [[row[column] for column in spec.columns]
+                    for row in spec.rows]
+             for name, spec in carrier.tables.items()})
     return db

@@ -7,10 +7,10 @@ mutations: ``side_effects=True`` handles answer ``MR_PERM``.
 State arrives exclusively from the primary's replication feed:
 
 * **Bootstrap / resync** — ``_repl_snapshot`` streams a consistent cut
-  in the mrbackup line format; :meth:`sync_snapshot` wipes and reloads
-  every relation (the checkpoint-restore path, including the ``values``
-  relation's ID-allocation hints, so subsequent replay allocates the
-  same internal IDs as the primary).
+  in the mrbackup line format; :meth:`sync_snapshot` replaces every
+  relation through ``db.load``, mrrestore's loader (including the
+  ``values`` relation's ID-allocation hints, so subsequent replay
+  allocates the same internal IDs as the primary).
 * **Steady state** — :meth:`step` tails ``_repl_tail`` past the applied
   watermark and replays each journal entry through the predefined-query
   layer under the *original* principal and timestamp — exactly the
@@ -286,7 +286,9 @@ class ReplicaServer:
     # -- bootstrap / resync -------------------------------------------------
 
     def sync_snapshot(self) -> int:
-        """Wipe local state and reload from a primary snapshot stream.
+        """Replace local state with a primary snapshot stream, through
+        ``db.load``: a malformed row is ``MR_INTERNAL`` "malformed
+        snapshot row", with every relation left as it was.
 
         Returns the watermark seq the snapshot covers.
         """
@@ -300,21 +302,18 @@ class ReplicaServer:
         # epoch guard BEFORE wiping anything: a stale-epoch feed must
         # not cost us our (newer) state
         self._note_epoch(rows[0][3] if len(rows[0]) > 3 else "")
-        by_table: dict[str, list[str]] = {}
-        for fields in rows[1:]:
-            if len(fields) != 2:
-                raise MoiraError(MR_INTERNAL, "malformed snapshot row")
-            by_table.setdefault(fields[0], []).append(fields[1])
-        with self.db.lock:   # exclusive: wipe and reload every relation
-            for tname, table in self.db.tables.items():
-                table.clear()
-                loaded = 0
-                for line in by_table.get(tname, ()):
-                    table.insert(dict(zip(table.columns,
-                                          parse_line(line))))
-                    loaded += 1
-                # replication is not user modification (mrrestore rule)
-                table.stats.appends -= loaded
+        relations: dict[str, list[list[str]]] = {}
+        try:
+            for fields in rows[1:]:
+                if len(fields) != 2:
+                    raise ValueError(f"{len(fields)} fields")
+                relations.setdefault(fields[0], []).append(
+                    parse_line(fields[1]))
+            # a malformed row raises before any relation is touched
+            self.db.load(relations)
+        except (ValueError, MoiraError) as exc:
+            raise MoiraError(MR_INTERNAL,
+                             "malformed snapshot row") from exc
         self.server._poke_closure()
         self._apply_clock = Clock(0)
         self.primary_versions = versions

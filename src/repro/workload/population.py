@@ -16,16 +16,16 @@ nfsphys → users → unregistered → lists → printers/services/zephyr).
 Each bulk stage splits its rows into fixed-size partitions whose
 contents come from a partition-private RNG seeded by ``(spec.seed,
 stage, partition)``, so the generated world depends only on the spec.
-Partitions are generated and applied in partition order through one
-of two apply modes:
+Partitions are generated and applied in partition order, on the
+calling thread, through one of two apply modes:
 
-* ``parallel=True`` (default) — ids come from one
-  :meth:`Database.reserve_ids` range per hint per stage, rows land via
-  :meth:`Table.bulk_load` inside per-partition ``write_txn`` batches,
-  per-partition ``nfsphys.allocated`` deltas are folded into one
-  update per partition row, and the cyclic GC is suspended for the
-  duration.
-* ``parallel=False`` — the seed's classic path: per-row
+* the bulk path (default) — ids come from one
+  :meth:`StorageBackend.reserve_ids` range per hint per stage, rows
+  land via :meth:`StorageTable.bulk_load` inside per-partition
+  ``write_txn`` batches, per-partition ``nfsphys.allocated`` deltas
+  are folded into one update per partition row, and the cyclic GC is
+  suspended for the duration.
+* ``per_row=True`` — the seed's classic path: per-row
   :meth:`Database.next_id` and :meth:`Table.insert`, per-user quota
   accounting, no transactions.  This is both the performance baseline
   and the byte-identity oracle: the same generated rows go through the
@@ -39,10 +39,10 @@ vectors, table stats, changelogs — may differ.
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass, field
 
+from repro.db.backend import gc_suspended
 from repro.db.engine import Database
 from repro.db.schema import USER_STATE_ACTIVE, USER_STATE_REGISTERABLE
 from repro.errors import MR_INTERNAL, MoiraError
@@ -159,24 +159,20 @@ class PopulationHandles:
 
 
 def load_population(db: Database, spec: PopulationSpec, now: int = 0, *,
-                    parallel: bool = True) -> PopulationHandles:
+                    per_row: bool = False) -> PopulationHandles:
     """Fill *db* with a deterministic Athena-shaped campus.
 
-    *parallel* selects the bulk apply path (reserved id ranges +
-    ``bulk_load`` batches under write transactions); it silently falls
-    back to the classic per-row path on backends without bulk load
-    (sqlite); the generated world is identical either way.
+    By default through the bulk apply path (reserved id ranges +
+    ``bulk_load`` batches under write transactions), on every backend;
+    *per_row* selects the classic per-row path, the reference the bulk
+    path is checked against.  The generated world is identical either
+    way.
     """
-    builder = _Builder(db, spec, now, parallel=parallel)
-    if not builder.parallel:
+    builder = _Builder(db, spec, now, bulk=not per_row)
+    if per_row:
         return builder.build()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_suspended():
         return builder.build()
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _expect(got: int, want: int, what: str) -> None:
@@ -251,13 +247,12 @@ def _gen_lists_partition(spec, p, start, count, active_ids):
 class _Builder:
     """One population build: stage graph + one of two apply modes."""
 
-    def __init__(self, db, spec, now, *, parallel):
+    def __init__(self, db, spec, now, *, bulk):
         self.db = db
         self.spec = spec
         self.now = now
-        # bulk apply (reserve_ids, bulk_load under write transactions)
-        # is the in-memory engine's; sqlite takes the classic path
-        self.parallel = bool(parallel and db.supports_bulk_load)
+        # bulk apply: reserve_ids, bulk_load under write transactions
+        self.bulk = bulk
         self.handles = PopulationHandles()
         self.machine_ids: dict[str, int] = {}   # NAME -> mach_id
         self.registered_ids: list[int] = []     # users_id, build order
@@ -269,7 +264,7 @@ class _Builder:
 
         ``{**template, **vals}`` produces exactly what ``insert``'s
         normalisation would for the same *vals* — the digest oracle
-        (serial build) coerces the very same values through the
+        (the per-row build) coerces the very same values through the
         general path, so any type drift here fails byte-identity.
         """
         tmpl = self._templates.get(table.name)
@@ -394,7 +389,7 @@ class _Builder:
         nphys = len(phys_rows)
         n_smtp = sum(1 for rows in gen for u in rows if u[4])
 
-        if self.parallel:
+        if self.bulk:
             self._reserve("users_id", spec.users, bases["users_id"])
             self._reserve("uid", spec.users, bases["uid"])
             self._reserve("strings_id", n_smtp, bases["strings_id"])
@@ -422,7 +417,7 @@ class _Builder:
             batch: dict = {t: [] for t in ("strings", "users", "list",
                                            "members", "filesys",
                                            "nfsquota")} \
-                if self.parallel else {}
+                if self.bulk else {}
             for first, last, login, year, smtp, shell, mit_id in rows:
                 users_id = bases["users_id"] + i
                 uid = bases["uid"] + i
@@ -480,7 +475,7 @@ class _Builder:
                     "modtime": now, "modby": "registrar",
                     "modwith": "load"}
 
-                if self.parallel:
+                if self.bulk:
                     if string_vals is not None:
                         batch["strings"].append(
                             {**t_string, **string_vals})
@@ -520,7 +515,7 @@ class _Builder:
                 self.registered_ids.append(users_id)
                 i += 1
 
-            if self.parallel:
+            if self.bulk:
                 with db.write_txn():
                     if batch["strings"]:
                         strings_t.bulk_load(batch["strings"], now=now)
@@ -530,7 +525,7 @@ class _Builder:
                     filesys_t.bulk_load(batch["filesys"], now=now)
                     quota_t.bulk_load(batch["nfsquota"], now=now)
 
-        if self.parallel and alloc:
+        if self.bulk and alloc:
             # one allocated-counter fold per partition row, not one
             # per homedir — same final blocks as the per-user path
             with db.write_txn():
@@ -552,7 +547,7 @@ class _Builder:
         gen = [_gen_unregistered_partition(spec, *job) for job in parts]
         base_users_id = db.get_value("users_id")
         base_uid = db.get_value("uid")
-        if self.parallel:
+        if self.bulk:
             self._reserve("users_id", total, base_users_id)
             self._reserve("uid", total, base_uid)
         users_t = db.table("users")
@@ -571,7 +566,7 @@ class _Builder:
                     "fullname": f"{first} {last}", "potype": "NONE",
                     "modtime": now, "modby": "registrar",
                     "modwith": "load"}
-                if self.parallel:
+                if self.bulk:
                     batch.append({**t_user, **user_vals})
                 else:
                     _expect(db.next_id("users_id", now=now), users_id,
@@ -580,7 +575,7 @@ class _Builder:
                     users_t.insert(user_vals, now=now)
                 self.handles.unregistered_ids.append((first, last, plain))
                 i += 1
-            if self.parallel:
+            if self.bulk:
                 with db.write_txn():
                     users_t.bulk_load(batch, now=now)
 
@@ -594,7 +589,7 @@ class _Builder:
         base_list = db.get_value("list_id")
         base_gid = db.get_value("gid")
         n_groups = sum(1 for rows in gen for item in rows if item[1])
-        if self.parallel:
+        if self.bulk:
             self._reserve("list_id", spec.maillists, base_list)
             self._reserve("gid", n_groups, base_gid)
         lists_t = db.table("list")
@@ -622,7 +617,7 @@ class _Builder:
                 member_rows = [{"list_id": list_id,
                                 "member_type": "USER",
                                 "member_id": mid} for mid in member_ids]
-                if self.parallel:
+                if self.bulk:
                     lists_batch.append({**t_list, **list_vals})
                     members_batch.extend(
                         {**t_member, **m} for m in member_rows)
@@ -637,7 +632,7 @@ class _Builder:
                 self.handles.maillist_names.append(name)
                 self.maillist_ids.append(list_id)
                 i += 1
-            if self.parallel:
+            if self.bulk:
                 with db.write_txn():
                     lists_t.bulk_load(lists_batch, now=now)
                     if members_batch:

@@ -22,7 +22,7 @@ from repro.db.backend import (
     available_backends,
     create_backend,
 )
-from repro.db.backup import mrbackup
+from repro.db.backup import mrbackup, parse_line
 from repro.db.engine import Database
 from repro.db.journal import Journal
 from repro.db.recovery import checkpoint, recover
@@ -390,9 +390,6 @@ class TestCapabilityDefaults:
             assert backend.mvcc_stats() == {}
             assert backend.gc_versions() == {}
 
-    def test_supports_bulk_load(self, backend, is_memory):
-        assert backend.supports_bulk_load is is_memory
-
     def test_read_view_pins_seq_and_continue_commit_seqs(self, backend,
                                                          is_memory):
         """Memory: a view is pinned at ``view.seq`` and a commit after
@@ -537,6 +534,84 @@ class TestCheckpointRecoverOnEveryBackend:
             assert got == oracle_dump, (
                 f"{name}: divergence after {kind} crash "
                 f"at boundary {boundary}")
+
+
+def machine_rows(backend, count):
+    """*count* full ``machine`` rows, every column set."""
+    defaults = {name: column.default for name, column
+                in backend.table("machine").columns.items()}
+    return [{**defaults, "name": f"BULK{i}.MIT.EDU", "mach_id": 70 + i,
+             "type": "VAX", "modtime": BASE} for i in range(count)]
+
+
+def dump_fields(directory):
+    """Relation name -> the fields of each line of its dump."""
+    return {path.name: [parse_line(line) for line
+                        in path.read_text(encoding="utf-8").splitlines()]
+            for path in directory.iterdir()}
+
+
+class TestLoad:
+    """``bulk_load`` is ``insert`` batched, and ``load`` — the one
+    loader under mrrestore, recovery, a replica's snapshot and SQLite's
+    seed copy — replaces the database or touches nothing."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_bulk_load_matches_per_row_insert(self, name, tmp_path):
+        per_row = fresh_backend(name, tmp_path, "per-row")
+        bulk = fresh_backend(name, tmp_path, "bulk")
+        start = per_row.versions()
+        assert bulk.versions() == start
+        with per_row.write_txn():
+            for row in machine_rows(per_row, 5):
+                per_row.table("machine").insert(row, now=BASE)
+        with bulk.write_txn():
+            bulk.table("machine").bulk_load(machine_rows(bulk, 5),
+                                            now=BASE)
+        assert (dump(bulk, tmp_path / "bulk-dump")
+                == dump(per_row, tmp_path / "per-row-dump"))
+        assert bulk.versions() == per_row.versions() != start
+        assert bulk.table_stats() == per_row.table_stats()
+
+    def test_load_leaves_tblstats_appends(self, backend, tmp_path):
+        with backend.write_txn():
+            for row in machine_rows(backend, 3):
+                backend.table("machine").insert(row, now=BASE)
+        appends = [row[:3] for row in backend.table_stats()]
+        before = dump(backend, tmp_path / "before")
+        counts = backend.load(dump_fields(tmp_path / "before"))
+        assert counts["machine"] == 3
+        assert [row[:3] for row in backend.table_stats()] == appends
+        assert dump(backend, tmp_path / "after") == before
+
+    @pytest.mark.parametrize("bad", ["field_count", "coerce"])
+    def test_a_malformed_row_leaves_every_relation(self, backend, bad,
+                                                   tmp_path):
+        with backend.write_txn():
+            for row in machine_rows(backend, 2):
+                backend.table("machine").insert(row, now=BASE)
+        stats = backend.table_stats()
+        before = dump(backend, tmp_path / "before")
+        relations = dump_fields(tmp_path / "before")
+        # the last relation loads last: every other one would be
+        # reloaded already if a row were checked only as it loads
+        last = list(backend.tables)[-1]
+        width = len(backend.table(last).columns)
+        int_column = next(
+            i for i, column in enumerate(
+                backend.table(last).columns.values())
+            if column.kind is int)
+        row = ["1"] * width
+        if bad == "field_count":
+            row.pop()
+        else:
+            row[int_column] = "not a number"
+        relations[last].append(row)
+        relations["machine"] = []
+        with pytest.raises((ValueError, MoiraError)):
+            backend.load(relations)
+        assert dump(backend, tmp_path / "after") == before
+        assert backend.table_stats() == stats
 
 
 class TestReplicationFeedOnSqlite:

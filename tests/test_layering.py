@@ -373,3 +373,74 @@ def test_the_fsync_walk_catches_what_it_forbids():
         "fs.fsync()\n"
         "journal.sync()\n")
     assert fsync_sites(fine) == []
+
+
+# -- one loader ------------------------------------------------------------------
+#
+# mrrestore, recovery, a replica's snapshot and SQLite's seed copy all
+# load through ``StorageBackend.load``: it alone clears a relation and
+# puts back the TBLSTATS appends its ``bulk_load`` counted.
+
+LOADER = "db/backend.py in StorageBackend.load"
+
+
+def reload_sites(tree: ast.AST, where: str) -> list[str]:
+    """``where in Class.function`` for each ``.clear()`` on a receiver
+    that names a table, each write to another object's
+    ``stats.appends``, and each mention of ``supports_bulk_load``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "clear" and not node.args
+                and "table" in ast.unparse(node.func.value)):
+            found.append(f"{where} in {scope}")
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+                isinstance(target, ast.Attribute)
+                and target.attr == "appends"
+                and terminal_name(target.value) == "stats"
+                and ast.unparse(target.value) != "self.stats"
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])):
+            found.append(f"{where} in {scope}")
+        elif "supports_bulk_load" in (getattr(node, "attr", None),
+                                      getattr(node, "id", None)):
+            found.append(f"{where} in {scope}: supports_bulk_load")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_loader_clears_relations_and_keeps_their_appends():
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        sites += reload_sites(ast.parse(path.read_text(encoding="utf-8")),
+                              str(path.relative_to(SRC)))
+    # the clear, then the appends put back
+    assert sites == [LOADER, LOADER], sites
+
+
+def test_the_loader_walk_catches_what_it_forbids():
+    bad = ast.parse(
+        "def mrrestore(db):\n"
+        "    for table in db.tables.values():\n"
+        "        table.clear()\n"
+        "        table.stats.appends -= loaded\n"
+        "    db.table('users').clear()\n"
+        "    spec.stats.appends = 0\n"
+        "    return db.supports_bulk_load\n")
+    assert reload_sites(bad, "x.py") == ["x.py in mrrestore"] * 4 + [
+        "x.py in mrrestore: supports_bulk_load"]
+    fine = ast.parse(
+        "class Table:\n"
+        "    def insert(self):\n"
+        "        self.stats.appends += 1\n"
+        "        self.appends = 0\n"
+        "        self._changelog.clear()\n"
+        "        self.records.clear()\n")
+    assert reload_sites(fine, "x.py") == []

@@ -1,4 +1,4 @@
-"""The parallel population builder and the 1M design-point math.
+"""The bulk population builder and the 1M design-point math.
 
 Three contracts from the scale PR:
 
@@ -6,8 +6,8 @@ Three contracts from the scale PR:
   at every design point the roadmap names (10k, 100k, 1M);
 * ``random_names`` stays deterministic (a golden digest pins the
   generator) and globally collision-free under partitioned callers;
-* ``load_population(parallel=True)`` builds a world byte-identical to
-  the serial oracle, with or without user sub-shards.
+* ``load_population()`` (the bulk path) builds a world byte-identical
+  to the per-row oracle, ``load_population(per_row=True)``.
 """
 
 from __future__ import annotations
@@ -121,23 +121,23 @@ def _digest(db, tmp_path, tag):
     return h.hexdigest()
 
 
-def _build(tmp_path, tag, *, parallel):
+def _build(tmp_path, tag, *, per_row):
     db = build_database()
     handles = load_population(db, PopulationSpec(**SMALL),
-                              parallel=parallel)
+                              per_row=per_row)
     return handles, _digest(db, tmp_path, tag)
 
 
 class TestParallelBuild:
     def test_parallel_matches_serial_oracle(self, tmp_path):
-        serial, d_serial = _build(tmp_path, "serial", parallel=False)
-        par, d_par = _build(tmp_path, "par", parallel=True)
+        serial, d_serial = _build(tmp_path, "serial", per_row=True)
+        par, d_par = _build(tmp_path, "par", per_row=False)
         assert par.logins == serial.logins
         assert d_par == d_serial
 
     def test_builds_are_rerun_stable(self, tmp_path):
-        _, first = _build(tmp_path, "a", parallel=True)
-        _, second = _build(tmp_path, "b", parallel=True)
+        _, first = _build(tmp_path, "a", per_row=False)
+        _, second = _build(tmp_path, "b", per_row=False)
         assert first == second
 
     def test_nfsphys_allocation_matches_serial(self, tmp_path):
@@ -145,9 +145,9 @@ class TestParallelBuild:
         stage's name→id map must land the same quota accounting the
         serial per-user updates did."""
         db_s = build_database()
-        load_population(db_s, PopulationSpec(**SMALL), parallel=False)
+        load_population(db_s, PopulationSpec(**SMALL), per_row=True)
         db_p = build_database()
-        load_population(db_p, PopulationSpec(**SMALL), parallel=True)
+        load_population(db_p, PopulationSpec(**SMALL), per_row=False)
         alloc_s = sorted(r["allocated"]
                          for r in db_s.table("nfsphys").select())
         alloc_p = sorted(r["allocated"]
@@ -156,10 +156,10 @@ class TestParallelBuild:
         assert sum(alloc_s) > 0
 
     def test_backends_without_shards_fall_back(self):
-        """SQLite-backed worlds have no shard locks; parallel=True must
-        quietly build serially rather than fail."""
+        """A SQLite-backed world takes the bulk path too: its
+        ``bulk_load`` is the contract's per-row ``insert`` loop."""
         from repro.db.backend import create_backend
         db = create_backend("sqlite", ":memory:")
         handles = load_population(db, PopulationSpec(**SMALL),
-                                  parallel=True)
+                                  per_row=False)
         assert len(handles.logins) == SMALL["users"]

@@ -69,10 +69,7 @@ class TestDurableJournal:
         with open(journal.segment_files()[0][1], "a",
                   encoding="utf-8") as fh:
             fh.write('{"seq": 2, "when": 5679946')  # torn mid-record
-        # strict mode refuses...
-        with pytest.raises(ValueError):
-            Journal.load(wal, strict=True)
-        # ...the default stops cleanly at the torn record
+        # loading stops cleanly at the torn record
         loaded = Journal.load(wal)
         assert len(loaded.entries) == 1
         assert loaded.torn_tail
