@@ -46,7 +46,7 @@ from contextlib import contextmanager
 from typing import (Any, Callable, ContextManager, Iterable, Iterator,
                     Mapping, Optional, Sequence)
 
-from repro.errors import MoiraError, MR_INTERNAL, MR_NO_ID
+from repro.errors import MoiraError, MR_EXISTS, MR_INTERNAL, MR_NO_ID
 
 __all__ = [
     "StorageBackend",
@@ -196,6 +196,26 @@ def memo_join(probe: Callable[[Any], Optional[dict]], column: str,
     return get
 
 
+def _repeated_key(table, key: tuple, rows: list) -> Optional[int]:
+    """The line number (from 1) of the first of *rows* whose unique
+    *key* equals an earlier row's (each column's ``equal``: case folded
+    where declared), or None when every key is distinct."""
+    columns = []
+    for name in key:
+        column = table.columns[name]
+        values = [row[name] for row in rows]
+        if column.kind is str and column.fold_case:
+            values = [str(value).lower() for value in values]
+        columns.append(values)
+    seen: set = set()
+    for number, value in enumerate(
+            columns[0] if len(columns) == 1 else zip(*columns), 1):
+        if value in seen:
+            return number
+        seen.add(value)
+    return None
+
+
 @contextmanager
 def gc_suspended() -> Iterator[None]:
     """Hold the cyclic collector off for a bulk load: the rows it makes
@@ -275,10 +295,11 @@ class StorageBackend(abc.ABC):
 
         Every row is built first — a wrong field count raises
         ``ValueError`` naming the relation and line, a value ``coerce``
-        refuses its ``MoiraError`` — so a malformed row touches
-        nothing.  Then one ``lock`` hold clears and ``bulk_load``s each
-        relation; TBLSTATS appends are left as they were.  The cyclic
-        collector is held off throughout.
+        refuses its ``MoiraError``, a line repeating an earlier one's
+        unique key ``MR_EXISTS`` — so a malformed or duplicate row
+        touches nothing.  Then one ``lock`` hold clears and
+        ``bulk_load``s each relation; TBLSTATS appends are left as they
+        were.  The cyclic collector is held off throughout.
         """
         built = {}
         with gc_suspended():
@@ -294,6 +315,12 @@ class StorageBackend(abc.ABC):
                             f"{':'.join(map(str, fields))!r}")
                     rows.append({column: coerce(value) for column, coerce,
                                  value in zip(names, coercers, fields)})
+                for key in table.unique_keys:
+                    number = _repeated_key(table, key, rows)
+                    if number is not None:
+                        raise MoiraError(
+                            MR_EXISTS, f"{name} line {number}: repeats "
+                            f"an earlier line's {', '.join(key)}")
             with self.lock:
                 for name, table in self.tables.items():
                     appends = table.stats.appends

@@ -629,7 +629,8 @@ class Table(StorageTable):
         prev_modtime = self.stats.modtime
         seq, auto = self._begin(self.every_column)
         try:
-            tokens = [self._mv.on_delete(record, seq) for record in records]
+            for record in records:
+                self._mv.on_delete(record, seq)
             self.mv_last_seq = seq
             for record in records:
                 self._bump("delete", record.current.data, None)
@@ -639,7 +640,7 @@ class Table(StorageTable):
             self._end(seq, auto)
         undo = self._undo_list()
         if undo is not None:
-            undo.append(lambda: self._undo_delete(tokens, prev_modtime))
+            undo.append(lambda: self._undo_delete(records, prev_modtime))
         return len(rows)
 
     def clear(self) -> None:
@@ -727,14 +728,14 @@ class Table(StorageTable):
             self.stats.updates -= len(tokens)
             self.stats.modtime = prev_modtime
 
-    def _undo_delete(self, tokens: list, prev_modtime: int) -> None:
+    def _undo_delete(self, records: list, prev_modtime: int) -> None:
         # each record's entries reopen where they stand, so the rows
         # come back at their scan and bucket positions
-        for token in reversed(tokens):
-            self._mv.undo_delete(token)
-        for record, _live in tokens:
+        for record in reversed(records):
+            self._mv.undo_delete(record)
+        for record in records:
             self._bump("insert", None, record.current.data)
-        self.stats.deletes -= len(tokens)
+        self.stats.deletes -= len(records)
         self.stats.modtime = prev_modtime
 
     # -- retrieval ----------------------------------------------------------

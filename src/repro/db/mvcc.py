@@ -17,11 +17,15 @@ read it:
   ``record.current.data``.  So a row a table hands out is a read-only
   value: to change it, call ``update_rows`` and select it again.
 * The scan list and every index bucket hold :class:`_Entry` objects
-  carrying their own ``[begin, end)`` windows.  Inserts append; an
-  update that moves an indexed key closes the old bucket entry and
-  appends a new one; deletes close every entry.  A snapshot sees
-  exactly the rows — **in exactly the order** — the head showed at
-  its seq.
+  carrying ``[begin, end)`` windows.  A record has one entry for its
+  lifetime, shared by the scan list and every bucket its keys have
+  never left; inserts append it and a delete closes it once.  An
+  update that first moves a key puts a closed copy of the shared
+  entry in its place in the old bucket and appends an entry of the
+  record's own to the new one; a later move of that key closes the
+  own entry.  A bucket of one entry is the entry itself, of more a
+  list.  A snapshot sees exactly the rows — **in exactly the order**
+  — the head showed at its seq.
 * A reader **pins** the current committed seq (``Database.
   pin_snapshot``) and scans the store without taking the RWLock's
   shared side at all: readers never block on writers and writers never
@@ -79,30 +83,33 @@ class _Version:
 
 
 class _Record:
-    """One logical row: its head row and its version chain, newest
-    first.  ``row`` *is* ``current.data`` (the head reads it one hop
-    sooner), and while the record is live the store's ``records`` is
-    keyed by its ``id``.
+    """One logical row: its head row, its version chain (newest first)
+    and its memberships.  ``row`` *is* ``current.data`` (the head reads
+    it one hop sooner), and while the record is live the store's
+    ``records`` is keyed by its ``id``.
 
-    ``live`` is the record's open :class:`_Entry` per structure, a list
-    aligned to the store's ``slots`` (the scan list, then each index or
-    composite in the order it was added), so mutations can retire
-    exactly the entries they invalidate; ``()`` once the row is gone.
+    ``entry`` is the record's :class:`_Entry` over its lifetime: it
+    stands in the scan list and in the bucket of every structure whose
+    key the record never moved.  ``moved`` is None, or {position in the
+    store's ``slots``: the record's own open entry} for each structure
+    an update moved it in, so mutations can retire exactly the entries
+    they invalidate.
     """
 
-    __slots__ = ("row", "current", "live")
+    __slots__ = ("row", "current", "entry", "moved")
 
-    def __init__(self, data: dict, seq: int, width: int):
-        # the version and the slot list are made after the record that
+    def __init__(self, data: dict, seq: int):
+        # the version and the entry are made after the record that
         # holds them: the cyclic collector walks objects in the order
         # they were made, and one it reaches before every object that
         # refers to it is moved out of the reachable set and back in
-        # (a full collection of the 10k-user world: 0.19-0.23 s with
-        # the slot list made first, 0.11-0.15 s made after, on a
-        # 2-vCPU host)
+        # (a full collection of the 10k-user world, when each record
+        # held a list of its entries: 0.19-0.23 s with the list made
+        # first, 0.11-0.15 s made after, on a 2-vCPU host)
         self.row = data
         self.current = _Version(data, seq, INF_SEQ, None)
-        self.live: list = [None] * width
+        self.entry = _Entry(self, seq, INF_SEQ)
+        self.moved: Optional[dict] = None
 
 
 class _Entry:
@@ -119,6 +126,38 @@ class _Entry:
         self.end = end
 
 
+def entries_of(bucket) -> "list[_Entry] | tuple":
+    """The entries of a bucket in either form (None: no bucket)."""
+    if bucket is None:
+        return ()
+    return (bucket,) if bucket.__class__ is _Entry else bucket
+
+
+def _bucket_add(buckets: dict, key: Any, entry: _Entry) -> bool:
+    """Add *entry* at the end of *key*'s bucket; True when the key is
+    new.  A bucket of one is the entry itself, of more a list."""
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = entry
+        return True
+    if bucket.__class__ is _Entry:
+        buckets[key] = [bucket, entry]
+    else:
+        bucket.append(entry)
+    return False
+
+
+def _bucket_replace(buckets: dict, key: Any, old: _Entry,
+                    new: _Entry) -> None:
+    """Put *new* where *old* stands in *key*'s bucket (one identity
+    search of it)."""
+    bucket = buckets[key]
+    if bucket.__class__ is _Entry:
+        buckets[key] = new
+    else:
+        bucket[bucket.index(old)] = new
+
+
 def _visible(record: _Record, seq: int) -> Optional[dict]:
     """The row state of *record* at snapshot *seq*, or None."""
     v = record.current
@@ -130,7 +169,8 @@ def _visible(record: _Record, seq: int) -> Optional[dict]:
 
 
 class _MvIndex:
-    """Hash index on one column: buckets of :class:`_Entry` lists.
+    """Hash index on one column: key -> bucket of :class:`_Entry`
+    (one entry, or a list of more).
 
     Besides exact lookups it answers *prefix* queries (the ``CHURN*``
     wildcard shape) from a sorted key list that is epoch-validated:
@@ -141,8 +181,8 @@ class _MvIndex:
 
     def __init__(self, column, pos: int):
         self.column = column
-        self.pos = pos                  # its slot in each record's live
-        self.buckets: dict[Any, list[_Entry]] = {}
+        self.pos = pos                  # its position in the store's slots
+        self.buckets: dict[Any, Any] = {}
         self.key_epoch = 0
         self._sorted_cache: Optional[tuple[int, list]] = None
 
@@ -152,17 +192,13 @@ class _MvIndex:
         return value
 
     def append(self, key: Any, entry: _Entry) -> None:
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [entry]
+        if _bucket_add(self.buckets, key, entry):
             self.key_epoch += 1
-        else:
-            bucket.append(entry)
 
-    def bucket(self, value: Any) -> list[_Entry]:
-        return self.buckets.get(self.key_of(value), [])
+    def bucket(self, value: Any) -> "list[_Entry] | tuple":
+        return entries_of(self.buckets.get(self.key_of(value)))
 
-    def lookup(self, values: dict) -> list[_Entry]:
+    def lookup(self, values: dict) -> "list[_Entry] | tuple":
         """The bucket of ``values[column]`` (coerced)."""
         return self.bucket(values[self.column.name])
 
@@ -186,7 +222,7 @@ class _MvIndex:
             key = keys[i]
             if not key.startswith(prefix):
                 break
-            out.extend(self.buckets.get(key, ()))
+            out.extend(entries_of(self.buckets.get(key)))
         return out
 
 
@@ -199,8 +235,8 @@ class _MvComposite:
     def __init__(self, columns, pos: int):
         self.columns = tuple(columns)
         self.names = tuple(c.name for c in columns)
-        self.pos = pos                  # its slot in each record's live
-        self.buckets: dict[tuple, list[_Entry]] = {}
+        self.pos = pos                  # its position in the store's slots
+        self.buckets: dict[tuple, Any] = {}
         self.key_of = self._make_key_of()
 
     def _make_key_of(self):
@@ -226,11 +262,11 @@ class _MvComposite:
         return folded_key_of
 
     def append(self, key: tuple, entry: _Entry) -> None:
-        self.buckets.setdefault(key, []).append(entry)
+        _bucket_add(self.buckets, key, entry)
 
-    def lookup(self, values: dict) -> list[_Entry]:
+    def lookup(self, values: dict) -> "list[_Entry] | tuple":
         """The bucket of *values*' indexed columns (coerced)."""
-        return self.buckets.get(self.key_of(values), [])
+        return entries_of(self.buckets.get(self.key_of(values)))
 
 
 class TableVersionStore:
@@ -248,9 +284,9 @@ class TableVersionStore:
         self.entries: list[_Entry] = []       # scan order
         self.indexes: dict[str, _MvIndex] = {}
         self.composites: dict[tuple, _MvComposite] = {}
-        # the order of each record's live entries: None (the scan
-        # list), then an index's column name or a composite's names
-        # tuple per structure, as added
+        # the structures, in the order their positions number them:
+        # None (the scan list), then an index's column name or a
+        # composite's names tuple per structure, as added
         self.slots: list = [None]
         # id(head row) -> record, for every live record
         self.records: dict[int, _Record] = {}
@@ -302,12 +338,16 @@ class TableVersionStore:
         self.retired.setdefault((slot, key), []).append(entry)
 
     def _retire_live(self, record: _Record, seq: int) -> None:
-        """Close every open entry of *record* at *seq* and queue them."""
+        """Close every open entry of *record* at *seq* and queue each
+        under every bucket it stands in: the shared entry once, however
+        many structures hold it."""
         data = record.current.data
-        for slot, entry in zip(self.slots, record.live):
+        shared = record.entry
+        moved = record.moved or {}
+        for pos, slot in enumerate(self.slots):
+            entry = moved.get(pos, shared)
             entry.end = seq
             self._retire(slot, self._slot_key(slot, data), entry)
-        record.live = ()
 
     def on_insert(self, row: dict, seq: int) -> _Record:
         self.bulk_admit([row], seq)
@@ -315,7 +355,8 @@ class TableVersionStore:
 
     def bulk_admit(self, rows: list, seq: int, violates=None) -> None:
         """Admit a batch of rows in one pass (writer path); each row
-        becomes its record's first version as it is.
+        becomes its record's first version as it is, and its one entry
+        joins the scan list and a bucket of every structure.
 
         The loop hoists every per-row attribute lookup and the
         per-index case-fold decision, so a million-row registrar's tape
@@ -329,36 +370,40 @@ class TableVersionStore:
         for index in self.indexes.values():
             column = index.column
             fold = column.kind is str and column.fold_case
-            index_plan.append((index.pos, column.name, index, fold,
-                               index.buckets))
-        comp_plan = [(comp.pos, comp.key_of, comp.buckets)
+            index_plan.append((column.name, index, fold, index.buckets))
+        comp_plan = [(comp.key_of, comp.buckets)
                      for comp in self.composites.values()]
-        width = len(self.slots)
-        inf = INF_SEQ
+        lone = _Entry
         for n, data in enumerate(rows):
             if violates is not None and violates(data):
                 for done in reversed(rows[:n]):
                     self.undo_insert(records[id(done)], seq)
                 raise MoiraError(MR_EXISTS, f"{self.table.name}: {data}")
-            record = _Record(data, seq, width)
-            live = record.live
+            record = _Record(data, seq)
             records[id(data)] = record
-            entry = live[0] = _Entry(record, seq, inf)
+            entry = record.entry
             entries_append(entry)
-            for pos, name, index, fold, buckets in index_plan:
-                entry = live[pos] = _Entry(record, seq, inf)
+            for name, index, fold, buckets in index_plan:
                 key = data[name]
                 if fold:
                     key = str(key).lower()
                 bucket = buckets.get(key)
                 if bucket is None:
-                    buckets[key] = [entry]
+                    buckets[key] = entry
                     index.key_epoch += 1
+                elif bucket.__class__ is lone:
+                    buckets[key] = [bucket, entry]
                 else:
                     bucket.append(entry)
-            for pos, key_of, buckets in comp_plan:
-                entry = live[pos] = _Entry(record, seq, inf)
-                buckets.setdefault(key_of(data), []).append(entry)
+            for key_of, buckets in comp_plan:
+                key = key_of(data)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = entry
+                elif bucket.__class__ is lone:
+                    buckets[key] = [bucket, entry]
+                else:
+                    bucket.append(entry)
         self._note(len(rows), dead=0)
 
     def on_update(self, record: _Record, changes: dict, seq: int):
@@ -406,22 +451,33 @@ class TableVersionStore:
 
     def _rebucket(self, record: _Record, slot, structure, stale_key, key,
                   seq: int, replaced: list) -> None:
-        live = record.live
-        stale = live[structure.pos]
-        stale.end = seq
+        """Move *record* from *stale_key*'s bucket of *structure* to
+        *key*'s.  The first move leaves the shared entry's window to
+        the scan list and the other structures: a closed copy of it
+        takes its place in the old bucket (a reader walking that bucket
+        sees one or the other, each visible below *seq*).  A later move
+        closes the record's own entry where it stands."""
+        moved = record.moved
+        if moved is None:
+            moved = record.moved = {}
+        stale = moved.get(structure.pos)
+        if stale is None:
+            shared = record.entry
+            stale = _Entry(record, shared.begin, seq)
+            _bucket_replace(structure.buckets, stale_key, shared, stale)
+        else:
+            stale.end = seq
         self._retire(slot, stale_key, stale)
-        entry = live[structure.pos] = _Entry(record, seq, INF_SEQ)
+        entry = moved[structure.pos] = _Entry(record, seq, INF_SEQ)
         structure.append(key, entry)
         replaced.append((slot, structure, stale, entry, key))
 
-    def on_delete(self, record: _Record, seq: int):
-        """Retire one row; returns the undo token."""
+    def on_delete(self, record: _Record, seq: int) -> None:
+        """Retire one row (:meth:`undo_delete` takes the record back)."""
         del self.records[id(record.row)]
-        token = (record, record.live)
         record.current.end = seq
         self._retire_live(record, seq)
         self._note(1)
-        return token
 
     # -- abort undo (write transactions) -------------------------------------
     # All undo runs on the writer path, under the writer lock and
@@ -449,19 +505,20 @@ class TableVersionStore:
         record.current = old
         record.row = old.data
         records[id(old.data)] = record
+        # the retired entry reopens where it stands, as the record's
+        # own (a copy of the shared entry reopens with its window)
         for slot, structure, stale, entry, key in replaced:
             entry.end = seq             # dead: [seq, seq)
             self._retire(slot, key, entry)
             stale.end = INF_SEQ
-            record.live[structure.pos] = stale
+            record.moved[structure.pos] = stale
 
-    def undo_delete(self, token) -> None:
-        record, live = token
+    def undo_delete(self, record: _Record) -> None:
         self.records[id(record.row)] = record
         record.current.end = INF_SEQ
-        for entry in live:
+        record.entry.end = INF_SEQ
+        for entry in (record.moved or {}).values():
             entry.end = INF_SEQ
-        record.live = live
 
     def on_clear(self, seq: int) -> None:
         for record in self.records.values():
@@ -489,14 +546,21 @@ class TableVersionStore:
 
     def _backfill(self, slot, structure, key_of) -> None:
         """Fill *structure*, the store's next slot, from every record's
-        version chain, and append the slot."""
-        for scan_entry in self.entries:     # one scan entry per record
-            record = scan_entry.record
-            for key, begin, end, is_open in self._key_runs(record, key_of):
+        version chain, and append the slot.  A record whose chain holds
+        one key, still open, joins with its shared entry."""
+        for shared in self.entries:         # one scan entry per record
+            record = shared.record
+            runs = list(self._key_runs(record, key_of))
+            if len(runs) == 1 and runs[0][3]:
+                structure.append(runs[0][0], shared)
+                continue
+            for key, begin, end, is_open in runs:
                 entry = _Entry(record, begin, end)
                 structure.append(key, entry)
                 if is_open:
-                    record.live = [*record.live, entry]
+                    if record.moved is None:
+                        record.moved = {}
+                    record.moved[structure.pos] = entry
                 else:
                     self._retire(slot, key, entry)
         self.slots.append(slot)
@@ -567,13 +631,18 @@ class TableVersionStore:
                 continue
             structure = (self.indexes[slot] if isinstance(slot, str)
                          else self.composites[slot])
-            bucket = structure.buckets.get(key, [])
-            keep = [e for e in bucket if e.end > horizon]
-            visited += len(bucket)
-            entries_freed += len(bucket) - len(keep)
-            if keep:
+            bucket = structure.buckets.get(key)
+            if bucket is None:
+                continue
+            members = entries_of(bucket)
+            keep = [e for e in members if e.end > horizon]
+            visited += len(members)
+            entries_freed += len(members) - len(keep)
+            if len(keep) > 1:
                 structure.buckets[key] = keep
-            elif key in structure.buckets:
+            elif keep:
+                structure.buckets[key] = keep[0]
+            else:
                 del structure.buckets[key]
                 if isinstance(structure, _MvIndex):
                     structure.key_epoch += 1
@@ -727,8 +796,13 @@ class SnapshotTable:
         def first(value):
             if type(value) is not kind:
                 value = coerce(value)
+            bucket = buckets.get(value.lower() if fold else value)
+            if bucket is None:
+                return None
+            if bucket.__class__ is _Entry:
+                bucket = (bucket,)
             scanned = 0
-            for entry in buckets.get(value.lower() if fold else value, ()):
+            for entry in bucket:
                 scanned += 1
                 if entry.begin <= seq < entry.end:
                     data = _visible(entry.record, seq)

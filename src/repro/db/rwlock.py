@@ -12,6 +12,10 @@ Semantics:
 
 * **Writer-preferring** — once a writer is waiting, new readers queue
   behind it, so a read-heavy workload cannot starve mutations.
+* **Writers in arrival order** — exclusive waiters get the lock in the
+  order they asked for it, so a thread committing back to back cannot
+  starve another writer (a checkpoint's ``gc_versions``): it releases
+  and asks again behind whoever is already waiting.
 * **Re-entrant exclusive** — a thread holding exclusive mode may
   re-acquire it (a write transaction's body may enter ``db.lock``),
   and may also take shared mode as a no-op, so helper code that
@@ -31,6 +35,7 @@ call sites keep their old serialising behaviour unchanged.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -45,7 +50,7 @@ class RWLock:
         self._readers: dict[int, int] = {}   # thread ident -> hold count
         self._writer: int | None = None      # thread ident holding exclusive
         self._writer_count = 0               # exclusive re-entry depth
-        self._writers_waiting = 0
+        self._waiting: deque[int] = deque()  # exclusive waiters, in order
 
     # -- shared (reader) mode -----------------------------------------------
 
@@ -58,7 +63,7 @@ class RWLock:
                 # re-entry (including shared-under-exclusive): never wait
                 self._readers[me] = self._readers.get(me, 0) + 1
                 return
-            while self._writer is not None or self._writers_waiting:
+            while self._writer is not None or self._waiting:
                 self._cond.wait()
             self._readers[me] = 1
 
@@ -79,7 +84,8 @@ class RWLock:
     # -- exclusive (writer) mode --------------------------------------------
 
     def acquire_exclusive(self) -> None:
-        """Take the lock in exclusive mode (re-entrant per thread)."""
+        """Take the lock in exclusive mode (re-entrant per thread),
+        after every writer that asked before."""
         me = threading.get_ident()
         with self._cond:
             if self._writer == me:
@@ -88,12 +94,18 @@ class RWLock:
             if me in self._readers:
                 raise RuntimeError(
                     "cannot upgrade a shared hold to exclusive")
-            self._writers_waiting += 1
+            waiting = self._waiting
+            waiting.append(me)
             try:
-                while self._writer is not None or self._readers:
+                while (self._writer is not None or self._readers
+                       or waiting[0] != me):
                     self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
+            except BaseException:
+                # the writer behind may be first now
+                waiting.remove(me)
+                self._cond.notify_all()
+                raise
+            waiting.popleft()
             self._writer = me
             self._writer_count = 1
 

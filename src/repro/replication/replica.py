@@ -297,8 +297,12 @@ class ReplicaServer:
         rows = self._feed_call("_repl_snapshot")
         if not rows or rows[0][0] != META_ROW or len(rows[0]) < 3:
             raise MoiraError(MR_INTERNAL, "malformed snapshot stream")
-        watermark = int(rows[0][1])
-        versions = json.loads(rows[0][2])
+        try:
+            watermark = int(rows[0][1])
+            versions = json.loads(rows[0][2])
+        except ValueError as exc:
+            raise MoiraError(MR_INTERNAL,
+                             "malformed snapshot stream") from exc
         # epoch guard BEFORE wiping anything: a stale-epoch feed must
         # not cost us our (newer) state
         self._note_epoch(rows[0][3] if len(rows[0]) > 3 else "")
@@ -359,10 +363,13 @@ class ReplicaServer:
             self._synced = False
             self.sync_snapshot()
             return 0
-        if meta[0] != META_ROW:
+        if meta[0] != META_ROW or len(meta) < 2:
             raise MoiraError(MR_INTERNAL, "malformed tail stream")
         self._note_epoch(meta[2] if len(meta) > 2 else "")
-        primary_seq = int(meta[1])
+        try:
+            primary_seq = int(meta[1])
+        except ValueError as exc:
+            raise MoiraError(MR_INTERNAL, "malformed tail stream") from exc
         if primary_seq < self.applied_seq:
             # the primary rewound below our watermark (it crashed and
             # lost a group-commit window): our state may contain
@@ -431,7 +438,11 @@ class ReplicaServer:
         """
         if not epoch_field:
             return
-        seen = int(epoch_field)
+        try:
+            seen = int(epoch_field)
+        except ValueError as exc:
+            raise MoiraError(MR_INTERNAL,
+                             f"malformed feed epoch {epoch_field!r}") from exc
         if seen < self.epoch:
             self._drop_feed()
             raise MoiraError(

@@ -6,6 +6,7 @@ cache."""
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro.client import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
+from repro.db.engine import Column, Database, Table
 from repro.db.locks import LockManager, LockMode
 from repro.db.rwlock import RWLock
 from repro.dcm.dcm import DCM
@@ -241,6 +243,101 @@ class TestRWLock:
         lock = RWLock()
         with lock:
             assert lock.write_locked
+
+    def test_writers_take_turns_in_arrival_order(self):
+        lock = RWLock()
+        order = []
+        lock.acquire_exclusive()
+
+        def writer(name):
+            with lock.exclusive():
+                order.append(name)
+
+        threads = []
+        for name in range(3):
+            threads.append(threading.Thread(target=writer, args=(name,)))
+            threads[-1].start()
+            time.sleep(0.05)        # each waits before the next asks
+        lock.release_exclusive()
+        for t in threads:
+            t.join(timeout=5)
+        assert order == [0, 1, 2]
+
+    def test_writers_and_readers_under_a_short_switch_interval(self):
+        """More writers than cores, each a read-modify-write of one
+        counter under the exclusive lock, beside readers: no update is
+        lost and every thread finishes."""
+        lock = RWLock()
+        counter = [0]
+        seen = []
+
+        def writer():
+            for _ in range(300):
+                with lock.exclusive():
+                    value = counter[0]
+                    time.sleep(0)
+                    counter[0] = value + 1
+
+        def reader():
+            for _ in range(300):
+                with lock.shared():
+                    seen.append(counter[0])
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        threads += [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counter[0] == 4 * 300
+        assert len(seen) == 2 * 300
+        assert lock.readers == 0 and not lock.write_locked
+
+    def test_a_collection_is_not_starved_by_a_back_to_back_writer(self):
+        """A thread committing one write after another leaves the
+        writer lock to a ``gc_versions`` that asked for it meanwhile.
+        Each write holds the lock for a thousand inserts, so the
+        lock is free only between two commits of the same thread."""
+        db = Database()
+        table = db.create_table(Table("t", [Column("key", int)],
+                                      unique=[("key",)]))
+        stop = threading.Event()
+        written = []
+
+        def writer():
+            while not stop.is_set():
+                with db.write_txn():
+                    for _ in range(1000):
+                        table.insert({"key": len(written)})
+                        written.append(1)
+
+        collected = threading.Event()
+
+        def collect():
+            db.gc_versions()
+            collected.set()
+
+        wt = threading.Thread(target=writer)
+        wt.start()
+        try:
+            while len(written) < 3000:
+                time.sleep(0.001)
+            ct = threading.Thread(target=collect)
+            started = time.monotonic()
+            ct.start()
+            got = collected.wait(timeout=10)
+            waited = time.monotonic() - started
+        finally:
+            stop.set()
+            wt.join(timeout=5)
+        ct.join(timeout=5)
+        assert got and waited < 3, waited
 
 
 class TestAccessCacheEviction:

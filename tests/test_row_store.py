@@ -1,23 +1,28 @@
 """The memory engine's row store.
 
 A table's rows live once, as entries in its version store's scan list
-and index buckets, so a delete costs the rows it removes (it closes
-their entries) and so does the abort of one (it reopens them where
-they stand).  Two kinds of test hold it there:
+and index buckets — one entry per record, shared by every structure
+until an update moves one of its keys — so a delete costs the rows it
+removes (it closes their entries) and so does the abort of one (it
+reopens them where they stand).  Three kinds of test hold it there:
 
 * a complexity pin — deleting from a 50,000-row table, or aborting an
   insert into or a delete from it, never walks or removes from its
   scan list or any bucket, and collecting after one update never
   iterates a bucket the update did not touch;
+* a count — a bulk load makes one entry per row, and an update that
+  moves a key adds two;
 * a stateful model test — inserts, updates, deletes and bulk loads,
   each in a ``write_txn`` that commits or aborts, against a plain-list
-  reference model, with the scan order, a pinned snapshot's scan and
-  every index bucket checked after each step, and after each
-  collection nothing dead at its horizon left in the version store.
+  reference model, with the scan order, each pinned snapshot's scan
+  and index reads and every index bucket checked after each step, and
+  after each collection nothing dead at its horizon left in the
+  version store.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -31,10 +36,12 @@ from hypothesis.stateful import (
 )
 
 from repro.db.engine import Column, Database, Table
-from repro.db.mvcc import INF_SEQ
+from repro.db.mvcc import INF_SEQ, _Entry, entries_of
 from repro.errors import MoiraError
 
 KINDS = ("alpha", "Beta", "gamma")
+# a kind no row is loaded with, for a row to move to and back from
+AWAY = "delta"
 
 
 def probe_table() -> Table:
@@ -58,7 +65,9 @@ class _Abort(Exception):
 
 
 class _Recorded(list):
-    """A scan list or bucket that records each walk and ``remove``."""
+    """A scan list or bucket that records each walk and ``remove``; a
+    lone-entry bucket is wrapped as a list of one, the other form a
+    bucket takes."""
 
     log: list = []
 
@@ -85,7 +94,7 @@ class TestDeleteCost:
         for structure in [*store.indexes.values(),
                           *store.composites.values()]:
             for key, bucket in list(structure.buckets.items()):
-                structure.buckets[key] = _Recorded(bucket)
+                structure.buckets[key] = _Recorded(entries_of(bucket))
         store.entries = _Recorded(store.entries)
         return db, table
 
@@ -138,7 +147,8 @@ class TestDeleteCost:
 
 
 class _CountedBucket(list):
-    """A bucket that records each iteration of itself."""
+    """A bucket that records each iteration of itself (a lone entry is
+    wrapped as a list of one)."""
 
     walks: list = []
 
@@ -162,7 +172,7 @@ class TestCollectCost:
         for structure in [*store.indexes.values(),
                           *store.composites.values()]:
             for key, bucket in list(structure.buckets.items()):
-                structure.buckets[key] = _CountedBucket(bucket)
+                structure.buckets[key] = _CountedBucket(entries_of(bucket))
         store.entries = _CountedBucket(store.entries)
         before = db.mvcc_stats()["gc_visited"]
 
@@ -188,7 +198,7 @@ def dead_at(store, horizon: int) -> list:
                                         *store.composites.values()]
                for bucket in structure.buckets.values()]
     found: list = [bucket for bucket in buckets if not bucket]
-    for entries in [store.entries, *buckets]:
+    for entries in [store.entries, *map(entries_of, buckets)]:
         for entry in entries:
             if entry.end <= horizon:
                 found.append(entry)
@@ -198,6 +208,35 @@ def dead_at(store, horizon: int) -> list:
                     found.append(version)
                 version = version.older
     return found
+
+
+def entry_count() -> int:
+    """Every :class:`_Entry` alive in the process."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is _Entry)
+
+
+def test_one_entry_per_row_until_a_key_moves():
+    """A bulk load makes one entry per row, shared by the scan list and
+    every bucket; an update that first moves a row's key adds a closed
+    copy in the old bucket and an open entry in the new one, a second
+    move of that key one entry more, and a change of no key none."""
+    rows = 10_000
+    before = entry_count()
+    table = Table("count", [Column("key", int),
+                            Column("kind", str, fold_case=True),
+                            Column("note", str)],
+                  unique=[("key",)], indexes=["kind"])
+    table.bulk_load([{"key": i, "kind": KINDS[i % 3], "note": ""}
+                     for i in range(rows)])
+    assert entry_count() - before == len(table._mv.records) == rows
+    table.update_rows(table.select({"key": 7}), {"kind": AWAY})
+    assert entry_count() - before == rows + 2
+    table.update_rows(table.select({"key": 7}), {"kind": "alpha"})
+    assert entry_count() - before == rows + 3
+    table.update_rows(table.select({"key": 8}), {"note": "n"})
+    assert entry_count() - before == rows + 3
+    assert [row["key"] for row in table.select({"kind": "alpha"})][-1] == 7
 
 
 def test_collections_under_a_seeded_history_leave_nothing_dead():
@@ -389,6 +428,33 @@ class RowStoreMachine(RuleBasedStateMachine):
     def collect(self):
         self.db.gc_versions()
 
+    @rule(pick=st.integers(0, 10_000))
+    def move_away_and_back(self, pick):
+        """Move a row's kind away and back in two commits, then
+        collect: the row ends in its old bucket under an entry of its
+        own."""
+        if not self.model:
+            return
+        i = pick % len(self.model)
+        row, values = self.model[i]
+        for kind in (AWAY, values["kind"]):
+            self.table.update_rows([row], {"kind": kind})
+            row = self.table.select({"key": values["key"]})[0]
+        assert row == values
+        self.model[i] = (row, dict(row))
+        self.db.gc_versions()
+
+    @rule(pick=st.integers(0, 10_000))
+    def abort_a_key_move(self, pick):
+        """A key move that aborts leaves the row in its bucket."""
+        if not self.model:
+            return
+        row = self.model[pick % len(self.model)][0]
+        with pytest.raises(_Abort):
+            with self.db.write_txn():
+                self.table.update_rows([row], {"kind": AWAY})
+                raise _Abort
+
     # -- invariants ---------------------------------------------------------------
 
     @invariant()
@@ -415,17 +481,30 @@ class RowStoreMachine(RuleBasedStateMachine):
     def each_head_row_is_its_head_version(self):
         """One row object per row: a live record's head row is its
         newest version's data, the store finds the record by it, every
-        open entry is one of the record's slots, and a snapshot of the
-        head hands out the same objects."""
+        slot holds one open entry of the record — its shared entry, or
+        its own where a key moved — in the bucket of the row's key, and
+        a snapshot of the head hands out the same objects."""
         store = self.table._mv
+        structures = {index.pos: (index, lambda row, index=index:
+                                  index.key_of(row[index.column.name]))
+                      for index in store.indexes.values()}
+        structures.update((comp.pos, (comp, comp.key_of))
+                          for comp in store.composites.values())
+        assert sorted(structures) == list(range(1, len(store.slots)))
         assert len(store.records) == len(self.model)
         for row, _ in self.model:
             record = store.records[id(row)]
             assert record.row is row and record.current.data is row
             assert record.current.end == INF_SEQ
-            assert len(record.live) == len(store.slots)
-            assert all(entry.record is record and entry.end == INF_SEQ
-                       for entry in record.live)
+            moved = record.moved or {}
+            assert set(moved) <= set(structures)
+            for pos in range(len(store.slots)):
+                entry = moved.get(pos, record.entry)
+                assert entry.record is record and entry.end == INF_SEQ
+                if pos:
+                    structure, key_of = structures[pos]
+                    assert any(found is entry for found in entries_of(
+                        structure.buckets.get(key_of(row))))
         with self.db.read_view() as snap:
             assert [id(row) for row in snap.table("probe").rows] == \
                 [id(row) for row, _ in self.model]
@@ -437,6 +516,29 @@ class RowStoreMachine(RuleBasedStateMachine):
                 [values for _, values in self.model]
         for snap, expected in self.pinned:
             assert snap.table("probe").rows == expected
+
+    @invariant()
+    def snapshots_read_their_buckets(self):
+        """Each pinned snapshot's index reads are its model's: a kind
+        bucket holds the rows of that kind, and a (kind, key) probe
+        finds its row under its kind alone."""
+        kinds = (*KINDS, AWAY)
+        with self.db.read_view() as head:
+            views = [(head, [values for _, values in self.model])]
+            views += self.pinned
+            for snap, expected in views:
+                view = snap.table("probe")
+                for kind in kinds:
+                    assert sorted(row["key"] for row in
+                                  view.select({"kind": kind})) == sorted(
+                        row["key"] for row in expected
+                        if row["kind"].lower() == kind.lower())
+                for row in expected:
+                    for kind in kinds:
+                        found = view.select({"kind": kind,
+                                             "key": row["key"]})
+                        assert found == ([row] if kind.lower()
+                                         == row["kind"].lower() else [])
 
     @invariant()
     def buckets_hold_exactly_the_live_rows(self):
@@ -454,7 +556,7 @@ class RowStoreMachine(RuleBasedStateMachine):
                 expected.setdefault(key_of(row), []).append(id(row))
             found: dict = {}
             for key, bucket in structure.buckets.items():
-                for entry in bucket:
+                for entry in entries_of(bucket):
                     if entry.end == INF_SEQ:
                         found.setdefault(key, []).append(
                             id(entry.record.row))
