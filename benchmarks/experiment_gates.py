@@ -49,6 +49,32 @@ def checkpoint_gc_visited():
     return visited
 
 
+def beside_a_writer(client, tag, run):
+    """``(run(), slowest write / run's wall time)``: while *run* runs,
+    a second thread sends one ``add_machine`` every 2 ms through
+    *client*, naming each machine after *tag*."""
+    done, slowest = threading.Event(), [0.0]
+
+    def write():
+        n = 0
+        while not done.wait(0.002):
+            began = time.perf_counter()
+            client.query("add_machine", f"{tag}X{n}.MIT.EDU", "VAX")
+            slowest[0] = max(slowest[0], time.perf_counter() - began)
+            n += 1
+
+    writer = threading.Thread(target=write)
+    began = time.perf_counter()
+    writer.start()
+    try:
+        result = run()
+    finally:
+        wall = time.perf_counter() - began
+        done.set()
+        writer.join()
+    return result, slowest[0] / wall
+
+
 def checkpoint_write_stall():
     """Slowest write a second thread made while a checkpoint dumped, as
     a share of the dump's wall time: median of 3 checkpoints, 10k
@@ -60,27 +86,10 @@ def checkpoint_write_stall():
     dump, ratios = recovery.mrbackup, []
 
     def dump_beside_a_writer(db, directory):
-        done, slowest = threading.Event(), [0.0]
-
-        def write():
-            n = 0
-            while not done.wait(0.002):
-                began = time.perf_counter()
-                client.query("add_machine",
-                             f"STALL{len(ratios)}X{n}.MIT.EDU", "VAX")
-                slowest[0] = max(slowest[0], time.perf_counter() - began)
-                n += 1
-
-        writer = threading.Thread(target=write)
-        began = time.perf_counter()
-        writer.start()
-        try:
-            return dump(db, directory)
-        finally:
-            wall = time.perf_counter() - began
-            done.set()
-            writer.join()
-            ratios.append(slowest[0] / wall)
+        sizes, ratio = beside_a_writer(
+            client, f"STALL{len(ratios)}", lambda: dump(db, directory))
+        ratios.append(ratio)
+        return sizes
 
     with tempfile.TemporaryDirectory() as tmp:
         d = AthenaDeployment(DeploymentConfig(
@@ -93,6 +102,32 @@ def checkpoint_write_stall():
                 recovery.checkpoint(d.db, d.journal, Path(tmp) / "ckpt")
         finally:
             recovery.mrbackup = dump
+        d.server.shutdown()
+        d.journal.close()
+    return statistics.median(ratios)
+
+
+def replica_snapshot_write_stall():
+    """Slowest write a second thread made while a ``_repl_snapshot``
+    stream was drained, as a share of the drain's wall time: median of
+    3 snapshots, 10k world, the writer as in
+    :func:`checkpoint_write_stall`."""
+    from repro.core import AthenaDeployment, DeploymentConfig
+    from repro.replication.feed import serve_repl_query
+    from repro.workload import PopulationSpec
+
+    def drain():
+        stream = serve_repl_query(d.server, "_repl_snapshot", (),
+                                  principal=d.server.repl_principal)
+        return sum(len(run) for _, run in stream)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = AthenaDeployment(DeploymentConfig(
+            population=PopulationSpec(users=10_000),
+            wal_path=Path(tmp) / "wal"))
+        client = d.direct_client()
+        ratios = [beside_a_writer(client, f"SNAP{i}", drain)[1]
+                  for i in range(3)]
         d.server.shutdown()
         d.journal.close()
     return statistics.median(ratios)
@@ -167,6 +202,13 @@ GATES = (
     # two runs of three.  A ratio, so a slow runner moves both sides.
     ("10k world, checkpoint: slowest concurrent write / dump wall time",
      checkpoint_write_stall, 0.5, "writers wait for a checkpoint's dump"),
+    # A replica's bootstrap streams a pinned cut too: streaming the
+    # live tables under the lock's reader side read 0.977 and 0.978
+    # here, every write waiting out the stream; past the cut, 0.07 to
+    # 0.20 in five runs.  A ratio.
+    ("10k world, replica snapshot: slowest concurrent write / snapshot "
+     "wall time", replica_snapshot_write_stall, 0.5,
+     "writers wait for a replica's snapshot"),
     # A converge journals outcomes, not progress: journaling
     # inprogress=1 before each push and an outcome after it cost 51
     # entries for one membership change on twenty NFS hosts; one

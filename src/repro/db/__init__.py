@@ -15,21 +15,21 @@ from repro.db.backend import (
     create_backend,
 )
 from repro.db.engine import Column, Database, Row, Table, WildcardPattern
+from repro.db.fairlock import FairLock
 from repro.db.locks import LockManager, LockMode
 from repro.db.journal import Journal
 from repro.db.mvcc import Snapshot, SnapshotStale, SnapshotTable
-from repro.db.rwlock import RWLock
 
 __all__ = [
     "Column",
     "Database",
+    "FairLock",
     "Row",
     "Table",
     "WildcardPattern",
     "LockManager",
     "LockMode",
     "Journal",
-    "RWLock",
     "Snapshot",
     "SnapshotStale",
     "SnapshotTable",

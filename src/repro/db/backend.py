@@ -77,6 +77,9 @@ class StorageTable(abc.ABC):
     # keys a row handed out carries besides its columns (SQLite's
     # rowid handle), which a write may pass back
     handle_keys: frozenset = frozenset()
+    # the relation's rows in scan order, with ``len``; each backend
+    # provides it
+    rows: Iterable
 
     def column(self, name: str):
         """The Column named *name* (MR_INTERNAL if unknown)."""
@@ -399,15 +402,6 @@ class StorageBackend(abc.ABC):
     # total exclusion over every relation (``with db.lock:``); each
     # backend sets it in ``__init__``
     lock: ContextManager
-
-    # does a ``read_view()`` pin a commit seq (``view.seq``) writers
-    # commit past?  False: the view holds the writer lock
-    read_view_pins_seq = False
-
-    def read_locked(self) -> ContextManager:
-        """A critical section that only reads the live tables (the
-        replication feed, whose version vector must match its rows)."""
-        return self.lock
 
     def continue_commit_seqs(self, seq: int) -> None:
         """Number every later commit past *seq*, the highest commit seq

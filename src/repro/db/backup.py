@@ -19,7 +19,8 @@ from typing import Callable, Iterator, Union
 from repro.db.engine import Database
 
 __all__ = ["mrbackup", "mrrestore", "rotate", "escape_field",
-           "unescape_field", "dump_line", "parse_line", "row_values"]
+           "unescape_field", "dump_line", "dump_relations", "parse_line",
+           "row_values"]
 
 
 def escape_field(value: str) -> str:
@@ -109,6 +110,15 @@ def row_values(columns) -> Callable[[dict], tuple]:
     return itemgetter(*names)
 
 
+def dump_relations(view) -> Iterator[tuple[str, Iterator[str]]]:
+    """Each relation of *view* in name order, with its rows' dump lines
+    (no newlines), made as they are read: the one dump loop behind
+    :func:`mrbackup`'s files and the replication feed's snapshot."""
+    for name, table in sorted(view.tables.items()):
+        yield name, map(dump_line, map(row_values(table.columns),
+                                       table.rows))
+
+
 def mrbackup(db: Database, directory: Union[str, Path]) -> dict[str, int]:
     """Dump every relation of *db* into *directory*; returns bytes written.
 
@@ -121,12 +131,10 @@ def mrbackup(db: Database, directory: Union[str, Path]) -> dict[str, int]:
     directory.mkdir(parents=True, exist_ok=True)
     sizes: dict[str, int] = {}
     with db.read_view() as view:
-        for name, table in sorted(view.tables.items()):
+        for name, lines in dump_relations(view):
             path = directory / name
-            values = row_values(table.columns)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(dump_line(values(row)) + "\n"
-                              for row in table.rows)
+                fh.writelines(map("{}\n".format, lines))
             sizes[name] = path.stat().st_size
     return sizes
 

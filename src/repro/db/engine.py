@@ -53,11 +53,11 @@ import threading
 import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Any, Callable, ContextManager, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.db.backend import SYSTEM_TABLES, StorageBackend, StorageTable
 from repro.db.mvcc import INF_SEQ, TableVersionStore
-from repro.db.rwlock import RWLock
+from repro.db.fairlock import FairLock
 
 from repro.errors import (
     MoiraError,
@@ -102,12 +102,11 @@ class _Txn:
 class _WriterLock:
     """``db.lock``: the one writer lock.
 
-    Exclusive mode (``with db.lock:``) takes the writer side, shared
-    mode (``read_locked()``) the reader side.  The first exclusive hold
-    by a thread opens a facade transaction and the outermost release
-    commits it, preserving the seed's ``with db.lock:`` semantics:
-    whole-database operations (restore, replica reload, version GC) get
-    one commit seq per lock hold and never roll back.  A write
+    The first hold by a thread opens a facade transaction and the
+    outermost release commits it, preserving the seed's ``with
+    db.lock:`` semantics: whole-database operations (restore, replica
+    reload, version GC) get one commit seq per lock hold and never
+    roll back.  A write
     transaction re-entering it keeps its own transaction.
     """
 
@@ -135,9 +134,6 @@ class _WriterLock:
             else:
                 txn.depth -= 1
         self._lock.release_exclusive()
-
-    def shared(self):
-        return self._lock.shared()
 
     @property
     def write_locked(self) -> bool:
@@ -865,8 +861,6 @@ class Database(StorageBackend):
     LockManager's job, not ours.
     """
 
-    read_view_pins_seq = True
-
     def __init__(self) -> None:
         self.tables: dict[str, Table] = {}
         self.commit_listeners: list = []
@@ -879,7 +873,7 @@ class Database(StorageBackend):
         # stores lock-free; only the writer lock is ever contended.
         self._committed_seq = 0
         # -- the one writer (docs/WRITE_PATH.md) --------------------------
-        self._writer = RWLock()
+        self._writer = FairLock()
         self._txns: dict[int, _Txn] = {}
         self.lock = _WriterLock(self)
         # the commit gate: `_seq_alloc` hands out seqs, `_seq_cond`
@@ -923,11 +917,6 @@ class Database(StorageBackend):
             from repro.db.closure import MembershipClosure
             self._closure = MembershipClosure(self.tables["members"])
         return self._closure
-
-    def read_locked(self) -> ContextManager[None]:
-        """Shared-mode critical section over the tables' heads (the
-        replication feed's snapshot and status)."""
-        return self.lock.shared()
 
     def continue_commit_seqs(self, seq: int) -> None:
         # called with no write in flight (recovery, before serving)

@@ -63,7 +63,7 @@ import json
 import math
 import os
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -602,18 +602,6 @@ class Journal:
             if after_seq + 1 < oldest:
                 return oldest, current, None
             return oldest, current, self.after_seq(after_seq)
-
-    def seq_at_commit(self, commit_seq: int) -> int:
-        """The watermark of a read view pinned at *commit_seq*: the seq
-        of the newest entry committed at or below it, else the seq
-        before the oldest retained.  Writers append inside the commit
-        gate, before their seq publishes, and log order is commit-seq
-        order, so the entries it covers are a prefix (bisected)."""
-        with self._lock:
-            covered = bisect_right(self.entries, commit_seq,
-                                   key=lambda e: e.commit_seq)
-            return (self.entries[covered - 1].seq if covered
-                    else self.oldest_seq() - 1)
 
     def after_seq(self, seq: int) -> list[JournalEntry]:
         """Entries with sequence numbers strictly greater than *seq*."""

@@ -27,9 +27,9 @@ read it:
   list.  A snapshot sees exactly the rows — **in exactly the order**
   — the head showed at its seq.
 * A reader **pins** the current committed seq (``Database.
-  pin_snapshot``) and scans the store without taking the RWLock's
-  shared side at all: readers never block on writers and writers never
-  wait on readers.  Only writer–writer exclusion remains on the lock.
+  pin_snapshot``) and scans the store without taking the writer
+  lock at all: readers never block on writers and writers never wait
+  on readers.  Only writer–writer exclusion remains on the lock.
 
 Lock-free safety rests on CPython's per-opcode atomicity: version
 ``data`` dicts are never mutated after publication, list appends are
@@ -926,6 +926,3 @@ class Snapshot:
 
     def table_stats(self) -> list[tuple]:
         return self.db.table_stats()
-
-    def versions(self) -> dict[str, int]:
-        return self.db.versions()

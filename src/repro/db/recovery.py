@@ -4,9 +4,13 @@ The paper bounds data loss with nightly ASCII backups plus the journal
 ("the journal file ... contains a listing of all successful changes");
 this module turns that into a real recovery protocol:
 
+* :func:`consistent_cut` — one committed cut: a read view, the WAL
+  watermark it covers (the seq of the newest entry it holds) and its
+  data-version vector, taken together under a brief ``db.lock`` hold.
+  The checkpoint and the replication feed's snapshot and status all
+  read their state from one.
 * :func:`checkpoint` — dump every relation with :func:`mrbackup` from
-  one read view, record beside the dump the WAL watermark that view
-  covers (the seq of the newest entry it holds), fsync the dump, the
+  one cut, record its watermark beside the dump, fsync the dump, the
   watermark and the directory, then truncate the WAL up to it.
 * :func:`recover` — rebuild a schema-fresh database, :func:`mrrestore`
   the snapshot into it, and replay every WAL entry past the watermark.
@@ -23,6 +27,7 @@ divergence, and replay raises it.
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -33,8 +38,8 @@ from repro.db.journal import (Journal, JournalDamaged, JournalEntry,
                                fsync_paths)
 from repro.sim.clock import Clock
 
-__all__ = ["checkpoint", "recover", "replay_wal", "apply_entries",
-           "OutOfCommitOrder", "RecoveryResult",
+__all__ = ["consistent_cut", "checkpoint", "recover", "replay_wal",
+           "apply_entries", "OutOfCommitOrder", "RecoveryResult",
            "CHECKPOINT_META"]
 
 # Written beside the per-relation dumps: the WAL sequence number the
@@ -57,22 +62,40 @@ class RecoveryResult:
     journal: Optional[Journal] = None
 
 
+@contextmanager
+def consistent_cut(db: Database, journal: Journal
+                   ) -> Iterator[tuple[object, int, dict]]:
+    """``(view, watermark, versions)``: one committed cut of *db*.
+
+    The view is opened, *journal*'s newest seq read and the
+    data-version vector taken under one brief ``db.lock`` hold.  No
+    write is in flight there, and every journal append happens inside
+    a write transaction, so the watermark names exactly the entries
+    the view holds, on either backend.  The lock drops before the
+    caller reads: writers commit past a view that pins a seq (the
+    memory engine) and wait for one that holds the lock (SQLite).
+    The view stays open until the ``with`` ends.
+    """
+    with ExitStack() as stack:
+        with db.lock:
+            view = stack.enter_context(db.read_view())
+            watermark = journal.current_seq()
+            versions = db.versions()
+        yield view, watermark, versions
+
+
 def checkpoint(db: Database, journal: Journal,
                directory: Union[str, Path]) -> int:
     """Snapshot *db* into *directory* and truncate the WAL behind it.
 
     Returns the recorded watermark sequence number: the dump and it
-    are one cut, read from one ``read_view()`` (writers commit past a
-    view that pins a seq).  Every dump file, the watermark and the
-    directory reach the disk *before* the truncate, so a power loss
+    are one :func:`consistent_cut`.  Every dump file, the watermark and
+    the directory reach the disk *before* the truncate, so a power loss
     after it cannot take acknowledged writes along.
     """
     directory = Path(directory)
-    with db.read_view() as view:
+    with consistent_cut(db, journal) as (view, watermark, _):
         dumped = mrbackup(view, directory)
-        # a view holding the writer lock holds every entry so far
-        watermark = (journal.seq_at_commit(view.seq)
-                     if db.read_view_pins_seq else journal.current_seq())
     meta = directory / CHECKPOINT_META
     meta.write_text(f"{watermark}\n", encoding="utf-8")
     fsync_paths([*(directory / name for name in dumped), meta, directory])

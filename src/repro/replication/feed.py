@@ -8,23 +8,25 @@ dispatched by :meth:`MoiraServer._do_query` ahead of the registry lookup
 ``_repl_status``
     One tuple ``(role, current_seq, versions_json, epoch)``: the WAL
     high-water mark paired with the per-table data-version vector
-    (PR 1's ``Database.versions()``), captured atomically under the
-    shared lock, plus the cluster epoch (WAL ownership).  Clients use
-    ``current_seq`` as the read-your-writes session token and
-    ``role``/``epoch`` to find the current primary after a failover;
-    replicas compare version vectors for freshness accounting.  After
-    the status tuple come ``(_endpoint, name, address, role)`` rows —
-    the feed topology as this node knows it — so an operator can see
-    cluster state from any node.
+    (``Database.versions()``), both read from one
+    :func:`~repro.db.recovery.consistent_cut`, plus the cluster epoch
+    (WAL ownership).  Clients use ``current_seq`` as the
+    read-your-writes session token and ``role``/``epoch`` to find the
+    current primary after a failover; the vector is only reported.
+    After the status tuple come ``(_endpoint, name, address, role)``
+    rows — the feed topology as this node knows it — so an operator can
+    see cluster state from any node.
 
 ``_repl_snapshot``
     The bootstrap: ``(_meta, watermark_seq, versions_json, epoch)``
     followed by
-    one ``(table, row_line)`` tuple per row, the row encoded exactly as
-    an :func:`repro.db.backup.mrbackup` dump line (checkpoint format).
-    The whole stream is produced under one shared-lock hold, so the
-    snapshot is a consistent cut at *watermark_seq* — the replica tails
-    strictly after it.
+    one ``(table, row_line)`` tuple per row, each line made by the dump
+    loop :func:`repro.db.backup.mrbackup` writes its files with
+    (checkpoint format).  The whole stream reads one
+    :func:`~repro.db.recovery.consistent_cut`, the one a checkpoint
+    dumps, so the snapshot is the committed state at *watermark_seq*
+    — the replica tails strictly after it — and writers commit past
+    it while it streams.
 
 ``_repl_tail <after_seq> [limit]``
     The incremental feed: ``(_meta, current_seq, epoch)`` then one
@@ -48,8 +50,9 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.db.backup import dump_line, row_values
+from repro.db.backup import dump_relations
 from repro.db.journal import JournalEntry, stamp_from_json
+from repro.db.recovery import consistent_cut
 from repro.errors import (
     MoiraError,
     MR_ARGS,
@@ -151,11 +154,9 @@ def serve_repl_query(server: "MoiraServer", name: str,
 
 
 def _status(server: "MoiraServer") -> Iterator[Run]:
-    with server.db.read_locked():
-        seq = server.journal.current_seq()
-        versions = server.db.versions()
-    rows = [(server.role, str(seq), versions_json(versions),
-             str(server.journal.epoch))]
+    with consistent_cut(server.db, server.journal) as (_, seq, versions):
+        rows = [(server.role, str(seq), versions_json(versions),
+                 str(server.journal.epoch))]
     rows.extend((ENDPOINT_ROW, name, address, role) for name, (address, role)
                 in sorted(server.repl_endpoints.items()))
     yield MR_MORE_DATA, list(map(str_row, rows))
@@ -163,20 +164,12 @@ def _status(server: "MoiraServer") -> Iterator[Run]:
 
 
 def _snapshot(server: "MoiraServer") -> Iterator[Run]:
-    db = server.db
-    # one shared-lock hold across the whole stream: the dump is a
-    # consistent cut at the watermark (writers take the lock exclusively
-    # and journal inside it, so the journal is quiescent here too)
-    with db.read_locked():
-        watermark = server.journal.current_seq()
+    journal = server.journal
+    with consistent_cut(server.db, journal) as (view, watermark, versions):
         yield MR_MORE_DATA, [(META_ROW, str(watermark),
-                              versions_json(db.versions()),
-                              str(server.journal.epoch))]
-        for name in sorted(db.tables):
-            table = db.tables[name]
-            values = row_values(table.columns)
-            yield MR_MORE_DATA, [(name, dump_line(values(row)))
-                                 for row in table.rows]
+                              versions_json(versions), str(journal.epoch))]
+        for name, lines in dump_relations(view):
+            yield MR_MORE_DATA, [(name, line) for line in lines]
     yield final(0)
 
 

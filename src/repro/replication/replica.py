@@ -406,12 +406,10 @@ class ReplicaServer:
                 self._applied_commit_seq = (entry.commit_seq
                                             or self._applied_commit_seq)
                 # the access cache heard what the apply changed at its
-                # commit; an unstamped entry (a WAL from before stamps)
-                # is still taken to have changed anything
-                if entry.changed is None:
-                    self.server.access_cache.invalidate()
-                if entry.changed is None or "members" in dict(
-                        entry.changed):
+                # commit; the closure syncs itself against members'
+                # version when next read, so only a stamped members
+                # change is worth syncing now
+                if "members" in dict(entry.changed or ()):
                     self.server._poke_closure()
                 self.entries_applied += 1
                 applied += 1

@@ -11,7 +11,9 @@ running it through the same suite keeps the contract honest.
 
 from __future__ import annotations
 
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +279,33 @@ class TestVerbsContract:
         assert db.mvcc_stats()["pins_active"] == 0
 
 
+DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
+
+
+def capability_table() -> list[str]:
+    """The first column of DESIGN.md §17.1's capability table, each
+    entry as its name alone (``load(relations)`` -> ``load``)."""
+    section = DESIGN.read_text(encoding="utf-8").split(
+        "### 17.1 The capability contract", 1)[1].split("\n### ", 1)[0]
+    return [re.match(r"\| `([\w.]+)", line).group(1)
+            for line in section.splitlines()
+            if line.startswith("| `")]
+
+
+def test_the_capability_table_names_only_declared_capabilities():
+    """A capability deleted from the ABC cannot stay in the table."""
+    names = capability_table()
+    assert "lock" in names and "StorageTable.rows" in names
+    missing = []
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        cls = StorageTable if owner == "StorageTable" else StorageBackend
+        if not (hasattr(cls, attr)
+                or attr in getattr(cls, "__annotations__", {})):
+            missing.append(name)
+    assert missing == []
+
+
 class TestCapabilityDefaults:
     """Every capability a layer above ``db/`` calls is declared on the
     ABC (DESIGN.md §17): the default describes a backend with one
@@ -287,15 +316,13 @@ class TestCapabilityDefaults:
     def is_memory(self, backend):
         return isinstance(backend, Database)
 
-    def test_lock_and_read_locked(self, backend, is_memory):
+    def test_lock(self, backend):
         with backend.lock:
             backend.table("machine").insert(
                 {"name": "CAP0.MIT.EDU", "mach_id": 60, "type": "VAX"},
                 now=BASE)
-        with backend.read_locked():
-            assert backend.table("machine").count() == 1
-        # default: the one lock; memory: its shared side
-        assert (backend.read_locked() is backend.lock) != is_memory
+        with backend.read_view() as view:
+            assert view.table("machine").count() == 1
 
     def test_intern_string_allocates_once_and_binds(self, backend):
         """Interning binds a text to one id: the second call finds it."""
@@ -395,7 +422,6 @@ class TestCapabilityDefaults:
         """Memory: a view is pinned at ``view.seq`` and a commit after
         ``continue_commit_seqs(n)`` is numbered past *n*.  Default: the
         view holds the writer lock, and commits carry no seq."""
-        assert backend.read_view_pins_seq is is_memory
         backend.continue_commit_seqs(5000)
         with backend.write_txn() as txn:
             backend.table("machine").insert(

@@ -1,6 +1,6 @@
 """Concurrency tests: simultaneous clients, competing DCMs, threaded
-TCP traffic against the single-process server, the reader–writer
-database lock, transport backpressure, and the thread-safe access
+TCP traffic against the single-process server, the database's writer
+lock, transport backpressure, and the thread-safe access
 cache."""
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.client import MoiraClient
 from repro.core import AthenaDeployment, DeploymentConfig
 from repro.db.engine import Column, Database, Table
 from repro.db.locks import LockManager, LockMode
-from repro.db.rwlock import RWLock
+from repro.db.fairlock import FairLock
 from repro.dcm.dcm import DCM
 from repro.protocol.transport import TcpServerTransport
 from repro.server import AccessCache
@@ -149,103 +149,22 @@ class TestCompetingDCMs:
 
 
 class TestRWLock:
-    def test_readers_share(self):
-        lock = RWLock()
-        inside = threading.Barrier(2, timeout=5)
-
-        def reader():
-            with lock.shared():
-                inside.wait()  # both threads inside simultaneously
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert lock.readers == 0
-
-    def test_writer_excludes_readers(self):
-        lock = RWLock()
-        observed = []
-        lock.acquire_exclusive()
-        done = threading.Event()
-
-        def reader():
-            with lock.shared():
-                observed.append(lock.write_locked)
-            done.set()
-
-        t = threading.Thread(target=reader)
-        t.start()
-        time.sleep(0.05)
-        assert not done.is_set()  # reader parked behind the writer
-        lock.release_exclusive()
-        assert done.wait(timeout=5)
-        t.join(timeout=5)
-        assert observed == [False]
-
-    def test_waiting_writer_blocks_new_readers(self):
-        """Writer preference: once a writer queues, fresh readers wait
-        behind it instead of starving it."""
-        lock = RWLock()
-        lock.acquire_shared()
-        writer_got_it = threading.Event()
-        reader_got_it = threading.Event()
-
-        def writer():
-            with lock.exclusive():
-                writer_got_it.set()
-
-        def late_reader():
-            with lock.shared():
-                reader_got_it.set()
-
-        wt = threading.Thread(target=writer)
-        wt.start()
-        time.sleep(0.05)  # writer is now waiting on the held shared lock
-        rt = threading.Thread(target=late_reader)
-        rt.start()
-        time.sleep(0.05)
-        assert not reader_got_it.is_set()  # queued behind the writer
-        assert not writer_got_it.is_set()
-        lock.release_shared()
-        assert writer_got_it.wait(timeout=5)
-        assert reader_got_it.wait(timeout=5)
-        wt.join(timeout=5)
-        rt.join(timeout=5)
-
     def test_exclusive_is_reentrant(self):
-        lock = RWLock()
+        lock = FairLock()
         with lock.exclusive():
             with lock.exclusive():  # Database.next_id under a mutation
                 assert lock.write_locked
             assert lock.write_locked
         assert not lock.write_locked
 
-    def test_shared_reentry_and_shared_under_exclusive(self):
-        lock = RWLock()
-        with lock.shared():
-            with lock.shared():
-                assert lock.readers == 1
-        with lock.exclusive():
-            with lock.shared():  # read helper inside a mutation: no-op
-                assert lock.write_locked
-        assert lock.readers == 0
-
-    def test_upgrade_raises(self):
-        lock = RWLock()
-        with lock.shared():
-            with pytest.raises(RuntimeError):
-                lock.acquire_exclusive()
-
     def test_plain_with_is_exclusive(self):
         """``with lock:`` keeps the old coarse-mutex contract."""
-        lock = RWLock()
+        lock = FairLock()
         with lock:
             assert lock.write_locked
 
     def test_writers_take_turns_in_arrival_order(self):
-        lock = RWLock()
+        lock = FairLock()
         order = []
         lock.acquire_exclusive()
 
@@ -265,9 +184,9 @@ class TestRWLock:
 
     def test_writers_and_readers_under_a_short_switch_interval(self):
         """More writers than cores, each a read-modify-write of one
-        counter under the exclusive lock, beside readers: no update is
-        lost and every thread finishes."""
-        lock = RWLock()
+        counter under the lock, beside threads that only read it under
+        the same lock: no update is lost and every thread finishes."""
+        lock = FairLock()
         counter = [0]
         seen = []
 
@@ -280,7 +199,7 @@ class TestRWLock:
 
         def reader():
             for _ in range(300):
-                with lock.shared():
+                with lock:
                     seen.append(counter[0])
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
@@ -297,7 +216,7 @@ class TestRWLock:
         assert not any(t.is_alive() for t in threads)
         assert counter[0] == 4 * 300
         assert len(seen) == 2 * 300
-        assert lock.readers == 0 and not lock.write_locked
+        assert not lock.write_locked
 
     def test_a_collection_is_not_starved_by_a_back_to_back_writer(self):
         """A thread committing one write after another leaves the

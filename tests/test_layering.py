@@ -444,3 +444,82 @@ def test_the_loader_walk_catches_what_it_forbids():
         "        self._changelog.clear()\n"
         "        self.records.clear()\n")
     assert reload_sites(fine, "x.py") == []
+
+
+# -- one cut ----------------------------------------------------------------------
+#
+# A checkpoint's dump and the replication feed's snapshot and status
+# each read one ``recovery.consistent_cut``: a view opened, the WAL
+# watermark and the version vector read under one brief ``db.lock``
+# hold.  The reader side of the writer lock, and the per-backend
+# watermark it replaced, are gone.
+
+GONE = ("read_locked", "acquire_shared", "seq_at_commit",
+        "read_view_pins_seq", "RWLock")
+CUT = "db/recovery.py in consistent_cut"
+
+
+def cut_sites(tree: ast.AST, where: str) -> list[str]:
+    """``where in function`` for each ``read_view()`` call inside a
+    ``with`` that holds a ``.lock``, and ``where: name`` for each
+    identifier of :data:`GONE`."""
+    found = []
+
+    def visit(node: ast.AST, function: str, locked: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        names = {getattr(node, field, None)
+                 for field in ("id", "attr", "name", "arg", "asname")}
+        found.extend(f"{where}: {name}" for name in GONE if name in names)
+        if (locked and isinstance(node, ast.Call)
+                and terminal_name(node.func) == "read_view"):
+            found.append(f"{where} in {function}")
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                visit(item.context_expr, function, locked)
+                if (isinstance(item.context_expr, ast.Attribute)
+                        and item.context_expr.attr == "lock"):
+                    locked = True
+            for child in node.body:
+                visit(child, function, locked)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, locked)
+
+    visit(tree, "<module>", False)
+    return found
+
+
+def test_one_cut_and_no_reader_side():
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        sites += cut_sites(ast.parse(path.read_text(encoding="utf-8")),
+                           str(path.relative_to(SRC)))
+    assert sites == [CUT], sites
+
+
+def test_the_cut_walk_catches_what_it_forbids():
+    bad = ast.parse(
+        "from repro.db.rwlock import RWLock\n"
+        "def status(db, journal):\n"
+        "    with db.read_locked():\n"
+        "        db.lock.acquire_shared()\n"
+        "    with db.lock:\n"
+        "        if True:\n"
+        "            view = db.read_view()\n"
+        "    with self.db.lock, self.db.read_view() as view:\n"
+        "        pass\n"
+        "    return journal.seq_at_commit(db.read_view_pins_seq)\n")
+    assert cut_sites(bad, "x.py") == [
+        "x.py: RWLock", "x.py: read_locked", "x.py: acquire_shared",
+        "x.py in status", "x.py in status", "x.py: seq_at_commit",
+        "x.py: read_view_pins_seq"]
+    fine = ast.parse(
+        "def dump(db, journal):\n"
+        "    with db.read_view() as view:\n"
+        "        seq = journal.current_seq()\n"
+        "    with db.lock:\n"
+        "        versions = db.versions()\n"
+        "    with self._lock:\n"
+        "        return self.read_view()\n")
+    assert cut_sites(fine, "x.py") == []

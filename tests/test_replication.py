@@ -344,19 +344,30 @@ class TestReplicaAccessCache:
         assert replica.db.table("users").select(
             {"login": "user0"})[0]["shell"] == "/bin/sh"
 
-    def test_an_unstamped_entry_invalidates_everything(self):
+    def test_an_unstamped_entry_is_judged_by_what_it_changed(self):
+        """An entry without a stamp (a WAL from before stamps) is
+        judged by the replica's own commit listener, which hears what
+        the apply wrote: a shell change keeps the generation, a
+        members change bumps it."""
         from dataclasses import replace
         primary = make_primary()
-        mutate(primary, mutations(2))
+        mutate(primary, mutations(3))
         replica = make_replica(primary)
         replica.step()
         cache = replica.server.access_cache
         gen = cache.generation
         apply_one(primary.db, primary.journal, primary.clock, BASE + 100,
                   "update_user_shell", ["user0", "/bin/sh"])
-        entry = primary.journal.entries[-1]
-        assert replica._apply([replace(entry, changed=None)]) == 1
+        apply_one(primary.db, primary.journal, primary.clock, BASE + 110,
+                  "add_member_to_list", ["list2", "USER", "user0"])
+        shell, member = (replace(entry, changed=None)
+                         for entry in primary.journal.entries[-2:])
+        assert replica._apply([shell]) == 1
+        assert cache.generation == gen
+        assert replica._apply([member]) == 1
         assert cache.generation == gen + 1
+        assert replica.db.table("members").count() == \
+            primary.db.table("members").count()
 
 
 class TestReplicaSetRouting:

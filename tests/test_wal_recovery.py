@@ -102,18 +102,6 @@ class TestDurableJournal:
         assert journal.after_seq(10) == []
         assert len(journal.after_seq(0)) == 10
 
-    def test_seq_at_commit_is_the_newest_entry_a_view_covers(self):
-        journal = Journal()
-        for commit_seq in (5, 7, 9):
-            journal.record(BASE, "root", "q", (), commit_seq=commit_seq)
-        assert [journal.seq_at_commit(c) for c in (4, 5, 8, 9, 50)] == \
-            [0, 1, 2, 3, 3]
-        journal.truncate(2)
-        # none retained at or below: the seq before the oldest retained
-        assert journal.seq_at_commit(8) == 2
-        journal.truncate(3)
-        assert journal.seq_at_commit(8) == 3
-
     def test_truncate_rewrites_file(self, tmp_path):
         wal = tmp_path / "wal"
         journal = Journal(path=wal)
